@@ -11,7 +11,7 @@ summary with the speedup figures CI gates on.  Usage::
         [--full] [--nodes 1,2,4,8] [--out BENCH_batch.json]
 
 The default is the quick CI sizing; ``--full`` runs the larger workload.
-``benchmarks/check_batch_schema.py`` validates the output and fails the
+``benchmarks/check_bench.py`` validates the output and fails the
 build on a broken equivalence or a speedup below the 1.3x floor.
 """
 

@@ -9,7 +9,7 @@ resolution), the cluster makespan is the busiest node's total, and
 throughput is ``events / makespan``.  Sharding the index and the
 producer/consumer homes over more nodes shrinks the busiest node's
 share, so throughput must rise monotonically with the node count — CI
-checks exactly that through ``check_federation_schema.py``.  Usage::
+checks exactly that through ``check_bench.py``.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_federation.py \
         --nodes 1,2,4,8 --events 200 --out BENCH_federation.json

@@ -10,7 +10,7 @@ the modes, and writes the ``css-bench-perf/1`` summary.  Usage::
         [--quick] [--nodes 1,2,4,8] [--out BENCH_perf.json]
 
 ``--quick`` scales every iteration count down for CI; the schema checker
-(``benchmarks/check_perf_schema.py``) validates the output either way and
+(``benchmarks/check_bench.py``) validates the output either way and
 fails the build if the indexed PDP-decide path is not at least as fast as
 the baseline.
 """

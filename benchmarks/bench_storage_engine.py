@@ -18,7 +18,7 @@ kinds and asserts byte-identical audit trails — the same invariant the
 unit suite pins, kept visible in the benchmark payload.
 
 Output (``--out BENCH_storage.json``) follows schema
-``css-bench-storage/1`` and is validated by ``check_storage_schema.py``
+``css-bench-storage/1`` and is validated by ``check_bench.py``
 in CI.  ``--quick`` benches the 10k point only; the full run adds 100k.
 
 Usage::

@@ -7,7 +7,7 @@ All benchmarks run with ``pytest benchmarks/ --benchmark-only``.
 After a benchmark session the harness writes ``BENCH_obs.json`` — the
 observability summary (throughput + latency percentiles per figure
 benchmark, schema ``css-bench-obs/1``) that starts the repo's perf
-trajectory; ``benchmarks/check_obs_schema.py`` validates it in CI.
+trajectory; ``benchmarks/check_bench.py`` validates it in CI.
 """
 
 from __future__ import annotations

@@ -86,6 +86,7 @@ from repro.baselines import (
     WarehouseBaseline,
 )
 from repro.clock import DAY
+from repro.obs.benchreport import write_summary
 from repro.runtime.kernel import RuntimeConfig, default_kernel, suggest
 from repro.sim.generators import DEFAULT_SEED
 from repro.sim.scenario import (
@@ -246,20 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drive the federation with a seeded scenario, emit the "
              "capacity trajectory",
     )
-    workload.add_argument("--scenario", default="steady",
-                          help="workload scenario preset "
-                               "(steady, stress, surge, anomaly)")
-    workload.add_argument("--population", type=int, default=100_000,
-                          help="assisted-person population size "
-                               "(default 100000; lazily materialized)")
-    workload.add_argument("--ops", type=int, default=5_000,
-                          help="operations per capacity point (default 5000)")
-    workload.add_argument("--nodes", default="1,2,4,8",
-                          help="comma-separated node counts of the "
-                               "trajectory (default 1,2,4,8)")
-    workload.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                          help="master seed of population, arrivals and "
-                               f"op mix (default {DEFAULT_SEED})")
+    _workload_options(workload, scenario="steady", population=100_000,
+                      ops=5_000, nodes="1,2,4,8")
     workload.add_argument("--sched", default="none", choices=["none", "fair"],
                           help="tenant scheduler on every node: none (fifo "
                                "baseline) or fair (per-tenant admission + "
@@ -274,48 +263,32 @@ def _build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--out", metavar="FILE", default=None,
                           help="write the css-bench-capacity/1 payload "
                                "to FILE (e.g. BENCH_capacity.json)")
-    workload.add_argument("--list", action="store_true", dest="list_scenarios",
-                          help="list the scenario presets and exit")
 
     sched = sub.add_parser(
         "sched",
         help="fairness comparison: fifo baseline vs fair tenant scheduler",
     )
-    sched.add_argument("--scenario", default="anomaly",
-                       help="workload scenario preset (default anomaly: one "
-                            "abusive tenant floods a shared federation)")
-    sched.add_argument("--population", type=int, default=4_000,
-                       help="assisted-person population size (default 4000)")
-    sched.add_argument("--ops", type=int, default=600,
-                       help="operations per arm (default 600)")
-    sched.add_argument("--nodes", type=int, default=None,
-                       help="federation size (default 2)")
-    sched.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: the preset's)")
+    _workload_options(sched, scenario="anomaly", population=4_000, ops=600)
     sched.add_argument("--out", metavar="FILE", default=None,
                        help="write the css-bench-fairness/1 payload to FILE "
                             "(e.g. BENCH_fairness.json)")
-    sched.add_argument("--list", action="store_true", dest="list_scenarios",
-                       help="list the scenario presets and exit")
 
     incident = sub.add_parser(
         "incident",
         help="watched workload run: watchdogs, flight recorder, "
              "css-incident/1 bundles",
     )
-    _watched_run_options(incident, "incident")
+    _workload_options(incident, scenario="anomaly", population=4_000, ops=600)
     incident.add_argument("--out", metavar="DIR", default=None,
                           help="write each captured css-incident/1 bundle "
                                "as a directory under DIR")
-    incident.add_argument("--list", action="store_true",
-                          dest="list_scenarios",
-                          help="list the scenario presets and exit")
 
     timeline = sub.add_parser(
         "timeline",
         help="merged cross-node flight-recorder timeline of a watched run",
     )
-    _watched_run_options(timeline, "timeline")
+    _workload_options(timeline, scenario="anomaly", population=4_000,
+                      ops=600, listing=False)
     timeline.add_argument("--limit", type=int, default=20,
                           help="timeline rows to print (default 20, "
                                "most recent; 0 prints all)")
@@ -332,20 +305,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _watched_run_options(parser: argparse.ArgumentParser, prog: str) -> None:
-    """Shared options of the watched-run subcommands (incident, timeline)."""
-    parser.add_argument("--scenario", default="anomaly",
-                        help="workload scenario preset (default anomaly; "
-                             "'federated' is an alias for anomaly on the "
-                             "default 2-node federation)")
-    parser.add_argument("--population", type=int, default=4_000,
-                        help="assisted-person population size (default 4000)")
-    parser.add_argument("--ops", type=int, default=600,
-                        help=f"operations of the {prog} run (default 600)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="federation size (default 2)")
+def _workload_options(parser: argparse.ArgumentParser, *, scenario: str,
+                      population: int, ops: int, nodes: str | None = None,
+                      listing: bool = True) -> None:
+    """Options shared by the workload-engine subcommands
+    (workload, sched, incident, timeline)."""
+    parser.add_argument("--scenario", default=scenario,
+                        help=f"workload scenario preset (default {scenario}; "
+                             "incident/timeline also accept 'federated', an "
+                             "alias for anomaly on the default 2-node "
+                             "federation)")
+    parser.add_argument("--population", type=int, default=population,
+                        help="assisted-person population size (default "
+                             f"{population}; lazily materialized)")
+    parser.add_argument("--ops", type=int, default=ops,
+                        help=f"operations per run (default {ops})")
+    if nodes is None:
+        parser.add_argument("--nodes", type=int, default=2,
+                            help="federation size (default 2)")
+    else:
+        parser.add_argument("--nodes", default=nodes,
+                            help="comma-separated node counts of the "
+                                 f"trajectory (default {nodes})")
     parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (default: the preset's)")
+                        help="master seed of population, arrivals and op "
+                             f"mix (default: the preset's, {DEFAULT_SEED})")
+    if listing:
+        parser.add_argument("--list", action="store_true",
+                            dest="list_scenarios",
+                            help="list the scenario presets and exit")
 
 
 def _scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -356,6 +344,29 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="master seed of every generated stream "
                              f"(default {DEFAULT_SEED})")
+
+
+def _css_scenario(args: argparse.Namespace,
+                  runtime: RuntimeConfig | None = None) -> CssScenario:
+    """The single-controller scenario of the ``--events/--patients/...`` flags."""
+    return CssScenario(ScenarioConfig(
+        n_patients=args.patients, n_events=args.events,
+        detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
+    ))
+
+
+def _federated_scenario(args: argparse.Namespace, **knobs):
+    """The same flags as an ``--nodes``-node federated scenario."""
+    from repro.exceptions import ConfigurationError
+    from repro.federation import FederatedScenario, FederatedScenarioConfig
+
+    try:
+        return FederatedScenario(FederatedScenarioConfig(
+            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
+            detail_request_rate=args.rate, seed=args.seed, **knobs,
+        ))
+    except ConfigurationError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 def _make_scenario(args: argparse.Namespace) -> tuple[CssScenario, list]:
@@ -383,11 +394,7 @@ def _make_scenario(args: argparse.Namespace) -> tuple[CssScenario, list]:
         from dataclasses import replace
 
         runtime = replace(runtime or RuntimeConfig(), sched=sched)
-    config = ScenarioConfig(
-        n_patients=args.patients, n_events=args.events,
-        detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
-    )
-    scenario = CssScenario(config)
+    scenario = _css_scenario(args, runtime)
     return scenario, scenario.generate_workload()
 
 
@@ -412,53 +419,34 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
 _SCENARIOS = ("default", "federated")
 
 
-def _check_scenario(command: str, name: str) -> None:
-    """Reject unknown scenario presets the way the kernel rejects names."""
-    if name not in _SCENARIOS:
+def _check_choice(command: str, what: str, value: str,
+                  known: tuple[str, ...]) -> None:
+    """Reject an unknown enumeration value the way the kernel rejects names."""
+    if value not in known:
         raise SystemExit(
-            f"repro {command}: unknown scenario {name!r};"
-            f"{suggest(name, _SCENARIOS)} "
-            f"available: {', '.join(_SCENARIOS)}"
+            f"repro {command}: unknown {what} {value!r};"
+            f"{suggest(value, known)} available: {', '.join(known)}"
         )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    import json
-
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _cmd_telemetry(args: argparse.Namespace, out) -> int:
-    from repro.obs.benchreport import scenario_summary, write_summary
+    from repro.obs.benchreport import scenario_summary
     from repro.obs.exporters import render_latency_table, render_metrics_table
     from repro.obs.profiling import SamplingProfiler
     from repro.obs.telemetry import PIPELINE_DURATION, STAGE_DURATION
 
     if args.scenario == "federated":
-        from repro.federation import FederatedScenario, FederatedScenarioConfig
-
-        scenario = FederatedScenario(FederatedScenarioConfig(
-            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed,
-            telemetry_guard=args.guard,
-        ))
+        scenario = _federated_scenario(args, telemetry_guard=args.guard)
         telemetry = scenario.telemetry
         if args.profile:
             telemetry.attach_profiler(
                 SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
         report = scenario.run()
     else:
-        runtime = RuntimeConfig(
+        scenario = _css_scenario(args, RuntimeConfig(
             telemetry="inmemory", telemetry_guard=args.guard,
             profiling="sampling" if args.profile else "noop",
-        )
-        config = ScenarioConfig(
-            n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
-        )
-        scenario = CssScenario(config)
+        ))
         report = scenario.run(scenario.generate_workload())
         telemetry = scenario.controller.telemetry
 
@@ -485,7 +473,7 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
         from repro.obs.slo import SLOEngine
 
         report_payload = SLOEngine(telemetry).evaluate().to_payload()
-        _write_json(args.slo_out, report_payload)
+        write_summary(args.slo_out, report_payload)
         print(f"wrote {args.slo_out} ({report_payload['breaches']} breaches)",
               file=out)
     if args.bench_out:
@@ -497,21 +485,14 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_federate(args: argparse.Namespace, out) -> int:
-    from repro.exceptions import ConfigurationError
-    from repro.federation import FederatedScenario, FederatedScenarioConfig
-
-    try:
-        config = FederatedScenarioConfig(
-            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed, sched=args.sched,
-            batch=args.batch, batch_size=args.batch_size,
-            # SLO evaluation needs metric series, so --slo-out turns
-            # telemetry on.
-            telemetry_guard="hash" if args.slo_out else None,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro federate: {exc}") from None
-    scenario = FederatedScenario(config)
+    scenario = _federated_scenario(
+        args,
+        runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
+                              batch_size=args.batch_size),
+        # SLO evaluation needs metric series, so --slo-out turns
+        # telemetry on.
+        telemetry_guard="hash" if args.slo_out else None,
+    )
     report = scenario.run()
     print(report.to_text(), file=out)
     trail = scenario.platform.guarantor_inquiry()
@@ -523,7 +504,7 @@ def _cmd_federate(args: argparse.Namespace, out) -> int:
               f"{rebalance.entries_moved} index entries", file=out)
     if args.slo_out:
         slo_payload = scenario.slo_report().to_payload()
-        _write_json(args.slo_out, slo_payload)
+        write_summary(args.slo_out, slo_payload)
         print(f"wrote {args.slo_out} ({slo_payload['breaches']} breaches)",
               file=out)
     return 0
@@ -532,25 +513,15 @@ def _cmd_federate(args: argparse.Namespace, out) -> int:
 def _cmd_slo(args: argparse.Namespace, out) -> int:
     from repro.obs.slo import SLO_ALERT_TOPIC, SLOEngine
 
-    _check_scenario("slo", args.scenario)
+    _check_choice("slo", "scenario", args.scenario, _SCENARIOS)
     if args.scenario == "federated":
-        from repro.federation import FederatedScenario, FederatedScenarioConfig
-
-        scenario = FederatedScenario(FederatedScenarioConfig(
-            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed,
-            telemetry_guard=args.guard, scripted_drops=args.drops,
-        ))
+        scenario = _federated_scenario(args, telemetry_guard=args.guard,
+                                       scripted_drops=args.drops)
         scenario.run()
         report = scenario.slo_report()
     else:
-        runtime = RuntimeConfig(telemetry="inmemory",
-                                telemetry_guard=args.guard, slo="default")
-        config = ScenarioConfig(
-            n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
-        )
-        scenario = CssScenario(config)
+        scenario = _css_scenario(args, RuntimeConfig(
+            telemetry="inmemory", telemetry_guard=args.guard, slo="default"))
         scenario.run(scenario.generate_workload())
         controller = scenario.controller
         report = controller.slo.evaluate()
@@ -559,7 +530,7 @@ def _cmd_slo(args: argparse.Namespace, out) -> int:
     print(f"alerts: {len(report.breaches())} published on {SLO_ALERT_TOPIC}",
           file=out)
     if args.slo_out:
-        _write_json(args.slo_out, report.to_payload())
+        write_summary(args.slo_out, report.to_payload())
         print(f"wrote {args.slo_out}", file=out)
     return 0
 
@@ -573,15 +544,10 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
         stitched_lines,
     )
 
-    _check_scenario("trace", args.scenario)
+    _check_choice("trace", "scenario", args.scenario, _SCENARIOS)
     if args.scenario == "federated":
-        from repro.federation import FederatedScenario, FederatedScenarioConfig
-
-        scenario = FederatedScenario(FederatedScenarioConfig(
-            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed,
-            telemetry_guard="hash", per_node_telemetry=True,
-        ))
+        scenario = _federated_scenario(args, telemetry_guard="hash",
+                                       per_node_telemetry=True)
         scenario.run()
         exports = scenario.platform.trace_exports()
         traces = scenario.platform.stitched_trace()
@@ -589,12 +555,7 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
             f"{node}={len(lines)}" for node, lines in exports.items())
         print(f"per-node span exports: {rendered}", file=out)
     else:
-        runtime = RuntimeConfig(telemetry="inmemory")
-        config = ScenarioConfig(
-            n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
-        )
-        scenario = CssScenario(config)
+        scenario = _css_scenario(args, RuntimeConfig(telemetry="inmemory"))
         scenario.run(scenario.generate_workload())
         traces = stitch({"local": scenario.controller.telemetry.trace_export()})
     summary = stitch_summary(traces)
@@ -664,12 +625,7 @@ _PERF_SCENARIOS = ("kernel", "federated")
 
 
 def _cmd_perf(args: argparse.Namespace, out) -> int:
-    if args.scenario not in _PERF_SCENARIOS:
-        raise SystemExit(
-            f"repro perf: unknown scenario {args.scenario!r};"
-            f"{suggest(args.scenario, _PERF_SCENARIOS)} "
-            f"available: {', '.join(_PERF_SCENARIOS)}"
-        )
+    _check_choice("perf", "scenario", args.scenario, _PERF_SCENARIOS)
     if args.nodes < 1:
         raise SystemExit("repro perf: --nodes must be a positive integer")
     from repro.perf.bench import run_suite
@@ -699,7 +655,7 @@ def _cmd_perf(args: argparse.Namespace, out) -> int:
         print("repro perf: indexed and none modes disagree", file=sys.stderr)
         return 1
     if args.out:
-        _write_json(args.out, payload)
+        write_summary(args.out, payload)
         print(f"wrote {args.out}", file=out)
     return 0
 
@@ -734,12 +690,7 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
     from repro.exceptions import StorageError
     from repro.storage import SnapshotManager, StorageEngine
 
-    if args.action not in _STORE_ACTIONS:
-        raise SystemExit(
-            f"repro store: unknown action {args.action!r};"
-            f"{suggest(args.action, _STORE_ACTIONS)} "
-            f"available: {', '.join(_STORE_ACTIONS)}"
-        )
+    _check_choice("store", "action", args.action, _STORE_ACTIONS)
 
     if args.action == "stats":
         engine = StorageEngine(_store_data_dir(args))
@@ -820,50 +771,67 @@ def _parse_node_counts(spec: str) -> tuple[int, ...]:
     return counts
 
 
-def _cmd_workload(args: argparse.Namespace, out) -> int:
-    from repro.exceptions import ConfigurationError
-    from repro.workload import (
-        SCENARIOS,
-        CapacityConfig,
-        run_capacity,
-        workload_config,
-        write_payload,
-    )
+def _resolve_workload(args: argparse.Namespace, out,
+                      scenario: str | None = None):
+    """The workload config of one workload-engine subcommand.
 
-    if args.list_scenarios:
+    Shared by workload/sched/incident/timeline: ``--list`` prints the
+    preset table and yields ``None`` (the caller exits 0); otherwise the
+    named preset with the ``--population/--ops/--seed`` overrides, with
+    configuration errors turned into the usual did-you-mean exit.
+    """
+    from repro.exceptions import ConfigurationError
+    from repro.workload import SCENARIOS, workload_config
+
+    if getattr(args, "list_scenarios", False):
         print("workload scenarios:", file=out)
         for name in SCENARIOS:
             config = workload_config(name)
-            print(f"  {name:<8} arrival={config.arrival:<8} "
+            print(f"  {name:<12} arrival={config.arrival:<8} "
                   f"rate={config.rate:>6.1f}/s  "
                   f"details={config.details_weight:.2f}  "
-                  f"hot-subjects={config.hot_subjects}", file=out)
-        return 0
-
+                  f"hot-subjects={config.hot_subjects}  "
+                  f"tenants={len(config.tenants)}", file=out)
+        return None
+    overrides: dict[str, object] = {
+        "population": args.population, "ops": args.ops,
+    }
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if isinstance(args.nodes, int) and args.nodes < 1:
+        raise SystemExit(
+            f"repro {args.command}: --nodes must be a positive integer")
     try:
-        wl = workload_config(
-            args.scenario,
-            population=args.population,
-            ops=args.ops,
-            seed=args.seed,
-        )
+        return workload_config(scenario or args.scenario, **overrides)
+    except ConfigurationError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
+
+
+def _cmd_workload(args: argparse.Namespace, out) -> int:
+    from repro.exceptions import ConfigurationError
+    from repro.workload import CapacityConfig, run_capacity
+
+    wl = _resolve_workload(args, out)
+    if wl is None:
+        return 0
+    try:
         config = CapacityConfig(
             workload=wl, node_counts=_parse_node_counts(args.nodes),
-            sched=args.sched, batch=args.batch, batch_size=args.batch_size,
+            runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
+                                  batch_size=args.batch_size),
         )
+        source = (f"repro workload --scenario {args.scenario} "
+                  f"--population {args.population} --ops {args.ops} "
+                  f"--nodes {args.nodes} --seed {wl.seed} "
+                  f"--sched {args.sched} --batch {args.batch} "
+                  f"--batch-size {args.batch_size}")
+        payload = run_capacity(config, source=source)
     except ConfigurationError as exc:
         raise SystemExit(f"repro workload: {exc}") from None
 
-    source = (f"repro workload --scenario {args.scenario} "
-              f"--population {args.population} --ops {args.ops} "
-              f"--nodes {args.nodes} --seed {args.seed} "
-              f"--sched {args.sched} --batch {args.batch} "
-              f"--batch-size {args.batch_size}")
-    payload = run_capacity(config, source=source)
-
     print(f"capacity trajectory ({args.scenario} scenario, "
           f"population {args.population:,}, {args.ops:,} ops, "
-          f"seed {args.seed}):", file=out)
+          f"seed {wl.seed}):", file=out)
     for point in payload["nodes"]:
         latency = point["latency_seconds"]
         publish_p95 = latency.get("publish", {}).get("p95", 0.0)
@@ -875,44 +843,21 @@ def _cmd_workload(args: argparse.Namespace, out) -> int:
               f"queue-hw={point['queue_depth_high_water']:>4} "
               f"dead-letter-hw={point['dead_letter_high_water']}", file=out)
     if args.out:
-        write_payload(args.out, payload)
+        write_summary(args.out, payload)
         print(f"wrote {args.out}", file=out)
     return 0
 
 
 def _cmd_sched(args: argparse.Namespace, out) -> int:
-    from repro.exceptions import ConfigurationError
     from repro.sched.fairness import fairness_gate, run_fairness
-    from repro.workload import SCENARIOS, workload_config
 
-    if args.list_scenarios:
-        print("workload scenarios:", file=out)
-        for name in SCENARIOS:
-            config = workload_config(name)
-            print(f"  {name:<12} arrival={config.arrival:<8} "
-                  f"rate={config.rate:>6.1f}/s  "
-                  f"tenants={len(config.tenants)}", file=out)
+    wl = _resolve_workload(args, out)
+    if wl is None:
         return 0
-
-    overrides: dict[str, object] = {
-        "population": args.population, "ops": args.ops,
-    }
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        wl = workload_config(args.scenario, **overrides)
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro sched: {exc}") from None
-
-    kwargs: dict[str, object] = {}
-    if args.nodes is not None:
-        if args.nodes < 1:
-            raise SystemExit("repro sched: --nodes must be a positive integer")
-        kwargs["nodes"] = args.nodes
     source = (f"repro sched --scenario {args.scenario} "
               f"--population {args.population} --ops {args.ops} "
               f"--seed {wl.seed}")
-    payload = run_fairness(wl, source=source, **kwargs)
+    payload = run_fairness(wl, nodes=args.nodes, source=source)
 
     print(f"fairness comparison ({args.scenario} scenario, {args.ops} ops, "
           f"{payload['nodes']} nodes, seed {wl.seed}):", file=out)
@@ -928,7 +873,7 @@ def _cmd_sched(args: argparse.Namespace, out) -> int:
     print(f"  audit digests "
           f"{'match' if payload['audit_digest_match'] else 'DIFFER'}", file=out)
     if args.out:
-        _write_json(args.out, payload)
+        write_summary(args.out, payload)
         print(f"wrote {args.out}", file=out)
     problems = fairness_gate(payload)
     if problems:
@@ -940,53 +885,29 @@ def _cmd_sched(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _watched_workload(args: argparse.Namespace, prog: str):
-    """Resolve the watched-run workload config shared by incident/timeline.
+def _watched_run(args: argparse.Namespace, out, **capture):
+    """The watched workload run shared by incident/timeline (None: --list).
 
     ``federated`` is accepted as a scenario alias for ``anomaly`` on the
     default two-node federation — the shape the CI smoke exercises.
     """
-    from repro.exceptions import ConfigurationError
-    from repro.workload import workload_config
+    from repro.workload.incidents import run_incident_capture
 
-    scenario = "anomaly" if args.scenario == "federated" else args.scenario
-    overrides: dict[str, object] = {
-        "population": args.population, "ops": args.ops,
-    }
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        wl = workload_config(scenario, **overrides)
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro {prog}: {exc}") from None
-    if args.nodes is not None and args.nodes < 1:
-        raise SystemExit(f"repro {prog}: --nodes must be a positive integer")
-    return wl
+    wl = _resolve_workload(
+        args, out, scenario="anomaly" if args.scenario == "federated" else None)
+    if wl is None:
+        return None
+    source = (f"repro {args.command} --scenario {args.scenario} "
+              f"--population {args.population} --ops {args.ops} "
+              f"--seed {wl.seed}")
+    return run_incident_capture(wl, nodes=args.nodes, source=source,
+                                **capture)
 
 
 def _cmd_incident(args: argparse.Namespace, out) -> int:
-    from repro.workload import SCENARIOS, workload_config
-    from repro.workload.incidents import run_incident_capture
-
-    if args.list_scenarios:
-        print("workload scenarios:", file=out)
-        for name in SCENARIOS:
-            config = workload_config(name)
-            print(f"  {name:<12} arrival={config.arrival:<8} "
-                  f"rate={config.rate:>6.1f}/s  "
-                  f"tenants={len(config.tenants)}", file=out)
+    payload = _watched_run(args, out, out_dir=args.out)
+    if payload is None:
         return 0
-
-    wl = _watched_workload(args, "incident")
-    kwargs: dict[str, object] = {}
-    if args.nodes is not None:
-        kwargs["nodes"] = args.nodes
-    source = (f"repro incident --scenario {args.scenario} "
-              f"--population {args.population} --ops {args.ops} "
-              f"--seed {wl.seed}")
-    payload = run_incident_capture(
-        wl, source=source, out_dir=args.out, **kwargs
-    )
 
     print(f"watched run ({payload['scenario']} scenario, {payload['ops']} "
           f"ops, {payload['nodes']} nodes, seed {payload['seed']}): "
@@ -1018,24 +939,14 @@ def _cmd_incident(args: argparse.Namespace, out) -> int:
 def _cmd_timeline(args: argparse.Namespace, out) -> int:
     from repro.obs.exporters import write_jsonl
     from repro.obs.incident import WatchdogConfig
-    from repro.workload.incidents import run_incident_capture
 
-    wl = _watched_workload(args, "timeline")
-    kwargs: dict[str, object] = {}
-    if args.nodes is not None:
-        kwargs["nodes"] = args.nodes
     # Disarm every watchdog: a trigger freezes the recorders, and the
     # timeline view wants the rings still recording at the end of the run.
     disarmed = WatchdogConfig(
         dead_letter_spike=2**31, queue_depth_ceiling=2**31,
         watch_demotions=False, watch_slo=False,
     )
-    source = (f"repro timeline --scenario {args.scenario} "
-              f"--population {args.population} --ops {args.ops} "
-              f"--seed {wl.seed}")
-    payload = run_incident_capture(
-        wl, watchdogs=disarmed, source=source, **kwargs
-    )
+    payload = _watched_run(args, out, watchdogs=disarmed)
 
     rows = payload["timeline"]
     shown = rows if args.limit <= 0 else rows[-args.limit:]

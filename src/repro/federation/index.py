@@ -61,11 +61,10 @@ class FederatedIndexStore:
         self.node_id = node_id
         self.stats = FederatedIndexStats()
         self._perf = perf if perf is not None and perf.enabled else None
-        #: Batch policy (kernel kind ``batch``): when enabled, remote
-        #: stores coalesce into per-owner frames instead of one link call
-        #: per entry.  ``None``/disabled keeps the historical behavior.
-        self._batch = batch if batch is not None and getattr(
-            batch, "enabled", False) else None
+        #: Batch policy (kernel kind ``batch: on``): remote stores
+        #: coalesce into per-owner frames instead of one link call per
+        #: entry.  ``None`` (``batch: off``) ships every entry alone.
+        self._batch = batch
         #: Per-owner buffers of entries awaiting a coalesced frame.
         self._pending: dict[str, list[dict]] = {}
         if self._batch is not None:

@@ -15,7 +15,7 @@ busiest node) and the derived notification-routing throughput.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.clock import Clock
 from repro.core.events import EventClass
@@ -59,22 +59,12 @@ class FederatedScenarioConfig:
     #: (the retry budget redelivers them) — degrades the link-delivery SLO
     #: without failing any call.
     scripted_drops: int = 0
-    #: Hot-path performance layer on every node: "indexed" or "none"
-    #: (the ablation baseline) — see ``RuntimeConfig.perf``.
-    perf: str = "indexed"
-    #: Tenant scheduler on every node: "none" (fifo baseline) or "fair"
-    #: (deficit-round-robin with admission) — see ``RuntimeConfig.sched``.
-    sched: str = "none"
-    #: Batched execution across the hot path: "off" (per-event writes and
-    #: frames) or "on" (group commit + coalesced shard frames) — see
-    #: ``RuntimeConfig.batch`` and docs/PERFORMANCE.md.
-    batch: str = "off"
-    #: Records per group commit / entries per coalesced frame.
-    batch_size: int = 256
     #: Base runtime for every node controller (the platform still forces
-    #: the federation-specific fields and per-node data subdirectories).
-    #: Use it to run the whole federation on durable backends, e.g.
-    #: ``RuntimeConfig(audit_sink="jsonl", store="segmented", data_dir=...)``.
+    #: the federation-specific fields and per-node data subdirectories) —
+    #: the one place to pick the perf layer, scheduler, batching or durable
+    #: backends of a run, e.g. ``RuntimeConfig(sched="fair", batch="on")``
+    #: or ``RuntimeConfig(audit_sink="jsonl", store="segmented",
+    #: data_dir=...)``.
     runtime: RuntimeConfig | None = None
     consumers: tuple[tuple[str, str], ...] = DEFAULT_CONSUMERS
     producer_assignment: dict[str, str] = field(
@@ -88,15 +78,6 @@ class FederatedScenarioConfig:
             raise ConfigurationError("detail_request_rate must be within [0, 1]")
         if self.scripted_drops < 0:
             raise ConfigurationError("scripted_drops must be non-negative")
-        if self.batch not in ("off", "on"):
-            from repro.runtime.kernel import suggest
-            raise ConfigurationError(
-                f"unknown batch mode {self.batch!r};"
-                f"{suggest(self.batch, ('off', 'on'))} "
-                f"available: off, on"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
 
 
 @dataclass
@@ -152,6 +133,53 @@ class FederatedScenarioReport:
         return "\n".join(lines)
 
 
+def deploy_roster(platform, templates, producer_of, consumers) -> dict:
+    """Install producers, event classes, consumers, policies, subscriptions.
+
+    The one deployment routine behind every seeded federation run (this
+    scenario, the workload harness, the wall-clock ledger): producers
+    homed round-robin with each class on its producer's node, every
+    ``(consumer_id, role)`` of ``consumers`` registered, then — class by
+    class — each consumer granted exactly its role's needed fields on
+    the class's home node and subscribed through the platform.
+    ``producer_of`` maps each template name to its producer id, in
+    declaration order.  Returns the declared event classes by template
+    name.
+    """
+    event_classes: dict[str, EventClass] = {}
+    producers: set[str] = set()
+    for template_name, producer_id in producer_of.items():
+        template = templates[template_name]
+        if producer_id not in producers:
+            producers.add(producer_id)
+            platform.add_producer(producer_id, producer_id.replace("-", " "))
+        event_classes[template_name] = platform.declare_event_class(
+            producer_id,
+            template.build_schema(),
+            category=template.category,
+            description=template.schema_factory().documentation,
+        )
+    for consumer_id, role in consumers:
+        platform.add_consumer(
+            consumer_id, consumer_id.replace("-", " "), role=role
+        )
+    for template_name, template in templates.items():
+        producer = platform.producer(producer_of[template_name])
+        for consumer_id, role in consumers:
+            needed = template.needed_fields.get(role)
+            if not needed:
+                continue
+            producer.define_policy(
+                event_type=template_name,
+                fields=list(needed),
+                consumers=[(consumer_id, "unit")],
+                purposes=[ROLE_PURPOSES[role]],
+                label=f"{role} access to {template_name}",
+            )
+            platform.subscribe(consumer_id, template_name)
+    return event_classes
+
+
 class FederatedScenario:
     """Builds and drives one federated CSS deployment."""
 
@@ -168,15 +196,11 @@ class FederatedScenario:
                 guard_mode=self.config.telemetry_guard,
                 secret=f"css-federation-{self.config.seed}",
             )
-        base_runtime = self.config.runtime or RuntimeConfig()
         self.platform = FederatedPlatform(
             shards=self.config.nodes,
             clock=self.clock,
             seed=f"fedsc-{self.config.seed}",
-            runtime=replace(base_runtime, perf=self.config.perf,
-                            sched=self.config.sched,
-                            batch=self.config.batch,
-                            batch_size=self.config.batch_size),
+            runtime=self.config.runtime or RuntimeConfig(),
             telemetry=self.telemetry,
             link_latency=self.config.link_latency,
             per_node_telemetry=self.config.per_node_telemetry,
@@ -186,50 +210,11 @@ class FederatedScenario:
         self.population = SyntheticPopulation(
             self.config.n_patients, seed=self.config.seed
         )
-        self.event_classes: dict[str, EventClass] = {}
+        self.event_classes = deploy_roster(
+            self.platform, self.templates,
+            self.config.producer_assignment, self.config.consumers,
+        )
         self._rng = random.Random(self.config.seed + 1)
-        self._build()
-
-    # -- setup ------------------------------------------------------------
-
-    def _build(self) -> None:
-        config = self.config
-        # Producers homed round-robin; each class lives on its producer's node.
-        for template_name, producer_id in config.producer_assignment.items():
-            template = self.templates[template_name]
-            if producer_id not in self.platform._producers:  # noqa: SLF001
-                self.platform.add_producer(
-                    producer_id, producer_id.replace("-", " ")
-                )
-            self.event_classes[template_name] = self.platform.declare_event_class(
-                producer_id,
-                template.build_schema(),
-                category=template.category,
-                description=template.schema_factory().documentation,
-            )
-
-        # Consumers homed round-robin; policies defined on the class's home
-        # node (by its producer), subscriptions routed by the platform.
-        for consumer_id, role in config.consumers:
-            self.platform.add_consumer(
-                consumer_id, consumer_id.replace("-", " "), role=role
-            )
-            purpose = ROLE_PURPOSES[role]
-            for template_name, template in self.templates.items():
-                needed = template.needed_fields.get(role)
-                if not needed:
-                    continue
-                producer = self.platform.producer(
-                    config.producer_assignment[template_name]
-                )
-                producer.define_policy(
-                    event_type=template_name,
-                    fields=list(needed),
-                    consumers=[(consumer_id, "unit")],
-                    purposes=[purpose],
-                    label=f"{role} access to {template_name}",
-                )
-                self.platform.subscribe(consumer_id, template_name)
 
     # -- run -----------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 One schema, two writers: the benchmark harness (``benchmarks/conftest.py``
 summarises every pytest-benchmark figure run) and the ``repro telemetry``
 CLI (summarises a scenario's pipeline histograms).  CI schema-checks the
-file with ``benchmarks/check_obs_schema.py`` so the perf trajectory stays
+file with ``benchmarks/check_bench.py`` so the perf trajectory stays
 machine-readable from the first PR that emits it.
 """
 

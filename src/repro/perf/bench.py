@@ -30,7 +30,7 @@ from typing import Callable
 from repro.obs.benchreport import latency_summary
 
 #: Schema identifier stamped on BENCH_perf.json and required by
-#: ``benchmarks/check_perf_schema.py``.
+#: ``benchmarks/check_bench.py``.
 SCHEMA_ID = "css-bench-perf/1"
 
 #: The perf modes every figure compares.
@@ -260,10 +260,11 @@ def build_federated_rig(perf: str, nodes: int, events: int = 80,
         FederatedScenario,
         FederatedScenarioConfig,
     )
+    from repro.runtime.kernel import RuntimeConfig
 
     scenario = FederatedScenario(FederatedScenarioConfig(
         nodes=nodes, n_events=events, n_patients=patients, seed=seed,
-        detail_request_rate=0.0, perf=perf,
+        detail_request_rate=0.0, runtime=RuntimeConfig(perf=perf),
     ))
     platform = scenario.platform
     config = scenario.config

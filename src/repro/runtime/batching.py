@@ -35,7 +35,6 @@ class BatchPolicy:
     """The platform-wide batching knob (kernel kind ``batch: on``)."""
 
     batch_size: int = 256
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

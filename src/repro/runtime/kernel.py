@@ -131,7 +131,7 @@ class ServiceKernel:
             by_name = self._factories[kind]
         except KeyError as exc:
             raise ConfigurationError(
-                f"unknown service kind {kind!r};{_suggest(kind, self._factories)} "
+                f"unknown service kind {kind!r};{suggest(kind, self._factories)} "
                 f"kinds: {', '.join(sorted(self._factories))}"
             ) from exc
         try:
@@ -139,7 +139,7 @@ class ServiceKernel:
         except KeyError as exc:
             raise ConfigurationError(
                 f"no {kind!r} implementation named {name!r};"
-                f"{_suggest(name, by_name)} "
+                f"{suggest(name, by_name)} "
                 f"available: {', '.join(sorted(by_name))}"
             ) from exc
         return factory(**context)
@@ -168,10 +168,6 @@ def suggest(typo: str, known) -> str:
     """
     matches = get_close_matches(typo, list(known), n=1)
     return f" did you mean {matches[0]!r}?" if matches else ""
-
-
-#: Backwards-compatible private alias (pre-dating the public helper).
-_suggest = suggest
 
 
 def _data_file(context: dict, filename: str) -> Path:
@@ -245,7 +241,7 @@ def _durable_log(context: dict, name: str) -> Any:
 def _maybe_batched(log: Any, context: dict) -> Any:
     """Wrap a durable log in a group-commit writer when batching is on."""
     policy = context.get("batch")
-    if policy is None or not getattr(policy, "enabled", False):
+    if policy is None:
         return log
     from repro.runtime.batching import BatchWriter
 

@@ -36,18 +36,12 @@ payload for plaintext roster ids and assisted-person id shapes.
 
 from __future__ import annotations
 
-from repro.clock import Clock
 from repro.obs.guard import PrivacyGuard
 from repro.obs.telemetry import InMemoryTelemetry
+from repro.runtime.kernel import RuntimeConfig
 from repro.sched.scheduler import SYSTEM_TENANT, SchedConfig, jain_index
-from repro.workload.capacity import (
-    audit_digest,
-    build_platform,
-    deploy_workload,
-    execute_workload,
-)
+from repro.workload.capacity import run_workload
 from repro.workload.config import WorkloadConfig, workload_config
-from repro.workload.engine import WorkloadEngine
 
 #: Schema identifier the fairness payload stamps and CI gates on.
 SCHEMA_ID = "css-bench-fairness/1"
@@ -157,7 +151,6 @@ def run_arm(
     nodes: int = DEFAULT_NODES,
     drain_seconds: float = DEFAULT_DRAIN_SECONDS,
     service_rate: float = DEFAULT_SERVICE_RATE,
-    link_latency: float = 0.005,
     telemetry: InMemoryTelemetry | None = None,
 ) -> dict:
     """One scheduler arm: run the workload, report fairness figures.
@@ -166,40 +159,18 @@ def run_arm(
     raw-id figures never leave this function except through the victim /
     abuser lookups, which re-hash before reporting.
     """
-    clock = Clock()
     guard = PrivacyGuard(mode="hash", secret=f"css-workload-{workload.seed}")
-    if telemetry is None:
-        telemetry = InMemoryTelemetry(
-            clock=clock,
-            guard_mode="hash",
-            secret=f"css-workload-{workload.seed}",
-        )
-    platform = build_platform(
-        workload, nodes, clock, telemetry,
-        link_latency=link_latency, sched=sched,
+    run = run_workload(
+        workload, nodes, RuntimeConfig(sched=sched),
         sched_config=bench_sched_config(service_rate),
+        telemetry=telemetry, drain_seconds=drain_seconds,
     )
-    engine = WorkloadEngine(workload)
-    event_classes = deploy_workload(platform, engine, workload)
-    for node in platform.nodes():
-        for tenant in workload.tenants:
-            node.controller.sched.set_weight(tenant.tenant_id, tenant.weight)
-    counters = execute_workload(platform, engine, event_classes, clock)
-    platform.dispatch_all()
-    # The bounded post-run drain window: both arms advance the same
-    # simulated span, then the virtual servers serve what fits.
-    clock.advance(drain_seconds)
-    platform.record_fairness()
-    digest, audit_records = audit_digest(platform)
 
-    now = clock.now()
-    report = _merge_tenant_reports(platform, now)
+    # run_workload weights every roster tenant on every node up front, so
+    # each one has a scheduler row even if it never sent anything.
+    report = _merge_tenant_reports(run.platform, run.clock.now())
     roster = [t.tenant_id for t in workload.tenants]
-    empty = {"served_work": 0.0, "arrived_work": 0.0, "throttled": 0,
-             "shed": 0, "max_wait_seconds": 0.0, "starvation_seconds": 0.0,
-             "wait_seconds": [], "penalized": False, "demotions": 0,
-             "recoveries": 0}
-    rows = {t: report.get(t) or dict(empty) for t in roster}
+    rows = {t: report[t] for t in roster}
     total_served = sum(row["served_work"] for row in rows.values())
     weights = {t.tenant_id: t.weight for t in workload.tenants}
     # The fairness yardstick: what a weighted max-min fair server would
@@ -215,27 +186,14 @@ def run_arm(
     ]
 
     tenants: dict[str, dict] = {}
-    victim = victim_of(workload)
-    victim_row: dict = {}
-    throttled_total = shed_total = 0
-    penalized = 0
-    for tenant_id in roster:
-        row = rows[tenant_id]
-        share = row["served_work"] / total_served if total_served else 0.0
-        satisfaction = (
-            row["served_work"] / row["arrived_work"]
-            if row["arrived_work"] else 0.0
-        )
-        throttled_total += row["throttled"]
-        shed_total += row["shed"]
-        penalized += 1 if row["penalized"] else 0
-        if tenant_id == victim:
-            victim_row = {**row, "share": share,
-                          "satisfaction": satisfaction}
+    for tenant_id, row in rows.items():
         tenants[guard.hash_value(tenant_id)] = {
             "weight": weights[tenant_id],
-            "share": share,
-            "satisfaction": satisfaction,
+            "share": row["served_work"] / total_served if total_served else 0.0,
+            "satisfaction": (
+                row["served_work"] / row["arrived_work"]
+                if row["arrived_work"] else 0.0
+            ),
             "served_work": row["served_work"],
             "arrived_work": row["arrived_work"],
             "throttled": row["throttled"],
@@ -249,26 +207,28 @@ def run_arm(
         }
 
     assert SYSTEM_TENANT not in tenants  # system work never reported
+    victim = tenants[guard.hash_value(victim_of(workload))]
     return {
         "sched": sched,
-        **counters,
+        **run.counters,
         "jain_index": jain_index(normalized),
         # The gated victim figure is its demand satisfaction — the share
         # of the victim's own requested work that was actually served.
-        "victim_share": victim_row.get("satisfaction", 0.0),
-        "victim_total_share": victim_row.get("share", 0.0),
-        "victim_p99_wait_seconds": _p99(victim_row.get("wait_seconds", [])),
-        "victim_starvation_seconds": victim_row.get("starvation_seconds", 0.0),
+        "victim_share": victim["satisfaction"],
+        "victim_total_share": victim["share"],
+        "victim_p99_wait_seconds": victim["p99_wait_seconds"],
+        "victim_starvation_seconds": victim["starvation_seconds"],
         "max_starvation_seconds": max(
-            (row["starvation_seconds"] for row in tenants.values()),
-            default=0.0,
+            row["starvation_seconds"] for row in tenants.values()
         ),
-        "throttled_total": throttled_total,
-        "shed_total": shed_total,
-        "penalized_tenants": penalized,
+        "throttled_total": sum(row["throttled"] for row in tenants.values()),
+        "shed_total": sum(row["shed"] for row in tenants.values()),
+        "penalized_tenants": sum(
+            row["penalized"] for row in tenants.values()
+        ),
         "tenants": tenants,
-        "audit_records": audit_records,
-        "audit_digest": digest,
+        "audit_records": run.audit_records,
+        "audit_digest": run.audit_digest,
     }
 
 
@@ -278,7 +238,6 @@ def run_fairness(
     source: str = "repro.sched.fairness",
     drain_seconds: float = DEFAULT_DRAIN_SECONDS,
     service_rate: float = DEFAULT_SERVICE_RATE,
-    link_latency: float = 0.005,
 ) -> dict:
     """The full two-arm comparison payload (``css-bench-fairness/1``)."""
     workload = workload or workload_config("anomaly")
@@ -286,7 +245,7 @@ def run_fairness(
     arms = {
         arm: run_arm(
             workload, arm, nodes=nodes, drain_seconds=drain_seconds,
-            service_rate=service_rate, link_latency=link_latency,
+            service_rate=service_rate,
         )
         for arm in ARMS
     }

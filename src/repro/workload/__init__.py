@@ -13,9 +13,10 @@ trajectory).  Four modules:
   dataclasses, reproducible under ``seed``;
 * :mod:`~repro.workload.engine` — the deterministic operation planner
   (byte-identical streams for equal configs);
-* :mod:`~repro.workload.capacity` — drives a
-  :class:`~repro.federation.platform.FederatedPlatform` at 1/2/4/8 nodes
-  and emits the ``css-bench-capacity/1`` trajectory payload;
+* :mod:`~repro.workload.capacity` — ``run_workload``, the one run
+  harness every workload-driven artifact reports over (fresh federation
+  → deploy → seeded stream → barrier → verified digests), and the
+  ``css-bench-capacity/1`` trajectory at 1/2/4/8 nodes built on it;
 * :mod:`~repro.workload.batch` — the batched-execution equivalence gate
   and speedup figures (``css-bench-batch/1``).
 """
@@ -24,12 +25,12 @@ from repro.workload.arrivals import OnOffProcess, PoissonProcess, ZipfSampler
 from repro.workload.batch import run_batch_suite
 from repro.workload.capacity import (
     SCHEMA_ID,
-    build_platform,
+    WorkloadRun,
     deploy_workload,
     execute_workload,
     run_capacity,
     run_point,
-    write_payload,
+    run_workload,
 )
 from repro.workload.config import (
     DEFAULT_TENANTS,
@@ -65,8 +66,8 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadEngine",
     "WorkloadOp",
+    "WorkloadRun",
     "ZipfSampler",
-    "build_platform",
     "deploy_workload",
     "execute_workload",
     "multi_tenant_abuser",
@@ -74,6 +75,6 @@ __all__ = [
     "run_batch_suite",
     "run_capacity",
     "run_point",
+    "run_workload",
     "workload_config",
-    "write_payload",
 ]

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.workload.config import WorkloadConfig, workload_config
+from repro.runtime.kernel import RuntimeConfig
 from repro.workload.capacity import run_point
+from repro.workload.config import WorkloadConfig, workload_config
 
 #: Schema identifier the batch payload stamps and CI gates on.
 SCHEMA_ID = "css-bench-batch/1"
@@ -47,10 +48,11 @@ def _point(workload: WorkloadConfig, nodes: int, store: str,
            batch: str, batch_size: int) -> dict:
     """One durable capacity point in a throwaway data directory."""
     with tempfile.TemporaryDirectory(prefix="bench-batch-") as data_dir:
-        return run_point(
-            workload, nodes, store=store, data_dir=data_dir,
-            batch=batch, batch_size=batch_size, collect_decisions=True,
+        runtime = RuntimeConfig(
+            index_store="jsonl", audit_sink="jsonl", store=store,
+            data_dir=data_dir, batch=batch, batch_size=batch_size,
         )
+        return run_point(workload, nodes, runtime, collect_decisions=True)
 
 
 def run_batch_suite(

@@ -1,4 +1,9 @@
-"""The capacity-trajectory harness: drive the federation, measure the knee.
+"""The workload run harness and the capacity trajectory built on it.
+
+``run_workload`` is the single "build a federation from a config →
+deploy → drive a seeded stream → barrier → digest" routine; the
+capacity, fairness, incident and batch artifacts are reporters over the
+:class:`WorkloadRun` it returns.
 
 ``run_capacity`` executes one workload scenario against a fresh
 :class:`~repro.federation.platform.FederatedPlatform` at each requested
@@ -8,9 +13,11 @@ payload (schema ``css-bench-capacity/1``):
 * **sustained events/sec and details/sec** — operations over the cost
   model's cluster makespan (the busiest node's simulated busy time), the
   same throughput definition the federation benchmark uses;
-* **p95/p99 latency** — read from the existing telemetry pipeline
-  histograms (``pipeline.duration_seconds`` for the ``publish`` and
-  ``request-details`` pipelines), not re-measured;
+* **p95/p99 latency** — *simulated* seconds read from the existing
+  telemetry pipeline histograms (``pipeline.duration_seconds`` for the
+  ``publish`` and ``request-details`` pipelines), not re-measured; a
+  pipeline only advances the simulated clock on a link hop, so on one
+  node these are identically zero (wall latency: ``benchmarks/wall``);
 * **saturation high-water marks** — the broker's per-topic queue-depth
   and dead-letter high-water gauges, maxed across nodes;
 * **audit digest** — a SHA-256 over every node's verified audit-chain
@@ -25,13 +32,13 @@ telemetry exports) for the assisted-person id shape to keep it that way.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from repro.clock import Clock
 from repro.exceptions import AccessDeniedError
 from repro.federation.platform import FederatedPlatform
+from repro.federation.scenario import deploy_roster
 from repro.obs.benchreport import LATENCY_KEYS
 from repro.obs.telemetry import PIPELINE_DURATION, InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
@@ -62,50 +69,6 @@ def _latency_sections(telemetry: InMemoryTelemetry) -> dict[str, dict]:
     return sections
 
 
-def build_platform(
-    workload: WorkloadConfig,
-    nodes: int,
-    clock: Clock,
-    telemetry: InMemoryTelemetry | None,
-    link_latency: float = 0.005,
-    sched: str = "none",
-    sched_config=None,
-    recorder: str = "noop",
-    batch: str = "off",
-    batch_size: int = 256,
-    store: str = "jsonl",
-    data_dir=None,
-) -> FederatedPlatform:
-    """A fresh federation for one workload run, seeded from the config.
-
-    ``sched``/``sched_config`` select every node's tenant scheduler —
-    the only runtime difference between the fairness harness's two arms.
-    ``recorder`` switches every node's flight recorder on ("ring") for
-    incident-capture runs.  ``batch``/``batch_size`` switch batched
-    execution on (group commit + coalesced frames + amortized work);
-    ``data_dir`` (with ``store`` picking the log engine) makes every
-    node's index and audit trail durable — the batch equivalence gate
-    runs the same workload over both store kinds.
-    """
-    runtime = RuntimeConfig(sched=sched, recorder=recorder,
-                            batch=batch, batch_size=batch_size)
-    if data_dir is not None:
-        runtime = RuntimeConfig(
-            sched=sched, recorder=recorder, batch=batch,
-            batch_size=batch_size, store=store, data_dir=data_dir,
-            index_store="jsonl", audit_sink="jsonl",
-        )
-    return FederatedPlatform(
-        shards=nodes,
-        clock=clock,
-        seed=f"wl-{workload.scenario}-{workload.seed}",
-        runtime=runtime,
-        telemetry=telemetry,
-        link_latency=link_latency,
-        sched_config=sched_config,
-    )
-
-
 def deploy_workload(
     platform: FederatedPlatform,
     engine: WorkloadEngine,
@@ -113,42 +76,16 @@ def deploy_workload(
 ) -> dict[str, object]:
     """Install producers, event classes, tenants, policies, subscriptions.
 
-    Deployment: producers/classes on their home nodes, every tenant
-    granted exactly its role's needed fields, baseline subscriptions.
-    Returns the declared event classes by template name.
+    The workload roster through the federation's one deployment routine
+    (:func:`~repro.federation.scenario.deploy_roster`).  Returns the
+    declared event classes by template name.
     """
-    roles = engine.tenant_roles()
-    event_classes: dict[str, object] = {}
-    for template_name, template in engine.templates.items():
-        producer_id = engine.producer_of(template_name)
-        if producer_id not in platform._producers:  # noqa: SLF001
-            platform.add_producer(producer_id, producer_id.replace("-", " "))
-        event_classes[template_name] = platform.declare_event_class(
-            producer_id,
-            template.build_schema(),
-            category=template.category,
-            description=template.schema_factory().documentation,
-        )
-    for tenant in workload.tenants:
-        platform.add_consumer(
-            tenant.tenant_id, tenant.tenant_id.replace("-", " "),
-            role=tenant.role,
-        )
-    for template_name, template in engine.templates.items():
-        producer = platform.producer(engine.producer_of(template_name))
-        for tenant in workload.tenants:
-            needed = template.needed_fields.get(tenant.role)
-            if not needed:
-                continue
-            producer.define_policy(
-                event_type=template_name,
-                fields=list(needed),
-                consumers=[(tenant.tenant_id, "unit")],
-                purposes=[_purpose_of(roles[tenant.tenant_id])],
-                label=f"{tenant.role} access to {template_name}",
-            )
-            platform.subscribe(tenant.tenant_id, template_name)
-    return event_classes
+    return deploy_roster(
+        platform,
+        engine.templates,
+        {name: engine.producer_of(name) for name in engine.templates},
+        [(tenant.tenant_id, tenant.role) for tenant in workload.tenants],
+    )
 
 
 def execute_workload(
@@ -241,28 +178,51 @@ def audit_digest(platform: FederatedPlatform) -> tuple[str, int]:
     return digest, audit_records
 
 
-def run_point(
+@dataclass
+class WorkloadRun:
+    """One finished workload run: the live objects and its witnesses."""
+
+    platform: FederatedPlatform
+    clock: Clock
+    telemetry: InMemoryTelemetry
+    #: published / publish_blocked / detail_permits / detail_denies /
+    #: subscribe_ops, as counted by :func:`execute_workload`.
+    counters: dict[str, int] = field(default_factory=dict)
+    #: SHA-256 over every node's *verified* audit-chain head.
+    audit_digest: str = ""
+    audit_records: int = 0
+    #: SHA-256 over the ordered PDP outcome stream (``collect_decisions``).
+    decision_digest: str | None = None
+
+
+def run_workload(
     workload: WorkloadConfig,
     nodes: int,
+    runtime: RuntimeConfig | None = None,
+    *,
+    sched_config=None,
     link_latency: float = 0.005,
     telemetry: InMemoryTelemetry | None = None,
-    sched: str = "none",
-    batch: str = "off",
-    batch_size: int = 256,
-    store: str = "jsonl",
-    data_dir=None,
+    drain_seconds: float = 0.0,
+    on_advance=None,
     collect_decisions: bool = False,
-) -> dict:
-    """One capacity measurement: the whole workload at one node count.
+) -> WorkloadRun:
+    """The one run harness behind every workload-driven BENCH artifact.
+
+    Builds a fresh same-seed federation under ``runtime``, deploys the
+    roster with its tenant weights, drives the planned stream open-loop
+    over the simulated clock, then runs the end-of-run barrier — dispatch
+    everything, advance the bounded ``drain_seconds`` window, flush
+    coalesced frames and group commits, refresh the fairness and
+    queue-depth gauges — and verifies and digests every audit chain.
+    Capacity, fairness, incident and batch payloads are reporters over
+    the returned :class:`WorkloadRun`.
 
     ``telemetry`` lets callers supply (and afterwards inspect) the shared
-    backend — the privacy-invariant tests grep its exports; by default a
-    fresh hash-guarded backend is created per point.  ``sched`` selects
-    every node's tenant scheduler ("none" keeps the historical figures);
-    ``batch``/``batch_size`` batched execution.  With
-    ``collect_decisions`` the point additionally carries a
-    ``decision_digest`` — a SHA-256 over the ordered PDP outcome stream,
-    the second witness of the batch equivalence gate.
+    backend; by default a fresh hash-guarded one is created.
+    ``on_advance`` is called with the run in progress (platform, clock
+    and telemetry set) after every clock advance.  With
+    ``collect_decisions`` the run carries a ``decision_digest``.
     """
     clock = Clock()
     if telemetry is None:
@@ -271,62 +231,84 @@ def run_point(
             guard_mode="hash",
             secret=f"css-workload-{workload.seed}",
         )
-    platform = build_platform(
-        workload, nodes, clock, telemetry,
-        link_latency=link_latency, sched=sched,
-        batch=batch, batch_size=batch_size, store=store, data_dir=data_dir,
+    platform = FederatedPlatform(
+        shards=nodes,
+        clock=clock,
+        seed=f"wl-{workload.scenario}-{workload.seed}",
+        runtime=runtime or RuntimeConfig(),
+        telemetry=telemetry,
+        link_latency=link_latency,
+        sched_config=sched_config,
     )
     engine = WorkloadEngine(workload)
     event_classes = deploy_workload(platform, engine, workload)
+    for node in platform.nodes():
+        for tenant in workload.tenants:
+            node.controller.sched.set_weight(tenant.tenant_id, tenant.weight)
+    run = WorkloadRun(platform, clock, telemetry)
     decision_log: list[str] | None = [] if collect_decisions else None
-    counters = execute_workload(platform, engine, event_classes, clock,
-                                decision_log=decision_log)
-    published = counters["published"]
-    permits = counters["detail_permits"]
+    run.counters = execute_workload(
+        platform, engine, event_classes, clock,
+        on_advance=None if on_advance is None else lambda: on_advance(run),
+        decision_log=decision_log,
+    )
 
     platform.dispatch_all()
+    if drain_seconds:
+        clock.advance(drain_seconds)
     # Group-commit barrier before anything reads cross-shard or on-disk
     # state: pending coalesced frames out, buffered durable rows down.
     platform.flush_batches()
+    platform.record_fairness()
     platform.record_queue_depths()
-    digest, audit_records = audit_digest(platform)
+    run.audit_digest, run.audit_records = audit_digest(platform)
+    if decision_log is not None:
+        run.decision_digest = "sha256:" + hashlib.sha256(
+            "|".join(decision_log).encode()
+        ).hexdigest()
+    return run
 
-    makespan = max(node.work.busy_seconds for node in platform.nodes())
-    busy = makespan if makespan > 0 else max(clock.now(), 1e-9)
-    queue_high_water = max(
-        node.controller.bus.queue_high_water()
-        for node in platform.nodes()
-    )
-    dead_letter_high_water = max(
-        node.controller.bus.dead_letter_high_water
-        for node in platform.nodes()
-    )
+
+def run_point(
+    workload: WorkloadConfig,
+    nodes: int,
+    runtime: RuntimeConfig | None = None,
+    telemetry: InMemoryTelemetry | None = None,
+    collect_decisions: bool = False,
+) -> dict:
+    """One capacity measurement: the whole workload at one node count.
+
+    With ``collect_decisions`` the point additionally carries the run's
+    ``decision_digest`` — the second witness of the batch equivalence
+    gate.
+    """
+    run = run_workload(workload, nodes, runtime, telemetry=telemetry,
+                       collect_decisions=collect_decisions)
+    members = run.platform.nodes()
+    makespan = max(node.work.busy_seconds for node in members)
+    busy = makespan if makespan > 0 else max(run.clock.now(), 1e-9)
     point = {
         "nodes": nodes,
         "ops": workload.ops,
-        **counters,
-        "events_per_second": published / busy,
-        "details_per_second": permits / busy,
+        **run.counters,
+        "events_per_second": run.counters["published"] / busy,
+        "details_per_second": run.counters["detail_permits"] / busy,
         "makespan_seconds": makespan,
-        "simulated_seconds": clock.now(),
-        "cross_node_hops": platform.total_hops(),
-        "latency_seconds": _latency_sections(telemetry),
-        "queue_depth_high_water": queue_high_water,
-        "dead_letter_high_water": dead_letter_high_water,
-        "audit_records": audit_records,
-        "audit_digest": digest,
+        "simulated_seconds": run.clock.now(),
+        "cross_node_hops": run.platform.total_hops(),
+        "latency_seconds": _latency_sections(run.telemetry),
+        "queue_depth_high_water": max(
+            node.controller.bus.queue_high_water() for node in members
+        ),
+        "dead_letter_high_water": max(
+            node.controller.bus.dead_letter_high_water for node in members
+        ),
+        "audit_records": run.audit_records,
+        "audit_digest": run.audit_digest,
     }
-    if decision_log is not None:
-        point["decision_digest"] = "sha256:" + hashlib.sha256(
-            "|".join(decision_log).encode()
-        ).hexdigest()
+    if run.decision_digest is not None:
+        point["decision_digest"] = run.decision_digest
     return point
-
-
-def _purpose_of(role: str) -> str:
-    from repro.sim.scenario import ROLE_PURPOSES
-
-    return ROLE_PURPOSES[role]
 
 
 def run_capacity(config: CapacityConfig, source: str) -> dict:
@@ -340,22 +322,10 @@ def run_capacity(config: CapacityConfig, source: str) -> dict:
         "population": workload.population,
         "ops": workload.ops,
         "arrival": workload.arrival,
-        "batch": config.batch,
-        "batch_size": config.batch_size,
+        "batch": config.runtime.batch,
+        "batch_size": config.runtime.batch_size,
         "nodes": [
-            run_point(workload, nodes, link_latency=config.link_latency,
-                      sched=config.sched, batch=config.batch,
-                      batch_size=config.batch_size)
+            run_point(workload, nodes, config.runtime)
             for nodes in config.node_counts
         ],
     }
-
-
-def write_payload(path: str | Path, payload: dict) -> Path:
-    """Write the capacity payload as stable, human-diffable JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return target

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.kernel import suggest
+from repro.runtime.kernel import RuntimeConfig, suggest
 from repro.sim.domain import (
     ROLE_ADMINISTRATOR,
     ROLE_FAMILY_DOCTOR,
@@ -248,28 +248,12 @@ class CapacityConfig:
 
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     node_counts: tuple[int, ...] = (1, 2, 4, 8)
-    #: Detail-request purposes per tenant role (defaults to the
-    #: scenario's role-purpose table).
-    link_latency: float = 0.005
-    #: Tenant scheduler on every node ("none" or "fair") — see
-    #: ``RuntimeConfig.sched``.
-    sched: str = "none"
-    #: Batched execution across the hot path ("off" or "on") — see
-    #: ``RuntimeConfig.batch`` and docs/PERFORMANCE.md.
-    batch: str = "off"
-    #: Records per group commit / entries per coalesced frame.
-    batch_size: int = 256
+    #: Runtime of every node controller at every point (scheduler,
+    #: batching, ... — see ``RuntimeConfig`` and docs/PERFORMANCE.md).
+    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
         if not self.node_counts:
             raise ConfigurationError("node_counts cannot be empty")
         if any(n < 1 for n in self.node_counts):
             raise ConfigurationError("every node count must be >= 1")
-        if self.batch not in ("off", "on"):
-            raise ConfigurationError(
-                f"unknown batch mode {self.batch!r};"
-                f"{suggest(self.batch, ('off', 'on'))} "
-                f"available: off, on"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")

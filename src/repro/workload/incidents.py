@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.clock import Clock
 from repro.obs.incident import (
     IncidentMonitor,
     WatchdogConfig,
@@ -27,44 +26,92 @@ from repro.obs.incident import (
     write_bundle,
 )
 from repro.obs.slo import SLOEngine
-from repro.obs.telemetry import InMemoryTelemetry
 from repro.obs.timeseries import TimeSeriesStore
+from repro.runtime.kernel import RuntimeConfig
 from repro.sched.fairness import (
     DEFAULT_DRAIN_SECONDS,
     DEFAULT_NODES,
-    DEFAULT_SERVICE_RATE,
     bench_sched_config,
 )
-from repro.workload.capacity import (
-    build_platform,
-    deploy_workload,
-    execute_workload,
-)
+from repro.workload.capacity import WorkloadRun, run_workload
 from repro.workload.config import WorkloadConfig, workload_config
-from repro.workload.engine import WorkloadEngine
 
 #: Time-series snapshot cadence (simulated seconds).
-DEFAULT_TICK_INTERVAL = 0.25
+TICK_INTERVAL = 0.25
 #: Short/long SLO burn windows, sized to the anomaly run's ~5 simulated
 #: seconds of traffic (the stock 5 s / 60 s windows would both span the
 #: whole run).
-DEFAULT_SHORT_WINDOW = 1.0
-DEFAULT_LONG_WINDOW = 5.0
+SHORT_WINDOW = 1.0
+LONG_WINDOW = 5.0
+
+
+class _Watch:
+    """The watched-run apparatus: time-series store, SLO engine, monitor.
+
+    An ``on_advance`` hook of :func:`run_workload`.  It arms itself on the
+    first clock advance — the platform exists, nothing has executed yet —
+    and from then on runs on the tick cadence, not on every advance:
+    refresh the fairness gauges (pure accounting — decisions are
+    untouched), snapshot the registry, poll the watchdogs.  Detection
+    latency is one tick interval, and the per-advance cost is one float
+    compare — the overhead benchmark's <5 % gate depends on it.
+    """
+
+    def __init__(self, watchdogs: WatchdogConfig | None, source: str) -> None:
+        self.watchdogs = watchdogs
+        self.source = source
+        self.due = 0.0
+        self.timeseries: TimeSeriesStore | None = None
+        self.monitor: IncidentMonitor | None = None
+
+    def _arm(self, run: WorkloadRun) -> None:
+        platform = run.platform
+        self.timeseries = TimeSeriesStore(
+            run.telemetry.metrics, run.clock, interval=TICK_INTERVAL
+        )
+        recorders = platform.flight_recorders()
+        slo = SLOEngine(
+            run.telemetry,
+            timeseries=self.timeseries,
+            recorder=recorders[min(recorders)] if recorders else None,
+            short_window=SHORT_WINDOW,
+            long_window=LONG_WINDOW,
+        )
+        self.monitor = IncidentMonitor(
+            platform,
+            timeseries=self.timeseries,
+            slo=slo,
+            clock=run.clock,
+            config=self.watchdogs,
+            source=self.source,
+            alert_bus=platform.nodes()[0].controller.bus,
+        )
+
+    def __call__(self, run: WorkloadRun) -> None:
+        if self.monitor is None:
+            self._arm(run)
+        now = run.clock.now()
+        if now >= self.due:
+            self.due = now + TICK_INTERVAL
+            run.platform.record_fairness()
+            self.timeseries.maybe_tick()
+            self.monitor.poll()
+
+    def finish(self, run: WorkloadRun) -> None:
+        """The end-of-run sample and watchdog poll (after the barrier)."""
+        if self.monitor is None:  # a run that never advanced the clock
+            self._arm(run)
+        self.timeseries.tick()
+        self.monitor.poll()
 
 
 def run_incident_capture(
     workload: WorkloadConfig | None = None,
     nodes: int = DEFAULT_NODES,
     recorder: str = "ring",
-    sched: str = "fair",
-    drain_seconds: float = DEFAULT_DRAIN_SECONDS,
-    service_rate: float = DEFAULT_SERVICE_RATE,
     watchdogs: WatchdogConfig | None = None,
     source: str = "repro.workload.incidents",
     out_dir: str | Path | None = None,
-    tick_interval: float = DEFAULT_TICK_INTERVAL,
-    short_window: float = DEFAULT_SHORT_WINDOW,
-    long_window: float = DEFAULT_LONG_WINDOW,
 ) -> dict:
     """One watched workload run; returns the run payload.
 
@@ -74,80 +121,18 @@ def run_incident_capture(
     workload with recording off — the overhead benchmark's baseline arm.
     """
     workload = workload or workload_config("anomaly")
-    clock = Clock()
-    telemetry = InMemoryTelemetry(
-        clock=clock,
-        guard_mode="hash",
-        secret=f"css-workload-{workload.seed}",
+    watch = _Watch(watchdogs, source) if recorder != "noop" else None
+    run = run_workload(
+        workload, nodes, RuntimeConfig(sched="fair", recorder=recorder),
+        sched_config=bench_sched_config(),
+        drain_seconds=DEFAULT_DRAIN_SECONDS,
+        on_advance=watch,
     )
-    platform = build_platform(
-        workload, nodes, clock, telemetry,
-        sched=sched, sched_config=bench_sched_config(service_rate),
-        recorder=recorder,
-    )
-    engine = WorkloadEngine(workload)
-    event_classes = deploy_workload(platform, engine, workload)
-    for node in platform.nodes():
-        for tenant in workload.tenants:
-            node.controller.sched.set_weight(tenant.tenant_id, tenant.weight)
-
-    watched = recorder != "noop"
-    timeseries = slo = monitor = None
-    on_advance = None
-    if watched:
-        timeseries = TimeSeriesStore(
-            telemetry.metrics, clock, interval=tick_interval
-        )
-        recorders = platform.flight_recorders()
-        first_recorder = (
-            recorders[min(recorders)] if recorders else None
-        )
-        first_node = platform.nodes()[0]
-        slo = SLOEngine(
-            telemetry,
-            timeseries=timeseries,
-            recorder=first_recorder,
-            short_window=short_window,
-            long_window=long_window,
-        )
-        monitor = IncidentMonitor(
-            platform,
-            timeseries=timeseries,
-            slo=slo,
-            clock=clock,
-            config=watchdogs,
-            source=source,
-            alert_bus=first_node.controller.bus,
-        )
-        refresh = {"due": 0.0}
-
-        def on_advance() -> None:
-            # The whole watched apparatus runs on the tick cadence, not
-            # on every clock advance: refresh the fairness gauges (pure
-            # accounting — decisions are untouched), snapshot the
-            # registry, poll the watchdogs.  Detection latency is one
-            # tick interval, and the per-advance cost is one float
-            # compare — the overhead benchmark's <5 % gate depends on it.
-            now = clock.now()
-            if now >= refresh["due"]:
-                refresh["due"] = now + tick_interval
-                platform.record_fairness()
-                timeseries.maybe_tick()
-                monitor.poll()
-
-    counters = execute_workload(
-        platform, engine, event_classes, clock, on_advance=on_advance
-    )
-    platform.dispatch_all()
-    clock.advance(drain_seconds)
-    platform.record_fairness()
-    platform.record_queue_depths()
-    if watched:
-        timeseries.tick()
-        monitor.poll()
+    if watch is not None:
+        watch.finish(run)
 
     bundle_paths: list[str] = []
-    incidents = monitor.incidents if monitor is not None else []
+    incidents = watch.monitor.incidents if watch is not None else []
     if out_dir is not None:
         for bundle in incidents:
             bundle_paths.append(str(write_bundle(out_dir, bundle)))
@@ -157,11 +142,11 @@ def run_incident_capture(
         "nodes": nodes,
         "ops": workload.ops,
         "recorder": recorder,
-        "sched": sched,
-        **counters,
-        "simulated_seconds": clock.now(),
-        "ticks": timeseries.ticks if timeseries is not None else 0,
+        "sched": "fair",
+        **run.counters,
+        "simulated_seconds": run.clock.now(),
+        "ticks": watch.timeseries.ticks if watch is not None else 0,
         "incidents": incidents,
         "bundle_paths": bundle_paths,
-        "timeline": merged_timeline(platform),
+        "timeline": merged_timeline(run.platform),
     }

@@ -24,8 +24,9 @@ def small_workload(scenario="steady", seed=77):
     return workload_config(scenario, population=24, ops=90, seed=seed)
 
 
-def point(workload, **kwargs):
-    return run_point(workload, nodes=2, collect_decisions=True, **kwargs)
+def point(workload, **knobs):
+    return run_point(workload, 2, RuntimeConfig(**knobs),
+                     collect_decisions=True)
 
 
 class TestCapacityEquivalence:
@@ -254,24 +255,24 @@ def batch_payload(min_speedup=1.5, identical=True):
 
 class TestBatchSchemaChecker:
     def test_accepts_a_well_formed_payload(self):
-        from benchmarks.check_batch_schema import validate
+        from benchmarks.check_bench import validate
 
         assert validate(batch_payload()) == []
 
     def test_rejects_a_broken_equivalence(self):
-        from benchmarks.check_batch_schema import validate
+        from benchmarks.check_bench import validate
 
         problems = validate(batch_payload(identical=False))
         assert any("identical" in problem for problem in problems)
 
     def test_rejects_a_speedup_below_the_floor(self):
-        from benchmarks.check_batch_schema import validate
+        from benchmarks.check_bench import validate
 
         problems = validate(batch_payload(min_speedup=1.1))
         assert any("floor" in problem for problem in problems)
 
     def test_rejects_missing_matrix_coverage(self):
-        from benchmarks.check_batch_schema import validate
+        from benchmarks.check_bench import validate
 
         payload = batch_payload()
         payload["equivalence"]["checks"] = [
@@ -282,20 +283,19 @@ class TestBatchSchemaChecker:
                    for problem in validate(payload))
 
     def test_main_handles_missing_and_malformed_files(self, tmp_path):
-        from benchmarks.check_batch_schema import main
+        from benchmarks.check_bench import main
 
-        assert main(["check_batch_schema.py"]) == 2
-        assert main(["check_batch_schema.py",
-                     str(tmp_path / "absent.json")]) == 1
+        assert main([]) == 2
+        assert main([str(tmp_path / "absent.json")]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["check_batch_schema.py", str(bad)]) == 1
+        assert main([str(bad)]) == 1
 
     def test_main_accepts_the_real_artifact_shape(self, tmp_path):
         import json
 
-        from benchmarks.check_batch_schema import main
+        from benchmarks.check_bench import main
 
         good = tmp_path / "BENCH_batch.json"
         good.write_text(json.dumps(batch_payload()))
-        assert main(["check_batch_schema.py", str(good)]) == 0
+        assert main([str(good)]) == 0

@@ -208,7 +208,7 @@ class TestPerfCommand:
         assert payload["schema"] == "css-bench-perf/1"
         assert payload["quick"] is True
         # The written summary satisfies the CI gate as-is.
-        from benchmarks.check_perf_schema import validate
+        from benchmarks.check_bench import validate
 
         assert validate(payload) == []
 

@@ -4,8 +4,8 @@ import copy
 
 import pytest
 
-from benchmarks.bench_federation import build_summary, run_point
-from benchmarks.check_federation_schema import SCHEMA_ID, validate
+from benchmarks.bench_federation import SCHEMA_ID, build_summary, run_point
+from benchmarks.check_bench import validate
 from repro.exceptions import ConfigurationError
 from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 

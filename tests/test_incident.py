@@ -2,7 +2,7 @@
 
 The PR's acceptance criteria land here: the anomaly workload run under
 watchdogs emits a ``css-incident/1`` bundle that passes
-``check_incident_schema`` and is byte-identical across same-seed runs,
+``benchmarks/check_bench.py`` and is byte-identical across same-seed runs,
 carries a windowed burn-rate series for the trigger's objective, and
 never leaks an assisted-person id or plaintext tenant id.
 """
@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import pytest
-from benchmarks.check_incident_schema import (
+from benchmarks.check_bench import (
     main as check_main,
     validate,
     validate_bundle_dir,
@@ -72,7 +72,7 @@ class TestAnomalyRun:
             assert validate(bundle) == []
         for path in payload["bundle_paths"]:
             assert validate_bundle_dir(Path(path)) == []
-        assert check_main(["check_incident_schema.py", str(out)]) == 0
+        assert check_main([str(out)]) == 0
 
     def test_bundle_explains_trigger_with_burn_series(self, capture):
         payload, _ = capture
@@ -126,7 +126,7 @@ class TestAnomalyRun:
         bundle_dir = Path(payload["bundle_paths"][0])
         events = bundle_dir / "events.jsonl"
         events.write_text(events.read_text() + "{}\n")
-        assert check_main(["check_incident_schema.py", str(bundle_dir)]) == 1
+        assert check_main([str(bundle_dir)]) == 1
 
 
 # -- schema mutation tests --------------------------------------------------
@@ -320,7 +320,7 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert "incident-0001" in captured
-        assert check_main(["check_incident_schema.py", str(out)]) == 0
+        assert check_main([str(out)]) == 0
 
     def test_incident_cli_lists_scenarios(self, capsys):
         assert cli_main(["incident", "--list"]) == 0

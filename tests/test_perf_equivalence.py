@@ -3,14 +3,14 @@
 The perf layer's acceptance property: ``perf: indexed`` and
 ``perf: none`` produce byte-identical decisions and audit trails on the
 same seed — checked here through the benchmark core's own equivalence
-harness, and enforced at CI time by ``benchmarks/check_perf_schema.py``,
+harness, and enforced at CI time by ``benchmarks/check_bench.py``,
 whose validation branches are unit-tested below.
 """
 
 import copy
 
-from benchmarks.check_perf_schema import MIN_PDP_SPEEDUP, SCHEMA_ID, validate
-from repro.perf.bench import run_equivalence_check
+from benchmarks.check_bench import MIN_PDP_SPEEDUP, validate
+from repro.perf.bench import SCHEMA_ID, run_equivalence_check
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
@@ -97,10 +97,10 @@ class TestSchemaChecker:
     def test_checker_cli_round_trip(self, tmp_path):
         import json
 
-        from benchmarks.check_perf_schema import main
+        from benchmarks.check_bench import main
 
         target = tmp_path / "BENCH_perf.json"
         target.write_text(json.dumps(valid_payload()))
-        assert main(["check_perf_schema.py", str(target)]) == 0
-        assert main(["check_perf_schema.py", str(tmp_path / "missing.json")]) == 1
-        assert main(["check_perf_schema.py"]) == 2
+        assert main([str(target)]) == 0
+        assert main([str(tmp_path / "missing.json")]) == 1
+        assert main([]) == 2

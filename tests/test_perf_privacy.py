@@ -107,7 +107,7 @@ class TestRejectGuardFederated:
         anywhere on the fast paths carries identifying data."""
         scenario = FederatedScenario(FederatedScenarioConfig(
             nodes=3, n_events=40, n_patients=8, seed=11,
-            telemetry_guard="reject", perf="indexed",
+            telemetry_guard="reject",
         ))
         report = scenario.run()  # TelemetryPrivacyError would abort this
         assert report.events_published > 0
@@ -118,7 +118,7 @@ class TestRejectGuardFederated:
 
     def test_federated_link_transcripts_stay_clean_with_perf_on(self):
         scenario = FederatedScenario(FederatedScenarioConfig(
-            nodes=2, n_events=30, n_patients=6, seed=7, perf="indexed",
+            nodes=2, n_events=30, n_patients=6, seed=7,
         ))
         scenario.run()
         transcript = scenario.platform.link_transcripts()

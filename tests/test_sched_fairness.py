@@ -13,12 +13,13 @@ import json
 import re
 
 import pytest
-from benchmarks.check_fairness_schema import SCHEMA_ID, main, validate
+from benchmarks.check_bench import main, validate
 
 from repro.cli import main as cli_main
 from repro.clock import Clock
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.sched.fairness import (
+    SCHEMA_ID,
     fairness_gate,
     run_arm,
     run_fairness,
@@ -212,13 +213,12 @@ class TestSchemaChecker:
     def test_cli_entrypoint(self, tmp_path, payload):
         target = tmp_path / "BENCH_fairness.json"
         target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        assert main(["check_fairness_schema.py", str(target)]) == 0
-        assert main(["check_fairness_schema.py",
-                     str(tmp_path / "missing.json")]) == 1
-        assert main(["check_fairness_schema.py"]) == 2
+        assert main([str(target)]) == 0
+        assert main([str(tmp_path / "missing.json")]) == 1
+        assert main([]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["check_fairness_schema.py", str(bad)]) == 1
+        assert main([str(bad)]) == 1
 
 
 class TestSchedCli:

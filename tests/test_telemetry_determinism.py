@@ -16,7 +16,7 @@ from repro.obs.benchreport import latency_summary, scenario_summary
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
-from benchmarks.check_obs_schema import validate
+from benchmarks.check_bench import validate
 
 
 def run_scenario(seed: int = 2010, n_events: int = 40, guard: str = "hash"):
@@ -78,6 +78,8 @@ class TestScenarioSummary:
         assert validate([]) == ["top level must be a JSON object"]
         problems = validate({"schema": "nope", "source": "", "benchmarks": []})
         assert any("schema" in problem for problem in problems)
+        problems = validate({"schema": "css-bench-obs/2", "source": "",
+                             "benchmarks": []})
         assert any("source" in problem for problem in problems)
         assert any("benchmarks" in problem for problem in problems)
         bad_entry = {
@@ -115,14 +117,14 @@ class TestTelemetryCli:
         assert "finished spans:" in capsys.readouterr().out
 
     def test_schema_check_cli_exit_codes(self, tmp_path, capsys):
-        from benchmarks.check_obs_schema import main as check_main
+        from benchmarks.check_bench import main as check_main
 
         missing = tmp_path / "missing.json"
-        assert check_main(["check", str(missing)]) == 1
+        assert check_main([str(missing)]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert check_main(["check", str(bad)]) == 1
-        assert check_main(["check"]) == 2
+        assert check_main([str(bad)]) == 1
+        assert check_main([]) == 2
         good = tmp_path / "good.json"
         good.write_text(json.dumps({
             "schema": "css-bench-obs/2", "source": "test",
@@ -131,5 +133,5 @@ class TestTelemetryCli:
                                                 "mean": 1, "min": 1, "max": 1}}],
             "counters": {"c": 1},
         }))
-        assert check_main(["check", str(good)]) == 0
+        assert check_main([str(good)]) == 0
         capsys.readouterr()  # drain stderr/stdout noise

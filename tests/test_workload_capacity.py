@@ -12,19 +12,21 @@ import json
 import re
 
 import pytest
-from benchmarks.check_capacity_schema import SCHEMA_ID, main, validate
+from benchmarks.check_bench import main, validate
 
 from repro.cli import main as cli_main
 from repro.clock import Clock
+from repro.obs.benchreport import write_summary
 from repro.obs.telemetry import InMemoryTelemetry
+from repro.sched.fairness import run_arm
 from repro.workload import (
     CapacityConfig,
     WorkloadEngine,
     run_capacity,
     run_point,
     workload_config,
-    write_payload,
 )
+from repro.workload.capacity import SCHEMA_ID
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
 
@@ -98,6 +100,47 @@ class TestReproducibility:
         assert first["audit_digest"] != second["audit_digest"]
 
 
+class TestPinnedDigests:
+    """Seed-2010 witnesses pinned as literals before the harness merge.
+
+    One small ``run_point`` at 1 and 2 nodes and the two ``run_arm``
+    arms: any refactor of the shared run harness must reproduce these
+    audit-chain and PDP-decision digests bit-for-bit.
+    """
+
+    DECISIONS = ("sha256:f4f2dd7a650ed0538b35cd2c2d68fe78"
+                 "544d56bcc2fc23d4324a3a0f27629eb2")
+    POINTS = {
+        1: ("sha256:b5134931184b02058a176aeba28d01cb"
+            "9c3ab8948b9240f5692e3531d1e267bf", 369),
+        2: ("sha256:88ec6e904ef66122206ba36e93e1f650"
+            "8982c35c7285ad342ff4fbf540d22f53", 393),
+    }
+    ARM_AUDIT = ("sha256:94323f921added4d9a86a935688eab0a"
+                 "d938fe6d825f98d73ac916e16a1a37b3")
+    ARM_JAIN = {"none": 0.9394146028290821, "fair": 0.9894328983278449}
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_run_point_digests(self, nodes):
+        workload = workload_config("steady", population=300, ops=120,
+                                   seed=2010)
+        point = run_point(workload, nodes, collect_decisions=True)
+        digest, records = self.POINTS[nodes]
+        assert point["audit_digest"] == digest
+        assert point["audit_records"] == records
+        assert point["decision_digest"] == self.DECISIONS
+
+    @pytest.mark.parametrize("sched", ["none", "fair"])
+    def test_run_arm_digests(self, sched):
+        workload = workload_config("anomaly", population=4000, ops=600,
+                                   seed=2010)
+        arm = run_arm(workload, sched)
+        assert arm["audit_digest"] == self.ARM_AUDIT
+        assert arm["audit_records"] == 1710
+        assert arm["jain_index"] == pytest.approx(self.ARM_JAIN[sched],
+                                                  abs=1e-12)
+
+
 class TestPrivacyInvariants:
     def test_payload_carries_no_subject_identifier(self, trajectory):
         serialized = json.dumps(trajectory, sort_keys=True)
@@ -151,14 +194,13 @@ class TestSchemaChecker:
 
     def test_cli_entrypoint(self, tmp_path, trajectory):
         target = tmp_path / "BENCH_capacity.json"
-        write_payload(target, trajectory)
-        assert main(["check_capacity_schema.py", str(target)]) == 0
-        assert main(["check_capacity_schema.py",
-                     str(tmp_path / "missing.json")]) == 1
-        assert main(["check_capacity_schema.py"]) == 2
+        write_summary(target, trajectory)
+        assert main([str(target)]) == 0
+        assert main([str(tmp_path / "missing.json")]) == 1
+        assert main([]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["check_capacity_schema.py", str(bad)]) == 1
+        assert main([str(bad)]) == 1
 
 
 class TestWorkloadCli:
