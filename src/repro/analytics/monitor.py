@@ -109,7 +109,7 @@ class ProcessMonitor:
         """
         subjects = {
             entry.subject_ref
-            for entry in self._controller.id_map._by_global.values()  # noqa: SLF001
+            for entry in self._controller.id_map.entries()
             if event_type is None or entry.event_type == event_type
         }
         return suppress(len(subjects), self.threshold)
@@ -125,7 +125,7 @@ class ProcessMonitor:
             return 0.0
         total = sum(
             1
-            for entry in self._controller.id_map._by_global.values()  # noqa: SLF001
+            for entry in self._controller.id_map.entries()
             if event_type is None or entry.event_type == event_type
         )
         return total / distinct.value

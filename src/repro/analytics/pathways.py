@@ -58,7 +58,7 @@ class PathwayMiner:
         never from payloads.
         """
         per_subject: dict[str, list[tuple[str, float]]] = defaultdict(list)
-        for entry in self._controller.id_map._by_global.values():  # noqa: SLF001
+        for entry in self._controller.id_map.entries():
             per_subject[entry.subject_ref].append(
                 (entry.event_type, entry.published_at)
             )

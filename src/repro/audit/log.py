@@ -69,6 +69,23 @@ class AuditRecord:
             "detail": self.detail,
         }
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "AuditRecord":
+        """Rebuild a record from :meth:`to_payload` output — the one decoder
+        of stored and exported rows; extra keys (a stored digest) are ignored."""
+        return cls(
+            record_id=payload["record_id"],
+            timestamp=payload["timestamp"],
+            actor=payload["actor"],
+            action=AuditAction(payload["action"]),
+            outcome=AuditOutcome(payload["outcome"]),
+            event_id=payload.get("event_id"),
+            event_type=payload.get("event_type"),
+            subject_ref=payload.get("subject_ref"),
+            purpose=payload.get("purpose"),
+            detail=payload.get("detail", ""),
+        )
+
 
 class AuditLog:
     """Append-only, hash-chained audit log."""
@@ -109,3 +126,19 @@ class AuditLog:
         this is the check a privacy guarantor runs before trusting the log.
         """
         self._chain.verify([record.to_payload() for record in self._records])
+
+    def flush(self) -> None:
+        """Group-commit barrier; the in-memory log has nothing to drain."""
+
+
+def mint_record(log, ids, clock, actor: str, action: AuditAction,
+                outcome: AuditOutcome, **fields) -> str:
+    """Mint one audit record — next ``aud`` id, current time — and append it.
+
+    The one place record ids and timestamps are assigned.  ``fields`` are
+    the optional :class:`AuditRecord` fields; returns the chain digest.
+    """
+    return log.append(AuditRecord(
+        record_id=ids.next("aud"), timestamp=clock.now(),
+        actor=actor, action=action, outcome=outcome, **fields,
+    ))

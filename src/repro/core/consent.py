@@ -126,6 +126,10 @@ class ConsentRegistry:
             return False
         return self._effective(subject_id, ConsentScope.DETAILS, event_type)
 
+    def decisions(self) -> tuple[ConsentDecision, ...]:
+        """The full decision history, oldest first (archiving)."""
+        return tuple(self._decisions)
+
     def decisions_of(self, subject_id: str) -> list[ConsentDecision]:
         """The subject's full decision history (data-subject reports)."""
         return [d for d in self._decisions if d.subject_id == subject_id]

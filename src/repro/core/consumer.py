@@ -59,17 +59,27 @@ class DataConsumer:
         with the producer).  ``roster_scoped=True`` restricts delivery to
         this consumer's assigned patients.
         """
+        subscription_id = self._controller.subscribe(
+            self.actor_id, event_type, self.receiver(handler),
+            credential=self.credential, roster_scoped=roster_scoped)
+        self.note_subscription(event_type, subscription_id)
+        return subscription_id
 
-        def deliver(notification: NotificationMessage) -> None:
+    def receiver(self, handler=None):
+        """The handler a subscription of this consumer delivers into: the
+        inbox first, then ``handler`` if given."""
+
+        def receive(notification: NotificationMessage) -> None:
             self.inbox.append(notification)
             if handler is not None:
                 handler(notification)
 
-        subscription_id = self._controller.subscribe(
-            self.actor_id, event_type, deliver, credential=self.credential,
-            roster_scoped=roster_scoped)
+        return receive
+
+    def note_subscription(self, event_type: str, subscription_id: str) -> None:
+        """Remember the active subscription of ``event_type`` (the federated
+        platform installs cross-node ones on this consumer's behalf)."""
         self._subscription_ids[event_type] = subscription_id
-        return subscription_id
 
     def is_subscribed_to(self, event_type: str) -> bool:
         """Whether an active subscription exists for ``event_type``."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
+from repro.audit.log import AuditAction, AuditOutcome, mint_record
 from repro.bus.endpoints import EndpointRegistry
 from repro.bus.envelope import Envelope
 from repro.clock import Clock
@@ -262,10 +262,8 @@ class DataController:
         so the on-disk logs are complete before a snapshot, an external
         verification, or a restart replays them.
         """
-        for backend in (self.index, self.audit_log):
-            flush = getattr(backend, "flush", None)
-            if flush is not None:
-                flush()
+        self.index.flush()
+        self.audit_log.flush()
 
     # -- pipelines (inspectable wiring) ----------------------------------------
 
@@ -324,7 +322,7 @@ class DataController:
             valid_until=valid_until,
         )
         self.contracts.sign(contract)
-        self._record(
+        self.record_audit(
             actor.actor_id, AuditAction.JOIN, AuditOutcome.PERMIT,
             detail=f"joined as {actor.kind.value}",
         )
@@ -345,7 +343,7 @@ class DataController:
         # Detail-payload keys are sensitive: registering them with the
         # telemetry guard keeps them out of metric labels / span attributes.
         self.telemetry.restrict_keys(event_class.fields)
-        self._record(
+        self.record_audit(
             producer_id, AuditAction.DECLARE_EVENT_CLASS, AuditOutcome.PERMIT,
             event_type=event_class.name,
             detail=f"fields: {', '.join(event_class.fields)}",
@@ -366,7 +364,7 @@ class DataController:
             )
         upgraded = self.catalog.upgrade(event_class)
         self.telemetry.restrict_keys(upgraded.fields)
-        self._record(
+        self.record_audit(
             producer_id, AuditAction.DECLARE_EVENT_CLASS, AuditOutcome.PERMIT,
             event_type=upgraded.name,
             detail=f"upgraded to version {upgraded.version}; "
@@ -447,28 +445,66 @@ class DataController:
         self.contracts.require_active(consumer_id, self.clock.now(), must_consume=True)
         actor = self.actors.get(consumer_id)
         self._authenticate(consumer_id, credential, actor.role)
+        sink = self.notification_sink(consumer_id, handler, roster_scoped)
+        return self.gated_subscribe(
+            consumer_id, actor.role, event_type,
+            lambda event_class: self.bus.subscribe(
+                consumer_id, event_class.topic, sink
+            ).subscription_id,
+        )
+
+    def gated_subscribe(
+        self,
+        consumer_id: str,
+        role: str,
+        event_type: str,
+        install: Callable[[EventClass], object],
+        deny_detail: str = "no authorizing policy; pending access request queued",
+        permit_detail: str = "",
+    ):
+        """The deny-by-default subscription gate (§5.2), audited either way.
+
+        Every route passes through it — :meth:`subscribe`, and a federation
+        node serving a peer's consumer — differing only in the audit detail
+        strings and in what ``install(event_class)`` sets up on permit (a
+        bus subscription, a relay toward the peer); its result is returned.
+        Without an authorizing policy a pending access request is queued,
+        the denial audited and ``AccessDeniedError`` raised.
+        """
         event_class = self.catalog.get(event_type)
         if not self.policies.has_policy_for(
-            event_class.producer_id, event_type, actor.actor_id, actor.role
+            event_class.producer_id, event_type, consumer_id, role
         ):
-            request = PendingAccessRequest(
+            self.pending_requests.add(PendingAccessRequest(
                 request_id=self.ids.next("par"),
                 consumer_id=consumer_id,
-                consumer_role=actor.role,
+                consumer_role=role,
                 event_type=event_type,
                 producer_id=event_class.producer_id,
                 requested_at=self.clock.now(),
-            )
-            self.pending_requests.add(request)
-            self._record(
+            ))
+            self.record_audit(
                 consumer_id, AuditAction.SUBSCRIBE, AuditOutcome.DENY,
-                event_type=event_type,
-                detail="no authorizing policy; pending access request queued",
+                event_type=event_type, detail=deny_detail,
             )
             raise AccessDeniedError(
                 f"no policy authorizes {consumer_id!r} for {event_type!r}; "
                 "access request is pending with the producer"
             )
+        installed = install(event_class)
+        self.record_audit(
+            consumer_id, AuditAction.SUBSCRIBE, AuditOutcome.PERMIT,
+            event_type=event_type, detail=permit_detail,
+        )
+        return installed
+
+    def notification_sink(
+        self, consumer_id: str, handler: NotificationHandler,
+        roster_scoped: bool = False,
+    ) -> Callable[[Envelope], None]:
+        """The bus-side delivery handler of one subscription, local or
+        relayed: parse the envelope, apply the roster filter, audit the
+        delivery, then hand the notification to ``handler``."""
 
         def deliver(envelope: Envelope) -> None:
             notification = NotificationMessage.from_xml(str(envelope.body))
@@ -476,19 +512,14 @@ class DataController:
                 consumer_id, notification.subject_ref
             ):
                 return  # not this consumer's patient: silently filtered
-            self._record(
+            self.record_audit(
                 consumer_id, AuditAction.NOTIFY, AuditOutcome.PERMIT,
                 event_id=notification.event_id, event_type=notification.event_type,
                 subject_ref=notification.subject_ref,
             )
             handler(notification)
 
-        subscription = self.bus.subscribe(consumer_id, event_class.topic, deliver)
-        self._record(
-            consumer_id, AuditAction.SUBSCRIBE, AuditOutcome.PERMIT,
-            event_type=event_type,
-        )
-        return subscription.subscription_id
+        return deliver
 
     def request_details(self, consumer_id: str, request: DetailRequest,
                         credential=None):
@@ -535,19 +566,19 @@ class DataController:
             try:
                 producer_id = self.catalog.producer_of(event_type)
             except UnknownEventClassError:
-                self._record(
+                self.record_audit(
                     consumer_id, AuditAction.INDEX_INQUIRY, AuditOutcome.DENY,
                     event_type=event_type, detail="unknown event class",
                 )
                 continue
             if self.policies.has_policy_for(producer_id, event_type, actor.actor_id, actor.role):
                 authorized.append(event_type)
-                self._record(
+                self.record_audit(
                     consumer_id, AuditAction.INDEX_INQUIRY, AuditOutcome.PERMIT,
                     event_type=event_type,
                 )
             else:
-                self._record(
+                self.record_audit(
                     consumer_id, AuditAction.INDEX_INQUIRY, AuditOutcome.DENY,
                     event_type=event_type, detail="no authorizing policy",
                 )
@@ -576,35 +607,17 @@ class DataController:
 
     def record_policy_definition(self, producer_id: str, policy_ids: list[str]) -> None:
         """Audit that a producer defined policies (called by the wizard flow)."""
-        self._record(
+        self.record_audit(
             producer_id, AuditAction.DEFINE_POLICY, AuditOutcome.PERMIT,
             detail=f"policies: {', '.join(policy_ids)}",
         )
 
     # -- audit ------------------------------------------------------------------------
 
-    def _record(
-        self,
-        actor: str,
-        action: AuditAction,
-        outcome: AuditOutcome,
-        event_id: str | None = None,
-        event_type: str | None = None,
-        subject_ref: str | None = None,
-        purpose: str | None = None,
-        detail: str = "",
+    def record_audit(
+        self, actor: str, action: AuditAction, outcome: AuditOutcome, **fields,
     ) -> None:
-        self.audit_log.append(
-            AuditRecord(
-                record_id=self.ids.next("aud"),
-                timestamp=self.clock.now(),
-                actor=actor,
-                action=action,
-                outcome=outcome,
-                event_id=event_id,
-                event_type=event_type,
-                subject_ref=subject_ref,
-                purpose=purpose,
-                detail=detail,
-            )
-        )
+        """Append one audit record to this node's trail (``fields`` as in
+        :func:`repro.audit.log.mint_record`)."""
+        mint_record(self.audit_log, self.ids, self.clock,
+                    actor, action, outcome, **fields)

@@ -38,12 +38,12 @@ from repro.core.policy import DetailRequestSpec, PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, ConfigurationError
 from repro.ids import IdFactory
+from repro.perf import perf_or_none
 from repro.runtime.interceptors import (
     REQUEST_DETAILS,
     Invocation,
     build_enforcement_pipeline,
-    build_request_context,
-    released_fields,
+    policy_decision,
     resolve_request_entry,
 )
 from repro.runtime.interfaces import DetailFetcher
@@ -138,8 +138,6 @@ class PolicyEnforcer:
         self._clock = clock
         self._ids = ids
         self._resolve_consent = consent_resolver or (lambda producer_id: None)
-        from repro.perf import perf_or_none
-
         self._perf = perf_or_none(perf)
         self._pdp = PolicyDecisionPoint(telemetry=telemetry)
         self._pip = self._build_pip()
@@ -230,37 +228,17 @@ class PolicyEnforcer:
     def decide(self, request: DetailRequest) -> bool:
         """Policy decision only (no gateway call, no exception on deny).
 
-        Used by benchmarks to time the decision path in isolation and by
-        the controller's subscription gating.  With the indexed perf
-        layer the PDP evaluates only the bucketed candidate policies and
-        repeat decisions replay from the versioned cache — the returned
-        verdict is identical either way.
+        Runs the same :func:`~repro.runtime.interceptors.policy_decision`
+        as the details chain's decide stage (same verdict, same cache);
+        benchmarks use it to time the decision path in isolation.
         """
         try:
             entry = resolve_request_entry(request, self._purposes, self._id_map)
         except AccessDeniedError:
             return False
-        perf = self._perf
-        if perf is not None:
-            cached = perf.cached_decision(entry, request)
-            if cached is not None:
-                return cached.permitted
-            policy_set = perf.policy_set_for(entry, request)
-        else:
-            policy_set = self._repository.to_policy_set(
-                entry.producer_id, entry.event_type
-            )
-        response = self._pep.authorize(policy_set, build_request_context(request))
-        if perf is not None:
-            perf.store_decision(
-                entry, request,
-                permitted=response.permitted,
-                released_fields=released_fields(response.obligations),
-                message="" if response.permitted else (
-                    response.status_message or "no matching policy (deny-by-default)"
-                ),
-            )
-        return response.permitted
+        return policy_decision(
+            entry, request, self._repository, self._pep, self._perf
+        ).permitted
 
     @property
     def pdp_stats(self):

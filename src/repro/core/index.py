@@ -59,6 +59,26 @@ class SealedIdentity:
     subject_display: str | None = None
 
 
+def sealed_entry(
+    event_id: str, event_type: str, producer_id: str, occurred_at: float,
+    summary: str, subject_ref: str, subject_display: str | None,
+) -> RegistryObject:
+    """The registry object of one index entry (identity slots already
+    sealed) — built the same for a local store and for an adopted entry."""
+    obj = RegistryObject(
+        object_id=event_id, object_type=OBJECT_TYPE,
+        name=summary, description=summary,
+    )
+    obj.classify(SCHEME_EVENT_CLASS, event_type)
+    obj.classify(SCHEME_PRODUCER, producer_id)
+    obj.set_slot("occurredAt", f"{occurred_at:020.6f}")
+    obj.set_slot("producerId", producer_id)
+    obj.set_slot("subjectRef", subject_ref)
+    if subject_display is not None:
+        obj.set_slot("subjectDisplay", subject_display)
+    return obj
+
+
 class EventsIndex:
     """ebXML-backed notification index with sealed identifying fields.
 
@@ -108,6 +128,17 @@ class EventsIndex:
         self._registry.approve(obj.object_id)
         self.stats.stored += 1
 
+    def adopt_raw(self, obj: RegistryObject) -> None:
+        """Index an entry shipped by a peer shard (durable stores persist it)."""
+        self.restore_raw(obj)
+
+    def withdraw(self, event_id: str) -> None:
+        """Hide an entry from every default inquiry (ebXML withdrawal)."""
+        self._registry.withdraw(event_id)
+
+    def flush(self) -> None:
+        """Group-commit barrier; the in-memory index has nothing to drain."""
+
     # -- storage ------------------------------------------------------------
 
     def seal_identity(self, notification: NotificationMessage) -> SealedIdentity:
@@ -130,19 +161,11 @@ class EventsIndex:
         """
         if sealed is None:
             sealed = self.seal_identity(notification)
-        obj = RegistryObject(
-            object_id=notification.event_id,
-            object_type=OBJECT_TYPE,
-            name=notification.summary,
-            description=notification.summary,
+        obj = sealed_entry(
+            notification.event_id, notification.event_type,
+            notification.producer_id, notification.occurred_at,
+            notification.summary, sealed.subject_ref, sealed.subject_display,
         )
-        obj.classify(SCHEME_EVENT_CLASS, notification.event_type)
-        obj.classify(SCHEME_PRODUCER, notification.producer_id)
-        obj.set_slot("occurredAt", f"{notification.occurred_at:020.6f}")
-        obj.set_slot("producerId", notification.producer_id)
-        obj.set_slot("subjectRef", sealed.subject_ref)
-        if sealed.subject_display is not None:
-            obj.set_slot("subjectDisplay", sealed.subject_display)
         self._registry.submit(obj)
         self._registry.approve(notification.event_id)
         self.stats.stored += 1
@@ -193,6 +216,28 @@ class EventsIndex:
 
     # -- inquiry -------------------------------------------------------------------
 
+    def raw_inquire(
+        self,
+        event_types: list[str],
+        since: float | None = None,
+        until: float | None = None,
+        producer_id: str | None = None,
+    ) -> list[RegistryObject]:
+        """The matching index entries, identity slots kept sealed."""
+        objects: list[RegistryObject] = []
+        for event_type in dict.fromkeys(event_types):  # dedupe, keep order
+            query = FilterQuery(object_type=OBJECT_TYPE).where(
+                f"class:{SCHEME_EVENT_CLASS}", "eq", event_type
+            )
+            if since is not None:
+                query.where("slot:occurredAt", "ge", f"{since:020.6f}")
+            if until is not None:
+                query.where("slot:occurredAt", "le", f"{until:020.6f}")
+            if producer_id is not None:
+                query.where(f"class:{SCHEME_PRODUCER}", "eq", producer_id)
+            objects.extend(self._registry.query(query))
+        return objects
+
     def inquire(
         self,
         event_types: list[str],
@@ -207,19 +252,10 @@ class EventsIndex:
         authorized class and decrypts the identity slots of the results.
         """
         self.stats.inquiries += 1
-        results: list[NotificationMessage] = []
-        for event_type in dict.fromkeys(event_types):  # dedupe, keep order
-            query = FilterQuery(object_type=OBJECT_TYPE).where(
-                f"class:{SCHEME_EVENT_CLASS}", "eq", event_type
-            )
-            if since is not None:
-                query.where("slot:occurredAt", "ge", f"{since:020.6f}")
-            if until is not None:
-                query.where("slot:occurredAt", "le", f"{until:020.6f}")
-            if producer_id is not None:
-                query.where(f"class:{SCHEME_PRODUCER}", "eq", producer_id)
-            for obj in self._registry.query(query):
-                results.append(self._to_notification(obj))
+        results = [
+            self._to_notification(obj)
+            for obj in self.raw_inquire(event_types, since, until, producer_id)
+        ]
         results.sort(key=lambda n: (n.occurred_at, n.event_id))
         return results
 

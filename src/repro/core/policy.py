@@ -301,6 +301,10 @@ class PolicyRepository:
         except KeyError as exc:
             raise PolicyError(f"no policy {policy_id!r}") from exc
 
+    def items(self):
+        """``(policy id, policy)`` pairs in definition order, revoked included."""
+        return self._policies.items()
+
     def xacml_text(self, policy_id: str) -> str:
         """The stored generated XACML document ('' if none was stored)."""
         return self._xacml_texts.get(policy_id, "")

@@ -223,7 +223,7 @@ class DataProducer:
         self._audit_consent(subject_id, event_type, f"opt-in ({scope.value})")
 
     def _audit_consent(self, subject_id: str, event_type: str | None, detail: str) -> None:
-        self._controller._record(  # noqa: SLF001 - producer acts through the controller
+        self._controller.record_audit(
             self.actor_id,
             action=AuditAction.CONSENT_CHANGE,
             outcome=AuditOutcome.PERMIT,

@@ -18,26 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
+from repro.audit.log import AuditRecord
 
 if TYPE_CHECKING:
     from repro.federation.node import FederationNode
-
-
-def record_from_payload(payload: dict) -> AuditRecord:
-    """Rebuild an :class:`AuditRecord` from its canonical export payload."""
-    return AuditRecord(
-        record_id=payload["record_id"],
-        timestamp=payload["timestamp"],
-        actor=payload["actor"],
-        action=AuditAction(payload["action"]),
-        outcome=AuditOutcome(payload["outcome"]),
-        event_id=payload.get("event_id"),
-        event_type=payload.get("event_type"),
-        subject_ref=payload.get("subject_ref"),
-        purpose=payload.get("purpose"),
-        detail=payload.get("detail", ""),
-    )
 
 
 @dataclass(frozen=True)
@@ -92,17 +76,12 @@ def guarantor_inquiry(
     entries: list[FederatedAuditEntry] = []
     heads: dict[str, str] = {}
 
-    local_log = coordinator.controller.audit_log
-    local_log.verify_integrity()
-    heads[coordinator.node_id] = local_log.head_digest
-    for record in local_log.records():
-        if event_type is not None and record.event_type != event_type:
-            continue
-        if since is not None and record.timestamp < since:
-            continue
-        if until is not None and record.timestamp > until:
-            continue
-        entries.append(FederatedAuditEntry(coordinator.node_id, record))
+    heads[coordinator.node_id], local = coordinator.verified_audit(
+        event_type, since, until
+    )
+    entries.extend(
+        FederatedAuditEntry(coordinator.node_id, record) for record in local
+    )
 
     for node_id in membership.node_ids:
         if node_id == coordinator.node_id:
@@ -115,7 +94,7 @@ def guarantor_inquiry(
         body = coordinator.open_channel(response)
         for payload in body["records"]:
             entries.append(
-                FederatedAuditEntry(node_id, record_from_payload(payload))
+                FederatedAuditEntry(node_id, AuditRecord.from_payload(payload))
             )
 
     entries.sort(key=lambda e: (e.record.timestamp, e.node_id, e.record.record_id))

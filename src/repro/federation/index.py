@@ -28,14 +28,14 @@ from typing import TYPE_CHECKING
 from repro.core.index import (
     OBJECT_TYPE,
     SCHEME_EVENT_CLASS,
-    SCHEME_PRODUCER,
     EventsIndex,
     SealedIdentity,
+    sealed_entry,
 )
 from repro.core.messages import NotificationMessage
 from repro.exceptions import FederationError, UnknownEventError
+from repro.perf import perf_or_none
 from repro.registry.objects import LifecycleStatus, RegistryObject
-from repro.registry.query import FilterQuery
 
 if TYPE_CHECKING:
     from repro.federation.membership import StaticMembership
@@ -60,7 +60,7 @@ class FederatedIndexStore:
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        self._perf = perf if perf is not None and perf.enabled else None
+        self._perf = perf_or_none(perf)
         #: Batch policy (kernel kind ``batch: on``): remote stores
         #: coalesce into per-owner frames instead of one link call per
         #: entry.  ``None`` (``batch: off``) ships every entry alone.
@@ -68,9 +68,7 @@ class FederatedIndexStore:
         #: Per-owner buffers of entries awaiting a coalesced frame.
         self._pending: dict[str, list[dict]] = {}
         if self._batch is not None:
-            register = getattr(membership, "register_flusher", None)
-            if register is not None:
-                register(self.flush_pending)
+            membership.register_flusher(self.flush_pending)
 
     @property
     def encrypt_identity(self) -> bool:
@@ -170,9 +168,7 @@ class FederatedIndexStore:
     def flush(self) -> None:
         """Group-commit barrier: pending frames out, durable rows down."""
         self.flush_pending()
-        flush = getattr(self.local, "flush", None)
-        if flush is not None:
-            flush()
+        self.local.flush()
 
     def _read_barrier(self) -> None:
         """Make cluster state current before a read crosses shards.
@@ -186,23 +182,12 @@ class FederatedIndexStore:
 
     def accept_remote(self, entry: dict) -> None:
         """Store an entry shipped by a peer (identity slots still sealed)."""
-        obj = RegistryObject(
-            object_id=entry["event_id"],
-            object_type=OBJECT_TYPE,
-            name=entry["summary"],
-            description=entry["summary"],
-        )
-        obj.classify(SCHEME_EVENT_CLASS, entry["event_type"])
-        obj.classify(SCHEME_PRODUCER, entry["producer_id"])
-        obj.set_slot("occurredAt", f"{entry['occurred_at']:020.6f}")
-        obj.set_slot("producerId", entry["producer_id"])
-        obj.set_slot("subjectRef", entry["subject_ref"])
-        if entry.get("subject_display") is not None:
-            obj.set_slot("subjectDisplay", entry["subject_display"])
-        # A durable local shard persists adopted entries; the in-memory
-        # reference index just re-inserts them.
-        adopt = getattr(self.local, "adopt_raw", self.local.restore_raw)
-        adopt(obj)
+        # A durable local shard also persists the adopted row.
+        self.local.adopt_raw(sealed_entry(
+            entry["event_id"], entry["event_type"], entry["producer_id"],
+            entry["occurred_at"], entry["summary"], entry["subject_ref"],
+            entry.get("subject_display"),
+        ))
 
     # -- local raw access (the peer-facing surface) -------------------------
 
@@ -237,20 +222,10 @@ class FederatedIndexStore:
         producer_id: str | None = None,
     ) -> list[dict]:
         """This shard's matching entries, identity slots kept sealed."""
-        entries: list[dict] = []
-        for event_type in dict.fromkeys(event_types):
-            query = FilterQuery(object_type=OBJECT_TYPE).where(
-                f"class:{SCHEME_EVENT_CLASS}", "eq", event_type
-            )
-            if since is not None:
-                query.where("slot:occurredAt", "ge", f"{since:020.6f}")
-            if until is not None:
-                query.where("slot:occurredAt", "le", f"{until:020.6f}")
-            if producer_id is not None:
-                query.where(f"class:{SCHEME_PRODUCER}", "eq", producer_id)
-            for obj in self.local.registry.query(query):
-                entries.append(self._to_entry(obj))
-        return entries
+        return [
+            self._to_entry(obj)
+            for obj in self.local.raw_inquire(event_types, since, until, producer_id)
+        ]
 
     def local_raw_get(self, event_id: str) -> dict | None:
         """One sealed raw entry of this shard (None if absent/withdrawn)."""
@@ -391,11 +366,7 @@ class FederatedIndexStore:
                     f"rehome of {obj.object_id!r} to {owner!r} failed: "
                     f"{response['message']}"
                 )
-            durable_withdraw = getattr(self.local, "withdraw", None)
-            if durable_withdraw is not None:
-                durable_withdraw(obj.object_id)  # persists a tombstone row
-            else:
-                self.local.registry.withdraw(obj.object_id)
+            self.local.withdraw(obj.object_id)  # durable shards add a tombstone
             moved += 1
             self.stats.rehomed += 1
         return moved

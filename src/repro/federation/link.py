@@ -139,58 +139,7 @@ class Link:
         minted ids, never content — so the server side can parent its
         spans into the caller's trace.
         """
-        self.stats.calls += 1
-        telemetry = self._telemetry
-        span_scope = (
-            telemetry.span("link.call", op=operation,
-                           source=self._source_label, target=self._target_label)
-            if telemetry is not None else nullcontext()
-        )
-        with span_scope:
-            context = telemetry.current_context() if telemetry is not None else None
-            if wire is None or context is not None:
-                message: dict[str, object] = {"op": operation, "payload": payload}
-                if context is not None:
-                    message[WIRE_KEY] = context.to_wire()
-                wire = canonical_json(message)
-            self.transcript.append(wire)
-            self.stats.bytes_carried += len(wire)
-            started = self._clock.now()
-            last_error: LinkFailureError | None = None
-            for attempt in range(1, self.policy.max_attempts + 1):
-                if attempt > 1:
-                    self.stats.retries += 1
-                self._clock.advance(self.latency)
-                if telemetry is not None:
-                    telemetry.count(LINK_ATTEMPTS, source=self._source_label,
-                                    target=self._target_label)
-                if self._should_fail(operation, payload):
-                    self.stats.failed_attempts += 1
-                    if telemetry is not None:
-                        telemetry.count(LINK_DROPS, source=self._source_label,
-                                        target=self._target_label)
-                    last_error = LinkFailureError(
-                        f"link {self.source}->{self.target.node_id} dropped "
-                        f"{operation!r} (attempt {attempt}/{self.policy.max_attempts})"
-                    )
-                    continue
-                response = self.target.handle(operation, payload, trace=context)
-                response_wire = canonical_json(response)
-                self.transcript.append(response_wire)
-                self.stats.bytes_carried += len(response_wire)
-                self.stats.delivered += 1
-                if telemetry is not None:
-                    telemetry.count(
-                        HOP_COUNTER, source=self._source_label,
-                        target=self._target_label, op=operation,
-                    )
-                    telemetry.profile(
-                        SECTION_LINK_HOP, self._clock.now() - started,
-                        source=self._source_label, target=self._target_label,
-                    )
-                return response
-            assert last_error is not None
-            raise last_error
+        return self._transmit(operation, payload, None, self.latency, wire)
 
     def call_batch(
         self,
@@ -214,22 +163,38 @@ class Link:
         """
         if count < 1:
             raise LinkFailureError("a coalesced frame needs at least one entry")
-        self.stats.calls += 1
         hop_cost = advance if advance is not None else (
             self.latency + count * BATCH_ENTRY_COST
         )
+        return self._transmit(operation, payload, count, hop_cost)
+
+    def _transmit(self, operation: str, payload: dict, entries: int | None,
+                  hop_cost: float, wire: str | None = None) -> dict:
+        """The transmit loop behind :meth:`call` and :meth:`call_batch`.
+
+        ``entries`` is ``None`` for a single request, else the entry count
+        of a coalesced frame (which counts that many times and is served by
+        ``handle_batch``); each attempt advances the clock by ``hop_cost``.
+        """
+        batched = entries is not None
+        count = entries if batched else 1
+        self.stats.calls += 1
         telemetry = self._telemetry
-        span_scope = (
-            telemetry.span("link.call_batch", op=operation, entries=str(count),
-                           source=self._source_label, target=self._target_label)
-            if telemetry is not None else nullcontext()
-        )
+        ends = {"source": self._source_label, "target": self._target_label}
+        if telemetry is None:
+            span_scope = nullcontext()
+        elif batched:
+            span_scope = telemetry.span("link.call_batch", op=operation,
+                                        entries=str(count), **ends)
+        else:
+            span_scope = telemetry.span("link.call", op=operation, **ends)
         with span_scope:
             context = telemetry.current_context() if telemetry is not None else None
-            message: dict[str, object] = {"op": operation, "payload": payload}
-            if context is not None:
-                message[WIRE_KEY] = context.to_wire()
-            wire = canonical_json(message)
+            if wire is None or context is not None:
+                message: dict[str, object] = {"op": operation, "payload": payload}
+                if context is not None:
+                    message[WIRE_KEY] = context.to_wire()
+                wire = canonical_json(message)
             self.transcript.append(wire)
             self.stats.bytes_carried += len(wire)
             started = self._clock.now()
@@ -239,36 +204,31 @@ class Link:
                     self.stats.retries += 1
                 self._clock.advance(hop_cost)
                 if telemetry is not None:
-                    telemetry.count(LINK_ATTEMPTS, source=self._source_label,
-                                    target=self._target_label)
+                    telemetry.count(LINK_ATTEMPTS, **ends)
                 if self._should_fail(operation, payload):
                     self.stats.failed_attempts += count
                     if telemetry is not None:
-                        telemetry.count(LINK_DROPS, source=self._source_label,
-                                        target=self._target_label)
+                        telemetry.count(LINK_DROPS, **ends)
+                    what = (f"batched {operation!r} of {count} entries"
+                            if batched else repr(operation))
                     last_error = LinkFailureError(
                         f"link {self.source}->{self.target.node_id} dropped "
-                        f"batched {operation!r} of {count} entries "
-                        f"(attempt {attempt}/{self.policy.max_attempts})"
+                        f"{what} (attempt {attempt}/{self.policy.max_attempts})"
                     )
                     continue
-                response = self.target.handle_batch(
-                    operation, payload, count, trace=context,
-                )
+                if batched:
+                    response = self.target.handle_batch(
+                        operation, payload, count, trace=context)
+                else:
+                    response = self.target.handle(operation, payload, trace=context)
                 response_wire = canonical_json(response)
                 self.transcript.append(response_wire)
                 self.stats.bytes_carried += len(response_wire)
                 self.stats.delivered += count
                 if telemetry is not None:
-                    for _ in range(count):
-                        telemetry.count(
-                            HOP_COUNTER, source=self._source_label,
-                            target=self._target_label, op=operation,
-                        )
+                    telemetry.count(HOP_COUNTER, float(count), **ends, op=operation)
                     telemetry.profile(
-                        SECTION_LINK_HOP, self._clock.now() - started,
-                        source=self._source_label, target=self._target_label,
-                    )
+                        SECTION_LINK_HOP, self._clock.now() - started, **ends)
                 return response
             assert last_error is not None
             raise last_error

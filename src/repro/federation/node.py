@@ -12,9 +12,10 @@ the paper's privacy model survives distribution:
   node; the response carries only the already-filtered detail message,
   sealed under this node's federation channel key.  No peer can release
   this node's detail fields.
-* ``subscribe.remote`` replicates the controller's subscription gating:
-  the home node's policy repository decides, queues the pending access
-  request on deny, audits either way, and only then installs a relay.
+* ``subscribe.remote`` goes through the controller's own subscription
+  gate (``DataController.gated_subscribe``): the home node's policy
+  repository decides, queues the pending access request on deny, audits
+  either way, and only then lets this node install a relay.
 * ``index.*`` accepts/serves index entries with identity slots *still
   sealed* — opening happens only on the querying node, under the shared
   index key.
@@ -33,9 +34,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.audit.log import AuditAction, AuditOutcome
+from repro.audit.log import AuditRecord
+from repro.audit.query import AuditQuery
 from repro.core.actors import Actor, ActorKind
-from repro.core.elicitation import PendingAccessRequest
 from repro.core.enforcement import DetailRequest
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import (
@@ -46,6 +47,7 @@ from repro.exceptions import (
 )
 from repro.obs.context import TraceContext
 from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
+from repro.perf import perf_or_none
 
 if TYPE_CHECKING:
     from repro.core.controller import DataController
@@ -101,8 +103,7 @@ class FederationNode:
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         self._channel_seq = 0
         controller.keystore.create(self._channel_key)
-        perf = getattr(controller, "perf", None)
-        self._perf = perf if perf is not None and perf.enabled else None
+        self._perf = perf_or_none(controller.perf)
         self._relay_frames = None
         if self._perf is not None:
             from repro.perf.wire_cache import SealedFrameCache
@@ -176,19 +177,7 @@ class FederationNode:
         handler = self._handlers.get(operation)
         if handler is None:
             return {"error": "unknown-operation", "message": operation}
-        self.hops_in += 1
-        telemetry = self.controller.telemetry
-        span_scope = (
-            telemetry.span(f"federation.{operation}", remote_parent=trace,
-                           node=self.label)
-            if telemetry is not None and telemetry.enabled else nullcontext()
-        )
-        with span_scope as span:
-            response = self._dispatch(handler, payload)
-            if span is not None and "error" in response:
-                span.set_attribute(telemetry.guard, "outcome",
-                                   response["error"])
-            return response
+        return self._serve(handler, operation, payload, trace, hops=1)
 
     def handle_batch(self, operation: str, payload: dict, count: int,
                      trace: TraceContext | None = None) -> dict:
@@ -202,31 +191,35 @@ class FederationNode:
         handler = self._batch_handlers.get(operation)
         if handler is None:
             return {"error": "unknown-operation", "message": f"batched {operation}"}
-        self.hops_in += count
+        return self._serve(handler, operation, payload, trace, hops=count,
+                           entries=str(count))
+
+    def _serve(self, handler: Callable[[dict], dict], operation: str,
+               payload: dict, trace: TraceContext | None, hops: int,
+               **span_attributes: str) -> dict:
+        """Run one handler under its server span; failures become responses."""
+        self.hops_in += hops
         telemetry = self.controller.telemetry
         span_scope = (
             telemetry.span(f"federation.{operation}", remote_parent=trace,
-                           node=self.label, entries=str(count))
+                           node=self.label, **span_attributes)
             if telemetry is not None and telemetry.enabled else nullcontext()
         )
         with span_scope as span:
-            response = self._dispatch(handler, payload)
+            try:
+                response = handler(payload)
+            except AccessDeniedError as exc:
+                response = {"error": "access-denied", "message": str(exc)}
+            except GatewayError as exc:
+                response = {"error": "source-unavailable", "message": str(exc)}
+            except UnknownEventError as exc:
+                response = {"error": "unknown-event", "message": str(exc)}
+            except UnknownEventClassError as exc:
+                response = {"error": "unknown-event-class", "message": str(exc)}
             if span is not None and "error" in response:
                 span.set_attribute(telemetry.guard, "outcome",
                                    response["error"])
             return response
-
-    def _dispatch(self, handler: Callable[[dict], dict], payload: dict) -> dict:
-        try:
-            return handler(payload)
-        except AccessDeniedError as exc:
-            return {"error": "access-denied", "message": str(exc)}
-        except GatewayError as exc:
-            return {"error": "source-unavailable", "message": str(exc)}
-        except UnknownEventError as exc:
-            return {"error": "unknown-event", "message": str(exc)}
-        except UnknownEventClassError as exc:
-            return {"error": "unknown-event-class", "message": str(exc)}
 
     def _op_ping(self, payload: dict) -> dict:
         return {"ok": True, "node": self.node_id}
@@ -278,45 +271,21 @@ class FederationNode:
     def _op_subscribe_remote(self, payload: dict) -> dict:
         """Authorize a remote consumer and install a relay toward its node.
 
-        Mirrors ``DataController.subscribe``'s gating on the home node:
+        The decision is the home controller's own subscription gate —
         deny-by-default with a pending access request when no policy of
-        *this* node's producer authorizes the consumer, audited either way.
+        *this* node's producer authorizes the consumer, audited either
+        way; the node only supplies the relay and the route's audit text.
         """
-        controller = self.controller
-        consumer_id = payload["consumer_id"]
-        role = payload.get("role", "")
-        event_type = payload["event_type"]
         origin = payload["origin"]
-        event_class = controller.catalog.get(event_type)
-        if not controller.policies.has_policy_for(
-            event_class.producer_id, event_type, consumer_id, role
-        ):
-            request = PendingAccessRequest(
-                request_id=controller.ids.next("par"),
-                consumer_id=consumer_id,
-                consumer_role=role,
-                event_type=event_type,
-                producer_id=event_class.producer_id,
-                requested_at=controller.clock.now(),
-            )
-            controller.pending_requests.add(request)
-            controller._record(  # noqa: SLF001 - the node acts as the controller's edge
-                consumer_id, AuditAction.SUBSCRIBE, AuditOutcome.DENY,
-                event_type=event_type,
-                detail=f"remote subscribe from {origin}: no authorizing "
-                       f"policy; pending access request queued",
-            )
-            raise AccessDeniedError(
-                f"no policy authorizes {consumer_id!r} for {event_type!r}; "
-                "access request is pending with the producer"
-            )
-        relay_id = self._ensure_relay(origin, event_class.topic)
-        controller._record(  # noqa: SLF001
-            consumer_id, AuditAction.SUBSCRIBE, AuditOutcome.PERMIT,
-            event_type=event_type,
-            detail=f"remote subscribe, relayed to {origin}",
+        relay_id, topic = self.controller.gated_subscribe(
+            payload["consumer_id"], payload.get("role", ""), payload["event_type"],
+            lambda event_class: (self._ensure_relay(origin, event_class.topic),
+                                 event_class.topic),
+            deny_detail=f"remote subscribe from {origin}: no authorizing "
+                        f"policy; pending access request queued",
+            permit_detail=f"remote subscribe, relayed to {origin}",
         )
-        return {"ok": True, "relay_id": relay_id, "topic": event_class.topic,
+        return {"ok": True, "relay_id": relay_id, "topic": topic,
                 "node": self.node_id}
 
     def _ensure_relay(self, origin: str, topic: str) -> str:
@@ -409,22 +378,25 @@ class FederationNode:
 
     # -- federated audit ----------------------------------------------------
 
+    def verified_audit(self, event_type: str | None = None,
+                       since: float | None = None,
+                       until: float | None = None) -> tuple[str, list[AuditRecord]]:
+        """This node's chain head and matching records, chain verified first."""
+        log = self.controller.audit_log
+        log.verify_integrity()
+        query = AuditQuery().about_event_type(event_type).between(since, until)
+        return log.head_digest, query.run(log)
+
     def _op_audit_records(self, payload: dict) -> dict:
         """Export this node's verified audit trail (sealed) for a guarantor."""
         self.work.add(AUDIT_COST)
-        log = self.controller.audit_log
-        log.verify_integrity()
-        records = [record.to_payload() for record in log.records()]
-        event_type = payload.get("event_type")
-        if event_type is not None:
-            records = [r for r in records if r["event_type"] == event_type]
-        since, until = payload.get("since"), payload.get("until")
-        if since is not None:
-            records = [r for r in records if r["timestamp"] >= since]
-        if until is not None:
-            records = [r for r in records if r["timestamp"] <= until]
-        sealed = self.seal_channel({"records": records})
-        sealed["head"] = log.head_digest
+        head, records = self.verified_audit(
+            payload.get("event_type"), payload.get("since"), payload.get("until")
+        )
+        sealed = self.seal_channel(
+            {"records": [record.to_payload() for record in records]}
+        )
+        sealed["head"] = head
         sealed["count"] = len(records)
         return sealed
 
@@ -444,7 +416,5 @@ class FederationNode:
         and emits share/starvation/throttle/shed gauges with guard-hashed
         tenant labels (see :meth:`repro.sched.TenantScheduler.record_fairness`).
         """
-        sched = getattr(self.controller, "sched", None)
-        if sched is not None:
-            sched.record_fairness(self.controller.telemetry,
-                                  self.controller.clock.now())
+        self.controller.sched.record_fairness(self.controller.telemetry,
+                                              self.controller.clock.now())

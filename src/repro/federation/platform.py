@@ -15,7 +15,8 @@ logical CSS platform:
   ring over keyed subject digests (kernel kind ``index: federated``);
 * cross-node subscriptions and requests-for-details go through each
   node's :class:`~repro.federation.router.FederationRouter`; decisions
-  always run on the producer's home node;
+  always run on the producer's home node, and gating, delivery and
+  auditing are always a controller's — this facade only routes;
 * :meth:`add_node` grows the ring at runtime and re-homes the index
   entries whose ownership moved.
 """
@@ -35,7 +36,12 @@ from repro.core.enforcement import DetailRequest
 from repro.core.events import EventClass
 from repro.core.messages import DetailMessage, NotificationMessage
 from repro.core.producer import DataProducer
-from repro.exceptions import AccessDeniedError, FederationError
+from repro.exceptions import (
+    AccessDeniedError,
+    FederationError,
+    GatewayError,
+    LinkFailureError,
+)
 from repro.federation.audit import FederatedAuditTrail, guarantor_inquiry
 from repro.federation.node import (
     INDEX_COST,
@@ -116,8 +122,8 @@ class FederatedPlatform:
         # Batched execution (kernel kind ``batch``): group-commit work
         # amortization.  The first operation of every batch_size-long run
         # pays the fixed service cost, later ones the marginal unit cost.
-        self._batching = getattr(self._base_runtime, "batch", "off") == "on"
-        self._batch_size = max(1, getattr(self._base_runtime, "batch_size", 256))
+        self._batching = self._base_runtime.batch == "on"
+        self._batch_size = max(1, self._base_runtime.batch_size)
         self._publish_seq: dict[str, int] = {}
         self._index_seq: dict[str, int] = {}
         self._routers: dict[str, FederationRouter] = {}
@@ -362,26 +368,14 @@ class FederatedPlatform:
         controller.contracts.require_active(
             consumer_id, self.clock.now(), must_consume=True
         )
-
-        def deliver(envelope) -> None:
-            notification = NotificationMessage.from_xml(str(envelope.body))
-            controller._record(  # noqa: SLF001 - platform acts as the controller's edge
-                consumer_id, AuditAction.NOTIFY, AuditOutcome.PERMIT,
-                event_id=notification.event_id,
-                event_type=notification.event_type,
-                subject_ref=notification.subject_ref,
-            )
-            consumer.inbox.append(notification)
-            if handler is not None:
-                handler(notification)
-
         with self._federation_span(
             consumer_home, "federation.subscribe", class_home
         ):
             subscription_id = self._routers[consumer_home].subscribe_remote(
-                class_home, consumer.actor, event_type, deliver
+                class_home, consumer.actor, event_type,
+                controller.notification_sink(consumer_id, consumer.receiver(handler)),
             )
-        consumer._subscription_ids[event_type] = subscription_id  # noqa: SLF001
+        consumer.note_subscription(event_type, subscription_id)
         return subscription_id
 
     # -- requests for details -------------------------------------------------
@@ -412,6 +406,14 @@ class FederatedPlatform:
             event_id=event_id,
             purpose=purpose,
         )
+
+        def audit(outcome: AuditOutcome, detail: str) -> None:
+            controller.record_audit(
+                consumer_id, AuditAction.DETAIL_REQUEST, outcome,
+                event_id=event_id, event_type=event_type, purpose=purpose,
+                detail=detail,
+            )
+
         try:
             with self._federation_span(
                 consumer_home, "federation.request_details", class_home
@@ -420,17 +422,14 @@ class FederatedPlatform:
                     class_home, request
                 )
         except AccessDeniedError:
-            controller._record(  # noqa: SLF001
-                consumer_id, AuditAction.DETAIL_REQUEST, AuditOutcome.DENY,
-                event_id=event_id, event_type=event_type, purpose=purpose,
-                detail=f"denied by home node {class_home}",
-            )
+            audit(AuditOutcome.DENY, f"denied by home node {class_home}")
             raise
-        controller._record(  # noqa: SLF001
-            consumer_id, AuditAction.DETAIL_REQUEST, AuditOutcome.PERMIT,
-            event_id=event_id, event_type=event_type, purpose=purpose,
-            detail=f"resolved by home node {class_home}",
-        )
+        except (GatewayError, LinkFailureError) as exc:
+            # Home gateway down or the hop's retry budget spent: audited
+            # as an error, like the local path's audit stage does.
+            audit(AuditOutcome.ERROR, f"home node {class_home} failed: {exc}")
+            raise
+        audit(AuditOutcome.PERMIT, f"resolved by home node {class_home}")
         return detail
 
     # -- dispatch ------------------------------------------------------------
@@ -495,9 +494,7 @@ class FederatedPlatform:
         batch kind off; call it before snapshotting data directories,
         verifying on-disk trails, or handing the platform to a guarantor.
         """
-        flush_shippers = getattr(self.membership, "flush_shippers", None)
-        if flush_shippers is not None:
-            flush_shippers()
+        self.membership.flush_shippers()
         for node in self.nodes():
             node.controller.flush_storage()
 
@@ -529,9 +526,8 @@ class FederatedPlatform:
         """
         recorders: dict[str, object] = {}
         for node in self.nodes():
-            recorder = getattr(node.controller, "recorder", None)
-            if recorder is not None and getattr(recorder, "enabled", False):
-                recorders[node.node_id] = recorder
+            if node.controller.recorder.enabled:
+                recorders[node.node_id] = node.controller.recorder
         return recorders
 
     def record_fairness(self) -> None:

@@ -253,7 +253,7 @@ def build_bundle(
         if sched is not None and getattr(sched, "enabled", False):
             hashed = {}
             for tenant, row in sorted(sched.tenant_report(now).items()):
-                key = sched._guard.hash_value(tenant)  # noqa: SLF001 - the scheduler's own export discipline
+                key = sched.tenant_label(tenant)
                 hashed[key] = {
                     "weight": row["weight"],
                     "served": row["served"],

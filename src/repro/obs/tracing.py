@@ -82,7 +82,7 @@ class _SpanContext:
         if exc_type is not None:
             self.span.status = STATUS_ERROR
             self.span.error = exc_type.__name__
-        self._tracer._finish(self.span)
+        self._tracer.finish(self.span)
         return False  # never swallow — pipeline semantics stay intact
 
 
@@ -139,7 +139,8 @@ class Tracer:
         self._stack.append(span)
         return _SpanContext(self, span)
 
-    def _finish(self, span: Span) -> None:
+    def finish(self, span: Span) -> None:
+        """Close ``span`` (called by its context manager on exit)."""
         span.end = self._clock.now()
         # The stack unwinds in LIFO order under the context-manager protocol.
         if self._stack and self._stack[-1] is span:

@@ -183,29 +183,16 @@ class PerfLayer:
         self.record_hit("decision")
         return cached
 
-    def store_decision(
-        self,
-        entry,
-        request,
-        *,
-        permitted: bool,
-        released_fields: frozenset[str] = frozenset(),
-        message: str = "",
-    ) -> None:
+    def store_decision(self, entry, request, decision: CachedDecision) -> None:
         """Cache a freshly computed decision (skipped for time-bounded sets)."""
         if self._policy_index is None:
             return
         if self._policy_index.is_time_bounded(entry.producer_id, entry.event_type):
             return
-        key = self.decision_key(entry, request)
         self.decisions.store(
-            key,
+            self.decision_key(entry, request),
             self._versions(entry.producer_id),
-            CachedDecision(
-                permitted=permitted,
-                released_fields=released_fields,
-                message=message,
-            ),
+            decision,
         )
 
     def policy_set_for(self, entry, request):

@@ -113,6 +113,34 @@ class RegistryObject:
         """Whether the object carries the given classification."""
         return Classification(scheme, node) in self.classifications
 
+    # -- persistence ---------------------------------------------------------
+
+    def to_row(self) -> dict:
+        """The JSON-ready row every durable log and archive stores."""
+        return {
+            "object_id": self.object_id, "object_type": self.object_type,
+            "name": self.name, "description": self.description,
+            "status": self.status.value,
+            "classifications": [
+                {"scheme": c.scheme, "node": c.node} for c in self.classifications
+            ],
+            "slots": {name: list(slot.values) for name, slot in self.slots.items()},
+        }
+
+    @classmethod
+    def from_row(cls, row: dict) -> "RegistryObject":
+        """Rebuild an object from :meth:`to_row` output (extra keys ignored)."""
+        obj = cls(
+            object_id=row["object_id"], object_type=row["object_type"],
+            name=row["name"], description=row["description"],
+            status=LifecycleStatus(row["status"]),
+        )
+        for classification in row["classifications"]:
+            obj.classify(classification["scheme"], classification["node"])
+        for slot_name, values in row["slots"].items():
+            obj.set_slot(slot_name, *values)
+        return obj
+
 
 @dataclass(frozen=True)
 class Association:

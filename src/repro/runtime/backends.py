@@ -2,8 +2,9 @@
 
 The in-memory classes (:class:`~repro.core.index.EventsIndex`,
 :class:`~repro.audit.log.AuditLog`) are the reference implementations; the
-pair here proves the multi-backend seam: both write through to a durable
-:class:`~repro.storage.engine.RecordLog` and replay it on start, so a
+pair here *extends* them — same queries, sealing and hash chain, inherited
+unchanged — with write-through to a durable
+:class:`~repro.storage.engine.RecordLog` and replay on start, so a
 platform restarted over the same data directory sees its indexed
 notifications (identity slots still sealed — the logs never hold
 plaintext identities) and its hash-chained audit trail.
@@ -11,8 +12,9 @@ plaintext identities) and its hash-chained audit trail.
 Which log implementation sits underneath is the kernel's ``store`` kind:
 ``jsonl`` (flat files, the ablation baseline) or ``segmented`` (the
 crash-recoverable storage engine).  Decisions and audit trails are
-byte-identical across both — these adapters serialize rows the same way
-regardless of the log they write to.
+byte-identical across both — rows are serialized by
+``AuditRecord.to_payload`` / ``RegistryObject.to_row`` whatever log they
+land in.
 
 Select them through the kernel::
 
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.audit.log import AuditAction, AuditLog, AuditOutcome, AuditRecord
+from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex, SealedIdentity
 from repro.core.messages import NotificationMessage
 from repro.exceptions import ObjectNotFoundError, TamperedLogError
-from repro.registry.objects import LifecycleStatus, RegistryObject, Slot
+from repro.registry.objects import RegistryObject
 from repro.storage.engine import JsonlRecordLog, RecordLog
 
 
@@ -42,7 +44,7 @@ def _as_log(log_or_path: str | Path | RecordLog) -> RecordLog:
     return log_or_path
 
 
-class JsonlAuditSink:
+class JsonlAuditSink(AuditLog):
     """Hash-chained audit log with durable write-through persistence.
 
     Every appended record lands in the ``audit`` log together with its
@@ -54,40 +56,19 @@ class JsonlAuditSink:
     """
 
     def __init__(self, path: str | Path | RecordLog) -> None:
-        self._log = AuditLog()
+        super().__init__()
         self._store = _as_log(path)
-        self._replay()
-
-    @property
-    def path(self) -> Path | None:
-        """The backing file, when the log has one (flat JSONL)."""
-        return getattr(self._store, "path", None)
-
-    def _replay(self) -> None:
         for row in self._store.iter_records():
-            digest = self._log.append(AuditRecord(
-                record_id=row["record_id"],
-                timestamp=row["timestamp"],
-                actor=row["actor"],
-                action=AuditAction(row["action"]),
-                outcome=AuditOutcome(row["outcome"]),
-                event_id=row["event_id"],
-                event_type=row["event_type"],
-                subject_ref=row["subject_ref"],
-                purpose=row["purpose"],
-                detail=row["detail"],
-            ))
+            digest = super().append(AuditRecord.from_payload(row))
             if row.get("digest") not in (None, digest):
                 raise TamperedLogError(
                     f"stored digest of audit record "
                     f"{row['record_id']!r} does not replay"
                 )
 
-    # -- AuditSink ---------------------------------------------------------
-
     def append(self, record: AuditRecord) -> str:
         """Append ``record``, write it through to disk, return its digest."""
-        digest = self._log.append(record)
+        digest = super().append(record)
         self._store.append({**record.to_payload(), "digest": digest})
         return digest
 
@@ -99,54 +80,25 @@ class JsonlAuditSink:
         run before the underlying files are snapshotted, verified on
         disk, or replayed by another process.
         """
-        flush = getattr(self._store, "flush", None)
-        if flush is not None:
-            flush()
-
-    def records(self) -> tuple[AuditRecord, ...]:
-        """A snapshot of all records, oldest first."""
-        return self._log.records()
-
-    def record_at(self, index: int) -> AuditRecord:
-        """The record at position ``index`` (0-based)."""
-        return self._log.record_at(index)
-
-    @property
-    def head_digest(self) -> str:
-        """Digest of the latest chain link."""
-        return self._log.head_digest
-
-    def verify_integrity(self) -> None:
-        """Re-hash every record against the chain."""
-        self._log.verify_integrity()
-
-    def __len__(self) -> int:
-        return len(self._log)
+        self._store.flush()
 
 
-class JsonlIndexStore:
+class JsonlIndexStore(EventsIndex):
     """Events index with durable write-through persistence.
 
-    Wraps the in-memory :class:`EventsIndex` (queries, decryption and the
-    nonce sequence behave identically) and appends every stored registry
-    object — identity slots sealed — to the ``index`` log.  On
-    construction an existing log is replayed via the raw-restore path,
-    and the nonce sequence fast-forwarded so no keystream is reused after
-    a restart.  Withdrawals persist as tombstone rows, which compaction
-    (``segmented`` store kind) later reclaims together with the rows they
-    hide.
+    Appends every stored registry object — identity slots sealed — to the
+    ``index`` log.  On construction an existing log is replayed via the
+    raw-restore path, and the nonce sequence fast-forwarded so no
+    keystream is reused after a restart.  Withdrawals persist as
+    tombstone rows, which compaction (``segmented`` store kind) later
+    reclaims together with the rows they hide.
     """
 
     def __init__(self, path: str | Path | RecordLog, keystore,
                  encrypt_identity: bool = True) -> None:
-        self._inner = EventsIndex(keystore, encrypt_identity=encrypt_identity)
+        super().__init__(keystore, encrypt_identity=encrypt_identity)
         self._store = _as_log(path)
         self._replay()
-
-    @property
-    def path(self) -> Path | None:
-        """The backing file, when the log has one (flat JSONL)."""
-        return getattr(self._store, "path", None)
 
     def _replay(self) -> None:
         sequence = 0
@@ -155,48 +107,27 @@ class JsonlIndexStore:
             if row.get("tombstone"):
                 withdrawn.append(row["object_id"])
                 continue
-            obj = RegistryObject(
-                object_id=row["object_id"], object_type=row["object_type"],
-                name=row["name"], description=row["description"],
-            )
-            for classification in row["classifications"]:
-                obj.classify(classification["scheme"], classification["node"])
-            for slot_name, values in row["slots"].items():
-                obj.slots[slot_name] = Slot(slot_name, tuple(values))
-            self._inner.restore_raw(obj)
-            obj.status = LifecycleStatus(row["status"])
+            obj = RegistryObject.from_row(row)
+            status = obj.status
+            self.restore_raw(obj)  # approves; the stored status wins
+            obj.status = status
             sequence = max(sequence, int(row.get("sequence", 0)))
         for object_id in withdrawn:
             try:
-                self._inner.registry.withdraw(object_id)
+                super().withdraw(object_id)
             except ObjectNotFoundError:  # its row was already compacted away
                 pass
         if sequence:
-            self._inner.restore_sequence(sequence)
+            self.restore_sequence(sequence)
 
-    # -- IndexStore --------------------------------------------------------
-
-    def seal_identity(self, notification: NotificationMessage) -> SealedIdentity:
-        """Seal the identifying slots (crypto stage pass-through)."""
-        return self._inner.seal_identity(notification)
-
-    def _row_of(self, obj: RegistryObject) -> dict:
-        return {
-            "object_id": obj.object_id, "object_type": obj.object_type,
-            "name": obj.name, "description": obj.description,
-            "status": obj.status.value,
-            "classifications": [
-                {"scheme": c.scheme, "node": c.node} for c in obj.classifications
-            ],
-            "slots": {name: list(slot.values) for name, slot in obj.slots.items()},
-            "sequence": self._inner.sequence,
-        }
+    def _persist(self, obj: RegistryObject) -> None:
+        self._store.append({**obj.to_row(), "sequence": self.sequence})
 
     def store(self, notification: NotificationMessage,
               sealed: SealedIdentity | None = None) -> RegistryObject:
         """Index a notification and append its sealed row to disk."""
-        obj = self._inner.store(notification, sealed=sealed)
-        self._store.append(self._row_of(obj))
+        obj = super().store(notification, sealed=sealed)
+        self._persist(obj)
         return obj
 
     def flush(self) -> None:
@@ -205,23 +136,16 @@ class JsonlIndexStore:
         Queries always read the in-memory index (never stale); the
         barrier protects snapshot/restart visibility of the durable log.
         """
-        flush = getattr(self._store, "flush", None)
-        if flush is not None:
-            flush()
+        self._store.flush()
 
     def withdraw(self, event_id: str) -> None:
         """Hide an indexed entry and persist the withdrawal as a tombstone.
 
-        Registry object ids *are* event ids, so this is the durable
-        counterpart of ``registry.withdraw`` — the entry stays hidden
+        Registry object ids *are* event ids, so the entry stays hidden
         across restarts, and compaction may reclaim it and its tombstone.
         """
-        self._inner.registry.withdraw(event_id)
+        super().withdraw(event_id)
         self._store.append({"tombstone": True, "object_id": event_id})
-
-    def restore_raw(self, obj: RegistryObject) -> None:
-        """Re-insert an archived registry object (archive-restore path)."""
-        self._inner.restore_raw(obj)
 
     def adopt_raw(self, obj: RegistryObject) -> None:
         """Index a raw registry object *and* persist its row.
@@ -230,52 +154,5 @@ class JsonlIndexStore:
         (identity slots still sealed) must survive this node's restarts,
         unlike archive restores which replay from their own snapshot.
         """
-        self._inner.restore_raw(obj)
-        self._store.append(self._row_of(obj))
-
-    def open_identity(self, token: str) -> str:
-        """Open one sealed identity slot (federated fan-out path)."""
-        return self._inner.open_identity(token)
-
-    def get(self, event_id: str) -> NotificationMessage:
-        """Rebuild the notification stored under ``event_id``."""
-        return self._inner.get(event_id)
-
-    def inquire(self, event_types, since=None, until=None, producer_id=None):
-        """Query notifications of the authorized ``event_types``."""
-        return self._inner.inquire(event_types, since=since, until=until,
-                                   producer_id=producer_id)
-
-    def count_for_type(self, event_type: str) -> int:
-        """Number of indexed notifications of one class."""
-        return self._inner.count_for_type(event_type)
-
-    def restore_sequence(self, value: int) -> None:
-        """Fast-forward the nonce counter (archive-restore path)."""
-        self._inner.restore_sequence(value)
-
-    @property
-    def encrypt_identity(self) -> bool:
-        """Whether identity slots are sealed (ablation A2 switch)."""
-        return self._inner.encrypt_identity
-
-    @property
-    def registry(self):
-        """The underlying ebXML-style registry (read-mostly)."""
-        return self._inner.registry
-
-    @property
-    def sequence(self) -> int:
-        """The nonce sequence counter."""
-        return self._inner.sequence
-
-    @property
-    def stats(self):
-        """The inner index's instrumentation counters."""
-        return self._inner.stats
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def __contains__(self, event_id: str) -> bool:
-        return event_id in self._inner
+        super().adopt_raw(obj)
+        self._persist(obj)

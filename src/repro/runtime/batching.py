@@ -77,11 +77,6 @@ class BatchWriter:
         """Records buffered but not yet durable."""
         return len(self._buffer)
 
-    @property
-    def path(self):
-        """The wrapped log's backing file, when it has one."""
-        return getattr(self._log, "path", None)
-
     def append(self, record: dict) -> int:
         """Buffer one record; auto-flush at the batch boundary.
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
+from repro.audit.log import AuditAction, AuditOutcome, mint_record
 from repro.core.idmap import EventIdEntry
 from repro.core.messages import NotificationMessage
 from repro.exceptions import (
@@ -46,6 +46,7 @@ from repro.exceptions import (
     UnknownEventError,
     UnknownProducerError,
 )
+from repro.perf.decision_cache import CachedDecision
 from repro.xacml.context import (
     ATTR_ACTION_PURPOSE,
     ATTR_RESOURCE_EVENT_ID,
@@ -209,6 +210,33 @@ def released_fields(obligations) -> frozenset[str]:
     return frozenset(fields)
 
 
+def policy_decision(entry, request, repository, pep, perf) -> CachedDecision:
+    """Steps 2–3 of Algorithm 1: the PDP's decision for one resolved request.
+
+    With the indexed perf layer the versioned decision cache answers first
+    (a hit replays the *same* verdict, field set and deny message, so audit
+    trails are byte-identical) and a miss evaluates only the policy index's
+    bucketed candidates; without one it is the historical full scan.
+    """
+    if perf is not None:
+        cached = perf.cached_decision(entry, request)
+        if cached is not None:
+            return cached
+        policy_set = perf.policy_set_for(entry, request)
+    else:
+        policy_set = repository.to_policy_set(entry.producer_id, entry.event_type)
+    response = pep.authorize(policy_set, build_request_context(request))
+    if response.permitted:
+        decision = CachedDecision(True, released_fields(response.obligations))
+    else:
+        decision = CachedDecision(False, message=(
+            response.status_message or "no matching policy (deny-by-default)"
+        ))
+    if perf is not None:
+        perf.store_decision(entry, request, decision)
+    return decision
+
+
 def resolve_request_entry(request, purposes, id_map) -> EventIdEntry:
     """Step 1 of Algorithm 1: PIP resolution of the global event id.
 
@@ -338,19 +366,9 @@ class PublishAuditInterceptor:
             )
         return result
 
-    def _record(self, actor, outcome, event_id=None, event_type=None,
-                subject_ref=None, detail="") -> None:
-        self._audit.append(AuditRecord(
-            record_id=self._ids.next("aud"),
-            timestamp=self._clock.now(),
-            actor=actor,
-            action=AuditAction.PUBLISH,
-            outcome=outcome,
-            event_id=event_id,
-            event_type=event_type,
-            subject_ref=subject_ref,
-            detail=detail,
-        ))
+    def _record(self, actor, outcome, **fields) -> None:
+        mint_record(self._audit, self._ids, self._clock,
+                    actor, AuditAction.PUBLISH, outcome, **fields)
 
 
 class PublishConsentInterceptor:
@@ -547,18 +565,12 @@ class DetailAuditInterceptor:
         return result
 
     def _record(self, request, outcome, detail, subject_ref) -> None:
-        self._audit.append(AuditRecord(
-            record_id=self._ids.next("aud"),
-            timestamp=self._clock.now(),
-            actor=request.actor.actor_id,
-            action=AuditAction.DETAIL_REQUEST,
-            outcome=outcome,
-            event_id=request.event_id,
-            event_type=request.event_type,
-            subject_ref=subject_ref,
-            purpose=request.purpose,
-            detail=detail,
-        ))
+        mint_record(
+            self._audit, self._ids, self._clock,
+            request.actor.actor_id, AuditAction.DETAIL_REQUEST, outcome,
+            event_id=request.event_id, event_type=request.event_type,
+            subject_ref=subject_ref, purpose=request.purpose, detail=detail,
+        )
 
 
 class ResolveInterceptor:
@@ -603,11 +615,8 @@ class DetailConsentInterceptor:
 class PolicyDecideInterceptor:
     """PDP evaluation over the certified repository (steps 2–3).
 
-    With the indexed perf layer the stage first consults the versioned
-    decision cache (a replayed outcome raises the *same* deny message or
-    releases the *same* field set, so audit trails are byte-identical)
-    and, on a miss, evaluates only the policy index's bucketed
-    candidates.  Without a perf layer it is the historical full scan.
+    Turns :func:`policy_decision`'s verdict into the chain's control
+    flow: deny raises, permit publishes ``released_fields`` and proceeds.
     """
 
     name = "decide"
@@ -620,42 +629,14 @@ class PolicyDecideInterceptor:
     def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
         context = invocation.context
         request = context["request"]
-        entry = context["entry"]
-        perf = self._perf
-        if perf is not None:
-            cached = perf.cached_decision(entry, request)
-            if cached is not None:
-                if not cached.permitted:
-                    raise AccessDeniedError(cached.message, request)
-                if not cached.released_fields:
-                    raise AccessDeniedError(
-                        "matching policy releases no fields", request
-                    )
-                context["released_fields"] = cached.released_fields
-                return proceed(invocation)
-            policy_set = perf.policy_set_for(entry, request)
-        else:
-            policy_set = self._repository.to_policy_set(
-                entry.producer_id, entry.event_type
-            )
-        response = self._pep.authorize(policy_set, build_request_context(request))
-        if not response.permitted:
-            message = response.status_message or "no matching policy (deny-by-default)"
-            if perf is not None:
-                perf.store_decision(entry, request, permitted=False, message=message)
-            raise AccessDeniedError(message, request)
-        allowed = released_fields(response.obligations)
-        if not allowed:
-            if perf is not None:
-                perf.store_decision(
-                    entry, request, permitted=True, released_fields=allowed
-                )
+        decision = policy_decision(
+            context["entry"], request, self._repository, self._pep, self._perf
+        )
+        if not decision.permitted:
+            raise AccessDeniedError(decision.message, request)
+        if not decision.released_fields:
             raise AccessDeniedError("matching policy releases no fields", request)
-        if perf is not None:
-            perf.store_decision(
-                entry, request, permitted=True, released_fields=allowed
-            )
-        context["released_fields"] = allowed
+        context["released_fields"] = decision.released_fields
         return proceed(invocation)
 
 

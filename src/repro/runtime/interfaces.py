@@ -78,6 +78,9 @@ class IndexStore(Protocol):
     def count_for_type(self, event_type: str) -> int:
         """Number of indexed notifications of one class."""
 
+    def flush(self) -> None:
+        """Group-commit barrier (no-op for stores that buffer nothing)."""
+
     def __len__(self) -> int: ...
 
     def __contains__(self, event_id: str) -> bool: ...
@@ -99,6 +102,9 @@ class AuditSink(Protocol):
     @property
     def head_digest(self) -> str:
         """Digest of the latest chain link."""
+
+    def flush(self) -> None:
+        """Group-commit barrier (no-op for sinks that buffer nothing)."""
 
     def __len__(self) -> int: ...
 

@@ -229,8 +229,9 @@ def _memory_index(**context: Any) -> Any:
 def _durable_log(context: dict, name: str) -> Any:
     """The named record log from the runtime's store provider.
 
-    Falls back to a flat ``<name>.jsonl`` path when no provider is in the
-    construction context (direct kernel use predating the store kind).
+    Falls back to a flat ``<name>.jsonl`` path when the construction
+    context carries no provider (``kernel.create`` called directly with
+    just a ``data_dir``).
     """
     provider = context.get("store")
     if provider is not None:
@@ -309,27 +310,14 @@ def _static_federation(**context: Any) -> Any:
 
 
 def _federated_index(**context: Any) -> Any:
-    from repro.core.index import EventsIndex
     from repro.federation.index import FederatedIndexStore
 
-    if context.get("data_dir") is not None:
-        # Durable deployment: this node's shard writes through to its own
-        # index log, so rehome tombstones and adopted entries survive a
-        # restart (the store kind decides flat-file vs segmented).
-        from repro.runtime.backends import JsonlIndexStore
-
-        local: Any = JsonlIndexStore(
-            _maybe_batched(_durable_log(context, "index"), context),
-            context["keystore"],
-            encrypt_identity=context.get("encrypt_identity", True),
-        )
-    else:
-        local = EventsIndex(
-            context["keystore"],
-            encrypt_identity=context.get("encrypt_identity", True),
-        )
+    # Durable deployment: this node's shard writes through to its own
+    # index log, so rehome tombstones and adopted entries survive a
+    # restart (the store kind decides flat-file vs segmented).
+    durable = context.get("data_dir") is not None
     return FederatedIndexStore(
-        local=local,
+        local=(_jsonl_index if durable else _memory_index)(**context),
         membership=context["membership"],
         node_id=context["node_id"],
         perf=context.get("perf"),

@@ -316,7 +316,7 @@ class TenantScheduler:
         current = (state.penalty.demotions, state.penalty.recoveries)
         if current == seen:
             return
-        label = self._guard.hash_value(tenant)
+        label = self.tenant_label(tenant)
         for _ in range(current[0] - seen[0]):
             self._recorder.record("sched.penalty_demotion", tenant=label,
                                   demotions=current[0])
@@ -495,6 +495,10 @@ class TenantScheduler:
             return False
         return state.penalty.is_penalized(now)
 
+    def tenant_label(self, tenant: str) -> str:
+        """The guard-hashed label a tenant id may be exported under."""
+        return self._guard.hash_value(tenant)
+
     def tenant_report(self, now: float) -> dict[str, dict]:
         """Per-tenant accounting (raw tenant ids — in-process use only).
 
@@ -546,7 +550,7 @@ class TenantScheduler:
         for tenant, state in sorted(self._tenants.items()):
             if tenant == SYSTEM_TENANT:
                 continue
-            label = self._guard.hash_value(tenant)
+            label = self.tenant_label(tenant)
             telemetry.gauge(TENANT_SHARE, shares.get(tenant, 0.0),
                             tenant=label)
             telemetry.gauge(TENANT_STARVATION, state.starvation(now),

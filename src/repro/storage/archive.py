@@ -20,9 +20,10 @@ at restore time — keys are derived, never stored.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
+from repro.audit.log import AuditRecord
 from repro.clock import Clock
 from repro.core.actors import Actor, ActorKind
 from repro.core.consent import ConsentDecision, ConsentRegistry, ConsentScope
@@ -32,8 +33,12 @@ from repro.core.events import EventClass
 from repro.core.gateway import LocalCooperationGateway
 from repro.core.idmap import EventIdEntry
 from repro.core.policy import PrivacyPolicy
-from repro.exceptions import ConfigurationError, TamperedLogError
-from repro.registry.objects import RegistryObject, Slot
+from repro.exceptions import (
+    ConfigurationError,
+    TamperedLogError,
+    UnknownProducerError,
+)
+from repro.registry.objects import RegistryObject
 from repro.storage.jsonl import JsonlFile
 from repro.storage.schemas import (
     schema_from_dict,
@@ -94,7 +99,7 @@ class PlatformArchive:
         self._file("catalog").append_many(catalog_rows)
 
         policy_rows = []
-        for policy_id, policy in controller.policies._policies.items():  # noqa: SLF001
+        for policy_id, policy in controller.policies.items():
             policy_rows.append({
                 "policy_id": policy.policy_id, "producer_id": policy.producer_id,
                 "event_type": policy.event_type,
@@ -109,33 +114,19 @@ class PlatformArchive:
             })
         self._file("policies").append_many(policy_rows)
 
-        self._file("idmap").append_many([
-            {"event_id": e.event_id, "producer_id": e.producer_id,
-             "src_event_id": e.src_event_id, "event_type": e.event_type,
-             "subject_ref": e.subject_ref, "published_at": e.published_at}
-            for e in controller.id_map._by_global.values()  # noqa: SLF001
-        ])
+        self._file("idmap").append_many(
+            [asdict(entry) for entry in controller.id_map.entries()]
+        )
 
         self._file("index").append_many([
-            {
-                "object_id": obj.object_id, "object_type": obj.object_type,
-                "name": obj.name, "description": obj.description,
-                "status": obj.status.value,
-                "classifications": [
-                    {"scheme": c.scheme, "node": c.node}
-                    for c in obj.classifications
-                ],
-                "slots": {name: list(slot.values)
-                          for name, slot in obj.slots.items()},
-            }
-            for obj in controller.index.registry.all_objects()
+            obj.to_row() for obj in controller.index.registry.all_objects()
         ])
 
         gateway_rows = []
         for actor in controller.actors.producers():
             try:
                 gateway = controller.gateway_of(actor.actor_id)
-            except Exception:  # no gateway attached
+            except UnknownProducerError:  # no gateway attached
                 continue
             for src_event_id, event_class, details in gateway.stored_entries():
                 gateway_rows.append({
@@ -152,7 +143,7 @@ class PlatformArchive:
             registry = controller.consent_registry_of(actor.actor_id)
             if registry is None:
                 continue
-            for decision in registry._decisions:  # noqa: SLF001
+            for decision in registry.decisions():
                 consent_rows.append({
                     "producer_id": actor.actor_id,
                     "subject_id": decision.subject_id,
@@ -165,14 +156,7 @@ class PlatformArchive:
         self._file("consent").append_many(consent_rows)
 
         self._file("audit").append_many([
-            {
-                "record_id": r.record_id, "timestamp": r.timestamp,
-                "actor": r.actor, "action": r.action.value,
-                "outcome": r.outcome.value, "event_id": r.event_id,
-                "event_type": r.event_type, "subject_ref": r.subject_ref,
-                "purpose": r.purpose, "detail": r.detail,
-            }
-            for r in controller.audit_log.records()
+            r.to_payload() for r in controller.audit_log.records()
         ])
 
         manifest = {
@@ -200,11 +184,11 @@ class PlatformArchive:
             prefix, counter = parts[0], int(parts[1])
             skips[prefix] = max(skips.get(prefix, 0), counter)
 
-        for entry in controller.id_map._by_global.values():  # noqa: SLF001
+        for entry in controller.id_map.entries():
             note(entry.event_id)
         for record in controller.audit_log.records():
             note(record.record_id)
-        for policy_id in list(controller.policies._policies):  # noqa: SLF001
+        for policy_id, _policy in controller.policies.items():
             note(policy_id)
         return skips
 
@@ -231,13 +215,7 @@ class PlatformArchive:
 
         # Audit log first: replay and verify against the manifest head.
         for row in self._file("audit").iter_records():
-            controller.audit_log.append(AuditRecord(
-                record_id=row["record_id"], timestamp=row["timestamp"],
-                actor=row["actor"], action=AuditAction(row["action"]),
-                outcome=AuditOutcome(row["outcome"]), event_id=row["event_id"],
-                event_type=row["event_type"], subject_ref=row["subject_ref"],
-                purpose=row["purpose"], detail=row["detail"],
-            ))
+            controller.audit_log.append(AuditRecord.from_payload(row))
         controller.audit_log.verify_integrity()
         if controller.audit_log.head_digest != manifest["audit_head"]:
             raise TamperedLogError(
@@ -288,25 +266,13 @@ class PlatformArchive:
                 controller.policies.revoke(policy.policy_id)
 
         for row in self._file("idmap").iter_records():
-            controller.id_map.record(EventIdEntry(
-                event_id=row["event_id"], producer_id=row["producer_id"],
-                src_event_id=row["src_event_id"], event_type=row["event_type"],
-                subject_ref=row["subject_ref"], published_at=row["published_at"],
-            ))
-
-        from repro.registry.objects import LifecycleStatus
+            controller.id_map.record(EventIdEntry(**row))
 
         for row in self._file("index").iter_records():
-            obj = RegistryObject(
-                object_id=row["object_id"], object_type=row["object_type"],
-                name=row["name"], description=row["description"],
-            )
-            for classification in row["classifications"]:
-                obj.classify(classification["scheme"], classification["node"])
-            for slot_name, values in row["slots"].items():
-                obj.slots[slot_name] = Slot(slot_name, tuple(values))
-            controller.index.restore_raw(obj)
-            obj.status = LifecycleStatus(row["status"])
+            obj = RegistryObject.from_row(row)
+            status = obj.status
+            controller.index.restore_raw(obj)  # approves; the stored status wins
+            obj.status = status
         controller.index.restore_sequence(manifest["index_sequence"])
 
         gateways: dict[str, LocalCooperationGateway] = {}

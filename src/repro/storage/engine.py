@@ -66,6 +66,10 @@ class RecordLog(Protocol):
         """Stream records oldest first, bounded memory."""
         ...
 
+    def flush(self) -> None:
+        """Make every accepted record durable (no-op unless buffering)."""
+        ...
+
     def __len__(self) -> int: ...
 
 
@@ -75,11 +79,6 @@ class JsonlRecordLog:
     def __init__(self, path: str | Path) -> None:
         self._file = JsonlFile(path)
         self._count: int | None = None
-
-    @property
-    def path(self) -> Path:
-        """The backing JSONL file."""
-        return self._file.path
 
     def append(self, record: dict) -> int:
         count = len(self)  # resolve before the write: len scans the file
@@ -97,6 +96,9 @@ class JsonlRecordLog:
 
     def iter_records(self) -> Iterator[dict]:
         return self._file.iter_records()
+
+    def flush(self) -> None:
+        """Every append already wrote through; nothing is buffered."""
 
     def __len__(self) -> int:
         if self._count is None:

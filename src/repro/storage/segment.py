@@ -241,6 +241,9 @@ class SegmentedLog:
         self._write_frames(frames)
         return frames[0][0], frames[-1][0]
 
+    def flush(self) -> None:
+        """Every append already wrote through; nothing is buffered."""
+
     def _write_frames(self, frames: list[tuple[int, bytes]]) -> None:
         """Append frames to the active segment, rolling over as it fills."""
         handle = None

@@ -46,7 +46,7 @@ class XmlDocument(Mapping):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XmlDocument):
             return NotImplemented
-        return self._schema_name == other._schema_name and self._fields == other._fields
+        return self._schema_name == other.schema_name and self._fields == other.fields
 
     def __hash__(self) -> int:
         return hash((self._schema_name, tuple(sorted(self._fields.items(), key=lambda kv: kv[0]))))

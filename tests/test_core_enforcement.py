@@ -1,5 +1,7 @@
 """Unit tests for the Policy Enforcer (Algorithm 1)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
@@ -14,6 +16,7 @@ from repro.core.policy import PolicyRepository, PrivacyPolicy
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, SourceUnavailableError
 from repro.ids import IdFactory
+from repro.perf import PerfLayer
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import IntegerType, StringType
@@ -31,9 +34,14 @@ def blood_class() -> EventClass:
 class EnforcerHarness:
     """A minimal hand-wired enforcement stack (no DataController)."""
 
-    def __init__(self, consent: ConsentRegistry | None = None) -> None:
+    def __init__(self, consent: ConsentRegistry | None = None,
+                 perf: str = "none") -> None:
         self.clock = Clock()
         self.repository = PolicyRepository()
+        self.perf = PerfLayer() if perf == "indexed" else None
+        if self.perf is not None:
+            self.perf.bind(repository=self.repository,
+                           consent_resolver=lambda producer_id: self.consent)
         self.id_map = EventIdMap()
         self.gateway = LocalCooperationGateway("Hospital")
         self.audit = AuditLog()
@@ -47,6 +55,7 @@ class EnforcerHarness:
             clock=self.clock,
             ids=IdFactory(seed="harness"),
             consent_resolver=lambda producer_id: self.consent,
+            perf=self.perf,
         )
         self._publish()
 
@@ -241,3 +250,80 @@ class TestDecide:
         assert harness.enforcer.decide(harness.request()) is False
         harness.grant(frozenset({"PatientId"}))
         assert harness.enforcer.decide(harness.request(event_id="missing")) is False
+
+
+@pytest.mark.parametrize("perf", ["none", "indexed"])
+class TestDecideAndDetailsShareOneDecision:
+    """``decide`` and the details chain's decide stage read the same
+    routine: whichever runs first (cold), and again once the decision
+    cache is warm, with or without the perf layer, the verdict and the
+    deny message / released fields are the same."""
+
+    DENY_BY_DEFAULT = "no matching policy (deny-by-default)"
+
+    @staticmethod
+    def observe(harness, call: str):
+        request = harness.request()
+        if call == "decide":
+            return harness.enforcer.decide(request)
+        try:
+            return sorted(harness.enforcer.get_event_details(request).released_fields)
+        except AccessDeniedError as exc:
+            return str(exc)
+
+    def check(self, harness, verdict: bool, details) -> None:
+        for first in ("decide", "details"):
+            other = "details" if first == "decide" else "decide"
+            self.drop_cached_decisions(harness)
+            for call in (first, other, first, other):  # cold, cold, warm, warm
+                expected = verdict if call == "decide" else details
+                assert self.observe(harness, call) == expected, (first, call)
+
+    @staticmethod
+    def drop_cached_decisions(harness) -> None:
+        """Add and revoke a policy nobody matches: each bumps the
+        repository epoch, which invalidates every cached decision."""
+        policy_id = f"unrelated-{harness.repository.epoch}"
+        harness.repository.add(PrivacyPolicy(
+            policy_id=policy_id, producer_id="Hospital", event_type="BloodTest",
+            fields=frozenset({"PatientId"}),
+            purposes=frozenset({"healthcare-treatment"}), actor_id="Nobody",
+        ))
+        harness.repository.revoke(policy_id)
+
+    def test_permit(self, perf):
+        harness = EnforcerHarness(perf=perf)
+        harness.grant(frozenset({"PatientId", "Hemoglobin"}))
+        self.check(harness, True, ["Hemoglobin", "PatientId"])
+
+    def test_policy_deny(self, perf):
+        harness = EnforcerHarness(perf=perf)
+        harness.grant(frozenset({"PatientId"}), actor_id="Doctor")
+        harness.grant(frozenset(), actor_id="Doctor", deny=True)
+        details = self.observe(harness, "details")
+        assert isinstance(details, str)  # denied, whatever the PDP's wording
+        self.check(harness, False, details)
+
+    def test_no_policy(self, perf):
+        self.check(EnforcerHarness(perf=perf), False, self.DENY_BY_DEFAULT)
+
+    def test_no_fields_permit(self, perf, monkeypatch):
+        """A permit that releases nothing: the PDP's verdict is permit, and
+        the details chain still refuses to call the gateway."""
+        harness = EnforcerHarness(perf=perf)
+        monkeypatch.setattr(
+            harness.enforcer._pep, "authorize",
+            lambda policy_set, request: SimpleNamespace(
+                permitted=True, obligations=(), status_message=""),
+        )
+        self.check(harness, True, "matching policy releases no fields")
+        assert harness.gateway.stats.served_from_source == 0
+
+    def test_time_bounded_policy(self, perf):
+        harness = EnforcerHarness(perf=perf)
+        harness.grant(frozenset({"PatientId"}), valid_until=100.0)
+        self.check(harness, True, ["PatientId"])
+        harness.clock.advance(200.0)  # a warm cache must not replay the permit
+        assert self.observe(harness, "decide") is False
+        assert self.observe(harness, "details") == self.DENY_BY_DEFAULT
+        self.check(harness, False, self.DENY_BY_DEFAULT)

@@ -3,8 +3,9 @@
 The deployment scenarios the paper's architecture must survive: flaky
 subscribers (retry → dead-letter without blocking others), source systems
 going down mid-flow (gateway persistence), contracts expiring between
-publication and detail request, index key rotation with live data, and
-poison messages on the bus.
+publication and detail request, index key rotation with live data,
+poison messages on the bus, and cross-node detail requests whose home
+node or link fails.
 """
 
 import pytest
@@ -12,8 +13,14 @@ import pytest
 from repro import DataConsumer, DataController, DataProducer
 from repro.bus.delivery import DeliveryPolicy
 from repro.clock import DAY, MONTH
-from repro.exceptions import AccessDeniedError, ContractInactiveError
-from tests.conftest import blood_test_schema
+from repro.audit.log import AuditAction, AuditOutcome
+from repro.exceptions import (
+    AccessDeniedError,
+    ContractInactiveError,
+    LinkFailureError,
+    SourceUnavailableError,
+)
+from tests.conftest import blood_test_schema, build_federation
 
 
 def build_world(auto_dispatch: bool = True):
@@ -150,14 +157,51 @@ class TestSourceDowntimeMidFlow:
         doctor.subscribe("BloodTest")
         notification = publish(hospital, blood)
         controller.endpoints.get("gateway.Hospital.getResponse").take_offline()
-        from repro.exceptions import SourceUnavailableError
-
         with pytest.raises(SourceUnavailableError):
             doctor.request_details(notification, "healthcare-treatment")
         # The failed attempt is audited as an error, not silently dropped.
-        from repro.audit.log import AuditOutcome
         from repro.audit.query import AuditQuery
 
         errors = (AuditQuery().by_outcome(AuditOutcome.ERROR)
                   .count(controller.audit_log))
         assert errors == 1
+
+
+class TestCrossNodeDetailFailuresAreAudited:
+    """A forwarded request-for-details that *fails* still leaves its record
+    on the consumer's node, as the local path's audit stage does."""
+
+    @staticmethod
+    def failed_request(break_something, expected_error):
+        deployment = build_federation()
+        platform = deployment.platform
+        notification = deployment.publish_blood_test()
+        break_something(platform)
+        consumer_log = platform.controller_of("node-1").audit_log
+        audited = len(consumer_log)
+        with pytest.raises(expected_error) as failure:
+            platform.request_details(
+                "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
+                "healthcare-treatment",
+            )
+        [record] = consumer_log.records()[audited:]
+        assert (record.actor, record.action, record.outcome) == (
+            "FamilyDoctors/Dr-Rossi", AuditAction.DETAIL_REQUEST, AuditOutcome.ERROR)
+        assert (record.event_id, record.event_type, record.purpose) == (
+            notification.event_id, "BloodTest", "healthcare-treatment")
+        assert record.detail == f"home node node-0 failed: {failure.value}"
+        consumer_log.verify_integrity()
+
+    def test_home_gateway_offline(self):
+        def gateway_offline(platform):
+            platform.controller_of("node-0").endpoints.get(
+                "gateway.Hospital-S-Maria.getResponse").take_offline()
+
+        self.failed_request(gateway_offline, SourceUnavailableError)
+
+    def test_link_retry_budget_exhausted(self):
+        def drop_every_attempt(platform):
+            link = platform.membership.link("node-1", "node-0")
+            link.fail_next(link.policy.max_attempts)
+
+        self.failed_request(drop_every_attempt, LinkFailureError)

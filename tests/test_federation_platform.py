@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
-from repro.exceptions import FederationError, LinkFailureError, UnknownEventError
+from repro.exceptions import (
+    AccessDeniedError,
+    FederationError,
+    LinkFailureError,
+    UnknownEventError,
+)
 from tests.conftest import build_federation
 
 
@@ -106,6 +112,83 @@ class TestCrossNodeSubscription:
         platform.dispatch_all()
         assert len(platform.consumer("FamilyDoctors/Dr-Rossi").inbox) == 1
         assert len(platform.consumer("FamilyDoctors/Dr-Verdi").inbox) == 1
+
+
+VERDI = "FamilyDoctors/Dr-Verdi"
+
+
+@pytest.mark.parametrize("consumer_node", ["node-0", "node-1"],
+                         ids=["local", "remote"])
+class TestSubscriptionGateOnBothRoutes:
+    """One gate, one sink: a consumer homed beside the class's producer
+    (node-0) and one homed on a peer (node-1) get the same pending
+    request, the same audit actions and outcomes, the same delivery —
+    only the audit detail text names the route."""
+
+    DENY_DETAIL = {
+        "node-0": "no authorizing policy; pending access request queued",
+        "node-1": "remote subscribe from node-1: no authorizing policy; "
+                  "pending access request queued",
+    }
+    PERMIT_DETAIL = {"node-0": "", "node-1": "remote subscribe, relayed to node-1"}
+
+    @staticmethod
+    def deployment(consumer_node: str, with_policy: bool):
+        deployment = build_federation(with_policy=False)
+        platform = deployment.platform
+        platform.add_consumer(VERDI, "Dr. Verdi", role="family-doctor",
+                              node_id=consumer_node)
+        if with_policy:
+            platform.producer("Hospital-S-Maria").define_policy(
+                event_type="BloodTest", fields=["Hemoglobin"],
+                consumers=[(VERDI, "unit")], purposes=["healthcare-treatment"],
+            )
+        return deployment
+
+    def test_deny_queues_the_same_request_and_audit(self, consumer_node):
+        platform = self.deployment(consumer_node, with_policy=False).platform
+        home = platform.controller_of("node-0")
+        audited = len(home.audit_log)
+        with pytest.raises(AccessDeniedError) as denied:
+            platform.subscribe(VERDI, "BloodTest")
+        assert str(denied.value) == (
+            "no policy authorizes 'FamilyDoctors/Dr-Verdi' for 'BloodTest'; "
+            "access request is pending with the producer"
+        )
+        [pending] = home.pending_requests.for_producer("Hospital-S-Maria")
+        assert (pending.consumer_id, pending.consumer_role, pending.event_type,
+                pending.producer_id) == (
+            VERDI, "family-doctor", "BloodTest", "Hospital-S-Maria")
+        [record] = home.audit_log.records()[audited:]
+        assert (record.actor, record.action, record.outcome, record.event_type) == (
+            VERDI, AuditAction.SUBSCRIBE, AuditOutcome.DENY, "BloodTest")
+        assert record.detail == self.DENY_DETAIL[consumer_node]
+        assert not platform.consumer(VERDI).is_subscribed_to("BloodTest")
+
+    def test_permit_audits_and_delivers_the_same_way(self, consumer_node):
+        deployment = self.deployment(consumer_node, with_policy=True)
+        platform = deployment.platform
+        home = platform.controller_of("node-0")
+        audited = len(home.audit_log)
+        platform.subscribe(VERDI, "BloodTest")
+        [record] = home.audit_log.records()[audited:]
+        assert (record.actor, record.action, record.outcome, record.event_type) == (
+            VERDI, AuditAction.SUBSCRIBE, AuditOutcome.PERMIT, "BloodTest")
+        assert record.detail == self.PERMIT_DETAIL[consumer_node]
+        assert len(home.pending_requests) == 0
+        assert platform.consumer(VERDI).is_subscribed_to("BloodTest")
+
+        notification = deployment.publish_blood_test()
+        platform.dispatch_all()
+        assert [n.event_id for n in platform.consumer(VERDI).inbox] == [
+            notification.event_id]
+        deliveries = [
+            r for r in platform.controller_of(consumer_node).audit_log.records()
+            if r.action is AuditAction.NOTIFY
+        ]
+        assert [(r.actor, r.outcome, r.event_id, r.event_type, r.subject_ref)
+                for r in deliveries] == [
+            (VERDI, AuditOutcome.PERMIT, notification.event_id, "BloodTest", "pat-1")]
 
 
 class TestLinkFailures:

@@ -5,20 +5,27 @@
   consistency.
 * Registry: the indexed query engine agrees with a brute-force filter.
 * Keystore: rotation never breaks previously sealed tokens.
+* Row codecs: audit records and registry objects survive their one
+  encode/decode pair, and rows written before the codecs were merged
+  still replay.
 """
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
 from repro.bus.broker import ServiceBus
 from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
 from repro.crypto.keystore import KeyStore
-from repro.registry.objects import RegistryObject
+from repro.registry.objects import LifecycleStatus, RegistryObject
 from repro.registry.query import FilterQuery
 from repro.registry.registry import Registry
+from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
           "events.social.HomeCare", "events.social.Alarm")
@@ -145,3 +152,98 @@ class TestKeystoreRotationProperty:
                 store.rotate("k")
         for value, token in tokens:
             assert store.open_("k", token) == value
+
+
+# One audit row and one index row exactly as the pre-merge writers
+# (``JsonlAuditSink.append`` / ``JsonlIndexStore._row_of``) stored them.
+OLD_AUDIT_ROW = {
+    "action": "join", "actor": "Hospital-S-Maria/Laboratory",
+    "detail": "joined as producer",
+    "digest": "83b455fdc89b9d6b3aec70af9643452f2032b6b485e3bd02a25b34c48b6c31fd",
+    "event_id": None, "event_type": None, "outcome": "permit", "purpose": None,
+    "record_id": "aud-000001-962a", "subject_ref": None, "timestamp": 0.0,
+}
+OLD_INDEX_ROW = {
+    "classifications": [
+        {"node": "HomeCareServiceEvent", "scheme": "EventClass"},
+        {"node": "HomeAssist-Coop", "scheme": "Producer"},
+    ],
+    "description": "home care service delivered to Giovanni Esposito",
+    "name": "home care service delivered to Giovanni Esposito",
+    "object_id": "evt-000001-650d", "object_type": "Notification",
+    "sequence": 2,
+    "slots": {
+        "occurredAt": ["0000000000023.478891"],
+        "producerId": ["HomeAssist-Coop"],
+        "subjectDisplay": ["v1:600d831854ed3d445f23954aecbe755808842abc4931bbcb"
+                           "706b2d39108d51b3066b3e2edbe5aa83219136334a56e72035"
+                           "c8282b63b34c70f41f8924e0308e3eef"],
+        "subjectRef": ["v1:ce7aac9146ca0f8b06113fb0f11899c127f16c1b030f38e4139"
+                       "667e78de108b53a37d3deb020cf8131ac81c5b6acb223bb7c460a7f"
+                       "ffe0dab7"],
+    },
+    "status": "approved",
+}
+
+optional_text = st.none() | st.text(max_size=12)
+audit_records = st.builds(
+    AuditRecord,
+    record_id=st.text(min_size=1, max_size=12),
+    timestamp=st.floats(min_value=0, max_value=1e9),
+    actor=st.text(max_size=12),
+    action=st.sampled_from(AuditAction),
+    outcome=st.sampled_from(AuditOutcome),
+    event_id=optional_text, event_type=optional_text,
+    subject_ref=optional_text, purpose=optional_text,
+    detail=st.text(max_size=20),
+)
+names = st.text(min_size=1, max_size=8)
+
+
+class TestRowCodecs:
+    @given(record=audit_records)
+    @settings(max_examples=60, deadline=None)
+    def test_audit_record_round_trips(self, record):
+        row = json.loads(json.dumps(record.to_payload()))
+        assert AuditRecord.from_payload(row) == record
+
+    @given(
+        classifications=st.lists(st.tuples(names, names), max_size=4),
+        slots=st.dictionaries(names, st.lists(st.text(max_size=8), max_size=3),
+                              max_size=4),
+        status=st.sampled_from(LifecycleStatus),
+        name=st.text(max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_registry_object_round_trips(self, classifications, slots, status, name):
+        obj = RegistryObject(object_id="evt-1", object_type="Notification",
+                             name=name, description=name, status=status)
+        for scheme, node in classifications:
+            obj.classify(scheme, node)
+        for slot_name, values in slots.items():
+            obj.set_slot(slot_name, *values)
+        row = json.loads(json.dumps(obj.to_row()))
+        assert RegistryObject.from_row(row) == obj
+
+    def test_pre_merge_audit_row_replays(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        path.write_text(json.dumps(OLD_AUDIT_ROW, sort_keys=True) + "\n")
+        sink = JsonlAuditSink(path)
+        sink.verify_integrity()
+        assert sink.head_digest == OLD_AUDIT_ROW["digest"]
+        assert sink.record_at(0).action is AuditAction.JOIN
+        # ...and what the sink writes today is that very row.
+        fresh = JsonlAuditSink(tmp_path / "fresh.jsonl")
+        fresh.append(sink.record_at(0))
+        assert (tmp_path / "fresh.jsonl").read_text() == path.read_text()
+
+    def test_pre_merge_index_row_replays(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        path.write_text(json.dumps(OLD_INDEX_ROW, sort_keys=True) + "\n")
+        index = JsonlIndexStore(path, KeyStore("css-platform-secret"))
+        assert index.sequence == OLD_INDEX_ROW["sequence"]
+        notification = index.get("evt-000001-650d")
+        assert notification.subject_display == "Giovanni Esposito"
+        assert notification.event_type == "HomeCareServiceEvent"
+        obj = index.registry.get("evt-000001-650d")
+        assert {**obj.to_row(), "sequence": index.sequence} == OLD_INDEX_ROW
