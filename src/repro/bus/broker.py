@@ -338,7 +338,7 @@ class ServiceBus:
 
     def pending_messages(self) -> int:
         """Total messages waiting across all subscription queues."""
-        return sum(sub.queue.depth for sub in self._subscriptions.all_subscriptions())
+        return self._subscriptions.pending
 
     @property
     def queue_depth(self) -> int:

@@ -36,6 +36,15 @@ class QueueStats:
     dead_lettered: int = 0
 
 
+class DepthTally:
+    """Running total of the depths of the queues that report to it."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self) -> None:
+        self.depth = 0
+
+
 class MessageQueue:
     """A FIFO queue with peek/ack/nack semantics."""
 
@@ -47,7 +56,20 @@ class MessageQueue:
         self.name = name
         self._max_depth = max_depth
         self._messages: deque[QueuedMessage] = deque()
+        self._tally: DepthTally | None = None
         self.stats = QueueStats()
+
+    def report_to(self, tally: DepthTally | None) -> None:
+        """Keep ``tally`` current with this queue's depth (``None`` detaches).
+
+        Every mutation below moves the tally, so the broker reads its
+        total backlog without summing its subscription queues.
+        """
+        if self._tally is not None:
+            self._tally.depth -= len(self._messages)
+        self._tally = tally
+        if tally is not None:
+            tally.depth += len(self._messages)
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -63,6 +85,8 @@ class MessageQueue:
             raise BusError(f"queue {self.name!r} is full ({self._max_depth} messages)")
         self._messages.append(QueuedMessage(envelope, enqueued_at=now))
         self.stats.enqueued += 1
+        if self._tally is not None:
+            self._tally.depth += 1
 
     def peek(self) -> QueuedMessage | None:
         """The head message without removing it (None if empty)."""
@@ -74,6 +98,8 @@ class MessageQueue:
             raise BusError(f"ack on empty queue {self.name!r}")
         queued = self._messages.popleft()
         self.stats.delivered += 1
+        if self._tally is not None:
+            self._tally.depth -= 1
         return queued.envelope
 
     def nack(self) -> int:
@@ -91,12 +117,16 @@ class MessageQueue:
             raise BusError(f"evict on empty queue {self.name!r}")
         queued = self._messages.popleft()
         self.stats.dead_lettered += 1
+        if self._tally is not None:
+            self._tally.depth -= 1
         return queued.envelope
 
     def drain(self) -> list[Envelope]:
         """Remove and return every queued envelope (used by index rebuilds)."""
         envelopes = [queued.envelope for queued in self._messages]
         self.stats.delivered += len(self._messages)
+        if self._tally is not None:
+            self._tally.depth -= len(self._messages)
         self._messages.clear()
         return envelopes
 
@@ -178,4 +208,6 @@ class DeadLetterQueue(MessageQueue):
                 kept_origins.append(origin)
         self._messages = kept
         self._origins = kept_origins
+        if self._tally is not None:
+            self._tally.depth -= len(taken)
         return taken

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.bus.envelope import Envelope
-from repro.bus.queue import MessageQueue
+from repro.bus.queue import DepthTally, MessageQueue
 from repro.bus.topics import validate_pattern
 from repro.exceptions import SubscriptionError
 
@@ -84,6 +84,12 @@ class SubscriptionRegistry:
 
             self._trie = TopicTrie()
         self._fanout_memo: dict[str, list[Subscription]] = {}
+        self._backlog = DepthTally()
+
+    @property
+    def pending(self) -> int:
+        """Messages waiting across every registered subscription's queue."""
+        return self._backlog.depth
 
     @property
     def indexed(self) -> bool:
@@ -100,6 +106,7 @@ class SubscriptionRegistry:
                 f"duplicate subscription id {subscription.subscription_id!r}"
             )
         self._subscriptions[subscription.subscription_id] = subscription
+        subscription.queue.report_to(self._backlog)
         self._order_of[subscription.subscription_id] = self._order
         if self._trie is not None:
             self._trie.add(subscription.pattern, self._order, subscription)
@@ -112,6 +119,7 @@ class SubscriptionRegistry:
             subscription = self._subscriptions.pop(subscription_id)
         except KeyError as exc:
             raise SubscriptionError(f"no subscription {subscription_id!r}") from exc
+        subscription.queue.report_to(None)
         self._order_of.pop(subscription_id, None)
         if self._trie is not None:
             self._trie.remove(subscription.pattern, subscription)

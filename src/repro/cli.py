@@ -433,7 +433,11 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     from repro.obs.benchreport import scenario_summary
     from repro.obs.exporters import render_latency_table, render_metrics_table
     from repro.obs.profiling import SamplingProfiler
-    from repro.obs.telemetry import PIPELINE_DURATION, STAGE_DURATION
+    from repro.obs.telemetry import (
+        PIPELINE_DURATION,
+        PIPELINE_WALL_DURATION,
+        STAGE_DURATION,
+    )
 
     if args.scenario == "federated":
         scenario = _federated_scenario(args, telemetry_guard=args.guard)
@@ -459,6 +463,8 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
                                unit="simulated s"), file=out)
     print(render_latency_table(telemetry.metrics, PIPELINE_DURATION,
                                unit="simulated s"), file=out)
+    print(render_latency_table(telemetry.wall, PIPELINE_WALL_DURATION,
+                               unit="wall s, this run"), file=out)
     print(render_metrics_table(telemetry.metrics), file=out)
     print(f"finished spans: {len(telemetry.tracer.finished_spans())}", file=out)
     if args.profile and telemetry.profiler is not None:

@@ -217,8 +217,8 @@ class FederationNode:
             except UnknownEventClassError as exc:
                 response = {"error": "unknown-event-class", "message": str(exc)}
             if span is not None and "error" in response:
-                span.set_attribute(telemetry.guard, "outcome",
-                                   response["error"])
+                telemetry.tracer.set_attribute(span, "outcome",
+                                               response["error"])
             return response
 
     def _op_ping(self, payload: dict) -> dict:

@@ -74,19 +74,63 @@ class PrivacyGuard:
         self._blocked = {_normalise(key) for key in blocked_keys}
         self._markers = tuple(blocked_markers)
         self._restricted: set[str] = set()
+        #: Raw key -> classification; every distinct key is classified once.
+        self._identifying: dict[str, bool] = {}
+        self._memos: list[dict] = []
 
     # -- classification ----------------------------------------------------
 
     def restrict_keys(self, keys) -> None:
-        """Add runtime-discovered sensitive keys (detail-payload fields)."""
+        """Add runtime-discovered sensitive keys (detail-payload fields).
+
+        Growing the restricted set drops the classification table and
+        every :meth:`memo`, so a key restricted after it was used as a
+        plain label is hashed (or rejected) from then on.
+        """
+        known = len(self._restricted)
         self._restricted.update(_normalise(key) for key in keys)
+        if len(self._restricted) != known:
+            self._identifying.clear()
+            for memo in self._memos:
+                memo.clear()
 
     def is_identifying(self, key: str) -> bool:
         """Whether ``key`` names identifying or sensitive information."""
+        found = self._identifying.get(key)
+        if found is None:
+            found = self._identifying[key] = self._classify(key)
+        return found
+
+    def _classify(self, key: str) -> bool:
         normalised = _normalise(key)
         if normalised in self._blocked or normalised in self._restricted:
             return True
         return any(marker in normalised for marker in self._markers)
+
+    # -- memoisation of static label sets -----------------------------------
+
+    def memo(self) -> dict:
+        """A dict this guard empties whenever a key's classification changes.
+
+        Callers key it on :meth:`static_key`, so an identifying value is
+        never retained as a key and always takes the hash/reject path of
+        :meth:`sanitize`.
+        """
+        memo: dict = {}
+        self._memos.append(memo)
+        return memo
+
+    def static_key(self, labels: dict[str, object]) -> tuple | None:
+        """``labels`` as a memo key, or ``None`` when they may not be one.
+
+        That is when a key is identifying, or a value is not a plain
+        ``str``: only such a value renders to itself, so only then do
+        equal keys sanitise equally.
+        """
+        for key, value in labels.items():
+            if type(value) is not str or self.is_identifying(key):
+                return None
+        return tuple(labels.items())
 
     # -- sanitisation ------------------------------------------------------
 
@@ -118,3 +162,4 @@ class PrivacyGuard:
             else:
                 cleared.append((key, str(value)))
         return tuple(cleared)
+

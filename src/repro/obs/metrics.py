@@ -73,9 +73,10 @@ class Histogram:
         self.counts[index] += 1
         if self.count == 0:
             self.min = self.max = value
-        else:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         self.count += 1
         self.sum += value
 
@@ -122,31 +123,51 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, Labels], Counter] = {}
         self._gauges: dict[tuple[str, Labels], Gauge] = {}
         self._histograms: dict[tuple[str, Labels], Histogram] = {}
+        self._memos: list[dict] = []
+        #: ``(kind, name, guard.static_key(labels))`` -> series.
+        self._bound = self.memo()
 
     # -- series access -----------------------------------------------------
 
-    def counter(self, name: str, **labels: object) -> Counter:
+    def memo(self) -> dict:
+        """A dict emptied with the series memo: on :meth:`reset` and
+        whenever the guard's classification changes.  Holders of bound
+        series (the telemetry's stage bindings) keep them in one."""
+        memo = self.guard.memo()
+        self._memos.append(memo)
+        return memo
+
+    def _series(self, store: dict, kind: type, name: str,
+                labels: dict[str, object], *args):
+        """The ``kind`` series for ``(name, labels)``, created on demand.
+
+        A static label set resolves through the memo without touching the
+        guard; one with an identifying key is sanitised on every call.
+        """
+        items = self.guard.static_key(labels)
+        if items is not None:
+            series = self._bound.get((kind, name, items))
+            if series is not None:
+                return series
         key = (name, self.guard.sanitize(labels))
-        series = self._counters.get(key)
+        series = store.get(key)
         if series is None:
-            series = self._counters[key] = Counter()
+            series = store[key] = kind(*args)
+        if items is not None:
+            self._bound[kind, name, items] = series
         return series
 
+    def counter(self, name: str, **labels: object) -> Counter:
+        return self._series(self._counters, Counter, name, labels)
+
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, self.guard.sanitize(labels))
-        series = self._gauges.get(key)
-        if series is None:
-            series = self._gauges[key] = Gauge()
-        return series
+        return self._series(self._gauges, Gauge, name, labels)
 
     def histogram(
         self, name: str, buckets: tuple[float, ...] | None = None, **labels: object
     ) -> Histogram:
-        key = (name, self.guard.sanitize(labels))
-        series = self._histograms.get(key)
-        if series is None:
-            series = self._histograms[key] = Histogram(buckets or DEFAULT_BUCKETS)
-        return series
+        return self._series(self._histograms, Histogram, name, labels,
+                            buckets or DEFAULT_BUCKETS)
 
     # -- snapshot ----------------------------------------------------------
 
@@ -238,3 +259,5 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        for memo in self._memos:
+            memo.clear()

@@ -20,12 +20,13 @@ shape.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import MappingProxyType
 
 from repro.clock import Clock
 from repro.obs.context import TraceContext
 from repro.obs.exporters import metric_lines, span_lines, write_jsonl
 from repro.obs.guard import MODE_HASH, PrivacyGuard
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiling import SECTION_STAGE
 from repro.obs.tracing import Tracer
 
@@ -35,6 +36,13 @@ STAGE_DURATION = "pipeline.stage.duration_seconds"
 PIPELINE_DURATION = "pipeline.duration_seconds"
 #: Counter of pipeline executions, labelled by pipeline + outcome.
 PIPELINE_OUTCOMES = "pipeline.invocations_total"
+#: Sidecar histogram of whole-pipeline latency in *wall* seconds.
+PIPELINE_WALL_DURATION = "pipeline.wall_duration_seconds"
+#: Its buckets: 10 microseconds to 1 s (a pipeline runs in well under 1 ms).
+WALL_BUCKETS: tuple[float, ...] = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+)
 
 
 class NoopTelemetry:
@@ -63,6 +71,13 @@ class NoopTelemetry:
     def stage_span(self, pipeline: str, stage: str):
         yield None
 
+    @contextmanager
+    def pipeline_span(self, pipeline: str):
+        yield None
+
+    def observe_wall(self, name: str, seconds: float, **labels: object) -> None:
+        """No-op."""
+
     def current_context(self) -> None:
         """No open span, ever."""
         return None
@@ -75,6 +90,53 @@ class NoopTelemetry:
 
     def profile(self, section: str, seconds: float, **labels: object) -> None:
         """No-op."""
+
+
+class _BoundSpan:
+    """One span shape resolved once: name, guard-cleared attributes and
+    the histogram its durations feed.
+
+    It is its own context manager and keeps no per-execution state — the
+    open span lives on the tracer's stack — so one instance serves every
+    execution of its pipeline or stage, nested ones included (a federated
+    request runs the same stage on two nodes of one shared telemetry).
+    """
+
+    __slots__ = ("_telemetry", "_name", "_labels", "_attributes", "_metric",
+                 "_section", "_durations")
+
+    def __init__(self, telemetry: "InMemoryTelemetry", name: str, metric: str,
+                 section: str | None, labels: dict[str, str]) -> None:
+        self._telemetry = telemetry
+        self._name = name
+        self._labels = labels
+        # Shared by every span of this shape, hence read-only.
+        self._attributes = MappingProxyType(telemetry.tracer.cleared(labels))
+        self._metric = metric
+        self._section = section
+        # Resolved by the first span to finish: a series must not show in
+        # a snapshot taken before its first sample.
+        self._durations: Histogram | None = None
+
+    def __enter__(self):
+        return self._telemetry.tracer.open(self._name, self._attributes)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        telemetry = self._telemetry
+        tracer = telemetry.tracer
+        span = tracer.current_span
+        tracer.finish(span, exc_type)
+        durations = self._durations
+        if durations is None:
+            durations = self._durations = telemetry.metrics.histogram(
+                self._metric, **self._labels)
+        duration = span.end - span.start
+        durations.observe(duration)
+        profiler = telemetry.profiler
+        if (self._section is not None and profiler is not None
+                and profiler.enabled):
+            profiler.record(self._section, duration, **self._labels)
+        return False  # never swallow — pipeline semantics stay intact
 
 
 class InMemoryTelemetry:
@@ -93,7 +155,12 @@ class InMemoryTelemetry:
         self.clock = clock or Clock()
         self.guard = guard or PrivacyGuard(mode=guard_mode, secret=secret)
         self.metrics = MetricsRegistry(self.guard)
+        #: Wall-clock sidecar: real seconds, so no export, snapshot,
+        #: time-series or incident bundle reads it (they stay deterministic).
+        self.wall = MetricsRegistry(self.guard)
         self.tracer = Tracer(self.clock, self.guard, site=site)
+        #: Pipeline name or ``(pipeline, stage)`` -> its bound span.
+        self._bound_spans = self.metrics.memo()
         self.profiler = None
         self.recorder = None
 
@@ -110,6 +177,10 @@ class InMemoryTelemetry:
     def observe(self, name: str, value: float, buckets=None, **labels: object) -> None:
         """Record ``value`` into histogram ``name`` for the given label set."""
         self.metrics.histogram(name, buckets=buckets, **labels).observe(value)
+
+    def observe_wall(self, name: str, seconds: float, **labels: object) -> None:
+        """Record wall-clock ``seconds`` into sidecar histogram ``name``."""
+        self.wall.histogram(name, buckets=WALL_BUCKETS, **labels).observe(seconds)
 
     def restrict_keys(self, keys) -> None:
         """Mark additional keys as sensitive (detail-payload field names)."""
@@ -130,20 +201,30 @@ class InMemoryTelemetry:
         """The innermost open span as a wire-portable trace context."""
         return self.tracer.current_context()
 
-    @contextmanager
     def stage_span(self, pipeline: str, stage: str):
         """A per-interceptor-stage child span plus its duration histogram."""
-        with self.tracer.span(f"stage.{stage}", pipeline=pipeline,
-                              stage=stage) as span:
-            try:
-                yield span
-            finally:
-                span.end = self.clock.now()
-                self.observe(STAGE_DURATION, span.duration,
-                             pipeline=pipeline, stage=stage)
-                if self.profiler is not None and self.profiler.enabled:
-                    self.profiler.record(SECTION_STAGE, span.duration,
-                                         pipeline=pipeline, stage=stage)
+        bound = self._bound_spans.get((pipeline, stage))
+        if bound is None:
+            bound = self._bind(
+                (pipeline, stage), f"stage.{stage}", STAGE_DURATION,
+                SECTION_STAGE, {"pipeline": pipeline, "stage": stage})
+        return bound
+
+    def pipeline_span(self, pipeline: str):
+        """The root span of one pipeline execution plus its duration histogram."""
+        bound = self._bound_spans.get(pipeline)
+        if bound is None:
+            bound = self._bind(pipeline, f"pipeline.{pipeline}",
+                               PIPELINE_DURATION, None, {"pipeline": pipeline})
+        return bound
+
+    def _bind(self, key, name: str, metric: str, section: str | None,
+              labels: dict[str, str]) -> _BoundSpan:
+        bound = _BoundSpan(self, name, metric, section, labels)
+        # A restricted label key is re-sanitised per span, never memoised.
+        if self.guard.static_key(labels) is not None:
+            self._bound_spans[key] = bound
+        return bound
 
     # -- profiling ---------------------------------------------------------
 

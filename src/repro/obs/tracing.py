@@ -18,6 +18,7 @@ carries only a :class:`~repro.obs.context.TraceContext`, never content.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.clock import Clock
@@ -29,7 +30,7 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation inside a trace."""
 
@@ -41,16 +42,14 @@ class Span:
     end: float | None = None
     status: str = STATUS_OK
     error: str = ""
-    attributes: dict[str, str] = field(default_factory=dict)
+    #: Guard-cleared; may be one read-only mapping shared between spans —
+    #: add to it through :meth:`Tracer.set_attribute`, which copies.
+    attributes: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
         """Span duration in (simulated) seconds; 0.0 while still open."""
         return (self.end - self.start) if self.end is not None else 0.0
-
-    def set_attribute(self, guard: PrivacyGuard, key: str, value: object) -> None:
-        """Attach a guard-sanitised attribute."""
-        self.attributes.update(dict(guard.sanitize({key: value})))
 
     def to_dict(self) -> dict:
         """Plain-dict rendering (JSONL export, assertions)."""
@@ -79,10 +78,7 @@ class _SpanContext:
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self.span.status = STATUS_ERROR
-            self.span.error = exc_type.__name__
-        self._tracer.finish(self.span)
+        self._tracer.finish(self.span, exc_type)
         return False  # never swallow — pipeline semantics stay intact
 
 
@@ -100,6 +96,8 @@ class Tracer:
         self.recorder = None
         self._finished: list[Span] = []
         self._stack: list[Span] = []
+        #: ``guard.static_key(attributes)`` -> guard-cleared pairs.
+        self._attribute_memo = self.guard.memo()
         self._trace_counter = 0
         self._span_counter = 0
 
@@ -108,6 +106,24 @@ class Tracer:
 
     # -- span lifecycle ----------------------------------------------------
 
+    def cleared(self, attributes: dict[str, object]) -> dict[str, str]:
+        """``attributes`` through the guard, as a fresh dict for one span.
+
+        Static attribute sets are sanitised once; one with an identifying
+        key takes the guard's hash/reject path on every call.
+        """
+        items = self.guard.static_key(attributes)
+        pairs = self._attribute_memo.get(items) if items is not None else None
+        if pairs is None:
+            pairs = self.guard.sanitize(attributes)
+            if items is not None:
+                self._attribute_memo[items] = pairs
+        return dict(pairs)
+
+    def set_attribute(self, span: Span, key: str, value: object) -> None:
+        """Attach one more guard-cleared attribute to an open span."""
+        span.attributes = {**span.attributes, **self.cleared({key: value})}
+
     def span(self, name: str, remote_parent: TraceContext | None = None,
              **attributes: object) -> _SpanContext:
         """Open a span as a child of the innermost open span (or a new trace).
@@ -115,6 +131,15 @@ class Tracer:
         With no open span, ``remote_parent`` — a context that crossed a
         federation link — adopts the caller's trace instead of starting a
         new one; the local stack always wins when non-empty.
+        """
+        return _SpanContext(
+            self, self.open(name, self.cleared(attributes), remote_parent))
+
+    def open(self, name: str, attributes: Mapping[str, str],
+             remote_parent: TraceContext | None = None) -> Span:
+        """Open and return a span whose ``attributes`` are already cleared.
+
+        The caller closes it with :meth:`finish`, innermost first.
         """
         parent = self._stack[-1] if self._stack else None
         if parent is not None:
@@ -134,13 +159,20 @@ class Tracer:
             parent_id=parent_id,
             name=name,
             start=self._clock.now(),
-            attributes=dict(self.guard.sanitize(attributes)),
+            attributes=attributes,
         )
         self._stack.append(span)
-        return _SpanContext(self, span)
+        return span
 
-    def finish(self, span: Span) -> None:
-        """Close ``span`` (called by its context manager on exit)."""
+    def finish(self, span: Span, exc_type: type | None = None) -> None:
+        """Close ``span`` (called by its context manager on exit).
+
+        ``exc_type`` — the exception leaving the span's block, if any —
+        marks it failed.
+        """
+        if exc_type is not None:
+            span.status = STATUS_ERROR
+            span.error = exc_type.__name__
         span.end = self._clock.now()
         # The stack unwinds in LIFO order under the context-manager protocol.
         if self._stack and self._stack[-1] is span:

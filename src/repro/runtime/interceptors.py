@@ -33,6 +33,7 @@ chain of function calls, no per-request reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.audit.log import AuditAction, AuditOutcome, mint_record
@@ -46,6 +47,7 @@ from repro.exceptions import (
     UnknownEventError,
     UnknownProducerError,
 )
+from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
 from repro.perf.decision_cache import CachedDecision
 from repro.xacml.context import (
     ATTR_ACTION_PURPOSE,
@@ -153,17 +155,12 @@ class InterceptorPipeline:
         return self._execute_observed(invocation)
 
     def _execute_observed(self, invocation: Invocation) -> Any:
-        from repro.obs.telemetry import (
-            PIPELINE_DURATION,
-            PIPELINE_OUTCOMES,
-        )
-
         telemetry = self._telemetry
         pipeline = self.name or invocation.operation
-        started = telemetry.clock.now()
+        wall_started = perf_counter()
         outcome = "ok"
         try:
-            with telemetry.span(f"pipeline.{pipeline}", pipeline=pipeline):
+            with telemetry.pipeline_span(pipeline):
                 result = self._chain(invocation)
         except AccessDeniedError:
             outcome = "deny"
@@ -177,8 +174,9 @@ class InterceptorPipeline:
             return result
         finally:
             telemetry.count(PIPELINE_OUTCOMES, pipeline=pipeline, outcome=outcome)
-            telemetry.observe(
-                PIPELINE_DURATION, telemetry.clock.now() - started, pipeline=pipeline
+            telemetry.observe_wall(
+                PIPELINE_WALL_DURATION, perf_counter() - wall_started,
+                pipeline=pipeline,
             )
 
 

@@ -108,6 +108,7 @@ class TestAnomalyRun:
                              for row in payload["timeline"])
         for text in (serialized, timeline):
             assert not SUBJECT_ID.search(text)
+            assert "wall_duration" not in text  # the wall-clock sidecar
             for fragment in TENANT_FRAGMENTS:
                 assert fragment not in text
 

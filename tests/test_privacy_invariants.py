@@ -30,6 +30,7 @@ from repro.audit.log import AuditAction
 from repro.audit.query import AuditQuery
 from repro.clock import Clock
 from repro.core.policy import DetailRequestSpec
+from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 from repro.obs.guard import TelemetryPrivacyError
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
@@ -219,3 +220,43 @@ def test_scenario_telemetry_exports_contain_no_plaintext_identifiers():
         assert patient.patient_id not in exported
         for name_part in patient.name.split():
             assert name_part not in exported
+
+
+def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
+    """The static-label memos never key on what the guard has to hash.
+
+    After a federated run, samples and spans carrying every assisted
+    person's id and name under identifying keys (and a restricted payload
+    field) are emitted repeatedly; each is hashed on the way in, and no
+    memo the guard hands out — series, span attributes, bound spans, on
+    either registry — nor any series key holds one of the raw values.
+    """
+    scenario = FederatedScenario(FederatedScenarioConfig(
+        nodes=2, n_patients=6, n_events=40, seed=2010, telemetry_guard="hash"))
+    scenario.run()
+    telemetry = scenario.telemetry
+    secrets: set[str] = set()
+    for _ in range(2):
+        for patient in scenario.population:
+            secrets.update((patient.patient_id, *patient.name.split()))
+            telemetry.count("probe_total", subject_ref=patient.patient_id,
+                            stage="probe")
+            telemetry.gauge("probe_level", 1.0, patient_id=patient.patient_id)
+            telemetry.observe("probe_seconds", 0.1, Name=patient.name,
+                              pipeline="probe")
+            telemetry.observe_wall("probe_wall_seconds", 0.1,
+                                   subject_display=patient.name)
+            with telemetry.span("probe", subject_display=patient.name,
+                                pipeline="probe"):
+                pass
+
+    memos = telemetry.guard._memos
+    assert sum(map(len, memos)) > 20  # the run did bind its static series
+    retained = repr([list(memo) for memo in memos])
+    retained += repr(telemetry.metrics.counter_entries()
+                     + telemetry.metrics.gauge_entries()
+                     + telemetry.metrics.histogram_entries()
+                     + telemetry.wall.histogram_entries())
+    assert "probe" in retained and "h:" in retained
+    for secret in secrets:
+        assert secret not in retained

@@ -78,6 +78,61 @@ class TestBusProperties:
         # Delivered messages were delivered exactly once.
         assert len(seen) == len(set(seen)) == stats.delivered
 
+    @given(operations=st.lists(st.one_of(
+        st.tuples(st.just("publish"), st.sampled_from(TOPICS)),
+        st.tuples(st.just("subscribe"), st.sampled_from(PATTERNS)),
+        st.tuples(st.sampled_from(
+            ("dispatch", "unsubscribe", "pause", "resume", "break", "repair",
+             "replay", "replay_all", "drain")), st.integers(0, 7)),
+    ), max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_queue_depth_is_the_sum_of_the_live_queues(self, operations):
+        """The running broker-wide depth survives enqueue / ack / evict /
+        drain / unsubscribe / dead-letter replay in any interleaving."""
+        bus = ServiceBus(strict_topics=False, auto_dispatch=False,
+                         delivery_policy=DeliveryPolicy(max_attempts=1))
+        live = []
+        broken: set[str] = set()
+
+        def handler_for(subscriber):
+            def handle(envelope):
+                if subscriber in broken:
+                    raise RuntimeError("consumer down")
+            return handle
+
+        for name, argument in operations:
+            target = live[argument % len(live)] if live and name not in (
+                "publish", "subscribe") else None
+            if name == "publish":
+                bus.publish(argument, "p", "x")
+            elif name == "subscribe":
+                subscriber = f"c{len(live)}"
+                live.append(bus.subscribe(subscriber, argument,
+                                          handler_for(subscriber)))
+            elif name == "dispatch":
+                bus.dispatch()
+            elif name == "replay_all":
+                bus.replay_all_dead_letters()
+            elif target is None:
+                continue
+            elif name == "unsubscribe":
+                bus.unsubscribe(target.subscription_id)
+                live.remove(target)
+            elif name == "pause":
+                target.pause()
+            elif name == "resume":
+                target.resume()
+            elif name == "break":
+                broken.add(target.subscriber)
+            elif name == "repair":
+                broken.discard(target.subscriber)
+            elif name == "replay":
+                bus.replay_dead_letters(target.subscription_id)
+            elif name == "drain":
+                target.queue.drain()
+            recomputed = sum(sub.queue.depth for sub in live)
+            assert bus.queue_depth == bus.pending_messages() == recomputed
+
     @given(topic=st.sampled_from(TOPICS))
     @settings(max_examples=20, deadline=None)
     def test_fanout_reaches_exactly_matching_subscriptions(self, topic):

@@ -1,0 +1,356 @@
+"""What telemetry costs and what it may not change, pinned without a clock.
+
+The guard classifies each label key once, static label sets resolve to
+their series through a memo, and pipeline/stage spans are bound once
+(docs/OBSERVABILITY.md, "Cost").  These tests hold that to account:
+
+* the memoised paths return exactly what an uncached reference
+  classification returns, whatever ``restrict_keys`` does in between;
+* exports of two seeded scenarios are byte-for-byte those of the commit
+  before the memo existed, and every op still opens as many spans;
+* after warm-up the hot paths classify no key and run ``sanitize`` only
+  for samples that carry an identifying label — counts, which repeat
+  exactly, where wall time cannot gate CI;
+* the wall-clock sidecar gets one sample per pipeline execution and shows
+  up in no export.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import AccessDeniedError
+from repro.clock import Clock
+from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
+from repro.obs.benchreport import scenario_summary
+from repro.obs.guard import (
+    DEFAULT_BLOCKED_KEYS,
+    DEFAULT_BLOCKED_MARKERS,
+    PrivacyGuard,
+    TelemetryPrivacyError,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import (
+    PIPELINE_DURATION,
+    PIPELINE_WALL_DURATION,
+    STAGE_DURATION,
+    InMemoryTelemetry,
+)
+from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.tracing import Tracer
+from repro.runtime.kernel import RuntimeConfig
+from repro.sim.scenario import CssScenario, ScenarioConfig
+from tests.test_wall_surface import prod_platform, publish  # noqa: F401
+
+# -- (a) the memoised paths against an uncached reference --------------------
+
+KEYS = ("stage", "topic", "op", "Stage", "sub-ject", "patient_id",
+        "Hemoglobin", "cache")
+#: Values that collide as dict keys (``1 == True == 1.0``) render apart.
+VALUES = st.one_of(
+    st.sampled_from(("publish", "decide", "1", "True", "", "a/b/c")),
+    st.sampled_from((1, True, 1.0, 0, False, None)),
+)
+LABELS = st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=3)
+#: Steps draw from a few label sets, so that memo entries get hit again
+#: after the ``restrict``/``reset`` steps in between.
+STEPS = st.lists(LABELS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.one_of(
+        st.tuples(st.just("restrict"), st.lists(
+            st.sampled_from(("stage", "topic", "Op", "Hemoglobin")),
+            min_size=1, max_size=2)),
+        st.tuples(st.sampled_from(("sanitize", "counter", "gauge",
+                                   "histogram", "span")),
+                  st.sampled_from(pool)),
+        st.tuples(st.just("reset"), st.none()),
+    ), max_size=40))
+
+
+def reference_sanitize(guard: PrivacyGuard, restricted: set[str], labels: dict):
+    """The classification restated with no table and no memo."""
+    cleared = []
+    for key in sorted(labels):
+        normalised = key.replace("-", "_").replace(" ", "_").lower()
+        if (normalised in {blocked.lower() for blocked in DEFAULT_BLOCKED_KEYS}
+                or normalised in restricted
+                or any(marker in normalised
+                       for marker in DEFAULT_BLOCKED_MARKERS)):
+            if guard.mode == "reject":
+                raise TelemetryPrivacyError(key)
+            cleared.append((key, guard.hash_value(labels[key])))
+        else:
+            cleared.append((key, str(labels[key])))
+    return tuple(cleared)
+
+
+@pytest.mark.parametrize("mode", ["hash", "reject"])
+@given(steps=STEPS)
+@settings(max_examples=250, deadline=None)
+def test_memoised_paths_equal_the_uncached_reference(mode, steps):
+    guard = PrivacyGuard(mode=mode)
+    registry = MetricsRegistry(guard)
+    tracer = Tracer(Clock(), guard)
+    restricted: set[str] = set()
+    model: dict[tuple, float] = {}
+
+    for action, argument in steps:
+        if action == "restrict":
+            guard.restrict_keys(argument)
+            restricted.update(key.lower() for key in argument)
+            continue
+        if action == "reset":
+            registry.reset()
+            model.clear()
+            continue
+        try:
+            expected = reference_sanitize(guard, restricted, argument)
+        except TelemetryPrivacyError:
+            # An identifying key raises on every call, memo or not.
+            with pytest.raises(TelemetryPrivacyError):
+                _emit(action, guard, registry, tracer, argument)
+            continue
+        assert _emit(action, guard, registry, tracer, argument) == expected
+        if action in ("counter", "gauge", "histogram"):
+            model[action, expected] = model.get((action, expected), 0.0) + 1.0
+
+    rows = {(row["type"], tuple(sorted(row["labels"].items()))):
+            row.get("count", row.get("value")) for row in registry.snapshot()}
+    assert rows == model
+
+
+def _emit(action, guard, registry, tracer, labels):
+    """Run one step; return the cleared labels the step ended up using."""
+    if action == "sanitize":
+        return guard.sanitize(labels)
+    if action == "span":
+        with tracer.span("probe", **labels) as span:
+            return tuple(sorted(span.attributes.items()))
+    series = getattr(registry, action)("probe", **labels)
+    if action == "counter":
+        series.inc()
+    elif action == "gauge":
+        series.add(1.0)
+    else:
+        series.observe(0.5)
+    store = {"counter": registry.counter_entries,
+             "gauge": registry.gauge_entries,
+             "histogram": registry.histogram_entries}[action]()
+    (key,) = [key for key, candidate in store if candidate is series]
+    return key[1]
+
+
+def test_restricting_a_static_label_key_switches_later_spans_and_series():
+    telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
+    for _ in range(2):  # the second pass runs on bound spans and series
+        with telemetry.pipeline_span("publish"):
+            with telemetry.stage_span("publish", "crypto"):
+                telemetry.count("cache_hits_total", stage="crypto")
+    telemetry.restrict_keys(["stage"])
+    hashed = telemetry.guard.hash_value("crypto")
+    with telemetry.stage_span("publish", "crypto") as span:
+        telemetry.count("cache_hits_total", stage="crypto")
+    assert span.attributes == {"pipeline": "publish", "stage": hashed}
+    assert [labels for labels, _ in
+            telemetry.metrics.histogram_series(STAGE_DURATION)] == [
+        {"pipeline": "publish", "stage": "crypto"},
+        {"pipeline": "publish", "stage": hashed}]
+    assert telemetry.metrics.counter_value("cache_hits_total",
+                                           stage="crypto") == 1.0
+    plain = [span.attributes["stage"]
+             for span in telemetry.tracer.spans_named("stage.crypto")]
+    assert plain == ["crypto", "crypto", hashed]
+
+    strict = InMemoryTelemetry(clock=Clock(), guard_mode="reject")
+    with strict.stage_span("publish", "crypto"):
+        pass
+    strict.restrict_keys(["stage"])
+    for _ in range(2):
+        with pytest.raises(TelemetryPrivacyError):
+            with strict.stage_span("publish", "crypto"):
+                pass
+        with pytest.raises(TelemetryPrivacyError):
+            strict.observe(STAGE_DURATION, 0.0, pipeline="publish",
+                           stage="crypto")
+
+
+def test_bound_spans_share_their_attributes_read_only():
+    telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
+    with telemetry.stage_span("publish", "crypto") as first:
+        pass
+    with telemetry.stage_span("publish", "crypto") as second:
+        telemetry.tracer.set_attribute(second, "outcome", "error")
+    assert first.attributes is not second.attributes
+    assert first.attributes == {"pipeline": "publish", "stage": "crypto"}
+    assert second.attributes == {**first.attributes, "outcome": "error"}
+    with pytest.raises(TypeError):
+        first.attributes["outcome"] = "ok"
+
+
+def test_reset_leaves_no_stale_bound_series():
+    telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
+
+    def emit():
+        with telemetry.pipeline_span("publish"):
+            with telemetry.stage_span("publish", "crypto"):
+                telemetry.count("cache_hits_total", cache="decision")
+                telemetry.gauge("bus.queue.depth", 3)
+
+    emit()
+    emit()
+    before = telemetry.metrics_export()
+    telemetry.metrics.reset()
+    assert telemetry.metrics.snapshot() == []
+    emit()
+    emit()
+    assert telemetry.metrics_export() == before
+
+
+# -- (b) exports and span counts of the commit before the memo ----------------
+
+#: sha256 of ``"\n".join(export)`` computed at the parent commit (789ee60).
+PINNED = {
+    "css": ("6d539ad5738503237a3af3d484d1cde3de8c6a7f1ab58a691ab5afed881cec47",
+            "af82ab212a3e6c7775fa55c9ed1a9bc35f80e0b21c0c26cd8621856888229e2e"),
+    "federated": (
+        "c650119396f9b731b6e773e0fc422ec44d8e93bcd94c476ad8ec2e337d56cd25",
+        "4f42244acb0b96dcb0e233271af4162d0258fa4d8ec00c16768b7481fc26a6a5"),
+}
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def css_telemetry() -> InMemoryTelemetry:
+    scenario = CssScenario(ScenarioConfig(
+        n_patients=8, n_events=40, detail_request_rate=0.4, seed=2010,
+        runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash")))
+    scenario.run(scenario.generate_workload())
+    return scenario.controller.telemetry
+
+
+def federated_telemetry() -> InMemoryTelemetry:
+    scenario = FederatedScenario(FederatedScenarioConfig(
+        nodes=2, n_patients=10, n_events=60, seed=2010,
+        telemetry_guard="hash"))
+    scenario.run()
+    return scenario.telemetry
+
+
+@pytest.mark.parametrize("name, run", [("css", css_telemetry),
+                                       ("federated", federated_telemetry)])
+def test_exports_are_byte_identical_to_the_parent_commit(name, run):
+    telemetry = run()
+    assert (digest(telemetry.trace_export()),
+            digest(telemetry.metrics_export())) == PINNED[name]
+
+
+@pytest.fixture()
+def prod(prod_platform):
+    """The ledger's PROD configuration on two nodes, one subscriber."""
+    platform, blood = prod_platform
+    platform.subscribe("Dr-Rossi", "BloodTest")
+    return platform, blood
+
+
+def drive(platform, blood, first: int, count: int) -> None:
+    """``count`` publishes, then a request for details of each (every
+    tenth for a purpose no policy lists, which must be denied)."""
+    for index, event_id in enumerate(publish(platform, blood, count, first)):
+        purpose = ("statistical-analysis" if index % 10 == 9
+                   else "healthcare-treatment")
+        try:
+            platform.request_details("Dr-Rossi", "BloodTest", event_id, purpose)
+        except AccessDeniedError:
+            assert index % 10 == 9
+
+
+PUBLISH_STAGES = ("sched", "stats", "contract", "admission", "audit",
+                  "consent", "persist", "crypto", "index", "route")
+DETAILS_STAGES = ("stats", "audit", "resolve", "consent", "decide", "fetch",
+                  "filter")
+
+
+def test_span_count_per_publish_and_per_request_for_details(prod):
+    """Nobody gets to make telemetry cheap by opening fewer spans."""
+    platform, blood = prod
+
+    def names_since(mark: int) -> list[str]:
+        spans = platform.telemetry.tracer.finished_spans()[mark:]
+        return sorted(span.name for span in spans)
+
+    drive(platform, blood, 0, 1)
+    mark = len(platform.telemetry.tracer.finished_spans())
+    (event_id,) = publish(platform, blood, 1, first=1)
+    assert names_since(mark) == sorted(
+        ["pipeline.publish", *(f"stage.{stage}" for stage in PUBLISH_STAGES),
+         "link.call", "federation.bus.relay"])  # 13, the relay to node-1
+    mark += 13
+    platform.request_details("Dr-Rossi", "BloodTest", event_id,
+                             "healthcare-treatment")
+    assert names_since(mark) == sorted(
+        ["federation.request_details", "link.call", "federation.details.get",
+         "pipeline.request-details",
+         *(f"stage.{stage}" for stage in DETAILS_STAGES)])  # 11
+
+
+# -- the deterministic overhead gate ------------------------------------------
+
+
+def test_warm_hot_paths_classify_nothing_and_sanitize_only_to_hash(
+        prod, monkeypatch):
+    platform, blood = prod
+    drive(platform, blood, 0, 200)  # warm-up: every static label set seen
+    counts = {"classify": 0, "sanitize": 0}
+    classify, sanitize = PrivacyGuard._classify, PrivacyGuard.sanitize
+
+    def counted_classify(guard, key):
+        counts["classify"] += 1
+        return classify(guard, key)
+
+    def counted_sanitize(guard, labels):
+        counts["sanitize"] += 1
+        return sanitize(guard, labels)
+
+    monkeypatch.setattr(PrivacyGuard, "_classify", counted_classify)
+    monkeypatch.setattr(PrivacyGuard, "sanitize", counted_sanitize)
+    spans = len(platform.telemetry.tracer.finished_spans())
+    drive(platform, blood, 1000, 200)
+    assert len(platform.telemetry.tracer.finished_spans()) - spans > 4000
+    # The platform labels nothing with an identity, so: no work at all.
+    assert counts == {"classify": 0, "sanitize": 0}
+    # A sample that does carry one is hashed on every emission, while its
+    # key — new to this guard — is classified once for all fifty.
+    telemetry = platform.telemetry
+    for index in range(50):
+        telemetry.count("probe_total", subject_ref=f"p{index % 5}",
+                        pipeline="probe")
+    assert counts == {"classify": 1, "sanitize": 50}
+
+
+# -- the wall-clock sidecar ---------------------------------------------------
+
+
+def test_wall_sidecar_counts_pipeline_executions_and_stays_out_of_exports():
+    telemetry = css_telemetry()
+    simulated = {labels["pipeline"]: summary["count"] for labels, summary
+                 in telemetry.metrics.histogram_summaries(PIPELINE_DURATION)}
+    wall = {labels["pipeline"]: summary for labels, summary
+            in telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)}
+    assert simulated and {name: row["count"] for name, row in wall.items()} \
+        == simulated
+    assert all(0.0 < row["min"] <= row["p50"] <= row["p99"] <= row["max"] < 1.0
+               for row in wall.values())
+    store = TimeSeriesStore(telemetry.metrics, telemetry.clock)
+    store.tick()
+    exported = "\n".join(telemetry.metrics_export() + telemetry.trace_export())
+    exported += json.dumps(telemetry.metrics.snapshot())
+    exported += json.dumps(scenario_summary(telemetry, source="test"))
+    exported += json.dumps(store.export_rows())
+    assert "pipeline.duration_seconds" in exported
+    assert "wall" not in exported

@@ -17,11 +17,13 @@ import inspect
 import pytest
 
 from repro.audit.log import AuditLog
+from repro.clock import Clock
 from repro.core.index import EventsIndex
 from repro.crypto.keystore import KeyStore
 from repro.federation.link import Link
 from repro.federation.node import FederationNode
 from repro.federation.platform import FederatedPlatform
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.runtime.kernel import RuntimeConfig
 from repro.storage.engine import SegmentedStore
@@ -60,8 +62,10 @@ CONTROLLER_SURFACE = {
 
 @pytest.fixture()
 def prod_platform(tmp_path):
+    clock = Clock()
     platform = FederatedPlatform(
-        shards=2, runtime=RuntimeConfig(**PROD, data_dir=tmp_path))
+        shards=2, clock=clock, runtime=RuntimeConfig(**PROD, data_dir=tmp_path),
+        telemetry=InMemoryTelemetry(clock=clock, guard_mode="hash"))
     hospital = platform.add_producer("Hospital", "Hospital", node_id="node-0")
     platform.add_consumer("Dr-Rossi", "Dr. Rossi", role="family-doctor",
                           node_id="node-1")
@@ -72,13 +76,16 @@ def prod_platform(tmp_path):
     return platform, blood
 
 
-def publish(platform, blood, count: int) -> None:
-    for index in range(count):
+def publish(platform, blood, count: int, first: int = 0) -> list[str]:
+    """Publish ``count`` blood tests; returns their global event ids."""
+    return [
         platform.publish(
             "Hospital", blood, subject_id=f"p{index}", subject_name="Mario",
             summary="done",
             details={"PatientId": f"p{index}", "Name": "Mario", "Hemoglobin": 14.0,
-                     "Glucose": 90.0, "HivResult": "negative"})
+                     "Glucose": 90.0, "HivResult": "negative"}).event_id
+        for index in range(first, first + count)
+    ]
 
 
 class TestClassLevelShims:
@@ -137,6 +144,50 @@ class TestInstanceLevelShims:
             for log_name in ("index", "audit"):
                 log = node.controller.store.log(log_name)
                 assert callable(log.append) and callable(log.append_many)
+
+    def test_telemetry_surface(self, prod_platform, monkeypatch):
+        """``count``/``gauge``/``observe`` and ``guard.sanitize`` are shimmed
+        on the instances, and ``obs.spans`` is ``len(finished_spans())``: a
+        shimmed one implemented through another would nest its spans."""
+        platform, blood = prod_platform
+        telemetry = platform.telemetry
+        calls: dict[str, int] = {}
+        depth = {"now": 0, "max": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+            assert callable(original)
+
+            def shim(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                depth["now"] += 1
+                depth["max"] = max(depth["max"], depth["now"])
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth["now"] -= 1
+
+            monkeypatch.setattr(owner, name, shim)
+
+        for name in ("count", "gauge", "observe"):
+            counted(telemetry, name)
+        platform.subscribe("Dr-Rossi", "BloodTest")
+        publish(platform, blood, 3)
+        telemetry.count("x_total", subject_ref="p0")
+        telemetry.gauge("x_depth", 1.0, subject_ref="p0")
+        telemetry.observe("x_seconds", 0.1, subject_ref="p0")
+        assert calls.keys() == {"count", "gauge", "observe"}
+        assert depth["max"] == 1
+        # The guard is looked up at call time, so an instance shim sees
+        # every execution: one per sample that has to be hashed.
+        calls.clear()
+        counted(telemetry.guard, "sanitize")
+        telemetry.count("x_total", subject_ref="p1")
+        with telemetry.span("probe", subject_ref="p1"):
+            pass
+        assert calls == {"count": 1, "sanitize": 2}
+        spans = telemetry.tracer.finished_spans()
+        assert isinstance(spans, tuple) and len(spans) > 0
 
     def test_recovery_surface(self, prod_platform, tmp_path):
         platform, blood = prod_platform
