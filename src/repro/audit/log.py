@@ -99,9 +99,15 @@ class AuditLog:
 
     def append(self, record: AuditRecord) -> str:
         """Append ``record`` and return its chain digest."""
-        digest = self._chain.append(record.to_payload())
+        payload = record.to_payload()
+        digest = self._chain.append(payload)
         self._records.append(record)
+        self._persist(payload, digest)
         return digest
+
+    def _persist(self, payload: dict[str, object], digest: str) -> None:
+        """Hook of the durable sinks: ``payload`` was just chained as
+        ``digest`` and is theirs to keep; the in-memory log keeps nothing."""
 
     def records(self) -> tuple[AuditRecord, ...]:
         """A snapshot of all records, oldest first."""

@@ -96,11 +96,6 @@ class ServiceBus:
             recorder if recorder is not None and recorder.enabled else None
         )
 
-    @property
-    def sched(self):
-        """The wired tenant scheduler (None when unscheduled)."""
-        return self._sched
-
     # -- topics ------------------------------------------------------------
 
     @property
@@ -167,7 +162,7 @@ class ServiceBus:
         if self._sched is not None:
             self._sched.note_publish(sender, now)
         envelope = self._make_envelope(topic, sender, body, correlation_id,
-                                       headers)
+                                       headers, now)
         matching = self._subscriptions.matching_topic(topic)
         self._fan_out(envelope, matching, now)
         if self.auto_dispatch and matching:
@@ -210,7 +205,7 @@ class ServiceBus:
                 self._sched.note_publish_many(sender, run_end - position, now)
             for topic, item_sender, body in items[position:run_end]:
                 envelope = self._make_envelope(topic, item_sender, body,
-                                               None, None)
+                                               None, None, now)
                 matching = matching_memo.get(topic)
                 if matching is None:
                     matching = self._subscriptions.matching_topic(topic)
@@ -230,13 +225,14 @@ class ServiceBus:
         body: object,
         correlation_id: str | None,
         headers: dict[str, str] | None,
+        now: float,
     ) -> Envelope:
         envelope = Envelope(
             message_id=self._ids.next("msg"),
             topic=topic,
             sender=sender,
             body=body,
-            created_at=self._clock.now(),
+            created_at=now,
             correlation_id=correlation_id,
             headers=headers or {},
         )
@@ -265,26 +261,19 @@ class ServiceBus:
                     # with the subscription id so replay_all_dead_letters
                     # can re-drive it after the abuse episode.
                     self._engine.dead_letter.enqueue_from(
-                        subscription.subscription_id, envelope, now=now
+                        subscription.subscription_id, envelope
                     )
                     self._sched.note_shed(subscription.subscriber)
                     shed_any = True
                     continue
-            subscription.queue.enqueue(envelope, now=now)
+            subscription.queue.enqueue(envelope)
             self.stats.fanned_out += 1
             self.stats.bytes_fanned_out += size
         if shed_any:
             if self._recorder is not None:
                 self._recorder.record("bus.deadletter", topic=topic,
                                       depth=self.dead_letter_depth)
-            if self.dead_letter_depth > self._dead_letter_high_water:
-                self._dead_letter_high_water = self.dead_letter_depth
-                if self._telemetry is not None:
-                    self._telemetry.gauge("bus.deadletter.high_water",
-                                          self._dead_letter_high_water)
-                if self._recorder is not None:
-                    self._recorder.record("bus.deadletter_high_water",
-                                          depth=self._dead_letter_high_water)
+            self._mark_dead_letter_high_water()
         if matching:
             topic_depth = sum(sub.queue.depth for sub in matching)
             if topic_depth > self._queue_high_water.get(topic, 0):
@@ -303,23 +292,7 @@ class ServiceBus:
             self._telemetry.count("bus.fanout_total", len(matching), topic=topic)
             self._telemetry.gauge("bus.queue.depth", self.queue_depth)
 
-    # -- dispatch -------------------------------------------------------------------
-
-    def dispatch(self) -> DeliveryReport:
-        """Run one dispatch round over all subscriptions.
-
-        With a scheduler wired, the round first advances the scheduler's
-        virtual server to now — fifo or deficit-round-robin over the
-        tenant queues — so fairness accounting tracks dispatch activity.
-        """
-        self.stats.dispatch_rounds += 1
-        if self._sched is not None:
-            self._sched.drain(self._clock.now())
-        report = self._engine.dispatch_all(self._subscriptions.all_subscriptions())
-        if report.dead_lettered and self._recorder is not None:
-            self._recorder.record("bus.deadletter",
-                                  count=report.dead_lettered,
-                                  depth=self.dead_letter_depth)
+    def _mark_dead_letter_high_water(self) -> None:
         if self.dead_letter_depth > self._dead_letter_high_water:
             self._dead_letter_high_water = self.dead_letter_depth
             if self._telemetry is not None:
@@ -328,6 +301,25 @@ class ServiceBus:
             if self._recorder is not None:
                 self._recorder.record("bus.deadletter_high_water",
                                       depth=self._dead_letter_high_water)
+
+    # -- dispatch -------------------------------------------------------------------
+
+    def dispatch(self) -> DeliveryReport:
+        """Run one dispatch round over the subscriptions with a backlog.
+
+        With a scheduler wired, the round first advances the scheduler's
+        virtual server to now — fifo or deficit-round-robin over the
+        tenant queues — so fairness accounting tracks dispatch activity.
+        """
+        self.stats.dispatch_rounds += 1
+        if self._sched is not None:
+            self._sched.drain(self._clock.now())
+        report = self._engine.dispatch_all(self._subscriptions.waiting())
+        if report.dead_lettered and self._recorder is not None:
+            self._recorder.record("bus.deadletter",
+                                  count=report.dead_lettered,
+                                  depth=self.dead_letter_depth)
+        self._mark_dead_letter_high_water()
         if self._telemetry is not None:
             self._telemetry.count("bus.dispatch_rounds_total")
             if report.dead_lettered:
@@ -392,8 +384,7 @@ class ServiceBus:
         handler.  Returns how many messages were re-driven.
         """
         subscription = self._subscriptions.get(subscription_id)
-        count = self._engine.replay_dead_letters(subscription,
-                                                 now=self._clock.now())
+        count = self._engine.replay_dead_letters(subscription)
         if count and self.auto_dispatch:
             self.dispatch()
         return count
@@ -408,13 +399,12 @@ class ServiceBus:
         has since been removed, stay parked.  Returns the total re-driven.
         """
         total = 0
-        now = self._clock.now()
         for origin in self._engine.dead_letter.origin_ids():
             try:
                 subscription = self._subscriptions.get(origin)
             except BusError:
                 continue
-            total += self._engine.replay_dead_letters(subscription, now=now)
+            total += self._engine.replay_dead_letters(subscription)
         if total and self.auto_dispatch:
             self.dispatch()
         return total

@@ -12,6 +12,7 @@ policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.bus.queue import DeadLetterQueue
 from repro.bus.subscriptions import Subscription
@@ -92,8 +93,7 @@ class DeliveryEngine:
             report.delivered += 1
         return report
 
-    def replay_dead_letters(self, subscription: Subscription,
-                            now: float = 0.0) -> int:
+    def replay_dead_letters(self, subscription: Subscription) -> int:
         """Re-drive one subscription's dead letters through its queue.
 
         The operator's recovery path: after the subscriber is fixed (or a
@@ -101,17 +101,15 @@ class DeliveryEngine:
         messages are re-enqueued (counted as redeliveries, with a fresh
         retry budget) and the next dispatch round delivers them in their
         original order, ahead of nothing — they rejoin at the tail like
-        any other publication.  ``now`` stamps the re-enqueue time so
-        queue-age accounting stays honest.  Returns how many messages
-        were re-driven.
+        any other publication.  Returns how many messages were re-driven.
         """
         envelopes = self.dead_letter.take_for(subscription.subscription_id)
         for envelope in envelopes:
-            subscription.queue.enqueue(envelope, now=now)
+            subscription.queue.enqueue(envelope)
             subscription.queue.stats.redelivered += 1
         return len(envelopes)
 
-    def dispatch_all(self, subscriptions: list[Subscription]) -> DeliveryReport:
+    def dispatch_all(self, subscriptions: Iterable[Subscription]) -> DeliveryReport:
         """Run one dispatch round over ``subscriptions``."""
         total = DeliveryReport()
         for subscription in subscriptions:

@@ -19,11 +19,12 @@ from repro.exceptions import BusError
 
 @dataclass
 class QueuedMessage:
-    """An envelope waiting in a queue plus its redelivery bookkeeping."""
+    """An envelope waiting in a queue plus its redelivery bookkeeping
+    (``origin``: the subscription a dead letter was evicted from)."""
 
     envelope: Envelope
     attempts: int = 0
-    enqueued_at: float = 0.0
+    origin: str = ""
 
 
 @dataclass
@@ -37,12 +38,16 @@ class QueueStats:
 
 
 class DepthTally:
-    """Running total of the depths of the queues that report to it."""
+    """What the queues reporting to it hold: the running total of their
+    depths, which of them hold anything (``waiting``, by the key each
+    reports under) and how often an empty one was filled (``arrivals``)."""
 
-    __slots__ = ("depth",)
+    __slots__ = ("depth", "waiting", "arrivals")
 
     def __init__(self) -> None:
         self.depth = 0
+        self.waiting: set = set()
+        self.arrivals = 0
 
 
 class MessageQueue:
@@ -57,19 +62,31 @@ class MessageQueue:
         self._max_depth = max_depth
         self._messages: deque[QueuedMessage] = deque()
         self._tally: DepthTally | None = None
+        self._key: object = None
         self.stats = QueueStats()
 
-    def report_to(self, tally: DepthTally | None) -> None:
-        """Keep ``tally`` current with this queue's depth (``None`` detaches).
-
-        Every mutation below moves the tally, so the broker reads its
-        total backlog without summing its subscription queues.
-        """
+    def report_to(self, tally: DepthTally | None, key: object = None) -> None:
+        """Keep ``tally`` current with this queue, known to it as ``key``
+        (``None`` detaches): every mutation below reports through
+        :meth:`_moved`, so the broker reads its total backlog, and which
+        subscriptions have one, without visiting its subscription queues."""
         if self._tally is not None:
             self._tally.depth -= len(self._messages)
-        self._tally = tally
-        if tally is not None:
-            tally.depth += len(self._messages)
+            self._tally.waiting.discard(self._key)
+        self._tally, self._key = tally, key
+        self._moved(len(self._messages))
+
+    def _moved(self, delta: int) -> None:
+        """Tell the tally this queue's depth just changed by ``delta``."""
+        tally = self._tally
+        if tally is None:
+            return
+        tally.depth += delta
+        if not self._messages:
+            tally.waiting.discard(self._key)
+        elif self._key not in tally.waiting:
+            tally.waiting.add(self._key)
+            tally.arrivals += 1
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -79,14 +96,13 @@ class MessageQueue:
         """Number of messages waiting."""
         return len(self._messages)
 
-    def enqueue(self, envelope: Envelope, now: float = 0.0) -> None:
+    def enqueue(self, envelope: Envelope) -> None:
         """Append a message; raises ``BusError`` if the queue is full."""
         if self._max_depth is not None and len(self._messages) >= self._max_depth:
             raise BusError(f"queue {self.name!r} is full ({self._max_depth} messages)")
-        self._messages.append(QueuedMessage(envelope, enqueued_at=now))
+        self._messages.append(QueuedMessage(envelope))
         self.stats.enqueued += 1
-        if self._tally is not None:
-            self._tally.depth += 1
+        self._moved(1)
 
     def peek(self) -> QueuedMessage | None:
         """The head message without removing it (None if empty)."""
@@ -98,8 +114,7 @@ class MessageQueue:
             raise BusError(f"ack on empty queue {self.name!r}")
         queued = self._messages.popleft()
         self.stats.delivered += 1
-        if self._tally is not None:
-            self._tally.depth -= 1
+        self._moved(-1)
         return queued.envelope
 
     def nack(self) -> int:
@@ -117,17 +132,15 @@ class MessageQueue:
             raise BusError(f"evict on empty queue {self.name!r}")
         queued = self._messages.popleft()
         self.stats.dead_lettered += 1
-        if self._tally is not None:
-            self._tally.depth -= 1
+        self._moved(-1)
         return queued.envelope
 
     def drain(self) -> list[Envelope]:
         """Remove and return every queued envelope (used by index rebuilds)."""
         envelopes = [queued.envelope for queued in self._messages]
-        self.stats.delivered += len(self._messages)
-        if self._tally is not None:
-            self._tally.depth -= len(self._messages)
+        self.stats.delivered += len(envelopes)
         self._messages.clear()
+        self._moved(-len(envelopes))
         return envelopes
 
 
@@ -135,79 +148,49 @@ class DeadLetterQueue(MessageQueue):
     """The broker's parking lot for poison messages.
 
     Besides FIFO storage it remembers *which subscription* each envelope
-    was evicted from, so :meth:`take_for` can hand the delivery engine
-    exactly the messages to re-drive once that subscriber is fixed
-    (``DeliveryEngine.replay_dead_letters``).  Envelopes are shared across
-    subscription queues, so the origin lives here, never in the envelope.
+    was evicted from (``QueuedMessage.origin``), so :meth:`take_for` can
+    hand the delivery engine exactly the messages to re-drive once that
+    subscriber is fixed (``DeliveryEngine.replay_dead_letters``).
+    Envelopes are shared across subscription queues, so the origin lives
+    here, never in the envelope.
     """
 
     def __init__(self, name: str = "dead-letter") -> None:
         super().__init__(name)
-        self._origins: deque[str] = deque()
         # Cumulative per-topic arrivals (never decremented on replay/drain):
         # an abuse episode's shed volume stays visible after the backlog
         # has been re-driven.
         self._by_topic: dict[str, int] = {}
 
-    def enqueue(self, envelope: Envelope, now: float = 0.0) -> None:
+    def enqueue(self, envelope: Envelope) -> None:
         """Park an envelope with no recorded origin (direct callers)."""
-        self.enqueue_from("", envelope, now=now)
+        self.enqueue_from("", envelope)
 
-    def enqueue_from(self, subscription_id: str, envelope: Envelope,
-                     now: float = 0.0) -> None:
+    def enqueue_from(self, subscription_id: str, envelope: Envelope) -> None:
         """Park an envelope evicted from ``subscription_id``'s queue."""
-        super().enqueue(envelope, now=now)
-        self._origins.append(subscription_id)
+        super().enqueue(envelope)
+        self._messages[-1].origin = subscription_id
         self._by_topic[envelope.topic] = self._by_topic.get(envelope.topic, 0) + 1
-
-    def ack(self) -> Envelope:
-        envelope = super().ack()
-        self._origins.popleft()
-        return envelope
-
-    def evict_head(self) -> Envelope:
-        envelope = super().evict_head()
-        self._origins.popleft()
-        return envelope
-
-    def drain(self) -> list[Envelope]:
-        self._origins.clear()
-        return super().drain()
 
     def origin_ids(self) -> list[str]:
         """Distinct origin subscription ids with parked messages, in
         first-parked order (empty-string origins — direct callers with no
         recorded origin — are skipped)."""
         seen: list[str] = []
-        for origin in self._origins:
-            if origin and origin not in seen:
-                seen.append(origin)
+        for queued in self._messages:
+            if queued.origin and queued.origin not in seen:
+                seen.append(queued.origin)
         return seen
 
     def counts_by_topic(self) -> dict[str, int]:
         """Cumulative dead-letter arrivals per topic (survive replay/drain)."""
         return dict(self._by_topic)
 
-    def origin_of(self, position: int) -> str:
-        """Subscription id the message at ``position`` was evicted from."""
-        try:
-            return self._origins[position]
-        except IndexError as exc:
-            raise BusError(f"no dead letter at position {position}") from exc
-
     def take_for(self, subscription_id: str) -> list[Envelope]:
         """Remove and return every dead letter of one subscription."""
-        kept: deque[QueuedMessage] = deque()
-        kept_origins: deque[str] = deque()
-        taken: list[Envelope] = []
-        for queued, origin in zip(self._messages, self._origins):
-            if origin == subscription_id:
-                taken.append(queued.envelope)
-            else:
-                kept.append(queued)
-                kept_origins.append(origin)
-        self._messages = kept
-        self._origins = kept_origins
-        if self._tally is not None:
-            self._tally.depth -= len(taken)
+        taken = [queued.envelope for queued in self._messages
+                 if queued.origin == subscription_id]
+        self._messages = deque(queued for queued in self._messages
+                               if queued.origin != subscription_id)
+        self._moved(-len(taken))
         return taken

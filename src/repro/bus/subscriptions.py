@@ -11,7 +11,7 @@ authorizes the consumer for the event class — that gating lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.bus.envelope import Envelope
 from repro.bus.queue import DepthTally, MessageQueue
@@ -77,7 +77,6 @@ class SubscriptionRegistry:
         self._indexed = indexed
         self._perf = perf if perf is not None and perf.enabled else None
         self._order = 0
-        self._order_of: dict[str, int] = {}
         self._trie = None
         if indexed:
             from repro.perf.topic_index import TopicTrie
@@ -106,8 +105,8 @@ class SubscriptionRegistry:
                 f"duplicate subscription id {subscription.subscription_id!r}"
             )
         self._subscriptions[subscription.subscription_id] = subscription
-        subscription.queue.report_to(self._backlog)
-        self._order_of[subscription.subscription_id] = self._order
+        subscription.queue.report_to(
+            self._backlog, (self._order, subscription.subscription_id))
         if self._trie is not None:
             self._trie.add(subscription.pattern, self._order, subscription)
             self._fanout_memo.clear()
@@ -120,7 +119,6 @@ class SubscriptionRegistry:
         except KeyError as exc:
             raise SubscriptionError(f"no subscription {subscription_id!r}") from exc
         subscription.queue.report_to(None)
-        self._order_of.pop(subscription_id, None)
         if self._trie is not None:
             self._trie.remove(subscription.pattern, subscription)
             self._fanout_memo.clear()
@@ -173,3 +171,25 @@ class SubscriptionRegistry:
     def all_subscriptions(self) -> list[Subscription]:
         """Every registered subscription."""
         return list(self._subscriptions.values())
+
+    def waiting(self) -> Iterator[Subscription]:
+        """The subscriptions whose queue holds something, in registration
+        order — what a dispatch round has to visit.
+
+        The queues keep the set themselves (:class:`DepthTally`): every
+        enqueue path is covered, a paused or retry-pending subscription
+        stays in.  Read lazily, so a queue a handler fills mid-round is
+        reached as on a pass over every subscription (if registered later).
+        """
+        tally, last = self._backlog, -1
+        while True:
+            arrivals = tally.arrivals
+            for last, subscription_id in sorted(
+                    key for key in tally.waiting if key[0] > last):
+                subscription = self._subscriptions.get(subscription_id)
+                if subscription is not None:  # not withdrawn by a handler
+                    yield subscription
+                if tally.arrivals != arrivals:
+                    break  # an idle queue was filled: read the set again
+            else:
+                return

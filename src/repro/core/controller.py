@@ -503,11 +503,11 @@ class DataController:
         roster_scoped: bool = False,
     ) -> Callable[[Envelope], None]:
         """The bus-side delivery handler of one subscription, local or
-        relayed: parse the envelope, apply the roster filter, audit the
-        delivery, then hand the notification to ``handler``."""
+        relayed: read the notification (decoded once per envelope), apply the
+        roster filter, audit the delivery, then hand it to ``handler``."""
 
         def deliver(envelope: Envelope) -> None:
-            notification = NotificationMessage.from_xml(str(envelope.body))
+            notification = envelope.decoded(NotificationMessage.from_xml)
             if roster_scoped and not self.roster.is_assigned(
                 consumer_id, notification.subject_ref
             ):

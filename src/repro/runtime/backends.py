@@ -58,19 +58,21 @@ class JsonlAuditSink(AuditLog):
     def __init__(self, path: str | Path | RecordLog) -> None:
         super().__init__()
         self._store = _as_log(path)
+        self._replaying = True  # stored rows are chained, not written again
         for row in self._store.iter_records():
-            digest = super().append(AuditRecord.from_payload(row))
+            digest = self.append(AuditRecord.from_payload(row))
             if row.get("digest") not in (None, digest):
                 raise TamperedLogError(
                     f"stored digest of audit record "
                     f"{row['record_id']!r} does not replay"
                 )
+        self._replaying = False
 
-    def append(self, record: AuditRecord) -> str:
-        """Append ``record``, write it through to disk, return its digest."""
-        digest = super().append(record)
-        self._store.append({**record.to_payload(), "digest": digest})
-        return digest
+    def _persist(self, payload: dict[str, object], digest: str) -> None:
+        """Write the chained record through to disk beside its digest."""
+        if not self._replaying:
+            payload["digest"] = digest
+            self._store.append(payload)
 
     def flush(self) -> None:
         """Group-commit barrier: make every buffered append durable.

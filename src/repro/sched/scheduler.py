@@ -79,11 +79,8 @@ def tenant_of(actor_id: str) -> str:
     Organization ids are their own tenant; federation relay and
     platform-internal senders collapse onto :data:`SYSTEM_TENANT`.
     """
-    if not actor_id:
+    if not actor_id or actor_id.startswith(_SYSTEM_PREFIXES):
         return SYSTEM_TENANT
-    for prefix in _SYSTEM_PREFIXES:
-        if actor_id.startswith(prefix):
-            return SYSTEM_TENANT
     return actor_id
 
 
@@ -370,11 +367,6 @@ class TenantScheduler:
         """
         for _ in range(count):
             self.submit(sender, WORK_PUBLISH, now)
-
-    def note_fanout_many(self, subscriber: str, count: int, now: float) -> None:
-        """Meter a tenant-batch of fan-out deliveries in one call."""
-        for _ in range(count):
-            self.submit(subscriber, WORK_FANOUT, now)
 
     # -- the fluid server --------------------------------------------------
 

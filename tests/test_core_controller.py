@@ -15,6 +15,7 @@ from repro import (
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.audit.query import AuditQuery
 from repro.core.enforcement import DetailRequest
+from repro.core.messages import NotificationMessage
 from repro.exceptions import (
     AccessDeniedError,
     ConfigurationError,
@@ -102,6 +103,43 @@ class TestDeclareAndPublish:
     def test_notifications_carry_identity_for_authorized_subscribers(self, platform_small):
         platform_small.publish_blood_test(name="Luisa Verdi")
         assert platform_small.doctor.inbox[0].subject_display == "Luisa Verdi"
+
+
+class TestUndecodableNotification:
+    def test_fails_for_every_subscriber_and_nothing_is_retained(
+            self, platform_small, monkeypatch):
+        """A body that does not parse is a failed delivery of each
+        subscription on its own: retried to its budget, then dead-lettered
+        per subscription, the parse attempted afresh every time."""
+        parses = []
+        from_xml = NotificationMessage.from_xml.__func__
+        monkeypatch.setattr(NotificationMessage, "from_xml", classmethod(
+            lambda cls, text: parses.append(text) or from_xml(cls, text)))
+        bus = platform_small.controller.bus
+        envelope = bus.publish(platform_small.blood_class.topic,
+                               "Hospital-S-Maria", "<Notification><eventId>")
+        report = bus.dispatch()  # the publish ran round one
+        assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 0)
+        report = bus.dispatch()
+        assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 2)
+        assert len(parses) == 6  # 2 subscribers x max_attempts, none reused
+        assert envelope.decoded(lambda text: None) is None
+        assert bus.dead_letter_counts() == {platform_small.blood_class.topic: 2}
+        assert bus.pending_messages() == 0
+        assert platform_small.doctor.inbox == platform_small.statistics.inbox == []
+        notified = (AuditQuery().by_action(AuditAction.NOTIFY)
+                    .count(platform_small.controller.audit_log))
+        assert notified == 0
+
+    def test_a_well_formed_document_that_is_no_notification_is_not_retained(
+            self, platform_small):
+        bus = platform_small.controller.bus
+        body = platform_small.publish_blood_test().to_xml().replace(
+            "Notification>", "Notice>")
+        envelope = bus.publish(platform_small.blood_class.topic,
+                               "Hospital-S-Maria", body)
+        assert bus.dispatch().failed == 2  # round two, as many as round one
+        assert envelope.decoded(lambda text: None) is None
 
 
 class TestSubscriptionGating:

@@ -1,5 +1,7 @@
 """Unit and integration tests for patient-roster scoping."""
 
+import dataclasses
+
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
@@ -84,6 +86,17 @@ class TestRosterScopedDelivery:
         publish("p4")  # nobody's patient
         assert {n.subject_ref for n in rossi.inbox} == {"p1", "p2"}
         assert {n.subject_ref for n in verdi.inbox} == {"p3"}
+
+    def test_subscribers_share_one_frozen_notification_filtered_per_consumer(
+            self, roster_world):
+        """The envelope is decoded once; the roster filter still runs for
+        each consumer against that one object."""
+        controller, hospital, rossi, verdi, statistics, publish = roster_world
+        publish("p1")
+        assert rossi.inbox[0] is statistics.inbox[0]
+        assert verdi.inbox == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rossi.inbox[0].subject_ref = "p3"
 
     def test_class_wide_subscription_unaffected(self, roster_world):
         controller, hospital, rossi, verdi, statistics, publish = roster_world

@@ -151,11 +151,18 @@ class TestJsonlBackends:
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood)
         head = controller.audit_log.head_digest
+        stored = (tmp_path / "audit.jsonl").read_bytes()
 
         reloaded = JsonlAuditSink(tmp_path / "audit.jsonl")
         reloaded.verify_integrity()
         assert len(reloaded) == len(controller.audit_log)
         assert reloaded.head_digest == head
+        # Replay chains the stored rows; it does not write them again.
+        assert (tmp_path / "audit.jsonl").read_bytes() == stored
+        rows = [json.loads(line) for line in stored.splitlines()]
+        assert rows == [
+            {**record.to_payload(), "digest": reloaded._chain.digest_at(index)}
+            for index, record in enumerate(reloaded.records())]
 
     def test_tampered_audit_file_is_rejected_on_replay(self, tmp_path):
         runtime = RuntimeConfig(audit_sink="jsonl", data_dir=tmp_path)

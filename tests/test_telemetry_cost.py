@@ -9,8 +9,9 @@ their series through a memo, and pipeline/stage spans are bound once
 * exports of two seeded scenarios are byte-for-byte those of the commit
   before the memo existed, and every op still opens as many spans;
 * after warm-up the hot paths classify no key and run ``sanitize`` only
-  for samples that carry an identifying label — counts, which repeat
-  exactly, where wall time cannot gate CI;
+  for samples that carry an identifying label, and a fan-out parses its
+  notification once per node and visits only the queues it filled —
+  counts, which repeat exactly, where wall time cannot gate CI;
 * the wall-clock sidecar gets one sample per pipeline execution and shows
   up in no export.
 """
@@ -24,8 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AccessDeniedError
+from repro import AccessDeniedError, ElementDecl, MessageSchema, StringType
+from repro.bus.delivery import DeliveryEngine
 from repro.clock import Clock
+from repro.core.messages import NotificationMessage
 from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 from repro.obs.benchreport import scenario_summary
 from repro.obs.guard import (
@@ -222,24 +225,43 @@ PINNED = {
 }
 
 
+#: Audit head digests of the same runs, one per node, computed at 4e9f2da
+#: (before notifications were decoded once and dispatch read the waiting
+#: set): NOTIFY records keep their registration order.
+PINNED_AUDIT_HEADS = {
+    "css": ["3b41752034237f7d041b1842485672069eba86746808ca2d7fd09dc523d5cd96"],
+    "federated": [
+        "b7e13fc8d09e9a2c2f9ee1fd0b0d2dc513f6ed2854de32f5334bbcfddc25abc3",
+        "a1b14f23db1eac01bc0dff1ba8abf3174ce52ebd37e8e7e7f7805b49c33fc2cb"],
+}
+
+
 def digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def css_telemetry() -> InMemoryTelemetry:
+def css_scenario() -> CssScenario:
     scenario = CssScenario(ScenarioConfig(
         n_patients=8, n_events=40, detail_request_rate=0.4, seed=2010,
         runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash")))
     scenario.run(scenario.generate_workload())
-    return scenario.controller.telemetry
+    return scenario
 
 
-def federated_telemetry() -> InMemoryTelemetry:
+def federated_scenario() -> FederatedScenario:
     scenario = FederatedScenario(FederatedScenarioConfig(
         nodes=2, n_patients=10, n_events=60, seed=2010,
         telemetry_guard="hash"))
     scenario.run()
-    return scenario.telemetry
+    return scenario
+
+
+def css_telemetry() -> InMemoryTelemetry:
+    return css_scenario().controller.telemetry
+
+
+def federated_telemetry() -> InMemoryTelemetry:
+    return federated_scenario().telemetry
 
 
 @pytest.mark.parametrize("name, run", [("css", css_telemetry),
@@ -248,6 +270,15 @@ def test_exports_are_byte_identical_to_the_parent_commit(name, run):
     telemetry = run()
     assert (digest(telemetry.trace_export()),
             digest(telemetry.metrics_export())) == PINNED[name]
+
+
+def test_audit_heads_are_those_of_the_parent_commit():
+    heads = {
+        "css": [css_scenario().controller.audit_log.head_digest],
+        "federated": [node.controller.audit_log.head_digest
+                      for node in federated_scenario().platform.nodes()],
+    }
+    assert heads == PINNED_AUDIT_HEADS
 
 
 @pytest.fixture()
@@ -331,6 +362,52 @@ def test_warm_hot_paths_classify_nothing_and_sanitize_only_to_hash(
         telemetry.count("probe_total", subject_ref=f"p{index % 5}",
                         pipeline="probe")
     assert counts == {"classify": 1, "sanitize": 50}
+
+
+def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
+        prod_platform, monkeypatch):
+    """One publish to N subscribers among M >> N subscriptions: one
+    ``from_xml`` on each node with a subscriber, N queue visits."""
+    platform, blood = prod_platform
+    other = platform.declare_event_class("Hospital", MessageSchema(
+        "Discharge", [ElementDecl("PatientId", StringType(min_length=1),
+                                  identifying=True)]))
+    platform.producer("Hospital").define_policy(
+        other.name, fields=["PatientId"],
+        consumers=[("family-doctor", "role")], purposes=["healthcare-treatment"])
+    inboxes = []
+    for index in range(6):
+        consumer = platform.add_consumer(
+            f"Dr-{index}", f"Dr. {index}", role="family-doctor",
+            node_id=f"node-{index % 2}")
+        inboxes.append(consumer.inbox)
+        platform.subscribe(consumer.actor_id, "BloodTest")
+        for _ in range(20):  # subscriptions this publish is not for
+            platform.subscribe(consumer.actor_id, other.name)
+    assert sum(node.controller.bus.subscription_count
+               for node in platform.nodes()) > 120
+    publish(platform, blood, 1)  # warm-up: relay topic declared on node-1
+    counts = {"from_xml": 0, "dispatch_subscription": 0}
+    from_xml = NotificationMessage.from_xml.__func__
+    dispatch_subscription = DeliveryEngine.dispatch_subscription
+
+    def counted_from_xml(cls, text):
+        counts["from_xml"] += 1
+        return from_xml(cls, text)
+
+    def counted_dispatch(engine, subscription):
+        counts["dispatch_subscription"] += 1
+        return dispatch_subscription(engine, subscription)
+
+    monkeypatch.setattr(NotificationMessage, "from_xml",
+                        classmethod(counted_from_xml))
+    monkeypatch.setattr(DeliveryEngine, "dispatch_subscription",
+                        counted_dispatch)
+    publish(platform, blood, 1, first=1)
+    # Three subscribers per node, and node-0's one relay toward node-1.
+    assert counts == {"from_xml": 2, "dispatch_subscription": 6 + 1}
+    assert [len(inbox) for inbox in inboxes] == [2] * 6
+    assert len({id(inbox[1]) for inbox in inboxes}) == 2  # one object a node
 
 
 # -- the wall-clock sidecar ---------------------------------------------------
