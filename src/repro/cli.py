@@ -581,10 +581,8 @@ def _cmd_kernel(args: argparse.Namespace, out) -> int:
     defaults = RuntimeConfig()
     print("service kernel wiring (kind: implementations, * = default):", file=out)
     chosen = {
-        "cipher": defaults.cipher, "transport": defaults.transport,
         "index": defaults.index_store, "audit": defaults.audit_sink,
-        "pdp": defaults.pdp, "fetcher": defaults.detail_fetcher,
-        "telemetry": defaults.telemetry, "federation": defaults.federation,
+        "telemetry": defaults.telemetry,
         "slo": defaults.slo, "profiling": defaults.profiling,
         "perf": defaults.perf, "store": defaults.store,
         "sched": defaults.sched, "recorder": defaults.recorder,

@@ -17,12 +17,14 @@ policy" (§4).  Its responsibilities, each a method below:
 * **resolve events-index inquiries**, also policy-gated;
 * **maintain audit logs** of every access for the privacy guarantor.
 
-Since the service-kernel refactor the controller no longer constructs its
-collaborators directly: the cipher, transport, events index, audit sink,
-detail fetcher and policy decision point are resolved by name through the
-:mod:`~repro.runtime.kernel` (see :class:`~repro.runtime.kernel.RuntimeConfig`),
-and both hot paths — notification publish and request-for-details — run
-through the interceptor pipelines of :mod:`repro.runtime.interceptors`.
+Collaborators with a real choice — events index, audit sink, store engine,
+telemetry, scheduler, perf layer, batching — are resolved by name through
+the :mod:`~repro.runtime.kernel` (see
+:class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, bus, endpoint
+detail fetcher and policy enforcer have one implementation each and are
+constructed here.  Both hot paths — notification publish and
+request-for-details — run through the stage pipelines of
+:mod:`repro.runtime.interceptors`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.audit.log import AuditAction, AuditOutcome, mint_record
+from repro.bus.broker import ServiceBus
 from repro.bus.endpoints import EndpointRegistry
 from repro.bus.envelope import Envelope
 from repro.clock import Clock
@@ -43,13 +46,14 @@ from repro.core.elicitation import (
     PendingRequestQueue,
     PolicyDashboard,
 )
-from repro.core.enforcement import DetailRequest
+from repro.core.enforcement import DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.idmap import EventIdMap
 from repro.core.messages import NotificationMessage
 from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.core.roster import PatientRoster
+from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
     AccessDeniedError,
     UnknownEventClassError,
@@ -68,10 +72,7 @@ from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import (
     KIND_AUDIT,
     KIND_BATCH,
-    KIND_CIPHER,
-    KIND_FETCHER,
     KIND_INDEX,
-    KIND_PDP,
     KIND_PERF,
     KIND_PROFILING,
     KIND_RECORDER,
@@ -79,12 +80,15 @@ from repro.runtime.kernel import (
     KIND_SLO,
     KIND_STORE,
     KIND_TELEMETRY,
-    KIND_TRANSPORT,
     RuntimeConfig,
     ServiceKernel,
     default_kernel,
 )
-from repro.runtime.services import SchedulerGate, gateway_endpoint_name
+from repro.runtime.services import (
+    EndpointDetailFetcher,
+    SchedulerGate,
+    gateway_endpoint_name,
+)
 
 #: Callback receiving decrypted notifications at an authorized subscriber.
 NotificationHandler = Callable[[NotificationMessage], None]
@@ -94,8 +98,9 @@ class DataController:
     """The CSS platform's central node.
 
     ``runtime`` selects the named implementation of every collaborator
-    (defaults reproduce the historical all-in-memory wiring); ``kernel``
-    overrides the registry those names are resolved against.
+    that has a choice (defaults reproduce the historical all-in-memory
+    wiring); ``kernel`` overrides the registry those names are resolved
+    against.
     """
 
     def __init__(
@@ -117,9 +122,7 @@ class DataController:
         # the federated platform passes its membership/node identity through
         # here so factories like the federated index can reach them.
         self._services_context = dict(services_context or {})
-        self.keystore = self._create(
-            KIND_CIPHER, self.runtime.cipher, master_secret=master_secret
-        )
+        self.keystore = KeyStore(master_secret)
         self.telemetry = self._create(
             KIND_TELEMETRY, self.runtime.telemetry,
             clock=self.clock, master_secret=master_secret,
@@ -150,8 +153,7 @@ class DataController:
             telemetry=self.telemetry, recorder=self.recorder,
         )
         self._sched_gate = SchedulerGate(self.sched, self.clock)
-        self.bus = self._create(
-            KIND_TRANSPORT, self.runtime.transport,
+        self.bus = ServiceBus(
             clock=self.clock, ids=self.ids, auto_dispatch=auto_dispatch,
             telemetry=self.telemetry, perf=self.perf, sched=self.sched,
             recorder=self.recorder,
@@ -198,13 +200,8 @@ class DataController:
             consent_resolver=self._consent.get,
             endpoints=self.endpoints,
         )
-        self._fetcher = self._create(
-            KIND_FETCHER, self.runtime.detail_fetcher,
-            endpoints=self.endpoints, require_producer=self.gateway_of,
-            gateway_resolver=self.gateway_of,
-        )
-        self.enforcer = self._create(
-            KIND_PDP, self.runtime.pdp,
+        self._fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
+        self.enforcer = PolicyEnforcer(
             repository=self.policies, id_map=self.id_map,
             purposes=self.purposes, audit_log=self.audit_log,
             clock=self.clock, ids=self.ids,
@@ -269,7 +266,7 @@ class DataController:
 
     @property
     def publish_pipeline(self):
-        """The notification-publish interceptor chain."""
+        """The notification-publish stage pipeline."""
         return self._publish_pipeline
 
     @property
@@ -279,7 +276,7 @@ class DataController:
 
     @property
     def detail_fetcher(self):
-        """The kernel-resolved gateway client used by the enforcer."""
+        """The gateway client used by the enforcer's fetch stage."""
         return self._fetcher
 
     @property

@@ -17,10 +17,10 @@ The enforcer also honours source-level **consent**: a data subject's detail
 opt-out denies the request before any policy is consulted (consent is the
 stronger constraint — policies grant, consent vetoes).
 
-Since the service-kernel refactor the stages live in
-:mod:`repro.runtime.interceptors` — the enforcer builds the chain
-``stats → audit → resolve → consent → decide → fetch → filter`` once at
-construction and :meth:`get_event_details` is a single pipeline execution.
+The stages live in :mod:`repro.runtime.interceptors` — the enforcer
+builds the rows ``stats → audit → resolve → consent → decide → fetch →
+filter`` once at construction and :meth:`get_event_details` is a single
+pipeline execution.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class PolicyEnforcer:
 
     @property
     def pipeline(self):
-        """The Algorithm 1 interceptor chain (inspectable, e.g. stage names)."""
+        """The Algorithm 1 stage pipeline (inspectable, e.g. stage names)."""
         return self._pipeline
 
     # -- PIP wiring -----------------------------------------------------------
@@ -208,7 +208,7 @@ class PolicyEnforcer:
         return None
 
     def _audit_obligation(self, request: RequestContext, outcome: object) -> None:
-        # The actual audit record is written by the audit interceptor with
+        # The actual audit record is written by the audit stage with
         # the full request context; the obligation only needs discharging.
         self._audit_obligations_fired += 1
 

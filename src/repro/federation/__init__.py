@@ -10,7 +10,7 @@ keeping its privacy model intact:
   canonical-JSON payloads, deterministic latency, scripted failure
   injection, retry through the bus's :class:`~repro.bus.delivery.DeliveryPolicy`;
 * :mod:`~repro.federation.membership` — the static ring of nodes and the
-  link table (kernel kind ``federation``: ``none`` | ``static``);
+  link table;
 * :mod:`~repro.federation.index` — the sharded events index (kernel kind
   ``index``: ``federated``), storing sealed entries on their owner shard;
 * :mod:`~repro.federation.node` / :mod:`~repro.federation.router` — the
@@ -28,7 +28,7 @@ keeping its privacy model intact:
 from repro.federation.audit import FederatedAuditEntry, FederatedAuditTrail
 from repro.federation.index import FederatedIndexStore
 from repro.federation.link import Link, LinkStats
-from repro.federation.membership import NoFederation, StaticMembership
+from repro.federation.membership import StaticMembership
 from repro.federation.node import FederationNode
 from repro.federation.platform import FederatedPlatform, RebalanceReport
 from repro.federation.ring import HashRing, subject_shard_key
@@ -52,7 +52,6 @@ __all__ = [
     "HashRing",
     "Link",
     "LinkStats",
-    "NoFederation",
     "RebalanceReport",
     "StaticMembership",
     "subject_shard_key",

@@ -1,14 +1,10 @@
 """Cluster membership: the ring, the nodes, and the link table.
 
-:class:`StaticMembership` is the kernel's ``federation: static``
-implementation — a fixed plan of ``shards`` controller nodes sharing one
-simulated clock and one master secret.  It is created *before* any node
-exists (the platform builds controllers against it), so nodes register
-themselves as they come up; links between node pairs are created lazily
-and cached, one per direction.
-
-:class:`NoFederation` is the ``federation: none`` sentinel for
-single-controller deployments.
+:class:`StaticMembership` is a fixed plan of ``shards`` controller nodes
+sharing one simulated clock and one master secret.  It is created
+*before* any node exists (the platform builds controllers against it), so
+nodes register themselves as they come up; links between node pairs are
+created lazily and cached, one per direction.
 """
 
 from __future__ import annotations
@@ -25,17 +21,8 @@ if TYPE_CHECKING:
     from repro.federation.node import FederationNode
 
 
-class NoFederation:
-    """Single-controller deployments: federation disabled."""
-
-    enabled = False
-    shards = 1
-
-
 class StaticMembership:
-    """A fixed-shard federation plan (kernel kind ``federation: static``)."""
-
-    enabled = True
+    """A fixed-shard federation plan."""
 
     def __init__(
         self,

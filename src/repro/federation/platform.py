@@ -36,13 +36,9 @@ from repro.core.enforcement import DetailRequest
 from repro.core.events import EventClass
 from repro.core.messages import DetailMessage, NotificationMessage
 from repro.core.producer import DataProducer
-from repro.exceptions import (
-    AccessDeniedError,
-    FederationError,
-    GatewayError,
-    LinkFailureError,
-)
+from repro.exceptions import FederationError
 from repro.federation.audit import FederatedAuditTrail, guarantor_inquiry
+from repro.federation.membership import StaticMembership
 from repro.federation.node import (
     INDEX_COST,
     INDEX_UNIT_COST,
@@ -54,12 +50,8 @@ from repro.federation.router import FederationRouter
 from repro.obs.guard import PrivacyGuard
 from repro.obs.stitch import StitchedTrace, stitch
 from repro.obs.telemetry import InMemoryTelemetry, NoopTelemetry
-from repro.runtime.kernel import (
-    KIND_FEDERATION,
-    RuntimeConfig,
-    ServiceKernel,
-    default_kernel,
-)
+from repro.runtime.interceptors import classify
+from repro.runtime.kernel import RuntimeConfig, ServiceKernel, default_kernel
 from repro.xmlmsg.schema import MessageSchema
 
 
@@ -112,8 +104,7 @@ class FederatedPlatform:
             PrivacyGuard(mode=telemetry_guard, secret=master_secret)
             if per_node_telemetry else getattr(self.telemetry, "guard", None)
         )
-        self.membership = self.kernel.create(
-            KIND_FEDERATION, "static",
+        self.membership = StaticMembership(
             shards=shards, clock=self.clock, master_secret=master_secret,
             link_latency=link_latency, link_policy=link_policy,
             telemetry=self.telemetry,
@@ -148,8 +139,6 @@ class FederatedPlatform:
             self._base_runtime,
             index_store="federated",
             telemetry="shared",
-            federation="static",
-            shards=self.membership.shards,
             data_dir=data_dir,
         )
         if self.per_node_telemetry:
@@ -421,13 +410,13 @@ class FederatedPlatform:
                 detail = self._routers[consumer_home].request_remote_details(
                     class_home, request
                 )
-        except AccessDeniedError:
-            audit(AuditOutcome.DENY, f"denied by home node {class_home}")
-            raise
-        except (GatewayError, LinkFailureError) as exc:
-            # Home gateway down or the hop's retry budget spent: audited
-            # as an error, like the local path's audit stage does.
-            audit(AuditOutcome.ERROR, f"home node {class_home} failed: {exc}")
+        except Exception as exc:
+            # The local audit stage's rule: a deny, or — home gateway down,
+            # the hop's retry budget spent, anything else — an error.
+            outcome = classify(None, exc).audit
+            audit(outcome, f"denied by home node {class_home}"
+                  if outcome is AuditOutcome.DENY
+                  else f"home node {class_home} failed: {exc}")
             raise
         audit(AuditOutcome.PERMIT, f"resolved by home node {class_home}")
         return detail

@@ -4,17 +4,18 @@ Two backends, registered in the service kernel like every other
 collaborator (``RuntimeConfig(telemetry="inmemory")``):
 
 * :class:`NoopTelemetry` (default) — every operation is a no-op and
-  ``enabled`` is ``False``, so the pipelines skip instrumentation wrappers
-  entirely: an un-instrumented platform pays nothing;
+  ``enabled`` is ``False``, so the pipeline loop opens no span at all: an
+  un-instrumented platform pays nothing;
 * :class:`InMemoryTelemetry` — a :class:`~repro.obs.metrics.MetricsRegistry`
   plus a :class:`~repro.obs.tracing.Tracer` sharing one
   :class:`~repro.obs.guard.PrivacyGuard`, timed against the platform's
   simulated clock.
 
 The facade API is intentionally tiny — ``count``/``gauge``/``observe``,
-``span``/``stage_span``, ``restrict_keys`` — so instrumented modules
-(bus broker, XACML PDP, interceptor pipelines) depend on nothing but this
-shape.
+``span``, ``restrict_keys``, and on an enabled backend the bound
+``pipeline_span``/``stage_span`` the pipeline loop opens — so instrumented
+modules (bus broker, XACML PDP, stage pipelines) depend on nothing but
+this shape.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class NoopTelemetry:
 
     @contextmanager
     def span(self, name: str, remote_parent=None, **attributes: object):
-        yield None
-
-    @contextmanager
-    def stage_span(self, pipeline: str, stage: str):
-        yield None
-
-    @contextmanager
-    def pipeline_span(self, pipeline: str):
         yield None
 
     def observe_wall(self, name: str, seconds: float, **labels: object) -> None:
@@ -202,7 +195,7 @@ class InMemoryTelemetry:
         return self.tracer.current_context()
 
     def stage_span(self, pipeline: str, stage: str):
-        """A per-interceptor-stage child span plus its duration histogram."""
+        """A per-pipeline-stage child span plus its duration histogram."""
         bound = self._bound_spans.get((pipeline, stage))
         if bound is None:
             bound = self._bind(

@@ -1,7 +1,7 @@
 """Deterministic tracing: spans with parent/child context propagation.
 
 One trace per pipeline execution (a publish, a request-for-details), one
-child span per interceptor stage.  Timestamps come from the platform's
+child span per pipeline stage.  Timestamps come from the platform's
 simulated :class:`~repro.clock.Clock` and span/trace ids from plain
 counters, so the same seeded scenario always produces the same spans —
 the trace-determinism tests diff the JSONL export byte for byte.

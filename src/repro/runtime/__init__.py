@@ -1,4 +1,4 @@
-"""Runtime layer: service interfaces, kernel and interceptor pipelines.
+"""Runtime layer: service interfaces, kernel and hot-path pipelines.
 
 See :mod:`repro.runtime.interfaces` for the collaborator protocols,
 :mod:`repro.runtime.kernel` for the composition root and
@@ -8,8 +8,6 @@ See :mod:`repro.runtime.interfaces` for the collaborator protocols,
 from repro.runtime.interceptors import (
     PUBLISH,
     REQUEST_DETAILS,
-    Interceptor,
-    InterceptorPipeline,
     Invocation,
     PublishStats,
     build_details_edge_pipeline,
@@ -53,8 +51,6 @@ __all__ = [
     "DirectDetailFetcher",
     "EndpointDetailFetcher",
     "IndexStore",
-    "Interceptor",
-    "InterceptorPipeline",
     "Invocation",
     "JsonlAuditSink",
     "JsonlIndexStore",

@@ -1,11 +1,11 @@
 """The service kernel — the platform's single composition root.
 
 Every collaborator of the :class:`~repro.core.controller.DataController`
-(cipher, transport, index store, audit sink, detail fetcher, policy
-decision point) is constructed here, by *name*, from a registry of
-factories.  The controller, CLI, examples and benchmarks all build their
-service graph through one kernel, so swapping a backend — say the
-in-memory events index for the JSONL-backed one — is a
+that has more than one implementation (index store, audit sink, store
+engine, telemetry, scheduler, ...) is constructed here, by *name*, from a
+registry of factories.  The controller, CLI, examples and benchmarks all
+build their service graph through one kernel, so swapping a backend —
+say the in-memory events index for the JSONL-backed one — is a
 :class:`RuntimeConfig` field, not an edit to the controller:
 
     >>> controller = DataController(runtime=RuntimeConfig(
@@ -29,15 +29,12 @@ from repro.exceptions import ConfigurationError
 #: A service factory: ``factory(**context) -> implementation``.
 ServiceFactory = Callable[..., Any]
 
-#: Service kinds the default kernel wires (one per controller collaborator).
-KIND_CIPHER = "cipher"
-KIND_TRANSPORT = "transport"
+#: Service kinds the default kernel wires: the collaborators with a real
+#: choice.  What has one implementation (keystore, bus, enforcer, endpoint
+#: fetcher, federation membership) its owner constructs directly.
 KIND_INDEX = "index"
 KIND_AUDIT = "audit"
-KIND_PDP = "pdp"
-KIND_FETCHER = "fetcher"
 KIND_TELEMETRY = "telemetry"
-KIND_FEDERATION = "federation"
 KIND_SLO = "slo"
 KIND_PROFILING = "profiling"
 KIND_PERF = "perf"
@@ -55,12 +52,8 @@ class RuntimeConfig:
     backends additionally need ``data_dir``.
     """
 
-    cipher: str = "keystore"
-    transport: str = "bus"
     index_store: str = "memory"
     audit_sink: str = "memory"
-    pdp: str = "xacml"
-    detail_fetcher: str = "endpoint"
     telemetry: str = "noop"
     #: Privacy-guard mode for the telemetry backend ("hash" or "reject").
     telemetry_guard: str = "hash"
@@ -102,11 +95,6 @@ class RuntimeConfig:
     #: transitions and bus saturation events — the raw material for
     #: incident bundles, cheap enough to stay on in every scenario).
     recorder: str = "noop"
-    #: Federation topology: "none" (single controller) or "static"
-    #: (a fixed ring of ``shards`` controller nodes, see repro.federation).
-    federation: str = "none"
-    #: Number of controller nodes when federation is enabled.
-    shards: int = 1
     data_dir: str | Path | None = None
 
 
@@ -182,25 +170,6 @@ def _data_file(context: dict, filename: str) -> Path:
 # -- default factories (lazy imports: the kernel must not cycle with core) --
 
 
-def _keystore(**context: Any) -> Any:
-    from repro.crypto.keystore import KeyStore
-
-    return KeyStore(context["master_secret"])
-
-
-def _service_bus(**context: Any) -> Any:
-    from repro.bus.broker import ServiceBus
-
-    return ServiceBus(
-        clock=context["clock"], ids=context["ids"],
-        auto_dispatch=context.get("auto_dispatch", True),
-        telemetry=context.get("telemetry"),
-        perf=context.get("perf"),
-        sched=context.get("sched"),
-        recorder=context.get("recorder"),
-    )
-
-
 def _noop_telemetry(**context: Any) -> Any:
     from repro.obs.telemetry import NoopTelemetry
 
@@ -269,44 +238,6 @@ def _jsonl_audit(**context: Any) -> Any:
     from repro.runtime.backends import JsonlAuditSink
 
     return JsonlAuditSink(_maybe_batched(_durable_log(context, "audit"), context))
-
-
-def _xacml_enforcer(**context: Any) -> Any:
-    from repro.core.enforcement import PolicyEnforcer
-
-    return PolicyEnforcer(
-        repository=context["repository"],
-        id_map=context["id_map"],
-        purposes=context["purposes"],
-        gateway_resolver=context.get("gateway_resolver"),
-        audit_log=context["audit_log"],
-        clock=context["clock"],
-        ids=context["ids"],
-        consent_resolver=context.get("consent_resolver"),
-        fetcher=context.get("fetcher"),
-        telemetry=context.get("telemetry"),
-        perf=context.get("perf"),
-    )
-
-
-def _no_federation(**context: Any) -> Any:
-    from repro.federation.membership import NoFederation
-
-    return NoFederation()
-
-
-def _static_federation(**context: Any) -> Any:
-    from repro.federation.membership import StaticMembership
-
-    return StaticMembership(
-        shards=context["shards"],
-        clock=context["clock"],
-        master_secret=context["master_secret"],
-        link_latency=context.get("link_latency", 0.005),
-        link_policy=context.get("link_policy"),
-        telemetry=context.get("telemetry"),
-        label_guard=context.get("label_guard"),
-    )
 
 
 def _federated_index(**context: Any) -> Any:
@@ -451,36 +382,17 @@ def _shared_telemetry(**context: Any) -> Any:
     return context["shared_telemetry"]
 
 
-def _endpoint_fetcher(**context: Any) -> Any:
-    from repro.runtime.services import EndpointDetailFetcher
-
-    return EndpointDetailFetcher(context["endpoints"], context["require_producer"])
-
-
-def _direct_fetcher(**context: Any) -> Any:
-    from repro.runtime.services import DirectDetailFetcher
-
-    return DirectDetailFetcher(context["gateway_resolver"])
-
-
 def default_kernel() -> ServiceKernel:
     """A kernel pre-loaded with every in-tree implementation."""
     kernel = ServiceKernel()
-    kernel.register(KIND_CIPHER, "keystore", _keystore)
-    kernel.register(KIND_TRANSPORT, "bus", _service_bus)
     kernel.register(KIND_INDEX, "memory", _memory_index)
     kernel.register(KIND_INDEX, "jsonl", _jsonl_index)
     kernel.register(KIND_INDEX, "federated", _federated_index)
     kernel.register(KIND_AUDIT, "memory", _memory_audit)
     kernel.register(KIND_AUDIT, "jsonl", _jsonl_audit)
-    kernel.register(KIND_PDP, "xacml", _xacml_enforcer)
-    kernel.register(KIND_FETCHER, "endpoint", _endpoint_fetcher)
-    kernel.register(KIND_FETCHER, "direct", _direct_fetcher)
     kernel.register(KIND_TELEMETRY, "noop", _noop_telemetry)
     kernel.register(KIND_TELEMETRY, "inmemory", _inmemory_telemetry)
     kernel.register(KIND_TELEMETRY, "shared", _shared_telemetry)
-    kernel.register(KIND_FEDERATION, "none", _no_federation)
-    kernel.register(KIND_FEDERATION, "static", _static_federation)
     kernel.register(KIND_SLO, "noop", _noop_slo)
     kernel.register(KIND_SLO, "default", _default_slo)
     kernel.register(KIND_PROFILING, "noop", _noop_profiler)

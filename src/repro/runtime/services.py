@@ -18,7 +18,7 @@ from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
 class SchedulerGate:
     """The ingress face of the tenant scheduler (admission hooks).
 
-    Interceptor stages and federation node endpoints call this instead of
+    Pipeline stages and federation node endpoints call this instead of
     the scheduler directly, so ingress points share one convention: meter
     the work unit, take the token-bucket verdict, never block the
     operation.  ``publish`` admits the producing organization at the
@@ -55,7 +55,7 @@ class SchedulerGate:
     def meter_details(self, consumer_id: str) -> None:
         """Meter a request-for-details without an admission verdict.
 
-        Used by the fifo baseline, where no ``sched`` interceptor stage is
+        Used by the fifo baseline, where no ``sched`` pipeline stage is
         composed: accounting still sees the work, admission stays inert.
         """
         if self.active:

@@ -1,0 +1,43 @@
+"""docs/ARCHITECTURE.md states the stage order and the kernel table once;
+this keeps both equal to what the code composes."""
+
+import re
+from dataclasses import fields
+from pathlib import Path
+
+from repro import DataController, RuntimeConfig, default_kernel
+
+ARCHITECTURE = (Path(__file__).resolve().parent.parent
+                / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+
+
+def stage_line(after: str, offset: int = 1) -> tuple[str, ...]:
+    """The ``a → b → c`` diagram line ``offset`` lines below ``after``,
+    without its tree drawing and its ``[endpoint]`` hop."""
+    lines = ARCHITECTURE.splitlines()
+    line = lines[lines.index(after) + offset]
+    return tuple(name for name in line.strip(" └─").split(" → ")
+                 if not name.startswith("["))
+
+
+def test_stage_order_lines_match_the_pipelines():
+    controller = DataController(seed="docs")
+    assert stage_line("publish (controller):") == (
+        controller.publish_pipeline.stage_names)
+    details = "request-for-details (controller edge → SOA endpoint → enforcer):"
+    assert stage_line(details) + stage_line(details, 2) == (
+        controller.details_pipeline.stage_names
+        + controller.enforcer.pipeline.stage_names)
+
+
+def test_kernel_table_matches_the_default_kernel():
+    section = ARCHITECTURE.split("## The kernel\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| `(\w+)`", section, flags=re.M)
+    documented = {kind: tuple(re.findall(r"`(\w+)\*?`", names))
+                  for kind, names, _ in rows}
+    assert documented == default_kernel().wiring()
+    defaults = RuntimeConfig()
+    for kind, names, field_name in rows:
+        (starred,) = re.findall(r"`(\w+)\*`", names)
+        assert getattr(defaults, field_name) == starred, kind
+    assert f"({len(fields(RuntimeConfig))} fields" in section

@@ -18,6 +18,7 @@ from repro.exceptions import (
     AccessDeniedError,
     ContractInactiveError,
     LinkFailureError,
+    PrivacyError,
     SourceUnavailableError,
 )
 from tests.conftest import blood_test_schema, build_federation
@@ -205,3 +206,13 @@ class TestCrossNodeDetailFailuresAreAudited:
             link.fail_next(link.policy.max_attempts)
 
         self.failed_request(drop_every_attempt, LinkFailureError)
+
+    def test_home_gateway_overreleases(self):
+        """Not a gateway or link error, so it used to leave no record."""
+        def leak(platform):
+            fetcher = platform.controller_of("node-0").detail_fetcher
+            real_fetch = fetcher.fetch
+            fetcher.fetch = lambda producer, src_id, allowed, event_id: real_fetch(
+                producer, src_id, ["PatientId", "HivResult"], event_id)
+
+        self.failed_request(leak, PrivacyError)
