@@ -87,7 +87,7 @@ class ServiceBus:
         # methods on it — metering publishes/fan-out, asking whether a
         # subscriber's backlog must shed, draining the virtual server —
         # so the bus layer stays import-free of repro.sched.
-        self._sched = sched if sched is not None and sched.enabled else None
+        self._sched = sched
         # The flight recorder (kernel kind "recorder"), duck-typed like
         # telemetry so the bus stays import-free of repro.obs: saturation
         # transitions (shedding, high-water advances) leave a trail in

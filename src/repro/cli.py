@@ -977,7 +977,13 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace, out) -> int:
-    controller = PlatformArchive(args.directory).restore(args.secret)
+    from repro.exceptions import TamperedLogError
+
+    try:
+        controller = PlatformArchive(args.directory).restore(args.secret)
+    except TamperedLogError as exc:
+        print(f"NOT restored: {exc}", file=out)
+        return 1
     print(f"restored platform from {args.directory}", file=out)
     print(f"  clock: t={controller.clock.now():.0f}  "
           f"actors: {len(controller.actors)}  "
@@ -985,7 +991,8 @@ def _cmd_inspect(args: argparse.Namespace, out) -> int:
           f"policies: {len(controller.policies)}  "
           f"indexed events: {len(controller.index)}", file=out)
     report = guarantor_report(controller.audit_log)
-    print(f"  audit: {len(controller.audit_log)} records, chain verified", file=out)
+    print(f"  audit: {len(controller.audit_log)} records, chain verified; "
+          f"every archived file matches the manifest's sha256", file=out)
     print(report.to_text(), file=out)
     return 0
 

@@ -527,7 +527,7 @@ class DataController:
         stage invokes the ``controller.getEventDetails`` endpoint, i.e.
         the enforcer's Algorithm 1 chain.
         """
-        if self._sched_gate.active and not self._sched_gate.shapes_ingress:
+        if not self._sched_gate.shapes_ingress:
             # Fifo baseline: no sched stage is composed into the edge
             # pipeline, so accounting meters the request here.
             self._sched_gate.meter_details(consumer_id)

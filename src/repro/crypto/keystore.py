@@ -29,7 +29,7 @@ class KeyStore:
     #: Process-wide schedule cache: (master, name, version) -> SealedBox.
     _schedule: dict[tuple[str, str, int], SealedBox] = {}
     _schedule_cap = 4096
-    #: Class-level hit/miss counters (read by the perf benchmarks).
+    #: Class-level hit/miss counters (read by tests/test_perf_wire_cache.py only).
     schedule_hits = 0
     schedule_misses = 0
 

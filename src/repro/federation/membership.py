@@ -148,7 +148,7 @@ class StaticMembership:
         node = self._nodes.get(source_id)
         if node is not None:
             telemetry = node.controller.telemetry
-            if telemetry is not None and getattr(telemetry, "enabled", False):
+            if telemetry is not None and telemetry.enabled:
                 return telemetry
         return self._telemetry
 

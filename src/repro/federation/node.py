@@ -48,10 +48,14 @@ from repro.exceptions import (
 from repro.obs.context import TraceContext
 from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
 from repro.perf import perf_or_none
+from repro.storage.schemas import type_to_dict
 
 if TYPE_CHECKING:
     from repro.core.controller import DataController
     from repro.federation.membership import StaticMembership
+
+#: Value types a canonical-JSON frame returns as it was given them.
+JSON_NATIVE = (str, int, float, bool, type(None))
 
 #: Keystore key-name prefix for per-sender channel sealing.  Each node
 #: seals under its *own* key (unique nonce space); receivers re-derive the
@@ -368,13 +372,23 @@ class FederationNode:
             purpose=payload["purpose"],
         )
         detail = self.controller.enforcer.get_event_details(request)
-        return self.seal_channel({
+        body = {
             "event_id": detail.event_id,
             "event_type": detail.event_type,
             "producer_id": detail.producer_id,
             "fields": detail.payload.fields,
             "released": list(detail.released_fields),
-        })
+        }
+        # A released value JSON cannot carry natively (today: a date)
+        # crosses in its declared type's text form, beside that type — the
+        # consumer's node has no catalog entry to parse it back with.
+        schema = self.controller.catalog.get(detail.event_type).schema
+        for name, value in body["fields"].items():
+            if not isinstance(value, JSON_NATIVE):
+                type_ = schema.element(name).type_
+                body["fields"][name] = type_.render(value)
+                body.setdefault("types", {})[name] = type_to_dict(type_)
+        return self.seal_channel(body)
 
     # -- federated audit ----------------------------------------------------
 

@@ -188,7 +188,7 @@ class FederatedPlatform:
     def _node_telemetry(self, node_id: str):
         """The enabled telemetry a node records into, or ``None``."""
         telemetry = self.controller_of(node_id).telemetry
-        if telemetry is not None and getattr(telemetry, "enabled", False):
+        if telemetry is not None and telemetry.enabled:
             return telemetry
         return None
 
@@ -544,7 +544,7 @@ class FederatedPlatform:
                 node_id: self.node_telemetry[node_id].trace_export()
                 for node_id in sorted(self.node_telemetry)
             }
-        if getattr(self.telemetry, "enabled", False):
+        if self.telemetry.enabled:
             return {"shared": self.telemetry.trace_export()}
         return {}
 

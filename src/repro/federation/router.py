@@ -22,6 +22,7 @@ from repro.exceptions import (
     UnknownEventClassError,
     UnknownEventError,
 )
+from repro.storage.schemas import type_from_dict
 from repro.xmlmsg.document import XmlDocument
 
 if TYPE_CHECKING:
@@ -89,7 +90,9 @@ class FederationRouter:
 
         The decision (Algorithm 1) and field filtering (Algorithm 2) run
         entirely on the home node; this side only unseals and rebuilds the
-        already-filtered detail message.
+        already-filtered detail message — values whose type the frame names
+        (see ``FederationNode._op_details_get``) parsed back to it, so the
+        message equals the one a local consumer is handed.
         """
         response = self._link_to(home_node_id).call("details.get", {
             "actor_id": request.actor.actor_id,
@@ -101,6 +104,8 @@ class FederationRouter:
         })
         _raise_for(response)
         body = self.node.open_channel(response)
+        for name, kind in body.get("types", {}).items():
+            body["fields"][name] = type_from_dict(kind).parse(body["fields"][name])
         return DetailMessage(
             event_id=body["event_id"],
             event_type=body["event_type"],

@@ -27,21 +27,27 @@ def metric_lines(registry: MetricsRegistry) -> list[str]:
     return [canonical_json(row) for row in registry.snapshot()]
 
 
-def write_jsonl(path: str | Path, lines: Iterable[str]) -> Path:
-    """Write ``lines`` to ``path`` with a trailing newline; returns the path.
+def write_atomic(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically; returns the path.
 
-    Atomic: the content lands in a same-directory temp file first and is
-    renamed into place, so a crashed or interrupted export never leaves a
+    The content lands in a same-directory temp file first and is renamed
+    into place, so a crashed or interrupted export never leaves a
     truncated file where a consumer (CI, the stitcher, the incident
     checker) expects a complete one.
     """
-    lines = list(lines)  # materialise before touching the filesystem
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(target.name + ".tmp")
-    scratch.write_text("\n".join(lines) + ("\n" if lines else ""))
+    scratch.write_text(text, encoding="utf-8")
     os.replace(scratch, target)
     return target
+
+
+def write_jsonl(path: str | Path, lines: Iterable[str]) -> Path:
+    """Write ``lines`` to ``path`` with a trailing newline, atomically
+    (:func:`write_atomic`); returns the path."""
+    lines = list(lines)  # materialise before touching the filesystem
+    return write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def render_metrics_table(registry: MetricsRegistry) -> str:

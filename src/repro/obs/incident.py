@@ -20,19 +20,19 @@ Everything in a bundle is built from already-sanitized telemetry — the
 privacy guard hashed identifying labels on ingest — so the bundle can be
 exported to an operator without widening the privacy surface.  On disk a
 bundle is a directory with ``incident.json``, ``events.jsonl``,
-``series.jsonl`` and a sha256 ``manifest.json`` reusing the snapshot
-machinery's hashing, so tampering is detectable the same way a storage
-snapshot's is.
+``series.jsonl`` and a sha256 ``manifest.json`` written by the snapshot
+machinery's :func:`~repro.storage.snapshot.describe`, so tampering is
+detectable the same way a storage snapshot's is.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.crypto.hashing import canonical_json
+from repro.obs.exporters import write_atomic
 from repro.obs.slo import windowed_burn_series
 
 #: Schema identifier of one incident bundle.
@@ -108,8 +108,7 @@ class IncidentMonitor:
     ) -> None:
         self.platform = platform
         self.timeseries = timeseries
-        self.slo = slo if slo is not None and getattr(slo, "enabled", False) \
-            else None
+        self.slo = slo if slo is not None and slo.enabled else None
         self.clock = clock if clock is not None else platform.clock
         self.config = config or WatchdogConfig()
         self.source = source
@@ -131,13 +130,9 @@ class IncidentMonitor:
                    for node in self.platform.nodes())
 
     def _total_demotions(self) -> int:
-        total = 0
-        for node in self.platform.nodes():
-            sched = node.controller.sched
-            if sched is None or not getattr(sched, "enabled", False):
-                continue
-            total += getattr(sched, "demotions_total", 0)
-        return total
+        return sum(node.controller.sched.demotions_total
+                   for node in self.platform.nodes()
+                   if node.controller.sched is not None)
 
     # -- polling -------------------------------------------------------------
 
@@ -250,7 +245,7 @@ def build_bundle(
             "dead_letter_high_water": bus.dead_letter_high_water,
         }
         sched = node.controller.sched
-        if sched is not None and getattr(sched, "enabled", False):
+        if sched is not None:
             hashed = {}
             for tenant, row in sorted(sched.tenant_report(now).items()):
                 key = sched.tenant_label(tenant)
@@ -339,48 +334,34 @@ def merged_timeline(platform) -> list[dict]:
     return merge_events(per_node)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_bundle(root: str | Path, bundle: dict) -> Path:
     """Write one bundle directory under ``root`` and return its path.
 
     Layout: ``<root>/<incident_id>/`` holding ``incident.json`` (sorted,
     indented — the operator-facing document), ``events.jsonl`` and
     ``series.jsonl`` (canonical-JSON lines for machine diffing), plus a
-    ``manifest.json`` of per-file sha256 digests, the same chunked
-    hashing the storage snapshots use.  Every file is written atomically
-    so a crash mid-export can't leave a torn bundle that still looks
-    complete.
+    ``manifest.json`` of per-file sha256 digests — the file manifest the
+    storage snapshots write.  Every file is written atomically so a crash
+    mid-export can't leave a torn bundle that still looks complete.
     """
     # Imported here, not at module level: repro.storage pulls in the
     # controller stack, and ``repro.obs`` must stay importable from it.
-    from repro.storage.snapshot import _hash_file
+    from repro.storage.snapshot import describe
 
     directory = Path(root) / bundle["incident_id"]
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_atomic(directory / BUNDLE_FILE,
-                  json.dumps(bundle, sort_keys=True, indent=2) + "\n")
-    _write_atomic(directory / EVENTS_FILE, "".join(
+    write_atomic(directory / BUNDLE_FILE,
+                 json.dumps(bundle, sort_keys=True, indent=2) + "\n")
+    write_atomic(directory / EVENTS_FILE, "".join(
         canonical_json(row) + "\n" for row in bundle["events"]
     ))
-    _write_atomic(directory / SERIES_FILE, "".join(
+    write_atomic(directory / SERIES_FILE, "".join(
         canonical_json(row) + "\n" for row in bundle["series"]
     ))
     manifest = {
         "schema": INCIDENT_SCHEMA,
         "incident_id": bundle["incident_id"],
-        "files": {
-            name: {
-                "sha256": _hash_file(directory / name),
-                "size": (directory / name).stat().st_size,
-            }
-            for name in (BUNDLE_FILE, EVENTS_FILE, SERIES_FILE)
-        },
+        "files": describe(directory, (BUNDLE_FILE, EVENTS_FILE, SERIES_FILE)),
     }
-    _write_atomic(directory / MANIFEST_FILE,
-                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_atomic(directory / MANIFEST_FILE,
+                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return directory

@@ -28,6 +28,12 @@ SUMMARY_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 Labels = tuple[tuple[str, str], ...]
 
 
+def matches(labels, wanted: Labels) -> bool:
+    """Label filter: every ``wanted`` pair is among a series' ``labels`` (tuple or dict)."""
+    table = dict(labels)
+    return all(table.get(key) == value for key, value in wanted)
+
+
 @dataclass
 class Counter:
     """A monotonically increasing count."""
@@ -179,12 +185,10 @@ class MetricsRegistry:
         so merging snapshots from several federation nodes is byte-stable.
         """
         rows: list[dict] = []
-        for (name, labels), counter in self._counters.items():
-            rows.append({"type": "counter", "name": name,
-                         "labels": dict(sorted(labels)), "value": counter.value})
-        for (name, labels), gauge in self._gauges.items():
-            rows.append({"type": "gauge", "name": name,
-                         "labels": dict(sorted(labels)), "value": gauge.value})
+        for kind, store in (("counter", self._counters), ("gauge", self._gauges)):
+            for (name, labels), series in store.items():
+                rows.append({"type": kind, "name": name,
+                             "labels": dict(sorted(labels)), "value": series.value})
         for (name, labels), histogram in self._histograms.items():
             rows.append({"type": "histogram", "name": name,
                          "labels": dict(sorted(labels)), **histogram.summary()})
@@ -194,59 +198,42 @@ class MetricsRegistry:
 
     def histogram_summaries(self, name: str) -> list[tuple[dict[str, str], dict]]:
         """``(labels, summary)`` per series of histogram ``name``, sorted."""
-        found = [
-            (dict(sorted(labels)), histogram.summary())
-            for (series, labels), histogram in self._histograms.items()
-            if series == name
-        ]
-        found.sort(key=lambda pair: sorted(pair[0].items()))
-        return found
+        return [(labels, found.summary()) for labels, found in self.histogram_series(name)]
 
     # -- series iteration (the SLO engine's read surface) --------------------
 
+    @staticmethod
+    def _named(store: dict, name: str | None = None) -> list:
+        """``((name, labels), series)`` of one kind in sorted key order (the
+        guard sorts labels on sanitise) — every series, or metric ``name``'s."""
+        return sorted((item for item in store.items() if name in (None, item[0][0])),
+                      key=lambda item: item[0])
+
     def counter_series(self, name: str) -> list[tuple[dict[str, str], Counter]]:
         """``(labels, counter)`` per series of counter ``name``, sorted."""
-        found = [
-            (dict(sorted(labels)), counter)
-            for (series, labels), counter in self._counters.items()
-            if series == name
-        ]
-        found.sort(key=lambda pair: sorted(pair[0].items()))
-        return found
+        return [(dict(key[1]), found) for key, found in self._named(self._counters, name)]
 
     def gauge_series(self, name: str) -> list[tuple[dict[str, str], Gauge]]:
         """``(labels, gauge)`` per series of gauge ``name``, sorted."""
-        found = [
-            (dict(sorted(labels)), gauge)
-            for (series, labels), gauge in self._gauges.items()
-            if series == name
-        ]
-        found.sort(key=lambda pair: sorted(pair[0].items()))
-        return found
+        return [(dict(key[1]), found) for key, found in self._named(self._gauges, name)]
 
     def histogram_series(self, name: str) -> list[tuple[dict[str, str], Histogram]]:
         """``(labels, histogram)`` per series of histogram ``name``, sorted."""
-        found = [
-            (dict(sorted(labels)), histogram)
-            for (series, labels), histogram in self._histograms.items()
-            if series == name
-        ]
-        found.sort(key=lambda pair: sorted(pair[0].items()))
-        return found
+        return [(dict(key[1]), found) for key, found in self._named(self._histograms, name)]
 
     # -- full-registry iteration (the time-series store's read surface) ------
 
     def counter_entries(self) -> list[tuple[tuple[str, Labels], Counter]]:
         """Every counter series as ``((name, labels), counter)``, sorted."""
-        return sorted(self._counters.items(), key=lambda item: item[0])
+        return self._named(self._counters)
 
     def gauge_entries(self) -> list[tuple[tuple[str, Labels], Gauge]]:
         """Every gauge series as ``((name, labels), gauge)``, sorted."""
-        return sorted(self._gauges.items(), key=lambda item: item[0])
+        return self._named(self._gauges)
 
     def histogram_entries(self) -> list[tuple[tuple[str, Labels], Histogram]]:
         """Every histogram series as ``((name, labels), histogram)``, sorted."""
-        return sorted(self._histograms.items(), key=lambda item: item[0])
+        return self._named(self._histograms)
 
     def counter_value(self, name: str, **labels: object) -> float:
         """Current value of one counter series (0.0 if never touched)."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import ConfigurationError
+from repro.obs.metrics import matches
 from repro.obs.recorder import EVENT_SLO_ALERT
 from repro.obs.telemetry import PIPELINE_DURATION
 
@@ -217,10 +218,6 @@ def default_objectives() -> tuple[SLObjective, ...]:
     )
 
 
-def _matches(series_labels: dict[str, str], wanted: tuple[tuple[str, str], ...]) -> bool:
-    return all(series_labels.get(key) == value for key, value in wanted)
-
-
 def _burn_rate(objective: SLObjective, attainment: float, observed: float) -> float:
     """Bad fraction spent as a multiple of the budget (sentinel on zero)."""
     error_budget = 1.0 - objective.target
@@ -230,43 +227,58 @@ def _burn_rate(objective: SLObjective, attainment: float, observed: float) -> fl
     return 0.0 if bad_fraction <= _EPSILON else float(observed)
 
 
-def _histogram_attainment(histogram, threshold: float) -> tuple[float, float]:
-    """Good fraction of one (merged) histogram, bucket upper bounds."""
-    if histogram is None or histogram.count == 0:
-        return 1.0, 0.0  # vacuously met: no demand, no breach
+def _good_count(histogram, threshold: float) -> int:
+    """Observations of one histogram within ``threshold``, by bucket upper
+    bounds (all of them when even the largest was)."""
     if histogram.max <= threshold:
-        return 1.0, float(histogram.count)
-    good = sum(
+        return histogram.count
+    return sum(
         bucket_count
         for boundary, bucket_count in zip(histogram.boundaries, histogram.counts)
         if boundary <= threshold
     )
-    return good / histogram.count, float(histogram.count)
 
 
-def _windowed_attainment(objective: SLObjective, histogram_fn, delta_fn,
-                         worst_fn) -> tuple[float, float]:
-    """(attainment, observed) of one objective from windowed reads.
+def _histogram_attainment(histogram, threshold: float) -> tuple[float, float]:
+    """Good fraction of one (merged) histogram."""
+    if histogram is None or histogram.count == 0:
+        return 1.0, 0.0  # vacuously met: no demand, no breach
+    return _good_count(histogram, threshold) / histogram.count, float(histogram.count)
 
-    The three callables abstract over *which* window is read — the live
-    trailing window during evaluation, or a sample-anchored historical
-    one when reconstructing a burn trajectory for an incident bundle.
+
+def _window_point(store, objective: SLObjective, window: float,
+                  at: float | None = None) -> dict:
+    """Attainment and burn of one objective over one window of ``store``.
+
+    ``at`` picks *which* window is read — the live trailing one during
+    evaluation (None), or the sample-anchored historical one ending at
+    ``at`` when reconstructing a burn trajectory for an incident bundle.
     """
     if objective.kind == KIND_LATENCY:
-        return _histogram_attainment(
-            histogram_fn(objective.metric, objective.labels),
+        attainment, observed = _histogram_attainment(
+            store.windowed_histogram(objective.metric, window,
+                                     objective.labels, at=at),
             objective.threshold,
         )
-    if objective.kind == KIND_RATIO:
-        total = delta_fn(objective.metric, objective.labels)
-        bad = delta_fn(objective.bad_metric, objective.bad_labels)
-        if total <= 0.0:
-            return 1.0, 0.0
-        return max(0.0, 1.0 - bad / total), total
-    worst = worst_fn(objective.metric, objective.labels)
-    if worst is None:
-        return 1.0, 0.0
-    return (1.0 if worst <= objective.threshold + _EPSILON else 0.0), 1.0
+    elif objective.kind == KIND_RATIO:
+        total = store.delta(objective.metric, window, objective.labels, at=at)
+        bad = store.delta(objective.bad_metric, window, objective.bad_labels,
+                          at=at)
+        attainment, observed = (
+            (1.0, 0.0) if total <= 0.0 else (max(0.0, 1.0 - bad / total), total)
+        )
+    else:
+        worst = store.gauge_worst(objective.metric, window, objective.labels,
+                                  at=at)
+        attainment, observed = (
+            (1.0, 0.0) if worst is None else
+            (1.0 if worst <= objective.threshold + _EPSILON else 0.0, 1.0)
+        )
+    return {
+        "attainment": round(attainment, 9),
+        "observed": observed,
+        "burn_rate": round(_burn_rate(objective, attainment, observed), 9),
+    }
 
 
 def windowed_burn_series(store, objective: SLObjective,
@@ -274,26 +286,13 @@ def windowed_burn_series(store, objective: SLObjective,
     """The burn-rate trajectory of one objective, one point per tick.
 
     Every point is computed purely from retained time-series samples
-    (:meth:`~repro.obs.timeseries.TimeSeriesStore.sample_delta` and
-    friends), so the series an incident bundle captures is the same no
+    (the ``at=`` anchor of :meth:`~repro.obs.timeseries.TimeSeriesStore.delta`
+    and friends), so the series an incident bundle captures is the same no
     matter when it is asked for — the minutes *before* the trigger, not
     the state at export time.
     """
-    points: list[dict] = []
-    for at in store.tick_times():
-        attainment, observed = _windowed_attainment(
-            objective,
-            lambda name, labels: store.sample_histogram(name, at, window, labels),
-            lambda name, labels: store.sample_delta(name, at, window, labels),
-            lambda name, labels: store.sample_gauge_worst(name, at, window, labels),
-        )
-        points.append({
-            "at": at,
-            "attainment": round(attainment, 9),
-            "observed": observed,
-            "burn_rate": round(_burn_rate(objective, attainment, observed), 9),
-        })
-    return points
+    return [{"at": at, **_window_point(store, objective, window, at)}
+            for at in store.tick_times()]
 
 
 class NoopSLOEngine:
@@ -318,7 +317,7 @@ class SLOEngine:
     def __init__(self, telemetry, objectives=None, timeseries=None,
                  recorder=None, short_window: float = DEFAULT_SHORT_WINDOW,
                  long_window: float = DEFAULT_LONG_WINDOW) -> None:
-        if not getattr(telemetry, "enabled", False):
+        if not telemetry.enabled:
             raise ConfigurationError(
                 "the SLO engine reads metric series; run it against an "
                 "enabled telemetry backend (RuntimeConfig(telemetry='inmemory'))"
@@ -338,7 +337,7 @@ class SLOEngine:
         self.short_window = short_window
         self.long_window = long_window
         self._recorder = (recorder if recorder is not None
-                          and getattr(recorder, "enabled", False) else None)
+                          and recorder.enabled else None)
         self._alert_topic_declared = False
 
     # -- evaluation ----------------------------------------------------------
@@ -372,46 +371,26 @@ class SLOEngine:
         """Short/long trailing-window rows, when a store is attached."""
         if self.timeseries is None:
             return ()
-        return (
-            ("short", self._window_row(objective, self.short_window)),
-            ("long", self._window_row(objective, self.long_window)),
+        return tuple(
+            (name, {"window": window,
+                    **_window_point(self.timeseries, objective, window)})
+            for name, window in (("short", self.short_window),
+                                 ("long", self.long_window))
         )
-
-    def _window_row(self, objective: SLObjective, window: float) -> dict:
-        store = self.timeseries
-        attainment, observed = _windowed_attainment(
-            objective,
-            lambda name, labels: store.windowed_histogram(name, window, labels),
-            lambda name, labels: store.delta(name, window, labels),
-            lambda name, labels: store.gauge_worst(name, window, labels),
-        )
-        return {
-            "window": window,
-            "attainment": round(attainment, 9),
-            "observed": observed,
-            "burn_rate": round(_burn_rate(objective, attainment, observed), 9),
-        }
 
     def _latency_attainment(self, objective: SLObjective) -> tuple[float, float]:
         """Good fraction = observations ≤ threshold, from bucket counts."""
-        total = 0
-        good = 0
-        for labels, histogram in self.telemetry.metrics.histogram_series(
-                objective.metric):
-            if not _matches(labels, objective.labels):
-                continue
-            total += histogram.count
-            if histogram.count == 0:
-                continue
-            if histogram.max <= objective.threshold:
-                good += histogram.count
-                continue
-            for boundary, bucket_count in zip(histogram.boundaries,
-                                              histogram.counts):
-                if boundary <= objective.threshold:
-                    good += bucket_count
+        series = [
+            histogram
+            for labels, histogram in self.telemetry.metrics.histogram_series(
+                objective.metric)
+            if matches(labels, objective.labels)
+        ]
+        total = sum(histogram.count for histogram in series)
         if total == 0:
             return 1.0, 0.0  # vacuously met: no demand, no breach
+        good = sum(_good_count(histogram, objective.threshold)
+                   for histogram in series)
         return good / total, float(total)
 
     def _ratio_attainment(self, objective: SLObjective) -> tuple[float, float]:
@@ -426,7 +405,7 @@ class SLOEngine:
             gauge.value
             for labels, gauge in self.telemetry.metrics.gauge_series(
                 objective.metric)
-            if _matches(labels, objective.labels)
+            if matches(labels, objective.labels)
         ]
         if not series:
             return 1.0, 0.0
@@ -439,7 +418,7 @@ class SLOEngine:
         return sum(
             counter.value
             for labels, counter in self.telemetry.metrics.counter_series(name)
-            if _matches(labels, wanted)
+            if matches(labels, wanted)
         )
 
     # -- alerting ------------------------------------------------------------

@@ -230,7 +230,7 @@ class InMemoryTelemetry:
         """
         if profiler is None:
             return
-        if getattr(profiler, "enabled", False) or self.profiler is None:
+        if profiler.enabled or self.profiler is None:
             self.profiler = profiler
 
     def attach_recorder(self, recorder) -> None:
@@ -241,7 +241,7 @@ class InMemoryTelemetry:
         first enabled recorder wins — spans mirror into exactly one ring
         and the merged timeline stays duplicate-free.
         """
-        if recorder is None or not getattr(recorder, "enabled", False):
+        if recorder is None or not recorder.enabled:
             return
         if self.recorder is None:
             self.recorder = recorder

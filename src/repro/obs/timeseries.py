@@ -10,6 +10,12 @@ bounded ring buffers, and exposes trailing-window reads over them —
 histograms (the same fixed-bucket upper-bound discipline the lifetime
 summaries use), :meth:`gauge_worst` for levels.
 
+A window is **two readings per matching series** — where it ends, and
+the newest retained sample at or before its edge (``_window``).  It ends
+at the live registry value, or with ``at=`` (``sample_delta`` and
+friends) at a retained sample, so the answer no longer depends on when
+it is asked: what incident bundles reconstruct history from.
+
 Determinism: sample timestamps come from the simulated clock, rings are
 plain deques, and every read iterates series in sorted-key order — two
 same-seed runs produce byte-identical exports (:meth:`export_rows`), the
@@ -24,10 +30,10 @@ left to sanitise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import Histogram, Labels, MetricsRegistry
+from repro.obs.metrics import Histogram, Labels, MetricsRegistry, matches
 
 _EPSILON = 1e-12
 
@@ -35,30 +41,19 @@ _EPSILON = 1e-12
 SeriesKey = tuple[str, Labels]
 
 
-@dataclass(frozen=True)
-class _HistSample:
-    """One histogram snapshot: bucket counts plus the sidecars."""
-
-    at: float
-    boundaries: tuple[float, ...]
-    counts: tuple[int, ...]
-    count: int
-    sum: float
-    max: float
-
-
-def _matches(labels: Labels, wanted: tuple[tuple[str, str], ...]) -> bool:
-    """Label-filter subset match, same semantics as the SLO engine's."""
-    table = dict(labels)
-    return all(table.get(key) == value for key, value in wanted)
+def _reading(series):
+    """What a ring retains of a live series: a counter's or gauge's value,
+    a frozen copy of a histogram."""
+    if isinstance(series, Histogram):
+        return replace(series, counts=list(series.counts))
+    return series.value
 
 
 def _at_or_before(ring, edge: float):
-    """The newest sample at or before ``edge`` (None: ring starts later)."""
+    """The newest ``(at, reading)`` at or before ``edge`` (None: ring starts later)."""
     found = None
     for sample in ring:
-        at = sample[0] if isinstance(sample, tuple) else sample.at
-        if at <= edge + _EPSILON:
+        if sample[0] <= edge + _EPSILON:
             found = sample
         else:
             break
@@ -112,19 +107,11 @@ class TimeSeriesStore:
     def tick(self) -> None:
         """Snapshot every registry series into its ring, stamped at now."""
         now = self.clock.now()
-        for key, counter in self.metrics.counter_entries():
-            self._ring(self._counters, key).append((now, counter.value))
-        for key, gauge in self.metrics.gauge_entries():
-            self._ring(self._gauges, key).append((now, gauge.value))
-        for key, histogram in self.metrics.histogram_entries():
-            self._ring(self._histograms, key).append(_HistSample(
-                at=now,
-                boundaries=tuple(histogram.boundaries),
-                counts=tuple(histogram.counts),
-                count=histogram.count,
-                sum=histogram.sum,
-                max=histogram.max,
-            ))
+        for rings, live in ((self._counters, self.metrics.counter_entries),
+                            (self._gauges, self.metrics.gauge_entries),
+                            (self._histograms, self.metrics.histogram_entries)):
+            for key, series in live():
+                self._ring(rings, key).append((now, _reading(series)))
         self.ticks += 1
         self._last_tick = now
 
@@ -139,37 +126,57 @@ class TimeSeriesStore:
         times: set[float] = set()
         for table in (self._counters, self._gauges, self._histograms):
             for ring in table.values():
-                for sample in ring:
-                    times.add(sample[0] if isinstance(sample, tuple)
-                              else sample.at)
+                times.update(at for at, _ in ring)
         return tuple(sorted(times))
 
-    # -- counter windows ---------------------------------------------------
+    # -- windows -----------------------------------------------------------
+
+    def _window(self, rings: dict[SeriesKey, deque], live, name: str,
+                window: float, wanted, at: float | None):
+        """The readings a window over metric ``name`` is computed from.
+
+        Yields the readings ``(end, base, held)`` per matching series in
+        sorted key order.  ``end`` is where the window ends: the live
+        registry value (``at`` None — no staleness), or the newest retained
+        sample at or before ``at`` (samples only, so the answer is the same
+        whenever it is asked; a series with none is skipped).  ``base`` is
+        the newest retained sample at or before the window's edge — None
+        for a series younger than the window, which is counted from zero,
+        exactly the monotone-from-boot truth of counters and histograms.
+        ``held`` iterates every reading inside the window, ``end``
+        included: what a level, unlike an increase, is read from.
+        """
+        now = self.clock.now() if at is None else at
+        source = (live() if at is None
+                  else sorted(rings.items(), key=lambda item: item[0]))
+        edge = now - window
+        for key, series in source:
+            if key[0] != name or not matches(key[1], wanted):
+                continue
+            ring = rings.get(key) or ()
+            end = ((now, _reading(series)) if at is None
+                   else _at_or_before(ring, at))
+            if end is not None:
+                base = _at_or_before(ring, edge)
+                yield end[1], None if base is None else base[1], (
+                    reading for taken, reading in (*ring, end)
+                    if edge - _EPSILON <= taken <= now + _EPSILON)
 
     def delta(
         self,
         name: str,
         window: float,
         wanted: tuple[tuple[str, str], ...] = (),
-        now: float | None = None,
+        at: float | None = None,
     ) -> float:
         """Counter increase over the trailing ``window``, summed over the
-        matching series.
-
-        The window's *end* is the live registry value (no staleness); the
-        *start* is the newest retained sample at or before the window
-        edge — a series younger than the window is counted from zero,
-        exactly the monotone-from-boot truth of these counters.
+        matching series (``at``: over ``[at - window, at]``, samples only).
         """
-        now = self.clock.now() if now is None else now
-        edge = now - window
         total = 0.0
-        for (metric, labels), counter in self.metrics.counter_entries():
-            if metric != name or not _matches(labels, wanted):
-                continue
-            ring = self._counters.get((metric, labels))
-            base = _at_or_before(ring, edge) if ring else None
-            total += counter.value - (base[1] if base is not None else 0.0)
+        for end, base, _ in self._window(
+                self._counters, self.metrics.counter_entries,
+                name, window, wanted, at):
+            total += end - (base if base is not None else 0.0)
         return total
 
     def rate(
@@ -177,7 +184,6 @@ class TimeSeriesStore:
         name: str,
         window: float,
         wanted: tuple[tuple[str, str], ...] = (),
-        now: float | None = None,
     ) -> float:
         """Counter increase per simulated second over the trailing window.
 
@@ -185,70 +191,58 @@ class TimeSeriesStore:
         simulated time (never below one sampling interval), so a burst at
         t=0.5s is not divided by a 60 s window it never lived through.
         """
-        now = self.clock.now() if now is None else now
-        span = max(min(window, now), self.interval)
-        return self.delta(name, window, wanted=wanted, now=now) / span
-
-    # -- histogram windows -------------------------------------------------
+        span = max(min(window, self.clock.now()), self.interval)
+        return self.delta(name, window, wanted=wanted) / span
 
     def windowed_histogram(
         self,
         name: str,
         window: float,
         wanted: tuple[tuple[str, str], ...] = (),
-        now: float | None = None,
+        at: float | None = None,
     ) -> Histogram | None:
-        """The matching series' observations from the trailing window only,
-        folded into one synthetic :class:`~repro.obs.metrics.Histogram`.
+        """The matching series' observations from the trailing window only
+        (``at``: from ``[at - window, at]``, samples only), folded into one
+        synthetic :class:`~repro.obs.metrics.Histogram`.
 
         ``None`` when no matching series exists.  Bucket counts are the
-        live counts minus the window-edge sample's; the sidecar max is
+        end counts minus the window-edge sample's; the sidecar max is
         the smallest boundary that covers the highest non-empty bucket
         (the usual upper-bound estimate — window membership of the true
         max is unknowable from buckets).
         """
-        now = self.clock.now() if now is None else now
-        edge = now - window
         boundaries: tuple[float, ...] | None = None
         merged: list[int] = []
         total = 0
         total_sum = 0.0
-        live_max = 0.0
-        found = False
-        for (metric, labels), histogram in self.metrics.histogram_entries():
-            if metric != name or not _matches(labels, wanted):
-                continue
-            found = True
+        end_max = 0.0
+        for end, base, _ in self._window(
+                self._histograms, self.metrics.histogram_entries,
+                name, window, wanted, at):
             if boundaries is None:
-                boundaries = tuple(histogram.boundaries)
+                boundaries = tuple(end.boundaries)
                 merged = [0] * (len(boundaries) + 1)
-            if tuple(histogram.boundaries) != boundaries:
+            if tuple(end.boundaries) != boundaries:
                 continue  # mixed bucket layouts never merge
-            ring = self._histograms.get((metric, labels))
-            base = _at_or_before(ring, edge) if ring else None
             base_counts = base.counts if base is not None else ()
-            for index, live in enumerate(histogram.counts):
+            for index, value in enumerate(end.counts):
                 before = base_counts[index] if index < len(base_counts) else 0
-                merged[index] += live - before
-            total += histogram.count - (base.count if base is not None else 0)
-            total_sum += histogram.sum - (base.sum if base is not None else 0.0)
-            live_max = max(live_max, histogram.max)
-        if not found or boundaries is None:
+                merged[index] += value - before
+            total += end.count - (base.count if base is not None else 0)
+            total_sum += end.sum - (base.sum if base is not None else 0.0)
+            end_max = max(end_max, end.max)
+        if boundaries is None:
             return None
         estimated_max = 0.0
         for index in range(len(merged) - 1, -1, -1):
             if merged[index]:
                 estimated_max = (
-                    live_max if index == len(boundaries)
-                    else min(boundaries[index], live_max)
+                    end_max if index == len(boundaries)
+                    else min(boundaries[index], end_max)
                 )
                 break
-        result = Histogram(boundaries=boundaries, counts=merged)
-        result.count = total
-        result.sum = total_sum
-        result.max = estimated_max
-        result.min = 0.0
-        return result
+        return Histogram(boundaries=boundaries, counts=merged, count=total,
+                         sum=total_sum, min=0.0, max=estimated_max)
 
     def quantile(
         self,
@@ -256,39 +250,33 @@ class TimeSeriesStore:
         q: float,
         window: float,
         wanted: tuple[tuple[str, str], ...] = (),
-        now: float | None = None,
     ) -> float:
         """Windowed ``q``-quantile of histogram ``name`` (0.0 if empty)."""
-        histogram = self.windowed_histogram(name, window, wanted=wanted, now=now)
+        histogram = self.windowed_histogram(name, window, wanted=wanted)
         if histogram is None or histogram.count <= 0:
             return 0.0
         return histogram.quantile(q)
-
-    # -- gauge windows -----------------------------------------------------
 
     def gauge_worst(
         self,
         name: str,
         window: float,
         wanted: tuple[tuple[str, str], ...] = (),
-        now: float | None = None,
+        at: float | None = None,
     ) -> float | None:
         """Worst (highest) matching gauge level seen over the window.
 
-        Includes the live value, so a spike between two ticks still
-        counts.  ``None`` when no matching series exists.
+        Every retained sample inside the window counts, and so does where
+        it ends — the live value, so a spike between two ticks is seen
+        (``at``: only samples in ``[at - window, at]``).  ``None`` when
+        no matching series has a reading in the window.
         """
-        now = self.clock.now() if now is None else now
-        edge = now - window
         worst: float | None = None
-        for (metric, labels), gauge in self.metrics.gauge_entries():
-            if metric != name or not _matches(labels, wanted):
-                continue
-            worst = gauge.value if worst is None else max(worst, gauge.value)
-            ring = self._gauges.get((metric, labels))
-            for at, value in ring or ():
-                if at >= edge - _EPSILON:
-                    worst = max(worst, value)
+        for _, _, held in self._window(
+                self._gauges, self.metrics.gauge_entries,
+                name, window, wanted, at):
+            for value in held:
+                worst = value if worst is None else max(worst, value)
         return worst
 
     # -- sample-anchored windows (historical points, incident bundles) -----
@@ -307,18 +295,7 @@ class TimeSeriesStore:
         asked.  Incident bundles use it to reconstruct the burn-rate
         trajectory leading up to a trigger.
         """
-        edge = at - window
-        total = 0.0
-        for (metric, labels), ring in sorted(self._counters.items(),
-                                             key=lambda item: item[0]):
-            if metric != name or not _matches(labels, wanted):
-                continue
-            end = _at_or_before(ring, at)
-            if end is None:
-                continue
-            base = _at_or_before(ring, edge)
-            total += end[1] - (base[1] if base is not None else 0.0)
-        return total
+        return self.delta(name, window, wanted=wanted, at=at)
 
     def sample_histogram(
         self,
@@ -328,50 +305,7 @@ class TimeSeriesStore:
         wanted: tuple[tuple[str, str], ...] = (),
     ) -> Histogram | None:
         """Historical sibling of :meth:`windowed_histogram`, samples only."""
-        edge = at - window
-        boundaries: tuple[float, ...] | None = None
-        merged: list[int] = []
-        total = 0
-        total_sum = 0.0
-        end_max = 0.0
-        found = False
-        for (metric, labels), ring in sorted(self._histograms.items(),
-                                             key=lambda item: item[0]):
-            if metric != name or not _matches(labels, wanted):
-                continue
-            end = _at_or_before(ring, at)
-            if end is None:
-                continue
-            found = True
-            if boundaries is None:
-                boundaries = end.boundaries
-                merged = [0] * (len(boundaries) + 1)
-            if end.boundaries != boundaries:
-                continue
-            base = _at_or_before(ring, edge)
-            base_counts = base.counts if base is not None else ()
-            for index, value in enumerate(end.counts):
-                before = base_counts[index] if index < len(base_counts) else 0
-                merged[index] += value - before
-            total += end.count - (base.count if base is not None else 0)
-            total_sum += end.sum - (base.sum if base is not None else 0.0)
-            end_max = max(end_max, end.max)
-        if not found or boundaries is None:
-            return None
-        estimated_max = 0.0
-        for index in range(len(merged) - 1, -1, -1):
-            if merged[index]:
-                estimated_max = (
-                    end_max if index == len(boundaries)
-                    else min(boundaries[index], end_max)
-                )
-                break
-        result = Histogram(boundaries=boundaries, counts=merged)
-        result.count = total
-        result.sum = total_sum
-        result.max = estimated_max
-        result.min = 0.0
-        return result
+        return self.windowed_histogram(name, window, wanted=wanted, at=at)
 
     def sample_gauge_worst(
         self,
@@ -381,16 +315,7 @@ class TimeSeriesStore:
         wanted: tuple[tuple[str, str], ...] = (),
     ) -> float | None:
         """Historical sibling of :meth:`gauge_worst`, samples only."""
-        edge = at - window
-        worst: float | None = None
-        for (metric, labels), ring in sorted(self._gauges.items(),
-                                             key=lambda item: item[0]):
-            if metric != name or not _matches(labels, wanted):
-                continue
-            for sample_at, value in ring:
-                if edge - _EPSILON <= sample_at <= at + _EPSILON:
-                    worst = value if worst is None else max(worst, value)
-        return worst
+        return self.gauge_worst(name, window, wanted=wanted, at=at)
 
     # -- export ------------------------------------------------------------
 
@@ -404,23 +329,20 @@ class TimeSeriesStore:
         """
         rows: list[dict] = []
         for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges)):
+                            ("gauge", self._gauges),
+                            ("histogram", self._histograms)):
             for (name, labels), ring in table.items():
                 if names is not None and name not in names:
                     continue
                 rows.append({
                     "type": kind, "name": name,
                     "labels": dict(sorted(labels)),
-                    "points": [[at, value] for at, value in ring],
+                    "points": [
+                        [at, reading.count, round(reading.sum, 9)]
+                        if kind == "histogram" else [at, reading]
+                        for at, reading in ring
+                    ],
                 })
-        for (name, labels), ring in self._histograms.items():
-            if names is not None and name not in names:
-                continue
-            rows.append({
-                "type": "histogram", "name": name,
-                "labels": dict(sorted(labels)),
-                "points": [[s.at, s.count, round(s.sum, 9)] for s in ring],
-            })
         rows.sort(key=lambda row: (row["name"], sorted(row["labels"].items()),
                                    row["type"]))
         return rows

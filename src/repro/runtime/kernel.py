@@ -319,30 +319,23 @@ def _segmented_store(**context: Any) -> Any:
     )
 
 
-def _no_sched(**context: Any) -> Any:
-    from repro.sched.scheduler import POLICY_FIFO, TenantScheduler
+def _sched(fair: bool) -> Callable[..., Any]:
+    """Both ``sched`` names build the one tenant scheduler; the name picks
+    only its serving discipline."""
 
-    return TenantScheduler(
-        clock=context["clock"],
-        policy=POLICY_FIFO,
-        config=context.get("sched_config"),
-        telemetry=context.get("telemetry"),
-        secret=context.get("master_secret", "css-sched"),
-        recorder=context.get("recorder"),
-    )
+    def build(**context: Any) -> Any:
+        from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
 
+        return TenantScheduler(
+            clock=context["clock"],
+            policy=POLICY_DRR if fair else POLICY_FIFO,
+            config=context.get("sched_config"),
+            telemetry=context.get("telemetry"),
+            secret=context.get("master_secret", "css-sched"),
+            recorder=context.get("recorder"),
+        )
 
-def _fair_sched(**context: Any) -> Any:
-    from repro.sched.scheduler import POLICY_DRR, TenantScheduler
-
-    return TenantScheduler(
-        clock=context["clock"],
-        policy=POLICY_DRR,
-        config=context.get("sched_config"),
-        telemetry=context.get("telemetry"),
-        secret=context.get("master_secret", "css-sched"),
-        recorder=context.get("recorder"),
-    )
+    return build
 
 
 def _off_batch(**context: Any) -> Any:
@@ -401,8 +394,8 @@ def default_kernel() -> ServiceKernel:
     kernel.register(KIND_PERF, "indexed", _indexed_perf)
     kernel.register(KIND_STORE, "jsonl", _jsonl_store)
     kernel.register(KIND_STORE, "segmented", _segmented_store)
-    kernel.register(KIND_SCHED, "none", _no_sched)
-    kernel.register(KIND_SCHED, "fair", _fair_sched)
+    kernel.register(KIND_SCHED, "none", _sched(fair=False))
+    kernel.register(KIND_SCHED, "fair", _sched(fair=True))
     kernel.register(KIND_RECORDER, "noop", _noop_recorder)
     kernel.register(KIND_RECORDER, "ring", _ring_recorder)
     kernel.register(KIND_BATCH, "off", _off_batch)

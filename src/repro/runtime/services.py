@@ -31,25 +31,16 @@ class SchedulerGate:
         self._clock = clock
 
     @property
-    def active(self) -> bool:
-        """Whether a metering scheduler is wired at all."""
-        return self._sched is not None and getattr(self._sched, "meters", False)
-
-    @property
     def shapes_ingress(self) -> bool:
         """Whether the wired scheduler is the fair (shaping) policy."""
-        return self.active and self._sched.shapes_ingress
+        return self._sched.shapes_ingress
 
     def publish(self, producer_id: str) -> bool:
         """Admission verdict for one publish by ``producer_id``'s tenant."""
-        if not self.active:
-            return True
         return self._sched.admit(producer_id, WORK_PUBLISH, self._clock.now())
 
     def details(self, consumer_id: str) -> bool:
         """Meter + admission verdict for one request-for-details."""
-        if not self.active:
-            return True
         return self._sched.ingress(consumer_id, WORK_DETAILS, self._clock.now())
 
     def meter_details(self, consumer_id: str) -> None:
@@ -58,8 +49,7 @@ class SchedulerGate:
         Used by the fifo baseline, where no ``sched`` pipeline stage is
         composed: accounting still sees the work, admission stays inert.
         """
-        if self.active:
-            self._sched.submit(consumer_id, WORK_DETAILS, self._clock.now())
+        self._sched.submit(consumer_id, WORK_DETAILS, self._clock.now())
 
 
 def gateway_endpoint_name(producer_id: str) -> str:

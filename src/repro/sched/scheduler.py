@@ -177,13 +177,6 @@ class TenantScheduler:
     not the instrumentation.
     """
 
-    #: The kernel-kind convention: a constructed service is always "on";
-    #: ``shapes_ingress`` distinguishes the fair scheduler's active
-    #: admission from the fifo baseline's pure accounting.
-    enabled = True
-    #: Work metering is active under both policies.
-    meters = True
-
     def __init__(
         self,
         clock,
@@ -534,7 +527,7 @@ class TenantScheduler:
     def record_fairness(self, telemetry=None, now: float | None = None) -> None:
         """Publish fairness gauges (guard-hashed tenant labels only)."""
         telemetry = telemetry if telemetry is not None else self._telemetry
-        if telemetry is None or not getattr(telemetry, "enabled", False):
+        if telemetry is None or not telemetry.enabled:
             return
         now = now if now is not None else self.clock.now()
         self.drain(now)

@@ -4,6 +4,9 @@
 snapshot; ``restore(master_secret)`` rebuilds an equivalent
 :class:`~repro.core.controller.DataController`:
 
+* every row file is first checked against the manifest's sha256 and size
+  (:func:`~repro.storage.snapshot.problems`) — policy, consent and
+  gateway rows decide what the restored platform releases;
 * the audit log is replayed record by record and its hash chain compared
   against the manifest's head digest — a tampered archive fails restore;
 * the events index is restored with its identity slots **still sealed**
@@ -46,6 +49,7 @@ from repro.storage.schemas import (
     values_from_wire,
     values_to_wire,
 )
+from repro.storage.snapshot import describe, problems
 from repro.xmlmsg.document import XmlDocument
 
 _FILES = ("actors", "contracts", "catalog", "policies", "idmap", "index",
@@ -166,7 +170,8 @@ class PlatformArchive:
             "index_sequence": controller.index.sequence,
             "audit_head": controller.audit_log.head_digest,
             "id_skips": self._id_skips(controller),
-            "counts": {name: len(self._file(name)) for name in _FILES},
+            "files": describe(self.directory,
+                              [f"{name}.jsonl" for name in _FILES]),
         }
         self.manifest_path.write_text(json.dumps(manifest, indent=2))
 
@@ -197,12 +202,23 @@ class PlatformArchive:
     def restore(self, master_secret: str) -> DataController:
         """Rebuild an equivalent controller from the snapshot.
 
-        Raises :class:`~repro.exceptions.TamperedLogError` if the replayed
-        audit chain does not reproduce the manifest's head digest.
+        Raises :class:`~repro.exceptions.TamperedLogError` before anything
+        is built, listing every row file that is missing, truncated,
+        altered or absent from the manifest, and afterwards if the
+        replayed audit chain does not reproduce the manifest's head digest.
         """
         if not self.manifest_path.exists():
             raise ConfigurationError(f"no snapshot in {self.directory}")
         manifest = json.loads(self.manifest_path.read_text())
+        files = manifest.get("files", {})
+        found = [f"{name}.jsonl: not vouched for by the manifest"
+                 for name in _FILES if f"{name}.jsonl" not in files]
+        found += problems(self.directory, files)
+        if found:
+            raise TamperedLogError(
+                f"archive {self.directory} does not match its manifest: "
+                + "; ".join(found)
+            )
 
         controller = DataController(
             clock=Clock(start=manifest["clock_now"]),

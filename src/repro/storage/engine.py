@@ -126,7 +126,7 @@ class StorageEngine:
 
     def _emit(self, method: str, name: str, value: float, **labels) -> None:
         telemetry = self._telemetry
-        if telemetry is None or not getattr(telemetry, "enabled", False):
+        if telemetry is None or not telemetry.enabled:
             return
         getattr(telemetry, method)(name, value, store="segmented", **labels)
 

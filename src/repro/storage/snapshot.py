@@ -20,6 +20,10 @@ committed, not just to snapshot boundaries.
 
 Snapshot ids are deterministic (``snap-0001``, ``snap-0002``, ... or a
 caller-supplied label), so same-seed runs produce identical layouts.
+
+The file manifest — ``{relative path: {sha256, size}}`` — and "does this
+directory still match it" are :func:`describe` and :func:`problems`;
+platform archives and incident bundles write and check theirs with them.
 """
 
 from __future__ import annotations
@@ -41,19 +45,59 @@ PAYLOAD_FILE = "payload.tar.gz"
 _CHUNK = 1024 * 1024
 
 
-def _hash_file(path: Path) -> str:
+def _sha256(stream, limit: int | None = None) -> str:
+    """Chunked sha256 of ``stream``'s first ``limit`` bytes (None: all)."""
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _hash_stream(stream) -> str:
-    digest = hashlib.sha256()
-    for chunk in iter(lambda: stream.read(_CHUNK), b""):
+    remaining = float("inf") if limit is None else limit
+    while remaining > 0:
+        chunk = stream.read(min(_CHUNK, remaining))
+        if not chunk:
+            break
         digest.update(chunk)
+        remaining -= len(chunk)
     return digest.hexdigest()
+
+
+def describe(directory: str | Path, names=None) -> dict[str, dict[str, object]]:
+    """The file manifest of ``directory``, ``{relative path: {sha256, size}}``:
+    of the relative paths ``names``, or of every file underneath."""
+    directory = Path(directory)
+    if names is None:
+        names = [
+            path.relative_to(directory).as_posix()
+            for path in sorted(directory.rglob("*")) if path.is_file()
+        ]
+    files: dict[str, dict[str, object]] = {}
+    for name in names:
+        path = directory / name
+        with path.open("rb") as handle:
+            files[name] = {"sha256": _sha256(handle), "size": path.stat().st_size}
+    return files
+
+
+def problems(directory: str | Path, files: dict[str, dict],
+             grown_ok: bool = False) -> list[str]:
+    """Every way ``directory`` no longer matches the manifest ``files``.
+
+    Empty means intact.  ``grown_ok`` is for live append-only logs: only
+    the first ``size`` bytes are hashed, so a file appended to since the
+    manifest was written is drift, not corruption — a shorter one is
+    truncated either way.
+    """
+    directory = Path(directory)
+    found: list[str] = []
+    for relative, entry in sorted(files.items()):
+        path = directory / relative
+        if not path.is_file():
+            found.append(f"{relative}: missing from {directory}")
+        elif path.stat().st_size < entry["size"]:
+            found.append(f"{relative}: truncated below its manifest size")
+        else:
+            with path.open("rb") as handle:
+                digest = _sha256(handle, entry["size"] if grown_ok else None)
+            if digest != entry["sha256"]:
+                found.append(f"{relative}: sha256 mismatch")
+    return found
 
 
 @dataclass(frozen=True)
@@ -121,19 +165,11 @@ class SnapshotManager:
                 if child.is_dir() and any(child.glob(f"*{SEGMENT_SUFFIX}"))
             }
 
-        files: dict[str, dict[str, object]] = {}
-        total = 0
-        members = sorted(
-            path for path in data_dir.rglob("*") if path.is_file()
-        )
+        files = describe(data_dir)
         target.mkdir(parents=True)
         with tarfile.open(target / PAYLOAD_FILE, "w:gz") as archive:
-            for path in members:
-                relative = path.relative_to(data_dir).as_posix()
-                size = path.stat().st_size
-                files[relative] = {"sha256": _hash_file(path), "size": size}
-                total += size
-                archive.add(path, arcname=relative)
+            for relative in files:
+                archive.add(data_dir / relative, arcname=relative)
 
         manifest = {
             "schema": SNAPSHOT_SCHEMA,
@@ -142,16 +178,12 @@ class SnapshotManager:
                           for name, value in sorted(sequences.items())},
             "files": files,
             "count": len(files),
-            "size_bytes": total,
+            "size_bytes": sum(entry["size"] for entry in files.values()),
         }
         (target / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        return SnapshotInfo(
-            snapshot_id=snapshot_id, directory=target,
-            files=len(files), size_bytes=total,
-            sequences=dict(manifest["sequences"]),
-        )
+        return self.info(snapshot_id)
 
     # -- inspection ----------------------------------------------------------
 
@@ -196,7 +228,7 @@ class SnapshotManager:
         """
         manifest = self._manifest(snapshot_id)
         expected = dict(manifest["files"])
-        problems: list[str] = []
+        found: list[str] = []
         payload = self.root / snapshot_id / PAYLOAD_FILE
         if not payload.exists():
             return [f"{snapshot_id}: missing {PAYLOAD_FILE}"]
@@ -206,17 +238,14 @@ class SnapshotManager:
                     continue
                 entry = expected.pop(member.name, None)
                 if entry is None:
-                    problems.append(f"{member.name}: not in manifest")
-                    continue
-                stream = archive.extractfile(member)
-                digest = _hash_stream(stream)
-                if digest != entry["sha256"]:
-                    problems.append(f"{member.name}: sha256 mismatch")
+                    found.append(f"{member.name}: not in manifest")
+                elif _sha256(archive.extractfile(member)) != entry["sha256"]:
+                    found.append(f"{member.name}: sha256 mismatch")
                 elif member.size != entry["size"]:
-                    problems.append(f"{member.name}: size mismatch")
+                    found.append(f"{member.name}: size mismatch")
         for missing in sorted(expected):
-            problems.append(f"{missing}: missing from payload")
-        return problems
+            found.append(f"{missing}: missing from payload")
+        return found
 
     def verify_against(self, snapshot_id: str, data_dir: str | Path) -> list[str]:
         """Diff a live data directory against the snapshot manifest.
@@ -225,30 +254,8 @@ class SnapshotManager:
         segment shows up as a sha256 mismatch.  Files appended after the
         snapshot are reported as drift, not corruption.
         """
-        manifest = self._manifest(snapshot_id)
-        data_dir = Path(data_dir)
-        problems: list[str] = []
-        for relative, entry in sorted(manifest["files"].items()):
-            path = data_dir / relative
-            if not path.exists():
-                problems.append(f"{relative}: missing from {data_dir}")
-                continue
-            size = path.stat().st_size
-            if size < entry["size"]:
-                problems.append(f"{relative}: truncated below snapshot size")
-                continue
-            digest = hashlib.sha256()
-            remaining = int(entry["size"])
-            with path.open("rb") as handle:
-                while remaining > 0:
-                    chunk = handle.read(min(_CHUNK, remaining))
-                    if not chunk:
-                        break
-                    digest.update(chunk)
-                    remaining -= len(chunk)
-            if digest.hexdigest() != entry["sha256"]:
-                problems.append(f"{relative}: sha256 mismatch (corrupted)")
-        return problems
+        return problems(data_dir, self._manifest(snapshot_id)["files"],
+                        grown_ok=True)
 
     # -- restore -------------------------------------------------------------
 
@@ -288,17 +295,11 @@ class SnapshotManager:
                     except TypeError:  # Python < 3.12 lacks extract filters
                         archive.extract(member, path=target)
 
-        problems = []
-        for relative, entry in sorted(manifest["files"].items()):
-            path = target / relative
-            if not path.exists():
-                problems.append(f"{relative}: missing after extraction")
-            elif _hash_file(path) != entry["sha256"]:
-                problems.append(f"{relative}: sha256 mismatch after restore")
-        if problems:
+        found = problems(target, manifest["files"])
+        if found:
             raise SnapshotError(
                 f"snapshot {snapshot_id!r} failed post-restore verification: "
-                + "; ".join(problems)
+                + "; ".join(found)
             )
 
         truncated = 0

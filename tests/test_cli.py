@@ -64,6 +64,19 @@ class TestInspectCommand:
         assert "chain verified" in output
         assert "Guarantor access report" in output
 
+    def test_tampered_archive_exits_nonzero_with_the_mismatches(self, tmp_path):
+        snap = tmp_path / "snap"
+        run_cli("scenario", "--events", "25", "--archive", str(snap))
+        _, output = run_cli("inspect", str(snap))
+        assert "matches the manifest" in output
+        policies = snap / "policies.jsonl"
+        policies.write_text(policies.read_text().replace(
+            '"fields": [', '"fields": ["HivResult", ', 1))
+        code, output = run_cli("inspect", str(snap))
+        assert code == 1
+        assert "policies.jsonl: sha256 mismatch" in output
+        assert "chain verified" not in output
+
     def test_missing_archive_fails(self, tmp_path):
         from repro.exceptions import ConfigurationError
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the sharded multi-controller platform."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
@@ -9,6 +10,17 @@ from repro.exceptions import (
     FederationError,
     LinkFailureError,
     UnknownEventError,
+)
+from repro.federation import FederatedPlatform
+from repro.xmlmsg.schema import ElementDecl, MessageSchema
+from repro.xmlmsg.types import (
+    BooleanType,
+    DateType,
+    DecimalType,
+    EnumerationType,
+    IntegerType,
+    SimpleType,
+    StringType,
 )
 from tests.conftest import build_federation
 
@@ -285,3 +297,56 @@ class TestHoming:
         assert platform.home_of_producer("Hospital-S-Maria") == "node-0"
         assert platform.home_of_consumer("FamilyDoctors/Dr-Rossi") == "node-1"
         assert platform.home_of_class("BloodTest") == "node-0"
+
+
+class TestTypedValuesAcrossTheHop:
+    """The router's promise: a consumer cannot tell (except for latency)
+    whether the producer was local or remote — value types included."""
+
+    VALUES = {
+        StringType: st.text(),
+        IntegerType: st.integers(),
+        DecimalType: st.one_of(
+            st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+        BooleanType: st.booleans(),
+        DateType: st.dates(),
+        EnumerationType: st.sampled_from(("low", "high")),
+    }
+
+    def test_every_shipped_simple_type_is_drawn(self):
+        assert set(self.VALUES) == set(SimpleType.__subclasses__())
+
+    def test_remote_detail_equals_local_detail_for_every_simple_type(self):
+        fields = {type_.__name__: type_ for type_ in self.VALUES}
+        schema = MessageSchema("Visit", [
+            ElementDecl(name, type_(("low", "high"))
+                        if type_ is EnumerationType else type_())
+            for name, type_ in fields.items()
+        ])
+        platform = FederatedPlatform(shards=2, seed="typed")
+        clinic = platform.add_producer("Clinic", "Clinic", node_id="node-0")
+        for consumer_id, node_id in (("Near", "node-0"), ("Far", "node-1")):
+            platform.add_consumer(consumer_id, consumer_id, role="doctor",
+                                  node_id=node_id)
+        visit = platform.declare_event_class("Clinic", schema)
+        clinic.define_policy(
+            event_type="Visit", fields=list(fields),
+            consumers=[("doctor", "role")], purposes=["healthcare-treatment"])
+
+        @settings(max_examples=40, deadline=None)
+        @given(values=st.fixed_dictionaries({
+            name: self.VALUES[type_] for name, type_ in fields.items()}))
+        def released_the_same(values):
+            notification = platform.publish(
+                "Clinic", visit, subject_id="pat-1", subject_name="P One",
+                summary="visit", details=values)
+            near, far = (
+                platform.request_details(
+                    consumer_id, "Visit", notification.event_id,
+                    "healthcare-treatment").exposed_values()
+                for consumer_id in ("Near", "Far"))
+            assert near == far == values
+            assert {name: type(value) for name, value in far.items()} \
+                == {name: type(value) for name, value in near.items()}
+
+        released_the_same()

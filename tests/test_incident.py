@@ -7,6 +7,7 @@ carries a windowed burn-rate series for the trigger's objective, and
 never leaks an assisted-person id or plaintext tenant id.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -322,6 +323,18 @@ class TestCli:
         assert code == 0
         assert "incident-0001" in captured
         assert check_main([str(out)]) == 0
+
+    def test_federated_bundle_bytes_are_pinned(self, tmp_path, capsys):
+        """Beside the same-seed check above: the manifest commits to the
+        other three files, so its digest pins the whole bundle — taken
+        before bundles, snapshots and archives came to share one file
+        manifest, one window reader and one series iterator."""
+        cli_main(["incident", "--scenario", "federated",
+                  "--out", str(tmp_path)])
+        capsys.readouterr()
+        manifest = tmp_path / "incident-0001" / "manifest.json"
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
+            "71d1dc5b4807c8731585a55788d7b546805aef45e050ef3ede2f7cbddb1e5ef9")
 
     def test_incident_cli_lists_scenarios(self, capsys):
         assert cli_main(["incident", "--list"]) == 0

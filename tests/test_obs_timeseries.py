@@ -1,6 +1,7 @@
 """The windowed time-series store: ticking, windows, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import Clock
 from repro.exceptions import ConfigurationError
@@ -182,6 +183,76 @@ class TestSampleAnchoredWindows:
         assert store.sample_gauge_worst(
             "depth", at=2.0, window=2.0
         ) == pytest.approx(7.0)
+
+
+WINDOWS = (0.5, 1.0, 2.5, 60.0)
+LABELS = ({}, {"shard": "a"}, {"shard": "b"})
+
+#: One step: touch a series of one kind, then let simulated time pass.
+STEPS = st.lists(st.tuples(
+    st.sampled_from(("counter", "gauge", "histogram")),
+    st.sampled_from(LABELS),
+    st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+    st.sampled_from((0.0, 0.25, 1.0, 3.0)),
+), min_size=1, max_size=12)
+
+
+def _apply(metrics, clock, steps):
+    for kind, labels, value, advance in steps:
+        if kind == "counter":
+            metrics.counter("ops_total", **labels).inc(value)
+        elif kind == "gauge":
+            metrics.gauge("depth", **labels).set(value)
+        else:
+            metrics.histogram("latency", **labels).observe(value)
+        clock.advance(advance)
+
+
+def _reads(store, at=None):
+    """Every window read of every kind — trailing, or anchored at ``at``."""
+    rows = []
+    for window in WINDOWS:
+        for wanted in ((), (("shard", "a"),)):
+            if at is None:
+                delta = store.delta("ops_total", window, wanted)
+                histogram = store.windowed_histogram("latency", window, wanted)
+                worst = store.gauge_worst("depth", window, wanted)
+            else:
+                delta = store.sample_delta("ops_total", at, window, wanted)
+                histogram = store.sample_histogram("latency", at, window,
+                                                   wanted)
+                worst = store.sample_gauge_worst("depth", at, window, wanted)
+            rows.append((delta, worst, histogram and (
+                histogram.counts, histogram.count, histogram.sum,
+                histogram.max)))
+    return rows
+
+
+class TestTrailingEqualsAnchored:
+    """A window is two readings; only where it *ends* differs between the
+    trailing and the sample-anchored spelling."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rounds=st.lists(STEPS, min_size=1, max_size=5), after=STEPS)
+    def test_reads_agree_at_a_tick_and_part_between_ticks(self, rounds,
+                                                          after):
+        clock, metrics = Clock(), MetricsRegistry()
+        store = TimeSeriesStore(metrics, clock, interval=1.0, capacity=4)
+        for steps in rounds:
+            _apply(metrics, clock, steps)
+            store.tick()
+            ticked_at = clock.now()
+            assert _reads(store) == _reads(store, at=ticked_at)
+        anchored = _reads(store, at=ticked_at)
+        _apply(metrics, clock, after)
+        seen = store.delta("ops_total", 60.0)
+        metrics.counter("ops_total").inc(7)
+        metrics.gauge("depth").set(1e6)
+        # Between ticks the trailing read ends at the live value ...
+        assert store.delta("ops_total", 60.0) == pytest.approx(seen + 7)
+        assert store.gauge_worst("depth", 60.0) == 1e6
+        # ... and history anchored at the last tick has not moved.
+        assert _reads(store, at=ticked_at) == anchored
 
 
 class TestExport:

@@ -8,6 +8,7 @@ pipelines, the bus broker and the XACML PDP.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -705,6 +706,24 @@ class TestSLOEngine:
         payload = report.to_payload()
         assert payload["breaches"] == 0
         assert len(payload["objectives"]) == len(report.statuses)
+
+    @pytest.mark.parametrize("argv, pinned", [
+        (["slo", "--scenario", "federated", "--nodes", "2", "--events", "80",
+          "--patients", "12", "--drops", "2"],
+         "90d8c770a6aed59be3dd5cac367060a397590896d2b1a1644b5a0fa6d4e21d11"),
+        (["telemetry", "--scenario", "default"],
+         "51f5533731fa42a4a1d30d59865247ebedf27a8769afee5b1d45f646fbfd1347"),
+    ])
+    def test_slo_payload_bytes_are_pinned(self, tmp_path, capsys, argv, pinned):
+        """The SLO engine reads every objective through the registry's
+        series accessors; these digests were taken before those became
+        callers of one iterator."""
+        from repro.cli import main
+
+        assert main([*argv, "--slo-out", str(tmp_path / "slo.json")]) == 0
+        capsys.readouterr()
+        payload = (tmp_path / "slo.json").read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == pinned
 
     def test_kernel_resolves_slo_backends(self):
         from repro.obs.slo import NoopSLOEngine, SLOEngine

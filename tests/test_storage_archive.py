@@ -234,6 +234,26 @@ class TestArchiveRoundTrip:
         assert len(restored.catalog.history("BloodTest")) == 2
 
 
+ARCHIVE_FILES = ("actors", "contracts", "catalog", "policies", "idmap",
+                 "index", "gateways", "consent", "audit")
+
+
+def _edit_one_value(path):
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[0])
+    key = sorted(row)[0]
+    row[key] = [row[key], "edited"]
+    lines[0] = json.dumps(row, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+TAMPERINGS = {
+    "edited": _edit_one_value,
+    "emptied": lambda path: path.write_text(""),
+    "deleted": lambda path: path.unlink(),
+}
+
+
 class TestArchiveIntegrity:
     def test_double_save_rejected(self, tmp_path):
         controller, *_ = build_busy_platform()
@@ -267,5 +287,107 @@ class TestArchiveIntegrity:
         audit_path = tmp_path / "snap" / "audit.jsonl"
         lines = audit_path.read_text().splitlines()
         audit_path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(TamperedLogError):
+            archive.restore("archive-secret")
+
+    # -- every row file is vouched for, not just the audit chain ----------
+
+    @pytest.mark.parametrize("how", sorted(TAMPERINGS))
+    @pytest.mark.parametrize("name", ARCHIVE_FILES)
+    def test_any_tampered_file_fails_restore_before_anything_is_built(
+            self, tmp_path, monkeypatch, name, how):
+        controller, *_ = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        TAMPERINGS[how](tmp_path / "snap" / f"{name}.jsonl")
+        monkeypatch.setattr(
+            "repro.storage.archive.DataController",
+            lambda *args, **kwargs: pytest.fail(
+                "a controller was constructed from a tampered archive"))
+        with pytest.raises(TamperedLogError, match=rf"{name}\.jsonl"):
+            archive.restore("archive-secret")
+
+    def test_every_mismatch_is_listed(self, tmp_path):
+        controller, *_ = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        (tmp_path / "snap" / "consent.jsonl").write_text("")
+        (tmp_path / "snap" / "idmap.jsonl").unlink()
+        with pytest.raises(TamperedLogError) as excinfo:
+            archive.restore("archive-secret")
+        assert "consent.jsonl" in str(excinfo.value)
+        assert "idmap.jsonl" in str(excinfo.value)
+
+    def _doctor_request(self, restored, notification):
+        from repro.core.enforcement import DetailRequest
+
+        return restored.request_details("Dr-Rossi", DetailRequest(
+            actor=restored.actors.get("Dr-Rossi"), event_type="BloodTest",
+            event_id=notification.event_id, purpose="healthcare-treatment",
+        )).exposed_values()
+
+    def test_widened_policy_row_is_never_served(self, tmp_path):
+        """The policy grants PatientId + Hemoglobin; a row edited to add
+        HivResult and Name must not decide what a restored platform
+        releases."""
+        controller, _, _, notifications = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        path = tmp_path / "snap" / "policies.jsonl"
+        [row] = [json.loads(line) for line in path.read_text().splitlines()]
+        row["fields"] = sorted(set(row["fields"]) | {"HivResult", "Name"})
+        path.write_text(json.dumps(row, sort_keys=True) + "\n")
+        served = None
+        with pytest.raises(TamperedLogError, match=r"policies\.jsonl"):
+            restored = archive.restore("archive-secret")
+            served = self._doctor_request(restored, notifications[2])
+        assert served is None
+
+    def test_emptied_consent_file_is_never_served(self, tmp_path):
+        """p3 opted out of details; dropping the decision from the archive
+        must not restore a platform that releases them."""
+        controller, _, _, notifications = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        (tmp_path / "snap" / "consent.jsonl").write_text("")
+        served = None
+        with pytest.raises(TamperedLogError, match=r"consent\.jsonl"):
+            restored = archive.restore("archive-secret")
+            served = self._doctor_request(restored, notifications[3])
+        assert served is None
+
+    @pytest.mark.parametrize("drop", [
+        lambda manifest: manifest.pop("files"),  # written before manifests had one
+        lambda manifest: manifest["files"].pop("policies.jsonl"),
+    ], ids=["no-files", "one-name-missing"])
+    def test_file_the_manifest_does_not_vouch_for_is_refused(self, tmp_path,
+                                                             drop):
+        controller, *_ = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        manifest = json.loads(archive.manifest_path.read_text())
+        drop(manifest)
+        archive.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(TamperedLogError,
+                           match=r"policies\.jsonl: not vouched for"):
+            archive.restore("archive-secret")
+
+    def test_recomputed_file_digests_do_not_hide_a_broken_chain(self, tmp_path):
+        """The manifest is unkeyed: whoever edits a row can re-hash the
+        file.  The audit chain is still replayed link by link."""
+        from repro.storage.snapshot import describe
+
+        controller, *_ = build_busy_platform()
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        audit_path = tmp_path / "snap" / "audit.jsonl"
+        lines = audit_path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["actor"] = "evil"
+        lines[2] = json.dumps(record, sort_keys=True)
+        audit_path.write_text("\n".join(lines) + "\n")
+        manifest = json.loads(archive.manifest_path.read_text())
+        manifest["files"] = describe(tmp_path / "snap", list(manifest["files"]))
+        archive.manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(TamperedLogError):
             archive.restore("archive-secret")

@@ -241,6 +241,61 @@ class TestSnapshots:
             assert twin.read_bytes() == segment.read_bytes()
 
 
+    # -- the file manifest snapshots, archives and incident bundles share --
+
+    DAMAGE = {
+        "grown": lambda path: path.write_bytes(path.read_bytes() + b"more"),
+        "truncated": lambda path: path.write_bytes(path.read_bytes()[:-1]),
+        "flipped": lambda path: path.write_bytes(
+            bytes([path.read_bytes()[0] ^ 0xFF]) + path.read_bytes()[1:]),
+        "deleted": lambda path: path.unlink(),
+    }
+
+    @pytest.mark.parametrize("damage, live, sealed", [
+        ("grown", None, "sha256 mismatch"),   # drift on a live log only
+        ("truncated", "truncated", "truncated"),
+        ("flipped", "sha256 mismatch", "sha256 mismatch"),
+        ("deleted", "missing", "missing"),
+    ])
+    def test_verify_against_and_problems_agree_on_damage(
+            self, tmp_path, damage, live, sealed):
+        from repro.storage.snapshot import describe, problems
+
+        engine = self.make_engine(tmp_path)
+        info = engine.snapshot(tmp_path / "snaps")
+        manager = SnapshotManager(tmp_path / "snaps")
+        files = describe(tmp_path / "data")
+        assert files == json.loads(
+            (info.directory / "manifest.json").read_text())["files"]
+        first = sorted(files)[0]
+        self.DAMAGE[damage](tmp_path / "data" / first)
+        as_live = manager.verify_against(info.snapshot_id, tmp_path / "data")
+        assert as_live == problems(tmp_path / "data", files, grown_ok=True)
+        if live is None:
+            assert as_live == []
+        else:
+            [only] = as_live
+            assert only.startswith(f"{first}: {live}")
+        [as_sealed] = problems(tmp_path / "data", files)
+        assert as_sealed.startswith(f"{first}: {sealed}")
+
+    def test_incident_bundle_manifest_is_the_same_manifest(self, tmp_path):
+        from repro.obs.incident import write_bundle
+        from repro.storage.snapshot import describe, problems
+
+        root = write_bundle(tmp_path, {
+            "incident_id": "incident-0001", "events": [{"seq": 1}],
+            "series": [],
+        })
+        files = json.loads((root / "manifest.json").read_text())["files"]
+        assert files == describe(
+            root, ("incident.json", "events.jsonl", "series.jsonl"))
+        assert files["series.jsonl"]["size"] == 0
+        assert problems(root, files) == []
+        (root / "events.jsonl").write_text('{"seq":2}\n')
+        assert problems(root, files) == ["events.jsonl: sha256 mismatch"]
+
+
 class TestStoreKind:
     def test_kernel_registers_both_store_kinds(self):
         from repro.runtime.kernel import KIND_STORE, default_kernel
