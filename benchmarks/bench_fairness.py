@@ -22,7 +22,6 @@ decisions).  Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ if __name__ == "__main__":  # allow running without an installed package
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.obs.benchreport import write_summary  # noqa: E402
 from repro.sched.fairness import (  # noqa: E402
     DEFAULT_DRAIN_SECONDS,
     DEFAULT_NODES,
@@ -87,11 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"audit digests {'match' if payload['audit_digest_match'] else 'DIFFER'}")
 
     if args.out:
-        target = Path(args.out)
-        target.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_summary(args.out, payload)
         print(f"wrote {args.out}")
 
     problems = fairness_gate(payload)

@@ -30,7 +30,6 @@ overhead figure measured nothing interesting.  Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -40,6 +39,7 @@ if __name__ == "__main__":  # allow running without an installed package
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.obs.benchreport import write_summary  # noqa: E402
 from repro.workload.config import workload_config  # noqa: E402
 from repro.workload.incidents import run_incident_capture  # noqa: E402
 
@@ -183,10 +183,7 @@ def main(argv: list[str] | None = None) -> int:
               f"at t={payload['trigger']['at']:.3f}s")
 
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_summary(args.out, payload)
         print(f"wrote {args.out}")
 
     problems = overhead_gate(payload, args.max_overhead_pct)

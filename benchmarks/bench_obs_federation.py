@@ -17,7 +17,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,8 +26,11 @@ if __name__ == "__main__":  # allow running without an installed package
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.exceptions import ConfigurationError  # noqa: E402
 from repro.federation import FederatedScenario, FederatedScenarioConfig  # noqa: E402
+from repro.obs.benchreport import write_summary  # noqa: E402
 from repro.obs.stitch import stitch_summary  # noqa: E402
+from repro.workload.config import parse_node_counts  # noqa: E402
 
 SCHEMA_ID = "css-bench-obs-federation/1"
 
@@ -90,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the summary JSON to FILE")
     args = parser.parse_args(argv)
 
-    node_counts = [int(part) for part in args.nodes.split(",") if part.strip()]
-    if not node_counts or any(count < 1 for count in node_counts):
-        print("bench_obs_federation: --nodes must be positive integers",
-              file=sys.stderr)
+    try:
+        node_counts = parse_node_counts(args.nodes)
+    except ConfigurationError as exc:
+        print(f"bench_obs_federation: {exc}", file=sys.stderr)
         return 2
 
     points = [
@@ -125,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         summary = build_summary(points, args.events, args.patients, args.seed)
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True))
+        write_summary(args.out, summary)
         print(f"wrote {args.out}")
     return 0
 

@@ -18,7 +18,6 @@ the baseline.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +26,10 @@ if __name__ == "__main__":  # allow running without an installed package
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.exceptions import ConfigurationError  # noqa: E402
+from repro.obs.benchreport import write_summary  # noqa: E402
 from repro.perf.bench import run_suite  # noqa: E402
+from repro.workload.config import parse_node_counts  # noqa: E402
 
 
 def _print_summary(payload: dict) -> None:
@@ -74,16 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        node_counts = tuple(
-            int(part) for part in args.nodes.split(",") if part.strip()
-        )
-    except ValueError:
-        print("bench_perf_hotpath: --nodes must be comma-separated integers",
-              file=sys.stderr)
-        return 2
-    if not node_counts or any(count < 1 for count in node_counts):
-        print("bench_perf_hotpath: --nodes must be positive integers",
-              file=sys.stderr)
+        node_counts = parse_node_counts(args.nodes)
+    except ConfigurationError as exc:
+        print(f"bench_perf_hotpath: {exc}", file=sys.stderr)
         return 2
 
     payload = run_suite(
@@ -100,9 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.out:
-        target = Path(args.out)
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {target}")
+        print(f"wrote {write_summary(args.out, payload)}")
     return 0
 
 

@@ -29,7 +29,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import time
@@ -205,8 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"equivalence: identical={equivalence['identical']} "
           f"({equivalence['audit_records']} audit records)")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        from repro.obs.benchreport import write_summary
+
+        write_summary(args.out, payload)
         print(f"wrote {args.out}")
     return 0 if equivalence["identical"] else 1
 

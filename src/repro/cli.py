@@ -1,40 +1,9 @@
 """Command-line interface.
 
-All subcommands are built on the public API::
-
-    python -m repro scenario  [--events N] [--patients N] [--rate R]
-                              [--seed S] [--archive DIR] [--durable DIR]
-    python -m repro compare   [--events N] [--seed S]
-    python -m repro monitor   [--events N] [--seed S] [--threshold K]
-    python -m repro telemetry [--scenario default|federated] [--nodes N]
-                              [--events N] [--seed S]
-                              [--guard hash|reject] [--trace-out FILE]
-                              [--metrics-out FILE] [--bench-out FILE]
-                              [--profile] [--slo-out FILE]
-    python -m repro federate  [--nodes N] [--events N] [--seed S]
-                              [--rebalance] [--slo-out FILE]
-    python -m repro slo       [--scenario default|federated] [--nodes N]
-                              [--drops K] [--slo-out FILE]
-    python -m repro trace     [--scenario default|federated] [--nodes N]
-                              [--stitch] [--out FILE]
-    python -m repro store     ACTION [--data DIR] [--snapshots DIR]
-                              [--id SNAP] [--target DIR] [--to-sequence N]
-                              [--log NAME]
-    python -m repro workload  [--scenario steady|stress|surge|anomaly]
-                              [--population N] [--ops N] [--nodes 1,2,4,8]
-                              [--seed S] [--sched none|fair] [--out FILE]
-                              [--list]
-    python -m repro sched     [--scenario anomaly|...] [--population N]
-                              [--ops N] [--nodes N] [--seed S] [--out FILE]
-                              [--list]
-    python -m repro incident  [--scenario anomaly|federated|...]
-                              [--population N] [--ops N] [--nodes N]
-                              [--seed S] [--out DIR] [--list]
-    python -m repro timeline  [--scenario anomaly|federated|...]
-                              [--population N] [--ops N] [--nodes N]
-                              [--seed S] [--limit N] [--out FILE]
-    python -m repro inspect   DIR [--secret SECRET]
-    python -m repro kernel
+All subcommands are built on the public API; ``python -m repro --help``
+and ``python -m repro COMMAND --help`` print the usage, generated from
+this module's two tables (``OPTIONS``: every option, stated once;
+``COMMANDS``: one row per subcommand).
 
 ``scenario`` runs a full synthetic deployment and prints its report
 (optionally archiving the resulting platform; ``--durable DIR`` runs it
@@ -51,9 +20,11 @@ rebalance; ``slo`` evaluates the stock service-level objectives over a
 run (``--drops`` scripts link-level degradation so the link-delivery
 objective demonstrably breaches); ``trace`` runs a federation with
 per-node telemetry and stitches the per-node span exports into
-federated traces; ``store`` operates the segmented storage engine on a
-data directory (``snapshot``/``verify``/``restore``/``compact``/``stats``
-— point-in-time recovery via ``restore --to-sequence``); ``workload``
+federated traces; ``perf`` times the indexed hot-path layer against the
+linear baseline on identical workloads (``css-bench-perf/1``); ``store``
+operates the segmented storage engine on a data directory
+(``snapshot``/``verify``/``restore``/``compact``/``stats`` — point-in-time
+recovery via ``restore --to-sequence``); ``workload``
 drives the federated platform with a seeded open-loop workload scenario
 at each requested node count and writes the ``css-bench-capacity/1``
 trajectory (sustained events/sec, details/sec, p95/p99, saturation
@@ -75,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.analytics import ProcessMonitor
@@ -86,8 +58,19 @@ from repro.baselines import (
     WarehouseBaseline,
 )
 from repro.clock import DAY
+from repro.exceptions import ConfigurationError
+from repro.federation import FederatedScenario, FederatedScenarioConfig
 from repro.obs.benchreport import write_summary
-from repro.runtime.kernel import RuntimeConfig, default_kernel, suggest
+from repro.obs.guard import MODE_HASH, MODE_REJECT
+from repro.runtime.kernel import (
+    KIND_BATCH,
+    KIND_SCHED,
+    KIND_STORE,
+    WIRING,
+    RuntimeConfig,
+    default_kernel,
+    suggest,
+)
 from repro.sim.generators import DEFAULT_SEED
 from repro.sim.scenario import (
     DEFAULT_CONSUMERS,
@@ -96,254 +79,120 @@ from repro.sim.scenario import (
     ScenarioConfig,
 )
 from repro.storage import PlatformArchive
+from repro.workload import (
+    SCENARIOS,
+    CapacityConfig,
+    parse_node_counts,
+    run_capacity,
+    workload_config,
+)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="CSS privacy-preserving event-driven integration platform "
-                    "(reproduction of Armellin et al., SDM@VLDB 2010)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: The in-tree implementations: what ``--store/--sched/--batch`` may name.
+_KERNEL = default_kernel()
 
-    scenario = sub.add_parser("scenario", help="run a synthetic deployment")
-    _scenario_options(scenario)
-    scenario.add_argument("--archive", metavar="DIR",
-                          help="snapshot the platform into DIR afterwards")
-    scenario.add_argument("--durable", metavar="DIR",
-                          help="run on the JSONL index/audit backends, "
-                               "writing into DIR")
-    scenario.add_argument("--store", default="jsonl",
-                          choices=["jsonl", "segmented"],
-                          help="durable store engine for --durable "
-                               "(default jsonl; segmented adds crash "
-                               "recovery, compaction and snapshots)")
-    scenario.add_argument("--sched", default="none", choices=["none", "fair"],
-                          help="tenant scheduler: none (fifo baseline) or "
-                               "fair (per-tenant admission + deficit "
-                               "round-robin)")
-
-    compare = sub.add_parser("compare", help="CSS vs the four baselines")
-    _scenario_options(compare)
-
-    monitor = sub.add_parser("monitor", help="governing-body aggregate view")
-    _scenario_options(monitor)
-    monitor.add_argument("--threshold", type=int, default=5,
-                         help="small-cell suppression threshold k (default 5)")
-
-    telemetry = sub.add_parser(
-        "telemetry", help="run a scenario with telemetry enabled and report"
-    )
-    telemetry.add_argument("--scenario", default="default",
-                           choices=["default", "federated"],
-                           help="named scenario preset")
-    telemetry.add_argument("--nodes", type=int, default=2,
-                           help="federation size for --scenario federated "
-                                "(default 2)")
-    _scenario_options(telemetry)
-    telemetry.add_argument("--guard", default="hash", choices=["hash", "reject"],
-                           help="privacy-guard mode for labels/attributes")
-    telemetry.add_argument("--trace-out", metavar="FILE",
-                           help="write the span trace as JSONL to FILE")
-    telemetry.add_argument("--metrics-out", metavar="FILE",
-                           help="write the metrics snapshot as JSONL to FILE")
-    telemetry.add_argument("--bench-out", metavar="FILE",
-                           help="write a BENCH_obs.json-style summary to FILE")
-    telemetry.add_argument("--profile", action="store_true",
-                           help="attach the sampling profiler and print "
-                                "where simulated time went")
-    telemetry.add_argument("--slo-out", metavar="FILE",
-                           help="evaluate the stock SLOs and write the "
-                                "report payload as JSON to FILE")
-
-    federate = sub.add_parser(
-        "federate", help="run the scenario sharded over an N-node federation"
-    )
-    _scenario_options(federate)
-    federate.add_argument("--nodes", type=int, default=2,
-                          help="number of controller nodes (default 2)")
-    federate.add_argument("--sched", default="none", choices=["none", "fair"],
-                          help="tenant scheduler on every node: none (fifo "
-                               "baseline) or fair (per-tenant admission + "
-                               "deficit round-robin)")
-    federate.add_argument("--batch", default="off",
-                          help="batched execution on every node: off "
-                               "(per-event writes and frames) or on "
-                               "(group commit + coalesced shard frames)")
-    federate.add_argument("--batch-size", type=int, default=256,
-                          help="records per group commit / entries per "
-                               "coalesced frame (default 256)")
-    federate.add_argument("--rebalance", action="store_true",
-                          help="add a node after the run and re-home the "
-                               "moved index entries")
-    federate.add_argument("--slo-out", metavar="FILE",
-                          help="enable telemetry, evaluate the stock SLOs "
-                               "and write the report payload as JSON to FILE")
-
-    slo = sub.add_parser(
-        "slo", help="evaluate service-level objectives over a scenario run"
-    )
-    slo.add_argument("--scenario", default="federated",
-                     help="named scenario preset (default or federated)")
-    slo.add_argument("--nodes", type=int, default=2,
-                     help="federation size for --scenario federated (default 2)")
-    _scenario_options(slo)
-    slo.add_argument("--guard", default="hash", choices=["hash", "reject"],
-                     help="privacy-guard mode for labels/attributes")
-    slo.add_argument("--drops", type=int, default=0,
-                     help="script this many link-level first-attempt drops "
-                          "(federated only; degrades link-delivery)")
-    slo.add_argument("--slo-out", metavar="FILE",
-                     help="write the SLO report payload as JSON to FILE")
-
-    trace = sub.add_parser(
-        "trace", help="distributed tracing: stitch per-node span exports"
-    )
-    trace.add_argument("--scenario", default="federated",
-                       help="named scenario preset (default or federated)")
-    trace.add_argument("--nodes", type=int, default=2,
-                       help="federation size for --scenario federated "
-                            "(default 2)")
-    _scenario_options(trace)
-    trace.add_argument("--stitch", action="store_true",
-                       help="print the stitched federated traces as a table")
-    trace.add_argument("--out", metavar="FILE",
-                       help="write the stitched trace as JSONL to FILE")
-
-    perf = sub.add_parser(
-        "perf", help="hot-path figures: indexed perf layer vs linear baseline"
-    )
-    perf.add_argument("--scenario", default="kernel",
-                      help="perf scenario preset (kernel or federated)")
-    perf.add_argument("--nodes", type=int, default=2,
-                      help="federation size for --scenario federated (default 2)")
-    perf.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    perf.add_argument("--full", action="store_true",
-                      help="full iteration counts (default: quick, CI-sized)")
-    perf.add_argument("--out", metavar="FILE",
-                      help="write the css-bench-perf/1 summary JSON to FILE")
-
-    store = sub.add_parser(
-        "store", help="operate the segmented storage engine on a data dir"
-    )
-    store.add_argument("action",
-                       help="one of: snapshot, verify, restore, compact, stats")
-    store.add_argument("--data", metavar="DIR",
-                       help="storage-engine data directory")
-    store.add_argument("--snapshots", metavar="DIR",
-                       help="snapshot root directory (default: DATA/../snapshots)")
-    store.add_argument("--id", dest="snapshot_id", metavar="SNAP",
-                       help="snapshot id (default: the latest)")
-    store.add_argument("--target", metavar="DIR",
-                       help="restore target directory (must be empty)")
-    store.add_argument("--to-sequence", type=int, default=None,
-                       help="point-in-time recovery: truncate every restored "
-                            "log to this committed sequence number")
-    store.add_argument("--log", default="index",
-                       help="log to compact (default index; audit refuses)")
-
-    workload = sub.add_parser(
-        "workload",
-        help="drive the federation with a seeded scenario, emit the "
-             "capacity trajectory",
-    )
-    _workload_options(workload, scenario="steady", population=100_000,
-                      ops=5_000, nodes="1,2,4,8")
-    workload.add_argument("--sched", default="none", choices=["none", "fair"],
-                          help="tenant scheduler on every node: none (fifo "
-                               "baseline) or fair (per-tenant admission + "
-                               "deficit round-robin)")
-    workload.add_argument("--batch", default="off",
-                          help="batched execution on every node: off "
-                               "(per-event writes and frames) or on "
-                               "(group commit + coalesced shard frames)")
-    workload.add_argument("--batch-size", type=int, default=256,
-                          help="records per group commit / entries per "
-                               "coalesced frame (default 256)")
-    workload.add_argument("--out", metavar="FILE", default=None,
-                          help="write the css-bench-capacity/1 payload "
-                               "to FILE (e.g. BENCH_capacity.json)")
-
-    sched = sub.add_parser(
-        "sched",
-        help="fairness comparison: fifo baseline vs fair tenant scheduler",
-    )
-    _workload_options(sched, scenario="anomaly", population=4_000, ops=600)
-    sched.add_argument("--out", metavar="FILE", default=None,
-                       help="write the css-bench-fairness/1 payload to FILE "
-                            "(e.g. BENCH_fairness.json)")
-
-    incident = sub.add_parser(
-        "incident",
-        help="watched workload run: watchdogs, flight recorder, "
-             "css-incident/1 bundles",
-    )
-    _workload_options(incident, scenario="anomaly", population=4_000, ops=600)
-    incident.add_argument("--out", metavar="DIR", default=None,
-                          help="write each captured css-incident/1 bundle "
-                               "as a directory under DIR")
-
-    timeline = sub.add_parser(
-        "timeline",
-        help="merged cross-node flight-recorder timeline of a watched run",
-    )
-    _workload_options(timeline, scenario="anomaly", population=4_000,
-                      ops=600, listing=False)
-    timeline.add_argument("--limit", type=int, default=20,
-                          help="timeline rows to print (default 20, "
-                               "most recent; 0 prints all)")
-    timeline.add_argument("--out", metavar="FILE", default=None,
-                          help="write the full timeline as canonical "
-                               "JSONL to FILE")
-
-    inspect = sub.add_parser("inspect", help="restore an archive and audit it")
-    inspect.add_argument("directory", help="archive directory to restore")
-    inspect.add_argument("--secret", default="css-platform-secret",
-                         help="master secret the platform was created with")
-
-    sub.add_parser("kernel", help="print the service-kernel wiring table")
-    return parser
-
-
-def _workload_options(parser: argparse.ArgumentParser, *, scenario: str,
-                      population: int, ops: int, nodes: str | None = None,
-                      listing: bool = True) -> None:
-    """Options shared by the workload-engine subcommands
-    (workload, sched, incident, timeline)."""
-    parser.add_argument("--scenario", default=scenario,
-                        help=f"workload scenario preset (default {scenario}; "
-                             "incident/timeline also accept 'federated', an "
-                             "alias for anomaly on the default 2-node "
-                             "federation)")
-    parser.add_argument("--population", type=int, default=population,
-                        help="assisted-person population size (default "
-                             f"{population}; lazily materialized)")
-    parser.add_argument("--ops", type=int, default=ops,
-                        help=f"operations per run (default {ops})")
-    if nodes is None:
-        parser.add_argument("--nodes", type=int, default=2,
-                            help="federation size (default 2)")
-    else:
-        parser.add_argument("--nodes", default=nodes,
-                            help="comma-separated node counts of the "
-                                 f"trajectory (default {nodes})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed of population, arrivals and op "
-                             f"mix (default: the preset's, {DEFAULT_SEED})")
-    if listing:
-        parser.add_argument("--list", action="store_true",
-                            dest="list_scenarios",
-                            help="list the scenario presets and exit")
-
-
-def _scenario_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--events", type=int, default=200)
-    parser.add_argument("--patients", type=int, default=30)
-    parser.add_argument("--rate", type=float, default=0.3,
-                        help="detail-request rate in [0, 1] (default 0.3)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed of every generated stream "
-                             f"(default {DEFAULT_SEED})")
+#: Every option of the CLI, stated once: option string (a bare name is a
+#: positional) -> its ``add_argument`` keywords.  ``{default}`` in a help
+#: is filled with the default in force.  ``known`` is not an argparse
+#: keyword: it holds the values the option enumerates, read from whoever
+#: owns them, and ``_check_values`` refuses anything else.  A command row
+#: overrides the keywords it spells differently.
+OPTIONS: dict[str, dict] = {
+    "--events": {"type": int, "default": 200},
+    "--patients": {"type": int, "default": 30},
+    "--rate": {"type": float, "default": 0.3,
+               "help": "detail-request rate in [0, 1] (default {default})"},
+    "--seed": {"type": int, "default": DEFAULT_SEED,
+               "help": "master seed of every generated stream "
+                       "(default {default})"},
+    "--archive": {"metavar": "DIR",
+                  "help": "snapshot the platform into DIR afterwards"},
+    "--durable": {"metavar": "DIR",
+                  "help": "run on the JSONL index/audit backends, "
+                          "writing into DIR"},
+    "--store": {"default": "jsonl",
+                "known": _KERNEL.implementations(KIND_STORE),
+                "help": "durable store engine for --durable (default "
+                        "{default}; segmented adds crash recovery, "
+                        "compaction and snapshots)"},
+    "--sched": {"default": "none",
+                "known": _KERNEL.implementations(KIND_SCHED),
+                "help": "tenant scheduler on every node: none (fifo "
+                        "baseline) or fair (per-tenant admission + "
+                        "deficit round-robin)"},
+    "--batch": {"default": "off",
+                "known": _KERNEL.implementations(KIND_BATCH),
+                "help": "batched execution on every node: off (per-event "
+                        "writes and frames) or on (group commit + "
+                        "coalesced shard frames)"},
+    "--batch-size": {"type": int, "default": 256,
+                     "help": "records per group commit / entries per "
+                             "coalesced frame (default {default})"},
+    "--threshold": {"type": int, "default": 5,
+                    "help": "small-cell suppression threshold k "
+                            "(default {default})"},
+    "--scenario": {"default": "anomaly", "known": tuple(SCENARIOS),
+                   "help": "workload scenario preset (default {default}; "
+                           "incident/timeline also accept 'federated', an "
+                           "alias for anomaly on the default 2-node "
+                           "federation)"},
+    "--nodes": {"type": int, "default": 2,
+                "help": "federation size for --scenario federated "
+                        "(default {default})"},
+    "--guard": {"default": MODE_HASH, "known": (MODE_HASH, MODE_REJECT),
+                "help": "privacy-guard mode for labels/attributes"},
+    "--trace-out": {"metavar": "FILE",
+                    "help": "write the span trace as JSONL to FILE"},
+    "--metrics-out": {"metavar": "FILE",
+                      "help": "write the metrics snapshot as JSONL to FILE"},
+    "--bench-out": {"metavar": "FILE",
+                    "help": "write a BENCH_obs.json-style summary to FILE"},
+    "--profile": {"action": "store_true",
+                  "help": "attach the sampling profiler and print "
+                          "where simulated time went"},
+    "--slo-out": {"metavar": "FILE",
+                  "help": "write the SLO report payload as JSON to FILE"},
+    "--rebalance": {"action": "store_true",
+                    "help": "add a node after the run and re-home the "
+                            "moved index entries"},
+    "--drops": {"type": int, "default": 0,
+                "help": "script this many link-level first-attempt drops "
+                        "(federated only; degrades link-delivery)"},
+    "--stitch": {"action": "store_true",
+                 "help": "print the stitched federated traces as a table"},
+    "--out": {"metavar": "FILE"},
+    "--full": {"action": "store_true",
+               "help": "full iteration counts (default: quick, CI-sized)"},
+    "action": {"known": ("snapshot", "verify", "restore", "compact", "stats"),
+               "help": "one of: snapshot, verify, restore, compact, stats"},
+    "--data": {"metavar": "DIR", "help": "storage-engine data directory"},
+    "--snapshots": {"metavar": "DIR",
+                    "help": "snapshot root directory "
+                            "(default: DATA/../snapshots)"},
+    "--id": {"dest": "snapshot_id", "metavar": "SNAP",
+             "help": "snapshot id (default: the latest)"},
+    "--target": {"metavar": "DIR",
+                 "help": "restore target directory (must be empty)"},
+    "--to-sequence": {"type": int,
+                      "help": "point-in-time recovery: truncate every "
+                              "restored log to this committed sequence "
+                              "number"},
+    "--log": {"default": "index",
+              "help": "log to compact (default {default}; audit refuses)"},
+    "--population": {"type": int, "default": 4_000,
+                     "help": "assisted-person population size (default "
+                             "{default}; lazily materialized)"},
+    "--ops": {"type": int, "default": 600,
+              "help": "operations per run (default {default})"},
+    "--list": {"action": "store_true", "dest": "list_scenarios",
+               "help": "list the scenario presets and exit"},
+    "--limit": {"type": int, "default": 20,
+                "help": "timeline rows to print (default {default}, "
+                        "most recent; 0 prints all)"},
+    "directory": {"help": "archive directory to restore"},
+    "--secret": {"default": "css-platform-secret",
+                 "help": "master secret the platform was created with"},
+}
 
 
 def _css_scenario(args: argparse.Namespace,
@@ -357,53 +206,51 @@ def _css_scenario(args: argparse.Namespace,
 
 def _federated_scenario(args: argparse.Namespace, **knobs):
     """The same flags as an ``--nodes``-node federated scenario."""
-    from repro.exceptions import ConfigurationError
-    from repro.federation import FederatedScenario, FederatedScenarioConfig
-
-    try:
-        return FederatedScenario(FederatedScenarioConfig(
-            nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-            detail_request_rate=args.rate, seed=args.seed, **knobs,
-        ))
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro {args.command}: {exc}") from None
+    return FederatedScenario(FederatedScenarioConfig(
+        nodes=args.nodes, n_patients=args.patients, n_events=args.events,
+        detail_request_rate=args.rate, seed=args.seed, **knobs,
+    ))
 
 
-def _make_scenario(args: argparse.Namespace) -> tuple[CssScenario, list]:
-    runtime = None
-    if getattr(args, "durable", None):
+def _observed_scenario(args: argparse.Namespace, guard: str = MODE_HASH,
+                       **federated):
+    """What ``--scenario default|federated`` names, telemetry on, not yet run:
+    the single controller on the in-memory backend, or the ``--nodes``-node
+    federation built with the ``federated`` knobs.  Returns the scenario and
+    the controller whose telemetry and bus speak for it (node-0's on a
+    federation, whose shared telemetry every node controller holds)."""
+    if args.scenario == "federated":
+        scenario = _federated_scenario(args, telemetry_guard=guard, **federated)
+        platform = scenario.platform
+        return scenario, platform.controller_of(platform.membership.node_ids[0])
+    scenario = _css_scenario(args, RuntimeConfig(
+        telemetry="inmemory", telemetry_guard=guard))
+    return scenario, scenario.controller
+
+
+def _cmd_scenario(args: argparse.Namespace, out) -> int:
+    runtime = RuntimeConfig(sched=args.sched)
+    if args.durable:
         target = Path(args.durable)
         if target.exists() and not target.is_dir():
-            raise SystemExit(f"repro scenario: --durable {args.durable}: "
-                             f"not a directory")
+            raise ConfigurationError(
+                f"--durable {args.durable}: not a directory")
         leftovers = [name for name in ("index.jsonl", "audit.jsonl",
                                        "index", "audit")
                      if (target / name).exists()]
         if leftovers:
-            raise SystemExit(
-                f"repro scenario: --durable {args.durable}: already contains "
+            raise ConfigurationError(
+                f"--durable {args.durable}: already contains "
                 f"{', '.join(leftovers)} from a previous run; a scenario "
                 f"starts from an empty deployment, so pick a new or empty "
                 f"directory (old runs stay readable through JsonlIndexStore/"
                 f"JsonlAuditSink, see examples/durable_backends.py)")
-        runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                store=getattr(args, "store", "jsonl"),
-                                data_dir=args.durable)
-    sched = getattr(args, "sched", "none")
-    if sched != "none":
-        from dataclasses import replace
-
-        runtime = replace(runtime or RuntimeConfig(), sched=sched)
+        runtime = replace(runtime, index_store="jsonl", audit_sink="jsonl",
+                          store=args.store, data_dir=args.durable)
     scenario = _css_scenario(args, runtime)
-    return scenario, scenario.generate_workload()
-
-
-def _cmd_scenario(args: argparse.Namespace, out) -> int:
-    scenario, workload = _make_scenario(args)
-    report = scenario.run(workload)
-    print(report.to_text(), file=out)
+    print(scenario.run().to_text(), file=out)
     if args.durable:
-        if getattr(args, "store", "jsonl") == "segmented":
+        if args.store == "segmented":
             print(f"durable backends wrote segmented index and audit logs "
                   f"to {args.durable} (inspect with: repro store stats "
                   f"--data {args.durable})", file=out)
@@ -416,19 +263,6 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_SCENARIOS = ("default", "federated")
-
-
-def _check_choice(command: str, what: str, value: str,
-                  known: tuple[str, ...]) -> None:
-    """Reject an unknown enumeration value the way the kernel rejects names."""
-    if value not in known:
-        raise SystemExit(
-            f"repro {command}: unknown {what} {value!r};"
-            f"{suggest(value, known)} available: {', '.join(known)}"
-        )
-
-
 def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     from repro.obs.benchreport import scenario_summary
     from repro.obs.exporters import render_latency_table, render_metrics_table
@@ -439,20 +273,12 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
         STAGE_DURATION,
     )
 
-    if args.scenario == "federated":
-        scenario = _federated_scenario(args, telemetry_guard=args.guard)
-        telemetry = scenario.telemetry
-        if args.profile:
-            telemetry.attach_profiler(
-                SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
-        report = scenario.run()
-    else:
-        scenario = _css_scenario(args, RuntimeConfig(
-            telemetry="inmemory", telemetry_guard=args.guard,
-            profiling="sampling" if args.profile else "noop",
-        ))
-        report = scenario.run(scenario.generate_workload())
-        telemetry = scenario.controller.telemetry
+    scenario, controller = _observed_scenario(args, args.guard)
+    telemetry = controller.telemetry
+    if args.profile:
+        telemetry.attach_profiler(
+            SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
+    report = scenario.run()
 
     print(report.to_text(), file=out)
     print(file=out)
@@ -467,7 +293,7 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
                                unit="wall s, this run"), file=out)
     print(render_metrics_table(telemetry.metrics), file=out)
     print(f"finished spans: {len(telemetry.tracer.finished_spans())}", file=out)
-    if args.profile and telemetry.profiler is not None:
+    if args.profile:
         print(telemetry.profiler.to_table(), file=out)
 
     if args.trace_out or args.metrics_out:
@@ -519,19 +345,16 @@ def _cmd_federate(args: argparse.Namespace, out) -> int:
 def _cmd_slo(args: argparse.Namespace, out) -> int:
     from repro.obs.slo import SLO_ALERT_TOPIC, SLOEngine
 
-    _check_choice("slo", "scenario", args.scenario, _SCENARIOS)
-    if args.scenario == "federated":
-        scenario = _federated_scenario(args, telemetry_guard=args.guard,
-                                       scripted_drops=args.drops)
-        scenario.run()
-        report = scenario.slo_report()
-    else:
-        scenario = _css_scenario(args, RuntimeConfig(
-            telemetry="inmemory", telemetry_guard=args.guard, slo="default"))
-        scenario.run(scenario.generate_workload())
-        controller = scenario.controller
-        report = controller.slo.evaluate()
-        controller.slo.alert(controller.bus, report)
+    if args.drops and args.scenario != "federated":
+        raise ConfigurationError(
+            f"--drops {args.drops} scripts link-level drops and --scenario "
+            f"{args.scenario} has no links to drop; use --scenario federated")
+    scenario, controller = _observed_scenario(args, args.guard,
+                                              scripted_drops=args.drops)
+    scenario.run()
+    engine = SLOEngine(controller.telemetry)
+    report = engine.evaluate()
+    engine.alert(controller.bus, report)
     print(report.to_text(), file=out)
     print(f"alerts: {len(report.breaches())} published on {SLO_ALERT_TOPIC}",
           file=out)
@@ -550,20 +373,16 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
         stitched_lines,
     )
 
-    _check_choice("trace", "scenario", args.scenario, _SCENARIOS)
+    scenario, controller = _observed_scenario(args, per_node_telemetry=True)
+    scenario.run()
     if args.scenario == "federated":
-        scenario = _federated_scenario(args, telemetry_guard="hash",
-                                       per_node_telemetry=True)
-        scenario.run()
         exports = scenario.platform.trace_exports()
-        traces = scenario.platform.stitched_trace()
         rendered = ", ".join(
             f"{node}={len(lines)}" for node, lines in exports.items())
         print(f"per-node span exports: {rendered}", file=out)
     else:
-        scenario = _css_scenario(args, RuntimeConfig(telemetry="inmemory"))
-        scenario.run(scenario.generate_workload())
-        traces = stitch({"local": scenario.controller.telemetry.trace_export()})
+        exports = {"local": controller.telemetry.trace_export()}
+    traces = stitch(exports)
     summary = stitch_summary(traces)
     print(f"stitched: {summary['traces']} traces / {summary['spans']} spans "
           f"({summary['cross_node_traces']} cross-node, "
@@ -577,26 +396,21 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace, out) -> int:
-    kernel = default_kernel()
     defaults = RuntimeConfig()
     print("service kernel wiring (kind: implementations, * = default):", file=out)
-    chosen = {
-        "index": defaults.index_store, "audit": defaults.audit_sink,
-        "telemetry": defaults.telemetry,
-        "slo": defaults.slo, "profiling": defaults.profiling,
-        "perf": defaults.perf, "store": defaults.store,
-        "sched": defaults.sched, "recorder": defaults.recorder,
-    }
-    for kind, names in kernel.wiring().items():
+    chosen = {kind: getattr(defaults, config_field)
+              for kind, config_field, _ in WIRING}
+    for kind, names in _KERNEL.wiring().items():
         rendered = ", ".join(
-            f"{name}*" if name == chosen.get(kind) else name for name in names
+            f"{name}*" if name == chosen[kind] else name for name in names
         )
         print(f"  {kind:<10} {rendered}", file=out)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace, out) -> int:
-    scenario, workload = _make_scenario(args)
+    scenario = _css_scenario(args)
+    workload = scenario.generate_workload()
     consumers = list(DEFAULT_CONSUMERS)
     print(scenario.run(workload).exposure.to_row(), file=out)
     for baseline in (
@@ -612,8 +426,8 @@ def _cmd_compare(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace, out) -> int:
-    scenario, workload = _make_scenario(args)
-    scenario.run(workload)
+    scenario = _css_scenario(args)
+    scenario.run()
     monitor = ProcessMonitor(scenario.controller,
                              suppression_threshold=args.threshold)
     print(monitor.volume_report(bucket_seconds=7 * DAY).to_text(), file=out)
@@ -625,13 +439,7 @@ def _cmd_monitor(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_PERF_SCENARIOS = ("kernel", "federated")
-
-
 def _cmd_perf(args: argparse.Namespace, out) -> int:
-    _check_choice("perf", "scenario", args.scenario, _PERF_SCENARIOS)
-    if args.nodes < 1:
-        raise SystemExit("repro perf: --nodes must be a positive integer")
     from repro.perf.bench import run_suite
 
     node_counts = (1,) if args.scenario == "kernel" else (args.nodes,)
@@ -664,9 +472,6 @@ def _cmd_perf(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_STORE_ACTIONS = ("snapshot", "verify", "restore", "compact", "stats")
-
-
 def _store_data_dir(args: argparse.Namespace) -> Path:
     if not args.data:
         raise SystemExit(f"repro store {args.action}: --data DIR is required")
@@ -693,8 +498,6 @@ def _store_snapshot_id(manager, args: argparse.Namespace) -> str:
 def _cmd_store(args: argparse.Namespace, out) -> int:
     from repro.exceptions import StorageError
     from repro.storage import SnapshotManager, StorageEngine
-
-    _check_choice("store", "action", args.action, _STORE_ACTIONS)
 
     if args.action == "stats":
         engine = StorageEngine(_store_data_dir(args))
@@ -762,76 +565,44 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _parse_node_counts(spec: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(part) for part in spec.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(
-            f"repro workload: --nodes {spec!r} is not a comma-separated "
-            f"list of integers"
-        ) from None
-    if not counts or any(count < 1 for count in counts):
-        raise SystemExit("repro workload: every node count must be >= 1")
-    return counts
+def _list_scenarios(out) -> int:
+    """``--list``: the workload presets, one row each."""
+    print("workload scenarios:", file=out)
+    for name in SCENARIOS:
+        config = workload_config(name)
+        print(f"  {name:<12} arrival={config.arrival:<8} "
+              f"rate={config.rate:>6.1f}/s  "
+              f"details={config.details_weight:.2f}  "
+              f"hot-subjects={config.hot_subjects}  "
+              f"tenants={len(config.tenants)}", file=out)
+    return 0
 
 
-def _resolve_workload(args: argparse.Namespace, out,
-                      scenario: str | None = None):
-    """The workload config of one workload-engine subcommand.
-
-    Shared by workload/sched/incident/timeline: ``--list`` prints the
-    preset table and yields ``None`` (the caller exits 0); otherwise the
-    named preset with the ``--population/--ops/--seed`` overrides, with
-    configuration errors turned into the usual did-you-mean exit.
-    """
-    from repro.exceptions import ConfigurationError
-    from repro.workload import SCENARIOS, workload_config
-
-    if getattr(args, "list_scenarios", False):
-        print("workload scenarios:", file=out)
-        for name in SCENARIOS:
-            config = workload_config(name)
-            print(f"  {name:<12} arrival={config.arrival:<8} "
-                  f"rate={config.rate:>6.1f}/s  "
-                  f"details={config.details_weight:.2f}  "
-                  f"hot-subjects={config.hot_subjects}  "
-                  f"tenants={len(config.tenants)}", file=out)
-        return None
+def _resolve_workload(args: argparse.Namespace, scenario: str | None = None):
+    """The workload config of one workload-engine subcommand
+    (workload/sched/incident/timeline): the named preset with the
+    ``--population/--ops/--seed`` overrides."""
     overrides: dict[str, object] = {
         "population": args.population, "ops": args.ops,
     }
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if isinstance(args.nodes, int) and args.nodes < 1:
-        raise SystemExit(
-            f"repro {args.command}: --nodes must be a positive integer")
-    try:
-        return workload_config(scenario or args.scenario, **overrides)
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro {args.command}: {exc}") from None
+    return workload_config(scenario or args.scenario, **overrides)
 
 
 def _cmd_workload(args: argparse.Namespace, out) -> int:
-    from repro.exceptions import ConfigurationError
-    from repro.workload import CapacityConfig, run_capacity
-
-    wl = _resolve_workload(args, out)
-    if wl is None:
-        return 0
-    try:
-        config = CapacityConfig(
-            workload=wl, node_counts=_parse_node_counts(args.nodes),
-            runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
-                                  batch_size=args.batch_size),
-        )
-        source = (f"repro workload --scenario {args.scenario} "
-                  f"--population {args.population} --ops {args.ops} "
-                  f"--nodes {args.nodes} --seed {wl.seed} "
-                  f"--sched {args.sched} --batch {args.batch} "
-                  f"--batch-size {args.batch_size}")
-        payload = run_capacity(config, source=source)
-    except ConfigurationError as exc:
-        raise SystemExit(f"repro workload: {exc}") from None
+    wl = _resolve_workload(args)
+    config = CapacityConfig(
+        workload=wl, node_counts=parse_node_counts(args.nodes),
+        runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
+                              batch_size=args.batch_size),
+    )
+    source = (f"repro workload --scenario {args.scenario} "
+              f"--population {args.population} --ops {args.ops} "
+              f"--nodes {args.nodes} --seed {wl.seed} "
+              f"--sched {args.sched} --batch {args.batch} "
+              f"--batch-size {args.batch_size}")
+    payload = run_capacity(config, source=source)
 
     print(f"capacity trajectory ({args.scenario} scenario, "
           f"population {args.population:,}, {args.ops:,} ops, "
@@ -855,9 +626,7 @@ def _cmd_workload(args: argparse.Namespace, out) -> int:
 def _cmd_sched(args: argparse.Namespace, out) -> int:
     from repro.sched.fairness import fairness_gate, run_fairness
 
-    wl = _resolve_workload(args, out)
-    if wl is None:
-        return 0
+    wl = _resolve_workload(args)
     source = (f"repro sched --scenario {args.scenario} "
               f"--population {args.population} --ops {args.ops} "
               f"--seed {wl.seed}")
@@ -889,8 +658,8 @@ def _cmd_sched(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _watched_run(args: argparse.Namespace, out, **capture):
-    """The watched workload run shared by incident/timeline (None: --list).
+def _watched_run(args: argparse.Namespace, **capture):
+    """The watched workload run shared by incident/timeline.
 
     ``federated`` is accepted as a scenario alias for ``anomaly`` on the
     default two-node federation — the shape the CI smoke exercises.
@@ -898,9 +667,7 @@ def _watched_run(args: argparse.Namespace, out, **capture):
     from repro.workload.incidents import run_incident_capture
 
     wl = _resolve_workload(
-        args, out, scenario="anomaly" if args.scenario == "federated" else None)
-    if wl is None:
-        return None
+        args, scenario="anomaly" if args.scenario == "federated" else None)
     source = (f"repro {args.command} --scenario {args.scenario} "
               f"--population {args.population} --ops {args.ops} "
               f"--seed {wl.seed}")
@@ -909,9 +676,7 @@ def _watched_run(args: argparse.Namespace, out, **capture):
 
 
 def _cmd_incident(args: argparse.Namespace, out) -> int:
-    payload = _watched_run(args, out, out_dir=args.out)
-    if payload is None:
-        return 0
+    payload = _watched_run(args, out_dir=args.out)
 
     print(f"watched run ({payload['scenario']} scenario, {payload['ops']} "
           f"ops, {payload['nodes']} nodes, seed {payload['seed']}): "
@@ -950,7 +715,7 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
         dead_letter_spike=2**31, queue_depth_ceiling=2**31,
         watch_demotions=False, watch_slo=False,
     )
-    payload = _watched_run(args, out, watchdogs=disarmed)
+    payload = _watched_run(args, watchdogs=disarmed)
 
     rows = payload["timeline"]
     shown = rows if args.limit <= 0 else rows[-args.limit:]
@@ -997,28 +762,157 @@ def _cmd_inspect(args: argparse.Namespace, out) -> int:
     return 0
 
 
+#: The synthetic run every single-scenario command sizes.
+_RUN = ("--events", "--patients", "--rate", "--seed")
+#: ``--scenario`` where it picks the one controller or the federation.
+_OBSERVED = {"default": "federated", "known": ("default", "federated"),
+             "help": "named scenario preset (default or federated)"}
+#: What the four workload-engine commands share after ``--scenario``.
+_ENGINE_SEED = ("--seed", {"default": None, "help": (
+    "master seed of population, arrivals and op mix "
+    f"(default: the preset's, {DEFAULT_SEED})")})
+_ENGINE = ("--population", "--ops",
+           ("--nodes", {"help": "federation size (default {default})"}),
+           _ENGINE_SEED)
+_WATCHED = ("--scenario", {"known": (*SCENARIOS, "federated")})
+
+#: One row per subcommand: ``(name, --help line, handler, options)``.  The
+#: options come in ``--help`` order: a name from ``OPTIONS``, or
+#: ``(name, keywords)`` where this command's default, help or known values
+#: differ from that row.
+COMMANDS = (
+    ("scenario", "run a synthetic deployment", _cmd_scenario, (
+        *_RUN, "--archive", "--durable", "--store",
+        ("--sched", {"help": "tenant scheduler: none (fifo baseline) or "
+                             "fair (per-tenant admission + deficit "
+                             "round-robin)"}),
+    )),
+    ("compare", "CSS vs the four baselines", _cmd_compare, _RUN),
+    ("monitor", "governing-body aggregate view", _cmd_monitor,
+     (*_RUN, "--threshold")),
+    ("telemetry", "run a scenario with telemetry enabled and report",
+     _cmd_telemetry, (
+        ("--scenario", {**_OBSERVED, "default": "default",
+                        "help": "named scenario preset"}),
+        "--nodes", *_RUN, "--guard", "--trace-out", "--metrics-out",
+        "--bench-out", "--profile",
+        ("--slo-out", {"help": "evaluate the stock SLOs and write the "
+                               "report payload as JSON to FILE"}),
+    )),
+    ("federate", "run the scenario sharded over an N-node federation",
+     _cmd_federate, (
+        *_RUN,
+        ("--nodes", {"help": "number of controller nodes (default {default})"}),
+        "--sched", "--batch", "--batch-size", "--rebalance",
+        ("--slo-out", {"help": "enable telemetry, evaluate the stock SLOs "
+                               "and write the report payload as JSON to "
+                               "FILE"}),
+    )),
+    ("slo", "evaluate service-level objectives over a scenario run", _cmd_slo,
+     (("--scenario", _OBSERVED), "--nodes", *_RUN, "--guard", "--drops",
+      "--slo-out")),
+    ("trace", "distributed tracing: stitch per-node span exports", _cmd_trace, (
+        ("--scenario", _OBSERVED), "--nodes", *_RUN, "--stitch",
+        ("--out", {"help": "write the stitched trace as JSONL to FILE"}),
+    )),
+    ("perf", "hot-path figures: indexed perf layer vs linear baseline",
+     _cmd_perf, (
+        ("--scenario", {"default": "kernel", "known": ("kernel", "federated"),
+                        "help": "perf scenario preset (kernel or federated)"}),
+        "--nodes", ("--seed", {"help": None}), "--full",
+        ("--out", {"help": "write the css-bench-perf/1 summary JSON to FILE"}),
+    )),
+    ("store", "operate the segmented storage engine on a data dir", _cmd_store,
+     ("action", "--data", "--snapshots", "--id", "--target", "--to-sequence",
+      "--log")),
+    ("workload", "drive the federation with a seeded scenario, emit the "
+                 "capacity trajectory", _cmd_workload, (
+        ("--scenario", {"default": "steady"}),
+        ("--population", {"default": 100_000}), ("--ops", {"default": 5_000}),
+        ("--nodes", {"type": None, "default": "1,2,4,8",
+                     "help": "comma-separated node counts of the "
+                             "trajectory (default {default})"}),
+        _ENGINE_SEED, "--list", "--sched", "--batch", "--batch-size",
+        ("--out", {"help": "write the css-bench-capacity/1 payload "
+                           "to FILE (e.g. BENCH_capacity.json)"}),
+    )),
+    ("sched", "fairness comparison: fifo baseline vs fair tenant scheduler",
+     _cmd_sched, (
+        "--scenario", *_ENGINE, "--list",
+        ("--out", {"help": "write the css-bench-fairness/1 payload to FILE "
+                           "(e.g. BENCH_fairness.json)"}),
+    )),
+    ("incident", "watched workload run: watchdogs, flight recorder, "
+                 "css-incident/1 bundles", _cmd_incident, (
+        _WATCHED, *_ENGINE, "--list",
+        ("--out", {"metavar": "DIR",
+                   "help": "write each captured css-incident/1 bundle "
+                           "as a directory under DIR"}),
+    )),
+    ("timeline", "merged cross-node flight-recorder timeline of a watched run",
+     _cmd_timeline, (
+        _WATCHED, *_ENGINE, "--limit",
+        ("--out", {"help": "write the full timeline as canonical "
+                           "JSONL to FILE"}),
+    )),
+    ("inspect", "restore an archive and audit it", _cmd_inspect,
+     ("directory", "--secret")),
+    ("kernel", "print the service-kernel wiring table", _cmd_kernel, ()),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="CSS privacy-preserving event-driven integration platform "
+                    "(reproduction of Armellin et al., SDM@VLDB 2010)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, summary, handler, options in COMMANDS:
+        command_parser = sub.add_parser(command, help=summary)
+        enumerated = {}
+        for option in options:
+            name, spelled = (option, {}) if isinstance(option, str) else option
+            keywords = {**OPTIONS[name], **spelled}
+            known = keywords.pop("known", None)
+            if keywords.get("help"):
+                keywords["help"] = keywords["help"].format(
+                    default=keywords.get("default"))
+            action = command_parser.add_argument(name, **keywords)
+            if known is not None:
+                enumerated[action.dest] = known
+        command_parser.set_defaults(handler=handler, enumerated=enumerated)
+    return parser
+
+
+def _check_values(args: argparse.Namespace) -> None:
+    """Refuse what an option enumerates or counts cannot take — the one
+    place, before anything runs, in the kernel's did-you-mean wording."""
+    for dest, known in args.enumerated.items():
+        value = vars(args)[dest]
+        if value not in known:
+            raise ConfigurationError(
+                f"unknown {dest} {value!r};{suggest(value, known)} "
+                f"available: {', '.join(known)}")
+    if "nodes" in args:
+        parse_node_counts(str(args.nodes))
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "scenario": _cmd_scenario,
-        "compare": _cmd_compare,
-        "monitor": _cmd_monitor,
-        "telemetry": _cmd_telemetry,
-        "federate": _cmd_federate,
-        "slo": _cmd_slo,
-        "trace": _cmd_trace,
-        "perf": _cmd_perf,
-        "store": _cmd_store,
-        "workload": _cmd_workload,
-        "sched": _cmd_sched,
-        "incident": _cmd_incident,
-        "timeline": _cmd_timeline,
-        "inspect": _cmd_inspect,
-        "kernel": _cmd_kernel,
-    }
-    return handlers[args.command](args, out)
+    try:
+        if "list_scenarios" in args and args.list_scenarios:
+            return _list_scenarios(out)  # like --help: before any check
+        _check_values(args)
+        return args.handler(args, out)
+    except ConfigurationError as exc:
+        # ``inspect`` configures nothing from its flags: its error is about
+        # the archive on disk and propagates (tests/test_cli.py pins that).
+        if args.handler is _cmd_inspect:
+            raise
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

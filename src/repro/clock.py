@@ -20,9 +20,6 @@ import time as _time
 SIMULATION_EPOCH = _dt.datetime(2010, 1, 1, tzinfo=_dt.timezone.utc)
 
 #: Convenience constants for advancing simulated time.
-SECOND = 1.0
-MINUTE = 60.0
-HOUR = 3600.0
 DAY = 86400.0
 MONTH = 30 * DAY
 YEAR = 365 * DAY

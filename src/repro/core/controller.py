@@ -70,16 +70,7 @@ from repro.runtime.interceptors import (
 )
 from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import (
-    KIND_AUDIT,
-    KIND_BATCH,
-    KIND_INDEX,
-    KIND_PERF,
-    KIND_PROFILING,
-    KIND_RECORDER,
-    KIND_SCHED,
-    KIND_SLO,
-    KIND_STORE,
-    KIND_TELEMETRY,
+    WIRING,
     RuntimeConfig,
     ServiceKernel,
     default_kernel,
@@ -118,40 +109,29 @@ class DataController:
         self.ids = IdFactory(seed=seed)
         self.runtime = runtime or RuntimeConfig()
         self.kernel = kernel or default_kernel()
-        # Extra construction context merged into every kernel.create call —
-        # the federated platform passes its membership/node identity through
-        # here so factories like the federated index can reach them.
-        self._services_context = dict(services_context or {})
         self.keystore = KeyStore(master_secret)
-        self.telemetry = self._create(
-            KIND_TELEMETRY, self.runtime.telemetry,
-            clock=self.clock, master_secret=master_secret,
-            telemetry_guard=self.runtime.telemetry_guard,
-        )
-        self.profiler = self._create(
-            KIND_PROFILING, self.runtime.profiling,
-            clock=self.clock, telemetry=self.telemetry,
-        )
+        # One construction context for every kernel-built collaborator:
+        # ``services_context`` (the federated platform passes its
+        # membership/node identity through here so factories like the
+        # federated index can reach them) under this controller's own
+        # values, and each service joins it under its kind as it is built —
+        # the key later factories read it by (the batched-execution policy,
+        # ``None`` when off, reaches the durable backends and the federated
+        # index as ``batch``, the store provider as ``store``, ...).
+        context = {
+            **(services_context or {}),
+            "clock": self.clock, "master_secret": master_secret,
+            "telemetry_guard": self.runtime.telemetry_guard,
+            "data_dir": self.runtime.data_dir,
+            "batch_size": self.runtime.batch_size,
+            "keystore": self.keystore, "encrypt_identity": encrypt_identity,
+        }
+        for kind, config_field, attribute in WIRING:
+            context[kind] = self.kernel.create(
+                kind, getattr(self.runtime, config_field), **context)
+            setattr(self, attribute, context[kind])
         self.telemetry.attach_profiler(self.profiler)
-        self.recorder = self._create(
-            KIND_RECORDER, self.runtime.recorder,
-            clock=self.clock, telemetry=self.telemetry,
-        )
         self.telemetry.attach_recorder(self.recorder)
-        self.slo = self._create(
-            KIND_SLO, self.runtime.slo,
-            clock=self.clock, telemetry=self.telemetry,
-            recorder=self.recorder,
-        )
-        self.perf = self._create(
-            KIND_PERF, self.runtime.perf,
-            master_secret=master_secret, telemetry=self.telemetry,
-        )
-        self.sched = self._create(
-            KIND_SCHED, self.runtime.sched,
-            clock=self.clock, master_secret=master_secret,
-            telemetry=self.telemetry, recorder=self.recorder,
-        )
         self._sched_gate = SchedulerGate(self.sched, self.clock)
         self.bus = ServiceBus(
             clock=self.clock, ids=self.ids, auto_dispatch=auto_dispatch,
@@ -163,30 +143,8 @@ class DataController:
         self.contracts = ContractRegistry()
         self.catalog = EventCatalog()
         self.purposes = PurposeRegistry()
-        self.store = self._create(
-            KIND_STORE, self.runtime.store,
-            data_dir=self.runtime.data_dir, telemetry=self.telemetry,
-        )
-        # The batched-execution policy (None when off): durable backends
-        # group-commit through it and the federated index coalesces its
-        # shard frames against it.
-        self.batch = self._create(
-            KIND_BATCH, self.runtime.batch,
-            batch_size=self.runtime.batch_size,
-        )
-        self.index = self._create(
-            KIND_INDEX, self.runtime.index_store,
-            keystore=self.keystore, encrypt_identity=encrypt_identity,
-            data_dir=self.runtime.data_dir, perf=self.perf,
-            store=self.store, batch=self.batch,
-        )
         self.id_map = EventIdMap()
         self.policies = PolicyRepository()
-        self.audit_log = self._create(
-            KIND_AUDIT, self.runtime.audit_sink,
-            data_dir=self.runtime.data_dir, store=self.store,
-            batch=self.batch,
-        )
         self.pending_requests = PendingRequestQueue()
         self.roster = PatientRoster()
         self.dashboard = PolicyDashboard(self.catalog, self.policies)
@@ -244,11 +202,6 @@ class DataController:
             lambda request: self._inquire_endpoint(request),
             "Events-index inquiry",
         )
-
-    def _create(self, kind: str, name: str, **context):
-        """kernel.create with the controller-wide services context merged in."""
-        merged = {**self._services_context, **context}
-        return self.kernel.create(kind, name, **merged)
 
     def flush_storage(self) -> None:
         """Group-commit barrier over every durable backend of this node.

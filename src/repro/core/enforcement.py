@@ -34,7 +34,7 @@ from repro.core.actors import Actor
 from repro.core.consent import ConsentRegistry
 from repro.core.idmap import EventIdMap
 from repro.core.messages import DetailMessage
-from repro.core.policy import DetailRequestSpec, PolicyRepository
+from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, ConfigurationError
 from repro.ids import IdFactory
@@ -74,16 +74,6 @@ class DetailRequest:
     event_type: str
     event_id: str
     purpose: str
-
-    def to_spec(self, requested_at: float) -> DetailRequestSpec:
-        """Project onto the Def. 3 matching shape."""
-        return DetailRequestSpec(
-            actor_id=self.actor.actor_id,
-            event_type=self.event_type,
-            purpose=self.purpose,
-            actor_role=self.actor.role,
-            requested_at=requested_at,
-        )
 
 
 @dataclass

@@ -59,11 +59,6 @@ class LocalCooperationGateway:
 
     # -- source availability ------------------------------------------------
 
-    @property
-    def source_online(self) -> bool:
-        """Whether the backing source system is reachable."""
-        return self._source_online
-
     def take_source_offline(self) -> None:
         """Simulate the source information system going down."""
         self._source_online = False

@@ -22,7 +22,7 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import PolicyError
 from repro.xacml.context import (
@@ -218,10 +218,6 @@ class PrivacyPolicy:
         )
 
     # -- misc ------------------------------------------------------------------------
-
-    def with_fields(self, fields: frozenset[str]) -> "PrivacyPolicy":
-        """Copy of the policy with a different field set (policy editing)."""
-        return replace(self, fields=fields)
 
     @property
     def actor_selector(self) -> str:

@@ -95,10 +95,6 @@ class PurposeRegistry:
         """Raise unless ``purpose_id`` is registered (request validation)."""
         self.get(purpose_id)
 
-    def all_purposes(self) -> list[Purpose]:
-        """Every registered purpose."""
-        return list(self._purposes.values())
-
     def ids(self) -> list[str]:
         """Every registered purpose id."""
         return list(self._purposes)

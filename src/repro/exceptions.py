@@ -63,10 +63,6 @@ class UnknownProducerError(CssError):
     """Referenced a data producer unknown to the data controller."""
 
 
-class UnknownConsumerError(CssError):
-    """Referenced a data consumer unknown to the data controller."""
-
-
 # ---------------------------------------------------------------------------
 # Messages / schemas
 # ---------------------------------------------------------------------------
@@ -135,10 +131,6 @@ class SubscriptionError(BusError):
     """A subscription could not be created or resolved."""
 
 
-class DeliveryError(BusError):
-    """A message could not be delivered within the configured retry budget."""
-
-
 class EndpointError(BusError):
     """A synchronous SOA endpoint invocation failed."""
 
@@ -154,10 +146,6 @@ class FederationError(CssError):
 
 class LinkFailureError(FederationError):
     """An inter-node link dropped a call beyond its retry budget."""
-
-
-class NotHomeNodeError(FederationError):
-    """A node was asked to decide for a producer it does not home."""
 
 
 # ---------------------------------------------------------------------------

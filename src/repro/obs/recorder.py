@@ -32,13 +32,11 @@ from repro.clock import Clock
 from repro.exceptions import ConfigurationError
 from repro.obs.guard import PrivacyGuard
 
-#: Event kinds the platform's hooks record.
+#: Event kinds the platform's hooks record (the bus and the scheduler
+#: write theirs as literals: they stay import-free of ``repro.obs``).
 EVENT_SLO_ALERT = "slo.alert"
 EVENT_DEADLETTER = "bus.deadletter"
-EVENT_QUEUE_HIGH_WATER = "bus.queue_high_water"
-EVENT_DEADLETTER_HIGH_WATER = "bus.deadletter_high_water"
 EVENT_DEMOTION = "sched.penalty_demotion"
-EVENT_RECOVERY = "sched.penalty_recovery"
 
 
 class NoopFlightRecorder:

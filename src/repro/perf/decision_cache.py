@@ -20,7 +20,7 @@ windows) are never cached at all — the caller checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

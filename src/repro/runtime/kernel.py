@@ -43,6 +43,27 @@ KIND_SCHED = "sched"
 KIND_RECORDER = "recorder"
 KIND_BATCH = "batch"
 
+#: What a :class:`~repro.core.controller.DataController` builds through the
+#: kernel, in construction order: ``(kind, RuntimeConfig field that names the
+#: implementation, controller attribute the service is exposed under)``.
+#: Each service joins the construction context under its kind, which is
+#: the key later factories read it by (``context["telemetry"]``,
+#: ``context.get("store")``, ...).  Stated here once: the controller's loop,
+#: ``repro kernel`` and the table in docs/ARCHITECTURE.md (held to these
+#: rows by tests/test_docs_drift.py) all read them.
+WIRING: tuple[tuple[str, str, str], ...] = (
+    (KIND_TELEMETRY, "telemetry", "telemetry"),
+    (KIND_PROFILING, "profiling", "profiler"),
+    (KIND_RECORDER, "recorder", "recorder"),
+    (KIND_SLO, "slo", "slo"),
+    (KIND_PERF, "perf", "perf"),
+    (KIND_SCHED, "sched", "sched"),
+    (KIND_STORE, "store", "store"),
+    (KIND_BATCH, "batch", "batch"),
+    (KIND_INDEX, "index_store", "index"),
+    (KIND_AUDIT, "audit_sink", "audit_log"),
+)
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -267,8 +288,6 @@ def _default_slo(**context: Any) -> Any:
 
     return SLOEngine(
         telemetry=context["telemetry"],
-        objectives=context.get("objectives"),
-        timeseries=context.get("timeseries"),
         recorder=context.get("recorder"),
     )
 
@@ -362,8 +381,6 @@ def _ring_recorder(**context: Any) -> Any:
     telemetry = context.get("telemetry")
     return FlightRecorder(
         clock=context["clock"],
-        capacity=context.get("recorder_capacity", 256),
-        span_capacity=context.get("recorder_span_capacity", 256),
         guard=getattr(telemetry, "guard", None),
     )
 

@@ -44,6 +44,7 @@ from repro.workload.config import (
     WorkloadConfig,
     multi_tenant_abuser,
     multi_tenant_roster,
+    parse_node_counts,
     workload_config,
 )
 from repro.workload.engine import WorkloadEngine, WorkloadOp
@@ -72,6 +73,7 @@ __all__ = [
     "execute_workload",
     "multi_tenant_abuser",
     "multi_tenant_roster",
+    "parse_node_counts",
     "run_batch_suite",
     "run_capacity",
     "run_point",

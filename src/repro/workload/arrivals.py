@@ -22,17 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Protocol
+from typing import Iterator
 
 from repro.exceptions import ConfigurationError
-
-
-class ArrivalProcess(Protocol):
-    """Yields monotonically non-decreasing arrival times (simulated s)."""
-
-    def times(self, rng: random.Random) -> Iterator[float]:
-        """An endless stream of arrival instants."""
-        ...  # pragma: no cover - protocol
 
 
 class PoissonProcess:

@@ -257,3 +257,23 @@ class CapacityConfig:
             raise ConfigurationError("node_counts cannot be empty")
         if any(n < 1 for n in self.node_counts):
             raise ConfigurationError("every node count must be >= 1")
+
+
+def parse_node_counts(spec: str) -> tuple[int, ...]:
+    """The node counts a ``--nodes`` value names: one (``"2"``) or a
+    comma-separated trajectory (``"1,2,4,8"``), each a positive integer.
+
+    The one parser behind every ``--nodes`` flag of ``repro`` and of the
+    ``benchmarks/bench_*.py`` drivers.
+    """
+    try:
+        counts = tuple(int(part) for part in spec.split(",") if part.strip())
+    except ValueError:
+        raise ConfigurationError(
+            f"--nodes {spec!r} is not a comma-separated list of integers"
+        ) from None
+    if not counts or any(count < 1 for count in counts):
+        raise ConfigurationError(
+            f"--nodes must be a positive node count, or several separated "
+            f"by commas; got {spec!r}")
+    return counts

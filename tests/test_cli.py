@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import main
+from repro import RuntimeConfig
+from repro.cli import _build_parser, main
+from repro.runtime.kernel import WIRING
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -244,3 +247,247 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             run_cli()
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def options_of(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [action for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+#: Every option of every subcommand — (option strings, dest, default, type) —
+#: captured from the parser as it stood before the option table replaced the
+#: 61 hand-written ``add_argument`` calls.  A dropped flag or a drifted
+#: default fails here; a deliberate change edits this literal in the same PR.
+SURFACE = {
+    "scenario": [
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--archive",), "archive", None, None),
+        (("--durable",), "durable", None, None),
+        (("--store",), "store", "jsonl", None),
+        (("--sched",), "sched", "none", None),
+    ],
+    "compare": [
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+    ],
+    "monitor": [
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--threshold",), "threshold", 5, int),
+    ],
+    "telemetry": [
+        (("--scenario",), "scenario", "default", None),
+        (("--nodes",), "nodes", 2, int),
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--guard",), "guard", "hash", None),
+        (("--trace-out",), "trace_out", None, None),
+        (("--metrics-out",), "metrics_out", None, None),
+        (("--bench-out",), "bench_out", None, None),
+        (("--profile",), "profile", False, None),
+        (("--slo-out",), "slo_out", None, None),
+    ],
+    "federate": [
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--nodes",), "nodes", 2, int),
+        (("--sched",), "sched", "none", None),
+        (("--batch",), "batch", "off", None),
+        (("--batch-size",), "batch_size", 256, int),
+        (("--rebalance",), "rebalance", False, None),
+        (("--slo-out",), "slo_out", None, None),
+    ],
+    "slo": [
+        (("--scenario",), "scenario", "federated", None),
+        (("--nodes",), "nodes", 2, int),
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--guard",), "guard", "hash", None),
+        (("--drops",), "drops", 0, int),
+        (("--slo-out",), "slo_out", None, None),
+    ],
+    "trace": [
+        (("--scenario",), "scenario", "federated", None),
+        (("--nodes",), "nodes", 2, int),
+        (("--events",), "events", 200, int),
+        (("--patients",), "patients", 30, int),
+        (("--rate",), "rate", 0.3, float),
+        (("--seed",), "seed", 2010, int),
+        (("--stitch",), "stitch", False, None),
+        (("--out",), "out", None, None),
+    ],
+    "perf": [
+        (("--scenario",), "scenario", "kernel", None),
+        (("--nodes",), "nodes", 2, int),
+        (("--seed",), "seed", 2010, int),
+        (("--full",), "full", False, None),
+        (("--out",), "out", None, None),
+    ],
+    "store": [
+        ((), "action", None, None),
+        (("--data",), "data", None, None),
+        (("--snapshots",), "snapshots", None, None),
+        (("--id",), "snapshot_id", None, None),
+        (("--target",), "target", None, None),
+        (("--to-sequence",), "to_sequence", None, int),
+        (("--log",), "log", "index", None),
+    ],
+    "workload": [
+        (("--scenario",), "scenario", "steady", None),
+        (("--population",), "population", 100000, int),
+        (("--ops",), "ops", 5000, int),
+        (("--nodes",), "nodes", "1,2,4,8", None),
+        (("--seed",), "seed", None, int),
+        (("--list",), "list_scenarios", False, None),
+        (("--sched",), "sched", "none", None),
+        (("--batch",), "batch", "off", None),
+        (("--batch-size",), "batch_size", 256, int),
+        (("--out",), "out", None, None),
+    ],
+    "sched": [
+        (("--scenario",), "scenario", "anomaly", None),
+        (("--population",), "population", 4000, int),
+        (("--ops",), "ops", 600, int),
+        (("--nodes",), "nodes", 2, int),
+        (("--seed",), "seed", None, int),
+        (("--list",), "list_scenarios", False, None),
+        (("--out",), "out", None, None),
+    ],
+    "incident": [
+        (("--scenario",), "scenario", "anomaly", None),
+        (("--population",), "population", 4000, int),
+        (("--ops",), "ops", 600, int),
+        (("--nodes",), "nodes", 2, int),
+        (("--seed",), "seed", None, int),
+        (("--list",), "list_scenarios", False, None),
+        (("--out",), "out", None, None),
+    ],
+    "timeline": [
+        (("--scenario",), "scenario", "anomaly", None),
+        (("--population",), "population", 4000, int),
+        (("--ops",), "ops", 600, int),
+        (("--nodes",), "nodes", 2, int),
+        (("--seed",), "seed", None, int),
+        (("--limit",), "limit", 20, int),
+        (("--out",), "out", None, None),
+    ],
+    "inspect": [
+        ((), "directory", None, None),
+        (("--secret",), "secret", "css-platform-secret", None),
+    ],
+    "kernel": [
+    ],
+}
+
+
+class TestSurface:
+    def test_every_flag_and_default_is_the_pinned_one(self):
+        surface = {
+            command: [(tuple(option.option_strings), option.dest,
+                       option.default, option.type)
+                      for option in options_of(parser)]
+            for command, parser in subparsers().items()}
+        assert surface == SURFACE
+        assert sum(len(options) for options in surface.values()) == 101
+
+    def test_no_option_keeps_a_private_list_of_choices(self):
+        """Enumerations are refused by the CLI's one path (exit 1, with a
+        suggestion), not by argparse's ``choices`` (exit 2, without)."""
+        assert [(command, option.dest)
+                for command, parser in subparsers().items()
+                for option in options_of(parser) if option.choices] == []
+
+
+def enumerating_flags() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(command, option string or positional name, known values) of every
+    option that enumerates its values, read from the parser."""
+    found = []
+    for command, parser in subparsers().items():
+        enumerated = parser.get_default("enumerated")
+        for option in options_of(parser):
+            if option.dest in enumerated:
+                found.append((command, (option.option_strings or [None])[0],
+                              enumerated[option.dest]))
+    return found
+
+
+class TestOneRejectionPath:
+    def test_the_enumerating_flags_are_the_expected_ones(self):
+        assert sorted({(command, flag) for command, flag, _ in
+                       enumerating_flags()}, key=str) == sorted([
+            ("scenario", "--store"), ("scenario", "--sched"),
+            ("telemetry", "--scenario"), ("telemetry", "--guard"),
+            ("federate", "--sched"), ("federate", "--batch"),
+            ("slo", "--scenario"), ("slo", "--guard"),
+            ("trace", "--scenario"), ("perf", "--scenario"),
+            ("store", None), ("workload", "--scenario"),
+            ("workload", "--sched"), ("workload", "--batch"),
+            ("sched", "--scenario"), ("incident", "--scenario"),
+            ("timeline", "--scenario")], key=str)
+
+    @pytest.mark.parametrize(
+        "command, flag, known", enumerating_flags(),
+        ids=[f"{command} {flag or 'ACTION'}"
+             for command, flag, _ in enumerating_flags()])
+    def test_a_one_letter_typo_is_refused_with_a_suggestion(
+            self, command, flag, known):
+        typo = known[0][:-1]
+        assert typo not in known
+        argv = [command, typo] if flag is None else [command, flag, typo]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        message = str(excinfo.value)
+        assert excinfo.value.code != 2  # not argparse's usage error
+        assert message.startswith(f"repro {command}: unknown ")
+        assert f"{typo!r}; did you mean {known[0]!r}?" in message
+        assert message.endswith(f"available: {', '.join(known)}")
+
+    @pytest.mark.parametrize("command", [
+        command for command, parser in subparsers().items()
+        if any(option.dest == "nodes" for option in options_of(parser))])
+    def test_a_zero_node_count_is_refused_in_one_wording(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--nodes", "0")
+        assert str(excinfo.value) == (
+            f"repro {command}: --nodes must be a positive node count, or "
+            f"several separated by commas; got '0'")
+
+    def test_drops_on_a_scenario_without_links_is_refused(self):
+        """``--drops`` is "federated only": the default scenario used to
+        script no drop and say nothing."""
+        with pytest.raises(SystemExit, match="repro slo: --drops 3 .*"
+                                             "use --scenario federated"):
+            run_cli("slo", "--scenario", "default", "--drops", "3")
+
+
+class TestKernelCommand:
+    def test_stars_exactly_the_default_of_every_kind(self):
+        code, output = run_cli("kernel")
+        assert code == 0
+        starred = {}
+        for line in output.splitlines()[1:]:
+            kind, names = line.split(maxsplit=1)
+            starred[kind] = [name[:-1] for name in names.split(", ")
+                             if name.endswith("*")]
+        defaults = RuntimeConfig()
+        assert starred == {kind: [getattr(defaults, config_field)]
+                           for kind, config_field, _ in WIRING}

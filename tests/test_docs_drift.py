@@ -6,6 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro import DataController, RuntimeConfig, default_kernel
+from repro.runtime.kernel import WIRING
 
 ARCHITECTURE = (Path(__file__).resolve().parent.parent
                 / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
@@ -36,6 +37,9 @@ def test_kernel_table_matches_the_default_kernel():
     documented = {kind: tuple(re.findall(r"`(\w+)\*?`", names))
                   for kind, names, _ in rows}
     assert documented == default_kernel().wiring()
+    # kind -> RuntimeConfig field is stated once, in the kernel's rows.
+    assert sorted((kind, field_name) for kind, _, field_name in rows) == sorted(
+        (kind, config_field) for kind, config_field, _ in WIRING)
     defaults = RuntimeConfig()
     for kind, names, field_name in rows:
         (starred,) = re.findall(r"`(\w+)\*`", names)

@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from benchmarks import bench_federation, bench_obs_federation
 from benchmarks.bench_federation import SCHEMA_ID, build_summary, run_point
 from benchmarks.check_bench import validate
 from repro.exceptions import ConfigurationError
@@ -93,3 +94,12 @@ class TestBenchmarkSchema:
         broken = copy.deepcopy(summary)
         broken["scaling"] = []
         assert validate(broken) != []
+
+
+@pytest.mark.parametrize("driver", [bench_federation, bench_obs_federation])
+def test_a_malformed_node_list_exits_2_with_the_message(driver, capsys):
+    """Both drivers used to answer ``--nodes 1,x`` with a ValueError
+    traceback; they now share ``parse_node_counts`` with the CLI."""
+    assert driver.main(["--nodes", "1,x"]) == 2
+    assert "--nodes '1,x' is not a comma-separated list" in (
+        capsys.readouterr().err)

@@ -25,6 +25,7 @@ from repro.runtime.interfaces import (
     NotificationTransport,
     PolicyDecisionPoint,
 )
+from repro.runtime.kernel import WIRING, ServiceKernel
 from tests.conftest import blood_test_schema
 
 
@@ -105,6 +106,67 @@ class TestKernelRegistry:
         assert isinstance(controller.detail_fetcher, DetailFetcher)
         assert isinstance(controller.enforcer, PolicyDecisionPoint)
         assert isinstance(hospital.gateway, CooperationGateway)
+
+
+class RecordingKernel(ServiceKernel):
+    """Hands every request to the default kernel, remembering what it was
+    asked for, with which context, and what it gave."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner = default_kernel()
+        self.asked: list[tuple[str, str]] = []
+        self.contexts: list[dict] = []
+        self.made: dict[str, object] = {}
+
+    def create(self, kind, name, **context):
+        self.asked.append((kind, name))
+        self.contexts.append(context)
+        self.made[kind] = self.inner.create(kind, name, **context)
+        return self.made[kind]
+
+
+class TestControllerWiring:
+    """``DataController`` builds its kernel collaborators in one loop over
+    ``WIRING``; the rows are the only statement of kind -> field -> attribute."""
+
+    def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
+            self, tmp_path):
+        runtime = RuntimeConfig(
+            index_store="jsonl", audit_sink="jsonl", telemetry="inmemory",
+            slo="default", profiling="sampling", perf="none",
+            store="segmented", sched="fair", batch="on", recorder="ring",
+            data_dir=tmp_path)
+        kernel = RecordingKernel()
+        controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
+        assert kernel.asked == [(kind, getattr(runtime, config_field))
+                                for kind, config_field, _ in WIRING]
+        for kind, _, attribute in WIRING:
+            assert getattr(controller, attribute) is kernel.made[kind], kind
+
+    def test_rows_cover_every_kind_and_name_real_config_fields(self):
+        assert sorted(kind for kind, _, _ in WIRING) == list(
+            default_kernel().kinds())
+        assert {config_field for _, config_field, _ in WIRING} <= {
+            field.name for field in fields(RuntimeConfig)}
+
+    def test_a_later_factory_reads_an_earlier_service_under_its_kind(self):
+        kernel = RecordingKernel()
+        DataController(seed="rows", kernel=kernel)
+        for position, (kind, _, _) in enumerate(WIRING):
+            for later in kernel.contexts[position + 1:]:
+                assert later[kind] is kernel.made[kind]
+
+    def test_services_context_reaches_every_factory_under_explicit_keys(self):
+        marker = object()
+        kernel = RecordingKernel()
+        controller = DataController(
+            seed="rows", kernel=kernel,
+            services_context={"marker": marker, "clock": "not the clock"})
+        assert len(kernel.contexts) == len(WIRING)
+        for context in kernel.contexts:
+            assert context["marker"] is marker
+            assert context["clock"] is controller.clock
 
 
 class TestJsonlBackends:
