@@ -59,9 +59,24 @@ class SealedIdentity:
     subject_display: str | None = None
 
 
+def sealed_fields(notification: NotificationMessage,
+                  sealed: SealedIdentity) -> dict:
+    """One index entry as its seven flat fields, identity slots sealed —
+    what a shard ships to a peer and what :func:`sealed_entry` stores."""
+    return {
+        "event_id": notification.event_id,
+        "event_type": notification.event_type,
+        "producer_id": notification.producer_id,
+        "occurred_at": notification.occurred_at,
+        "summary": notification.summary,
+        "subject_ref": sealed.subject_ref,
+        "subject_display": sealed.subject_display,
+    }
+
+
 def sealed_entry(
-    event_id: str, event_type: str, producer_id: str, occurred_at: float,
-    summary: str, subject_ref: str, subject_display: str | None,
+    *, event_id: str, event_type: str, producer_id: str, occurred_at: float,
+    summary: str, subject_ref: str, subject_display: str | None = None,
 ) -> RegistryObject:
     """The registry object of one index entry (identity slots already
     sealed) — built the same for a local store and for an adopted entry."""
@@ -77,6 +92,20 @@ def sealed_entry(
     if subject_display is not None:
         obj.set_slot("subjectDisplay", subject_display)
     return obj
+
+
+def entry_fields(obj: RegistryObject) -> dict:
+    """The inverse of :func:`sealed_entry`: a stored entry's flat fields,
+    identity slots kept sealed (the peer-facing form of a shard's rows)."""
+    return {
+        "event_id": obj.object_id,
+        "event_type": obj.classification_node(SCHEME_EVENT_CLASS) or "",
+        "producer_id": obj.slot_value("producerId") or "",
+        "occurred_at": float(obj.slot_value("occurredAt") or 0.0),
+        "summary": obj.name,
+        "subject_ref": obj.slot_value("subjectRef") or "",
+        "subject_display": obj.slot_value("subjectDisplay"),
+    }
 
 
 class EventsIndex:
@@ -161,11 +190,7 @@ class EventsIndex:
         """
         if sealed is None:
             sealed = self.seal_identity(notification)
-        obj = sealed_entry(
-            notification.event_id, notification.event_type,
-            notification.producer_id, notification.occurred_at,
-            notification.summary, sealed.subject_ref, sealed.subject_display,
-        )
+        obj = sealed_entry(**sealed_fields(notification, sealed))
         self._registry.submit(obj)
         self._registry.approve(notification.event_id)
         self.stats.stored += 1
@@ -200,19 +225,18 @@ class EventsIndex:
         """Rebuild the notification stored under ``event_id``."""
         if event_id not in self._registry:
             raise UnknownEventError(f"no notification indexed under {event_id!r}")
-        return self._to_notification(self._registry.get(event_id))
+        return self.open_entry(entry_fields(self._registry.get(event_id)))
 
-    def _to_notification(self, obj: RegistryObject) -> NotificationMessage:
-        display_token = obj.slot_value("subjectDisplay")
-        return NotificationMessage(
-            event_id=obj.object_id,
-            event_type=obj.classification_node(SCHEME_EVENT_CLASS) or "",
-            producer_id=obj.slot_value("producerId") or "",
-            occurred_at=float(obj.slot_value("occurredAt") or 0.0),
-            summary=obj.name,
-            subject_ref=self._open(obj.slot_value("subjectRef") or ""),
-            subject_display=self._open(display_token) if display_token else "",
-        )
+    def open_entry(self, entry: dict) -> NotificationMessage:
+        """Rebuild the notification of one entry (:func:`entry_fields` form,
+        local or fetched from a peer shard), opening its identity slots
+        here — the only place an entry's plaintext identity appears."""
+        display_token = entry.get("subject_display")
+        return NotificationMessage(**{
+            **entry,
+            "subject_ref": self._open(entry["subject_ref"]),
+            "subject_display": self._open(display_token) if display_token else "",
+        })
 
     # -- inquiry -------------------------------------------------------------------
 
@@ -253,7 +277,7 @@ class EventsIndex:
         """
         self.stats.inquiries += 1
         results = [
-            self._to_notification(obj)
+            self.open_entry(entry_fields(obj))
             for obj in self.raw_inquire(event_types, since, until, producer_id)
         ]
         results.sort(key=lambda n: (n.occurred_at, n.event_id))

@@ -13,11 +13,13 @@ keeping its privacy model intact:
   link table;
 * :mod:`~repro.federation.index` — the sharded events index (kernel kind
   ``index``: ``federated``), storing sealed entries on their owner shard;
-* :mod:`~repro.federation.node` / :mod:`~repro.federation.router` — the
-  server and client halves of cross-node operations.  The load-bearing
-  rule: a request-for-details is ALWAYS decided on the **home node** of
-  the producing gateway, by that node's own PDP and local cooperation
-  gateway — Algorithms 1–2 never leave the producer's side;
+* :mod:`~repro.federation.node` — both halves of every cross-node
+  operation: the handler table a node serves and the one client call
+  (``FederationNode.ask``) every request leaves through.  The
+  load-bearing rule: a request-for-details is ALWAYS decided on the
+  **home node** of the producing gateway, by that node's own PDP and
+  local cooperation gateway — Algorithms 1–2 never leave the producer's
+  side;
 * :mod:`~repro.federation.audit` — guarantor inquiries fan out to every
   node and merge one total-ordered, per-node-verified trail;
 * :mod:`~repro.federation.platform` / :mod:`~repro.federation.scenario` —
@@ -32,7 +34,6 @@ from repro.federation.membership import StaticMembership
 from repro.federation.node import FederationNode
 from repro.federation.platform import FederatedPlatform, RebalanceReport
 from repro.federation.ring import HashRing, subject_shard_key
-from repro.federation.router import FederationRouter
 from repro.federation.scenario import (
     FederatedScenario,
     FederatedScenarioConfig,
@@ -48,7 +49,6 @@ __all__ = [
     "FederatedScenarioConfig",
     "FederatedScenarioReport",
     "FederationNode",
-    "FederationRouter",
     "HashRing",
     "Link",
     "LinkStats",

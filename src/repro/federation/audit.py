@@ -72,7 +72,6 @@ def guarantor_inquiry(
     chain anywhere raises :class:`~repro.exceptions.TamperedLogError`
     before any of that node's records enter the trail.
     """
-    membership = coordinator.membership
     entries: list[FederatedAuditEntry] = []
     heads: dict[str, str] = {}
 
@@ -83,16 +82,15 @@ def guarantor_inquiry(
         FederatedAuditEntry(coordinator.node_id, record) for record in local
     )
 
-    for node_id in membership.node_ids:
+    for node_id in coordinator.membership.node_ids:
         if node_id == coordinator.node_id:
             continue
-        response = membership.link(coordinator.node_id, node_id).call(
-            "audit.records",
+        answer = coordinator.ask(
+            node_id, "audit.records",
             {"event_type": event_type, "since": since, "until": until},
         )
-        heads[node_id] = response["head"]
-        body = coordinator.open_channel(response)
-        for payload in body["records"]:
+        heads[node_id] = answer["head"]
+        for payload in answer["records"]:
             entries.append(
                 FederatedAuditEntry(node_id, AuditRecord.from_payload(payload))
             )

@@ -23,17 +23,20 @@ from every default inquiry, so results stay duplicate-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.index import (
     OBJECT_TYPE,
     SCHEME_EVENT_CLASS,
     EventsIndex,
     SealedIdentity,
+    entry_fields,
     sealed_entry,
+    sealed_fields,
 )
 from repro.core.messages import NotificationMessage
-from repro.exceptions import FederationError, UnknownEventError
+from repro.exceptions import LinkFailureError, UnknownEventError
+from repro.federation.link import wire_message
 from repro.perf import perf_or_none
 from repro.registry.objects import LifecycleStatus, RegistryObject
 
@@ -76,7 +79,8 @@ class FederatedIndexStore:
         return self.local.encrypt_identity
 
     def _self_node(self):
-        """This node's federation endpoint (for channel sealing)."""
+        """This node's federation endpoint — every request leaves through
+        its :meth:`~repro.federation.node.FederationNode.ask`."""
         return self.membership.node(self.node_id)
 
     def __len__(self) -> int:
@@ -100,28 +104,14 @@ class FederatedIndexStore:
         if owner == self.node_id:
             self.stats.local_stores += 1
             return self.local.store(notification, sealed=sealed)
-        entry = {
-            "event_id": notification.event_id,
-            "event_type": notification.event_type,
-            "producer_id": notification.producer_id,
-            "occurred_at": notification.occurred_at,
-            "summary": notification.summary,
-            "subject_ref": sealed.subject_ref,
-            "subject_display": sealed.subject_display,
-        }
+        entry = sealed_fields(notification, sealed)
         # The identity slots are already index-key tokens, but the summary
         # text may name the subject — the whole entry crosses sealed under
         # this node's channel key.
         if self._batch is not None:
             return self._enqueue_remote(owner, entry)
-        response = self.membership.link(self.node_id, owner).call(
-            "index.store", self._self_node().seal_channel({"entry": entry})
-        )
-        if "error" in response:
-            raise FederationError(
-                f"shard {owner!r} rejected entry {notification.event_id!r}: "
-                f"{response['message']}"
-            )
+        response = self._self_node().ask(
+            owner, "index.store", {"entry": entry}, seal=True)
         self.stats.remote_stores += 1
         return response
 
@@ -131,9 +121,9 @@ class FederatedIndexStore:
         """Buffer a remote entry for the owner's next coalesced frame.
 
         The link latency is charged to the clock *now* — exactly where
-        the unbatched ``link.call`` would have advanced it — so every
-        record stamped after this store carries the same timestamp in
-        both modes; the flush then ships with ``advance=0.0``.
+        the unbatched call would have advanced it — so every record
+        stamped after this store carries the same timestamp in both
+        modes; the flush then ships without advancing it again.
         """
         link = self.membership.link(self.node_id, owner)
         self.membership.clock.advance(link.latency)
@@ -148,17 +138,17 @@ class FederatedIndexStore:
         entries = self._pending.pop(owner, None)
         if not entries:
             return
-        # One seal over the whole frame: one key-schedule invocation for
-        # N entries instead of N.
-        sealed = self._self_node().seal_channel({"entries": entries})
-        response = self.membership.link(self.node_id, owner).call_batch(
-            "index.store", sealed, count=len(entries), advance=0.0,
-        )
-        if "error" in response:
-            raise FederationError(
-                f"shard {owner!r} rejected a coalesced frame of "
-                f"{len(entries)} entries: {response['message']}"
-            )
+        try:
+            # One seal over the whole frame: one key-schedule invocation
+            # for N entries instead of N.
+            self._self_node().ask(owner, "index.store", {"entries": entries},
+                                  seal=True, entries=len(entries))
+        except LinkFailureError:
+            # Dropped, not refused: these publishes were acknowledged, so
+            # the frame stays pending, in order, for the next flush.  A
+            # frame the owner *answered* — accepted or rejected — is done.
+            self._pending[owner] = entries
+            raise
 
     def flush_pending(self) -> None:
         """Ship every buffered frame (deterministic owner order)."""
@@ -183,11 +173,7 @@ class FederatedIndexStore:
     def accept_remote(self, entry: dict) -> None:
         """Store an entry shipped by a peer (identity slots still sealed)."""
         # A durable local shard also persists the adopted row.
-        self.local.adopt_raw(sealed_entry(
-            entry["event_id"], entry["event_type"], entry["producer_id"],
-            entry["occurred_at"], entry["summary"], entry["subject_ref"],
-            entry.get("subject_display"),
-        ))
+        self.local.adopt_raw(sealed_entry(**entry))
 
     # -- local raw access (the peer-facing surface) -------------------------
 
@@ -203,17 +189,6 @@ class FederatedIndexStore:
         obj = self.local.registry.get(event_id)
         return None if obj.status is LifecycleStatus.WITHDRAWN else obj
 
-    def _to_entry(self, obj: RegistryObject) -> dict:
-        return {
-            "event_id": obj.object_id,
-            "event_type": obj.classification_node(SCHEME_EVENT_CLASS) or "",
-            "producer_id": obj.slot_value("producerId") or "",
-            "occurred_at": float(obj.slot_value("occurredAt") or 0.0),
-            "summary": obj.name,
-            "subject_ref": obj.slot_value("subjectRef") or "",
-            "subject_display": obj.slot_value("subjectDisplay"),
-        }
-
     def local_raw_inquire(
         self,
         event_types: list[str],
@@ -223,14 +198,14 @@ class FederatedIndexStore:
     ) -> list[dict]:
         """This shard's matching entries, identity slots kept sealed."""
         return [
-            self._to_entry(obj)
+            entry_fields(obj)
             for obj in self.local.raw_inquire(event_types, since, until, producer_id)
         ]
 
     def local_raw_get(self, event_id: str) -> dict | None:
         """One sealed raw entry of this shard (None if absent/withdrawn)."""
         obj = self._live_local(event_id)
-        return None if obj is None else self._to_entry(obj)
+        return None if obj is None else entry_fields(obj)
 
     def local_count_for_type(self, event_type: str) -> int:
         """Live entries of one class on this shard."""
@@ -241,24 +216,30 @@ class FederatedIndexStore:
             if obj.status is not LifecycleStatus.WITHDRAWN
         )
 
-    def _entry_to_notification(self, entry: dict) -> NotificationMessage:
-        return NotificationMessage(
-            event_id=entry["event_id"],
-            event_type=entry["event_type"],
-            producer_id=entry["producer_id"],
-            occurred_at=entry["occurred_at"],
-            summary=entry["summary"],
-            subject_ref=self.local.open_identity(entry["subject_ref"]),
-            subject_display=(
-                self.local.open_identity(entry["subject_display"])
-                if entry.get("subject_display") else ""
-            ),
-        )
-
     # -- cluster-wide retrieval ---------------------------------------------
 
     def _peer_ids(self) -> tuple[str, ...]:
         return tuple(n for n in self.membership.node_ids if n != self.node_id)
+
+    def _ask_peers(self, operation: str, payload: dict) -> Iterator[dict]:
+        """Send one identical request to every peer; yields each answer.
+
+        With the perf layer on the request is encoded once
+        (:func:`~repro.federation.link.wire_message`): the first peer
+        counts as the ``wire`` cache miss, every further peer as a hit;
+        with tracing active the link re-encodes anyway and the hint is
+        simply ignored.
+        """
+        peers = self._peer_ids()
+        wire = None
+        if self._perf is not None and peers:
+            self._perf.record_miss("wire")
+            wire = wire_message(operation, payload)
+        node = self._self_node()
+        for position, peer in enumerate(peers):
+            if wire is not None and position:
+                self._perf.record_hit("wire")
+            yield node.ask(peer, operation, payload, wire=wire)
 
     def get(self, event_id: str) -> NotificationMessage:
         """Rebuild a notification from whichever shard holds it."""
@@ -266,13 +247,11 @@ class FederatedIndexStore:
         obj = self._live_local(event_id)
         if obj is not None:
             return self.local.get(event_id)
+        node = self._self_node()
         for peer in self._peer_ids():
-            response = self.membership.link(self.node_id, peer).call(
-                "index.get", {"event_id": event_id}
-            )
-            entry = self._self_node().open_channel(response)["entry"]
+            entry = node.ask(peer, "index.get", {"event_id": event_id})["entry"]
             if entry is not None:
-                return self._entry_to_notification(entry)
+                return self.local.open_entry(entry)
         raise UnknownEventError(f"no notification indexed under {event_id!r}")
 
     def inquire(
@@ -286,58 +265,26 @@ class FederatedIndexStore:
         self._read_barrier()
         self.local.stats.inquiries += 1
         results = {
-            entry["event_id"]: self._entry_to_notification(entry)
+            entry["event_id"]: self.local.open_entry(entry)
             for entry in self.local_raw_inquire(
                 event_types, since=since, until=until, producer_id=producer_id
             )
         }
-        peers = self._peer_ids()
         payload = {"event_types": list(event_types), "since": since,
                    "until": until, "producer_id": producer_id}
-        wire = self._fanout_wire("index.inquire", payload, len(peers))
-        for position, peer in enumerate(peers):
+        for answer in self._ask_peers("index.inquire", payload):
             self.stats.remote_inquiries += 1
-            if self._perf is not None and position:
-                self._perf.record_hit("wire")
-            response = self.membership.link(self.node_id, peer).call(
-                "index.inquire", payload, wire=wire
-            )
-            for entry in self._self_node().open_channel(response)["entries"]:
-                results.setdefault(
-                    entry["event_id"], self._entry_to_notification(entry)
-                )
-        ordered = sorted(results.values(), key=lambda n: (n.occurred_at, n.event_id))
-        return ordered
+            for entry in answer["entries"]:
+                results.setdefault(entry["event_id"], self.local.open_entry(entry))
+        return sorted(results.values(), key=lambda n: (n.occurred_at, n.event_id))
 
     def count_for_type(self, event_type: str) -> int:
         """Cluster-wide live count of one class."""
         self._read_barrier()
-        total = self.local_count_for_type(event_type)
-        peers = self._peer_ids()
-        payload = {"event_type": event_type}
-        wire = self._fanout_wire("index.count", payload, len(peers))
-        for position, peer in enumerate(peers):
-            if self._perf is not None and position:
-                self._perf.record_hit("wire")
-            response = self.membership.link(self.node_id, peer).call(
-                "index.count", payload, wire=wire
-            )
-            total += response.get("count", 0)
-        return total
-
-    def _fanout_wire(self, operation: str, payload: dict, peers: int) -> str | None:
-        """Encode a fan-out request once (perf layer on, ≥1 peer).
-
-        The first peer counts as the ``wire`` cache miss, every further
-        peer as a hit; with tracing active the link re-encodes anyway and
-        the hint is simply ignored.
-        """
-        if self._perf is None or peers == 0:
-            return None
-        from repro.federation.link import wire_message
-
-        self._perf.record_miss("wire")
-        return wire_message(operation, payload)
+        return self.local_count_for_type(event_type) + sum(
+            answer["count"]
+            for answer in self._ask_peers("index.count", {"event_type": event_type})
+        )
 
     # -- rebalance ----------------------------------------------------------
 
@@ -357,15 +304,8 @@ class FederatedIndexStore:
             owner = self.membership.owner_of_subject(subject_ref)
             if owner == self.node_id:
                 continue
-            response = self.membership.link(self.node_id, owner).call(
-                "index.rehome",
-                self._self_node().seal_channel({"entry": self._to_entry(obj)}),
-            )
-            if "error" in response:
-                raise FederationError(
-                    f"rehome of {obj.object_id!r} to {owner!r} failed: "
-                    f"{response['message']}"
-                )
+            self._self_node().ask(owner, "index.rehome",
+                                  {"entry": entry_fields(obj)}, seal=True)
             self.local.withdraw(obj.object_id)  # durable shards add a tombstone
             moved += 1
             self.stats.rehomed += 1

@@ -14,9 +14,13 @@ Its transport discipline is the subsystem's privacy boundary:
   and retries run through the bus's existing
   :class:`~repro.bus.delivery.DeliveryPolicy` budget.
 
-Server-side errors (access denied, source unavailable) are *responses*,
-encoded by :meth:`FederationNode.handle` — the link retries only
-transmission drops, never decisions.
+A handler's failure — any :class:`~repro.exceptions.CssError`: a denial,
+a missing detail, a tampered chain — is a *response*, spelled by the
+serving node (``node.py::WIRE_ERRORS``) and raised again on the caller's
+side by :meth:`FederationNode.ask`, the only caller of :meth:`Link.call`
+and :meth:`Link.call_batch`.  So it is in the transcript and counted as
+delivered like any other answer, and the link retries only transmission
+drops, never decisions.
 """
 
 from __future__ import annotations

@@ -146,10 +146,8 @@ class StaticMembership:
         backend when it has an enabled one (per-node deployments), else
         the membership-wide instance (shared deployments, or None)."""
         node = self._nodes.get(source_id)
-        if node is not None:
-            telemetry = node.controller.telemetry
-            if telemetry is not None and telemetry.enabled:
-                return telemetry
+        if node is not None and node.telemetry is not None:
+            return node.telemetry
         return self._telemetry
 
     def links(self) -> tuple[Link, ...]:

@@ -1,10 +1,18 @@
-"""One controller node of a federated deployment (the server side).
+"""One controller node of a federated deployment — both ends of a hop.
 
 A :class:`FederationNode` wraps a full
-:class:`~repro.core.controller.DataController` and exposes the small set
-of operations peers may invoke over a :class:`~repro.federation.link.Link`.
-The handler table is the node's entire remote surface — and it is where
-the paper's privacy model survives distribution:
+:class:`~repro.core.controller.DataController`.  It *serves* the small set
+of operations peers may invoke over a :class:`~repro.federation.link.Link`
+(the handler table is the node's entire remote surface), and it *sends*
+every request this node makes of a peer through the one client call,
+:meth:`FederationNode.ask` — link lookup, channel sealing, the error
+spelling (:data:`WIRE_ERRORS`, read by both ends) and the opening of a
+sealed answer are stated there and nowhere else.  An operation whose
+request and response have a shape of their own (``subscribe.remote``,
+``details.get``) keeps its client half beside its handler.
+
+The handler table is where the paper's privacy model survives
+distribution:
 
 * ``details.get`` runs the node's **own** PDP and local cooperation
   gateway (Algorithms 1–2) for events its producers published.  Deny or
@@ -34,21 +42,26 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro import exceptions
 from repro.audit.log import AuditRecord
 from repro.audit.query import AuditQuery
 from repro.core.actors import Actor, ActorKind
 from repro.core.enforcement import DetailRequest
+from repro.core.messages import DetailMessage
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import (
     AccessDeniedError,
-    GatewayError,
+    CssError,
+    FederationError,
+    SourceUnavailableError,
     UnknownEventClassError,
     UnknownEventError,
 )
 from repro.obs.context import TraceContext
 from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
 from repro.perf import perf_or_none
-from repro.storage.schemas import type_to_dict
+from repro.storage.schemas import type_from_dict, type_to_dict
+from repro.xmlmsg.document import XmlDocument
 
 if TYPE_CHECKING:
     from repro.core.controller import DataController
@@ -56,6 +69,21 @@ if TYPE_CHECKING:
 
 #: Value types a canonical-JSON frame returns as it was given them.
 JSON_NATIVE = (str, int, float, bool, type(None))
+
+#: How a handler's failure is spelled on the wire — one table, read by the
+#: serving side (exception → code) and by :meth:`FederationNode.ask`
+#: (code → exception).  These four keep their historical codes, matched
+#: on the exact class; every other :class:`~repro.exceptions.CssError`
+#: crosses under its class name and is looked up in
+#: :mod:`repro.exceptions`, so a failure arrives as the class it left as.
+#: A code that names neither (``unknown-operation``, a class defined
+#: outside that module) is a :class:`~repro.exceptions.FederationError`.
+WIRE_ERRORS: dict[type[CssError], str] = {
+    AccessDeniedError: "access-denied",
+    SourceUnavailableError: "source-unavailable",
+    UnknownEventError: "unknown-event",
+    UnknownEventClassError: "unknown-event-class",
+}
 
 #: Keystore key-name prefix for per-sender channel sealing.  Each node
 #: seals under its *own* key (unique nonce space); receivers re-derive the
@@ -104,6 +132,13 @@ class FederationNode:
         self.membership = membership
         self.work = WorkMeter()
         self.hops_in = 0
+        #: The controller's telemetry when it records, else ``None`` —
+        #: what this node, its links and the platform's federation spans
+        #: record into.
+        telemetry = controller.telemetry
+        self.telemetry = (
+            telemetry if telemetry is not None and telemetry.enabled else None
+        )
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         self._channel_seq = 0
         controller.keystore.create(self._channel_key)
@@ -163,15 +198,56 @@ class FederationNode:
         # Seal/open is pure computation: the cost model charges no
         # simulated time, so the profiler records the sample at zero
         # seconds — crossing counts, not durations.
-        telemetry = self.controller.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.profile(section, 0.0, node=self.label)
+        if self.telemetry is not None:
+            self.telemetry.profile(section, 0.0, node=self.label)
+
+    # -- client call -------------------------------------------------------
+
+    def ask(self, peer_id: str, operation: str, payload: dict, *,
+            seal: bool = False, wire: str | None = None,
+            entries: int | None = None) -> dict:
+        """Send one request to ``peer_id`` and return its answer.
+
+        The one statement of a cross-node call.  ``seal`` seals the
+        request under this node's channel key first; ``wire`` is a
+        pre-encoded fan-out request (see
+        :func:`~repro.federation.link.wire_message`); ``entries`` marks a
+        shipper's coalesced frame of that many entries, whose latency was
+        charged at enqueue time.  A failure the peer's handler raised is
+        re-raised here as the class it left as (:data:`WIRE_ERRORS`); a
+        sealed answer comes back already opened, beside whatever the peer
+        sent in the clear.  A drop beyond the link's retry budget is the
+        link's :class:`~repro.exceptions.LinkFailureError`.
+        """
+        link = self.membership.link(self.node_id, peer_id)
+        if seal:
+            payload = self.seal_channel(payload)
+        if entries is None:
+            response = link.call(operation, payload, wire=wire)
+        else:
+            response = link.call_batch(operation, payload, count=entries,
+                                       advance=0.0)
+        error = response.get("error")
+        if error is not None:
+            message = response.get("message", error)
+            for failure, code in WIRE_ERRORS.items():
+                if code == error:
+                    raise failure(message)
+            failure = getattr(exceptions, error, None)
+            if isinstance(failure, type) and issubclass(failure, CssError):
+                raise failure(message)
+            raise FederationError(f"remote call failed: {error}: {message}")
+        if "token" not in response:
+            return response
+        clear = {key: value for key, value in response.items()
+                 if key not in ("from", "token")}
+        return {**clear, **self.open_channel(response)}
 
     # -- server dispatch ---------------------------------------------------
 
     def handle(self, operation: str, payload: dict,
                trace: TraceContext | None = None) -> dict:
-        """Serve one remote call; domain failures become error responses.
+        """Serve one remote call; a handler's failure is an error response.
 
         ``trace`` is the caller's link-span context.  With telemetry
         enabled the whole operation runs inside a ``federation.<op>``
@@ -201,25 +277,26 @@ class FederationNode:
     def _serve(self, handler: Callable[[dict], dict], operation: str,
                payload: dict, trace: TraceContext | None, hops: int,
                **span_attributes: str) -> dict:
-        """Run one handler under its server span; failures become responses."""
+        """Run one handler under its server span.
+
+        Any platform failure (:class:`~repro.exceptions.CssError`) the
+        handler raises is answered, spelled by :data:`WIRE_ERRORS` — so it
+        crosses in the transcript, counts as delivered, and :meth:`ask`
+        re-raises it on the caller's side.
+        """
         self.hops_in += hops
-        telemetry = self.controller.telemetry
+        telemetry = self.telemetry
         span_scope = (
             telemetry.span(f"federation.{operation}", remote_parent=trace,
                            node=self.label, **span_attributes)
-            if telemetry is not None and telemetry.enabled else nullcontext()
+            if telemetry is not None else nullcontext()
         )
         with span_scope as span:
             try:
                 response = handler(payload)
-            except AccessDeniedError as exc:
-                response = {"error": "access-denied", "message": str(exc)}
-            except GatewayError as exc:
-                response = {"error": "source-unavailable", "message": str(exc)}
-            except UnknownEventError as exc:
-                response = {"error": "unknown-event", "message": str(exc)}
-            except UnknownEventClassError as exc:
-                response = {"error": "unknown-event-class", "message": str(exc)}
+            except CssError as exc:
+                code = WIRE_ERRORS.get(type(exc), type(exc).__name__)
+                response = {"error": code, "message": str(exc)}
             if span is not None and "error" in response:
                 telemetry.tracer.set_attribute(span, "outcome",
                                                response["error"])
@@ -272,6 +349,25 @@ class FederationNode:
 
     # -- cross-node subscriptions ------------------------------------------
 
+    def subscribe_remote(self, home_node_id: str, consumer: Actor,
+                         event_type: str, deliver: Callable) -> str:
+        """Subscribe a consumer of this node to a class homed on another.
+
+        The home node's policy repository authorizes (or queues a pending
+        access request and denies); on permit it relays the class topic to
+        this node, where a local durable subscription feeds ``deliver``.
+        Returns the local subscription id.
+        """
+        topic = self.ask(home_node_id, "subscribe.remote", {
+            "consumer_id": consumer.actor_id,
+            "role": consumer.role,
+            "event_type": event_type,
+            "origin": self.node_id,
+        })["topic"]
+        bus = self.controller.bus
+        bus.declare_topic(topic)
+        return bus.subscribe(consumer.actor_id, topic, deliver).subscription_id
+
     def _op_subscribe_remote(self, payload: dict) -> dict:
         """Authorize a remote consumer and install a relay toward its node.
 
@@ -300,9 +396,8 @@ class FederationNode:
 
         def relay(envelope) -> None:
             self.work.add(RELAY_COST)
-            sealed = self._sealed_relay_frame(topic, str(envelope.body))
-            link = self.membership.link(self.node_id, origin)
-            link.call("bus.relay", sealed)
+            self.ask(origin, "bus.relay",
+                     self._sealed_relay_frame(topic, str(envelope.body)))
 
         subscription = self.controller.bus.subscribe(
             f"federation-relay:{origin}", topic, relay
@@ -344,6 +439,35 @@ class FederationNode:
         return {"ok": True, "node": self.node_id}
 
     # -- home-node enforcement ---------------------------------------------
+
+    def request_remote_details(self, home_node_id: str,
+                               request: DetailRequest) -> DetailMessage:
+        """Forward a request-for-details to the producer's home node.
+
+        The decision (Algorithm 1) and field filtering (Algorithm 2) run
+        entirely on the home node; this side only rebuilds the
+        already-filtered detail message — values whose type the frame names
+        (see :meth:`_op_details_get`) parsed back to it, so the message
+        equals the one a local consumer is handed, and a refusal or failure
+        is the exception a local consumer would have caught.
+        """
+        body = self.ask(home_node_id, "details.get", {
+            "actor_id": request.actor.actor_id,
+            "actor_name": request.actor.name,
+            "role": request.actor.role,
+            "event_type": request.event_type,
+            "event_id": request.event_id,
+            "purpose": request.purpose,
+        })
+        for name, kind in body.get("types", {}).items():
+            body["fields"][name] = type_from_dict(kind).parse(body["fields"][name])
+        return DetailMessage(
+            event_id=body["event_id"],
+            event_type=body["event_type"],
+            producer_id=body["producer_id"],
+            payload=XmlDocument(body["event_type"], body["fields"]),
+            released_fields=tuple(body["released"]),
+        )
 
     def _op_details_get(self, payload: dict) -> dict:
         """Decide a forwarded request-for-details with this node's own PDP.
@@ -418,10 +542,10 @@ class FederationNode:
 
     def record_queue_depth(self) -> None:
         """Publish this node's bus queue depth under its hashed label."""
-        telemetry = self.controller.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.gauge(NODE_QUEUE_DEPTH, self.controller.bus.queue_depth,
-                            node=self.label)
+        if self.telemetry is not None:
+            self.telemetry.gauge(NODE_QUEUE_DEPTH,
+                                 self.controller.bus.queue_depth,
+                                 node=self.label)
 
     def record_fairness(self) -> None:
         """Publish this node's per-tenant fairness gauges.

@@ -13,8 +13,8 @@ logical CSS platform:
   producer defines — which is what makes home-node enforcement possible;
 * the events index is partitioned across nodes by the consistent-hash
   ring over keyed subject digests (kernel kind ``index: federated``);
-* cross-node subscriptions and requests-for-details go through each
-  node's :class:`~repro.federation.router.FederationRouter`; decisions
+* cross-node subscriptions and requests-for-details are forwarded by the
+  consumer's :class:`~repro.federation.node.FederationNode`; decisions
   always run on the producer's home node, and gating, delivery and
   auditing are always a controller's — this facade only routes;
 * :meth:`add_node` grows the ring at runtime and re-homes the index
@@ -46,7 +46,6 @@ from repro.federation.node import (
     PUBLISH_UNIT_COST,
     FederationNode,
 )
-from repro.federation.router import FederationRouter
 from repro.obs.guard import PrivacyGuard
 from repro.obs.stitch import StitchedTrace, stitch
 from repro.obs.telemetry import InMemoryTelemetry, NoopTelemetry
@@ -117,7 +116,6 @@ class FederatedPlatform:
         self._batch_size = max(1, self._base_runtime.batch_size)
         self._publish_seq: dict[str, int] = {}
         self._index_seq: dict[str, int] = {}
-        self._routers: dict[str, FederationRouter] = {}
         self._producers: dict[str, DataProducer] = {}
         self._consumers: dict[str, DataConsumer] = {}
         self._producer_home: dict[str, str] = {}
@@ -169,9 +167,7 @@ class FederatedPlatform:
                 "sched_config": self._sched_config,
             },
         )
-        node = FederationNode(node_id, controller, self.membership)
-        self._routers[node_id] = FederationRouter(node)
-        return node
+        return FederationNode(node_id, controller, self.membership)
 
     def nodes(self) -> tuple[FederationNode, ...]:
         """Every node, ordered by node id."""
@@ -185,28 +181,32 @@ class FederatedPlatform:
         """The data controller behind one node."""
         return self.membership.node(node_id).controller
 
-    def _node_telemetry(self, node_id: str):
-        """The enabled telemetry a node records into, or ``None``."""
-        telemetry = self.controller_of(node_id).telemetry
-        if telemetry is not None and telemetry.enabled:
-            return telemetry
-        return None
+    def _remote_route(self, consumer_id: str, event_type: str, span_name: str):
+        """How a consumer's operation on a class homed elsewhere is forwarded.
 
-    def _federation_span(self, node_id: str, name: str, home: str):
-        """A consumer-side root span for one cross-node operation.
-
-        Opened on the *origin* node's telemetry so everything downstream —
-        the link hop, the home node's server span, its PDP pipeline —
-        parents under it, labelled only with guard-hashed node ids.
+        ``None`` when consumer and class share a home node — the consumer's
+        own client then serves the operation.  Otherwise the consumer's
+        contract is checked on its own node (as its controller would for a
+        local operation) and the route is returned: the consumer's node,
+        the class's home node id, and the consumer-side root span to
+        forward under.  The span opens on the *origin* node's telemetry so
+        everything downstream — the link hop, the home node's server span,
+        its PDP pipeline — parents under it, labelled only with
+        guard-hashed node ids.
         """
-        telemetry = self._node_telemetry(node_id)
-        if telemetry is None:
-            return nullcontext()
-        return telemetry.span(
-            name,
-            origin=self.membership.node_label(node_id),
-            home=self.membership.node_label(home),
+        consumer_home = self._consumer_home[consumer_id]
+        class_home = self.home_of_class(event_type)
+        if class_home == consumer_home:
+            return None
+        node = self.node(consumer_home)
+        node.controller.contracts.require_active(
+            consumer_id, self.clock.now(), must_consume=True
         )
+        span = nullcontext() if node.telemetry is None else node.telemetry.span(
+            span_name, origin=node.label,
+            home=self.membership.node_label(class_home),
+        )
+        return node, class_home, span
 
     def _next_home(self, node_id: str | None) -> str:
         if node_id is not None:
@@ -348,21 +348,15 @@ class FederatedPlatform:
         way notifications land in the consumer's inbox.
         """
         consumer = self._consumers[consumer_id]
-        consumer_home = self._consumer_home[consumer_id]
-        class_home = self.home_of_class(event_type)
-        if class_home == consumer_home:
+        route = self._remote_route(consumer_id, event_type, "federation.subscribe")
+        if route is None:
             return consumer.subscribe(event_type, handler)
-
-        controller = self.controller_of(consumer_home)
-        controller.contracts.require_active(
-            consumer_id, self.clock.now(), must_consume=True
-        )
-        with self._federation_span(
-            consumer_home, "federation.subscribe", class_home
-        ):
-            subscription_id = self._routers[consumer_home].subscribe_remote(
+        node, class_home, span = route
+        with span:
+            subscription_id = node.subscribe_remote(
                 class_home, consumer.actor, event_type,
-                controller.notification_sink(consumer_id, consumer.receiver(handler)),
+                node.controller.notification_sink(
+                    consumer_id, consumer.receiver(handler)),
             )
         consumer.note_subscription(event_type, subscription_id)
         return subscription_id
@@ -380,15 +374,11 @@ class FederatedPlatform:
         audits the forwarding, and unseals the already-filtered response.
         """
         consumer = self._consumers[consumer_id]
-        consumer_home = self._consumer_home[consumer_id]
-        class_home = self.home_of_class(event_type)
-        if class_home == consumer_home:
+        route = self._remote_route(
+            consumer_id, event_type, "federation.request_details")
+        if route is None:
             return consumer.request_details_by_id(event_type, event_id, purpose)
-
-        controller = self.controller_of(consumer_home)
-        controller.contracts.require_active(
-            consumer_id, self.clock.now(), must_consume=True
-        )
+        node, class_home, span = route
         request = DetailRequest(
             actor=consumer.actor,
             event_type=event_type,
@@ -397,19 +387,15 @@ class FederatedPlatform:
         )
 
         def audit(outcome: AuditOutcome, detail: str) -> None:
-            controller.record_audit(
+            node.controller.record_audit(
                 consumer_id, AuditAction.DETAIL_REQUEST, outcome,
                 event_id=event_id, event_type=event_type, purpose=purpose,
                 detail=detail,
             )
 
         try:
-            with self._federation_span(
-                consumer_home, "federation.request_details", class_home
-            ):
-                detail = self._routers[consumer_home].request_remote_details(
-                    class_home, request
-                )
+            with span:
+                detail = node.request_remote_details(class_home, request)
         except Exception as exc:
             # The local audit stage's rule: a deny, or — home gateway down,
             # the hop's retry budget spent, anything else — an error.

@@ -12,10 +12,15 @@ write+flush per batch.
 Visibility semantics are unchanged: the backends keep their in-memory
 structures (events index, audit chain) current on every append, so local
 queries never see stale data; only the *durable* write-through lags, and
-every read of the durable log (:meth:`iter_records`, ``__len__``) is a
-flush barrier.  Callers that hand the underlying files to someone else —
+streaming the durable log (:meth:`iter_records`) is a flush barrier.
+``__len__`` is not: it counts durable + pending records and flushes
+nothing.  Callers that hand the underlying files to someone else —
 snapshots, crash-recovery tests, guarantor exports — must call
 :meth:`flush` first (see ``DataController.flush_storage``).
+
+A commit the log could not write loses nothing: the batch stays pending,
+in arrival order, and goes down with the next flush, so records accepted
+after a failed write never land past a hole in the log.
 
 ``BatchPolicy`` is what the kernel's ``batch`` kind produces: ``off``
 yields ``None`` (no wrapping anywhere), ``on`` yields a policy carrying
@@ -101,11 +106,16 @@ class BatchWriter:
         return first, first + len(records) - 1
 
     def flush(self) -> None:
-        """Commit every buffered record in one ``append_many`` write."""
+        """Commit every buffered record in one ``append_many`` write.
+
+        The buffer is released only once the write returned: if the log
+        raises, every record is still pending for the next flush.
+        """
         if not self._buffer:
             return
-        batch, self._buffer = self._buffer, []
+        batch = self._buffer
         self._log.append_many(batch)
+        self._buffer = []
         self.stats.flushes += 1
         self.stats.flushed_records += len(batch)
 

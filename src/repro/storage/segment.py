@@ -73,6 +73,18 @@ def decode_frame(line: bytes) -> tuple[int, dict]:
     return int(seq_text), json.loads(payload)
 
 
+def read_frame(path: Path, raw: bytes) -> tuple[int, dict]:
+    """Decode one complete line of segment ``path``; a damaged frame is a
+    :class:`~repro.exceptions.CorruptRecordError` naming the file, whoever
+    reads it."""
+    try:
+        return decode_frame(raw[:-1])
+    except (ValueError, json.JSONDecodeError) as exc:
+        raise CorruptRecordError(
+            f"{path}: damaged frame while streaming"
+        ) from exc
+
+
 def segment_name(first_sequence: int) -> str:
     """Segment filename for the segment opening at ``first_sequence``."""
     return f"{first_sequence:012d}{SEGMENT_SUFFIX}"
@@ -296,12 +308,7 @@ class SegmentedLog:
                 for raw in handle:
                     if not raw.endswith(b"\n"):
                         return  # a torn tail appeared after open; stop cleanly
-                    try:
-                        sequence, record = decode_frame(raw[:-1])
-                    except (ValueError, json.JSONDecodeError) as exc:
-                        raise CorruptRecordError(
-                            f"{path}: damaged frame while streaming"
-                        ) from exc
+                    sequence, record = read_frame(path, raw)
                     if sequence >= start:
                         yield sequence, record
 
@@ -324,7 +331,7 @@ class SegmentedLog:
                 for raw in handle:
                     if not raw.endswith(b"\n"):
                         break
-                    sequence, _ = decode_frame(raw[:-1])
+                    sequence, _ = read_frame(path, raw)
                     if records == 0:
                         first_sequence = sequence
                     records += 1
@@ -364,7 +371,7 @@ class SegmentedLog:
                     offset += len(raw)
                     if not raw.endswith(b"\n"):
                         break
-                    frame_sequence, _ = decode_frame(raw[:-1])
+                    frame_sequence, _ = read_frame(path, raw)
                     seen_any = True
                     if frame_sequence <= sequence:
                         keep_until = offset

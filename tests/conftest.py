@@ -22,6 +22,12 @@ from repro import (
     Occurs,
     StringType,
 )
+from repro.exceptions import (
+    DetailNotFoundError,
+    PrivacyError,
+    SourceUnavailableError,
+    UnknownProducerError,
+)
 from repro.xmlmsg.types import DecimalType, EnumerationType
 
 
@@ -120,6 +126,38 @@ def build_federation(shards: int = 2, with_policy: bool = True,
             label="family doctor access",
         )
     return FederatedDeployment(platform=platform, blood_class=blood_class)
+
+
+def _gateway_offline(platform):
+    platform.controller_of("node-0").endpoints.get(
+        "gateway.Hospital-S-Maria.getResponse").take_offline()
+
+
+def _detail_missing(platform):
+    platform.producer("Hospital-S-Maria").gateway._store.clear()
+
+
+def _gateway_overreleases(platform):
+    fetcher = platform.controller_of("node-0").detail_fetcher
+    real_fetch = fetcher.fetch
+    fetcher.fetch = lambda producer, src_id, allowed, event_id: real_fetch(
+        producer, src_id, ["PatientId", "HivResult"], event_id)
+
+
+def _producer_without_gateway(platform):
+    platform.controller_of("node-0")._gateways.pop("Hospital-S-Maria")
+
+
+#: Ways to break the home node of a ``build_federation`` deployment after a
+#: publish, each with the exception a request-for-details then ends in —
+#: for a consumer on either node.
+HOME_NODE_FAILURES = [
+    pytest.param(_gateway_offline, SourceUnavailableError, id="gateway-offline"),
+    pytest.param(_detail_missing, DetailNotFoundError, id="detail-missing"),
+    pytest.param(_gateway_overreleases, PrivacyError, id="gateway-overreleases"),
+    pytest.param(_producer_without_gateway, UnknownProducerError,
+                 id="producer-without-gateway"),
+]
 
 
 @pytest.fixture()

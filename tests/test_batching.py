@@ -9,12 +9,18 @@ between batched and unbatched runs over both store kinds, and the flush
 barriers that keep snapshots and guarantor inquiries complete.
 """
 
+import errno
 import json
 
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
-from repro.exceptions import ConfigurationError
+from repro.audit.log import AuditAction, AuditOutcome
+from repro.exceptions import (
+    ConfigurationError,
+    DuplicateObjectError,
+    LinkFailureError,
+)
 from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.storage import JsonlRecordLog, SegmentedLog
 from tests.conftest import blood_test_schema, build_federation
@@ -59,6 +65,18 @@ class TestBatchWriter:
         writer.flush()
         assert [r["n"] for r in log.iter_records()] == [1, 2, 3, 4]
 
+    def test_a_failed_commit_keeps_the_batch_pending_in_order(self, tmp_path):
+        log = JsonlRecordLog(tmp_path / "log.jsonl")
+        fail_next_commit(log)
+        writer = BatchWriter(log, batch_size=2)
+        writer.append({"n": 1})
+        with pytest.raises(OSError):
+            writer.append({"n": 2})  # boundary: the group commit fails
+        assert (writer.pending, len(log), writer.stats.flushes) == (2, 0, 0)
+        writer.append({"n": 3})  # the next boundary commits all three
+        assert writer.pending == 0
+        assert [r["n"] for r in log.iter_records()] == [1, 2, 3]
+
     def test_flush_on_empty_buffer_is_a_noop(self, tmp_path):
         writer = BatchWriter(JsonlRecordLog(tmp_path / "log.jsonl"),
                              batch_size=2)
@@ -70,6 +88,17 @@ class TestBatchWriter:
             BatchWriter(JsonlRecordLog(tmp_path / "log.jsonl"), batch_size=0)
         with pytest.raises(ConfigurationError):
             BatchPolicy(batch_size=0)
+
+
+def fail_next_commit(log):
+    """Make ``log``'s next ``append_many`` fail as a full disk would."""
+    real = log.append_many
+
+    def append_many(records):
+        log.append_many = real
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    log.append_many = append_many
 
 
 class TestAppendMany:
@@ -195,6 +224,30 @@ class TestGroupCommitDurability:
         assert len(index) == len(controller.index)
 
 
+    def test_restart_after_one_failed_commit_replays_and_verifies(self, tmp_path):
+        """Records accepted after a failed write used to land past the
+        hole, and the next start refused the chain as tampered."""
+        controller = build_world(tmp_path, "segmented", batch="on",
+                                 batch_size=4)
+        fail_next_commit(controller.store.log("audit"))
+        failed = 0
+        for i in range(6):
+            try:
+                controller.record_audit("Hospital", AuditAction.PUBLISH,
+                                        AuditOutcome.PERMIT, detail=f"row {i}")
+            except OSError:
+                failed += 1
+        assert failed == 1
+        controller.flush_storage()
+
+        restarted = DataController(seed="batchequiv", runtime=RuntimeConfig(
+            index_store="jsonl", audit_sink="jsonl", store="segmented",
+            data_dir=tmp_path, batch="on", batch_size=4))
+        restarted.audit_log.verify_integrity()
+        assert len(restarted.audit_log) == len(controller.audit_log)
+        assert restarted.audit_log.head_digest == controller.audit_log.head_digest
+
+
 def remote_subject(platform, owner: str) -> str:
     for i in range(200):
         subject = f"pat-{i}"
@@ -230,6 +283,48 @@ class TestFlushBarriers:
         found = platform.controller_of("node-1").index.get(
             notification.event_id)
         assert found.event_id == notification.event_id
+
+    def test_a_dropped_frame_goes_out_with_the_next_flush(self):
+        """The link spent its retry budget on a coalesced frame: the
+        publishes were acknowledged, so the frame must still be pending."""
+        deployment = self.batched_federation()
+        platform = deployment.platform
+        published = [deployment.publish_blood_test(subject_id=f"pat-{i}")
+                     for i in range(12)]
+        link = platform.membership.link("node-0", "node-1")
+        link.fail_next(link.policy.max_attempts)
+        with pytest.raises(LinkFailureError):
+            platform.flush_batches()
+        shipped_before = len(platform.controller_of("node-1").index)
+
+        platform.flush_batches()
+        remote = [n.event_id for n in published
+                  if platform.membership.owner_of_subject(n.subject_ref) == "node-1"]
+        assert remote and shipped_before == 0
+        for notification in published:
+            assert any(notification.event_id in node.controller.index
+                       for node in platform.nodes())
+        # The retried frame carries the entries in publish order.
+        adopted = platform.controller_of("node-1").index.local.registry
+        assert [obj.object_id for obj in adopted.by_type("Notification")] == remote
+
+    def test_a_frame_the_owner_rejected_is_not_retried(self):
+        deployment = self.batched_federation()
+        platform = deployment.platform
+        subject = remote_subject(platform, "node-1")
+        notification = deployment.publish_blood_test(subject_id=subject)
+        platform.flush_batches()
+        link = platform.membership.link("node-0", "node-1")
+        calls, delivered = link.stats.calls, link.stats.delivered
+
+        platform.controller_of("node-0").index.store(notification)  # again
+        with pytest.raises(DuplicateObjectError):
+            platform.flush_batches()
+        # Answered, not dropped: a response crossed and nothing is pending.
+        assert json.loads(link.transcript[-1])["error"] == "DuplicateObjectError"
+        assert (link.stats.calls, link.stats.delivered) == (calls + 1, delivered + 1)
+        platform.flush_batches()
+        assert link.stats.calls == calls + 1
 
     def test_flush_batches_drains_durable_buffers(self, tmp_path):
         deployment = self.batched_federation(

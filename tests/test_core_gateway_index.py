@@ -2,10 +2,16 @@
 events index."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.gateway import LocalCooperationGateway
-from repro.core.index import EventsIndex
+from repro.core.index import (
+    EventsIndex,
+    entry_fields,
+    sealed_entry,
+    sealed_fields,
+)
 from repro.core.messages import NotificationMessage
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
@@ -202,3 +208,33 @@ class TestEventsIndex:
         index.store(notification("e2"))
         assert index.count_for_type("BloodTest") == 2
         assert index.count_for_type("Other") == 0
+
+
+_text = st.text(min_size=1, max_size=12)
+#: The occurredAt slot keeps microseconds, so whole microseconds round-trip.
+notifications = st.builds(
+    NotificationMessage,
+    event_id=_text, event_type=_text, producer_id=_text, summary=_text,
+    occurred_at=st.integers(0, 10**12).map(lambda micros: micros / 1_000_000),
+    subject_ref=_text, subject_display=st.text(max_size=12),
+)
+
+
+class TestEntryCodec:
+    """The one index-entry codec: notification → flat sealed fields →
+    registry object → flat fields → notification."""
+
+    @given(notifications, st.booleans())
+    def test_fields_survive_the_registry_object(self, drawn, encrypt):
+        index = EventsIndex(KeyStore("test-secret"), encrypt_identity=encrypt)
+        fields = sealed_fields(drawn, index.seal_identity(drawn))
+        assert entry_fields(sealed_entry(**fields)) == fields
+        if encrypt:
+            assert fields["subject_ref"] != drawn.subject_ref
+
+    @given(notifications, st.booleans())
+    def test_an_opened_entry_is_the_stored_notification(self, drawn, encrypt):
+        index = EventsIndex(KeyStore("test-secret"), encrypt_identity=encrypt)
+        obj = index.store(drawn)
+        assert (index.open_entry(entry_fields(obj))
+                == index.get(obj.object_id) == drawn)

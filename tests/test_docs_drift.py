@@ -1,15 +1,19 @@
-"""docs/ARCHITECTURE.md states the stage order and the kernel table once;
-this keeps both equal to what the code composes."""
+"""docs/ARCHITECTURE.md states the stage order and the kernel table once,
+docs/FEDERATION.md the wire protocol; this keeps them equal to what the
+code composes."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
 from repro import DataController, RuntimeConfig, default_kernel
+from repro.federation.node import WIRE_ERRORS
 from repro.runtime.kernel import WIRING
+from tests.conftest import build_federation
 
-ARCHITECTURE = (Path(__file__).resolve().parent.parent
-                / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+ARCHITECTURE = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")
+FEDERATION = (DOCS / "FEDERATION.md").read_text(encoding="utf-8")
 
 
 def stage_line(after: str, offset: int = 1) -> tuple[str, ...]:
@@ -45,3 +49,15 @@ def test_kernel_table_matches_the_default_kernel():
         (starred,) = re.findall(r"`(\w+)\*`", names)
         assert getattr(defaults, field_name) == starred, kind
     assert f"({len(fields(RuntimeConfig))} fields" in section
+
+
+def test_wire_protocol_tables_match_the_node():
+    section = FEDERATION.split("## The wire protocol\n")[1].split("\n## ")[0]
+    operations, errors = section.split("**Errors.**")
+    rows = re.findall(r"^\| `([\w.]+)` \|.*\| (yes|no) \|$", operations, flags=re.M)
+    node = build_federation().platform.node("node-0")
+    assert [name for name, _ in rows] == list(node._handlers)
+    assert [name for name, coalescible in rows if coalescible == "yes"] == list(
+        node._batch_handlers)
+    assert re.findall(r"^\| `(\w+)` \| `([\w-]+)` \|$", errors, flags=re.M) == [
+        (failure.__name__, code) for failure, code in WIRE_ERRORS.items()]

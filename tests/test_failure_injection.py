@@ -8,6 +8,8 @@ poison messages on the bus, and cross-node detail requests whose home
 node or link fails.
 """
 
+import json
+
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
@@ -17,11 +19,16 @@ from repro.audit.log import AuditAction, AuditOutcome
 from repro.exceptions import (
     AccessDeniedError,
     ContractInactiveError,
+    CssError,
     LinkFailureError,
     PrivacyError,
     SourceUnavailableError,
 )
-from tests.conftest import blood_test_schema, build_federation
+from tests.conftest import (
+    HOME_NODE_FAILURES,
+    blood_test_schema,
+    build_federation,
+)
 
 
 def build_world(auto_dispatch: bool = True):
@@ -216,3 +223,45 @@ class TestCrossNodeDetailFailuresAreAudited:
                 producer, src_id, ["PatientId", "HivResult"], event_id)
 
         self.failed_request(leak, PrivacyError)
+
+
+class TestLocalRemoteParity:
+    """A consumer cannot tell from the failure whether the producer was
+    local or remote: same exception class, same audit outcome, each on the
+    consumer's own node."""
+
+    @pytest.mark.parametrize("break_something, expected", HOME_NODE_FAILURES)
+    def test_a_home_node_failure_is_the_same_failure_on_both_nodes(
+        self, break_something, expected
+    ):
+        deployment = build_federation()
+        platform = deployment.platform
+        platform.add_consumer("FamilyDoctors/Dr-Verdi", "Dr. Verdi",
+                              role="family-doctor", node_id="node-0")
+        platform.producer("Hospital-S-Maria").define_policy(
+            event_type="BloodTest", fields=["PatientId", "Name", "Hemoglobin"],
+            consumers=[("FamilyDoctors/Dr-Verdi", "unit")],
+            purposes=["healthcare-treatment"], label="the local doctor")
+        notification = deployment.publish_blood_test()
+        break_something(platform)
+        link = platform.membership.link("node-1", "node-0")
+        lines, calls = len(link.transcript), link.stats.calls
+
+        seen = {}
+        for consumer_id, node_id in (("FamilyDoctors/Dr-Verdi", "node-0"),
+                                     ("FamilyDoctors/Dr-Rossi", "node-1")):
+            log = platform.controller_of(node_id).audit_log
+            audited = len(log)
+            with pytest.raises(CssError) as failure:
+                platform.request_details(
+                    consumer_id, "BloodTest", notification.event_id,
+                    "healthcare-treatment")
+            [record] = [r for r in log.records()[audited:]
+                        if r.actor == consumer_id]
+            assert record.action is AuditAction.DETAIL_REQUEST
+            seen[node_id] = (type(failure.value), record.outcome)
+        assert seen["node-0"] == seen["node-1"] == (expected, AuditOutcome.ERROR)
+        # The remote failure crossed as a response, not as a live exception.
+        assert len(link.transcript) == lines + 2
+        assert link.stats.delivered == link.stats.calls == calls + 1
+        assert "error" in json.loads(link.transcript[-1])

@@ -1,17 +1,23 @@
 """End-to-end tests for the sharded multi-controller platform."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import exceptions
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
 from repro.exceptions import (
     AccessDeniedError,
+    CssError,
     FederationError,
     LinkFailureError,
     UnknownEventError,
 )
 from repro.federation import FederatedPlatform
+from repro.federation.node import WIRE_ERRORS
+from repro.obs.guard import TelemetryPrivacyError
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import (
     BooleanType,
@@ -235,6 +241,67 @@ class TestLinkFailures:
         response = link.call("nonsense.op", {})
         assert response["error"] == "unknown-operation"
         assert link.stats.retries == 0
+
+
+CSS_ERRORS = sorted(
+    (cls for cls in vars(exceptions).values()
+     if isinstance(cls, type) and issubclass(cls, CssError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+class TestWireErrors:
+    """A handler's failure is a response, and ``ask`` raises it again."""
+
+    @staticmethod
+    def ask_a_failing_peer(platform, failure):
+        def broken(payload):
+            raise failure
+
+        platform.node("node-0")._handlers["ping"] = broken
+        link = platform.membership.link("node-1", "node-0")
+        lines, delivered = len(link.transcript), link.stats.delivered
+        with pytest.raises(CssError) as caught:
+            platform.node("node-1").ask("node-0", "ping", {})
+        # Answered: a request and a response crossed, and it was delivered.
+        assert len(link.transcript) == lines + 2
+        assert link.stats.delivered == delivered + 1
+        return caught.value, json.loads(link.transcript[-1])
+
+    @pytest.mark.parametrize("failure", CSS_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_platform_failure_arrives_as_the_class_it_left_as(
+        self, federation_two, failure
+    ):
+        raised, response = self.ask_a_failing_peer(
+            federation_two.platform, failure("the home node said no"))
+        assert type(raised) is failure
+        assert str(raised) == "the home node said no"
+        assert response == {
+            "error": WIRE_ERRORS.get(failure, failure.__name__),
+            "message": "the home node said no",
+        }
+
+    def test_the_four_historical_codes_keep_their_spelling(self):
+        assert {cls.__name__: code for cls, code in WIRE_ERRORS.items()} == {
+            "AccessDeniedError": "access-denied",
+            "SourceUnavailableError": "source-unavailable",
+            "UnknownEventError": "unknown-event",
+            "UnknownEventClassError": "unknown-event-class",
+        }
+
+    def test_a_code_naming_no_platform_exception_is_a_federation_error(
+        self, federation_two
+    ):
+        platform = federation_two.platform
+        with pytest.raises(FederationError, match="unknown-operation: nonsense.op"):
+            platform.node("node-1").ask("node-0", "nonsense.op", {})
+        # A CssError defined outside repro.exceptions crosses by name too,
+        # but the caller has nowhere to look that name up.
+        raised, response = self.ask_a_failing_peer(
+            platform, TelemetryPrivacyError("label refused"))
+        assert type(raised) is FederationError
+        assert response["error"] == "TelemetryPrivacyError"
+        assert "TelemetryPrivacyError: label refused" in str(raised)
 
 
 class TestRebalance:

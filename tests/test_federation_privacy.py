@@ -18,7 +18,7 @@ from repro.federation.node import NODE_QUEUE_DEPTH
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.xacml.serialize import serialize_policy
 from repro import PrivacyPolicy
-from tests.conftest import build_federation
+from tests.conftest import HOME_NODE_FAILURES, build_federation
 
 
 class TestHomeNodeDecides:
@@ -163,6 +163,36 @@ class TestWirePrivacy:
 
         transcript = platform.link_transcripts()
         assert transcript  # the surface is non-trivial
+        for line in transcript:
+            assert "pat-secret" not in line
+            assert "Maria Rossi" not in line
+
+    @pytest.mark.parametrize("break_something, expected", HOME_NODE_FAILURES)
+    def test_refusals_and_failures_cross_without_subject_identity(
+        self, break_something, expected
+    ):
+        """Error responses cross in the clear, for every failure class —
+        their messages must name no data subject."""
+        deployment = build_federation()
+        platform = deployment.platform
+        platform.add_consumer("Province/Statistics", "Statistics office",
+                              role="statistician", node_id="node-1")
+        notification = deployment.publish_blood_test(
+            subject_id="pat-secret-1", name="Maria Rossi")
+        with pytest.raises(AccessDeniedError):  # no policy for this consumer
+            platform.subscribe("Province/Statistics", "BloodTest")
+        with pytest.raises(AccessDeniedError):  # wrong purpose
+            platform.request_details(
+                "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
+                "statistical-analysis")
+        break_something(platform)
+        with pytest.raises(expected):
+            platform.request_details(
+                "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
+                "healthcare-treatment")
+
+        transcript = platform.link_transcripts()
+        assert sum('"error":' in line for line in transcript) == 3
         for line in transcript:
             assert "pat-secret" not in line
             assert "Maria Rossi" not in line

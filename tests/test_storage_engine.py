@@ -99,6 +99,20 @@ class TestSegmentedLog:
         with pytest.raises(CorruptRecordError):
             SegmentedLog(tmp_path / "log", segment_bytes=512, sparse_every=4)
 
+    @pytest.mark.parametrize("read", [
+        lambda log: list(log.iter_records()),
+        lambda log: log.segments(),
+        lambda log: log.truncate_to(5),
+    ], ids=["iter_records", "segments", "truncate_to"])
+    def test_damage_after_open_is_corruption_whoever_reads_it(self, tmp_path, read):
+        log = small_log(tmp_path / "log")
+        first = sorted((tmp_path / "log").glob("*.seg"))[0]
+        data = bytearray(first.read_bytes())
+        data[12] ^= 0xFF
+        first.write_bytes(bytes(data))
+        with pytest.raises(CorruptRecordError, match=first.name):
+            read(log)
+
     def test_truncate_to_removes_later_records(self, tmp_path):
         log = small_log(tmp_path / "log")
         removed = log.truncate_to(25)
