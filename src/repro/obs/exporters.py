@@ -8,7 +8,6 @@ renderers back the ``repro telemetry`` CLI subcommand.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Iterable
 
@@ -27,25 +26,13 @@ def metric_lines(registry: MetricsRegistry) -> list[str]:
     return [canonical_json(row) for row in registry.snapshot()]
 
 
-def write_atomic(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically; returns the path.
-
-    The content lands in a same-directory temp file first and is renamed
-    into place, so a crashed or interrupted export never leaves a
-    truncated file where a consumer (CI, the stitcher, the incident
-    checker) expects a complete one.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    scratch = target.with_name(target.name + ".tmp")
-    scratch.write_text(text, encoding="utf-8")
-    os.replace(scratch, target)
-    return target
-
-
 def write_jsonl(path: str | Path, lines: Iterable[str]) -> Path:
     """Write ``lines`` to ``path`` with a trailing newline, atomically
-    (:func:`write_atomic`); returns the path."""
+    (:func:`~repro.storage.jsonl.write_atomic`); returns the path."""
+    # Imported here, not at module level: repro.storage pulls in the
+    # controller stack, and ``repro.obs`` must stay importable from it.
+    from repro.storage.jsonl import write_atomic
+
     lines = list(lines)  # materialise before touching the filesystem
     return write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 

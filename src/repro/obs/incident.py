@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.crypto.hashing import canonical_json
-from repro.obs.exporters import write_atomic
 from repro.obs.slo import windowed_burn_series
 
 #: Schema identifier of one incident bundle.
@@ -346,6 +345,7 @@ def write_bundle(root: str | Path, bundle: dict) -> Path:
     """
     # Imported here, not at module level: repro.storage pulls in the
     # controller stack, and ``repro.obs`` must stay importable from it.
+    from repro.storage.jsonl import write_atomic
     from repro.storage.snapshot import describe
 
     directory = Path(root) / bundle["incident_id"]

@@ -11,7 +11,10 @@ plaintext identities) and its hash-chained audit trail.
 
 Which log implementation sits underneath is the kernel's ``store`` kind:
 ``jsonl`` (flat files, the ablation baseline) or ``segmented`` (the
-crash-recoverable storage engine).  Decisions and audit trails are
+crash-recoverable storage engine, which is its own provider).  The kernel
+always takes the log from that provider — there is no flat-file fallback
+beside it; a bare path is accepted only by the constructors here, for
+callers that build a backend by hand.  Decisions and audit trails are
 byte-identical across both — rows are serialized by
 ``AuditRecord.to_payload`` / ``RegistryObject.to_row`` whatever log they
 land in.

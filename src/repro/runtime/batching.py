@@ -20,7 +20,10 @@ snapshots, crash-recovery tests, guarantor exports — must call
 
 A commit the log could not write loses nothing: the batch stays pending,
 in arrival order, and goes down with the next flush, so records accepted
-after a failed write never land past a hole in the log.
+after a failed write never land past a hole in the log.  A segmented log
+also undoes the part of a batch it did write before failing
+(``SegmentedLog.write_entries``), so the retry writes each record once;
+the flat-file baseline has no such undo.
 
 ``BatchPolicy`` is what the kernel's ``batch`` kind produces: ``off``
 yields ``None`` (no wrapping anywhere), ``on`` yields a policy carrying

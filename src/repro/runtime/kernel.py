@@ -179,15 +179,6 @@ def suggest(typo: str, known) -> str:
     return f" did you mean {matches[0]!r}?" if matches else ""
 
 
-def _data_file(context: dict, filename: str) -> Path:
-    data_dir = context.get("data_dir")
-    if data_dir is None:
-        raise ConfigurationError(
-            f"the jsonl backend needs RuntimeConfig.data_dir (for {filename})"
-        )
-    return Path(data_dir) / filename
-
-
 # -- default factories (lazy imports: the kernel must not cycle with core) --
 
 
@@ -217,20 +208,10 @@ def _memory_index(**context: Any) -> Any:
 
 
 def _durable_log(context: dict, name: str) -> Any:
-    """The named record log from the runtime's store provider.
-
-    Falls back to a flat ``<name>.jsonl`` path when the construction
-    context carries no provider (``kernel.create`` called directly with
-    just a ``data_dir``).
-    """
-    provider = context.get("store")
-    if provider is not None:
-        return provider.log(name)
-    return _data_file(context, f"{name}.jsonl")
-
-
-def _maybe_batched(log: Any, context: dict) -> Any:
-    """Wrap a durable log in a group-commit writer when batching is on."""
+    """The named record log from the runtime's store provider (``WIRING``
+    builds ``store`` before the kinds that write to it), behind a
+    group-commit writer when batching is on."""
+    log = context["store"].log(name)
     policy = context.get("batch")
     if policy is None:
         return log
@@ -243,7 +224,7 @@ def _jsonl_index(**context: Any) -> Any:
     from repro.runtime.backends import JsonlIndexStore
 
     return JsonlIndexStore(
-        _maybe_batched(_durable_log(context, "index"), context),
+        _durable_log(context, "index"),
         context["keystore"],
         encrypt_identity=context.get("encrypt_identity", True),
     )
@@ -258,7 +239,7 @@ def _memory_audit(**context: Any) -> Any:
 def _jsonl_audit(**context: Any) -> Any:
     from repro.runtime.backends import JsonlAuditSink
 
-    return JsonlAuditSink(_maybe_batched(_durable_log(context, "audit"), context))
+    return JsonlAuditSink(_durable_log(context, "audit"))
 
 
 def _federated_index(**context: Any) -> Any:

@@ -6,15 +6,16 @@ audit trail must survive restarts, and a privacy guarantor must be able to
 verify that a restored audit log is the one that was saved.
 
 * :mod:`~repro.storage.jsonl` — append-only JSON-lines files (the
-  ``jsonl`` store kind: the ablation baseline);
+  ``jsonl`` store kind: the ablation baseline), and ``write_atomic``;
 * :mod:`~repro.storage.segment` — size-segmented, checksum-framed
   append logs with sparse offset indexes and torn-tail crash repair;
 * :mod:`~repro.storage.compaction` — space reclamation that preserves
   sequence identities and never touches the audit chain;
 * :mod:`~repro.storage.snapshot` — sha256-manifested tar snapshots with
   verification and point-in-time restore;
-* :mod:`~repro.storage.engine` — :class:`~repro.storage.engine.StorageEngine`
-  and the kernel ``store`` providers (``jsonl``/``segmented``);
+* :mod:`~repro.storage.engine` — the kernel ``store`` providers:
+  :class:`~repro.storage.engine.JsonlStore` (``jsonl``) and
+  :class:`~repro.storage.engine.StorageEngine` (``segmented``);
 * :mod:`~repro.storage.schemas` — (de)serialization of message schemas
   and simple types;
 * :mod:`~repro.storage.archive` — :class:`~repro.storage.archive.PlatformArchive`:

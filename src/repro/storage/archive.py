@@ -42,7 +42,7 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.registry.objects import RegistryObject
-from repro.storage.jsonl import JsonlFile
+from repro.storage.jsonl import JsonlFile, write_atomic
 from repro.storage.schemas import (
     schema_from_dict,
     schema_to_dict,
@@ -173,7 +173,7 @@ class PlatformArchive:
             "files": describe(self.directory,
                               [f"{name}.jsonl" for name in _FILES]),
         }
-        self.manifest_path.write_text(json.dumps(manifest, indent=2))
+        write_atomic(self.manifest_path, json.dumps(manifest, indent=2))
 
     @staticmethod
     def _id_skips(controller: DataController) -> dict[str, int]:

@@ -3,9 +3,12 @@
 Compaction rewrites a :class:`~repro.storage.segment.SegmentedLog` keeping
 only the records a *keep predicate* selects, preserving each survivor's
 sequence number (gaps are fine — sequence numbers are identities, not
-offsets).  Replacement segments are staged in a scratch directory and
-swapped in atomically, so a crash mid-compaction leaves either the old or
-the new generation, never a mix.
+offsets).  The next generation is staged — by the log's own writer,
+:meth:`~repro.storage.segment.SegmentedLog.write_entries`, on a log over
+the staging directory — and committed by one rename of the sidecar
+(:meth:`~repro.storage.segment.SegmentedLog.swap_segments`), so a
+compaction interrupted anywhere re-opens as the old generation or the
+new one, never a mix and never neither.
 
 The shipped predicate, :func:`index_keep_predicate`, encodes the events
 index's retention rules:
@@ -30,17 +33,13 @@ number of distinct objects, not to the log.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
-from repro.storage.segment import SegmentedLog, encode_frame, segment_name
+from repro.storage.segment import STAGING_DIR, SegmentedLog
 
 #: Statuses whose rows compaction may reclaim.
 DROPPABLE_STATUSES = frozenset({"withdrawn", "deprecated"})
-#: Staging directory name inside the log directory.
-STAGING_DIR = ".compacting"
 
 #: A keep predicate: ``(sequence, record) -> bool``.
 KeepPredicate = Callable[[int, dict], bool]
@@ -104,46 +103,22 @@ def compact(log: SegmentedLog, keep: KeepPredicate | None = None) -> CompactionR
     sequence is pinned through the meta sidecar so appends never reuse a
     reclaimed sequence number.
     """
+    # Re-open first: that finishes a swap interrupted past its commit point
+    # and drops whatever else was left staged, before anything is read.
+    before = log.reload()
     if keep is None:
         keep = index_keep_predicate(log)
-    records_before = len(log)
-    segments_before = len(log.segments())
     bytes_before = log.size_bytes()
-    high_water = log.sequence
 
-    staging = log.directory / STAGING_DIR
-    if staging.exists():
-        shutil.rmtree(staging)  # remnants of a crashed compaction
-    staging.mkdir(parents=True)
-
-    staged: list[Path] = []
-    handle = None
-    staged_size = 0
-    try:
-        for sequence, record in log.iter_entries():
-            if not keep(sequence, record):
-                continue
-            frame = encode_frame(sequence, record)
-            if handle is None or staged_size >= log.segment_bytes:
-                if handle is not None:
-                    handle.close()
-                path = staging / segment_name(sequence)
-                staged.append(path)
-                handle = path.open("ab")
-                staged_size = 0
-            handle.write(frame)
-            staged_size += len(frame)
-    finally:
-        if handle is not None:
-            handle.close()
-
-    log.swap_segments(staged, high_water)
-    shutil.rmtree(staging, ignore_errors=True)
+    staging = SegmentedLog(log.directory / STAGING_DIR,
+                           segment_bytes=log.segment_bytes)
+    staging.write_entries(entry for entry in log.iter_entries() if keep(*entry))
+    log.swap_segments(before.sequence)
     return CompactionReport(
-        records_before=records_before,
+        records_before=before.records,
         records_after=len(log),
-        segments_before=segments_before,
-        segments_after=len(log.segments()),
+        segments_before=before.segments,
+        segments_after=log.last_replay.segments,
         bytes_before=bytes_before,
         bytes_after=log.size_bytes(),
     )

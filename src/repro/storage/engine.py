@@ -7,9 +7,13 @@ care what sits underneath:
 
 * :class:`JsonlStore` (kind ``jsonl``) — one flat ``<name>.jsonl`` per
   log, the pre-engine baseline kept for the storage ablation;
-* :class:`SegmentedStore` (kind ``segmented``) — a :class:`StorageEngine`
-  of size-segmented, checksum-framed, crash-recoverable logs with
-  compaction and snapshot/point-in-time-restore support.
+* :class:`StorageEngine` (kind ``segmented``; ``SegmentedStore`` is the
+  same class, the engine is its own provider) — size-segmented,
+  checksum-framed, crash-recoverable logs with compaction and
+  snapshot/point-in-time-restore support.
+
+Either can be built without a data directory and raises the one "needs
+``RuntimeConfig.data_dir``" error when first asked for a log.
 
 Decisions and audit trails are byte-identical across the two kinds; only
 durability, recovery and space behavior differ (that equivalence is
@@ -73,16 +77,15 @@ class RecordLog(Protocol):
     def __len__(self) -> int: ...
 
 
-class JsonlRecordLog:
-    """A flat JSONL file speaking the :class:`RecordLog` surface."""
+class JsonlRecordLog(JsonlFile):
+    """A flat JSONL file speaking the :class:`RecordLog` surface: a
+    :class:`~repro.storage.jsonl.JsonlFile` that counts its records."""
 
-    def __init__(self, path: str | Path) -> None:
-        self._file = JsonlFile(path)
-        self._count: int | None = None
+    _count: int | None = None  # unknown until the first ``len`` scans the file
 
     def append(self, record: dict) -> int:
         count = len(self)  # resolve before the write: len scans the file
-        self._file.append(record)
+        super().append(record)
         self._count = count + 1
         return self._count
 
@@ -90,37 +93,42 @@ class JsonlRecordLog:
         if not records:
             return None
         first = len(self) + 1
-        self._file.append_many(records)
+        super().append_many(records)
         self._count = first + len(records) - 1
         return first, self._count
-
-    def iter_records(self) -> Iterator[dict]:
-        return self._file.iter_records()
 
     def flush(self) -> None:
         """Every append already wrote through; nothing is buffered."""
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = sum(1 for _ in self._file.iter_records())
+            self._count = super().__len__()
         return self._count
 
 
 class StorageEngine:
-    """A directory of named segmented logs, compactable and snapshotable."""
+    """Store provider ``segmented``: a directory of named segmented logs,
+    compactable and snapshotable."""
+
+    kind = "segmented"
 
     def __init__(
         self,
-        directory: str | Path,
+        data_dir: str | Path | None = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         sparse_every: int = DEFAULT_SPARSE_EVERY,
         telemetry=None,
     ) -> None:
-        self.directory = Path(directory)
+        self._data_dir = data_dir
         self.segment_bytes = segment_bytes
         self.sparse_every = sparse_every
         self._telemetry = telemetry
         self._logs: dict[str, SegmentedLog] = {}
+
+    @property
+    def directory(self) -> Path:
+        """The data directory (a ``ConfigurationError`` when none was given)."""
+        return _require_data_dir(self._data_dir, self.kind)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -131,8 +139,9 @@ class StorageEngine:
         getattr(telemetry, method)(name, value, store="segmented", **labels)
 
     def _refresh_segment_gauge(self, log_name: str) -> None:
-        log = self._logs[log_name]
-        self._emit("gauge", METRIC_SEGMENTS, float(len(log.segments())),
+        # Both callers have just replayed the log, so the report is exact.
+        self._emit("gauge", METRIC_SEGMENTS,
+                   float(self._logs[log_name].last_replay.segments),
                    log=log_name)
 
     # -- logs --------------------------------------------------------------
@@ -201,11 +210,7 @@ class StorageEngine:
         sequences = {name: self.log(name).sequence
                      for name in self.log_names()}
         return SnapshotManager(snapshots_root).create(
-            self.directory, label=label, sequences=sequences,
-        )
-
-
-# -- store providers (the kernel ``store`` kind) ----------------------------
+            self.directory, sequences, label=label)
 
 
 def _require_data_dir(data_dir, kind: str) -> Path:
@@ -230,35 +235,5 @@ class JsonlStore:
         return JsonlRecordLog(base / f"{name}.jsonl")
 
 
-class SegmentedStore:
-    """Store provider ``segmented``: the real engine behind the same seam."""
-
-    kind = "segmented"
-
-    def __init__(
-        self,
-        data_dir: str | Path | None = None,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        sparse_every: int = DEFAULT_SPARSE_EVERY,
-        telemetry=None,
-    ) -> None:
-        self._data_dir = data_dir
-        self._segment_bytes = segment_bytes
-        self._sparse_every = sparse_every
-        self._telemetry = telemetry
-        self._engine: StorageEngine | None = None
-
-    @property
-    def engine(self) -> StorageEngine:
-        """The lazily-opened engine (needs a data directory)."""
-        if self._engine is None:
-            base = _require_data_dir(self._data_dir, self.kind)
-            self._engine = StorageEngine(
-                base, segment_bytes=self._segment_bytes,
-                sparse_every=self._sparse_every, telemetry=self._telemetry,
-            )
-        return self._engine
-
-    def log(self, name: str) -> SegmentedLog:
-        """The named log as a segmented directory under the data dir."""
-        return self.engine.log(name)
+#: The name the kernel, the wall driver and the tests build the provider under.
+SegmentedStore = StorageEngine

@@ -18,10 +18,29 @@ which this format cannot distinguish from corruption — raises the typed
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterator
 
 from repro.exceptions import CorruptRecordError
+
+
+def write_atomic(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically; returns the path.
+
+    The content lands in a same-directory temp file first and is renamed
+    into place, so an interrupted write never leaves a truncated file where
+    a reader (a log's next open, a restore, CI, the stitcher, the incident
+    checker) expects a complete one: it is whole or it is the old one.
+    Written as bytes: the manifests' pinned digests must not depend on the
+    platform's newline translation.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    scratch = target.with_name(target.name + ".tmp")
+    scratch.write_bytes(text.encode("utf-8"))
+    os.replace(scratch, target)
+    return target
 
 
 class JsonlFile:

@@ -30,17 +30,30 @@ may leave gaps) and are the coordinates of point-in-time recovery
 (:meth:`truncate_to`).  A tiny ``meta.json`` sidecar pins the high-water
 sequence so compacting away the newest record can never rewind the
 counter and reuse a sequence number.
+
+Each side of the disk is stated once: :meth:`SegmentedLog._walk` is the
+only loop over a segment file's lines (replay, :meth:`iter_entries`,
+:meth:`segments`, :meth:`truncate_to` all read through it, so the
+torn-tail rule above is one rule), :meth:`SegmentedLog.write_entries` the
+only code that opens a segment for append — all or nothing — and a
+compacted generation is committed by one rename
+(:meth:`SegmentedLog.swap_segments`).  Nothing here calls ``fsync``:
+"committed" means handed to the OS (docs/STORAGE.md).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.exceptions import CorruptRecordError, RecoveryError, StorageError
+from repro.storage.jsonl import write_atomic
 
 #: Default rollover threshold for one segment file.
 DEFAULT_SEGMENT_BYTES = 256 * 1024
@@ -51,6 +64,8 @@ DEFAULT_SPARSE_EVERY = 64
 SEGMENT_SUFFIX = ".seg"
 #: Sidecar pinning the high-water sequence across compactions.
 META_FILE = "meta.json"
+#: Where a compaction stages the next generation, inside the log directory.
+STAGING_DIR = ".compacting"
 
 
 def encode_frame(sequence: int, record: dict) -> bytes:
@@ -71,18 +86,6 @@ def decode_frame(line: bytes) -> tuple[int, dict]:
         raise ValueError("checksum mismatch")
     seq_text, _, payload = body.partition(" ")
     return int(seq_text), json.loads(payload)
-
-
-def read_frame(path: Path, raw: bytes) -> tuple[int, dict]:
-    """Decode one complete line of segment ``path``; a damaged frame is a
-    :class:`~repro.exceptions.CorruptRecordError` naming the file, whoever
-    reads it."""
-    try:
-        return decode_frame(raw[:-1])
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise CorruptRecordError(
-            f"{path}: damaged frame while streaming"
-        ) from exc
 
 
 def segment_name(first_sequence: int) -> str:
@@ -125,12 +128,6 @@ class SegmentedLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = segment_bytes
         self.sparse_every = sparse_every
-        self._sequence = 0
-        self._records = 0
-        #: Sparse index: (sequence, segment path, byte offset), ascending.
-        self._sparse: list[tuple[int, Path, int]] = []
-        self._active: Path | None = None
-        self._active_size = 0
         self.last_replay = self._replay()
 
     # -- replay / recovery -------------------------------------------------
@@ -138,57 +135,85 @@ class SegmentedLog:
     def _segment_paths(self) -> list[Path]:
         return sorted(self.directory.glob(f"*{SEGMENT_SUFFIX}"))
 
+    def _walk(self, paths: list[Path],
+              offset: int = 0) -> Iterator[tuple[Path, int, int, int, dict]]:
+        """Yield ``(path, start, end, sequence, record)`` per committed frame.
+
+        Oldest first over ``paths`` (the segment list or a tail of it),
+        from byte ``offset`` of the first.  The one torn-tail rule,
+        whoever reads: a damaged or unterminated *last line of the last
+        segment* is the interrupted final write and ends the walk; damage
+        anywhere else is a :class:`~repro.exceptions.CorruptRecordError`
+        naming the file.
+        """
+        for path in paths:
+            with path.open("rb") as handle:
+                handle.seek(offset)
+                end = offset
+                for raw in handle:
+                    start, end = end, end + len(raw)
+                    try:
+                        if not raw.endswith(b"\n"):
+                            raise ValueError("unterminated frame")
+                        sequence, record = decode_frame(raw[:-1])
+                    except ValueError as exc:
+                        if path is paths[-1] and not handle.read(1):
+                            return
+                        raise CorruptRecordError(
+                            f"{path}: damaged frame at byte {start} is not "
+                            f"a torn tail — refusing to read a corrupt segment"
+                        ) from exc
+                    yield path, start, end, sequence, record
+            offset = 0
+
+    def _settle(self) -> int:
+        """Bring the directory to one generation; returns the pinned sequence.
+
+        A sidecar naming a ``swap`` is a compaction past its commit point
+        (:meth:`swap_segments`): roll it forward — idempotently, an open
+        interrupted here is finished by the next.  Anything else staged
+        never committed and is dropped.
+        """
+        meta_path, meta = self.directory / META_FILE, {"sequence": 0}
+        try:
+            if meta_path.exists():
+                meta = json.loads(meta_path.read_text())
+            sequence, swap = int(meta["sequence"]), meta.get("swap")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageError(f"{meta_path}: unreadable log metadata") from exc
+        staging = self.directory / STAGING_DIR
+        if swap is not None:
+            for path in self._segment_paths():
+                if path.name not in swap:
+                    path.unlink()
+            for name in swap:
+                if (staging / name).exists():
+                    os.replace(staging / name, self.directory / name)
+            self._write_meta(sequence)
+        if staging.exists():
+            shutil.rmtree(staging)
+        return sequence
+
     def _replay(self) -> ReplayReport:
         """Stream every segment, repair a torn tail, build the sparse index."""
-        self._sequence = self._read_meta()
+        self._sequence = self._settle()
         self._records = 0
-        self._sparse = []
-        truncated = 0
+        #: Sparse index: (sequence, segment path, byte offset), ascending.
+        self._sparse: list[tuple[int, Path, int]] = []
         paths = self._segment_paths()
-        for position, path in enumerate(paths):
-            last_segment = position == len(paths) - 1
-            truncated += self._replay_segment(path, repair_tail=last_segment)
-        if paths:
-            self._active = paths[-1]
-            self._active_size = self._active.stat().st_size
-        else:
-            self._active = None
-            self._active_size = 0
+        self._active: Path | None = paths[-1] if paths else None
+        head, end = None, 0
+        for path, start, end, sequence, _ in self._walk(paths):
+            self._note_record(sequence, path, start, force=path is not head)
+            head = path
+        self._active_size = end if head is self._active else 0
+        truncated = self._active.stat().st_size - self._active_size if paths else 0
+        if truncated:  # the interrupted final write: cut it off and go on
+            os.truncate(self._active, self._active_size)
         return ReplayReport(
             records=self._records, segments=len(paths),
             truncated_bytes=truncated, sequence=self._sequence,
         )
-
-    def _replay_segment(self, path: Path, repair_tail: bool) -> int:
-        """Validate one segment; returns torn-tail bytes truncated away."""
-        file_size = path.stat().st_size
-        with path.open("rb") as handle:
-            offset = 0
-            first_in_segment = True
-            for raw in handle:
-                line_start = offset
-                offset += len(raw)
-                torn = not raw.endswith(b"\n")
-                if not torn:
-                    try:
-                        sequence, _ = decode_frame(raw[:-1])
-                    except (ValueError, json.JSONDecodeError):
-                        torn = True
-                        sequence = -1
-                if torn:
-                    if repair_tail and offset >= file_size:
-                        # The interrupted final write: cut it off and go on.
-                        with path.open("rb+") as repair:
-                            repair.truncate(line_start)
-                        return file_size - line_start
-                    raise CorruptRecordError(
-                        f"{path}: damaged frame at byte {line_start} is not "
-                        f"a torn tail — refusing to replay a corrupt segment"
-                    )
-                self._note_record(sequence, path, line_start,
-                                  force=first_in_segment)
-                first_in_segment = False
-        return 0
 
     def _note_record(self, sequence: int, path: Path, offset: int,
                      force: bool = False) -> None:
@@ -198,18 +223,9 @@ class SegmentedLog:
                 or self.sparse_every == 1:
             self._sparse.append((sequence, path, offset))
 
-    def _read_meta(self) -> int:
-        meta_path = self.directory / META_FILE
-        if not meta_path.exists():
-            return 0
-        try:
-            return int(json.loads(meta_path.read_text())["sequence"])
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise StorageError(f"{meta_path}: unreadable log metadata") from exc
-
-    def _write_meta(self, sequence: int) -> None:
-        (self.directory / META_FILE).write_text(
-            json.dumps({"sequence": sequence}))
+    def _write_meta(self, sequence: int, **swap: list[str]) -> None:
+        write_atomic(self.directory / META_FILE,
+                     json.dumps({"sequence": sequence, **swap}))
 
     def reload(self) -> ReplayReport:
         """Re-open the log from disk (after compaction or external edits)."""
@@ -229,38 +245,45 @@ class SegmentedLog:
     def append(self, record: dict) -> int:
         """Commit one record; returns its sequence number."""
         sequence = self._sequence + 1
-        self._write_frames([(sequence, encode_frame(sequence, record))])
+        self.write_entries([(sequence, record)])
         return sequence
 
     def append_many(self, records: list[dict]) -> tuple[int, int] | None:
         """Commit several records in one write; returns the sequence range.
 
-        The group-commit primitive: every frame is encoded up front and
-        written through one file handle (rolling to fresh segments
-        mid-batch exactly as per-record appends would), so the on-disk
-        layout is identical to ``len(records)`` single appends.  Returns
-        ``(first, last)`` — the sequence numbers assigned to the first and
-        last record, mirroring :meth:`append` — or ``None`` for an empty
-        batch.
+        The group-commit primitive: every frame is written through one
+        file handle (rolling to fresh segments mid-batch exactly as
+        per-record appends would), so the on-disk layout is identical to
+        ``len(records)`` single appends.  Returns ``(first, last)`` — the
+        sequence numbers assigned to the first and last record, mirroring
+        :meth:`append` — or ``None`` for an empty batch.
         """
-        frames = []
-        sequence = self._sequence
-        for record in records:
-            sequence += 1
-            frames.append((sequence, encode_frame(sequence, record)))
-        if not frames:
+        if not records:
             return None
-        self._write_frames(frames)
-        return frames[0][0], frames[-1][0]
+        first = self._sequence + 1
+        self.write_entries(enumerate(records, first))
+        return first, first + len(records) - 1
 
     def flush(self) -> None:
         """Every append already wrote through; nothing is buffered."""
 
-    def _write_frames(self, frames: list[tuple[int, bytes]]) -> None:
-        """Append frames to the active segment, rolling over as it fills."""
+    def write_entries(self, entries: Iterable[tuple[int, dict]]) -> None:
+        """Commit ``(sequence, record)`` pairs, all of them or none.
+
+        The one writer: the only code that opens a segment for append,
+        frames a record and decides roll-over.  If anything raises — the
+        open at a roll-over, a write, the close that flushes the buffer —
+        the segments this call created are unlinked, the active segment is
+        cut back to the size it had and the counters are restored before
+        the error is re-raised, so a caller that retries writes each
+        record once and no frame ever lands behind half of another.
+        """
+        before = (self._active, self._active_size, self._sequence,
+                  self._records, len(self._sparse))
         handle = None
         try:
-            for sequence, frame in frames:
+            for sequence, record in entries:
+                frame = encode_frame(sequence, record)
                 if self._active is None \
                         or self._active_size >= self.segment_bytes:
                     if handle is not None:
@@ -275,9 +298,21 @@ class SegmentedLog:
                 self._active_size = offset + len(frame)
                 self._note_record(sequence, self._active, offset,
                                   force=offset == 0)
-        finally:
             if handle is not None:
                 handle.close()
+        except BaseException:
+            if handle is not None:
+                with suppress(OSError):
+                    handle.close()
+            (self._active, self._active_size, self._sequence,
+             self._records, sparse) = before
+            del self._sparse[sparse:]
+            for path in self._segment_paths():
+                if self._active is None or path > self._active:
+                    path.unlink()
+            if self._active is not None:
+                os.truncate(self._active, self._active_size)
+            raise
 
     # -- reading -----------------------------------------------------------
 
@@ -288,29 +323,18 @@ class SegmentedLog:
         scanned before the first hit, regardless of log size.
         """
         paths = self._segment_paths()
-        if not paths:
-            return
-        seek_path, seek_offset = paths[0], 0
+        seek_path, seek_offset = None, 0
         for sequence, path, offset in self._sparse:
-            if sequence <= start:
-                seek_path, seek_offset = path, offset
-            else:
+            if sequence > start:
                 break
+            seek_path, seek_offset = path, offset
         try:
             begin = paths.index(seek_path)
-        except ValueError:  # sparse entry for a compacted-away file
+        except ValueError:  # no sparse entry, or one for a compacted-away file
             begin, seek_offset = 0, 0
-        for position in range(begin, len(paths)):
-            path = paths[position]
-            offset = seek_offset if position == begin else 0
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                for raw in handle:
-                    if not raw.endswith(b"\n"):
-                        return  # a torn tail appeared after open; stop cleanly
-                    sequence, record = read_frame(path, raw)
-                    if sequence >= start:
-                        yield sequence, record
+        for _, _, _, sequence, record in self._walk(paths[begin:], seek_offset):
+            if sequence >= start:
+                yield sequence, record
 
     def iter_records(self, start: int = 1) -> Iterator[dict]:
         """Stream records only (the :class:`RecordLog` read surface)."""
@@ -323,23 +347,18 @@ class SegmentedLog:
 
     def segments(self) -> list[SegmentInfo]:
         """Per-segment statistics, oldest first."""
-        infos: list[SegmentInfo] = []
-        for path in self._segment_paths():
-            records = 0
-            first_sequence = 0
-            with path.open("rb") as handle:
-                for raw in handle:
-                    if not raw.endswith(b"\n"):
-                        break
-                    sequence, _ = read_frame(path, raw)
-                    if records == 0:
-                        first_sequence = sequence
-                    records += 1
-            infos.append(SegmentInfo(
-                path=path, first_sequence=first_sequence,
-                records=records, size_bytes=path.stat().st_size,
-            ))
-        return infos
+        paths = self._segment_paths()
+        found = {path: [0, 0] for path in paths}  # first sequence, records
+        for path, _, _, sequence, _ in self._walk(paths):
+            entry = found[path]
+            if not entry[1]:
+                entry[0] = sequence
+            entry[1] += 1
+        return [
+            SegmentInfo(path=path, first_sequence=first, records=records,
+                        size_bytes=path.stat().st_size)
+            for path, (first, records) in found.items()
+        ]
 
     def size_bytes(self) -> int:
         """Total bytes across all segment files."""
@@ -355,52 +374,42 @@ class SegmentedLog:
         and the next append is assigned ``n + 1``.  Returns the number of
         records dropped.  Raises :class:`~repro.exceptions.RecoveryError`
         for a negative target (0 empties the log).
+
+        Sequence numbers only grow along a log (compaction preserves
+        them), so this is one cut after the last frame at or below the
+        target: that segment is shortened, every later one unlinked.
         """
         if sequence < 0:
             raise RecoveryError(f"cannot recover to sequence {sequence}")
         if sequence >= self._sequence:
             return 0  # nothing above the target is committed
-        dropped = 0
-        for path in reversed(self._segment_paths()):
-            keep_until = None  # byte offset after the last kept frame
-            seen_any = False
-            with path.open("rb") as handle:
-                offset = 0
-                for raw in handle:
-                    line_start = offset
-                    offset += len(raw)
-                    if not raw.endswith(b"\n"):
-                        break
-                    frame_sequence, _ = read_frame(path, raw)
-                    seen_any = True
-                    if frame_sequence <= sequence:
-                        keep_until = offset
-                    else:
-                        dropped += 1
-            if keep_until is None:
-                if seen_any or path.stat().st_size == 0:
-                    path.unlink()
-                continue
-            if keep_until < path.stat().st_size:
-                with path.open("rb+") as handle:
-                    handle.truncate(keep_until)
+        paths = self._segment_paths()
+        last, keep_until, dropped = None, 0, 0
+        for path, _, end, frame_sequence, _ in self._walk(paths):
+            if frame_sequence <= sequence:
+                last, keep_until = path, end
+            else:
+                dropped += 1
+        for path in paths[paths.index(last) + 1 if last else 0:]:
+            path.unlink()
+        if last is not None:
+            os.truncate(last, keep_until)
         self._write_meta(sequence)
         self.reload()
         return dropped
 
     # -- compaction support -------------------------------------------------
 
-    def swap_segments(self, staged: list[Path], sequence: int) -> None:
-        """Atomically replace all segments with ``staged`` files.
+    def swap_segments(self, sequence: int) -> None:
+        """Replace every segment with the generation staged in ``STAGING_DIR``.
 
-        The compactor stages fully-written replacement segments, then this
-        swap unlinks the old generation and moves the new one in.  The
-        high-water ``sequence`` is pinned in the meta sidecar so the
-        counter survives even if the newest records were compacted away.
+        One commit point: the sidecar is replaced (temp file, one rename)
+        by one that pins the high-water ``sequence`` — so the counter
+        survives even if the newest records were compacted away — and
+        names the staged files.  Before that rename the log is the old
+        generation; after it, this open or the next (:meth:`_settle`)
+        moves the named files in and unlinks the rest.
         """
-        for path in self._segment_paths():
-            path.unlink()
-        for path in staged:
-            path.rename(self.directory / path.name)
-        self._write_meta(sequence)
+        staged = (self.directory / STAGING_DIR).glob(f"*{SEGMENT_SUFFIX}")
+        self._write_meta(sequence, swap=sorted(path.name for path in staged))
         self.reload()

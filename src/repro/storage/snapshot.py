@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import RecoveryError, SnapshotError
-from repro.storage.segment import SEGMENT_SUFFIX, SegmentedLog
+from repro.storage.jsonl import write_atomic
+from repro.storage.segment import SegmentedLog
 
 #: Manifest schema identifier.
 SNAPSHOT_SCHEMA = "css-storage-snapshot/1"
@@ -140,14 +141,14 @@ class SnapshotManager:
     def create(
         self,
         data_dir: str | Path,
+        sequences: dict[str, int],
         label: str | None = None,
-        sequences: dict[str, int] | None = None,
     ) -> SnapshotInfo:
         """Archive ``data_dir`` under a new snapshot id.
 
-        ``sequences`` records each log's committed high-water mark; when
-        omitted it is derived by replaying every segmented log found in
-        the data directory.
+        ``sequences`` records each log's committed high-water mark
+        (:meth:`~repro.storage.engine.StorageEngine.snapshot` reads them
+        off its open logs).
         """
         data_dir = Path(data_dir)
         if not data_dir.is_dir():
@@ -157,13 +158,6 @@ class SnapshotManager:
         target = self.root / snapshot_id
         if target.exists():
             raise SnapshotError(f"snapshot {snapshot_id!r} already exists")
-
-        if sequences is None:
-            sequences = {
-                child.name: SegmentedLog(child).sequence
-                for child in sorted(data_dir.iterdir())
-                if child.is_dir() and any(child.glob(f"*{SEGMENT_SUFFIX}"))
-            }
 
         files = describe(data_dir)
         target.mkdir(parents=True)
@@ -180,9 +174,8 @@ class SnapshotManager:
             "count": len(files),
             "size_bytes": sum(entry["size"] for entry in files.values()),
         }
-        (target / MANIFEST_FILE).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        write_atomic(target / MANIFEST_FILE,
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return self.info(snapshot_id)
 
     # -- inspection ----------------------------------------------------------

@@ -11,11 +11,12 @@ barriers that keep snapshots and guarantor inquiries complete.
 
 import errno
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
-from repro.audit.log import AuditAction, AuditOutcome
+from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
 from repro.exceptions import (
     ConfigurationError,
     DuplicateObjectError,
@@ -246,6 +247,41 @@ class TestGroupCommitDurability:
         restarted.audit_log.verify_integrity()
         assert len(restarted.audit_log) == len(controller.audit_log)
         assert restarted.audit_log.head_digest == controller.audit_log.head_digest
+
+    def test_a_group_commit_that_fails_at_its_roll_over_is_retried_whole(
+            self, tmp_path, monkeypatch):
+        """A batch cut short at a segment roll used to leave its first
+        frames on disk while the writer kept all of it pending: the retry
+        wrote them twice and the next start refused the chain as tampered."""
+        from repro.runtime.backends import JsonlAuditSink
+
+        def audit_log():
+            return SegmentedLog(tmp_path / "audit", segment_bytes=700)
+
+        sink = JsonlAuditSink(BatchWriter(audit_log(), batch_size=8))
+        real_open, opened = Path.open, []
+
+        def open_(path, mode="r", *args, **kwargs):
+            if mode == "ab":
+                opened.append(path.name)
+                if len(opened) == 2:  # the batch's second segment
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        with pytest.raises(OSError):
+            for i in range(8):  # the eighth append is the group commit
+                sink.append(AuditRecord(
+                    f"aud-{i:06d}", float(i), "Hospital", AuditAction.PUBLISH,
+                    AuditOutcome.PERMIT, detail=f"row {i}"))
+        assert len(opened) == 2 and opened[0] != opened[1]
+        assert len(audit_log()) == 0  # the three frames that landed are gone
+        sink.flush()
+
+        restarted = JsonlAuditSink(audit_log())
+        restarted.verify_integrity()
+        assert len(restarted) == 8
+        assert restarted.head_digest == sink.head_digest
 
 
 def remote_subject(platform, owner: str) -> str:

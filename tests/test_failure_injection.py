@@ -4,11 +4,16 @@ The deployment scenarios the paper's architecture must survive: flaky
 subscribers (retry → dead-letter without blocking others), source systems
 going down mid-flow (gateway persistence), contracts expiring between
 publication and detail request, index key rotation with live data,
-poison messages on the bus, and cross-node detail requests whose home
-node or link fails.
+poison messages on the bus, cross-node detail requests whose home
+node or link fails, and a disk that fails — for good or once — at every
+write boundary of a segmented log.
 """
 
+import errno
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.exceptions import (
     PrivacyError,
     SourceUnavailableError,
 )
+from repro.storage import SegmentedLog, compact
 from tests.conftest import (
     HOME_NODE_FAILURES,
     blood_test_schema,
@@ -265,3 +271,191 @@ class TestLocalRemoteParity:
         assert len(link.transcript) == lines + 2
         assert link.stats.delivered == link.stats.calls == calls + 1
         assert "error" in json.loads(link.transcript[-1])
+
+
+class DiskFaults:
+    """Counts every mutating filesystem call under ``root`` — ``open`` for
+    append or write, a handle's ``write`` and ``truncate``, ``unlink``,
+    ``rename``, ``os.replace``, ``os.truncate``, ``write_text`` /
+    ``write_bytes``, ``rmtree`` — and fails the ``fail_at``-th with
+    ``ENOSPC``.  A failing write lands half its bytes first; any other
+    call does nothing.  ``crash=True`` fails every later call too (the
+    process is gone, its clean-up included); otherwise the fault happens
+    once and the process carries on."""
+
+    def __init__(self, patch, root, fail_at=None, crash=False):
+        self.root, self.fail_at, self.crash = Path(root), fail_at, crash
+        self.calls = 0
+        self._inside = False  # write_text opens its own file: one call, not two
+        real_open = Path.open
+
+        def open_(path, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+") or not self._counts(path):
+                return real_open(path, mode, *args, **kwargs)
+            self.step()
+            return _FaultyHandle(self, real_open(path, mode, *args, **kwargs))
+
+        def whole_file(real):
+            def write(path, data, *args, **kwargs):
+                if not self._counts(path):
+                    return real(path, data, *args, **kwargs)
+                self._inside = True
+                try:
+                    self.step(lambda: real(
+                        path, data[:len(data) // 2], *args, **kwargs))
+                    return real(path, data, *args, **kwargs)
+                finally:
+                    self._inside = False
+            return write
+
+        patch.setattr(Path, "open", open_)
+        patch.setattr(Path, "write_text", whole_file(Path.write_text))
+        patch.setattr(Path, "write_bytes", whole_file(Path.write_bytes))
+        for owner, name in ((Path, "unlink"), (Path, "rename"), (os, "replace"),
+                            (os, "truncate"), (shutil, "rmtree")):
+            patch.setattr(owner, name, self._guarded(getattr(owner, name)))
+
+    def _counts(self, path) -> bool:
+        return not self._inside and self.root in Path(path).parents
+
+    def step(self, half=None) -> None:
+        """Count one call; fail it — after ``half`` of its work — if due."""
+        self.calls += 1
+        if self.fail_at is None or self.calls < self.fail_at:
+            return
+        if self.calls == self.fail_at and half is not None:
+            half()
+        if self.calls == self.fail_at or self.crash:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def _guarded(self, real):
+        def call(path, *args, **kwargs):
+            if self._counts(path):
+                self.step()
+            return real(path, *args, **kwargs)
+        return call
+
+
+class _FaultyHandle:
+    """A file opened for writing under :class:`DiskFaults`."""
+
+    def __init__(self, faults, handle):
+        self._faults, self._handle = faults, handle
+
+    def write(self, data):
+        def half():
+            self._handle.write(data[:len(data) // 2])
+            self._handle.flush()
+        self._faults.step(half)
+        return self._handle.write(data)
+
+    def truncate(self, size=None):
+        self._faults.step()
+        return self._handle.truncate(size)
+
+    def close(self):
+        self._handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def index_row(n):
+    return {"object_id": f"ev-{n % 9}", "status": "submitted", "n": n}
+
+
+class TestDiskFaultsAtEveryWriteBoundary:
+    """One script — six appends, an eight-record group commit that rolls
+    twice, a compaction, three appends — with the disk failing at each of
+    its mutating filesystem calls in turn."""
+
+    SCRIPT = (
+        [lambda log, n=n: log.append(index_row(n)) for n in range(6)]
+        + [lambda log: log.append_many([index_row(n) for n in range(6, 14)]),
+           compact]
+        + [lambda log, n=n: log.append(index_row(n)) for n in range(14, 17)]
+    )
+
+    @staticmethod
+    def open_log(directory):
+        return SegmentedLog(directory, segment_bytes=400, sparse_every=2)
+
+    def reference(self, directory, monkeypatch):
+        """The undisturbed run: ``(entries, sequence)`` after every step,
+        and how many mutating calls the script makes."""
+        with monkeypatch.context() as patch:
+            faults = DiskFaults(patch, directory)
+            log = self.open_log(directory)
+            states = [([], 0)]
+            for step in self.SCRIPT:
+                step(log)
+                states.append((list(log.iter_entries()), log.sequence))
+        assert len(log.segments()) > 1 and len(log) < 17  # rolled, compacted
+        return states, faults.calls
+
+    def test_a_crash_at_any_call_reopens_with_everything_acknowledged(
+            self, tmp_path, monkeypatch):
+        states, total = self.reference(tmp_path / "reference", monkeypatch)
+        assert total > 30
+        broken = {}
+        for k in range(1, total + 1):
+            directory = tmp_path / f"crash-{k}"
+            with monkeypatch.context() as patch:
+                faults = DiskFaults(patch, directory, fail_at=k, crash=True)
+                log = self.open_log(directory)
+                returned = 0
+                with pytest.raises(OSError):
+                    for step in self.SCRIPT:
+                        step(log)
+                        returned += 1
+                assert faults.calls >= k
+            acknowledged, high_water = states[returned]
+            try:
+                cold = self.open_log(directory)
+                found = list(cold.iter_entries())
+                sequences = [sequence for sequence, _ in found]
+                assert sequences == sorted(set(sequences))
+                latest = {record["object_id"]: (sequence, record)
+                          for sequence, record in acknowledged}
+                assert [e for e in latest.values() if e not in found] == []
+                probe = {"object_id": "probe", "status": "submitted"}
+                assert cold.append(probe) > max(
+                    [high_water, cold.last_replay.sequence, *sequences])
+                # ... and whatever the crash left staged is no obstacle.
+                compact(cold)
+                latest = {record["object_id"]: (sequence, record)
+                          for sequence, record in found}
+                assert list(self.open_log(directory).iter_entries()) == [
+                    *sorted(latest.values()), (cold.sequence, probe)]
+            except Exception as failure:  # reported per point, below
+                broken[k] = repr(failure)
+        assert not broken, f"{len(broken)} of {total} crash points: {broken}"
+
+    def test_one_enospc_at_any_call_then_a_retry_loses_and_repeats_nothing(
+            self, tmp_path, monkeypatch):
+        states, total = self.reference(tmp_path / "reference", monkeypatch)
+        expected, high_water = states[-1]
+        broken = {}
+        for k in range(1, total + 1):
+            directory = tmp_path / f"enospc-{k}"
+            try:
+                with monkeypatch.context() as patch:
+                    faults = DiskFaults(patch, directory, fail_at=k)
+                    log = self.open_log(directory)
+                    for step in self.SCRIPT:
+                        try:
+                            step(log)
+                        except OSError:  # the caller retries the step once
+                            step(log)
+                    assert faults.calls > k
+                cold = self.open_log(directory)
+                assert list(log.iter_entries()) == expected
+                assert list(cold.iter_entries()) == expected
+                assert len(log) == len(cold) == len(expected)
+                assert log.sequence == cold.sequence == high_water
+            except Exception as failure:  # reported per point, below
+                broken[k] = repr(failure)
+        assert not broken, f"{len(broken)} of {total} transient faults: {broken}"
