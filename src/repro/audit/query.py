@@ -3,7 +3,8 @@
 :class:`AuditQuery` is a fluent conjunction of filters answering the
 questions the paper lists: *who did the request and why / for which
 purpose?* (§1), scoped by actor, action, outcome, subject, event, purpose
-and time window.
+and time window — over the log's *logical* view (one ``NOTIFY`` per
+delivery, :meth:`~repro.audit.log.AuditLog.logical`), never chain links.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ class AuditQuery:
         return all(checks)
 
     def run(self, log: AuditLog) -> list[AuditRecord]:
-        """Evaluate the query against ``log`` (oldest first)."""
-        return [record for record in log.records() if self.matches(record)]
+        """Evaluate the query against ``log``'s logical view (oldest first)."""
+        return [record for record in log.logical() if self.matches(record)]
 
     def count(self, log: AuditLog) -> int:
-        """Number of matching records."""
-        return sum(1 for record in log.records() if self.matches(record))
+        """Number of matching logical records."""
+        return sum(1 for record in log.logical() if self.matches(record))

@@ -6,6 +6,9 @@ Two report shapes the paper motivates:
   access to this class of events in this window, who, why, outcome";
 * :func:`data_subject_report` — a citizen exercises the right to know who
   accessed her data and for which purposes.
+
+Reports list *logical* records (:meth:`~repro.audit.log.AuditLog.logical`:
+one ``NOTIFY`` per delivery) and verify the chain behind them.
 """
 
 from __future__ import annotations

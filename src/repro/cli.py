@@ -755,9 +755,10 @@ def _cmd_inspect(args: argparse.Namespace, out) -> int:
           f"classes: {len(controller.catalog)}  "
           f"policies: {len(controller.policies)}  "
           f"indexed events: {len(controller.index)}", file=out)
-    report = guarantor_report(controller.audit_log)
-    print(f"  audit: {len(controller.audit_log)} records, chain verified; "
-          f"every archived file matches the manifest's sha256", file=out)
+    log = controller.audit_log
+    report = guarantor_report(log)
+    print(f"  audit: {sum(1 for _ in log.logical())} records in {len(log)} chain links, "
+          f"chain verified; every archived file matches the manifest's sha256", file=out)
     print(report.to_text(), file=out)
     return 0
 

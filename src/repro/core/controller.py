@@ -462,11 +462,8 @@ class DataController:
                 consumer_id, notification.subject_ref
             ):
                 return  # not this consumer's patient: silently filtered
-            self.record_audit(
-                consumer_id, AuditAction.NOTIFY, AuditOutcome.PERMIT,
-                event_id=notification.event_id, event_type=notification.event_type,
-                subject_ref=notification.subject_ref,
-            )
+            self.audit_log.delivered(
+                consumer_id, notification, self.clock.now(), self.ids)
             handler(notification)
 
         return deliver

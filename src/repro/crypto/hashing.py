@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import json
+from collections.abc import Iterable
 
 from repro.exceptions import TamperedLogError
 
@@ -63,19 +64,20 @@ class HashChain:
         """Digest of link ``index`` (0-based)."""
         return self._digests[index]
 
-    def verify(self, payloads: list[object]) -> None:
+    def verify(self, payloads: Iterable[object]) -> None:
         """Recompute the chain over ``payloads`` and compare digest by digest.
 
-        Raises :class:`~repro.exceptions.TamperedLogError` naming the first
-        broken link; silent success means the log is intact.
+        ``payloads`` is consumed one at a time, its length checked at the
+        end.  Raises :class:`~repro.exceptions.TamperedLogError` naming the
+        first broken link; silent success means the log is intact.
         """
-        if len(payloads) != len(self._digests):
+        previous, count = GENESIS, 0
+        for count, payload in enumerate(payloads, 1):
+            if count <= len(self._digests):
+                previous = self.link(previous, payload)
+                if previous != self._digests[count - 1]:
+                    raise TamperedLogError(f"hash chain broken at record {count - 1}")
+        if count != len(self._digests):
             raise TamperedLogError(
-                f"chain has {len(self._digests)} links but {len(payloads)} payloads supplied"
+                f"chain has {len(self._digests)} links but {count} payloads supplied"
             )
-        previous = GENESIS
-        for index, payload in enumerate(payloads):
-            expected = self.link(previous, payload)
-            if expected != self._digests[index]:
-                raise TamperedLogError(f"hash chain broken at record {index}")
-            previous = expected

@@ -5,8 +5,9 @@ trail even though each node keeps its own hash-chained
 :class:`~repro.audit.log.AuditLog`.  :func:`guarantor_inquiry` fans the
 inquiry out to every node (the coordinator reads its own log directly,
 peers export theirs sealed under their federation channel keys), verifies
-each chain before trusting it, and merges the records into one
-total-ordered trail keyed by ``(timestamp, node id, record id)``.
+each chain before trusting it, and merges the logical records (one
+``NOTIFY`` per delivery) into one total-ordered trail keyed by
+``(timestamp, node id, record id)``.
 
 Each node's chain head digest rides along in the merged trail, so the
 guarantor can cross-check a node's export against an independently

@@ -519,14 +519,14 @@ class FederationNode:
     def verified_audit(self, event_type: str | None = None,
                        since: float | None = None,
                        until: float | None = None) -> tuple[str, list[AuditRecord]]:
-        """This node's chain head and matching records, chain verified first."""
+        """This node's chain head and matching logical records, chain verified first."""
         log = self.controller.audit_log
         log.verify_integrity()
         query = AuditQuery().about_event_type(event_type).between(since, until)
         return log.head_digest, query.run(log)
 
     def _op_audit_records(self, payload: dict) -> dict:
-        """Export this node's verified audit trail (sealed) for a guarantor."""
+        """Export this node's verified logical audit rows (sealed) for a guarantor."""
         self.work.add(AUDIT_COST)
         head, records = self.verified_audit(
             payload.get("event_type"), payload.get("since"), payload.get("until")

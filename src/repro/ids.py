@@ -17,12 +17,17 @@ import itertools
 import threading
 
 
+#: Hex digits of ``sha256(seed:prefix:n)`` kept as an id's suffix.
+SUFFIX_HEX = 12
+
+
 class IdGenerator:
     """Generates unique, prefixed, optionally seeded identifiers.
 
-    Ids look like ``evt-000042-9f3a`` — a prefix, a monotonically increasing
-    counter and a short digest suffix derived from the seed and counter so
-    that ids from differently-seeded generators do not collide visually.
+    Ids look like ``evt-000042-9f3a52c07be1`` — a prefix, a monotonically
+    increasing counter and a digest suffix derived from the seed and counter.
+    Every node of a federation counts from 1 under its own seed, so the
+    suffix alone — 48 bits, for every prefix — keeps their ids apart.
 
     The generator is thread-safe: the in-process service bus may deliver
     messages from multiple threads in benchmark scenarios.
@@ -45,7 +50,7 @@ class IdGenerator:
         """Return the next unique identifier."""
         with self._lock:
             n = next(self._counter)
-        digest = hashlib.sha256(f"{self._seed}:{self._prefix}:{n}".encode()).hexdigest()[:4]
+        digest = hashlib.sha256(f"{self._seed}:{self._prefix}:{n}".encode()).hexdigest()[:SUFFIX_HEX]
         return f"{self._prefix}-{n:06d}-{digest}"
 
 

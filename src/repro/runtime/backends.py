@@ -83,8 +83,9 @@ class JsonlAuditSink(AuditLog):
         A no-op for unbatched logs.  The in-memory chain is always
         current — only the durable write-through can lag, so this must
         run before the underlying files are snapshotted, verified on
-        disk, or replayed by another process.
+        disk, or replayed by another process.  Chains the open run first.
         """
+        super().flush()
         self._store.flush()
 
 

@@ -23,7 +23,7 @@ shapes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # imported for signatures only; protocols stay import-light
     from repro.core.events import EventClass, EventOccurrence
@@ -93,8 +93,14 @@ class AuditSink(Protocol):
     def append(self, record: Any) -> str:
         """Append a record; returns its chain digest."""
 
+    def delivered(self, recipient: str, notification: Any, timestamp: float, ids: Any) -> None:
+        """Audit one delivery; consecutive ones share a chain link."""
+
     def records(self) -> tuple[Any, ...]:
-        """Snapshot of all records, oldest first."""
+        """Snapshot of all physical records (chain links), oldest first."""
+
+    def logical(self) -> Iterator[Any]:
+        """Every logical record: fan-out links expanded per recipient."""
 
     def verify_integrity(self) -> None:
         """Re-verify the whole chain (raises on tampering)."""

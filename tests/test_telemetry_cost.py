@@ -10,8 +10,9 @@ their series through a memo, and pipeline/stage spans are bound once
   before the memo existed, and every op still opens as many spans;
 * after warm-up the hot paths classify no key and run ``sanitize`` only
   for samples that carry an identifying label, and a fan-out parses its
-  notification once per node and visits only the queues it filled —
-  counts, which repeat exactly, where wall time cannot gate CI;
+  notification once per node, visits only the queues it filled and costs
+  the audit chain two links whatever its width — counts, which repeat
+  exactly, where wall time cannot gate CI;
 * the wall-clock sidecar gets one sample per pipeline execution and shows
   up in no export.
 """
@@ -20,12 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AccessDeniedError, ElementDecl, MessageSchema, StringType
+from repro.audit.log import AuditAction
+from repro.audit.query import AuditQuery
 from repro.bus.delivery import DeliveryEngine
 from repro.clock import Clock
 from repro.core.messages import NotificationMessage
@@ -49,6 +53,8 @@ from repro.obs.tracing import Tracer
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.test_wall_surface import prod_platform, publish  # noqa: F401
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 # -- (a) the memoised paths against an uncached reference --------------------
 
@@ -225,14 +231,17 @@ PINNED = {
 }
 
 
-#: Audit head digests of the same runs, one per node, computed at 4e9f2da
-#: (before notifications were decoded once and dispatch read the waiting
-#: set): NOTIFY records keep their registration order.
+#: Audit head digests of the same runs, one per node.  Re-pinned on purpose
+#: when a fan-out became ONE chained NOTIFY record (171 / 163 + 108 links
+#: where there were 233 / 203 + 114) and id suffixes went from 4 to 12 hex
+#: digits; the *logical* trail did not move and has its own pin,
+#: ``tests/test_audit_fanout.py::LOGICAL_SHA256``.  NOTIFY recipients keep
+#: their registration order.
 PINNED_AUDIT_HEADS = {
-    "css": ["3b41752034237f7d041b1842485672069eba86746808ca2d7fd09dc523d5cd96"],
+    "css": ["e2b65ab9e18cd0a476b8a60dd2e734540929fe05cc7320f1f88d38c69410e13d"],
     "federated": [
-        "b7e13fc8d09e9a2c2f9ee1fd0b0d2dc513f6ed2854de32f5334bbcfddc25abc3",
-        "a1b14f23db1eac01bc0dff1ba8abf3174ce52ebd37e8e7e7f7805b49c33fc2cb"],
+        "eb6134a84f6312a7cea38e2466b0146df3d8090bd5f86d88a924500008181b9d",
+        "58fc26f0636d1b12c6a20c4e5f7bc13fd476393105f851ec1d567f709af78317"],
 }
 
 
@@ -408,6 +417,37 @@ def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
     assert counts == {"from_xml": 2, "dispatch_subscription": 6 + 1}
     assert [len(inbox) for inbox in inboxes] == [2] * 6
     assert len({id(inbox[1]) for inbox in inboxes}) == 2  # one object a node
+
+
+@pytest.mark.parametrize("subscribers", [1, 3, 12])
+def test_a_publish_appends_two_audit_records_whatever_the_fan_out(
+        prod_platform, subscribers):
+    """Fan-out + PUBLISH: a delivery costs a list append, not a chain link
+    (12 subscribers used to be 13 records, encodes, hashes and frames)."""
+    platform, blood = prod_platform
+    for _ in range(subscribers):  # a re-subscribe adds a subscription
+        platform.subscribe("Dr-Rossi", "BloodTest")
+    logs = [node.controller.audit_log for node in platform.nodes()]
+    publish(platform, blood, 1)  # warm-up: relay topic declared on node-1
+    links = sum(len(log) for log in logs)
+    notified = AuditQuery().by_action(AuditAction.NOTIFY)
+    deliveries = sum(notified.count(log) for log in logs)
+    publish(platform, blood, 1, first=1)
+    assert sum(len(log) for log in logs) - links == 2
+    assert sum(notified.count(log) for log in logs) - deliveries == subscribers
+
+
+def test_there_is_one_notify_mint_site():
+    """One place chains a NOTIFY (``AuditLog``'s run close), one place
+    reports a delivery to it (the controller's notification sink)."""
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in SRC.rglob("*.py")}
+    assert {name: text.count("AuditAction.NOTIFY")
+            for name, text in sources.items() if "AuditAction.NOTIFY" in text} == {
+        "audit/log.py": 1, "audit/reports.py": 1}  # the mint; a report's filter
+    assert {name: text.count(".delivered(")
+            for name, text in sources.items() if ".delivered(" in text} == {
+        "core/controller.py": 1}
 
 
 # -- the wall-clock sidecar ---------------------------------------------------

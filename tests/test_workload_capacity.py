@@ -106,18 +106,23 @@ class TestPinnedDigests:
     One small ``run_point`` at 1 and 2 nodes and the two ``run_arm``
     arms: any refactor of the shared run harness must reproduce these
     audit-chain and PDP-decision digests bit-for-bit.
+
+    The audit digests and record counts (chain links) were re-pinned on
+    purpose when a fan-out became one chained NOTIFY record and id suffixes
+    widened (369 / 393 / 1710 links before); the decision digest did not
+    move, and the logical trail is pinned in ``tests/test_audit_fanout.py``.
     """
 
     DECISIONS = ("sha256:f4f2dd7a650ed0538b35cd2c2d68fe78"
                  "544d56bcc2fc23d4324a3a0f27629eb2")
     POINTS = {
-        1: ("sha256:b5134931184b02058a176aeba28d01cb"
-            "9c3ab8948b9240f5692e3531d1e267bf", 369),
-        2: ("sha256:88ec6e904ef66122206ba36e93e1f650"
-            "8982c35c7285ad342ff4fbf540d22f53", 393),
+        1: ("sha256:ac62c63544b77bc8a4fe82ef5153bcc1"
+            "b60cf6bead974d0f4268685454455724", 254),
+        2: ("sha256:937a3adbeb13637832c46722996ae2a3"
+            "50cfdb1c02b5540f026b946d02b78f46", 330),
     }
-    ARM_AUDIT = ("sha256:94323f921added4d9a86a935688eab0a"
-                 "d938fe6d825f98d73ac916e16a1a37b3")
+    ARM_AUDIT = ("sha256:04819dfc4cfdacc32392b0935c26ff93"
+                 "7aa44938a3012fd040f9d17f8843fcd8")
     ARM_JAIN = {"none": 0.9394146028290821, "fair": 0.9894328983278449}
 
     @pytest.mark.parametrize("nodes", [1, 2])
@@ -136,7 +141,7 @@ class TestPinnedDigests:
                                    seed=2010)
         arm = run_arm(workload, sched)
         assert arm["audit_digest"] == self.ARM_AUDIT
-        assert arm["audit_records"] == 1710
+        assert arm["audit_records"] == 1327
         assert arm["jain_index"] == pytest.approx(self.ARM_JAIN[sched],
                                                   abs=1e-12)
 
