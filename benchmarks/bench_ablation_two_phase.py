@@ -18,12 +18,8 @@ import pytest
 
 from benchmarks.conftest import build_scenario
 from repro.baselines import FullPushBaseline
-from repro.sim.scenario import (
-    DEFAULT_CONSUMERS,
-    DEFAULT_PRODUCER_ASSIGNMENT,
-    CssScenario,
-    ScenarioConfig,
-)
+from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
+from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
 @pytest.mark.parametrize("request_rate", [0.0, 0.25, 0.5, 1.0])
@@ -64,9 +60,9 @@ def test_crossover_at_full_rate_with_full_grants(benchmark):
         # Replace the minimal-usage grants with full-field grants.
         for template_name, template in scenario.templates.items():
             producer = scenario.producers[
-                scenario.config.producer_assignment[template_name]]
+                DEFAULT_PRODUCER_ASSIGNMENT[template_name]]
             all_fields = list(template.build_schema().field_names)
-            for consumer_id, role in scenario.config.consumers:
+            for consumer_id, role in DEFAULT_CONSUMERS:
                 if template.needed_fields.get(role):
                     producer.define_policy(
                         template_name, fields=all_fields,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Federation scaling benchmark: routing throughput at 1/2/4/8 nodes.
 
-Runs the same seeded workload through :class:`FederatedScenario` at each
+Runs the same seeded workload through :class:`CssScenario` at each
 federation size and derives notification-routing throughput from the
 simulated cost model: every node charges its :class:`WorkMeter` fixed
 per-operation service times (publish, index store, relay, detail
@@ -28,8 +28,8 @@ if __name__ == "__main__":  # allow running without an installed package
         sys.path.insert(0, str(_src))
 
 from repro.exceptions import ConfigurationError  # noqa: E402
-from repro.federation import FederatedScenario, FederatedScenarioConfig  # noqa: E402
 from repro.obs.benchreport import write_summary  # noqa: E402
+from repro.sim.scenario import CssScenario, ScenarioConfig  # noqa: E402
 from repro.workload.config import parse_node_counts  # noqa: E402
 
 SCHEMA_ID = "css-bench-federation/1"
@@ -38,7 +38,7 @@ SCHEMA_ID = "css-bench-federation/1"
 def run_point(nodes: int, events: int, patients: int, seed: int) -> dict:
     """One scaling point: build, run, and summarize an N-node federation."""
     started = time.perf_counter()
-    scenario = FederatedScenario(FederatedScenarioConfig(
+    scenario = CssScenario(ScenarioConfig(
         nodes=nodes, n_events=events, n_patients=patients, seed=seed,
     ))
     report = scenario.run()

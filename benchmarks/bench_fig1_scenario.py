@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import build_scenario
 from repro.baselines import ManualExchangeBaseline
-from repro.sim.scenario import DEFAULT_CONSUMERS
+from repro.sim.domain import DEFAULT_CONSUMERS
 
 
 def test_css_scenario_run(benchmark):
@@ -31,7 +31,7 @@ def test_css_scenario_run(benchmark):
     assert report.exposure.overexposed == 0
     assert report.exposure.sensitive_overexposed == 0
     assert report.exposure.traced_fraction == 1.0
-    assert report.audit_chain_verified
+    assert report.audit_chains_verified
 
 
 def test_manual_baseline_run(benchmark):

@@ -27,24 +27,25 @@ if __name__ == "__main__":  # allow running without an installed package
         sys.path.insert(0, str(_src))
 
 from repro.exceptions import ConfigurationError  # noqa: E402
-from repro.federation import FederatedScenario, FederatedScenarioConfig  # noqa: E402
 from repro.obs.benchreport import write_summary  # noqa: E402
 from repro.obs.stitch import stitch_summary  # noqa: E402
+from repro.runtime.kernel import RuntimeConfig  # noqa: E402
+from repro.sim.scenario import CssScenario, ScenarioConfig  # noqa: E402
 from repro.workload.config import parse_node_counts  # noqa: E402
 
 SCHEMA_ID = "css-bench-obs-federation/1"
 
 
 def _run(nodes: int, events: int, patients: int, seed: int,
-         traced: bool) -> tuple[float, FederatedScenario]:
+         traced: bool) -> tuple[float, CssScenario]:
     """One run; returns (wall seconds, the finished scenario)."""
-    config = FederatedScenarioConfig(
+    config = ScenarioConfig(
         nodes=nodes, n_events=events, n_patients=patients, seed=seed,
         per_node_telemetry=traced,
-        telemetry_guard="hash" if traced else None,
+        runtime=RuntimeConfig(telemetry="inmemory" if traced else "noop"),
     )
     started = time.perf_counter()
-    scenario = FederatedScenario(config)
+    scenario = CssScenario(config)
     scenario.run()
     return time.perf_counter() - started, scenario
 

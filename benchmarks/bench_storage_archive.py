@@ -67,7 +67,7 @@ def test_restored_platform_serves_details(benchmark, tmp_path):
             chosen = actor
             break
     assert chosen is not None
-    from repro.sim.scenario import ROLE_PURPOSES
+    from repro.sim.domain import ROLE_PURPOSES
 
     request = DetailRequest(
         actor=chosen, event_type=entry.event_type,

@@ -26,12 +26,8 @@ from repro.obs.benchreport import (
     write_summary,
 )
 from repro.sim.generators import standard_event_templates
-from repro.sim.scenario import (
-    DEFAULT_CONSUMERS,
-    DEFAULT_PRODUCER_ASSIGNMENT,
-    CssScenario,
-    ScenarioConfig,
-)
+from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
+from repro.sim.scenario import CssScenario, ScenarioConfig
 
 #: Where the benchmark session drops its observability summary.
 OBS_SUMMARY_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"

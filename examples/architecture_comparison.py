@@ -16,12 +16,8 @@ from repro.baselines import (
     PointToPointSoaBaseline,
     WarehouseBaseline,
 )
-from repro.sim.scenario import (
-    DEFAULT_CONSUMERS,
-    DEFAULT_PRODUCER_ASSIGNMENT,
-    CssScenario,
-    ScenarioConfig,
-)
+from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
+from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
 def main() -> None:

@@ -5,9 +5,12 @@ and ``python -m repro COMMAND --help`` print the usage, generated from
 this module's two tables (``OPTIONS``: every option, stated once;
 ``COMMANDS``: one row per subcommand).
 
-``scenario`` runs a full synthetic deployment and prints its report
-(optionally archiving the resulting platform; ``--durable DIR`` runs it
-on the JSONL-backed index/audit kernel backends writing into DIR);
+``scenario`` runs a full synthetic deployment — the one
+:class:`~repro.sim.scenario.CssScenario`, on one node here and under
+``--scenario default``, on ``--nodes`` where a command takes them — and
+prints its report (optionally archiving the resulting platform;
+``--durable DIR`` runs it on the JSONL-backed index/audit kernel
+backends writing into ``DIR/node-0``);
 ``compare`` prints the CSS-vs-baselines table; ``monitor`` prints the
 governing body's aggregated view; ``telemetry`` reruns the scenario on
 the in-memory telemetry backend and prints per-stage latency percentiles
@@ -59,7 +62,6 @@ from repro.baselines import (
 )
 from repro.clock import DAY
 from repro.exceptions import ConfigurationError
-from repro.federation import FederatedScenario, FederatedScenarioConfig
 from repro.obs.benchreport import write_summary
 from repro.obs.guard import MODE_HASH, MODE_REJECT
 from repro.runtime.kernel import (
@@ -71,13 +73,9 @@ from repro.runtime.kernel import (
     default_kernel,
     suggest,
 )
+from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
 from repro.sim.generators import DEFAULT_SEED
-from repro.sim.scenario import (
-    DEFAULT_CONSUMERS,
-    DEFAULT_PRODUCER_ASSIGNMENT,
-    CssScenario,
-    ScenarioConfig,
-)
+from repro.sim.scenario import CssScenario, ScenarioConfig
 from repro.storage import PlatformArchive
 from repro.workload import (
     SCENARIOS,
@@ -91,6 +89,9 @@ from repro.workload import (
 #: The in-tree implementations: what ``--store/--sched/--batch`` may name.
 _KERNEL = default_kernel()
 
+#: Where a one-node run's durable backends write, under ``--durable DIR``.
+_NODE_0 = "node-0"
+
 #: Every option of the CLI, stated once: option string (a bare name is a
 #: positional) -> its ``add_argument`` keywords.  ``{default}`` in a help
 #: is filled with the default in force.  ``known`` is not an argparse
@@ -98,9 +99,9 @@ _KERNEL = default_kernel()
 #: owns them, and ``_check_values`` refuses anything else.  A command row
 #: overrides the keywords it spells differently.
 OPTIONS: dict[str, dict] = {
-    "--events": {"type": int, "default": 200},
-    "--patients": {"type": int, "default": 30},
-    "--rate": {"type": float, "default": 0.3,
+    "--events": {"type": int, "default": ScenarioConfig.n_events},
+    "--patients": {"type": int, "default": ScenarioConfig.n_patients},
+    "--rate": {"type": float, "default": ScenarioConfig.detail_request_rate,
                "help": "detail-request rate in [0, 1] (default {default})"},
     "--seed": {"type": int, "default": DEFAULT_SEED,
                "help": "master seed of every generated stream "
@@ -109,7 +110,7 @@ OPTIONS: dict[str, dict] = {
                   "help": "snapshot the platform into DIR afterwards"},
     "--durable": {"metavar": "DIR",
                   "help": "run on the JSONL index/audit backends, "
-                          "writing into DIR"},
+                          "writing into DIR/node-0"},
     "--store": {"default": "jsonl",
                 "known": _KERNEL.implementations(KIND_STORE),
                 "help": "durable store engine for --durable (default "
@@ -195,37 +196,17 @@ OPTIONS: dict[str, dict] = {
 }
 
 
-def _css_scenario(args: argparse.Namespace,
-                  runtime: RuntimeConfig | None = None) -> CssScenario:
-    """The single-controller scenario of the ``--events/--patients/...`` flags."""
+def _scenario(args: argparse.Namespace, **knobs) -> CssScenario:
+    """The scenario of the ``--events/--patients/...`` flags, not yet run:
+    ``--nodes`` nodes where the command takes that flag and ``--scenario``
+    (if it has one) says ``federated``, otherwise one."""
+    federated = "nodes" in args and getattr(
+        args, "scenario", "federated") == "federated"
     return CssScenario(ScenarioConfig(
-        n_patients=args.patients, n_events=args.events,
-        detail_request_rate=args.rate, seed=args.seed, runtime=runtime,
+        nodes=args.nodes if federated else 1, n_patients=args.patients,
+        n_events=args.events, detail_request_rate=args.rate, seed=args.seed,
+        **knobs,
     ))
-
-
-def _federated_scenario(args: argparse.Namespace, **knobs):
-    """The same flags as an ``--nodes``-node federated scenario."""
-    return FederatedScenario(FederatedScenarioConfig(
-        nodes=args.nodes, n_patients=args.patients, n_events=args.events,
-        detail_request_rate=args.rate, seed=args.seed, **knobs,
-    ))
-
-
-def _observed_scenario(args: argparse.Namespace, guard: str = MODE_HASH,
-                       **federated):
-    """What ``--scenario default|federated`` names, telemetry on, not yet run:
-    the single controller on the in-memory backend, or the ``--nodes``-node
-    federation built with the ``federated`` knobs.  Returns the scenario and
-    the controller whose telemetry and bus speak for it (node-0's on a
-    federation, whose shared telemetry every node controller holds)."""
-    if args.scenario == "federated":
-        scenario = _federated_scenario(args, telemetry_guard=guard, **federated)
-        platform = scenario.platform
-        return scenario, platform.controller_of(platform.membership.node_ids[0])
-    scenario = _css_scenario(args, RuntimeConfig(
-        telemetry="inmemory", telemetry_guard=guard))
-    return scenario, scenario.controller
 
 
 def _cmd_scenario(args: argparse.Namespace, out) -> int:
@@ -235,28 +216,26 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
         if target.exists() and not target.is_dir():
             raise ConfigurationError(
                 f"--durable {args.durable}: not a directory")
-        leftovers = [name for name in ("index.jsonl", "audit.jsonl",
-                                       "index", "audit")
-                     if (target / name).exists()]
-        if leftovers:
+        if (target / _NODE_0).is_dir() and any((target / _NODE_0).iterdir()):
             raise ConfigurationError(
-                f"--durable {args.durable}: already contains "
-                f"{', '.join(leftovers)} from a previous run; a scenario "
-                f"starts from an empty deployment, so pick a new or empty "
-                f"directory (old runs stay readable through JsonlIndexStore/"
-                f"JsonlAuditSink, see examples/durable_backends.py)")
+                f"--durable {args.durable}: {target / _NODE_0} holds a "
+                f"previous run; a scenario starts from an empty deployment, "
+                f"so pick a new or empty directory (old runs stay readable "
+                f"through JsonlIndexStore/JsonlAuditSink, see "
+                f"examples/durable_backends.py)")
         runtime = replace(runtime, index_store="jsonl", audit_sink="jsonl",
                           store=args.store, data_dir=args.durable)
-    scenario = _css_scenario(args, runtime)
+    scenario = _scenario(args, runtime=runtime)
     print(scenario.run().to_text(), file=out)
     if args.durable:
+        written = target / _NODE_0
         if args.store == "segmented":
             print(f"durable backends wrote segmented index and audit logs "
-                  f"to {args.durable} (inspect with: repro store stats "
-                  f"--data {args.durable})", file=out)
+                  f"to {written} (inspect with: repro store stats "
+                  f"--data {written})", file=out)
         else:
             print(f"durable backends wrote index.jsonl and audit.jsonl "
-                  f"to {args.durable}", file=out)
+                  f"to {written}", file=out)
     if args.archive:
         PlatformArchive(args.archive).save(scenario.controller)
         print(f"platform archived to {args.archive}", file=out)
@@ -273,8 +252,9 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
         STAGE_DURATION,
     )
 
-    scenario, controller = _observed_scenario(args, args.guard)
-    telemetry = controller.telemetry
+    scenario = _scenario(args, runtime=RuntimeConfig(
+        telemetry="inmemory", telemetry_guard=args.guard))
+    telemetry = scenario.telemetry
     if args.profile:
         telemetry.attach_profiler(
             SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
@@ -302,9 +282,7 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
             if path:
                 print(f"wrote {path}", file=out)
     if args.slo_out:
-        from repro.obs.slo import SLOEngine
-
-        report_payload = SLOEngine(telemetry).evaluate().to_payload()
+        report_payload = scenario.slo_report(alert=False).to_payload()
         write_summary(args.slo_out, report_payload)
         print(f"wrote {args.slo_out} ({report_payload['breaches']} breaches)",
               file=out)
@@ -317,14 +295,12 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_federate(args: argparse.Namespace, out) -> int:
-    scenario = _federated_scenario(
-        args,
-        runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
-                              batch_size=args.batch_size),
+    scenario = _scenario(args, runtime=RuntimeConfig(
+        sched=args.sched, batch=args.batch, batch_size=args.batch_size,
         # SLO evaluation needs metric series, so --slo-out turns
         # telemetry on.
-        telemetry_guard="hash" if args.slo_out else None,
-    )
+        telemetry="inmemory" if args.slo_out else "noop",
+    ))
     report = scenario.run()
     print(report.to_text(), file=out)
     trail = scenario.platform.guarantor_inquiry()
@@ -343,18 +319,12 @@ def _cmd_federate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace, out) -> int:
-    from repro.obs.slo import SLO_ALERT_TOPIC, SLOEngine
+    from repro.obs.slo import SLO_ALERT_TOPIC
 
-    if args.drops and args.scenario != "federated":
-        raise ConfigurationError(
-            f"--drops {args.drops} scripts link-level drops and --scenario "
-            f"{args.scenario} has no links to drop; use --scenario federated")
-    scenario, controller = _observed_scenario(args, args.guard,
-                                              scripted_drops=args.drops)
+    scenario = _scenario(args, scripted_drops=args.drops, runtime=RuntimeConfig(
+        telemetry="inmemory", telemetry_guard=args.guard))
     scenario.run()
-    engine = SLOEngine(controller.telemetry)
-    report = engine.evaluate()
-    engine.alert(controller.bus, report)
+    report = scenario.slo_report()
     print(report.to_text(), file=out)
     print(f"alerts: {len(report.breaches())} published on {SLO_ALERT_TOPIC}",
           file=out)
@@ -373,15 +343,13 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
         stitched_lines,
     )
 
-    scenario, controller = _observed_scenario(args, per_node_telemetry=True)
+    scenario = _scenario(args, per_node_telemetry=True,
+                         runtime=RuntimeConfig(telemetry="inmemory"))
     scenario.run()
-    if args.scenario == "federated":
-        exports = scenario.platform.trace_exports()
-        rendered = ", ".join(
-            f"{node}={len(lines)}" for node, lines in exports.items())
-        print(f"per-node span exports: {rendered}", file=out)
-    else:
-        exports = {"local": controller.telemetry.trace_export()}
+    exports = scenario.platform.trace_exports()
+    rendered = ", ".join(
+        f"{node}={len(lines)}" for node, lines in exports.items())
+    print(f"per-node span exports: {rendered}", file=out)
     traces = stitch(exports)
     summary = stitch_summary(traces)
     print(f"stitched: {summary['traces']} traces / {summary['spans']} spans "
@@ -409,7 +377,7 @@ def _cmd_kernel(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, out) -> int:
-    scenario = _css_scenario(args)
+    scenario = _scenario(args)
     workload = scenario.generate_workload()
     consumers = list(DEFAULT_CONSUMERS)
     print(scenario.run(workload).exposure.to_row(), file=out)
@@ -426,7 +394,7 @@ def _cmd_compare(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace, out) -> int:
-    scenario = _css_scenario(args)
+    scenario = _scenario(args)
     scenario.run()
     monitor = ProcessMonitor(scenario.controller,
                              suppression_threshold=args.threshold)
@@ -765,7 +733,7 @@ def _cmd_inspect(args: argparse.Namespace, out) -> int:
 
 #: The synthetic run every single-scenario command sizes.
 _RUN = ("--events", "--patients", "--rate", "--seed")
-#: ``--scenario`` where it picks the one controller or the federation.
+#: ``--scenario`` where it picks one node or ``--nodes``.
 _OBSERVED = {"default": "federated", "known": ("default", "federated"),
              "help": "named scenario preset (default or federated)"}
 #: What the four workload-engine commands share after ``--scenario``.

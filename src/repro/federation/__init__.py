@@ -22,9 +22,9 @@ keeping its privacy model intact:
   side;
 * :mod:`~repro.federation.audit` — guarantor inquiries fan out to every
   node and merge one total-ordered, per-node-verified trail;
-* :mod:`~repro.federation.platform` / :mod:`~repro.federation.scenario` —
-  the N-node deployment facade and the seeded workload driver behind
-  ``repro federate`` and ``benchmarks/bench_federation.py``.
+* :mod:`~repro.federation.platform` — the N-node deployment facade
+  (N ≥ 1: a one-node platform is a federation of one, no link built)
+  every scenario and workload run is built on.
 """
 
 from repro.federation.audit import FederatedAuditEntry, FederatedAuditTrail
@@ -34,20 +34,12 @@ from repro.federation.membership import StaticMembership
 from repro.federation.node import FederationNode
 from repro.federation.platform import FederatedPlatform, RebalanceReport
 from repro.federation.ring import HashRing, subject_shard_key
-from repro.federation.scenario import (
-    FederatedScenario,
-    FederatedScenarioConfig,
-    FederatedScenarioReport,
-)
 
 __all__ = [
     "FederatedAuditEntry",
     "FederatedAuditTrail",
     "FederatedIndexStore",
     "FederatedPlatform",
-    "FederatedScenario",
-    "FederatedScenarioConfig",
-    "FederatedScenarioReport",
     "FederationNode",
     "HashRing",
     "Link",

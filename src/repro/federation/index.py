@@ -78,6 +78,16 @@ class FederatedIndexStore:
         """Mirrors the local index (the ablation knob applies per node)."""
         return self.local.encrypt_identity
 
+    @property
+    def registry(self):
+        """This shard's registry — what an archive or monitor of the node reads."""
+        return self.local.registry
+
+    @property
+    def sequence(self) -> int:
+        """This shard's nonce sequence counter."""
+        return self.local.sequence
+
     def _self_node(self):
         """This node's federation endpoint — every request leaves through
         its :meth:`~repro.federation.node.FederationNode.ask`."""

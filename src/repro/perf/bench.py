@@ -255,38 +255,22 @@ def build_federated_rig(perf: str, nodes: int, events: int = 80,
     one request tuple per (event, subscribed consumer) pair — the same
     pairs in both modes, so the timed loops issue identical work.
     """
-    from repro.federation.scenario import (
-        ROLE_PURPOSES,
-        FederatedScenario,
-        FederatedScenarioConfig,
-    )
     from repro.runtime.kernel import RuntimeConfig
+    from repro.sim.domain import DEFAULT_CONSUMERS, ROLE_PURPOSES
+    from repro.sim.scenario import CssScenario, ScenarioConfig
 
-    scenario = FederatedScenario(FederatedScenarioConfig(
+    scenario = CssScenario(ScenarioConfig(
         nodes=nodes, n_events=events, n_patients=patients, seed=seed,
         detail_request_rate=0.0, runtime=RuntimeConfig(perf=perf),
     ))
-    platform = scenario.platform
-    config = scenario.config
-    requests: list[tuple[str, str, str, str]] = []
-    for item in scenario.generate_workload():
-        producer_id = config.producer_assignment[item.template_name]
-        if item.offset_seconds > scenario.clock.now():
-            scenario.clock.set(item.offset_seconds)
-        notification = platform.publish(
-            producer_id, scenario.event_classes[item.template_name],
-            subject_id=item.patient.patient_id, subject_name=item.patient.name,
-            summary=item.summary, details=dict(item.details),
-        )
-        if notification is None:
-            continue
-        template = scenario.templates[item.template_name]
-        for consumer_id, role in config.consumers:
-            if not template.needed_fields.get(role):
-                continue
-            requests.append((consumer_id, item.template_name,
-                             notification.event_id, ROLE_PURPOSES[role]))
-    return platform, requests
+    requests = [
+        (consumer_id, item.template_name, notification.event_id,
+         ROLE_PURPOSES[role])
+        for item, notification in scenario.steps()
+        for consumer_id, role in DEFAULT_CONSUMERS
+        if scenario.templates[item.template_name].needed_fields.get(role)
+    ]
+    return scenario.platform, requests
 
 
 def run_federated_details(perf: str, nodes: int, iterations: int = 300,

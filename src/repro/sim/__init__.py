@@ -9,10 +9,13 @@ templates (blood tests, home-care visits, autonomy assessments, telecare
 alarms, ...), and reproducible event workloads that exercise every code
 path of the platform.
 
-* :mod:`~repro.sim.domain` — patients and organization descriptors;
+* :mod:`~repro.sim.domain` — patients, organization descriptors and the
+  deployment roster (who produces which class, who consumes, for what
+  purpose);
 * :mod:`~repro.sim.generators` — population, templates, workloads;
 * :mod:`~repro.sim.metrics` — disclosure/exposure accounting;
-* :mod:`~repro.sim.scenario` — the end-to-end CSS scenario runner used by
+* :mod:`~repro.sim.scenario` — the one seeded run (``deploy_roster``,
+  ``CssScenario`` over an N-node platform, N ≥ 1) used by the CLI,
   examples and benchmarks.
 """
 

@@ -91,6 +91,33 @@ ORGANIZATIONS: tuple[OrganizationSpec, ...] = (
     ),
 )
 
+#: Which purpose each consumer role declares on its requests.
+ROLE_PURPOSES: dict[str, str] = {
+    ROLE_FAMILY_DOCTOR: "healthcare-treatment",
+    ROLE_SOCIAL_WORKER: "healthcare-treatment",
+    ROLE_STATISTICIAN: "statistical-analysis",
+    ROLE_ADMINISTRATOR: "administration",
+}
+
+#: Template → producer assignment of the synthetic deployment.
+DEFAULT_PRODUCER_ASSIGNMENT: dict[str, str] = {
+    "BloodTest": "Hospital-S-Maria/Laboratory",
+    "HospitalDischarge": "Hospital-S-Maria",
+    "SpecialistReferral": "Hospital-S-Maria",
+    "HomeCareServiceEvent": "HomeAssist-Coop",
+    "MealDelivery": "HomeAssist-Coop",
+    "AutonomyAssessment": "Municipality-Trento/SocialServices",
+    "TelecareAlarm": "TelecareSpA",
+}
+
+#: Consumers (actor id, role) of the synthetic deployment.
+DEFAULT_CONSUMERS: tuple[tuple[str, str], ...] = (
+    ("FamilyDoctors/Dr-Rossi", ROLE_FAMILY_DOCTOR),
+    ("Municipality-Trento/SocialWorkers", ROLE_SOCIAL_WORKER),
+    ("Province-Trentino/Statistics", ROLE_STATISTICIAN),
+    ("Province-Trentino/SocialWelfare", ROLE_ADMINISTRATOR),
+)
+
 #: Municipalities patients live in.
 MUNICIPALITIES = ("Trento", "Rovereto", "Pergine", "Arco", "Riva", "Levico")
 

@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 from repro.clock import Clock
 from repro.exceptions import AccessDeniedError
 from repro.federation.platform import FederatedPlatform
-from repro.federation.scenario import deploy_roster
 from repro.obs.benchreport import LATENCY_KEYS
 from repro.obs.telemetry import PIPELINE_DURATION, InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
+from repro.sim.scenario import deploy_roster
 from repro.workload.config import CapacityConfig, WorkloadConfig
 from repro.workload.engine import OP_DETAILS, OP_PUBLISH, WorkloadEngine
 
@@ -76,8 +76,8 @@ def deploy_workload(
 ) -> dict[str, object]:
     """Install producers, event classes, tenants, policies, subscriptions.
 
-    The workload roster through the federation's one deployment routine
-    (:func:`~repro.federation.scenario.deploy_roster`).  Returns the
+    The workload roster through the one deployment routine
+    (:func:`~repro.sim.scenario.deploy_roster`).  Returns the
     declared event classes by template name.
     """
     return deploy_roster(

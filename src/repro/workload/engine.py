@@ -36,9 +36,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.crypto.hashing import canonical_json
-from repro.sim.domain import Patient
+from repro.sim.domain import (
+    DEFAULT_PRODUCER_ASSIGNMENT,
+    ROLE_PURPOSES,
+    Patient,
+)
 from repro.sim.generators import EventTemplate, standard_event_templates
-from repro.sim.scenario import DEFAULT_PRODUCER_ASSIGNMENT, ROLE_PURPOSES
 from repro.workload.arrivals import (
     OnOffProcess,
     PoissonProcess,

@@ -240,6 +240,15 @@ class TestPerfCommand:
 
 
 class TestParser:
+    def test_the_run_flags_default_to_the_config_defaults(self):
+        """One default each: ``n_patients`` was 50 in the config and 30 here."""
+        from repro.sim.scenario import ScenarioConfig
+
+        args, config = _build_parser().parse_args(["scenario"]), ScenarioConfig()
+        assert (args.patients, args.events, args.rate, args.seed) == (
+            config.n_patients, config.n_events, config.detail_request_rate,
+            config.seed) == (30, 200, 0.3, 2010)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")
@@ -472,11 +481,17 @@ class TestOneRejectionPath:
             f"several separated by commas; got '0'")
 
     def test_drops_on_a_scenario_without_links_is_refused(self):
-        """``--drops`` is "federated only": the default scenario used to
-        script no drop and say nothing."""
-        with pytest.raises(SystemExit, match="repro slo: --drops 3 .*"
-                                             "use --scenario federated"):
-            run_cli("slo", "--scenario", "default", "--drops", "3")
+        """``--drops`` needs links, and one node is one node however it is
+        asked for: ``--scenario default`` used to be refused by the CLI's
+        own check, ``--scenario federated --nodes 1`` to exit 0 having
+        dropped nothing.  The one check is ``ScenarioConfig``'s."""
+        for spelling in (("--scenario", "default"),
+                         ("--scenario", "federated", "--nodes", "1")):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli("slo", *spelling, "--drops", "2")
+            assert excinfo.value.code != 2  # not argparse's usage error
+            assert str(excinfo.value).startswith("repro slo: 2 scripted drops ")
+            assert "no links to drop" in str(excinfo.value)
 
 
 class TestKernelCommand:

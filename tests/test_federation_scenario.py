@@ -1,32 +1,53 @@
 """The federated scenario driver and the benchmark schema checker."""
 
 import copy
+from dataclasses import asdict
 
 import pytest
 
 from benchmarks import bench_federation, bench_obs_federation
 from benchmarks.bench_federation import SCHEMA_ID, build_summary, run_point
 from benchmarks.check_bench import validate
+from repro import RuntimeConfig
 from repro.exceptions import ConfigurationError
-from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
+from repro.runtime.backends import JsonlAuditSink
+from repro.sim.scenario import CssScenario, ScenarioConfig
+from repro.storage.segment import SegmentedLog
 
 
 def run_scenario(nodes: int, **overrides):
-    config = FederatedScenarioConfig(
+    config = ScenarioConfig(
         nodes=nodes, n_events=80, n_patients=15, seed=7, **overrides
     )
-    return FederatedScenario(config).run()
+    return CssScenario(config).run()
 
 
 class TestFederatedScenario:
     def test_functional_results_are_invariant_in_the_node_count(self):
+        # Sharding must not change WHAT happens, only where: the counters
+        # and the Fig. 1 exposure ledger are the same at every N.
+        def outcome(report):
+            return (report.events_published, report.events_blocked_by_consent,
+                    report.notifications_delivered, report.detail_requests,
+                    report.detail_permits, report.detail_denies,
+                    asdict(report.exposure))
+
         single = run_scenario(1)
-        double = run_scenario(2)
-        # Sharding must not change WHAT happens, only where.
-        assert double.events_published == single.events_published
-        assert double.notifications_delivered == single.notifications_delivered
-        assert double.detail_permits == single.detail_permits
-        assert double.detail_denies == single.detail_denies
+        assert single.detail_permits > 0 and single.exposure.disclosures > 0
+        for nodes in (2, 4):
+            report = run_scenario(nodes)
+            assert outcome(report) == outcome(single)
+            assert report.nodes == len(report.node_reports) == nodes
+            assert report.audit_chains_verified
+
+    def test_a_federation_of_one_never_builds_or_calls_a_link(self):
+        scenario = CssScenario(ScenarioConfig(
+            nodes=1, n_events=80, n_patients=15, seed=7))
+        report = scenario.run()
+        assert report.cross_node_hops == 0
+        assert scenario.platform.link_transcripts() == []
+        assert scenario.platform.membership.links() == ()
+        assert scenario.controller is scenario.platform.controller_of("node-0")
 
     def test_hops_appear_only_with_peers(self):
         assert run_scenario(1).cross_node_hops == 0
@@ -51,9 +72,11 @@ class TestFederatedScenario:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FederatedScenarioConfig(nodes=0)
+            ScenarioConfig(nodes=0)
         with pytest.raises(ConfigurationError):
-            FederatedScenarioConfig(detail_request_rate=1.5)
+            ScenarioConfig(detail_request_rate=1.5)
+        with pytest.raises(ConfigurationError, match="no links to drop"):
+            ScenarioConfig(nodes=1, scripted_drops=2)
 
 
 class TestBenchmarkSchema:
@@ -103,3 +126,24 @@ def test_a_malformed_node_list_exits_2_with_the_message(driver, capsys):
     assert driver.main(["--nodes", "1,x"]) == 2
     assert "--nodes '1,x' is not a comma-separated list" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_a_durable_group_commit_run_ends_settled(tmp_path, nodes):
+    """``run()`` ends with the barrier at every N.  The single-controller
+    driver had none: at seed 2010 it returned with 71 of 583 audit links
+    and all 200 index rows still in group-commit buffers."""
+    scenario = CssScenario(ScenarioConfig(
+        nodes=nodes, n_patients=30, n_events=200, seed=2010,
+        runtime=RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
+                              store="segmented", batch="on",
+                              data_dir=tmp_path)))
+    report = scenario.run()
+    indexed = 0
+    for node in scenario.platform.nodes():
+        cold = JsonlAuditSink(SegmentedLog(tmp_path / node.node_id / "audit"))
+        cold.verify_integrity()
+        live = node.controller.audit_log
+        assert (len(cold), cold.head_digest) == (len(live), live.head_digest)
+        indexed += len(SegmentedLog(tmp_path / node.node_id / "index"))
+    assert indexed == report.events_published == 200

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import json
 
-from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
+from repro import RuntimeConfig
 from repro.obs.slo import SLO_ALERT_TOPIC
 from repro.obs.stitch import stitch_summary, stitched_lines
+from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.conftest import build_federation
 
 
 def run_traced(seed: int = 7, nodes: int = 2, events: int = 40):
-    scenario = FederatedScenario(FederatedScenarioConfig(
+    scenario = CssScenario(ScenarioConfig(
         nodes=nodes, n_events=events, n_patients=8, seed=seed,
-        per_node_telemetry=True, telemetry_guard="hash",
+        per_node_telemetry=True, runtime=RuntimeConfig(telemetry="inmemory"),
     ))
     scenario.run()
     return scenario
@@ -129,9 +130,9 @@ class TestFederatedDeterminism:
 
 class TestScenarioSLO:
     def make_scenario(self, drops: int = 2):
-        return FederatedScenario(FederatedScenarioConfig(
-            nodes=2, n_events=80, n_patients=12, seed=5,
-            telemetry_guard="hash", scripted_drops=drops,
+        return CssScenario(ScenarioConfig(
+            nodes=2, n_events=80, n_patients=12, seed=5, scripted_drops=drops,
+            runtime=RuntimeConfig(telemetry="inmemory"),
         ))
 
     def test_scripted_drops_breach_link_delivery_deterministically(self):

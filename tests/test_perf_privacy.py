@@ -11,8 +11,8 @@ the slow paths do.
 import re
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
-from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 from repro.perf import CACHE_HITS, CACHE_MISSES
+from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.conftest import blood_test_schema
 
 SECRETS = ("pat-secret-9", "Maria", "Rossi", "Dr-Confidential")
@@ -105,9 +105,10 @@ class TestRejectGuardFederated:
         """The acceptance property of satellite (c): perf indexed, guard
         in reject mode, whole federated workload — no telemetry label
         anywhere on the fast paths carries identifying data."""
-        scenario = FederatedScenario(FederatedScenarioConfig(
+        scenario = CssScenario(ScenarioConfig(
             nodes=3, n_events=40, n_patients=8, seed=11,
-            telemetry_guard="reject",
+            runtime=RuntimeConfig(telemetry="inmemory",
+                                  telemetry_guard="reject"),
         ))
         report = scenario.run()  # TelemetryPrivacyError would abort this
         assert report.events_published > 0
@@ -117,7 +118,7 @@ class TestRejectGuardFederated:
         assert stats.hits or stats.misses
 
     def test_federated_link_transcripts_stay_clean_with_perf_on(self):
-        scenario = FederatedScenario(FederatedScenarioConfig(
+        scenario = CssScenario(ScenarioConfig(
             nodes=2, n_events=30, n_patients=6, seed=7,
         ))
         scenario.run()

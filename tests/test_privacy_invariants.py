@@ -30,7 +30,6 @@ from repro.audit.log import AuditAction
 from repro.audit.query import AuditQuery
 from repro.clock import Clock
 from repro.core.policy import DetailRequestSpec
-from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 from repro.obs.guard import TelemetryPrivacyError
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
@@ -231,8 +230,9 @@ def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
     memo the guard hands out — series, span attributes, bound spans, on
     either registry — nor any series key holds one of the raw values.
     """
-    scenario = FederatedScenario(FederatedScenarioConfig(
-        nodes=2, n_patients=6, n_events=40, seed=2010, telemetry_guard="hash"))
+    scenario = CssScenario(ScenarioConfig(
+        nodes=2, n_patients=6, n_events=40, seed=2010,
+        runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash")))
     scenario.run()
     telemetry = scenario.telemetry
     secrets: set[str] = set()

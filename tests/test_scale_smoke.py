@@ -29,7 +29,7 @@ class TestScale:
         assert report.exposure.overexposed == 0
         assert report.exposure.traced_fraction == 1.0
         assert report.detail_denies == 0
-        assert report.audit_chain_verified
+        assert report.audit_chains_verified
 
     def test_index_and_idmap_consistent(self, large_run):
         scenario, report = large_run

@@ -6,20 +6,32 @@ never duplicates sensitive data centrally, while every baseline breaks at
 least one of those properties.
 """
 
+import random
+import re
+from collections import Counter
+from dataclasses import asdict
+
 import pytest
 
+from repro import DataConsumer, DataController, DataProducer
 from repro.baselines import (
     FullPushBaseline,
     ManualExchangeBaseline,
     PointToPointSoaBaseline,
     WarehouseBaseline,
 )
-from repro.sim.scenario import (
+from repro.sim.domain import (
     DEFAULT_CONSUMERS,
     DEFAULT_PRODUCER_ASSIGNMENT,
-    CssScenario,
-    ScenarioConfig,
+    ROLE_PURPOSES,
 )
+from repro.sim.generators import (
+    SyntheticPopulation,
+    WorkloadGenerator,
+    standard_event_templates,
+)
+from repro.sim.metrics import DisclosureLedger
+from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +73,7 @@ class TestCssScenario:
     def test_full_traceability(self, scenario_run):
         _, _, report = scenario_run
         assert report.exposure.traced_fraction == 1.0
-        assert report.audit_chain_verified
+        assert report.audit_chains_verified
 
     def test_no_denies_in_well_configured_deployment(self, scenario_run):
         _, _, report = scenario_run
@@ -148,3 +160,122 @@ class TestConsentInScenario:
         assert report.events_published == 0
         assert report.events_blocked_by_consent == len(workload)
         assert report.exposure.disclosures == 0
+
+
+# -- the deleted single-controller driver, kept as the reference ---------------
+
+
+def reference_run(seed: int, n_patients: int = 30, n_events: int = 200, rate: float = 0.3):
+    """The parent's ``_build`` + ``run``: everyone on ONE bare controller (a deny raises)."""
+    controller, templates = DataController(seed=f"scenario-{seed}"), standard_event_templates()
+    home, producers, consumers, classes = DEFAULT_PRODUCER_ASSIGNMENT, {}, {}, {}
+    for name, pid in home.items():
+        if pid not in producers:
+            producers[pid] = DataProducer(controller, pid, pid.replace("-", " "))
+        t = templates[name]
+        classes[name] = producers[pid].declare_event_class(
+            t.build_schema(), category=t.category, description=t.schema_factory().documentation)
+    for cid, role in DEFAULT_CONSUMERS:
+        consumers[cid] = DataConsumer(controller, cid, cid.replace("-", " "), role=role)
+        for name, t in templates.items():
+            if t.needed_fields.get(role):
+                producers[home[name]].define_policy(
+                    event_type=name, fields=list(t.needed_fields[role]), consumers=[(cid, "unit")],
+                    purposes=[ROLE_PURPOSES[role]], label=f"{role} access to {name}")
+                consumers[cid].subscribe(name)
+    deployed = sum(1 for _ in controller.audit_log.logical())
+    rng, counts, released = random.Random(seed + 1), Counter(), []
+    ledger = DisclosureLedger("CSS (two-phase)")
+    for item in WorkloadGenerator(seed=seed).generate(
+            SyntheticPopulation(n_patients, seed=seed), templates, n_events, 60.0):
+        name, t = item.template_name, templates[item.template_name]
+        controller.clock.set(max(controller.clock.now(), item.offset_seconds))
+        notification = producers[home[name]].publish(
+            classes[name], subject_id=item.patient.patient_id, subject_name=item.patient.name,
+            summary=item.summary, details=dict(item.details))
+        ledger.record_event()
+        counts["events_blocked_by_consent" if notification is None else "events_published"] += 1
+        if notification is None:
+            continue
+        ledger.add_bytes(len(notification.to_xml().encode()))
+        for consumer in consumers.values():
+            role, needed = consumer.actor.role, t.needed_fields.get(consumer.actor.role)
+            if not needed or not consumer.is_subscribed_to(name) or rng.random() >= rate:
+                continue
+            detail = consumer.request_details(notification, ROLE_PURPOSES[role])
+            counts["detail_permits"] += 1
+            ledger.add_bytes(len(detail.to_xml().encode()))
+            ledger.record_document(consumer.actor_id, role, name, detail.exposed_values(),
+                                   set(t.build_schema().sensitive_fields), set(needed), True)
+            released.append((consumer.actor_id, notification.event_id, sorted(detail.exposed_values())))
+    counts["notifications_delivered"] = sum(len(c.inbox) for c in consumers.values())
+    return controller, counts, ledger.summary(), released, deployed
+
+
+def cut(text: str, keep: str = r"\1-\2") -> str:
+    """Ids down to prefix-counter: the suffix hashes the seed string."""
+    return re.sub(r"\b([a-z]+)-(\d{6})-[0-9a-f]{12}\b", keep, text or "")
+
+
+def trail(log, start: int = 0, stop: int | None = None, **ids) -> list[tuple]:
+    return [(r.timestamp, r.actor, r.action, r.outcome, r.event_type,
+             r.purpose, cut(r.detail, **ids))
+            for r in list(log.logical())[start:stop]]
+
+
+class TestAgainstTheBareControllerReference:
+    """A one-node scenario is the single controller the paper describes:
+    same run, logically, as the driver this class replaced."""
+
+    @pytest.fixture(scope="class", params=[2010, 42])
+    def both(self, request):
+        seed = request.param
+        scenario = CssScenario(ScenarioConfig(nodes=1, seed=seed))
+        deployed = sum(1 for _ in scenario.controller.audit_log.logical())
+        released = []
+        request_details = scenario.platform.request_details
+
+        def spy(consumer_id, event_type, event_id, purpose):
+            detail = request_details(consumer_id, event_type, event_id, purpose)
+            released.append((consumer_id, event_id,
+                             sorted(detail.exposed_values())))
+            return detail
+
+        scenario.platform.request_details = spy
+        report = scenario.run()
+        return (scenario, report, released, deployed), reference_run(seed)
+
+    def test_every_counter_and_exposure_field_is_equal(self, both):
+        (_, report, _, _), (controller, counts, exposure, _, _) = both
+        controller.audit_log.verify_integrity()
+        assert {name: getattr(report, name) for name in counts} == dict(counts)
+        assert report.detail_permits > 0 and report.events_published == 200
+        assert (report.detail_requests, report.detail_denies, report.endpoint_calls,
+                report.subscriptions, report.audit_records) == (
+            counts["detail_permits"], 0, controller.endpoints.total_calls(),
+            controller.bus.subscription_count, len(controller.audit_log))
+        assert asdict(report.exposure) == asdict(exposure)
+        assert report.cross_node_hops == 0
+
+    def test_the_same_fields_are_released_to_the_same_consumers(self, both):
+        (_, _, released, _), (_, _, _, expected, _) = both
+        assert [(consumer, cut(event_id), names)
+                for consumer, event_id, names in released] == [
+            (consumer, cut(event_id), names)
+            for consumer, event_id, names in expected]
+
+    def test_the_run_time_audit_trail_is_equal_in_order(self, both):
+        (scenario, _, _, deployed), (controller, _, _, _, expected) = both
+        assert deployed == expected
+        assert trail(scenario.controller.audit_log, deployed) == trail(
+            controller.audit_log, expected)
+
+    def test_the_deployment_records_are_equal_as_a_multiset(self, both):
+        """``deploy_roster`` registers every consumer before the first
+        policy; the deleted ``_build`` interleaved them."""
+        (scenario, _, _, deployed), (controller, _, _, _, _) = both
+        # Policy ids count in definition order, so here the counter goes too.
+        ours = trail(scenario.controller.audit_log, 0, deployed, keep=r"\1")
+        theirs = trail(controller.audit_log, 0, deployed, keep=r"\1")
+        assert ours != theirs
+        assert Counter(ours) == Counter(theirs)

@@ -119,6 +119,27 @@ class TestArchiveRoundTrip:
         assert len(restored.policies) == len(controller.policies)
         assert "BloodTest" in restored.catalog
 
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_a_federation_node_archives_and_restores(self, tmp_path, nodes):
+        """``save`` used to die on ``controller.index.registry``: only the
+        bare index had one.  A node's archive is that node's shard."""
+        from repro.sim.scenario import CssScenario, ScenarioConfig
+
+        scenario = CssScenario(ScenarioConfig(
+            nodes=nodes, n_patients=10, n_events=40, seed=5))
+        scenario.run()
+        for node in scenario.platform.nodes():
+            archive = PlatformArchive(tmp_path / node.node_id)
+            archive.save(node.controller)
+            restored = archive.restore("css-platform-secret")
+            restored.audit_log.verify_integrity()
+            assert len(restored.index) == len(node.controller.index) > 0
+            assert (restored.audit_log.head_digest
+                    == node.controller.audit_log.head_digest)
+            assert len(restored.policies) == len(node.controller.policies)
+        assert sum(len(node.controller.index)
+                   for node in scenario.platform.nodes()) == 40
+
     def test_restored_index_identity_still_decrypts(self, tmp_path):
         controller, hospital, doctor, notifications = build_busy_platform()
         archive = PlatformArchive(tmp_path / "snap")

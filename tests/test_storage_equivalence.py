@@ -144,33 +144,17 @@ class TestSegmentedRestart:
 
 
 class TestScenarioEquivalence:
-    def test_css_scenario_identical_across_store_kinds(self, tmp_path):
+    @staticmethod
+    def identical_across_store_kinds(tmp_path, nodes: int, seed: int) -> None:
         from repro.sim.scenario import CssScenario, ScenarioConfig
-
-        heads, reports = {}, {}
-        for store in ("jsonl", "segmented"):
-            runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                    store=store, data_dir=tmp_path / store)
-            scenario = CssScenario(ScenarioConfig(
-                n_patients=8, n_events=40, seed=5, runtime=runtime))
-            report = scenario.run(scenario.generate_workload())
-            heads[store] = scenario.controller.audit_log.head_digest
-            reports[store] = report.to_text()
-        assert heads["jsonl"] == heads["segmented"]
-        assert reports["jsonl"] == reports["segmented"]
-
-    def test_federated_scenario_identical_across_store_kinds(self, tmp_path):
-        from repro.federation.scenario import (
-            FederatedScenario,
-            FederatedScenarioConfig,
-        )
 
         node_heads, reports = {}, {}
         for store in ("jsonl", "segmented"):
             runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
                                     store=store, data_dir=tmp_path / store)
-            scenario = FederatedScenario(FederatedScenarioConfig(
-                nodes=2, n_patients=8, n_events=40, seed=7, runtime=runtime))
+            scenario = CssScenario(ScenarioConfig(
+                nodes=nodes, n_patients=8, n_events=40, seed=seed,
+                runtime=runtime))
             report = scenario.run()
             node_heads[store] = {
                 node.node_id: node.controller.audit_log.head_digest
@@ -179,19 +163,23 @@ class TestScenarioEquivalence:
         assert node_heads["jsonl"] == node_heads["segmented"]
         assert reports["jsonl"] == reports["segmented"]
         # Each node kept its own durable subdirectory, segmented on disk.
+        assert len(node_heads["segmented"]) == nodes
         for node_id in node_heads["segmented"]:
             assert list((tmp_path / "segmented" / node_id / "audit")
                         .glob("*.seg"))
 
+    def test_css_scenario_identical_across_store_kinds(self, tmp_path):
+        self.identical_across_store_kinds(tmp_path, nodes=1, seed=5)
+
+    def test_federated_scenario_identical_across_store_kinds(self, tmp_path):
+        self.identical_across_store_kinds(tmp_path, nodes=2, seed=7)
+
     def test_federated_rehome_tombstones_are_durable(self, tmp_path):
-        from repro.federation.scenario import (
-            FederatedScenario,
-            FederatedScenarioConfig,
-        )
+        from repro.sim.scenario import CssScenario, ScenarioConfig
 
         runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
                                 store="segmented", data_dir=tmp_path / "fed")
-        scenario = FederatedScenario(FederatedScenarioConfig(
+        scenario = CssScenario(ScenarioConfig(
             nodes=2, n_patients=8, n_events=40, seed=7, runtime=runtime))
         scenario.run()
         rebalance = scenario.platform.add_node()

@@ -33,7 +33,6 @@ from repro.audit.query import AuditQuery
 from repro.bus.delivery import DeliveryEngine
 from repro.clock import Clock
 from repro.core.messages import NotificationMessage
-from repro.federation.scenario import FederatedScenario, FederatedScenarioConfig
 from repro.obs.benchreport import scenario_summary
 from repro.obs.guard import (
     DEFAULT_BLOCKED_KEYS,
@@ -222,9 +221,13 @@ def test_reset_leaves_no_stale_bound_series():
 # -- (b) exports and span counts of the commit before the memo ----------------
 
 #: sha256 of ``"\n".join(export)`` computed at the parent commit (789ee60).
+#: ``css`` is the one-node run.  Its metrics digest was re-pinned when the
+#: single-controller driver went and the run became a federation of one
+#: (one more gauge, ``federation.node.queue_depth``); its trace digest and
+#: both ``federated`` digests did not move.
 PINNED = {
     "css": ("6d539ad5738503237a3af3d484d1cde3de8c6a7f1ab58a691ab5afed881cec47",
-            "af82ab212a3e6c7775fa55c9ed1a9bc35f80e0b21c0c26cd8621856888229e2e"),
+            "ed4570b30a961793e4e9825de43e974c8b2115281ea56d7a268056015cce6490"),
     "federated": (
         "c650119396f9b731b6e773e0fc422ec44d8e93bcd94c476ad8ec2e337d56cd25",
         "4f42244acb0b96dcb0e233271af4162d0258fa4d8ec00c16768b7481fc26a6a5"),
@@ -236,9 +239,11 @@ PINNED = {
 #: where there were 233 / 203 + 114) and id suffixes went from 4 to 12 hex
 #: digits; the *logical* trail did not move and has its own pin,
 #: ``tests/test_audit_fanout.py::LOGICAL_SHA256``.  NOTIFY recipients keep
-#: their registration order.
+#: their registration order.  ``css`` re-pinned again with the one driver
+#: (``deploy_roster``'s deployment order, seed string ``fedsc-2010-node-0``
+#: inside ids; same 171 links); ``federated`` did not move.
 PINNED_AUDIT_HEADS = {
-    "css": ["e2b65ab9e18cd0a476b8a60dd2e734540929fe05cc7320f1f88d38c69410e13d"],
+    "css": ["474cb932f555817e7d6b699f9db15cdd8f98d753990b3e06962b3909c3c0d0cb"],
     "federated": [
         "eb6134a84f6312a7cea38e2466b0146df3d8090bd5f86d88a924500008181b9d",
         "58fc26f0636d1b12c6a20c4e5f7bc13fd476393105f851ec1d567f709af78317"],
@@ -257,16 +262,16 @@ def css_scenario() -> CssScenario:
     return scenario
 
 
-def federated_scenario() -> FederatedScenario:
-    scenario = FederatedScenario(FederatedScenarioConfig(
+def federated_scenario() -> CssScenario:
+    scenario = CssScenario(ScenarioConfig(
         nodes=2, n_patients=10, n_events=60, seed=2010,
-        telemetry_guard="hash"))
+        runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash")))
     scenario.run()
     return scenario
 
 
 def css_telemetry() -> InMemoryTelemetry:
-    return css_scenario().controller.telemetry
+    return css_scenario().telemetry
 
 
 def federated_telemetry() -> InMemoryTelemetry:
