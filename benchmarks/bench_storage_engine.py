@@ -133,8 +133,7 @@ def _equivalence(base: Path) -> dict:
     heads = {}
     records = 0
     for store in ("jsonl", "segmented"):
-        runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                store=store, data_dir=base / f"equiv-{store}")
+        runtime = RuntimeConfig(store=store, data_dir=base / f"equiv-{store}")
         scenario = CssScenario(ScenarioConfig(
             n_patients=10, n_events=60, seed=5, runtime=runtime))
         scenario.run(scenario.generate_workload())

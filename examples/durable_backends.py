@@ -1,19 +1,19 @@
-"""Durable kernel backends: a platform that survives a restart.
+"""Durable backends: a platform that survives a restart.
 
-The service-kernel refactor makes every controller collaborator a named,
-swappable implementation.  This example runs a small deployment on the
-JSONL-backed events index and audit sink (``RuntimeConfig(index_store=
-"jsonl", audit_sink="jsonl")``), then rebuilds both stores from the files
-alone — the notifications (identity slots sealed on disk, decrypted only
-through the keystore) and the hash-chained audit trail all replay, and
-tampering with the audit file is detected at load time.
+A node is durable iff its runtime has a data directory: this example runs
+a small deployment under ``RuntimeConfig(data_dir=..., store="segmented")``
+— the events index and the audit log then write through to the storage
+engine's checksummed segment logs — and rebuilds both from the directory
+alone.  The notifications (identity slots sealed on disk, decrypted only
+through the keystore) and the hash-chained audit trail all replay, and a
+doctored audit row is detected at load time even when its frame checksum
+was recomputed.
 
 Run with::
 
     python examples/durable_backends.py
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -21,6 +21,8 @@ from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import TamperedLogError
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+from repro.storage.engine import StorageEngine
+from repro.storage.segment import encode_frame
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import DecimalType, StringType
 
@@ -37,15 +39,15 @@ def main() -> None:
     data_dir = Path(tempfile.mkdtemp(prefix="css-durable-"))
     print(f"data directory: {data_dir}\n")
 
-    # -- phase 1: run a platform on the JSONL backends ---------------------
+    # -- phase 1: run a platform over the data directory -------------------
     controller = DataController(
         seed="durable",
-        runtime=RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                              data_dir=data_dir),
+        runtime=RuntimeConfig(data_dir=data_dir, store="segmented"),
     )
-    print("kernel wiring:", {
+    print("wiring:", {
         "index": type(controller.index).__name__,
         "audit": type(controller.audit_log).__name__,
+        "store": controller.store.kind,
     })
     hospital = DataProducer(controller, "Hospital-S-Maria", "Hospital S. Maria")
     blood = hospital.declare_event_class(blood_test_schema())
@@ -69,14 +71,15 @@ def main() -> None:
           f"{len(controller.audit_log)} audit records\n")
 
     # -- phase 2: what actually sits on disk -------------------------------
-    first_row = json.loads((data_dir / "index.jsonl").read_text().splitlines()[0])
+    store = StorageEngine(data_dir)  # a cold reopen, as after a restart
+    first_row = next(store.log("index").iter_records())
     print("first index row on disk (identity slots sealed):")
     print(f"  subjectRef slot: {first_row['slots']['subjectRef'][0][:44]}...\n")
 
-    # -- phase 3: rebuild both stores from the files alone -----------------
-    reloaded_index = JsonlIndexStore(data_dir / "index.jsonl",
+    # -- phase 3: rebuild both stores from the directory alone -------------
+    reloaded_index = JsonlIndexStore(store.log("index"),
                                      KeyStore("css-platform-secret"))
-    reloaded_audit = JsonlAuditSink(data_dir / "audit.jsonl")
+    reloaded_audit = JsonlAuditSink(store.log("audit"))
     reloaded_audit.verify_integrity()
     print(f"replayed {len(reloaded_index)} notifications "
           f"(nonce sequence restored to {reloaded_index.sequence}) and "
@@ -85,17 +88,19 @@ def main() -> None:
     print(f"decrypted through the keystore: subject={replayed.subject_ref!r}, "
           f"display={replayed.subject_display!r}\n")
 
-    # -- phase 4: tampering with the audit file is detected ----------------
-    audit_path = data_dir / "audit.jsonl"
-    lines = audit_path.read_text().splitlines()
-    doctored = json.loads(lines[0])
+    # -- phase 4: tampering with the audit trail is detected ---------------
+    # Rewrite the first audit row under a *valid* frame checksum: the
+    # segment log accepts the frame, the hash chain does not.
+    segment = store.log("audit").segments()[0].path
+    frames = segment.read_bytes().splitlines(keepends=True)
+    doctored = next(store.log("audit").iter_records())
     doctored["actor"] = "someone-else"
-    lines[0] = json.dumps(doctored)
-    audit_path.write_text("\n".join(lines) + "\n")
+    frames[0] = encode_frame(1, doctored)
+    segment.write_bytes(b"".join(frames))
     try:
-        JsonlAuditSink(audit_path)
+        JsonlAuditSink(StorageEngine(data_dir).log("audit"))
     except TamperedLogError as exc:
-        print(f"tampered audit file rejected on replay: {exc}")
+        print(f"tampered audit trail rejected on replay: {exc}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ this module's two tables (``OPTIONS``: every option, stated once;
 :class:`~repro.sim.scenario.CssScenario`, on one node here and under
 ``--scenario default``, on ``--nodes`` where a command takes them — and
 prints its report (optionally archiving the resulting platform;
-``--durable DIR`` runs it on the JSONL-backed index/audit kernel
-backends writing into ``DIR/node-0``);
+``--durable DIR`` gives it a data directory, so index and audit log
+write through to ``DIR/node-0``);
 ``compare`` prints the CSS-vs-baselines table; ``monitor`` prints the
 governing body's aggregated view; ``telemetry`` reruns the scenario on
 the in-memory telemetry backend and prints per-stage latency percentiles
@@ -223,8 +223,7 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
                 f"so pick a new or empty directory (old runs stay readable "
                 f"through JsonlIndexStore/JsonlAuditSink, see "
                 f"examples/durable_backends.py)")
-        runtime = replace(runtime, index_store="jsonl", audit_sink="jsonl",
-                          store=args.store, data_dir=args.durable)
+        runtime = replace(runtime, store=args.store, data_dir=args.durable)
     scenario = _scenario(args, runtime=runtime)
     print(scenario.run().to_text(), file=out)
     if args.durable:

@@ -17,12 +17,14 @@ policy" (§4).  Its responsibilities, each a method below:
 * **resolve events-index inquiries**, also policy-gated;
 * **maintain audit logs** of every access for the privacy guarantor.
 
-Collaborators with a real choice — events index, audit sink, store engine,
-telemetry, scheduler, perf layer, batching — are resolved by name through
-the :mod:`~repro.runtime.kernel` (see
+Collaborators with a real choice — store engine, telemetry, scheduler, perf
+layer, batching — are resolved by name through the
+:mod:`~repro.runtime.kernel` (see
 :class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, bus, endpoint
 detail fetcher and policy enforcer have one implementation each and are
-constructed here.  Both hot paths — notification publish and
+constructed here, and so are the events index and the audit log, whose
+kind follows from facts: durable iff the runtime has a ``data_dir``,
+sharded iff a federation membership was handed in.  Both hot paths — notification publish and
 request-for-details — run through the stage pipelines of
 :mod:`repro.runtime.interceptors`.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.audit.log import AuditAction, AuditOutcome, mint_record
+from repro.audit.log import AuditAction, AuditLog, AuditOutcome, mint_record
 from repro.bus.broker import ServiceBus
 from repro.bus.endpoints import EndpointRegistry
 from repro.bus.envelope import Envelope
@@ -49,6 +51,7 @@ from repro.core.elicitation import (
 from repro.core.enforcement import DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.idmap import EventIdMap
+from repro.core.index import EventsIndex
 from repro.core.messages import NotificationMessage
 from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
@@ -60,6 +63,7 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.ids import IdFactory
+from repro.runtime.batching import BatchWriter
 from repro.runtime.interceptors import (
     PUBLISH,
     REQUEST_DETAILS,
@@ -89,9 +93,10 @@ class DataController:
     """The CSS platform's central node.
 
     ``runtime`` selects the named implementation of every collaborator
-    that has a choice (defaults reproduce the historical all-in-memory
-    wiring); ``kernel`` overrides the registry those names are resolved
-    against.
+    that has a choice and says where (if anywhere) the node's logs live;
+    ``kernel`` overrides the registry those names are resolved against;
+    ``services_context`` is what a federated platform hands its nodes
+    (membership and node identity, its telemetry, scheduler settings).
     """
 
     def __init__(
@@ -111,25 +116,43 @@ class DataController:
         self.kernel = kernel or default_kernel()
         self.keystore = KeyStore(master_secret)
         # One construction context for every kernel-built collaborator:
-        # ``services_context`` (the federated platform passes its
-        # membership/node identity through here so factories like the
-        # federated index can reach them) under this controller's own
-        # values, and each service joins it under its kind as it is built —
-        # the key later factories read it by (the batched-execution policy,
-        # ``None`` when off, reaches the durable backends and the federated
-        # index as ``batch``, the store provider as ``store``, ...).
+        # ``services_context`` under this controller's own values, and each
+        # service joins it under its kind as it is built — the key later
+        # factories read it by.  A service handed in under its kind (the
+        # platform's telemetry) is used as it is, whatever the name says.
         context = {
             **(services_context or {}),
             "clock": self.clock, "master_secret": master_secret,
             "telemetry_guard": self.runtime.telemetry_guard,
             "data_dir": self.runtime.data_dir,
             "batch_size": self.runtime.batch_size,
-            "keystore": self.keystore, "encrypt_identity": encrypt_identity,
         }
         for kind, config_field, attribute in WIRING:
-            context[kind] = self.kernel.create(
-                kind, getattr(self.runtime, config_field), **context)
+            if kind not in context:
+                context[kind] = self.kernel.create(
+                    kind, getattr(self.runtime, config_field), **context)
             setattr(self, attribute, context[kind])
+        # Index and audit log follow from facts, not names.  A data
+        # directory means the durable pair over the store provider's logs
+        # (group-committed when batching is on), none the reference pair;
+        # a membership means this node holds one shard of a federated index.
+        if self.runtime.data_dir is None:
+            index = EventsIndex(self.keystore, encrypt_identity=encrypt_identity)
+            self.audit_log = AuditLog()
+        else:
+            # Lazy like the federated index below: both import this module.
+            from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+
+            index = JsonlIndexStore(self._durable_log("index"), self.keystore,
+                                    encrypt_identity=encrypt_identity)
+            self.audit_log = JsonlAuditSink(self._durable_log("audit"))
+        if "membership" in context:
+            from repro.federation.index import FederatedIndexStore
+
+            index = FederatedIndexStore(
+                local=index, membership=context["membership"],
+                node_id=context["node_id"], perf=self.perf, batch=self.batch)
+        self.index = index
         self.telemetry.attach_profiler(self.profiler)
         self.telemetry.attach_recorder(self.recorder)
         self._sched_gate = SchedulerGate(self.sched, self.clock)
@@ -202,6 +225,14 @@ class DataController:
             lambda request: self._inquire_endpoint(request),
             "Events-index inquiry",
         )
+
+    def _durable_log(self, name: str):
+        """The named record log of this node's store provider, behind a
+        group-commit writer when batching is on."""
+        log = self.store.log(name)
+        if self.batch is None:
+            return log
+        return BatchWriter(log, batch_size=self.batch.batch_size)
 
     def flush_storage(self) -> None:
         """Group-commit barrier over every durable backend of this node.

@@ -11,8 +11,8 @@ keeping its privacy model intact:
   injection, retry through the bus's :class:`~repro.bus.delivery.DeliveryPolicy`;
 * :mod:`~repro.federation.membership` — the static ring of nodes and the
   link table;
-* :mod:`~repro.federation.index` — the sharded events index (kernel kind
-  ``index``: ``federated``), storing sealed entries on their owner shard;
+* :mod:`~repro.federation.index` — the sharded events index a controller
+  with a membership builds, storing sealed entries on their owner shard;
 * :mod:`~repro.federation.node` — both halves of every cross-node
   operation: the handler table a node serves and the one client call
   (``FederationNode.ask``) every request leaves through.  The

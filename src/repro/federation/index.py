@@ -1,4 +1,4 @@
-"""The sharded events index (kernel kind ``index: federated``).
+"""The sharded events index (what a controller handed a membership builds).
 
 Wraps each node's local :class:`~repro.core.index.EventsIndex` and routes
 by subject ownership: a notification is stored on the ring owner of its

@@ -12,7 +12,9 @@ logical CSS platform:
   class lives on its producer's home node, and so do the policies its
   producer defines — which is what makes home-node enforcement possible;
 * the events index is partitioned across nodes by the consistent-hash
-  ring over keyed subject digests (kernel kind ``index: federated``);
+  ring over keyed subject digests (each controller wraps its local index
+  in a :class:`~repro.federation.index.FederatedIndexStore` because it
+  was handed the membership);
 * cross-node subscriptions and requests-for-details are forwarded by the
   consumer's :class:`~repro.federation.node.FederationNode`; decisions
   always run on the producer's home node, and gating, delivery and
@@ -109,11 +111,7 @@ class FederatedPlatform:
             telemetry=self.telemetry,
             label_guard=self._node_guard if per_node_telemetry else None,
         )
-        # Batched execution (kernel kind ``batch``): group-commit work
-        # amortization.  The first operation of every batch_size-long run
-        # pays the fixed service cost, later ones the marginal unit cost.
-        self._batching = self._base_runtime.batch == "on"
-        self._batch_size = max(1, self._base_runtime.batch_size)
+        # Positions within the current batch, per node (see ``_amortized``).
         self._publish_seq: dict[str, int] = {}
         self._index_seq: dict[str, int] = {}
         self._producers: dict[str, DataProducer] = {}
@@ -133,12 +131,7 @@ class FederatedPlatform:
         data_dir = self._base_runtime.data_dir
         if data_dir is not None:
             data_dir = Path(data_dir) / node_id
-        node_runtime = replace(
-            self._base_runtime,
-            index_store="federated",
-            telemetry="shared",
-            data_dir=data_dir,
-        )
+        node_runtime = replace(self._base_runtime, data_dir=data_dir)
         if self.per_node_telemetry:
             # One backend per node, sharing the federation clock and guard;
             # the site prefix keeps span ids globally unique so stitched
@@ -163,7 +156,7 @@ class FederatedPlatform:
             services_context={
                 "membership": self.membership,
                 "node_id": node_id,
-                "shared_telemetry": node_telemetry,
+                "telemetry": node_telemetry,
                 "sched_config": self._sched_config,
             },
         )
@@ -306,7 +299,7 @@ class FederatedPlatform:
         the subject's owner shard (possibly another node)."""
         home = self._producer_home[producer_id]
         node = self.membership.node(home)
-        node.work.add(self._amortized(self._publish_seq, home,
+        node.work.add(self._amortized(self._publish_seq, node,
                                       PUBLISH_COST, PUBLISH_UNIT_COST))
         notification = self._producers[producer_id].publish(
             event_class, subject_id, subject_name, summary, details,
@@ -317,24 +310,26 @@ class FederatedPlatform:
             if owner == home:
                 # Remote stores charge the owner through the link handler;
                 # local stores are charged here.
-                node.work.add(self._amortized(self._index_seq, home,
+                node.work.add(self._amortized(self._index_seq, node,
                                               INDEX_COST, INDEX_UNIT_COST))
         node.record_queue_depth()
         return notification
 
-    def _amortized(self, counters: dict[str, int], home: str,
+    def _amortized(self, counters: dict[str, int], node: FederationNode,
                    fixed: float, unit: float) -> float:
-        """The simulated service cost of one operation on ``home``.
+        """The simulated service cost of one operation on ``node``.
 
-        Unbatched: always the fixed cost.  Batched: the first operation
-        of each ``batch_size``-long run pays the fixed cost (the write
-        and flush of the group commit), the rest the marginal unit cost.
-        A batch size of 1 therefore costs exactly the unbatched figure.
+        Unbatched: always the fixed cost.  Batched (the node's one
+        ``BatchPolicy``): the first operation of each ``batch_size``-long
+        run pays the fixed cost (the write and flush of the group commit),
+        the rest the marginal unit cost.  A batch size of 1 therefore
+        costs exactly the unbatched figure.
         """
-        if not self._batching:
+        policy = node.controller.batch
+        if policy is None:
             return fixed
-        position = counters.get(home, 0)
-        counters[home] = (position + 1) % self._batch_size
+        position = counters.get(node.node_id, 0)
+        counters[node.node_id] = (position + 1) % policy.batch_size
         return fixed if position == 0 else unit
 
     # -- subscriptions -------------------------------------------------------

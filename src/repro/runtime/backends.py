@@ -19,10 +19,9 @@ byte-identical across both — rows are serialized by
 ``AuditRecord.to_payload`` / ``RegistryObject.to_row`` whatever log they
 land in.
 
-Select them through the kernel::
+A controller whose runtime has a data directory builds the pair itself::
 
-    RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                  store="segmented", data_dir="...")
+    RuntimeConfig(data_dir="...", store="segmented")
 
 Replay streams (:meth:`RecordLog.iter_records`), so restart memory is
 bounded by one record, not by the log.

@@ -1,15 +1,20 @@
 """The service kernel — the platform's single composition root.
 
-Every collaborator of the :class:`~repro.core.controller.DataController`
-that has more than one implementation (index store, audit sink, store
-engine, telemetry, scheduler, ...) is constructed here, by *name*, from a
-registry of factories.  The controller, CLI, examples and benchmarks all
-build their service graph through one kernel, so swapping a backend —
-say the in-memory events index for the JSONL-backed one — is a
+One wiring rule: **a name picks between real alternatives, a fact is
+read.**  Every collaborator of the
+:class:`~repro.core.controller.DataController` with interchangeable
+implementations (store engine, telemetry, scheduler, perf layer, ...) is
+constructed here, by *name*, from a registry of factories, so swapping one
+— say the flat-file store for the segmented engine — is a
 :class:`RuntimeConfig` field, not an edit to the controller:
 
     >>> controller = DataController(runtime=RuntimeConfig(
-    ...     index_store="jsonl", audit_sink="jsonl", data_dir="/tmp/css"))
+    ...     data_dir="/tmp/css", store="segmented"))
+
+What follows from a fact has no name: a node is durable iff it has a
+``data_dir``, sharded iff it was handed a membership, observed by the
+telemetry it was handed — the controller reads those and constructs its
+events index and audit log directly.
 
 Factories receive the construction context (clock, ids, keystore, paths,
 ...) as keyword arguments and may ignore what they don't need.  They
@@ -31,9 +36,9 @@ ServiceFactory = Callable[..., Any]
 
 #: Service kinds the default kernel wires: the collaborators with a real
 #: choice.  What has one implementation (keystore, bus, enforcer, endpoint
-#: fetcher, federation membership) its owner constructs directly.
-KIND_INDEX = "index"
-KIND_AUDIT = "audit"
+#: fetcher, federation membership) its owner constructs directly, and so
+#: does the controller its events index and audit log: which pair it gets
+#: follows from facts (a data directory, a membership), not from a name.
 KIND_TELEMETRY = "telemetry"
 KIND_SLO = "slo"
 KIND_PROFILING = "profiling"
@@ -60,19 +65,24 @@ WIRING: tuple[tuple[str, str, str], ...] = (
     (KIND_SCHED, "sched", "sched"),
     (KIND_STORE, "store", "store"),
     (KIND_BATCH, "batch", "batch"),
-    (KIND_INDEX, "index_store", "index"),
-    (KIND_AUDIT, "audit_sink", "audit_log"),
 )
+
+
+#: The spellings ``index_store`` / ``audit_sink`` still accept.
+_STORAGE_SPELLINGS = ("jsonl", "memory")
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Named implementation choices for one platform instance.
-
-    The defaults reproduce the historical all-in-memory wiring; ``jsonl``
-    backends additionally need ``data_dir``.
+    """Named implementation choices for one platform instance, plus the
+    one storage fact: ``data_dir`` given means a durable events index and
+    audit log under it (``store`` picks the format, ``batch`` group-commits
+    them), none means both in memory.
     """
 
+    #: Select nothing: ``data_dir`` decides.  Kept, and checked below, only
+    #: while the wall ledger's frozen ``PROD`` passes them by keyword
+    #: (ROADMAP item 2d deletes both).
     index_store: str = "memory"
     audit_sink: str = "memory"
     telemetry: str = "noop"
@@ -89,7 +99,7 @@ class RuntimeConfig:
     #: "none" (the linear-scan ablation baseline).  Decisions and audit
     #: trails are identical either way; only the speed differs.
     perf: str = "indexed"
-    #: Durable store engine behind the jsonl index/audit backends:
+    #: Durable store engine behind the index/audit logs of a ``data_dir``:
     #: "jsonl" (flat files, the ablation baseline) or "segmented" (the
     #: storage engine — segmented checksummed logs with compaction,
     #: snapshots and point-in-time recovery).  Decisions and audit
@@ -116,7 +126,26 @@ class RuntimeConfig:
     #: transitions and bus saturation events — the raw material for
     #: incident bundles, cheap enough to stay on in every scenario).
     recorder: str = "noop"
+    #: Where this node's index and audit logs live; ``None`` keeps both in
+    #: memory.
     data_dir: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        # The one place a storage spelling is refused.
+        for field_name in ("index_store", "audit_sink"):
+            name = getattr(self, field_name)
+            if name not in _STORAGE_SPELLINGS:
+                raise ConfigurationError(
+                    f"unknown {field_name} {name!r};"
+                    f"{suggest(name, _STORAGE_SPELLINGS)} "
+                    f"available: {', '.join(_STORAGE_SPELLINGS)}"
+                )
+            if name == "jsonl" and self.data_dir is None:
+                raise ConfigurationError(
+                    "'jsonl' storage needs RuntimeConfig.data_dir"
+                )
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
 
 
 class ServiceKernel:
@@ -195,66 +224,6 @@ def _inmemory_telemetry(**context: Any) -> Any:
         clock=context["clock"],
         guard_mode=context.get("telemetry_guard", "hash"),
         secret=context.get("master_secret", "css-telemetry"),
-    )
-
-
-def _memory_index(**context: Any) -> Any:
-    from repro.core.index import EventsIndex
-
-    return EventsIndex(
-        context["keystore"],
-        encrypt_identity=context.get("encrypt_identity", True),
-    )
-
-
-def _durable_log(context: dict, name: str) -> Any:
-    """The named record log from the runtime's store provider (``WIRING``
-    builds ``store`` before the kinds that write to it), behind a
-    group-commit writer when batching is on."""
-    log = context["store"].log(name)
-    policy = context.get("batch")
-    if policy is None:
-        return log
-    from repro.runtime.batching import BatchWriter
-
-    return BatchWriter(log, batch_size=policy.batch_size)
-
-
-def _jsonl_index(**context: Any) -> Any:
-    from repro.runtime.backends import JsonlIndexStore
-
-    return JsonlIndexStore(
-        _durable_log(context, "index"),
-        context["keystore"],
-        encrypt_identity=context.get("encrypt_identity", True),
-    )
-
-
-def _memory_audit(**context: Any) -> Any:
-    from repro.audit.log import AuditLog
-
-    return AuditLog()
-
-
-def _jsonl_audit(**context: Any) -> Any:
-    from repro.runtime.backends import JsonlAuditSink
-
-    return JsonlAuditSink(_durable_log(context, "audit"))
-
-
-def _federated_index(**context: Any) -> Any:
-    from repro.federation.index import FederatedIndexStore
-
-    # Durable deployment: this node's shard writes through to its own
-    # index log, so rehome tombstones and adopted entries survive a
-    # restart (the store kind decides flat-file vs segmented).
-    durable = context.get("data_dir") is not None
-    return FederatedIndexStore(
-        local=(_jsonl_index if durable else _memory_index)(**context),
-        membership=context["membership"],
-        node_id=context["node_id"],
-        perf=context.get("perf"),
-        batch=context.get("batch"),
     )
 
 
@@ -366,24 +335,11 @@ def _ring_recorder(**context: Any) -> Any:
     )
 
 
-def _shared_telemetry(**context: Any) -> Any:
-    # The federated platform shares one telemetry instance across all its
-    # node controllers; the factory just hands it through the kernel so the
-    # controller's wiring stays uniform.
-    return context["shared_telemetry"]
-
-
 def default_kernel() -> ServiceKernel:
     """A kernel pre-loaded with every in-tree implementation."""
     kernel = ServiceKernel()
-    kernel.register(KIND_INDEX, "memory", _memory_index)
-    kernel.register(KIND_INDEX, "jsonl", _jsonl_index)
-    kernel.register(KIND_INDEX, "federated", _federated_index)
-    kernel.register(KIND_AUDIT, "memory", _memory_audit)
-    kernel.register(KIND_AUDIT, "jsonl", _jsonl_audit)
     kernel.register(KIND_TELEMETRY, "noop", _noop_telemetry)
     kernel.register(KIND_TELEMETRY, "inmemory", _inmemory_telemetry)
-    kernel.register(KIND_TELEMETRY, "shared", _shared_telemetry)
     kernel.register(KIND_SLO, "noop", _noop_slo)
     kernel.register(KIND_SLO, "default", _default_slo)
     kernel.register(KIND_PROFILING, "noop", _noop_profiler)

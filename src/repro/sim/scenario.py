@@ -65,8 +65,8 @@ class ScenarioConfig:
     #: (the retry budget redelivers them) — degrades the link-delivery SLO
     #: without failing any call.
     scripted_drops: int = 0
-    #: Base runtime of every node controller (the platform still forces
-    #: the federation-specific fields and per-node data subdirectories):
+    #: Base runtime of every node controller (the platform changes only
+    #: ``data_dir``, to the node's own subdirectory):
     #: the perf layer, scheduler, batching and durable backends of a run,
     #: and its telemetry — on iff ``telemetry="inmemory"``, guarded by
     #: ``telemetry_guard``.

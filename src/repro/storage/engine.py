@@ -228,11 +228,15 @@ class JsonlStore:
 
     def __init__(self, data_dir: str | Path | None = None) -> None:
         self._data_dir = data_dir
+        self._logs: dict[str, JsonlRecordLog] = {}
 
     def log(self, name: str) -> JsonlRecordLog:
-        """The named log as ``<data_dir>/<name>.jsonl``."""
-        base = _require_data_dir(self._data_dir, self.kind)
-        return JsonlRecordLog(base / f"{name}.jsonl")
+        """The named log as ``<data_dir>/<name>.jsonl`` — one object per
+        name, so every holder of the log shares its record count."""
+        if name not in self._logs:
+            base = _require_data_dir(self._data_dir, self.kind)
+            self._logs[name] = JsonlRecordLog(base / f"{name}.jsonl")
+        return self._logs[name]
 
 
 #: The name the kernel, the wall driver and the tests build the provider under.

@@ -49,8 +49,7 @@ def _point(workload: WorkloadConfig, nodes: int, store: str,
     """One durable capacity point in a throwaway data directory."""
     with tempfile.TemporaryDirectory(prefix="bench-batch-") as data_dir:
         runtime = RuntimeConfig(
-            index_store="jsonl", audit_sink="jsonl", store=store,
-            data_dir=data_dir, batch=batch, batch_size=batch_size,
+            store=store, data_dir=data_dir, batch=batch, batch_size=batch_size,
         )
         return run_point(workload, nodes, runtime, collect_decisions=True)
 

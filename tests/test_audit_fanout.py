@@ -333,8 +333,7 @@ def durable(tmp_path, **runtime):
     waits for ``bus.dispatch()``, so a run can be left open."""
     controller = DataController(
         seed="fanout", auto_dispatch=False,
-        runtime=RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                              store="segmented", data_dir=tmp_path, **runtime))
+        runtime=RuntimeConfig(store="segmented", data_dir=tmp_path, **runtime))
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
     hospital.define_policy(

@@ -151,8 +151,7 @@ class TestAppendMany:
 
 
 def build_world(tmp_path, store, batch, batch_size=256):
-    runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                            store=store, data_dir=tmp_path,
+    runtime = RuntimeConfig(store=store, data_dir=tmp_path,
                             batch=batch, batch_size=batch_size)
     controller = DataController(seed="batchequiv", runtime=runtime)
     hospital = DataProducer(controller, "Hospital", "Hospital")
@@ -242,8 +241,7 @@ class TestGroupCommitDurability:
         controller.flush_storage()
 
         restarted = DataController(seed="batchequiv", runtime=RuntimeConfig(
-            index_store="jsonl", audit_sink="jsonl", store="segmented",
-            data_dir=tmp_path, batch="on", batch_size=4))
+            store="segmented", data_dir=tmp_path, batch="on", batch_size=4))
         restarted.audit_log.verify_integrity()
         assert len(restarted.audit_log) == len(controller.audit_log)
         assert restarted.audit_log.head_digest == controller.audit_log.head_digest
@@ -363,9 +361,7 @@ class TestFlushBarriers:
         assert link.stats.calls == calls + 1
 
     def test_flush_batches_drains_durable_buffers(self, tmp_path):
-        deployment = self.batched_federation(
-            index_store="jsonl", audit_sink="jsonl",
-            store="jsonl", data_dir=tmp_path)
+        deployment = self.batched_federation(store="jsonl", data_dir=tmp_path)
         platform = deployment.platform
         for i in range(4):
             deployment.publish_blood_test(subject_id=f"pat-{i}")

@@ -1,20 +1,28 @@
 """Service kernel and durable-backend tests.
 
-Pins the composition-root contract: collaborators resolve by name through
-the kernel, unknown names fail with the platform's configuration error,
-the in-memory implementations satisfy the runtime protocols, and the
-JSONL index/audit pair survives a restart (with tamper detection on the
-audit chain).
+Pins the composition-root contract: collaborators with a real choice
+resolve by name through the kernel, unknown names fail with the platform's
+configuration error, what follows from a fact (durable iff a data
+directory, sharded iff a membership, observed by the telemetry handed in)
+is read — the same way by a bare controller and under a platform — the
+in-memory implementations satisfy the runtime protocols, and the JSONL
+index/audit pair survives a restart (with tamper detection on the audit
+chain).
 """
 
 import json
 from dataclasses import fields
+from itertools import count, product
 
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig, default_kernel
+from repro.audit.log import AuditAction, AuditLog, AuditOutcome
+from repro.core.index import EventsIndex
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import ConfigurationError, TamperedLogError
+from repro.federation.index import FederatedIndexStore
+from repro.federation.platform import FederatedPlatform
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.runtime.interfaces import (
     AuditSink,
@@ -26,7 +34,7 @@ from repro.runtime.interfaces import (
     PolicyDecisionPoint,
 )
 from repro.runtime.kernel import WIRING, ServiceKernel
-from tests.conftest import blood_test_schema
+from tests.conftest import blood_test_schema, build_federation
 
 
 def build_world(runtime=None):
@@ -51,9 +59,7 @@ class TestKernelRegistry:
     def test_default_wiring_table(self):
         kernel = default_kernel()
         wiring = kernel.wiring()
-        assert wiring["index"] == ("federated", "jsonl", "memory")
-        assert wiring["audit"] == ("jsonl", "memory")
-        assert wiring["telemetry"] == ("inmemory", "noop", "shared")
+        assert wiring["telemetry"] == ("inmemory", "noop")
         assert wiring["slo"] == ("default", "noop")
         assert wiring["profiling"] == ("noop", "sampling")
         assert wiring["perf"] == ("indexed", "none")
@@ -61,41 +67,51 @@ class TestKernelRegistry:
         assert wiring["sched"] == ("fair", "none")
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
-        # Only collaborators with a real choice are kernel kinds; the
-        # design-size CI step fails past these two numbers.
-        assert set(wiring) == {"audit", "batch", "index", "perf",
-                               "profiling", "recorder", "sched", "slo",
-                               "store", "telemetry"}
-        assert len(wiring) == 10
+        # Only collaborators with a real choice are kernel kinds (index and
+        # audit follow from ``data_dir``); the design-size CI step fails
+        # past these two numbers.
+        assert set(wiring) == {"batch", "perf", "profiling", "recorder",
+                               "sched", "slo", "store", "telemetry"}
+        assert len(wiring) == 8
         assert len(fields(RuntimeConfig)) == 13
+        # No name stands for a fact.
+        assert not {"federated", "shared"} & {
+            name for names in wiring.values() for name in names}
 
     def test_unknown_kind_and_name_are_configuration_errors(self):
         kernel = default_kernel()
         with pytest.raises(ConfigurationError, match="unknown service kind"):
             kernel.create("blockchain", "memory")
-        with pytest.raises(ConfigurationError, match="no 'index' implementation"):
-            kernel.create("index", "postgres")
+        with pytest.raises(ConfigurationError, match="no 'store' implementation"):
+            kernel.create("store", "postgres")
+        # Index and audit are no longer kinds: nothing to name.
+        with pytest.raises(ConfigurationError, match="unknown service kind"):
+            kernel.create("index", "memory")
 
     def test_unknown_name_error_lists_implementations_and_suggests(self):
         kernel = default_kernel()
         with pytest.raises(ConfigurationError,
-                           match=r"available: federated, jsonl, memory") as excinfo:
-            kernel.create("index", "jsonll")
+                           match=r"available: jsonl, segmented") as excinfo:
+            kernel.create("store", "jsonll")
         assert "did you mean 'jsonl'?" in str(excinfo.value)
         with pytest.raises(ConfigurationError,
                            match="did you mean 'telemetry'"):
             kernel.create("telemetryy", "noop")
 
     def test_jsonl_backend_without_data_dir_fails_fast(self):
-        with pytest.raises(ConfigurationError, match="data_dir"):
-            DataController(runtime=RuntimeConfig(index_store="jsonl"))
+        with pytest.raises(ConfigurationError,
+                           match="needs RuntimeConfig.data_dir"):
+            RuntimeConfig(index_store="jsonl")
+        with pytest.raises(ConfigurationError,
+                           match="needs RuntimeConfig.data_dir"):
+            RuntimeConfig(audit_sink="jsonl")
 
     def test_custom_registration_overrides(self):
         kernel = default_kernel()
         sentinel = object()
-        kernel.register("audit", "null", lambda **ctx: sentinel)
-        assert kernel.create("audit", "null") is sentinel
-        assert "null" in kernel.implementations("audit")
+        kernel.register("store", "null", lambda **ctx: sentinel)
+        assert kernel.create("store", "null") is sentinel
+        assert "null" in kernel.implementations("store")
 
     def test_controller_collaborators_satisfy_the_protocols(self):
         controller, hospital, blood, doctor = build_world()
@@ -133,10 +149,9 @@ class TestControllerWiring:
     def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
             self, tmp_path):
         runtime = RuntimeConfig(
-            index_store="jsonl", audit_sink="jsonl", telemetry="inmemory",
-            slo="default", profiling="sampling", perf="none",
-            store="segmented", sched="fair", batch="on", recorder="ring",
-            data_dir=tmp_path)
+            telemetry="inmemory", slo="default", profiling="sampling",
+            perf="none", store="segmented", sched="fair", batch="on",
+            recorder="ring", data_dir=tmp_path)
         kernel = RecordingKernel()
         controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
         assert kernel.asked == [(kind, getattr(runtime, config_field))
@@ -169,10 +184,181 @@ class TestControllerWiring:
             assert context["clock"] is controller.clock
 
 
+#: Deployments the wiring rule must read the same facts under: a bare
+#: controller, and every node of a one- and a two-node platform.
+ARMS = {"bare": 0, "1-node": 1, "2-node": 2}
+
+
+def controllers_of(arm: str, **config) -> list[DataController]:
+    """The arm's controllers, each built from ``RuntimeConfig(**config)``."""
+    runtime = RuntimeConfig(**config)
+    if not ARMS[arm]:
+        return [DataController(seed="rule", runtime=runtime)]
+    platform = FederatedPlatform(shards=ARMS[arm], runtime=runtime)
+    return [node.controller for node in platform.nodes()]
+
+
+def storage_state(arm, tmp_path, durable, **config):
+    """What the arm's storage came to: the refusal's text, or (local index
+    class, audit class, audit rows on disk right after one append) — the
+    same on every node."""
+    if durable:
+        config["data_dir"] = tmp_path / arm
+    try:
+        nodes = controllers_of(arm, **config)
+    except ConfigurationError as refusal:
+        return str(refusal)
+    states = set()
+    for controller in nodes:
+        sharded = isinstance(controller.index, FederatedIndexStore)
+        assert sharded == bool(ARMS[arm])
+        local = controller.index.local if sharded else controller.index
+        controller.record_audit("probe", AuditAction.JOIN, AuditOutcome.PERMIT)
+        on_disk = len(controller.store.log("audit")) if durable else None
+        states.add((type(local), type(controller.audit_log), on_disk))
+    assert len(states) == 1
+    return states.pop()
+
+
+class TestOneWiringRule:
+    """A name picks between real alternatives, a fact is read: a node is
+    durable iff it has a data directory — whatever ``index_store`` /
+    ``audit_sink`` spell, bare or under a platform."""
+
+    @pytest.mark.parametrize(
+        "index_store, audit_sink, durable, batch, batch_size",
+        list(product(("memory", "jsonl", "federated"),
+                     ("memory", "jsonl", "jsonll"),
+                     (False, True), ("off", "on"), (0, 1, 4))))
+    def test_every_spelling_ends_in_the_same_state_on_every_arm(
+            self, tmp_path, index_store, audit_sink, durable, batch,
+            batch_size):
+        config = {"index_store": index_store, "audit_sink": audit_sink,
+                  "batch": batch, "batch_size": batch_size}
+        states = {arm: storage_state(arm, tmp_path, durable, **config)
+                  for arm in ARMS}
+        assert len(set(states.values())) == 1, states
+        state = states["bare"]
+        names = {index_store, audit_sink}
+        if (names - {"memory", "jsonl"} or batch_size < 1
+                or ("jsonl" in names and not durable)):
+            assert isinstance(state, str)
+        elif durable:
+            committed = 1 if batch == "off" or batch_size == 1 else 0
+            assert state == (JsonlIndexStore, JsonlAuditSink, committed)
+        else:
+            assert state == (EventsIndex, AuditLog, None)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_a_data_directory_alone_means_the_durable_pair(self, arm, tmp_path):
+        # At the parent: audit in memory under a platform, both in memory
+        # (directory ignored) on a bare controller.
+        assert storage_state(arm, tmp_path, durable=True) == (
+            JsonlIndexStore, JsonlAuditSink, 1)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_jsonl_without_a_directory_is_refused_in_one_wording(self, arm, tmp_path):
+        # At the parent a platform fell back to memory without a word.
+        refusals = {storage_state(arm, tmp_path, durable=False, **{name: "jsonl"})
+                    for name in ("index_store", "audit_sink")}
+        assert refusals == {"'jsonl' storage needs RuntimeConfig.data_dir"}
+
+    def test_a_storage_typo_is_refused_with_a_suggestion(self):
+        with pytest.raises(ConfigurationError) as refusal:
+            RuntimeConfig(audit_sink="jsonll")
+        assert str(refusal.value) == (
+            "unknown audit_sink 'jsonll'; did you mean 'jsonl'? "
+            "available: jsonl, memory")
+
+    def test_no_name_stands_for_a_fact(self):
+        # ``federated`` / ``shared`` used to reach factories that died on
+        # a bare ``KeyError: 'membership'`` / ``'shared_telemetry'``.
+        with pytest.raises(ConfigurationError, match="unknown index_store"):
+            RuntimeConfig(index_store="federated")
+        with pytest.raises(ConfigurationError,
+                           match="no 'telemetry' implementation named 'shared'"):
+            DataController(runtime=RuntimeConfig(telemetry="shared"))
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_every_registered_name_builds_or_is_refused_never_a_key_error(
+            self, durable, tmp_path):
+        config_field = {kind: name for kind, name, _ in WIRING}
+        for kind, names in default_kernel().wiring().items():
+            for name in names:
+                config = {config_field[kind]: name}
+                if durable:
+                    config["data_dir"] = tmp_path / kind / name
+                try:
+                    DataController(seed="rule", runtime=RuntimeConfig(**config))
+                except ConfigurationError:
+                    pass  # refused in the platform's own words: fine
+
+    @pytest.mark.parametrize("batch", ["off", "on"])
+    def test_batch_size_below_one_is_refused_whatever_batch_says(self, batch):
+        # At the parent: accepted with "off", refused with "on", clamped
+        # to 1 by the platform's own copy.
+        for size in (0, -3):
+            with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+                RuntimeConfig(batch=batch, batch_size=size)
+
+    def test_the_platform_reads_each_nodes_one_batch_policy(self):
+        platform = FederatedPlatform(
+            shards=2, runtime=RuntimeConfig(batch="on", batch_size=7))
+        assert {node.controller.batch.batch_size
+                for node in platform.nodes()} == {7}
+        assert not {"_batching", "_batch_size"} & set(vars(platform))
+
+    def test_a_node_is_observed_by_the_telemetry_it_is_handed(self):
+        from repro.obs.telemetry import InMemoryTelemetry
+
+        handed = InMemoryTelemetry(clock=None)
+        controller = DataController(services_context={"telemetry": handed})
+        assert controller.telemetry is handed
+        platform = FederatedPlatform(shards=2, telemetry=handed)
+        assert all(node.controller.telemetry is handed
+                   for node in platform.nodes())
+
+    @pytest.mark.parametrize("store", ["jsonl", "segmented"])
+    def test_a_restart_replays_to_the_live_heads(self, store, tmp_path):
+        """The wall driver's ``recover_nodes``, on a platform given nothing
+        but a directory: fails at the parent, which kept the audit chain
+        of such a platform in memory (no audit log on disk)."""
+        deployment = build_federation(runtime=RuntimeConfig(
+            data_dir=tmp_path, store=store, batch="on"))
+        platform = deployment.platform
+        platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+        for index in range(12):
+            notification = deployment.publish_blood_test(subject_id=f"pat-{index}")
+            platform.request_details(
+                "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
+                "healthcare-treatment")
+        # A stored row carries its shard's nonce sequence; a seal whose
+        # entry shipped to another shard is not persisted at home (ROADMAP
+        # item 7), so end on an entry the sealing node keeps.
+        for published in count(12):
+            last = deployment.publish_blood_test(subject_id=f"pat-{published}")
+            if platform.membership.owner_of_subject(last.subject_ref) == "node-0":
+                break
+        platform.dispatch_all()
+        platform.flush_batches()
+        for node in platform.nodes():
+            reopened = default_kernel().create(
+                "store", store, data_dir=tmp_path / node.node_id)
+            audit = JsonlAuditSink(reopened.log("audit"))
+            audit.verify_integrity()
+            index = JsonlIndexStore(
+                reopened.log("index"), KeyStore("css-platform-secret"))
+            live = node.controller
+            assert len(audit) == len(live.audit_log) > 0
+            assert audit.head_digest == live.audit_log.head_digest
+            assert index.sequence == live.index.local.sequence
+        assert sum(len(node.controller.index)
+                   for node in platform.nodes()) == published + 1
+
+
 class TestJsonlBackends:
     def test_full_flow_on_jsonl_backends(self, tmp_path):
-        runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                data_dir=tmp_path)
+        runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         doctor.subscribe("BloodTest")
         notification = publish(hospital, blood)
@@ -184,7 +370,7 @@ class TestJsonlBackends:
         assert isinstance(controller.audit_log, JsonlAuditSink)
 
     def test_identity_slots_are_sealed_on_disk(self, tmp_path):
-        runtime = RuntimeConfig(index_store="jsonl", data_dir=tmp_path)
+        runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood, "secret-patient")
         rows = [json.loads(line) for line in
@@ -195,8 +381,7 @@ class TestJsonlBackends:
         assert "Mario Bianchi" not in blob
 
     def test_index_replay_restores_notifications_and_nonce_sequence(self, tmp_path):
-        runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                data_dir=tmp_path)
+        runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         first = publish(hospital, blood, "p1")
         publish(hospital, blood, "p2")
@@ -211,7 +396,7 @@ class TestJsonlBackends:
         assert replayed.subject_display == "Mario Bianchi"
 
     def test_audit_replay_verifies_the_hash_chain(self, tmp_path):
-        runtime = RuntimeConfig(audit_sink="jsonl", data_dir=tmp_path)
+        runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood)
         head = controller.audit_log.head_digest
@@ -229,7 +414,7 @@ class TestJsonlBackends:
             for index, record in enumerate(reloaded.records())]
 
     def test_tampered_audit_file_is_rejected_on_replay(self, tmp_path):
-        runtime = RuntimeConfig(audit_sink="jsonl", data_dir=tmp_path)
+        runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood)
         path = tmp_path / "audit.jsonl"

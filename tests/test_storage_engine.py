@@ -401,9 +401,24 @@ class TestStoreKind:
 
     def test_the_engine_is_its_own_provider(self, tmp_path):
         assert SegmentedStore is StorageEngine
-        store = SegmentedStore(tmp_path)
-        assert store.log("index") is store.log("index")  # what the wall
-        # driver's shims lean on: the log it wraps is the log the backend got
+        for provider in (SegmentedStore, JsonlStore):
+            store = provider(tmp_path / provider.kind)
+            assert store.log("index") is store.log("index")  # what the wall
+            # driver's shims lean on: the log it wraps is the log the backend got
+            assert store.log("index") is not store.log("audit")
+
+    @pytest.mark.parametrize("provider", [JsonlStore, SegmentedStore])
+    def test_appends_alternated_between_two_handles_count_as_one_log(
+            self, provider, tmp_path):
+        # Two handles over one flat file used to keep separate record
+        # counts: the four appends below returned 1 2 2 3.
+        store = provider(tmp_path)
+        first, second = store.log("index"), store.log("index")
+        assert [handle.append({"n": n}) for n, handle in
+                enumerate((first, second, first, second))] == [1, 2, 3, 4]
+        assert len(first) == len(second) == 4
+        assert [row["n"] for row in
+                provider(tmp_path).log("index").iter_records()] == [0, 1, 2, 3]
 
     def test_both_providers_word_the_missing_data_dir_alike(self):
         worded = set()
@@ -419,7 +434,6 @@ class TestStoreKind:
         from repro.runtime.kernel import RuntimeConfig
 
         controller = DataController(runtime=RuntimeConfig(
-            index_store="jsonl", audit_sink="jsonl",
             store="segmented", data_dir=tmp_path))
         assert isinstance(controller.store, SegmentedStore)
         assert (tmp_path / "index").is_dir()

@@ -19,8 +19,7 @@ from tests.conftest import blood_test_schema
 
 
 def build_world(tmp_path, store):
-    runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                            store=store, data_dir=tmp_path / store)
+    runtime = RuntimeConfig(store=store, data_dir=tmp_path / store)
     controller = DataController(seed="equiv", runtime=runtime)
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
@@ -150,8 +149,7 @@ class TestScenarioEquivalence:
 
         node_heads, reports = {}, {}
         for store in ("jsonl", "segmented"):
-            runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                    store=store, data_dir=tmp_path / store)
+            runtime = RuntimeConfig(store=store, data_dir=tmp_path / store)
             scenario = CssScenario(ScenarioConfig(
                 nodes=nodes, n_patients=8, n_events=40, seed=seed,
                 runtime=runtime))
@@ -177,8 +175,7 @@ class TestScenarioEquivalence:
     def test_federated_rehome_tombstones_are_durable(self, tmp_path):
         from repro.sim.scenario import CssScenario, ScenarioConfig
 
-        runtime = RuntimeConfig(index_store="jsonl", audit_sink="jsonl",
-                                store="segmented", data_dir=tmp_path / "fed")
+        runtime = RuntimeConfig(store="segmented", data_dir=tmp_path / "fed")
         scenario = CssScenario(ScenarioConfig(
             nodes=2, n_patients=8, n_events=40, seed=7, runtime=runtime))
         scenario.run()
