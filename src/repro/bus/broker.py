@@ -65,7 +65,6 @@ class ServiceBus:
         self._clock = clock or Clock()
         self._ids = ids or IdFactory()
         self._topics = TopicTree()
-        perf = perf if perf is not None and perf.enabled else None
         self._subscriptions = SubscriptionRegistry(
             indexed=perf is not None, perf=perf
         )
@@ -80,9 +79,7 @@ class ServiceBus:
         self._queue_high_water: dict[str, int] = {}
         self._queue_high_water_global = 0
         self._dead_letter_high_water = 0
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
         # The tenant scheduler (kernel kind "sched").  The bus only calls
         # methods on it — metering publishes/fan-out, asking whether a
         # subscriber's backlog must shed, draining the virtual server —
@@ -92,9 +89,7 @@ class ServiceBus:
         # telemetry so the bus stays import-free of repro.obs: saturation
         # transitions (shedding, high-water advances) leave a trail in
         # its ring for incident bundles to export.
-        self._recorder = (
-            recorder if recorder is not None and recorder.enabled else None
-        )
+        self._recorder = recorder
 
     # -- topics ------------------------------------------------------------
 

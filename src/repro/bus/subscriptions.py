@@ -75,7 +75,7 @@ class SubscriptionRegistry:
     def __init__(self, indexed: bool = False, perf=None) -> None:
         self._subscriptions: dict[str, Subscription] = {}
         self._indexed = indexed
-        self._perf = perf if perf is not None and perf.enabled else None
+        self._perf = perf
         self._order = 0
         self._trie = None
         if indexed:

@@ -120,6 +120,7 @@ class DataController:
         # service joins it under its kind as it is built — the key later
         # factories read it by.  A service handed in under its kind (the
         # platform's telemetry) is used as it is, whatever the name says.
+        # An off name builds nothing: the attribute is then ``None``.
         context = {
             **(services_context or {}),
             "clock": self.clock, "master_secret": master_secret,
@@ -153,8 +154,8 @@ class DataController:
                 local=index, membership=context["membership"],
                 node_id=context["node_id"], perf=self.perf, batch=self.batch)
         self.index = index
-        self.telemetry.attach_profiler(self.profiler)
-        self.telemetry.attach_recorder(self.recorder)
+        if self.telemetry is not None:
+            self.telemetry.attach_recorder(self.recorder)
         self._sched_gate = SchedulerGate(self.sched, self.clock)
         self.bus = ServiceBus(
             clock=self.clock, ids=self.ids, auto_dispatch=auto_dispatch,
@@ -176,11 +177,12 @@ class DataController:
         self._identity = None  # optional LocalIdentityProvider (future-work extension)
         # The perf layer's versioned caches validate against these three
         # epoch sources; binding happens once they all exist.
-        self.perf.bind(
-            repository=self.policies,
-            consent_resolver=self._consent.get,
-            endpoints=self.endpoints,
-        )
+        if self.perf is not None:
+            self.perf.bind(
+                repository=self.policies,
+                consent_resolver=self._consent.get,
+                endpoints=self.endpoints,
+            )
         self._fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
         self.enforcer = PolicyEnforcer(
             repository=self.policies, id_map=self.id_map,
@@ -323,7 +325,8 @@ class DataController:
         self.bus.declare_topic(event_class.topic)
         # Detail-payload keys are sensitive: registering them with the
         # telemetry guard keeps them out of metric labels / span attributes.
-        self.telemetry.restrict_keys(event_class.fields)
+        if self.telemetry is not None:
+            self.telemetry.restrict_keys(event_class.fields)
         self.record_audit(
             producer_id, AuditAction.DECLARE_EVENT_CLASS, AuditOutcome.PERMIT,
             event_type=event_class.name,
@@ -344,7 +347,8 @@ class DataController:
                 f"{event_class.producer_id!r}, not {producer_id!r}"
             )
         upgraded = self.catalog.upgrade(event_class)
-        self.telemetry.restrict_keys(upgraded.fields)
+        if self.telemetry is not None:
+            self.telemetry.restrict_keys(upgraded.fields)
         self.record_audit(
             producer_id, AuditAction.DECLARE_EVENT_CLASS, AuditOutcome.PERMIT,
             event_type=upgraded.name,

@@ -38,7 +38,6 @@ from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, ConfigurationError
 from repro.ids import IdFactory
-from repro.perf import perf_or_none
 from repro.runtime.interceptors import (
     REQUEST_DETAILS,
     Invocation,
@@ -128,7 +127,7 @@ class PolicyEnforcer:
         self._clock = clock
         self._ids = ids
         self._resolve_consent = consent_resolver or (lambda producer_id: None)
-        self._perf = perf_or_none(perf)
+        self._perf = perf
         self._pdp = PolicyDecisionPoint(telemetry=telemetry)
         self._pip = self._build_pip()
         self._pep = PolicyEnforcementPoint(

@@ -37,7 +37,6 @@ from repro.core.index import (
 from repro.core.messages import NotificationMessage
 from repro.exceptions import LinkFailureError, UnknownEventError
 from repro.federation.link import wire_message
-from repro.perf import perf_or_none
 from repro.registry.objects import LifecycleStatus, RegistryObject
 
 if TYPE_CHECKING:
@@ -63,7 +62,7 @@ class FederatedIndexStore:
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        self._perf = perf_or_none(perf)
+        self._perf = perf
         #: Batch policy (kernel kind ``batch: on``): remote stores
         #: coalesce into per-owner frames instead of one link call per
         #: entry.  ``None`` (``batch: off``) ships every entry alone.

@@ -98,9 +98,7 @@ class Link:
         self._clock = clock or Clock()
         self._fail_budget = 0
         self._failure_hook: Callable[[str, dict], bool] | None = None
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
         self._source_label = source_label or source
         self._target_label = target_label or target.node_id
 

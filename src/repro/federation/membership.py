@@ -143,7 +143,7 @@ class StaticMembership:
 
     def _link_telemetry(self, source_id: str):
         """The telemetry a link records against: the *source* node's own
-        backend when it has an enabled one (per-node deployments), else
+        backend when it has one (per-node deployments), else
         the membership-wide instance (shared deployments, or None)."""
         node = self._nodes.get(source_id)
         if node is not None and node.telemetry is not None:

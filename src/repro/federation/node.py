@@ -59,7 +59,6 @@ from repro.exceptions import (
 )
 from repro.obs.context import TraceContext
 from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
-from repro.perf import perf_or_none
 from repro.storage.schemas import type_from_dict, type_to_dict
 from repro.xmlmsg.document import XmlDocument
 
@@ -132,17 +131,13 @@ class FederationNode:
         self.membership = membership
         self.work = WorkMeter()
         self.hops_in = 0
-        #: The controller's telemetry when it records, else ``None`` —
-        #: what this node, its links and the platform's federation spans
-        #: record into.
-        telemetry = controller.telemetry
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        #: The controller's telemetry (``None`` when off) — what this
+        #: node, its links and the platform's federation spans record into.
+        self.telemetry = controller.telemetry
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         self._channel_seq = 0
         controller.keystore.create(self._channel_key)
-        self._perf = perf_or_none(controller.perf)
+        self._perf = controller.perf
         self._relay_frames = None
         if self._perf is not None:
             from repro.perf.wire_cache import SealedFrameCache

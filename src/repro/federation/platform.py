@@ -50,9 +50,14 @@ from repro.federation.node import (
 )
 from repro.obs.guard import PrivacyGuard
 from repro.obs.stitch import StitchedTrace, stitch
-from repro.obs.telemetry import InMemoryTelemetry, NoopTelemetry
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.interceptors import classify
-from repro.runtime.kernel import RuntimeConfig, ServiceKernel, default_kernel
+from repro.runtime.kernel import (
+    KIND_TELEMETRY,
+    RuntimeConfig,
+    ServiceKernel,
+    default_kernel,
+)
 from repro.xmlmsg.schema import MessageSchema
 
 
@@ -80,12 +85,10 @@ class FederatedPlatform:
         link_latency: float = 0.005,
         link_policy: DeliveryPolicy | None = None,
         per_node_telemetry: bool = False,
-        telemetry_guard: str = "hash",
         sched_config=None,
     ) -> None:
         self.clock = clock or Clock()
         self.kernel = kernel or default_kernel()
-        self.telemetry = telemetry if telemetry is not None else NoopTelemetry()
         self._master_secret = master_secret
         self._seed = seed
         self._encrypt_identity = encrypt_identity
@@ -93,23 +96,32 @@ class FederatedPlatform:
         # Optional repro.sched.SchedConfig every node's scheduler is built
         # with (service rate, buckets, penalty box); None keeps defaults.
         self._sched_config = sched_config
-        # Per-node telemetry: each node controller records into its own
-        # backend (site-prefixed span ids), all sharing one clock and one
-        # privacy guard so labels hash identically federation-wide; the
-        # platform-level ``telemetry`` then stays a noop and the stitch
-        # module reassembles the distributed trace from the per-node
-        # exports.
+        # A platform is observed by what its runtime names.  Shared (the
+        # default): the telemetry object handed in, else the one backend
+        # ``runtime.telemetry`` names, built as a bare controller would
+        # build its own — ``None`` when that is off.  Per-node: each node
+        # controller records into its own backend (site-prefixed span
+        # ids), all sharing one clock and one privacy guard so labels hash
+        # identically federation-wide; there is no platform-level backend
+        # then and the stitch module reassembles the distributed trace
+        # from the per-node exports.
         self.per_node_telemetry = per_node_telemetry
         self.node_telemetry: dict[str, InMemoryTelemetry] = {}
-        self._node_guard = (
-            PrivacyGuard(mode=telemetry_guard, secret=master_secret)
-            if per_node_telemetry else getattr(self.telemetry, "guard", None)
-        )
+        self._node_guard = None
+        if per_node_telemetry:
+            self._node_guard = PrivacyGuard(
+                mode=self._base_runtime.telemetry_guard, secret=master_secret)
+        elif telemetry is None:
+            telemetry = self.kernel.create(
+                KIND_TELEMETRY, self._base_runtime.telemetry,
+                clock=self.clock, master_secret=master_secret,
+                telemetry_guard=self._base_runtime.telemetry_guard)
+        self.telemetry = telemetry
         self.membership = StaticMembership(
             shards=shards, clock=self.clock, master_secret=master_secret,
             link_latency=link_latency, link_policy=link_policy,
             telemetry=self.telemetry,
-            label_guard=self._node_guard if per_node_telemetry else None,
+            label_guard=self._node_guard,
         )
         # Positions within the current batch, per node (see ``_amortized``).
         self._publish_seq: dict[str, int] = {}
@@ -487,18 +499,17 @@ class FederatedPlatform:
             node.record_queue_depth()
 
     def flight_recorders(self) -> dict[str, object]:
-        """Every node's enabled flight recorder, keyed by node id.
+        """Every node's flight recorder, keyed by node id.
 
         ``RuntimeConfig(recorder="ring")`` propagates to every node
-        controller through the base runtime; nodes running the noop
-        recorder are omitted, so incident capture iterates only over
-        rings that actually hold data.
+        controller through the base runtime; with recording off there is
+        none to return, so incident capture iterates only over rings that
+        actually hold data.
         """
-        recorders: dict[str, object] = {}
-        for node in self.nodes():
-            if node.controller.recorder.enabled:
-                recorders[node.node_id] = node.controller.recorder
-        return recorders
+        return {
+            node.node_id: node.controller.recorder for node in self.nodes()
+            if node.controller.recorder is not None
+        }
 
     def record_fairness(self) -> None:
         """Refresh every node's per-tenant fairness gauges.
@@ -517,15 +528,15 @@ class FederatedPlatform:
         """Per-node span exports, keyed by node id (sorted iteration order).
 
         With per-node telemetry each node contributes its own JSONL lines;
-        with one shared enabled backend everything appears under
-        ``"shared"``; with telemetry disabled the dict is empty.
+        with one shared backend everything appears under ``"shared"``;
+        with telemetry off the dict is empty.
         """
         if self.per_node_telemetry:
             return {
                 node_id: self.node_telemetry[node_id].trace_export()
                 for node_id in sorted(self.node_telemetry)
             }
-        if self.telemetry.enabled:
+        if self.telemetry is not None:
             return {"shared": self.telemetry.trace_export()}
         return {}
 

@@ -40,11 +40,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiling import NoopProfiler, SamplingProfiler
-from repro.obs.recorder import FlightRecorder, NoopFlightRecorder
+from repro.obs.profiling import SamplingProfiler
+from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import (
     SLO_ALERT_TOPIC,
-    NoopSLOEngine,
     SLObjective,
     SLOEngine,
     SLOReport,
@@ -62,7 +61,6 @@ from repro.obs.telemetry import (
     PIPELINE_OUTCOMES,
     STAGE_DURATION,
     InMemoryTelemetry,
-    NoopTelemetry,
 )
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Span, Tracer
@@ -79,10 +77,6 @@ __all__ = [
     "MODE_HASH",
     "MODE_REJECT",
     "MetricsRegistry",
-    "NoopFlightRecorder",
-    "NoopProfiler",
-    "NoopSLOEngine",
-    "NoopTelemetry",
     "PIPELINE_DURATION",
     "PIPELINE_OUTCOMES",
     "PrivacyGuard",

@@ -107,7 +107,7 @@ class IncidentMonitor:
     ) -> None:
         self.platform = platform
         self.timeseries = timeseries
-        self.slo = slo if slo is not None and slo.enabled else None
+        self.slo = slo
         self.clock = clock if clock is not None else platform.clock
         self.config = config or WatchdogConfig()
         self.source = source
@@ -272,7 +272,7 @@ def build_bundle(
         if report is not None:
             burn_objectives.extend(s.objective for s in report.breaches())
         associated = TRIGGER_OBJECTIVES.get(trigger_kind)
-        for objective in getattr(slo, "objectives", ()):
+        for objective in slo.objectives:
             if objective.name == associated and objective not in burn_objectives:
                 burn_objectives.append(objective)
         for objective in burn_objectives:

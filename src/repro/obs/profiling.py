@@ -32,27 +32,8 @@ SECTION_OPEN = "crypto.open"
 Labels = tuple[tuple[str, str], ...]
 
 
-class NoopProfiler:
-    """Profiling disabled (kernel kind ``profiling: noop``, the default)."""
-
-    enabled = False
-
-    def record(self, section: str, seconds: float, **labels: object) -> None:
-        """No-op."""
-
-    def snapshot(self) -> list[dict]:
-        """No samples."""
-        return []
-
-    def profile_lines(self) -> list[str]:
-        """No export."""
-        return []
-
-
 class SamplingProfiler:
     """Deterministic section profiler over the simulated clock."""
-
-    enabled = True
 
     def __init__(self, clock: Clock | None = None,
                  guard: PrivacyGuard | None = None) -> None:

@@ -18,10 +18,9 @@ a single monotonically increasing sequence counter shared by both rings,
 so ``timeline()`` — the merged, time-ordered view — is byte-stable
 across same-seed runs and merges cleanly across federation nodes.
 
-Like every kernel-resolved collaborator the recorder has a noop twin
-(``enabled = False``); hooks in the bus, scheduler and SLO engine guard
-with ``recorder is not None and recorder.enabled`` and pay nothing when
-recording is off.
+Off (``recorder: noop``, the default) builds nothing:
+``controller.recorder`` is ``None``, and the hooks in the bus, scheduler
+and SLO engine guard with ``recorder is not None`` and pay nothing.
 """
 
 from __future__ import annotations
@@ -39,40 +38,8 @@ EVENT_DEADLETTER = "bus.deadletter"
 EVENT_DEMOTION = "sched.penalty_demotion"
 
 
-class NoopFlightRecorder:
-    """The do-nothing backend (recording disabled)."""
-
-    enabled = False
-    frozen = False
-
-    def record(self, kind: str, **fields: object) -> None:
-        """No-op."""
-
-    def record_span(self, span) -> None:
-        """No-op."""
-
-    def freeze(self) -> dict:
-        """No-op; an empty snapshot."""
-        return {"frozen": False, "events": [], "spans": [],
-                "dropped_events": 0, "dropped_spans": 0}
-
-    def events(self) -> list[dict]:
-        return []
-
-    def spans(self) -> list[dict]:
-        return []
-
-    def timeline(self) -> list[dict]:
-        return []
-
-    def snapshot(self) -> dict:
-        return self.freeze()
-
-
 class FlightRecorder:
     """Bounded, guard-sanitised ring buffers of recent events and spans."""
-
-    enabled = True
 
     def __init__(
         self,

@@ -295,32 +295,20 @@ def windowed_burn_series(store, objective: SLObjective,
             for at in store.tick_times()]
 
 
-class NoopSLOEngine:
-    """SLO evaluation disabled (kernel kind ``slo: noop``, the default)."""
-
-    enabled = False
-
-    def evaluate(self) -> SLOReport:
-        """An empty report at t=0 — nothing is measured, nothing breaches."""
-        return SLOReport(evaluated_at=0.0, statuses=())
-
-    def alert(self, bus, report: SLOReport | None = None) -> int:
-        """No alerts."""
-        return 0
-
-
 class SLOEngine:
-    """Evaluates objectives against one telemetry backend."""
+    """Evaluates objectives against one telemetry backend.
 
-    enabled = True
+    A reader, not a controller collaborator: build ``SLOEngine(telemetry)``
+    where the report is wanted.
+    """
 
     def __init__(self, telemetry, objectives=None, timeseries=None,
                  recorder=None, short_window: float = DEFAULT_SHORT_WINDOW,
                  long_window: float = DEFAULT_LONG_WINDOW) -> None:
-        if not telemetry.enabled:
+        if telemetry is None:
             raise ConfigurationError(
-                "the SLO engine reads metric series; run it against an "
-                "enabled telemetry backend (RuntimeConfig(telemetry='inmemory'))"
+                "the SLO engine reads metric series; hand it a telemetry "
+                "backend (RuntimeConfig(telemetry='inmemory'))"
             )
         if short_window <= 0 or long_window < short_window:
             raise ConfigurationError(
@@ -336,8 +324,7 @@ class SLOEngine:
         self.timeseries = timeseries
         self.short_window = short_window
         self.long_window = long_window
-        self._recorder = (recorder if recorder is not None
-                          and recorder.enabled else None)
+        self._recorder = recorder
         self._alert_topic_declared = False
 
     # -- evaluation ----------------------------------------------------------

@@ -1,26 +1,23 @@
 """The ``Telemetry`` service: the kernel-resolved observability facade.
 
-Two backends, registered in the service kernel like every other
+One backend, registered in the service kernel like every other
 collaborator (``RuntimeConfig(telemetry="inmemory")``):
-
-* :class:`NoopTelemetry` (default) — every operation is a no-op and
-  ``enabled`` is ``False``, so the pipeline loop opens no span at all: an
-  un-instrumented platform pays nothing;
-* :class:`InMemoryTelemetry` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  plus a :class:`~repro.obs.tracing.Tracer` sharing one
-  :class:`~repro.obs.guard.PrivacyGuard`, timed against the platform's
-  simulated clock.
+:class:`InMemoryTelemetry` — a :class:`~repro.obs.metrics.MetricsRegistry`
+plus a :class:`~repro.obs.tracing.Tracer` sharing one
+:class:`~repro.obs.guard.PrivacyGuard`, timed against the platform's
+simulated clock.  Off (``telemetry: noop``, the default) is no object at
+all: ``controller.telemetry`` is ``None``, every instrumented module
+checks for that, and the pipeline loop opens no span — an un-instrumented
+platform pays nothing.
 
 The facade API is intentionally tiny — ``count``/``gauge``/``observe``,
-``span``, ``restrict_keys``, and on an enabled backend the bound
-``pipeline_span``/``stage_span`` the pipeline loop opens — so instrumented
-modules (bus broker, XACML PDP, stage pipelines) depend on nothing but
-this shape.
+``span``, ``restrict_keys``, and the bound ``pipeline_span``/``stage_span``
+the pipeline loop opens — so instrumented modules (bus broker, XACML PDP,
+stage pipelines) depend on nothing but this shape.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from types import MappingProxyType
 
 from repro.clock import Clock
@@ -44,45 +41,6 @@ WALL_BUCKETS: tuple[float, ...] = (
     0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
 )
-
-
-class NoopTelemetry:
-    """The do-nothing backend (telemetry disabled)."""
-
-    enabled = False
-    profiler = None
-
-    def count(self, name: str, amount: float = 1.0, **labels: object) -> None:
-        """No-op."""
-
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        """No-op."""
-
-    def observe(self, name: str, value: float, buckets=None, **labels: object) -> None:
-        """No-op."""
-
-    def restrict_keys(self, keys) -> None:
-        """No-op."""
-
-    @contextmanager
-    def span(self, name: str, remote_parent=None, **attributes: object):
-        yield None
-
-    def observe_wall(self, name: str, seconds: float, **labels: object) -> None:
-        """No-op."""
-
-    def current_context(self) -> None:
-        """No open span, ever."""
-        return None
-
-    def attach_profiler(self, profiler) -> None:
-        """No-op — an un-instrumented platform profiles nothing."""
-
-    def attach_recorder(self, recorder) -> None:
-        """No-op — an un-instrumented platform records nothing."""
-
-    def profile(self, section: str, seconds: float, **labels: object) -> None:
-        """No-op."""
 
 
 class _BoundSpan:
@@ -126,16 +84,13 @@ class _BoundSpan:
         duration = span.end - span.start
         durations.observe(duration)
         profiler = telemetry.profiler
-        if (self._section is not None and profiler is not None
-                and profiler.enabled):
+        if self._section is not None and profiler is not None:
             profiler.record(self._section, duration, **self._labels)
         return False  # never swallow — pipeline semantics stay intact
 
 
 class InMemoryTelemetry:
     """Metrics + tracing against the simulated clock, guard-protected."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -222,34 +177,24 @@ class InMemoryTelemetry:
     # -- profiling ---------------------------------------------------------
 
     def attach_profiler(self, profiler) -> None:
-        """Attach a profiler; an enabled one is never clobbered by a noop.
-
-        The federated platform routes every node controller's kernel-made
-        profiler through here against one shared telemetry, so a sampling
-        profiler attached once must survive later noop attachments.
-        """
-        if profiler is None:
-            return
-        if profiler.enabled or self.profiler is None:
-            self.profiler = profiler
+        """Set the profiler stage spans and ``profile`` calls sample into."""
+        self.profiler = profiler
 
     def attach_recorder(self, recorder) -> None:
         """Attach a flight recorder; spans mirror into its ring.
 
-        Mirrors :meth:`attach_profiler`: on a federated platform every
-        node controller attaches through one shared telemetry, so the
-        first enabled recorder wins — spans mirror into exactly one ring
-        and the merged timeline stays duplicate-free.
+        On a federated platform every node controller attaches through one
+        shared telemetry, so the first recorder wins — spans mirror into
+        exactly one ring and the merged timeline stays duplicate-free.
         """
-        if recorder is None or not recorder.enabled:
+        if recorder is None or self.recorder is not None:
             return
-        if self.recorder is None:
-            self.recorder = recorder
-            self.tracer.recorder = recorder
+        self.recorder = recorder
+        self.tracer.recorder = recorder
 
     def profile(self, section: str, seconds: float, **labels: object) -> None:
-        """Record one profile sample if an enabled profiler is attached."""
-        if self.profiler is not None and self.profiler.enabled:
+        """Record one profile sample if a profiler is attached."""
+        if self.profiler is not None:
             self.profiler.record(section, seconds, **labels)
 
     # -- export ------------------------------------------------------------

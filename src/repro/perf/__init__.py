@@ -23,8 +23,10 @@ without changing a single decision:
   key-schedule cache.
 
 Everything is toggled by ``RuntimeConfig.perf``: ``indexed`` (the
-default) activates the layer, ``none`` is the ablation baseline with the
-historical linear scans.  Deny-by-default and the privacy invariants are
+default) builds the layer, ``none`` builds nothing — ``controller.perf``
+is ``None`` and every module keeps its historical linear scan behind the
+``is not None`` check it already makes.  Deny-by-default and the privacy
+invariants are
 preserved bit-for-bit — the benchmarks assert byte-identical decisions
 and audit trails between the two modes on the same seed.
 
@@ -65,27 +67,6 @@ class PerfStats:
         self.misses[cache] = self.misses.get(cache, 0) + 1
 
 
-class NoopPerfLayer:
-    """The ``perf: none`` baseline — every fast path stays disabled.
-
-    The controller, enforcer, bus and federation modules only consult
-    ``enabled`` (or receive ``None``), so with this layer the hot paths
-    are byte-for-byte the historical linear scans.
-    """
-
-    enabled = False
-    name = "none"
-
-    def bind(self, **sources) -> None:
-        """Accepts the epoch sources and ignores them."""
-
-    def record_hit(self, cache: str) -> None:
-        """No-op."""
-
-    def record_miss(self, cache: str) -> None:
-        """No-op."""
-
-
 class PerfLayer:
     """The ``perf: indexed`` implementation — indexes and versioned caches.
 
@@ -96,14 +77,9 @@ class PerfLayer:
     ever stored or exposed.
     """
 
-    enabled = True
-    name = "indexed"
-
     def __init__(self, secret: str = "css-perf", telemetry=None) -> None:
         self._secret = secret
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
         self.stats = PerfStats()
         self.decisions = DecisionCache()
         self._policy_index: PolicyIndex | None = None
@@ -215,13 +191,3 @@ class PerfLayer:
                 CANDIDATES_SCANNED, float(scanned), buckets=_CANDIDATE_BUCKETS
             )
         return policy_set
-
-
-def perf_or_none(perf) -> "PerfLayer | None":
-    """Normalise a perf collaborator: an enabled layer, or ``None``.
-
-    Modules take ``perf=None`` and call this once, so the per-request
-    checks are a plain ``is not None`` — the disabled path composes no
-    wrappers, mirroring the telemetry facade's discipline.
-    """
-    return perf if perf is not None and perf.enabled else None

@@ -133,7 +133,7 @@ def run_pdp_decide(perf: str, policies: int = 32, iterations: int = 4000,
 
     result = measure(op, iterations, warmup=len(requests))
     result["policies"] = policies
-    stats = controller.perf.stats if controller.perf.enabled else None
+    stats = controller.perf.stats if controller.perf is not None else None
     result["cache"] = {
         "decision_hits": stats.hits.get("decision", 0) if stats else 0,
         "decision_misses": stats.misses.get("decision", 0) if stats else 0,

@@ -139,9 +139,8 @@ class Pipeline:
 
     ``telemetry`` (a :mod:`repro.obs.telemetry` backend) makes the loop
     observable: one root span per execution, one child span plus a
-    duration-histogram sample per stage, and an outcome counter.  With the
-    noop backend (``enabled`` false, the default) the same loop runs and
-    simply opens no span.
+    duration-histogram sample per stage, and an outcome counter.  With
+    ``None`` (the default) the same loop runs and simply opens no span.
     """
 
     def __init__(self, name: str, stages: tuple[Stage, ...],
@@ -149,9 +148,7 @@ class Pipeline:
         self.name = name
         self.stages = tuple(stages)
         self.terminal = terminal
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
 
     @property
     def stage_names(self) -> tuple[str, ...]:

@@ -1,7 +1,8 @@
 """The service kernel — the platform's single composition root.
 
 One wiring rule: **a name picks between real alternatives, a fact is
-read.**  Every collaborator of the
+read; off builds nothing; a reader is built by whoever reads.**  Every
+collaborator of the
 :class:`~repro.core.controller.DataController` with interchangeable
 implementations (store engine, telemetry, scheduler, perf layer, ...) is
 constructed here, by *name*, from a registry of factories, so swapping one
@@ -14,7 +15,12 @@ constructed here, by *name*, from a registry of factories, so swapping one
 What follows from a fact has no name: a node is durable iff it has a
 ``data_dir``, sharded iff it was handed a membership, observed by the
 telemetry it was handed — the controller reads those and constructs its
-events index and audit log directly.
+events index and audit log directly.  An off name (``telemetry: noop``,
+``recorder: noop``, ``perf: none``, ``batch: off``) resolves to ``None``
+and every seam checks for that.  The SLO engine and the profiler read a
+telemetry, they are not collaborators: ``SLOEngine(telemetry)`` and
+``telemetry.attach_profiler(SamplingProfiler(...))`` where the report is
+read.
 
 Factories receive the construction context (clock, ids, keystore, paths,
 ...) as keyword arguments and may ignore what they don't need.  They
@@ -40,8 +46,6 @@ ServiceFactory = Callable[..., Any]
 #: does the controller its events index and audit log: which pair it gets
 #: follows from facts (a data directory, a membership), not from a name.
 KIND_TELEMETRY = "telemetry"
-KIND_SLO = "slo"
-KIND_PROFILING = "profiling"
 KIND_PERF = "perf"
 KIND_STORE = "store"
 KIND_SCHED = "sched"
@@ -58,9 +62,7 @@ KIND_BATCH = "batch"
 #: rows by tests/test_docs_drift.py) all read them.
 WIRING: tuple[tuple[str, str, str], ...] = (
     (KIND_TELEMETRY, "telemetry", "telemetry"),
-    (KIND_PROFILING, "profiling", "profiler"),
     (KIND_RECORDER, "recorder", "recorder"),
-    (KIND_SLO, "slo", "slo"),
     (KIND_PERF, "perf", "perf"),
     (KIND_SCHED, "sched", "sched"),
     (KIND_STORE, "store", "store"),
@@ -70,6 +72,12 @@ WIRING: tuple[tuple[str, str, str], ...] = (
 
 #: The spellings ``index_store`` / ``audit_sink`` still accept.
 _STORAGE_SPELLINGS = ("jsonl", "memory")
+#: The kept fields that name a reader, and how each is built instead.
+_READER_FIELDS = {
+    "slo": "build SLOEngine(telemetry) where the report is read",
+    "profiling": "telemetry.attach_profiler(SamplingProfiler(...)) where "
+                 "the profile is read",
+}
 
 
 @dataclass(frozen=True)
@@ -82,22 +90,22 @@ class RuntimeConfig:
 
     #: Select nothing: ``data_dir`` decides.  Kept, and checked below, only
     #: while the wall ledger's frozen ``PROD`` passes them by keyword
-    #: (ROADMAP item 2d deletes both).
+    #: (ROADMAP item 2d deletes both, and ``slo`` / ``profiling`` below).
     index_store: str = "memory"
     audit_sink: str = "memory"
+    #: Telemetry backend: "noop" (default — none is built) or "inmemory".
     telemetry: str = "noop"
     #: Privacy-guard mode for the telemetry backend ("hash" or "reject").
     telemetry_guard: str = "hash"
-    #: SLO engine: "noop" (default) or "default" (stock objectives over
-    #: the telemetry backend, which must then be enabled).
+    #: Select nothing and accept "noop" alone: a reader is built by
+    #: whoever reads.  Kept for ``PROD`` like the storage spellings.
     slo: str = "noop"
-    #: Profiler: "noop" (default) or "sampling" (deterministic section
-    #: profiler over the simulated clock, labels guard-hashed).
     profiling: str = "noop"
     #: Hot-path performance layer: "indexed" (default — policy index,
     #: versioned decision cache, subscription trie, wire caches) or
-    #: "none" (the linear-scan ablation baseline).  Decisions and audit
-    #: trails are identical either way; only the speed differs.
+    #: "none" (no layer is built: the linear-scan ablation baseline).
+    #: Decisions and audit trails are identical either way; only the speed
+    #: differs.
     perf: str = "indexed"
     #: Durable store engine behind the index/audit logs of a ``data_dir``:
     #: "jsonl" (flat files, the ablation baseline) or "segmented" (the
@@ -121,10 +129,10 @@ class RuntimeConfig:
     #: Records per batch when batching is on (flush boundary of the
     #: group-commit writers and the shard-frame coalescer).
     batch_size: int = 256
-    #: Flight recorder: "noop" (default) or "ring" (bounded ring buffers
-    #: of recent guard-sanitized spans, SLO alerts, penalty-box
-    #: transitions and bus saturation events — the raw material for
-    #: incident bundles, cheap enough to stay on in every scenario).
+    #: Flight recorder: "noop" (default — none is built) or "ring"
+    #: (bounded ring buffers of recent guard-sanitized spans, SLO alerts,
+    #: penalty-box transitions and bus saturation events — the raw material
+    #: for incident bundles, cheap enough to stay on in every scenario).
     recorder: str = "noop"
     #: Where this node's index and audit logs live; ``None`` keeps both in
     #: memory.
@@ -144,6 +152,10 @@ class RuntimeConfig:
                 raise ConfigurationError(
                     "'jsonl' storage needs RuntimeConfig.data_dir"
                 )
+        for field_name, how_to in _READER_FIELDS.items():
+            if getattr(self, field_name) != "noop":
+                raise ConfigurationError(
+                    f"RuntimeConfig.{field_name} selects nothing: {how_to}")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
 
@@ -211,10 +223,10 @@ def suggest(typo: str, known) -> str:
 # -- default factories (lazy imports: the kernel must not cycle with core) --
 
 
-def _noop_telemetry(**context: Any) -> Any:
-    from repro.obs.telemetry import NoopTelemetry
-
-    return NoopTelemetry()
+def _off(**context: Any) -> Any:
+    # No object at all: every seam checks for None and stays on its
+    # uninstrumented / unindexed / per-record path.
+    return None
 
 
 def _inmemory_telemetry(**context: Any) -> Any:
@@ -225,43 +237,6 @@ def _inmemory_telemetry(**context: Any) -> Any:
         guard_mode=context.get("telemetry_guard", "hash"),
         secret=context.get("master_secret", "css-telemetry"),
     )
-
-
-def _noop_slo(**context: Any) -> Any:
-    from repro.obs.slo import NoopSLOEngine
-
-    return NoopSLOEngine()
-
-
-def _default_slo(**context: Any) -> Any:
-    from repro.obs.slo import SLOEngine
-
-    return SLOEngine(
-        telemetry=context["telemetry"],
-        recorder=context.get("recorder"),
-    )
-
-
-def _noop_profiler(**context: Any) -> Any:
-    from repro.obs.profiling import NoopProfiler
-
-    return NoopProfiler()
-
-
-def _sampling_profiler(**context: Any) -> Any:
-    from repro.obs.profiling import SamplingProfiler
-
-    telemetry = context.get("telemetry")
-    return SamplingProfiler(
-        clock=context["clock"],
-        guard=getattr(telemetry, "guard", None),
-    )
-
-
-def _no_perf(**context: Any) -> Any:
-    from repro.perf import NoopPerfLayer
-
-    return NoopPerfLayer()
 
 
 def _indexed_perf(**context: Any) -> Any:
@@ -307,22 +282,10 @@ def _sched(fair: bool) -> Callable[..., Any]:
     return build
 
 
-def _off_batch(**context: Any) -> Any:
-    # No policy object at all: every batching seam checks for None and
-    # stays on the historical per-record/per-frame path.
-    return None
-
-
 def _on_batch(**context: Any) -> Any:
     from repro.runtime.batching import BatchPolicy
 
     return BatchPolicy(batch_size=context.get("batch_size", 256))
-
-
-def _noop_recorder(**context: Any) -> Any:
-    from repro.obs.recorder import NoopFlightRecorder
-
-    return NoopFlightRecorder()
 
 
 def _ring_recorder(**context: Any) -> Any:
@@ -338,20 +301,16 @@ def _ring_recorder(**context: Any) -> Any:
 def default_kernel() -> ServiceKernel:
     """A kernel pre-loaded with every in-tree implementation."""
     kernel = ServiceKernel()
-    kernel.register(KIND_TELEMETRY, "noop", _noop_telemetry)
+    kernel.register(KIND_TELEMETRY, "noop", _off)
     kernel.register(KIND_TELEMETRY, "inmemory", _inmemory_telemetry)
-    kernel.register(KIND_SLO, "noop", _noop_slo)
-    kernel.register(KIND_SLO, "default", _default_slo)
-    kernel.register(KIND_PROFILING, "noop", _noop_profiler)
-    kernel.register(KIND_PROFILING, "sampling", _sampling_profiler)
-    kernel.register(KIND_PERF, "none", _no_perf)
+    kernel.register(KIND_PERF, "none", _off)
     kernel.register(KIND_PERF, "indexed", _indexed_perf)
     kernel.register(KIND_STORE, "jsonl", _jsonl_store)
     kernel.register(KIND_STORE, "segmented", _segmented_store)
     kernel.register(KIND_SCHED, "none", _sched(fair=False))
     kernel.register(KIND_SCHED, "fair", _sched(fair=True))
-    kernel.register(KIND_RECORDER, "noop", _noop_recorder)
+    kernel.register(KIND_RECORDER, "noop", _off)
     kernel.register(KIND_RECORDER, "ring", _ring_recorder)
-    kernel.register(KIND_BATCH, "off", _off_batch)
+    kernel.register(KIND_BATCH, "off", _off)
     kernel.register(KIND_BATCH, "on", _on_batch)
     return kernel

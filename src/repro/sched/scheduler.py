@@ -195,9 +195,7 @@ class TenantScheduler:
         self.policy = policy
         self.config = config or SchedConfig()
         self._guard = PrivacyGuard(mode="hash", secret=secret)
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
         self._tenants: dict[str, _TenantState] = {}
         #: FIFO: global arrival order (tenant ids, one per queued item).
         self._order: deque = deque()
@@ -216,9 +214,7 @@ class TenantScheduler:
         # The flight recorder (duck-typed, like telemetry): penalty-box
         # transitions — demotion into the box, recovery out of it — leave
         # a trail in its ring with guard-hashed tenant labels.
-        self._recorder = (
-            recorder if recorder is not None and recorder.enabled else None
-        )
+        self._recorder = recorder
         #: Last (demotions, recoveries) observed per tenant, so the
         #: recorder sees each transition exactly once.
         self._penalty_seen: dict[str, tuple[int, int]] = {}
@@ -527,7 +523,7 @@ class TenantScheduler:
     def record_fairness(self, telemetry=None, now: float | None = None) -> None:
         """Publish fairness gauges (guard-hashed tenant labels only)."""
         telemetry = telemetry if telemetry is not None else self._telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return
         now = now if now is not None else self.clock.now()
         self.drain(now)

@@ -218,7 +218,6 @@ class CssScenario:
             runtime=runtime,
             telemetry=self.telemetry,
             per_node_telemetry=per_node,
-            telemetry_guard=runtime.telemetry_guard,
         )
         #: Node-0's controller — the whole deployment on one node, and the
         #: controller whose telemetry and bus speak for the run on many.

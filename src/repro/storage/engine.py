@@ -134,7 +134,7 @@ class StorageEngine:
 
     def _emit(self, method: str, name: str, value: float, **labels) -> None:
         telemetry = self._telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return
         getattr(telemetry, method)(name, value, store="segmented", **labels)
 

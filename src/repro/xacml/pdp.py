@@ -37,9 +37,7 @@ class PolicyDecisionPoint:
 
     def __init__(self, telemetry=None) -> None:
         self.stats = PdpStats()
-        self._telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
 
     # -- public API ----------------------------------------------------------
 

@@ -506,6 +506,8 @@ class TestKernelCommand:
         defaults = RuntimeConfig()
         assert starred == {kind: [getattr(defaults, config_field)]
                            for kind, config_field, _ in WIRING}
-        # Index and audit follow from ``data_dir``: no row, nothing to star.
-        assert len(starred) == 8 and not {"index", "audit"} & set(starred)
+        # Index and audit follow from ``data_dir`` and a reader is built by
+        # whoever reads: no row, nothing to star.
+        assert len(starred) == 6
+        assert not {"index", "audit", "slo", "profiling"} & set(starred)
         assert "shared" not in output and "federated" not in output

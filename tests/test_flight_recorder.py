@@ -10,10 +10,9 @@ from repro.obs.recorder import (
     EVENT_DEMOTION,
     EVENT_SLO_ALERT,
     FlightRecorder,
-    NoopFlightRecorder,
 )
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.runtime.kernel import RuntimeConfig
+from repro.runtime.kernel import KIND_RECORDER, RuntimeConfig, default_kernel
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
@@ -30,13 +29,12 @@ def recorder(clock):
 
 class TestNoop:
     def test_noop_is_disabled_and_empty(self):
-        noop = NoopFlightRecorder()
-        assert noop.enabled is False
-        noop.record("bus.deadletter", depth=1)
-        assert noop.events() == []
-        assert noop.timeline() == []
-        snapshot = noop.freeze()
-        assert snapshot["events"] == [] and snapshot["frozen"] is False
+        """``recorder: noop`` builds nothing, so there is no ring to read:
+        the platform has no recorder to freeze and no timeline rows."""
+        assert default_kernel().create(KIND_RECORDER, "noop", clock=Clock()) is None
+        scenario = CssScenario(ScenarioConfig(n_patients=2, n_events=4))
+        scenario.run()
+        assert scenario.platform.flight_recorders() == {}
 
 
 class TestRecording:
@@ -120,14 +118,14 @@ class TestFreezing:
 class TestKernelWiring:
     def test_default_runtime_gets_noop_recorder(self):
         scenario = CssScenario(ScenarioConfig(n_patients=2, n_events=4))
-        assert scenario.controller.recorder.enabled is False
+        assert scenario.controller.recorder is None
 
     def test_ring_recorder_attaches_and_mirrors_spans(self):
         runtime = RuntimeConfig(telemetry="inmemory", recorder="ring")
         scenario = CssScenario(ScenarioConfig(n_patients=2, n_events=6,
                                               runtime=runtime))
         controller = scenario.controller
-        assert controller.recorder.enabled is True
+        assert isinstance(controller.recorder, FlightRecorder)
         assert controller.telemetry.recorder is controller.recorder
         scenario.run(scenario.generate_workload())
         assert len(controller.recorder.spans()) > 0
@@ -136,7 +134,7 @@ class TestKernelWiring:
         telemetry = InMemoryTelemetry()
         first = FlightRecorder(clock=Clock())
         second = FlightRecorder(clock=Clock())
-        telemetry.attach_recorder(NoopFlightRecorder())
+        telemetry.attach_recorder(None)  # recording off on that node
         assert telemetry.recorder is None
         telemetry.attach_recorder(first)
         telemetry.attach_recorder(second)

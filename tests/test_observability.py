@@ -31,7 +31,6 @@ from repro.obs.telemetry import (
     PIPELINE_OUTCOMES,
     STAGE_DURATION,
     InMemoryTelemetry,
-    NoopTelemetry,
 )
 from repro.obs.tracing import STATUS_ERROR, Tracer
 from repro.runtime.kernel import KIND_TELEMETRY, RuntimeConfig, default_kernel
@@ -223,12 +222,17 @@ class TestPrivacyGuard:
 
 class TestTelemetryBackends:
     def test_noop_is_disabled_and_inert(self):
-        telemetry = NoopTelemetry()
-        assert telemetry.enabled is False
-        telemetry.count("n", subject_ref="pat-1")  # guard never consulted
-        telemetry.observe("lat", 0.5)
-        with telemetry.span("op") as span:
-            assert span is None
+        """Off is no object: every instrumented module the controller
+        builds holds ``None`` and the run goes through un-instrumented."""
+        controller = DataController(seed="obs")
+        hospital = DataProducer(controller, "Hospital", "Hospital")
+        blood = hospital.declare_event_class(blood_test_schema())
+        assert publish_one(hospital, blood) is not None
+        assert controller.telemetry is None
+        for part in (controller.bus, controller.publish_pipeline,
+                     controller.details_pipeline, controller.enforcer.pipeline,
+                     controller.perf, controller.sched):
+            assert part._telemetry is None, part
 
     def test_kernel_resolves_both_backends(self):
         kernel = default_kernel()
@@ -236,14 +240,14 @@ class TestTelemetryBackends:
         noop = kernel.create(KIND_TELEMETRY, "noop", clock=clock)
         inmem = kernel.create(KIND_TELEMETRY, "inmemory", clock=clock,
                               telemetry_guard="reject", master_secret="s")
-        assert isinstance(noop, NoopTelemetry)
+        assert noop is None
         assert isinstance(inmem, InMemoryTelemetry)
         assert inmem.clock is clock
         assert inmem.guard.mode == "reject"
 
     def test_controller_defaults_to_noop(self):
         controller = DataController(seed="obs")
-        assert isinstance(controller.telemetry, NoopTelemetry)
+        assert controller.telemetry is None
 
     def test_stage_span_records_duration_histogram(self):
         clock = Clock()
@@ -324,11 +328,14 @@ class TestInstrumentation:
         assert summaries and summaries[0][1]["count"] == 1
 
     def test_noop_platform_records_nothing(self):
-        controller = DataController(seed="obs")
-        hospital = DataProducer(controller, "Hospital", "Hospital")
-        blood = hospital.declare_event_class(blood_test_schema())
-        publish_one(hospital, blood)
-        assert not hasattr(controller.telemetry, "metrics")
+        from tests.conftest import build_federation
+
+        deployment = build_federation()
+        deployment.publish_blood_test()
+        platform = deployment.platform
+        assert platform.telemetry is None
+        assert platform.trace_exports() == {}
+        assert platform.flight_recorders() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +487,13 @@ class TestTraceContext:
 
 class TestProfiler:
     def test_noop_profiler_is_inert(self):
-        from repro.obs.profiling import NoopProfiler
-
-        profiler = NoopProfiler()
-        assert profiler.enabled is False
-        profiler.record("pipeline.stage", 0.5, pipeline="publish")
-        assert profiler.snapshot() == []
-        assert profiler.profile_lines() == []
+        """No profiler attached is ``None``: spans close and ``profile``
+        calls return without one."""
+        controller, hospital, blood, doctor = telemetry_platform()
+        assert controller.telemetry.profiler is None
+        publish_one(hospital, blood)
+        controller.telemetry.profile("link.hop", 0.2, source="a", target="b")
+        assert controller.telemetry.profiler is None
 
     def test_sampling_profiler_attributes_time_per_section(self):
         from repro.obs.profiling import SamplingProfiler
@@ -516,12 +523,16 @@ class TestProfiler:
         assert "pat-17" not in "".join(profiler.profile_lines())
 
     def test_enabled_profiler_survives_noop_attachments(self):
-        from repro.obs.profiling import NoopProfiler, SamplingProfiler
+        """Nobody but the caller attaches a profiler: building controllers
+        over a shared telemetry afterwards leaves the caller's in place."""
+        from repro.obs.profiling import SamplingProfiler
 
         telemetry = InMemoryTelemetry(clock=Clock())
         sampling = SamplingProfiler(clock=telemetry.clock)
         telemetry.attach_profiler(sampling)
-        telemetry.attach_profiler(NoopProfiler())  # later noop must not clobber
+        for seed in ("a", "b"):
+            DataController(seed=seed, clock=telemetry.clock,
+                           services_context={"telemetry": telemetry})
         assert telemetry.profiler is sampling
         telemetry.profile("link.hop", 0.2, source="a", target="b")
         assert sampling.total_seconds() == pytest.approx(0.2)
@@ -538,14 +549,21 @@ class TestProfiler:
         assert SECTION_STAGE in sections
 
     def test_kernel_resolves_profiling_backends(self):
-        from repro.obs.profiling import NoopProfiler, SamplingProfiler
+        """There is no ``profiling`` kind: the name is refused with the
+        how-to, and the how-to works."""
+        from repro.exceptions import ConfigurationError
+        from repro.obs.profiling import SamplingProfiler
 
-        runtime = RuntimeConfig(telemetry="inmemory", profiling="sampling")
-        controller = DataController(seed="prof", runtime=runtime)
-        assert isinstance(controller.profiler, SamplingProfiler)
-        assert controller.telemetry.profiler is controller.profiler
-        noop = DataController(seed="prof2")
-        assert isinstance(noop.profiler, NoopProfiler)
+        assert "profiling" not in default_kernel().kinds()
+        with pytest.raises(ConfigurationError, match=r"attach_profiler\(SamplingProfiler"):
+            RuntimeConfig(telemetry="inmemory", profiling="sampling")
+        controller = DataController(
+            seed="prof", runtime=RuntimeConfig(telemetry="inmemory"))
+        assert not hasattr(controller, "profiler")
+        profiler = SamplingProfiler(clock=controller.clock,
+                                    guard=controller.telemetry.guard)
+        controller.telemetry.attach_profiler(profiler)
+        assert controller.telemetry.profiler is profiler
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +591,24 @@ class TestSLOEngine:
         from repro.exceptions import ConfigurationError
         from repro.obs.slo import SLOEngine
 
-        with pytest.raises(ConfigurationError, match="enabled telemetry"):
-            SLOEngine(NoopTelemetry())
+        with pytest.raises(ConfigurationError, match="hand it a telemetry backend"):
+            SLOEngine(None)
+        with pytest.raises(ConfigurationError, match="hand it a telemetry backend"):
+            SLOEngine(DataController(seed="slo-off").telemetry)
 
     def test_noop_engine_is_inert(self):
-        from repro.obs.slo import NoopSLOEngine
+        """No engine is ``None``: an incident monitor handed none still
+        polls its other watchdogs and captures without an SLO section."""
+        from repro.obs.incident import IncidentMonitor, WatchdogConfig
+        from tests.conftest import build_federation
 
-        engine = NoopSLOEngine()
-        assert engine.enabled is False
-        report = engine.evaluate()
-        assert report.statuses == () and report.breaches() == ()
-        assert engine.alert(bus=None) == 0
+        platform = build_federation().platform
+        monitor = IncidentMonitor(platform, slo=None)
+        assert monitor.poll() is None
+        tripped = IncidentMonitor(
+            platform, slo=None, config=WatchdogConfig(queue_depth_ceiling=0))
+        bundle = tripped.poll()
+        assert bundle["slo"] is None and bundle["burn_rates"] == {}
 
     def test_latency_attainment_counts_bucket_observations(self):
         from repro.obs.slo import KIND_LATENCY, SLOEngine, SLObjective
@@ -732,12 +757,19 @@ class TestSLOEngine:
         assert hashlib.sha256(payload).hexdigest() == pinned
 
     def test_kernel_resolves_slo_backends(self):
-        from repro.obs.slo import NoopSLOEngine, SLOEngine
+        """There is no ``slo`` kind: the name is refused with the how-to,
+        and the how-to works."""
+        from repro.exceptions import ConfigurationError
+        from repro.obs.slo import SLOEngine
 
-        runtime = RuntimeConfig(telemetry="inmemory", slo="default")
-        controller = DataController(seed="slo", runtime=runtime)
-        assert isinstance(controller.slo, SLOEngine)
-        assert isinstance(DataController(seed="slo2").slo, NoopSLOEngine)
+        assert "slo" not in default_kernel().kinds()
+        with pytest.raises(ConfigurationError,
+                           match=r"build SLOEngine\(telemetry\) where the report is read"):
+            RuntimeConfig(telemetry="inmemory", slo="default")
+        controller = DataController(
+            seed="slo", runtime=RuntimeConfig(telemetry="inmemory"))
+        assert not hasattr(controller, "slo")
+        assert SLOEngine(controller.telemetry).evaluate().breaches() == ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,16 @@ import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig, default_kernel
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
+from repro.clock import Clock
 from repro.core.index import EventsIndex
 from repro.crypto.keystore import KeyStore
-from repro.exceptions import ConfigurationError, TamperedLogError
+from repro.exceptions import AccessDeniedError, ConfigurationError, TamperedLogError
 from repro.federation.index import FederatedIndexStore
 from repro.federation.platform import FederatedPlatform
+from repro.obs.guard import TelemetryPrivacyError
+from repro.obs.profiling import SECTION_STAGE, SamplingProfiler
+from repro.obs.slo import SLOEngine
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.runtime.interfaces import (
     AuditSink,
@@ -60,19 +65,17 @@ class TestKernelRegistry:
         kernel = default_kernel()
         wiring = kernel.wiring()
         assert wiring["telemetry"] == ("inmemory", "noop")
-        assert wiring["slo"] == ("default", "noop")
-        assert wiring["profiling"] == ("noop", "sampling")
         assert wiring["perf"] == ("indexed", "none")
         assert wiring["store"] == ("jsonl", "segmented")
         assert wiring["sched"] == ("fair", "none")
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
         # Only collaborators with a real choice are kernel kinds (index and
-        # audit follow from ``data_dir``); the design-size CI step fails
-        # past these two numbers.
-        assert set(wiring) == {"batch", "perf", "profiling", "recorder",
-                               "sched", "slo", "store", "telemetry"}
-        assert len(wiring) == 8
+        # audit follow from ``data_dir``, an SLO engine or profiler is built
+        # by whoever reads it); the design-size CI step fails past these
+        # two numbers.
+        assert kernel.kinds() == ("batch", "perf", "recorder", "sched",
+                                  "store", "telemetry")
         assert len(fields(RuntimeConfig)) == 13
         # No name stands for a fact.
         assert not {"federated", "shared"} & {
@@ -149,9 +152,8 @@ class TestControllerWiring:
     def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
             self, tmp_path):
         runtime = RuntimeConfig(
-            telemetry="inmemory", slo="default", profiling="sampling",
-            perf="none", store="segmented", sched="fair", batch="on",
-            recorder="ring", data_dir=tmp_path)
+            telemetry="inmemory", perf="none", store="segmented",
+            sched="fair", batch="on", recorder="ring", data_dir=tmp_path)
         kernel = RecordingKernel()
         controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
         assert kernel.asked == [(kind, getattr(runtime, config_field))
@@ -183,6 +185,10 @@ class TestControllerWiring:
             assert context["marker"] is marker
             assert context["clock"] is controller.clock
 
+
+#: The names that stand for "off": each builds nothing.
+OFF_NAMES = {("telemetry", "noop"), ("recorder", "noop"), ("perf", "none"),
+             ("batch", "off")}
 
 #: Deployments the wiring rule must read the same facts under: a bare
 #: controller, and every node of a one- and a two-node platform.
@@ -282,16 +288,22 @@ class TestOneWiringRule:
     @pytest.mark.parametrize("durable", [False, True])
     def test_every_registered_name_builds_or_is_refused_never_a_key_error(
             self, durable, tmp_path):
-        config_field = {kind: name for kind, name, _ in WIRING}
+        rows = {kind: (config_field, attribute)
+                for kind, config_field, attribute in WIRING}
         for kind, names in default_kernel().wiring().items():
+            config_field, attribute = rows[kind]
             for name in names:
-                config = {config_field[kind]: name}
+                config = {config_field: name}
                 if durable:
                     config["data_dir"] = tmp_path / kind / name
                 try:
-                    DataController(seed="rule", runtime=RuntimeConfig(**config))
+                    controller = DataController(
+                        seed="rule", runtime=RuntimeConfig(**config))
                 except ConfigurationError:
-                    pass  # refused in the platform's own words: fine
+                    continue  # refused in the platform's own words: fine
+                # An off name builds nothing; every other name an object.
+                assert (getattr(controller, attribute) is None) == (
+                    (kind, name) in OFF_NAMES), (kind, name)
 
     @pytest.mark.parametrize("batch", ["off", "on"])
     def test_batch_size_below_one_is_refused_whatever_batch_says(self, batch):
@@ -309,8 +321,6 @@ class TestOneWiringRule:
         assert not {"_batching", "_batch_size"} & set(vars(platform))
 
     def test_a_node_is_observed_by_the_telemetry_it_is_handed(self):
-        from repro.obs.telemetry import InMemoryTelemetry
-
         handed = InMemoryTelemetry(clock=None)
         controller = DataController(services_context={"telemetry": handed})
         assert controller.telemetry is handed
@@ -354,6 +364,182 @@ class TestOneWiringRule:
             assert index.sequence == live.index.local.sequence
         assert sum(len(node.controller.index)
                    for node in platform.nodes()) == published + 1
+
+
+def observed_state(arm, name, hand, per_node, guard):
+    """Build the arm the way the row says and name the state it ended in:
+    ``off`` (``None`` everywhere), ``shared`` (one backend everywhere, the
+    handed object when one was handed) or ``per-node`` (one backend per
+    node, one guard between them) — with the backends' guard mode."""
+    clock = Clock()
+    runtime = RuntimeConfig(telemetry=name, telemetry_guard=guard)
+    handed = InMemoryTelemetry(clock=clock, guard_mode=guard) if hand else None
+    if not ARMS[arm]:
+        context = {"telemetry": handed} if hand else None
+        owner = DataController(clock=clock, runtime=runtime, services_context=context)
+        controllers = [owner]
+    else:
+        owner = FederatedPlatform(
+            shards=ARMS[arm], clock=clock, runtime=runtime, telemetry=handed,
+            per_node_telemetry=per_node)
+        controllers = [node.controller for node in owner.nodes()]
+        assert [node.telemetry for node in owner.nodes()] == [
+            controller.telemetry for controller in controllers]
+    backends = [controller.telemetry for controller in controllers]
+    if per_node and ARMS[arm]:
+        assert len({id(backend) for backend in backends}) == len(backends)
+        assert len({id(backend.guard) for backend in backends}) == 1
+        assert owner.telemetry is handed
+        return "per-node", backends[0].guard.mode
+    assert owner.telemetry is backends[0]
+    assert all(backend is backends[0] for backend in backends)
+    if backends[0] is None:
+        return "off", None
+    assert not hand or backends[0] is handed
+    return "shared", backends[0].guard.mode
+
+
+def observer_script(runtime):
+    """One seeded publish / subscribe / permitted-request / denied-request
+    script on the standard 2-node federation: (decisions, per-node audit
+    heads)."""
+    deployment = build_federation(runtime=runtime)
+    platform = deployment.platform
+    platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+    decisions = []
+    for index in range(6):
+        notification = deployment.publish_blood_test(subject_id=f"pat-{index}")
+        for purpose in ("healthcare-treatment", "reimbursement"):
+            try:
+                detail = platform.request_details(
+                    "FamilyDoctors/Dr-Rossi", "BloodTest",
+                    notification.event_id, purpose)
+                decisions.append(("permit", sorted(detail.exposed_values())))
+            except AccessDeniedError:
+                decisions.append(("deny", purpose))
+    platform.dispatch_all()
+    platform.flush_batches()
+    heads = {node.node_id: (len(node.controller.audit_log),
+                            node.controller.audit_log.head_digest)
+             for node in platform.nodes()}
+    return decisions, heads
+
+
+class TestOneObserverRule:
+    """Off is ``None``, a reader is built by whoever reads, and a platform
+    is observed by what its runtime names — the same on a bare controller
+    and on every node of a platform."""
+
+    @pytest.mark.parametrize(
+        "name, hand, per_node, guard",
+        list(product(("noop", "inmemory"), (False, True), (False, True),
+                     ("hash", "reject"))))
+    def test_every_row_ends_in_one_of_three_states_on_every_arm(
+            self, name, hand, per_node, guard):
+        states = {arm: observed_state(arm, name, hand, per_node, guard)
+                  for arm in ARMS}
+        # ``per_node_telemetry`` is a platform's word: a bare controller is
+        # its own one node and stays shared / off.
+        assert states["1-node"] == states["2-node"], states
+        if per_node:
+            assert states["2-node"] == ("per-node", guard)
+        if hand or name == "inmemory":
+            assert states["bare"] == ("shared", guard)
+        else:
+            assert states["bare"] == ("off", None)
+        if not per_node:
+            assert states["2-node"] == states["bare"], states
+
+    @pytest.mark.parametrize("kind, name", sorted(OFF_NAMES))
+    def test_an_off_name_builds_nothing(self, kind, name):
+        assert default_kernel().create(kind, name, clock=Clock()) is None
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_a_runtime_that_names_a_backend_records_on_every_node(self, arm):
+        # (1) At the parent a platform handed no object substituted a noop
+        # for what its runtime named; only the bare controller recorded.
+        runtime = RuntimeConfig(telemetry="inmemory")
+        if not ARMS[arm]:
+            controller, hospital, blood, _ = build_world(runtime)
+            publish(hospital, blood)
+            telemetries = [controller.telemetry]
+        else:
+            deployment = build_federation(shards=ARMS[arm], runtime=runtime)
+            deployment.publish_blood_test()
+            telemetries = [node.controller.telemetry
+                           for node in deployment.platform.nodes()]
+        for telemetry in telemetries:
+            assert any(span.name == "pipeline.publish"
+                       for span in telemetry.tracer.finished_spans())
+
+    def test_the_platforms_own_backend_is_what_an_slo_engine_reads(self):
+        # (2) At the parent: ConfigurationError telling the caller to set
+        # the ``telemetry='inmemory'`` they had set.
+        deployment = build_federation(runtime=RuntimeConfig(telemetry="inmemory"))
+        deployment.publish_blood_test()
+        report = SLOEngine(deployment.platform.telemetry).evaluate()
+        assert report.statuses and not report.breaches()
+
+    @pytest.mark.parametrize("guard", ["hash", "reject"])
+    def test_per_node_backends_are_guarded_as_the_runtime_says(self, guard):
+        # (3) At the parent every node's guard was ``hash`` whatever the
+        # runtime said: the privacy setting failed open.
+        platform = FederatedPlatform(
+            shards=2, per_node_telemetry=True,
+            runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard=guard))
+        for node in platform.nodes():
+            assert node.telemetry.guard.mode == guard
+            if guard == "reject":
+                with pytest.raises(TelemetryPrivacyError):
+                    node.telemetry.count("probe", subject_id="ap-00000001")
+
+    def test_a_shared_backend_has_the_one_profiler_its_caller_attached(self):
+        # (4) At the parent ``profiling="sampling"`` built one profiler per
+        # node and left the last node's attached, beside the first node's
+        # recorder; ``controller_of("node-0").profiler`` stayed empty.
+        with pytest.raises(ConfigurationError, match="RuntimeConfig.profiling selects nothing"):
+            RuntimeConfig(telemetry="inmemory", profiling="sampling")
+        deployment = build_federation(shards=4, runtime=RuntimeConfig(
+            telemetry="inmemory", recorder="ring"))
+        platform = deployment.platform
+        telemetry = platform.telemetry
+        assert telemetry.profiler is None
+        mine = SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard)
+        telemetry.attach_profiler(mine)
+        platform.add_node()
+        deployment.publish_blood_test()
+        assert telemetry.profiler is mine
+        assert SECTION_STAGE in {row["section"] for row in mine.snapshot()}
+        assert telemetry.recorder is platform.controller_of("node-0").recorder
+        assert len({id(node.controller.recorder) for node in platform.nodes()}) == 5
+        assert not any(hasattr(node.controller, name)
+                       for node in platform.nodes() for name in ("profiler", "slo"))
+
+    def test_all_off_and_all_on_decide_and_audit_alike(self, tmp_path):
+        off = observer_script(RuntimeConfig(
+            telemetry="noop", recorder="noop", perf="none", batch="off"))
+        on = observer_script(RuntimeConfig(
+            telemetry="inmemory", recorder="ring", perf="indexed", batch="on",
+            data_dir=tmp_path))
+        assert off == on
+        decisions, heads = off
+        assert [outcome for outcome, _ in decisions] == ["permit", "deny"] * 6
+        assert all(count > 0 for count, _ in heads.values())
+
+    def test_no_null_object_and_no_enabled_probe_in_the_source(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and node.name.startswith("Noop"):
+                    offenders.append(f"{path.name}: class {node.name}")
+                if isinstance(node, ast.Attribute) and node.attr == "enabled":
+                    offenders.append(f"{path.name}:{node.lineno}: .enabled")
+        assert offenders == []
 
 
 class TestJsonlBackends:
