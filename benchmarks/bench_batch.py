@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Batched-execution trajectory: group commit + coalesced frames vs off.
 
-Runs the batch equivalence matrix (batch sizes 1/16/256 x node counts x
-both durable store kinds) on the seeded capacity workload, checks that
+Runs the batch equivalence matrix (batch sizes 1/16/256 x node counts,
+every node durable) on the seeded capacity workload, checks that
 every batched arm reproduces the unbatched arm's audit-chain digest and
 PDP decision stream bit-for-bit, and writes the ``css-bench-batch/1``
 summary with the speedup figures CI gates on.  Usage::
@@ -36,7 +36,7 @@ def _print_summary(payload: dict) -> None:
     equivalence = payload["equivalence"]
     print(f"equivalence: identical={equivalence['identical']} "
           f"({len(equivalence['checks'])} matrix cells: "
-          f"batch sizes x nodes x store kinds)")
+          f"batch sizes x nodes)")
     for figure in payload["speedup"]["batch_sweep"]:
         name = f"capacity.batch@{figure['batch_size']}"
         print(f"{name:<22} {figure['events_per_second']:>9.1f} events/s   "

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Storage-engine benchmark: jsonl baseline vs the segmented engine.
+"""Storage-engine benchmark: a flat JSONL file vs the segmented engine.
 
 Extends ``bench_storage_archive.py`` (platform snapshot figures) down to
 the raw durable-log layer: for each point size this script measures, per
-store kind,
+kind — ``jsonl``, a bare :class:`~repro.storage.jsonl.JsonlFile` (the
+reference a log format is measured against), and ``segmented``, the
+engine every durable node runs on —
 
 * **ingest rate** — batched appends into a fresh log (events/second);
 * **recovery time** — closing and reopening the log (torn-tail scan,
@@ -13,9 +15,9 @@ store kind,
 * **on-disk size** — before and, for the segmented kind, after
   compaction of a workload where most records supersede earlier ones.
 
-A final equivalence section reruns one small scenario on both store
-kinds and asserts byte-identical audit trails — the same invariant the
-unit suite pins, kept visible in the benchmark payload.
+A final equivalence section reruns one small scenario in memory and
+durable and asserts the same audit head — the same invariant the unit
+suite pins, kept visible in the benchmark payload.
 
 Output (``--out BENCH_storage.json``) follows schema
 ``css-bench-storage/1`` and is validated by ``check_bench.py``
@@ -85,15 +87,15 @@ def _dir_size(path: Path) -> int:
 
 
 def _bench_point(base: Path, n_events: int) -> dict:
-    from repro.storage import JsonlRecordLog, SegmentedLog, StorageEngine
+    from repro.storage import JsonlFile, SegmentedLog, StorageEngine
 
     point: dict = {"events": n_events, "kinds": {}}
 
     jsonl_dir = base / f"jsonl-{n_events}"
     jsonl_dir.mkdir(parents=True)
     jsonl_path = jsonl_dir / "index.jsonl"
-    ingest_s = _ingest(JsonlRecordLog(jsonl_path), n_events)
-    recovery_s, peak_kb, records = _replay(lambda: JsonlRecordLog(jsonl_path))
+    ingest_s = _ingest(JsonlFile(jsonl_path), n_events)
+    recovery_s, peak_kb, records = _replay(lambda: JsonlFile(jsonl_path))
     assert records == n_events
     point["kinds"]["jsonl"] = {
         "ingest_events_per_second": n_events / ingest_s,
@@ -132,15 +134,15 @@ def _equivalence(base: Path) -> dict:
 
     heads = {}
     records = 0
-    for store in ("jsonl", "segmented"):
-        runtime = RuntimeConfig(store=store, data_dir=base / f"equiv-{store}")
+    for arm, data_dir in (("memory", None), ("durable", base / "equiv")):
         scenario = CssScenario(ScenarioConfig(
-            n_patients=10, n_events=60, seed=5, runtime=runtime))
+            n_patients=10, n_events=60, seed=5,
+            runtime=RuntimeConfig(data_dir=data_dir)))
         scenario.run(scenario.generate_workload())
-        heads[store] = scenario.controller.audit_log.head_digest
+        heads[arm] = scenario.controller.audit_log.head_digest
         records = len(scenario.controller.audit_log)
     return {
-        "identical": heads["jsonl"] == heads["segmented"],
+        "identical": heads["memory"] == heads["durable"],
         "audit_records": records,
     }
 

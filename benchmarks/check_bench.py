@@ -563,7 +563,7 @@ SCHEMAS: dict[str, Schema] = {
                      "baseline"),),
         tracked=("pdp_decide.indexed.ops_per_second",),
     ),
-    # benchmarks/bench_storage_engine.py: jsonl vs segmented store.
+    # benchmarks/bench_storage_engine.py: a flat JSONL file vs the engine.
     "css-bench-storage/1": Schema(
         Obj({
             "source": TEXT,
@@ -588,8 +588,8 @@ SCHEMAS: dict[str, Schema] = {
                 ),
             })),
             "equivalence": identical(
-                "jsonl and segmented store kinds produced different audit "
-                "trails"),
+                "a durable run's audit trail differs from the in-memory "
+                "run's"),
         }),
         tracked=("points.0.kinds.segmented.ingest_events_per_second",),
     ),
@@ -659,14 +659,12 @@ SCHEMAS: dict[str, Schema] = {
                                          "audit digest or decision stream"),
                 "checks": ListOf(Obj({
                     "nodes": POSINT,
-                    "store": Is(("jsonl", "segmented")),
                     "batch_size": POSINT,
                     **each(("audit_identical", "decisions_identical"),
                               Is((True,), "batching changed this cell")),
                     "audit_digest": DIGEST,
                     "decision_digest": DIGEST,
-                }), gates=(covers("batch_size", (1, 16, 256)),
-                           covers("store", ("jsonl", "segmented")))),
+                }), gates=(covers("batch_size", (1, 16, 256)),)),
             }),
             "speedup": Obj({
                 "nodes": ListOf(Obj({

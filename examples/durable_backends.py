@@ -1,9 +1,9 @@
 """Durable backends: a platform that survives a restart.
 
 A node is durable iff its runtime has a data directory: this example runs
-a small deployment under ``RuntimeConfig(data_dir=..., store="segmented")``
-— the events index and the audit log then write through to the storage
-engine's checksummed segment logs — and rebuilds both from the directory
+a small deployment under ``RuntimeConfig(data_dir=...)`` — the events
+index and the audit log then write through to the storage engine's
+checksummed segment logs — and rebuilds both from the directory
 alone.  The notifications (identity slots sealed on disk, decrypted only
 through the keystore) and the hash-chained audit trail all replay, and a
 doctored audit row is detected at load time even when its frame checksum
@@ -42,12 +42,12 @@ def main() -> None:
     # -- phase 1: run a platform over the data directory -------------------
     controller = DataController(
         seed="durable",
-        runtime=RuntimeConfig(data_dir=data_dir, store="segmented"),
+        runtime=RuntimeConfig(data_dir=data_dir),
     )
     print("wiring:", {
         "index": type(controller.index).__name__,
         "audit": type(controller.audit_log).__name__,
-        "store": controller.store.kind,
+        "store": type(controller.store).__name__,
     })
     hospital = DataProducer(controller, "Hospital-S-Maria", "Hospital S. Maria")
     blood = hospital.declare_event_class(blood_test_schema())

@@ -10,7 +10,7 @@ this module's two tables (``OPTIONS``: every option, stated once;
 ``--scenario default``, on ``--nodes`` where a command takes them — and
 prints its report (optionally archiving the resulting platform;
 ``--durable DIR`` gives it a data directory, so index and audit log
-write through to ``DIR/node-0``);
+write through to the segmented storage engine in ``DIR/node-0``);
 ``compare`` prints the CSS-vs-baselines table; ``monitor`` prints the
 governing body's aggregated view; ``telemetry`` reruns the scenario on
 the in-memory telemetry backend and prints per-stage latency percentiles
@@ -67,7 +67,6 @@ from repro.obs.guard import MODE_HASH, MODE_REJECT
 from repro.runtime.kernel import (
     KIND_BATCH,
     KIND_SCHED,
-    KIND_STORE,
     WIRING,
     RuntimeConfig,
     default_kernel,
@@ -86,7 +85,7 @@ from repro.workload import (
 )
 
 
-#: The in-tree implementations: what ``--store/--sched/--batch`` may name.
+#: The in-tree implementations: what ``--sched/--batch`` may name.
 _KERNEL = default_kernel()
 
 #: Where a one-node run's durable backends write, under ``--durable DIR``.
@@ -109,13 +108,8 @@ OPTIONS: dict[str, dict] = {
     "--archive": {"metavar": "DIR",
                   "help": "snapshot the platform into DIR afterwards"},
     "--durable": {"metavar": "DIR",
-                  "help": "run on the JSONL index/audit backends, "
-                          "writing into DIR/node-0"},
-    "--store": {"default": "jsonl",
-                "known": _KERNEL.implementations(KIND_STORE),
-                "help": "durable store engine for --durable (default "
-                        "{default}; segmented adds crash recovery, "
-                        "compaction and snapshots)"},
+                  "help": "keep index and audit log in the segmented "
+                          "storage engine under DIR/node-0"},
     "--sched": {"default": "none",
                 "known": _KERNEL.implementations(KIND_SCHED),
                 "help": "tenant scheduler on every node: none (fifo "
@@ -220,21 +214,16 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
             raise ConfigurationError(
                 f"--durable {args.durable}: {target / _NODE_0} holds a "
                 f"previous run; a scenario starts from an empty deployment, "
-                f"so pick a new or empty directory (old runs stay readable "
-                f"through JsonlIndexStore/JsonlAuditSink, see "
-                f"examples/durable_backends.py)")
-        runtime = replace(runtime, store=args.store, data_dir=args.durable)
+                f"so pick a new or empty directory (a previous run stays "
+                f"readable: repro store stats --data {target / _NODE_0})")
+        runtime = replace(runtime, data_dir=args.durable)
     scenario = _scenario(args, runtime=runtime)
     print(scenario.run().to_text(), file=out)
     if args.durable:
         written = target / _NODE_0
-        if args.store == "segmented":
-            print(f"durable backends wrote segmented index and audit logs "
-                  f"to {written} (inspect with: repro store stats "
-                  f"--data {written})", file=out)
-        else:
-            print(f"durable backends wrote index.jsonl and audit.jsonl "
-                  f"to {written}", file=out)
+        print(f"durable backends wrote segmented index and audit logs "
+              f"to {written} (inspect with: repro store stats "
+              f"--data {written})", file=out)
     if args.archive:
         PlatformArchive(args.archive).save(scenario.controller)
         print(f"platform archived to {args.archive}", file=out)
@@ -750,7 +739,7 @@ _WATCHED = ("--scenario", {"known": (*SCENARIOS, "federated")})
 #: differ from that row.
 COMMANDS = (
     ("scenario", "run a synthetic deployment", _cmd_scenario, (
-        *_RUN, "--archive", "--durable", "--store",
+        *_RUN, "--archive", "--durable",
         ("--sched", {"help": "tenant scheduler: none (fifo baseline) or "
                              "fair (per-tenant admission + deficit "
                              "round-robin)"}),

@@ -17,14 +17,14 @@ policy" (§4).  Its responsibilities, each a method below:
 * **resolve events-index inquiries**, also policy-gated;
 * **maintain audit logs** of every access for the privacy guarantor.
 
-Collaborators with a real choice — store engine, telemetry, scheduler, perf
-layer, batching — are resolved by name through the
+Collaborators with a real choice — telemetry, scheduler, perf layer,
+batching — are resolved by name through the
 :mod:`~repro.runtime.kernel` (see
 :class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, bus, endpoint
 detail fetcher and policy enforcer have one implementation each and are
-constructed here, and so are the events index and the audit log, whose
-kind follows from facts: durable iff the runtime has a ``data_dir``,
-sharded iff a federation membership was handed in.  Both hot paths — notification publish and
+constructed here, and so are the storage engine, the events index and the
+audit log, whose kind follows from facts: durable iff the runtime has a
+``data_dir``, sharded iff a federation membership was handed in.  Both hot paths — notification publish and
 request-for-details — run through the stage pipelines of
 :mod:`repro.runtime.interceptors`.
 """
@@ -125,7 +125,6 @@ class DataController:
             **(services_context or {}),
             "clock": self.clock, "master_secret": master_secret,
             "telemetry_guard": self.runtime.telemetry_guard,
-            "data_dir": self.runtime.data_dir,
             "batch_size": self.runtime.batch_size,
         }
         for kind, config_field, attribute in WIRING:
@@ -133,17 +132,22 @@ class DataController:
                 context[kind] = self.kernel.create(
                     kind, getattr(self.runtime, config_field), **context)
             setattr(self, attribute, context[kind])
-        # Index and audit log follow from facts, not names.  A data
-        # directory means the durable pair over the store provider's logs
-        # (group-committed when batching is on), none the reference pair;
-        # a membership means this node holds one shard of a federated index.
+        # Store, index and audit log follow from facts, not names.  A data
+        # directory means the storage engine under it and the durable pair
+        # over its logs (group-committed when batching is on), none no
+        # store and the reference pair; a membership means this node holds
+        # one shard of a federated index.
         if self.runtime.data_dir is None:
+            self.store = None
             index = EventsIndex(self.keystore, encrypt_identity=encrypt_identity)
             self.audit_log = AuditLog()
         else:
             # Lazy like the federated index below: both import this module.
             from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+            from repro.storage.engine import StorageEngine
 
+            self.store = StorageEngine(self.runtime.data_dir,
+                                       telemetry=self.telemetry)
             index = JsonlIndexStore(self._durable_log("index"), self.keystore,
                                     encrypt_identity=encrypt_identity)
             self.audit_log = JsonlAuditSink(self._durable_log("audit"))
@@ -229,7 +233,7 @@ class DataController:
         )
 
     def _durable_log(self, name: str):
-        """The named record log of this node's store provider, behind a
+        """The named record log of this node's storage engine, behind a
         group-commit writer when batching is on."""
         log = self.store.log(name)
         if self.batch is None:

@@ -7,43 +7,29 @@ unchanged — with write-through to a durable
 :class:`~repro.storage.engine.RecordLog` and replay on start, so a
 platform restarted over the same data directory sees its indexed
 notifications (identity slots still sealed — the logs never hold
-plaintext identities) and its hash-chained audit trail.
+plaintext identities) and its hash-chained audit trail.  (The ``Jsonl``
+in their names is the row format: ``AuditRecord.to_payload`` /
+``RegistryObject.to_row`` dictionaries, one per record.)
 
-Which log implementation sits underneath is the kernel's ``store`` kind:
-``jsonl`` (flat files, the ablation baseline) or ``segmented`` (the
-crash-recoverable storage engine, which is its own provider).  The kernel
-always takes the log from that provider — there is no flat-file fallback
-beside it; a bare path is accepted only by the constructors here, for
-callers that build a backend by hand.  Decisions and audit trails are
-byte-identical across both — rows are serialized by
-``AuditRecord.to_payload`` / ``RegistryObject.to_row`` whatever log they
-land in.
+A controller whose runtime has a data directory builds the pair itself,
+over the ``index`` / ``audit`` logs of its
+:class:`~repro.storage.engine.StorageEngine`::
 
-A controller whose runtime has a data directory builds the pair itself::
+    RuntimeConfig(data_dir="...")
 
-    RuntimeConfig(data_dir="...", store="segmented")
-
-Replay streams (:meth:`RecordLog.iter_records`), so restart memory is
-bounded by one record, not by the log.
+A restart is the same construction over the same logs.  Replay streams
+(:meth:`RecordLog.iter_records`), so restart memory is bounded by one
+record, not by the log.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex, SealedIdentity
 from repro.core.messages import NotificationMessage
 from repro.exceptions import ObjectNotFoundError, TamperedLogError
 from repro.registry.objects import RegistryObject
-from repro.storage.engine import JsonlRecordLog, RecordLog
-
-
-def _as_log(log_or_path: str | Path | RecordLog) -> RecordLog:
-    """Accept either a ready log or a path to a flat JSONL file."""
-    if isinstance(log_or_path, (str, Path)):
-        return JsonlRecordLog(log_or_path)
-    return log_or_path
+from repro.storage.engine import RecordLog
 
 
 class JsonlAuditSink(AuditLog):
@@ -53,13 +39,12 @@ class JsonlAuditSink(AuditLog):
     chain digest.  On construction an existing log is replayed into a
     fresh chain and the stored head digest re-verified, so tampering with
     the stored trail is detected at load time, not at the next guarantor
-    review.  Accepts a path (flat JSONL, the historical constructor) or
-    any :class:`~repro.storage.engine.RecordLog`.
+    review.
     """
 
-    def __init__(self, path: str | Path | RecordLog) -> None:
+    def __init__(self, log: RecordLog) -> None:
         super().__init__()
-        self._store = _as_log(path)
+        self._store = log
         self._replaying = True  # stored rows are chained, not written again
         for row in self._store.iter_records():
             digest = self.append(AuditRecord.from_payload(row))
@@ -95,14 +80,14 @@ class JsonlIndexStore(EventsIndex):
     ``index`` log.  On construction an existing log is replayed via the
     raw-restore path, and the nonce sequence fast-forwarded so no
     keystream is reused after a restart.  Withdrawals persist as
-    tombstone rows, which compaction (``segmented`` store kind) later
-    reclaims together with the rows they hide.
+    tombstone rows, which compaction later reclaims together with the
+    rows they hide.
     """
 
-    def __init__(self, path: str | Path | RecordLog, keystore,
+    def __init__(self, log: RecordLog, keystore,
                  encrypt_identity: bool = True) -> None:
         super().__init__(keystore, encrypt_identity=encrypt_identity)
-        self._store = _as_log(path)
+        self._store = log
         self._replay()
 
     def _replay(self) -> None:

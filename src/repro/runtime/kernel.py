@@ -4,26 +4,26 @@ One wiring rule: **a name picks between real alternatives, a fact is
 read; off builds nothing; a reader is built by whoever reads.**  Every
 collaborator of the
 :class:`~repro.core.controller.DataController` with interchangeable
-implementations (store engine, telemetry, scheduler, perf layer, ...) is
+implementations (telemetry, scheduler, perf layer, batching, ...) is
 constructed here, by *name*, from a registry of factories, so swapping one
-— say the flat-file store for the segmented engine — is a
-:class:`RuntimeConfig` field, not an edit to the controller:
+— say the FIFO scheduler for the fair one — is a :class:`RuntimeConfig`
+field, not an edit to the controller:
 
-    >>> controller = DataController(runtime=RuntimeConfig(
-    ...     data_dir="/tmp/css", store="segmented"))
+    >>> controller = DataController(runtime=RuntimeConfig(sched="fair"))
 
 What follows from a fact has no name: a node is durable iff it has a
-``data_dir``, sharded iff it was handed a membership, observed by the
-telemetry it was handed — the controller reads those and constructs its
-events index and audit log directly.  An off name (``telemetry: noop``,
+``data_dir`` (its logs then live in the segmented storage engine), sharded
+iff it was handed a membership, observed by the telemetry it was handed —
+the controller reads those and constructs its store, events index and
+audit log directly.  An off name (``telemetry: noop``,
 ``recorder: noop``, ``perf: none``, ``batch: off``) resolves to ``None``
 and every seam checks for that.  The SLO engine and the profiler read a
 telemetry, they are not collaborators: ``SLOEngine(telemetry)`` and
 ``telemetry.attach_profiler(SamplingProfiler(...))`` where the report is
 read.
 
-Factories receive the construction context (clock, ids, keystore, paths,
-...) as keyword arguments and may ignore what they don't need.  They
+Factories receive the construction context (clock, master secret, batch
+size, ...) as keyword arguments and may ignore what they don't need.  They
 import their implementation modules lazily, keeping the kernel itself
 import-light and cycle-free.
 """
@@ -42,12 +42,12 @@ ServiceFactory = Callable[..., Any]
 
 #: Service kinds the default kernel wires: the collaborators with a real
 #: choice.  What has one implementation (keystore, bus, enforcer, endpoint
-#: fetcher, federation membership) its owner constructs directly, and so
-#: does the controller its events index and audit log: which pair it gets
-#: follows from facts (a data directory, a membership), not from a name.
+#: fetcher, federation membership, storage engine) its owner constructs
+#: directly, and so does the controller its events index and audit log:
+#: which pair it gets follows from facts (a data directory, a membership),
+#: not from a name.
 KIND_TELEMETRY = "telemetry"
 KIND_PERF = "perf"
-KIND_STORE = "store"
 KIND_SCHED = "sched"
 KIND_RECORDER = "recorder"
 KIND_BATCH = "batch"
@@ -57,26 +57,27 @@ KIND_BATCH = "batch"
 #: implementation, controller attribute the service is exposed under)``.
 #: Each service joins the construction context under its kind, which is
 #: the key later factories read it by (``context["telemetry"]``,
-#: ``context.get("store")``, ...).  Stated here once: the controller's loop,
-#: ``repro kernel`` and the table in docs/ARCHITECTURE.md (held to these
-#: rows by tests/test_docs_drift.py) all read them.
+#: ``context.get("recorder")``, ...).  Stated here once: the controller's
+#: loop, ``repro kernel`` and the table in docs/ARCHITECTURE.md (held to
+#: these rows by tests/test_docs_drift.py) all read them.
 WIRING: tuple[tuple[str, str, str], ...] = (
     (KIND_TELEMETRY, "telemetry", "telemetry"),
     (KIND_RECORDER, "recorder", "recorder"),
     (KIND_PERF, "perf", "perf"),
     (KIND_SCHED, "sched", "sched"),
-    (KIND_STORE, "store", "store"),
     (KIND_BATCH, "batch", "batch"),
 )
 
 
 #: The spellings ``index_store`` / ``audit_sink`` still accept.
 _STORAGE_SPELLINGS = ("jsonl", "memory")
-#: The kept fields that name a reader, and how each is built instead.
-_READER_FIELDS = {
-    "slo": "build SLOEngine(telemetry) where the report is read",
-    "profiling": "telemetry.attach_profiler(SamplingProfiler(...)) where "
-                 "the profile is read",
+#: The kept fields that select nothing: the one value each accepts, and
+#: what to do instead.
+_INERT_FIELDS = {
+    "slo": ("noop", "build SLOEngine(telemetry) where the report is read"),
+    "profiling": ("noop", "telemetry.attach_profiler(SamplingProfiler(...)) "
+                          "where the profile is read"),
+    "store": ("segmented", "a data_dir is stored in the segmented engine"),
 }
 
 
@@ -84,13 +85,14 @@ _READER_FIELDS = {
 class RuntimeConfig:
     """Named implementation choices for one platform instance, plus the
     one storage fact: ``data_dir`` given means a durable events index and
-    audit log under it (``store`` picks the format, ``batch`` group-commits
-    them), none means both in memory.
+    audit log in the segmented storage engine under it (``batch``
+    group-commits them), none means both in memory.
     """
 
     #: Select nothing: ``data_dir`` decides.  Kept, and checked below, only
     #: while the wall ledger's frozen ``PROD`` passes them by keyword
-    #: (ROADMAP item 2d deletes both, and ``slo`` / ``profiling`` below).
+    #: (ROADMAP item 2d deletes both, and ``slo`` / ``profiling`` / ``store``
+    #: below).
     index_store: str = "memory"
     audit_sink: str = "memory"
     #: Telemetry backend: "noop" (default — none is built) or "inmemory".
@@ -107,12 +109,9 @@ class RuntimeConfig:
     #: Decisions and audit trails are identical either way; only the speed
     #: differs.
     perf: str = "indexed"
-    #: Durable store engine behind the index/audit logs of a ``data_dir``:
-    #: "jsonl" (flat files, the ablation baseline) or "segmented" (the
-    #: storage engine — segmented checksummed logs with compaction,
-    #: snapshots and point-in-time recovery).  Decisions and audit
-    #: trails are byte-identical across both.
-    store: str = "jsonl"
+    #: Selects nothing and accepts "segmented" alone: every ``data_dir`` is
+    #: the storage engine's.  Kept for ``PROD`` like ``slo``.
+    store: str = "segmented"
     #: Multi-tenant scheduler at the bus boundary: "none" (today's FIFO
     #: dispatch, with per-tenant accounting) or "fair" (deficit-round-robin
     #: fair queueing with token-bucket admission, backpressure shedding to
@@ -152,8 +151,8 @@ class RuntimeConfig:
                 raise ConfigurationError(
                     "'jsonl' storage needs RuntimeConfig.data_dir"
                 )
-        for field_name, how_to in _READER_FIELDS.items():
-            if getattr(self, field_name) != "noop":
+        for field_name, (accepted, how_to) in _INERT_FIELDS.items():
+            if getattr(self, field_name) != accepted:
                 raise ConfigurationError(
                     f"RuntimeConfig.{field_name} selects nothing: {how_to}")
         if self.batch_size < 1:
@@ -248,21 +247,6 @@ def _indexed_perf(**context: Any) -> Any:
     )
 
 
-def _jsonl_store(**context: Any) -> Any:
-    from repro.storage.engine import JsonlStore
-
-    return JsonlStore(data_dir=context.get("data_dir"))
-
-
-def _segmented_store(**context: Any) -> Any:
-    from repro.storage.engine import SegmentedStore
-
-    return SegmentedStore(
-        data_dir=context.get("data_dir"),
-        telemetry=context.get("telemetry"),
-    )
-
-
 def _sched(fair: bool) -> Callable[..., Any]:
     """Both ``sched`` names build the one tenant scheduler; the name picks
     only its serving discipline."""
@@ -305,8 +289,6 @@ def default_kernel() -> ServiceKernel:
     kernel.register(KIND_TELEMETRY, "inmemory", _inmemory_telemetry)
     kernel.register(KIND_PERF, "none", _off)
     kernel.register(KIND_PERF, "indexed", _indexed_perf)
-    kernel.register(KIND_STORE, "jsonl", _jsonl_store)
-    kernel.register(KIND_STORE, "segmented", _segmented_store)
     kernel.register(KIND_SCHED, "none", _sched(fair=False))
     kernel.register(KIND_SCHED, "fair", _sched(fair=True))
     kernel.register(KIND_RECORDER, "noop", _off)

@@ -6,16 +6,15 @@ audit trail must survive restarts, and a privacy guarantor must be able to
 verify that a restored audit log is the one that was saved.
 
 * :mod:`~repro.storage.jsonl` — append-only JSON-lines files (the
-  ``jsonl`` store kind: the ablation baseline), and ``write_atomic``;
+  archive's row files), and ``write_atomic``;
 * :mod:`~repro.storage.segment` — size-segmented, checksum-framed
   append logs with sparse offset indexes and torn-tail crash repair;
 * :mod:`~repro.storage.compaction` — space reclamation that preserves
   sequence identities and never touches the audit chain;
 * :mod:`~repro.storage.snapshot` — sha256-manifested tar snapshots with
   verification and point-in-time restore;
-* :mod:`~repro.storage.engine` — the kernel ``store`` providers:
-  :class:`~repro.storage.engine.JsonlStore` (``jsonl``) and
-  :class:`~repro.storage.engine.StorageEngine` (``segmented``);
+* :mod:`~repro.storage.engine` — :class:`~repro.storage.engine.StorageEngine`,
+  the named logs of every node with a ``data_dir``;
 * :mod:`~repro.storage.schemas` — (de)serialization of message schemas
   and simple types;
 * :mod:`~repro.storage.archive` — :class:`~repro.storage.archive.PlatformArchive`:
@@ -34,13 +33,7 @@ broker.
 
 from repro.storage.archive import PlatformArchive
 from repro.storage.compaction import CompactionReport, compact, index_keep_predicate
-from repro.storage.engine import (
-    JsonlRecordLog,
-    JsonlStore,
-    RecordLog,
-    SegmentedStore,
-    StorageEngine,
-)
+from repro.storage.engine import RecordLog, SegmentedStore, StorageEngine
 from repro.storage.jsonl import JsonlFile
 from repro.storage.segment import SegmentedLog
 from repro.storage.snapshot import SnapshotManager
@@ -48,8 +41,6 @@ from repro.storage.snapshot import SnapshotManager
 __all__ = [
     "CompactionReport",
     "JsonlFile",
-    "JsonlRecordLog",
-    "JsonlStore",
     "PlatformArchive",
     "RecordLog",
     "SegmentedLog",

@@ -1,9 +1,10 @@
 """Append-only JSON-lines files.
 
-One record per line.  This is the storage engine's *ablation baseline*
-(kernel store kind ``jsonl``): no framing, no segments, no recovery
-beyond all-or-nothing — exactly what the segmented engine is measured
-against.  Readers get plain dictionaries back.
+One record per line: the row files of a platform archive
+(:mod:`~repro.storage.archive`), whose manifest vouches for every byte.
+No framing, no segments, no recovery beyond all-or-nothing — a node's
+live logs are the segmented engine's.  Readers get plain dictionaries
+back.
 
 Reading is **streaming**: :meth:`JsonlFile.iter_records` yields one
 record at a time, so replaying a multi-gigabyte file holds one line in
@@ -73,7 +74,7 @@ class JsonlFile:
         Raises :class:`~repro.exceptions.CorruptRecordError` on any
         malformed line (a plain JSONL file has no commit framing, so a
         torn trailing write is indistinguishable from corruption — the
-        segmented store kind exists to do better).
+        segmented log exists to do better).
         """
         if not self.path.exists():
             return

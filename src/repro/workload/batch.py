@@ -9,8 +9,8 @@ what the batching buys:
 
 * **equivalence matrix** — the same seeded capacity workload runs
   batched and unbatched at batch sizes 1/16/256, across the requested
-  node counts, over both durable store kinds (``jsonl`` and
-  ``segmented``).  Every batched arm must reproduce the unbatched arm's
+  node counts, durable (each node's logs in the segmented storage
+  engine).  Every batched arm must reproduce the unbatched arm's
   audit-chain digest (SHA-256 over the verified per-node heads) and PDP
   decision-stream digest bit-for-bit.
 * **speedup figures** — sustained events/sec (operations over the cost
@@ -37,19 +37,16 @@ SCHEMA_ID = "css-bench-batch/1"
 #: with the unbatched cost model exactly; 256 is the CI speedup gate).
 BATCH_SIZES = (1, 16, 256)
 
-#: Durable store kinds the matrix covers (group commit hits both).
-STORE_KINDS = ("jsonl", "segmented")
-
 #: CI floor for the batched/unbatched throughput ratio at size 256.
 SPEEDUP_FLOOR = 1.3
 
 
-def _point(workload: WorkloadConfig, nodes: int, store: str,
-           batch: str, batch_size: int) -> dict:
+def _point(workload: WorkloadConfig, nodes: int, batch: str,
+           batch_size: int) -> dict:
     """One durable capacity point in a throwaway data directory."""
     with tempfile.TemporaryDirectory(prefix="bench-batch-") as data_dir:
         runtime = RuntimeConfig(
-            store=store, data_dir=data_dir, batch=batch, batch_size=batch_size,
+            data_dir=data_dir, batch=batch, batch_size=batch_size,
         )
         return run_point(workload, nodes, runtime, collect_decisions=True)
 
@@ -64,7 +61,7 @@ def run_batch_suite(
     """The full equivalence matrix plus the speedup figures.
 
     ``quick`` (the CI default) sizes the workload down; the matrix shape
-    — batch sizes x node counts x store kinds — is identical either way,
+    — batch sizes x node counts — is identical either way,
     so the equivalence gate never loses coverage, only sample size.
     """
     workload = workload_config(
@@ -78,43 +75,35 @@ def run_batch_suite(
     sweep: list[dict] = []
     identical = True
     for nodes in node_counts:
-        for store in STORE_KINDS:
-            baseline = _point(workload, nodes, store, "off", 256)
-            for batch_size in BATCH_SIZES:
-                batched = _point(workload, nodes, store, "on", batch_size)
-                audit_ok = (batched["audit_digest"]
-                            == baseline["audit_digest"])
-                decisions_ok = (batched["decision_digest"]
-                                == baseline["decision_digest"])
-                identical = identical and audit_ok and decisions_ok
-                checks.append({
+        baseline = _point(workload, nodes, "off", 256)
+        for batch_size in BATCH_SIZES:
+            batched = _point(workload, nodes, "on", batch_size)
+            audit_ok = batched["audit_digest"] == baseline["audit_digest"]
+            decisions_ok = (batched["decision_digest"]
+                            == baseline["decision_digest"])
+            identical = identical and audit_ok and decisions_ok
+            checks.append({
+                "nodes": nodes,
+                "batch_size": batch_size,
+                "audit_identical": audit_ok,
+                "decisions_identical": decisions_ok,
+                "audit_digest": batched["audit_digest"],
+                "decision_digest": batched["decision_digest"],
+            })
+            ratio = batched["events_per_second"] / baseline["events_per_second"]
+            if batch_size == 256:
+                speedups.append({
                     "nodes": nodes,
-                    "store": store,
-                    "batch_size": batch_size,
-                    "audit_identical": audit_ok,
-                    "decisions_identical": decisions_ok,
-                    "audit_digest": batched["audit_digest"],
-                    "decision_digest": batched["decision_digest"],
+                    "baseline_events_per_second": baseline["events_per_second"],
+                    "batched_events_per_second": batched["events_per_second"],
+                    "speedup": ratio,
                 })
-                if store == "jsonl":
-                    ratio = (batched["events_per_second"]
-                             / baseline["events_per_second"])
-                    if batch_size == 256:
-                        speedups.append({
-                            "nodes": nodes,
-                            "baseline_events_per_second":
-                                baseline["events_per_second"],
-                            "batched_events_per_second":
-                                batched["events_per_second"],
-                            "speedup": ratio,
-                        })
-                    if nodes == node_counts[0]:
-                        sweep.append({
-                            "batch_size": batch_size,
-                            "events_per_second":
-                                batched["events_per_second"],
-                            "speedup": ratio,
-                        })
+            if nodes == node_counts[0]:
+                sweep.append({
+                    "batch_size": batch_size,
+                    "events_per_second": batched["events_per_second"],
+                    "speedup": ratio,
+                })
     min_speedup = min(figure["speedup"] for figure in speedups)
     return {
         "schema": SCHEMA_ID,

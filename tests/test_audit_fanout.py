@@ -19,7 +19,6 @@ A run of consecutive deliveries of one notification is chained as ONE
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import replace
 
 import pytest
@@ -37,7 +36,7 @@ from repro.ids import IdFactory
 from repro.runtime.backends import JsonlAuditSink
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
-from repro.storage.segment import SegmentedLog
+from repro.storage.segment import SegmentedLog, encode_frame
 from repro.workload import workload_config
 from repro.workload.capacity import run_workload
 from tests.conftest import blood_test_schema
@@ -294,15 +293,18 @@ def fanned_out(log: AuditLog) -> AuditLog:
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_one_edited_recipient_in_a_stored_row_fails_replay(tmp_path, edit):
-    path = tmp_path / "audit.jsonl"
-    fanned_out(JsonlAuditSink(path))
-    assert len(JsonlAuditSink(path)) == 3  # intact: replays
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    directory = tmp_path / "audit"
+    fanned_out(JsonlAuditSink(SegmentedLog(directory)))
+    assert len(JsonlAuditSink(SegmentedLog(directory))) == 3  # intact: replays
+    rows = SegmentedLog(directory).read_all()
     assert rows[1]["recipients"] == RECIPIENTS
     rows[1]["recipients"] = EDITS[edit]
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    # Re-framed under valid checksums: the log takes the row, the chain not.
+    (segment,) = directory.glob("*.seg")
+    segment.write_bytes(b"".join(encode_frame(sequence, row)
+                                 for sequence, row in enumerate(rows, start=1)))
     with pytest.raises(TamperedLogError):
-        JsonlAuditSink(path)
+        JsonlAuditSink(SegmentedLog(directory))
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -333,7 +335,7 @@ def durable(tmp_path, **runtime):
     waits for ``bus.dispatch()``, so a run can be left open."""
     controller = DataController(
         seed="fanout", auto_dispatch=False,
-        runtime=RuntimeConfig(store="segmented", data_dir=tmp_path, **runtime))
+        runtime=RuntimeConfig(data_dir=tmp_path, **runtime))
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
     hospital.define_policy(

@@ -229,13 +229,12 @@ class TestCoalescedShardFrames:
 
 def batch_payload(min_speedup=1.5, identical=True):
     check = {
-        "nodes": 1, "store": "jsonl", "batch_size": 1,
+        "nodes": 1, "batch_size": 1,
         "audit_identical": identical, "decisions_identical": identical,
         "audit_digest": "sha256:" + "a" * 64,
         "decision_digest": "sha256:" + "b" * 64,
     }
-    checks = [dict(check, batch_size=size, store=store)
-              for size in (1, 16, 256) for store in ("jsonl", "segmented")]
+    checks = [dict(check, batch_size=size) for size in (1, 16, 256)]
     return {
         "schema": "css-bench-batch/1",
         "source": "tests",

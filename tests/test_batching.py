@@ -5,8 +5,8 @@ The ``batch`` kernel kind buffers durable appends into group commits
 :class:`~repro.runtime.batching.BatchWriter` buffering/flush contract,
 ``append_many``'s sequence-range and segment-roll behaviour (including
 torn-tail repair after a group commit), byte-level durable equivalence
-between batched and unbatched runs over both store kinds, and the flush
-barriers that keep snapshots and guarantor inquiries complete.
+between batched and unbatched runs, and the flush barriers that keep
+snapshots and guarantor inquiries complete.
 """
 
 import errno
@@ -23,13 +23,13 @@ from repro.exceptions import (
     LinkFailureError,
 )
 from repro.runtime.batching import BatchPolicy, BatchWriter
-from repro.storage import JsonlRecordLog, SegmentedLog
+from repro.storage import SegmentedLog
 from tests.conftest import blood_test_schema, build_federation
 
 
 class TestBatchWriter:
     def test_buffers_until_the_batch_boundary(self, tmp_path):
-        log = JsonlRecordLog(tmp_path / "log.jsonl")
+        log = SegmentedLog(tmp_path / "log")
         writer = BatchWriter(log, batch_size=3)
         writer.append({"n": 1})
         writer.append({"n": 2})
@@ -42,14 +42,14 @@ class TestBatchWriter:
         assert writer.stats.flushed_records == 3
 
     def test_len_counts_durable_plus_pending(self, tmp_path):
-        writer = BatchWriter(JsonlRecordLog(tmp_path / "log.jsonl"),
+        writer = BatchWriter(SegmentedLog(tmp_path / "log"),
                              batch_size=10)
         assert writer.append({"n": 1}) == 1
         assert writer.append({"n": 2}) == 2
         assert len(writer) == 2
 
     def test_iter_records_is_a_flush_barrier(self, tmp_path):
-        log = JsonlRecordLog(tmp_path / "log.jsonl")
+        log = SegmentedLog(tmp_path / "log")
         writer = BatchWriter(log, batch_size=10)
         writer.append({"n": 1})
         writer.append({"n": 2})
@@ -58,7 +58,7 @@ class TestBatchWriter:
         assert len(log) == 2
 
     def test_append_many_returns_the_projected_range(self, tmp_path):
-        log = JsonlRecordLog(tmp_path / "log.jsonl")
+        log = SegmentedLog(tmp_path / "log")
         writer = BatchWriter(log, batch_size=2)
         writer.append({"n": 1})
         assert writer.append_many([{"n": 2}, {"n": 3}, {"n": 4}]) == (2, 4)
@@ -67,7 +67,7 @@ class TestBatchWriter:
         assert [r["n"] for r in log.iter_records()] == [1, 2, 3, 4]
 
     def test_a_failed_commit_keeps_the_batch_pending_in_order(self, tmp_path):
-        log = JsonlRecordLog(tmp_path / "log.jsonl")
+        log = SegmentedLog(tmp_path / "log")
         fail_next_commit(log)
         writer = BatchWriter(log, batch_size=2)
         writer.append({"n": 1})
@@ -79,14 +79,14 @@ class TestBatchWriter:
         assert [r["n"] for r in log.iter_records()] == [1, 2, 3]
 
     def test_flush_on_empty_buffer_is_a_noop(self, tmp_path):
-        writer = BatchWriter(JsonlRecordLog(tmp_path / "log.jsonl"),
+        writer = BatchWriter(SegmentedLog(tmp_path / "log"),
                              batch_size=2)
         writer.flush()
         assert writer.stats.flushes == 0
 
     def test_batch_size_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            BatchWriter(JsonlRecordLog(tmp_path / "log.jsonl"), batch_size=0)
+            BatchWriter(SegmentedLog(tmp_path / "log"), batch_size=0)
         with pytest.raises(ConfigurationError):
             BatchPolicy(batch_size=0)
 
@@ -103,14 +103,7 @@ def fail_next_commit(log):
 
 
 class TestAppendMany:
-    """Satellite: the group-commit primitive on both record logs."""
-
-    def test_jsonl_append_many_returns_the_sequence_range(self, tmp_path):
-        log = JsonlRecordLog(tmp_path / "log.jsonl")
-        log.append({"n": 1})
-        assert log.append_many([{"n": 2}, {"n": 3}]) == (2, 3)
-        assert log.append_many([]) is None
-        assert [r["n"] for r in log.iter_records()] == [1, 2, 3]
+    """Satellite: the group-commit primitive on the segmented log."""
 
     def test_segmented_append_many_matches_single_appends(self, tmp_path):
         records = [{"n": i, "pad": "x" * 40} for i in range(12)]
@@ -173,17 +166,12 @@ def build_world(tmp_path, store, batch, batch_size=256):
     return controller
 
 
-def read_rows(base, store, name):
-    if store == "segmented":
-        return SegmentedLog(base / name).read_all()
-    flat = base / f"{name}.jsonl"
-    if not flat.exists():
-        return []
-    return [json.loads(line) for line in flat.read_text().splitlines()]
+def read_rows(base, name):
+    return SegmentedLog(base / name).read_all()
 
 
 class TestGroupCommitDurability:
-    @pytest.mark.parametrize("store", ["jsonl", "segmented"])
+    @pytest.mark.parametrize("store", ["segmented"])
     def test_batched_files_match_unbatched_after_flush(self, tmp_path, store):
         plain = build_world(tmp_path / "off", store, batch="off")
         batched = build_world(tmp_path / "on", store, batch="on")
@@ -195,17 +183,17 @@ class TestGroupCommitDurability:
         # PERFORMANCE.md §4 — a single controller has none, so even the
         # order survives here).
         for name in ("audit", "index"):
-            assert (read_rows(tmp_path / "on", store, name)
-                    == read_rows(tmp_path / "off", store, name))
+            assert (read_rows(tmp_path / "on", name)
+                    == read_rows(tmp_path / "off", name))
 
-    @pytest.mark.parametrize("store", ["jsonl", "segmented"])
+    @pytest.mark.parametrize("store", ["segmented"])
     def test_snapshot_without_flush_would_miss_rows(self, tmp_path, store):
         controller = build_world(tmp_path, store, batch="on", batch_size=256)
         in_memory = len(controller.audit_log)
-        durable_before = len(read_rows(tmp_path, store, "audit"))
+        durable_before = len(read_rows(tmp_path, "audit"))
         assert durable_before < in_memory  # buffered: the barrier matters
         controller.flush_storage()
-        assert len(read_rows(tmp_path, store, "audit")) == in_memory
+        assert len(read_rows(tmp_path, "audit")) == in_memory
 
     def test_restart_after_flush_replays_the_same_chain(self, tmp_path):
         controller = build_world(tmp_path, "segmented", batch="on",
@@ -241,7 +229,7 @@ class TestGroupCommitDurability:
         controller.flush_storage()
 
         restarted = DataController(seed="batchequiv", runtime=RuntimeConfig(
-            store="segmented", data_dir=tmp_path, batch="on", batch_size=4))
+            data_dir=tmp_path, batch="on", batch_size=4))
         restarted.audit_log.verify_integrity()
         assert len(restarted.audit_log) == len(controller.audit_log)
         assert restarted.audit_log.head_digest == controller.audit_log.head_digest
@@ -361,14 +349,13 @@ class TestFlushBarriers:
         assert link.stats.calls == calls + 1
 
     def test_flush_batches_drains_durable_buffers(self, tmp_path):
-        deployment = self.batched_federation(store="jsonl", data_dir=tmp_path)
+        deployment = self.batched_federation(data_dir=tmp_path)
         platform = deployment.platform
         for i in range(4):
             deployment.publish_blood_test(subject_id=f"pat-{i}")
         platform.flush_batches()
         for node in platform.nodes():
-            durable = (tmp_path / node.node_id / "audit.jsonl")
-            rows = durable.read_text().splitlines()
+            rows = read_rows(tmp_path / node.node_id, "audit")
             assert len(rows) == len(node.controller.audit_log)
 
 

@@ -142,10 +142,10 @@ GOOD = {
     "css-bench-batch/1": {
         "source": "pytest", "quick": True,
         "equivalence": {"identical": True, "checks": [
-            {"nodes": 1, "store": store, "batch_size": size,
+            {"nodes": 1, "batch_size": size,
              "audit_identical": True, "decisions_identical": True,
              "audit_digest": DIGEST, "decision_digest": DIGEST}
-            for size in (1, 16, 256) for store in ("jsonl", "segmented")]},
+            for size in (1, 16, 256)]},
         "speedup": {
             "floor": 1.3, "min_speedup_at_256": 1.5,
             "nodes": [{"nodes": 1, "baseline_events_per_second": 100.0,
@@ -350,9 +350,6 @@ class TestStructuralMutations:
         payload["equivalence"]["checks"] = [
             entry for entry in checks if entry["batch_size"] != 256]
         assert any("batch_size=256" in p for p in validate(payload))
-        payload["equivalence"]["checks"] = [
-            entry for entry in checks if entry["store"] != "segmented"]
-        assert any("store=segmented" in p for p in validate(payload))
 
     def test_missing_arm(self):
         payload = good("css-bench-fairness/1")

@@ -25,6 +25,20 @@ class TestScenarioCommand:
         assert "CSS SCENARIO REPORT" in output
         assert "events published:        30" in output
 
+    def test_a_durable_run_is_the_storage_engines_to_operate(self, tmp_path):
+        # At the parent a default ``--durable`` run wrote flat files that
+        # ``repro store`` could not see.
+        code, output = run_cli("scenario", "--events", "20", "--durable",
+                               str(tmp_path))
+        assert code == 0
+        assert output.splitlines()[-1].startswith(
+            "durable backends wrote segmented index and audit logs")
+        code, output = run_cli("store", "stats", "--data",
+                               str(tmp_path / "node-0"))
+        assert code == 0
+        assert [line.split()[0] for line in output.splitlines()[1:]] == [
+            "audit", "index"]
+
     def test_archive_option(self, tmp_path):
         snap = tmp_path / "snap"
         code, output = run_cli("scenario", "--events", "20", "--archive", str(snap))
@@ -281,7 +295,6 @@ SURFACE = {
         (("--seed",), "seed", 2010, int),
         (("--archive",), "archive", None, None),
         (("--durable",), "durable", None, None),
-        (("--store",), "store", "jsonl", None),
         (("--sched",), "sched", "none", None),
     ],
     "compare": [
@@ -416,7 +429,7 @@ class TestSurface:
                       for option in options_of(parser)]
             for command, parser in subparsers().items()}
         assert surface == SURFACE
-        assert sum(len(options) for options in surface.values()) == 101
+        assert sum(len(options) for options in surface.values()) == 100
 
     def test_no_option_keeps_a_private_list_of_choices(self):
         """Enumerations are refused by the CLI's one path (exit 1, with a
@@ -443,7 +456,7 @@ class TestOneRejectionPath:
     def test_the_enumerating_flags_are_the_expected_ones(self):
         assert sorted({(command, flag) for command, flag, _ in
                        enumerating_flags()}, key=str) == sorted([
-            ("scenario", "--store"), ("scenario", "--sched"),
+            ("scenario", "--sched"),
             ("telemetry", "--scenario"), ("telemetry", "--guard"),
             ("federate", "--sched"), ("federate", "--batch"),
             ("slo", "--scenario"), ("slo", "--guard"),
@@ -506,8 +519,8 @@ class TestKernelCommand:
         defaults = RuntimeConfig()
         assert starred == {kind: [getattr(defaults, config_field)]
                            for kind, config_field, _ in WIRING}
-        # Index and audit follow from ``data_dir`` and a reader is built by
-        # whoever reads: no row, nothing to star.
-        assert len(starred) == 6
-        assert not {"index", "audit", "slo", "profiling"} & set(starred)
+        # Store, index and audit follow from ``data_dir`` and a reader is
+        # built by whoever reads: no row, nothing to star.
+        assert len(starred) == 5
+        assert not {"store", "index", "audit", "slo", "profiling"} & set(starred)
         assert "shared" not in output and "federated" not in output

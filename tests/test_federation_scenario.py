@@ -135,8 +135,7 @@ def test_a_durable_group_commit_run_ends_settled(tmp_path, nodes):
     and all 200 index rows still in group-commit buffers."""
     scenario = CssScenario(ScenarioConfig(
         nodes=nodes, n_patients=30, n_events=200, seed=2010,
-        runtime=RuntimeConfig(store="segmented", batch="on",
-                              data_dir=tmp_path)))
+        runtime=RuntimeConfig(batch="on", data_dir=tmp_path)))
     report = scenario.run()
     indexed = 0
     for node in scenario.platform.nodes():

@@ -29,6 +29,7 @@ from repro.registry.objects import LifecycleStatus, RegistryObject
 from repro.registry.query import FilterQuery
 from repro.registry.registry import Registry
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+from repro.storage.segment import SegmentedLog
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
           "events.social.HomeCare", "events.social.Alarm")
@@ -340,21 +341,22 @@ class TestRowCodecs:
         assert RegistryObject.from_row(row) == obj
 
     def test_pre_merge_audit_row_replays(self, tmp_path):
-        path = tmp_path / "audit.jsonl"
-        path.write_text(json.dumps(OLD_AUDIT_ROW, sort_keys=True) + "\n")
-        sink = JsonlAuditSink(path)
+        SegmentedLog(tmp_path / "audit").append(OLD_AUDIT_ROW)
+        sink = JsonlAuditSink(SegmentedLog(tmp_path / "audit"))
         sink.verify_integrity()
         assert sink.head_digest == OLD_AUDIT_ROW["digest"]
         assert sink.record_at(0).action is AuditAction.JOIN
         # ...and what the sink writes today is that very row.
-        fresh = JsonlAuditSink(tmp_path / "fresh.jsonl")
+        fresh = JsonlAuditSink(SegmentedLog(tmp_path / "fresh"))
         fresh.append(sink.record_at(0))
-        assert (tmp_path / "fresh.jsonl").read_text() == path.read_text()
+        written = [path.read_bytes() for name in ("fresh", "audit")
+                   for path in (tmp_path / name).glob("*.seg")]
+        assert len(written) == 2 and written[0] == written[1]
 
     def test_pre_merge_index_row_replays(self, tmp_path):
-        path = tmp_path / "index.jsonl"
-        path.write_text(json.dumps(OLD_INDEX_ROW, sort_keys=True) + "\n")
-        index = JsonlIndexStore(path, KeyStore("css-platform-secret"))
+        SegmentedLog(tmp_path / "index").append(OLD_INDEX_ROW)
+        index = JsonlIndexStore(SegmentedLog(tmp_path / "index"),
+                                KeyStore("css-platform-secret"))
         assert index.sequence == OLD_INDEX_ROW["sequence"]
         notification = index.get("evt-000001-650d")
         assert notification.subject_display == "Giovanni Esposito"

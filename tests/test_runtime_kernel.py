@@ -5,12 +5,11 @@ resolve by name through the kernel, unknown names fail with the platform's
 configuration error, what follows from a fact (durable iff a data
 directory, sharded iff a membership, observed by the telemetry handed in)
 is read — the same way by a bare controller and under a platform — the
-in-memory implementations satisfy the runtime protocols, and the JSONL
+in-memory implementations satisfy the runtime protocols, and the durable
 index/audit pair survives a restart (with tamper detection on the audit
 chain).
 """
 
-import json
 from dataclasses import fields
 from itertools import count, product
 
@@ -39,6 +38,8 @@ from repro.runtime.interfaces import (
     PolicyDecisionPoint,
 )
 from repro.runtime.kernel import WIRING, ServiceKernel
+from repro.storage import SegmentedLog, StorageEngine
+from repro.storage.segment import encode_frame
 from tests.conftest import blood_test_schema, build_federation
 
 
@@ -66,16 +67,15 @@ class TestKernelRegistry:
         wiring = kernel.wiring()
         assert wiring["telemetry"] == ("inmemory", "noop")
         assert wiring["perf"] == ("indexed", "none")
-        assert wiring["store"] == ("jsonl", "segmented")
         assert wiring["sched"] == ("fair", "none")
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
-        # Only collaborators with a real choice are kernel kinds (index and
-        # audit follow from ``data_dir``, an SLO engine or profiler is built
-        # by whoever reads it); the design-size CI step fails past these
-        # two numbers.
+        # Only collaborators with a real choice are kernel kinds (store,
+        # index and audit follow from ``data_dir``, an SLO engine or
+        # profiler is built by whoever reads it); the design-size CI step
+        # fails past these two numbers.
         assert kernel.kinds() == ("batch", "perf", "recorder", "sched",
-                                  "store", "telemetry")
+                                  "telemetry")
         assert len(fields(RuntimeConfig)) == 13
         # No name stands for a fact.
         assert not {"federated", "shared"} & {
@@ -85,18 +85,19 @@ class TestKernelRegistry:
         kernel = default_kernel()
         with pytest.raises(ConfigurationError, match="unknown service kind"):
             kernel.create("blockchain", "memory")
-        with pytest.raises(ConfigurationError, match="no 'store' implementation"):
-            kernel.create("store", "postgres")
-        # Index and audit are no longer kinds: nothing to name.
-        with pytest.raises(ConfigurationError, match="unknown service kind"):
-            kernel.create("index", "memory")
+        with pytest.raises(ConfigurationError, match="no 'sched' implementation"):
+            kernel.create("sched", "lottery")
+        # Store, index and audit are no longer kinds: nothing to name.
+        for kind in ("store", "index"):
+            with pytest.raises(ConfigurationError, match="unknown service kind"):
+                kernel.create(kind, "memory")
 
     def test_unknown_name_error_lists_implementations_and_suggests(self):
         kernel = default_kernel()
         with pytest.raises(ConfigurationError,
-                           match=r"available: jsonl, segmented") as excinfo:
-            kernel.create("store", "jsonll")
-        assert "did you mean 'jsonl'?" in str(excinfo.value)
+                           match=r"available: fair, none") as excinfo:
+            kernel.create("sched", "fari")
+        assert "did you mean 'fair'?" in str(excinfo.value)
         with pytest.raises(ConfigurationError,
                            match="did you mean 'telemetry'"):
             kernel.create("telemetryy", "noop")
@@ -112,9 +113,9 @@ class TestKernelRegistry:
     def test_custom_registration_overrides(self):
         kernel = default_kernel()
         sentinel = object()
-        kernel.register("store", "null", lambda **ctx: sentinel)
-        assert kernel.create("store", "null") is sentinel
-        assert "null" in kernel.implementations("store")
+        kernel.register("sched", "null", lambda **ctx: sentinel)
+        assert kernel.create("sched", "null") is sentinel
+        assert "null" in kernel.implementations("sched")
 
     def test_controller_collaborators_satisfy_the_protocols(self):
         controller, hospital, blood, doctor = build_world()
@@ -152,8 +153,8 @@ class TestControllerWiring:
     def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
             self, tmp_path):
         runtime = RuntimeConfig(
-            telemetry="inmemory", perf="none", store="segmented",
-            sched="fair", batch="on", recorder="ring", data_dir=tmp_path)
+            telemetry="inmemory", perf="none", sched="fair", batch="on",
+            recorder="ring", data_dir=tmp_path)
         kernel = RecordingKernel()
         controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
         assert kernel.asked == [(kind, getattr(runtime, config_field))
@@ -276,6 +277,20 @@ class TestOneWiringRule:
             "unknown audit_sink 'jsonll'; did you mean 'jsonl'? "
             "available: jsonl, memory")
 
+    def test_a_data_directory_is_the_segmented_engine_and_store_selects_nothing(
+            self, tmp_path):
+        # At the parent ``store`` named the format and defaulted to flat
+        # files, which no restart survived after a torn final line.
+        for name in ("jsonl", "segmnted"):
+            with pytest.raises(ConfigurationError) as refusal:
+                RuntimeConfig(store=name, data_dir=tmp_path)
+            assert str(refusal.value) == (
+                "RuntimeConfig.store selects nothing: a data_dir is stored "
+                "in the segmented engine")
+        assert DataController().store is None
+        assert isinstance(DataController(runtime=RuntimeConfig(
+            data_dir=tmp_path)).store, StorageEngine)
+
     def test_no_name_stands_for_a_fact(self):
         # ``federated`` / ``shared`` used to reach factories that died on
         # a bare ``KeyError: 'membership'`` / ``'shared_telemetry'``.
@@ -328,7 +343,7 @@ class TestOneWiringRule:
         assert all(node.controller.telemetry is handed
                    for node in platform.nodes())
 
-    @pytest.mark.parametrize("store", ["jsonl", "segmented"])
+    @pytest.mark.parametrize("store", ["segmented"])
     def test_a_restart_replays_to_the_live_heads(self, store, tmp_path):
         """The wall driver's ``recover_nodes``, on a platform given nothing
         but a directory: fails at the parent, which kept the audit chain
@@ -352,8 +367,7 @@ class TestOneWiringRule:
         platform.dispatch_all()
         platform.flush_batches()
         for node in platform.nodes():
-            reopened = default_kernel().create(
-                "store", store, data_dir=tmp_path / node.node_id)
+            reopened = StorageEngine(tmp_path / node.node_id)
             audit = JsonlAuditSink(reopened.log("audit"))
             audit.verify_integrity()
             index = JsonlIndexStore(
@@ -542,6 +556,12 @@ class TestOneObserverRule:
         assert offenders == []
 
 
+def on_disk(directory):
+    """Every byte of the segment files under ``directory``, oldest first."""
+    return b"".join(path.read_bytes()
+                    for path in sorted(directory.glob("*.seg")))
+
+
 class TestJsonlBackends:
     def test_full_flow_on_jsonl_backends(self, tmp_path):
         runtime = RuntimeConfig(data_dir=tmp_path)
@@ -550,8 +570,9 @@ class TestJsonlBackends:
         notification = publish(hospital, blood)
         detail = doctor.request_details(notification, "healthcare-treatment")
         assert detail.exposed_values()
-        assert (tmp_path / "index.jsonl").exists()
-        assert (tmp_path / "audit.jsonl").exists()
+        assert on_disk(tmp_path / "index")
+        assert on_disk(tmp_path / "audit")
+        assert isinstance(controller.store, StorageEngine)
         assert isinstance(controller.index, JsonlIndexStore)
         assert isinstance(controller.audit_log, JsonlAuditSink)
 
@@ -559,12 +580,11 @@ class TestJsonlBackends:
         runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood, "secret-patient")
-        rows = [json.loads(line) for line in
-                (tmp_path / "index.jsonl").read_text().splitlines()]
+        rows = SegmentedLog(tmp_path / "index").read_all()
         assert len(rows) == 1
-        blob = json.dumps(rows[0])
-        assert "secret-patient" not in blob
-        assert "Mario Bianchi" not in blob
+        raw = on_disk(tmp_path / "index")
+        assert b"secret-patient" not in raw
+        assert b"Mario Bianchi" not in raw
 
     def test_index_replay_restores_notifications_and_nonce_sequence(self, tmp_path):
         runtime = RuntimeConfig(data_dir=tmp_path)
@@ -573,7 +593,7 @@ class TestJsonlBackends:
         publish(hospital, blood, "p2")
         old_sequence = controller.index.sequence
 
-        reloaded = JsonlIndexStore(tmp_path / "index.jsonl",
+        reloaded = JsonlIndexStore(SegmentedLog(tmp_path / "index"),
                                    KeyStore("css-platform-secret"))
         assert len(reloaded) == 2
         assert reloaded.sequence == old_sequence  # no keystream reuse
@@ -586,15 +606,15 @@ class TestJsonlBackends:
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood)
         head = controller.audit_log.head_digest
-        stored = (tmp_path / "audit.jsonl").read_bytes()
+        stored = on_disk(tmp_path / "audit")
 
-        reloaded = JsonlAuditSink(tmp_path / "audit.jsonl")
+        reloaded = JsonlAuditSink(SegmentedLog(tmp_path / "audit"))
         reloaded.verify_integrity()
         assert len(reloaded) == len(controller.audit_log)
         assert reloaded.head_digest == head
         # Replay chains the stored rows; it does not write them again.
-        assert (tmp_path / "audit.jsonl").read_bytes() == stored
-        rows = [json.loads(line) for line in stored.splitlines()]
+        assert on_disk(tmp_path / "audit") == stored
+        rows = SegmentedLog(tmp_path / "audit").read_all()
         assert rows == [
             {**record.to_payload(), "digest": reloaded._chain.digest_at(index)}
             for index, record in enumerate(reloaded.records())]
@@ -603,11 +623,13 @@ class TestJsonlBackends:
         runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood)
-        path = tmp_path / "audit.jsonl"
-        lines = path.read_text().splitlines()
-        doctored = json.loads(lines[0])
+        # Rewrite the first row under a *valid* frame checksum: the segment
+        # log accepts the frame, the hash chain does not.
+        (segment,) = sorted((tmp_path / "audit").glob("*.seg"))
+        frames = segment.read_bytes().splitlines(keepends=True)
+        doctored = SegmentedLog(tmp_path / "audit").read_all()[0]
         doctored["actor"] = "someone-else"
-        lines[0] = json.dumps(doctored)
-        path.write_text("\n".join(lines) + "\n")
+        frames[0] = encode_frame(1, doctored)
+        segment.write_bytes(b"".join(frames))
         with pytest.raises(TamperedLogError):
-            JsonlAuditSink(path)
+            JsonlAuditSink(SegmentedLog(tmp_path / "audit"))
