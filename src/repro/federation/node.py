@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from repro import exceptions
@@ -164,9 +165,9 @@ class FederationNode:
         }
         membership.register(self)
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """This node's (guard-hashed) telemetry label."""
+        """This node's (guard-hashed) telemetry label, hashed once."""
         return self.membership.node_label(self.node_id)
 
     # -- channel sealing ---------------------------------------------------
@@ -181,8 +182,14 @@ class FederationNode:
         return {"from": self.node_id, "token": token}
 
     def open_channel(self, sealed: dict) -> dict:
-        """Open a peer's channel-sealed payload (same derived key)."""
-        name = CHANNEL_KEY_PREFIX + sealed["from"]
+        """Open a peer's channel-sealed payload (same derived key).
+
+        A sender that is not a registered member is refused before any
+        key is derived for it: a frame cannot grow the keystore.
+        """
+        sender = sealed["from"]
+        self.membership.node(sender)  # FederationError for a non-member
+        name = CHANNEL_KEY_PREFIX + sender
         keystore = self.controller.keystore
         keystore.create(name)  # deterministic derivation: no key exchange
         opened = json.loads(keystore.open_(name, sealed["token"]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro import exceptions
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
+from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
     AccessDeniedError,
     CssError,
@@ -302,6 +303,19 @@ class TestWireErrors:
         assert type(raised) is FederationError
         assert response["error"] == "TelemetryPrivacyError"
         assert "TelemetryPrivacyError: label refused" in str(raised)
+
+    def test_a_frame_naming_a_non_member_is_refused_before_any_key(
+        self, federation_two
+    ):
+        node = federation_two.platform.node("node-1")
+        keystore = node.controller.keystore
+        names, schedule = dict(keystore._versions), dict(KeyStore._schedule)
+        response = node.handle("bus.relay",
+                               {"from": "nobody", "token": "v1:" + "00" * 60})
+        assert response == {"error": "FederationError",
+                            "message": "no registered node 'nobody'"}
+        assert keystore._versions == names
+        assert KeyStore._schedule == schedule
 
 
 class TestRebalance:
