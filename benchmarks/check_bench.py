@@ -68,8 +68,7 @@ TENANT_ID_FRAGMENTS = (
     "Hospital-S-Maria", "HomeAssist-Coop", "Org-0", "Org-1",
 )
 
-#: Floors of the two speed-up gates.
-MIN_PDP_SPEEDUP = 1.0
+#: Floor of the batching speed-up gate.
 MIN_BATCH_SPEEDUP = 1.3
 
 #: Replay must be streaming: peak replay memory is bounded regardless of
@@ -419,14 +418,6 @@ def identical(why: str) -> Obj:
 OUTCOME_COUNTERS = ("published", "publish_blocked", "detail_permits",
                     "detail_denies", "subscribe_ops")
 
-_PERF_MEASUREMENT = Obj({
-    "ops_per_second": WALL_RATE,
-    "iterations": POSINT,
-    "latency_seconds": latency("wall_seconds"),
-})
-_PERF_COMPARISON = {"indexed": _PERF_MEASUREMENT, "none": _PERF_MEASUREMENT,
-                    "speedup": RATIO}
-
 _STORAGE_KIND = {
     "ingest_events_per_second": WALL_RATE,
     "recovery_seconds": WALL_SECONDS,
@@ -543,25 +534,6 @@ SCHEMAS: dict[str, Schema] = {
         }),
         tracked=("scaling.0.events_per_simulated_second",
                  "scaling.0.wall_seconds"),
-    ),
-    # benchmarks/bench_perf_hotpath.py: indexed perf layer vs linear
-    # baseline, wall-clock — reported, never baselined.
-    "css-bench-perf/1": Schema(
-        Obj({
-            "source": TEXT,
-            "quick": BOOL,
-            "pdp_decide": Obj(_PERF_COMPARISON),
-            "publish_fanout": Obj(_PERF_COMPARISON),
-            "federated_details": ListOf(
-                Obj({"nodes": POSINT, **_PERF_COMPARISON})),
-            "equivalence": identical(
-                "indexed and none modes produced different decisions or "
-                "audit records"),
-        }),
-        gates=(floor("pdp_decide.speedup", MIN_PDP_SPEEDUP,
-                     "the indexed PDP path regressed below the linear "
-                     "baseline"),),
-        tracked=("pdp_decide.indexed.ops_per_second",),
     ),
     # benchmarks/bench_storage_engine.py: a flat JSONL file vs the engine.
     "css-bench-storage/1": Schema(

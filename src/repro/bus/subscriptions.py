@@ -64,24 +64,24 @@ class Subscription:
 class SubscriptionRegistry:
     """All subscriptions known to the broker, indexed for fan-out.
 
-    With ``indexed`` (enabled by the ``perf: indexed`` kernel layer) the
-    registry additionally maintains a segment trie over the subscription
-    patterns plus a per-topic fan-out memo, so :meth:`matching_topic` is
-    independent of the total subscription count.  Both paths return
-    subscriptions in registration order — the property tests assert the
-    two agree on arbitrary pattern/topic sets.
+    The registry maintains a segment trie over the subscription patterns
+    plus a per-topic fan-out memo, so :meth:`matching_topic` is
+    independent of the total subscription count; the memo's hits and
+    misses count on ``perf`` (a bare registry keeps a layer of its own).
+    :meth:`matching_topic_linear` is the reference scan — the property
+    tests assert the two agree, in registration order, on arbitrary
+    pattern/topic sets.
     """
 
-    def __init__(self, indexed: bool = False, perf=None) -> None:
-        self._subscriptions: dict[str, Subscription] = {}
-        self._indexed = indexed
-        self._perf = perf
-        self._order = 0
-        self._trie = None
-        if indexed:
-            from repro.perf.topic_index import TopicTrie
+    def __init__(self, perf=None) -> None:
+        # Lazy: repro.perf reads repro.bus.topics, which loads this package.
+        from repro.perf import PerfLayer
+        from repro.perf.topic_index import TopicTrie
 
-            self._trie = TopicTrie()
+        self._subscriptions: dict[str, Subscription] = {}
+        self._perf = perf or PerfLayer()
+        self._order = 0
+        self._trie = TopicTrie()
         self._fanout_memo: dict[str, list[Subscription]] = {}
         self._backlog = DepthTally()
 
@@ -89,11 +89,6 @@ class SubscriptionRegistry:
     def pending(self) -> int:
         """Messages waiting across every registered subscription's queue."""
         return self._backlog.depth
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the trie/memo fast path is active."""
-        return self._indexed
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -107,9 +102,8 @@ class SubscriptionRegistry:
         self._subscriptions[subscription.subscription_id] = subscription
         subscription.queue.report_to(
             self._backlog, (self._order, subscription.subscription_id))
-        if self._trie is not None:
-            self._trie.add(subscription.pattern, self._order, subscription)
-            self._fanout_memo.clear()
+        self._trie.add(subscription.pattern, self._order, subscription)
+        self._fanout_memo.clear()
         self._order += 1
 
     def remove(self, subscription_id: str) -> Subscription:
@@ -119,9 +113,8 @@ class SubscriptionRegistry:
         except KeyError as exc:
             raise SubscriptionError(f"no subscription {subscription_id!r}") from exc
         subscription.queue.report_to(None)
-        if self._trie is not None:
-            self._trie.remove(subscription.pattern, subscription)
-            self._fanout_memo.clear()
+        self._trie.remove(subscription.pattern, subscription)
+        self._fanout_memo.clear()
         return subscription
 
     def get(self, subscription_id: str) -> Subscription:
@@ -138,27 +131,23 @@ class SubscriptionRegistry:
     def matching_topic(self, topic: str) -> list[Subscription]:
         """Every subscription whose pattern matches ``topic``.
 
-        Registration order on both paths; the indexed path memoizes the
-        fan-out list per topic until the next subscribe/withdraw.
+        Registration order, read off the trie and memoized per topic until
+        the next subscribe/withdraw.
         """
-        if self._trie is None:
-            return self.matching_topic_linear(topic)
         memoized = self._fanout_memo.get(topic)
         if memoized is not None:
-            if self._perf is not None:
-                self._perf.record_hit("fanout")
+            self._perf.record_hit("fanout")
             return list(memoized)
-        if self._perf is not None:
-            self._perf.record_miss("fanout")
+        self._perf.record_miss("fanout")
         matching = self._trie.match(topic)
         self._fanout_memo[topic] = matching
         return list(matching)
 
     def matching_topic_linear(self, topic: str) -> list[Subscription]:
-        """The reference linear scan (the ``perf: none`` fan-out path).
+        """The reference linear scan over every subscription.
 
-        Kept callable on indexed registries too so the equivalence tests
-        can compare both implementations on the same live registry.
+        No product path calls it: the equivalence tests compare
+        :meth:`matching_topic` against it on the same live registry.
         """
         from repro.bus.topics import topic_matches
 

@@ -23,11 +23,9 @@ rebalance; ``slo`` evaluates the stock service-level objectives over a
 run (``--drops`` scripts link-level degradation so the link-delivery
 objective demonstrably breaches); ``trace`` runs a federation with
 per-node telemetry and stitches the per-node span exports into
-federated traces; ``perf`` times the indexed hot-path layer against the
-linear baseline on identical workloads (``css-bench-perf/1``); ``store``
-operates the segmented storage engine on a data directory
-(``snapshot``/``verify``/``restore``/``compact``/``stats`` — point-in-time
-recovery via ``restore --to-sequence``); ``workload``
+federated traces; ``store`` operates the segmented storage engine on a
+data directory (``snapshot``/``verify``/``restore``/``compact``/``stats``
+— point-in-time recovery via ``restore --to-sequence``); ``workload``
 drives the federated platform with a seeded open-loop workload scenario
 at each requested node count and writes the ``css-bench-capacity/1``
 trajectory (sustained events/sec, details/sec, p95/p99, saturation
@@ -156,8 +154,6 @@ OPTIONS: dict[str, dict] = {
     "--stitch": {"action": "store_true",
                  "help": "print the stitched federated traces as a table"},
     "--out": {"metavar": "FILE"},
-    "--full": {"action": "store_true",
-               "help": "full iteration counts (default: quick, CI-sized)"},
     "action": {"known": ("snapshot", "verify", "restore", "compact", "stats"),
                "help": "one of: snapshot, verify, restore, compact, stats"},
     "--data": {"metavar": "DIR", "help": "storage-engine data directory"},
@@ -392,39 +388,6 @@ def _cmd_monitor(args: argparse.Namespace, out) -> int:
         print(f"  {name:<24} {cell.display}", file=out)
     print(f"distinct citizens served: "
           f"{monitor.distinct_citizens_served().display}", file=out)
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace, out) -> int:
-    from repro.perf.bench import run_suite
-
-    node_counts = (1,) if args.scenario == "kernel" else (args.nodes,)
-    payload = run_suite(
-        quick=not args.full, node_counts=node_counts, seed=args.seed,
-        source=f"repro perf --scenario {args.scenario} --seed {args.seed}",
-    )
-
-    def line(name: str, section: dict) -> None:
-        print(f"  {name:<22} indexed "
-              f"{section['indexed']['ops_per_second']:>10.0f} ops/s   none "
-              f"{section['none']['ops_per_second']:>10.0f} ops/s   "
-              f"speedup {section['speedup']:.2f}x", file=out)
-
-    print(f"perf figures ({args.scenario} scenario, "
-          f"{'full' if args.full else 'quick'} iterations):", file=out)
-    line("pdp.decide", payload["pdp_decide"])
-    line("publish.fanout", payload["publish_fanout"])
-    for point in payload["federated_details"]:
-        line(f"federated.details@{point['nodes']}", point)
-    equivalence = payload["equivalence"]
-    print(f"  equivalence: identical={equivalence['identical']} "
-          f"({equivalence['audit_records']} audit records)", file=out)
-    if not equivalence["identical"]:
-        print("repro perf: indexed and none modes disagree", file=sys.stderr)
-        return 1
-    if args.out:
-        write_summary(args.out, payload)
-        print(f"wrote {args.out}", file=out)
     return 0
 
 
@@ -771,13 +734,6 @@ COMMANDS = (
     ("trace", "distributed tracing: stitch per-node span exports", _cmd_trace, (
         ("--scenario", _OBSERVED), "--nodes", *_RUN, "--stitch",
         ("--out", {"help": "write the stitched trace as JSONL to FILE"}),
-    )),
-    ("perf", "hot-path figures: indexed perf layer vs linear baseline",
-     _cmd_perf, (
-        ("--scenario", {"default": "kernel", "known": ("kernel", "federated"),
-                        "help": "perf scenario preset (kernel or federated)"}),
-        "--nodes", ("--seed", {"help": None}), "--full",
-        ("--out", {"help": "write the css-bench-perf/1 summary JSON to FILE"}),
     )),
     ("store", "operate the segmented storage engine on a data dir", _cmd_store,
      ("action", "--data", "--snapshots", "--id", "--target", "--to-sequence",

@@ -17,16 +17,16 @@ policy" (§4).  Its responsibilities, each a method below:
 * **resolve events-index inquiries**, also policy-gated;
 * **maintain audit logs** of every access for the privacy guarantor.
 
-Collaborators with a real choice — telemetry, scheduler, perf layer,
+Collaborators with a real choice — telemetry, recorder, scheduler,
 batching — are resolved by name through the
 :mod:`~repro.runtime.kernel` (see
-:class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, bus, endpoint
-detail fetcher and policy enforcer have one implementation each and are
-constructed here, and so are the storage engine, the events index and the
-audit log, whose kind follows from facts: durable iff the runtime has a
-``data_dir``, sharded iff a federation membership was handed in.  Both hot paths — notification publish and
-request-for-details — run through the stage pipelines of
-:mod:`repro.runtime.interceptors`.
+:class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, perf layer,
+bus, endpoint detail fetcher and policy enforcer have one implementation
+each and are constructed here, and so are the storage engine, the events
+index and the audit log, whose kind follows from facts: durable iff the
+runtime has a ``data_dir``, sharded iff a federation membership was handed
+in.  Both hot paths — notification publish and request-for-details — run
+through the stage pipelines of :mod:`repro.runtime.interceptors`.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.ids import IdFactory
+from repro.perf import PerfLayer
 from repro.runtime.batching import BatchWriter
 from repro.runtime.interceptors import (
     PUBLISH,
@@ -132,6 +133,9 @@ class DataController:
                 context[kind] = self.kernel.create(
                     kind, getattr(self.runtime, config_field), **context)
             setattr(self, attribute, context[kind])
+        # The one hot path: policy index, decision cache, subscription trie
+        # and wire caches (bound to its epoch sources below).
+        self.perf = PerfLayer(secret=master_secret, telemetry=self.telemetry)
         # Store, index and audit log follow from facts, not names.  A data
         # directory means the storage engine under it and the durable pair
         # over its logs (group-committed when batching is on), none no
@@ -181,19 +185,18 @@ class DataController:
         self._identity = None  # optional LocalIdentityProvider (future-work extension)
         # The perf layer's versioned caches validate against these three
         # epoch sources; binding happens once they all exist.
-        if self.perf is not None:
-            self.perf.bind(
-                repository=self.policies,
-                consent_resolver=self._consent.get,
-                endpoints=self.endpoints,
-            )
+        self.perf.bind(
+            repository=self.policies,
+            consent_resolver=self._consent.get,
+            endpoints=self.endpoints,
+        )
         self._fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
         self.enforcer = PolicyEnforcer(
-            repository=self.policies, id_map=self.id_map,
+            perf=self.perf, id_map=self.id_map,
             purposes=self.purposes, audit_log=self.audit_log,
             clock=self.clock, ids=self.ids,
             consent_resolver=self._consent.get, fetcher=self._fetcher,
-            telemetry=self.telemetry, perf=self.perf,
+            telemetry=self.telemetry,
         )
         self.publish_stats = PublishStats()
         self._publish_pipeline = build_publish_pipeline(

@@ -7,7 +7,8 @@ Fig. 4's pipeline, component by component:
    producer-local event id (``src_eID``) plus the producer and event type
    recorded at publication time;
 2. the **PDP** retrieves and evaluates the matching policy
-   ``⟨A, e_j, S, F⟩`` from the certified repository;
+   ``⟨A, e_j, S, F⟩`` from the certified repository — through the
+   :class:`~repro.perf.PerfLayer`'s policy index and decision cache;
 3. on *permit*, the PEP asks the producer's local cooperation gateway for
    the allowed part of the details (``getResponse(src_eID, F)``,
    Algorithm 2) — so unauthorized data never leaves the producer;
@@ -34,10 +35,10 @@ from repro.core.actors import Actor
 from repro.core.consent import ConsentRegistry
 from repro.core.idmap import EventIdMap
 from repro.core.messages import DetailMessage
-from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, ConfigurationError
 from repro.ids import IdFactory
+from repro.perf import PerfLayer
 from repro.runtime.interceptors import (
     REQUEST_DETAILS,
     Invocation,
@@ -89,7 +90,8 @@ class EnforcerStats:
 class PolicyEnforcer:
     """Implements Algorithm 1 over the XACML PEP/PIP/PDP stack.
 
-    Gateway access goes through a
+    Decisions come from ``perf``, a :class:`~repro.perf.PerfLayer` bound
+    to the certified policy repository.  Gateway access goes through a
     :class:`~repro.runtime.interfaces.DetailFetcher`.  Pass one as
     ``fetcher``; the legacy ``gateway_resolver`` callable is still accepted
     and wrapped in a :class:`~repro.runtime.services.DirectDetailFetcher`.
@@ -97,7 +99,7 @@ class PolicyEnforcer:
 
     def __init__(
         self,
-        repository: PolicyRepository,
+        perf: PerfLayer,
         id_map: EventIdMap,
         purposes: PurposeRegistry,
         gateway_resolver: GatewayResolver | None = None,
@@ -107,7 +109,6 @@ class PolicyEnforcer:
         consent_resolver: ConsentResolver | None = None,
         fetcher: DetailFetcher | None = None,
         telemetry=None,
-        perf=None,
     ) -> None:
         if audit_log is None or clock is None or ids is None:
             raise ConfigurationError(
@@ -119,7 +120,7 @@ class PolicyEnforcer:
                     "PolicyEnforcer needs a fetcher or a gateway_resolver"
                 )
             fetcher = DirectDetailFetcher(gateway_resolver)
-        self._repository = repository
+        self._perf = perf
         self._id_map = id_map
         self._purposes = purposes
         self._fetcher = fetcher
@@ -127,7 +128,6 @@ class PolicyEnforcer:
         self._clock = clock
         self._ids = ids
         self._resolve_consent = consent_resolver or (lambda producer_id: None)
-        self._perf = perf
         self._pdp = PolicyDecisionPoint(telemetry=telemetry)
         self._pip = self._build_pip()
         self._pep = PolicyEnforcementPoint(
@@ -151,7 +151,6 @@ class PolicyEnforcer:
             purposes=self._purposes,
             id_map=self._id_map,
             consent_resolver=self._resolve_consent,
-            repository=self._repository,
             pep=self._pep,
             fetcher=self._fetcher,
             telemetry=telemetry,
@@ -225,9 +224,7 @@ class PolicyEnforcer:
             entry = resolve_request_entry(request, self._purposes, self._id_map)
         except AccessDeniedError:
             return False
-        return policy_decision(
-            entry, request, self._repository, self._pep, self._perf
-        ).permitted
+        return policy_decision(entry, request, self._pep, self._perf).permitted
 
     @property
     def pdp_stats(self):

@@ -22,8 +22,7 @@ class KeyStore:
     sequence number), so the derived boxes are shared process-wide
     through a class-level **key-schedule cache**: a federation of *k*
     nodes built from one master secret derives each channel key once
-    instead of once per node.  ``schedule_cache=False`` opts a store out
-    (the ablation baseline).
+    instead of once per node.
     """
 
     #: Process-wide schedule cache: (master, name, version) -> SealedBox.
@@ -33,11 +32,10 @@ class KeyStore:
     schedule_hits = 0
     schedule_misses = 0
 
-    def __init__(self, master_secret: str, schedule_cache: bool = True) -> None:
+    def __init__(self, master_secret: str) -> None:
         if not master_secret:
             raise KeyNotFoundError("master secret must be non-empty")
         self._master = master_secret
-        self._schedule_cache = schedule_cache
         self._versions: dict[str, int] = {}
         self._boxes: dict[tuple[str, int], SealedBox] = {}
 
@@ -49,8 +47,6 @@ class KeyStore:
         self._boxes[(name, 1)] = self._make_box(name, 1)
 
     def _make_box(self, name: str, version: int) -> SealedBox:
-        if not self._schedule_cache:
-            return SealedBox(derive_key(self._master, f"key:{name}:v{version}"))
         cache_key = (self._master, name, version)
         box = KeyStore._schedule.get(cache_key)
         if box is not None:

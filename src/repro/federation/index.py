@@ -57,7 +57,7 @@ class FederatedIndexStore:
     """One node's view of the cluster-wide events index."""
 
     def __init__(self, local: EventsIndex, membership: "StaticMembership",
-                 node_id: str, perf=None, batch=None) -> None:
+                 node_id: str, perf, batch=None) -> None:
         self.local = local
         self.membership = membership
         self.node_id = node_id
@@ -233,21 +233,19 @@ class FederatedIndexStore:
     def _ask_peers(self, operation: str, payload: dict) -> Iterator[dict]:
         """Send one identical request to every peer; yields each answer.
 
-        With the perf layer on the request is encoded once
+        The request is encoded once
         (:func:`~repro.federation.link.wire_message`): the first peer
         counts as the ``wire`` cache miss, every further peer as a hit;
         with tracing active the link re-encodes anyway and the hint is
         simply ignored.
         """
-        peers = self._peer_ids()
-        wire = None
-        if self._perf is not None and peers:
-            self._perf.record_miss("wire")
-            wire = wire_message(operation, payload)
         node = self._self_node()
-        for position, peer in enumerate(peers):
-            if wire is not None and position:
+        for position, peer in enumerate(self._peer_ids()):
+            if position:
                 self._perf.record_hit("wire")
+            else:
+                self._perf.record_miss("wire")
+                wire = wire_message(operation, payload)
             yield node.ask(peer, operation, payload, wire=wire)
 
     def get(self, event_id: str) -> NotificationMessage:

@@ -60,6 +60,7 @@ from repro.exceptions import (
 )
 from repro.obs.context import TraceContext
 from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
+from repro.perf.wire_cache import SealedFrameCache
 from repro.storage.schemas import type_from_dict, type_to_dict
 from repro.xmlmsg.document import XmlDocument
 
@@ -139,11 +140,7 @@ class FederationNode:
         self._channel_seq = 0
         controller.keystore.create(self._channel_key)
         self._perf = controller.perf
-        self._relay_frames = None
-        if self._perf is not None:
-            from repro.perf.wire_cache import SealedFrameCache
-
-            self._relay_frames = SealedFrameCache()
+        self._relay_frames = SealedFrameCache()
         #: (origin node, topic) pairs already relayed toward a peer.
         self._relays: dict[tuple[str, str], str] = {}
         #: Topics this node re-publishes locally for relayed notifications.
@@ -410,22 +407,20 @@ class FederationNode:
     def _sealed_relay_frame(self, topic: str, xml: str) -> dict:
         """Seal a relay frame once per distinct notification.
 
-        With the perf layer on, the same notification relayed toward
-        several peer nodes reuses one sealed frame instead of sealing
-        *k* times (safe: deterministic sealing, stateless opening — see
-        :mod:`repro.perf.wire_cache`).  The cache key is content this
-        node itself published and already holds in the clear.
+        The same notification relayed toward several peer nodes reuses one
+        sealed frame instead of sealing *k* times (safe: deterministic
+        sealing, stateless opening — see :mod:`repro.perf.wire_cache`).
+        The cache key is content this node itself published and already
+        holds in the clear.
         """
-        body = {"topic": topic, "xml": xml}
-        if self._relay_frames is None:
-            return self.seal_channel(body)
         key = (topic, xml)
         frame = self._relay_frames.get(key)
         if frame is not None:
             self._perf.record_hit("seal")
             return frame
         self._perf.record_miss("seal")
-        return self._relay_frames.put(key, self.seal_channel(body))
+        return self._relay_frames.put(
+            key, self.seal_channel({"topic": topic, "xml": xml}))
 
     def _op_bus_relay(self, payload: dict) -> dict:
         """Re-publish a relayed notification on this node's local bus."""

@@ -1,4 +1,4 @@
-"""Hot-path performance layer (kernel kind ``perf``).
+"""The platform's one hot path: indexes and versioned caches.
 
 The paper's two-phase protocol puts the policy enforcer and the
 notification bus on the critical path of *every* exchange (§5.2,
@@ -22,13 +22,13 @@ without changing a single decision:
   relay frames for the federation links, and the keystore's shared
   key-schedule cache.
 
-Everything is toggled by ``RuntimeConfig.perf``: ``indexed`` (the
-default) builds the layer, ``none`` builds nothing — ``controller.perf``
-is ``None`` and every module keeps its historical linear scan behind the
-``is not None`` check it already makes.  Deny-by-default and the privacy
-invariants are
-preserved bit-for-bit — the benchmarks assert byte-identical decisions
-and audit trails between the two modes on the same seed.
+There is no switch: every controller builds one :class:`PerfLayer`.
+The linear paths survive as references only —
+``PolicyRepository.to_policy_set`` + ``pep.authorize`` for the PDP and
+``SubscriptionRegistry.matching_topic_linear`` for the fan-out — and the
+test suite holds decisions, audit trails, link transcripts and inboxes
+equal to them, so deny-by-default and the privacy invariants are
+preserved bit-for-bit.
 
 Cache keys and telemetry labels never carry plaintext identities: keys
 are keyed SHA-256 digests and the only label the counters use is the
@@ -68,13 +68,13 @@ class PerfStats:
 
 
 class PerfLayer:
-    """The ``perf: indexed`` implementation — indexes and versioned caches.
+    """Indexes and versioned caches of one controller.
 
-    Constructed by the kernel right after telemetry; :meth:`bind` attaches
-    the epoch sources (policy repository, consent resolver, endpoint
-    registry) once the controller has built them.  All keys are keyed
-    digests derived from ``secret`` — no plaintext subject or actor id is
-    ever stored or exposed.
+    The controller constructs it right after telemetry and binds the
+    epoch sources (policy repository, consent resolver, endpoint registry;
+    :meth:`bind`) once it has built them; the decision methods need them,
+    the hit/miss counters do not.  All keys are keyed digests derived from
+    ``secret`` — no plaintext subject or actor id is ever stored or exposed.
     """
 
     def __init__(self, secret: str = "css-perf", telemetry=None) -> None:
@@ -82,26 +82,19 @@ class PerfLayer:
         self._telemetry = telemetry
         self.stats = PerfStats()
         self.decisions = DecisionCache()
-        self._policy_index: PolicyIndex | None = None
-        self._repository = None
-        self._consent_resolver = lambda producer_id: None
-        self._endpoints = None
 
     # -- wiring ------------------------------------------------------------
 
-    def bind(self, *, repository=None, consent_resolver=None, endpoints=None) -> None:
+    def bind(self, *, repository, consent_resolver, endpoints) -> None:
         """Attach the epoch sources the versioned caches validate against."""
-        if repository is not None:
-            self._repository = repository
-            self._policy_index = PolicyIndex(repository)
-        if consent_resolver is not None:
-            self._consent_resolver = consent_resolver
-        if endpoints is not None:
-            self._endpoints = endpoints
+        self._repository = repository
+        self._policy_index = PolicyIndex(repository)
+        self._consent_resolver = consent_resolver
+        self._endpoints = endpoints
 
     @property
-    def policy_index(self) -> PolicyIndex | None:
-        """The PDP-side policy index (None until :meth:`bind`)."""
+    def policy_index(self) -> PolicyIndex:
+        """The PDP-side policy index."""
         return self._policy_index
 
     # -- telemetry ---------------------------------------------------------
@@ -139,11 +132,9 @@ class PerfLayer:
         return hashlib.sha256(body.encode()).hexdigest()[:32]
 
     def _versions(self, producer_id: str) -> tuple[int, int, int]:
-        policy_epoch = self._repository.epoch if self._repository is not None else 0
         consent = self._consent_resolver(producer_id)
         consent_version = consent.version if consent is not None else -1
-        endpoint_epoch = self._endpoints.epoch if self._endpoints is not None else 0
-        return (policy_epoch, consent_version, endpoint_epoch)
+        return (self._repository.epoch, consent_version, self._endpoints.epoch)
 
     def cached_decision(self, entry, request) -> CachedDecision | None:
         """The cached decision for this situation, if still valid.
@@ -161,8 +152,6 @@ class PerfLayer:
 
     def store_decision(self, entry, request, decision: CachedDecision) -> None:
         """Cache a freshly computed decision (skipped for time-bounded sets)."""
-        if self._policy_index is None:
-            return
         if self._policy_index.is_time_bounded(entry.producer_id, entry.event_type):
             return
         self.decisions.store(
@@ -174,12 +163,9 @@ class PerfLayer:
     def policy_set_for(self, entry, request):
         """The indexed candidate policy set for one decision.
 
-        Falls back to the repository's full compilation when the index is
-        not bound yet.  Observes ``pdp.candidates_scanned`` so operators
-        can watch the index trim the PDP's work.
+        Observes ``pdp.candidates_scanned`` so operators can watch the
+        index trim the PDP's work.
         """
-        if self._policy_index is None:
-            return self._repository.to_policy_set(entry.producer_id, entry.event_type)
         policy_set, scanned = self._policy_index.candidate_set(
             entry.producer_id,
             entry.event_type,

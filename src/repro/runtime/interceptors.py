@@ -273,21 +273,18 @@ def released_fields(obligations) -> frozenset[str]:
     return frozenset(fields)
 
 
-def policy_decision(entry, request, repository, pep, perf) -> CachedDecision:
+def policy_decision(entry, request, pep, perf) -> CachedDecision:
     """Steps 2–3 of Algorithm 1: the PDP's decision for one resolved request.
 
-    With the indexed perf layer the versioned decision cache answers first
-    (a hit replays the *same* verdict, field set and deny message, so audit
-    trails are byte-identical) and a miss evaluates only the policy index's
-    bucketed candidates; without one it is the historical full scan.
+    The perf layer's versioned decision cache answers first (a hit replays
+    the *same* verdict, field set and deny message, so audit trails are
+    byte-identical) and a miss evaluates only the policy index's bucketed
+    candidates.
     """
-    if perf is not None:
-        cached = perf.cached_decision(entry, request)
-        if cached is not None:
-            return cached
-        policy_set = perf.policy_set_for(entry, request)
-    else:
-        policy_set = repository.to_policy_set(entry.producer_id, entry.event_type)
+    cached = perf.cached_decision(entry, request)
+    if cached is not None:
+        return cached
+    policy_set = perf.policy_set_for(entry, request)
     response = pep.authorize(policy_set, build_request_context(request))
     if response.permitted:
         decision = CachedDecision(True, released_fields(response.obligations))
@@ -295,8 +292,7 @@ def policy_decision(entry, request, repository, pep, perf) -> CachedDecision:
         decision = CachedDecision(False, message=(
             response.status_message or "no matching policy (deny-by-default)"
         ))
-    if perf is not None:
-        perf.store_decision(entry, request, decision)
+    perf.store_decision(entry, request, decision)
     return decision
 
 
@@ -486,11 +482,10 @@ def build_enforcement_pipeline(
     purposes,
     id_map,
     consent_resolver,
-    repository,
     pep,
     fetcher,
+    perf,
     telemetry=None,
-    perf=None,
 ) -> Pipeline:
     """Algorithm 1 as a chain: resolve → consent → decide → fetch → filter."""
 
@@ -554,7 +549,7 @@ def build_enforcement_pipeline(
         flow: deny raises, permit publishes ``released_fields`` and goes on.
         """
         request = context["request"]
-        decision = policy_decision(context["entry"], request, repository, pep, perf)
+        decision = policy_decision(context["entry"], request, pep, perf)
         if not decision.permitted:
             raise AccessDeniedError(decision.message, request)
         if not decision.released_fields:

@@ -4,7 +4,7 @@ One wiring rule: **a name picks between real alternatives, a fact is
 read; off builds nothing; a reader is built by whoever reads.**  Every
 collaborator of the
 :class:`~repro.core.controller.DataController` with interchangeable
-implementations (telemetry, scheduler, perf layer, batching, ...) is
+implementations (telemetry, recorder, scheduler, batching) is
 constructed here, by *name*, from a registry of factories, so swapping one
 — say the FIFO scheduler for the fair one — is a :class:`RuntimeConfig`
 field, not an edit to the controller:
@@ -15,10 +15,11 @@ What follows from a fact has no name: a node is durable iff it has a
 ``data_dir`` (its logs then live in the segmented storage engine), sharded
 iff it was handed a membership, observed by the telemetry it was handed —
 the controller reads those and constructs its store, events index and
-audit log directly.  An off name (``telemetry: noop``,
-``recorder: noop``, ``perf: none``, ``batch: off``) resolves to ``None``
-and every seam checks for that.  The SLO engine and the profiler read a
-telemetry, they are not collaborators: ``SLOEngine(telemetry)`` and
+audit log directly.  What has one implementation has no name either: the
+controller builds its one hot path, the perf layer, itself.  An off name
+(``telemetry: noop``, ``recorder: noop``, ``batch: off``) resolves to
+``None`` and every seam checks for that.  The SLO engine and the profiler
+read a telemetry, they are not collaborators: ``SLOEngine(telemetry)`` and
 ``telemetry.attach_profiler(SamplingProfiler(...))`` where the report is
 read.
 
@@ -41,13 +42,12 @@ from repro.exceptions import ConfigurationError
 ServiceFactory = Callable[..., Any]
 
 #: Service kinds the default kernel wires: the collaborators with a real
-#: choice.  What has one implementation (keystore, bus, enforcer, endpoint
-#: fetcher, federation membership, storage engine) its owner constructs
-#: directly, and so does the controller its events index and audit log:
+#: choice.  What has one implementation (keystore, perf layer, bus,
+#: enforcer, endpoint fetcher, federation membership, storage engine) its
+#: owner constructs directly, and so does the controller its events index and audit log:
 #: which pair it gets follows from facts (a data directory, a membership),
 #: not from a name.
 KIND_TELEMETRY = "telemetry"
-KIND_PERF = "perf"
 KIND_SCHED = "sched"
 KIND_RECORDER = "recorder"
 KIND_BATCH = "batch"
@@ -63,7 +63,6 @@ KIND_BATCH = "batch"
 WIRING: tuple[tuple[str, str, str], ...] = (
     (KIND_TELEMETRY, "telemetry", "telemetry"),
     (KIND_RECORDER, "recorder", "recorder"),
-    (KIND_PERF, "perf", "perf"),
     (KIND_SCHED, "sched", "sched"),
     (KIND_BATCH, "batch", "batch"),
 )
@@ -78,6 +77,7 @@ _INERT_FIELDS = {
     "profiling": ("noop", "telemetry.attach_profiler(SamplingProfiler(...)) "
                           "where the profile is read"),
     "store": ("segmented", "a data_dir is stored in the segmented engine"),
+    "perf": ("indexed", "'indexed' is the one hot path"),
 }
 
 
@@ -91,8 +91,8 @@ class RuntimeConfig:
 
     #: Select nothing: ``data_dir`` decides.  Kept, and checked below, only
     #: while the wall ledger's frozen ``PROD`` passes them by keyword
-    #: (ROADMAP item 2d deletes both, and ``slo`` / ``profiling`` / ``store``
-    #: below).
+    #: (ROADMAP item 8a deletes both, and ``slo`` / ``profiling`` /
+    #: ``perf`` / ``store`` below).
     index_store: str = "memory"
     audit_sink: str = "memory"
     #: Telemetry backend: "noop" (default — none is built) or "inmemory".
@@ -103,11 +103,9 @@ class RuntimeConfig:
     #: whoever reads.  Kept for ``PROD`` like the storage spellings.
     slo: str = "noop"
     profiling: str = "noop"
-    #: Hot-path performance layer: "indexed" (default — policy index,
-    #: versioned decision cache, subscription trie, wire caches) or
-    #: "none" (no layer is built: the linear-scan ablation baseline).
-    #: Decisions and audit trails are identical either way; only the speed
-    #: differs.
+    #: Selects nothing and accepts "indexed" alone: the policy index,
+    #: decision cache, subscription trie and wire caches are the one hot
+    #: path.  Kept for ``PROD`` like ``slo``.
     perf: str = "indexed"
     #: Selects nothing and accepts "segmented" alone: every ``data_dir`` is
     #: the storage engine's.  Kept for ``PROD`` like ``slo``.
@@ -224,7 +222,7 @@ def suggest(typo: str, known) -> str:
 
 def _off(**context: Any) -> Any:
     # No object at all: every seam checks for None and stays on its
-    # uninstrumented / unindexed / per-record path.
+    # uninstrumented / per-record path.
     return None
 
 
@@ -235,15 +233,6 @@ def _inmemory_telemetry(**context: Any) -> Any:
         clock=context["clock"],
         guard_mode=context.get("telemetry_guard", "hash"),
         secret=context.get("master_secret", "css-telemetry"),
-    )
-
-
-def _indexed_perf(**context: Any) -> Any:
-    from repro.perf import PerfLayer
-
-    return PerfLayer(
-        secret=context.get("master_secret", "css-perf"),
-        telemetry=context.get("telemetry"),
     )
 
 
@@ -287,8 +276,6 @@ def default_kernel() -> ServiceKernel:
     kernel = ServiceKernel()
     kernel.register(KIND_TELEMETRY, "noop", _off)
     kernel.register(KIND_TELEMETRY, "inmemory", _inmemory_telemetry)
-    kernel.register(KIND_PERF, "none", _off)
-    kernel.register(KIND_PERF, "indexed", _indexed_perf)
     kernel.register(KIND_SCHED, "none", _sched(fair=False))
     kernel.register(KIND_SCHED, "fair", _sched(fair=True))
     kernel.register(KIND_RECORDER, "noop", _off)

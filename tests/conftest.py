@@ -2,11 +2,14 @@
 
 ``platform_small`` wires one hospital producer (BloodTest class), one
 family doctor and one statistics office, with minimal-usage policies — the
-micro-deployment most integration tests start from.
+micro-deployment most integration tests start from.  ``linear_reference``
+runs a block on the linear hot path the indexed one must be
+indistinguishable from.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -22,12 +25,14 @@ from repro import (
     Occurs,
     StringType,
 )
+from repro.bus.subscriptions import SubscriptionRegistry
 from repro.exceptions import (
     DetailNotFoundError,
     PrivacyError,
     SourceUnavailableError,
     UnknownProducerError,
 )
+from repro.perf import PerfLayer
 from repro.xmlmsg.types import DecimalType, EnumerationType
 
 
@@ -158,6 +163,31 @@ HOME_NODE_FAILURES = [
     pytest.param(_producer_without_gateway, UnknownProducerError,
                  id="producer-without-gateway"),
 ]
+
+
+@pytest.fixture()
+def linear_reference(monkeypatch):
+    """A context manager: inside it every decision is the repository's full
+    compile-and-evaluate, uncached, and every fan-out the linear scan over
+    all subscriptions — the reference the product's indexed hot path
+    (policy index, decision cache, subscription trie) is held equal to."""
+
+    @contextmanager
+    def linear():
+        with monkeypatch.context() as patch:
+            patch.setattr(PerfLayer, "cached_decision",
+                          lambda perf, entry, request: None)
+            patch.setattr(PerfLayer, "policy_set_for",
+                          lambda perf, entry, request:
+                          perf._repository.to_policy_set(
+                              entry.producer_id, entry.event_type))
+            patch.setattr(PerfLayer, "store_decision",
+                          lambda perf, entry, request, decision: None)
+            patch.setattr(SubscriptionRegistry, "matching_topic",
+                          SubscriptionRegistry.matching_topic_linear)
+            yield
+
+    return linear
 
 
 @pytest.fixture()

@@ -261,10 +261,12 @@ def test_css_scenario_reports_equal_the_reference(monkeypatch):
         == LOGICAL_SHA256["css"]
 
 
-def test_ablation_arms_write_the_same_fan_out_records():
-    """One mechanism: no arm keeps a per-delivery path."""
-    heads = {css_log(perf=perf, batch=batch).head_digest
-             for perf in ("indexed", "none") for batch in ("off", "on")}
+def test_ablation_arms_write_the_same_fan_out_records(linear_reference):
+    """One mechanism: no arm — batching on or off, the indexed hot path or
+    its linear reference — keeps a per-delivery path."""
+    heads = {css_log(batch=batch).head_digest for batch in ("off", "on")}
+    with linear_reference():
+        heads |= {css_log(batch=batch).head_digest for batch in ("off", "on")}
     assert len(heads) == 1
 
 

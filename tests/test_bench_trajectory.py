@@ -57,7 +57,7 @@ class TestMakeBaseline:
     def test_every_tracked_bench_names_dotted_paths(self):
         tracked = {schema_id: tracked_units(schema_id)
                    for schema_id, schema in SCHEMAS.items() if schema.tracked}
-        assert len(tracked) >= 8
+        assert len(tracked) >= 7
         for schema_id, units in tracked.items():
             for path, unit in units.items():
                 assert unit in UNITS, f"{schema_id}: {path} has no unit"

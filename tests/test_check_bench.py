@@ -29,13 +29,6 @@ COUNTERS = {"published": 40, "publish_blocked": 1, "detail_permits": 20,
             "detail_denies": 2, "subscribe_ops": 3}
 
 
-def _perf_comparison():
-    measurement = {"ops_per_second": 300.0, "iterations": 10,
-                   "latency_seconds": dict(LATENCY)}
-    return {"indexed": copy.deepcopy(measurement),
-            "none": copy.deepcopy(measurement), "speedup": 3.0}
-
-
 def _storage_kind(**extra):
     return {"ingest_events_per_second": 9000.0, "recovery_seconds": 0.01,
             "recovery_peak_kb": 120.0, "size_bytes": 4096, **extra}
@@ -96,13 +89,6 @@ GOOD = {
              "makespan_seconds": 0.5, "events_per_simulated_second": 240.0,
              "wall_seconds": 0.3},
         ],
-    },
-    "css-bench-perf/1": {
-        "source": "pytest", "quick": True,
-        "pdp_decide": _perf_comparison(),
-        "publish_fanout": _perf_comparison(),
-        "federated_details": [{**_perf_comparison(), "nodes": 2}],
-        "equivalence": {"identical": True, "audit_records": 42},
     },
     "css-bench-storage/1": {
         "source": "pytest", "quick": True,
@@ -260,14 +246,9 @@ MUTATIONS = [
     # non-monotone percentiles, wherever a latency summary appears
     ("css-bench-obs/2", "benchmarks.0.latency_seconds.p50", 0.01,
      "p50 <= p95 <= p99"),
-    ("css-bench-perf/1", "pdp_decide.indexed.latency_seconds.p95", 0.01,
-     "p50 <= p95 <= p99"),
     ("css-bench-capacity/1", "nodes.1.latency_seconds.details.p99", 0.0,
      "p50 <= p95 <= p99"),
     # equivalence flags and digests
-    ("css-bench-perf/1", "equivalence.identical", False,
-     "equivalence.identical"),
-    ("css-bench-perf/1", "equivalence.identical", 1, "equivalence.identical"),
     ("css-bench-storage/1", "equivalence.identical", False,
      "equivalence.identical"),
     ("css-bench-batch/1", "equivalence.identical", False, "identical"),
@@ -280,8 +261,7 @@ MUTATIONS = [
      "differ"),
     ("css-bench-fairness/1", "audit_digest_match", False,
      "audit_digest_match"),
-    # speed-up floors
-    ("css-bench-perf/1", "pdp_decide.speedup", 0.9, "below the 1.0x floor"),
+    # speed-up floor
     ("css-bench-batch/1", "speedup.min_speedup_at_256", 1.1,
      "below the 1.3x floor"),
     # fair must beat none

@@ -225,34 +225,6 @@ class TestTraceCommand:
         assert "did you mean 'default'?" in str(excinfo.value)
 
 
-class TestPerfCommand:
-    def test_kernel_scenario_prints_the_figures(self, tmp_path):
-        out = tmp_path / "BENCH_perf.json"
-        code, output = run_cli("perf", "--scenario", "kernel",
-                               "--seed", "7", "--out", str(out))
-        assert code == 0
-        assert "pdp.decide" in output
-        assert "publish.fanout" in output
-        assert "equivalence: identical=True" in output
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "css-bench-perf/1"
-        assert payload["quick"] is True
-        # The written summary satisfies the CI gate as-is.
-        from benchmarks.check_bench import validate
-
-        assert validate(payload) == []
-
-    def test_unknown_scenario_suggests_the_nearest(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("perf", "--scenario", "federeted")
-        assert "did you mean 'federated'?" in str(excinfo.value)
-        assert "available: kernel, federated" in str(excinfo.value)
-
-    def test_nodes_must_be_positive(self):
-        with pytest.raises(SystemExit, match="--nodes must be a positive"):
-            run_cli("perf", "--scenario", "federated", "--nodes", "0")
-
-
 class TestParser:
     def test_the_run_flags_default_to_the_config_defaults(self):
         """One default each: ``n_patients`` was 50 in the config and 30 here."""
@@ -357,13 +329,6 @@ SURFACE = {
         (("--stitch",), "stitch", False, None),
         (("--out",), "out", None, None),
     ],
-    "perf": [
-        (("--scenario",), "scenario", "kernel", None),
-        (("--nodes",), "nodes", 2, int),
-        (("--seed",), "seed", 2010, int),
-        (("--full",), "full", False, None),
-        (("--out",), "out", None, None),
-    ],
     "store": [
         ((), "action", None, None),
         (("--data",), "data", None, None),
@@ -429,7 +394,7 @@ class TestSurface:
                       for option in options_of(parser)]
             for command, parser in subparsers().items()}
         assert surface == SURFACE
-        assert sum(len(options) for options in surface.values()) == 100
+        assert sum(len(options) for options in surface.values()) == 95
 
     def test_no_option_keeps_a_private_list_of_choices(self):
         """Enumerations are refused by the CLI's one path (exit 1, with a
@@ -460,7 +425,7 @@ class TestOneRejectionPath:
             ("telemetry", "--scenario"), ("telemetry", "--guard"),
             ("federate", "--sched"), ("federate", "--batch"),
             ("slo", "--scenario"), ("slo", "--guard"),
-            ("trace", "--scenario"), ("perf", "--scenario"),
+            ("trace", "--scenario"),
             ("store", None), ("workload", "--scenario"),
             ("workload", "--sched"), ("workload", "--batch"),
             ("sched", "--scenario"), ("incident", "--scenario"),
@@ -521,6 +486,7 @@ class TestKernelCommand:
                            for kind, config_field, _ in WIRING}
         # Store, index and audit follow from ``data_dir`` and a reader is
         # built by whoever reads: no row, nothing to star.
-        assert len(starred) == 5
-        assert not {"store", "index", "audit", "slo", "profiling"} & set(starred)
+        assert len(starred) == 4
+        assert not {"store", "index", "audit", "slo", "profiling",
+                    "perf"} & set(starred)
         assert "shared" not in output and "federated" not in output

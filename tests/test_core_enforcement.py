@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
+from repro.bus.endpoints import EndpointRegistry
 from repro.clock import Clock
 from repro.core.actors import Actor, ActorKind
 from repro.core.consent import ConsentRegistry, ConsentScope
@@ -34,20 +35,19 @@ def blood_class() -> EventClass:
 class EnforcerHarness:
     """A minimal hand-wired enforcement stack (no DataController)."""
 
-    def __init__(self, consent: ConsentRegistry | None = None,
-                 perf: str = "none") -> None:
+    def __init__(self, consent: ConsentRegistry | None = None) -> None:
         self.clock = Clock()
         self.repository = PolicyRepository()
-        self.perf = PerfLayer() if perf == "indexed" else None
-        if self.perf is not None:
-            self.perf.bind(repository=self.repository,
-                           consent_resolver=lambda producer_id: self.consent)
+        self.perf = PerfLayer()
+        self.perf.bind(repository=self.repository,
+                       consent_resolver=lambda producer_id: self.consent,
+                       endpoints=EndpointRegistry())
         self.id_map = EventIdMap()
         self.gateway = LocalCooperationGateway("Hospital")
         self.audit = AuditLog()
         self.consent = consent
         self.enforcer = PolicyEnforcer(
-            repository=self.repository,
+            perf=self.perf,
             id_map=self.id_map,
             purposes=PurposeRegistry(),
             gateway_resolver=lambda producer_id: self.gateway,
@@ -55,7 +55,6 @@ class EnforcerHarness:
             clock=self.clock,
             ids=IdFactory(seed="harness"),
             consent_resolver=lambda producer_id: self.consent,
-            perf=self.perf,
         )
         self._publish()
 
@@ -256,10 +255,20 @@ class TestDecide:
 class TestDecideAndDetailsShareOneDecision:
     """``decide`` and the details chain's decide stage read the same
     routine: whichever runs first (cold), and again once the decision
-    cache is warm, with or without the perf layer, the verdict and the
-    deny message / released fields are the same."""
+    cache is warm, on the indexed hot path and on the linear reference
+    (``none``), the verdict and the deny message / released fields are the
+    same."""
 
     DENY_BY_DEFAULT = "no matching policy (deny-by-default)"
+
+    @pytest.fixture(autouse=True)
+    def hot_path(self, perf, linear_reference):
+        """The whole test on the product's hot path, or on the reference."""
+        if perf == "none":
+            with linear_reference():
+                yield
+        else:
+            yield
 
     @staticmethod
     def observe(harness, call: str):
@@ -291,26 +300,26 @@ class TestDecideAndDetailsShareOneDecision:
         ))
         harness.repository.revoke(policy_id)
 
-    def test_permit(self, perf):
-        harness = EnforcerHarness(perf=perf)
+    def test_permit(self):
+        harness = EnforcerHarness()
         harness.grant(frozenset({"PatientId", "Hemoglobin"}))
         self.check(harness, True, ["Hemoglobin", "PatientId"])
 
-    def test_policy_deny(self, perf):
-        harness = EnforcerHarness(perf=perf)
+    def test_policy_deny(self):
+        harness = EnforcerHarness()
         harness.grant(frozenset({"PatientId"}), actor_id="Doctor")
         harness.grant(frozenset(), actor_id="Doctor", deny=True)
         details = self.observe(harness, "details")
         assert isinstance(details, str)  # denied, whatever the PDP's wording
         self.check(harness, False, details)
 
-    def test_no_policy(self, perf):
-        self.check(EnforcerHarness(perf=perf), False, self.DENY_BY_DEFAULT)
+    def test_no_policy(self):
+        self.check(EnforcerHarness(), False, self.DENY_BY_DEFAULT)
 
-    def test_no_fields_permit(self, perf, monkeypatch):
+    def test_no_fields_permit(self, monkeypatch):
         """A permit that releases nothing: the PDP's verdict is permit, and
         the details chain still refuses to call the gateway."""
-        harness = EnforcerHarness(perf=perf)
+        harness = EnforcerHarness()
         monkeypatch.setattr(
             harness.enforcer._pep, "authorize",
             lambda policy_set, request: SimpleNamespace(
@@ -319,8 +328,8 @@ class TestDecideAndDetailsShareOneDecision:
         self.check(harness, True, "matching policy releases no fields")
         assert harness.gateway.stats.served_from_source == 0
 
-    def test_time_bounded_policy(self, perf):
-        harness = EnforcerHarness(perf=perf)
+    def test_time_bounded_policy(self):
+        harness = EnforcerHarness()
         harness.grant(frozenset({"PatientId"}), valid_until=100.0)
         self.check(harness, True, ["PatientId"])
         harness.clock.advance(200.0)  # a warm cache must not replay the permit

@@ -1,106 +1,61 @@
-"""Mode equivalence and the ``css-bench-perf/1`` schema gate.
+"""The indexed hot path against its linear reference.
 
-The perf layer's acceptance property: ``perf: indexed`` and
-``perf: none`` produce byte-identical decisions and audit trails on the
-same seed — checked here through the benchmark core's own equivalence
-harness, and enforced at CI time by ``benchmarks/check_bench.py``,
-whose validation branches are unit-tested below.
+The perf layer's acceptance property: the product (policy index,
+versioned decision cache, subscription trie) and the ``linear_reference``
+fixture (the repository's full compile-and-evaluate, uncached, and the
+linear fan-out scan) produce the same report, the same audit trail record
+for record and the same link transcripts on the same seed — on one node
+and on three.
 """
 
-import copy
-
-from benchmarks.check_bench import MIN_PDP_SPEEDUP, validate
-from repro.perf.bench import SCHEMA_ID, run_equivalence_check
-from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
+
+NODE_COUNTS = (1, 3)
+
+
+def observe(**config):
+    """(report, every node's audit payloads, link transcripts) of one run,
+    and the decision / fan-out cache lookups node-0's perf layer counted."""
+    scenario = CssScenario(ScenarioConfig(**config))
+    report = scenario.run()
+    platform = scenario.platform
+    audit = [[record.to_payload() for record in node.controller.audit_log.records()]
+             for node in platform.nodes()]
+    stats = scenario.controller.perf.stats
+    lookups = {cache: stats.hits.get(cache, 0) + stats.misses.get(cache, 0)
+               for cache in ("decision", "fanout")}
+    return (report, audit, platform.link_transcripts()), lookups
 
 
 class TestModeEquivalence:
-    def test_equivalence_harness_reports_identical(self):
-        result = run_equivalence_check(events=30, patients=6, seed=11)
-        assert result["identical"] is True
-        assert result["audit_records"] > 0
+    def test_equivalence_harness_reports_identical(self, linear_reference):
+        for nodes in NODE_COUNTS:
+            product, cached = observe(nodes=nodes, n_patients=6, n_events=30,
+                                      seed=11)
+            with linear_reference():
+                reference, uncached = observe(nodes=nodes, n_patients=6,
+                                              n_events=30, seed=11)
+            assert product == reference, nodes
+            # The two runs took different paths to the same bytes.
+            assert all(cached.values()), cached
+            assert not any(uncached.values()), uncached
+            report, audit, transcripts = product
+            assert report.detail_permits
+            assert all(audit)
+            assert bool(transcripts) == (nodes > 1)
 
-    def test_scenario_audit_trails_match_record_for_record(self):
-        def run(perf: str):
+    def test_scenario_audit_trails_match_record_for_record(self, linear_reference):
+        def run(nodes: int):
             scenario = CssScenario(ScenarioConfig(
-                n_patients=6, n_events=25, seed=5,
-                runtime=RuntimeConfig(perf=perf),
-            ))
+                nodes=nodes, n_patients=6, n_events=25, seed=5))
             scenario.run()
-            return [record.to_payload()
-                    for record in scenario.controller.audit_log.records()]
+            return [[record.to_payload() for record in node.controller.audit_log.logical()]
+                    for node in scenario.platform.nodes()]
 
-        indexed, baseline = run("indexed"), run("none")
-        assert len(indexed) == len(baseline)
-        assert indexed == baseline
-
-
-def measurement(ops: float = 100.0) -> dict:
-    return {
-        "iterations": 10,
-        "ops_per_second": ops,
-        "latency_seconds": {"p50": 0.001, "p95": 0.002, "p99": 0.003,
-                            "mean": 0.0015, "min": 0.0005, "max": 0.004},
-    }
-
-
-def valid_payload() -> dict:
-    comparison = {"indexed": measurement(300.0), "none": measurement(100.0),
-                  "speedup": 3.0}
-    return {
-        "schema": SCHEMA_ID,
-        "source": "unit-test",
-        "quick": True,
-        "pdp_decide": copy.deepcopy(comparison),
-        "publish_fanout": copy.deepcopy(comparison),
-        "federated_details": [{**copy.deepcopy(comparison), "nodes": 2}],
-        "equivalence": {"identical": True, "audit_records": 42},
-    }
-
-
-class TestSchemaChecker:
-    def test_valid_payload_has_no_problems(self):
-        assert validate(valid_payload()) == []
-
-    def test_wrong_schema_id_is_reported(self):
-        payload = valid_payload()
-        payload["schema"] = "css-bench-perf/0"
-        assert any("schema" in problem for problem in validate(payload))
-
-    def test_non_identical_equivalence_fails_the_gate(self):
-        payload = valid_payload()
-        payload["equivalence"]["identical"] = False
-        assert any("equivalence.identical" in problem
-                   for problem in validate(payload))
-
-    def test_pdp_speedup_below_the_floor_fails(self):
-        payload = valid_payload()
-        payload["pdp_decide"]["speedup"] = MIN_PDP_SPEEDUP - 0.1
-        assert any("floor" in problem for problem in validate(payload))
-
-    def test_unordered_percentiles_are_rejected(self):
-        payload = valid_payload()
-        payload["pdp_decide"]["indexed"]["latency_seconds"]["p95"] = 0.01
-        assert any("p50 <= p95 <= p99" in problem
-                   for problem in validate(payload))
-
-    def test_missing_federated_points_are_rejected(self):
-        payload = valid_payload()
-        payload["federated_details"] = []
-        assert any("federated_details" in problem
-                   for problem in validate(payload))
-
-    def test_non_object_payload_is_one_problem(self):
-        assert validate([]) == ["top level must be a JSON object"]
-
-    def test_checker_cli_round_trip(self, tmp_path):
-        import json
-
-        from benchmarks.check_bench import main
-
-        target = tmp_path / "BENCH_perf.json"
-        target.write_text(json.dumps(valid_payload()))
-        assert main([str(target)]) == 0
-        assert main([str(tmp_path / "missing.json")]) == 1
-        assert main([]) == 2
+        for nodes in NODE_COUNTS:
+            indexed = run(nodes)
+            with linear_reference():
+                baseline = run(nodes)
+            assert [len(trail) for trail in indexed] == [
+                len(trail) for trail in baseline]
+            assert indexed == baseline

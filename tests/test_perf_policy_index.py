@@ -4,16 +4,19 @@ The index may only ever drop policies whose target evaluates
 ``NotApplicable`` — candidates keep registration order, hierarchical
 ``actor_id`` grants resolve through the ancestor buckets, the buckets
 rebuild when the repository's epoch moves, and the indexed PDP returns
-the same decisions as the full linear compile-and-evaluate.
+the same decisions as the full linear compile-and-evaluate (the
+``linear_reference`` fixture).
 """
 
 import pytest
 
+from repro import DataConsumer, DataController, DataProducer
 from repro.core.actors import Actor, ActorKind
 from repro.core.enforcement import DetailRequest
 from repro.core.policy import PolicyRepository, PrivacyPolicy
-from repro.perf.bench import build_decide_rig
+from repro.exceptions import AccessDeniedError
 from repro.perf.policy_index import PolicyIndex, actor_ancestors
+from repro.sim.generators import standard_event_templates
 
 
 def grant(policy_id: str, *, actor_id: str = "", actor_role: str = "",
@@ -25,6 +28,53 @@ def grant(policy_id: str, *, actor_id: str = "", actor_role: str = "",
         actor_id=actor_id, actor_role=actor_role,
         valid_from=valid_from, valid_until=valid_until,
     )
+
+
+def build_decide_rig(policies: int) -> tuple[DataController, list]:
+    """A controller plus a cycle of permit/deny detail requests.
+
+    Policy #0 authorizes the consumer ``Doctor``; the other ``policies-1``
+    target unrelated actors — the candidate set the linear matcher must
+    walk and the policy index prunes.  The request cycle mixes the
+    authorized consumer with unknown actors so both outcomes (and the
+    deny-by-default path) are exercised.
+    """
+    controller = DataController(seed="perf-bench")
+    producer = DataProducer(controller, "Hospital", "Hospital")
+    template = standard_event_templates()["BloodTest"]
+    event_class = producer.declare_event_class(template.build_schema())
+    consumer = DataConsumer(controller, "Doctor", "Doctor", role="family-doctor")
+    producer.define_policy(
+        "BloodTest", fields=["PatientId", "Name", "Hemoglobin"],
+        consumers=[("Doctor", "unit")], purposes=["healthcare-treatment"],
+    )
+    for index in range(max(policies - 1, 0)):
+        producer.define_policy(
+            "BloodTest", fields=["Hemoglobin"],
+            consumers=[(f"Other-{index}", "unit")],
+            purposes=["statistical-analysis"],
+        )
+    notification = producer.publish(
+        event_class, subject_id="pat-1", subject_name="Mario Bianchi",
+        summary="blood test completed",
+        details={"PatientId": "pat-1", "Name": "Mario", "Surname": "Bianchi",
+                 "Hemoglobin": 13.9, "Glucose": 92.0, "Cholesterol": 180.0,
+                 "HivResult": "negative"},
+    )
+    requests = [DetailRequest(
+        actor=consumer.actor, event_type="BloodTest",
+        event_id=notification.event_id, purpose="healthcare-treatment",
+    )]
+    for index in range(3):
+        stranger = Actor(
+            actor_id=f"Stranger-{index}", name=f"Stranger {index}",
+            kind=ActorKind.CONSUMER, role="unit",
+        )
+        requests.append(DetailRequest(
+            actor=stranger, event_type="BloodTest",
+            event_id=notification.event_id, purpose="healthcare-treatment",
+        ))
+    return controller, requests
 
 
 class TestActorAncestors:
@@ -121,13 +171,8 @@ class TestEpochRebuild:
 class TestIndexedDecisionsMatchLinear:
     @pytest.mark.parametrize("purpose", ["healthcare-treatment",
                                          "statistical-analysis"])
-    def test_decide_agrees_across_modes_for_a_grid_of_actors(self, purpose):
-        indexed_controller, indexed_requests = build_decide_rig(
-            "indexed", policies=12)
-        linear_controller, linear_requests = build_decide_rig(
-            "none", policies=12)
-        event_id = {"indexed": indexed_requests[0].event_id,
-                    "none": linear_requests[0].event_id}
+    def test_decide_agrees_across_modes_for_a_grid_of_actors(
+            self, purpose, linear_reference):
         actors = [
             Actor(actor_id="Doctor", name="Doctor",
                   kind=ActorKind.CONSUMER, role="family-doctor"),
@@ -136,23 +181,40 @@ class TestIndexedDecisionsMatchLinear:
             Actor(actor_id="Stranger", name="Stranger",
                   kind=ActorKind.CONSUMER, role="unit"),
         ]
-        for actor in actors:
-            outcomes = {}
-            for mode, controller in (("indexed", indexed_controller),
-                                     ("none", linear_controller)):
+
+        def run():
+            """Each actor's (decide verdict, released fields or deny
+            message), cold then warm, plus the audit trail they left."""
+            controller, requests = build_decide_rig(policies=12)
+            enforcer, outcomes = controller.enforcer, []
+            for actor in actors:
                 request = DetailRequest(
                     actor=actor, event_type="BloodTest",
-                    event_id=event_id[mode], purpose=purpose,
+                    event_id=requests[0].event_id, purpose=purpose,
                 )
-                outcomes[mode] = controller.enforcer.decide(request)
-            assert outcomes["indexed"] == outcomes["none"]
+                for _ in ("cold", "warm"):
+                    try:
+                        released = sorted(
+                            enforcer.get_event_details(request).released_fields)
+                    except AccessDeniedError as exc:
+                        released = str(exc)
+                    outcomes.append((enforcer.decide(request), released))
+            return outcomes, [record.to_payload()
+                              for record in controller.audit_log.records()]
+
+        product = run()
+        with linear_reference():
+            reference = run()
+        assert product == reference
+        treatment = purpose == "healthcare-treatment"
+        assert [verdict for verdict, _ in product[0]] == [
+            treatment, treatment, not treatment, not treatment, False, False]
 
     def test_the_index_scans_fewer_candidates_than_the_repository_holds(self):
-        controller, requests = build_decide_rig("indexed", policies=24)
+        controller, requests = build_decide_rig(policies=24)
         for request in requests:
             controller.enforcer.decide(request)
         index = controller.perf.policy_index
-        assert index is not None
         assert index.stats.selections > 0
         scanned_per_selection = (
             index.stats.candidates_scanned / index.stats.selections

@@ -3,15 +3,14 @@ and the keystore's shared key-schedule cache.
 
 The fast paths must be invisible on the wire: pre-encoded fan-out
 messages and reused sealed relay frames produce byte-identical link
-transcripts versus the ``perf: none`` baseline, relayed notifications
-still open and deliver intact, and the process-wide key schedule returns
-boxes that interoperate with freshly derived ones.
+transcripts versus the linear reference, relayed notifications still open
+and deliver intact, and the process-wide key schedule returns boxes that
+interoperate with freshly derived ones.
 """
 
 from repro.crypto.keystore import KeyStore
 from repro.federation.link import wire_message
 from repro.perf.wire_cache import SealedFrameCache
-from repro.runtime.kernel import RuntimeConfig
 from tests.conftest import build_federation
 
 
@@ -51,13 +50,18 @@ class TestKeyScheduleCache:
         assert second.open_("channel:x", token) == "payload"
 
     def test_opting_out_still_interoperates(self):
+        """A store derived after the schedule was dropped (a fresh
+        derivation, not a shared box) opens what one derived before sealed."""
         KeyStore._schedule.clear()
-        cached = KeyStore("shared-master")
-        plain = KeyStore("shared-master", schedule_cache=False)
-        cached.create("channel:y")
-        plain.create("channel:y")
-        token = plain.seal("channel:y", "payload", sequence=7)
-        assert cached.open_("channel:y", token) == "payload"
+        before = KeyStore("shared-master")
+        before.create("channel:y")
+        token = before.seal("channel:y", "payload", sequence=7)
+        KeyStore._schedule.clear()
+        misses = KeyStore.schedule_misses
+        after = KeyStore("shared-master")
+        after.create("channel:y")
+        assert KeyStore.schedule_misses == misses + 1
+        assert after.open_("channel:y", token) == "payload"
         assert ("shared-master", "channel:y", 1) in KeyStore._schedule
 
     def test_different_masters_never_share_boxes(self):
@@ -98,9 +102,8 @@ class TestWireHints:
 
 
 class TestTranscriptEquivalence:
-    def run_deployment(self, perf: str) -> tuple[list[str], list]:
-        deployment = build_federation(
-            shards=3, runtime=RuntimeConfig(perf=perf))
+    def run_deployment(self) -> tuple[list[str], list, dict]:
+        deployment = build_federation(shards=3)
         platform = deployment.platform
         platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
         notifications = [
@@ -108,26 +111,32 @@ class TestTranscriptEquivalence:
             for i in range(4)
         ]
         platform.dispatch_all()
-        platform.request_details(
+        detail = platform.request_details(
             "FamilyDoctors/Dr-Rossi", "BloodTest",
             notifications[0].event_id, "healthcare-treatment",
         )
         platform.controller_of("node-1").index.inquire(["BloodTest"])
         inbox = platform.consumer("FamilyDoctors/Dr-Rossi").inbox
-        return platform.link_transcripts(), list(inbox)
+        return (platform.link_transcripts(), [n.to_xml() for n in inbox],
+                detail.exposed_values())
 
-    def test_indexed_and_none_transcripts_are_byte_identical(self):
-        indexed_wire, indexed_inbox = self.run_deployment("indexed")
-        baseline_wire, baseline_inbox = self.run_deployment("none")
+    def test_indexed_and_none_transcripts_are_byte_identical(
+            self, linear_reference):
+        indexed_wire, indexed_inbox, indexed_released = self.run_deployment()
+        with linear_reference():
+            baseline_wire, baseline_inbox, baseline_released = \
+                self.run_deployment()
         assert indexed_wire == baseline_wire
-        # Relayed notifications opened and delivered identically too.
-        assert [n.subject_ref for n in indexed_inbox] \
-            == [n.subject_ref for n in baseline_inbox]
-        assert indexed_inbox
+        # Relayed notifications opened and delivered identically too, and
+        # the request released the same fields.
+        assert indexed_inbox == baseline_inbox
+        assert len(indexed_inbox) == 4
+        assert indexed_released == baseline_released
+        assert set(indexed_released) == {"PatientId", "Name", "Hemoglobin",
+                                         "Glucose"}
 
     def test_relay_frames_are_sealed_once_with_perf_on(self):
-        deployment = build_federation(shards=3, runtime=RuntimeConfig(
-            perf="indexed"))
+        deployment = build_federation(shards=3)
         platform = deployment.platform
         platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
         deployment.publish_blood_test()

@@ -14,9 +14,10 @@
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
@@ -24,7 +25,6 @@ from repro.bus.broker import ServiceBus
 from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
 from repro.crypto.keystore import KeyStore
-from repro.perf import PerfLayer
 from repro.registry.objects import LifecycleStatus, RegistryObject
 from repro.registry.query import FilterQuery
 from repro.registry.registry import Registry
@@ -52,12 +52,10 @@ class BusRig:
     queue, with handlers that can be broken and repaired and forwarders
     that re-publish what they receive on the same bus."""
 
-    def __init__(self, auto_dispatch: bool, max_attempts: int,
-                 perf: str = "none") -> None:
+    def __init__(self, auto_dispatch: bool, max_attempts: int) -> None:
         self.bus = ServiceBus(
             strict_topics=False, auto_dispatch=auto_dispatch,
-            delivery_policy=DeliveryPolicy(max_attempts=max_attempts),
-            perf=PerfLayer() if perf == "indexed" else None)
+            delivery_policy=DeliveryPolicy(max_attempts=max_attempts))
         # A round started from inside a handler re-offers that handler's
         # unacknowledged head, so forwarders need explicit rounds.
         self.forwarding = not auto_dispatch
@@ -172,26 +170,32 @@ class TestBusProperties:
 
     @pytest.mark.parametrize("perf", ["none", "indexed"])
     @given(operations=OPERATIONS, auto_dispatch=st.booleans())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_dispatching_the_waiting_set_equals_scanning_every_subscription(
-            self, perf, operations, auto_dispatch):
+            self, perf, operations, auto_dispatch, linear_reference):
         """A round over the subscriptions that hold something delivers what
         a round over all of them does, in the same order, and the set the
-        queues keep is exactly the non-empty ones in registration order."""
-        subject = BusRig(auto_dispatch, max_attempts=2, perf=perf)
-        reference = BusRig(auto_dispatch, max_attempts=2, perf=perf)
-        scanned = reference.bus._subscriptions
-        scanned.waiting = scanned.all_subscriptions  # the round before the set
-        registry = subject.bus._subscriptions
-        for step in operations:
-            assert subject.apply(*step) == reference.apply(*step)
-            assert list(registry.waiting()) == [
-                sub for sub in registry.all_subscriptions() if sub.queue.depth]
-            assert subject.delivered == reference.delivered
-            assert subject.parked() == reference.parked()
-            assert subject.bus.stats == reference.bus.stats
-            assert [sub.queue.stats for sub in subject.live] == [
-                sub.queue.stats for sub in reference.live]
+        queues keep is exactly the non-empty ones in registration order —
+        whether the subject fans out through the trie and its memo or
+        through the linear reference (``none``); the reference bus always
+        scans linearly."""
+        with linear_reference() if perf == "none" else nullcontext():
+            subject = BusRig(auto_dispatch, max_attempts=2)
+            reference = BusRig(auto_dispatch, max_attempts=2)
+            scanned = reference.bus._subscriptions
+            scanned.waiting = scanned.all_subscriptions  # the round before the set
+            scanned.matching_topic = scanned.matching_topic_linear
+            registry = subject.bus._subscriptions
+            for step in operations:
+                assert subject.apply(*step) == reference.apply(*step)
+                assert list(registry.waiting()) == [
+                    sub for sub in registry.all_subscriptions() if sub.queue.depth]
+                assert subject.delivered == reference.delivered
+                assert subject.parked() == reference.parked()
+                assert subject.bus.stats == reference.bus.stats
+                assert [sub.queue.stats for sub in subject.live] == [
+                    sub.queue.stats for sub in reference.live]
 
     @given(topic=st.sampled_from(TOPICS))
     @settings(max_examples=20, deadline=None)

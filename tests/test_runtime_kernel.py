@@ -27,6 +27,7 @@ from repro.obs.guard import TelemetryPrivacyError
 from repro.obs.profiling import SECTION_STAGE, SamplingProfiler
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import InMemoryTelemetry
+from repro.perf import PerfLayer
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.runtime.interfaces import (
     AuditSink,
@@ -66,16 +67,14 @@ class TestKernelRegistry:
         kernel = default_kernel()
         wiring = kernel.wiring()
         assert wiring["telemetry"] == ("inmemory", "noop")
-        assert wiring["perf"] == ("indexed", "none")
         assert wiring["sched"] == ("fair", "none")
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
         # Only collaborators with a real choice are kernel kinds (store,
         # index and audit follow from ``data_dir``, an SLO engine or
-        # profiler is built by whoever reads it); the design-size CI step
-        # fails past these two numbers.
-        assert kernel.kinds() == ("batch", "perf", "recorder", "sched",
-                                  "telemetry")
+        # profiler is built by whoever reads it, the one hot path by the
+        # controller); the design-size CI step fails past these two numbers.
+        assert kernel.kinds() == ("batch", "recorder", "sched", "telemetry")
         assert len(fields(RuntimeConfig)) == 13
         # No name stands for a fact.
         assert not {"federated", "shared"} & {
@@ -153,7 +152,7 @@ class TestControllerWiring:
     def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
             self, tmp_path):
         runtime = RuntimeConfig(
-            telemetry="inmemory", perf="none", sched="fair", batch="on",
+            telemetry="inmemory", sched="fair", batch="on",
             recorder="ring", data_dir=tmp_path)
         kernel = RecordingKernel()
         controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
@@ -188,8 +187,7 @@ class TestControllerWiring:
 
 
 #: The names that stand for "off": each builds nothing.
-OFF_NAMES = {("telemetry", "noop"), ("recorder", "noop"), ("perf", "none"),
-             ("batch", "off")}
+OFF_NAMES = {("telemetry", "noop"), ("recorder", "noop"), ("batch", "off")}
 
 #: Deployments the wiring rule must read the same facts under: a bare
 #: controller, and every node of a one- and a two-node platform.
@@ -290,6 +288,19 @@ class TestOneWiringRule:
         assert DataController().store is None
         assert isinstance(DataController(runtime=RuntimeConfig(
             data_dir=tmp_path)).store, StorageEngine)
+
+    def test_perf_selects_nothing_the_indexed_hot_path_is_the_only_one(self):
+        # ``perf="none"`` used to build no layer, every seam falling back
+        # to a linear scan; the linear paths are test references now.
+        with pytest.raises(ConfigurationError) as refusal:
+            RuntimeConfig(perf="none")
+        assert str(refusal.value) == (
+            "RuntimeConfig.perf selects nothing: 'indexed' is the one hot path")
+        assert RuntimeConfig(perf="indexed") == RuntimeConfig()
+        perf = DataController().perf
+        assert isinstance(perf, PerfLayer)
+        assert perf.policy_index is not None
+        assert "perf" not in default_kernel().kinds()
 
     def test_no_name_stands_for_a_fact(self):
         # ``federated`` / ``shared`` used to reach factories that died on
@@ -529,11 +540,13 @@ class TestOneObserverRule:
         assert not any(hasattr(node.controller, name)
                        for node in platform.nodes() for name in ("profiler", "slo"))
 
-    def test_all_off_and_all_on_decide_and_audit_alike(self, tmp_path):
-        off = observer_script(RuntimeConfig(
-            telemetry="noop", recorder="noop", perf="none", batch="off"))
+    def test_all_off_and_all_on_decide_and_audit_alike(
+            self, tmp_path, linear_reference):
+        with linear_reference():
+            off = observer_script(RuntimeConfig(
+                telemetry="noop", recorder="noop", batch="off"))
         on = observer_script(RuntimeConfig(
-            telemetry="inmemory", recorder="ring", perf="indexed", batch="on",
+            telemetry="inmemory", recorder="ring", batch="on",
             data_dir=tmp_path))
         assert off == on
         decisions, heads = off
