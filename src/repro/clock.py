@@ -40,9 +40,13 @@ class Clock:
         self._lock = threading.Lock()
 
     def now(self) -> float:
-        """Current simulated time in seconds since the epoch."""
-        with self._lock:
-            return self._now
+        """Current simulated time in seconds since the epoch.
+
+        Takes no lock: reading one float attribute is atomic, and
+        :meth:`advance` / :meth:`set` publish each new instant with one
+        store under theirs, so a read never sees time go backwards.
+        """
+        return self._now
 
     def advance(self, seconds: float) -> float:
         """Move time forward by ``seconds`` and return the new instant."""

@@ -18,8 +18,6 @@ stage pipelines) depend on nothing but this shape.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from repro.clock import Clock
 from repro.obs.context import TraceContext
 from repro.obs.exporters import metric_lines, span_lines, write_jsonl
@@ -47,45 +45,52 @@ class _BoundSpan:
     """One span shape resolved once: name, guard-cleared attributes and
     the histogram its durations feed.
 
-    It is its own context manager and keeps no per-execution state — the
-    open span lives on the tracer's stack — so one instance serves every
+    It keeps no per-execution state — :meth:`open` hands back the tracer
+    row and :meth:`close` takes it — so one instance serves every
     execution of its pipeline or stage, nested ones included (a federated
-    request runs the same stage on two nodes of one shared telemetry).
+    request runs the same stage on two nodes of one shared telemetry), and
+    a span of it costs no object.  As a context manager (a convenience
+    off the hot path) it yields the row's :class:`~repro.obs.tracing.Span`.
     """
 
-    __slots__ = ("_telemetry", "_name", "_labels", "_attributes", "_metric",
-                 "_section", "_durations")
+    __slots__ = ("_telemetry", "_tracer", "_name", "_labels", "_attributes",
+                 "_metric", "_section", "_durations")
 
     def __init__(self, telemetry: "InMemoryTelemetry", name: str, metric: str,
                  section: str | None, labels: dict[str, str]) -> None:
         self._telemetry = telemetry
+        self._tracer = telemetry.tracer
         self._name = name
         self._labels = labels
-        # Shared by every span of this shape, hence read-only.
-        self._attributes = MappingProxyType(telemetry.tracer.cleared(labels))
+        # Shared by every span of this shape (read-only).
+        self._attributes = self._tracer.cleared(labels)
         self._metric = metric
         self._section = section
         # Resolved by the first span to finish: a series must not show in
         # a snapshot taken before its first sample.
         self._durations: Histogram | None = None
 
-    def __enter__(self):
-        return self._telemetry.tracer.open(self._name, self._attributes)
+    def open(self) -> int:
+        """Open one span of this shape; returns its tracer row."""
+        return self._tracer.open(self._name, self._attributes)
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        telemetry = self._telemetry
-        tracer = telemetry.tracer
-        span = tracer.current_span
-        tracer.finish(span, exc_type)
+    def close(self, row: int, exc_type: type | None = None) -> None:
+        """Close the span at ``row`` and sample its duration."""
+        duration = self._tracer.close(row, exc_type)
         durations = self._durations
         if durations is None:
-            durations = self._durations = telemetry.metrics.histogram(
+            durations = self._durations = self._telemetry.metrics.histogram(
                 self._metric, **self._labels)
-        duration = span.end - span.start
         durations.observe(duration)
-        profiler = telemetry.profiler
+        profiler = self._telemetry.profiler
         if self._section is not None and profiler is not None:
             profiler.record(self._section, duration, **self._labels)
+
+    def __enter__(self):
+        return self._tracer.span_of(self.open())
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close(self._tracer.current_row, exc_type)
         return False  # never swallow — pipeline semantics stay intact
 
 
@@ -181,16 +186,16 @@ class InMemoryTelemetry:
         self.profiler = profiler
 
     def attach_recorder(self, recorder) -> None:
-        """Attach a flight recorder; spans mirror into its ring.
+        """Attach a flight recorder; it watches this telemetry's tracer.
 
         On a federated platform every node controller attaches through one
-        shared telemetry, so the first recorder wins — spans mirror into
-        exactly one ring and the merged timeline stays duplicate-free.
+        shared telemetry, so the first recorder wins — the spans show in
+        exactly one recorder and the merged timeline stays duplicate-free.
         """
         if recorder is None or self.recorder is not None:
             return
         self.recorder = recorder
-        self.tracer.recorder = recorder
+        recorder.watch(self.tracer)
 
     def profile(self, section: str, seconds: float, **labels: object) -> None:
         """Record one profile sample if a profiler is attached."""

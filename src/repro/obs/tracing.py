@@ -1,10 +1,21 @@
-"""Deterministic tracing: spans with parent/child context propagation.
+"""Deterministic tracing: spans kept as rows of flat columns.
 
 One trace per pipeline execution (a publish, a request-for-details), one
 child span per pipeline stage.  Timestamps come from the platform's
 simulated :class:`~repro.clock.Clock` and span/trace ids from plain
 counters, so the same seeded scenario always produces the same spans —
 the trace-determinism tests diff the JSONL export byte for byte.
+
+A span is a *row*: its index in the tracer's parallel columns (name,
+guard-cleared attributes, parent, trace, start, end; the few failed rows'
+error names kept aside).  Opening one appends to the columns and closing
+one writes its end, so the hot path builds no object per span.  Ids are
+minted from the row and trace numbers only when read, and a :class:`Span`
+— the read view of one row — is built only by the read side
+(:meth:`Tracer.finished_spans`, :meth:`Tracer.spans_named`, the exports, a
+flight recorder's timeline) and cached, so repeated reads return the same
+objects.  A generic :meth:`Tracer.span` scope is itself its row's cached
+view.
 
 Span attributes pass through the :class:`~repro.obs.guard.PrivacyGuard`
 exactly like metric labels: a span can say *which stage* denied *which
@@ -18,8 +29,9 @@ carries only a :class:`~repro.obs.context.TraceContext`, never content.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.clock import Clock
 from repro.obs.context import TraceContext
@@ -30,26 +42,60 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 
-@dataclass(slots=True)
 class Span:
-    """One timed operation inside a trace."""
+    """One span, read from its row in the tracer's columns."""
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    name: str
-    start: float
-    end: float | None = None
-    status: str = STATUS_OK
-    error: str = ""
-    #: Guard-cleared; may be one read-only mapping shared between spans —
-    #: add to it through :meth:`Tracer.set_attribute`, which copies.
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("_tracer", "row")
+
+    def __init__(self, tracer: "Tracer", row: int) -> None:
+        self._tracer = tracer
+        self.row = row
+
+    @property
+    def trace_id(self) -> str:
+        return self._tracer.trace_id(self.row)
+
+    @property
+    def span_id(self) -> str:
+        return self._tracer.span_id(self.row)
+
+    @property
+    def parent_id(self) -> str | None:
+        return self._tracer.parent_id(self.row)
+
+    @property
+    def name(self) -> str:
+        return self._tracer.names[self.row]
+
+    @property
+    def start(self) -> float:
+        return self._tracer.starts[self.row]
+
+    @property
+    def end(self) -> float | None:
+        """``None`` while the span is open."""
+        return self._tracer.ends[self.row]
+
+    @property
+    def status(self) -> str:
+        return STATUS_ERROR if self.row in self._tracer.errors else STATUS_OK
+
+    @property
+    def error(self) -> str:
+        """The type name of the exception that failed the span, else ``""``."""
+        return self._tracer.errors.get(self.row, "")
+
+    @property
+    def attributes(self) -> Mapping[str, str]:
+        """Guard-cleared; may be one read-only mapping shared between spans —
+        add to it through :meth:`Tracer.set_attribute`, which copies."""
+        return self._tracer.attributes[self.row]
 
     @property
     def duration(self) -> float:
         """Span duration in (simulated) seconds; 0.0 while still open."""
-        return (self.end - self.start) if self.end is not None else 0.0
+        end = self.end
+        return (end - self.start) if end is not None else 0.0
 
     def to_dict(self) -> dict:
         """Plain-dict rendering (JSONL export, assertions)."""
@@ -67,23 +113,36 @@ class Span:
         }
 
 
-class _SpanContext:
-    """Context manager closing a span (and popping the tracer stack)."""
+class _SpanScope(Span):
+    """What :meth:`Tracer.span` returns: opens its row on entry, closes it
+    on exit, and from entry on is that row's :class:`Span` — the object
+    every later read of the row hands back."""
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    __slots__ = ("_name", "_attributes", "_remote_parent")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 attributes: Mapping[str, str],
+                 remote_parent: TraceContext | None) -> None:
+        # The row does not exist until entry, so not ``Span.__init__``.
         self._tracer = tracer
-        self.span = span
+        self.row = None
+        self._name = name
+        self._attributes = attributes
+        self._remote_parent = remote_parent
 
-    def __enter__(self) -> Span:
-        return self.span
+    def __enter__(self) -> "_SpanScope":
+        tracer = self._tracer
+        self.row = tracer.open(self._name, self._attributes, self._remote_parent)
+        tracer.views[self.row] = self
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer.finish(self.span, exc_type)
+        self._tracer.close(self.row, exc_type)
         return False  # never swallow — pipeline semantics stay intact
 
 
 class Tracer:
-    """Produces spans; propagates parent/child context via an open-span stack."""
+    """Keeps spans as rows; a stack of open rows gives parent/child context."""
 
     def __init__(self, clock: Clock, guard: PrivacyGuard | None = None,
                  site: str = "") -> None:
@@ -92,117 +151,151 @@ class Tracer:
         #: Id prefix distinguishing this tracer's spans across a federation.
         #: Pass the node's guard-hashed label so exports stay pseudonymous.
         self.site = site
-        #: Optional flight recorder mirroring finished spans into its ring.
-        self.recorder = None
-        self._finished: list[Span] = []
-        self._stack: list[Span] = []
+        # The columns, one entry per span in open order: a span's row.
+        self.names: list[str] = []
+        #: Guard-cleared mappings, shared between the spans of one shape.
+        self.attributes: list[Mapping[str, str]] = []
+        #: Parent row, the span id a remote parent carried, or ``None``.
+        self.parents: list[int | str | None] = []
+        #: Trace number, or the trace id a remote parent carried.
+        self.traces: list[int | str] = []
+        self.starts: list[float] = []
+        #: ``None`` while the span is open.
+        self.ends: list[float | None] = []
+        #: Row -> exception type name, for the spans that failed.
+        self.errors: dict[int, str] = {}
+        #: Rows in finish order (children before parents).
+        self.finished = array("q")
+        self._stack: list[int] = []
         #: ``guard.static_key(attributes)`` -> guard-cleared pairs.
         self._attribute_memo = self.guard.memo()
         self._trace_counter = 0
-        self._span_counter = 0
+        #: Row -> its :class:`Span`: a generic span's scope, else built by
+        #: the first read of the row.
+        self.views: dict[int, Span] = {}
 
     def _prefixed(self, body: str) -> str:
         return f"{self.site}/{body}" if self.site else body
 
     # -- span lifecycle ----------------------------------------------------
 
-    def cleared(self, attributes: dict[str, object]) -> dict[str, str]:
-        """``attributes`` through the guard, as a fresh dict for one span.
+    def cleared(self, attributes: dict[str, object]) -> Mapping[str, str]:
+        """``attributes`` through the guard, as a read-only mapping.
 
-        Static attribute sets are sanitised once; one with an identifying
-        key takes the guard's hash/reject path on every call.
+        Static attribute sets are sanitised once and every span of one
+        shares the mapping; one with an identifying key takes the guard's
+        hash/reject path on every call.
         """
         items = self.guard.static_key(attributes)
-        pairs = self._attribute_memo.get(items) if items is not None else None
-        if pairs is None:
-            pairs = self.guard.sanitize(attributes)
+        cleared = self._attribute_memo.get(items) if items is not None else None
+        if cleared is None:
+            cleared = MappingProxyType(dict(self.guard.sanitize(attributes)))
             if items is not None:
-                self._attribute_memo[items] = pairs
-        return dict(pairs)
+                self._attribute_memo[items] = cleared
+        return cleared
 
     def set_attribute(self, span: Span, key: str, value: object) -> None:
         """Attach one more guard-cleared attribute to an open span."""
-        span.attributes = {**span.attributes, **self.cleared({key: value})}
+        row = span.row
+        self.attributes[row] = {**self.attributes[row],
+                                **self.cleared({key: value})}
 
     def span(self, name: str, remote_parent: TraceContext | None = None,
-             **attributes: object) -> _SpanContext:
-        """Open a span as a child of the innermost open span (or a new trace).
+             **attributes: object) -> _SpanScope:
+        """A span, opened on entry as a child of the innermost open span
+        (or a new trace).
 
         With no open span, ``remote_parent`` — a context that crossed a
         federation link — adopts the caller's trace instead of starting a
         new one; the local stack always wins when non-empty.
         """
-        return _SpanContext(
-            self, self.open(name, self.cleared(attributes), remote_parent))
+        return _SpanScope(self, name, self.cleared(attributes), remote_parent)
 
     def open(self, name: str, attributes: Mapping[str, str],
-             remote_parent: TraceContext | None = None) -> Span:
-        """Open and return a span whose ``attributes`` are already cleared.
+             remote_parent: TraceContext | None = None) -> int:
+        """Open a span whose ``attributes`` are already cleared; return its row.
 
-        The caller closes it with :meth:`finish`, innermost first.
+        The caller closes it with :meth:`close`, innermost first.
         """
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
+        row = len(self.names)
+        stack = self._stack
+        if stack:
+            parent = stack[-1]
+            trace = self.traces[parent]
         elif remote_parent is not None:
-            trace_id = remote_parent.trace_id
-            parent_id = remote_parent.span_id
+            parent, trace = remote_parent.span_id, remote_parent.trace_id
         else:
             self._trace_counter += 1
-            trace_id = self._prefixed(f"tr-{self._trace_counter:06d}")
-            parent_id = None
-        self._span_counter += 1
-        span = Span(
-            trace_id=trace_id,
-            span_id=self._prefixed(f"sp-{self._span_counter:06d}"),
-            parent_id=parent_id,
-            name=name,
-            start=self._clock.now(),
-            attributes=attributes,
-        )
-        self._stack.append(span)
-        return span
+            parent, trace = None, self._trace_counter
+        self.names.append(name)
+        self.attributes.append(attributes)
+        self.parents.append(parent)
+        self.traces.append(trace)
+        self.starts.append(self._clock.now())
+        self.ends.append(None)
+        stack.append(row)
+        return row
 
-    def finish(self, span: Span, exc_type: type | None = None) -> None:
-        """Close ``span`` (called by its context manager on exit).
+    def close(self, row: int, exc_type: type | None = None) -> float:
+        """Close the span at ``row`` and return its duration.
 
         ``exc_type`` — the exception leaving the span's block, if any —
         marks it failed.
         """
+        end = self.ends[row] = self._clock.now()
         if exc_type is not None:
-            span.status = STATUS_ERROR
-            span.error = exc_type.__name__
-        span.end = self._clock.now()
+            self.errors[row] = exc_type.__name__
+        stack = self._stack
         # The stack unwinds in LIFO order under the context-manager protocol.
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        self._finished.append(span)
-        if self.recorder is not None:
-            self.recorder.record_span(span)
+        if stack and stack[-1] == row:
+            stack.pop()
+        self.finished.append(row)
+        return end - self.starts[row]
+
+    # -- ids, minted on read -------------------------------------------------
+
+    def span_id(self, row: int) -> str:
+        return self._prefixed(f"sp-{row + 1:06d}")
+
+    def trace_id(self, row: int) -> str:
+        trace = self.traces[row]
+        return trace if isinstance(trace, str) else self._prefixed(f"tr-{trace:06d}")
+
+    def parent_id(self, row: int) -> str | None:
+        parent = self.parents[row]
+        return self.span_id(parent) if isinstance(parent, int) else parent
 
     # -- inspection --------------------------------------------------------
+
+    def span_of(self, row: int) -> Span:
+        """The span at ``row``: built on first read, the same object after."""
+        span = self.views.get(row)
+        if span is None:
+            span = self.views[row] = Span(self, row)
+        return span
+
+    @property
+    def current_row(self) -> int | None:
+        """The innermost open span's row, if any."""
+        return self._stack[-1] if self._stack else None
 
     @property
     def current_span(self) -> Span | None:
         """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        return self.span_of(self._stack[-1]) if self._stack else None
 
     def current_context(self) -> TraceContext | None:
         """The innermost open span as a wire-portable context."""
-        span = self.current_span
-        if span is None:
+        if not self._stack:
             return None
-        return TraceContext(trace_id=span.trace_id, span_id=span.span_id)
+        row = self._stack[-1]
+        return TraceContext(trace_id=self.trace_id(row), span_id=self.span_id(row))
 
     def finished_spans(self) -> tuple[Span, ...]:
         """Completed spans, in finish order (children before parents)."""
-        return tuple(self._finished)
+        return tuple(map(self.span_of, self.finished))
 
     def spans_named(self, name: str) -> list[Span]:
         """Finished spans with the given name."""
-        return [span for span in self._finished if span.name == name]
-
-    def reset(self) -> None:
-        """Forget finished spans (open spans are unaffected)."""
-        self._finished.clear()
+        names = self.names
+        return [self.span_of(row) for row in self.finished if names[row] == name]

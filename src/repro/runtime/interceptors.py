@@ -165,19 +165,21 @@ class Pipeline:
         telemetry = self._telemetry
         name, stages = self.name, self.stages
         context, trace = invocation.context, invocation.trace
-        spans = []  # open stage spans, in entry order (telemetry only)
+        # The open stage spans, in entry order (telemetry only): each one's
+        # bound shape and its tracer row.
+        spans, rows = [], []
         entered = 0  # stages whose enter returned: the ones owed a leave
         result = failure = failed = None  # failed: type(failure), for the spans
         if telemetry is not None:
             wall_started = perf_counter()
             root = telemetry.pipeline_span(name)
-            root.__enter__()
+            root_row = root.open()
         try:
             for stage in stages:
                 trace.append(stage.name)
                 if telemetry is not None:
                     span = telemetry.stage_span(name, stage.name)
-                    span.__enter__()
+                    rows.append(span.open())
                     spans.append(span)
                 done = stage.enter(context)
                 entered += 1
@@ -189,7 +191,7 @@ class Pipeline:
         except BaseException as exc:  # re-raised below, after the unwind
             failure, failed = exc, type(exc)
             if len(spans) > entered:  # the span of the stage that raised
-                spans.pop().__exit__(failed, failure, None)
+                spans.pop().close(rows.pop(), failed)
         while entered:
             entered -= 1
             leave = stages[entered].leave
@@ -199,9 +201,9 @@ class Pipeline:
                 except BaseException as exc:  # replaces what was in flight
                     result, failure, failed = None, exc, type(exc)
             if spans:
-                spans.pop().__exit__(failed, failure, None)
+                spans.pop().close(rows.pop(), failed)
         if telemetry is not None:
-            root.__exit__(failed, failure, None)
+            root.close(root_row, failed)
             telemetry.count(PIPELINE_OUTCOMES, pipeline=name,
                             outcome=classify(result, failure).label)
             telemetry.observe_wall(

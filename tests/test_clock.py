@@ -1,5 +1,8 @@
 """Unit tests for repro.clock."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.clock import DAY, MONTH, Clock, WallClock
@@ -54,6 +57,44 @@ class TestClock:
         clock = Clock()
         clock.advance(DAY)
         assert clock.isoformat() == clock.isoformat(DAY)
+
+    def test_lock_free_now_never_reads_backwards_under_concurrent_advance(self):
+        """``now()`` takes no lock; ``advance`` keeps its own, so readers
+        racing writers see time only move forward and no step is lost."""
+        clock = Clock()
+        writers, steps, readers = 4, 2000, 2
+        backwards: list[tuple[float, float]] = []
+        done = threading.Event()
+
+        def advance() -> None:
+            for _ in range(steps):
+                clock.advance(1.0)
+
+        def read() -> None:
+            last = clock.now()
+            while not done.is_set():
+                now = clock.now()
+                if now < last:
+                    backwards.append((last, now))
+                last = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reading = [threading.Thread(target=read) for _ in range(readers)]
+            writing = [threading.Thread(target=advance) for _ in range(writers)]
+            for thread in reading + writing:
+                thread.start()
+            for thread in writing:
+                thread.join(timeout=30)
+            done.set()
+            for thread in reading:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in reading + writing)
+        assert backwards == []
+        assert clock.now() == writers * steps
 
 
 class TestWallClock:

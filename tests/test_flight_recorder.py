@@ -12,6 +12,7 @@ from repro.obs.recorder import (
     FlightRecorder,
 )
 from repro.obs.telemetry import InMemoryTelemetry
+from repro.obs.tracing import Tracer
 from repro.runtime.kernel import KIND_RECORDER, RuntimeConfig, default_kernel
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
@@ -66,18 +67,11 @@ class TestRecording:
         assert str(row["subject"]).startswith("h:")
 
     def test_seq_is_shared_across_both_rings(self, recorder, clock):
-        class Span:
-            name = "stage.x"
-            trace_id = "tr-1"
-            span_id = "sp-1"
-            parent_id = None
-            status = "ok"
-            start = 0.0
-            end = 1.5
-            duration = 1.5
-
+        tracer = Tracer(clock)
+        recorder.watch(tracer)
         recorder.record(EVENT_DEADLETTER, depth=1)
-        recorder.record_span(Span())
+        with tracer.span("stage.x"):
+            clock.advance(1.5)
         recorder.record(EVENT_DEADLETTER, depth=2)
         timeline = recorder.timeline()
         assert [row["seq"] for row in sorted(timeline,
@@ -95,21 +89,13 @@ class TestRecording:
 
 class TestFreezing:
     def test_freeze_stops_both_rings_idempotently(self, recorder, clock):
+        tracer = Tracer(clock)
+        recorder.watch(tracer)
         recorder.record(EVENT_DEADLETTER, depth=1)
         first = recorder.freeze()
         recorder.record(EVENT_DEADLETTER, depth=2)
-
-        class Span:
-            name = "stage.x"
-            trace_id = "tr-1"
-            span_id = "sp-1"
-            parent_id = None
-            status = "ok"
-            start = 0.0
-            end = None
-            duration = None
-
-        recorder.record_span(Span())
+        with tracer.span("stage.x"):
+            pass
         assert recorder.freeze() == first
         assert len(recorder.events()) == 1
         assert recorder.spans() == []
@@ -139,4 +125,4 @@ class TestKernelWiring:
         telemetry.attach_recorder(first)
         telemetry.attach_recorder(second)
         assert telemetry.recorder is first
-        assert telemetry.tracer.recorder is first
+        assert first.tracer is telemetry.tracer and second.tracer is None

@@ -224,17 +224,21 @@ def test_scenario_telemetry_exports_contain_no_plaintext_identifiers():
 def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
     """The static-label memos never key on what the guard has to hash.
 
-    After a federated run, samples and spans carrying every assisted
-    person's id and name under identifying keys (and a restricted payload
-    field) are emitted repeatedly; each is hashed on the way in, and no
-    memo the guard hands out — series, span attributes, bound spans, on
-    either registry — nor any series key holds one of the raw values.
+    After a federated run, samples, spans and recorder events carrying
+    every assisted person's id and name under identifying keys (and a
+    restricted payload field) are emitted repeatedly; each is hashed on
+    the way in, and no memo the guard hands out — series, span
+    attributes, bound spans, on either registry — nor any series key, nor
+    the tracer's span rows, nor what a flight recorder retains or shows
+    holds one of the raw values.
     """
     scenario = CssScenario(ScenarioConfig(
         nodes=2, n_patients=6, n_events=40, seed=2010,
-        runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash")))
+        runtime=RuntimeConfig(telemetry="inmemory", telemetry_guard="hash",
+                              recorder="ring")))
     scenario.run()
     telemetry = scenario.telemetry
+    recorders = scenario.platform.flight_recorders().values()
     secrets: set[str] = set()
     for _ in range(2):
         for patient in scenario.population:
@@ -249,6 +253,8 @@ def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
             with telemetry.span("probe", subject_display=patient.name,
                                 pipeline="probe"):
                 pass
+            telemetry.recorder.record("probe", subject_ref=patient.patient_id,
+                                      subject_display=patient.name)
 
     memos = telemetry.guard._memos
     assert sum(map(len, memos)) > 20  # the run did bind its static series
@@ -257,6 +263,13 @@ def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
                      + telemetry.metrics.gauge_entries()
                      + telemetry.metrics.histogram_entries()
                      + telemetry.wall.histogram_entries())
+    tracer = telemetry.tracer
+    retained += repr((tracer.names, tracer.attributes, tracer.parents,
+                      tracer.traces, tracer.starts, tracer.ends, tracer.errors))
+    for recorder in recorders:
+        retained += repr(vars(recorder)) + repr(recorder.timeline())
     assert "probe" in retained and "h:" in retained
+    assert "subject_display" in repr(tracer.attributes)  # the probe spans' rows
+    assert "subject_ref" in repr(telemetry.recorder.events())
     for secret in secrets:
         assert secret not in retained

@@ -1,15 +1,17 @@
 """What telemetry costs and what it may not change, pinned without a clock.
 
 The guard classifies each label key once, static label sets resolve to
-their series through a memo, and pipeline/stage spans are bound once
-(docs/OBSERVABILITY.md, "Cost").  These tests hold that to account:
+their series through a memo, pipeline/stage spans are bound once and
+every span is a row of flat columns (docs/OBSERVABILITY.md, "Cost").
+These tests hold that to account:
 
 * the memoised paths return exactly what an uncached reference
   classification returns, whatever ``restrict_keys`` does in between;
 * exports of two seeded scenarios are byte-for-byte those of the commit
   before the memo existed, and every op still opens as many spans;
 * after warm-up the hot paths classify no key and run ``sanitize`` only
-  for samples that carry an identifying label, and a fan-out parses its
+  for samples that carry an identifying label, a span builds no view,
+  calls no recorder and reads the clock twice, and a fan-out parses its
   notification once per node, visits only the queues it filled and costs
   the audit chain two links whatever its width — counts, which repeat
   exactly, where wall time cannot gate CI;
@@ -20,7 +22,9 @@ their series through a memo, and pipeline/stage spans are bound once
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,7 @@ from repro.obs.guard import (
     TelemetryPrivacyError,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import (
     PIPELINE_DURATION,
     PIPELINE_WALL_DURATION,
@@ -48,7 +53,7 @@ from repro.obs.telemetry import (
     InMemoryTelemetry,
 )
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Span, Tracer
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.test_wall_surface import prod_platform, publish  # noqa: F401
@@ -197,6 +202,23 @@ def test_bound_spans_share_their_attributes_read_only():
     assert second.attributes == {**first.attributes, "outcome": "error"}
     with pytest.raises(TypeError):
         first.attributes["outcome"] = "ok"
+
+
+def test_generic_spans_share_one_cleared_mapping_per_static_set():
+    telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
+    with telemetry.span("link.call", op="index.store") as first:
+        pass
+    with telemetry.span("link.call", op="index.store") as second:
+        telemetry.tracer.set_attribute(second, "outcome", "error")
+    with telemetry.span("link.call", op="index.store") as third:
+        pass
+    assert first.attributes is third.attributes == {"op": "index.store"}
+    assert second.attributes == {"op": "index.store", "outcome": "error"}
+    with pytest.raises(TypeError):
+        first.attributes["outcome"] = "ok"
+    with telemetry.span("probe", subject_ref="p1") as identified:
+        pass
+    assert identified.attributes["subject_ref"].startswith("h:")
 
 
 def test_reset_leaves_no_stale_bound_series():
@@ -376,6 +398,48 @@ def test_warm_hot_paths_classify_nothing_and_sanitize_only_to_hash(
         telemetry.count("probe_total", subject_ref=f"p{index % 5}",
                         pipeline="probe")
     assert counts == {"classify": 1, "sanitize": 50}
+
+
+def test_warm_spans_build_no_object_call_no_recorder_and_read_the_clock_twice(
+        prod, monkeypatch):
+    """Spans are rows: over 200 warm publishes and 200 warm requests for
+    details no ``Span`` view is built (a generic ``span()`` — link calls,
+    ``federation.*`` server spans — keeps its one scope object, which is
+    its row's view), the flight recorder — which reads the tracer's rows
+    itself — is never called, and telemetry reads the clock exactly twice
+    per span (its open and its close)."""
+    platform, blood = prod
+    tracer = platform.telemetry.tracer
+    assert platform.telemetry.recorder.tracer is tracer  # PROD records
+    drive(platform, blood, 0, 200)  # warm-up
+    counts = {"Span": 0, "recorder": 0, "clock": 0}
+    build, now = Span.__init__, Clock.now
+
+    def counted_build(span, *args):
+        counts["Span"] += 1
+        build(span, *args)
+
+    def counted_now(clock):
+        if sys._getframe(1).f_globals["__name__"].startswith("repro.obs."):
+            counts["clock"] += 1
+        return now(clock)
+
+    def counted(method):
+        def call(*args, **kwargs):
+            counts["recorder"] += 1
+            return method(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Span, "__init__", counted_build)
+    monkeypatch.setattr(Clock, "now", counted_now)
+    for name, member in vars(FlightRecorder).items():
+        if inspect.isfunction(member) and name != "__init__":
+            monkeypatch.setattr(FlightRecorder, name, counted(member))
+    first = len(tracer.finished)
+    drive(platform, blood, 1000, 200)
+    spans = len(tracer.finished) - first
+    assert spans > 4000
+    assert counts == {"Span": 0, "recorder": 0, "clock": 2 * spans}
 
 
 def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
