@@ -160,7 +160,7 @@ class DataController:
 
             index = FederatedIndexStore(
                 local=index, membership=context["membership"],
-                node_id=context["node_id"], perf=self.perf, batch=self.batch)
+                node_id=context["node_id"], batch=self.batch)
         self.index = index
         if self.telemetry is not None:
             self.telemetry.attach_recorder(self.recorder)

@@ -36,7 +36,6 @@ from repro.core.index import (
 )
 from repro.core.messages import NotificationMessage
 from repro.exceptions import LinkFailureError, UnknownEventError
-from repro.federation.link import wire_message
 from repro.registry.objects import LifecycleStatus, RegistryObject
 
 if TYPE_CHECKING:
@@ -57,12 +56,11 @@ class FederatedIndexStore:
     """One node's view of the cluster-wide events index."""
 
     def __init__(self, local: EventsIndex, membership: "StaticMembership",
-                 node_id: str, perf, batch=None) -> None:
+                 node_id: str, batch=None) -> None:
         self.local = local
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        self._perf = perf
         #: Batch policy (kernel kind ``batch: on``): remote stores
         #: coalesce into per-owner frames instead of one link call per
         #: entry.  ``None`` (``batch: off``) ships every entry alone.
@@ -231,22 +229,10 @@ class FederatedIndexStore:
         return tuple(n for n in self.membership.node_ids if n != self.node_id)
 
     def _ask_peers(self, operation: str, payload: dict) -> Iterator[dict]:
-        """Send one identical request to every peer; yields each answer.
-
-        The request is encoded once
-        (:func:`~repro.federation.link.wire_message`): the first peer
-        counts as the ``wire`` cache miss, every further peer as a hit;
-        with tracing active the link re-encodes anyway and the hint is
-        simply ignored.
-        """
+        """Send one identical request to every peer; yields each answer."""
         node = self._self_node()
-        for position, peer in enumerate(self._peer_ids()):
-            if position:
-                self._perf.record_hit("wire")
-            else:
-                self._perf.record_miss("wire")
-                wire = wire_message(operation, payload)
-            yield node.ask(peer, operation, payload, wire=wire)
+        for peer in self._peer_ids():
+            yield node.ask(peer, operation, payload)
 
     def get(self, event_id: str) -> NotificationMessage:
         """Rebuild a notification from whichever shard holds it."""

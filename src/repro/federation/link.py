@@ -3,9 +3,10 @@
 A :class:`Link` is one directed channel from a federation node to a peer.
 Its transport discipline is the subsystem's privacy boundary:
 
-* payloads are JSON-serializable dicts, serialized to canonical JSON for
-  the wire — every byte that crosses is kept in :attr:`Link.transcript`,
-  which the privacy tests grep for plaintext identities;
+* payloads are JSON-serializable dicts crossing as canonical JSON: a hop
+  keeps what crossed and :attr:`Link.transcript` — the privacy tests' grep
+  surface — renders it on read, byte for byte what a send-time encode
+  made (nothing that crossed is mutated after its hop);
 * identifying content is sealed *before* it reaches the link (index
   entries carry the index-key tokens; detail responses and audit exports
   travel under the sender's federation channel key);
@@ -25,15 +26,14 @@ drops, never decisions.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.bus.delivery import DeliveryPolicy
 from repro.clock import Clock
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import LinkFailureError
-from repro.obs.context import WIRE_KEY, TraceContext
+from repro.obs.context import WIRE_KEY
 from repro.obs.profiling import SECTION_LINK_HOP
 
 if TYPE_CHECKING:
@@ -52,18 +52,6 @@ LINK_DROPS = "federation.link.drops_total"
 BATCH_ENTRY_COST = 0.0002
 
 
-def wire_message(operation: str, payload: dict) -> str:
-    """The canonical wire encoding of an untraced request message.
-
-    Fan-outs that send one identical request to *k* peers can encode it
-    once and pass the result to each :meth:`Link.call` as the ``wire``
-    hint instead of re-serializing per peer.  The hint only applies when
-    no trace context rides the message — with tracing active each hop
-    carries its own span ids, so the link re-encodes.
-    """
-    return canonical_json({"op": operation, "payload": payload})
-
-
 @dataclass
 class LinkStats:
     """Per-link counters (benchmarks and failure-injection tests)."""
@@ -72,7 +60,12 @@ class LinkStats:
     delivered: int = 0
     retries: int = 0
     failed_attempts: int = 0
-    bytes_carried: int = 0
+    transcript: Callable[[], list[str]] = field(default=list, repr=False)  # renders the link's
+
+    @property
+    def bytes_carried(self) -> int:
+        """Characters of every wire message that crossed, read off the transcript."""
+        return sum(map(len, self.transcript()))
 
 
 class Link:
@@ -93,14 +86,33 @@ class Link:
         self.target = target
         self.latency = latency
         self.policy = policy or DeliveryPolicy()
-        self.stats = LinkStats()
-        self.transcript: list[str] = []
+        self.stats = LinkStats(transcript=lambda: self.transcript)
+        #: What crossed, in order: a request as ``(operation, payload, span
+        #: row or None)``, a response as its dict; and those rendered so far.
+        self._crossed: list[tuple | dict] = []
+        self._lines: list[str] = []
         self._clock = clock or Clock()
         self._fail_budget = 0
         self._failure_hook: Callable[[str, dict], bool] | None = None
         self._telemetry = telemetry
-        self._source_label = source_label or source
-        self._target_label = target_label or target.node_id
+        self._tracer = telemetry.tracer if telemetry is not None else None
+        #: Span shapes and counters, bound once (emptied on reset/restrict).
+        self._bound = telemetry.metrics.memo() if telemetry is not None else None
+        self._ends = {"source": source_label or source,
+                      "target": target_label or target.node_id}
+
+    @property
+    def transcript(self) -> list[str]:
+        """Every wire message that crossed, in order; renders only what is new."""
+        lines, tracer = self._lines, self._tracer
+        for entry in self._crossed[len(lines):]:
+            if type(entry) is tuple:
+                operation, payload, row = entry
+                entry = {"op": operation, "payload": payload}
+                if row is not None:
+                    entry[WIRE_KEY] = tracer.context(row).to_wire()
+            lines.append(canonical_json(entry))
+        return lines
 
     # -- failure injection -------------------------------------------------
 
@@ -122,26 +134,17 @@ class Link:
 
     # -- transmission ------------------------------------------------------
 
-    def call(self, operation: str, payload: dict, wire: str | None = None) -> dict:
+    def call(self, operation: str, payload: dict) -> dict:
         """Send one request to the peer and return its response dict.
-
-        ``wire`` is an optional pre-encoded request (see
-        :func:`wire_message`); it is honoured only when the message
-        carries no trace context, otherwise the link re-encodes so the
-        span ids on the wire stay truthful.
 
         Retries dropped attempts up to the link policy's ``max_attempts``;
         raises :class:`~repro.exceptions.LinkFailureError` once the budget
-        is exhausted.  Every wire message (request and response) is
-        appended to :attr:`transcript` as canonical JSON.
-
+        is exhausted.  Request and response land in :attr:`transcript`.
         With telemetry enabled on the source side the hop runs inside a
-        ``link.call`` span and the wire message carries that span's
-        :class:`~repro.obs.context.TraceContext` — only the two counter-
-        minted ids, never content — so the server side can parent its
-        spans into the caller's trace.
+        ``link.call`` span, whose :class:`~repro.obs.context.TraceContext`
+        — two counter-minted ids, never content — the message carries.
         """
-        return self._transmit(operation, payload, None, self.latency, wire)
+        return self._transmit(operation, payload, None, self.latency)
 
     def call_batch(
         self,
@@ -165,72 +168,88 @@ class Link:
         """
         if count < 1:
             raise LinkFailureError("a coalesced frame needs at least one entry")
-        hop_cost = advance if advance is not None else (
-            self.latency + count * BATCH_ENTRY_COST
-        )
+        hop_cost = (advance if advance is not None
+                    else self.latency + count * BATCH_ENTRY_COST)
         return self._transmit(operation, payload, count, hop_cost)
 
     def _transmit(self, operation: str, payload: dict, entries: int | None,
-                  hop_cost: float, wire: str | None = None) -> dict:
+                  hop_cost: float) -> dict:
         """The transmit loop behind :meth:`call` and :meth:`call_batch`.
 
         ``entries`` is ``None`` for a single request, else the entry count
         of a coalesced frame (which counts that many times and is served by
         ``handle_batch``); each attempt advances the clock by ``hop_cost``.
+        The span opens by row; a trace context is minted only for a serving
+        node recording into other telemetry (under a shared one, the server
+        span opens on top of this one).
         """
         batched = entries is not None
         count = entries if batched else 1
         self.stats.calls += 1
-        telemetry = self._telemetry
-        ends = {"source": self._source_label, "target": self._target_label}
-        if telemetry is None:
-            span_scope = nullcontext()
-        elif batched:
-            span_scope = telemetry.span("link.call_batch", op=operation,
-                                        entries=str(count), **ends)
-        else:
-            span_scope = telemetry.span("link.call", op=operation, **ends)
-        with span_scope:
-            context = telemetry.current_context() if telemetry is not None else None
-            if wire is None or context is not None:
-                message: dict[str, object] = {"op": operation, "payload": payload}
-                if context is not None:
-                    message[WIRE_KEY] = context.to_wire()
-                wire = canonical_json(message)
-            self.transcript.append(wire)
-            self.stats.bytes_carried += len(wire)
+        tracer = self._tracer
+        row = context = None
+        if tracer is not None:
+            row = tracer.open(*self._span_shape(operation, entries))
+            if self.target.telemetry is not self._telemetry:
+                context = tracer.context(row)
+        self._crossed.append((operation, payload, row))
+        try:
             started = self._clock.now()
-            last_error: LinkFailureError | None = None
             for attempt in range(1, self.policy.max_attempts + 1):
                 if attempt > 1:
                     self.stats.retries += 1
                 self._clock.advance(hop_cost)
-                if telemetry is not None:
-                    telemetry.count(LINK_ATTEMPTS, **ends)
+                if tracer is not None:
+                    self._counter(LINK_ATTEMPTS).inc()
                 if self._should_fail(operation, payload):
                     self.stats.failed_attempts += count
-                    if telemetry is not None:
-                        telemetry.count(LINK_DROPS, **ends)
+                    if tracer is not None:
+                        self._counter(LINK_DROPS).inc()
                     what = (f"batched {operation!r} of {count} entries"
                             if batched else repr(operation))
                     last_error = LinkFailureError(
                         f"link {self.source}->{self.target.node_id} dropped "
-                        f"{what} (attempt {attempt}/{self.policy.max_attempts})"
-                    )
+                        f"{what} (attempt {attempt}/{self.policy.max_attempts})")
                     continue
                 if batched:
                     response = self.target.handle_batch(
                         operation, payload, count, trace=context)
                 else:
                     response = self.target.handle(operation, payload, trace=context)
-                response_wire = canonical_json(response)
-                self.transcript.append(response_wire)
-                self.stats.bytes_carried += len(response_wire)
+                self._crossed.append(response)
                 self.stats.delivered += count
-                if telemetry is not None:
-                    telemetry.count(HOP_COUNTER, float(count), **ends, op=operation)
-                    telemetry.profile(
-                        SECTION_LINK_HOP, self._clock.now() - started, **ends)
-                return response
-            assert last_error is not None
-            raise last_error
+                if tracer is not None:
+                    self._counter(HOP_COUNTER, operation).inc(float(count))
+                    self._telemetry.profile(SECTION_LINK_HOP,
+                                            self._clock.now() - started, **self._ends)
+                break
+            else:  # every attempt dropped (the policy allows at least one)
+                raise last_error
+        except BaseException as exc:
+            if row is not None:
+                tracer.close(row, type(exc))
+            raise
+        if row is not None:
+            tracer.close(row)
+        return response
+
+    def _span_shape(self, operation: str, entries: int | None):
+        """The hop span's name and guard-cleared attributes, cleared once."""
+        name = "link.call" if entries is None else "link.call_batch"
+        key = (name, operation, entries)
+        shape = self._bound.get(key)
+        if shape is None:
+            attributes = {"op": operation, **self._ends}
+            if entries is not None:
+                attributes["entries"] = str(entries)
+            shape = self._bound[key] = (name, self._tracer.cleared(attributes))
+        return shape
+
+    def _counter(self, name: str, operation: str | None = None):
+        """Counter ``name`` of this link's ends (and ``operation``), bound once."""
+        counter = self._bound.get((name, operation))
+        if counter is None:
+            labels = self._ends if operation is None else {**self._ends, "op": operation}
+            counter = self._bound[name, operation] = self._telemetry.metrics.counter(
+                name, **labels)
+        return counter

@@ -38,7 +38,6 @@ makespan — and therefore routing throughput — from the busiest node.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -135,7 +134,10 @@ class FederationNode:
         self.hops_in = 0
         #: The controller's telemetry (``None`` when off) — what this
         #: node, its links and the platform's federation spans record into.
-        self.telemetry = controller.telemetry
+        self.telemetry = telemetry = controller.telemetry
+        self._tracer = telemetry.tracer if telemetry is not None else None
+        #: ``(operation, entries)`` -> server span shape, emptied as a link's.
+        self._spans = telemetry.metrics.memo() if telemetry is not None else None
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         self._channel_seq = 0
         controller.keystore.create(self._channel_key)
@@ -203,14 +205,11 @@ class FederationNode:
     # -- client call -------------------------------------------------------
 
     def ask(self, peer_id: str, operation: str, payload: dict, *,
-            seal: bool = False, wire: str | None = None,
-            entries: int | None = None) -> dict:
+            seal: bool = False, entries: int | None = None) -> dict:
         """Send one request to ``peer_id`` and return its answer.
 
         The one statement of a cross-node call.  ``seal`` seals the
-        request under this node's channel key first; ``wire`` is a
-        pre-encoded fan-out request (see
-        :func:`~repro.federation.link.wire_message`); ``entries`` marks a
+        request under this node's channel key first; ``entries`` marks a
         shipper's coalesced frame of that many entries, whose latency was
         charged at enqueue time.  A failure the peer's handler raised is
         re-raised here as the class it left as (:data:`WIRE_ERRORS`); a
@@ -221,11 +220,8 @@ class FederationNode:
         link = self.membership.link(self.node_id, peer_id)
         if seal:
             payload = self.seal_channel(payload)
-        if entries is None:
-            response = link.call(operation, payload, wire=wire)
-        else:
-            response = link.call_batch(operation, payload, count=entries,
-                                       advance=0.0)
+        response = (link.call(operation, payload) if entries is None else
+                    link.call_batch(operation, payload, count=entries, advance=0.0))
         error = response.get("error")
         if error is not None:
             message = response.get("message", error)
@@ -248,15 +244,15 @@ class FederationNode:
                trace: TraceContext | None = None) -> dict:
         """Serve one remote call; a handler's failure is an error response.
 
-        ``trace`` is the caller's link-span context.  With telemetry
-        enabled the whole operation runs inside a ``federation.<op>``
-        server span parented (possibly remotely) under it, so home-node
-        pipeline and PDP spans nest into the originating trace.
+        ``trace`` is the caller's link-span context when the caller records
+        into other telemetry.  With telemetry enabled the operation runs in
+        a ``federation.<op>`` server span under the link span (possibly
+        remote), so home-node pipeline and PDP spans nest into its trace.
         """
         handler = self._handlers.get(operation)
         if handler is None:
             return {"error": "unknown-operation", "message": operation}
-        return self._serve(handler, operation, payload, trace, hops=1)
+        return self._serve(handler, operation, payload, trace, None)
 
     def handle_batch(self, operation: str, payload: dict, count: int,
                      trace: TraceContext | None = None) -> dict:
@@ -270,36 +266,47 @@ class FederationNode:
         handler = self._batch_handlers.get(operation)
         if handler is None:
             return {"error": "unknown-operation", "message": f"batched {operation}"}
-        return self._serve(handler, operation, payload, trace, hops=count,
-                           entries=str(count))
+        return self._serve(handler, operation, payload, trace, count)
 
     def _serve(self, handler: Callable[[dict], dict], operation: str,
-               payload: dict, trace: TraceContext | None, hops: int,
-               **span_attributes: str) -> dict:
-        """Run one handler under its server span.
+               payload: dict, trace: TraceContext | None,
+               entries: int | None) -> dict:
+        """Run one handler under its server span, opened by row.
 
         Any platform failure (:class:`~repro.exceptions.CssError`) the
         handler raises is answered, spelled by :data:`WIRE_ERRORS` — so it
         crosses in the transcript, counts as delivered, and :meth:`ask`
         re-raises it on the caller's side.
         """
-        self.hops_in += hops
-        telemetry = self.telemetry
-        span_scope = (
-            telemetry.span(f"federation.{operation}", remote_parent=trace,
-                           node=self.label, **span_attributes)
-            if telemetry is not None else nullcontext()
-        )
-        with span_scope as span:
-            try:
-                response = handler(payload)
-            except CssError as exc:
-                code = WIRE_ERRORS.get(type(exc), type(exc).__name__)
-                response = {"error": code, "message": str(exc)}
-            if span is not None and "error" in response:
-                telemetry.tracer.set_attribute(span, "outcome",
-                                               response["error"])
-            return response
+        self.hops_in += 1 if entries is None else entries
+        tracer = self._tracer
+        if tracer is not None:
+            row = tracer.open(*self._span_shape(operation, entries), trace)
+        try:
+            response = handler(payload)
+        except CssError as exc:
+            code = WIRE_ERRORS.get(type(exc), type(exc).__name__)
+            response = {"error": code, "message": str(exc)}
+            if tracer is not None:
+                tracer.set_attribute(row, "outcome", code)
+        except BaseException as exc:
+            if tracer is not None:
+                tracer.close(row, type(exc))
+            raise
+        if tracer is not None:
+            tracer.close(row)
+        return response
+
+    def _span_shape(self, operation: str, entries: int | None):
+        """The server span's name and guard-cleared attributes, cleared once."""
+        shape = self._spans.get((operation, entries))
+        if shape is None:
+            attributes = {"node": self.label}
+            if entries is not None:
+                attributes["entries"] = str(entries)
+            shape = self._spans[operation, entries] = (
+                f"federation.{operation}", self._tracer.cleared(attributes))
+        return shape
 
     def _op_ping(self, payload: dict) -> dict:
         return {"ok": True, "node": self.node_id}

@@ -488,10 +488,7 @@ class FederatedPlatform:
 
     def link_transcripts(self) -> list[str]:
         """Every wire message that crossed any link (privacy-test surface)."""
-        lines: list[str] = []
-        for link in self.membership.links():
-            lines.extend(link.transcript)
-        return lines
+        return [line for link in self.membership.links() for line in link.transcript]
 
     def record_queue_depths(self) -> None:
         """Refresh every node's queue-depth gauge."""

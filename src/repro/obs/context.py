@@ -7,8 +7,8 @@ prefixed with a guard-hashed site label), so a context carries no
 identifying content: propagating it inside a federation wire message
 leaks nothing the link transcript does not already show.
 
-The remote side hands the context to ``Tracer.span(..., remote_parent=ctx)``
-and its server span joins the caller's trace; the
+The remote side opens its server span with the context as its remote
+parent (``Tracer.open`` / ``Tracer.span``) and joins the caller's trace; the
 :mod:`~repro.obs.stitch` module later merges the per-node exports into
 one federated trace keyed by these ids.
 """

@@ -150,10 +150,6 @@ class InMemoryTelemetry:
         """
         return self.tracer.span(name, remote_parent=remote_parent, **attributes)
 
-    def current_context(self) -> TraceContext | None:
-        """The innermost open span as a wire-portable trace context."""
-        return self.tracer.current_context()
-
     def stage_span(self, pipeline: str, stage: str):
         """A per-pipeline-stage child span plus its duration histogram."""
         bound = self._bound_spans.get((pipeline, stage))

@@ -194,9 +194,9 @@ class Tracer:
                 self._attribute_memo[items] = cleared
         return cleared
 
-    def set_attribute(self, span: Span, key: str, value: object) -> None:
-        """Attach one more guard-cleared attribute to an open span."""
-        row = span.row
+    def set_attribute(self, span: Span | int, key: str, value: object) -> None:
+        """Attach one more guard-cleared attribute to an open span (or row)."""
+        row = span if type(span) is int else span.row
         self.attributes[row] = {**self.attributes[row],
                                 **self.cleared({key: value})}
 
@@ -284,11 +284,8 @@ class Tracer:
         """The innermost open span, if any."""
         return self.span_of(self._stack[-1]) if self._stack else None
 
-    def current_context(self) -> TraceContext | None:
-        """The innermost open span as a wire-portable context."""
-        if not self._stack:
-            return None
-        row = self._stack[-1]
+    def context(self, row: int) -> TraceContext:
+        """The span at ``row`` as a wire-portable context."""
         return TraceContext(trace_id=self.trace_id(row), span_id=self.span_id(row))
 
     def finished_spans(self) -> tuple[Span, ...]:

@@ -18,9 +18,8 @@ without changing a single decision:
   endpoint withdrawal drops the stale entries immediately;
 * :mod:`repro.perf.topic_index` — a segment trie over subscription
   patterns plus a per-topic fan-out memo for the broker;
-* :mod:`repro.perf.wire_cache` — canonical-JSON wire hints and sealed
-  relay frames for the federation links, and the keystore's shared
-  key-schedule cache.
+* :mod:`repro.perf.wire_cache` — sealed relay frames for the federation
+  links (the keystore keeps its own shared key-schedule cache).
 
 There is no switch: every controller builds one :class:`PerfLayer`.
 The linear paths survive as references only —

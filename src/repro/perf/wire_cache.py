@@ -1,4 +1,4 @@
-"""Sealed-frame and wire-encoding caches for the federation hot path.
+"""The sealed-frame cache of the federation hot path.
 
 A notification relayed to *k* peer nodes used to be canonical-JSON
 serialized and channel-sealed once **per peer**, although every peer
@@ -15,10 +15,9 @@ receiver derives the same key from the shared master secret, and opening
 is stateless — integrity and confidentiality do not depend on tokens
 being unique per receiver.
 
-The companion wire-hint path lives in :mod:`repro.federation.link`
-(:func:`~repro.federation.link.wire_message` plus ``Link.call``'s
-``wire=`` parameter): a caller fanning one operation out to many peers
-encodes the message once and hands the bytes to every link.
+There is no wire-encoding cache: a link encodes nothing while it sends
+(:attr:`repro.federation.link.Link.transcript` renders what crossed on
+read), so a fan-out has no encoding to share between peers.
 """
 
 from __future__ import annotations

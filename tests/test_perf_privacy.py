@@ -86,8 +86,7 @@ class TestTelemetryLabels:
         assert rows  # the layer is instrumented
         for row in rows:
             assert set(row["labels"]) == {"cache"}
-            assert row["labels"]["cache"] in {"decision", "fanout", "wire",
-                                              "seal"}
+            assert row["labels"]["cache"] in {"decision", "fanout", "seal"}
 
     def test_candidate_histogram_exists_and_is_label_safe(self):
         runtime = RuntimeConfig(perf="indexed", telemetry="inmemory",

@@ -11,7 +11,8 @@ These tests hold that to account:
   before the memo existed, and every op still opens as many spans;
 * after warm-up the hot paths classify no key and run ``sanitize`` only
   for samples that carry an identifying label, a span builds no view,
-  calls no recorder and reads the clock twice, and a fan-out parses its
+  calls no recorder and reads the clock twice, a link hop encodes nothing
+  and (under shared telemetry) mints no trace context, and a fan-out parses its
   notification once per node, visits only the queues it filled and costs
   the audit chain two links whatever its width — counts, which repeat
   exactly, where wall time cannot gate CI;
@@ -37,7 +38,9 @@ from repro.audit.query import AuditQuery
 from repro.bus.delivery import DeliveryEngine
 from repro.clock import Clock
 from repro.core.messages import NotificationMessage
+from repro.federation import link as link_module
 from repro.obs.benchreport import scenario_summary
+from repro.obs.context import TraceContext
 from repro.obs.guard import (
     DEFAULT_BLOCKED_KEYS,
     DEFAULT_BLOCKED_MARKERS,
@@ -53,7 +56,7 @@ from repro.obs.telemetry import (
     InMemoryTelemetry,
 )
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Span, Tracer, _SpanScope
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.test_wall_surface import prod_platform, publish  # noqa: F401
@@ -403,9 +406,9 @@ def test_warm_hot_paths_classify_nothing_and_sanitize_only_to_hash(
 def test_warm_spans_build_no_object_call_no_recorder_and_read_the_clock_twice(
         prod, monkeypatch):
     """Spans are rows: over 200 warm publishes and 200 warm requests for
-    details no ``Span`` view is built (a generic ``span()`` — link calls,
-    ``federation.*`` server spans — keeps its one scope object, which is
-    its row's view), the flight recorder — which reads the tracer's rows
+    details no ``Span`` view is built (a generic ``span()`` — the
+    platform's ``federation.request_details`` root — keeps its one scope
+    object, which is its row's view), the flight recorder — which reads the tracer's rows
     itself — is never called, and telemetry reads the clock exactly twice
     per span (its open and its close)."""
     platform, blood = prod
@@ -440,6 +443,53 @@ def test_warm_spans_build_no_object_call_no_recorder_and_read_the_clock_twice(
     spans = len(tracer.finished) - first
     assert spans > 4000
     assert counts == {"Span": 0, "recorder": 0, "clock": 2 * spans}
+
+
+def test_warm_hops_encode_nothing_build_no_span_and_mint_no_context(
+        prod, monkeypatch):
+    """A hop keeps rows: over 200 warm publishes and 200 warm requests for
+    details ``Link._transmit`` encodes nothing (the transcript renders on
+    read), the link and server spans open by row — the only scopes built
+    are the platform's ``federation.request_details`` roots — no ``Span``
+    view is built, no trace context is minted under shared telemetry, and
+    the clock is still read twice per span."""
+    platform, blood = prod
+    tracer = platform.telemetry.tracer
+    drive(platform, blood, 0, 200)  # warm-up
+    counts = {"canonical_json": 0, "Span": 0, "scope": 0, "TraceContext": 0,
+              "clock": 0}
+    now = Clock.now
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+    def counted_now(clock):
+        if sys._getframe(1).f_globals["__name__"].startswith("repro.obs."):
+            counts["clock"] += 1
+        return now(clock)
+
+    monkeypatch.setattr(link_module, "canonical_json",
+                        counted("canonical_json", link_module.canonical_json))
+    monkeypatch.setattr(Span, "__init__", counted("Span", Span.__init__))
+    monkeypatch.setattr(_SpanScope, "__init__",
+                        counted("scope", _SpanScope.__init__))
+    monkeypatch.setattr(TraceContext, "__init__",
+                        counted("TraceContext", TraceContext.__init__))
+    monkeypatch.setattr(Clock, "now", counted_now)
+    first = len(tracer.finished)
+    drive(platform, blood, 1000, 200)
+    names = [tracer.names[row] for row in tracer.finished[first:]]
+    assert names.count("link.call") >= 400  # a relay and a details.get each
+    assert names.count("federation.details.get") == 200
+    assert counts == {"canonical_json": 0, "Span": 0,
+                      "scope": names.count("federation.request_details"),
+                      "TraceContext": 0, "clock": 2 * len(names)}
+    # Read, the transcript renders what crossed, one line per message.
+    lines = len(platform.link_transcripts())
+    assert counts["canonical_json"] == lines > 800
 
 
 def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
