@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Batched-execution trajectory: group commit + coalesced frames vs off.
+"""Batched-execution equivalence: group commit + coalesced frames vs off.
 
 Runs the batch equivalence matrix (batch sizes 1/16/256 x node counts,
 every node durable) on the seeded capacity workload, checks that
 every batched arm reproduces the unbatched arm's audit-chain digest and
 PDP decision stream bit-for-bit, and writes the ``css-bench-batch/1``
-summary with the speedup figures CI gates on.  Usage::
+summary.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_batch.py \
         [--full] [--nodes 1,2,4,8] [--out BENCH_batch.json]
 
 The default is the quick CI sizing; ``--full`` runs the larger workload.
 ``benchmarks/check_bench.py`` validates the output and fails the
-build on a broken equivalence or a speedup below the 1.3x floor.
+build on a broken equivalence.
 """
 
 from __future__ import annotations
@@ -37,18 +37,10 @@ def _print_summary(payload: dict) -> None:
     print(f"equivalence: identical={equivalence['identical']} "
           f"({len(equivalence['checks'])} matrix cells: "
           f"batch sizes x nodes)")
-    for figure in payload["speedup"]["batch_sweep"]:
-        name = f"capacity.batch@{figure['batch_size']}"
-        print(f"{name:<22} {figure['events_per_second']:>9.1f} events/s   "
-              f"speedup {figure['speedup']:>5.2f}x")
-    for figure in payload["speedup"]["nodes"]:
-        name = f"capacity@{figure['nodes']}nodes"
-        print(f"{name:<22} off {figure['baseline_events_per_second']:>9.1f} "
-              f"events/s   on(256) {figure['batched_events_per_second']:>9.1f} "
-              f"events/s   speedup {figure['speedup']:>5.2f}x")
-    print(f"min speedup at batch_size=256: "
-          f"{payload['speedup']['min_speedup_at_256']:.2f}x "
-          f"(floor {payload['speedup']['floor']:.1f}x)")
+    for check in equivalence["checks"]:
+        name = f"batch@{check['batch_size']} on {check['nodes']} node(s)"
+        print(f"{name:<24} audit={check['audit_identical']} "
+              f"decisions={check['decisions_identical']}")
 
 
 def main(argv: list[str] | None = None) -> int:

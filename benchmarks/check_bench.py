@@ -5,10 +5,10 @@ Every ``BENCH_*.json`` payload and every ``css-incident/1`` bundle is
 validated by the same code against one declarative table
 (:data:`SCHEMAS`): per schema id the field specs (each figure carrying
 its unit), the semantic gates as small named functions (digest
-equality, percentile ordering, speed-up floors, fair-beats-none, matrix
-coverage, bundle-manifest sha256) and the figures the bench trajectory
-tracks.  The schema is read from the payload's own ``schema`` field, so
-there is nothing to select on the command line.
+equality, percentile ordering, fair-beats-none, matrix coverage,
+bundle-manifest sha256) and the figures the bench trajectory tracks.
+The schema is read from the payload's own ``schema`` field, so there is
+nothing to select on the command line.
 
 Two gates apply to *every* schema, not just the ones that used to have
 them: the payload must name a known schema, and its serialized form must
@@ -53,8 +53,8 @@ from pathlib import Path
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
 #: What a figure is measured in.  ``sim_seconds`` figures (and rates over
-#: them) come off the simulated clock / cost model and reproduce
-#: bit-for-bit; ``wall_seconds`` ones depend on the machine.
+#: them) come off the simulated clock and reproduce bit-for-bit;
+#: ``wall_seconds`` ones depend on the machine.
 UNITS = ("sim_seconds", "wall_seconds", "count", "ratio")
 
 #: The plaintext shape of an assisted-person identifier
@@ -67,9 +67,6 @@ TENANT_ID_FRAGMENTS = (
     "Province-Trentino", "Municipality-Trento", "FamilyDoctors",
     "Hospital-S-Maria", "HomeAssist-Coop", "Org-0", "Org-1",
 )
-
-#: Floor of the batching speed-up gate.
-MIN_BATCH_SPEEDUP = 1.3
 
 #: Replay must be streaming: peak replay memory is bounded regardless of
 #: log size (sparse index + one record), far below this ceiling.
@@ -276,13 +273,12 @@ def ordered(*keys: str, strict: bool = False, why: str = ""):
     return gate
 
 
-def increasing(key: str, strict: bool = True):
-    """Gate: a list's entries carry ascending ``key`` values."""
+def increasing(key: str):
+    """Gate: a list's entries carry non-decreasing ``key`` values."""
     def gate(value: list, where: str) -> list[str]:
-        if _ascending([entry[key] for entry in value], strict):
+        if _ascending([entry[key] for entry in value], strict=False):
             return []
-        how = "increase strictly" if strict else "be in ascending order"
-        return [f"{where}[].{key} must {how}"]
+        return [f"{where}[].{key} must be in ascending order"]
     return gate
 
 
@@ -292,17 +288,6 @@ def covers(key: str, required: tuple):
         seen = {entry[key] for entry in value}
         return [f"{where} must cover {key}={wanted}"
                 for wanted in required if wanted not in seen]
-    return gate
-
-
-def floor(path: str, minimum: float, why: str):
-    """Gate: the figure at ``path`` stays at or above ``minimum``."""
-    def gate(payload: dict, where: str) -> list[str]:
-        figure = resolve(payload, path)
-        if figure >= minimum:
-            return []
-        return [f"{path} {figure:.2f} is below the {minimum:.1f}x floor"
-                f"{_suffix(why)}"]
     return gate
 
 
@@ -382,9 +367,8 @@ POSINT = Num(above=0, integer=True, unit="count")
 NUMBER = Num()
 NONNEG = Num(min=0)
 POSITIVE = Num(above=0)
-RATIO = Num(above=0, unit="ratio")
 SIM_SECONDS = Num(min=0, unit="sim_seconds")
-#: A rate over the simulated clock / cost-model makespan.
+#: A rate over the simulated clock.
 SIM_RATE = Num(above=0, unit="sim_seconds")
 WALL_SECONDS = Num(min=0, unit="wall_seconds")
 #: A rate over wall time — machine-dependent, never baselined.
@@ -517,24 +501,6 @@ SCHEMAS: dict[str, Schema] = {
         tracked=("benchmarks.0.ops_per_second",
                  "benchmarks.1.ops_per_second"),
     ),
-    # benchmarks/bench_federation.py: the cost-model scaling curve.
-    "css-bench-federation/1": Schema(
-        Obj({
-            "source": TEXT,
-            "workload": Obj(each(("events", "patients", "seed"), INT)),
-            "scaling": ListOf(Obj({
-                "nodes": POSINT,
-                **each(("events_published", "notifications_delivered",
-                           "cross_node_hops"), NONNEG),
-                "makespan_seconds": Num(above=0, unit="sim_seconds"),
-                "events_per_simulated_second": SIM_RATE,
-                "wall_seconds": WALL_SECONDS,
-            }), gates=(increasing("nodes"),
-                       increasing("events_per_simulated_second"))),
-        }),
-        tracked=("scaling.0.events_per_simulated_second",
-                 "scaling.0.wall_seconds"),
-    ),
     # benchmarks/bench_storage_engine.py: a flat JSONL file vs the engine.
     "css-bench-storage/1": Schema(
         Obj({
@@ -565,9 +531,8 @@ SCHEMAS: dict[str, Schema] = {
         }),
         tracked=("points.0.kinds.segmented.ingest_events_per_second",),
     ),
-    # `repro workload`: the capacity trajectory.  latency_seconds is read
-    # off the *simulated* clock, which a pipeline only advances on a link
-    # hop — on one node it is all zeros, not a measured latency.
+    # `repro workload`: the capacity trajectory — outcome counters, hops,
+    # saturation marks and audit digests; speed is the wall ledger's.
     "css-bench-capacity/1": Schema(
         Obj({
             "source": TEXT,
@@ -581,17 +546,12 @@ SCHEMAS: dict[str, Schema] = {
                 **each(("ops", *OUTCOME_COUNTERS, "cross_node_hops",
                            "queue_depth_high_water", "dead_letter_high_water",
                            "audit_records"), COUNT),
-                **each(("events_per_second", "details_per_second",
-                           "makespan_seconds", "simulated_seconds"),
-                          SIM_SECONDS),
+                "simulated_seconds": SIM_SECONDS,
                 "audit_digest": DIGEST,
-                "latency_seconds": Obj(each(("publish", "details"),
-                                               latency("sim_seconds"))),
             }, gates=(ordered("published", "ops",
                               why="published exceeds total ops"),)),
-                gates=(increasing("nodes", strict=False),)),
+                gates=(increasing("nodes"),)),
         }),
-        tracked=("nodes.0.events_per_second", "nodes.0.details_per_second"),
     ),
     # `repro sched`: sched=none vs sched=fair over one seeded stream.
     "css-bench-fairness/1": Schema(
@@ -620,8 +580,7 @@ SCHEMAS: dict[str, Schema] = {
                              "trail")),
         tracked=("arms.fair.jain_index", "arms.fair.victim_share"),
     ),
-    # benchmarks/bench_batch.py: the batched-execution equivalence matrix
-    # and cost-model speed-up.
+    # benchmarks/bench_batch.py: the batched-execution equivalence matrix.
     "css-bench-batch/1": Schema(
         Obj({
             "source": TEXT,
@@ -638,22 +597,7 @@ SCHEMAS: dict[str, Schema] = {
                     "decision_digest": DIGEST,
                 }), gates=(covers("batch_size", (1, 16, 256)),)),
             }),
-            "speedup": Obj({
-                "nodes": ListOf(Obj({
-                    "nodes": POSINT,
-                    "baseline_events_per_second": SIM_RATE,
-                    "batched_events_per_second": SIM_RATE,
-                    "speedup": RATIO,
-                })),
-                "batch_sweep": ListOf(Obj({"events_per_second": SIM_RATE,
-                                           "speedup": RATIO})),
-                "min_speedup_at_256": RATIO,
-            }),
         }),
-        gates=(floor("speedup.min_speedup_at_256", MIN_BATCH_SPEEDUP,
-                     "batching stopped paying for itself"),),
-        tracked=("speedup.min_speedup_at_256",
-                 "speedup.nodes.0.batched_events_per_second"),
     ),
     # benchmarks/bench_incident_overhead.py: recorder off vs on (the
     # bench enforces its own overhead / observer-effect gates).

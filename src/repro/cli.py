@@ -28,8 +28,8 @@ data directory (``snapshot``/``verify``/``restore``/``compact``/``stats``
 — point-in-time recovery via ``restore --to-sequence``); ``workload``
 drives the federated platform with a seeded open-loop workload scenario
 at each requested node count and writes the ``css-bench-capacity/1``
-trajectory (sustained events/sec, details/sec, p95/p99, saturation
-high-water marks); ``sched`` runs the same seeded workload twice —
+trajectory (outcome counters, hops, saturation high-water marks, audit
+digests); ``sched`` runs the same seeded workload twice —
 fifo baseline vs the fair deficit-round-robin tenant scheduler — and
 writes the ``css-bench-fairness/1`` comparison (Jain's index, victim
 share, throttle/shed counters), failing when fair does not beat the
@@ -527,12 +527,10 @@ def _cmd_workload(args: argparse.Namespace, out) -> int:
           f"population {args.population:,}, {args.ops:,} ops, "
           f"seed {wl.seed}):", file=out)
     for point in payload["nodes"]:
-        latency = point["latency_seconds"]
-        publish_p95 = latency.get("publish", {}).get("p95", 0.0)
         print(f"  nodes={point['nodes']:<2} "
-              f"events/s={point['events_per_second']:>8.1f} "
-              f"details/s={point['details_per_second']:>8.1f} "
-              f"publish-p95={publish_p95 * 1000:>7.2f}ms "
+              f"published={point['published']:>6} "
+              f"permits={point['detail_permits']:>6} "
+              f"denies={point['detail_denies']:>5} "
               f"hops={point['cross_node_hops']:>6} "
               f"queue-hw={point['queue_depth_high_water']:>4} "
               f"dead-letter-hw={point['dead_letter_high_water']}", file=out)

@@ -161,7 +161,7 @@ class Link:
         grow by ``count``; a drop fails all ``count`` entries together.
 
         The clock advances by ``latency + count * BATCH_ENTRY_COST`` per
-        attempt — the coalesced cost model — unless the caller passes an
+        attempt — the coalesced clock charge — unless the caller passes an
         explicit ``advance`` (shippers that pre-charged the latency at
         enqueue time flush with ``advance=0.0`` so record timestamps are
         identical to the unbatched run).

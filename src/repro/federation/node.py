@@ -29,16 +29,11 @@ distribution:
   index key.
 * ``audit.records`` exports this node's verified hash-chained trail,
   sealed, for the federated guarantor inquiry.
-
-Simulated service times (the ``*_COST`` constants) are charged to the
-node's :class:`WorkMeter`; the federation benchmark derives cluster
-makespan — and therefore routing throughput — from the busiest node.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -90,36 +85,8 @@ WIRE_ERRORS: dict[type[CssError], str] = {
 #: same key from the shared master secret to open.
 CHANNEL_KEY_PREFIX = "federation-channel/"
 
-#: Simulated per-operation service times (seconds) — the cost model behind
-#: the federation benchmark's makespan/throughput figures.
-PUBLISH_COST = 0.004
-INDEX_COST = 0.002
-RELAY_COST = 0.001
-DETAIL_COST = 0.003
-AUDIT_COST = 0.001
-
-#: Marginal per-entry service times inside a batch (batch kind ``on``):
-#: the first entry of a batch pays the full fixed cost, every further
-#: entry only the marginal one, so a batch of 1 costs exactly what the
-#: unbatched path does.
-PUBLISH_UNIT_COST = 0.002
-INDEX_UNIT_COST = 0.001
-
 #: Gauge of each node's bus queue depth, labelled by hashed node id.
 NODE_QUEUE_DEPTH = "federation.node.queue_depth"
-
-
-@dataclass
-class WorkMeter:
-    """Simulated busy-time accounting for one node."""
-
-    busy_seconds: float = 0.0
-    operations: int = 0
-
-    def add(self, seconds: float) -> None:
-        """Charge ``seconds`` of simulated service time to this node."""
-        self.busy_seconds += seconds
-        self.operations += 1
 
 
 class FederationNode:
@@ -130,8 +97,6 @@ class FederationNode:
         self.node_id = node_id
         self.controller = controller
         self.membership = membership
-        self.work = WorkMeter()
-        self.hops_in = 0
         #: The controller's telemetry (``None`` when off) — what this
         #: node, its links and the platform's federation spans record into.
         self.telemetry = telemetry = controller.telemetry
@@ -196,9 +161,9 @@ class FederationNode:
         return opened
 
     def _profile(self, section: str) -> None:
-        # Seal/open is pure computation: the cost model charges no
-        # simulated time, so the profiler records the sample at zero
-        # seconds — crossing counts, not durations.
+        # Seal/open is pure computation that advances no simulated time,
+        # so the profiler records the sample at zero seconds — crossing
+        # counts, not durations.
         if self.telemetry is not None:
             self.telemetry.profile(section, 0.0, node=self.label)
 
@@ -259,9 +224,9 @@ class FederationNode:
         """Serve one coalesced frame of ``count`` logical entries.
 
         Only operations with a batch handler accept coalesced frames
-        (today: ``index.store``).  The frame counts as ``count`` inbound
-        hops — per-entry accounting survives coalescing — but is decided
-        in one dispatch under one server span.
+        (today: ``index.store``).  The link counts the frame as ``count``
+        delivered hops — per-entry accounting survives coalescing — but
+        it is decided in one dispatch under one server span.
         """
         handler = self._batch_handlers.get(operation)
         if handler is None:
@@ -278,7 +243,6 @@ class FederationNode:
         crosses in the transcript, counts as delivered, and :meth:`ask`
         re-raises it on the caller's side.
         """
-        self.hops_in += 1 if entries is None else entries
         tracer = self._tracer
         if tracer is not None:
             row = tracer.open(*self._span_shape(operation, entries), trace)
@@ -314,7 +278,6 @@ class FederationNode:
     # -- index shard operations --------------------------------------------
 
     def _op_index_store(self, payload: dict) -> dict:
-        self.work.add(INDEX_COST)
         self.controller.index.accept_remote(self.open_channel(payload)["entry"])
         return {"ok": True, "node": self.node_id}
 
@@ -322,17 +285,14 @@ class FederationNode:
         """Accept a coalesced frame of shard entries in one key schedule.
 
         The frame was sealed once by the shipper, so it is opened once
-        here; the work meter charges the fixed cost for the first entry
-        and the marginal unit cost for each further one.
+        here.
         """
         entries = self.open_channel(payload)["entries"]
-        self.work.add(INDEX_COST + (len(entries) - 1) * INDEX_UNIT_COST)
         for entry in entries:
             self.controller.index.accept_remote(entry)
         return {"ok": True, "node": self.node_id, "stored": len(entries)}
 
     def _op_index_inquire(self, payload: dict) -> dict:
-        self.work.add(INDEX_COST)
         entries = self.controller.index.local_raw_inquire(
             payload["event_types"],
             since=payload.get("since"),
@@ -343,7 +303,6 @@ class FederationNode:
         return self.seal_channel({"entries": entries})
 
     def _op_index_get(self, payload: dict) -> dict:
-        self.work.add(INDEX_COST)
         return self.seal_channel(
             {"entry": self.controller.index.local_raw_get(payload["event_id"])}
         )
@@ -401,7 +360,6 @@ class FederationNode:
             return self._relays[key]
 
         def relay(envelope) -> None:
-            self.work.add(RELAY_COST)
             self.ask(origin, "bus.relay",
                      self._sealed_relay_frame(topic, str(envelope.body)))
 
@@ -431,7 +389,6 @@ class FederationNode:
 
     def _op_bus_relay(self, payload: dict) -> dict:
         """Re-publish a relayed notification on this node's local bus."""
-        self.work.add(RELAY_COST)
         body = self.open_channel(payload)
         topic = body["topic"]
         if topic not in self._relay_topics:
@@ -482,7 +439,6 @@ class FederationNode:
         one (Algorithm 1 + Algorithm 2).  The filtered detail message is
         sealed before it crosses back.
         """
-        self.work.add(DETAIL_COST)
         # Remote requests skip the consumer node's details-edge pipeline,
         # so the home node is where the scheduler meters (and, under
         # fair, admission-checks) the requesting organization's ingress.
@@ -531,7 +487,6 @@ class FederationNode:
 
     def _op_audit_records(self, payload: dict) -> dict:
         """Export this node's verified logical audit rows (sealed) for a guarantor."""
-        self.work.add(AUDIT_COST)
         head, records = self.verified_audit(
             payload.get("event_type"), payload.get("since"), payload.get("until")
         )

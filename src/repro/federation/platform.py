@@ -41,13 +41,7 @@ from repro.core.producer import DataProducer
 from repro.exceptions import FederationError
 from repro.federation.audit import FederatedAuditTrail, guarantor_inquiry
 from repro.federation.membership import StaticMembership
-from repro.federation.node import (
-    INDEX_COST,
-    INDEX_UNIT_COST,
-    PUBLISH_COST,
-    PUBLISH_UNIT_COST,
-    FederationNode,
-)
+from repro.federation.node import FederationNode
 from repro.obs.guard import PrivacyGuard
 from repro.obs.stitch import StitchedTrace, stitch
 from repro.obs.telemetry import InMemoryTelemetry
@@ -123,9 +117,6 @@ class FederatedPlatform:
             telemetry=self.telemetry,
             label_guard=self._node_guard,
         )
-        # Positions within the current batch, per node (see ``_amortized``).
-        self._publish_seq: dict[str, int] = {}
-        self._index_seq: dict[str, int] = {}
         self._producers: dict[str, DataProducer] = {}
         self._consumers: dict[str, DataConsumer] = {}
         self._producer_home: dict[str, str] = {}
@@ -309,40 +300,13 @@ class FederatedPlatform:
     ) -> NotificationMessage | None:
         """Publish on the producer's home node; the index entry lands on
         the subject's owner shard (possibly another node)."""
-        home = self._producer_home[producer_id]
-        node = self.membership.node(home)
-        node.work.add(self._amortized(self._publish_seq, node,
-                                      PUBLISH_COST, PUBLISH_UNIT_COST))
+        node = self.membership.node(self._producer_home[producer_id])
         notification = self._producers[producer_id].publish(
             event_class, subject_id, subject_name, summary, details,
             occurred_at=occurred_at,
         )
-        if notification is not None:
-            owner = self.membership.owner_of_subject(notification.subject_ref)
-            if owner == home:
-                # Remote stores charge the owner through the link handler;
-                # local stores are charged here.
-                node.work.add(self._amortized(self._index_seq, node,
-                                              INDEX_COST, INDEX_UNIT_COST))
         node.record_queue_depth()
         return notification
-
-    def _amortized(self, counters: dict[str, int], node: FederationNode,
-                   fixed: float, unit: float) -> float:
-        """The simulated service cost of one operation on ``node``.
-
-        Unbatched: always the fixed cost.  Batched (the node's one
-        ``BatchPolicy``): the first operation of each ``batch_size``-long
-        run pays the fixed cost (the write and flush of the group commit),
-        the rest the marginal unit cost.  A batch size of 1 therefore
-        costs exactly the unbatched figure.
-        """
-        policy = node.controller.batch
-        if policy is None:
-            return fixed
-        position = counters.get(node.node_id, 0)
-        counters[node.node_id] = (position + 1) % policy.batch_size
-        return fixed if position == 0 else unit
 
     # -- subscriptions -------------------------------------------------------
 

@@ -10,7 +10,7 @@ byte, which is what the determinism tests require.
 Sections that do not advance the simulated clock (sealing and opening a
 federation channel is pure computation) still record a sample with zero
 attributed seconds: the profile shows *how often* the crypto boundary is
-crossed even when the cost model charges no time for it.
+crossed even when the simulated clock charges no time for it.
 
 Every label bucket passes the :class:`~repro.obs.guard.PrivacyGuard`, so
 a profile can say *which pipeline stage* or *which (hashed) link* was

@@ -117,9 +117,9 @@ class RuntimeConfig:
     #: way decisions and audit trails are identical — see docs/SCHEDULING.md.
     sched: str = "none"
     #: Batched execution across the hot path: "off" (default — one
-    #: durable append, one wire frame, one work charge per event) or
-    #: "on" (group-commit durability, coalesced federation frames and
-    #: amortized per-event work, ``batch_size`` records per batch).
+    #: durable append and one wire frame per event) or "on" (group-commit
+    #: durability and coalesced federation frames, ``batch_size`` records
+    #: per batch).
     #: Audit digests and PDP decisions are byte-identical either way —
     #: see docs/PERFORMANCE.md.
     batch: str = "off"

@@ -41,8 +41,9 @@ from repro.exceptions import ConfigurationError
 from repro.obs.guard import PrivacyGuard
 from repro.sched.tokens import PenaltyBox, TokenBucket
 
-#: Work kinds the scheduler meters (costs mirror the federation's
-#: simulated service times, see :mod:`repro.federation.node`).
+#: Work kinds the scheduler meters, and what each costs its fluid
+#: virtual server in simulated seconds (the fairness figures are shares
+#: of this server's work, never a measure of speed).
 WORK_PUBLISH = "publish"
 WORK_FANOUT = "fanout"
 WORK_DETAILS = "details"

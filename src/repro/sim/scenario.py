@@ -9,8 +9,8 @@ workload.  :func:`deploy_roster` installs the parties,
 :meth:`CssScenario.run` ends it with the barrier (queues drained, group
 commits down, every chain verified) and returns the one
 :class:`ScenarioReport`: the outcome counters, the Fig. 1 exposure
-ledger the baselines are compared against, and the federation's
-makespan, hops and per-node figures.
+ledger the baselines are compared against, and the federation's hops
+and per-node figures.
 
 Policy regime: every producer grants each consumer role **exactly the
 fields that role needs** (the templates' ``needed_fields``), for the
@@ -91,8 +91,6 @@ class NodeReport:
     """Per-node figures of one run."""
 
     node_id: str
-    busy_seconds: float
-    operations: int
     index_entries: int
     audit_records: int
 
@@ -112,8 +110,6 @@ class ScenarioReport:
     endpoint_calls: int = 0
     subscriptions: int = 0
     cross_node_hops: int = 0
-    makespan_seconds: float = 0.0
-    routing_throughput: float = 0.0
     audit_records: int = 0
     audit_chains_verified: bool = False
     node_reports: list[NodeReport] = field(default_factory=list)
@@ -133,15 +129,12 @@ class ScenarioReport:
             f"endpoint calls:          {self.endpoint_calls}",
             f"subscriptions:           {self.subscriptions}",
             f"cross-node hops:         {self.cross_node_hops}",
-            f"makespan (simulated):    {self.makespan_seconds:.3f}s",
-            f"routing throughput:      {self.routing_throughput:.1f} events/s",
             f"audit records:           {self.audit_records}",
             f"audit chains verified:   {self.audit_chains_verified}",
         ]
         for report in self.node_reports:
             lines.append(
-                f"  {report.node_id}: busy={report.busy_seconds:.3f}s "
-                f"ops={report.operations} index={report.index_entries} "
+                f"  {report.node_id}: index={report.index_entries} "
                 f"audit={report.audit_records}"
             )
         lines.append(self.exposure.to_row())
@@ -358,16 +351,9 @@ class CssScenario:
         report.subscriptions = sum(
             node.controller.bus.subscription_count for node in members)
         report.cross_node_hops = platform.total_hops()
-        report.makespan_seconds = max(node.work.busy_seconds for node in members)
-        report.routing_throughput = (
-            report.events_published / report.makespan_seconds
-            if report.makespan_seconds > 0 else 0.0
-        )
         report.node_reports = [
             NodeReport(
                 node_id=node.node_id,
-                busy_seconds=node.work.busy_seconds,
-                operations=node.work.operations,
                 index_entries=len(node.controller.index),
                 audit_records=len(node.controller.audit_log),
             )

@@ -17,8 +17,8 @@ trajectory).  Four modules:
   harness every workload-driven artifact reports over (fresh federation
   → deploy → seeded stream → barrier → verified digests), and the
   ``css-bench-capacity/1`` trajectory at 1/2/4/8 nodes built on it;
-* :mod:`~repro.workload.batch` — the batched-execution equivalence gate
-  and speedup figures (``css-bench-batch/1``).
+* :mod:`~repro.workload.batch` — the batched-execution equivalence
+  matrix (``css-bench-batch/1``).
 """
 
 from repro.workload.arrivals import OnOffProcess, PoissonProcess, ZipfSampler

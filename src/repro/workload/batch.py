@@ -1,25 +1,20 @@
-"""The batch equivalence-and-speedup harness (``BENCH_batch.json``).
+"""The batch equivalence harness (``BENCH_batch.json``).
 
 Batched execution (kernel kind ``batch``) must be a pure performance
 knob: group-commit durability, coalesced federation frames and
 vectorized fanout may change *when* bytes hit disk and how many wire
 frames cross, but never what the platform decides or what its audit
-trail says.  ``run_batch_suite`` proves it the hard way, then measures
-what the batching buys:
+trail says.  ``run_batch_suite`` proves it the hard way with the
+**equivalence matrix**: the same seeded capacity workload runs batched
+and unbatched at batch sizes 1/16/256, across the requested node
+counts, durable (each node's logs in the segmented storage engine).
+Every batched arm must reproduce the unbatched arm's audit-chain digest
+(SHA-256 over the verified per-node heads) and PDP decision-stream
+digest bit-for-bit.  What batching buys in speed is a wall-clock
+question, answered by ``benchmarks/wall``.
 
-* **equivalence matrix** — the same seeded capacity workload runs
-  batched and unbatched at batch sizes 1/16/256, across the requested
-  node counts, durable (each node's logs in the segmented storage
-  engine).  Every batched arm must reproduce the unbatched arm's
-  audit-chain digest (SHA-256 over the verified per-node heads) and PDP
-  decision-stream digest bit-for-bit.
-* **speedup figures** — sustained events/sec (operations over the cost
-  model's cluster makespan) batched at ``batch_size=256`` vs unbatched,
-  per node count, plus a batch-size sweep at a single node.  CI gates on
-  ``>= 1.3x`` at 256.
-
-The payload (schema ``css-bench-batch/1``) carries only counts, rates
-and digests — never subject identifiers or payload fields.
+The payload (schema ``css-bench-batch/1``) carries only flags and
+digests — never subject identifiers or payload fields.
 """
 
 from __future__ import annotations
@@ -33,12 +28,9 @@ from repro.workload.config import WorkloadConfig, workload_config
 #: Schema identifier the batch payload stamps and CI gates on.
 SCHEMA_ID = "css-bench-batch/1"
 
-#: Batch sizes every equivalence cell is checked at (1 must coincide
-#: with the unbatched cost model exactly; 256 is the CI speedup gate).
+#: Batch sizes every equivalence cell is checked at (1: every entry its
+#: own batch; 256: the default ``batch_size``).
 BATCH_SIZES = (1, 16, 256)
-
-#: CI floor for the batched/unbatched throughput ratio at size 256.
-SPEEDUP_FLOOR = 1.3
 
 
 def _point(workload: WorkloadConfig, nodes: int, batch: str,
@@ -58,7 +50,7 @@ def run_batch_suite(
     scenario: str = "steady",
     source: str = "repro.workload.batch",
 ) -> dict:
-    """The full equivalence matrix plus the speedup figures.
+    """The full equivalence matrix.
 
     ``quick`` (the CI default) sizes the workload down; the matrix shape
     — batch sizes x node counts — is identical either way,
@@ -71,8 +63,6 @@ def run_batch_suite(
         seed=seed,
     )
     checks: list[dict] = []
-    speedups: list[dict] = []
-    sweep: list[dict] = []
     identical = True
     for nodes in node_counts:
         baseline = _point(workload, nodes, "off", 256)
@@ -90,21 +80,6 @@ def run_batch_suite(
                 "audit_digest": batched["audit_digest"],
                 "decision_digest": batched["decision_digest"],
             })
-            ratio = batched["events_per_second"] / baseline["events_per_second"]
-            if batch_size == 256:
-                speedups.append({
-                    "nodes": nodes,
-                    "baseline_events_per_second": baseline["events_per_second"],
-                    "batched_events_per_second": batched["events_per_second"],
-                    "speedup": ratio,
-                })
-            if nodes == node_counts[0]:
-                sweep.append({
-                    "batch_size": batch_size,
-                    "events_per_second": batched["events_per_second"],
-                    "speedup": ratio,
-                })
-    min_speedup = min(figure["speedup"] for figure in speedups)
     return {
         "schema": SCHEMA_ID,
         "source": source,
@@ -117,11 +92,5 @@ def run_batch_suite(
         "equivalence": {
             "identical": identical,
             "checks": checks,
-        },
-        "speedup": {
-            "floor": SPEEDUP_FLOOR,
-            "min_speedup_at_256": min_speedup,
-            "nodes": speedups,
-            "batch_sweep": sweep,
         },
     }

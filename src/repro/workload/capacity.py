@@ -10,21 +10,19 @@ capacity, fairness, incident and batch artifacts are reporters over the
 node count (1/2/4/8 by default) and assembles a ``BENCH_capacity.json``
 payload (schema ``css-bench-capacity/1``):
 
-* **sustained events/sec and details/sec** — operations over the cost
-  model's cluster makespan (the busiest node's simulated busy time), the
-  same throughput definition the federation benchmark uses;
-* **p95/p99 latency** — *simulated* seconds read from the existing
-  telemetry pipeline histograms (``pipeline.duration_seconds`` for the
-  ``publish`` and ``request-details`` pipelines), not re-measured; a
-  pipeline only advances the simulated clock on a link hop, so on one
-  node these are identically zero (wall latency: ``benchmarks/wall``);
+* **outcome counters** — published, consent-blocked, permitted and
+  denied requests-for-details, subscribe churn — plus the cross-node
+  hops and the simulated seconds the run spanned;
 * **saturation high-water marks** — the broker's per-topic queue-depth
   and dead-letter high-water gauges, maxed across nodes;
 * **audit digest** — a SHA-256 over every node's verified audit-chain
   head, the value two same-seed runs must reproduce bit-for-bit.
 
-Privacy: the payload carries counts, rates, latencies and chain digests
-only — never a subject id, subject name, or payload field value.  The
+It reports no speed: throughput and latency are wall-clock figures, and
+the wall-clock ledger (``benchmarks/wall``) is where they are measured.
+
+Privacy: the payload carries counts and chain digests only — never a
+subject id, subject name, or payload field value.  The
 privacy-invariant tests grep the serialized payload (and the run's
 telemetry exports) for the assisted-person id shape to keep it that way.
 """
@@ -38,8 +36,7 @@ from dataclasses import dataclass, field
 from repro.clock import Clock
 from repro.exceptions import AccessDeniedError
 from repro.federation.platform import FederatedPlatform
-from repro.obs.benchreport import LATENCY_KEYS
-from repro.obs.telemetry import PIPELINE_DURATION, InMemoryTelemetry
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import deploy_roster
 from repro.workload.config import CapacityConfig, WorkloadConfig
@@ -47,26 +44,6 @@ from repro.workload.engine import OP_DETAILS, OP_PUBLISH, WorkloadEngine
 
 #: Schema identifier the capacity payload stamps and CI gates on.
 SCHEMA_ID = "css-bench-capacity/1"
-
-#: Pipeline histogram labels the latency sections are read from.
-_PIPELINES = {"publish": "publish", "details": "request-details"}
-
-
-def _latency_sections(telemetry: InMemoryTelemetry) -> dict[str, dict]:
-    """p50/p95/p99/mean/min/max per pipeline from the run's histograms."""
-    summaries = {
-        labels.get("pipeline"): summary
-        for labels, summary in telemetry.metrics.histogram_summaries(
-            PIPELINE_DURATION
-        )
-    }
-    sections: dict[str, dict] = {}
-    for name, pipeline in _PIPELINES.items():
-        summary = summaries.get(pipeline, {})
-        sections[name] = {
-            key: float(summary.get(key, 0.0)) for key in LATENCY_KEYS
-        }
-    return sections
 
 
 def deploy_workload(
@@ -285,18 +262,12 @@ def run_point(
     run = run_workload(workload, nodes, runtime, telemetry=telemetry,
                        collect_decisions=collect_decisions)
     members = run.platform.nodes()
-    makespan = max(node.work.busy_seconds for node in members)
-    busy = makespan if makespan > 0 else max(run.clock.now(), 1e-9)
     point = {
         "nodes": nodes,
         "ops": workload.ops,
         **run.counters,
-        "events_per_second": run.counters["published"] / busy,
-        "details_per_second": run.counters["detail_permits"] / busy,
-        "makespan_seconds": makespan,
         "simulated_seconds": run.clock.now(),
         "cross_node_hops": run.platform.total_hops(),
-        "latency_seconds": _latency_sections(run.telemetry),
         "queue_depth_high_water": max(
             node.controller.bus.queue_high_water() for node in members
         ),

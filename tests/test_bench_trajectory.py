@@ -57,24 +57,24 @@ class TestMakeBaseline:
     def test_every_tracked_bench_names_dotted_paths(self):
         tracked = {schema_id: tracked_units(schema_id)
                    for schema_id, schema in SCHEMAS.items() if schema.tracked}
-        assert len(tracked) >= 7
+        assert len(tracked) >= 4
         for schema_id, units in tracked.items():
             for path, unit in units.items():
                 assert unit in UNITS, f"{schema_id}: {path} has no unit"
 
     def test_wall_figures_are_reported_but_never_baselined(self):
         payload = {
-            "schema": "css-bench-federation/1",
-            "scaling": [{"events_per_simulated_second": 160.0,
-                         "wall_seconds": 0.2}],
+            "schema": "css-bench-incident/1",
+            "arms": {"ring": {"sim_events_per_second": 51.0,
+                              "wall_seconds": 1.2}},
         }
         units = tracked_units(payload["schema"])
-        assert units["scaling.0.wall_seconds"] == "wall_seconds"
-        document = make_baseline(Path("BENCH_federation.json"), payload)
+        assert units["arms.ring.wall_seconds"] == "wall_seconds"
+        document = make_baseline(Path("BENCH_incident.json"), payload)
         assert document["throughput"] == {
-            "scaling.0.events_per_simulated_second": 160.0}
-        document["throughput"]["scaling.0.wall_seconds"] = 0.2
-        problems = compare(Path("BENCH_federation.json"), payload, document,
+            "arms.ring.sim_events_per_second": 51.0}
+        document["throughput"]["arms.ring.wall_seconds"] = 1.2
+        problems = compare(Path("BENCH_incident.json"), payload, document,
                            min_ratio=0.8)
         assert any("non-wall" in problem for problem in problems)
 

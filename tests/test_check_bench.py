@@ -3,9 +3,9 @@
 For every row of ``benchmarks.check_bench.SCHEMAS`` a known-good payload
 passes, and every kind of mutation the per-artifact checkers used to
 catch still fails: wrong schema id, missing key, non-monotone
-percentiles, digest mismatch, speed-up below its floor, a leaked
-identifier (the privacy gate now runs on *every* schema), a tampered
-bundle file — with exit codes 0/1/2 from the one ``main``.
+percentiles, digest mismatch, a leaked identifier (the privacy gate now
+runs on *every* schema), a tampered bundle file — with exit codes 0/1/2
+from the one ``main``.
 """
 
 import copy
@@ -76,20 +76,6 @@ GOOD = {
         "stitched_trace": {"traces": 4, "spans": 20, "cross_node_traces": 2,
                            "orphan_spans": 0},
     },
-    "css-bench-federation/1": {
-        "source": "pytest",
-        "workload": {"events": 120, "patients": 30, "seed": 2010},
-        "scaling": [
-            {"nodes": 1, "events_published": 120,
-             "notifications_delivered": 300, "cross_node_hops": 0,
-             "makespan_seconds": 0.72, "events_per_simulated_second": 166.7,
-             "wall_seconds": 0.2},
-            {"nodes": 2, "events_published": 120,
-             "notifications_delivered": 300, "cross_node_hops": 200,
-             "makespan_seconds": 0.5, "events_per_simulated_second": 240.0,
-             "wall_seconds": 0.3},
-        ],
-    },
     "css-bench-storage/1": {
         "source": "pytest", "quick": True,
         "points": [{
@@ -107,11 +93,8 @@ GOOD = {
         "nodes": [
             {"nodes": nodes, "ops": 120, **COUNTERS, "cross_node_hops": hops,
              "queue_depth_high_water": 4, "dead_letter_high_water": 0,
-             "audit_records": 369, "events_per_second": 180.0,
-             "details_per_second": 80.0, "makespan_seconds": 0.4,
-             "simulated_seconds": 2.5, "audit_digest": DIGEST,
-             "latency_seconds": {"publish": dict(LATENCY),
-                                 "details": dict(LATENCY)}}
+             "audit_records": 369, "simulated_seconds": 2.5,
+             "audit_digest": DIGEST}
             for nodes, hops in ((1, 0), (2, 50))
         ],
     },
@@ -132,13 +115,6 @@ GOOD = {
              "audit_identical": True, "decisions_identical": True,
              "audit_digest": DIGEST, "decision_digest": DIGEST}
             for size in (1, 16, 256)]},
-        "speedup": {
-            "floor": 1.3, "min_speedup_at_256": 1.5,
-            "nodes": [{"nodes": 1, "baseline_events_per_second": 100.0,
-                       "batched_events_per_second": 150.0, "speedup": 1.5}],
-            "batch_sweep": [{"batch_size": 256, "events_per_second": 150.0,
-                             "speedup": 1.5}],
-        },
     },
     "css-bench-incident/1": {
         "source": "pytest", "scenario": "anomaly", "seed": 2010,
@@ -246,8 +222,6 @@ MUTATIONS = [
     # non-monotone percentiles, wherever a latency summary appears
     ("css-bench-obs/2", "benchmarks.0.latency_seconds.p50", 0.01,
      "p50 <= p95 <= p99"),
-    ("css-bench-capacity/1", "nodes.1.latency_seconds.details.p99", 0.0,
-     "p50 <= p95 <= p99"),
     # equivalence flags and digests
     ("css-bench-storage/1", "equivalence.identical", False,
      "equivalence.identical"),
@@ -261,9 +235,6 @@ MUTATIONS = [
      "differ"),
     ("css-bench-fairness/1", "audit_digest_match", False,
      "audit_digest_match"),
-    # speed-up floor
-    ("css-bench-batch/1", "speedup.min_speedup_at_256", 1.1,
-     "below the 1.3x floor"),
     # fair must beat none
     ("css-bench-fairness/1", "arms.fair.jain_index", 0.93, "jain_index"),
     ("css-bench-fairness/1", "arms.fair.victim_share", 0.5, "victim_share"),
@@ -271,13 +242,7 @@ MUTATIONS = [
     ("css-bench-fairness/1", "victim_tenant", "Province-X/Statistics-Y",
      "victim_tenant"),
     ("css-bench-fairness/1", "arms.none.sched", "fair", "arms.none.sched"),
-    # scaling curves and orderings
-    ("css-bench-federation/1", "scaling.1.events_per_simulated_second",
-     166.7, "increase strictly"),
-    ("css-bench-federation/1", "scaling.1.nodes", 1, "increase strictly"),
-    ("css-bench-federation/1", "scaling", [], "non-empty list"),
-    ("css-bench-federation/1", "scaling.0.makespan_seconds", 0,
-     "makespan_seconds"),
+    # orderings
     ("css-bench-capacity/1", "nodes.1.nodes", 0, "nodes[1].nodes"),
     ("css-bench-capacity/1", "nodes.0.published", 500, "published <= ops"),
     ("css-bench-capacity/1", "arrival", "bursty", "arrival"),

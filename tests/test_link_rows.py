@@ -114,7 +114,6 @@ class EagerLink(Link):
 
 def eager_serve(node, handler, operation, payload, trace, entries):
     """``FederationNode._serve`` before rows: a generic server span scope."""
-    node.hops_in += 1 if entries is None else entries
     telemetry = node.telemetry
     attributes = {} if entries is None else {"entries": str(entries)}
     scope = (telemetry.span(f"federation.{operation}", remote_parent=trace,
@@ -183,7 +182,6 @@ def run(steps, telemetry: str) -> dict:
         "metrics": ({node.node_id: node.telemetry.metrics_export()
                      for node in platform.nodes()}
                     if telemetry != "off" else {}),
-        "hops_in": [node.hops_in for node in platform.nodes()],
         "links": links,
     }
 
@@ -238,7 +236,7 @@ def test_row_link_reads_as_the_eager_link(steps, telemetry):
     assert product["outcomes"] == reference["outcomes"]
     assert product["transcripts"] == reference["transcripts"]
     assert product["bytes"] == [link.carried for link in reference["links"]]
-    for key in ("stats", "traces", "stitched", "metrics", "hops_in"):
+    for key in ("stats", "traces", "stitched", "metrics"):
         assert product[key] == reference[key], key
     assert all(line == canonical_json(json.loads(line))
                for line in product["transcripts"])
