@@ -4,12 +4,13 @@
 and the delivery engine, and exposes the operations the data controller
 uses: declare topics, subscribe/unsubscribe, publish (fan-out), and run
 dispatch rounds.  ``auto_dispatch`` (the default) runs a dispatch round
-after every publish so simple callers see synchronous-looking delivery;
-benchmarks switch it off to measure batched dispatch.
+after every publish so callers see synchronous delivery; with it off,
+messages wait in their queues for an explicit :meth:`ServiceBus.dispatch`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.bus.delivery import DeliveryEngine, DeliveryPolicy, DeliveryReport
@@ -88,6 +89,9 @@ class ServiceBus:
         # transitions (shedding, high-water advances) leave a trail in
         # its ring for incident bundles to export.
         self._recorder = recorder
+        # The round a fan-out into an idle bus left, in registration order:
+        # (subscription, envelope to hand over, or None once queued).
+        self._direct: deque | None = None
 
     # -- topics ------------------------------------------------------------
 
@@ -151,6 +155,7 @@ class ServiceBus:
         """
         if self.strict_topics and not self._topics.exists(topic):
             raise UnknownTopicError(f"publish to undeclared topic {topic!r}")
+        self._spill()
         now = self._clock.now()
         if self._sched is not None:
             self._sched.note_publish(sender, now)
@@ -163,38 +168,48 @@ class ServiceBus:
             correlation_id=correlation_id,
             headers=headers or {},
         )
+        size = envelope.size_estimate()
         self.stats.published += 1
-        self.stats.bytes_published += envelope.size_estimate()
+        self.stats.bytes_published += size
         matching = self._subscriptions.matching_topic(topic)
-        self._fan_out(envelope, matching, now)
+        self._fan_out(envelope, matching, now, size)
         if self.auto_dispatch and matching:
             self.dispatch()
         return envelope
 
-    def _fan_out(self, envelope: Envelope,
-                 matching: list[Subscription], now: float) -> None:
-        """Enqueue one envelope into every matching subscription: sched
-        metering and shedding per subscriber, queue/dead-letter high-water
-        marks, telemetry."""
+    def _idle(self) -> bool:
+        """Auto-dispatch on, no handler of this bus running, nothing queued."""
+        return (self.auto_dispatch and not self._engine.running
+                and not self._subscriptions.pending)
+
+    def _fan_out(self, envelope: Envelope, matching: list[Subscription],
+                 now: float, size: int) -> None:
+        """Enqueue one envelope into every matching subscription — into an
+        idle bus, onto the round's direct list, counted as queued: sched
+        metering and shedding, queue/dead-letter high-water marks, telemetry."""
         topic = envelope.topic
-        size = envelope.size_estimate()
+        sched = self._sched
+        if sched is not None and matching:
+            sched.note_fanout([sub.subscriber for sub in matching], now)
+        direct = deque() if matching and self._idle() else None
         shed_any = False
         for subscription in matching:
-            if self._sched is not None:
-                self._sched.note_fanout(subscription.subscriber, now)
-                if self._sched.should_shed(subscription.subscriber,
-                                           subscription.queue.depth):
-                    # Backpressure: the subscriber's backlog is over the
-                    # bound — overflow to the dead-letter queue, tagged
-                    # with the subscription id so replay_all_dead_letters
-                    # can re-drive it after the abuse episode.
-                    self._engine.dead_letter.enqueue_from(
-                        subscription.subscription_id, envelope
-                    )
-                    self._sched.note_shed(subscription.subscriber)
-                    shed_any = True
-                    continue
-            subscription.queue.enqueue(envelope)
+            queue = subscription.queue
+            if (queue.depth and sched is not None
+                    and sched.should_shed(subscription.subscriber, queue.depth)):
+                # Backpressure: the subscriber's backlog is over the
+                # bound — overflow to the dead-letter queue, tagged
+                # with the subscription id so replay_all_dead_letters
+                # can re-drive it after the abuse episode.
+                self._engine.dead_letter.enqueue_from(
+                    subscription.subscription_id, envelope)
+                sched.note_shed(subscription.subscriber)
+                shed_any = True
+                continue
+            if direct is None:
+                queue.enqueue(envelope)
+            else:
+                direct.append((subscription, envelope))
             self.stats.fanned_out += 1
             self.stats.bytes_fanned_out += size
         if shed_any:
@@ -202,8 +217,11 @@ class ServiceBus:
                 self._recorder.record("bus.deadletter", topic=topic,
                                       depth=self.dead_letter_depth)
             self._mark_dead_letter_high_water()
+        if direct is None:
+            backlog, topic_depth = self.queue_depth, sum(sub.queue.depth for sub in matching)
+        else:  # every queue was empty: one message each, as if queued
+            self._direct, backlog, topic_depth = direct, len(matching), len(matching)
         if matching:
-            topic_depth = sum(sub.queue.depth for sub in matching)
             if topic_depth > self._queue_high_water.get(topic, 0):
                 self._queue_high_water[topic] = topic_depth
                 if self._telemetry is not None:
@@ -213,12 +231,12 @@ class ServiceBus:
                     self._recorder.record("bus.queue_high_water",
                                           topic=topic, depth=topic_depth)
             self._queue_high_water_global = max(
-                self._queue_high_water_global, self.queue_depth
+                self._queue_high_water_global, backlog
             )
         if self._telemetry is not None:
             self._telemetry.count("bus.published_total", topic=topic)
             self._telemetry.count("bus.fanout_total", len(matching), topic=topic)
-            self._telemetry.gauge("bus.queue.depth", self.queue_depth)
+            self._telemetry.gauge("bus.queue.depth", backlog)
 
     def _mark_dead_letter_high_water(self) -> None:
         if self.dead_letter_depth > self._dead_letter_high_water:
@@ -233,7 +251,8 @@ class ServiceBus:
     # -- dispatch -------------------------------------------------------------------
 
     def dispatch(self) -> DeliveryReport:
-        """Run one dispatch round over the subscriptions with a backlog.
+        """Run one dispatch round: over the direct list a fan-out into an
+        idle bus set up, else over the subscriptions with a backlog.
 
         With a scheduler wired, the round first advances the scheduler's
         virtual server to now — fifo or deficit-round-robin over the
@@ -242,7 +261,26 @@ class ServiceBus:
         self.stats.dispatch_rounds += 1
         if self._sched is not None:
             self._sched.drain(self._clock.now())
-        report = self._engine.dispatch_all(self._subscriptions.waiting())
+        report, engine = DeliveryReport(), self._engine
+        if self._direct is not None and not engine.running:
+            try:  # registration order; an entry whose message is queued visits its queue
+                while self._direct:
+                    subscription, envelope = self._direct.popleft()
+                    if subscription.subscription_id not in self._subscriptions:
+                        continue  # withdrawn by a handler before its turn
+                    if envelope is None:
+                        report.merge(engine.dispatch_subscription(subscription))
+                    elif subscription.active:
+                        engine.deliver(subscription, envelope, report, queued=False)
+                    else:  # paused, at fan-out or by a handler before its turn
+                        subscription.queue.enqueue(envelope)
+            finally:
+                self._spill()  # a round cut short leaves nothing unqueued
+                self._direct = None
+        else:
+            self._spill()  # a handler re-entered: the rest of its round first
+            for subscription in self._subscriptions.waiting():
+                report.merge(engine.dispatch_subscription(subscription))
         if report.dead_lettered and self._recorder is not None:
             self._recorder.record("bus.deadletter",
                                   count=report.dead_lettered,
@@ -255,6 +293,15 @@ class ServiceBus:
                                       report.dead_lettered)
             self._telemetry.gauge("bus.queue.depth", self.queue_depth)
         return report
+
+    def _spill(self) -> None:
+        """Queue what the direct list has not handed over: a handler
+        re-entered the bus, and each subscription stays FIFO."""
+        if self._direct:
+            for subscription, envelope in self._direct:
+                if envelope is not None:
+                    subscription.queue.enqueue(envelope)
+            self._direct = deque((sub, None) for sub, _ in self._direct)
 
     def pending_messages(self) -> int:
         """Total messages waiting across all subscription queues."""
@@ -311,6 +358,7 @@ class ServiceBus:
         immediately runs a dispatch round so they flow through the repaired
         handler.  Returns how many messages were re-driven.
         """
+        self._spill()
         subscription = self._subscriptions.get(subscription_id)
         count = self._engine.replay_dead_letters(subscription)
         if count and self.auto_dispatch:
@@ -326,6 +374,7 @@ class ServiceBus:
         Messages parked with no recorded origin, or whose subscription
         has since been removed, stay parked.  Returns the total re-driven.
         """
+        self._spill()
         total = 0
         for origin in self._engine.dead_letter.origin_ids():
             try:

@@ -1,19 +1,19 @@
 """Delivery engine: at-least-once dispatch with retry and dead-lettering.
 
-Dispatch is pull-based and synchronous (the bus is in-process): ``publish``
-enqueues into every matching subscription's queue, then the broker runs a
-dispatch round that drains queues through subscriber callbacks.  A callback
-that raises counts as a failed attempt; after ``max_attempts`` the message
-moves to the dead-letter queue so one poison message cannot wedge a
-subscription — the behaviour the paper gets from ServiceMix's redelivery
-policy.
+Dispatch is synchronous (the bus is in-process): a dispatch round calls
+subscriber callbacks with the messages waiting in their queues — or, for
+a fan-out into an idle bus, with the envelope itself, which enters the
+queue only if the callback raises.  A callback that raises counts as a
+failed attempt; after ``max_attempts`` the message moves to the
+dead-letter queue so one poison message cannot wedge a subscription —
+the behaviour the paper gets from ServiceMix's redelivery policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
+from repro.bus.envelope import Envelope
 from repro.bus.queue import DeadLetterQueue
 from repro.bus.subscriptions import Subscription
 from repro.exceptions import ConfigurationError
@@ -53,6 +53,8 @@ class DeliveryEngine:
     def __init__(self, policy: DeliveryPolicy | None = None) -> None:
         self.policy = policy or DeliveryPolicy()
         self.dead_letter = DeadLetterQueue("dead-letter")
+        #: Handlers of this engine on the stack right now.
+        self.running = 0
 
     def policy_for(self, subscription: Subscription) -> DeliveryPolicy:
         """The retry budget governing one subscription (override or default)."""
@@ -69,29 +71,39 @@ class DeliveryEngine:
         if not subscription.active:
             return report
         queue = subscription.queue
-        max_attempts = self.policy_for(subscription).max_attempts
-        while queue.depth:
-            head = queue.peek()
-            assert head is not None  # depth > 0
-            try:
-                subscription.handler(head.envelope)
-            except Exception as exc:  # noqa: BLE001 - subscriber code is untrusted
-                attempts = queue.nack()
-                report.failed += 1
-                report.errors.append(
-                    f"{subscription.subscription_id}: {type(exc).__name__}: {exc}"
-                )
-                if attempts >= max_attempts:
-                    envelope = queue.evict_head()
-                    self.dead_letter.enqueue_from(
-                        subscription.subscription_id, envelope
-                    )
-                    report.dead_lettered += 1
-                    continue
-                break  # leave the head for the next round
-            queue.ack()
-            report.delivered += 1
+        while queue.depth and self.deliver(subscription, queue.peek().envelope, report):
+            pass
         return report
+
+    def deliver(self, subscription: Subscription, envelope: Envelope,
+                report: DeliveryReport, queued: bool = True) -> bool:
+        """Offer ``envelope`` — the queue's head, or one handed over directly
+        (``queued=False``), queued only if the handler raises — and count it
+        in ``report``; returns whether the next message may follow."""
+        queue = subscription.queue
+        self.running += 1
+        try:
+            subscription.handler(envelope)
+        except Exception as exc:  # noqa: BLE001 - subscriber code is untrusted
+            if not queued:
+                queue.enqueue(envelope)
+            attempts = queue.nack()
+            report.failed += 1
+            report.errors.append(f"{subscription.subscription_id}: {type(exc).__name__}: {exc}")
+            if attempts < self.policy_for(subscription).max_attempts:
+                return False  # leave the head for the next round
+            self.dead_letter.enqueue_from(subscription.subscription_id, queue.evict_head())
+            report.dead_lettered += 1
+            return True
+        finally:
+            self.running -= 1
+        if queued:
+            queue.ack()
+        else:  # counted as enqueued and acknowledged, never held
+            queue.stats.enqueued += 1
+            queue.stats.delivered += 1
+        report.delivered += 1
+        return True
 
     def replay_dead_letters(self, subscription: Subscription) -> int:
         """Re-drive one subscription's dead letters through its queue.
@@ -108,10 +120,3 @@ class DeliveryEngine:
             subscription.queue.enqueue(envelope)
             subscription.queue.stats.redelivered += 1
         return len(envelopes)
-
-    def dispatch_all(self, subscriptions: Iterable[Subscription]) -> DeliveryReport:
-        """Run one dispatch round over ``subscriptions``."""
-        total = DeliveryReport()
-        for subscription in subscriptions:
-            total.merge(self.dispatch_subscription(subscription))
-        return total

@@ -93,6 +93,9 @@ class SubscriptionRegistry:
     def __len__(self) -> int:
         return len(self._subscriptions)
 
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._subscriptions
+
     def add(self, subscription: Subscription) -> None:
         """Register a subscription; duplicate ids are rejected."""
         if subscription.subscription_id in self._subscriptions:

@@ -139,6 +139,7 @@ class _WorkItem:
     arrival: float
     cost: float
     kind: str
+    count: int = 1  # a run: equal units that arrived together
 
 
 @dataclass
@@ -198,7 +199,7 @@ class TenantScheduler:
         self._guard = PrivacyGuard(mode="hash", secret=secret)
         self._telemetry = telemetry
         self._tenants: dict[str, _TenantState] = {}
-        #: FIFO: global arrival order (tenant ids, one per queued item).
+        #: FIFO: global arrival order (tenant ids, one per queued run).
         self._order: deque = deque()
         #: DRR: the active-tenant rotation.
         self._active: deque = deque()
@@ -219,6 +220,8 @@ class TenantScheduler:
         #: Last (demotions, recoveries) observed per tenant, so the
         #: recorder sees each transition exactly once.
         self._penalty_seen: dict[str, tuple[int, int]] = {}
+        #: Tenants last seen boxed: the only ones a drain can find recovered.
+        self._boxed: set[str] = set()
 
     @property
     def shapes_ingress(self) -> bool:
@@ -254,13 +257,23 @@ class TenantScheduler:
 
     def submit(self, actor_id: str, kind: str, now: float) -> None:
         """Meter one unit of work arriving for ``actor_id``'s tenant."""
-        tenant = tenant_of(actor_id)
+        self._meter(tenant_of(actor_id), kind, now)
+
+    def _meter(self, tenant: str, kind: str, now: float) -> None:
+        """Queue one unit; it joins the tenant's last run if that arrived at
+        ``now`` with nothing queued since (under fifo, by any tenant)."""
         state = self._state(tenant)
         cost = DEFAULT_COSTS[kind]
         state.arrived += 1
         state.arrived_work += cost
+        fifo = self.policy == POLICY_FIFO
+        last = state.queue[-1] if state.queue else None
+        if (last is not None and last.arrival == now and last.kind == kind
+                and (not fifo or self._order[-1] == tenant)):
+            last.count += 1
+            return
         state.queue.append(_WorkItem(arrival=now, cost=cost, kind=kind))
-        if self.policy == POLICY_FIFO:
+        if fifo:
             self._order.append(tenant)
         elif tenant not in self._in_active:
             self._active.append(tenant)
@@ -299,6 +312,10 @@ class TenantScheduler:
         # check is a pure function of ``now``, so this changes nothing
         # about scheduling outcomes).
         state.penalty.is_penalized(now)
+        if state.penalty.penalized_until:
+            self._boxed.add(tenant)
+        else:
+            self._boxed.discard(tenant)
         seen = self._penalty_seen.get(tenant, (0, 0))
         current = (state.penalty.demotions, state.penalty.recoveries)
         if current == seen:
@@ -342,11 +359,13 @@ class TenantScheduler:
 
     def note_publish(self, sender: str, now: float) -> None:
         """Meter one publish against its sender's tenant."""
-        self.submit(sender, WORK_PUBLISH, now)
+        self._meter(tenant_of(sender), WORK_PUBLISH, now)
 
-    def note_fanout(self, subscriber: str, now: float) -> None:
-        """Meter one fan-out delivery against its subscriber's tenant."""
-        self.submit(subscriber, WORK_FANOUT, now)
+    def note_fanout(self, subscribers: list[str], now: float) -> None:
+        """Meter one fan-out in one call: a delivery per subscriber, each
+        billed to that subscriber's tenant."""
+        for subscriber in subscribers:
+            self._meter(tenant_of(subscriber), WORK_FANOUT, now)
 
     # -- the fluid server --------------------------------------------------
 
@@ -365,14 +384,18 @@ class TenantScheduler:
             self._advance_fifo(now)
         else:
             self._advance_drr(now)
-        if self._recorder is not None:
+        if self._boxed:
             # Recoveries happen lazily as weights are looked up during the
             # rotation; sweep after the advance so they hit the ring at
             # the drain that exposed them.
-            for tenant, state in self._tenants.items():
-                self._note_penalty_transitions(tenant, state, now)
+            for tenant in [name for name in self._tenants if name in self._boxed]:
+                self._note_penalty_transitions(tenant, self._tenants[tenant], now)
 
     def _serve(self, state: _TenantState, item: _WorkItem, now: float) -> None:
+        """Serve one unit of the run at the head of ``state``'s queue."""
+        item.count -= 1
+        if not item.count:
+            state.queue.popleft()
         self._budget -= item.cost
         wait = now - item.arrival
         state.served += 1
@@ -388,9 +411,9 @@ class TenantScheduler:
             item = state.queue[0]
             if self._budget < item.cost:
                 return
-            self._order.popleft()
-            state.queue.popleft()
             self._serve(state, item, now)
+            if not item.count:
+                self._order.popleft()
 
     def _effective_weight(self, state: _TenantState, now: float) -> float:
         factor = state.penalty.weight_factor(now) if state.penalty else 1.0
@@ -434,7 +457,6 @@ class TenantScheduler:
                     return
                 if state.deficit < head.cost:
                     break
-                state.queue.popleft()
                 state.deficit -= head.cost
                 self._serve(state, head, now)
             self._visit_credited = False
@@ -444,13 +466,6 @@ class TenantScheduler:
                 self._deactivate(tenant, state)
 
     # -- reporting ---------------------------------------------------------
-
-    def pending(self, tenant: str | None = None) -> int:
-        """Virtual-server backlog — one tenant's, or everything queued."""
-        if tenant is not None:
-            state = self._tenants.get(tenant_of(tenant))
-            return len(state.queue) if state is not None else 0
-        return sum(len(state.queue) for state in self._tenants.values())
 
     @property
     def demotions_total(self) -> int:
@@ -486,7 +501,7 @@ class TenantScheduler:
                 "arrived_work": state.arrived_work,
                 "served": state.served,
                 "served_work": state.served_work,
-                "pending": len(state.queue),
+                "pending": sum(item.count for item in state.queue),
                 "throttled": state.throttled,
                 "shed": state.shed,
                 "max_wait_seconds": state.max_wait,

@@ -1,9 +1,10 @@
 """Property-based tests of the substrate invariants.
 
-* Bus: per-subscription FIFO order, at-least-once accounting
-  (delivered + dead-lettered + pending == fanned out), wildcard-matching
-  consistency, and a dispatch round over the waiting set against a round
-  over every subscription.
+* Bus: per-subscription FIFO order (also under a same-bus forwarder),
+  at-least-once accounting (delivered + dead-lettered + pending == fanned
+  out), wildcard-matching consistency, and a bus that calls idle
+  subscriptions' handlers directly and visits only the waiting set
+  against one that queues every delivery and scans every subscription.
 * Registry: the indexed query engine agrees with a brute-force filter.
 * Keystore: rotation never breaks previously sealed tokens.
 * Row codecs: audit records and registry objects survive their one
@@ -24,11 +25,13 @@ from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
 from repro.bus.broker import ServiceBus
 from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
+from repro.clock import Clock
 from repro.crypto.keystore import KeyStore
 from repro.registry.objects import LifecycleStatus, RegistryObject
 from repro.registry.query import FilterQuery
 from repro.registry.registry import Registry
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+from repro.sched.scheduler import POLICY_DRR, SchedConfig, TenantScheduler
 from repro.storage.segment import SegmentedLog
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
@@ -37,39 +40,78 @@ PATTERNS = ("events.#", "events.health.*", "events.social.*",
             "events.health.BloodTest", "events.*.Alarm")
 
 
+#: What an acting handler does, on each delivery, to the subscription
+#: registered next after its own.
+ACTIONS = ("break", "repair", "pause", "resume", "unsubscribe")
+
 OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("publish"), st.sampled_from(TOPICS)),
     st.tuples(st.sampled_from(("subscribe", "subscribe_forwarder")),
               st.sampled_from(PATTERNS)),
+    st.tuples(st.just("subscribe_acting"),
+              st.tuples(st.sampled_from(PATTERNS), st.sampled_from(ACTIONS))),
     st.tuples(st.sampled_from(
         ("dispatch", "unsubscribe", "pause", "resume", "break", "repair",
          "replay", "replay_all", "drain")), st.integers(0, 7)),
 ), max_size=60)
 
 
+class QueuedBus(ServiceBus):
+    """The reference: every fan-out waits in the queues for its round."""
+
+    def _idle(self) -> bool:
+        return False
+
+
 class BusRig:
     """One bus under a drawn interleaving of every operation that moves a
-    queue, with handlers that can be broken and repaired and forwarders
-    that re-publish what they receive on the same bus."""
+    queue, with handlers that can be broken and repaired, handlers that
+    act on a later subscription, and forwarders that re-publish what they
+    receive on the same bus; optionally with a fair scheduler whose small
+    backlog bound sheds."""
 
-    def __init__(self, auto_dispatch: bool, max_attempts: int) -> None:
-        self.bus = ServiceBus(
-            strict_topics=False, auto_dispatch=auto_dispatch,
-            delivery_policy=DeliveryPolicy(max_attempts=max_attempts))
-        # A round started from inside a handler re-offers that handler's
-        # unacknowledged head, so forwarders need explicit rounds.
-        self.forwarding = not auto_dispatch
+    def __init__(self, auto_dispatch: bool, max_attempts: int,
+                 bus_class=ServiceBus, fair: bool = False,
+                 forwarding: bool | None = None) -> None:
+        self.clock = Clock()
+        sched = TenantScheduler(self.clock, policy=POLICY_DRR,
+                                config=SchedConfig(max_pending=2)) if fair else None
+        self.bus = bus_class(
+            clock=self.clock, strict_topics=False, auto_dispatch=auto_dispatch,
+            delivery_policy=DeliveryPolicy(max_attempts=max_attempts),
+            sched=sched)
+        # A round started from inside a handler the queue path reached
+        # re-offers that handler's unacknowledged head, so a forwarder
+        # the reference reaches that way needs explicit rounds.
+        self.forwarding = not auto_dispatch if forwarding is None else forwarding
         self.live: list = []
+        self.subscribed = 0
         self.broken: set[str] = set()
         self.delivered: list[tuple[str, str]] = []
+        self.published: list[tuple[str, str]] = []
+        self.reports: list = []
+        dispatch = self.bus.dispatch
 
-    def handler_for(self, subscriber: str, forwards: bool):
+        def logged():
+            report = dispatch()
+            self.reports.append(report)
+            return report
+        self.bus.dispatch = logged  # publish's own rounds go through it too
+
+    def publish(self, topic: str, sender: str, body: str):
+        self.published.append((topic, body))
+        return self.bus.publish(topic, sender, body)
+
+    def handler_for(self, subscriber: str, forwards: bool, action=None):
         def handle(envelope):
             if subscriber in self.broken:
                 raise RuntimeError("consumer down")
             self.delivered.append((subscriber, envelope.body))
             if forwards and not envelope.body.startswith("fwd:"):
-                self.bus.publish(TOPICS[-1], subscriber, f"fwd:{envelope.body}")
+                self.publish(TOPICS[-1], subscriber, f"fwd:{envelope.body}")
+            names = [sub.subscriber for sub in self.live]
+            if action and subscriber in names[:-1]:
+                self.act(action, self.live[names.index(subscriber) + 1])
         return handle
 
     def parked(self) -> list[tuple[str, str]]:
@@ -77,15 +119,30 @@ class BusRig:
         return [(queued.origin, queued.envelope.message_id)
                 for queued in self.bus._engine.dead_letter._messages]
 
+    def observed(self) -> tuple:
+        """Everything the bus reports, for comparing two rigs."""
+        bus = self.bus
+        sched = bus._sched
+        return (self.delivered, self.parked(), bus.stats,
+                [sub.queue.stats for sub in self.live], self.reports,
+                bus.queue_high_water_marks(), bus.queue_high_water(),
+                bus.dead_letter_high_water, bus.queue_depth,
+                sched and sched.tenant_report(self.clock.now()))
+
     def apply(self, name: str, argument):
         """Run one step; returns what the bus returned for it, if anything."""
         bus, live = self.bus, self.live
+        self.clock.advance(0.001)
         if name == "publish":
-            return bus.publish(argument, "p", f"m{bus.stats.published}").message_id
-        if name in ("subscribe", "subscribe_forwarder"):
-            subscriber = f"c{len(live)}"
-            live.append(bus.subscribe(subscriber, argument, self.handler_for(
-                subscriber, self.forwarding and name == "subscribe_forwarder")))
+            return self.publish(argument, "p", f"m{bus.stats.published}").message_id
+        if name.startswith("subscribe"):
+            pattern, action = (argument if name == "subscribe_acting"
+                               else (argument, None))
+            subscriber = f"c{self.subscribed}"
+            self.subscribed += 1
+            live.append(bus.subscribe(subscriber, pattern, self.handler_for(
+                subscriber, self.forwarding and name == "subscribe_forwarder",
+                action)))
             return None
         if name == "dispatch":
             return bus.dispatch()
@@ -93,7 +150,11 @@ class BusRig:
             return bus.replay_all_dead_letters()
         if not live:
             return None
-        target = live[argument % len(live)]
+        return self.act(name, live[argument % len(live)])
+
+    def act(self, name: str, target):
+        """One operation on one subscription."""
+        bus, live = self.bus, self.live
         if name == "unsubscribe":
             bus.unsubscribe(target.subscription_id)
             live.remove(target)
@@ -169,33 +230,64 @@ class TestBusProperties:
             assert rig.bus.queue_depth == rig.bus.pending_messages() == recomputed
 
     @pytest.mark.parametrize("perf", ["none", "indexed"])
-    @given(operations=OPERATIONS, auto_dispatch=st.booleans())
+    @given(operations=OPERATIONS, auto_dispatch=st.booleans(),
+           max_attempts=st.sampled_from((1, 2)), fair=st.booleans())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_dispatching_the_waiting_set_equals_scanning_every_subscription(
-            self, perf, operations, auto_dispatch, linear_reference):
-        """A round over the subscriptions that hold something delivers what
-        a round over all of them does, in the same order, and the set the
-        queues keep is exactly the non-empty ones in registration order —
-        whether the subject fans out through the trie and its memo or
-        through the linear reference (``none``); the reference bus always
-        scans linearly."""
+            self, perf, operations, auto_dispatch, max_attempts, fair,
+            linear_reference):
+        """A fan-out into an idle bus calls the handlers directly, and a
+        round over the subscriptions that hold something visits only
+        those; the reference queues every delivery and scans every
+        subscription (through the linear fan-out).  Both deliver the same
+        messages in the same order, park the same dead letters, count the
+        same stats, reports, high-water marks and tenant figures — also
+        while handlers break, repair, pause, resume or withdraw a later
+        subscription and a fair scheduler sheds — and the set the queues
+        keep is exactly the non-empty ones in registration order; the
+        subject fans out through the trie and its memo or through the
+        linear reference (``none``)."""
         with linear_reference() if perf == "none" else nullcontext():
-            subject = BusRig(auto_dispatch, max_attempts=2)
-            reference = BusRig(auto_dispatch, max_attempts=2)
+            subject = BusRig(auto_dispatch, max_attempts, fair=fair)
+            reference = BusRig(auto_dispatch, max_attempts, QueuedBus, fair)
             scanned = reference.bus._subscriptions
-            scanned.waiting = scanned.all_subscriptions  # the round before the set
+            scanned.waiting = lambda: (  # the round before the set
+                sub for sub in scanned.all_subscriptions()
+                if sub.subscription_id in scanned)  # not withdrawn mid-round
             scanned.matching_topic = scanned.matching_topic_linear
             registry = subject.bus._subscriptions
             for step in operations:
                 assert subject.apply(*step) == reference.apply(*step)
                 assert list(registry.waiting()) == [
                     sub for sub in registry.all_subscriptions() if sub.queue.depth]
-                assert subject.delivered == reference.delivered
-                assert subject.parked() == reference.parked()
-                assert subject.bus.stats == reference.bus.stats
-                assert [sub.queue.stats for sub in subject.live] == [
-                    sub.queue.stats for sub in reference.live]
+                assert subject.observed() == reference.observed()
+
+    @given(operations=st.lists(st.one_of(
+               st.tuples(st.just("publish"), st.sampled_from(TOPICS)),
+               st.tuples(st.just("subscribe"), st.sampled_from(PATTERNS))),
+               max_size=40),
+           forwarder=st.sampled_from(PATTERNS), at=st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_a_same_bus_forwarder_keeps_every_subscription_fifo(
+            self, operations, forwarder, at):
+        """Under auto-dispatch a handler that publishes on its own bus moves
+        the rest of the direct list into the queues first: every
+        subscription receives what it matches in the order it was
+        published, forwarded copies included, each exactly once."""
+        rig = BusRig(auto_dispatch=True, max_attempts=1, forwarding=True)
+        operations.insert(min(at, len(operations)),
+                          ("subscribe_forwarder", forwarder))
+        since = {}
+        for name, argument in operations:
+            if name.startswith("subscribe"):
+                since[f"c{rig.subscribed}"] = (argument, len(rig.published))
+            rig.apply(name, argument)
+        for subscriber, (pattern, first) in since.items():
+            assert [body for who, body in rig.delivered if who == subscriber] == [
+                body for topic, body in rig.published[first:]
+                if topic_matches(pattern, topic)]
+        assert rig.bus.queue_depth == rig.bus.dead_letter_depth == 0
 
     @given(topic=st.sampled_from(TOPICS))
     @settings(max_examples=20, deadline=None)

@@ -58,6 +58,7 @@ from repro.obs.telemetry import (
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Span, Tracer, _SpanScope
 from repro.runtime.kernel import RuntimeConfig
+from repro.sched.scheduler import TenantScheduler
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.test_wall_surface import prod_platform, publish  # noqa: F401
 
@@ -494,8 +495,10 @@ def test_warm_hops_encode_nothing_build_no_span_and_mint_no_context(
 
 def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
         prod_platform, monkeypatch):
-    """One publish to N subscribers among M >> N subscriptions: one
-    ``from_xml`` on each node with a subscriber, N queue visits."""
+    """One publish to N subscribers among M >> N subscriptions, every
+    queue idle: one ``from_xml`` on each node with a subscriber, N handler
+    calls and no queue visit, one ``note_fanout`` per bus and no
+    ``should_shed`` (an empty queue cannot shed)."""
     platform, blood = prod_platform
     other = platform.declare_event_class("Hospital", MessageSchema(
         "Discharge", [ElementDecl("PatientId", StringType(min_length=1),
@@ -515,27 +518,70 @@ def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
     assert sum(node.controller.bus.subscription_count
                for node in platform.nodes()) > 120
     publish(platform, blood, 1)  # warm-up: relay topic declared on node-1
-    counts = {"from_xml": 0, "dispatch_subscription": 0}
+    counts = {"from_xml": 0, "dispatch_subscription": 0, "deliver": 0,
+              "note_fanout": 0, "should_shed": 0}
     from_xml = NotificationMessage.from_xml.__func__
-    dispatch_subscription = DeliveryEngine.dispatch_subscription
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return call
 
     def counted_from_xml(cls, text):
         counts["from_xml"] += 1
         return from_xml(cls, text)
 
-    def counted_dispatch(engine, subscription):
-        counts["dispatch_subscription"] += 1
-        return dispatch_subscription(engine, subscription)
-
     monkeypatch.setattr(NotificationMessage, "from_xml",
                         classmethod(counted_from_xml))
-    monkeypatch.setattr(DeliveryEngine, "dispatch_subscription",
-                        counted_dispatch)
+    for owner, name in ((DeliveryEngine, "dispatch_subscription"),
+                        (DeliveryEngine, "deliver"),
+                        (TenantScheduler, "note_fanout"),
+                        (TenantScheduler, "should_shed")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     publish(platform, blood, 1, first=1)
     # Three subscribers per node, and node-0's one relay toward node-1.
-    assert counts == {"from_xml": 2, "dispatch_subscription": 6 + 1}
+    assert counts == {"from_xml": 2, "dispatch_subscription": 0,
+                      "deliver": 6 + 1, "note_fanout": 2, "should_shed": 0}
     assert [len(inbox) for inbox in inboxes] == [2] * 6
     assert len({id(inbox[1]) for inbox in inboxes}) == 2  # one object a node
+
+
+#: The scheduler surface the wall ledger times as ``sched.calls``.
+SCHED_SURFACE = ("submit", "admit", "ingress", "should_shed", "note_shed",
+                 "note_publish", "note_fanout", "drain")
+
+
+def test_scheduler_calls_per_publish_and_per_request_for_details(
+        prod, monkeypatch):
+    """Counted as the ledger counts them (instance shims, so a call one
+    of these makes to another counts too), over 100 warm ops each: a
+    fan-out is metered in one call however wide, an idle queue is never
+    asked whether it must shed."""
+    platform, blood = prod
+    for _ in range(11):  # a re-subscribe adds a subscription
+        platform.subscribe("Dr-Rossi", "BloodTest")
+    drive(platform, blood, 0, 20)  # warm-up
+    counts = dict.fromkeys(SCHED_SURFACE, 0)
+    for node in platform.nodes():
+        sched = node.controller.sched
+        for name in SCHED_SURFACE:
+            def call(*args, name=name, method=getattr(sched, name), **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            monkeypatch.setattr(sched, name, call)
+    event_ids = publish(platform, blood, 100, first=1000)
+    per_publish = {name: count / 100 for name, count in counts.items() if count}
+    counts.update(dict.fromkeys(SCHED_SURFACE, 0))
+    for event_id in event_ids:
+        platform.request_details("Dr-Rossi", "BloodTest", event_id,
+                                 "healthcare-treatment")
+    per_request = {name: count / 100 for name, count in counts.items() if count}
+    # A publish on node-0 relayed to node-1's twelve subscriptions: 7
+    # calls, where metering each delivery and asking each queue read 46.
+    assert per_publish == {"admit": 1, "note_publish": 2, "note_fanout": 2,
+                           "drain": 2}
+    assert per_request == {"ingress": 1, "submit": 1, "admit": 1}
 
 
 @pytest.mark.parametrize("subscribers", [1, 3, 12])
