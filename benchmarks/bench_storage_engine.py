@@ -20,7 +20,7 @@ durable and asserts the same audit head — the same invariant the unit
 suite pins, kept visible in the benchmark payload.
 
 Output (``--out BENCH_storage.json``) follows schema
-``css-bench-storage/1`` and is validated by ``check_bench.py``
+``css-bench-storage/2`` and is validated by ``check_bench.py``
 in CI.  ``--quick`` benches the 10k point only; the full run adds 100k.
 
 Usage::
@@ -37,7 +37,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SCHEMA_ID = "css-bench-storage/1"
+SCHEMA_ID = "css-bench-storage/2"
 QUICK_POINTS = (10_000,)
 FULL_POINTS = (10_000, 100_000)
 BATCH = 500
@@ -98,7 +98,7 @@ def _bench_point(base: Path, n_events: int) -> dict:
     recovery_s, peak_kb, records = _replay(lambda: JsonlFile(jsonl_path))
     assert records == n_events
     point["kinds"]["jsonl"] = {
-        "ingest_events_per_second": n_events / ingest_s,
+        "wall_ingest_events_per_second": n_events / ingest_s,
         "recovery_seconds": recovery_s,
         "recovery_peak_kb": peak_kb,
         "size_bytes": _dir_size(jsonl_dir),
@@ -113,7 +113,7 @@ def _bench_point(base: Path, n_events: int) -> dict:
     size_before = _dir_size(seg_dir)
     report = StorageEngine(seg_dir).compact("index")
     point["kinds"]["segmented"] = {
-        "ingest_events_per_second": n_events / ingest_s,
+        "wall_ingest_events_per_second": n_events / ingest_s,
         "recovery_seconds": recovery_s,
         "recovery_peak_kb": peak_kb,
         "size_bytes": size_before,
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="bench the 10k point only (CI-sized)")
     parser.add_argument("--out", metavar="FILE",
-                        help="write the css-bench-storage/1 payload to FILE")
+                        help="write the css-bench-storage/2 payload to FILE")
     parser.add_argument("--workdir", metavar="DIR",
                         help="scratch directory (default: a temp dir, removed "
                              "afterwards)")
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     for point in payload["points"]:
         for kind, entry in point["kinds"].items():
             line = (f"{point['events']:>7} events  {kind:<9} "
-                    f"ingest {entry['ingest_events_per_second']:>9.0f} ev/s  "
+                    f"ingest {entry['wall_ingest_events_per_second']:>9.0f} ev/s  "
                     f"recovery {entry['recovery_seconds'] * 1000:>7.1f} ms "
                     f"(peak {entry['recovery_peak_kb']} KiB)  "
                     f"size {entry['size_bytes']}")

@@ -20,8 +20,8 @@ Usage::
 
     python benchmarks/check_bench.py BENCH_capacity.json BENCH_batch.json
     python benchmarks/check_bench.py incidents            # bundle dir(s)
-    python benchmarks/check_bench.py --trajectory BENCH_obs.json ...
-    python benchmarks/check_bench.py --update BENCH_obs.json ...
+    python benchmarks/check_bench.py --trajectory BENCH_fairness.json ...
+    python benchmarks/check_bench.py --update BENCH_fairness.json ...
 
 Without flags each argument is validated: a ``.json`` payload, one
 bundle directory (``manifest.json`` + ``incident.json`` + JSONL files),
@@ -29,12 +29,15 @@ or a directory of ``incident-*`` bundles.  ``--trajectory`` instead
 compares the payloads' tracked figures against the committed
 ``benchmarks/baselines/<name>.json``: a changed schema id, a vanished
 figure or a drop below ``--min-ratio`` (default 0.8) of the baseline
-fails; a payload without a baseline is reported and skipped.  Only
-figures whose unit is not ``wall_seconds`` are ever baselined — they are
-simulated-clock derived and therefore machine-independent; wall figures
-are printed with their unit and never gated here (``benchmarks/wall``
-is the wall-clock ledger).  ``--update`` (re)writes the baselines — how
-the trajectory is seeded and how an intentional change is recorded.
+fails; a payload without a baseline is reported and skipped, and one
+whose schema tracks no baselinable figure is an error (it would gate
+nothing).  Only figures whose unit is not ``wall_seconds`` are ever
+baselined — they are simulated-clock derived and therefore
+machine-independent; wall figures are printed with their unit and never
+gated here (``benchmarks/wall`` is the wall-clock ledger).  A rate or
+latency is named for its clock: ``sim_*`` or ``wall_*``.  ``--update``
+(re)writes the baselines — how the trajectory is seeded and how an
+intentional change is recorded.
 
 Exit codes: 0 ok, 1 problems, 2 usage.  Importable: ``validate(payload)``
 returns the list of problems (empty = valid), which the tests exercise.
@@ -263,7 +266,7 @@ def _ascending(figures: list, strict: bool) -> bool:
 
 def ordered(*keys: str, strict: bool = False, why: str = ""):
     """Gate: an object's ``keys`` hold non-decreasing (strict: increasing)
-    values — percentile ordering, compaction shrinking, published <= ops."""
+    values — compaction shrinking, published <= ops."""
     sign = " < " if strict else " <= "
 
     def gate(value: dict, where: str) -> list[str]:
@@ -385,15 +388,6 @@ def each(keys, spec) -> dict:
     return dict.fromkeys(keys, spec)
 
 
-def latency(unit: str) -> Obj:
-    """A p50/p95/p99/mean/min/max summary measured in ``unit``."""
-    return Obj(
-        each(("p50", "p95", "p99", "mean", "min", "max"),
-                Num(min=0, unit=unit)),
-        gates=(ordered("p50", "p95", "p99", why="percentile order"),),
-    )
-
-
 def identical(why: str) -> Obj:
     """An ``equivalence`` section whose ``identical`` flag must hold."""
     return Obj({"identical": Is((True,), why), "audit_records": POSINT})
@@ -403,7 +397,7 @@ OUTCOME_COUNTERS = ("published", "publish_blocked", "detail_permits",
                     "detail_denies", "subscribe_ops")
 
 _STORAGE_KIND = {
-    "ingest_events_per_second": WALL_RATE,
+    "wall_ingest_events_per_second": WALL_RATE,
     "recovery_seconds": WALL_SECONDS,
     "recovery_peak_kb": Num(min=0, max=MAX_RECOVERY_PEAK_KB,
                             why="the streaming-replay bound (KiB)"),
@@ -468,21 +462,14 @@ class Schema:
 
 
 SCHEMAS: dict[str, Schema] = {
-    # `repro telemetry --bench-out` (the CI artifact): per-pipeline/stage
-    # latency summaries off the simulated clock plus the counter snapshot.
-    # A `pytest benchmarks/` session writes the same shape from wall-clock
-    # stats — validate that one, never baseline it.
-    "css-bench-obs/2": Schema(
+    # `repro telemetry --bench-out` (the CI artifact): the counter snapshot
+    # (per-pipeline executions are `pipeline.invocations_total`); no rate
+    # or latency — speed is the wall ledger's.
+    "css-bench-obs/3": Schema(
         Obj({
             "source": TEXT,
-            "benchmarks": ListOf(Obj({
-                "name": TEXT,
-                "figure": TEXT,
-                "ops_per_second": SIM_RATE,
-                "latency_seconds": latency("sim_seconds"),
-            })),
-        }, optional={
             "counters": Obj(rest=NUMBER),
+        }, optional={
             "slo": Obj({
                 "evaluated_at": SIM_SECONDS,
                 "breaches": COUNT,
@@ -498,11 +485,9 @@ SCHEMAS: dict[str, Schema] = {
                 ("traces", "spans", "cross_node_traces", "orphan_spans"),
                 COUNT)),
         }),
-        tracked=("benchmarks.0.ops_per_second",
-                 "benchmarks.1.ops_per_second"),
     ),
     # benchmarks/bench_storage_engine.py: a flat JSONL file vs the engine.
-    "css-bench-storage/1": Schema(
+    "css-bench-storage/2": Schema(
         Obj({
             "source": TEXT,
             "quick": BOOL,
@@ -529,7 +514,7 @@ SCHEMAS: dict[str, Schema] = {
                 "a durable run's audit trail differs from the in-memory "
                 "run's"),
         }),
-        tracked=("points.0.kinds.segmented.ingest_events_per_second",),
+        tracked=("points.0.kinds.segmented.wall_ingest_events_per_second",),
     ),
     # `repro workload`: the capacity trajectory — outcome counters, hops,
     # saturation marks and audit digests; speed is the wall ledger's.
@@ -874,6 +859,12 @@ def trajectory(benches: list[str], update: bool, min_ratio: float) -> int:
                   + (" (wall: reported, not gated)"
                      if unit == "wall_seconds" else ""))
         target = baseline_path(bench)
+        units = tracked_units(payload.get("schema")).values()
+        if not update and all(unit == "wall_seconds" for unit in units):
+            problems.append(
+                f"{bench.name}: {payload.get('schema')!r} tracks no "
+                "baselinable figure, so its trajectory would gate nothing")
+            continue
         if update:
             document = make_baseline(bench, payload)
             if not document["throughput"]:

@@ -2,35 +2,20 @@
 
 Every benchmark constructs platforms through these helpers so the
 experiments in EXPERIMENTS.md are reproducible from a single place.
-All benchmarks run with ``pytest benchmarks/ --benchmark-only``.
-
-After a benchmark session the harness writes ``BENCH_obs.json`` — the
-observability summary (throughput + latency percentiles per figure
-benchmark, schema ``css-bench-obs/1``) that starts the repo's perf
-trajectory; ``benchmarks/check_bench.py`` validates it in CI.
+All benchmarks run with ``pytest benchmarks/ --benchmark-only``;
+``--benchmark-json FILE`` writes pytest-benchmark's wall-clock figures.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
-from repro.obs.benchreport import (
-    SCHEMA_ID,
-    benchmark_entry,
-    latency_summary,
-    write_summary,
-)
 from repro.sim.generators import standard_event_templates
 from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
 from repro.sim.scenario import CssScenario, ScenarioConfig
-
-#: Where the benchmark session drops its observability summary.
-OBS_SUMMARY_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
 @dataclass
@@ -107,42 +92,3 @@ def standard_consumers():
 @pytest.fixture(scope="module")
 def producer_assignment():
     return dict(DEFAULT_PRODUCER_ASSIGNMENT)
-
-
-# -- BENCH_obs.json emission ---------------------------------------------
-
-
-def _figure_of(fullname: str) -> str:
-    """``bench_fig2_architecture.py::test_x[5]`` → ``fig2``."""
-    match = re.search(r"bench_(\w+?)_", fullname)
-    return match.group(1) if match else "misc"
-
-
-def obs_summary_from_benchmarks(benchmarks) -> dict:
-    """Fold a pytest-benchmark result list into the css-bench-obs shape."""
-    entries = []
-    for bench in benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None or getattr(bench, "has_error", False):
-            continue
-        timings = sorted(getattr(stats, "sorted_data", []) or [])
-        if not timings:
-            continue
-        entries.append(benchmark_entry(
-            name=bench.fullname,
-            figure=_figure_of(bench.fullname),
-            ops_per_second=stats.ops,
-            latency=latency_summary(timings),
-        ))
-    return {"schema": SCHEMA_ID, "source": "benchmarks/conftest.py",
-            "benchmarks": entries, "counters": {}}
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write BENCH_obs.json when a benchmark session actually measured."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    summary = obs_summary_from_benchmarks(bench_session.benchmarks)
-    if summary["benchmarks"]:
-        write_summary(OBS_SUMMARY_PATH, summary)

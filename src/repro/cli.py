@@ -15,8 +15,7 @@ write through to the segmented storage engine in ``DIR/node-0``);
 governing body's aggregated view; ``telemetry`` reruns the scenario on
 the in-memory telemetry backend and prints per-stage latency percentiles
 and counters (JSONL trace/metric exports and a ``BENCH_obs.json``-style
-summary on request; ``--profile`` attaches the sampling profiler and
-prints where simulated time went); ``federate`` runs the same workload
+summary on request); ``federate`` runs the same workload
 sharded over an N-node federation and prints per-node figures, the
 federated guarantor inquiry and, with ``--rebalance``, a live add-node
 rebalance; ``slo`` evaluates the stock service-level objectives over a
@@ -140,9 +139,6 @@ OPTIONS: dict[str, dict] = {
                       "help": "write the metrics snapshot as JSONL to FILE"},
     "--bench-out": {"metavar": "FILE",
                     "help": "write a BENCH_obs.json-style summary to FILE"},
-    "--profile": {"action": "store_true",
-                  "help": "attach the sampling profiler and print "
-                          "where simulated time went"},
     "--slo-out": {"metavar": "FILE",
                   "help": "write the SLO report payload as JSON to FILE"},
     "--rebalance": {"action": "store_true",
@@ -229,7 +225,6 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
 def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     from repro.obs.benchreport import scenario_summary
     from repro.obs.exporters import render_latency_table, render_metrics_table
-    from repro.obs.profiling import SamplingProfiler
     from repro.obs.telemetry import (
         PIPELINE_DURATION,
         PIPELINE_WALL_DURATION,
@@ -239,9 +234,6 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     scenario = _scenario(args, runtime=RuntimeConfig(
         telemetry="inmemory", telemetry_guard=args.guard))
     telemetry = scenario.telemetry
-    if args.profile:
-        telemetry.attach_profiler(
-            SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
     report = scenario.run()
 
     print(report.to_text(), file=out)
@@ -257,8 +249,6 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
                                unit="wall s, this run"), file=out)
     print(render_metrics_table(telemetry.metrics), file=out)
     print(f"finished spans: {len(telemetry.tracer.finished_spans())}", file=out)
-    if args.profile:
-        print(telemetry.profiler.to_table(), file=out)
 
     if args.trace_out or args.metrics_out:
         telemetry.dump(trace_path=args.trace_out, metrics_path=args.metrics_out)
@@ -713,7 +703,7 @@ COMMANDS = (
         ("--scenario", {**_OBSERVED, "default": "default",
                         "help": "named scenario preset"}),
         "--nodes", *_RUN, "--guard", "--trace-out", "--metrics-out",
-        "--bench-out", "--profile",
+        "--bench-out",
         ("--slo-out", {"help": "evaluate the stock SLOs and write the "
                                "report payload as JSON to FILE"}),
     )),

@@ -34,7 +34,6 @@ from repro.clock import Clock
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import LinkFailureError
 from repro.obs.context import WIRE_KEY
-from repro.obs.profiling import SECTION_LINK_HOP
 
 if TYPE_CHECKING:
     from repro.federation.node import FederationNode
@@ -194,7 +193,6 @@ class Link:
                 context = tracer.context(row)
         self._crossed.append((operation, payload, row))
         try:
-            started = self._clock.now()
             for attempt in range(1, self.policy.max_attempts + 1):
                 if attempt > 1:
                     self.stats.retries += 1
@@ -220,8 +218,6 @@ class Link:
                 self.stats.delivered += count
                 if tracer is not None:
                     self._counter(HOP_COUNTER, operation).inc(float(count))
-                    self._telemetry.profile(SECTION_LINK_HOP,
-                                            self._clock.now() - started, **self._ends)
                 break
             else:  # every attempt dropped (the policy allows at least one)
                 raise last_error

@@ -53,7 +53,6 @@ from repro.exceptions import (
     UnknownEventError,
 )
 from repro.obs.context import TraceContext
-from repro.obs.profiling import SECTION_OPEN, SECTION_SEAL
 from repro.perf.wire_cache import SealedFrameCache
 from repro.storage.schemas import type_from_dict, type_to_dict
 from repro.xmlmsg.document import XmlDocument
@@ -142,7 +141,6 @@ class FederationNode:
         token = self.controller.keystore.seal(
             self._channel_key, canonical_json(payload), self._channel_seq
         )
-        self._profile(SECTION_SEAL)
         return {"from": self.node_id, "token": token}
 
     def open_channel(self, sealed: dict) -> dict:
@@ -156,16 +154,7 @@ class FederationNode:
         name = CHANNEL_KEY_PREFIX + sender
         keystore = self.controller.keystore
         keystore.create(name)  # deterministic derivation: no key exchange
-        opened = json.loads(keystore.open_(name, sealed["token"]))
-        self._profile(SECTION_OPEN)
-        return opened
-
-    def _profile(self, section: str) -> None:
-        # Seal/open is pure computation that advances no simulated time,
-        # so the profiler records the sample at zero seconds — crossing
-        # counts, not durations.
-        if self.telemetry is not None:
-            self.telemetry.profile(section, 0.0, node=self.label)
+        return json.loads(keystore.open_(name, sealed["token"]))
 
     # -- client call -------------------------------------------------------
 

@@ -4,10 +4,9 @@ See :mod:`repro.obs.telemetry` for the kernel-resolved facade,
 :mod:`repro.obs.guard` for the privacy guard that keeps telemetry from
 becoming a side channel, :mod:`repro.obs.context` /
 :mod:`repro.obs.stitch` for cross-node trace propagation and stitching,
-:mod:`repro.obs.slo` for the SLO engine, :mod:`repro.obs.profiling` for
-the deterministic profiler, :mod:`repro.obs.timeseries` for the windowed
-time-series store, :mod:`repro.obs.recorder` for the flight recorder,
-:mod:`repro.obs.incident` for automatic incident capture, and
+:mod:`repro.obs.slo` for the SLO engine, :mod:`repro.obs.timeseries` for
+the windowed time-series store, :mod:`repro.obs.recorder` for the flight
+recorder, :mod:`repro.obs.incident` for automatic incident capture, and
 ``docs/OBSERVABILITY.md`` for the naming scheme and exporter formats.
 """
 
@@ -40,7 +39,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiling import SamplingProfiler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import (
     SLO_ALERT_TOPIC,
@@ -86,7 +84,6 @@ __all__ = [
     "SLOStatus",
     "SLObjective",
     "STAGE_DURATION",
-    "SamplingProfiler",
     "Span",
     "StitchedTrace",
     "TelemetryPrivacyError",

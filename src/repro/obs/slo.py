@@ -6,10 +6,6 @@ objective against an :class:`~repro.obs.telemetry.InMemoryTelemetry`
 registry on the simulated clock and produces a deterministic
 :class:`SLOReport` with error-budget and burn-rate accounting:
 
-* ``latency`` — good events are histogram observations at or below
-  ``threshold`` (counted from fixed bucket boundaries, the same
-  upper-bound discipline the p95 summaries use), so "p95 of
-  request-details ≤ 50 ms" is simply ``target=0.95, threshold=0.05``;
 * ``ratio`` — good events are ``1 - bad/total`` over two counters
   (dead-lettered per published, denied per decided, dropped per link
   attempt);
@@ -32,14 +28,12 @@ from repro.crypto.hashing import canonical_json
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import matches
 from repro.obs.recorder import EVENT_SLO_ALERT
-from repro.obs.telemetry import PIPELINE_DURATION
 
 #: Default multi-window burn-rate horizons (simulated seconds).
 DEFAULT_SHORT_WINDOW = 5.0
 DEFAULT_LONG_WINDOW = 60.0
 
 #: Objective kinds.
-KIND_LATENCY = "latency"
 KIND_RATIO = "ratio"
 KIND_LEVEL = "level"
 
@@ -63,7 +57,7 @@ class SLObjective:
     metric: str
     #: Required good fraction in [0, 1] (e.g. 0.95 = "95% of requests").
     target: float
-    #: ``latency``: max good observation; ``level``: max good gauge value.
+    #: ``level`` only: the max good gauge value.
     threshold: float = 0.0
     #: Label filter on ``metric`` series ({} matches every series).
     labels: tuple[tuple[str, str], ...] = ()
@@ -73,10 +67,10 @@ class SLObjective:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_LATENCY, KIND_RATIO, KIND_LEVEL):
+        if self.kind not in (KIND_RATIO, KIND_LEVEL):
             raise ConfigurationError(
                 f"unknown SLO kind {self.kind!r}; "
-                f"use {KIND_LATENCY!r}, {KIND_RATIO!r} or {KIND_LEVEL!r}"
+                f"use {KIND_RATIO!r} or {KIND_LEVEL!r}"
             )
         if not 0.0 <= self.target <= 1.0:
             raise ConfigurationError("SLO target must be within [0, 1]")
@@ -90,7 +84,7 @@ class SLOStatus:
 
     objective: SLObjective
     attainment: float
-    #: Events (observations / counter increments) the evaluation saw.
+    #: Events (counter increments, or gauge series) the evaluation saw.
     observed: float
     breached: bool
     #: Allowed bad fraction (1 - target).
@@ -166,15 +160,6 @@ def default_objectives() -> tuple[SLObjective, ...]:
     """
     return (
         SLObjective(
-            name="request-details-latency",
-            kind=KIND_LATENCY,
-            metric=PIPELINE_DURATION,
-            labels=(("pipeline", "request-details"),),
-            target=0.95,
-            threshold=0.05,
-            description="p95 of request-for-details pipeline ≤ 50 simulated ms",
-        ),
-        SLObjective(
             name="bus-deadletter-ratio",
             kind=KIND_RATIO,
             metric="bus.published_total",
@@ -227,25 +212,6 @@ def _burn_rate(objective: SLObjective, attainment: float, observed: float) -> fl
     return 0.0 if bad_fraction <= _EPSILON else float(observed)
 
 
-def _good_count(histogram, threshold: float) -> int:
-    """Observations of one histogram within ``threshold``, by bucket upper
-    bounds (all of them when even the largest was)."""
-    if histogram.max <= threshold:
-        return histogram.count
-    return sum(
-        bucket_count
-        for boundary, bucket_count in zip(histogram.boundaries, histogram.counts)
-        if boundary <= threshold
-    )
-
-
-def _histogram_attainment(histogram, threshold: float) -> tuple[float, float]:
-    """Good fraction of one (merged) histogram."""
-    if histogram is None or histogram.count == 0:
-        return 1.0, 0.0  # vacuously met: no demand, no breach
-    return _good_count(histogram, threshold) / histogram.count, float(histogram.count)
-
-
 def _window_point(store, objective: SLObjective, window: float,
                   at: float | None = None) -> dict:
     """Attainment and burn of one objective over one window of ``store``.
@@ -254,13 +220,7 @@ def _window_point(store, objective: SLObjective, window: float,
     evaluation (None), or the sample-anchored historical one ending at
     ``at`` when reconstructing a burn trajectory for an incident bundle.
     """
-    if objective.kind == KIND_LATENCY:
-        attainment, observed = _histogram_attainment(
-            store.windowed_histogram(objective.metric, window,
-                                     objective.labels, at=at),
-            objective.threshold,
-        )
-    elif objective.kind == KIND_RATIO:
+    if objective.kind == KIND_RATIO:
         total = store.delta(objective.metric, window, objective.labels, at=at)
         bad = store.delta(objective.bad_metric, window, objective.bad_labels,
                           at=at)
@@ -336,9 +296,7 @@ class SLOEngine:
         return SLOReport(evaluated_at=self.clock.now(), statuses=statuses)
 
     def _evaluate_one(self, objective: SLObjective) -> SLOStatus:
-        if objective.kind == KIND_LATENCY:
-            attainment, observed = self._latency_attainment(objective)
-        elif objective.kind == KIND_RATIO:
+        if objective.kind == KIND_RATIO:
             attainment, observed = self._ratio_attainment(objective)
         else:
             attainment, observed = self._level_attainment(objective)
@@ -364,21 +322,6 @@ class SLOEngine:
             for name, window in (("short", self.short_window),
                                  ("long", self.long_window))
         )
-
-    def _latency_attainment(self, objective: SLObjective) -> tuple[float, float]:
-        """Good fraction = observations ≤ threshold, from bucket counts."""
-        series = [
-            histogram
-            for labels, histogram in self.telemetry.metrics.histogram_series(
-                objective.metric)
-            if matches(labels, objective.labels)
-        ]
-        total = sum(histogram.count for histogram in series)
-        if total == 0:
-            return 1.0, 0.0  # vacuously met: no demand, no breach
-        good = sum(_good_count(histogram, objective.threshold)
-                   for histogram in series)
-        return good / total, float(total)
 
     def _ratio_attainment(self, objective: SLObjective) -> tuple[float, float]:
         total = self._counter_total(objective.metric, objective.labels)

@@ -23,7 +23,6 @@ from repro.obs.context import TraceContext
 from repro.obs.exporters import metric_lines, span_lines, write_jsonl
 from repro.obs.guard import MODE_HASH, PrivacyGuard
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profiling import SECTION_STAGE
 from repro.obs.tracing import Tracer
 
 #: Histogram recording per-stage pipeline latency (simulated seconds).
@@ -54,10 +53,10 @@ class _BoundSpan:
     """
 
     __slots__ = ("_telemetry", "_tracer", "_name", "_labels", "_attributes",
-                 "_metric", "_section", "_durations")
+                 "_metric", "_durations")
 
     def __init__(self, telemetry: "InMemoryTelemetry", name: str, metric: str,
-                 section: str | None, labels: dict[str, str]) -> None:
+                 labels: dict[str, str]) -> None:
         self._telemetry = telemetry
         self._tracer = telemetry.tracer
         self._name = name
@@ -65,7 +64,6 @@ class _BoundSpan:
         # Shared by every span of this shape (read-only).
         self._attributes = self._tracer.cleared(labels)
         self._metric = metric
-        self._section = section
         # Resolved by the first span to finish: a series must not show in
         # a snapshot taken before its first sample.
         self._durations: Histogram | None = None
@@ -82,9 +80,6 @@ class _BoundSpan:
             durations = self._durations = self._telemetry.metrics.histogram(
                 self._metric, **self._labels)
         durations.observe(duration)
-        profiler = self._telemetry.profiler
-        if self._section is not None and profiler is not None:
-            profiler.record(self._section, duration, **self._labels)
 
     def __enter__(self):
         return self._tracer.span_of(self.open())
@@ -114,7 +109,6 @@ class InMemoryTelemetry:
         self.tracer = Tracer(self.clock, self.guard, site=site)
         #: Pipeline name or ``(pipeline, stage)`` -> its bound span.
         self._bound_spans = self.metrics.memo()
-        self.profiler = None
         self.recorder = None
 
     # -- metrics -----------------------------------------------------------
@@ -154,9 +148,9 @@ class InMemoryTelemetry:
         """A per-pipeline-stage child span plus its duration histogram."""
         bound = self._bound_spans.get((pipeline, stage))
         if bound is None:
-            bound = self._bind(
-                (pipeline, stage), f"stage.{stage}", STAGE_DURATION,
-                SECTION_STAGE, {"pipeline": pipeline, "stage": stage})
+            bound = self._bind((pipeline, stage), f"stage.{stage}",
+                               STAGE_DURATION,
+                               {"pipeline": pipeline, "stage": stage})
         return bound
 
     def pipeline_span(self, pipeline: str):
@@ -164,22 +158,18 @@ class InMemoryTelemetry:
         bound = self._bound_spans.get(pipeline)
         if bound is None:
             bound = self._bind(pipeline, f"pipeline.{pipeline}",
-                               PIPELINE_DURATION, None, {"pipeline": pipeline})
+                               PIPELINE_DURATION, {"pipeline": pipeline})
         return bound
 
-    def _bind(self, key, name: str, metric: str, section: str | None,
+    def _bind(self, key, name: str, metric: str,
               labels: dict[str, str]) -> _BoundSpan:
-        bound = _BoundSpan(self, name, metric, section, labels)
+        bound = _BoundSpan(self, name, metric, labels)
         # A restricted label key is re-sanitised per span, never memoised.
         if self.guard.static_key(labels) is not None:
             self._bound_spans[key] = bound
         return bound
 
-    # -- profiling ---------------------------------------------------------
-
-    def attach_profiler(self, profiler) -> None:
-        """Set the profiler stage spans and ``profile`` calls sample into."""
-        self.profiler = profiler
+    # -- flight recorder ---------------------------------------------------
 
     def attach_recorder(self, recorder) -> None:
         """Attach a flight recorder; it watches this telemetry's tracer.
@@ -192,11 +182,6 @@ class InMemoryTelemetry:
             return
         self.recorder = recorder
         recorder.watch(self.tracer)
-
-    def profile(self, section: str, seconds: float, **labels: object) -> None:
-        """Record one profile sample if a profiler is attached."""
-        if self.profiler is not None:
-            self.profiler.record(section, seconds, **labels)
 
     # -- export ------------------------------------------------------------
 

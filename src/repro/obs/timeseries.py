@@ -6,9 +6,9 @@ boot"* — useless five minutes into an incident, when the operator needs
 on a fixed simulated-clock interval it snapshots **every** counter, gauge
 and histogram of a :class:`~repro.obs.metrics.MetricsRegistry` into
 bounded ring buffers, and exposes trailing-window reads over them —
-:meth:`delta` and :meth:`rate` for counters, :meth:`quantile` for
-histograms (the same fixed-bucket upper-bound discipline the lifetime
-summaries use), :meth:`gauge_worst` for levels.
+:meth:`delta` and :meth:`rate` for counters, :meth:`gauge_worst` for
+levels.  Histogram samples are retained and exported
+(:meth:`export_rows`), not read back.
 
 A window is **two readings per matching series** — where it ends, and
 the newest retained sample at or before its edge (``_window``).  It ends
@@ -30,7 +30,6 @@ left to sanitise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import Histogram, Labels, MetricsRegistry, matches
@@ -43,9 +42,9 @@ SeriesKey = tuple[str, Labels]
 
 def _reading(series):
     """What a ring retains of a live series: a counter's or gauge's value,
-    a frozen copy of a histogram."""
+    a histogram's ``(count, sum)`` (what its export carries)."""
     if isinstance(series, Histogram):
-        return replace(series, counts=list(series.counts))
+        return series.count, round(series.sum, 9)
     return series.value
 
 
@@ -142,7 +141,7 @@ class TimeSeriesStore:
         whenever it is asked; a series with none is skipped).  ``base`` is
         the newest retained sample at or before the window's edge — None
         for a series younger than the window, which is counted from zero,
-        exactly the monotone-from-boot truth of counters and histograms.
+        exactly the monotone-from-boot truth of counters.
         ``held`` iterates every reading inside the window, ``end``
         included: what a level, unlike an increase, is read from.
         """
@@ -194,69 +193,6 @@ class TimeSeriesStore:
         span = max(min(window, self.clock.now()), self.interval)
         return self.delta(name, window, wanted=wanted) / span
 
-    def windowed_histogram(
-        self,
-        name: str,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-        at: float | None = None,
-    ) -> Histogram | None:
-        """The matching series' observations from the trailing window only
-        (``at``: from ``[at - window, at]``, samples only), folded into one
-        synthetic :class:`~repro.obs.metrics.Histogram`.
-
-        ``None`` when no matching series exists.  Bucket counts are the
-        end counts minus the window-edge sample's; the sidecar max is
-        the smallest boundary that covers the highest non-empty bucket
-        (the usual upper-bound estimate — window membership of the true
-        max is unknowable from buckets).
-        """
-        boundaries: tuple[float, ...] | None = None
-        merged: list[int] = []
-        total = 0
-        total_sum = 0.0
-        end_max = 0.0
-        for end, base, _ in self._window(
-                self._histograms, self.metrics.histogram_entries,
-                name, window, wanted, at):
-            if boundaries is None:
-                boundaries = tuple(end.boundaries)
-                merged = [0] * (len(boundaries) + 1)
-            if tuple(end.boundaries) != boundaries:
-                continue  # mixed bucket layouts never merge
-            base_counts = base.counts if base is not None else ()
-            for index, value in enumerate(end.counts):
-                before = base_counts[index] if index < len(base_counts) else 0
-                merged[index] += value - before
-            total += end.count - (base.count if base is not None else 0)
-            total_sum += end.sum - (base.sum if base is not None else 0.0)
-            end_max = max(end_max, end.max)
-        if boundaries is None:
-            return None
-        estimated_max = 0.0
-        for index in range(len(merged) - 1, -1, -1):
-            if merged[index]:
-                estimated_max = (
-                    end_max if index == len(boundaries)
-                    else min(boundaries[index], end_max)
-                )
-                break
-        return Histogram(boundaries=boundaries, counts=merged, count=total,
-                         sum=total_sum, min=0.0, max=estimated_max)
-
-    def quantile(
-        self,
-        name: str,
-        q: float,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-    ) -> float:
-        """Windowed ``q``-quantile of histogram ``name`` (0.0 if empty)."""
-        histogram = self.windowed_histogram(name, window, wanted=wanted)
-        if histogram is None or histogram.count <= 0:
-            return 0.0
-        return histogram.quantile(q)
-
     def gauge_worst(
         self,
         name: str,
@@ -297,16 +233,6 @@ class TimeSeriesStore:
         """
         return self.delta(name, window, wanted=wanted, at=at)
 
-    def sample_histogram(
-        self,
-        name: str,
-        at: float,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-    ) -> Histogram | None:
-        """Historical sibling of :meth:`windowed_histogram`, samples only."""
-        return self.windowed_histogram(name, window, wanted=wanted, at=at)
-
     def sample_gauge_worst(
         self,
         name: str,
@@ -338,8 +264,7 @@ class TimeSeriesStore:
                     "type": kind, "name": name,
                     "labels": dict(sorted(labels)),
                     "points": [
-                        [at, reading.count, round(reading.sum, 9)]
-                        if kind == "histogram" else [at, reading]
+                        [at, *reading] if kind == "histogram" else [at, reading]
                         for at, reading in ring
                     ],
                 })

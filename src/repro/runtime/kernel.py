@@ -18,10 +18,9 @@ the controller reads those and constructs its store, events index and
 audit log directly.  What has one implementation has no name either: the
 controller builds its one hot path, the perf layer, itself.  An off name
 (``telemetry: noop``, ``recorder: noop``, ``batch: off``) resolves to
-``None`` and every seam checks for that.  The SLO engine and the profiler
-read a telemetry, they are not collaborators: ``SLOEngine(telemetry)`` and
-``telemetry.attach_profiler(SamplingProfiler(...))`` where the report is
-read.
+``None`` and every seam checks for that.  The SLO engine reads a
+telemetry, it is not a collaborator: ``SLOEngine(telemetry)`` where the
+report is read.  Where the time goes is the wall ledger's traced run.
 
 Factories receive the construction context (clock, master secret, batch
 size, ...) as keyword arguments and may ignore what they don't need.  They
@@ -74,8 +73,8 @@ _STORAGE_SPELLINGS = ("jsonl", "memory")
 #: what to do instead.
 _INERT_FIELDS = {
     "slo": ("noop", "build SLOEngine(telemetry) where the report is read"),
-    "profiling": ("noop", "telemetry.attach_profiler(SamplingProfiler(...)) "
-                          "where the profile is read"),
+    "profiling": ("noop", "profile wall time with "
+                          "python benchmarks/wall/run.py --trace"),
     "store": ("segmented", "a data_dir is stored in the segmented engine"),
     "perf": ("indexed", "'indexed' is the one hot path"),
 }

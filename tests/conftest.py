@@ -133,6 +133,22 @@ def build_federation(shards: int = 2, with_policy: bool = True,
     return FederatedDeployment(platform=platform, blood_class=blood_class)
 
 
+def with_deleted_latency_row(report: dict, observed: float,
+                             windows: dict | None = None) -> dict:
+    """An SLO report section with the status row of the deleted stock
+    ``request-details-latency`` objective put back first, as it was
+    written before: it read simulated pipeline durations, all within its
+    threshold, so only ``observed`` (and ``windows``) vary by run."""
+    row = {"attainment": 1.0, "breached": False, "burn_rate": 0.0,
+           "error_budget": 0.05, "kind": "latency",
+           "metric": "pipeline.duration_seconds",
+           "name": "request-details-latency", "observed": observed,
+           "target": 0.95, "threshold": 0.05}
+    if windows is not None:
+        row["windows"] = windows
+    return {**report, "objectives": [row, *report["objectives"]]}
+
+
 def _gateway_offline(platform):
     platform.controller_of("node-0").endpoints.get(
         "gateway.Hospital-S-Maria.getResponse").take_offline()

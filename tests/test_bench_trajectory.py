@@ -15,22 +15,20 @@ from benchmarks.check_bench import (
 )
 
 
-BENCH = Path("BENCH_obs.json")
+BENCH = Path("BENCH_incident.json")
 
 
-def obs_payload(ops=100.0, schema="css-bench-obs/2"):
+def incident_payload(rate=100.0, schema="css-bench-incident/1"):
     return {
         "schema": schema,
-        "benchmarks": [
-            {"name": "publish", "ops_per_second": ops},
-            {"name": "subscribe", "ops_per_second": ops * 2},
-        ],
+        "arms": {"ring": {"sim_events_per_second": rate,
+                          "wall_seconds": 1.2}},
     }
 
 
 @pytest.fixture()
 def baseline():
-    return make_baseline(BENCH, obs_payload())
+    return make_baseline(BENCH, incident_payload())
 
 
 class TestResolve:
@@ -47,17 +45,17 @@ class TestResolve:
 
 class TestMakeBaseline:
     def test_records_schema_and_tracked_figures(self, baseline):
-        assert baseline["bench"] == "BENCH_obs.json"
-        assert baseline["schema"] == "css-bench-obs/2"
+        assert baseline["bench"] == "BENCH_incident.json"
+        assert baseline["schema"] == "css-bench-incident/1"
         assert baseline["throughput"] == {
-            "benchmarks.0.ops_per_second": 100.0,
-            "benchmarks.1.ops_per_second": 200.0,
+            "arms.ring.sim_events_per_second": 100.0,
         }
 
     def test_every_tracked_bench_names_dotted_paths(self):
         tracked = {schema_id: tracked_units(schema_id)
                    for schema_id, schema in SCHEMAS.items() if schema.tracked}
-        assert len(tracked) >= 4
+        assert set(tracked) == {"css-bench-storage/2", "css-bench-fairness/1",
+                                "css-bench-incident/1"}
         for schema_id, units in tracked.items():
             for path, unit in units.items():
                 assert unit in UNITS, f"{schema_id}: {path} has no unit"
@@ -81,27 +79,27 @@ class TestMakeBaseline:
 
 class TestCompare:
     def test_same_payload_is_clean(self, baseline):
-        assert compare(BENCH, obs_payload(), baseline,
+        assert compare(BENCH, incident_payload(), baseline,
                        min_ratio=0.8) == []
 
     def test_small_drift_within_ratio_is_clean(self, baseline):
-        assert compare(BENCH, obs_payload(ops=85.0), baseline,
+        assert compare(BENCH, incident_payload(rate=85.0), baseline,
                        min_ratio=0.8) == []
 
     def test_throughput_drop_fails(self, baseline):
-        problems = compare(BENCH, obs_payload(ops=50.0), baseline,
+        problems = compare(BENCH, incident_payload(rate=50.0), baseline,
                            min_ratio=0.8)
         assert problems
         assert any("drop" in problem for problem in problems)
 
     def test_schema_change_fails(self, baseline):
-        problems = compare(BENCH, obs_payload(schema="css-bench-obs/3"),
+        problems = compare(BENCH, incident_payload(schema="css-bench-incident/2"),
                            baseline, min_ratio=0.8)
         assert any("schema" in problem for problem in problems)
 
     def test_missing_figure_fails(self, baseline):
-        payload = obs_payload()
-        payload["benchmarks"].pop()
+        payload = incident_payload()
+        del payload["arms"]["ring"]["sim_events_per_second"]
         problems = compare(BENCH, payload, baseline, min_ratio=0.8)
         assert any("disappeared" in problem for problem in problems)
 
@@ -116,9 +114,10 @@ class TestMain:
                                               capsys):
         import benchmarks.check_bench as mod
         monkeypatch.setattr(mod, "BASELINE_DIR", tmp_path / "baselines")
-        current = self.write(tmp_path, "BENCH_obs.json", obs_payload())
+        current = self.write(tmp_path, "BENCH_incident.json",
+                             incident_payload())
         assert main(["--update", str(current)]) == 0
-        assert (tmp_path / "baselines" / "BENCH_obs.json").exists()
+        assert (tmp_path / "baselines" / "BENCH_incident.json").exists()
         assert main(["--trajectory", str(current)]) == 0
         assert "within" in capsys.readouterr().out
 
@@ -126,20 +125,39 @@ class TestMain:
                                                          monkeypatch):
         import benchmarks.check_bench as mod
         monkeypatch.setattr(mod, "BASELINE_DIR", tmp_path / "baselines")
-        fast = self.write(tmp_path, "BENCH_obs.json", obs_payload())
+        fast = self.write(tmp_path, "BENCH_incident.json", incident_payload())
         assert main(["--update", str(fast)]) == 0
-        slow = self.write(tmp_path, "BENCH_obs.json", obs_payload(ops=10.0))
+        slow = self.write(tmp_path, "BENCH_incident.json",
+                          incident_payload(rate=10.0))
         assert main(["--trajectory", str(slow)]) == 1
 
     def test_missing_baseline_skips_without_failing(self, tmp_path,
                                                     monkeypatch, capsys):
         import benchmarks.check_bench as mod
         monkeypatch.setattr(mod, "BASELINE_DIR", tmp_path / "nowhere")
-        current = self.write(tmp_path, "BENCH_obs.json", obs_payload())
+        current = self.write(tmp_path, "BENCH_incident.json",
+                             incident_payload())
         assert main(["--trajectory", str(current)]) == 0
         assert "no committed baseline" in capsys.readouterr().out
+
+    def test_a_payload_that_tracks_nothing_baselinable_fails(
+            self, tmp_path, monkeypatch, capsys):
+        # A trajectory over it would gate nothing: css-bench-obs/3 carries
+        # no rate, and css-bench-storage/2's one tracked figure is wall.
+        import benchmarks.check_bench as mod
+        monkeypatch.setattr(mod, "BASELINE_DIR", tmp_path / "baselines")
+        for name, payload in (
+                ("BENCH_obs.json", {"schema": "css-bench-obs/3",
+                                    "source": "test", "counters": {}}),
+                ("BENCH_storage.json", {"schema": "css-bench-storage/2"})):
+            current = self.write(tmp_path, name, payload)
+            assert main(["--trajectory", str(current)]) == 1
+            assert "tracks no baselinable figure" in capsys.readouterr().err
+            assert main(["--update", str(current)]) == 0
+            assert not (tmp_path / "baselines" / name).exists()
 
     def test_missing_payload_file_fails(self, tmp_path, monkeypatch):
         import benchmarks.check_bench as mod
         monkeypatch.setattr(mod, "BASELINE_DIR", tmp_path / "baselines")
-        assert main(["--trajectory", str(tmp_path / "BENCH_obs.json")]) == 1
+        assert main(["--trajectory",
+                     str(tmp_path / "BENCH_incident.json")]) == 1

@@ -2,18 +2,26 @@
 
 For every row of ``benchmarks.check_bench.SCHEMAS`` a known-good payload
 passes, and every kind of mutation the per-artifact checkers used to
-catch still fails: wrong schema id, missing key, non-monotone
-percentiles, digest mismatch, a leaked identifier (the privacy gate now
-runs on *every* schema), a tampered bundle file — with exit codes 0/1/2
-from the one ``main``.
+catch still fails: wrong schema id, missing key, a broken ordering,
+digest mismatch, a leaked identifier (the privacy gate now runs on
+*every* schema), a tampered bundle file — with exit codes 0/1/2 from
+the one ``main``.  Every rate and latency the table declares is named
+for its clock (``sim_*`` / ``wall_*``).
 """
 
 import copy
 import json
+import re
 
 import pytest
 from benchmarks.check_bench import (
+    BASELINE_DIR,
     SCHEMAS,
+    ListOf,
+    Nullable,
+    Num,
+    Obj,
+    Schema,
     main,
     tracked_units,
     validate,
@@ -23,14 +31,12 @@ from benchmarks.check_bench import (
 from repro.obs.incident import write_bundle
 
 DIGEST = "sha256:" + "a" * 64
-LATENCY = {"p50": 0.001, "p95": 0.002, "p99": 0.003,
-           "mean": 0.0015, "min": 0.0005, "max": 0.004}
 COUNTERS = {"published": 40, "publish_blocked": 1, "detail_permits": 20,
             "detail_denies": 2, "subscribe_ops": 3}
 
 
 def _storage_kind(**extra):
-    return {"ingest_events_per_second": 9000.0, "recovery_seconds": 0.01,
+    return {"wall_ingest_events_per_second": 9000.0, "recovery_seconds": 0.01,
             "recovery_peak_kb": 120.0, "size_bytes": 4096, **extra}
 
 
@@ -61,22 +67,18 @@ TRIGGER = {"kind": "penalty-demotion", "at": 1.5,
 BURN_POINT = {"at": 1.0, "attainment": 0.9, "observed": 0.1, "burn_rate": 2.0}
 
 GOOD = {
-    "css-bench-obs/2": {
+    "css-bench-obs/3": {
         "source": "pytest",
-        "benchmarks": [
-            {"name": "pipeline.publish", "figure": "scenario",
-             "ops_per_second": 0.018, "latency_seconds": dict(LATENCY)},
-            {"name": "pipeline.request-details", "figure": "scenario",
-             "ops_per_second": 0.012, "latency_seconds": dict(LATENCY)},
-        ],
-        "counters": {"bus.published_total{}": 40},
+        "counters": {"bus.published_total{}": 40,
+                     "pipeline.invocations_total{outcome=ok,pipeline=publish}":
+                         40},
         "slo": {"evaluated_at": 10.0, "breaches": 0, "objectives": [
-            {"name": "publish-latency", "target": 0.99, "attainment": 1.0,
+            {"name": "link-delivery", "target": 0.999, "attainment": 1.0,
              "breached": False, "burn_rate": 0.0}]},
         "stitched_trace": {"traces": 4, "spans": 20, "cross_node_traces": 2,
                            "orphan_spans": 0},
     },
-    "css-bench-storage/1": {
+    "css-bench-storage/2": {
         "source": "pytest", "quick": True,
         "points": [{
             "events": 400,
@@ -219,11 +221,8 @@ class TestEverySchema:
 
 #: (schema id, dotted path, replacement value, fragment of the problem).
 MUTATIONS = [
-    # non-monotone percentiles, wherever a latency summary appears
-    ("css-bench-obs/2", "benchmarks.0.latency_seconds.p50", 0.01,
-     "p50 <= p95 <= p99"),
     # equivalence flags and digests
-    ("css-bench-storage/1", "equivalence.identical", False,
+    ("css-bench-storage/2", "equivalence.identical", False,
      "equivalence.identical"),
     ("css-bench-batch/1", "equivalence.identical", False, "identical"),
     ("css-bench-batch/1", "equivalence.checks.2.decisions_identical", False,
@@ -247,11 +246,11 @@ MUTATIONS = [
     ("css-bench-capacity/1", "nodes.0.published", 500, "published <= ops"),
     ("css-bench-capacity/1", "arrival", "bursty", "arrival"),
     # storage gates
-    ("css-bench-storage/1", "points.0.kinds.segmented.post_compaction_bytes",
+    ("css-bench-storage/2", "points.0.kinds.segmented.post_compaction_bytes",
      4096, "compaction reclaimed nothing"),
-    ("css-bench-storage/1", "points.0.compaction.records_after", 400,
+    ("css-bench-storage/2", "points.0.compaction.records_after", 400,
      "compaction dropped no records"),
-    ("css-bench-storage/1", "points.0.kinds.jsonl.recovery_peak_kb", 99999,
+    ("css-bench-storage/2", "points.0.kinds.jsonl.recovery_peak_kb", 99999,
      "streaming-replay bound"),
     # the overhead bench's arms
     ("css-bench-incident/1", "arms.ring.recorder", "tape",
@@ -286,6 +285,65 @@ def test_mutations_are_flagged(schema_id, path, value, fragment):
     container[key] = value
     problems = validate(payload)
     assert any(fragment in problem for problem in problems), problems
+
+
+# -- the naming rule: a reported rate or latency names its clock -------------
+
+RATE_OR_LATENCY = re.compile(r"(_per_second|latency_seconds)$")
+CLOCK_PREFIX = {"sim_seconds": "sim_", "wall_seconds": "wall_"}
+
+
+def _specs(spec, key=""):
+    """``(key, spec)`` for ``spec`` and every spec under it (list items and
+    open-keyed values pass on an empty key)."""
+    yield key, spec
+    if isinstance(spec, Nullable):
+        yield from _specs(spec.spec)
+    elif isinstance(spec, ListOf):
+        yield from _specs(spec.item)
+    elif isinstance(spec, Obj):
+        for child_key, child in {**spec.fields, **spec.optional}.items():
+            yield from _specs(child, child_key)
+        if spec.rest is not None:
+            yield from _specs(spec.rest)
+
+
+def clock_naming_problems(schemas) -> list[str]:
+    """Every rate / latency key of ``schemas`` not named for its clock."""
+    problems = []
+    for schema_id, schema in schemas.items():
+        for key, spec in _specs(schema.fields):
+            if not RATE_OR_LATENCY.search(key):
+                continue
+            units = {child.unit for _, child in _specs(spec)
+                     if isinstance(child, Num)} & set(CLOCK_PREFIX)
+            if not units:
+                problems.append(f"{schema_id}: {key} has no clock unit")
+            problems.extend(
+                f"{schema_id}: {key} is {unit} but not {CLOCK_PREFIX[unit]}*"
+                for unit in sorted(units)
+                if not key.startswith(CLOCK_PREFIX[unit]))
+    return problems
+
+
+def test_every_rate_and_latency_names_its_clock():
+    """A reported rate or latency is wall-clock and named ``wall_*``, or
+    simulated and named ``sim_*`` — in every schema row and every
+    committed baseline, where none may read ``0.0`` either."""
+    assert clock_naming_problems(SCHEMAS) == []
+    unqualified = Schema(Obj({
+        "ops_per_second": Num(above=0, unit="sim_seconds"),
+        "latency_seconds": Obj({"p50": Num(min=0, unit="wall_seconds")}),
+    }))
+    assert len(clock_naming_problems({"x/1": unqualified})) == 2
+    baselines = sorted(BASELINE_DIR.glob("*.json"))
+    assert baselines
+    for path in baselines:
+        for key, figure in json.loads(path.read_text())["throughput"].items():
+            name = key.rsplit(".", 1)[-1]
+            if RATE_OR_LATENCY.search(name) or "latency" in name:
+                assert name.startswith(("sim_", "wall_")), (path.name, key)
+                assert figure != 0.0, (path.name, key)
 
 
 class TestStructuralMutations:

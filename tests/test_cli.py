@@ -157,17 +157,10 @@ class TestFederateCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         names = {row["name"] for row in payload["objectives"]}
-        assert "link-delivery" in names and "request-details-latency" in names
+        assert "link-delivery" in names and "pdp-deny-rate" in names
 
 
 class TestTelemetryObservability:
-    def test_profile_prints_the_profiler_table(self):
-        code, output = run_cli("telemetry", "--scenario", "default",
-                               "--events", "30", "--profile")
-        assert code == 0
-        assert "pipeline.stage" in output
-        assert "pipeline=publish,stage=crypto" in output
-
     def test_slo_out_writes_evaluated_objectives(self, tmp_path):
         report = tmp_path / "slo.json"
         code, _ = run_cli("telemetry", "--scenario", "default", "--events",
@@ -197,7 +190,7 @@ class TestSloCommand:
         code, output = run_cli("slo", "--scenario", "default",
                                "--events", "30")
         assert code == 0
-        assert "request-details-latency" in output
+        assert "pdp-deny-rate" in output
 
     def test_unknown_scenario_suggests_the_nearest(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -293,7 +286,6 @@ SURFACE = {
         (("--trace-out",), "trace_out", None, None),
         (("--metrics-out",), "metrics_out", None, None),
         (("--bench-out",), "bench_out", None, None),
-        (("--profile",), "profile", False, None),
         (("--slo-out",), "slo_out", None, None),
     ],
     "federate": [
@@ -394,7 +386,7 @@ class TestSurface:
                       for option in options_of(parser)]
             for command, parser in subparsers().items()}
         assert surface == SURFACE
-        assert sum(len(options) for options in surface.values()) == 95
+        assert sum(len(options) for options in surface.values()) == 94
 
     def test_no_option_keeps_a_private_list_of_choices(self):
         """Enumerations are refused by the CLI's one path (exit 1, with a

@@ -36,6 +36,7 @@ from repro.obs.incident import (
 from repro.obs.recorder import EVENT_DEADLETTER, FlightRecorder
 from repro.workload import workload_config
 from repro.workload.incidents import run_incident_capture
+from tests.conftest import with_deleted_latency_row
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
 TENANT_FRAGMENTS = ("Province-Trentino", "Municipality-Trento",
@@ -328,12 +329,42 @@ class TestCli:
         """Beside the same-seed check above: the manifest commits to the
         other three files, so its digest pins the whole bundle — taken
         before bundles, snapshots and archives came to share one file
-        manifest, one window reader and one series iterator."""
+        manifest, one window reader and one series iterator.
+
+        Re-pinned (was 71d1dc5b…) when the stock ``request-details-latency``
+        objective, which read simulated pipeline durations, was deleted.
+        The one byte difference is its status row in ``incident.json``'s
+        SLO section: put back, it gives the old ``incident.json`` and so
+        the old manifest, and the events and series files keep the bytes
+        they had."""
         cli_main(["incident", "--scenario", "federated",
                   "--out", str(tmp_path)])
         capsys.readouterr()
-        manifest = tmp_path / "incident-0001" / "manifest.json"
+        bundle = tmp_path / "incident-0001"
+        manifest = bundle / "manifest.json"
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
+            "9db5ac270752967a88a4bb03755666445ad30c3ced3a7b55d34b8d08a472568f")
+        files = json.loads(manifest.read_text())["files"]
+        assert files["events.jsonl"]["sha256"] == (
+            "8a262c220dba59a93174f4230db2585d326fe0a22ea834557995d59bff5b83de")
+        assert files["series.jsonl"]["sha256"] == (
+            "a27934800a30904ea1cbdc4aad720240d5e369d30c32ebd22e3681933be5ef09")
+
+        incident = json.loads((bundle / "incident.json").read_text())
+        incident["slo"] = with_deleted_latency_row(incident["slo"], 174.0, {
+            "long": {"attainment": 1.0, "burn_rate": 0.0, "observed": 174.0,
+                     "window": 5.0},
+            "short": {"attainment": 1.0, "burn_rate": 0.0, "observed": 81.0,
+                      "window": 1.0}})
+        restored = (json.dumps(incident, sort_keys=True, indent=2)
+                    + "\n").encode()
+        files["incident.json"] = {"sha256": hashlib.sha256(restored).hexdigest(),
+                                  "size": len(restored)}
+        assert files["incident.json"]["sha256"] == (
+            "998f5d979c7365a0ea97409d5d6aea6f582b8190869a324af29ee67023e1042b")
+        before = {**json.loads(manifest.read_text()), "files": files}
+        assert hashlib.sha256((json.dumps(before, sort_keys=True, indent=2)
+                               + "\n").encode()).hexdigest() == (
             "71d1dc5b4807c8731585a55788d7b546805aef45e050ef3ede2f7cbddb1e5ef9")
 
     def test_incident_cli_lists_scenarios(self, capsys):

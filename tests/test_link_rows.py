@@ -37,7 +37,6 @@ from repro.federation.link import (
 )
 from repro.federation.node import WIRE_ERRORS, FederationNode
 from repro.obs.context import WIRE_KEY
-from repro.obs.profiling import SECTION_LINK_HOP
 from repro.runtime.kernel import RuntimeConfig
 from tests.conftest import build_federation
 
@@ -79,7 +78,6 @@ class EagerLink(Link):
             if context is not None:
                 message[WIRE_KEY] = context.to_wire()
             self._send(canonical_json(message))
-            started = self._clock.now()
             last_error = None
             for attempt in range(1, self.policy.max_attempts + 1):
                 if attempt > 1:
@@ -106,8 +104,6 @@ class EagerLink(Link):
                 self.stats.delivered += count
                 if telemetry is not None:
                     telemetry.count(HOP_COUNTER, float(count), **ends, op=operation)
-                    telemetry.profile(SECTION_LINK_HOP,
-                                      self._clock.now() - started, **ends)
                 return response
             raise last_error
 

@@ -96,26 +96,6 @@ class TestCounterWindows:
         assert store.rate("ops_total", window=60.0) == pytest.approx(5.0)
 
 
-class TestHistogramWindows:
-    def test_windowed_quantile_sees_only_recent_observations(
-        self, store, metrics, clock
-    ):
-        histogram = metrics.histogram("latency")
-        for _ in range(100):
-            histogram.observe(0.001)  # old, fast
-        store.tick()
-        clock.advance(10.0)
-        for _ in range(10):
-            histogram.observe(1.0)  # recent, slow
-        lifetime = histogram.quantile(0.5)
-        windowed = store.quantile("latency", 0.5, window=5.0)
-        assert lifetime < windowed  # the window isolates the regression
-        assert store.windowed_histogram("latency", window=5.0).count == 10
-
-    def test_windowed_histogram_none_without_series(self, store):
-        assert store.windowed_histogram("missing", window=5.0) is None
-
-
 class TestGaugeWindows:
     def test_gauge_worst_includes_live_value(self, store, metrics, clock):
         gauge = metrics.gauge("depth")
@@ -150,27 +130,22 @@ class TestSampleAnchoredWindows:
     def test_sample_reads_are_stable_over_time(self, store, metrics, clock):
         counter = metrics.counter("ops_total")
         gauge = metrics.gauge("depth")
-        histogram = metrics.histogram("latency")
         for value in (1, 2, 3):
             counter.inc(value)
             gauge.set(value)
-            histogram.observe(value / 10)
             store.tick()
             clock.advance(1.0)
         before = (
             store.sample_delta("ops_total", at=1.0, window=1.0),
             store.sample_gauge_worst("depth", at=1.0, window=1.0),
-            store.sample_histogram("latency", at=1.0, window=1.0).count,
         )
         counter.inc(50)
         gauge.set(50)
-        histogram.observe(5.0)
         clock.advance(10.0)
         store.tick()
         after = (
             store.sample_delta("ops_total", at=1.0, window=1.0),
             store.sample_gauge_worst("depth", at=1.0, window=1.0),
-            store.sample_histogram("latency", at=1.0, window=1.0).count,
         )
         assert before == after  # history does not rewrite itself
 
@@ -215,16 +190,11 @@ def _reads(store, at=None):
         for wanted in ((), (("shard", "a"),)):
             if at is None:
                 delta = store.delta("ops_total", window, wanted)
-                histogram = store.windowed_histogram("latency", window, wanted)
                 worst = store.gauge_worst("depth", window, wanted)
             else:
                 delta = store.sample_delta("ops_total", at, window, wanted)
-                histogram = store.sample_histogram("latency", at, window,
-                                                   wanted)
                 worst = store.sample_gauge_worst("depth", at, window, wanted)
-            rows.append((delta, worst, histogram and (
-                histogram.counts, histogram.count, histogram.sum,
-                histogram.max)))
+            rows.append((delta, worst))
     return rows
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.tracing import STATUS_ERROR, Tracer
 from repro.runtime.kernel import KIND_TELEMETRY, RuntimeConfig, default_kernel
-from tests.conftest import blood_test_schema
+from tests.conftest import blood_test_schema, with_deleted_latency_row
 
 
 def telemetry_platform(guard_mode: str = "hash"):
@@ -402,7 +403,7 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# Histogram / latency-summary edge cases
+# Histogram edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -422,13 +423,6 @@ class TestHistogramEdgeCases:
             assert histogram.quantile(q) == 0.3
         summary = histogram.summary()
         assert summary["p50"] == summary["p99"] == 0.3
-
-    def test_latency_summary_empty_and_single(self):
-        from repro.obs.benchreport import LATENCY_KEYS, latency_summary
-
-        assert latency_summary([]) == {key: 0.0 for key in LATENCY_KEYS}
-        single = latency_summary([0.042])
-        assert single == {key: 0.042 for key in LATENCY_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -481,89 +475,26 @@ class TestTraceContext:
 
 
 # ---------------------------------------------------------------------------
-# Profiler
+# Profiling: the wall ledger's traced run, not a telemetry collaborator
 # ---------------------------------------------------------------------------
 
 
 class TestProfiler:
-    def test_noop_profiler_is_inert(self):
-        """No profiler attached is ``None``: spans close and ``profile``
-        calls return without one."""
-        controller, hospital, blood, doctor = telemetry_platform()
-        assert controller.telemetry.profiler is None
-        publish_one(hospital, blood)
-        controller.telemetry.profile("link.hop", 0.2, source="a", target="b")
-        assert controller.telemetry.profiler is None
-
-    def test_sampling_profiler_attributes_time_per_section(self):
-        from repro.obs.profiling import SamplingProfiler
-
-        profiler = SamplingProfiler(clock=Clock())
-        profiler.record("pipeline.stage", 0.2, stage="decide")
-        profiler.record("pipeline.stage", 0.4, stage="decide")
-        profiler.record("link.hop", 0.1, source="a", target="b")
-        rows = profiler.snapshot()
-        assert len(rows) == 2
-        by_section = {row["section"]: row for row in rows}
-        stage = by_section["pipeline.stage"]
-        assert stage["samples"] == 2
-        assert stage["seconds"] == pytest.approx(0.6)
-        assert stage["mean"] == pytest.approx(0.3)
-        assert profiler.total_seconds() == pytest.approx(0.7)
-
-    def test_profiler_labels_pass_the_guard(self):
-        from repro.obs.profiling import SamplingProfiler
-
-        guard = PrivacyGuard(secret="s")
-        profiler = SamplingProfiler(clock=Clock(), guard=guard)
-        profiler.record("pipeline.stage", 0.1, subject_ref="pat-17")
-        row = profiler.snapshot()[0]
-        assert row["labels"]["subject_ref"].startswith("h:")
-        assert "pat-17" not in json.dumps(profiler.snapshot())
-        assert "pat-17" not in "".join(profiler.profile_lines())
-
-    def test_enabled_profiler_survives_noop_attachments(self):
-        """Nobody but the caller attaches a profiler: building controllers
-        over a shared telemetry afterwards leaves the caller's in place."""
-        from repro.obs.profiling import SamplingProfiler
-
-        telemetry = InMemoryTelemetry(clock=Clock())
-        sampling = SamplingProfiler(clock=telemetry.clock)
-        telemetry.attach_profiler(sampling)
-        for seed in ("a", "b"):
-            DataController(seed=seed, clock=telemetry.clock,
-                           services_context={"telemetry": telemetry})
-        assert telemetry.profiler is sampling
-        telemetry.profile("link.hop", 0.2, source="a", target="b")
-        assert sampling.total_seconds() == pytest.approx(0.2)
-
-    def test_stage_spans_feed_the_profiler(self):
-        from repro.obs.profiling import SECTION_STAGE, SamplingProfiler
-
-        controller, hospital, blood, doctor = telemetry_platform()
-        telemetry = controller.telemetry
-        telemetry.attach_profiler(
-            SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard))
-        publish_one(hospital, blood)
-        sections = {row["section"] for row in telemetry.profiler.snapshot()}
-        assert SECTION_STAGE in sections
-
     def test_kernel_resolves_profiling_backends(self):
-        """There is no ``profiling`` kind: the name is refused with the
-        how-to, and the how-to works."""
+        """There is no ``profiling`` kind and no profiler on a telemetry:
+        the name is refused with the how-to, and the how-to exists."""
         from repro.exceptions import ConfigurationError
-        from repro.obs.profiling import SamplingProfiler
 
         assert "profiling" not in default_kernel().kinds()
-        with pytest.raises(ConfigurationError, match=r"attach_profiler\(SamplingProfiler"):
+        with pytest.raises(ConfigurationError,
+                           match=r"python benchmarks/wall/run\.py --trace"):
             RuntimeConfig(telemetry="inmemory", profiling="sampling")
         controller = DataController(
             seed="prof", runtime=RuntimeConfig(telemetry="inmemory"))
         assert not hasattr(controller, "profiler")
-        profiler = SamplingProfiler(clock=controller.clock,
-                                    guard=controller.telemetry.guard)
-        controller.telemetry.attach_profiler(profiler)
-        assert controller.telemetry.profiler is profiler
+        assert not hasattr(controller.telemetry, "profiler")
+        run = Path(__file__).resolve().parent.parent / "benchmarks/wall/run.py"
+        assert '"--trace"' in run.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +540,6 @@ class TestSLOEngine:
             platform, slo=None, config=WatchdogConfig(queue_depth_ceiling=0))
         bundle = tripped.poll()
         assert bundle["slo"] is None and bundle["burn_rates"] == {}
-
-    def test_latency_attainment_counts_bucket_observations(self):
-        from repro.obs.slo import KIND_LATENCY, SLOEngine, SLObjective
-
-        telemetry = self.make_telemetry()
-        for value in (0.01, 0.02, 0.03, 0.2):  # 3 of 4 within 50ms
-            telemetry.observe(PIPELINE_DURATION, value,
-                              pipeline="request-details")
-        objective = SLObjective(
-            name="lat", kind=KIND_LATENCY, metric=PIPELINE_DURATION,
-            labels=(("pipeline", "request-details"),),
-            target=0.95, threshold=0.05,
-        )
-        engine = SLOEngine(telemetry, objectives=(objective,))
-        status = engine.evaluate().statuses[0]
-        assert status.attainment == pytest.approx(0.75)
-        assert status.breached is True
-        assert status.burn_rate == pytest.approx(0.25 / 0.05)
 
     def test_ratio_attainment_and_breach(self):
         from repro.obs.slo import KIND_RATIO, SLOEngine, SLObjective
@@ -732,20 +645,30 @@ class TestSLOEngine:
         assert payload["breaches"] == 0
         assert len(payload["objectives"]) == len(report.statuses)
 
-    @pytest.mark.parametrize("argv, pinned", [
-        (["slo", "--scenario", "federated", "--nodes", "2", "--events", "80",
-          "--patients", "12", "--drops", "2"],
-         "90d8c770a6aed59be3dd5cac367060a397590896d2b1a1644b5a0fa6d4e21d11"),
-        # Re-pinned (was 51f55337…) when the one-node run became a
-        # federation of one: node-0 now reports its queue-depth gauge, so
-        # ``node-queues-drained`` observes one series where it observed
-        # none.  An id without the digest: a re-pin is not a rename.
+    # Both re-pinned when the stock ``request-details-latency`` objective
+    # (it read simulated pipeline durations) was deleted: the one byte
+    # difference is its status row, first in the report.  ``was`` is the
+    # digest before that, ``observed`` the row's request-for-details count;
+    # the test puts the row back and gets ``was``.  The telemetry case was
+    # re-pinned once before (51f55337… → 7880d363…) when the one-node run
+    # became a federation of one: node-0 reports its queue-depth gauge, so
+    # ``node-queues-drained`` observes one series.  Ids carry no digest: a
+    # re-pin is not a rename.
+    @pytest.mark.parametrize("argv, pinned, was, observed", [
+        pytest.param(
+            ["slo", "--scenario", "federated", "--nodes", "2", "--events",
+             "80", "--patients", "12", "--drops", "2"],
+            "999e80b48cc72b64f5e501b27d743560e5e97bb5dc4ff7594fea97ffec5e9c86",
+            "90d8c770a6aed59be3dd5cac367060a397590896d2b1a1644b5a0fa6d4e21d11",
+            58.0, id="slo-federated-drops"),
         pytest.param(
             ["telemetry", "--scenario", "default"],
+            "9a1365338d1f990ad43a41b32cd22fe63bbf5047ce3f67561a5d1b8ba6f7af70",
             "7880d363d711b4c2aacf374b4c86fe4e939cae82ca976f0333fa488fcf68b7d2",
-            id="telemetry-default"),
+            133.0, id="telemetry-default"),
     ])
-    def test_slo_payload_bytes_are_pinned(self, tmp_path, capsys, argv, pinned):
+    def test_slo_payload_bytes_are_pinned(self, tmp_path, capsys, argv, pinned,
+                                          was, observed):
         """The SLO engine reads every objective through the registry's
         series accessors; these digests were taken before those became
         callers of one iterator."""
@@ -755,6 +678,10 @@ class TestSLOEngine:
         capsys.readouterr()
         payload = (tmp_path / "slo.json").read_bytes()
         assert hashlib.sha256(payload).hexdigest() == pinned
+        restored = with_deleted_latency_row(json.loads(payload), observed)
+        assert hashlib.sha256(json.dumps(
+            restored, indent=2, sort_keys=True).encode() + b"\n"
+        ).hexdigest() == was
 
     def test_kernel_resolves_slo_backends(self):
         """There is no ``slo`` kind: the name is refused with the how-to,

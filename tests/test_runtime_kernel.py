@@ -24,7 +24,6 @@ from repro.exceptions import AccessDeniedError, ConfigurationError, TamperedLogE
 from repro.federation.index import FederatedIndexStore
 from repro.federation.platform import FederatedPlatform
 from repro.obs.guard import TelemetryPrivacyError
-from repro.obs.profiling import SECTION_STAGE, SamplingProfiler
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.perf import PerfLayer
@@ -71,9 +70,9 @@ class TestKernelRegistry:
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
         # Only collaborators with a real choice are kernel kinds (store,
-        # index and audit follow from ``data_dir``, an SLO engine or
-        # profiler is built by whoever reads it, the one hot path by the
-        # controller); the design-size CI step fails past these two numbers.
+        # index and audit follow from ``data_dir``, an SLO engine is built
+        # by whoever reads it, the one hot path by the controller); the
+        # design-size CI step fails past these two numbers.
         assert kernel.kinds() == ("batch", "recorder", "sched", "telemetry")
         assert len(fields(RuntimeConfig)) == 13
         # No name stands for a fact.
@@ -519,22 +518,20 @@ class TestOneObserverRule:
                     node.telemetry.count("probe", subject_id="ap-00000001")
 
     def test_a_shared_backend_has_the_one_profiler_its_caller_attached(self):
-        # (4) At the parent ``profiling="sampling"`` built one profiler per
-        # node and left the last node's attached, beside the first node's
-        # recorder; ``controller_of("node-0").profiler`` stayed empty.
+        # (4) Once ``profiling="sampling"`` built one profiler per node and
+        # left the last node's attached, beside the first node's recorder.
+        # The one profiler now is the wall ledger's traced run: a shared
+        # backend carries none, and still keeps the first node's recorder
+        # when a node joins.
         with pytest.raises(ConfigurationError, match="RuntimeConfig.profiling selects nothing"):
             RuntimeConfig(telemetry="inmemory", profiling="sampling")
         deployment = build_federation(shards=4, runtime=RuntimeConfig(
             telemetry="inmemory", recorder="ring"))
         platform = deployment.platform
         telemetry = platform.telemetry
-        assert telemetry.profiler is None
-        mine = SamplingProfiler(clock=telemetry.clock, guard=telemetry.guard)
-        telemetry.attach_profiler(mine)
         platform.add_node()
         deployment.publish_blood_test()
-        assert telemetry.profiler is mine
-        assert SECTION_STAGE in {row["section"] for row in mine.snapshot()}
+        assert not hasattr(telemetry, "profiler")
         assert telemetry.recorder is platform.controller_of("node-0").recorder
         assert len({id(node.controller.recorder) for node in platform.nodes()}) == 5
         assert not any(hasattr(node.controller, name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import main as cli_main
-from repro.obs.benchreport import latency_summary, scenario_summary
+from repro.obs.benchreport import scenario_summary
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
@@ -64,31 +64,21 @@ class TestScenarioSummary:
         telemetry = run_scenario().controller.telemetry
         payload = scenario_summary(telemetry, source="test")
         assert validate(payload) == []
-        figures = {entry["figure"] for entry in payload["benchmarks"]}
-        assert "scenario" in figures
-        pipelines = {entry["name"] for entry in payload["benchmarks"]}
-        assert any("publish" in name for name in pipelines)
-
-    def test_latency_summary_shape(self):
-        summary = latency_summary([0.001, 0.002, 0.003, 0.010])
-        assert summary["min"] == 0.001 and summary["max"] == 0.010
-        assert summary["p50"] <= summary["p95"] <= summary["p99"]
+        assert set(payload) == {"schema", "source", "counters"}
+        executions = {key for key in payload["counters"]
+                      if key.startswith("pipeline.invocations_total{")}
+        assert any("pipeline=publish" in key for key in executions)
 
     def test_schema_check_flags_malformed_payloads(self):
         assert validate([]) == ["top level must be a JSON object"]
-        problems = validate({"schema": "nope", "source": "", "benchmarks": []})
+        problems = validate({"schema": "nope", "source": "", "counters": {}})
         assert any("schema" in problem for problem in problems)
-        problems = validate({"schema": "css-bench-obs/2", "source": "",
-                             "benchmarks": []})
+        problems = validate({"schema": "css-bench-obs/3", "source": ""})
         assert any("source" in problem for problem in problems)
-        assert any("benchmarks" in problem for problem in problems)
-        bad_entry = {
-            "schema": "css-bench-obs/2", "source": "x",
-            "benchmarks": [{"name": "n", "figure": "f", "ops_per_second": 10,
-                            "latency_seconds": {"p50": 2, "p95": 1, "p99": 3,
-                                                "mean": 1, "min": 0, "max": 3}}],
-        }
-        assert any("p50 <= p95" in problem for problem in validate(bad_entry))
+        assert any("counters" in problem for problem in problems)
+        bad_counter = {"schema": "css-bench-obs/3", "source": "x",
+                       "counters": {"bus.published_total{}": "many"}}
+        assert any("counters" in problem for problem in validate(bad_counter))
 
 
 class TestTelemetryCli:
@@ -127,10 +117,7 @@ class TestTelemetryCli:
         assert check_main([]) == 2
         good = tmp_path / "good.json"
         good.write_text(json.dumps({
-            "schema": "css-bench-obs/2", "source": "test",
-            "benchmarks": [{"name": "n", "figure": "f", "ops_per_second": 1.0,
-                            "latency_seconds": {"p50": 1, "p95": 1, "p99": 1,
-                                                "mean": 1, "min": 1, "max": 1}}],
+            "schema": "css-bench-obs/3", "source": "test",
             "counters": {"c": 1},
         }))
         assert check_main([str(good)]) == 0
