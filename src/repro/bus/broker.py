@@ -29,8 +29,6 @@ class BusStats:
     published: int = 0
     fanned_out: int = 0
     dispatch_rounds: int = 0
-    bytes_published: int = 0
-    bytes_fanned_out: int = 0
 
     def reset(self) -> None:
         """Zero every counter (benchmark warm-up / measurement windows).
@@ -44,8 +42,6 @@ class BusStats:
         self.published = 0
         self.fanned_out = 0
         self.dispatch_rounds = 0
-        self.bytes_published = 0
-        self.bytes_fanned_out = 0
 
 
 class ServiceBus:
@@ -168,11 +164,9 @@ class ServiceBus:
             correlation_id=correlation_id,
             headers=headers or {},
         )
-        size = envelope.size_estimate()
         self.stats.published += 1
-        self.stats.bytes_published += size
         matching = self._subscriptions.matching_topic(topic)
-        self._fan_out(envelope, matching, now, size)
+        self._fan_out(envelope, matching, now)
         if self.auto_dispatch and matching:
             self.dispatch()
         return envelope
@@ -183,7 +177,7 @@ class ServiceBus:
                 and not self._subscriptions.pending)
 
     def _fan_out(self, envelope: Envelope, matching: list[Subscription],
-                 now: float, size: int) -> None:
+                 now: float) -> None:
         """Enqueue one envelope into every matching subscription — into an
         idle bus, onto the round's direct list, counted as queued: sched
         metering and shedding, queue/dead-letter high-water marks, telemetry."""
@@ -211,7 +205,6 @@ class ServiceBus:
             else:
                 direct.append((subscription, envelope))
             self.stats.fanned_out += 1
-            self.stats.bytes_fanned_out += size
         if shed_any:
             if self._recorder is not None:
                 self._recorder.record("bus.deadletter", topic=topic,

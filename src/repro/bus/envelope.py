@@ -10,7 +10,7 @@ in the queues, not the envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.exceptions import BusError
 
@@ -27,8 +27,6 @@ class Envelope:
     correlation_id: str | None = None
     content_type: str = "application/xml"
     headers: Mapping[str, str] = field(default_factory=dict)
-    _decoded: object = field(default=None, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self) -> None:
         if not self.message_id:
@@ -41,20 +39,6 @@ class Envelope:
     def header(self, name: str, default: str | None = None) -> str | None:
         """Return header ``name`` or ``default``."""
         return self.headers.get(name, default)
-
-    def decoded(self, parser: Callable[[str], object]) -> object:
-        """The body as ``parser`` reads it, parsed on first use.
-
-        The envelope is shared by every queue it fans out to and each later
-        caller gets the same object, so ``parser`` must return an immutable
-        one.  A parse that raises retains nothing: every delivery of a body
-        that does not parse fails on its own.
-        """
-        decoded = self._decoded
-        if decoded is None:
-            decoded = parser(str(self.body))
-            object.__setattr__(self, "_decoded", decoded)
-        return decoded
 
     def with_topic(self, topic: str) -> "Envelope":
         """Copy of this envelope re-addressed to ``topic`` (for re-routing)."""

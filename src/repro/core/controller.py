@@ -52,7 +52,7 @@ from repro.core.enforcement import DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.idmap import EventIdMap
 from repro.core.index import EventsIndex
-from repro.core.messages import NotificationMessage
+from repro.core.messages import NotificationMessage, notification_of
 from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.core.roster import PatientRoster
@@ -495,11 +495,11 @@ class DataController:
         roster_scoped: bool = False,
     ) -> Callable[[Envelope], None]:
         """The bus-side delivery handler of one subscription, local or
-        relayed: read the notification (decoded once per envelope), apply the
-        roster filter, audit the delivery, then hand it to ``handler``."""
+        relayed: read the notification the body carries, apply the roster
+        filter, audit the delivery, then hand it to ``handler``."""
 
         def deliver(envelope: Envelope) -> None:
-            notification = envelope.decoded(NotificationMessage.from_xml)
+            notification = notification_of(envelope.body)
             if roster_scoped and not self.roster.is_assigned(
                 consumer_id, notification.subject_ref
             ):

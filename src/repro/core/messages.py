@@ -69,19 +69,30 @@ class NotificationMessage:
 
     @classmethod
     def from_xml(cls, text: str) -> "NotificationMessage":
-        """Parse the XML wire form."""
+        """Parse the XML wire form, the inverse of :meth:`to_xml`: element
+        text is kept as it is, and an empty element reads as ``""``."""
         doc = from_xml(text)
         if doc.schema_name != "Notification":
             raise MessageError(f"not a notification document: {doc.schema_name!r}")
+        value = {name: raw or "" for name, raw in doc.items()}
         return cls(
-            event_id=str(doc["eventId"]),
-            event_type=str(doc["eventType"]),
-            producer_id=str(doc["producerId"]),
-            occurred_at=float(str(doc["occurredAt"])),
-            summary=str(doc["summary"]),
-            subject_ref=str(doc["subjectRef"]),
-            subject_display=str(doc["subjectDisplay"]) if doc["subjectDisplay"] is not None else "",
+            event_id=value["eventId"],
+            event_type=value["eventType"],
+            producer_id=value["producerId"],
+            occurred_at=float(value["occurredAt"]),
+            summary=value["summary"],
+            subject_ref=value["subjectRef"],
+            subject_display=value["subjectDisplay"],
         )
+
+
+def notification_of(body: object) -> NotificationMessage:
+    """The notification a bus body carries: the value the platform published,
+    or a text body's parse — XML from outside, parsed afresh on every call,
+    so a body that does not parse fails each delivery on its own."""
+    if isinstance(body, NotificationMessage):
+        return body
+    return NotificationMessage.from_xml(str(body))
 
 
 @dataclass(frozen=True)

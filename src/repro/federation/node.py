@@ -34,6 +34,7 @@ distribution:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -42,7 +43,7 @@ from repro.audit.log import AuditRecord
 from repro.audit.query import AuditQuery
 from repro.core.actors import Actor, ActorKind
 from repro.core.enforcement import DetailRequest
-from repro.core.messages import DetailMessage
+from repro.core.messages import DetailMessage, NotificationMessage, notification_of
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import (
     AccessDeniedError,
@@ -349,8 +350,8 @@ class FederationNode:
             return self._relays[key]
 
         def relay(envelope) -> None:
-            self.ask(origin, "bus.relay",
-                     self._sealed_relay_frame(topic, str(envelope.body)))
+            self.ask(origin, "bus.relay", self._sealed_relay_frame(
+                topic, notification_of(envelope.body)))
 
         subscription = self.controller.bus.subscribe(
             f"federation-relay:{origin}", topic, relay
@@ -358,8 +359,9 @@ class FederationNode:
         self._relays[key] = subscription.subscription_id
         return subscription.subscription_id
 
-    def _sealed_relay_frame(self, topic: str, xml: str) -> dict:
-        """Seal a relay frame once per distinct notification.
+    def _sealed_relay_frame(self, topic: str, notification: NotificationMessage) -> dict:
+        """Seal a relay frame (the topic beside the notification's typed
+        fields) once per distinct notification.
 
         The same notification relayed toward several peer nodes reuses one
         sealed frame instead of sealing *k* times (safe: deterministic
@@ -367,24 +369,25 @@ class FederationNode:
         The cache key is content this node itself published and already
         holds in the clear.
         """
-        key = (topic, xml)
+        key = (topic, notification)
         frame = self._relay_frames.get(key)
         if frame is not None:
             self._perf.record_hit("seal")
             return frame
         self._perf.record_miss("seal")
         return self._relay_frames.put(
-            key, self.seal_channel({"topic": topic, "xml": xml}))
+            key, self.seal_channel({"topic": topic, **asdict(notification)}))
 
     def _op_bus_relay(self, payload: dict) -> dict:
-        """Re-publish a relayed notification on this node's local bus."""
+        """Re-publish a relayed notification value on this node's local bus."""
         body = self.open_channel(payload)
-        topic = body["topic"]
+        topic = body.pop("topic")
         if topic not in self._relay_topics:
             self.controller.bus.declare_topic(topic)
             self._relay_topics.add(topic)
         self.controller.bus.publish(
-            topic, sender=f"federation:{payload['from']}", body=body["xml"]
+            topic, sender=f"federation:{payload['from']}",
+            body=NotificationMessage(**body),
         )
         return {"ok": True, "node": self.node_id}
 

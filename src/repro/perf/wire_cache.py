@@ -38,7 +38,7 @@ class SealedFrameCache:
     """Memoized sealed frames, keyed by the caller's frame identity.
 
     Keys must already be privacy-safe for in-memory retention (the relay
-    uses the notification's topic plus its XML body — content the sender
+    uses ``(topic, notification)`` — the frozen notification the sender
     itself produced and holds anyway); nothing is ever exported.
     """
 

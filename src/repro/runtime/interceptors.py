@@ -442,13 +442,10 @@ def build_publish_pipeline(
 
     def route(context) -> None:
         """Fans the notification out over the transport (pub/sub routing)."""
-        notification = context["notification"]
-        event_class = context["event_class"]
         transport.publish(
-            topic=event_class.topic,
+            topic=context["event_class"].topic,
             sender=context["producer_id"],
-            body=notification.to_xml(),
-            headers={"eventId": notification.event_id, "eventType": event_class.name},
+            body=context["notification"],
         )
 
     return Pipeline(

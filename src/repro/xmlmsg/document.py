@@ -128,7 +128,8 @@ def from_xml(text: str, schema: MessageSchema | None = None) -> XmlDocument:
     """Parse an XML string back into an :class:`XmlDocument`.
 
     With a ``schema``, element text is coerced to typed Python values;
-    without one, values stay strings.  Empty elements parse to ``None``.
+    without one, values stay strings, whitespace included.  Empty elements
+    parse to ``None``.
     """
     try:
         root = ET.fromstring(text)
@@ -138,7 +139,7 @@ def from_xml(text: str, schema: MessageSchema | None = None) -> XmlDocument:
     fields: dict[str, object] = {}
     for child in root:
         name = child.tag.split("}", 1)[-1]
-        if child.text is None or child.text.strip() == "":
+        if not child.text:
             fields[name] = None
         elif schema is not None and schema.has_element(name):
             fields[name] = schema.element(name).type_.parse(child.text)

@@ -33,26 +33,6 @@ class TestEnvelope:
         assert moved.message_id == env.message_id
         assert moved.body == env.body
 
-    def test_decoded_parses_once_and_stays_out_of_equality_and_copies(self):
-        env, calls = envelope(body="12"), []
-
-        def parse(text):
-            calls.append(text)
-            return (int(text),)
-
-        assert env.decoded(parse) is env.decoded(parse)
-        assert calls == ["12"]
-        assert env == envelope(body="12") and "_decoded" not in repr(env)
-        assert env.with_topic("events.other").decoded(parse) == (12,)
-        assert calls == ["12", "12"]
-
-    def test_decoded_retains_nothing_from_a_parse_that_raises(self):
-        env = envelope(body="twelve")
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                env.decoded(int)
-        assert env.decoded(len) == 6
-
     def test_size_estimate_scales_with_body(self):
         small = envelope(body="x").size_estimate()
         large = envelope(body="x" * 1000).size_estimate()

@@ -116,14 +116,13 @@ class TestUndecodableNotification:
         monkeypatch.setattr(NotificationMessage, "from_xml", classmethod(
             lambda cls, text: parses.append(text) or from_xml(cls, text)))
         bus = platform_small.controller.bus
-        envelope = bus.publish(platform_small.blood_class.topic,
-                               "Hospital-S-Maria", "<Notification><eventId>")
+        bus.publish(platform_small.blood_class.topic,
+                    "Hospital-S-Maria", "<Notification><eventId>")
         report = bus.dispatch()  # the publish ran round one
         assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 0)
         report = bus.dispatch()
         assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 2)
         assert len(parses) == 6  # 2 subscribers x max_attempts, none reused
-        assert envelope.decoded(lambda text: None) is None
         assert bus.dead_letter_counts() == {platform_small.blood_class.topic: 2}
         assert bus.pending_messages() == 0
         assert platform_small.doctor.inbox == platform_small.statistics.inbox == []
@@ -136,10 +135,8 @@ class TestUndecodableNotification:
         bus = platform_small.controller.bus
         body = platform_small.publish_blood_test().to_xml().replace(
             "Notification>", "Notice>")
-        envelope = bus.publish(platform_small.blood_class.topic,
-                               "Hospital-S-Maria", body)
+        bus.publish(platform_small.blood_class.topic, "Hospital-S-Maria", body)
         assert bus.dispatch().failed == 2  # round two, as many as round one
-        assert envelope.decoded(lambda text: None) is None
 
 
 class TestSubscriptionGating:

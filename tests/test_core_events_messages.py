@@ -2,6 +2,8 @@
 and repro.core.idmap."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.catalog import EventCatalog
 from repro.core.events import EventClass, EventOccurrence
@@ -96,6 +98,15 @@ class TestEventOccurrence:
             )
 
 
+#: Element text: empty, whitespace-only and markup-bearing strings, then
+#: any text XML 1.0 carries — except ``\r``, which parsers turn into ``\n``.
+TEXT = st.one_of(
+    st.sampled_from(["", " ", " \t\n ", "<b>x</b> & y", "]]> \"q\" 'a'"]),
+    st.text(st.characters(exclude_categories=("Cs", "Cc", "Cn"),
+                          include_characters="\t\n"), max_size=20),
+)
+
+
 class TestNotificationMessage:
     def notification(self) -> NotificationMessage:
         return NotificationMessage(
@@ -115,6 +126,15 @@ class TestNotificationMessage:
             occurred_at=0.0, summary="s", subject_ref="r",
         )
         assert NotificationMessage.from_xml(original.to_xml()) == original
+
+    @given(st.builds(
+        NotificationMessage,
+        event_id=TEXT.filter(bool), event_type=TEXT.filter(bool),
+        producer_id=TEXT.filter(bool), occurred_at=st.floats(allow_nan=False),
+        summary=TEXT, subject_ref=TEXT.filter(bool), subject_display=TEXT))
+    @settings(max_examples=80, deadline=None)
+    def test_property_from_xml_inverts_to_xml(self, notification):
+        assert NotificationMessage.from_xml(notification.to_xml()) == notification
 
     def test_wrong_document_rejected(self):
         with pytest.raises(MessageError):

@@ -89,8 +89,8 @@ class TestRosterScopedDelivery:
 
     def test_subscribers_share_one_frozen_notification_filtered_per_consumer(
             self, roster_world):
-        """The envelope is decoded once; the roster filter still runs for
-        each consumer against that one object."""
+        """The envelope carries one notification value; the roster filter
+        still runs for each consumer against that one object."""
         controller, hospital, rossi, verdi, statistics, publish = roster_world
         publish("p1")
         assert rossi.inbox[0] is statistics.inbox[0]

@@ -1,5 +1,6 @@
 """End-to-end tests for the sharded multi-controller platform."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import exceptions
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
+from repro.core.messages import NotificationMessage
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
     AccessDeniedError,
@@ -131,6 +133,43 @@ class TestCrossNodeSubscription:
         platform.dispatch_all()
         assert len(platform.consumer("FamilyDoctors/Dr-Rossi").inbox) == 1
         assert len(platform.consumer("FamilyDoctors/Dr-Verdi").inbox) == 1
+
+    def test_a_relay_frame_carries_the_value_and_it_lands_equal(
+            self, federation_two, monkeypatch):
+        """The frame holds the notification's typed fields, not XML, so an
+        empty summary and an empty display cross the hop as they are."""
+        platform = federation_two.platform
+        platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+        receiver, opened = platform.node("node-1"), []
+
+        def open_channel(sealed, real=receiver.open_channel):
+            frame = real(sealed)
+            opened.append(dict(frame))
+            return frame
+
+        monkeypatch.setattr(receiver, "open_channel", open_channel)
+        notification = platform.publish(
+            "Hospital-S-Maria", federation_two.blood_class, subject_id="pat-1",
+            subject_name="", summary="",
+            details={"PatientId": "pat-1", "Name": "Mario", "Hemoglobin": 14.0,
+                     "Glucose": 92.0, "HivResult": "negative"})
+        assert (notification.summary, notification.subject_display) == ("", "")
+        assert platform.consumer("FamilyDoctors/Dr-Rossi").inbox == [notification]
+        [frame] = [frame for frame in opened if "topic" in frame]
+        assert frame == {"topic": federation_two.blood_class.topic,
+                         **dataclasses.asdict(notification)}
+        assert "xml" not in frame
+
+    def test_relaying_to_a_peer_parses_no_xml(self, federation_two, monkeypatch):
+        platform = federation_two.platform
+        platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+        parses = []
+        monkeypatch.setattr(NotificationMessage, "from_xml", classmethod(
+            lambda cls, text: parses.append(text)))
+        sent = [federation_two.publish_blood_test(subject_id=f"pat-{index}")
+                for index in range(2)]
+        assert platform.consumer("FamilyDoctors/Dr-Rossi").inbox == sent
+        assert parses == []
 
 
 VERDI = "FamilyDoctors/Dr-Verdi"

@@ -496,9 +496,10 @@ def test_warm_hops_encode_nothing_build_no_span_and_mint_no_context(
 def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
         prod_platform, monkeypatch):
     """One publish to N subscribers among M >> N subscriptions, every
-    queue idle: one ``from_xml`` on each node with a subscriber, N handler
-    calls and no queue visit, one ``note_fanout`` per bus and no
-    ``should_shed`` (an empty queue cannot shed)."""
+    queue idle: no ``from_xml`` anywhere (the bus and the relay frame carry
+    the notification as a value), N handler calls and no queue visit, one
+    ``note_fanout`` per bus and no ``should_shed`` (an empty queue cannot
+    shed)."""
     platform, blood = prod_platform
     other = platform.declare_event_class("Hospital", MessageSchema(
         "Discharge", [ElementDecl("PatientId", StringType(min_length=1),
@@ -541,7 +542,7 @@ def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     publish(platform, blood, 1, first=1)
     # Three subscribers per node, and node-0's one relay toward node-1.
-    assert counts == {"from_xml": 2, "dispatch_subscription": 0,
+    assert counts == {"from_xml": 0, "dispatch_subscription": 0,
                       "deliver": 6 + 1, "note_fanout": 2, "should_shed": 0}
     assert [len(inbox) for inbox in inboxes] == [2] * 6
     assert len({id(inbox[1]) for inbox in inboxes}) == 2  # one object a node
