@@ -40,8 +40,8 @@ def build_micro_platform(
     Policy #0 grants the benchmark consumer; the remaining ``n_policies-1``
     grant unrelated actors, so they are candidates the matcher must walk —
     the Fig. 4 scaling axis.  ``runtime`` (a
-    :class:`repro.RuntimeConfig`) selects kernel backends, e.g. the JSONL
-    index/audit pair for durable-backend benchmarks.
+    :class:`repro.RuntimeConfig`) names the controller's switches and
+    data directory, e.g. the JSONL index/audit pair for durable-backend benchmarks.
     """
     controller = DataController(seed=seed, runtime=runtime)
     producer = DataProducer(controller, "Hospital", "Hospital")

@@ -48,7 +48,7 @@ from repro.core.purposes import (
 )
 from repro.exceptions import AccessDeniedError, CssError
 from repro.federation import FederatedPlatform
-from repro.runtime.kernel import RuntimeConfig, ServiceKernel, default_kernel
+from repro.runtime.kernel import RuntimeConfig
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import (
@@ -103,10 +103,8 @@ __all__ = [
     "RuntimeConfig",
     "SERVICE_MONITORING",
     "STATISTICAL_ANALYSIS",
-    "ServiceKernel",
     "StringType",
     "WallClock",
     "XmlDocument",
-    "default_kernel",
     "is_privacy_safe",
 ]

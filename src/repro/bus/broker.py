@@ -75,12 +75,12 @@ class ServiceBus:
         self._queue_high_water_global = 0
         self._dead_letter_high_water = 0
         self._telemetry = telemetry
-        # The tenant scheduler (kernel kind "sched").  The bus only calls
+        # The tenant scheduler (the "sched" switch).  The bus only calls
         # methods on it — metering publishes/fan-out, asking whether a
         # subscriber's backlog must shed, draining the virtual server —
         # so the bus layer stays import-free of repro.sched.
         self._sched = sched
-        # The flight recorder (kernel kind "recorder"), duck-typed like
+        # The flight recorder (the "recorder" switch), duck-typed like
         # telemetry so the bus stays import-free of repro.obs: saturation
         # transitions (shedding, high-water advances) leave a trail in
         # its ring for incident bundles to export.

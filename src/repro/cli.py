@@ -38,8 +38,7 @@ armed — and writes the ``css-incident/1`` bundles the first trigger
 captures (exit 1 when no watchdog fired); ``timeline`` runs the same
 watched workload and prints the merged cross-node flight-recorder
 timeline; ``inspect`` restores an archive
-and prints its audit summary (verifying the hash chain in the process);
-``kernel`` prints the service-kernel wiring table.
+and prints its audit summary (verifying the hash chain in the process).
 """
 
 from __future__ import annotations
@@ -60,15 +59,7 @@ from repro.baselines import (
 from repro.clock import DAY
 from repro.exceptions import ConfigurationError
 from repro.obs.benchreport import write_summary
-from repro.obs.guard import MODE_HASH, MODE_REJECT
-from repro.runtime.kernel import (
-    KIND_BATCH,
-    KIND_SCHED,
-    WIRING,
-    RuntimeConfig,
-    default_kernel,
-    suggest,
-)
+from repro.runtime.kernel import SWITCHES, RuntimeConfig, suggest
 from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
 from repro.sim.generators import DEFAULT_SEED
 from repro.sim.scenario import CssScenario, ScenarioConfig
@@ -81,9 +72,6 @@ from repro.workload import (
     workload_config,
 )
 
-
-#: The in-tree implementations: what ``--sched/--batch`` may name.
-_KERNEL = default_kernel()
 
 #: Where a one-node run's durable backends write, under ``--durable DIR``.
 _NODE_0 = "node-0"
@@ -108,12 +96,12 @@ OPTIONS: dict[str, dict] = {
                   "help": "keep index and audit log in the segmented "
                           "storage engine under DIR/node-0"},
     "--sched": {"default": "none",
-                "known": _KERNEL.implementations(KIND_SCHED),
+                "known": SWITCHES["sched"],
                 "help": "tenant scheduler on every node: none (fifo "
                         "baseline) or fair (per-tenant admission + "
                         "deficit round-robin)"},
     "--batch": {"default": "off",
-                "known": _KERNEL.implementations(KIND_BATCH),
+                "known": SWITCHES["batch"],
                 "help": "batched execution on every node: off (per-event "
                         "writes and frames) or on (group commit + "
                         "coalesced shard frames)"},
@@ -131,7 +119,8 @@ OPTIONS: dict[str, dict] = {
     "--nodes": {"type": int, "default": 2,
                 "help": "federation size for --scenario federated "
                         "(default {default})"},
-    "--guard": {"default": MODE_HASH, "known": (MODE_HASH, MODE_REJECT),
+    "--guard": {"default": RuntimeConfig.telemetry_guard,
+                "known": SWITCHES["telemetry_guard"],
                 "help": "privacy-guard mode for labels/attributes"},
     "--trace-out": {"metavar": "FILE",
                     "help": "write the span trace as JSONL to FILE"},
@@ -334,19 +323,6 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     if args.out:
         write_jsonl(args.out, stitched_lines(traces))
         print(f"wrote {args.out}", file=out)
-    return 0
-
-
-def _cmd_kernel(args: argparse.Namespace, out) -> int:
-    defaults = RuntimeConfig()
-    print("service kernel wiring (kind: implementations, * = default):", file=out)
-    chosen = {kind: getattr(defaults, config_field)
-              for kind, config_field, _ in WIRING}
-    for kind, names in _KERNEL.wiring().items():
-        rendered = ", ".join(
-            f"{name}*" if name == chosen[kind] else name for name in names
-        )
-        print(f"  {kind:<10} {rendered}", file=out)
     return 0
 
 
@@ -758,7 +734,6 @@ COMMANDS = (
     )),
     ("inspect", "restore an archive and audit it", _cmd_inspect,
      ("directory", "--secret")),
-    ("kernel", "print the service-kernel wiring table", _cmd_kernel, ()),
 )
 
 
@@ -788,7 +763,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_values(args: argparse.Namespace) -> None:
     """Refuse what an option enumerates or counts cannot take — the one
-    place, before anything runs, in the kernel's did-you-mean wording."""
+    place, before anything runs, in the configuration's did-you-mean
+    wording."""
     for dest, known in args.enumerated.items():
         value = vars(args)[dest]
         if value not in known:

@@ -17,16 +17,15 @@ policy" (§4).  Its responsibilities, each a method below:
 * **resolve events-index inquiries**, also policy-gated;
 * **maintain audit logs** of every access for the privacy guarantor.
 
-Collaborators with a real choice — telemetry, recorder, scheduler,
-batching — are resolved by name through the
-:mod:`~repro.runtime.kernel` (see
-:class:`~repro.runtime.kernel.RuntimeConfig`); the keystore, perf layer,
-bus, endpoint detail fetcher and policy enforcer have one implementation
-each and are constructed here, and so are the storage engine, the events
-index and the audit log, whose kind follows from facts: durable iff the
-runtime has a ``data_dir``, sharded iff a federation membership was handed
-in.  Both hot paths — notification publish and request-for-details — run
-through the stage pipelines of :mod:`repro.runtime.interceptors`.
+Every collaborator is constructed here.  Those with a real choice —
+telemetry, recorder, scheduler, batching — from the name their
+:class:`~repro.runtime.kernel.RuntimeConfig` field holds; the keystore,
+perf layer, bus, endpoint detail fetcher and policy enforcer have one
+implementation each; the storage engine, the events index and the audit
+log follow from facts: durable iff the runtime has a ``data_dir``,
+sharded iff a federation membership was handed in.  Both hot paths —
+notification publish and request-for-details — run through the stage
+pipelines of :mod:`repro.runtime.interceptors`.
 """
 
 from __future__ import annotations
@@ -63,8 +62,10 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.ids import IdFactory
+from repro.obs.recorder import FlightRecorder
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.perf import PerfLayer
-from repro.runtime.batching import BatchWriter
+from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.runtime.interceptors import (
     PUBLISH,
     REQUEST_DETAILS,
@@ -74,30 +75,40 @@ from repro.runtime.interceptors import (
     build_publish_pipeline,
 )
 from repro.runtime.interfaces import CooperationGateway
-from repro.runtime.kernel import (
-    WIRING,
-    RuntimeConfig,
-    ServiceKernel,
-    default_kernel,
-)
-from repro.runtime.services import (
-    EndpointDetailFetcher,
-    SchedulerGate,
-    gateway_endpoint_name,
+from repro.runtime.kernel import RuntimeConfig
+from repro.runtime.services import EndpointDetailFetcher, gateway_endpoint_name
+from repro.sched.scheduler import (
+    POLICY_DRR,
+    POLICY_FIFO,
+    WORK_DETAILS,
+    TenantScheduler,
 )
 
 #: Callback receiving decrypted notifications at an authorized subscriber.
 NotificationHandler = Callable[[NotificationMessage], None]
 
 
+def named_telemetry(runtime: RuntimeConfig, clock: Clock,
+                    master_secret: str) -> InMemoryTelemetry | None:
+    """The telemetry backend ``runtime.telemetry`` names: ``None`` for
+    ``noop``.  A bare controller builds its own with it, and a platform
+    the one backend its nodes share."""
+    if runtime.telemetry == "noop":
+        return None
+    return InMemoryTelemetry(clock=clock, guard_mode=runtime.telemetry_guard,
+                             secret=master_secret)
+
+
 class DataController:
     """The CSS platform's central node.
 
     ``runtime`` selects the named implementation of every collaborator
-    that has a choice and says where (if anywhere) the node's logs live;
-    ``kernel`` overrides the registry those names are resolved against;
-    ``services_context`` is what a federated platform hands its nodes
-    (membership and node identity, its telemetry, scheduler settings).
+    that has a choice and says where (if anywhere) the node's logs live.
+    The keyword-only rest is what a federated platform hands its nodes:
+    the ``telemetry`` to record into (used as it is, whatever
+    ``runtime.telemetry`` names), the ``membership`` and ``node_id`` of
+    this node's shard, and the ``sched_config`` its scheduler is built
+    with (``None`` keeps the defaults).
     """
 
     def __init__(
@@ -108,31 +119,31 @@ class DataController:
         encrypt_identity: bool = True,
         auto_dispatch: bool = True,
         runtime: RuntimeConfig | None = None,
-        kernel: ServiceKernel | None = None,
-        services_context: dict | None = None,
+        *,
+        telemetry: InMemoryTelemetry | None = None,
+        membership=None,
+        node_id: str | None = None,
+        sched_config=None,
     ) -> None:
         self.clock = clock or Clock()
         self.ids = IdFactory(seed=seed)
-        self.runtime = runtime or RuntimeConfig()
-        self.kernel = kernel or default_kernel()
+        self.runtime = runtime = runtime or RuntimeConfig()
         self.keystore = KeyStore(master_secret)
-        # One construction context for every kernel-built collaborator:
-        # ``services_context`` under this controller's own values, and each
-        # service joins it under its kind as it is built — the key later
-        # factories read it by.  A service handed in under its kind (the
-        # platform's telemetry) is used as it is, whatever the name says.
+        # The four switches, in this order: each reads the ones before it.
         # An off name builds nothing: the attribute is then ``None``.
-        context = {
-            **(services_context or {}),
-            "clock": self.clock, "master_secret": master_secret,
-            "telemetry_guard": self.runtime.telemetry_guard,
-            "batch_size": self.runtime.batch_size,
-        }
-        for kind, config_field, attribute in WIRING:
-            if kind not in context:
-                context[kind] = self.kernel.create(
-                    kind, getattr(self.runtime, config_field), **context)
-            setattr(self, attribute, context[kind])
+        self.telemetry = telemetry if telemetry is not None else (
+            named_telemetry(runtime, self.clock, master_secret))
+        self.recorder = FlightRecorder(
+            clock=self.clock, guard=getattr(self.telemetry, "guard", None),
+        ) if runtime.recorder == "ring" else None
+        self.sched = TenantScheduler(
+            clock=self.clock,
+            policy=POLICY_DRR if runtime.sched == "fair" else POLICY_FIFO,
+            config=sched_config, telemetry=self.telemetry,
+            secret=master_secret, recorder=self.recorder,
+        )
+        self.batch = BatchPolicy(
+            batch_size=runtime.batch_size) if runtime.batch == "on" else None
         # The one hot path: policy index, decision cache, subscription trie
         # and wire caches (bound to its epoch sources below).
         self.perf = PerfLayer(secret=master_secret, telemetry=self.telemetry)
@@ -155,16 +166,15 @@ class DataController:
             index = JsonlIndexStore(self._durable_log("index"), self.keystore,
                                     encrypt_identity=encrypt_identity)
             self.audit_log = JsonlAuditSink(self._durable_log("audit"))
-        if "membership" in context:
+        if membership is not None:
             from repro.federation.index import FederatedIndexStore
 
             index = FederatedIndexStore(
-                local=index, membership=context["membership"],
-                node_id=context["node_id"], batch=self.batch)
+                local=index, membership=membership,
+                node_id=node_id, batch=self.batch)
         self.index = index
         if self.telemetry is not None:
             self.telemetry.attach_recorder(self.recorder)
-        self._sched_gate = SchedulerGate(self.sched, self.clock)
         self.bus = ServiceBus(
             clock=self.clock, ids=self.ids, auto_dispatch=auto_dispatch,
             telemetry=self.telemetry, perf=self.perf, sched=self.sched,
@@ -212,7 +222,7 @@ class DataController:
             index_store=self.index,
             transport=self.bus,
             telemetry=self.telemetry,
-            sched=self._sched_gate,
+            sched=self.sched,
         )
         self._details_pipeline = build_details_edge_pipeline(
             contracts=self.contracts,
@@ -222,7 +232,7 @@ class DataController:
                 "controller.getEventDetails", request
             ),
             telemetry=self.telemetry,
-            sched=self._sched_gate,
+            sched=self.sched,
         )
         self.endpoints.expose(
             "controller.getEventDetails",
@@ -271,11 +281,6 @@ class DataController:
     def detail_fetcher(self):
         """The gateway client used by the enforcer's fetch stage."""
         return self._fetcher
-
-    @property
-    def sched_gate(self):
-        """The scheduler's ingress gate (federation nodes admit through it)."""
-        return self._sched_gate
 
     # -- identity management (the paper's future-work extension) --------------
 
@@ -519,10 +524,10 @@ class DataController:
         stage invokes the ``controller.getEventDetails`` endpoint, i.e.
         the enforcer's Algorithm 1 chain.
         """
-        if not self._sched_gate.shapes_ingress:
+        if not self.sched.shapes_ingress:
             # Fifo baseline: no sched stage is composed into the edge
             # pipeline, so accounting meters the request here.
-            self._sched_gate.meter_details(consumer_id)
+            self.sched.submit(consumer_id, WORK_DETAILS, self.clock.now())
         return self._details_pipeline.execute(Invocation(
             REQUEST_DETAILS,
             {"consumer_id": consumer_id, "request": request,

@@ -36,7 +36,7 @@ from repro.core.consent import ConsentRegistry
 from repro.core.idmap import EventIdMap
 from repro.core.messages import DetailMessage
 from repro.core.purposes import PurposeRegistry
-from repro.exceptions import AccessDeniedError, ConfigurationError
+from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
 from repro.perf import PerfLayer
 from repro.runtime.interceptors import (
@@ -47,7 +47,6 @@ from repro.runtime.interceptors import (
     resolve_request_entry,
 )
 from repro.runtime.interfaces import DetailFetcher
-from repro.runtime.services import DirectDetailFetcher
 from repro.xacml.context import (
     ATTR_ENV_TIME,
     ATTR_RESOURCE_EVENT_ID,
@@ -60,8 +59,6 @@ from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.pep import PolicyEnforcementPoint
 from repro.xacml.pip import PolicyInformationPoint
 
-#: Resolves a producer id to its local cooperation gateway (or a remote proxy).
-GatewayResolver = Callable[[str], object]
 #: Resolves a producer id to its consent registry (may return None).
 ConsentResolver = Callable[[str], "ConsentRegistry | None"]
 
@@ -92,9 +89,7 @@ class PolicyEnforcer:
 
     Decisions come from ``perf``, a :class:`~repro.perf.PerfLayer` bound
     to the certified policy repository.  Gateway access goes through a
-    :class:`~repro.runtime.interfaces.DetailFetcher`.  Pass one as
-    ``fetcher``; the legacy ``gateway_resolver`` callable is still accepted
-    and wrapped in a :class:`~repro.runtime.services.DirectDetailFetcher`.
+    :class:`~repro.runtime.interfaces.DetailFetcher`, the ``fetcher``.
     """
 
     def __init__(
@@ -102,24 +97,14 @@ class PolicyEnforcer:
         perf: PerfLayer,
         id_map: EventIdMap,
         purposes: PurposeRegistry,
-        gateway_resolver: GatewayResolver | None = None,
-        audit_log: AuditLog | None = None,
-        clock: Clock | None = None,
-        ids: IdFactory | None = None,
+        *,
+        audit_log: AuditLog,
+        clock: Clock,
+        ids: IdFactory,
+        fetcher: DetailFetcher,
         consent_resolver: ConsentResolver | None = None,
-        fetcher: DetailFetcher | None = None,
         telemetry=None,
     ) -> None:
-        if audit_log is None or clock is None or ids is None:
-            raise ConfigurationError(
-                "PolicyEnforcer needs audit_log, clock and ids"
-            )
-        if fetcher is None:
-            if gateway_resolver is None:
-                raise ConfigurationError(
-                    "PolicyEnforcer needs a fetcher or a gateway_resolver"
-                )
-            fetcher = DirectDetailFetcher(gateway_resolver)
         self._perf = perf
         self._id_map = id_map
         self._purposes = purposes

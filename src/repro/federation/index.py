@@ -61,7 +61,7 @@ class FederatedIndexStore:
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        #: Batch policy (kernel kind ``batch: on``): remote stores
+        #: Batch policy (``batch: on``): remote stores
         #: coalesce into per-owner frames instead of one link call per
         #: entry.  ``None`` (``batch: off``) ships every entry alone.
         self._batch = batch

@@ -55,6 +55,7 @@ from repro.exceptions import (
 )
 from repro.obs.context import TraceContext
 from repro.perf.wire_cache import SealedFrameCache
+from repro.sched.scheduler import WORK_DETAILS
 from repro.storage.schemas import type_from_dict, type_to_dict
 from repro.xmlmsg.document import XmlDocument
 
@@ -434,7 +435,8 @@ class FederationNode:
         # Remote requests skip the consumer node's details-edge pipeline,
         # so the home node is where the scheduler meters (and, under
         # fair, admission-checks) the requesting organization's ingress.
-        self.controller.sched_gate.details(payload["actor_id"])
+        self.controller.sched.ingress(
+            payload["actor_id"], WORK_DETAILS, self.controller.clock.now())
         actor = Actor(
             actor_id=payload["actor_id"],
             name=payload.get("actor_name") or payload["actor_id"],

@@ -33,7 +33,7 @@ from repro.audit.log import AuditAction, AuditOutcome
 from repro.bus.delivery import DeliveryPolicy
 from repro.clock import Clock
 from repro.core.consumer import DataConsumer
-from repro.core.controller import DataController
+from repro.core.controller import DataController, named_telemetry
 from repro.core.enforcement import DetailRequest
 from repro.core.events import EventClass
 from repro.core.messages import DetailMessage, NotificationMessage
@@ -46,12 +46,7 @@ from repro.obs.guard import PrivacyGuard
 from repro.obs.stitch import StitchedTrace, stitch
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.interceptors import classify
-from repro.runtime.kernel import (
-    KIND_TELEMETRY,
-    RuntimeConfig,
-    ServiceKernel,
-    default_kernel,
-)
+from repro.runtime.kernel import RuntimeConfig
 from repro.xmlmsg.schema import MessageSchema
 
 
@@ -74,7 +69,6 @@ class FederatedPlatform:
         encrypt_identity: bool = True,
         clock: Clock | None = None,
         runtime: RuntimeConfig | None = None,
-        kernel: ServiceKernel | None = None,
         telemetry=None,
         link_latency: float = 0.005,
         link_policy: DeliveryPolicy | None = None,
@@ -82,7 +76,6 @@ class FederatedPlatform:
         sched_config=None,
     ) -> None:
         self.clock = clock or Clock()
-        self.kernel = kernel or default_kernel()
         self._master_secret = master_secret
         self._seed = seed
         self._encrypt_identity = encrypt_identity
@@ -106,10 +99,8 @@ class FederatedPlatform:
             self._node_guard = PrivacyGuard(
                 mode=self._base_runtime.telemetry_guard, secret=master_secret)
         elif telemetry is None:
-            telemetry = self.kernel.create(
-                KIND_TELEMETRY, self._base_runtime.telemetry,
-                clock=self.clock, master_secret=master_secret,
-                telemetry_guard=self._base_runtime.telemetry_guard)
+            telemetry = named_telemetry(self._base_runtime, self.clock,
+                                        master_secret)
         self.telemetry = telemetry
         self.membership = StaticMembership(
             shards=shards, clock=self.clock, master_secret=master_secret,
@@ -155,13 +146,10 @@ class FederatedPlatform:
             seed=f"{self._seed}-{node_id}",
             encrypt_identity=self._encrypt_identity,
             runtime=node_runtime,
-            kernel=self.kernel,
-            services_context={
-                "membership": self.membership,
-                "node_id": node_id,
-                "telemetry": node_telemetry,
-                "sched_config": self._sched_config,
-            },
+            telemetry=node_telemetry,
+            membership=self.membership,
+            node_id=node_id,
+            sched_config=self._sched_config,
         )
         return FederationNode(node_id, controller, self.membership)
 

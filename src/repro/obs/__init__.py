@@ -1,6 +1,6 @@
 """Privacy-safe observability: metrics, tracing, guard and exporters.
 
-See :mod:`repro.obs.telemetry` for the kernel-resolved facade,
+See :mod:`repro.obs.telemetry` for the telemetry facade,
 :mod:`repro.obs.guard` for the privacy guard that keeps telemetry from
 becoming a side channel, :mod:`repro.obs.context` /
 :mod:`repro.obs.stitch` for cross-node trace propagation and stitching,

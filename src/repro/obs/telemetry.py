@@ -1,7 +1,7 @@
-"""The ``Telemetry`` service: the kernel-resolved observability facade.
+"""The ``Telemetry`` service: the observability facade.
 
-One backend, registered in the service kernel like every other
-collaborator (``RuntimeConfig(telemetry="inmemory")``):
+One backend, built by the controller when its runtime names it
+(``RuntimeConfig(telemetry="inmemory")``):
 :class:`InMemoryTelemetry` — a :class:`~repro.obs.metrics.MetricsRegistry`
 plus a :class:`~repro.obs.tracing.Tracer` sharing one
 :class:`~repro.obs.guard.PrivacyGuard`, timed against the platform's

@@ -1,7 +1,7 @@
-"""Runtime layer: service interfaces, kernel and hot-path pipelines.
+"""Runtime layer: service interfaces, configuration and hot-path pipelines.
 
 See :mod:`repro.runtime.interfaces` for the collaborator protocols,
-:mod:`repro.runtime.kernel` for the composition root and
+:mod:`repro.runtime.kernel` for the runtime configuration and
 :mod:`repro.runtime.interceptors` for the hot-path pipelines.
 """
 
@@ -23,7 +23,7 @@ from repro.runtime.interfaces import (
     NotificationTransport,
     PolicyDecisionPoint,
 )
-from repro.runtime.kernel import RuntimeConfig, ServiceKernel, default_kernel
+from repro.runtime.kernel import RuntimeConfig
 from repro.runtime.services import (
     DirectDetailFetcher,
     EndpointDetailFetcher,
@@ -58,10 +58,8 @@ __all__ = [
     "PolicyDecisionPoint",
     "PublishStats",
     "RuntimeConfig",
-    "ServiceKernel",
     "build_details_edge_pipeline",
     "build_enforcement_pipeline",
     "build_publish_pipeline",
-    "default_kernel",
     "gateway_endpoint_name",
 ]

@@ -1,4 +1,4 @@
-"""Group-commit batching for durable record logs (kernel kind ``batch``).
+"""Group-commit batching for durable record logs (the ``batch`` switch).
 
 The durable backends (:class:`~repro.runtime.backends.JsonlIndexStore`,
 :class:`~repro.runtime.backends.JsonlAuditSink`) write one record per
@@ -25,8 +25,8 @@ also undoes the part of a batch it did write before failing
 (``SegmentedLog.write_entries``), so the retry writes each record once;
 the flat-file baseline has no such undo.
 
-``BatchPolicy`` is what the kernel's ``batch`` kind produces: ``off``
-yields ``None`` (no wrapping anywhere), ``on`` yields a policy carrying
+``BatchPolicy`` is what the controller builds for the ``batch`` switch:
+``off`` is ``None`` (no wrapping anywhere), ``on`` a policy carrying
 the configured ``batch_size``.
 """
 
@@ -40,7 +40,7 @@ from repro.exceptions import ConfigurationError
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """The platform-wide batching knob (kernel kind ``batch: on``)."""
+    """The platform-wide batching knob (``batch: on``)."""
 
     batch_size: int = 256
 

@@ -10,11 +10,11 @@ a terminal operation, run by the one loop in :meth:`Pipeline.execute`:
   (endpoint)`` feeding the enforcement chain ``stats → audit → resolve →
   consent → decide → fetch → filter`` (Algorithm 1).
 
-With the fair tenant scheduler (kernel kind ``sched``, implementation
-``fair``) both ingress pipelines additionally lead with a ``sched``
-admission stage — per-tenant token-bucket metering that counts and
-penalty-boxes over-rate tenants without ever denying the operation (see
-:mod:`repro.sched` and docs/SCHEDULING.md).  Under the default ``none``
+With the fair tenant scheduler (``RuntimeConfig(sched="fair")``) both
+ingress pipelines additionally lead with a ``sched`` admission stage —
+per-tenant token-bucket metering that counts and penalty-boxes over-rate
+tenants without ever denying the operation (see :mod:`repro.sched` and
+docs/SCHEDULING.md).  Under the default ``none``
 scheduler no stage is composed, so the default chains above are
 byte-for-byte unchanged.
 
@@ -53,6 +53,7 @@ from repro.exceptions import (
 )
 from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
 from repro.perf.decision_cache import CachedDecision
+from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
 from repro.xacml.context import (
     ATTR_ACTION_PURPOSE,
     ATTR_RESOURCE_EVENT_ID,
@@ -218,21 +219,25 @@ class Pipeline:
         return result
 
 
-def _sched_stages(sched, actor_key: str, edge: str) -> tuple[Stage, ...]:
+def _sched_stages(sched, clock, actor_key: str, edge: str) -> tuple[Stage, ...]:
     """Per-tenant token-bucket admission at an ingress edge (fair sched).
 
-    Composed only when the fair scheduler is wired.  The gate's verdict
-    is advisory by design — an over-rate tenant is counted and demoted to
+    Composed only when the fair scheduler is wired.  The verdict is
+    advisory by design — an over-rate tenant is counted and demoted to
     a penalty weight, but the operation itself always proceeds, which is
     what keeps decisions and audit trails identical across schedulers.
+    A publish is admitted here (the bus meters it); a request for details
+    is metered and admitted in one ``ingress`` call.
     """
     if sched is None or not sched.shapes_ingress:
         return ()
-
-    gate = sched.publish if edge == PUBLISH else sched.details
+    publish = edge == PUBLISH
 
     def admit(context) -> None:
-        context["sched_admitted"] = gate(context[actor_key])
+        actor_id = context[actor_key]
+        context["sched_admitted"] = (
+            sched.admit(actor_id, WORK_PUBLISH, clock.now()) if publish
+            else sched.ingress(actor_id, WORK_DETAILS, clock.now()))
 
     return (Stage("sched", admit),)
 
@@ -352,9 +357,9 @@ def build_publish_pipeline(
 ) -> Pipeline:
     """The notification-publish hot path (§4): encrypt → index → route → audit.
 
-    ``sched`` (a :class:`~repro.runtime.services.SchedulerGate`) prepends
-    the fair scheduler's admission stage; with the default ``none``
-    scheduler (or no gate) the historical chain is composed unchanged.
+    ``sched`` (the controller's tenant scheduler) prepends the fair
+    scheduler's admission stage; with the default ``none`` scheduler (or
+    none at all) the historical chain is composed unchanged.
     """
 
     def count(context, result, failure) -> None:
@@ -451,7 +456,7 @@ def build_publish_pipeline(
     return Pipeline(
         PUBLISH,
         (
-            *_sched_stages(sched, "producer_id", PUBLISH),
+            *_sched_stages(sched, clock, "producer_id", PUBLISH),
             Stage("stats", go_on, count),
             _contract_stage(contracts, clock, "producer_id", produce=True),
             Stage("admission", admit),
@@ -606,8 +611,8 @@ def build_details_edge_pipeline(
 ) -> Pipeline:
     """The controller edge of the details path: contract → authenticate → endpoint.
 
-    As with the publish pipeline, a shaping ``sched`` gate prepends the
-    fair scheduler's admission stage; otherwise the chain is unchanged.
+    As with the publish pipeline, a shaping ``sched`` prepends the fair
+    scheduler's admission stage; otherwise the chain is unchanged.
     """
 
     def authenticate(context) -> None:
@@ -627,7 +632,7 @@ def build_details_edge_pipeline(
     return Pipeline(
         f"{REQUEST_DETAILS}-edge",
         (
-            *_sched_stages(sched, "consumer_id", REQUEST_DETAILS),
+            *_sched_stages(sched, clock, "consumer_id", REQUEST_DETAILS),
             _contract_stage(contracts, clock, "consumer_id", produce=False),
             Stage("authenticate", authenticate),
         ),

@@ -15,9 +15,8 @@ sharded or distributed independently:
 * :class:`CipherProvider` — named-key sealing of identifying information;
 * :class:`NotificationTransport` — the pub/sub service bus.
 
-Concrete implementations are registered by name in
-:mod:`repro.runtime.kernel`; the :class:`~repro.core.controller.DataController`
-resolves every collaborator through that kernel and only ever sees these
+The :class:`~repro.core.controller.DataController` constructs its
+concrete collaborators itself and only ever uses them through these
 shapes.
 """
 

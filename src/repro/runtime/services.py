@@ -12,44 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.exceptions import EndpointError, SourceUnavailableError
-from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
-
-
-class SchedulerGate:
-    """The ingress face of the tenant scheduler (admission hooks).
-
-    Pipeline stages and federation node endpoints call this instead of
-    the scheduler directly, so ingress points share one convention: meter
-    the work unit, take the token-bucket verdict, never block the
-    operation.  ``publish`` admits the producing organization at the
-    publish edge; ``details`` admits the consuming organization at the
-    request-for-details edge.
-    """
-
-    def __init__(self, sched, clock) -> None:
-        self._sched = sched
-        self._clock = clock
-
-    @property
-    def shapes_ingress(self) -> bool:
-        """Whether the wired scheduler is the fair (shaping) policy."""
-        return self._sched.shapes_ingress
-
-    def publish(self, producer_id: str) -> bool:
-        """Admission verdict for one publish by ``producer_id``'s tenant."""
-        return self._sched.admit(producer_id, WORK_PUBLISH, self._clock.now())
-
-    def details(self, consumer_id: str) -> bool:
-        """Meter + admission verdict for one request-for-details."""
-        return self._sched.ingress(consumer_id, WORK_DETAILS, self._clock.now())
-
-    def meter_details(self, consumer_id: str) -> None:
-        """Meter a request-for-details without an admission verdict.
-
-        Used by the fifo baseline, where no ``sched`` pipeline stage is
-        composed: accounting still sees the work, admission stays inert.
-        """
-        self._sched.submit(consumer_id, WORK_DETAILS, self._clock.now())
 
 
 def gateway_endpoint_name(producer_id: str) -> str:

@@ -1,4 +1,4 @@
-"""Fair multi-tenant admission control and scheduling (kernel kind ``sched``).
+"""Fair multi-tenant admission control and scheduling (the ``sched`` switch).
 
 See :mod:`repro.sched.scheduler` for the policy engine and
 ``docs/SCHEDULING.md`` for the design.  The fairness benchmark harness

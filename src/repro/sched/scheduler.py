@@ -1,17 +1,17 @@
 """Fair multi-tenant scheduling of broker and detail work.
 
 The platform is shared by many consumer organizations (tenants); the
-broker is the contention point.  :class:`TenantScheduler` is the kernel's
-``sched`` kind: it meters every unit of tenant-attributable work —
+broker is the contention point.  :class:`TenantScheduler` is what the
+``sched`` switch builds: it meters every unit of tenant-attributable work —
 publishes, per-subscription fan-out, requests for details — into
 per-tenant queues and *serves* them with a fluid-model virtual server
 driven by the simulated clock (capacity accrues at ``service_rate``
 work-seconds per simulated second; the policy decides who spends it):
 
-* policy ``fifo`` (kernel name ``none``) serves strictly in arrival
+* policy ``fifo`` (switch name ``none``) serves strictly in arrival
   order — exactly the dispatch behaviour the bus has always had, now
   with per-tenant accounting (shares, waits, starvation);
-* policy ``drr`` (kernel name ``fair``) serves tenant queues
+* policy ``drr`` (switch name ``fair``) serves tenant queues
   deficit-round-robin with per-tenant weights, token-bucket admission at
   ingress and an abusive-tenant penalty box
   (:mod:`repro.sched.tokens`).

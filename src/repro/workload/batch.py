@@ -1,6 +1,6 @@
 """The batch equivalence harness (``BENCH_batch.json``).
 
-Batched execution (kernel kind ``batch``) must be a pure performance
+Batched execution (the ``batch`` switch) must be a pure performance
 knob: group-commit durability, coalesced federation frames and
 vectorized fanout may change *when* bytes hit disk and how many wire
 frames cross, but never what the platform decides or what its audit

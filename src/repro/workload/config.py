@@ -27,7 +27,7 @@ Four named scenarios ship with the platform:
     Fair-sharing probe: a wider roster from :func:`multi_tenant_roster`
     (N consumer organizations with Zipf-skewed weights, one mid-rank
     abusive) at an elevated detail-heavy rate — the scenario the
-    ``sched`` kernel kind's fairness figures come from.
+    ``sched`` switch's fairness figures come from.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ SCENARIOS: dict[str, dict[str, object]] = {
 def workload_config(name: str, **overrides: object) -> WorkloadConfig:
     """A named scenario preset with field overrides applied on top.
 
-    Unknown scenario names fail with the kernel's did-you-mean
+    Unknown scenario names fail with the configuration's did-you-mean
     discipline, like every other enumeration in the platform.
     """
     try:

@@ -370,10 +370,9 @@ class TestBatchKernelKnob:
 
     def test_unknown_batch_name_suggests_the_nearest(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            DataController(seed="k", runtime=RuntimeConfig(batch="onn"))
+            RuntimeConfig(batch="onn")
         assert "did you mean 'on'?" in str(excinfo.value)
 
     def test_batch_size_validated_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            DataController(
-                seed="k", runtime=RuntimeConfig(batch="on", batch_size=0))
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            RuntimeConfig(batch="on", batch_size=0)

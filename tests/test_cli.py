@@ -6,9 +6,7 @@ import json
 
 import pytest
 
-from repro import RuntimeConfig
 from repro.cli import _build_parser, main
-from repro.runtime.kernel import WIRING
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -373,8 +371,6 @@ SURFACE = {
         ((), "directory", None, None),
         (("--secret",), "secret", "css-platform-secret", None),
     ],
-    "kernel": [
-    ],
 }
 
 
@@ -463,22 +459,3 @@ class TestOneRejectionPath:
             assert str(excinfo.value).startswith("repro slo: 2 scripted drops ")
             assert "no links to drop" in str(excinfo.value)
 
-
-class TestKernelCommand:
-    def test_stars_exactly_the_default_of_every_kind(self):
-        code, output = run_cli("kernel")
-        assert code == 0
-        starred = {}
-        for line in output.splitlines()[1:]:
-            kind, names = line.split(maxsplit=1)
-            starred[kind] = [name[:-1] for name in names.split(", ")
-                             if name.endswith("*")]
-        defaults = RuntimeConfig()
-        assert starred == {kind: [getattr(defaults, config_field)]
-                           for kind, config_field, _ in WIRING}
-        # Store, index and audit follow from ``data_dir`` and a reader is
-        # built by whoever reads: no row, nothing to star.
-        assert len(starred) == 4
-        assert not {"store", "index", "audit", "slo", "profiling",
-                    "perf"} & set(starred)
-        assert "shared" not in output and "federated" not in output

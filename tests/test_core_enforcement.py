@@ -18,6 +18,7 @@ from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, SourceUnavailableError
 from repro.ids import IdFactory
 from repro.perf import PerfLayer
+from repro.runtime.services import DirectDetailFetcher
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import IntegerType, StringType
@@ -50,7 +51,7 @@ class EnforcerHarness:
             perf=self.perf,
             id_map=self.id_map,
             purposes=PurposeRegistry(),
-            gateway_resolver=lambda producer_id: self.gateway,
+            fetcher=DirectDetailFetcher(lambda producer_id: self.gateway),
             audit_log=self.audit,
             clock=self.clock,
             ids=IdFactory(seed="harness"),

@@ -1,4 +1,4 @@
-"""docs/ARCHITECTURE.md states the stage order and the kernel table once,
+"""docs/ARCHITECTURE.md states the stage order and the switch table once,
 docs/FEDERATION.md the wire protocol; this keeps them equal to what the
 code composes."""
 
@@ -6,9 +6,9 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from repro import DataController, RuntimeConfig, default_kernel
+from repro import DataController, RuntimeConfig
 from repro.federation.node import WIRE_ERRORS
-from repro.runtime.kernel import WIRING
+from repro.runtime.kernel import SWITCHES
 from tests.conftest import build_federation
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -36,19 +36,16 @@ def test_stage_order_lines_match_the_pipelines():
 
 
 def test_kernel_table_matches_the_default_kernel():
-    section = ARCHITECTURE.split("## The kernel\n")[1].split("\n## ")[0]
-    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| `(\w+)`", section, flags=re.M)
-    documented = {kind: tuple(re.findall(r"`(\w+)\*?`", names))
-                  for kind, names, _ in rows}
-    assert documented == default_kernel().wiring()
-    # kind -> RuntimeConfig field is stated once, in the kernel's rows.
-    assert sorted((kind, field_name) for kind, _, field_name in rows) == sorted(
-        (kind, config_field) for kind, config_field, _ in WIRING)
+    section = ARCHITECTURE.split("## How a node is composed\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (`.+?) \|", section, flags=re.M)
+    documented = {switch: tuple(re.findall(r"`(\w+)\*?`", names))
+                  for switch, names in rows}
+    assert documented == SWITCHES
     defaults = RuntimeConfig()
-    for kind, names, field_name in rows:
+    for switch, names in rows:
         (starred,) = re.findall(r"`(\w+)\*`", names)
-        assert getattr(defaults, field_name) == starred, kind
-    assert f"({len(fields(RuntimeConfig))} fields" in section
+        assert getattr(defaults, switch) == starred, switch
+    assert f"; {len(fields(RuntimeConfig))} fields" in section
 
 
 def test_wire_protocol_tables_match_the_node():

@@ -13,7 +13,8 @@ from repro.obs.recorder import (
 )
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.obs.tracing import Tracer
-from repro.runtime.kernel import KIND_RECORDER, RuntimeConfig, default_kernel
+from repro.core.controller import DataController
+from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
@@ -32,7 +33,7 @@ class TestNoop:
     def test_noop_is_disabled_and_empty(self):
         """``recorder: noop`` builds nothing, so there is no ring to read:
         the platform has no recorder to freeze and no timeline rows."""
-        assert default_kernel().create(KIND_RECORDER, "noop", clock=Clock()) is None
+        assert DataController(runtime=RuntimeConfig(recorder="noop")).recorder is None
         scenario = CssScenario(ScenarioConfig(n_patients=2, n_events=4))
         scenario.run()
         assert scenario.platform.flight_recorders() == {}

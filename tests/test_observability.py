@@ -34,7 +34,7 @@ from repro.obs.telemetry import (
     InMemoryTelemetry,
 )
 from repro.obs.tracing import STATUS_ERROR, Tracer
-from repro.runtime.kernel import KIND_TELEMETRY, RuntimeConfig, default_kernel
+from repro.runtime.kernel import SWITCHES, RuntimeConfig
 from tests.conftest import blood_test_schema, with_deleted_latency_row
 
 
@@ -236,11 +236,10 @@ class TestTelemetryBackends:
             assert part._telemetry is None, part
 
     def test_kernel_resolves_both_backends(self):
-        kernel = default_kernel()
         clock = Clock()
-        noop = kernel.create(KIND_TELEMETRY, "noop", clock=clock)
-        inmem = kernel.create(KIND_TELEMETRY, "inmemory", clock=clock,
-                              telemetry_guard="reject", master_secret="s")
+        noop = DataController(clock=clock).telemetry
+        inmem = DataController(clock=clock, master_secret="s", runtime=RuntimeConfig(
+            telemetry="inmemory", telemetry_guard="reject")).telemetry
         assert noop is None
         assert isinstance(inmem, InMemoryTelemetry)
         assert inmem.clock is clock
@@ -485,7 +484,7 @@ class TestProfiler:
         the name is refused with the how-to, and the how-to exists."""
         from repro.exceptions import ConfigurationError
 
-        assert "profiling" not in default_kernel().kinds()
+        assert "profiling" not in SWITCHES
         with pytest.raises(ConfigurationError,
                            match=r"python benchmarks/wall/run\.py --trace"):
             RuntimeConfig(telemetry="inmemory", profiling="sampling")
@@ -689,7 +688,7 @@ class TestSLOEngine:
         from repro.exceptions import ConfigurationError
         from repro.obs.slo import SLOEngine
 
-        assert "slo" not in default_kernel().kinds()
+        assert "slo" not in SWITCHES
         with pytest.raises(ConfigurationError,
                            match=r"build SLOEngine\(telemetry\) where the report is read"):
             RuntimeConfig(telemetry="inmemory", slo="default")

@@ -1,8 +1,9 @@
-"""Service kernel and durable-backend tests.
+"""Runtime configuration, controller composition and durable-backend tests.
 
-Pins the composition-root contract: collaborators with a real choice
-resolve by name through the kernel, unknown names fail with the platform's
-configuration error, what follows from a fact (durable iff a data
+Pins the composition contract: collaborators with a real choice are
+built by the controller from the name their ``RuntimeConfig`` field holds,
+an unknown name is refused by the config itself in the platform's
+configuration-error wording, what follows from a fact (durable iff a data
 directory, sharded iff a membership, observed by the telemetry handed in)
 is read — the same way by a bare controller and under a platform — the
 in-memory implementations satisfy the runtime protocols, and the durable
@@ -15,7 +16,7 @@ from itertools import count, product
 
 import pytest
 
-from repro import DataConsumer, DataController, DataProducer, RuntimeConfig, default_kernel
+from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
 from repro.clock import Clock
 from repro.core.index import EventsIndex
@@ -24,10 +25,12 @@ from repro.exceptions import AccessDeniedError, ConfigurationError, TamperedLogE
 from repro.federation.index import FederatedIndexStore
 from repro.federation.platform import FederatedPlatform
 from repro.obs.guard import TelemetryPrivacyError
+from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.perf import PerfLayer
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
+from repro.runtime.batching import BatchPolicy
 from repro.runtime.interfaces import (
     AuditSink,
     CipherProvider,
@@ -37,7 +40,8 @@ from repro.runtime.interfaces import (
     NotificationTransport,
     PolicyDecisionPoint,
 )
-from repro.runtime.kernel import WIRING, ServiceKernel
+from repro.runtime.kernel import SWITCHES
+from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
 from repro.storage import SegmentedLog, StorageEngine
 from repro.storage.segment import encode_frame
 from tests.conftest import blood_test_schema, build_federation
@@ -61,44 +65,60 @@ def publish(hospital, blood, subject="p1"):
                  "Glucose": 90.0, "HivResult": "negative"})
 
 
+#: The switches that build a controller collaborator, each exposed under
+#: its own field's name (``telemetry_guard`` configures the telemetry).
+COLLABORATORS = ("telemetry", "recorder", "sched", "batch")
+
+
 class TestKernelRegistry:
     def test_default_wiring_table(self):
-        kernel = default_kernel()
-        wiring = kernel.wiring()
-        assert wiring["telemetry"] == ("inmemory", "noop")
-        assert wiring["sched"] == ("fair", "none")
-        assert wiring["recorder"] == ("noop", "ring")
-        assert wiring["batch"] == ("off", "on")
-        # Only collaborators with a real choice are kernel kinds (store,
+        assert SWITCHES == {
+            "telemetry": ("inmemory", "noop"),
+            "telemetry_guard": ("hash", "reject"),
+            "recorder": ("noop", "ring"),
+            "sched": ("fair", "none"),
+            "batch": ("off", "on"),
+        }
+        # Only collaborators with a real choice are switches (store,
         # index and audit follow from ``data_dir``, an SLO engine is built
         # by whoever reads it, the one hot path by the controller); the
-        # design-size CI step fails past these two numbers.
-        assert kernel.kinds() == ("batch", "recorder", "sched", "telemetry")
+        # design-size CI step fails past 13 fields.
         assert len(fields(RuntimeConfig)) == 13
         # No name stands for a fact.
         assert not {"federated", "shared"} & {
-            name for names in wiring.values() for name in names}
+            name for names in SWITCHES.values() for name in names}
 
     def test_unknown_kind_and_name_are_configuration_errors(self):
-        kernel = default_kernel()
-        with pytest.raises(ConfigurationError, match="unknown service kind"):
-            kernel.create("blockchain", "memory")
-        with pytest.raises(ConfigurationError, match="no 'sched' implementation"):
-            kernel.create("sched", "lottery")
-        # Store, index and audit are no longer kinds: nothing to name.
-        for kind in ("store", "index"):
-            with pytest.raises(ConfigurationError, match="unknown service kind"):
-                kernel.create(kind, "memory")
+        with pytest.raises(ConfigurationError, match="unknown sched 'lottery'"):
+            RuntimeConfig(sched="lottery")
+        # Store, index and audit are no switches: there is nothing to name.
+        assert not {"store", "index", "audit"} & set(SWITCHES)
+        with pytest.raises(TypeError):
+            RuntimeConfig(index="memory")
 
     def test_unknown_name_error_lists_implementations_and_suggests(self):
-        kernel = default_kernel()
         with pytest.raises(ConfigurationError,
                            match=r"available: fair, none") as excinfo:
-            kernel.create("sched", "fari")
+            RuntimeConfig(sched="fari")
         assert "did you mean 'fair'?" in str(excinfo.value)
-        with pytest.raises(ConfigurationError,
-                           match="did you mean 'telemetry'"):
-            kernel.create("telemetryy", "noop")
+
+    @pytest.mark.parametrize("field_name, typo, meant", [
+        ("telemetry", "inmemroy", "inmemory"),
+        ("telemetry_guard", "rejekt", "reject"),
+        ("recorder", "rign", "ring"),
+        ("sched", "fiar", "fair"),
+        ("batch", "onn", "on"),
+    ])
+    def test_a_mistyped_name_is_refused_by_the_config_itself(
+            self, field_name, typo, meant):
+        # At the parent a typo in ``telemetry_guard`` built a bare
+        # controller, and every one of these reached a controller before
+        # it was refused (as a ``ValueError`` for the guard mode).
+        with pytest.raises(ConfigurationError) as refusal:
+            RuntimeConfig(**{field_name: typo})
+        assert str(refusal.value) == (
+            f"unknown {field_name} {typo!r}; did you mean {meant!r}? "
+            f"available: {', '.join(SWITCHES[field_name])}")
 
     def test_jsonl_backend_without_data_dir_fails_fast(self):
         with pytest.raises(ConfigurationError,
@@ -107,13 +127,6 @@ class TestKernelRegistry:
         with pytest.raises(ConfigurationError,
                            match="needs RuntimeConfig.data_dir"):
             RuntimeConfig(audit_sink="jsonl")
-
-    def test_custom_registration_overrides(self):
-        kernel = default_kernel()
-        sentinel = object()
-        kernel.register("sched", "null", lambda **ctx: sentinel)
-        assert kernel.create("sched", "null") is sentinel
-        assert "null" in kernel.implementations("sched")
 
     def test_controller_collaborators_satisfy_the_protocols(self):
         controller, hospital, blood, doctor = build_world()
@@ -126,63 +139,60 @@ class TestKernelRegistry:
         assert isinstance(hospital.gateway, CooperationGateway)
 
 
-class RecordingKernel(ServiceKernel):
-    """Hands every request to the default kernel, remembering what it was
-    asked for, with which context, and what it gave."""
-
-    def __init__(self):
-        super().__init__()
-        self.inner = default_kernel()
-        self.asked: list[tuple[str, str]] = []
-        self.contexts: list[dict] = []
-        self.made: dict[str, object] = {}
-
-    def create(self, kind, name, **context):
-        self.asked.append((kind, name))
-        self.contexts.append(context)
-        self.made[kind] = self.inner.create(kind, name, **context)
-        return self.made[kind]
-
-
 class TestControllerWiring:
-    """``DataController`` builds its kernel collaborators in one loop over
-    ``WIRING``; the rows are the only statement of kind -> field -> attribute."""
-
-    def test_each_row_is_asked_for_once_in_order_by_its_configured_name(
-            self, tmp_path):
-        runtime = RuntimeConfig(
-            telemetry="inmemory", sched="fair", batch="on",
-            recorder="ring", data_dir=tmp_path)
-        kernel = RecordingKernel()
-        controller = DataController(seed="rows", runtime=runtime, kernel=kernel)
-        assert kernel.asked == [(kind, getattr(runtime, config_field))
-                                for kind, config_field, _ in WIRING]
-        for kind, _, attribute in WIRING:
-            assert getattr(controller, attribute) is kernel.made[kind], kind
+    """``DataController`` builds its four switches directly from its
+    ``RuntimeConfig``, each exposed under its field's name."""
 
     def test_rows_cover_every_kind_and_name_real_config_fields(self):
-        assert sorted(kind for kind, _, _ in WIRING) == list(
-            default_kernel().kinds())
-        assert {config_field for _, config_field, _ in WIRING} <= {
-            field.name for field in fields(RuntimeConfig)}
+        config_fields = {field.name for field in fields(RuntimeConfig)}
+        assert set(SWITCHES) <= config_fields
+        defaults = RuntimeConfig()
+        for field_name, names in SWITCHES.items():
+            assert getattr(defaults, field_name) in names, field_name
+        controller = DataController(seed="rows")
+        assert all(hasattr(controller, switch) for switch in COLLABORATORS)
 
     def test_a_later_factory_reads_an_earlier_service_under_its_kind(self):
-        kernel = RecordingKernel()
-        DataController(seed="rows", kernel=kernel)
-        for position, (kind, _, _) in enumerate(WIRING):
-            for later in kernel.contexts[position + 1:]:
-                assert later[kind] is kernel.made[kind]
+        controller = DataController(seed="rows", runtime=RuntimeConfig(
+            telemetry="inmemory", recorder="ring", sched="fair"))
+        assert controller.recorder.guard is controller.telemetry.guard
+        assert controller.sched._telemetry is controller.telemetry
+        assert controller.sched._recorder is controller.recorder
+        assert controller.sched.clock is controller.clock
 
-    def test_services_context_reaches_every_factory_under_explicit_keys(self):
-        marker = object()
-        kernel = RecordingKernel()
-        controller = DataController(
-            seed="rows", kernel=kernel,
-            services_context={"marker": marker, "clock": "not the clock"})
-        assert len(kernel.contexts) == len(WIRING)
-        for context in kernel.contexts:
-            assert context["marker"] is marker
-            assert context["clock"] is controller.clock
+    @pytest.mark.parametrize("arm", ["bare", "shared", "per-node"])
+    @pytest.mark.parametrize(
+        "telemetry, recorder, sched, batch",
+        list(product(*(SWITCHES[switch] for switch in COLLABORATORS))))
+    def test_every_switch_combination_builds_its_collaborators(
+            self, arm, telemetry, recorder, sched, batch):
+        runtime = RuntimeConfig(telemetry=telemetry, recorder=recorder,
+                                sched=sched, batch=batch, batch_size=5)
+        if arm == "bare":
+            controllers = [DataController(seed="combo", runtime=runtime)]
+        else:
+            platform = FederatedPlatform(
+                shards=2, runtime=runtime,
+                per_node_telemetry=arm == "per-node")
+            controllers = [node.controller for node in platform.nodes()]
+        observed = arm == "per-node" or telemetry == "inmemory"
+        for controller in controllers:
+            assert isinstance(controller.telemetry, InMemoryTelemetry) == observed
+            assert (controller.recorder is None) == (recorder == "noop")
+            if recorder == "ring":
+                assert isinstance(controller.recorder, FlightRecorder)
+                if observed:
+                    assert controller.recorder.guard is controller.telemetry.guard
+            assert isinstance(controller.sched, TenantScheduler)
+            assert controller.sched.policy == (
+                POLICY_DRR if sched == "fair" else POLICY_FIFO)
+            assert controller.sched._telemetry is controller.telemetry
+            assert controller.sched._recorder is controller.recorder
+            if batch == "on":
+                assert isinstance(controller.batch, BatchPolicy)
+                assert controller.batch.batch_size == 5
+            else:
+                assert controller.batch is None
 
 
 #: The names that stand for "off": each builds nothing.
@@ -299,7 +309,7 @@ class TestOneWiringRule:
         perf = DataController().perf
         assert isinstance(perf, PerfLayer)
         assert perf.policy_index is not None
-        assert "perf" not in default_kernel().kinds()
+        assert "perf" not in SWITCHES
 
     def test_no_name_stands_for_a_fact(self):
         # ``federated`` / ``shared`` used to reach factories that died on
@@ -307,18 +317,15 @@ class TestOneWiringRule:
         with pytest.raises(ConfigurationError, match="unknown index_store"):
             RuntimeConfig(index_store="federated")
         with pytest.raises(ConfigurationError,
-                           match="no 'telemetry' implementation named 'shared'"):
-            DataController(runtime=RuntimeConfig(telemetry="shared"))
+                           match="unknown telemetry 'shared'"):
+            RuntimeConfig(telemetry="shared")
 
     @pytest.mark.parametrize("durable", [False, True])
     def test_every_registered_name_builds_or_is_refused_never_a_key_error(
             self, durable, tmp_path):
-        rows = {kind: (config_field, attribute)
-                for kind, config_field, attribute in WIRING}
-        for kind, names in default_kernel().wiring().items():
-            config_field, attribute = rows[kind]
-            for name in names:
-                config = {config_field: name}
+        for kind in COLLABORATORS:
+            for name in SWITCHES[kind]:
+                config = {kind: name}
                 if durable:
                     config["data_dir"] = tmp_path / kind / name
                 try:
@@ -327,7 +334,7 @@ class TestOneWiringRule:
                 except ConfigurationError:
                     continue  # refused in the platform's own words: fine
                 # An off name builds nothing; every other name an object.
-                assert (getattr(controller, attribute) is None) == (
+                assert (getattr(controller, kind) is None) == (
                     (kind, name) in OFF_NAMES), (kind, name)
 
     @pytest.mark.parametrize("batch", ["off", "on"])
@@ -347,7 +354,7 @@ class TestOneWiringRule:
 
     def test_a_node_is_observed_by_the_telemetry_it_is_handed(self):
         handed = InMemoryTelemetry(clock=None)
-        controller = DataController(services_context={"telemetry": handed})
+        controller = DataController(telemetry=handed)
         assert controller.telemetry is handed
         platform = FederatedPlatform(shards=2, telemetry=handed)
         assert all(node.controller.telemetry is handed
@@ -399,8 +406,7 @@ def observed_state(arm, name, hand, per_node, guard):
     runtime = RuntimeConfig(telemetry=name, telemetry_guard=guard)
     handed = InMemoryTelemetry(clock=clock, guard_mode=guard) if hand else None
     if not ARMS[arm]:
-        context = {"telemetry": handed} if hand else None
-        owner = DataController(clock=clock, runtime=runtime, services_context=context)
+        owner = DataController(clock=clock, runtime=runtime, telemetry=handed)
         controllers = [owner]
     else:
         owner = FederatedPlatform(
@@ -476,7 +482,8 @@ class TestOneObserverRule:
 
     @pytest.mark.parametrize("kind, name", sorted(OFF_NAMES))
     def test_an_off_name_builds_nothing(self, kind, name):
-        assert default_kernel().create(kind, name, clock=Clock()) is None
+        controller = DataController(runtime=RuntimeConfig(**{kind: name}))
+        assert getattr(controller, kind) is None
 
     @pytest.mark.parametrize("arm", ARMS)
     def test_a_runtime_that_names_a_backend_records_on_every_node(self, arm):

@@ -15,7 +15,7 @@ from repro.bus.broker import ServiceBus
 from repro.clock import Clock
 from repro.core.controller import DataController
 from repro.exceptions import ConfigurationError
-from repro.runtime.kernel import RuntimeConfig, default_kernel
+from repro.runtime.kernel import SWITCHES, RuntimeConfig
 from repro.sched import (
     POLICY_DRR,
     POLICY_FIFO,
@@ -298,13 +298,15 @@ class TestBusStatsResetContract:
 
 class TestKernelWiring:
     def test_sched_kind_registered_with_both_policies(self):
-        kernel = default_kernel()
-        assert kernel.wiring()["sched"] == ("fair", "none")
+        assert SWITCHES["sched"] == ("fair", "none")
+        policies = {name: DataController(
+            seed="wire", runtime=RuntimeConfig(sched=name)).sched.policy
+            for name in SWITCHES["sched"]}
+        assert policies == {"fair": POLICY_DRR, "none": POLICY_FIFO}
 
     def test_unknown_sched_name_gets_a_suggestion(self):
-        kernel = default_kernel()
         with pytest.raises(ConfigurationError, match="did you mean 'fair'"):
-            kernel.create("sched", "fiar", clock=Clock())
+            RuntimeConfig(sched="fiar")
 
     def test_fair_controller_gains_a_sched_stage(self):
         fifo = DataController(seed="wire")
@@ -325,6 +327,6 @@ class TestKernelWiring:
         fair = DataController(seed="wire",
                               runtime=RuntimeConfig(sched="fair"))
         assert fifo.sched.policy == POLICY_FIFO
-        assert not fifo.sched_gate.shapes_ingress
+        assert not fifo.sched.shapes_ingress
         assert fair.sched.policy == POLICY_DRR
-        assert fair.sched_gate.shapes_ingress
+        assert fair.sched.shapes_ingress
