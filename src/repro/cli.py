@@ -13,9 +13,9 @@ prints its report (optionally archiving the resulting platform;
 write through to the segmented storage engine in ``DIR/node-0``);
 ``compare`` prints the CSS-vs-baselines table; ``monitor`` prints the
 governing body's aggregated view; ``telemetry`` reruns the scenario on
-the in-memory telemetry backend and prints per-stage latency percentiles
-and counters (JSONL trace/metric exports and a ``BENCH_obs.json``-style
-summary on request); ``federate`` runs the same workload
+the in-memory telemetry backend and prints wall-clock pipeline latency
+percentiles and counters (JSONL trace/metric exports and a
+``BENCH_obs.json``-style summary on request); ``federate`` runs the same workload
 sharded over an N-node federation and prints per-node figures, the
 federated guarantor inquiry and, with ``--rebalance``, a live add-node
 rebalance; ``slo`` evaluates the stock service-level objectives over a
@@ -214,11 +214,7 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
 def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     from repro.obs.benchreport import scenario_summary
     from repro.obs.exporters import render_latency_table, render_metrics_table
-    from repro.obs.telemetry import (
-        PIPELINE_DURATION,
-        PIPELINE_WALL_DURATION,
-        STAGE_DURATION,
-    )
+    from repro.obs.telemetry import PIPELINE_WALL_DURATION
 
     scenario = _scenario(args, runtime=RuntimeConfig(
         telemetry="inmemory", telemetry_guard=args.guard))
@@ -230,10 +226,6 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
     print(f"TELEMETRY (scenario={args.scenario}, seed={args.seed}, "
           f"guard={args.guard}, simulated seconds={telemetry.clock.now():.0f})",
           file=out)
-    print(render_latency_table(telemetry.metrics, STAGE_DURATION,
-                               unit="simulated s"), file=out)
-    print(render_latency_table(telemetry.metrics, PIPELINE_DURATION,
-                               unit="simulated s"), file=out)
     print(render_latency_table(telemetry.wall, PIPELINE_WALL_DURATION,
                                unit="wall s, this run"), file=out)
     print(render_metrics_table(telemetry.metrics), file=out)

@@ -54,12 +54,7 @@ from repro.obs.stitch import (
     stitch_summary,
     stitched_lines,
 )
-from repro.obs.telemetry import (
-    PIPELINE_DURATION,
-    PIPELINE_OUTCOMES,
-    STAGE_DURATION,
-    InMemoryTelemetry,
-)
+from repro.obs.telemetry import PIPELINE_OUTCOMES, InMemoryTelemetry
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Span, Tracer
 
@@ -75,7 +70,6 @@ __all__ = [
     "MODE_HASH",
     "MODE_REJECT",
     "MetricsRegistry",
-    "PIPELINE_DURATION",
     "PIPELINE_OUTCOMES",
     "PrivacyGuard",
     "SLO_ALERT_TOPIC",
@@ -83,7 +77,6 @@ __all__ = [
     "SLOReport",
     "SLOStatus",
     "SLObjective",
-    "STAGE_DURATION",
     "Span",
     "StitchedTrace",
     "TelemetryPrivacyError",

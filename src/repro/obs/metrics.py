@@ -138,7 +138,7 @@ class MetricsRegistry:
     def memo(self) -> dict:
         """A dict emptied with the series memo: on :meth:`reset` and
         whenever the guard's classification changes.  Holders of bound
-        series (the telemetry's stage bindings) keep them in one."""
+        series (a federation link's counters) keep them in one."""
         memo = self.guard.memo()
         self._memos.append(memo)
         return memo

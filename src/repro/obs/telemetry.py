@@ -22,13 +22,9 @@ from repro.clock import Clock
 from repro.obs.context import TraceContext
 from repro.obs.exporters import metric_lines, span_lines, write_jsonl
 from repro.obs.guard import MODE_HASH, PrivacyGuard
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
-#: Histogram recording per-stage pipeline latency (simulated seconds).
-STAGE_DURATION = "pipeline.stage.duration_seconds"
-#: Histogram recording whole-pipeline latency (simulated seconds).
-PIPELINE_DURATION = "pipeline.duration_seconds"
 #: Counter of pipeline executions, labelled by pipeline + outcome.
 PIPELINE_OUTCOMES = "pipeline.invocations_total"
 #: Sidecar histogram of whole-pipeline latency in *wall* seconds.
@@ -41,45 +37,33 @@ WALL_BUCKETS: tuple[float, ...] = (
 
 
 class _BoundSpan:
-    """One span shape resolved once: name, guard-cleared attributes and
-    the histogram its durations feed.
+    """One span shape resolved once: name and guard-cleared attributes.
 
     It keeps no per-execution state — :meth:`open` hands back the tracer
     row and :meth:`close` takes it — so one instance serves every
     execution of its pipeline or stage, nested ones included (a federated
     request runs the same stage on two nodes of one shared telemetry), and
-    a span of it costs no object.  As a context manager (a convenience
-    off the hot path) it yields the row's :class:`~repro.obs.tracing.Span`.
+    a span of it costs no object.  Its simulated duration is the row's
+    start and end; nothing else records it.  As a context manager (a
+    convenience off the hot path) it yields the row's
+    :class:`~repro.obs.tracing.Span`.
     """
 
-    __slots__ = ("_telemetry", "_tracer", "_name", "_labels", "_attributes",
-                 "_metric", "_durations")
+    __slots__ = ("_tracer", "_name", "_attributes")
 
-    def __init__(self, telemetry: "InMemoryTelemetry", name: str, metric: str,
-                 labels: dict[str, str]) -> None:
-        self._telemetry = telemetry
-        self._tracer = telemetry.tracer
+    def __init__(self, tracer: Tracer, name: str, labels: dict[str, str]) -> None:
+        self._tracer = tracer
         self._name = name
-        self._labels = labels
         # Shared by every span of this shape (read-only).
-        self._attributes = self._tracer.cleared(labels)
-        self._metric = metric
-        # Resolved by the first span to finish: a series must not show in
-        # a snapshot taken before its first sample.
-        self._durations: Histogram | None = None
+        self._attributes = tracer.cleared(labels)
 
     def open(self) -> int:
         """Open one span of this shape; returns its tracer row."""
         return self._tracer.open(self._name, self._attributes)
 
     def close(self, row: int, exc_type: type | None = None) -> None:
-        """Close the span at ``row`` and sample its duration."""
-        duration = self._tracer.close(row, exc_type)
-        durations = self._durations
-        if durations is None:
-            durations = self._durations = self._telemetry.metrics.histogram(
-                self._metric, **self._labels)
-        durations.observe(duration)
+        """Close the span at ``row``."""
+        self._tracer.close(row, exc_type)
 
     def __enter__(self):
         return self._tracer.span_of(self.open())
@@ -108,7 +92,7 @@ class InMemoryTelemetry:
         self.wall = MetricsRegistry(self.guard)
         self.tracer = Tracer(self.clock, self.guard, site=site)
         #: Pipeline name or ``(pipeline, stage)`` -> its bound span.
-        self._bound_spans = self.metrics.memo()
+        self._bound_spans = self.guard.memo()
         self.recorder = None
 
     # -- metrics -----------------------------------------------------------
@@ -145,25 +129,23 @@ class InMemoryTelemetry:
         return self.tracer.span(name, remote_parent=remote_parent, **attributes)
 
     def stage_span(self, pipeline: str, stage: str):
-        """A per-pipeline-stage child span plus its duration histogram."""
+        """A per-pipeline-stage child span."""
         bound = self._bound_spans.get((pipeline, stage))
         if bound is None:
             bound = self._bind((pipeline, stage), f"stage.{stage}",
-                               STAGE_DURATION,
                                {"pipeline": pipeline, "stage": stage})
         return bound
 
     def pipeline_span(self, pipeline: str):
-        """The root span of one pipeline execution plus its duration histogram."""
+        """The root span of one pipeline execution."""
         bound = self._bound_spans.get(pipeline)
         if bound is None:
             bound = self._bind(pipeline, f"pipeline.{pipeline}",
-                               PIPELINE_DURATION, {"pipeline": pipeline})
+                               {"pipeline": pipeline})
         return bound
 
-    def _bind(self, key, name: str, metric: str,
-              labels: dict[str, str]) -> _BoundSpan:
-        bound = _BoundSpan(self, name, metric, labels)
+    def _bind(self, key, name: str, labels: dict[str, str]) -> _BoundSpan:
+        bound = _BoundSpan(self.tracer, name, labels)
         # A restricted label key is re-sanitised per span, never memoised.
         if self.guard.static_key(labels) is not None:
             self._bound_spans[key] = bound

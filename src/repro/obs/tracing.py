@@ -236,13 +236,13 @@ class Tracer:
         stack.append(row)
         return row
 
-    def close(self, row: int, exc_type: type | None = None) -> float:
-        """Close the span at ``row`` and return its duration.
+    def close(self, row: int, exc_type: type | None = None) -> None:
+        """Close the span at ``row``.
 
         ``exc_type`` — the exception leaving the span's block, if any —
         marks it failed.
         """
-        end = self.ends[row] = self._clock.now()
+        self.ends[row] = self._clock.now()
         if exc_type is not None:
             self.errors[row] = exc_type.__name__
         stack = self._stack
@@ -250,7 +250,6 @@ class Tracer:
         if stack and stack[-1] == row:
             stack.pop()
         self.finished.append(row)
-        return end - self.starts[row]
 
     # -- ids, minted on read -------------------------------------------------
 

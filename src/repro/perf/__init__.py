@@ -46,10 +46,6 @@ from repro.perf.policy_index import PolicyIndex
 CACHE_HITS = "perf.cache.hits"
 #: Counter of perf-layer cache misses, labelled by cache name only.
 CACHE_MISSES = "perf.cache.misses"
-#: Histogram of candidate policies actually handed to the PDP per decide.
-CANDIDATES_SCANNED = "pdp.candidates_scanned"
-
-_CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
 
 
 @dataclass
@@ -160,19 +156,12 @@ class PerfLayer:
         )
 
     def policy_set_for(self, entry, request):
-        """The indexed candidate policy set for one decision.
-
-        Observes ``pdp.candidates_scanned`` so operators can watch the
-        index trim the PDP's work.
-        """
-        policy_set, scanned = self._policy_index.candidate_set(
+        """The indexed candidate policy set for one decision (the index's
+        :class:`~repro.perf.policy_index.PolicyIndexStats` count how much
+        it trims the PDP's work)."""
+        return self._policy_index.candidate_set(
             entry.producer_id,
             entry.event_type,
             request.actor.actor_id,
             request.actor.role,
         )
-        if self._telemetry is not None:
-            self._telemetry.observe(
-                CANDIDATES_SCANNED, float(scanned), buckets=_CANDIDATE_BUCKETS
-            )
-        return policy_set

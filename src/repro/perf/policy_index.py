@@ -129,8 +129,8 @@ class PolicyIndex:
 
     def candidate_set(
         self, producer_id: str, event_type: str, actor_id: str, actor_role: str
-    ) -> tuple[PolicySet, int]:
-        """The indexed candidate policy set plus how many policies it holds.
+    ) -> PolicySet:
+        """The indexed candidate policy set.
 
         The set id mirrors the repository's (``pset:<producer>:<type>``)
         so responses, obligations and audit detail are indistinguishable
@@ -144,9 +144,8 @@ class PolicyIndex:
         self.stats.candidates_scanned += len(positions)
         self.stats.candidates_skipped += len(bucket.positions) - len(positions)
         policies = tuple(self._compiled(bucket, position) for position in positions)
-        policy_set = PolicySet(
+        return PolicySet(
             policy_set_id=f"pset:{producer_id}:{event_type}",
             policies=policies,
             combining=CombiningAlgorithm.DENY_OVERRIDES,
         )
-        return policy_set, len(positions)

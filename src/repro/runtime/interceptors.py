@@ -139,9 +139,9 @@ class Pipeline:
     """An ordered tuple of stage rows around a terminal operation.
 
     ``telemetry`` (a :mod:`repro.obs.telemetry` backend) makes the loop
-    observable: one root span per execution, one child span plus a
-    duration-histogram sample per stage, and an outcome counter.  With
-    ``None`` (the default) the same loop runs and simply opens no span.
+    observable: one root span per execution and one child span per stage
+    (a span's start and end are its duration), an outcome counter and a
+    wall-clock sample.  With ``None`` the same loop runs and opens no span.
     """
 
     def __init__(self, name: str, stages: tuple[Stage, ...],

@@ -29,10 +29,10 @@ class PdpStats:
 class PolicyDecisionPoint:
     """Evaluates XACML policies and policy sets.
 
-    ``telemetry`` (a :mod:`repro.obs.telemetry` backend) mirrors the
-    :class:`PdpStats` counters into the metrics registry and labels every
-    evaluation with its decision — the Fig. 4 deny-rate series operators
-    watch, with nothing identifying in the labels.
+    ``telemetry`` (a :mod:`repro.obs.telemetry` backend) counts every
+    evaluation labelled with its decision — the Fig. 4 deny-rate series
+    operators watch, with nothing identifying in the labels.  How many
+    policies and rules were walked stays in :class:`PdpStats`.
     """
 
     def __init__(self, telemetry=None) -> None:
@@ -44,18 +44,16 @@ class PolicyDecisionPoint:
     def evaluate_policy(self, policy: Policy, request: RequestContext) -> ResponseContext:
         """Evaluate one policy against ``request``."""
         self.stats.requests += 1
-        before = self.stats.policies_evaluated
         response = self._policy_decision(policy, request)
-        self._record_evaluation(response, self.stats.policies_evaluated - before)
+        self._record_evaluation(response)
         return response
 
     def evaluate_policy_set(self, policy_set: PolicySet, request: RequestContext) -> ResponseContext:
         """Evaluate a policy set against ``request``."""
         self.stats.requests += 1
-        before = self.stats.policies_evaluated
         if not policy_set.target.applies_to(request):
             response = ResponseContext(Decision.NOT_APPLICABLE)
-            self._record_evaluation(response, 0)
+            self._record_evaluation(response)
             return response
         outcomes = []
         for policy in policy_set.policies:
@@ -64,18 +62,14 @@ class PolicyDecisionPoint:
             if self._can_short_circuit(policy_set.combining, outcome.decision):
                 break
         response = self._combine(policy_set.combining, outcomes)
-        self._record_evaluation(response, self.stats.policies_evaluated - before)
+        self._record_evaluation(response)
         return response
 
-    def _record_evaluation(self, response: ResponseContext, policies_walked: int) -> None:
+    def _record_evaluation(self, response: ResponseContext) -> None:
         if self._telemetry is None:
             return
         self._telemetry.count(
             "xacml.pdp.evaluations_total", decision=response.decision.name.lower()
-        )
-        self._telemetry.observe(
-            "xacml.pdp.policies_per_request", policies_walked,
-            buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0),
         )
 
     # -- policy evaluation -----------------------------------------------------

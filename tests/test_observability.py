@@ -28,9 +28,8 @@ from repro.obs.guard import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.telemetry import (
-    PIPELINE_DURATION,
     PIPELINE_OUTCOMES,
-    STAGE_DURATION,
+    PIPELINE_WALL_DURATION,
     InMemoryTelemetry,
 )
 from repro.obs.tracing import STATUS_ERROR, Tracer
@@ -249,15 +248,6 @@ class TestTelemetryBackends:
         controller = DataController(seed="obs")
         assert controller.telemetry is None
 
-    def test_stage_span_records_duration_histogram(self):
-        clock = Clock()
-        telemetry = InMemoryTelemetry(clock=clock)
-        with telemetry.stage_span("publish", "crypto"):
-            clock.advance(0.25)
-        ((labels, summary),) = telemetry.metrics.histogram_summaries(STAGE_DURATION)
-        assert labels == {"pipeline": "publish", "stage": "crypto"}
-        assert summary["count"] == 1 and summary["max"] == 0.25
-
 
 # ---------------------------------------------------------------------------
 # Pipeline / broker / PDP instrumentation (end to end)
@@ -290,8 +280,9 @@ class TestInstrumentation:
             PIPELINE_OUTCOMES, pipeline="publish", outcome="ok") == 1
         assert metrics.counter_value(
             PIPELINE_OUTCOMES, pipeline="request-details", outcome="ok") == 1
-        names = {row["name"] for row in metrics.snapshot()}
-        assert PIPELINE_DURATION in names and STAGE_DURATION in names
+        # A span's start and end are its simulated duration; no series
+        # restates them.
+        assert not metrics.histogram_entries()
 
     def test_denied_request_counts_as_deny(self):
         controller, hospital, blood, doctor = telemetry_platform()
@@ -324,8 +315,10 @@ class TestInstrumentation:
         metrics = controller.telemetry.metrics
         assert metrics.counter_value(
             "xacml.pdp.evaluations_total", decision="permit") == 1
-        summaries = metrics.histogram_summaries("xacml.pdp.policies_per_request")
-        assert summaries and summaries[0][1]["count"] == 1
+        # How many policies were walked is the PDP's stats, not a series.
+        stats = controller.enforcer.pdp_stats
+        assert (stats.requests, stats.policies_evaluated) == (1, 1)
+        assert not metrics.histogram_summaries("xacml.pdp.policies_per_request")
 
     def test_noop_platform_records_nothing(self):
         from tests.conftest import build_federation
@@ -391,14 +384,14 @@ class TestExporters:
         telemetry = InMemoryTelemetry(clock=Clock())
         assert "no counters" in render_metrics_table(telemetry.metrics)
         assert "no observations" in render_latency_table(
-            telemetry.metrics, STAGE_DURATION)
+            telemetry.wall, PIPELINE_WALL_DURATION)
         telemetry.count("bus.published_total", topic="t")
-        telemetry.observe(STAGE_DURATION, 0.1, pipeline="publish", stage="crypto")
+        telemetry.observe_wall(PIPELINE_WALL_DURATION, 0.0001, pipeline="publish")
         metrics_table = render_metrics_table(telemetry.metrics)
-        latency_table = render_latency_table(telemetry.metrics, STAGE_DURATION)
+        latency_table = render_latency_table(telemetry.wall, PIPELINE_WALL_DURATION)
         assert "bus.published_total{topic=t}" in metrics_table
         assert "p95" in latency_table
-        assert "pipeline=publish,stage=crypto" in latency_table
+        assert "pipeline=publish" in latency_table
 
 
 # ---------------------------------------------------------------------------

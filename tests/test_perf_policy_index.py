@@ -109,16 +109,16 @@ class TestCandidateSelection:
 
     def test_pruned_policies_are_exactly_the_not_applicable_ones(self):
         repository, index = self.build()
-        policy_set, scanned = index.candidate_set(
+        policy_set = index.candidate_set(
             "Hospital", "BloodTest", "Statistics/Team-A", ""
         )
-        assert scanned == 1
+        assert index.stats.candidates_scanned == 1
         assert [p.policy_id for p in policy_set.policies] == ["p-other"]
         assert index.stats.candidates_skipped >= 3
 
     def test_candidate_set_id_mirrors_the_repository_compilation(self):
         repository, index = self.build()
-        policy_set, _ = index.candidate_set(
+        policy_set = index.candidate_set(
             "Hospital", "BloodTest", "FamilyDoctors/Dr-Rossi", "family-doctor"
         )
         assert policy_set.policy_set_id == \
@@ -126,10 +126,10 @@ class TestCandidateSelection:
 
     def test_unknown_actor_gets_an_empty_set(self):
         _, index = self.build()
-        policy_set, scanned = index.candidate_set(
+        policy_set = index.candidate_set(
             "Hospital", "BloodTest", "Nobody", "no-role"
         )
-        assert scanned == 0
+        assert index.stats.candidates_scanned == 0
         assert policy_set.policies == ()
 
 
@@ -154,7 +154,7 @@ class TestEpochRebuild:
         repository.revoke("p-1")
         assert index.candidate_positions(
             "Hospital", "BloodTest", "X", "family-doctor") == [0]
-        policy_set, _ = index.candidate_set(
+        policy_set = index.candidate_set(
             "Hospital", "BloodTest", "X", "family-doctor")
         assert [p.policy_id for p in policy_set.policies] == ["p-2"]
 

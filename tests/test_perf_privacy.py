@@ -88,16 +88,6 @@ class TestTelemetryLabels:
             assert set(row["labels"]) == {"cache"}
             assert row["labels"]["cache"] in {"decision", "fanout", "seal"}
 
-    def test_candidate_histogram_exists_and_is_label_safe(self):
-        runtime = RuntimeConfig(perf="indexed", telemetry="inmemory",
-                                telemetry_guard="reject")
-        controller, doctor, notification = build_world(runtime)
-        doctor.request_details(notification, "healthcare-treatment")
-        exported = "\n".join(controller.telemetry.metrics_export())
-        assert "pdp.candidates_scanned" in exported
-        for secret in SECRETS:
-            assert secret not in exported
-
 
 class TestRejectGuardFederated:
     def test_full_federated_scenario_passes_under_the_strict_guard(self):

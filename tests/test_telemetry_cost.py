@@ -17,7 +17,8 @@ These tests hold that to account:
   the audit chain two links whatever its width — counts, which repeat
   exactly, where wall time cannot gate CI;
 * the wall-clock sidecar gets one sample per pipeline execution and shows
-  up in no export.
+  up in no export, and that sample is the only histogram one: no series
+  restates a span's duration or the PDP's and policy index's counters.
 """
 
 from __future__ import annotations
@@ -47,14 +48,9 @@ from repro.obs.guard import (
     PrivacyGuard,
     TelemetryPrivacyError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
-from repro.obs.telemetry import (
-    PIPELINE_DURATION,
-    PIPELINE_WALL_DURATION,
-    STAGE_DURATION,
-    InMemoryTelemetry,
-)
+from repro.obs.telemetry import PIPELINE_WALL_DURATION, InMemoryTelemetry
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Span, Tracer, _SpanScope
 from repro.runtime.kernel import RuntimeConfig
@@ -173,9 +169,8 @@ def test_restricting_a_static_label_key_switches_later_spans_and_series():
         telemetry.count("cache_hits_total", stage="crypto")
     assert span.attributes == {"pipeline": "publish", "stage": hashed}
     assert [labels for labels, _ in
-            telemetry.metrics.histogram_series(STAGE_DURATION)] == [
-        {"pipeline": "publish", "stage": "crypto"},
-        {"pipeline": "publish", "stage": hashed}]
+            telemetry.metrics.counter_series("cache_hits_total")] == [
+        {"stage": "crypto"}, {"stage": hashed}]
     assert telemetry.metrics.counter_value("cache_hits_total",
                                            stage="crypto") == 1.0
     plain = [span.attributes["stage"]
@@ -191,7 +186,7 @@ def test_restricting_a_static_label_key_switches_later_spans_and_series():
             with strict.stage_span("publish", "crypto"):
                 pass
         with pytest.raises(TelemetryPrivacyError):
-            strict.observe(STAGE_DURATION, 0.0, pipeline="publish",
+            strict.observe("probe_seconds", 0.0, pipeline="publish",
                            stage="crypto")
 
 
@@ -249,14 +244,18 @@ def test_reset_leaves_no_stale_bound_series():
 #: sha256 of ``"\n".join(export)`` computed at the parent commit (789ee60).
 #: ``css`` is the one-node run.  Its metrics digest was re-pinned when the
 #: single-controller driver went and the run became a federation of one
-#: (one more gauge, ``federation.node.queue_depth``); its trace digest and
-#: both ``federated`` digests did not move.
+#: (one more gauge, ``federation.node.queue_depth``).  Both metrics digests
+#: were re-pinned again when the four histograms that restated spans and
+#: PDP stats went: each is the earlier export with the rows of
+#: ``pipeline.duration_seconds``, ``pipeline.stage.duration_seconds``,
+#: ``xacml.pdp.policies_per_request`` and ``pdp.candidates_scanned``
+#: filtered out (55 → 32 and 67 → 44 rows).  The trace digests did not move.
 PINNED = {
     "css": ("6d539ad5738503237a3af3d484d1cde3de8c6a7f1ab58a691ab5afed881cec47",
-            "ed4570b30a961793e4e9825de43e974c8b2115281ea56d7a268056015cce6490"),
+            "5c5b412554181e55c183d1c56b12429d9e612606c3b15e0e19ccb96db2404644"),
     "federated": (
         "c650119396f9b731b6e773e0fc422ec44d8e93bcd94c476ad8ec2e337d56cd25",
-        "4f42244acb0b96dcb0e233271af4162d0258fa4d8ec00c16768b7481fc26a6a5"),
+        "202b0f2eb6b904986219778c2d00ac3cfabed4c405334e21c138d29531a31d2d"),
 }
 
 
@@ -621,12 +620,15 @@ def test_there_is_one_notify_mint_site():
 
 def test_wall_sidecar_counts_pipeline_executions_and_stays_out_of_exports():
     telemetry = css_telemetry()
-    simulated = {labels["pipeline"]: summary["count"] for labels, summary
-                 in telemetry.metrics.histogram_summaries(PIPELINE_DURATION)}
+    roots: dict[str, int] = {}
+    for span in telemetry.tracer.finished_spans():
+        if span.name.startswith("pipeline."):
+            pipeline = span.name.removeprefix("pipeline.")
+            roots[pipeline] = roots.get(pipeline, 0) + 1
     wall = {labels["pipeline"]: summary for labels, summary
             in telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)}
-    assert simulated and {name: row["count"] for name, row in wall.items()} \
-        == simulated
+    assert roots and {name: row["count"] for name, row in wall.items()} \
+        == roots
     assert all(0.0 < row["min"] <= row["p50"] <= row["p99"] <= row["max"] < 1.0
                for row in wall.values())
     store = TimeSeriesStore(telemetry.metrics, telemetry.clock)
@@ -635,5 +637,37 @@ def test_wall_sidecar_counts_pipeline_executions_and_stays_out_of_exports():
     exported += json.dumps(telemetry.metrics.snapshot())
     exported += json.dumps(scenario_summary(telemetry, source="test"))
     exported += json.dumps(store.export_rows())
-    assert "pipeline.duration_seconds" in exported
+    assert "pipeline.invocations_total" in exported
     assert "wall" not in exported
+
+
+# -- a span records its own time ----------------------------------------------
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_no_histogram_restates_a_span_or_a_pdp_counter(nodes, monkeypatch):
+    """A span's start and end are its simulated duration, and the PDP's and
+    the policy index's stats count the policies a decision walked: after a
+    PROD-config run the registry holds no histogram series, the wall
+    sidecar holds only the pipeline's wall latency, and the only histogram
+    sample a pipeline execution takes is that one."""
+    observes = []
+    real_observe = Histogram.observe
+    monkeypatch.setattr(Histogram, "observe", lambda self, value: (
+        observes.append(value), real_observe(self, value)))
+    scenario = CssScenario(ScenarioConfig(
+        nodes=nodes, n_patients=10, n_events=60, seed=2010,
+        runtime=RuntimeConfig(telemetry="inmemory", sched="fair", batch="on",
+                              recorder="ring")))
+    scenario.run()
+    telemetry = scenario.telemetry
+    assert telemetry.metrics.histogram_entries() == []
+    wall = telemetry.wall.histogram_entries()
+    assert {name for (name, _), _ in wall} == {PIPELINE_WALL_DURATION}
+    executions = sum(1 for span in telemetry.tracer.finished_spans()
+                     if span.name.startswith("pipeline."))
+    assert len(observes) == sum(series.count for _, series in wall) == executions
+    controllers = [node.controller for node in scenario.platform.nodes()]
+    assert sum(c.enforcer.pdp_stats.policies_evaluated for c in controllers) > 0
+    assert sum(c.perf.policy_index.stats.candidates_scanned
+               for c in controllers) > 0

@@ -92,7 +92,8 @@ class TestTelemetryCli:
         ])
         captured = capsys.readouterr().out
         assert code == 0
-        assert "pipeline.stage.duration_seconds" in captured
+        assert "pipeline.wall_duration_seconds (wall s, this run):" in captured
+        assert "(simulated s)" not in captured  # a span holds those durations
         assert "p95" in captured and "counters and gauges:" in captured
         assert trace_out.exists()
         payload = json.loads(bench_out.read_text())
