@@ -22,7 +22,7 @@ from repro.crypto.keystore import KeyStore
 from repro.exceptions import TamperedLogError
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.storage.engine import StorageEngine
-from repro.storage.segment import encode_frame
+from repro.storage.segment import encode_entry, encode_frame
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import DecimalType, StringType
 
@@ -95,7 +95,7 @@ def main() -> None:
     frames = segment.read_bytes().splitlines(keepends=True)
     doctored = next(store.log("audit").iter_records())
     doctored["actor"] = "someone-else"
-    frames[0] = encode_frame(1, doctored)
+    frames[0] = encode_frame(1, encode_entry(doctored))
     segment.write_bytes(b"".join(frames))
     try:
         JsonlAuditSink(StorageEngine(data_dir).log("audit"))

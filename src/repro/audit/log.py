@@ -12,15 +12,18 @@ paper's audit duty, one record per request and per exchange: what queries
 and reports read.  They differ for deliveries only: a run of consecutive
 deliveries of one notification is chained as ONE ``NOTIFY`` record carrying
 its ordered ``recipients``; :meth:`AuditRecord.expanded` undoes that.
+A link is rendered once: its canonical JSON is what the chain hashes and
+what a durable sink stores (:mod:`repro.runtime.backends`).
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
-from repro.crypto.hashing import HashChain
+from repro.crypto.hashing import HashChain, canonical_json
 from repro.exceptions import AuditError
 
 
@@ -112,6 +115,11 @@ class AuditRecord:
             recipients=tuple(payload.get("recipients", ())),
         )
 
+    @classmethod
+    def from_json(cls, body: str) -> "AuditRecord":
+        """Rebuild a record from its canonical JSON text (a stored body)."""
+        return cls.from_payload(json.loads(body))
+
 
 class AuditLog:
     """Append-only, hash-chained audit log; all but :meth:`logical` speak of chain links."""
@@ -125,15 +133,15 @@ class AuditLog:
         self._run: tuple[tuple, str, list[str]] | None = None
 
     def __len__(self) -> int:
-        return len(self._closed())
+        self._close_run()
+        return len(self._chain)
 
     def append(self, record: AuditRecord) -> str:
         """Append ``record`` and return its chain digest."""
-        self._closed()
-        payload = record.to_payload()
-        digest = self._chain.append(payload)
-        self._records.append(record)
-        self._persist(payload, digest)
+        self._close_run()
+        body = canonical_json(record.to_payload())
+        digest = self._chain.append(body)
+        self._keep(record, body, digest)
         return digest
 
     def delivered(self, recipient: str, notification, timestamp: float, ids) -> None:
@@ -146,11 +154,11 @@ class AuditLog:
         if self._run is not None and self._run[0] == key:
             self._run[2].append(recipient)
         else:
-            self._closed()
+            self._close_run()
             self._run = (key, ids.next("aud"), [recipient])
 
-    def _closed(self) -> list[AuditRecord]:
-        """The physical records, the open run chained first as ONE record."""
+    def _close_run(self) -> None:
+        """Chain the open run, if any, as ONE record."""
         run, self._run = self._run, None
         if run is not None:
             (timestamp, *about), record_id, recipients = run
@@ -158,32 +166,35 @@ class AuditLog:
             self.append(AuditRecord(
                 record_id, timestamp, recipients[0], AuditAction.NOTIFY,
                 AuditOutcome.PERMIT, *about, recipients=tuple(recipients)))
-        return self._records
 
-    def _persist(self, payload: dict[str, object], digest: str) -> None:
-        """Hook of the durable sinks: ``payload`` was just chained as
-        ``digest`` and is theirs to keep; the in-memory log keeps nothing."""
+    def _keep(self, record: AuditRecord, body: str, digest: str) -> None:
+        """Hold a link just chained: in memory the record, in a durable sink ``body``."""
+        self._records.append(record)
+
+    def _physical(self) -> Iterable[AuditRecord]:
+        self._close_run()
+        return self._records
 
     def records(self) -> tuple[AuditRecord, ...]:
         """A snapshot of all physical records (chain links), oldest first."""
-        return tuple(self._closed())
+        return tuple(self._physical())
 
     def logical(self) -> Iterator[AuditRecord]:
         """Every logical record, oldest first: a fan-out link as one per delivery."""
-        for record in self._closed():
+        for record in self._physical():
             yield from record.expanded()
 
     def record_at(self, index: int) -> AuditRecord:
         """The physical record at position ``index`` (0-based)."""
         try:
-            return self._closed()[index]
+            return self.records()[index]
         except IndexError as exc:
             raise AuditError(f"no audit record at index {index}") from exc
 
     @property
     def head_digest(self) -> str:
         """Digest of the latest chain link (publishable checkpoint)."""
-        self._closed()
+        self._close_run()
         return self._chain.head
 
     def verify_integrity(self) -> None:
@@ -192,11 +203,12 @@ class AuditLog:
         Raises :class:`~repro.exceptions.TamperedLogError` on any mismatch —
         this is the check a privacy guarantor runs before trusting the log.
         """
-        self._chain.verify(record.to_payload() for record in self._closed())
+        self._chain.verify(canonical_json(record.to_payload())
+                           for record in self._physical())
 
     def flush(self) -> None:
         """Barrier: chain the open run; a durable sink then drains its buffer."""
-        self._closed()
+        self._close_run()
 
 
 def mint_record(log, ids, clock, actor: str, action: AuditAction,

@@ -30,10 +30,10 @@ def canonical_json(payload: object) -> str:
 
 
 class HashChain:
-    """An append-only chain of record digests.
+    """An append-only chain of digests over records' canonical JSON text.
 
-    ``append(payload)`` returns the new head digest; :meth:`verify` recomputes
-    the chain over stored payloads and raises
+    ``append(body)`` returns the new head digest; :meth:`verify` recomputes
+    the chain over the bodies and raises
     :class:`~repro.exceptions.TamperedLogError` on any mismatch.
     """
 
@@ -49,14 +49,13 @@ class HashChain:
         return self._digests[-1] if self._digests else GENESIS
 
     @staticmethod
-    def link(previous: str, payload: object) -> str:
-        """Compute the digest chaining ``payload`` onto ``previous``."""
-        body = previous + "\x1f" + canonical_json(payload)
-        return hashlib.sha256(body.encode()).hexdigest()
+    def link(previous: str, body: str) -> str:
+        """Compute the digest chaining ``body`` onto ``previous``."""
+        return hashlib.sha256(f"{previous}\x1f{body}".encode()).hexdigest()
 
-    def append(self, payload: object) -> str:
-        """Chain ``payload`` and return the resulting digest."""
-        digest = self.link(self.head, payload)
+    def append(self, body: str) -> str:
+        """Chain ``body`` and return the resulting digest."""
+        digest = self.link(self.head, body)
         self._digests.append(digest)
         return digest
 
@@ -64,17 +63,17 @@ class HashChain:
         """Digest of link ``index`` (0-based)."""
         return self._digests[index]
 
-    def verify(self, payloads: Iterable[object]) -> None:
-        """Recompute the chain over ``payloads`` and compare digest by digest.
+    def verify(self, bodies: Iterable[str]) -> None:
+        """Recompute the chain over ``bodies`` and compare digest by digest.
 
-        ``payloads`` is consumed one at a time, its length checked at the
+        ``bodies`` is consumed one at a time, its length checked at the
         end.  Raises :class:`~repro.exceptions.TamperedLogError` naming the
         first broken link; silent success means the log is intact.
         """
         previous, count = GENESIS, 0
-        for count, payload in enumerate(payloads, 1):
+        for count, body in enumerate(bodies, 1):
             if count <= len(self._digests):
-                previous = self.link(previous, payload)
+                previous = self.link(previous, body)
                 if previous != self._digests[count - 1]:
                     raise TamperedLogError(f"hash chain broken at record {count - 1}")
         if count != len(self._digests):

@@ -1,74 +1,87 @@
 """Durable backend implementations of the runtime interfaces.
 
-The in-memory classes (:class:`~repro.core.index.EventsIndex`,
-:class:`~repro.audit.log.AuditLog`) are the reference implementations; the
-pair here *extends* them — same queries, sealing and hash chain, inherited
-unchanged — with write-through to a durable
-:class:`~repro.storage.engine.RecordLog` and replay on start, so a
-platform restarted over the same data directory sees its indexed
-notifications (identity slots still sealed — the logs never hold
-plaintext identities) and its hash-chained audit trail.  (The ``Jsonl``
-in their names is the row format: ``AuditRecord.to_payload`` /
-``RegistryObject.to_row`` dictionaries, one per record.)
-
-A controller whose runtime has a data directory builds the pair itself,
-over the ``index`` / ``audit`` logs of its
-:class:`~repro.storage.engine.StorageEngine`::
-
-    RuntimeConfig(data_dir="...")
-
-A restart is the same construction over the same logs.  Replay streams
-(:meth:`RecordLog.iter_records`), so restart memory is bounded by one
-record, not by the log.
+The in-memory :class:`~repro.core.index.EventsIndex` and
+:class:`~repro.audit.log.AuditLog` are the references; the pair here
+extends them with write-through to a durable
+:class:`~repro.storage.engine.RecordLog` — each record stored once as
+canonical JSON, identity slots still sealed, an audit link as the very
+text its digest hashed — and replay on start.  A controller whose
+``RuntimeConfig`` has a ``data_dir`` builds the pair over the ``index`` /
+``audit`` logs of its :class:`~repro.storage.engine.StorageEngine`; a
+restart is the same construction.  Replay streams one record at a time:
+the index keeps its registry, the audit trail one digest per link, never
+its records (docs/STORAGE.md).
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator
+from itertools import islice
+
 from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex, SealedIdentity
 from repro.core.messages import NotificationMessage
-from repro.exceptions import ObjectNotFoundError, TamperedLogError
+from repro.crypto.hashing import HashChain
+from repro.exceptions import CorruptRecordError, ObjectNotFoundError, TamperedLogError
 from repro.registry.objects import RegistryObject
 from repro.storage.engine import RecordLog
+from repro.storage.segment import encode_entry
 
 
 class JsonlAuditSink(AuditLog):
     """Hash-chained audit log with durable write-through persistence.
 
-    Every appended record lands in the ``audit`` log together with its
-    chain digest.  On construction an existing log is replayed into a
-    fresh chain and the stored head digest re-verified, so tampering with
-    the stored trail is detected at load time, not at the next guarantor
-    review.
+    A link is stored as ``<digest> <body>``: the body is the very text its
+    chain digest hashes, so the sink keeps digests, not records.  Loading
+    re-hashes the stored bodies against the stored digests, so tampering
+    with the stored trail is detected at load time, not at the next
+    guarantor review; :meth:`verify_integrity` re-walks the stored trail.
+    Reads decode records from the log.
     """
 
     def __init__(self, log: RecordLog) -> None:
         super().__init__()
         self._store = log
-        self._replaying = True  # stored rows are chained, not written again
-        for row in self._store.iter_records():
-            digest = self.append(AuditRecord.from_payload(row))
-            if row.get("digest") not in (None, digest):
-                raise TamperedLogError(
-                    f"stored digest of audit record "
-                    f"{row['record_id']!r} does not replay"
-                )
-        self._replaying = False
+        self._chain = self._rechain()
 
-    def _persist(self, payload: dict[str, object], digest: str) -> None:
-        """Write the chained record through to disk beside its digest."""
-        if not self._replaying:
-            payload["digest"] = digest
-            self._store.append(payload)
+    def _stored(self) -> Iterator[tuple[str, str]]:
+        """``(stored digest, body)`` per link, oldest first."""
+        for _, text in self._store.iter_texts():
+            if text[:1] == "{":  # digest inside the row: a flat file or an older segment
+                text = encode_entry(json.loads(text))
+            digest, _, body = text.partition(" ")
+            yield digest, body
+
+    def _rechain(self) -> HashChain:
+        """Chain the stored bodies; each must give the digest stored beside it."""
+        chain = HashChain()
+        try:
+            for stored, body in self._stored():
+                if chain.append(body) != stored:
+                    raise TamperedLogError(f"audit link {len(chain) - 1} does not replay")
+        except (CorruptRecordError, ValueError) as exc:
+            raise TamperedLogError(f"audit link {len(chain)} is unreadable: {exc}") from exc
+        return chain
+
+    def _keep(self, record: AuditRecord, body: str, digest: str) -> None:
+        self._store.append(f"{digest} {body}")
+
+    def _physical(self) -> Iterator[AuditRecord]:
+        self._close_run()
+        return (AuditRecord.from_json(body) for _, body in islice(self._stored(), len(self)))
+
+    def verify_integrity(self) -> None:
+        """Re-hash the stored trail after a flush barrier: every stored digest
+        must be its body's link, the last one this chain's head."""
+        self.flush()
+        stored = self._rechain()
+        if (len(stored), stored.head) != (len(self._chain), self._chain.head):
+            raise TamperedLogError(f"stored trail ({len(stored)} links) does not end at "
+                                   f"the chain's head ({len(self._chain)} links)")
 
     def flush(self) -> None:
-        """Group-commit barrier: make every buffered append durable.
-
-        A no-op for unbatched logs.  The in-memory chain is always
-        current — only the durable write-through can lag, so this must
-        run before the underlying files are snapshotted, verified on
-        disk, or replayed by another process.  Chains the open run first.
-        """
+        """Group-commit barrier: chain the open run, make every append durable."""
         super().flush()
         self._store.flush()
 
@@ -121,11 +134,7 @@ class JsonlIndexStore(EventsIndex):
         return obj
 
     def flush(self) -> None:
-        """Group-commit barrier: make every buffered row durable.
-
-        Queries always read the in-memory index (never stale); the
-        barrier protects snapshot/restart visibility of the durable log.
-        """
+        """Group-commit barrier: make every buffered row durable (queries read memory)."""
         self._store.flush()
 
     def withdraw(self, event_id: str) -> None:

@@ -1,29 +1,25 @@
 """Group-commit batching for durable record logs (the ``batch`` switch).
 
-The durable backends (:class:`~repro.runtime.backends.JsonlIndexStore`,
-:class:`~repro.runtime.backends.JsonlAuditSink`) write one record per
-append — one open/write/flush per event, the fixed per-event toll the
-batched execution engine amortizes.  A :class:`BatchWriter` sits between
-a backend and its :class:`~repro.storage.engine.RecordLog` and buffers
-appends until ``batch_size`` records are pending (or :meth:`flush` is
-called), then commits them all through the log's ``append_many`` — one
-write+flush per batch.
+A :class:`BatchWriter` sits between a durable backend
+(:mod:`repro.runtime.backends`) and its
+:class:`~repro.storage.engine.RecordLog` and buffers appends — an audit
+link's rendered text, an index row's dict, which the log renders as it
+commits — until ``batch_size`` records are pending (or :meth:`flush` is
+called), then commits them through the log's ``append_many``: one write
+per batch instead of one per record.
 
-Visibility semantics are unchanged: the backends keep their in-memory
-structures (events index, audit chain) current on every append, so local
-queries never see stale data; only the *durable* write-through lags, and
-streaming the durable log (:meth:`iter_records`) is a flush barrier.
-``__len__`` is not: it counts durable + pending records and flushes
-nothing.  Callers that hand the underlying files to someone else —
-snapshots, crash-recovery tests, guarantor exports — must call
-:meth:`flush` first (see ``DataController.flush_storage``).
+The backends keep their in-memory state (events index, audit chain)
+current on every append; only the *durable* write-through lags.  Reading
+the durable log (``iter_records`` / ``iter_texts``) is a flush barrier;
+``__len__`` is not (durable + pending).  Callers that hand the files to
+someone else — snapshots, crash-recovery tests, guarantor exports — flush
+first (``DataController.flush_storage``).
 
 A commit the log could not write loses nothing: the batch stays pending,
 in arrival order, and goes down with the next flush, so records accepted
-after a failed write never land past a hole in the log.  A segmented log
-also undoes the part of a batch it did write before failing
-(``SegmentedLog.write_entries``), so the retry writes each record once;
-the flat-file baseline has no such undo.
+after a failed write never land past a hole in the log
+(``SegmentedLog.write_entries`` undoes the part it wrote, so the retry
+writes each record once).
 
 ``BatchPolicy`` is what the controller builds for the ``batch`` switch:
 ``off`` is ``None`` (no wrapping anywhere), ``on`` a policy carrying
@@ -53,7 +49,6 @@ class BatchPolicy:
 class BatchWriterStats:
     """Group-commit counters (benchmarks and the flush-barrier tests)."""
 
-    appended: int = 0
     flushes: int = 0
     flushed_records: int = 0
 
@@ -71,21 +66,17 @@ class BatchWriter:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         self._log = log
-        self._batch_size = batch_size
-        self._buffer: list[dict] = []
+        #: Records buffered before an automatic group commit.
+        self.batch_size = batch_size
+        self._buffer: list[str | dict] = []
         self.stats = BatchWriterStats()
-
-    @property
-    def batch_size(self) -> int:
-        """Records buffered before an automatic group commit."""
-        return self._batch_size
 
     @property
     def pending(self) -> int:
         """Records buffered but not yet durable."""
         return len(self._buffer)
 
-    def append(self, record: dict) -> int:
+    def append(self, record: str | dict) -> int:
         """Buffer one record; auto-flush at the batch boundary.
 
         Returns the projected count after this record (mirroring the
@@ -93,13 +84,12 @@ class BatchWriter:
         flush time, in the same order.
         """
         self._buffer.append(record)
-        self.stats.appended += 1
         projected = len(self)
-        if len(self._buffer) >= self._batch_size:
+        if len(self._buffer) >= self.batch_size:
             self.flush()
         return projected
 
-    def append_many(self, records: list[dict]) -> tuple[int, int] | None:
+    def append_many(self, records: list[str | dict]) -> tuple[int, int] | None:
         """Buffer several records at once (still one flush per batch)."""
         if not records:
             return None
@@ -126,6 +116,11 @@ class BatchWriter:
         """Stream the durable log — a read, so the flush barrier runs."""
         self.flush()
         return self._log.iter_records()
+
+    def iter_texts(self) -> Iterator[tuple[int, str]]:
+        """Stream the durable log unparsed — a read, so the flush barrier runs."""
+        self.flush()
+        return self._log.iter_texts()
 
     def __len__(self) -> int:
         return len(self._log) + len(self._buffer)

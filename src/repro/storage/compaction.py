@@ -1,34 +1,19 @@
 """Log compaction: reclaim space without touching what must stay immutable.
 
-Compaction rewrites a :class:`~repro.storage.segment.SegmentedLog` keeping
-only the records a *keep predicate* selects, preserving each survivor's
-sequence number (gaps are fine — sequence numbers are identities, not
-offsets).  The next generation is staged — by the log's own writer,
-:meth:`~repro.storage.segment.SegmentedLog.write_entries`, on a log over
-the staging directory — and committed by one rename of the sidecar
-(:meth:`~repro.storage.segment.SegmentedLog.swap_segments`), so a
-compaction interrupted anywhere re-opens as the old generation or the
-new one, never a mix and never neither.
+:func:`compact` rewrites a :class:`~repro.storage.segment.SegmentedLog`
+keeping the records a *keep predicate* selects, each with its sequence
+number (gaps are fine) and its stored text.  The next generation is staged
+by the log's own writer and committed by one rename of the sidecar
+(:meth:`~repro.storage.segment.SegmentedLog.swap_segments`), so an
+interrupted compaction re-opens as the old generation or the new one.
 
-The shipped predicate, :func:`index_keep_predicate`, encodes the events
-index's retention rules:
-
-* a **tombstone** row (``{"tombstone": true, "object_id": ...}``, written
-  by :meth:`~repro.runtime.backends.JsonlIndexStore.withdraw`) and every
-  row it tombstones are dropped together;
-* rows whose lifecycle ``status`` is ``withdrawn`` or ``deprecated`` are
-  dropped;
-* of several rows for one ``object_id`` only the **latest** survives
-  (earlier rows are superseded state).
-
-The audit log is *never* compacted — its hash chain commits to every
-record ever written, so dropping one would turn retention into tampering.
-:meth:`~repro.storage.engine.StorageEngine.compact` enforces that rule;
-this module just rewrites whatever log it is handed.
-
-Predicate discovery runs as a first streaming pass (it needs to know the
-*last* row per object), so compaction memory is proportional to the
-number of distinct objects, not to the log.
+:func:`index_keep_predicate` is the events index's retention rule — drop
+tombstones (``JsonlIndexStore.withdraw``) with the rows they hide,
+``withdrawn`` / ``deprecated`` rows and superseded rows of one
+``object_id`` — found in a first streaming pass, so memory grows with the
+number of objects, not the log.  The audit log is never compacted
+(:meth:`~repro.storage.engine.StorageEngine.compact` refuses): its chain
+commits to every record.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -36,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.storage.segment import STAGING_DIR, SegmentedLog
+from repro.storage.segment import STAGING_DIR, SegmentedLog, decode_entry
 
 #: Statuses whose rows compaction may reclaim.
 DROPPABLE_STATUSES = frozenset({"withdrawn", "deprecated"})
@@ -112,7 +97,8 @@ def compact(log: SegmentedLog, keep: KeepPredicate | None = None) -> CompactionR
 
     staging = SegmentedLog(log.directory / STAGING_DIR,
                            segment_bytes=log.segment_bytes)
-    staging.write_entries(entry for entry in log.iter_entries() if keep(*entry))
+    staging.write_entries((sequence, entry) for sequence, entry in log.iter_texts()
+                          if keep(sequence, decode_entry(entry)))  # copied as stored
     log.swap_segments(before.sequence)
     return CompactionReport(
         records_before=before.records,

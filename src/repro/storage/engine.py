@@ -43,24 +43,25 @@ IMMUTABLE_LOGS = frozenset({"audit"})
 
 @runtime_checkable
 class RecordLog(Protocol):
-    """What a durable backend needs from its log: append and stream."""
+    """What a durable backend needs from its log.
 
-    def append(self, record: dict) -> int:
-        """Commit one record; returns its sequence number."""
-        ...
+    ``append`` / ``append_many`` commit records — text the backend
+    rendered, or dicts the log renders — and return the sequence number /
+    the ``(first, last)`` range (``None`` for an empty batch);
+    ``iter_records`` streams them parsed and ``iter_texts`` as ``(position,
+    text)`` pairs, oldest first, bounded memory; ``flush`` makes every
+    accepted record durable.
+    """
 
-    def append_many(self, records: list[dict]) -> tuple[int, int] | None:
-        """Commit several records in one write; returns the assigned
-        ``(first, last)`` sequence range, or ``None`` for an empty batch."""
-        ...
+    def append(self, record: str | dict) -> int: ...
 
-    def iter_records(self) -> Iterator[dict]:
-        """Stream records oldest first, bounded memory."""
-        ...
+    def append_many(self, records: list[str | dict]) -> tuple[int, int] | None: ...
 
-    def flush(self) -> None:
-        """Make every accepted record durable (no-op unless buffering)."""
-        ...
+    def iter_records(self) -> Iterator[dict]: ...
+
+    def iter_texts(self) -> Iterator[tuple[int, str]]: ...
+
+    def flush(self) -> None: ...
 
     def __len__(self) -> int: ...
 

@@ -1,19 +1,12 @@
 """Append-only JSON-lines files.
 
 One record per line: the row files of a platform archive
-(:mod:`~repro.storage.archive`), whose manifest vouches for every byte.
-No framing, no segments, no recovery beyond all-or-nothing — a node's
-live logs are the segmented engine's.  Readers get plain dictionaries
-back.
-
-Reading is **streaming**: :meth:`JsonlFile.iter_records` yields one
-record at a time, so replaying a multi-gigabyte file holds one line in
-memory, never the file.  :meth:`JsonlFile.read_all` stays for small
-files and tests.  A malformed line — including a torn trailing write,
-which this format cannot distinguish from corruption — raises the typed
-:class:`~repro.exceptions.CorruptRecordError` (a
-:class:`~repro.exceptions.StorageError`), never a bare
-``json.JSONDecodeError``.
+(:mod:`~repro.storage.archive`), whose manifest vouches for every byte,
+and the flat logs a ``data_dir`` held before the segmented engine.  No
+framing, no recovery: a malformed line — a torn trailing write included,
+which this format cannot tell from corruption — raises the typed
+:class:`~repro.exceptions.CorruptRecordError`.  Reading streams one line
+at a time; :meth:`JsonlFile.read_all` is for small files and tests.
 """
 
 from __future__ import annotations
@@ -55,40 +48,42 @@ class JsonlFile:
         """Whether the file exists on disk."""
         return self.path.exists()
 
-    def append(self, record: dict) -> None:
+    def append(self, record: dict | str) -> None:
         """Append one record."""
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True, default=str))
-            handle.write("\n")
+        self.append_many([record])
 
-    def append_many(self, records: list[dict]) -> None:
-        """Append several records in one write."""
+    def append_many(self, records: list[dict | str]) -> None:
+        """Append several records in one write; a segment entry's text (an
+        audit sink's ``<digest> <body>``) is written as its dictionary."""
+        from repro.storage.segment import decode_entry  # segment imports this module
+
         with self.path.open("a", encoding="utf-8") as handle:
             for record in records:
+                record = decode_entry(record) if isinstance(record, str) else record
                 handle.write(json.dumps(record, sort_keys=True, default=str))
                 handle.write("\n")
 
-    def iter_records(self) -> Iterator[dict]:
-        """Stream records oldest first, one line in memory at a time.
+    def flush(self) -> None:
+        """Every append already wrote through; nothing is buffered."""
 
-        Raises :class:`~repro.exceptions.CorruptRecordError` on any
-        malformed line (a plain JSONL file has no commit framing, so a
-        torn trailing write is indistinguishable from corruption — the
-        segmented log exists to do better).
-        """
+    def iter_texts(self) -> Iterator[tuple[int, str]]:
+        """Stream ``(line number, line)`` of the non-blank lines, unparsed."""
         if not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorruptRecordError(
-                        f"{self.path}:{line_number}: corrupt JSONL record"
-                    ) from exc
+                if stripped := line.strip():
+                    yield line_number, stripped
+
+    def iter_records(self) -> Iterator[dict]:
+        """Stream records oldest first; a malformed line raises ``CorruptRecordError``."""
+        for line_number, line in self.iter_texts():
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorruptRecordError(
+                    f"{self.path}:{line_number}: corrupt JSONL record"
+                ) from exc
 
     def read_all(self) -> list[dict]:
         """Every record, oldest first (empty list if the file is absent)."""

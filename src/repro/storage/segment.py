@@ -1,44 +1,26 @@
 """Size-segmented append logs with checksummed commit framing.
 
-One :class:`SegmentedLog` is a directory of segment files.  Every record
-is one framed line::
+One :class:`SegmentedLog` is a directory of segment files, each named
+after the first sequence number it holds.  Every record is one line::
 
-    <crc32:08x> <sequence> <canonical-json>\n
+    <crc32:08x> <sequence> <entry>\n
 
-The CRC covers ``"<sequence> <json>"``, so the trailing newline acts as
-the commit point of a write-ahead discipline: a record is committed iff
-its full frame (checksum verified) reached the file.  On replay the log
-distinguishes the two failure modes a real engine must separate:
+The entry is text rendered once (a dict by :func:`encode_entry` as it is
+appended): canonical JSON, an audit link's chain digest stored beside it
+as ``<digest> <body>``.  So :func:`encode_frame` renders nothing, and
+opening a log parses no JSON: it checks every CRC and reads sequence
+numbers.  The CRC covers ``"<sequence> <entry>"`` and the trailing newline
+is the commit point: a damaged final frame of the final segment is a torn
+tail, cut away on open; damage anywhere else raises
+:class:`~repro.exceptions.CorruptRecordError`.
 
-* a **torn tail** — the *final* frame of the *final* segment is partial
-  or fails its checksum (the process died mid-write).  The tail is
-  truncated away and replay continues; the log reports how many bytes it
-  repaired;
-* **corruption** — any earlier frame is damaged.  That is not a crash
-  artifact but tampering or media failure, and replay raises
-  :class:`~repro.exceptions.CorruptRecordError`.
-
-Segments roll over once the active file exceeds ``segment_bytes``; each
-file is named after the first sequence number it holds.  Replay builds a
-**sparse offset index** (every ``sparse_every``-th record plus each
-segment head), so :meth:`iter_entries` can seek near any sequence number
-without scanning from the start, and memory stays proportional to
-``records / sparse_every`` — never to the log itself.
-
-Sequence numbers are assigned at append time, survive compaction (which
-may leave gaps) and are the coordinates of point-in-time recovery
-(:meth:`truncate_to`).  A tiny ``meta.json`` sidecar pins the high-water
-sequence so compacting away the newest record can never rewind the
-counter and reuse a sequence number.
-
-Each side of the disk is stated once: :meth:`SegmentedLog._walk` is the
-only loop over a segment file's lines (replay, :meth:`iter_entries`,
-:meth:`segments`, :meth:`truncate_to` all read through it, so the
-torn-tail rule above is one rule), :meth:`SegmentedLog.write_entries` the
-only code that opens a segment for append — all or nothing — and a
-compacted generation is committed by one rename
-(:meth:`SegmentedLog.swap_segments`).  Nothing here calls ``fsync``:
-"committed" means handed to the OS (docs/STORAGE.md).
+:meth:`SegmentedLog._walk` is the only loop over a segment file's lines and
+:meth:`SegmentedLog.write_entries` the only code that opens one for append
+— all or nothing; a sparse offset index lets :meth:`SegmentedLog.iter_texts`
+seek, a ``meta.json`` sidecar pins the high-water sequence across
+compaction, and a compacted generation is committed by one rename
+(:meth:`SegmentedLog.swap_segments`).  Nothing here calls ``fsync``.
+The whole contract is docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -52,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.crypto.hashing import canonical_json
 from repro.exceptions import CorruptRecordError, RecoveryError, StorageError
 from repro.storage.jsonl import write_atomic
 
@@ -68,24 +51,36 @@ META_FILE = "meta.json"
 STAGING_DIR = ".compacting"
 
 
-def encode_frame(sequence: int, record: dict) -> bytes:
-    """The on-disk frame of one committed record."""
-    payload = json.dumps(record, sort_keys=True, default=str)
-    body = f"{sequence} {payload}"
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {body}\n".encode("utf-8")
+def encode_entry(record: dict) -> str:
+    """``record`` as stored: canonical JSON, a ``digest`` key moved beside the body."""
+    if "digest" not in record:
+        return canonical_json(record)
+    body = {key: value for key, value in record.items() if key != "digest"}
+    return f"{record['digest']} {canonical_json(body)}"
 
 
-def decode_frame(line: bytes) -> tuple[int, dict]:
-    """Parse one frame (without trailing newline); raises ``ValueError``."""
-    text = line.decode("utf-8")
-    crc_hex, _, body = text.partition(" ")
-    if len(crc_hex) != 8 or not body:
-        raise ValueError("malformed frame header")
-    if int(crc_hex, 16) != zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF:
-        raise ValueError("checksum mismatch")
-    seq_text, _, payload = body.partition(" ")
-    return int(seq_text), json.loads(payload)
+def decode_entry(text: str) -> dict:
+    """The dictionary :func:`encode_entry` stored (also the older digest-inside rows)."""
+    if text[:1] == "{":
+        return json.loads(text)
+    digest, _, body = text.partition(" ")
+    return {**json.loads(body), "digest": digest}
+
+
+def encode_frame(sequence: int, entry: str) -> bytes:
+    """The on-disk frame of one committed entry (already rendered text)."""
+    body = f"{sequence} {entry}".encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def decode_frame(line: bytes) -> tuple[int, str]:
+    """``(sequence, entry)`` of one frame (without trailing newline); raises
+    ``ValueError``.  Checks the CRC, parses no JSON."""
+    crc_hex, _, body = line.partition(b" ")
+    if len(crc_hex) != 8 or int(crc_hex, 16) != zlib.crc32(body):
+        raise ValueError("malformed frame or checksum mismatch")
+    seq_text, _, entry = body.partition(b" ")
+    return int(seq_text), entry.decode("utf-8")
 
 
 def segment_name(first_sequence: int) -> str:
@@ -136,8 +131,8 @@ class SegmentedLog:
         return sorted(self.directory.glob(f"*{SEGMENT_SUFFIX}"))
 
     def _walk(self, paths: list[Path],
-              offset: int = 0) -> Iterator[tuple[Path, int, int, int, dict]]:
-        """Yield ``(path, start, end, sequence, record)`` per committed frame.
+              offset: int = 0) -> Iterator[tuple[Path, int, int, int, str]]:
+        """Yield ``(path, start, end, sequence, entry)`` per committed frame.
 
         Oldest first over ``paths`` (the segment list or a tail of it),
         from byte ``offset`` of the first.  The one torn-tail rule,
@@ -155,7 +150,7 @@ class SegmentedLog:
                     try:
                         if not raw.endswith(b"\n"):
                             raise ValueError("unterminated frame")
-                        sequence, record = decode_frame(raw[:-1])
+                        sequence, entry = decode_frame(raw[:-1])
                     except ValueError as exc:
                         if path is paths[-1] and not handle.read(1):
                             return
@@ -163,7 +158,7 @@ class SegmentedLog:
                             f"{path}: damaged frame at byte {start} is not "
                             f"a torn tail — refusing to read a corrupt segment"
                         ) from exc
-                    yield path, start, end, sequence, record
+                    yield path, start, end, sequence, entry
             offset = 0
 
     def _settle(self) -> int:
@@ -225,7 +220,7 @@ class SegmentedLog:
 
     def _write_meta(self, sequence: int, **swap: list[str]) -> None:
         write_atomic(self.directory / META_FILE,
-                     json.dumps({"sequence": sequence, **swap}))
+                     canonical_json({"sequence": sequence, **swap}))
 
     def reload(self) -> ReplayReport:
         """Re-open the log from disk (after compaction or external edits)."""
@@ -242,13 +237,13 @@ class SegmentedLog:
     def __len__(self) -> int:
         return self._records
 
-    def append(self, record: dict) -> int:
-        """Commit one record; returns its sequence number."""
+    def append(self, record: str | dict) -> int:
+        """Commit one record (its entry text, or a dict); returns its sequence number."""
         sequence = self._sequence + 1
-        self.write_entries([(sequence, record)])
+        self.write_entries([(sequence, _text(record))])
         return sequence
 
-    def append_many(self, records: list[dict]) -> tuple[int, int] | None:
+    def append_many(self, records: list[str | dict]) -> tuple[int, int] | None:
         """Commit several records in one write; returns the sequence range.
 
         The group-commit primitive: every frame is written through one
@@ -261,17 +256,17 @@ class SegmentedLog:
         if not records:
             return None
         first = self._sequence + 1
-        self.write_entries(enumerate(records, first))
+        self.write_entries(enumerate(map(_text, records), first))
         return first, first + len(records) - 1
 
     def flush(self) -> None:
         """Every append already wrote through; nothing is buffered."""
 
-    def write_entries(self, entries: Iterable[tuple[int, dict]]) -> None:
-        """Commit ``(sequence, record)`` pairs, all of them or none.
+    def write_entries(self, entries: Iterable[tuple[int, str]]) -> None:
+        """Commit ``(sequence, entry)`` pairs, all of them or none.
 
         The one writer: the only code that opens a segment for append,
-        frames a record and decides roll-over.  If anything raises — the
+        frames an entry and decides roll-over.  If anything raises — the
         open at a roll-over, a write, the close that flushes the buffer —
         the segments this call created are unlinked, the active segment is
         cut back to the size it had and the counters are restored before
@@ -282,8 +277,8 @@ class SegmentedLog:
                   self._records, len(self._sparse))
         handle = None
         try:
-            for sequence, record in entries:
-                frame = encode_frame(sequence, record)
+            for sequence, entry in entries:
+                frame = encode_frame(sequence, entry)
                 if self._active is None \
                         or self._active_size >= self.segment_bytes:
                     if handle is not None:
@@ -316,8 +311,8 @@ class SegmentedLog:
 
     # -- reading -----------------------------------------------------------
 
-    def iter_entries(self, start: int = 1) -> Iterator[tuple[int, dict]]:
-        """Stream ``(sequence, record)`` pairs with ``sequence >= start``.
+    def iter_texts(self, start: int = 1) -> Iterator[tuple[int, str]]:
+        """Stream ``(sequence, entry)`` with ``sequence >= start``, unparsed.
 
         Seeks via the sparse index: at most ``sparse_every`` records are
         scanned before the first hit, regardless of log size.
@@ -332,14 +327,17 @@ class SegmentedLog:
             begin = paths.index(seek_path)
         except ValueError:  # no sparse entry, or one for a compacted-away file
             begin, seek_offset = 0, 0
-        for _, _, _, sequence, record in self._walk(paths[begin:], seek_offset):
+        for _, _, _, sequence, entry in self._walk(paths[begin:], seek_offset):
             if sequence >= start:
-                yield sequence, record
+                yield sequence, entry
+
+    def iter_entries(self, start: int = 1) -> Iterator[tuple[int, dict]]:
+        """Stream ``(sequence, record)`` pairs, each entry parsed."""
+        return ((sequence, decode_entry(entry)) for sequence, entry in self.iter_texts(start))
 
     def iter_records(self, start: int = 1) -> Iterator[dict]:
         """Stream records only (the :class:`RecordLog` read surface)."""
-        for _, record in self.iter_entries(start):
-            yield record
+        return (record for _, record in self.iter_entries(start))
 
     def read_all(self) -> list[dict]:
         """Every record, oldest first (tests and small tools only)."""
@@ -413,3 +411,7 @@ class SegmentedLog:
         staged = (self.directory / STAGING_DIR).glob(f"*{SEGMENT_SUFFIX}")
         self._write_meta(sequence, swap=sorted(path.name for path in staged))
         self.reload()
+
+
+def _text(record: str | dict) -> str:
+    return record if isinstance(record, str) else encode_entry(record)

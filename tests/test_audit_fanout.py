@@ -36,7 +36,7 @@ from repro.ids import IdFactory
 from repro.runtime.backends import JsonlAuditSink
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
-from repro.storage.segment import SegmentedLog, encode_frame
+from repro.storage.segment import SegmentedLog, encode_entry, encode_frame
 from repro.workload import workload_config
 from repro.workload.capacity import run_workload
 from tests.conftest import blood_test_schema
@@ -303,7 +303,7 @@ def test_one_edited_recipient_in_a_stored_row_fails_replay(tmp_path, edit):
     rows[1]["recipients"] = EDITS[edit]
     # Re-framed under valid checksums: the log takes the row, the chain not.
     (segment,) = directory.glob("*.seg")
-    segment.write_bytes(b"".join(encode_frame(sequence, row)
+    segment.write_bytes(b"".join(encode_frame(sequence, encode_entry(row))
                                  for sequence, row in enumerate(rows, start=1)))
     with pytest.raises(TamperedLogError):
         JsonlAuditSink(SegmentedLog(directory))

@@ -29,46 +29,51 @@ class TestCanonicalJson:
         assert "frozenset" in canonical_json({"x": frozenset()})
 
 
+def body(n: int) -> str:
+    """A record's canonical JSON text: what a chain link hashes."""
+    return canonical_json({"n": n})
+
+
 class TestHashChain:
     def test_empty_chain_head_is_genesis(self):
         assert HashChain().head == GENESIS
 
     def test_append_changes_head(self):
         chain = HashChain()
-        digest = chain.append({"n": 1})
+        digest = chain.append(body(1))
         assert chain.head == digest != GENESIS
 
     def test_len_counts_links(self):
         chain = HashChain()
-        chain.append({"n": 1})
-        chain.append({"n": 2})
+        chain.append(body(1))
+        chain.append(body(2))
         assert len(chain) == 2
 
     def test_digest_at(self):
         chain = HashChain()
-        first = chain.append({"n": 1})
-        chain.append({"n": 2})
+        first = chain.append(body(1))
+        chain.append(body(2))
         assert chain.digest_at(0) == first
 
     def test_verify_accepts_intact_log(self):
         chain = HashChain()
-        payloads = [{"n": i} for i in range(10)]
+        payloads = [body(i) for i in range(10)]
         for payload in payloads:
             chain.append(payload)
         chain.verify(payloads)  # must not raise
 
     def test_verify_detects_modified_payload(self):
         chain = HashChain()
-        payloads = [{"n": i} for i in range(5)]
+        payloads = [body(i) for i in range(5)]
         for payload in payloads:
             chain.append(payload)
-        payloads[2] = {"n": 999}
+        payloads[2] = body(999)
         with pytest.raises(TamperedLogError, match="record 2"):
             chain.verify(payloads)
 
     def test_verify_detects_removed_record(self):
         chain = HashChain()
-        payloads = [{"n": i} for i in range(5)]
+        payloads = [body(i) for i in range(5)]
         for payload in payloads:
             chain.append(payload)
         with pytest.raises(TamperedLogError):
@@ -76,21 +81,22 @@ class TestHashChain:
 
     def test_verify_detects_inserted_record(self):
         chain = HashChain()
-        payloads = [{"n": i} for i in range(3)]
+        payloads = [body(i) for i in range(3)]
         for payload in payloads:
             chain.append(payload)
         with pytest.raises(TamperedLogError):
-            chain.verify(payloads + [{"n": 99}])
+            chain.verify(payloads + [body(99)])
 
     def test_chain_depends_on_order(self):
         one, two = HashChain(), HashChain()
-        one.append({"n": 1})
-        one.append({"n": 2})
-        two.append({"n": 2})
-        two.append({"n": 1})
+        one.append(body(1))
+        one.append(body(2))
+        two.append(body(2))
+        two.append(body(1))
         assert one.head != two.head
 
-    @given(st.lists(st.dictionaries(st.text(max_size=8), st.integers()), max_size=20))
+    @given(st.lists(st.dictionaries(st.text(max_size=8), st.integers())
+                    .map(canonical_json), max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_property_verify_roundtrip(self, payloads):
         chain = HashChain()

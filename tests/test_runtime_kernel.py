@@ -43,7 +43,7 @@ from repro.runtime.interfaces import (
 from repro.runtime.kernel import SWITCHES
 from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
 from repro.storage import SegmentedLog, StorageEngine
-from repro.storage.segment import encode_frame
+from repro.storage.segment import encode_entry, encode_frame
 from tests.conftest import blood_test_schema, build_federation
 
 
@@ -646,7 +646,7 @@ class TestJsonlBackends:
         frames = segment.read_bytes().splitlines(keepends=True)
         doctored = SegmentedLog(tmp_path / "audit").read_all()[0]
         doctored["actor"] = "someone-else"
-        frames[0] = encode_frame(1, doctored)
+        frames[0] = encode_frame(1, encode_entry(doctored))
         segment.write_bytes(b"".join(frames))
         with pytest.raises(TamperedLogError):
             JsonlAuditSink(SegmentedLog(tmp_path / "audit"))

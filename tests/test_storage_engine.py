@@ -28,7 +28,7 @@ from repro.storage import (
     StorageEngine,
     compact,
 )
-from repro.storage.segment import decode_frame, encode_frame
+from repro.storage.segment import decode_entry, decode_frame, encode_entry, encode_frame
 
 
 def small_log(directory, n=40, segment_bytes=512):
@@ -40,13 +40,14 @@ def small_log(directory, n=40, segment_bytes=512):
 
 class TestSegmentFraming:
     def test_frame_round_trips(self):
-        frame = encode_frame(7, {"b": 2, "a": 1})
-        sequence, record = decode_frame(frame.rstrip(b"\n"))
+        frame = encode_frame(7, encode_entry({"b": 2, "a": 1}))
+        assert frame.endswith(b' 7 {"a":1,"b":2}\n')  # canonical: sorted, compact
+        sequence, entry = decode_frame(frame.rstrip(b"\n"))
         assert sequence == 7
-        assert record == {"a": 1, "b": 2}
+        assert decode_entry(entry) == {"a": 1, "b": 2}
 
     def test_bad_checksum_rejected(self):
-        frame = encode_frame(7, {"a": 1}).rstrip(b"\n")
+        frame = encode_frame(7, encode_entry({"a": 1})).rstrip(b"\n")
         tampered = (b"0" * 8) + frame[8:]
         with pytest.raises(ValueError):
             decode_frame(tampered)
@@ -141,8 +142,14 @@ def reference_segments(entries, segment_bytes):
             segments.append([])
             size = 0
         segments[-1].append(entry)
-        size += len(encode_frame(*entry))
+        size += len(frame_of(entry))
     return segments
+
+
+def frame_of(entry):
+    """The frame of one ``(sequence, record)`` entry."""
+    sequence, record = entry
+    return encode_frame(sequence, encode_entry(record))
 
 
 class TestReadersAgree:
@@ -158,7 +165,7 @@ class TestReadersAgree:
         assert [(info.first_sequence, info.records, info.size_bytes)
                 for info in log.segments()] == [
             (segment[0][0], len(segment),
-             sum(len(encode_frame(*entry)) for entry in segment))
+             sum(len(frame_of(entry)) for entry in segment))
             for segment in segments if segment]
 
     @given(
