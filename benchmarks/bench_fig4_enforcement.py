@@ -2,10 +2,11 @@
 policy enforcer.
 
 Fig. 4 traces a request through PEP → PIP (id mapping) → PDP (matching +
-evaluation) → producer obligation.  We measure:
+evaluation) → producer obligation; here the decision is Def. 3 over the
+requester's policy buckets.  We measure:
 
-* permit-path latency as the candidate-policy population grows (the PDP
-  walks the class's policy set: ~linear in candidates);
+* permit-path latency as the candidate-policy population grows (grants
+  to other actors sit in other buckets: ~constant in candidates);
 * deny-path latency (deny-by-default exits before the gateway hop, so it
   is cheaper than a permit);
 * the effect of the released-field count on the gateway's filtering step.
@@ -89,4 +90,5 @@ def test_pdp_statistics_accumulate(benchmark):
     benchmark(request)
     stats = platform.controller.enforcer.pdp_stats
     assert stats.requests > 0
-    assert stats.policies_evaluated >= stats.requests  # 20 candidates each
+    # The consumer's own bucket holds its grant; the 19 others are never walked.
+    assert stats.policies_evaluated == stats.requests

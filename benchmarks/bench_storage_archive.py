@@ -62,7 +62,8 @@ def test_restored_platform_serves_details(benchmark, tmp_path):
     chosen = None
     for actor in consumers:
         if restored.policies.has_policy_for(
-            entry.producer_id, entry.event_type, actor.actor_id, actor.role
+            entry.producer_id, entry.event_type, actor.actor_id, actor.role,
+            at=restored.clock.now(),
         ):
             chosen = actor
             break

@@ -38,8 +38,8 @@ def build_micro_platform(
     """A minimal enforcement stack with ``n_policies`` candidate policies.
 
     Policy #0 grants the benchmark consumer; the remaining ``n_policies-1``
-    grant unrelated actors, so they are candidates the matcher must walk —
-    the Fig. 4 scaling axis.  ``runtime`` (a
+    grant unrelated actors — the Fig. 4 scaling axis, which the
+    repository's actor buckets keep off the decision's walk.  ``runtime`` (a
     :class:`repro.RuntimeConfig`) names the controller's switches and
     data directory, e.g. the JSONL index/audit pair for durable-backend benchmarks.
     """

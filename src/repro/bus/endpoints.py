@@ -75,17 +75,6 @@ class EndpointRegistry:
 
     def __init__(self) -> None:
         self._endpoints: dict[str, ServiceEndpoint] = {}
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic registration counter; bumps on register and withdraw.
-
-        Cached authorization decisions are versioned against it so a
-        withdrawn endpoint (e.g. a gateway going away) cannot keep serving
-        through a stale fast path.
-        """
-        return self._epoch
 
     def __len__(self) -> int:
         return len(self._endpoints)
@@ -95,7 +84,6 @@ class EndpointRegistry:
         if endpoint.name in self._endpoints:
             raise EndpointError(f"endpoint {endpoint.name!r} already registered")
         self._endpoints[endpoint.name] = endpoint
-        self._epoch += 1
 
     def expose(self, name: str, operation: Operation, description: str = "") -> ServiceEndpoint:
         """Create-and-register shorthand."""
@@ -109,7 +97,6 @@ class EndpointRegistry:
         if name not in self._endpoints:
             raise EndpointError(f"no endpoint named {name!r}")
         del self._endpoints[name]
-        self._epoch += 1
 
     def get(self, name: str) -> ServiceEndpoint:
         """Look up an endpoint by name."""

@@ -58,10 +58,6 @@ class ConsentRegistry:
         self.producer_id = producer_id
         self.default_granted = default_granted
         self._decisions: list[ConsentDecision] = []
-        #: Monotonic decision counter — the perf layer's decision cache
-        #: validates against it, so a revocation (opt-out) immediately
-        #: invalidates every cached decision of this producer.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._decisions)
@@ -71,7 +67,6 @@ class ConsentRegistry:
         if not decision.subject_id:
             raise ConsentError("consent decision needs a subject id")
         self._decisions.append(decision)
-        self.version += 1
 
     def opt_out(
         self,

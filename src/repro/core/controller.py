@@ -144,9 +144,8 @@ class DataController:
         )
         self.batch = BatchPolicy(
             batch_size=runtime.batch_size) if runtime.batch == "on" else None
-        # The one hot path: policy index, decision cache, subscription trie
-        # and wire caches (bound to its epoch sources below).
-        self.perf = PerfLayer(secret=master_secret, telemetry=self.telemetry)
+        # The hit/miss counters of the fan-out memo and the relay-frame cache.
+        self.perf = PerfLayer(telemetry=self.telemetry)
         # Store, index and audit log follow from facts, not names.  A data
         # directory means the storage engine under it and the durable pair
         # over its logs (group-committed when batching is on), none no
@@ -193,16 +192,9 @@ class DataController:
         self._gateways: dict[str, CooperationGateway] = {}
         self._consent: dict[str, ConsentRegistry] = {}
         self._identity = None  # optional LocalIdentityProvider (future-work extension)
-        # The perf layer's versioned caches validate against these three
-        # epoch sources; binding happens once they all exist.
-        self.perf.bind(
-            repository=self.policies,
-            consent_resolver=self._consent.get,
-            endpoints=self.endpoints,
-        )
         self._fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
         self.enforcer = PolicyEnforcer(
-            perf=self.perf, id_map=self.id_map,
+            repository=self.policies, id_map=self.id_map,
             purposes=self.purposes, audit_log=self.audit_log,
             clock=self.clock, ids=self.ids,
             consent_resolver=self._consent.get, fetcher=self._fetcher,
@@ -470,7 +462,8 @@ class DataController:
         """
         event_class = self.catalog.get(event_type)
         if not self.policies.has_policy_for(
-            event_class.producer_id, event_type, consumer_id, role
+            event_class.producer_id, event_type, consumer_id, role,
+            at=self.clock.now(),
         ):
             self.pending_requests.add(PendingAccessRequest(
                 request_id=self.ids.next("par"),
@@ -565,7 +558,8 @@ class DataController:
                     event_type=event_type, detail="unknown event class",
                 )
                 continue
-            if self.policies.has_policy_for(producer_id, event_type, actor.actor_id, actor.role):
+            if self.policies.has_policy_for(producer_id, event_type, actor.actor_id,
+                                            actor.role, at=self.clock.now()):
                 authorized.append(event_type)
                 self.record_audit(
                     consumer_id, AuditAction.INDEX_INQUIRY, AuditOutcome.PERMIT,

@@ -2,17 +2,22 @@
 
 Fig. 4's pipeline, component by component:
 
-1. The **PEP** receives the authorization request
-   ``R = {a, τ_e, eID, s}`` and, through the **PIP**, resolves the
-   producer-local event id (``src_eID``) plus the producer and event type
-   recorded at publication time;
-2. the **PDP** retrieves and evaluates the matching policy
-   ``⟨A, e_j, S, F⟩`` from the certified repository — through the
-   :class:`~repro.perf.PerfLayer`'s policy index and decision cache;
-3. on *permit*, the PEP asks the producer's local cooperation gateway for
-   the allowed part of the details (``getResponse(src_eID, F)``,
+1. the authorization request ``R = {a, τ_e, eID, s}`` is resolved against
+   the id map: the producer-local event id (``src_eID``) plus the
+   producer and event type recorded at publication time;
+2. the certified repository decides it by Def. 3
+   (:meth:`~repro.core.policy.PolicyRepository.decide` at the clock's
+   time): a matching restriction denies, otherwise the matching grants
+   ``⟨A, e_j, S, F⟩`` release the union of their fields, and nothing
+   matching denies by default;
+3. on *permit*, the enforcer asks the producer's local cooperation gateway
+   for the allowed part of the details (``getResponse(src_eID, F)``,
    Algorithm 2) — so unauthorized data never leaves the producer;
 4. every request, permitted or denied, is audited.
+
+The paper's XACML PEP/PIP/PDP (:mod:`repro.xacml`) stays the interchange
+format of Figs. 5 and 8; the test suite holds every decision equal to that
+stack evaluating :meth:`~repro.core.policy.PolicyRepository.to_policy_set`.
 
 The enforcer also honours source-level **consent**: a data subject's detail
 opt-out denies the request before any policy is consulted (consent is the
@@ -33,31 +38,23 @@ from repro.audit.log import AuditLog
 from repro.clock import Clock
 from repro.core.actors import Actor
 from repro.core.consent import ConsentRegistry
-from repro.core.idmap import EventIdMap
+from repro.core.idmap import EventIdEntry, EventIdMap
 from repro.core.messages import DetailMessage
+from repro.core.policy import DetailRequestSpec, PolicyDecision, PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
-from repro.perf import PerfLayer
 from repro.runtime.interceptors import (
     REQUEST_DETAILS,
     Invocation,
     build_enforcement_pipeline,
-    policy_decision,
     resolve_request_entry,
 )
 from repro.runtime.interfaces import DetailFetcher
-from repro.xacml.context import (
-    ATTR_ENV_TIME,
-    ATTR_RESOURCE_EVENT_ID,
-    ATTR_RESOURCE_EVENT_TYPE,
-    ATTR_RESOURCE_PRODUCER,
-    RequestContext,
-)
-from repro.xacml.model import OBLIGATION_AUDIT, OBLIGATION_RELEASE_FIELDS
-from repro.xacml.pdp import PolicyDecisionPoint
-from repro.xacml.pep import PolicyEnforcementPoint
-from repro.xacml.pip import PolicyInformationPoint
+
+#: Decisions made, labelled ``permit`` / ``deny`` / ``not_applicable`` —
+#: the series the ``pdp-deny-rate`` SLO reads.
+PDP_EVALUATIONS = "xacml.pdp.evaluations_total"
 
 #: Resolves a producer id to its consent registry (may return None).
 ConsentResolver = Callable[[str], "ConsentRegistry | None"]
@@ -84,17 +81,25 @@ class EnforcerStats:
     gateway_failures: int = 0
 
 
-class PolicyEnforcer:
-    """Implements Algorithm 1 over the XACML PEP/PIP/PDP stack.
+@dataclass
+class DecisionStats:
+    """Decisions made (``requests``) and the bucket candidates they walked
+    (``policies_evaluated``); the names are the XACML PDP's counters."""
 
-    Decisions come from ``perf``, a :class:`~repro.perf.PerfLayer` bound
-    to the certified policy repository.  Gateway access goes through a
+    requests: int = 0
+    policies_evaluated: int = 0
+
+
+class PolicyEnforcer:
+    """Implements Algorithm 1 over the certified policy repository.
+
+    Decisions are ``repository``'s Def. 3; gateway access goes through a
     :class:`~repro.runtime.interfaces.DetailFetcher`, the ``fetcher``.
     """
 
     def __init__(
         self,
-        perf: PerfLayer,
+        repository: PolicyRepository,
         id_map: EventIdMap,
         purposes: PurposeRegistry,
         *,
@@ -105,41 +110,24 @@ class PolicyEnforcer:
         consent_resolver: ConsentResolver | None = None,
         telemetry=None,
     ) -> None:
-        self._perf = perf
+        self._repository = repository
         self._id_map = id_map
         self._purposes = purposes
-        self._fetcher = fetcher
-        self._audit = audit_log
         self._clock = clock
-        self._ids = ids
-        self._resolve_consent = consent_resolver or (lambda producer_id: None)
-        self._pdp = PolicyDecisionPoint(telemetry=telemetry)
-        self._pip = self._build_pip()
-        self._pep = PolicyEnforcementPoint(
-            pdp=self._pdp,
-            pip=self._pip,
-            enrich_attributes=[
-                ATTR_RESOURCE_PRODUCER,
-                ATTR_RESOURCE_EVENT_TYPE,
-                ATTR_ENV_TIME,
-            ],
-        )
-        self._audit_obligations_fired = 0
-        self._pep.on_obligation(OBLIGATION_RELEASE_FIELDS, self._noop_obligation)
-        self._pep.on_obligation(OBLIGATION_AUDIT, self._audit_obligation)
+        self._telemetry = telemetry
         self.stats = EnforcerStats()
+        self.pdp_stats = DecisionStats()
         self._pipeline = build_enforcement_pipeline(
             stats=self.stats,
-            audit=self._audit,
-            ids=self._ids,
-            clock=self._clock,
-            purposes=self._purposes,
-            id_map=self._id_map,
-            consent_resolver=self._resolve_consent,
-            pep=self._pep,
-            fetcher=self._fetcher,
+            audit=audit_log,
+            ids=ids,
+            clock=clock,
+            purposes=purposes,
+            id_map=id_map,
+            consent_resolver=consent_resolver or (lambda producer_id: None),
+            decide=self._decide,
+            fetcher=fetcher,
             telemetry=telemetry,
-            perf=self._perf,
         )
 
     @property
@@ -147,43 +135,21 @@ class PolicyEnforcer:
         """The Algorithm 1 stage pipeline (inspectable, e.g. stage names)."""
         return self._pipeline
 
-    # -- PIP wiring -----------------------------------------------------------
-
-    def _build_pip(self) -> PolicyInformationPoint:
-        pip = PolicyInformationPoint()
-
-        def resolve_producer(request: RequestContext) -> tuple[str, ...]:
-            event_id = request.single(ATTR_RESOURCE_EVENT_ID)
-            if event_id is None or event_id not in self._id_map:
-                return ()
-            return (self._id_map.resolve(event_id).producer_id,)
-
-        def resolve_event_type(request: RequestContext) -> tuple[str, ...]:
-            event_id = request.single(ATTR_RESOURCE_EVENT_ID)
-            if event_id is None or event_id not in self._id_map:
-                return ()
-            return (self._id_map.resolve(event_id).event_type,)
-
-        def resolve_time(request: RequestContext) -> tuple[str, ...]:
-            return (f"{self._clock.now():020.6f}",)
-
-        pip.register(ATTR_RESOURCE_PRODUCER, resolve_producer)
-        pip.register(ATTR_RESOURCE_EVENT_TYPE, resolve_event_type)
-        pip.register(ATTR_ENV_TIME, resolve_time)
-        return pip
-
-    # -- obligations --------------------------------------------------------------
-
-    @staticmethod
-    def _noop_obligation(request: RequestContext, outcome: object) -> None:
-        # Field release is discharged by the gateway call below; the handler
-        # exists so the PEP accepts the obligation instead of downgrading.
-        return None
-
-    def _audit_obligation(self, request: RequestContext, outcome: object) -> None:
-        # The actual audit record is written by the audit stage with
-        # the full request context; the obligation only needs discharging.
-        self._audit_obligations_fired += 1
+    def _decide(self, entry: EventIdEntry, request: DetailRequest) -> PolicyDecision:
+        """Steps 2–3 of Algorithm 1: Def. 3 at the clock's time, counted."""
+        decision = self._repository.decide(entry.producer_id, DetailRequestSpec(
+            actor_id=request.actor.actor_id,
+            event_type=entry.event_type,
+            purpose=request.purpose,
+            actor_role=request.actor.role,
+            requested_at=self._clock.now(),
+        ))
+        self.pdp_stats.requests += 1
+        self.pdp_stats.policies_evaluated += decision.walked
+        if self._telemetry is not None:
+            self._telemetry.count(PDP_EVALUATIONS,
+                                  decision=decision.verdict.name.lower())
+        return decision
 
     # -- Algorithm 1 -----------------------------------------------------------------
 
@@ -201,17 +167,11 @@ class PolicyEnforcer:
     def decide(self, request: DetailRequest) -> bool:
         """Policy decision only (no gateway call, no exception on deny).
 
-        Runs the same :func:`~repro.runtime.interceptors.policy_decision`
-        as the details chain's decide stage (same verdict, same cache);
-        benchmarks use it to time the decision path in isolation.
+        The same decision as the details chain's decide stage; benchmarks
+        use it to time the decision path in isolation.
         """
         try:
             entry = resolve_request_entry(request, self._purposes, self._id_map)
         except AccessDeniedError:
             return False
-        return policy_decision(entry, request, self._pep, self._perf).permitted
-
-    @property
-    def pdp_stats(self):
-        """The underlying PDP's evaluation counters."""
-        return self._pdp.stats
+        return self._decide(entry, request).permitted

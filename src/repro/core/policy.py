@@ -13,16 +13,18 @@ This module provides:
 * :func:`PrivacyPolicy.matches` — Def. 3 policy matching;
 * :func:`is_privacy_safe` — Def. 4: an event is privacy safe for a policy
   w.r.t. a request iff it exposes no non-empty field outside ``F``;
-* :meth:`PrivacyPolicy.to_xacml` — compilation into the internal XACML
-  representation the Policy Enforcer evaluates (§5.1: "We are using XACML
-  to model internally to the Policy Enforcer module the privacy
-  policies");
-* :class:`PolicyRepository` — the data controller's certified repository.
+* :meth:`PrivacyPolicy.to_xacml` — compilation into XACML (§5.1: "We are
+  using XACML to model internally to the Policy Enforcer module the
+  privacy policies"), the interchange format of Figs. 5 and 8 and the
+  reference the tests hold :meth:`PolicyRepository.decide` equal to;
+* :class:`PolicyRepository` — the data controller's certified repository,
+  whose :meth:`~PolicyRepository.decide` is the one access decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import PolicyError
 from repro.xacml.context import (
@@ -31,6 +33,7 @@ from repro.xacml.context import (
     ATTR_RESOURCE_EVENT_TYPE,
     ATTR_SUBJECT_ID,
     ATTR_SUBJECT_ROLE,
+    Decision,
 )
 from repro.xacml.model import (
     OBLIGATION_AUDIT,
@@ -47,8 +50,7 @@ from repro.xacml.model import (
 from repro.xmlmsg.document import XmlDocument
 
 
-@dataclass(frozen=True)
-class DetailRequestSpec:
+class DetailRequestSpec(NamedTuple):
     """The request shape of Def. 3: ``r = {A_r, τ_e, S_r}``.
 
     (The full runtime request, which also carries the event id, lives in
@@ -241,30 +243,79 @@ def is_privacy_safe_for_all(event: XmlDocument, policies: list[PrivacyPolicy]) -
     return all(is_privacy_safe(event, policy) for policy in policies)
 
 
+#: Why Def. 3 denies: a matching restriction (the words of the XACML PEP
+#: mapping the combined Deny, kept so audit trails read as before) or no
+#: matching policy at all.
+VETOED = "mapped Deny to Deny"
+DENY_BY_DEFAULT = "no matching policy (deny-by-default)"
+
+
+class PolicyDecision(NamedTuple):
+    """What Def. 3 says about one request.
+
+    ``verdict`` is the XACML decision the same policies compiled into a
+    deny-overrides set would reach (``DENY`` when a restriction matched,
+    ``NOT_APPLICABLE`` when nothing did); ``grants`` / ``restrictions``
+    are the matching policy ids in registration order and ``walked`` the
+    bucket candidates looked at.
+    """
+
+    verdict: Decision
+    released_fields: frozenset[str] = frozenset()
+    message: str = ""
+    grants: tuple[str, ...] = ()
+    restrictions: tuple[str, ...] = ()
+    walked: int = 0
+
+    @property
+    def permitted(self) -> bool:
+        return self.verdict is Decision.PERMIT
+
+
+def actor_ancestors(actor_id: str) -> tuple[str, ...]:
+    """The actor id and every organizational ancestor (``a/b/c → a, a/b, a/b/c``).
+
+    A grant to unit X covers X and its whole subtree
+    (:meth:`PrivacyPolicy._actor_matches`), so a request's unit candidates
+    are the buckets of these ids.
+    """
+    parts = actor_id.split("/")
+    return tuple("/".join(parts[: i + 1]) for i in range(len(parts)))
+
+
+class _ClassBuckets:
+    """The active policies of one ``(producer, event type)`` class, bucketed
+    by actor selector; entries are ``(registration number, policy)``."""
+
+    __slots__ = ("units", "roles")
+
+    def __init__(self) -> None:
+        self.units: dict[str, list[tuple[int, PrivacyPolicy]]] = {}
+        self.roles: dict[str, list[tuple[int, PrivacyPolicy]]] = {}
+
+    def bucket(self, policy: PrivacyPolicy) -> list[tuple[int, PrivacyPolicy]]:
+        if policy.actor_id:
+            return self.units.setdefault(policy.actor_id, [])
+        return self.roles.setdefault(policy.actor_role, [])
+
+
 class PolicyRepository:
     """The data controller's certified policy repository (§5).
 
-    Policies are indexed by ``(producer, event type)`` for the matching
-    phase.  The repository also stores the compiled XACML text produced by
-    the elicitation tool so auditors can inspect exactly what is enforced.
+    Policies are indexed by ``(producer, event type)`` and, within a class,
+    bucketed by actor selector — a unit bucket per granted ``actor_id``, a
+    role bucket per granted role — so :meth:`decide` only looks at the
+    policies whose subject can match the requester.  The repository also
+    stores the compiled XACML text produced by the elicitation tool so
+    auditors can inspect exactly what is enforced.
     """
 
     def __init__(self) -> None:
         self._policies: dict[str, PrivacyPolicy] = {}
         self._by_class: dict[tuple[str, str], list[str]] = {}
+        self._buckets: dict[tuple[str, str], _ClassBuckets] = {}
         self._xacml_texts: dict[str, str] = {}
         self._revoked: set[str] = set()
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic mutation counter; bumps on every add and revoke.
-
-        The perf layer's policy index and decision cache validate against
-        it, so a policy edit immediately drops every derived fast-path
-        artifact (deny-by-default can never be served stale).
-        """
-        return self._epoch
 
     def __len__(self) -> int:
         return len(self._policies) - len(self._revoked)
@@ -276,10 +327,12 @@ class PolicyRepository:
         """Store a policy (and optionally its generated XACML document)."""
         if policy.policy_id in self._policies:
             raise PolicyError(f"policy {policy.policy_id!r} already in repository")
+        number = len(self._policies)
         self._policies[policy.policy_id] = policy
         key = (policy.producer_id, policy.event_type)
         self._by_class.setdefault(key, []).append(policy.policy_id)
-        self._epoch += 1
+        self._buckets.setdefault(key, _ClassBuckets()).bucket(policy).append(
+            (number, policy))
         if xacml_text:
             self._xacml_texts[policy.policy_id] = xacml_text
 
@@ -287,8 +340,12 @@ class PolicyRepository:
         """Revoke a policy; it stops matching immediately but stays auditable."""
         if policy_id not in self._policies:
             raise PolicyError(f"no policy {policy_id!r} to revoke")
+        if policy_id in self._revoked:
+            return
         self._revoked.add(policy_id)
-        self._epoch += 1
+        policy = self._policies[policy_id]
+        bucket = self._buckets[(policy.producer_id, policy.event_type)].bucket(policy)
+        bucket[:] = [entry for entry in bucket if entry[1] is not policy]
 
     def get(self, policy_id: str) -> PrivacyPolicy:
         """Fetch a policy by id (revoked policies are still fetchable)."""
@@ -320,45 +377,70 @@ class PolicyRepository:
             if policy_id not in self._revoked
         ]
 
-    def matching_policy(
-        self, producer_id: str, request: DetailRequestSpec
-    ) -> PrivacyPolicy | None:
-        """The ``matchingPolicy(R)`` step of Algorithm 1.
+    def actor_candidates(
+        self, producer_id: str, event_type: str, actor_id: str, actor_role: str = ""
+    ) -> list[PrivacyPolicy]:
+        """The active policies of the class whose subject can match the
+        actor — its unit's and every ancestor unit's bucket plus its role's
+        — in registration order.  Every other policy of the class fails
+        Def. 3's ``A_r = A`` whatever the purpose or time."""
+        buckets = self._buckets.get((producer_id, event_type))
+        if buckets is None:
+            return []
+        found: list[tuple[int, PrivacyPolicy]] = []
+        if buckets.units:
+            for ancestor in actor_ancestors(actor_id):
+                found += buckets.units.get(ancestor, ())
+        if actor_role:
+            found += buckets.roles.get(actor_role, ())
+        if len(found) > 1:
+            found.sort()  # registration numbers are unique: policies never compare
+        return [policy for _, policy in found]
 
-        Returns the first matching *grant* — unless a matching restriction
-        (deny) policy exists, which vetoes the request entirely
-        (deny-overrides).
+    def decide(self, producer_id: str, request: DetailRequestSpec) -> PolicyDecision:
+        """Def. 3 over the producer's policies: the one access decision.
+
+        A matching restriction denies; otherwise the matching grants
+        release the union of their fields; nothing matching denies by
+        default (§5.1).  Only the actor's bucket candidates are walked.
         """
-        first_grant: PrivacyPolicy | None = None
-        for policy in self.candidates(producer_id, request.event_type):
-            if not policy.matches(request):
-                continue
-            if policy.deny:
-                return None
-            if first_grant is None:
-                first_grant = policy
-        return first_grant
+        candidates = self.actor_candidates(
+            producer_id, request.event_type, request.actor_id, request.actor_role)
+        grants: list[PrivacyPolicy] = []
+        restrictions: list[str] = []
+        for policy in candidates:
+            if policy.matches(request):
+                if policy.deny:
+                    restrictions.append(policy.policy_id)
+                else:
+                    grants.append(policy)
+        granted = tuple([policy.policy_id for policy in grants])
+        walked = len(candidates)
+        if restrictions:
+            return PolicyDecision(Decision.DENY, frozenset(), VETOED, granted,
+                                  tuple(restrictions), walked)
+        if not grants:
+            return PolicyDecision(Decision.NOT_APPLICABLE, frozenset(),
+                                  DENY_BY_DEFAULT, (), (), walked)
+        fields = grants[0].fields if len(grants) == 1 else frozenset().union(
+            *[policy.fields for policy in grants])
+        return PolicyDecision(Decision.PERMIT, fields, "", granted, (), walked)
 
     def has_policy_for(
-        self, producer_id: str, event_type: str, actor_id: str, actor_role: str = ""
+        self, producer_id: str, event_type: str, actor_id: str, actor_role: str = "",
+        *, at: float,
     ) -> bool:
-        """Whether *any* purpose is granted to the actor for the class.
+        """Whether Def. 3 permits the actor the class for *some* purpose at ``at``.
 
         This is the subscription-time check of §5.2: "In order to subscribe
         to a class of notification events ... there should be a privacy
         policy regulating the access to the corresponding event details for
-        that particular data consumer."  A matching restriction policy
-        vetoes the grant it would otherwise ride on.
+        that particular data consumer."  A restriction active at ``at``
+        vetoes the grant it would otherwise ride on, whatever its purposes.
         """
         granted = False
-        for policy in self.candidates(producer_id, event_type):
-            probe = DetailRequestSpec(
-                actor_id=actor_id,
-                event_type=event_type,
-                purpose=next(iter(policy.purposes)),
-                actor_role=actor_role,
-            )
-            if not policy.matches(probe):
+        for policy in self.actor_candidates(producer_id, event_type, actor_id, actor_role):
+            if not policy.is_active_at(at):
                 continue
             if policy.deny:
                 return False
@@ -376,12 +458,13 @@ class PolicyRepository:
     def to_policy_set(self, producer_id: str, event_type: str) -> PolicySet:
         """Compile the candidate policies into a deny-overrides policy set.
 
-        Elicitation-generated policies are permit-only, so under
-        deny-overrides every applicable grant is evaluated and their
-        ``release-fields`` obligations merge — two grants to the same
-        actor release the union of their fields.  An empty candidate list
-        yields an empty set which evaluates to NotApplicable — mapped to
-        Deny by the PEP (deny-by-default).
+        Under deny-overrides a matching restriction decides, and otherwise
+        every applicable grant is evaluated and their ``release-fields``
+        obligations merge — two grants to the same actor release the union
+        of their fields.  An empty candidate list yields an empty set which
+        evaluates to NotApplicable — mapped to Deny by the PEP
+        (deny-by-default).  Evaluated by the XACML PEP, this set is the
+        reference :meth:`decide` is tested against.
         """
         policies = tuple(
             policy.to_xacml() for policy in self.candidates(producer_id, event_type)

@@ -5,9 +5,9 @@ that the privacy rules they are asked to define can be tested and audited
 so that they can be relieved of the responsibility of privacy breaches."
 
 :class:`PolicyTester` answers that requirement with *dry runs*: what-if
-probes evaluated against the live policy repository — same matching, same
-XACML semantics, same deny-overrides — but touching no gateway, emitting
-no audit record and releasing no data:
+probes decided by the live policy repository — the same Def. 3 decision
+the enforcer takes — but touching no gateway, emitting no audit record and
+releasing no data:
 
 * :meth:`simulate` — one probe: "if consumer A asked for event class E
   with purpose S, what exactly would be released, and why?";
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.catalog import EventCatalog
-from repro.core.policy import DetailRequestSpec, PolicyRepository, PrivacyPolicy
+from repro.core.policy import DetailRequestSpec, PolicyRepository
 from repro.exceptions import UnknownEventClassError
 
 
@@ -94,43 +94,24 @@ class PolicyTester:
     ) -> SimulationOutcome:
         """Evaluate one what-if request without releasing anything.
 
-        Mirrors the enforcement semantics exactly: matching restrictions
-        veto; otherwise the union of matching grants is released;
-        deny-by-default when nothing matches.
+        The repository's own decision (:meth:`PolicyRepository.decide`):
+        matching restrictions veto; otherwise the union of matching grants
+        is released; deny-by-default when nothing matches.
         """
         self._catalog.get(event_type)  # unknown classes are caller errors
-        spec = DetailRequestSpec(
+        decision = self._repository.decide(producer_id, DetailRequestSpec(
             actor_id=actor_id, event_type=event_type, purpose=purpose,
             actor_role=actor_role, requested_at=at,
-        )
-        grants: list[PrivacyPolicy] = []
-        restrictions: list[PrivacyPolicy] = []
-        for policy in self._repository.candidates(producer_id, event_type):
-            if not policy.matches(spec):
-                continue
-            (restrictions if policy.deny else grants).append(policy)
-        if restrictions:
-            return SimulationOutcome(
-                actor=actor_id, actor_role=actor_role, event_type=event_type,
-                purpose=purpose, permitted=False, released_fields=frozenset(),
-                matched_grants=tuple(p.policy_id for p in grants),
-                vetoing_restrictions=tuple(p.policy_id for p in restrictions),
-                reason="vetoed by restriction policy "
-                       + ", ".join(p.policy_id for p in restrictions),
-            )
-        if not grants:
-            return SimulationOutcome(
-                actor=actor_id, actor_role=actor_role, event_type=event_type,
-                purpose=purpose, permitted=False, released_fields=frozenset(),
-                matched_grants=(), vetoing_restrictions=(),
-                reason="no matching policy (deny-by-default)",
-            )
-        released = frozenset().union(*(p.fields for p in grants))
+        ))
+        reason = decision.message  # '' on permit
+        if decision.restrictions:
+            reason = "vetoed by restriction policy " + ", ".join(decision.restrictions)
         return SimulationOutcome(
             actor=actor_id, actor_role=actor_role, event_type=event_type,
-            purpose=purpose, permitted=True, released_fields=released,
-            matched_grants=tuple(p.policy_id for p in grants),
-            vetoing_restrictions=(), reason="",
+            purpose=purpose, permitted=decision.permitted,
+            released_fields=decision.released_fields,
+            matched_grants=decision.grants,
+            vetoing_restrictions=decision.restrictions, reason=reason,
         )
 
     # -- probe matrix ------------------------------------------------------------

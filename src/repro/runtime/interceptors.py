@@ -52,18 +52,7 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
-from repro.perf.decision_cache import CachedDecision
 from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
-from repro.xacml.context import (
-    ATTR_ACTION_PURPOSE,
-    ATTR_RESOURCE_EVENT_ID,
-    ATTR_RESOURCE_EVENT_TYPE,
-    ATTR_SUBJECT_ID,
-    ATTR_SUBJECT_ORGANIZATION,
-    ATTR_SUBJECT_ROLE,
-    RequestContext,
-)
-from repro.xacml.model import OBLIGATION_RELEASE_FIELDS
 
 #: Operation names carried by invocations (the two hot paths).
 PUBLISH = "publish"
@@ -253,54 +242,8 @@ def _contract_stage(contracts, clock, caller_key: str, produce: bool) -> Stage:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers (used by the stages and by PolicyEnforcer.decide)
+# Shared helper (used by the resolve stage and by PolicyEnforcer.decide)
 # ---------------------------------------------------------------------------
-
-
-def build_request_context(request) -> RequestContext:
-    """Project a :class:`DetailRequest` onto the XACML request context."""
-    attributes: dict[str, tuple[str, ...]] = {
-        ATTR_SUBJECT_ID: (request.actor.actor_id,),
-        ATTR_SUBJECT_ORGANIZATION: (request.actor.organization,),
-        ATTR_RESOURCE_EVENT_TYPE: (request.event_type,),
-        ATTR_RESOURCE_EVENT_ID: (request.event_id,),
-        ATTR_ACTION_PURPOSE: (request.purpose,),
-    }
-    if request.actor.role:
-        attributes[ATTR_SUBJECT_ROLE] = (request.actor.role,)
-    return RequestContext(attributes)
-
-
-def released_fields(obligations) -> frozenset[str]:
-    """Union of the field-release obligations of a permit response."""
-    fields: set[str] = set()
-    for outcome in obligations:
-        if outcome.obligation_id == OBLIGATION_RELEASE_FIELDS:
-            fields.update(outcome.assignment("field"))
-    return frozenset(fields)
-
-
-def policy_decision(entry, request, pep, perf) -> CachedDecision:
-    """Steps 2–3 of Algorithm 1: the PDP's decision for one resolved request.
-
-    The perf layer's versioned decision cache answers first (a hit replays
-    the *same* verdict, field set and deny message, so audit trails are
-    byte-identical) and a miss evaluates only the policy index's bucketed
-    candidates.
-    """
-    cached = perf.cached_decision(entry, request)
-    if cached is not None:
-        return cached
-    policy_set = perf.policy_set_for(entry, request)
-    response = pep.authorize(policy_set, build_request_context(request))
-    if response.permitted:
-        decision = CachedDecision(True, released_fields(response.obligations))
-    else:
-        decision = CachedDecision(False, message=(
-            response.status_message or "no matching policy (deny-by-default)"
-        ))
-    perf.store_decision(entry, request, decision)
-    return decision
 
 
 def resolve_request_entry(request, purposes, id_map) -> EventIdEntry:
@@ -486,12 +429,15 @@ def build_enforcement_pipeline(
     purposes,
     id_map,
     consent_resolver,
-    pep,
+    decide,
     fetcher,
-    perf,
     telemetry=None,
 ) -> Pipeline:
-    """Algorithm 1 as a chain: resolve → consent → decide → fetch → filter."""
+    """Algorithm 1 as a chain: resolve → consent → decide → fetch → filter.
+
+    ``decide(entry, request)`` is the enforcer's Def. 3 decision (a
+    :class:`~repro.core.policy.PolicyDecision`).
+    """
 
     def count(context, result, failure) -> None:
         """Maintains the Fig. 4 stage counters around the enforcement chain."""
@@ -546,14 +492,14 @@ def build_enforcement_pipeline(
                 "data subject opted out of detail disclosure", context["request"]
             )
 
-    def decide(context) -> None:
-        """PDP evaluation over the certified repository (steps 2–3).
+    def decision(context) -> None:
+        """Def. 3 over the certified repository (steps 2–3).
 
-        Turns :func:`policy_decision`'s verdict into the chain's control
-        flow: deny raises, permit publishes ``released_fields`` and goes on.
+        Turns the decision into the chain's control flow: deny raises,
+        permit publishes ``released_fields`` and goes on.
         """
         request = context["request"]
-        decision = policy_decision(context["entry"], request, pep, perf)
+        decision = decide(context["entry"], request)
         if not decision.permitted:
             raise AccessDeniedError(decision.message, request)
         if not decision.released_fields:
@@ -591,7 +537,7 @@ def build_enforcement_pipeline(
             Stage("audit", go_on, record),
             Stage("resolve", resolve),
             Stage("consent", consent),
-            Stage("decide", decide),
+            Stage("decide", decision),
             Stage("fetch", fetch),
             Stage("filter", check_fields),
         ),

@@ -75,8 +75,8 @@ class RuntimeConfig:
     #: whoever reads.  Kept for ``PROD`` like the storage spellings.
     slo: str = "noop"
     profiling: str = "noop"
-    #: Selects nothing and accepts "indexed" alone: the policy index,
-    #: decision cache, subscription trie and wire caches are the one hot
+    #: Selects nothing and accepts "indexed" alone: Def. 3 over the policy
+    #: buckets, the subscription trie and the wire caches are the one hot
     #: path.  Kept for ``PROD`` like ``slo``.
     perf: str = "indexed"
     #: Selects nothing and accepts "segmented" alone: every ``data_dir`` is

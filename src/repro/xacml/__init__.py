@@ -18,6 +18,12 @@ This subpackage implements the XACML slice those components need:
 * :mod:`~repro.xacml.pep` — the enforcement point skeleton;
 * :mod:`~repro.xacml.serialize` — XML serialization/parsing (Fig. 8's
   document shape).
+
+The platform decides a request by Def. 3
+(:meth:`repro.core.policy.PolicyRepository.decide`); XACML is the
+interchange format every stored policy is also kept in, and the PEP/PDP
+over :meth:`~repro.core.policy.PolicyRepository.to_policy_set` is the
+reference the test suite holds that decision equal to.
 """
 
 from repro.xacml.context import Decision, RequestContext, ResponseContext

@@ -29,48 +29,34 @@ class PdpStats:
 class PolicyDecisionPoint:
     """Evaluates XACML policies and policy sets.
 
-    ``telemetry`` (a :mod:`repro.obs.telemetry` backend) counts every
-    evaluation labelled with its decision — the Fig. 4 deny-rate series
-    operators watch, with nothing identifying in the labels.  How many
-    policies and rules were walked stays in :class:`PdpStats`.
+    How many policies and rules were walked is in :class:`PdpStats`.  The
+    platform decides by Def. 3 (:meth:`repro.core.policy.PolicyRepository.
+    decide`); this PDP is the reference the test suite holds it equal to,
+    and the evaluator of the Figs. 5 and 8 walkthroughs.
     """
 
-    def __init__(self, telemetry=None) -> None:
+    def __init__(self) -> None:
         self.stats = PdpStats()
-        self._telemetry = telemetry
 
     # -- public API ----------------------------------------------------------
 
     def evaluate_policy(self, policy: Policy, request: RequestContext) -> ResponseContext:
         """Evaluate one policy against ``request``."""
         self.stats.requests += 1
-        response = self._policy_decision(policy, request)
-        self._record_evaluation(response)
-        return response
+        return self._policy_decision(policy, request)
 
     def evaluate_policy_set(self, policy_set: PolicySet, request: RequestContext) -> ResponseContext:
         """Evaluate a policy set against ``request``."""
         self.stats.requests += 1
         if not policy_set.target.applies_to(request):
-            response = ResponseContext(Decision.NOT_APPLICABLE)
-            self._record_evaluation(response)
-            return response
+            return ResponseContext(Decision.NOT_APPLICABLE)
         outcomes = []
         for policy in policy_set.policies:
             outcome = self._policy_decision(policy, request)
             outcomes.append(outcome)
             if self._can_short_circuit(policy_set.combining, outcome.decision):
                 break
-        response = self._combine(policy_set.combining, outcomes)
-        self._record_evaluation(response)
-        return response
-
-    def _record_evaluation(self, response: ResponseContext) -> None:
-        if self._telemetry is None:
-            return
-        self._telemetry.count(
-            "xacml.pdp.evaluations_total", decision=response.decision.name.lower()
-        )
+        return self._combine(policy_set.combining, outcomes)
 
     # -- policy evaluation -----------------------------------------------------
 

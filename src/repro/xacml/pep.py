@@ -3,8 +3,10 @@
 The PEP is the front door of the policy enforcer (Fig. 4): it receives the
 authorization request, asks the PIP to enrich it, hands it to the PDP, and
 — on permit — discharges the obligations.  The generic skeleton here knows
-nothing about events; :mod:`repro.core.enforcement` subclasses the
-behaviour by supplying the obligation handlers (field release, audit).
+nothing about events: whoever drives it supplies the obligation handlers
+(field release, audit).  The platform's enforcer decides by Def. 3
+directly; the test suite drives this PEP over the repository's compiled
+policy set as the reference that decision is held equal to.
 """
 
 from __future__ import annotations

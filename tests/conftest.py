@@ -26,14 +26,15 @@ from repro import (
     StringType,
 )
 from repro.bus.subscriptions import SubscriptionRegistry
+from repro.core.policy import PolicyRepository
 from repro.exceptions import (
     DetailNotFoundError,
     PrivacyError,
     SourceUnavailableError,
     UnknownProducerError,
 )
-from repro.perf import PerfLayer
 from repro.xmlmsg.types import DecimalType, EnumerationType
+from tests.xacml_reference import reference_decision
 
 
 def blood_test_schema() -> MessageSchema:
@@ -149,6 +150,25 @@ def with_deleted_latency_row(report: dict, observed: float,
     return {**report, "objectives": [row, *report["objectives"]]}
 
 
+def with_parent_pdp_counts(report: dict, observed: float,
+                           windows: dict | None = None) -> dict:
+    """An SLO report section with the ``pdp-deny-rate`` row as it read
+    while a decision cache stood in front of the XACML PDP: the series
+    counted PDP evaluations (cache misses) rather than decisions, so only
+    ``observed`` (and each window's ``observed``) differ."""
+
+    def restore(row: dict) -> dict:
+        if row["name"] != "pdp-deny-rate":
+            return row
+        row = {**row, "observed": observed}
+        if windows is not None:
+            row["windows"] = {name: {**window, "observed": windows[name]}
+                              for name, window in row["windows"].items()}
+        return row
+
+    return {**report, "objectives": [restore(row) for row in report["objectives"]]}
+
+
 def _gateway_offline(platform):
     platform.controller_of("node-0").endpoints.get(
         "gateway.Hospital-S-Maria.getResponse").take_offline()
@@ -183,22 +203,16 @@ HOME_NODE_FAILURES = [
 
 @pytest.fixture()
 def linear_reference(monkeypatch):
-    """A context manager: inside it every decision is the repository's full
-    compile-and-evaluate, uncached, and every fan-out the linear scan over
-    all subscriptions — the reference the product's indexed hot path
-    (policy index, decision cache, subscription trie) is held equal to."""
+    """A context manager: inside it every decision is the XACML reference
+    (``tests/xacml_reference.py``: the repository's whole policy set
+    compiled and evaluated by the PEP and PDP) and every fan-out the linear
+    scan over all subscriptions — the reference the product's hot path
+    (Def. 3 over the actor buckets, subscription trie) is held equal to."""
 
     @contextmanager
     def linear():
         with monkeypatch.context() as patch:
-            patch.setattr(PerfLayer, "cached_decision",
-                          lambda perf, entry, request: None)
-            patch.setattr(PerfLayer, "policy_set_for",
-                          lambda perf, entry, request:
-                          perf._repository.to_policy_set(
-                              entry.producer_id, entry.event_type))
-            patch.setattr(PerfLayer, "store_decision",
-                          lambda perf, entry, request, decision: None)
+            patch.setattr(PolicyRepository, "decide", reference_decision)
             patch.setattr(SubscriptionRegistry, "matching_topic",
                           SubscriptionRegistry.matching_topic_linear)
             yield

@@ -24,6 +24,7 @@ from repro.exceptions import (
     SourceUnavailableError,
     UnknownProducerError,
 )
+from repro.core.policy import PrivacyPolicy
 
 
 class TestJoining:
@@ -169,6 +170,53 @@ class TestSubscriptionGating:
                   .by_outcome(AuditOutcome.DENY)
                   .count(platform_small.controller.audit_log))
         assert denied == 1
+
+
+class TestSubscriptionGateReadsTheClock:
+    """The subscription gate and the index inquiry read validity windows at
+    the clock's time, as a request for details does."""
+
+    def test_a_grant_valid_now_admits_subscription_and_inquiry(self, platform_small):
+        controller, hospital = platform_small.controller, platform_small.hospital
+        nurse = DataConsumer(controller, "Ward/Nurse-1", "Nurse", role="nurse")
+        hospital.define_policy(
+            "BloodTest", fields=["Hemoglobin"], consumers=[("nurse", "role")],
+            purposes=["healthcare-treatment"], valid_from=100.0, valid_until=1000.0)
+        controller.clock.advance(200.0)
+        nurse.subscribe("BloodTest")
+        notification = platform_small.publish_blood_test()
+        assert [n.event_id for n in nurse.inbox] == [notification.event_id]
+        assert [n.event_id for n in nurse.inquire_index(["BloodTest"])] == [
+            notification.event_id]
+        detail = nurse.request_details(notification, "healthcare-treatment")
+        assert detail.exposed_values() == {"Hemoglobin": 14.0}
+        controller.clock.advance(900.0)  # past the window: all three refuse
+        assert nurse.inquire_index(["BloodTest"]) == []
+        with pytest.raises(AccessDeniedError, match="no matching policy"):
+            nurse.request_details(notification, "healthcare-treatment")
+        with pytest.raises(AccessDeniedError, match="pending"):
+            nurse.subscribe("BloodTest")
+
+    def test_an_expired_restriction_no_longer_vetoes(self, platform_small):
+        controller, hospital = platform_small.controller, platform_small.hospital
+        verdi = DataConsumer(controller, "Clinic/Dr-Verdi", "Dr. Verdi")
+        hospital.define_policy(
+            "BloodTest", fields=["PatientId"], consumers=[("Clinic", "unit")],
+            purposes=["healthcare-treatment"])
+        controller.policies.add(PrivacyPolicy(
+            policy_id="veto-verdi", producer_id="Hospital-S-Maria",
+            event_type="BloodTest", fields=frozenset(),
+            purposes=frozenset({"healthcare-treatment"}),
+            actor_id="Clinic/Dr-Verdi", valid_until=50.0, deny=True))
+        with pytest.raises(AccessDeniedError, match="pending"):
+            verdi.subscribe("BloodTest")
+        controller.clock.advance(200.0)
+        verdi.subscribe("BloodTest")
+        notification = platform_small.publish_blood_test()
+        assert [n.event_id for n in verdi.inquire_index(["BloodTest"])] == [
+            notification.event_id]
+        detail = verdi.request_details(notification, "healthcare-treatment")
+        assert detail.exposed_values() == {"PatientId": "pat-1"}
 
 
 class TestRequestDetails:

@@ -66,11 +66,11 @@ class TestWizardFlow:
         wizard.select_consumers([("Municipality/Social", "unit")])
         wizard.select_purposes(["administration"])
         wizard.save()
-        assert repository.matching_policy("HomeAssist", DetailRequestSpec(
+        assert repository.decide("HomeAssist", DetailRequestSpec(
             actor_id="Municipality/Social",
             event_type="HomeCareServiceEvent",
             purpose="administration",
-        )) is not None
+        )).released_fields == {"PatientId"}
 
     def test_one_policy_per_consumer(self, toolkit):
         catalog, repository, wizard = toolkit

@@ -1,11 +1,9 @@
 """Unit tests for the Policy Enforcer (Algorithm 1)."""
 
-from types import SimpleNamespace
-
 import pytest
 
+from repro import DataConsumer, DataController, DataProducer
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
-from repro.bus.endpoints import EndpointRegistry
 from repro.clock import Clock
 from repro.core.actors import Actor, ActorKind
 from repro.core.consent import ConsentRegistry, ConsentScope
@@ -13,15 +11,16 @@ from repro.core.enforcement import DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.gateway import LocalCooperationGateway
 from repro.core.idmap import EventIdEntry, EventIdMap
-from repro.core.policy import PolicyRepository, PrivacyPolicy
+from repro.core.policy import PolicyDecision, PolicyRepository, PrivacyPolicy
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, SourceUnavailableError
 from repro.ids import IdFactory
-from repro.perf import PerfLayer
-from repro.runtime.services import DirectDetailFetcher
+from repro.runtime.services import DirectDetailFetcher, gateway_endpoint_name
+from repro.xacml.context import Decision
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import IntegerType, StringType
+from tests.conftest import blood_test_schema
 
 
 def blood_class() -> EventClass:
@@ -39,16 +38,12 @@ class EnforcerHarness:
     def __init__(self, consent: ConsentRegistry | None = None) -> None:
         self.clock = Clock()
         self.repository = PolicyRepository()
-        self.perf = PerfLayer()
-        self.perf.bind(repository=self.repository,
-                       consent_resolver=lambda producer_id: self.consent,
-                       endpoints=EndpointRegistry())
         self.id_map = EventIdMap()
         self.gateway = LocalCooperationGateway("Hospital")
         self.audit = AuditLog()
         self.consent = consent
         self.enforcer = PolicyEnforcer(
-            perf=self.perf,
+            repository=self.repository,
             id_map=self.id_map,
             purposes=PurposeRegistry(),
             fetcher=DirectDetailFetcher(lambda producer_id: self.gateway),
@@ -255,10 +250,9 @@ class TestDecide:
 @pytest.mark.parametrize("perf", ["none", "indexed"])
 class TestDecideAndDetailsShareOneDecision:
     """``decide`` and the details chain's decide stage read the same
-    routine: whichever runs first (cold), and again once the decision
-    cache is warm, on the indexed hot path and on the linear reference
-    (``none``), the verdict and the deny message / released fields are the
-    same."""
+    routine: whichever runs first, and again on repeat, on the product's
+    Def. 3 decision and on the XACML reference (``none``), the verdict and
+    the deny message / released fields are the same."""
 
     DENY_BY_DEFAULT = "no matching policy (deny-by-default)"
 
@@ -284,22 +278,9 @@ class TestDecideAndDetailsShareOneDecision:
     def check(self, harness, verdict: bool, details) -> None:
         for first in ("decide", "details"):
             other = "details" if first == "decide" else "decide"
-            self.drop_cached_decisions(harness)
-            for call in (first, other, first, other):  # cold, cold, warm, warm
+            for call in (first, other, first, other):
                 expected = verdict if call == "decide" else details
                 assert self.observe(harness, call) == expected, (first, call)
-
-    @staticmethod
-    def drop_cached_decisions(harness) -> None:
-        """Add and revoke a policy nobody matches: each bumps the
-        repository epoch, which invalidates every cached decision."""
-        policy_id = f"unrelated-{harness.repository.epoch}"
-        harness.repository.add(PrivacyPolicy(
-            policy_id=policy_id, producer_id="Hospital", event_type="BloodTest",
-            fields=frozenset({"PatientId"}),
-            purposes=frozenset({"healthcare-treatment"}), actor_id="Nobody",
-        ))
-        harness.repository.revoke(policy_id)
 
     def test_permit(self):
         harness = EnforcerHarness()
@@ -310,22 +291,18 @@ class TestDecideAndDetailsShareOneDecision:
         harness = EnforcerHarness()
         harness.grant(frozenset({"PatientId"}), actor_id="Doctor")
         harness.grant(frozenset(), actor_id="Doctor", deny=True)
-        details = self.observe(harness, "details")
-        assert isinstance(details, str)  # denied, whatever the PDP's wording
-        self.check(harness, False, details)
+        assert self.observe(harness, "details") == "mapped Deny to Deny"
+        self.check(harness, False, "mapped Deny to Deny")
 
     def test_no_policy(self):
         self.check(EnforcerHarness(), False, self.DENY_BY_DEFAULT)
 
     def test_no_fields_permit(self, monkeypatch):
-        """A permit that releases nothing: the PDP's verdict is permit, and
-        the details chain still refuses to call the gateway."""
+        """A permit that releases nothing: the verdict is permit, and the
+        details chain still refuses to call the gateway."""
         harness = EnforcerHarness()
-        monkeypatch.setattr(
-            harness.enforcer._pep, "authorize",
-            lambda policy_set, request: SimpleNamespace(
-                permitted=True, obligations=(), status_message=""),
-        )
+        monkeypatch.setattr(harness.repository, "decide",
+                            lambda producer_id, request: PolicyDecision(Decision.PERMIT))
         self.check(harness, True, "matching policy releases no fields")
         assert harness.gateway.stats.served_from_source == 0
 
@@ -333,7 +310,62 @@ class TestDecideAndDetailsShareOneDecision:
         harness = EnforcerHarness()
         harness.grant(frozenset({"PatientId"}), valid_until=100.0)
         self.check(harness, True, ["PatientId"])
-        harness.clock.advance(200.0)  # a warm cache must not replay the permit
+        harness.clock.advance(200.0)  # decided at the clock's time, every time
         assert self.observe(harness, "decide") is False
         assert self.observe(harness, "details") == self.DENY_BY_DEFAULT
         self.check(harness, False, self.DENY_BY_DEFAULT)
+
+
+def build_world():
+    """One producer, a role grant to family doctors, one published event."""
+    controller = DataController(seed="perf-cache")
+    hospital = DataProducer(controller, "Hospital", "Hospital")
+    blood = hospital.declare_event_class(blood_test_schema())
+    doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi",
+                          role="family-doctor")
+    result = hospital.define_policy(
+        "BloodTest", fields=["PatientId", "Hemoglobin"],
+        consumers=[("family-doctor", "role")],
+        purposes=["healthcare-treatment"])
+    notification = hospital.publish(
+        blood, subject_id="pat-1", subject_name="Mario Bianchi",
+        summary="done",
+        details={"PatientId": "pat-1", "Name": "Mario", "Hemoglobin": 14.0,
+                 "Glucose": 90.0, "HivResult": "negative"})
+    return controller, hospital, doctor, notification, result
+
+
+class TestDecisionFollowsState:
+    """Nothing derived outlives the state a permit rested on: after a
+    policy revocation, a consent opt-out or an endpoint withdrawal the
+    very next request is decided (or served) on the new state."""
+
+    @staticmethod
+    def request(doctor, notification):
+        return doctor.request_details(notification, "healthcare-treatment")
+
+    def test_revocation_denies_the_next_request(self):
+        controller, hospital, doctor, notification, result = build_world()
+        assert self.request(doctor, notification).exposed_values()
+        for policy in result.policies:
+            controller.policies.revoke(policy.policy_id)
+        with pytest.raises(AccessDeniedError, match="no matching policy"):
+            self.request(doctor, notification)
+
+    def test_consent_opt_out_denies_the_next_request(self):
+        controller, hospital, doctor, notification, _ = build_world()
+        assert self.request(doctor, notification).exposed_values()
+        hospital.record_opt_out("pat-1", ConsentScope.DETAILS, "BloodTest")
+        with pytest.raises(AccessDeniedError, match="opted out"):
+            self.request(doctor, notification)
+        assert controller.enforcer.stats.consent_vetoes == 1
+
+    def test_withdrawn_endpoint_fails_next_request(self):
+        controller, hospital, doctor, notification, _ = build_world()
+        assert self.request(doctor, notification).exposed_values()
+        controller.endpoints.withdraw(gateway_endpoint_name("Hospital"))
+        with pytest.raises(SourceUnavailableError, match="no endpoint named"):
+            self.request(doctor, notification)
+        (record,) = controller.audit_log.records()[-1:]
+        assert (record.action, record.outcome) == (
+            AuditAction.DETAIL_REQUEST, AuditOutcome.ERROR)

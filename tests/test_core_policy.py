@@ -245,22 +245,39 @@ class TestPolicyRepository:
             repo.add(policy())
 
     def test_matching_policy_first_match(self):
+        """Every matching grant is part of the decision, in registration
+        order (there is no "first" grant that releases alone)."""
         repo = PolicyRepository()
         repo.add(policy(policy_id="p1", fields=frozenset({"PatientId"})))
         repo.add(policy(policy_id="p2", fields=frozenset({"Hemoglobin"})))
-        matched = repo.matching_policy("Hospital", request())
-        assert matched is not None and matched.policy_id == "p1"
+        decision = repo.decide("Hospital", request())
+        assert decision.permitted
+        assert decision.grants == ("p1", "p2")
+
+    def test_decide_releases_the_union_of_matching_grants(self):
+        repo = PolicyRepository()
+        repo.add(policy(policy_id="p1", fields=frozenset({"PatientId"})))
+        repo.add(policy(policy_id="p2", fields=frozenset({"Hemoglobin"})))
+        repo.add(policy(policy_id="p3", fields=frozenset({"HivResult"}),
+                        purposes=frozenset({"statistical-analysis"})))
+        decision = repo.decide("Hospital", request())
+        assert decision.released_fields == {"PatientId", "Hemoglobin"}
+        assert (decision.verdict, decision.message) == (Decision.PERMIT, "")
 
     def test_matching_policy_none(self):
         repo = PolicyRepository()
         repo.add(policy())
-        assert repo.matching_policy("Hospital", request(purpose="nope")) is None
+        decision = repo.decide("Hospital", request(purpose="nope"))
+        assert not decision.permitted
+        assert decision.verdict is Decision.NOT_APPLICABLE
+        assert decision.message == "no matching policy (deny-by-default)"
+        assert (decision.released_fields, decision.grants) == (frozenset(), ())
 
     def test_revocation_stops_matching(self):
         repo = PolicyRepository()
         repo.add(policy())
         repo.revoke("p1")
-        assert repo.matching_policy("Hospital", request()) is None
+        assert not repo.decide("Hospital", request()).permitted
         assert repo.is_revoked("p1")
         assert "p1" not in repo
         assert repo.get("p1").policy_id == "p1"  # still auditable
@@ -272,15 +289,26 @@ class TestPolicyRepository:
     def test_has_policy_for(self):
         repo = PolicyRepository()
         repo.add(policy(actor_id="Hospital"))
-        assert repo.has_policy_for("Hospital", "BloodTest", "Hospital/Lab")
-        assert not repo.has_policy_for("Hospital", "BloodTest", "Elsewhere")
-        assert not repo.has_policy_for("Hospital", "Other", "Hospital")
+        assert repo.has_policy_for("Hospital", "BloodTest", "Hospital/Lab", at=0.0)
+        assert not repo.has_policy_for("Hospital", "BloodTest", "Elsewhere", at=0.0)
+        assert not repo.has_policy_for("Hospital", "Other", "Hospital", at=0.0)
 
     def test_has_policy_for_role(self):
         repo = PolicyRepository()
         repo.add(policy(actor_id="", actor_role="family-doctor"))
-        assert repo.has_policy_for("Hospital", "BloodTest", "Any", "family-doctor")
-        assert not repo.has_policy_for("Hospital", "BloodTest", "Any", "nurse")
+        assert repo.has_policy_for("Hospital", "BloodTest", "Any", "family-doctor", at=0.0)
+        assert not repo.has_policy_for("Hospital", "BloodTest", "Any", "nurse", at=0.0)
+
+    def test_has_policy_for_reads_windows_at_the_given_time(self):
+        repo = PolicyRepository()
+        repo.add(policy(actor_id="", actor_role="family-doctor",
+                        valid_from=100.0, valid_until=1000.0))
+        repo.add(policy(policy_id="veto", actor_id="Doctor", fields=frozenset(),
+                        deny=True, valid_until=50.0))
+        assert [repo.has_policy_for("Hospital", "BloodTest", "Doctor",
+                                    "family-doctor", at=at)
+                for at in (0.0, 50.0, 200.0, 1000.0, 1000.5)] == [
+            False, False, True, True, False]
 
     def test_xacml_text_stored(self):
         repo = PolicyRepository()

@@ -36,7 +36,7 @@ from repro.obs.incident import (
 from repro.obs.recorder import EVENT_DEADLETTER, FlightRecorder
 from repro.workload import workload_config
 from repro.workload.incidents import run_incident_capture
-from tests.conftest import with_deleted_latency_row
+from tests.conftest import with_deleted_latency_row, with_parent_pdp_counts
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
 TENANT_FRAGMENTS = ("Province-Trentino", "Municipality-Trento",
@@ -336,35 +336,50 @@ class TestCli:
         The one byte difference is its status row in ``incident.json``'s
         SLO section: put back, it gives the old ``incident.json`` and so
         the old manifest, and the events and series files keep the bytes
-        they had."""
+        they had.
+
+        Re-pinned again (was 9db5ac27…) when the decision cache went and
+        ``xacml.pdp.evaluations_total`` came to count every decision: the
+        ``pdp-deny-rate`` row observes 174 decisions (81 in the short
+        window) where it observed 69 (25) cache misses.  Put back, those
+        give the 9db5ac27… manifest; the events and series files did not
+        move."""
+        def manifest_of(incident: dict, files: dict) -> tuple[str, dict]:
+            text = (json.dumps(incident, sort_keys=True, indent=2) + "\n").encode()
+            files = {**files, "incident.json": {
+                "sha256": hashlib.sha256(text).hexdigest(), "size": len(text)}}
+            manifest = {**json.loads(manifest_path.read_text()), "files": files}
+            return hashlib.sha256((json.dumps(manifest, sort_keys=True, indent=2)
+                                   + "\n").encode()).hexdigest(), files
+
         cli_main(["incident", "--scenario", "federated",
                   "--out", str(tmp_path)])
         capsys.readouterr()
         bundle = tmp_path / "incident-0001"
-        manifest = bundle / "manifest.json"
-        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
-            "9db5ac270752967a88a4bb03755666445ad30c3ced3a7b55d34b8d08a472568f")
-        files = json.loads(manifest.read_text())["files"]
+        manifest_path = bundle / "manifest.json"
+        assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == (
+            "8b2da5c0bab0cfb5264969322e17aba23703c21f856389f6f2041d397be26d97")
+        files = json.loads(manifest_path.read_text())["files"]
         assert files["events.jsonl"]["sha256"] == (
             "8a262c220dba59a93174f4230db2585d326fe0a22ea834557995d59bff5b83de")
         assert files["series.jsonl"]["sha256"] == (
             "a27934800a30904ea1cbdc4aad720240d5e369d30c32ebd22e3681933be5ef09")
 
         incident = json.loads((bundle / "incident.json").read_text())
+        incident["slo"] = with_parent_pdp_counts(
+            incident["slo"], 69.0, {"long": 69.0, "short": 25.0})
+        digest, files = manifest_of(incident, files)
+        assert digest == (
+            "9db5ac270752967a88a4bb03755666445ad30c3ced3a7b55d34b8d08a472568f")
         incident["slo"] = with_deleted_latency_row(incident["slo"], 174.0, {
             "long": {"attainment": 1.0, "burn_rate": 0.0, "observed": 174.0,
                      "window": 5.0},
             "short": {"attainment": 1.0, "burn_rate": 0.0, "observed": 81.0,
                       "window": 1.0}})
-        restored = (json.dumps(incident, sort_keys=True, indent=2)
-                    + "\n").encode()
-        files["incident.json"] = {"sha256": hashlib.sha256(restored).hexdigest(),
-                                  "size": len(restored)}
+        digest, files = manifest_of(incident, files)
         assert files["incident.json"]["sha256"] == (
             "998f5d979c7365a0ea97409d5d6aea6f582b8190869a324af29ee67023e1042b")
-        before = {**json.loads(manifest.read_text()), "files": files}
-        assert hashlib.sha256((json.dumps(before, sort_keys=True, indent=2)
-                               + "\n").encode()).hexdigest() == (
+        assert digest == (
             "71d1dc5b4807c8731585a55788d7b546805aef45e050ef3ede2f7cbddb1e5ef9")
 
     def test_incident_cli_lists_scenarios(self, capsys):

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import AccessDeniedError, DataConsumer, DataController, DataProducer
+from repro import (
+    AccessDeniedError,
+    ConsentScope,
+    DataConsumer,
+    DataController,
+    DataProducer,
+)
 from repro.clock import Clock
 from repro.obs.exporters import (
     render_latency_table,
@@ -34,7 +40,11 @@ from repro.obs.telemetry import (
 )
 from repro.obs.tracing import STATUS_ERROR, Tracer
 from repro.runtime.kernel import SWITCHES, RuntimeConfig
-from tests.conftest import blood_test_schema, with_deleted_latency_row
+from tests.conftest import (
+    blood_test_schema,
+    with_deleted_latency_row,
+    with_parent_pdp_counts,
+)
 
 
 def telemetry_platform(guard_mode: str = "hash"):
@@ -319,6 +329,30 @@ class TestInstrumentation:
         stats = controller.enforcer.pdp_stats
         assert (stats.requests, stats.policies_evaluated) == (1, 1)
         assert not metrics.histogram_summaries("xacml.pdp.policies_per_request")
+
+    def test_pdp_evaluations_count_every_decision_by_verdict(self):
+        """One count per decision, repeats included, labelled with the
+        decision's verdict; a consent veto never reaches the decision."""
+        controller, hospital, blood, doctor = telemetry_platform()
+        notification = publish_one(hospital, blood)
+        for _ in range(3):
+            doctor.request_details(notification, "healthcare-treatment")
+        with pytest.raises(AccessDeniedError, match="no matching policy"):
+            doctor.request_details(notification, "statistical-analysis")
+        hospital.define_restriction("BloodTest", ("Doctor", "unit"),
+                                    ["healthcare-treatment"])
+        for _ in range(2):
+            with pytest.raises(AccessDeniedError, match="mapped Deny to Deny"):
+                doctor.request_details(notification, "healthcare-treatment")
+        hospital.record_opt_out("pat-1", ConsentScope.DETAILS, "BloodTest")
+        with pytest.raises(AccessDeniedError, match="opted out"):
+            doctor.request_details(notification, "healthcare-treatment")
+        metrics = controller.telemetry.metrics
+        assert {decision: metrics.counter_value(
+                    "xacml.pdp.evaluations_total", decision=decision)
+                for decision in ("permit", "not_applicable", "deny")} == {
+            "permit": 3, "not_applicable": 1, "deny": 2}
+        assert controller.enforcer.pdp_stats.requests == 6
 
     def test_noop_platform_records_nothing(self):
         from tests.conftest import build_federation
@@ -644,36 +678,47 @@ class TestSLOEngine:
     # the test puts the row back and gets ``was``.  The telemetry case was
     # re-pinned once before (51f55337… → 7880d363…) when the one-node run
     # became a federation of one: node-0 reports its queue-depth gauge, so
-    # ``node-queues-drained`` observes one series.  Ids carry no digest: a
-    # re-pin is not a rename.
-    @pytest.mark.parametrize("argv, pinned, was, observed", [
+    # ``node-queues-drained`` observes one series.  Both re-pinned again
+    # when the decision cache went and ``xacml.pdp.evaluations_total``
+    # came to count every decision: ``pdp-deny-rate`` observes one per
+    # request for details (58 / 133, the deleted row's counts) where it
+    # observed the cache's misses (``evaluated``); put back, that gives
+    # ``parent``.  Ids carry no digest: a re-pin is not a rename.
+    @pytest.mark.parametrize("argv, pinned, parent, evaluated, was, observed", [
         pytest.param(
             ["slo", "--scenario", "federated", "--nodes", "2", "--events",
              "80", "--patients", "12", "--drops", "2"],
+            "97ae3b1262a13c55477a1d05d48457e42acd6ff7058a4b6ba5537e8483f32adc",
             "999e80b48cc72b64f5e501b27d743560e5e97bb5dc4ff7594fea97ffec5e9c86",
+            54.0,
             "90d8c770a6aed59be3dd5cac367060a397590896d2b1a1644b5a0fa6d4e21d11",
             58.0, id="slo-federated-drops"),
         pytest.param(
             ["telemetry", "--scenario", "default"],
+            "09ed9a99eb7fe58664a3d9aaff7267c6233c1b721d1ef2ae09c6fcb1ff9db7dc",
             "9a1365338d1f990ad43a41b32cd22fe63bbf5047ce3f67561a5d1b8ba6f7af70",
+            114.0,
             "7880d363d711b4c2aacf374b4c86fe4e939cae82ca976f0333fa488fcf68b7d2",
             133.0, id="telemetry-default"),
     ])
     def test_slo_payload_bytes_are_pinned(self, tmp_path, capsys, argv, pinned,
-                                          was, observed):
+                                          parent, evaluated, was, observed):
         """The SLO engine reads every objective through the registry's
         series accessors; these digests were taken before those became
         callers of one iterator."""
         from repro.cli import main
 
+        def sha(report: dict) -> str:
+            return hashlib.sha256(json.dumps(
+                report, indent=2, sort_keys=True).encode() + b"\n").hexdigest()
+
         assert main([*argv, "--slo-out", str(tmp_path / "slo.json")]) == 0
         capsys.readouterr()
         payload = (tmp_path / "slo.json").read_bytes()
         assert hashlib.sha256(payload).hexdigest() == pinned
-        restored = with_deleted_latency_row(json.loads(payload), observed)
-        assert hashlib.sha256(json.dumps(
-            restored, indent=2, sort_keys=True).encode() + b"\n"
-        ).hexdigest() == was
+        before = with_parent_pdp_counts(json.loads(payload), evaluated)
+        assert sha(before) == parent
+        assert sha(with_deleted_latency_row(before, observed)) == was
 
     def test_kernel_resolves_slo_backends(self):
         """There is no ``slo`` kind: the name is refused with the how-to,

@@ -1,44 +1,54 @@
-"""The indexed hot path against its linear reference.
+"""The product's hot path against its reference.
 
-The perf layer's acceptance property: the product (policy index,
-versioned decision cache, subscription trie) and the ``linear_reference``
-fixture (the repository's full compile-and-evaluate, uncached, and the
-linear fan-out scan) produce the same report, the same audit trail record
-for record and the same link transcripts on the same seed — on one node
-and on three.
+The acceptance property: the product (Def. 3 over the repository's actor
+buckets, the subscription trie and fan-out memo) and the
+``linear_reference`` fixture (the XACML PEP/PDP over the repository's
+whole compiled policy set, and the linear fan-out scan) produce the same
+report, the same audit trail record for record and the same link
+transcripts on the same seed — on one node and on three.
 """
 
 from repro.sim.scenario import CssScenario, ScenarioConfig
+from repro.xacml.pep import PolicyEnforcementPoint
 
 NODE_COUNTS = (1, 3)
 
 
-def observe(**config):
+def observe(monkeypatch, **config):
     """(report, every node's audit payloads, link transcripts) of one run,
-    and the decision / fan-out cache lookups node-0's perf layer counted."""
+    plus the XACML authorizations and the fan-out memo lookups node-0
+    made."""
+    authorizations = []
+    authorize = PolicyEnforcementPoint.authorize
+    monkeypatch.setattr(PolicyEnforcementPoint, "authorize", lambda *args: (
+        authorizations.append(1), authorize(*args))[1])
     scenario = CssScenario(ScenarioConfig(**config))
     report = scenario.run()
+    monkeypatch.setattr(PolicyEnforcementPoint, "authorize", authorize)
     platform = scenario.platform
     audit = [[record.to_payload() for record in node.controller.audit_log.records()]
              for node in platform.nodes()]
     stats = scenario.controller.perf.stats
-    lookups = {cache: stats.hits.get(cache, 0) + stats.misses.get(cache, 0)
-               for cache in ("decision", "fanout")}
-    return (report, audit, platform.link_transcripts()), lookups
+    paths = {"xacml": len(authorizations),
+             "fanout": stats.hits.get("fanout", 0) + stats.misses.get("fanout", 0)}
+    return (report, audit, platform.link_transcripts()), paths
 
 
 class TestModeEquivalence:
-    def test_equivalence_harness_reports_identical(self, linear_reference):
+    def test_equivalence_harness_reports_identical(self, linear_reference,
+                                                   monkeypatch):
         for nodes in NODE_COUNTS:
-            product, cached = observe(nodes=nodes, n_patients=6, n_events=30,
-                                      seed=11)
+            product, direct = observe(monkeypatch, nodes=nodes, n_patients=6,
+                                      n_events=30, seed=11)
             with linear_reference():
-                reference, uncached = observe(nodes=nodes, n_patients=6,
-                                              n_events=30, seed=11)
+                reference, general = observe(monkeypatch, nodes=nodes,
+                                             n_patients=6, n_events=30, seed=11)
             assert product == reference, nodes
-            # The two runs took different paths to the same bytes.
-            assert all(cached.values()), cached
-            assert not any(uncached.values()), uncached
+            # The two runs took different paths to the same bytes: the
+            # product authorizes nothing through XACML and memoises
+            # fan-outs, the reference does the opposite.
+            assert direct["xacml"] == 0 and direct["fanout"] > 0, direct
+            assert general["xacml"] > 0 and general["fanout"] == 0, general
             report, audit, transcripts = product
             assert report.detail_permits
             assert all(audit)

@@ -1,10 +1,10 @@
-"""The actor/role-bucketed policy index (``repro.perf.policy_index``).
+"""The repository's actor/role buckets (``PolicyRepository.actor_candidates``).
 
-The index may only ever drop policies whose target evaluates
+The buckets may only ever leave out policies whose target evaluates
 ``NotApplicable`` — candidates keep registration order, hierarchical
-``actor_id`` grants resolve through the ancestor buckets, the buckets
-rebuild when the repository's epoch moves, and the indexed PDP returns
-the same decisions as the full linear compile-and-evaluate (the
+``actor_id`` grants resolve through the ancestor buckets, ``add`` and
+``revoke`` update the buckets in place, and Def. 3 over the buckets
+returns the same decisions as the full XACML compile-and-evaluate (the
 ``linear_reference`` fixture).
 """
 
@@ -13,10 +13,17 @@ import pytest
 from repro import DataConsumer, DataController, DataProducer
 from repro.core.actors import Actor, ActorKind
 from repro.core.enforcement import DetailRequest
-from repro.core.policy import PolicyRepository, PrivacyPolicy
+from repro.core.policy import (
+    DetailRequestSpec,
+    PolicyRepository,
+    PrivacyPolicy,
+    actor_ancestors,
+)
 from repro.exceptions import AccessDeniedError
-from repro.perf.policy_index import PolicyIndex, actor_ancestors
 from repro.sim.generators import standard_event_templates
+from repro.xacml.context import Decision
+from repro.xacml.pdp import PolicyDecisionPoint
+from tests.xacml_reference import reference_decision, request_context
 
 
 def grant(policy_id: str, *, actor_id: str = "", actor_role: str = "",
@@ -85,6 +92,20 @@ class TestActorAncestors:
         assert actor_ancestors("Doctor") == ("Doctor",)
 
 
+def ids(policies) -> list[str]:
+    return [policy.policy_id for policy in policies]
+
+
+def verdict(decision) -> tuple:
+    return (decision.verdict, decision.released_fields, decision.message)
+
+
+def spec(actor_id: str, actor_role: str = "", at: float = 0.0) -> DetailRequestSpec:
+    return DetailRequestSpec(actor_id=actor_id, event_type="BloodTest",
+                             purpose="healthcare-treatment",
+                             actor_role=actor_role, requested_at=at)
+
+
 class TestCandidateSelection:
     def build(self):
         repository = PolicyRepository()
@@ -95,77 +116,82 @@ class TestCandidateSelection:
             grant("p-other", actor_id="Statistics"),
         ):
             repository.add(policy)
-        return repository, PolicyIndex(repository)
+        return repository
 
     def test_candidates_keep_registration_order(self):
-        repository, index = self.build()
-        positions = index.candidate_positions(
+        repository = self.build()
+        candidates = repository.actor_candidates(
             "Hospital", "BloodTest", "FamilyDoctors/Dr-Rossi", "family-doctor"
         )
         # Role bucket (pos 0), exact unit (pos 1) and the hierarchical
         # parent grant (pos 2) all apply — in registration order; the
-        # unrelated Statistics grant is the only one pruned.
-        assert positions == [0, 1, 2]
+        # unrelated Statistics grant is the only one left out.
+        assert ids(candidates) == ["p-role", "p-unit", "p-parent"]
 
     def test_pruned_policies_are_exactly_the_not_applicable_ones(self):
-        repository, index = self.build()
-        policy_set = index.candidate_set(
-            "Hospital", "BloodTest", "Statistics/Team-A", ""
-        )
-        assert index.stats.candidates_scanned == 1
-        assert [p.policy_id for p in policy_set.policies] == ["p-other"]
-        assert index.stats.candidates_skipped >= 3
+        repository = self.build()
+        request = spec("Statistics/Team-A")
+        candidates = repository.actor_candidates(
+            "Hospital", "BloodTest", request.actor_id, request.actor_role)
+        assert ids(candidates) == ["p-other"]
+        pdp = PolicyDecisionPoint()
+        for policy in repository.candidates("Hospital", "BloodTest"):
+            response = pdp.evaluate_policy(policy.to_xacml(), request_context(request))
+            applicable = response.decision is not Decision.NOT_APPLICABLE
+            assert applicable == (policy in candidates), policy.policy_id
+        assert repository.decide("Hospital", request).walked == 1
 
     def test_candidate_set_id_mirrors_the_repository_compilation(self):
-        repository, index = self.build()
-        policy_set = index.candidate_set(
-            "Hospital", "BloodTest", "FamilyDoctors/Dr-Rossi", "family-doctor"
-        )
-        assert policy_set.policy_set_id == \
-            repository.to_policy_set("Hospital", "BloodTest").policy_set_id
+        """Def. 3 over the buckets decides as the XACML evaluation of the
+        repository's whole compiled policy set does."""
+        repository = self.build()
+        for actor_id, role in (("FamilyDoctors/Dr-Rossi", "family-doctor"),
+                               ("FamilyDoctors/Dr-Bianchi", ""),
+                               ("Statistics", "nurse"), ("Nobody", "")):
+            request = spec(actor_id, role)
+            assert verdict(repository.decide("Hospital", request)) == verdict(
+                reference_decision(repository, "Hospital", request)), actor_id
 
     def test_unknown_actor_gets_an_empty_set(self):
-        _, index = self.build()
-        policy_set = index.candidate_set(
-            "Hospital", "BloodTest", "Nobody", "no-role"
-        )
-        assert index.stats.candidates_scanned == 0
-        assert policy_set.policies == ()
+        repository = self.build()
+        assert repository.actor_candidates(
+            "Hospital", "BloodTest", "Nobody", "no-role") == []
+        decision = repository.decide("Hospital", spec("Nobody", "no-role"))
+        assert (decision.walked, decision.verdict) == (0, Decision.NOT_APPLICABLE)
 
 
 class TestEpochRebuild:
+    """``add`` and ``revoke`` keep the buckets current in place: there is
+    no epoch to compare and nothing to rebuild."""
+
     def test_add_and_revoke_rebuild_the_bucket(self):
         repository = PolicyRepository()
         repository.add(grant("p-1", actor_role="family-doctor"))
-        index = PolicyIndex(repository)
-        assert index.candidate_positions(
-            "Hospital", "BloodTest", "X", "family-doctor") == [0]
-        rebuilds = index.stats.rebuilds
 
-        # Same epoch: the cached bucket is reused, no rebuild.
-        index.candidate_positions("Hospital", "BloodTest", "X", "family-doctor")
-        assert index.stats.rebuilds == rebuilds
+        def candidates():
+            return ids(repository.actor_candidates(
+                "Hospital", "BloodTest", "X", "family-doctor"))
 
+        assert candidates() == ["p-1"]
         repository.add(grant("p-2", actor_role="family-doctor"))
-        assert index.candidate_positions(
-            "Hospital", "BloodTest", "X", "family-doctor") == [0, 1]
-        assert index.stats.rebuilds == rebuilds + 1
-
+        assert candidates() == ["p-1", "p-2"]
         repository.revoke("p-1")
-        assert index.candidate_positions(
-            "Hospital", "BloodTest", "X", "family-doctor") == [0]
-        policy_set = index.candidate_set(
-            "Hospital", "BloodTest", "X", "family-doctor")
-        assert [p.policy_id for p in policy_set.policies] == ["p-2"]
+        assert candidates() == ["p-2"]
+        assert repository.decide(
+            "Hospital", spec("X", "family-doctor")).grants == ("p-2",)
 
     def test_time_bounded_classes_are_flagged(self):
+        """A class with a validity window needs no flag: every decision
+        reads the window at its own request time."""
         repository = PolicyRepository()
         repository.add(grant("p-1", actor_role="family-doctor"))
-        index = PolicyIndex(repository)
-        assert not index.is_time_bounded("Hospital", "BloodTest")
         repository.add(grant("p-window", actor_role="insurer",
                              valid_from=0.0, valid_until=3600.0))
-        assert index.is_time_bounded("Hospital", "BloodTest")
+        for at, permitted in ((0.0, True), (3600.0, True), (3600.5, False)):
+            assert repository.decide(
+                "Hospital", spec("X", "insurer", at)).permitted is permitted
+        assert repository.decide(
+            "Hospital", spec("X", "family-doctor", 1e9)).permitted
 
 
 class TestIndexedDecisionsMatchLinear:
@@ -214,10 +240,7 @@ class TestIndexedDecisionsMatchLinear:
         controller, requests = build_decide_rig(policies=24)
         for request in requests:
             controller.enforcer.decide(request)
-        index = controller.perf.policy_index
-        assert index.stats.selections > 0
-        scanned_per_selection = (
-            index.stats.candidates_scanned / index.stats.selections
-        )
-        assert scanned_per_selection < 24
-        assert index.stats.candidates_skipped > 0
+        stats = controller.enforcer.pdp_stats
+        assert stats.requests == len(requests)
+        # Doctor walks its own bucket; the strangers walk none.
+        assert stats.policies_evaluated == 1

@@ -61,23 +61,27 @@ class TestRepositorySemantics:
                                    "healthcare-treatment")
         allowed = DetailRequestSpec("Hospital/Cardiology", "BloodTest",
                                     "healthcare-treatment")
-        assert repo.matching_policy("Lab", vetoed) is None
-        matched = repo.matching_policy("Lab", allowed)
-        assert matched is not None and matched.policy_id == "grant-1"
+        decision = repo.decide("Lab", vetoed)
+        assert not decision.permitted
+        assert decision.message == "mapped Deny to Deny"
+        assert (decision.grants, decision.restrictions) == (("grant-1",), ("restrict-1",))
+        decision = repo.decide("Lab", allowed)
+        assert decision.permitted and decision.grants == ("grant-1",)
+        assert decision.released_fields == {"PatientId", "Hemoglobin"}
 
     def test_has_policy_for_respects_restriction(self):
         repo = PolicyRepository()
         repo.add(grant())
         repo.add(restriction())
-        assert repo.has_policy_for("Lab", "BloodTest", "Hospital/Cardiology")
-        assert not repo.has_policy_for("Lab", "BloodTest", "Hospital/Psychiatry")
+        assert repo.has_policy_for("Lab", "BloodTest", "Hospital/Cardiology", at=0.0)
+        assert not repo.has_policy_for("Lab", "BloodTest", "Hospital/Psychiatry", at=0.0)
 
     def test_revoking_restriction_restores_grant(self):
         repo = PolicyRepository()
         repo.add(grant())
         repo.add(restriction())
         repo.revoke("restrict-1")
-        assert repo.has_policy_for("Lab", "BloodTest", "Hospital/Psychiatry")
+        assert repo.has_policy_for("Lab", "BloodTest", "Hospital/Psychiatry", at=0.0)
 
 
 @pytest.fixture()

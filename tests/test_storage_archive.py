@@ -237,7 +237,7 @@ class TestArchiveRoundTrip:
                         if p.deny]
         assert len(restrictions) == 1
         assert not restored.policies.has_policy_for(
-            "Hospital", "BloodTest", "Hospital/Psychiatry")
+            "Hospital", "BloodTest", "Hospital/Psychiatry", at=restored.clock.now())
 
     def test_schema_upgrade_history_survives(self, tmp_path):
         controller, hospital, doctor, notifications = build_busy_platform()

@@ -39,6 +39,7 @@ from repro.audit.query import AuditQuery
 from repro.bus.delivery import DeliveryEngine
 from repro.clock import Clock
 from repro.core.messages import NotificationMessage
+from repro.crypto.hashing import canonical_json
 from repro.federation import link as link_module
 from repro.obs.benchreport import scenario_summary
 from repro.obs.context import TraceContext
@@ -249,14 +250,45 @@ def test_reset_leaves_no_stale_bound_series():
 #: PDP stats went: each is the earlier export with the rows of
 #: ``pipeline.duration_seconds``, ``pipeline.stage.duration_seconds``,
 #: ``xacml.pdp.policies_per_request`` and ``pdp.candidates_scanned``
-#: filtered out (55 → 32 and 67 → 44 rows).  The trace digests did not move.
+#: filtered out (55 → 32 and 67 → 44 rows).  And again when the decision
+#: cache went (``METRICS_BEFORE``).  The trace digests did not move.
 PINNED = {
     "css": ("6d539ad5738503237a3af3d484d1cde3de8c6a7f1ab58a691ab5afed881cec47",
-            "5c5b412554181e55c183d1c56b12429d9e612606c3b15e0e19ccb96db2404644"),
+            "b0c78c7c984bd6c1f859cd2b6dac6a72a3528fcecc11bacbd4a64c95beb6a1a7"),
     "federated": (
         "c650119396f9b731b6e773e0fc422ec44d8e93bcd94c476ad8ec2e337d56cd25",
-        "202b0f2eb6b904986219778c2d00ac3cfabed4c405334e21c138d29531a31d2d"),
+        "846d99efc696880910565ff6b21386ab5126e4415c6e173435dce05db33dfc26"),
 }
+
+#: The metrics digests while a decision cache stood in front of the XACML
+#: PDP, with that cache's hits and misses.  Every decision of both runs is
+#: a permit; ``xacml.pdp.evaluations_total{decision=permit}`` counted the
+#: misses (PDP evaluations) and now counts every decision, hits + misses
+#: (41 / 43).  Put the two ``perf.cache.*{cache=decision}`` rows back and
+#: the count at the misses, and the export is the one pinned before.
+METRICS_BEFORE = {
+    "css": ("5c5b412554181e55c183d1c56b12429d9e612606c3b15e0e19ccb96db2404644",
+            8.0, 33.0),
+    "federated": (
+        "202b0f2eb6b904986219778c2d00ac3cfabed4c405334e21c138d29531a31d2d",
+        8.0, 35.0),
+}
+
+
+def with_decision_cache(export: list[str], hits: float, misses: float) -> list[str]:
+    """``export`` as it read with the decision cache (see ``METRICS_BEFORE``)."""
+    rows = [json.loads(line) for line in export]
+    for row in rows:
+        if row["name"] == "xacml.pdp.evaluations_total":
+            assert row["labels"] == {"decision": "permit"}
+            assert row["value"] == hits + misses
+            row["value"] = misses
+    rows += [{"labels": {"cache": "decision"}, "name": name, "type": "counter",
+              "value": value}
+             for name, value in (("perf.cache.hits", hits),
+                                 ("perf.cache.misses", misses))]
+    rows.sort(key=lambda row: (row["name"], sorted(row["labels"].items())))
+    return [canonical_json(row) for row in rows]
 
 
 #: Audit head digests of the same runs, one per node.  Re-pinned on purpose
@@ -309,6 +341,8 @@ def test_exports_are_byte_identical_to_the_parent_commit(name, run):
     telemetry = run()
     assert (digest(telemetry.trace_export()),
             digest(telemetry.metrics_export())) == PINNED[name]
+    before, hits, misses = METRICS_BEFORE[name]
+    assert digest(with_decision_cache(telemetry.metrics_export(), hits, misses)) == before
 
 
 def test_audit_heads_are_those_of_the_parent_commit():
@@ -646,8 +680,8 @@ def test_wall_sidecar_counts_pipeline_executions_and_stays_out_of_exports():
 
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_no_histogram_restates_a_span_or_a_pdp_counter(nodes, monkeypatch):
-    """A span's start and end are its simulated duration, and the PDP's and
-    the policy index's stats count the policies a decision walked: after a
+    """A span's start and end are its simulated duration, and the
+    enforcer's decision stats count the policies a decision walked: after a
     PROD-config run the registry holds no histogram series, the wall
     sidecar holds only the pipeline's wall latency, and the only histogram
     sample a pipeline execution takes is that one."""
@@ -668,6 +702,5 @@ def test_no_histogram_restates_a_span_or_a_pdp_counter(nodes, monkeypatch):
                      if span.name.startswith("pipeline."))
     assert len(observes) == sum(series.count for _, series in wall) == executions
     controllers = [node.controller for node in scenario.platform.nodes()]
+    assert sum(c.enforcer.pdp_stats.requests for c in controllers) > 0
     assert sum(c.enforcer.pdp_stats.policies_evaluated for c in controllers) > 0
-    assert sum(c.perf.policy_index.stats.candidates_scanned
-               for c in controllers) > 0
