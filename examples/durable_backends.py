@@ -81,8 +81,7 @@ def main() -> None:
                                      KeyStore("css-platform-secret"))
     reloaded_audit = JsonlAuditSink(store.log("audit"))
     reloaded_audit.verify_integrity()
-    print(f"replayed {len(reloaded_index)} notifications "
-          f"(nonce sequence restored to {reloaded_index.sequence}) and "
+    print(f"replayed {len(reloaded_index)} notifications and "
           f"{len(reloaded_audit)} audit records (chain verified)")
     replayed = reloaded_index.get(first_row["object_id"])
     print(f"decrypted through the keystore: subject={replayed.subject_ref!r}, "

@@ -123,7 +123,6 @@ class EventsIndex:
         self._keystore.create(INDEX_KEY)
         self.encrypt_identity = encrypt_identity
         self.stats = IndexStats()
-        self._sequence = 0
 
     def __len__(self) -> int:
         return len(self._registry)
@@ -138,14 +137,9 @@ class EventsIndex:
 
     @property
     def sequence(self) -> int:
-        """The nonce sequence counter (archived to avoid nonce reuse)."""
-        return self._sequence
-
-    def restore_sequence(self, value: int) -> None:
-        """Fast-forward the nonce counter after an archive restore."""
-        if value < self._sequence:
-            raise UnknownEventError("cannot rewind the index nonce sequence")
-        self._sequence = value
+        """The number of entries held, equal live and replayed: kept only for
+        the wall ledger's restart comparison, deleted with it (ROADMAP item 1(f))."""
+        return len(self._registry)
 
     def restore_raw(self, obj: RegistryObject) -> None:
         """Re-insert an archived registry object, slots kept as stored.
@@ -171,11 +165,14 @@ class EventsIndex:
     # -- storage ------------------------------------------------------------
 
     def seal_identity(self, notification: NotificationMessage) -> SealedIdentity:
-        """Seal the identifying slots (the publish pipeline's crypto stage)."""
+        """Seal the identifying slots (the publish pipeline's crypto stage),
+        each in the context of its event id and slot name: one subject in
+        two events never seals to the same token."""
+        event_id = notification.event_id
         return SealedIdentity(
-            subject_ref=self._seal(notification.subject_ref),
+            subject_ref=self._seal(notification.subject_ref, f"{event_id}/subjectRef"),
             subject_display=(
-                self._seal(notification.subject_display)
+                self._seal(notification.subject_display, f"{event_id}/subjectDisplay")
                 if notification.subject_display else None
             ),
         )
@@ -196,12 +193,11 @@ class EventsIndex:
         self.stats.stored += 1
         return obj
 
-    def _seal(self, value: str) -> str:
+    def _seal(self, value: str, context: str) -> str:
         if not self.encrypt_identity:
             return value
-        self._sequence += 1
         self.stats.seal_operations += 1
-        return self._keystore.seal(INDEX_KEY, value, self._sequence)
+        return self._keystore.seal(INDEX_KEY, value, context)
 
     def _open(self, token: str) -> str:
         if not self.encrypt_identity:

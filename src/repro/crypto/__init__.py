@@ -6,10 +6,10 @@ regulations" (§4).  The deployment delegated cipher suites to the national
 security infrastructure (PdD); as that is unavailable, this subpackage
 provides a self-contained, stdlib-only substitute:
 
-* :class:`~repro.crypto.cipher.StreamCipher` — a keyed SHA-256 counter-mode
-  stream cipher.
+* :class:`~repro.crypto.cipher.StreamCipher` — a keyed SHAKE-256 stream
+  cipher.
 * :class:`~repro.crypto.cipher.SealedBox` — encrypt-then-MAC tokens with
-  integrity protection (a Fernet-style construction).
+  integrity protection and a synthetic (SIV-style) nonce.
 * :class:`~repro.crypto.keystore.KeyStore` — named keys with rotation.
 * :mod:`~repro.crypto.hashing` — HMAC helpers and the tamper-evident hash
   chain used by the audit log.

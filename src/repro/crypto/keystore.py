@@ -18,11 +18,11 @@ class KeyStore:
     can pick the right box even after rotations.
 
     Key derivation is deterministic in ``(master secret, name, version)``
-    and a :class:`SealedBox` is stateless (nonces come from the caller's
-    sequence number), so the derived boxes are shared process-wide
-    through a class-level **key-schedule cache**: a federation of *k*
-    nodes built from one master secret derives each channel key once
-    instead of once per node.
+    and a :class:`SealedBox` is stateless (each nonce is synthesized from
+    the caller's context and the plaintext), so the derived boxes are
+    shared process-wide through a class-level **key-schedule cache**: a
+    federation of *k* nodes built from one master secret derives each
+    channel key once instead of once per node.
     """
 
     #: Process-wide schedule cache: (master, name, version) -> SealedBox.
@@ -76,10 +76,11 @@ class KeyStore:
         """Current version number of key ``name``."""
         return self._current_version(name)
 
-    def seal(self, name: str, plaintext: str, sequence: int) -> str:
-        """Seal ``plaintext`` under the current version of key ``name``."""
+    def seal(self, name: str, plaintext: str, context: str) -> str:
+        """Seal ``plaintext`` under the current version of key ``name``;
+        equal ``(context, plaintext)`` pairs give equal tokens."""
         version = self._current_version(name)
-        token = self._boxes[(name, version)].seal(plaintext, sequence)
+        token = self._boxes[(name, version)].seal(plaintext, context)
         return f"v{version}:{token}"
 
     def open_(self, name: str, token: str) -> str:

@@ -80,11 +80,6 @@ class FederatedIndexStore:
         """This shard's registry — what an archive or monitor of the node reads."""
         return self.local.registry
 
-    @property
-    def sequence(self) -> int:
-        """This shard's nonce sequence counter."""
-        return self.local.sequence
-
     def _self_node(self):
         """This node's federation endpoint — every request leaves through
         its :meth:`~repro.federation.node.FederationNode.ask`."""

@@ -82,8 +82,8 @@ WIRE_ERRORS: dict[type[CssError], str] = {
 }
 
 #: Keystore key-name prefix for per-sender channel sealing.  Each node
-#: seals under its *own* key (unique nonce space); receivers re-derive the
-#: same key from the shared master secret to open.
+#: seals under its *own* key, that key's name the seal's context; receivers
+#: re-derive the same key from the shared master secret to open.
 CHANNEL_KEY_PREFIX = "federation-channel/"
 
 #: Gauge of each node's bus queue depth, labelled by hashed node id.
@@ -105,7 +105,6 @@ class FederationNode:
         #: ``(operation, entries)`` -> server span shape, emptied as a link's.
         self._spans = telemetry.metrics.memo() if telemetry is not None else None
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
-        self._channel_seq = 0
         controller.keystore.create(self._channel_key)
         self._perf = controller.perf
         self._relay_frames = SealedFrameCache()
@@ -139,9 +138,8 @@ class FederationNode:
 
     def seal_channel(self, payload: dict) -> dict:
         """Seal a response payload under this node's channel key."""
-        self._channel_seq += 1
         token = self.controller.keystore.seal(
-            self._channel_key, canonical_json(payload), self._channel_seq
+            self._channel_key, canonical_json(payload), self._channel_key
         )
         return {"from": self.node_id, "token": token}
 

@@ -3,7 +3,7 @@
 A notification relayed to *k* peer nodes used to be canonical-JSON
 serialized and channel-sealed once **per peer**, although every peer
 receives the same bytes (the sender seals under its *own* channel key,
-and sealing is deterministic in the sequence number — see
+and a seal is deterministic in what it seals — see
 :class:`repro.crypto.cipher.SealedBox`).  The
 :class:`SealedFrameCache` memoizes the sealed frame by payload identity,
 so the expensive seal runs once per distinct frame and the remaining

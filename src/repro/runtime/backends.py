@@ -91,10 +91,9 @@ class JsonlIndexStore(EventsIndex):
 
     Appends every stored registry object — identity slots sealed — to the
     ``index`` log.  On construction an existing log is replayed via the
-    raw-restore path, and the nonce sequence fast-forwarded so no
-    keystream is reused after a restart.  Withdrawals persist as
-    tombstone rows, which compaction later reclaims together with the
-    rows they hide.
+    raw-restore path; sealing keeps no nonce counter to restore (an older
+    row's ``"sequence"`` is ignored).  Withdrawals persist as tombstone
+    rows, which compaction later reclaims together with the rows they hide.
     """
 
     def __init__(self, log: RecordLog, keystore,
@@ -104,7 +103,6 @@ class JsonlIndexStore(EventsIndex):
         self._replay()
 
     def _replay(self) -> None:
-        sequence = 0
         withdrawn: list[str] = []
         for row in self._store.iter_records():
             if row.get("tombstone"):
@@ -114,17 +112,14 @@ class JsonlIndexStore(EventsIndex):
             status = obj.status
             self.restore_raw(obj)  # approves; the stored status wins
             obj.status = status
-            sequence = max(sequence, int(row.get("sequence", 0)))
         for object_id in withdrawn:
             try:
                 super().withdraw(object_id)
             except ObjectNotFoundError:  # its row was already compacted away
                 pass
-        if sequence:
-            self.restore_sequence(sequence)
 
     def _persist(self, obj: RegistryObject) -> None:
-        self._store.append({**obj.to_row(), "sequence": self.sequence})
+        self._store.append(obj.to_row())
 
     def store(self, notification: NotificationMessage,
               sealed: SealedIdentity | None = None) -> RegistryObject:

@@ -43,7 +43,7 @@ class CipherProvider(Protocol):
     def current_version(self, name: str) -> int:
         """Current version number of key ``name``."""
 
-    def seal(self, name: str, plaintext: str, sequence: int) -> str:
+    def seal(self, name: str, plaintext: str, context: str) -> str:
         """Seal ``plaintext`` under the current version of key ``name``."""
 
     def open_(self, name: str, token: str) -> str:

@@ -10,8 +10,8 @@ snapshot; ``restore(master_secret)`` rebuilds an equivalent
 * the audit log is replayed record by record and its hash chain compared
   against the manifest's head digest — a tampered archive fails restore;
 * the events index is restored with its identity slots **still sealed**
-  (the archive never contains plaintext identities) and its nonce
-  sequence fast-forwarded, so no keystream is ever reused;
+  (the archive never contains plaintext identities); sealing keeps no
+  nonce counter to restore (an older manifest's counter is ignored);
 * id generators are fast-forwarded past every archived id;
 * gateways and consent registries are rebuilt and re-attached; producers
   and consumers reconnect their client objects (and re-subscribe) on top.
@@ -167,7 +167,6 @@ class PlatformArchive:
             "seed": controller.ids.seed,
             "clock_now": controller.clock.now(),
             "encrypt_identity": controller.index.encrypt_identity,
-            "index_sequence": controller.index.sequence,
             "audit_head": controller.audit_log.head_digest,
             "id_skips": self._id_skips(controller),
             "files": describe(self.directory,
@@ -289,7 +288,6 @@ class PlatformArchive:
             status = obj.status
             controller.index.restore_raw(obj)  # approves; the stored status wins
             obj.status = status
-        controller.index.restore_sequence(manifest["index_sequence"])
 
         gateways: dict[str, LocalCooperationGateway] = {}
         for row in self._file("gateways").iter_records():

@@ -78,8 +78,8 @@ class StorageEngine:
     ) -> None:
         self.directory = Path(data_dir)
         # Fail closed on the flat-file layout: opening its logs here would
-        # start an empty audit chain and restart the index's nonce sequence
-        # beside the sealed rows it already wrote.
+        # start an empty audit chain and an empty index beside the rows
+        # already written.
         flat = sorted(path.name for path in self.directory.glob("*.jsonl"))
         if flat:
             raise ConfigurationError(

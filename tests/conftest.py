@@ -109,10 +109,10 @@ class FederatedDeployment:
 
 
 def build_federation(shards: int = 2, with_policy: bool = True,
-                     **platform_kwargs) -> FederatedDeployment:
+                     seed: str = "fedtest", **platform_kwargs) -> FederatedDeployment:
     """The federated twin of ``platform_small``: producer and consumer on
     different nodes, so every subscription and detail request crosses a link."""
-    platform = FederatedPlatform(shards=shards, seed="fedtest", **platform_kwargs)
+    platform = FederatedPlatform(shards=shards, seed=seed, **platform_kwargs)
     hospital = platform.add_producer(
         "Hospital-S-Maria", "Hospital S. Maria", node_id="node-0"
     )

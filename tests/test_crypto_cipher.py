@@ -1,18 +1,26 @@
 """Unit and property tests for repro.crypto.cipher."""
 
 import hashlib
+import hmac
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import SealedBox, StreamCipher, derive_key
+from repro.crypto.cipher import SealedBox, StreamCipher, derive_key, legacy_apply
 from repro.exceptions import CryptoError, TokenError
 
 
 def reference_apply(key: bytes, data: bytes, nonce: bytes) -> bytes:
-    """The textbook construction, one block and one byte at a time:
+    """The textbook construction, one byte at a time:
+    SHAKE-256(key || nonce) XOR plaintext."""
+    stream = hashlib.shake_256(key + nonce).digest(len(data))
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def legacy_reference(key: bytes, data: bytes, nonce: bytes) -> bytes:
+    """The counter-nonce box's keystream, one block and one byte at a time:
     SHA-256(key || nonce || i) XOR plaintext."""
     stream = b"".join(
         hashlib.sha256(key + nonce + i.to_bytes(8, "big")).digest()
@@ -32,58 +40,74 @@ def kat_data(length: int) -> bytes:
 #: token on disk and on the wire was made with these bytes.
 KNOWN_STREAM = {
     0: "",
-    1: "42",
-    31: "4292b901229ec647592d99f4fbf69f049d53c3a3a54e14c5bef724fa91493b",
-    32: "4292b901229ec647592d99f4fbf69f049d53c3a3a54e14c5bef724fa91493bd4",
-    33: "4292b901229ec647592d99f4fbf69f049d53c3a3a54e14c5bef724fa91493bd4df",
+    1: "db",
+    31: "db405253eb2534c8373302737b0fbd41a94043a262e941cadc0cdd13605c26",
+    32: "db405253eb2534c8373302737b0fbd41a94043a262e941cadc0cdd13605c26f8",
+    33: "db405253eb2534c8373302737b0fbd41a94043a262e941cadc0cdd13605c26f87b",
     1200: (
-        "4292b901229ec647592d99f4fbf69f049d53c3a3a54e14c5bef724fa91493bd4"
-        "df3bd3d0ca900f3738a786bfd2c629ac73caacdb073736ece78696f3a97189ac"
-        "fe8dda92d6fd1ff2708c1101c8ebb3270a991d9c2827772653ab102f6c6b6909"
-        "5b59960c32ebf3b4f484772543c19de616e452e57bff6d56650e1e861ea6ebc1"
-        "21a8362c439d123fe850c392bf949eecebdcabb5353da2b4202deb06defcda14"
-        "026e9ced998dadd65010ed6dad4ba1f9532268e491b9da4aeec806b1b62c67c9"
-        "78817a9d1d42d60e6305c083486b21499f73905f0a801ca711b2e449114b28a1"
-        "163d53f59cb60c177c8f7feaa77bdafd6ec3fbae5c15f33593c20399285c0fd0"
-        "e5a2ccc0839a3dd2683c825f1d7db1ef679c2368460b16bf1f3d67257e9115c2"
-        "cb0dd05199606c660ee9a7d5c01d1582eef55c96dc36f79a657140ab459649ce"
-        "11b9677cf27abe9389d975db1332144eed5c1b13b8926e6df9e32338ae449a70"
-        "692fc538491a0bfa38397ab09b9f99f1ddf6fe00d5fba06125eedc79914dc918"
-        "a1a1adf8a252ebb1c7cada5c2121da0e9cc0a065fa27faebb43ffea294bb3c8b"
-        "7e7436568345e8d8ce47ee8188c86bca7f760eb3a2f63e63f46679cf2e0beb3d"
-        "c4277ed7300e1233affe71859195f26f6c55b5b6fcae7b5960228696d4ef9995"
-        "67ba0b3c588f04b65136a4d84f6af2aef9a21efa3dd7786a4062eef5cbff5394"
-        "776b3a219d55d370f33734ca17b1b0beacb03c65b6c5c90f1578c170cab1753a"
-        "1d5a107a11a77ce2fe104fff4a6b9d1eff4f7e29d5930d27d5ea68ca5be480a5"
-        "36614bccfacae8c0173420e32e020d405cb33fe526048318049d3aaa8bb65894"
-        "e8c9849cee5283fbc1e21648d7796d56d2c893e5a51745d4bc85dcd79b61e452"
-        "9511f7464813457020deb10654a9a7d22929c3053653e76b502367a1d1390c47"
-        "120e8f9c77d914280d54f253d14e6d4d937bf48f6adae75a7d1700bef0200ee0"
-        "476619a1dfbb4e1b63443be1fb1d0d743df2c501d426dd0f14b6253adc355d18"
-        "b1174abb7cbe0d7eb22167b10200e12d7865a48b6f08a40127d7cac230637bff"
-        "02c4fca2a2f041189092de8a74d46b5314cd7c137515dc1e615eaed534d919e4"
-        "d13918b138779030125d78b3de02e99fff0332ff733d057cf0d81083ec73b7ee"
-        "13a705e5baa6d6ad58663527e279cb51a7ba72365b7f5b9c7fee2aaaf3b68908"
-        "a73ae11ed80d5c0176d968ceb582a2d1ca5cac4cc3bb9f1cf48a63cd746b48ea"
-        "e1eb9b0ca172af2216cd60e74676b5e6fe9c0f75cbabeed656886b636b601962"
-        "98cf3ab362d09619db142274cf89e460cb9e3204ab705c7d6dd79918938707f2"
-        "0359244b5241198ba44d56b3f9504fafa0aa746de81357afe850a0b4957a0ed5"
-        "3baa29db078cfdb4e7b3c1fd5c61da4a05063d10f6fe9e057f545998bf3da98e"
-        "444943ef1132f4d9cfc49b18f44707cc0a32fdc792d5c9bfd41a7775dd54bad6"
-        "e6801e44c55fb7a486998c33416ee611e2eef7d758d03936bff0324aeb8e208d"
-        "9b542add11016498925bd3ccea0d130ea0640147a2ae4df5712ec35f7efe99d1"
-        "c824b64ad2accedaa176f87623c529d31742017c30f9729d8ee3204b4650e867"
-        "5a14f66b1bf5aeba5aed3cdc778b6c7d517ed5fce78b549a76d2694e96bbbb00"
-        "78dad4fc5019cf91d89a18edc289f7d9"
+        "db405253eb2534c8373302737b0fbd41a94043a262e941cadc0cdd13605c26f8"
+        "7b0fdace828a7378ecb9c82f328c32192df1eb8b49370da294f0e9a0772a06a8"
+        "d4cc5882bd6b977a483e8812a4705e3925d78d0ecb1403fad930ce6e10d3df99"
+        "4e433d269ab2c01babe774f566bf947af60b98dc11e025d913b5c2a48152b4fe"
+        "6bb9fd910f6f9f32743196db11a7a811666390cdc6afb5847b69a75fd130145e"
+        "c5051f981525c519177bb843a4e3b72d49932500dad342cc7b286707fcb51ed3"
+        "bb85169bb01244c26bd118ed20640284ff62570bcb6ee25b7676f6875e1cadca"
+        "2ddd08e5c88fe2d2fcc7865d3c4f243d4c043b4498000356470c7895cb2b3828"
+        "cd03450e5d6253a32c13a7eeac269efbb0bd06b3adf769af155a4fb148cc4776"
+        "fbccc035cd70637c9a4821eb904a3df88d3f87af90e43da1b510a2c23a44d2c0"
+        "60f1f8e6bb87a9bab29ca171ce83831015b7b58d939cea6090b830a798564672"
+        "515e9d6658bdd4f0b5051485fe3988f7c32784404035e5d155333e2c9f35c704"
+        "28a704a12f4afea688c90cc3ef6daf11a912e55e5ad4262cdb8eb4cf3ccb72b0"
+        "cdf917146fa1168b25abbd841cbb3f793feb7ff60f2f5a11f3c9a91eb56e5f9e"
+        "98ca8c7bba23ec4679bf53a287e9478eb890bd8df9da4991d7e0fd1e37e427cb"
+        "bafc5e7eb42736567c4cdb520d348a6bd624170168ebc64a37b000fb7d99dabb"
+        "1a0a47d669bc7d0bbdc97a5c7988745afdff098b2a1f089d6d1290f913e56508"
+        "8215f4d29ff71e2467378961a0a2bd8f4e0cdba6ae35c97bfe5ae5a081951c92"
+        "40a5d2ae639ccb0086a5f3d6eca1836563bec19e0282386d6be6bf73cfd3d974"
+        "b5a8b368eb26b7e1949ee8087c853bf9d6f84f6b19247ed6d475b5beae3e54ab"
+        "289e94b49b4b274b704ae5effcb7df1afa680b76b2ea6272c036a352a2b41d76"
+        "b9a3e738e0f932c1bc1f00fefa791b2a63aa5e28bcb4dd549859bb57e89931c5"
+        "2025843c266af7b0a7cb3a688956c119bd586624fddf5d862611833f7bccf0a3"
+        "a473012c09602add1d847e0a55321fac0fc5c5c266b5a54bce5979ebbde54524"
+        "808e3a0f66a7350163e43385984b7a584a016a901ba95fb44ffd420fa944bd3c"
+        "186e769fd034ac779f308d467d7152656854cfd4d043ad9d088366853dfba324"
+        "30614b5c3a8356d943db7b59e4519ebfbf2cdc436eb73dda9df72d9aceb0d276"
+        "e405bf3f39c865953f5b441bf813b7965490feb81ec3aa9ca376b2d93df5cc2b"
+        "f8db15153bf6700a74e03f4843a2448d00fb93e7e05022b330dab14e6803771c"
+        "fa8df6b15ca5c5a156adce8ea1cc6c0d5fa69c12d8ef7fcfa36f4e6ae8471569"
+        "e56dbcde320ee1beb212f45f30025de83abb678582dfad4f74c384152ec4c756"
+        "a2283e57ceed9e32b216bf1abab9693b25bac6bd3c9a7b3d651199320ba4f78c"
+        "f9c6b92e347f8097b79610cafb93abe599d9d470d8b27d6be4d1178b93997432"
+        "40343017d172f0fd53d9ef7b532207cbb3b269e3dd582da292b2b754d17f90f5"
+        "51f0628a4439da3296f1cdd0b67d4c9de4b2bbafa27dcbac40e555497bd8ee88"
+        "45bd3b0c9c45119c6c4587098cd4191b165bfc0a7ea184b613e2523218151453"
+        "3ae95c685a2ddcfb2e4931f114458323a009bc0edfe28ac45355999ad7a4165c"
+        "51363ad09c9caa8ef63c854f8b94b3d8"
     ),
 }
 
-#: sha256 of the 80,000-byte known answer (2,500 keystream blocks).
+#: sha256 of the 80,000-byte known answer.
 KNOWN_STREAM_80K_SHA256 = (
-    "98aca625b7fc12ae8e6f1caefd5c7f3220d5acb2862a4452d8f107b9391ddd5c")
+    "f82a5f47f597ed66f4c57bd5c95d8186c14d189814595e7c38d0dd111f8af7ae")
 
-#: ``SealedBox("css-platform-secret").seal(text, sequence)``.
+#: ``SealedBox("css-platform-secret").seal(text, context)``.
 KNOWN_TOKENS = [
+    ('', '',
+     "a80935ff490cf229b03b6389330734a20892724992093585718787b24a8ff70e"
+     "c50b5d94c7793de8fa8982251cf9f38d"),
+    ('Mario Bianchi', 'evt-000001-650d/subjectRef',
+     "0343230f9efe7bff671dddf9ec291d5d1eb35fc9b28c9e31ef972001bff81258"
+     "de5b8e6cae576b2fd7da012884a6d31ce0059767de4a4858ff5e6aba93"),
+    ('àèìòù — Trentino ♥', 'federation-channel/node-3',
+     "ed627134d8fa83515f27a3b716f28867ca385145919deb59080ec2c64c638b92"
+     "4dbb4f61c42817edb257a3a0a6953e60532a8d9122579e82cf345de27010b629"
+     "b43bac275b0c2e1d4f15cb"),
+]
+
+#: Tokens the counter-nonce box sealed (``seal(text, sequence)``, per-block
+#: SHA-256 keystream, MAC key ``"mac"``) before the synthetic nonce: every
+#: index row and archive written then holds tokens like these.
+LEGACY_TOKENS = [
     ("", 0,
      "f0d8b51417c56fc258062ea1bf2b8f2d895be6eb0e0422d554910b41dbfee945"
      "58803123a3d666021a38b08026e124d8"),
@@ -96,7 +120,8 @@ KNOWN_TOKENS = [
      "4a8c3b322fb602e3bf869f"),
 ]
 
-#: Every multiple of the 32-byte block, and one byte either side, to 9,000.
+#: Every multiple of 32 bytes (the SHA-256 block of the legacy keystream
+#: and the HMAC), and one byte either side, to 9,000.
 BLOCK_EDGES = sorted({n for k in range(9000 // 32 + 1)
                       for n in (32 * k - 1, 32 * k, 32 * k + 1) if 0 <= n <= 9000})
 
@@ -111,11 +136,12 @@ class TestKnownAnswers:
         out = StreamCipher(KAT_KEY).apply(kat_data(80_000), KAT_NONCE)
         assert hashlib.sha256(out).hexdigest() == KNOWN_STREAM_80K_SHA256
 
-    @pytest.mark.parametrize("text, sequence, token", KNOWN_TOKENS,
+    # The ids are the counter-nonce vectors' (the third sealed nonce 2**64 - 1).
+    @pytest.mark.parametrize("text, context, token", KNOWN_TOKENS,
                              ids=["empty", "name", "last-sequence"])
-    def test_seal_reproduces_the_pinned_token(self, text, sequence, token):
+    def test_seal_reproduces_the_pinned_token(self, text, context, token):
         box = SealedBox("css-platform-secret")
-        assert box.seal(text, sequence) == token
+        assert box.seal(text, context) == token
         assert box.open(token) == text
 
 
@@ -142,6 +168,12 @@ class TestEqualsTheReference:
     def test_apply_equals_the_per_block_loop(self, length, seed, key, nonce):
         data = random.Random(seed).randbytes(length)
         assert StreamCipher(key).apply(data, nonce) == reference_apply(key, data, nonce)
+
+    def test_the_legacy_decoder_is_the_per_block_loop(self):
+        data = random.Random(13).randbytes(9001)
+        for length in BLOCK_EDGES:
+            assert legacy_apply(KAT_KEY, data[:length], KAT_NONCE) == legacy_reference(
+                KAT_KEY, data[:length], KAT_NONCE), length
 
 
 class TestDeriveKey:
@@ -200,41 +232,42 @@ class TestStreamCipher:
 class TestSealedBox:
     def test_round_trip(self):
         box = SealedBox("secret")
-        token = box.seal("Mario Bianchi", sequence=1)
+        token = box.seal("Mario Bianchi", "evt-1/subjectRef")
         assert box.open(token) == "Mario Bianchi"
 
     def test_token_is_opaque(self):
         box = SealedBox("secret")
-        assert "Mario" not in box.seal("Mario Bianchi", sequence=1)
+        assert "Mario" not in box.seal("Mario Bianchi", "evt-1/subjectRef")
 
     def test_sequences_give_distinct_tokens(self):
+        # One subject in two events: two contexts, two nonces, two tokens.
         box = SealedBox("secret")
-        assert box.seal("same", 1) != box.seal("same", 2)
+        first, second = box.seal("same", "evt-1/subjectRef"), box.seal("same", "evt-2/subjectRef")
+        assert first != second and first[:32] != second[:32]
 
     def test_same_sequence_is_deterministic(self):
         box = SealedBox("secret")
-        assert box.seal("same", 7) == box.seal("same", 7)
+        assert box.seal("same", "evt-7/subjectRef") == box.seal("same", "evt-7/subjectRef")
 
     def test_negative_sequence_rejected(self):
-        with pytest.raises(CryptoError):
+        # A counter where the context belongs is refused, not hashed.
+        with pytest.raises(CryptoError, match="context"):
             SealedBox("secret").seal("x", -1)
 
-    def test_sequence_past_the_nonce_counter_is_a_crypto_error(self):
+    def test_the_context_is_length_prefixed(self):
         box = SealedBox("secret")
-        box.seal("x", 2**64 - 1)
-        with pytest.raises(CryptoError, match="2\\*\\*64"):
-            box.seal("x", 2**64)
+        assert box.seal("bc", "a")[:32] != box.seal("c", "ab")[:32]
 
     def test_tampered_token_detected(self):
         box = SealedBox("secret")
-        token = box.seal("Mario Bianchi", 1)
+        token = box.seal("Mario Bianchi", "evt-1/subjectRef")
         flipped = ("0" if token[10] != "0" else "1")
         tampered = token[:10] + flipped + token[11:]
         with pytest.raises(TokenError):
             box.open(tampered)
 
     def test_wrong_key_detected(self):
-        token = SealedBox("secret-one").seal("data", 1)
+        token = SealedBox("secret-one").seal("data", "evt-1/subjectRef")
         with pytest.raises(TokenError):
             SealedBox("secret-two").open(token)
 
@@ -248,7 +281,7 @@ class TestSealedBox:
 
     def test_is_valid_true_and_false(self):
         box = SealedBox("secret")
-        token = box.seal("x", 1)
+        token = box.seal("x", "evt-1/subjectRef")
         assert box.is_valid(token)
         assert not box.is_valid(token[:-2] + "00")
         assert not box.is_valid("nothex!")
@@ -256,23 +289,65 @@ class TestSealedBox:
     def test_unicode_round_trip(self):
         box = SealedBox("secret")
         text = "àèìòù — Trentino ♥"
-        assert box.open(box.seal(text, 3)) == text
+        assert box.open(box.seal(text, "evt-3/subjectDisplay")) == text
+
+
+class TestLegacyTokens:
+    """Tokens sealed under counter nonces open read-only, by their own MAC
+    key and keystream."""
+
+    @pytest.mark.parametrize("text, sequence, token", LEGACY_TOKENS,
+                             ids=["empty", "name", "last-sequence"])
+    def test_a_counter_nonce_token_still_opens(self, text, sequence, token):
+        assert SealedBox("css-platform-secret").open(token) == text
+
+    def test_each_token_runs_one_keystream(self, monkeypatch):
+        box = SealedBox("css-platform-secret")
+        fresh = box.seal("Mario Bianchi", "evt-1/subjectRef")
+
+        def refuse(*args):
+            raise AssertionError("wrong keystream")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StreamCipher, "apply", refuse)
+            assert box.open(LEGACY_TOKENS[1][2]) == "Mario Bianchi"
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.crypto.cipher.legacy_apply", refuse)
+            assert box.open(fresh) == "Mario Bianchi"
+
+    @pytest.mark.parametrize("which", ["legacy", "current"])
+    def test_a_token_failing_both_macs_is_a_token_error(self, which):
+        box = SealedBox("css-platform-secret")
+        token = (LEGACY_TOKENS[1][2] if which == "legacy"
+                 else box.seal("Mario Bianchi", "evt-1/subjectRef"))
+        flipped = token[:40] + ("0" if token[40] != "0" else "1") + token[41:]
+        with pytest.raises(TokenError, match="integrity"):
+            box.open(flipped)
+        with pytest.raises(TokenError, match="integrity"):
+            SealedBox("another-secret").open(token)
 
 
 class TestSealedBoxProperties:
-    @given(text=st.text(max_size=200), sequence=st.integers(min_value=0, max_value=10**9))
+    @given(text=st.text(max_size=200), context=st.text(max_size=40))
     @settings(max_examples=60, deadline=None)
-    def test_seal_open_round_trip(self, text, sequence):
+    def test_seal_open_round_trip(self, text, context):
         box = SealedBox("property-secret")
-        assert box.open(box.seal(text, sequence)) == text
+        assert box.open(box.seal(text, context)) == text
 
     @given(
         first=st.text(max_size=60),
         second=st.text(max_size=60),
-        sequence=st.integers(min_value=0, max_value=1000),
+        context=st.text(max_size=40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_distinct_plaintexts_distinct_tokens(self, first, second, sequence):
+    def test_distinct_plaintexts_distinct_tokens(self, first, second, context):
         box = SealedBox("property-secret")
         if first != second:
-            assert box.seal(first, sequence) != box.seal(second, sequence)
+            assert box.seal(first, context) != box.seal(second, context)
+
+    @given(text=st.text(max_size=300), context=st.text(max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_the_tag_is_hmac_sha256(self, text, context):
+        raw = bytes.fromhex(SealedBox("property-secret").seal(text, context))
+        assert raw[-32:] == hmac.digest(derive_key("property-secret", "mac:siv"),
+                                        raw[:-32], "sha256")

@@ -48,7 +48,7 @@ class TestKeyScheduleCache:
         assert KeyStore.schedule_misses == misses_before + 1
         assert KeyStore.schedule_hits == hits_before + 1
         # Interoperable: sealed by one store, opened by the other.
-        token = first.seal("channel:x", "payload", sequence=1)
+        token = first.seal("channel:x", "payload", context="channel:x")
         assert second.open_("channel:x", token) == "payload"
 
     def test_opting_out_still_interoperates(self):
@@ -57,7 +57,7 @@ class TestKeyScheduleCache:
         KeyStore._schedule.clear()
         before = KeyStore("shared-master")
         before.create("channel:y")
-        token = before.seal("channel:y", "payload", sequence=7)
+        token = before.seal("channel:y", "payload", context="channel:y")
         KeyStore._schedule.clear()
         misses = KeyStore.schedule_misses
         after = KeyStore("shared-master")

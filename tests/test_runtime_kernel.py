@@ -12,7 +12,7 @@ chain).
 """
 
 from dataclasses import fields
-from itertools import count, product
+from itertools import product
 
 import pytest
 
@@ -372,13 +372,6 @@ class TestOneWiringRule:
             platform.request_details(
                 "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
                 "healthcare-treatment")
-        # A stored row carries its shard's nonce sequence; a seal whose
-        # entry shipped to another shard is not persisted at home (ROADMAP
-        # item 7), so end on an entry the sealing node keeps.
-        for published in count(12):
-            last = deployment.publish_blood_test(subject_id=f"pat-{published}")
-            if platform.membership.owner_of_subject(last.subject_ref) == "node-0":
-                break
         platform.dispatch_all()
         platform.flush_batches()
         for node in platform.nodes():
@@ -391,8 +384,7 @@ class TestOneWiringRule:
             assert len(audit) == len(live.audit_log) > 0
             assert audit.head_digest == live.audit_log.head_digest
             assert index.sequence == live.index.local.sequence
-        assert sum(len(node.controller.index)
-                   for node in platform.nodes()) == published + 1
+        assert sum(len(node.controller.index) for node in platform.nodes()) == 12
 
 
 def observed_state(arm, name, hand, per_node, guard):
@@ -611,7 +603,7 @@ class TestJsonlBackends:
         reloaded = JsonlIndexStore(SegmentedLog(tmp_path / "index"),
                                    KeyStore("css-platform-secret"))
         assert len(reloaded) == 2
-        assert reloaded.sequence == old_sequence  # no keystream reuse
+        assert reloaded.sequence == old_sequence  # the row count, live and replayed
         replayed = reloaded.get(first.event_id)
         assert replayed.subject_ref == "p1"
         assert replayed.subject_display == "Mario Bianchi"

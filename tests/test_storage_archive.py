@@ -15,8 +15,10 @@ from repro.exceptions import (
 )
 from repro.storage import JsonlFile, PlatformArchive
 from repro.storage.schemas import schema_from_dict, schema_to_dict
+from repro.storage.snapshot import describe
 from repro.sim.generators import standard_event_templates
 from tests.conftest import blood_test_schema
+from tests.test_property_substrates import OLD_INDEX_ROW
 
 
 class TestJsonlFile:
@@ -253,6 +255,23 @@ class TestArchiveRoundTrip:
         restored = archive.restore("archive-secret")
         assert restored.catalog.get("BloodTest").version == 2
         assert len(restored.catalog.history("BloodTest")) == 2
+
+    def test_a_manifest_with_a_nonce_counter_still_restores(self, tmp_path):
+        """An archive written under counter nonces: its manifest carries
+        ``index_sequence`` and its index row a ``"sequence"`` key and
+        counter-nonce tokens.  Both counters are ignored; the tokens open."""
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(DataController(seed="archive"))
+        JsonlFile(tmp_path / "snap" / "index.jsonl").append(OLD_INDEX_ROW)
+        manifest = json.loads(archive.manifest_path.read_text())
+        assert "index_sequence" not in manifest
+        manifest["index_sequence"] = OLD_INDEX_ROW["sequence"]
+        manifest["files"] = describe(tmp_path / "snap", list(manifest["files"]))
+        archive.manifest_path.write_text(json.dumps(manifest, indent=2))
+        restored = archive.restore("css-platform-secret")
+        notification = restored.index.get("evt-000001-650d")
+        assert notification.subject_display == "Giovanni Esposito"
+        assert restored.index.sequence == 1
 
 
 ARCHIVE_FILES = ("actors", "contracts", "catalog", "policies", "idmap",
