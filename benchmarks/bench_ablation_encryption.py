@@ -73,7 +73,7 @@ def test_index_inquiry_cost(benchmark, encrypt, n_stored):
 
 
 def test_at_rest_opacity_invariant(benchmark):
-    """With encryption on, no stored slot ever contains the identity."""
+    """With encryption on, no stored row's identity field ever contains the identity."""
     index = EventsIndex(KeyStore("bench"), encrypt_identity=True)
     batch = notifications(100)
 
@@ -82,9 +82,9 @@ def test_at_rest_opacity_invariant(benchmark):
             if notification.event_id not in index:
                 index.store(notification)
         leaked = 0
-        for obj in index.registry.all_objects():
-            for slot_name in ("subjectRef", "subjectDisplay"):
-                value = obj.slot_value(slot_name) or ""
+        for row in index.entries(withdrawn=True):
+            for field in ("subject_ref", "subject_display"):
+                value = row[field] or ""
                 if "pat-" in value or "Patient" in value:
                     leaked += 1
         return leaked

@@ -73,8 +73,8 @@ def main() -> None:
     # -- phase 2: what actually sits on disk -------------------------------
     store = StorageEngine(data_dir)  # a cold reopen, as after a restart
     first_row = next(store.log("index").iter_records())
-    print("first index row on disk (identity slots sealed):")
-    print(f"  subjectRef slot: {first_row['slots']['subjectRef'][0][:44]}...\n")
+    print("first index row on disk (identity fields sealed):")
+    print(f"  subject_ref: {first_row['subject_ref'][:44]}...\n")
 
     # -- phase 3: rebuild both stores from the directory alone -------------
     reloaded_index = JsonlIndexStore(store.log("index"),
@@ -83,7 +83,7 @@ def main() -> None:
     reloaded_audit.verify_integrity()
     print(f"replayed {len(reloaded_index)} notifications and "
           f"{len(reloaded_audit)} audit records (chain verified)")
-    replayed = reloaded_index.get(first_row["object_id"])
+    replayed = reloaded_index.get(first_row["event_id"])
     print(f"decrypted through the keystore: subject={replayed.subject_ref!r}, "
           f"display={replayed.subject_display!r}\n")
 

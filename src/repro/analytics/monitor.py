@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.analytics.suppression import SuppressedCount, suppress, suppress_small_cells
 from repro.core.controller import DataController
-from repro.core.index import OBJECT_TYPE, SCHEME_EVENT_CLASS, SCHEME_PRODUCER
 from repro.exceptions import ConfigurationError
 
 
@@ -64,23 +63,23 @@ class ProcessMonitor:
 
     # -- raw metadata access (internal) -------------------------------------
 
-    def _objects(self):
-        return self._controller.index.registry.by_type(OBJECT_TYPE)
+    def _rows(self) -> list[dict]:
+        return self._controller.index.entries(withdrawn=True)
 
     # -- breakdowns ----------------------------------------------------------
 
     def class_breakdown(self) -> dict[str, SuppressedCount]:
         """Events per class, suppression-protected."""
         counts: dict[str, int] = defaultdict(int)
-        for obj in self._objects():
-            counts[obj.classification_node(SCHEME_EVENT_CLASS) or "?"] += 1
+        for row in self._rows():
+            counts[row["event_type"] or "?"] += 1
         return suppress_small_cells(dict(counts), self.threshold)
 
     def producer_breakdown(self) -> dict[str, SuppressedCount]:
         """Events per producing institution, suppression-protected."""
         counts: dict[str, int] = defaultdict(int)
-        for obj in self._objects():
-            counts[obj.classification_node(SCHEME_PRODUCER) or "?"] += 1
+        for row in self._rows():
+            counts[row["producer_id"] or "?"] += 1
         return suppress_small_cells(dict(counts), self.threshold)
 
     def volume_report(self, bucket_seconds: float = 86400.0) -> VolumeReport:
@@ -89,10 +88,8 @@ class ProcessMonitor:
             raise ConfigurationError("bucket_seconds must be positive")
         report = VolumeReport(bucket_seconds=bucket_seconds, threshold=self.threshold)
         raw: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        for obj in self._objects():
-            occurred_at = float(obj.slot_value("occurredAt") or 0.0)
-            event_class = obj.classification_node(SCHEME_EVENT_CLASS) or "?"
-            raw[report.bucket_of(occurred_at)][event_class] += 1
+        for row in self._rows():
+            raw[report.bucket_of(row["occurred_at"])][row["event_type"] or "?"] += 1
         for bucket, breakdown in raw.items():
             report.buckets[bucket] = suppress_small_cells(dict(breakdown), self.threshold)
         return report

@@ -24,8 +24,8 @@ perf layer, bus, endpoint detail fetcher and policy enforcer have one
 implementation each; the storage engine, the events index and the audit
 log follow from facts: durable iff the runtime has a ``data_dir``,
 sharded iff a federation membership was handed in.  Both hot paths —
-notification publish and request-for-details — run through the stage
-pipelines of :mod:`repro.runtime.interceptors`.
+notification publish and request-for-details — are the plain functions
+of :mod:`repro.runtime.interceptors`.
 """
 
 from __future__ import annotations
@@ -66,23 +66,12 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.perf import PerfLayer
 from repro.runtime.batching import BatchPolicy, BatchWriter
-from repro.runtime.interceptors import (
-    PUBLISH,
-    REQUEST_DETAILS,
-    Invocation,
-    PublishStats,
-    build_details_edge_pipeline,
-    build_publish_pipeline,
-)
+from repro.runtime import interceptors
+from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, HotPath, PublishStats
 from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import RuntimeConfig
 from repro.runtime.services import EndpointDetailFetcher, gateway_endpoint_name
-from repro.sched.scheduler import (
-    POLICY_DRR,
-    POLICY_FIFO,
-    WORK_DETAILS,
-    TenantScheduler,
-)
+from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
 
 #: Callback receiving decrypted notifications at an authorized subscriber.
 NotificationHandler = Callable[[NotificationMessage], None]
@@ -192,40 +181,21 @@ class DataController:
         self._gateways: dict[str, CooperationGateway] = {}
         self._consent: dict[str, ConsentRegistry] = {}
         self._identity = None  # optional LocalIdentityProvider (future-work extension)
-        self._fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
+        #: The gateway client the enforcer fetches details through.
+        self.detail_fetcher = EndpointDetailFetcher(self.endpoints, self.gateway_of)
         self.enforcer = PolicyEnforcer(
             repository=self.policies, id_map=self.id_map,
             purposes=self.purposes, audit_log=self.audit_log,
             clock=self.clock, ids=self.ids,
-            consent_resolver=self._consent.get, fetcher=self._fetcher,
+            consent_resolver=self._consent.get, fetcher=self.detail_fetcher,
             telemetry=self.telemetry,
         )
         self.publish_stats = PublishStats()
-        self._publish_pipeline = build_publish_pipeline(
-            stats=self.publish_stats,
-            contracts=self.contracts,
-            catalog=self.catalog,
-            audit=self.audit_log,
-            ids=self.ids,
-            clock=self.clock,
-            consent_resolver=self._consent.get,
-            gateway_resolver=self.gateway_of,
-            id_map=self.id_map,
-            index_store=self.index,
-            transport=self.bus,
-            telemetry=self.telemetry,
-            sched=self.sched,
-        )
-        self._details_pipeline = build_details_edge_pipeline(
-            contracts=self.contracts,
-            clock=self.clock,
-            identity_lookup=lambda: self._identity,
-            endpoint_call=lambda request: self.endpoints.call(
-                "controller.getEventDetails", request
-            ),
-            telemetry=self.telemetry,
-            sched=self.sched,
-        )
+        #: The two hot paths, run by :meth:`publish` and :meth:`request_details`.
+        self.publish_pipeline = HotPath(
+            PUBLISH, interceptors.publish, self, self.telemetry)
+        self.details_pipeline = HotPath(
+            DETAILS_EDGE, interceptors.request_details, self, self.telemetry)
         self.endpoints.expose(
             "controller.getEventDetails",
             lambda request: self.enforcer.get_event_details(request),
@@ -257,23 +227,6 @@ class DataController:
         self.index.flush()
         self.audit_log.flush()
 
-    # -- pipelines (inspectable wiring) ----------------------------------------
-
-    @property
-    def publish_pipeline(self):
-        """The notification-publish stage pipeline."""
-        return self._publish_pipeline
-
-    @property
-    def details_pipeline(self):
-        """The controller-edge chain of the request-for-details path."""
-        return self._details_pipeline
-
-    @property
-    def detail_fetcher(self):
-        """The gateway client used by the enforcer's fetch stage."""
-        return self._fetcher
-
     # -- identity management (the paper's future-work extension) --------------
 
     def attach_identity_provider(self, provider) -> None:
@@ -290,7 +243,9 @@ class DataController:
         """Whether an identity provider is attached."""
         return self._identity is not None
 
-    def _authenticate(self, actor_id: str, credential, asserted_role: str = "") -> None:
+    def authenticate(self, actor_id: str, credential, asserted_role: str = "") -> None:
+        """Check ``credential`` against the attached identity provider (a
+        no-op without one)."""
         if self._identity is None:
             return
         self._identity.authenticate(actor_id, credential, asserted_role)
@@ -300,7 +255,7 @@ class DataController:
     def join(self, actor: Actor, valid_until: float | None = None,
              credential=None) -> Contract:
         """Register a party and sign its contract (§5)."""
-        self._authenticate(actor.actor_id, credential, actor.role)
+        self.authenticate(actor.actor_id, credential, actor.role)
         self.actors.add(actor)
         contract = Contract(
             party_id=actor.actor_id,
@@ -404,15 +359,13 @@ class DataController:
     def publish(self, producer_id: str, occurrence: EventOccurrence) -> NotificationMessage | None:
         """Receive an event from a producer: persist, index, route (§4).
 
-        Runs the publish pipeline (contract → admission → consent →
-        persist → crypto → index → route, audited throughout).  Returns
-        the distributed notification, or ``None`` when the data subject's
-        consent blocks publication (the event then stays entirely inside
-        the source).
+        Runs :func:`repro.runtime.interceptors.publish` (contract →
+        catalog, ownership, validation → consent → persist → seal → index
+        → route, then the audit record).  Returns the distributed
+        notification, or ``None`` when the data subject's consent blocks
+        publication (the event then stays entirely inside the source).
         """
-        return self._publish_pipeline.execute(Invocation(
-            PUBLISH, {"producer_id": producer_id, "occurrence": occurrence}
-        ))
+        return self.publish_pipeline.execute(producer_id, occurrence)
 
     # -- consumer-side operations --------------------------------------------------
 
@@ -433,7 +386,7 @@ class DataController:
         """
         self.contracts.require_active(consumer_id, self.clock.now(), must_consume=True)
         actor = self.actors.get(consumer_id)
-        self._authenticate(consumer_id, credential, actor.role)
+        self.authenticate(consumer_id, credential, actor.role)
         sink = self.notification_sink(consumer_id, handler, roster_scoped)
         return self.gated_subscribe(
             consumer_id, actor.role, event_type,
@@ -512,20 +465,12 @@ class DataController:
                         credential=None):
         """Resolve a request for details through the SOA endpoint + enforcer.
 
-        Runs the controller-edge pipeline (contract → authenticate; with
-        the fair scheduler also a leading admission stage) whose terminal
-        stage invokes the ``controller.getEventDetails`` endpoint, i.e.
-        the enforcer's Algorithm 1 chain.
+        Runs :func:`repro.runtime.interceptors.request_details` (meter →
+        contract → authenticate), which invokes the
+        ``controller.getEventDetails`` endpoint, i.e. the enforcer's
+        Algorithm 1.
         """
-        if not self.sched.shapes_ingress:
-            # Fifo baseline: no sched stage is composed into the edge
-            # pipeline, so accounting meters the request here.
-            self.sched.submit(consumer_id, WORK_DETAILS, self.clock.now())
-        return self._details_pipeline.execute(Invocation(
-            REQUEST_DETAILS,
-            {"consumer_id": consumer_id, "request": request,
-             "credential": credential},
-        ))
+        return self.details_pipeline.execute(consumer_id, request, credential)
 
     def inquire_index(
         self,

@@ -23,10 +23,11 @@ The enforcer also honours source-level **consent**: a data subject's detail
 opt-out denies the request before any policy is consulted (consent is the
 stronger constraint — policies grant, consent vetoes).
 
-The stages live in :mod:`repro.runtime.interceptors` — the enforcer
-builds the rows ``stats → audit → resolve → consent → decide → fetch →
-filter`` once at construction and :meth:`get_event_details` is a single
-pipeline execution.
+The algorithm itself is one plain function,
+:func:`repro.runtime.interceptors.get_event_details` — resolve → consent
+→ decide → fetch → field check, every outcome audited and counted — run
+on this enforcer's collaborators; :meth:`PolicyEnforcer.get_event_details`
+is one execution of it.
 """
 
 from __future__ import annotations
@@ -44,12 +45,8 @@ from repro.core.policy import DetailRequestSpec, PolicyDecision, PolicyRepositor
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
-from repro.runtime.interceptors import (
-    REQUEST_DETAILS,
-    Invocation,
-    build_enforcement_pipeline,
-    resolve_request_entry,
-)
+from repro.runtime import interceptors
+from repro.runtime.interceptors import REQUEST_DETAILS, HotPath, resolve_request_entry
 from repro.runtime.interfaces import DetailFetcher
 
 #: Decisions made, labelled ``permit`` / ``deny`` / ``not_applicable`` —
@@ -72,7 +69,8 @@ class DetailRequest:
 
 @dataclass
 class EnforcerStats:
-    """Stage counters for the Fig. 4 latency-breakdown benchmark."""
+    """Outcome counters of Algorithm 1 (Fig. 4): every request lands in
+    exactly one of ``permits`` / ``denies`` / ``gateway_failures``."""
 
     requests: int = 0
     permits: int = 0
@@ -94,7 +92,10 @@ class PolicyEnforcer:
     """Implements Algorithm 1 over the certified policy repository.
 
     Decisions are ``repository``'s Def. 3; gateway access goes through a
-    :class:`~repro.runtime.interfaces.DetailFetcher`, the ``fetcher``.
+    :class:`~repro.runtime.interfaces.DetailFetcher`, the ``fetcher``.  The
+    collaborators are public attributes because
+    :func:`~repro.runtime.interceptors.get_event_details` reads them off
+    the enforcer on every request.
     """
 
     def __init__(
@@ -111,38 +112,29 @@ class PolicyEnforcer:
         telemetry=None,
     ) -> None:
         self._repository = repository
-        self._id_map = id_map
-        self._purposes = purposes
-        self._clock = clock
         self._telemetry = telemetry
+        self.id_map = id_map
+        self.purposes = purposes
+        self.audit_log = audit_log
+        self.clock = clock
+        self.ids = ids
+        self.fetcher = fetcher
+        #: Producer id -> its consent registry, or ``None``.
+        self.consent_resolver = consent_resolver or (lambda producer_id: None)
         self.stats = EnforcerStats()
         self.pdp_stats = DecisionStats()
-        self._pipeline = build_enforcement_pipeline(
-            stats=self.stats,
-            audit=audit_log,
-            ids=ids,
-            clock=clock,
-            purposes=purposes,
-            id_map=id_map,
-            consent_resolver=consent_resolver or (lambda producer_id: None),
-            decide=self._decide,
-            fetcher=fetcher,
-            telemetry=telemetry,
-        )
+        #: Algorithm 1 under its ``pipeline.request-details`` root span.
+        self.pipeline = HotPath(REQUEST_DETAILS, interceptors.get_event_details,
+                                self, telemetry)
 
-    @property
-    def pipeline(self):
-        """The Algorithm 1 stage pipeline (inspectable, e.g. stage names)."""
-        return self._pipeline
-
-    def _decide(self, entry: EventIdEntry, request: DetailRequest) -> PolicyDecision:
+    def decision(self, entry: EventIdEntry, request: DetailRequest) -> PolicyDecision:
         """Steps 2–3 of Algorithm 1: Def. 3 at the clock's time, counted."""
         decision = self._repository.decide(entry.producer_id, DetailRequestSpec(
             actor_id=request.actor.actor_id,
             event_type=entry.event_type,
             purpose=request.purpose,
             actor_role=request.actor.role,
-            requested_at=self._clock.now(),
+            requested_at=self.clock.now(),
         ))
         self.pdp_stats.requests += 1
         self.pdp_stats.policies_evaluated += decision.walked
@@ -160,18 +152,16 @@ class PolicyEnforcer:
         "Access Denied message" of Fig. 4 — and propagates gateway
         availability failures.  Every outcome is audited.
         """
-        return self._pipeline.execute(
-            Invocation(REQUEST_DETAILS, {"request": request})
-        )
+        return self.pipeline.execute(request)
 
     def decide(self, request: DetailRequest) -> bool:
         """Policy decision only (no gateway call, no exception on deny).
 
-        The same decision as the details chain's decide stage; benchmarks
-        use it to time the decision path in isolation.
+        The same decision as Algorithm 1's step 3; benchmarks use it to
+        time the decision path in isolation.
         """
         try:
-            entry = resolve_request_entry(request, self._purposes, self._id_map)
+            entry = resolve_request_entry(request, self.purposes, self.id_map)
         except AccessDeniedError:
             return False
-        return self._decide(entry, request).permitted
+        return self.decision(entry, request).permitted

@@ -7,32 +7,29 @@ published by the producers ... The identifying information of the person
 specified in the notification is stored in encrypted form to comply with
 the privacy regulations."
 
-Each notification becomes a registry object classified by event class and
-producer, with the *identifying* slots (subject reference and display name)
-sealed with the controller's index key.  Inquiry decrypts only for callers
-the controller has already authorized — the index itself never hands out
-plaintext identity.
+An entry is one flat row: the notification's seven fields, the two
+identifying ones (subject reference and display name) sealed with the
+controller's index key — what a shard ships to a peer, what the index log
+stores and what :meth:`EventsIndex.open_entry` reads.  The ebXML
+vocabulary survives as its field names: the object is classified by
+event class (``event_type``) and producer (``producer_id``), and
+``subject_ref`` / ``subject_display`` are its sealed slots.  Inquiry
+decrypts only for callers the controller has already authorized — the
+index itself never hands out plaintext identity.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.messages import NotificationMessage
-from repro.exceptions import UnknownEventError
-from repro.registry.objects import RegistryObject
-from repro.registry.query import FilterQuery
-from repro.registry.registry import Registry
+from repro.exceptions import DuplicateObjectError, ObjectNotFoundError, UnknownEventError
 
 if TYPE_CHECKING:
     from repro.runtime.interfaces import CipherProvider
 
-#: Registry object type of index entries.
-OBJECT_TYPE = "Notification"
-#: Classification schemes used by the index.
-SCHEME_EVENT_CLASS = "EventClass"
-SCHEME_PRODUCER = "Producer"
 #: Name of the keystore key sealing identifying slots.
 INDEX_KEY = "index-identity"
 
@@ -51,8 +48,8 @@ class IndexStats:
 class SealedIdentity:
     """The identifying slots of a notification, sealed for index storage.
 
-    Produced by :meth:`EventsIndex.seal_identity` (the publish pipeline's
-    crypto stage) and consumed by :meth:`EventsIndex.store`.
+    Produced by :meth:`EventsIndex.seal_identity` (on the publish path,
+    before indexing) and consumed by :meth:`EventsIndex.store`.
     """
 
     subject_ref: str
@@ -62,7 +59,7 @@ class SealedIdentity:
 def sealed_fields(notification: NotificationMessage,
                   sealed: SealedIdentity) -> dict:
     """One index entry as its seven flat fields, identity slots sealed —
-    what a shard ships to a peer and what :func:`sealed_entry` stores."""
+    what a shard ships to a peer."""
     return {
         "event_id": notification.event_id,
         "event_type": notification.event_type,
@@ -74,90 +71,122 @@ def sealed_fields(notification: NotificationMessage,
     }
 
 
-def sealed_entry(
-    *, event_id: str, event_type: str, producer_id: str, occurred_at: float,
-    summary: str, subject_ref: str, subject_display: str | None = None,
-) -> RegistryObject:
-    """The registry object of one index entry (identity slots already
-    sealed) — built the same for a local store and for an adopted entry."""
-    obj = RegistryObject(
-        object_id=event_id, object_type=OBJECT_TYPE,
-        name=summary, description=summary,
-    )
-    obj.classify(SCHEME_EVENT_CLASS, event_type)
-    obj.classify(SCHEME_PRODUCER, producer_id)
-    obj.set_slot("occurredAt", f"{occurred_at:020.6f}")
-    obj.set_slot("producerId", producer_id)
-    obj.set_slot("subjectRef", subject_ref)
-    if subject_display is not None:
-        obj.set_slot("subjectDisplay", subject_display)
-    return obj
+def microseconds(instant: float) -> float:
+    """``instant`` to the microsecond: the precision an index row keeps
+    (the ebXML ``occurredAt`` slot held it as ``%020.6f``)."""
+    return round(float(instant), 6)
 
 
-def entry_fields(obj: RegistryObject) -> dict:
-    """The inverse of :func:`sealed_entry`: a stored entry's flat fields,
-    identity slots kept sealed (the peer-facing form of a shard's rows)."""
+def legacy_row(row: dict) -> tuple[dict, bool]:
+    """An entry stored in its registry-object form (``object_id`` /
+    ``classifications`` / ``slots`` / ``status``, what index logs and
+    archives held before an entry was a row): its row, and whether it was
+    withdrawn."""
+    slots = row["slots"]
+
+    def slot(name: str) -> str | None:
+        values = slots.get(name)
+        return values[0] if values else None
+
+    event_type = next((c["node"] for c in row["classifications"]
+                       if c["scheme"] == "EventClass"), "")
     return {
-        "event_id": obj.object_id,
-        "event_type": obj.classification_node(SCHEME_EVENT_CLASS) or "",
-        "producer_id": obj.slot_value("producerId") or "",
-        "occurred_at": float(obj.slot_value("occurredAt") or 0.0),
-        "summary": obj.name,
-        "subject_ref": obj.slot_value("subjectRef") or "",
-        "subject_display": obj.slot_value("subjectDisplay"),
-    }
+        "event_id": row["object_id"],
+        "event_type": event_type,
+        "producer_id": slot("producerId") or "",
+        "occurred_at": float(slot("occurredAt") or 0.0),
+        "summary": row["name"],
+        "subject_ref": slot("subjectRef") or "",
+        "subject_display": slot("subjectDisplay"),
+    }, row["status"] == "withdrawn"
 
 
 class EventsIndex:
-    """ebXML-backed notification index with sealed identifying fields.
+    """The notification index: ``event id → row``, ``event type → [ids]``
+    and the set of withdrawn ids, identifying fields sealed.
 
-    ``encrypt_identity=False`` exists only for ablation A2 (measuring the
-    cost of the paper's encrypted-index requirement); production use keeps
-    it on.  ``keystore`` may be any
+    A withdrawn entry (moved to another shard) stays stored but is hidden
+    from every inquiry.  ``encrypt_identity=False`` exists only for
+    ablation A2 (measuring the cost of the paper's encrypted-index
+    requirement); production use keeps it on.  ``keystore`` may be any
     :class:`~repro.runtime.interfaces.CipherProvider`.
     """
 
     def __init__(self, keystore: "CipherProvider", encrypt_identity: bool = True) -> None:
-        self._registry = Registry()
+        self._rows: dict[str, dict] = {}
+        self._by_type: dict[str, list[str]] = {}
+        self._withdrawn: set[str] = set()
         self._keystore = keystore
         self._keystore.create(INDEX_KEY)
         self.encrypt_identity = encrypt_identity
         self.stats = IndexStats()
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return len(self._rows)
 
     def __contains__(self, event_id: str) -> bool:
-        return event_id in self._registry
-
-    @property
-    def registry(self) -> Registry:
-        """The underlying ebXML-style registry (read-mostly)."""
-        return self._registry
+        return event_id in self._rows
 
     @property
     def sequence(self) -> int:
         """The number of entries held, equal live and replayed: kept only for
-        the wall ledger's restart comparison, deleted with it (ROADMAP item 1(f))."""
-        return len(self._registry)
+        the wall ledger's restart comparison."""
+        return len(self._rows)
 
-    def restore_raw(self, obj: RegistryObject) -> None:
-        """Re-insert an archived registry object, slots kept as stored.
+    def row(self, event_id: str) -> dict | None:
+        """The row stored under ``event_id``; ``None`` if absent or withdrawn."""
+        if event_id in self._withdrawn:
+            return None
+        return self._rows.get(event_id)
 
-        Identity slots arrive still sealed (the archive never holds
-        plaintext identities), so this bypasses :meth:`store`'s sealing.
-        """
-        self._registry.submit(obj)
-        self._registry.approve(obj.object_id)
+    def entries(self, withdrawn: bool = False) -> list[dict]:
+        """Every row in store order; withdrawn ones only when asked."""
+        return [row for event_id, row in self._rows.items()
+                if withdrawn or event_id not in self._withdrawn]
+
+    def dump(self) -> list[dict]:
+        """The rows that replay into this index: every row, then a
+        tombstone per withdrawn one."""
+        return [*self._rows.values(), *(
+            {"tombstone": True, "object_id": event_id}
+            for event_id in self._rows if event_id in self._withdrawn)]
+
+    def _keep(self, row: dict) -> dict:
+        event_id = row["event_id"]
+        if event_id in self._rows:
+            raise DuplicateObjectError(f"entry {event_id!r} already indexed")
+        self._rows[event_id] = row
+        self._by_type.setdefault(row["event_type"], []).append(event_id)
         self.stats.stored += 1
+        return row
 
-    def adopt_raw(self, obj: RegistryObject) -> None:
+    def replay(self, rows: Iterable[dict]) -> None:
+        """Re-insert stored rows, identity fields kept sealed (they never
+        hold plaintext).  Reads rows in the registry-object form too
+        (:func:`legacy_row`); a tombstone withdraws its entry once every
+        row is in, and is ignored when compaction dropped that row."""
+        withdrawn = []
+        for row in rows:
+            if row.get("tombstone"):
+                withdrawn.append(row["object_id"])
+                continue
+            if "object_id" in row:
+                row, hidden = legacy_row(row)
+                if hidden:
+                    withdrawn.append(row["event_id"])
+            self._keep(row)
+        self._withdrawn.update(event_id for event_id in withdrawn
+                               if event_id in self._rows)
+
+    def adopt_raw(self, entry: dict) -> dict:
         """Index an entry shipped by a peer shard (durable stores persist it)."""
-        self.restore_raw(obj)
+        return self._keep({**entry, "occurred_at": microseconds(entry["occurred_at"])})
 
     def withdraw(self, event_id: str) -> None:
-        """Hide an entry from every default inquiry (ebXML withdrawal)."""
-        self._registry.withdraw(event_id)
+        """Hide an entry from every inquiry (ebXML withdrawal)."""
+        if event_id not in self._rows:
+            raise ObjectNotFoundError(f"no index entry {event_id!r}")
+        self._withdrawn.add(event_id)
 
     def flush(self) -> None:
         """Group-commit barrier; the in-memory index has nothing to drain."""
@@ -165,9 +194,9 @@ class EventsIndex:
     # -- storage ------------------------------------------------------------
 
     def seal_identity(self, notification: NotificationMessage) -> SealedIdentity:
-        """Seal the identifying slots (the publish pipeline's crypto stage),
-        each in the context of its event id and slot name: one subject in
-        two events never seals to the same token."""
+        """Seal the identifying slots (on the publish path, before
+        indexing), each in the context of its event id and slot name: one
+        subject in two events never seals to the same token."""
         event_id = notification.event_id
         return SealedIdentity(
             subject_ref=self._seal(notification.subject_ref, f"{event_id}/subjectRef"),
@@ -178,20 +207,18 @@ class EventsIndex:
         )
 
     def store(self, notification: NotificationMessage,
-              sealed: SealedIdentity | None = None) -> RegistryObject:
-        """Index a published notification and return its registry object.
+              sealed: SealedIdentity | None = None) -> dict:
+        """Index a published notification and return its row.
 
         ``sealed`` carries identity slots already sealed by
         :meth:`seal_identity`; without it the index seals inline (direct
-        callers outside the pipeline).
+        callers outside the publish path).
         """
         if sealed is None:
             sealed = self.seal_identity(notification)
-        obj = sealed_entry(**sealed_fields(notification, sealed))
-        self._registry.submit(obj)
-        self._registry.approve(notification.event_id)
-        self.stats.stored += 1
-        return obj
+        row = sealed_fields(notification, sealed)
+        row["occurred_at"] = microseconds(notification.occurred_at)
+        return self._keep(row)
 
     def _seal(self, value: str, context: str) -> str:
         if not self.encrypt_identity:
@@ -219,14 +246,15 @@ class EventsIndex:
 
     def get(self, event_id: str) -> NotificationMessage:
         """Rebuild the notification stored under ``event_id``."""
-        if event_id not in self._registry:
+        row = self._rows.get(event_id)
+        if row is None:
             raise UnknownEventError(f"no notification indexed under {event_id!r}")
-        return self.open_entry(entry_fields(self._registry.get(event_id)))
+        return self.open_entry(row)
 
     def open_entry(self, entry: dict) -> NotificationMessage:
-        """Rebuild the notification of one entry (:func:`entry_fields` form,
-        local or fetched from a peer shard), opening its identity slots
-        here — the only place an entry's plaintext identity appears."""
+        """Rebuild the notification of one row (local or fetched from a
+        peer shard), opening its identity slots here — the only place an
+        entry's plaintext identity appears."""
         display_token = entry.get("subject_display")
         return NotificationMessage(**{
             **entry,
@@ -242,21 +270,24 @@ class EventsIndex:
         since: float | None = None,
         until: float | None = None,
         producer_id: str | None = None,
-    ) -> list[RegistryObject]:
-        """The matching index entries, identity slots kept sealed."""
-        objects: list[RegistryObject] = []
+    ) -> list[dict]:
+        """The live rows of ``event_types`` (in that order, each in store
+        order) within ``[since, until]`` to the microsecond, identity
+        fields kept sealed."""
+        since = None if since is None else microseconds(since)
+        until = None if until is None else microseconds(until)
+        rows, withdrawn = self._rows, self._withdrawn
+        found: list[dict] = []
         for event_type in dict.fromkeys(event_types):  # dedupe, keep order
-            query = FilterQuery(object_type=OBJECT_TYPE).where(
-                f"class:{SCHEME_EVENT_CLASS}", "eq", event_type
-            )
-            if since is not None:
-                query.where("slot:occurredAt", "ge", f"{since:020.6f}")
-            if until is not None:
-                query.where("slot:occurredAt", "le", f"{until:020.6f}")
-            if producer_id is not None:
-                query.where(f"class:{SCHEME_PRODUCER}", "eq", producer_id)
-            objects.extend(self._registry.query(query))
-        return objects
+            for event_id in self._by_type.get(event_type, ()):
+                row = rows[event_id]
+                if not (event_id in withdrawn
+                        or (since is not None and row["occurred_at"] < since)
+                        or (until is not None and row["occurred_at"] > until)
+                        or (producer_id is not None
+                            and row["producer_id"] != producer_id)):
+                    found.append(row)
+        return found
 
     def inquire(
         self,
@@ -268,17 +299,17 @@ class EventsIndex:
         """Query notifications of the authorized ``event_types``.
 
         Authorization (which classes the caller may see) is the data
-        controller's job; the index evaluates the filter over each
-        authorized class and decrypts the identity slots of the results.
+        controller's job; the index filters each authorized class and
+        decrypts the identity slots of the results.
         """
         self.stats.inquiries += 1
         results = [
-            self.open_entry(entry_fields(obj))
-            for obj in self.raw_inquire(event_types, since, until, producer_id)
+            self.open_entry(row)
+            for row in self.raw_inquire(event_types, since, until, producer_id)
         ]
         results.sort(key=lambda n: (n.occurred_at, n.event_id))
         return results
 
     def count_for_type(self, event_type: str) -> int:
-        """Number of indexed notifications of one class."""
-        return len(self._registry.by_classification(SCHEME_EVENT_CLASS, event_type))
+        """Number of indexed notifications of one class, withdrawn ones included."""
+        return len(self._by_type.get(event_type, ()))

@@ -149,24 +149,20 @@ class LinkFailureError(FederationError):
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Events index (the ebXML registry of §4)
 # ---------------------------------------------------------------------------
 
 
 class RegistryError(CssError):
-    """Base class for ebXML-style registry failures."""
+    """Base class for events-index failures."""
 
 
 class ObjectNotFoundError(RegistryError):
-    """Looked up a registry object id that is not stored."""
+    """Withdrew an index entry that is not stored."""
 
 
 class DuplicateObjectError(RegistryError):
-    """Submitted a registry object whose id is already stored."""
-
-
-class QueryError(RegistryError):
-    """An ad-hoc registry query is syntactically or semantically invalid."""
+    """Indexed an entry whose event id is already stored."""
 
 
 # ---------------------------------------------------------------------------

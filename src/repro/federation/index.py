@@ -16,8 +16,8 @@ Wire discipline — the privacy boundary of the tentpole:
 
 Rebalancing (:meth:`rehome`) re-computes ownership after the ring grew,
 ships mis-homed entries (sealed) to their new owner and *withdraws* them
-locally — ebXML withdrawal keeps the object for provenance but hides it
-from every default inquiry, so results stay duplicate-free.
+locally — ebXML withdrawal keeps the row for provenance but hides it from
+every inquiry, so results stay duplicate-free.
 """
 
 from __future__ import annotations
@@ -25,18 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.index import (
-    OBJECT_TYPE,
-    SCHEME_EVENT_CLASS,
-    EventsIndex,
-    SealedIdentity,
-    entry_fields,
-    sealed_entry,
-    sealed_fields,
-)
+from repro.core.index import EventsIndex, SealedIdentity, sealed_fields
 from repro.core.messages import NotificationMessage
 from repro.exceptions import LinkFailureError, UnknownEventError
-from repro.registry.objects import LifecycleStatus, RegistryObject
 
 if TYPE_CHECKING:
     from repro.federation.membership import StaticMembership
@@ -75,10 +66,13 @@ class FederatedIndexStore:
         """Mirrors the local index (the ablation knob applies per node)."""
         return self.local.encrypt_identity
 
-    @property
-    def registry(self):
-        """This shard's registry — what an archive or monitor of the node reads."""
-        return self.local.registry
+    def entries(self, withdrawn: bool = False) -> list[dict]:
+        """This shard's rows — what a monitor of the node reads."""
+        return self.local.entries(withdrawn)
+
+    def dump(self) -> list[dict]:
+        """This shard's rows and tombstones — what an archive of the node stores."""
+        return self.local.dump()
 
     def _self_node(self):
         """This node's federation endpoint — every request leaves through
@@ -86,15 +80,15 @@ class FederatedIndexStore:
         return self.membership.node(self.node_id)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._live_local_objects())
+        return len(self.local.entries())
 
     def __contains__(self, event_id: str) -> bool:
-        return self._live_local(event_id) is not None
+        return self.local.row(event_id) is not None
 
     # -- storage (shard routing) -------------------------------------------
 
     def seal_identity(self, notification: NotificationMessage) -> SealedIdentity:
-        """Seal identity slots with the local keystore (publish crypto stage)."""
+        """Seal identity slots with the local keystore (before indexing)."""
         return self.local.seal_identity(notification)
 
     def store(self, notification: NotificationMessage,
@@ -175,21 +169,9 @@ class FederatedIndexStore:
     def accept_remote(self, entry: dict) -> None:
         """Store an entry shipped by a peer (identity slots still sealed)."""
         # A durable local shard also persists the adopted row.
-        self.local.adopt_raw(sealed_entry(**entry))
+        self.local.adopt_raw(entry)
 
     # -- local raw access (the peer-facing surface) -------------------------
-
-    def _live_local_objects(self) -> list[RegistryObject]:
-        return [
-            obj for obj in self.local.registry.by_type(OBJECT_TYPE)
-            if obj.status is not LifecycleStatus.WITHDRAWN
-        ]
-
-    def _live_local(self, event_id: str) -> RegistryObject | None:
-        if event_id not in self.local.registry:
-            return None
-        obj = self.local.registry.get(event_id)
-        return None if obj.status is LifecycleStatus.WITHDRAWN else obj
 
     def local_raw_inquire(
         self,
@@ -199,24 +181,15 @@ class FederatedIndexStore:
         producer_id: str | None = None,
     ) -> list[dict]:
         """This shard's matching entries, identity slots kept sealed."""
-        return [
-            entry_fields(obj)
-            for obj in self.local.raw_inquire(event_types, since, until, producer_id)
-        ]
+        return self.local.raw_inquire(event_types, since, until, producer_id)
 
     def local_raw_get(self, event_id: str) -> dict | None:
         """One sealed raw entry of this shard (None if absent/withdrawn)."""
-        obj = self._live_local(event_id)
-        return None if obj is None else entry_fields(obj)
+        return self.local.row(event_id)
 
     def local_count_for_type(self, event_type: str) -> int:
         """Live entries of one class on this shard."""
-        return sum(
-            1 for obj in self.local.registry.by_classification(
-                SCHEME_EVENT_CLASS, event_type
-            )
-            if obj.status is not LifecycleStatus.WITHDRAWN
-        )
+        return len(self.local.raw_inquire([event_type]))
 
     # -- cluster-wide retrieval ---------------------------------------------
 
@@ -232,8 +205,7 @@ class FederatedIndexStore:
     def get(self, event_id: str) -> NotificationMessage:
         """Rebuild a notification from whichever shard holds it."""
         self._read_barrier()
-        obj = self._live_local(event_id)
-        if obj is not None:
+        if self.local.row(event_id) is not None:
             return self.local.get(event_id)
         node = self._self_node()
         for peer in self._peer_ids():
@@ -287,14 +259,13 @@ class FederatedIndexStore:
         """
         self._read_barrier()
         moved = 0
-        for obj in self._live_local_objects():
-            subject_ref = self.local.open_identity(obj.slot_value("subjectRef") or "")
+        for row in self.local.entries():
+            subject_ref = self.local.open_identity(row["subject_ref"])
             owner = self.membership.owner_of_subject(subject_ref)
             if owner == self.node_id:
                 continue
-            self._self_node().ask(owner, "index.rehome",
-                                  {"entry": entry_fields(obj)}, seal=True)
-            self.local.withdraw(obj.object_id)  # durable shards add a tombstone
+            self._self_node().ask(owner, "index.rehome", {"entry": row}, seal=True)
+            self.local.withdraw(row["event_id"])  # durable shards add a tombstone
             moved += 1
             self.stats.rehomed += 1
         return moved

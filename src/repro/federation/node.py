@@ -430,7 +430,7 @@ class FederationNode:
         one (Algorithm 1 + Algorithm 2).  The filtered detail message is
         sealed before it crosses back.
         """
-        # Remote requests skip the consumer node's details-edge pipeline,
+        # Remote requests skip the consumer node's details edge,
         # so the home node is where the scheduler meters (and, under
         # fair, admission-checks) the requesting organization's ingress.
         self.controller.sched.ingress(

@@ -356,7 +356,7 @@ class FederatedPlatform:
             with span:
                 detail = node.request_remote_details(class_home, request)
         except Exception as exc:
-            # The local audit stage's rule: a deny, or — home gateway down,
+            # Algorithm 1's audit rule: a deny, or — home gateway down,
             # the hop's retry budget spent, anything else — an error.
             outcome = classify(None, exc).audit
             audit(outcome, f"denied by home node {class_home}"

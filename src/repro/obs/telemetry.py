@@ -7,13 +7,13 @@ plus a :class:`~repro.obs.tracing.Tracer` sharing one
 :class:`~repro.obs.guard.PrivacyGuard`, timed against the platform's
 simulated clock.  Off (``telemetry: noop``, the default) is no object at
 all: ``controller.telemetry`` is ``None``, every instrumented module
-checks for that, and the pipeline loop opens no span — an un-instrumented
+checks for that, and a hot path opens no span — an un-instrumented
 platform pays nothing.
 
 The facade API is intentionally tiny — ``count``/``gauge``/``observe``,
-``span``, ``restrict_keys``, and the bound ``pipeline_span``/``stage_span``
-the pipeline loop opens — so instrumented modules (bus broker, XACML PDP,
-stage pipelines) depend on nothing but this shape.
+``span``, ``restrict_keys``, and the bound ``pipeline_span`` a hot path
+opens its root span with — so instrumented modules (bus broker, enforcer,
+hot paths) depend on nothing but this shape.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from repro.obs.guard import MODE_HASH, PrivacyGuard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
-#: Counter of pipeline executions, labelled by pipeline + outcome.
+#: Counter of hot-path executions, labelled by pipeline + outcome.
 PIPELINE_OUTCOMES = "pipeline.invocations_total"
-#: Sidecar histogram of whole-pipeline latency in *wall* seconds.
+#: Sidecar histogram of whole-hot-path latency in *wall* seconds.
 PIPELINE_WALL_DURATION = "pipeline.wall_duration_seconds"
-#: Its buckets: 10 microseconds to 1 s (a pipeline runs in well under 1 ms).
+#: Its buckets: 10 microseconds to 1 s (a hot path runs in well under 1 ms).
 WALL_BUCKETS: tuple[float, ...] = (
     0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
@@ -41,8 +41,8 @@ class _BoundSpan:
 
     It keeps no per-execution state — :meth:`open` hands back the tracer
     row and :meth:`close` takes it — so one instance serves every
-    execution of its pipeline or stage, nested ones included (a federated
-    request runs the same stage on two nodes of one shared telemetry), and
+    execution of its hot path, nested ones included (a federated request
+    runs the same path on two nodes of one shared telemetry), and
     a span of it costs no object.  Its simulated duration is the row's
     start and end; nothing else records it.  As a context manager (a
     convenience off the hot path) it yields the row's
@@ -70,7 +70,7 @@ class _BoundSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close(self._tracer.current_row, exc_type)
-        return False  # never swallow — pipeline semantics stay intact
+        return False  # never swallow: the failure stays the caller's
 
 
 class InMemoryTelemetry:
@@ -91,7 +91,7 @@ class InMemoryTelemetry:
         #: time-series or incident bundle reads it (they stay deterministic).
         self.wall = MetricsRegistry(self.guard)
         self.tracer = Tracer(self.clock, self.guard, site=site)
-        #: Pipeline name or ``(pipeline, stage)`` -> its bound span.
+        #: Hot-path name -> its bound root span.
         self._bound_spans = self.guard.memo()
         self.recorder = None
 
@@ -128,27 +128,15 @@ class InMemoryTelemetry:
         """
         return self.tracer.span(name, remote_parent=remote_parent, **attributes)
 
-    def stage_span(self, pipeline: str, stage: str):
-        """A per-pipeline-stage child span."""
-        bound = self._bound_spans.get((pipeline, stage))
-        if bound is None:
-            bound = self._bind((pipeline, stage), f"stage.{stage}",
-                               {"pipeline": pipeline, "stage": stage})
-        return bound
-
     def pipeline_span(self, pipeline: str):
-        """The root span of one pipeline execution."""
+        """The root span of one hot-path execution, ``pipeline.<pipeline>``."""
         bound = self._bound_spans.get(pipeline)
         if bound is None:
-            bound = self._bind(pipeline, f"pipeline.{pipeline}",
-                               {"pipeline": pipeline})
-        return bound
-
-    def _bind(self, key, name: str, labels: dict[str, str]) -> _BoundSpan:
-        bound = _BoundSpan(self.tracer, name, labels)
-        # A restricted label key is re-sanitised per span, never memoised.
-        if self.guard.static_key(labels) is not None:
-            self._bound_spans[key] = bound
+            labels = {"pipeline": pipeline}
+            bound = _BoundSpan(self.tracer, f"pipeline.{pipeline}", labels)
+            # A restricted label key is re-sanitised per span, never memoised.
+            if self.guard.static_key(labels) is not None:
+                self._bound_spans[pipeline] = bound
         return bound
 
     # -- flight recorder ---------------------------------------------------

@@ -1,7 +1,7 @@
 """Deterministic tracing: spans kept as rows of flat columns.
 
-One trace per pipeline execution (a publish, a request-for-details), one
-child span per pipeline stage.  Timestamps come from the platform's
+One trace per operation (a publish, a request-for-details): its root span
+and the spans of the layers it crosses.  Timestamps come from the platform's
 simulated :class:`~repro.clock.Clock` and span/trace ids from plain
 counters, so the same seeded scenario always produces the same spans —
 the trace-determinism tests diff the JSONL export byte for byte.
@@ -18,7 +18,7 @@ objects.  A generic :meth:`Tracer.span` scope is itself its row's cached
 view.
 
 Span attributes pass through the :class:`~repro.obs.guard.PrivacyGuard`
-exactly like metric labels: a span can say *which stage* denied *which
+exactly like metric labels: a span can say *which path* denied *which
 event type*, never *whose* event it was.
 
 Federation support: a tracer built with a ``site`` prefix (the node's

@@ -1,19 +1,12 @@
-"""Runtime layer: service interfaces, configuration and hot-path pipelines.
+"""Runtime layer: service interfaces, configuration and the hot paths.
 
 See :mod:`repro.runtime.interfaces` for the collaborator protocols,
 :mod:`repro.runtime.kernel` for the runtime configuration and
-:mod:`repro.runtime.interceptors` for the hot-path pipelines.
+:mod:`repro.runtime.interceptors` for the publish and request-for-details
+hot paths.
 """
 
-from repro.runtime.interceptors import (
-    PUBLISH,
-    REQUEST_DETAILS,
-    Invocation,
-    PublishStats,
-    build_details_edge_pipeline,
-    build_enforcement_pipeline,
-    build_publish_pipeline,
-)
+from repro.runtime.interceptors import PUBLISH, REQUEST_DETAILS, PublishStats
 from repro.runtime.interfaces import (
     AuditSink,
     CipherProvider,
@@ -51,15 +44,11 @@ __all__ = [
     "DirectDetailFetcher",
     "EndpointDetailFetcher",
     "IndexStore",
-    "Invocation",
     "JsonlAuditSink",
     "JsonlIndexStore",
     "NotificationTransport",
     "PolicyDecisionPoint",
     "PublishStats",
     "RuntimeConfig",
-    "build_details_edge_pipeline",
-    "build_enforcement_pipeline",
-    "build_publish_pipeline",
     "gateway_endpoint_name",
 ]

@@ -9,8 +9,8 @@ text its digest hashed — and replay on start.  A controller whose
 ``RuntimeConfig`` has a ``data_dir`` builds the pair over the ``index`` /
 ``audit`` logs of its :class:`~repro.storage.engine.StorageEngine`; a
 restart is the same construction.  Replay streams one record at a time:
-the index keeps its registry, the audit trail one digest per link, never
-its records (docs/STORAGE.md).
+the index keeps its rows, the audit trail one digest per link, never its
+records (docs/STORAGE.md).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex, SealedIdentity
 from repro.core.messages import NotificationMessage
 from repro.crypto.hashing import HashChain
-from repro.exceptions import CorruptRecordError, ObjectNotFoundError, TamperedLogError
-from repro.registry.objects import RegistryObject
+from repro.exceptions import CorruptRecordError, TamperedLogError
 from repro.storage.engine import RecordLog
 from repro.storage.segment import encode_entry
 
@@ -89,64 +88,44 @@ class JsonlAuditSink(AuditLog):
 class JsonlIndexStore(EventsIndex):
     """Events index with durable write-through persistence.
 
-    Appends every stored registry object — identity slots sealed — to the
-    ``index`` log.  On construction an existing log is replayed via the
-    raw-restore path; sealing keeps no nonce counter to restore (an older
-    row's ``"sequence"`` is ignored).  Withdrawals persist as tombstone
-    rows, which compaction later reclaims together with the rows they hide.
+    Appends every stored row — identity fields sealed — to the ``index``
+    log, and replays the log on construction (:meth:`EventsIndex.replay`:
+    rows in the registry-object form written before an entry was a row
+    load too).  Withdrawals persist as tombstone rows, which compaction
+    later reclaims together with the rows they hide.
     """
 
     def __init__(self, log: RecordLog, keystore,
                  encrypt_identity: bool = True) -> None:
         super().__init__(keystore, encrypt_identity=encrypt_identity)
         self._store = log
-        self._replay()
-
-    def _replay(self) -> None:
-        withdrawn: list[str] = []
-        for row in self._store.iter_records():
-            if row.get("tombstone"):
-                withdrawn.append(row["object_id"])
-                continue
-            obj = RegistryObject.from_row(row)
-            status = obj.status
-            self.restore_raw(obj)  # approves; the stored status wins
-            obj.status = status
-        for object_id in withdrawn:
-            try:
-                super().withdraw(object_id)
-            except ObjectNotFoundError:  # its row was already compacted away
-                pass
-
-    def _persist(self, obj: RegistryObject) -> None:
-        self._store.append(obj.to_row())
+        self.replay(log.iter_records())
 
     def store(self, notification: NotificationMessage,
-              sealed: SealedIdentity | None = None) -> RegistryObject:
+              sealed: SealedIdentity | None = None) -> dict:
         """Index a notification and append its sealed row to disk."""
-        obj = super().store(notification, sealed=sealed)
-        self._persist(obj)
-        return obj
+        row = super().store(notification, sealed=sealed)
+        self._store.append(row)
+        return row
 
     def flush(self) -> None:
         """Group-commit barrier: make every buffered row durable (queries read memory)."""
         self._store.flush()
 
     def withdraw(self, event_id: str) -> None:
-        """Hide an indexed entry and persist the withdrawal as a tombstone.
-
-        Registry object ids *are* event ids, so the entry stays hidden
-        across restarts, and compaction may reclaim it and its tombstone.
-        """
+        """Hide an indexed entry and persist the withdrawal as a tombstone,
+        so the entry stays hidden across restarts and compaction may
+        reclaim it and its tombstone."""
         super().withdraw(event_id)
         self._store.append({"tombstone": True, "object_id": event_id})
 
-    def adopt_raw(self, obj: RegistryObject) -> None:
-        """Index a raw registry object *and* persist its row.
+    def adopt_raw(self, entry: dict) -> dict:
+        """Index an entry shipped by a peer *and* persist its row.
 
         The federated shard-transfer path: entries shipped by a peer
-        (identity slots still sealed) must survive this node's restarts,
+        (identity fields still sealed) must survive this node's restarts,
         unlike archive restores which replay from their own snapshot.
         """
-        super().adopt_raw(obj)
-        self._persist(obj)
+        row = super().adopt_raw(entry)
+        self._store.append(row)
+        return row

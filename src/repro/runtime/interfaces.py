@@ -72,7 +72,7 @@ class IndexStore(Protocol):
         """Query notifications of the (already authorized) event types."""
 
     def seal_identity(self, notification: "NotificationMessage") -> Any:
-        """Seal the identifying slots of ``notification`` (crypto stage)."""
+        """Seal the identifying slots of ``notification`` (before indexing)."""
 
     def count_for_type(self, event_type: str) -> int:
         """Number of indexed notifications of one class."""

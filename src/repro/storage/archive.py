@@ -41,7 +41,6 @@ from repro.exceptions import (
     TamperedLogError,
     UnknownProducerError,
 )
-from repro.registry.objects import RegistryObject
 from repro.storage.jsonl import JsonlFile, write_atomic
 from repro.storage.schemas import (
     schema_from_dict,
@@ -122,9 +121,7 @@ class PlatformArchive:
             [asdict(entry) for entry in controller.id_map.entries()]
         )
 
-        self._file("index").append_many([
-            obj.to_row() for obj in controller.index.registry.all_objects()
-        ])
+        self._file("index").append_many(controller.index.dump())
 
         gateway_rows = []
         for actor in controller.actors.producers():
@@ -283,11 +280,7 @@ class PlatformArchive:
         for row in self._file("idmap").iter_records():
             controller.id_map.record(EventIdEntry(**row))
 
-        for row in self._file("index").iter_records():
-            obj = RegistryObject.from_row(row)
-            status = obj.status
-            controller.index.restore_raw(obj)  # approves; the stored status wins
-            obj.status = status
+        controller.index.replay(self._file("index").iter_records())
 
         gateways: dict[str, LocalCooperationGateway] = {}
         for row in self._file("gateways").iter_records():

@@ -9,9 +9,10 @@ interrupted compaction re-opens as the old generation or the new one.
 
 :func:`index_keep_predicate` is the events index's retention rule — drop
 tombstones (``JsonlIndexStore.withdraw``) with the rows they hide,
-``withdrawn`` / ``deprecated`` rows and superseded rows of one
-``object_id`` — found in a first streaming pass, so memory grows with the
-number of objects, not the log.  The audit log is never compacted
+``withdrawn`` / ``deprecated`` rows of the registry-object form and
+superseded rows of one entry — found in a first streaming pass, so memory
+grows with the number of entries, not the log.  An entry's id is a row's
+``event_id``, or the ``object_id`` of a tombstone or a registry-object row.  The audit log is never compacted
 (:meth:`~repro.storage.engine.StorageEngine.compact` refuses): its chain
 commits to every record.  See docs/STORAGE.md.
 """
@@ -23,7 +24,7 @@ from typing import Callable
 
 from repro.storage.segment import STAGING_DIR, SegmentedLog, decode_entry
 
-#: Statuses whose rows compaction may reclaim.
+#: Statuses whose registry-object rows compaction may reclaim.
 DROPPABLE_STATUSES = frozenset({"withdrawn", "deprecated"})
 
 #: A keep predicate: ``(sequence, record) -> bool``.
@@ -55,13 +56,13 @@ class CompactionReport:
 def index_keep_predicate(log: SegmentedLog) -> KeepPredicate:
     """Build the events-index retention predicate for ``log``.
 
-    First streaming pass: find tombstoned object ids and the last
-    sequence number per object id.
+    First streaming pass: find tombstoned entry ids and the last
+    sequence number per entry id.
     """
     tombstoned: set[str] = set()
     last_sequence: dict[str, int] = {}
     for sequence, record in log.iter_entries():
-        object_id = record.get("object_id")
+        object_id = record.get("event_id", record.get("object_id"))
         if object_id is None:
             continue
         if record.get("tombstone"):
@@ -69,7 +70,7 @@ def index_keep_predicate(log: SegmentedLog) -> KeepPredicate:
         last_sequence[object_id] = sequence
 
     def keep(sequence: int, record: dict) -> bool:
-        object_id = record.get("object_id")
+        object_id = record.get("event_id", record.get("object_id"))
         if object_id is None:
             return True  # never drop what we don't understand
         if record.get("tombstone") or object_id in tombstoned:

@@ -134,6 +134,25 @@ def build_federation(shards: int = 2, with_policy: bool = True,
     return FederatedDeployment(platform=platform, blood_class=blood_class)
 
 
+def registry_object_row(entry: dict, status: str = "approved") -> dict:
+    """One index entry (``sealed_fields`` form) as the row index logs and
+    archives stored before an entry was a row: an ebRIM registry object
+    classified by event class and producer, its fields in slots."""
+    slots = {"occurredAt": [f"{entry['occurred_at']:020.6f}"],
+             "producerId": [entry["producer_id"]],
+             "subjectRef": [entry["subject_ref"]]}
+    if entry["subject_display"] is not None:
+        slots["subjectDisplay"] = [entry["subject_display"]]
+    return {
+        "object_id": entry["event_id"], "object_type": "Notification",
+        "name": entry["summary"], "description": entry["summary"],
+        "status": status,
+        "classifications": [{"scheme": "EventClass", "node": entry["event_type"]},
+                             {"scheme": "Producer", "node": entry["producer_id"]}],
+        "slots": slots,
+    }
+
+
 def with_deleted_latency_row(report: dict, observed: float,
                              windows: dict | None = None) -> dict:
     """An SLO report section with the status row of the deleted stock

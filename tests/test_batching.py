@@ -327,8 +327,8 @@ class TestFlushBarriers:
             assert any(notification.event_id in node.controller.index
                        for node in platform.nodes())
         # The retried frame carries the entries in publish order.
-        adopted = platform.controller_of("node-1").index.local.registry
-        assert [obj.object_id for obj in adopted.by_type("Notification")] == remote
+        adopted = platform.controller_of("node-1").index.local.entries()
+        assert [row["event_id"] for row in adopted] == remote
 
     def test_a_frame_the_owner_rejected_is_not_retried(self):
         deployment = self.batched_federation()

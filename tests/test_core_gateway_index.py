@@ -6,12 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.gateway import LocalCooperationGateway
-from repro.core.index import (
-    EventsIndex,
-    entry_fields,
-    sealed_entry,
-    sealed_fields,
-)
+from repro.core.index import EventsIndex, legacy_row, sealed_fields
 from repro.core.messages import NotificationMessage
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
@@ -24,6 +19,7 @@ from repro.exceptions import (
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import IntegerType, StringType
+from tests.conftest import registry_object_row
 
 
 def blood_class() -> EventClass:
@@ -160,14 +156,14 @@ class TestEventsIndex:
 
     def test_identity_is_encrypted_at_rest(self, index):
         index.store(notification())
-        obj = index.registry.get("evt-1")
-        assert obj.slot_value("subjectRef") != "p1"
-        assert "Mario" not in (obj.slot_value("subjectDisplay") or "")
+        row = index.row("evt-1")
+        assert row["subject_ref"] != "p1"
+        assert "Mario" not in (row["subject_display"] or "")
 
     def test_plaintext_mode_for_ablation(self):
         index = EventsIndex(KeyStore("s"), encrypt_identity=False)
         index.store(notification())
-        assert index.registry.get("evt-1").slot_value("subjectRef") == "p1"
+        assert index.row("evt-1")["subject_ref"] == "p1"
         assert index.stats.seal_operations == 0
 
     def test_get_unknown_rejected(self, index):
@@ -221,20 +217,36 @@ notifications = st.builds(
 
 
 class TestEntryCodec:
-    """The one index-entry codec: notification → flat sealed fields →
-    registry object → flat fields → notification."""
+    """The one index-entry codec: notification → flat sealed row →
+    notification; the registry-object form rows were stored in before
+    reads back as the same row."""
 
-    @given(notifications, st.booleans())
-    def test_fields_survive_the_registry_object(self, drawn, encrypt):
+    @given(notifications, st.booleans(), st.booleans())
+    def test_fields_survive_the_registry_object(self, drawn, encrypt, withdrawn):
         index = EventsIndex(KeyStore("test-secret"), encrypt_identity=encrypt)
         fields = sealed_fields(drawn, index.seal_identity(drawn))
-        assert entry_fields(sealed_entry(**fields)) == fields
+        stored = registry_object_row(
+            fields, status="withdrawn" if withdrawn else "approved")
+        assert legacy_row(stored) == (fields, withdrawn)
         if encrypt:
             assert fields["subject_ref"] != drawn.subject_ref
 
     @given(notifications, st.booleans())
     def test_an_opened_entry_is_the_stored_notification(self, drawn, encrypt):
         index = EventsIndex(KeyStore("test-secret"), encrypt_identity=encrypt)
-        obj = index.store(drawn)
-        assert (index.open_entry(entry_fields(obj))
-                == index.get(obj.object_id) == drawn)
+        row = index.store(drawn)
+        assert row == sealed_fields(drawn, index.seal_identity(drawn))
+        assert index.open_entry(row) == index.get(row["event_id"]) == drawn
+
+    def test_a_row_keeps_its_time_to_the_microsecond(self, index):
+        """As the ``occurredAt`` slot did (``%020.6f``): a stored, adopted
+        or replayed row reads back rounded, and a window compares at that
+        precision."""
+        row = index.store(notification("e1", occurred_at=23.478890654088257))
+        assert row["occurred_at"] == 23.478891 == index.get("e1").occurred_at
+        wire = sealed_fields(notification("e2", occurred_at=7.0000004),
+                             index.seal_identity(notification("e2")))
+        assert index.adopt_raw(wire)["occurred_at"] == 7.0
+        assert wire["occurred_at"] == 7.0000004  # the shipped entry is untouched
+        assert [n.event_id for n in index.inquire(["BloodTest"], since=7.0000003,
+                                                  until=23.4788906)] == ["e2", "e1"]

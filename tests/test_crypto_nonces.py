@@ -102,8 +102,8 @@ def test_the_opened_index_is_the_counter_nonce_one(tmp_path):
     opened = []
     for node in scenario.platform.nodes():
         local = node.controller.index.local
-        opened += [dataclasses.asdict(local.get(obj.object_id))
-                   for obj in local.registry.all_objects()]
+        opened += [dataclasses.asdict(local.get(row["event_id"]))
+                   for row in local.entries(withdrawn=True)]
         opened.append(node.controller.audit_log.head_digest)
     rendered = json.dumps(opened, sort_keys=True, default=str).encode()
     assert hashlib.sha256(rendered).hexdigest() == OPENED_INDEX_SHA256

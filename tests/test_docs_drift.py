@@ -1,15 +1,15 @@
-"""docs/ARCHITECTURE.md states the stage order and the switch table once,
-docs/FEDERATION.md the wire protocol; this keeps them equal to what the
-code composes."""
+"""docs/ARCHITECTURE.md states the hot paths' step order and the switch
+table once, docs/FEDERATION.md the wire protocol; this keeps them equal to
+what the code does."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from repro import DataController, RuntimeConfig
+from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.federation.node import WIRE_ERRORS
 from repro.runtime.kernel import SWITCHES
-from tests.conftest import build_federation
+from tests.conftest import blood_test_schema, build_federation
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 ARCHITECTURE = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")
@@ -25,14 +25,66 @@ def stage_line(after: str, offset: int = 1) -> tuple[str, ...]:
                  if not name.startswith("["))
 
 
-def test_stage_order_lines_match_the_pipelines():
-    controller = DataController(seed="docs")
-    assert stage_line("publish (controller):") == (
-        controller.publish_pipeline.stage_names)
+def test_stage_order_lines_match_the_pipelines(monkeypatch):
+    """The documented step order is the order in which a publish and a
+    request for details call the collaborators of each step (fair
+    scheduler: every step taken)."""
+    controller = DataController(seed="docs", runtime=RuntimeConfig(sched="fair"))
+    hospital = DataProducer(controller, "Hospital", "Hospital")
+    blood = hospital.declare_event_class(blood_test_schema())
+    doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi", role="family-doctor")
+    hospital.define_policy("BloodTest", fields=["PatientId"],
+                           consumers=[("family-doctor", "role")],
+                           purposes=["healthcare-treatment"])
+    steps = []
+
+    def spy(owner, name, step):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            if not steps or steps[-1] != step:
+                steps.append(step)
+            result = real(*args, **kwargs)
+            if step == "fetch":  # the field check reads what crossed
+                return FieldCheckProbe(result)
+            return result
+
+        monkeypatch.setattr(owner, name, call)
+
+    class FieldCheckProbe:
+        def __init__(self, detail):
+            self.detail = detail
+
+        def __getattr__(self, name):
+            if name == "released_fields" and "filter" not in steps:
+                steps.append("filter")
+            return getattr(self.detail, name)
+
+    enforcer = controller.enforcer
+    for owner, name, step in (
+        (controller.sched, "admit", "sched"), (controller.sched, "ingress", "sched"),
+        (controller.contracts, "require_active", "contract"),
+        (controller.catalog, "get", "admission"),
+        (controller, "consent_registry_of", "consent"),
+        (controller, "gateway_of", "persist"),
+        (controller.index, "seal_identity", "seal"),
+        (controller.index, "store", "index"), (controller.bus, "publish", "route"),
+        (controller.audit_log, "append", "audit"),
+        (controller, "authenticate", "authenticate"),
+        (controller.id_map, "resolve", "resolve"),
+        (enforcer, "consent_resolver", "consent"), (enforcer, "decision", "decide"),
+        (enforcer.fetcher, "fetch", "fetch"),
+    ):
+        spy(owner, name, step)
+    notification = hospital.publish(
+        blood, subject_id="p1", subject_name="Mario", summary="done",
+        details={"PatientId": "p1", "Name": "Mario", "Hemoglobin": 14.0,
+                 "Glucose": 90.0, "HivResult": "negative"})
+    assert stage_line("publish (controller):") == tuple(steps)
+    steps.clear()
+    doctor.request_details(notification, "healthcare-treatment")
     details = "request-for-details (controller edge → SOA endpoint → enforcer):"
-    assert stage_line(details) + stage_line(details, 2) == (
-        controller.details_pipeline.stage_names
-        + controller.enforcer.pipeline.stage_names)
+    assert stage_line(details) + stage_line(details, 2) == tuple(steps)
 
 
 def test_kernel_table_matches_the_default_kernel():

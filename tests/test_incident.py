@@ -332,55 +332,57 @@ class TestCli:
         manifest, one window reader and one series iterator.
 
         Re-pinned (was 71d1dc5b…) when the stock ``request-details-latency``
-        objective, which read simulated pipeline durations, was deleted.
-        The one byte difference is its status row in ``incident.json``'s
-        SLO section: put back, it gives the old ``incident.json`` and so
-        the old manifest, and the events and series files keep the bytes
-        they had.
-
+        objective, which read simulated pipeline durations, was deleted:
+        the one byte difference was its status row in the SLO section.
         Re-pinned again (was 9db5ac27…) when the decision cache went and
         ``xacml.pdp.evaluations_total`` came to count every decision: the
         ``pdp-deny-rate`` row observes 174 decisions (81 in the short
-        window) where it observed 69 (25) cache misses.  Put back, those
-        give the 9db5ac27… manifest; the events and series files did not
-        move."""
-        def manifest_of(incident: dict, files: dict) -> tuple[str, dict]:
-            text = (json.dumps(incident, sort_keys=True, indent=2) + "\n").encode()
-            files = {**files, "incident.json": {
-                "sha256": hashlib.sha256(text).hexdigest(), "size": len(text)}}
-            manifest = {**json.loads(manifest_path.read_text()), "files": files}
-            return hashlib.sha256((json.dumps(manifest, sort_keys=True, indent=2)
-                                   + "\n").encode()).hexdigest(), files
+        window) where it observed 69 (25) cache misses.  Both put-backs
+        below land on the SLO section those manifests held.
 
+        Re-pinned again (was 8b2da5c0…, events ``8a262c22…``) when the
+        hot paths stopped opening a ``stage.*`` span per stage.  Only the
+        recorder's span window moved: with the recorder's window unbounded,
+        the parent's span stream minus every ``stage.*`` row (each span
+        re-parented to its nearest other ancestor) is this one — names,
+        order, traces, status, times, parentage, and the interleaving with
+        the events — so the 256-span window reaches further back
+        (``dropped_spans`` 3,670 → 978, 2,692 fewer spans) and the shared
+        ring sequence renumbers the events' ``seq``; every other section is
+        byte-identical."""
         cli_main(["incident", "--scenario", "federated",
                   "--out", str(tmp_path)])
         capsys.readouterr()
         bundle = tmp_path / "incident-0001"
         manifest_path = bundle / "manifest.json"
         assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == (
-            "8b2da5c0bab0cfb5264969322e17aba23703c21f856389f6f2041d397be26d97")
+            "28f38e0dc8cec74d3a5096e2a2cc6e137675d3dd8391a0fcf3f373c219e4b669")
         files = json.loads(manifest_path.read_text())["files"]
         assert files["events.jsonl"]["sha256"] == (
-            "8a262c220dba59a93174f4230db2585d326fe0a22ea834557995d59bff5b83de")
+            "0538f43bfa9883e9c7d1f8a7ae4b8a447d9d7d38a9fa6552cda6c8fed40d4ee9")
         assert files["series.jsonl"]["sha256"] == (
             "a27934800a30904ea1cbdc4aad720240d5e369d30c32ebd22e3681933be5ef09")
 
         incident = json.loads((bundle / "incident.json").read_text())
-        incident["slo"] = with_parent_pdp_counts(
-            incident["slo"], 69.0, {"long": 69.0, "short": 25.0})
-        digest, files = manifest_of(incident, files)
-        assert digest == (
-            "9db5ac270752967a88a4bb03755666445ad30c3ced3a7b55d34b8d08a472568f")
-        incident["slo"] = with_deleted_latency_row(incident["slo"], 174.0, {
+        assert not [span for span in incident["spans"]
+                    if span["name"].startswith("stage.")]
+
+        def slo_digest(slo: dict) -> str:
+            return hashlib.sha256(canonical_json(slo).encode()).hexdigest()
+
+        slo = incident["slo"]
+        assert slo_digest(slo) == (
+            "fa77b8fe94301e0b5290ed961a5bd2089ae195e2b1fc9591a1b0db81cb48df35")
+        slo = with_parent_pdp_counts(slo, 69.0, {"long": 69.0, "short": 25.0})
+        assert slo_digest(slo) == (  # the SLO section of the 9db5ac27… bundle
+            "88927dd7bc2297dd06cc922d281d2f2e7c7e6cabdb6697c3e2e634b173b85e0a")
+        slo = with_deleted_latency_row(slo, 174.0, {
             "long": {"attainment": 1.0, "burn_rate": 0.0, "observed": 174.0,
                      "window": 5.0},
             "short": {"attainment": 1.0, "burn_rate": 0.0, "observed": 81.0,
                       "window": 1.0}})
-        digest, files = manifest_of(incident, files)
-        assert files["incident.json"]["sha256"] == (
-            "998f5d979c7365a0ea97409d5d6aea6f582b8190869a324af29ee67023e1042b")
-        assert digest == (
-            "71d1dc5b4807c8731585a55788d7b546805aef45e050ef3ede2f7cbddb1e5ef9")
+        assert slo_digest(slo) == (  # the SLO section of the 71d1dc5b… bundle
+            "b0e16314fc7c158dcab5797d9b5d6ddd867366050c55a6fa25fe32d9f5cb46fd")
 
     def test_incident_cli_lists_scenarios(self, capsys):
         assert cli_main(["incident", "--list"]) == 0

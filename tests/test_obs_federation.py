@@ -58,14 +58,16 @@ class TestStitchedRequestTraces:
         link = trace.span_named("link.call")
         server = trace.span_named("federation.details.get")
         pipeline = trace.span_named("pipeline.request-details")
-        decide = trace.span_named("stage.decide")
         assert link["parent_id"] == root["span_id"]
         assert server["parent_id"] == link["span_id"]
         # The server side runs on the OTHER node: different site prefix.
         assert server["span_id"].split("/")[0] != root["span_id"].split("/")[0]
-        # The home node's enforcement pipeline hangs under its server span.
+        # The home node's Algorithm 1 root hangs under its server span...
         assert pipeline["parent_id"] == server["span_id"]
-        ancestor = decide
+        # ...and is the innermost span: link → server → pipeline, no more.
+        assert not [span for span in trace.spans
+                    if span["parent_id"] == pipeline["span_id"]]
+        ancestor = pipeline
         seen = set()
         while ancestor["parent_id"] is not None:
             assert ancestor["span_id"] not in seen

@@ -266,17 +266,15 @@ class TestTelemetryBackends:
 
 class TestInstrumentation:
     def test_publish_produces_root_and_stage_spans(self):
+        """A publish is one root span, ``pipeline.publish``: spans sit at
+        operation boundaries, and no step of the path opens its own."""
         controller, hospital, blood, doctor = telemetry_platform()
         publish_one(hospital, blood)
         tracer = controller.telemetry.tracer
-        (root,) = tracer.spans_named("pipeline.publish")
-        stages = [span for span in tracer.finished_spans()
-                  if span.trace_id == root.trace_id and span is not root]
-        assert [span.attributes["stage"] for span in stages] == [
-            "route", "index", "crypto", "persist", "consent",
-            "audit", "admission", "contract", "stats",
-        ]  # finish order: innermost stage first
-        assert all(span.parent_id for span in stages)
+        (root,) = tracer.finished_spans()
+        assert (root.name, root.parent_id, root.status) == (
+            "pipeline.publish", None, "ok")
+        assert root.attributes == {"pipeline": "publish"}
 
     def test_details_request_spans_and_outcome_counters(self):
         controller, hospital, blood, doctor = telemetry_platform()

@@ -5,11 +5,11 @@
   out), wildcard-matching consistency, and a bus that calls idle
   subscriptions' handlers directly and visits only the waiting set
   against one that queues every delivery and scans every subscription.
-* Registry: the indexed query engine agrees with a brute-force filter.
+* Events index: the per-type inquiry agrees with a brute-force filter.
 * Keystore: rotation never breaks previously sealed tokens.
-* Row codecs: audit records and registry objects survive their one
-  encode/decode pair, and rows written before the codecs were merged
-  still replay.
+* Row codecs: audit records survive their one encode/decode pair, index
+  entries stored as registry objects read back as their rows, and rows
+  written before the codecs were merged still replay.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
 from repro.clock import Clock
 from repro.crypto.keystore import KeyStore
-from repro.registry.objects import LifecycleStatus, RegistryObject
-from repro.registry.query import FilterQuery
-from repro.registry.registry import Registry
+from repro.core.index import EventsIndex, legacy_row
+from repro.core.messages import NotificationMessage
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.sched.scheduler import POLICY_DRR, SchedConfig, TenantScheduler
+from repro.storage.compaction import compact
 from repro.storage.segment import SegmentedLog
+from tests.conftest import registry_object_row
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
           "events.social.HomeCare", "events.social.Alarm")
@@ -305,43 +306,43 @@ class TestBusProperties:
 CLASSES = ("BloodTest", "HomeCare", "Alarm")
 
 
-def registry_objects(data: list[tuple[str, str]]) -> list[RegistryObject]:
-    objects = []
-    for index, (event_class, stamp) in enumerate(data):
-        obj = RegistryObject(object_id=f"n{index}", object_type="Notification",
-                             name=f"event {index}")
-        obj.classify("EventClass", event_class)
-        obj.set_slot("occurredAt", stamp)
-        objects.append(obj)
-    return objects
+def index_rows(data: list[tuple[str, float]]) -> list[dict]:
+    return [{"event_id": f"n{index}", "event_type": event_class,
+             "producer_id": "Hospital", "occurred_at": stamp,
+             "summary": f"event {index}", "subject_ref": "v1:x",
+             "subject_display": None}
+            for index, (event_class, stamp) in enumerate(data)]
 
 
 class TestRegistryProperties:
     @given(
         data=st.lists(
             st.tuples(st.sampled_from(CLASSES),
-                      st.from_regex(r"2010-(0[1-9]|1[0-2])-(0[1-9]|2[0-8])",
-                                    fullmatch=True)),
+                      st.integers(0, 10**8).map(lambda micros: micros / 1e6)),
             max_size=30,
         ),
         wanted_class=st.sampled_from(CLASSES),
-        since=st.from_regex(r"2010-(0[1-9]|1[0-2])-01", fullmatch=True),
+        since=st.floats(min_value=0, max_value=100),
+        withdrawn=st.sets(st.integers(0, 29)),
     )
     @settings(max_examples=50, deadline=None)
-    def test_indexed_query_equals_brute_force(self, data, wanted_class, since):
-        registry = Registry()
-        objects = registry_objects(data)
-        for obj in objects:
-            registry.submit(obj)
-        query = (FilterQuery(object_type="Notification")
-                 .where("class:EventClass", "eq", wanted_class)
-                 .where("slot:occurredAt", "ge", since))
-        indexed = {obj.object_id for obj in registry.query(query)}
-        brute_force = {
-            obj.object_id for obj in objects
-            if obj.classification_node("EventClass") == wanted_class
-            and (obj.slot_value("occurredAt") or "") >= since
-        }
+    def test_indexed_query_equals_brute_force(self, data, wanted_class, since,
+                                              withdrawn):
+        """The per-type id lists answer what a scan of every row would,
+        withdrawn entries hidden and ``since`` compared to the microsecond
+        (the registry compared ``%020.6f`` strings)."""
+        index = EventsIndex(KeyStore("s"), encrypt_identity=False)
+        rows = index_rows(data)
+        index.replay(rows)
+        for number in sorted(withdrawn):
+            if number < len(rows):
+                index.withdraw(f"n{number}")
+        indexed = [row["event_id"] for row in index.raw_inquire([wanted_class], since=since)]
+        brute_force = [
+            row["event_id"] for number, row in enumerate(rows)
+            if row["event_type"] == wanted_class and number not in withdrawn
+            and f"{row['occurred_at']:020.6f}" >= f"{since:020.6f}"
+        ]
         assert indexed == brute_force
 
 
@@ -420,19 +421,41 @@ class TestRowCodecs:
         classifications=st.lists(st.tuples(names, names), max_size=4),
         slots=st.dictionaries(names, st.lists(st.text(max_size=8), max_size=3),
                               max_size=4),
-        status=st.sampled_from(LifecycleStatus),
+        status=st.sampled_from(["submitted", "approved", "deprecated",
+                                "withdrawn"]),
         name=st.text(max_size=12),
     )
     @settings(max_examples=60, deadline=None)
     def test_registry_object_round_trips(self, classifications, slots, status, name):
-        obj = RegistryObject(object_id="evt-1", object_type="Notification",
-                             name=name, description=name, status=status)
-        for scheme, node in classifications:
-            obj.classify(scheme, node)
-        for slot_name, values in slots.items():
-            obj.set_slot(slot_name, *values)
-        row = json.loads(json.dumps(obj.to_row()))
-        assert RegistryObject.from_row(row) == obj
+        """Any stored registry object reads back as the row the old
+        ``entry_fields`` read off it: first ``EventClass`` node, first
+        slot values, the name as the summary, withdrawn iff its status
+        says so."""
+        slots = {key: values for key, values in slots.items()
+                 if key != "occurredAt"}
+        slots["occurredAt"] = ["0000000000023.478891"]
+        stored = json.loads(json.dumps({
+            "object_id": "evt-1", "object_type": "Notification",
+            "name": name, "description": name, "status": status,
+            "classifications": [{"scheme": scheme, "node": node}
+                                for scheme, node in classifications],
+            "slots": slots,
+        }))
+
+        def first(slot):
+            return slots[slot][0] if slots.get(slot) else None
+
+        row, withdrawn = legacy_row(stored)
+        assert row == {
+            "event_id": "evt-1",
+            "event_type": next((node for scheme, node in classifications
+                                if scheme == "EventClass"), ""),
+            "producer_id": first("producerId") or "",
+            "occurred_at": 23.478891, "summary": name,
+            "subject_ref": first("subjectRef") or "",
+            "subject_display": first("subjectDisplay"),
+        }
+        assert withdrawn == (status == "withdrawn")
 
     def test_pre_merge_audit_row_replays(self, tmp_path):
         SegmentedLog(tmp_path / "audit").append(OLD_AUDIT_ROW)
@@ -455,6 +478,49 @@ class TestRowCodecs:
         assert notification.subject_display == "Giovanni Esposito"
         assert notification.event_type == "HomeCareServiceEvent"
         # The row's stale nonce counter is ignored; the rest is the row.
-        obj = index.registry.get("evt-000001-650d")
-        assert obj.to_row() == {key: value for key, value in OLD_INDEX_ROW.items()
-                                if key != "sequence"}
+        slots = OLD_INDEX_ROW["slots"]
+        assert index.row("evt-000001-650d") == {
+            "event_id": "evt-000001-650d", "event_type": "HomeCareServiceEvent",
+            "producer_id": "HomeAssist-Coop", "occurred_at": 23.478891,
+            "summary": OLD_INDEX_ROW["name"],
+            "subject_ref": slots["subjectRef"][0],
+            "subject_display": slots["subjectDisplay"][0],
+        }
+        # A log mixing both forms — a ``withdrawn`` status row and
+        # tombstones among them — opens into the index its rows would have
+        # given, and so does what a compaction over it keeps.
+        keystore = KeyStore("css-platform-secret")
+        fresh = EventsIndex(keystore)
+        for number in range(6):
+            fresh.store(NotificationMessage(
+                event_id=f"evt-{number}", event_type="BloodTest",
+                producer_id="Hospital", occurred_at=number + 0.1234567,
+                summary=f"test {number}", subject_ref=f"p{number}",
+                subject_display="Mario" if number % 2 else ""))
+        rows = fresh.entries()
+        log = SegmentedLog(tmp_path / "mixed")
+        log.append(registry_object_row(rows[0]))
+        log.append(registry_object_row(rows[1], status="withdrawn"))
+        log.append(registry_object_row(rows[2]))
+        log.append({"tombstone": True, "object_id": "evt-2"})
+        log.append(rows[3])
+        log.append(rows[4])
+        log.append({"tombstone": True, "object_id": "evt-4"})
+        log.append(registry_object_row(rows[5], status="submitted"))
+        fresh.withdraw("evt-1")
+        fresh.withdraw("evt-2")
+        fresh.withdraw("evt-4")
+
+        def opened(index):
+            return ([index.get(row["event_id"]) for row in index.entries(withdrawn=True)],
+                    [row["event_id"] for row in index.entries()],
+                    index.inquire(["BloodTest"], since=1.0))
+
+        replayed = JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)
+        assert replayed.entries(withdrawn=True) == fresh.entries(withdrawn=True)
+        assert opened(replayed) == opened(fresh)
+        compact(log)
+        assert [record.get("event_id", record.get("object_id"))
+                for record in log.iter_records()] == ["evt-0", "evt-3", "evt-5"]
+        compacted = JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)
+        assert opened(compacted)[1:] == opened(fresh)[1:]

@@ -1,23 +1,20 @@
-"""Stage-pipeline semantics: ordering, short-circuits, typed errors.
+"""The hot paths: plain functions with typed errors and every outcome kept.
 
-Both hot paths run through :mod:`repro.runtime.interceptors`; these tests
-pin the contract: stage order is deterministic and inspectable, a deny
-short-circuits the rows but the audit stage still records the attempt,
-stage failures surface as the platform's typed exceptions, never as
-pipeline-internal wrappers, and *every* way a request-for-details can end
-leaves one audit record and one stats bucket.  The loop itself is checked
-against the nested-closure chain it replaced, kept here as the reference.
+Publish, the controller edge and Algorithm 1 are the plain functions of
+:mod:`repro.runtime.interceptors`; these tests pin their contract: a deny
+stops Algorithm 1 before the gateway but still leaves its audit record,
+failures surface as the platform's typed exceptions, unwrapped, *every*
+way a request-for-details can end leaves one audit record and one stats
+bucket, and a publish leaves (almost) nothing behind for the garbage
+collector: its index entry is one flat row of strings and floats.
 """
 
-import sys
+import gc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import DataConsumer, DataController, DataProducer
 from repro.audit.log import AuditAction, AuditOutcome
-from repro.clock import Clock
 from repro.core.consent import ConsentRegistry, ConsentScope
 from repro.core.enforcement import DetailRequest
 from repro.exceptions import (
@@ -26,13 +23,14 @@ from repro.exceptions import (
     UnknownProducerError,
     ValidationError,
 )
-from repro.obs.telemetry import PIPELINE_OUTCOMES, InMemoryTelemetry
-from repro.runtime.interceptors import Done, Invocation, Pipeline, Stage, classify
+from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
+from repro.runtime.interceptors import classify
+from repro.runtime.kernel import RuntimeConfig
 from tests.conftest import blood_test_schema
 
 
-def build_world():
-    controller = DataController(seed="pipe")
+def build_world(runtime=None):
+    controller = DataController(seed="pipe", runtime=runtime)
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
     doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi", role="family-doctor")
@@ -54,189 +52,6 @@ def detail_request_records(controller):
             if r.action is AuditAction.DETAIL_REQUEST]
 
 
-def tag(name):
-    """A stub row that records its passage and goes on."""
-
-    def enter(context):
-        context.setdefault("seen", []).append(name)
-
-    return Stage(name, enter)
-
-
-class TestPipelineMachinery:
-    def test_stages_execute_in_declared_order(self):
-        pipeline = Pipeline(
-            "demo", (tag("a"), tag("b"), tag("c")),
-            terminal=lambda context: tuple(context["seen"]),
-        )
-        invocation = Invocation("demo")
-        assert pipeline.execute(invocation) == ("a", "b", "c")
-        assert invocation.trace == ["a", "b", "c"]
-        assert pipeline.stage_names == ("a", "b", "c")
-
-    def test_short_circuit_skips_downstream_stages(self):
-        left = []
-        outer = Stage("a", tag("a").enter,
-                      lambda context, result, failure: left.append(result))
-        pipeline = Pipeline(
-            "demo",
-            (outer, Stage("stop", lambda context: Done("stopped")), tag("never")),
-            terminal=lambda context: "terminal",
-        )
-        invocation = Invocation("demo")
-        assert pipeline.execute(invocation) == "stopped"
-        assert invocation.trace == ["a", "stop"]
-        assert invocation.context["seen"] == ["a"]
-        assert left == ["stopped"]  # the entered stages still unwind
-
-    def test_stage_exceptions_surface_unwrapped(self):
-        def boom(context):
-            raise ValidationError("malformed payload")
-
-        pipeline = Pipeline("demo", (tag("a"), Stage("boom", boom)),
-                            terminal=lambda context: None)
-        with pytest.raises(ValidationError, match="malformed payload") as caught:
-            pipeline.execute(Invocation("demo"))
-        assert caught.value.__cause__ is None and caught.value.__context__ is None
-
-    def test_stub_stages_satisfy_the_interceptor_protocol(self):
-        # The protocol is the row: a name, an enter, optionally a leave.
-        row = tag("a")
-        assert isinstance(row, Stage) and row.leave is None
-        assert row.enter({}) is None  # None means "go on"
-
-    def test_call_depth_does_not_grow_with_the_number_of_stages(self):
-        def depth_at_terminal(stage_count):
-            def terminal(context):
-                frame, depth = sys._getframe(), 0
-                while frame is not None:
-                    frame, depth = frame.f_back, depth + 1
-                return depth
-
-            rows = tuple(tag(f"s{index}") for index in range(stage_count))
-            return Pipeline("demo", rows, terminal).execute(Invocation("demo"))
-
-        assert depth_at_terminal(9) == depth_at_terminal(1)
-
-
-# ---------------------------------------------------------------------------
-# The loop against the onion it replaced
-# ---------------------------------------------------------------------------
-
-
-class ReferenceOnion:
-    """The parent commit's mechanism: each stage wraps the rest of the chain
-    in a closure, a ``with`` block brackets it in its span, and the call
-    stack does the unwinding."""
-
-    def __init__(self, name, stages, terminal, telemetry=None):
-        self.name, self._telemetry = name, telemetry
-
-        def chain(invocation):
-            return terminal(invocation.context)
-
-        for stage in reversed(stages):
-            chain = self._wrap(stage, chain)
-        self._chain = chain
-
-    def _wrap(self, stage, nxt):
-        telemetry, pipeline = self._telemetry, self.name
-
-        def intercept(invocation):
-            done = stage.enter(invocation.context)
-            try:
-                result = done.value if done is not None else nxt(invocation)
-            except Exception as exc:
-                if stage.leave is not None:
-                    stage.leave(invocation.context, None, exc)
-                raise
-            if stage.leave is not None:
-                stage.leave(invocation.context, result, None)
-            return result
-
-        def step(invocation):
-            invocation.trace.append(stage.name)
-            if telemetry is None:
-                return intercept(invocation)
-            with telemetry.stage_span(pipeline, stage.name):
-                return intercept(invocation)
-
-        return step
-
-    def execute(self, invocation):
-        if self._telemetry is None:
-            return self._chain(invocation)
-        with self._telemetry.pipeline_span(self.name):
-            return self._chain(invocation)
-
-
-def scripted(script, terminal_raises, calls):
-    """Stage rows acting out ``script``: per stage ``(enter, leave)`` with
-    enter in go/done/raise and leave in None/ok/raise; every raise is its
-    own exception type + message, every leave call lands in ``calls``."""
-
-    def row(index, on_enter, on_leave):
-        def enter(context):
-            if on_enter == "raise":
-                raise ValidationError(f"enter {index}")
-            return Done(f"done {index}") if on_enter == "done" else None
-
-        def leave(context, result, failure):
-            calls.append((index, result, type(failure), str(failure)))
-            if on_leave == "raise":
-                raise AccessDeniedError(f"leave {index}")
-
-        return Stage(f"s{index}", enter, leave if on_leave else None)
-
-    def terminal(context):
-        if terminal_raises:
-            raise RuntimeError("terminal")
-        return "terminal"
-
-    return tuple(row(i, *acts) for i, acts in enumerate(script)), terminal
-
-
-def run(factory, script, terminal_raises, observed):
-    calls = []
-    telemetry = InMemoryTelemetry(clock=Clock()) if observed else None
-    stages, terminal = scripted(script, terminal_raises, calls)
-    invocation = Invocation("demo")
-    try:
-        ending = ("returned", factory("demo", stages, terminal, telemetry)
-                  .execute(invocation))
-    except Exception as exc:
-        ending = ("raised", type(exc), str(exc))
-    spans = [] if telemetry is None else [
-        (span.name, span.span_id, span.parent_id, span.status, span.error)
-        for span in telemetry.tracer.finished_spans()]
-    return ending, invocation.trace, calls, spans, telemetry
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    script=st.lists(st.tuples(st.sampled_from(["go", "go", "done", "raise"]),
-                              st.sampled_from([None, "ok", "ok", "raise"])),
-                    max_size=6),
-    terminal_raises=st.booleans(),
-    observed=st.booleans(),
-)
-def test_the_loop_agrees_with_the_reference_onion(script, terminal_raises, observed):
-    *loop, telemetry = run(Pipeline, script, terminal_raises, observed)
-    *onion, _ = run(ReferenceOnion, script, terminal_raises, observed)
-    assert loop == onion  # result or exception, trace, leave order, spans
-    ending, _, calls, spans = loop
-    assert [index for index, *_ in calls] == sorted(
-        (index for index, *_ in calls), reverse=True)  # innermost first
-    if observed:
-        assert telemetry.tracer.current_span is None  # nothing left open
-        assert spans[-1][0] == "pipeline.demo" and spans[-1][2] is None
-        outcome = {"returned": "ok", "raised": "error"}[ending[0]]
-        if ending[0] == "raised" and ending[1] is AccessDeniedError:
-            outcome = "deny"
-        assert telemetry.metrics.counter_value(
-            PIPELINE_OUTCOMES, pipeline="demo", outcome=outcome) == 1.0
-
-
 def test_classification_is_total():
     assert classify("detail", None).label == "ok"
     assert classify(None, None).label == "consent-veto"
@@ -246,25 +61,63 @@ def test_classification_is_total():
         assert classify(None, failure).audit is AuditOutcome.ERROR
 
 
-class TestControllerWiring:
-    def test_publish_pipeline_stage_order_is_deterministic(self):
-        controller = DataController(seed="wire")
-        assert controller.publish_pipeline.stage_names == (
-            "stats", "contract", "admission", "audit", "consent",
-            "persist", "crypto", "index", "route",
-        )
+class TestHotPaths:
+    def test_failures_surface_unwrapped(self):
+        controller, hospital, blood, doctor = build_world()
+        with pytest.raises(ValidationError) as caught:
+            hospital.publish(blood, subject_id="p1", subject_name="Mario",
+                             summary="done", details={"PatientId": "p1"})
+        assert caught.value.__cause__ is None and caught.value.__context__ is None
+        assert controller.publish_stats.failures == 1
 
-    def test_enforcement_pipeline_stage_order_is_deterministic(self):
-        controller = DataController(seed="wire")
-        assert controller.enforcer.pipeline.stage_names == (
-            "stats", "audit", "resolve", "consent", "decide", "fetch", "filter",
-        )
+    def test_each_path_is_one_root_span_one_count_and_one_wall_sample(self):
+        controller, hospital, blood, doctor = build_world(
+            RuntimeConfig(telemetry="inmemory"))
+        doctor.subscribe("BloodTest")
+        notification = publish(hospital, blood)
+        doctor.request_details(notification, "healthcare-treatment")
+        with pytest.raises(AccessDeniedError):
+            doctor.request_details(notification, "administration")
+        telemetry = controller.telemetry
+        assert [(span.name, span.status) for span in
+                telemetry.tracer.finished_spans()] == [
+            ("pipeline.publish", "ok"),
+            ("pipeline.request-details", "ok"),
+            ("pipeline.request-details-edge", "ok"),
+            ("pipeline.request-details", "error"),
+            ("pipeline.request-details-edge", "error"),
+        ]
+        counts = {(labels["pipeline"], labels["outcome"]): counter.value
+                  for labels, counter
+                  in telemetry.metrics.counter_series(PIPELINE_OUTCOMES)}
+        assert counts == {("publish", "ok"): 1.0,
+                          ("request-details", "ok"): 1.0,
+                          ("request-details-edge", "ok"): 1.0,
+                          ("request-details", "deny"): 1.0,
+                          ("request-details-edge", "deny"): 1.0}
+        assert {labels["pipeline"]: summary["count"] for labels, summary in
+                telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)} == {
+            "publish": 1, "request-details": 2, "request-details-edge": 2}
 
-    def test_details_edge_pipeline_stage_order(self):
-        controller = DataController(seed="wire")
-        assert controller.details_pipeline.stage_names == (
-            "contract", "authenticate",
-        )
+
+class TestRetention:
+    def test_a_durable_prod_publish_retains_at_most_four_tracked_objects(
+            self, tmp_path):
+        """What a publish leaves for the cyclic garbage collector to walk,
+        on a durable node with the PROD switches: its index entry is one
+        dict of strings and floats, which CPython does not track."""
+        controller, hospital, blood, doctor = build_world(RuntimeConfig(
+            data_dir=tmp_path, batch="on", sched="fair", recorder="ring"))
+        for number in range(300):  # warm: rings full, series bound
+            publish(hospital, blood, f"w{number}")
+        controller.flush_storage()
+        gc.collect()
+        before = len(gc.get_objects())
+        for number in range(2000):
+            publish(hospital, blood, f"p{number}")
+        controller.flush_storage()
+        gc.collect()
+        assert (len(gc.get_objects()) - before) / 2000 <= 4
 
 
 class TestDenyShortCircuits:

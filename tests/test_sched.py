@@ -5,12 +5,13 @@ clock only, the penalty box demotes and recovers deterministically, the
 victim tenant's service share is bounded below under ``fair`` while it
 collapses under ``none``, same-seed schedules are deterministic, fan-out
 overflow parks in the dead-letter queue and replays in bulk, and the
-fair scheduler composes a ``sched`` pipeline stage while the baseline's
-pipelines stay byte-identical to the pre-sched platform.
+fair scheduler admission-checks each ingress while the baseline only
+meters it.
 """
 
 import pytest
 
+from repro import DataConsumer, DataProducer
 from repro.bus.broker import ServiceBus
 from repro.clock import Clock
 from repro.core.controller import DataController
@@ -29,6 +30,7 @@ from repro.sched import (
     jain_index,
     tenant_of,
 )
+from tests.conftest import blood_test_schema
 
 
 class TestTokenBucket:
@@ -308,19 +310,50 @@ class TestKernelWiring:
         with pytest.raises(ConfigurationError, match="did you mean 'fair'"):
             RuntimeConfig(sched="fiar")
 
-    def test_fair_controller_gains_a_sched_stage(self):
-        fifo = DataController(seed="wire")
-        fair = DataController(seed="wire",
-                              runtime=RuntimeConfig(sched="fair"))
-        assert "sched" not in fifo.publish_pipeline.stage_names
-        assert "sched" not in fifo.details_pipeline.stage_names
-        assert fair.publish_pipeline.stage_names[0] == "sched"
-        assert fair.details_pipeline.stage_names[0] == "sched"
-        # Minus the leading sched stage, the chains are the pinned defaults.
-        assert fair.publish_pipeline.stage_names[1:] == \
-            fifo.publish_pipeline.stage_names
-        assert fair.details_pipeline.stage_names[1:] == \
-            fifo.details_pipeline.stage_names
+    def test_fair_controller_gains_a_sched_stage(self, monkeypatch):
+        """Fair admission-checks at ingress (``admit`` on publish,
+        ``ingress`` on a request for details); fifo only meters the request
+        (``submit``) and leaves publishes to the bus."""
+        calls = {}
+        for name in ("none", "fair"):
+            controller = DataController(seed="wire",
+                                        runtime=RuntimeConfig(sched=name))
+            hospital = DataProducer(controller, "Hospital", "Hospital")
+            blood = hospital.declare_event_class(blood_test_schema())
+            doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi",
+                                  role="family-doctor")
+            hospital.define_policy(
+                "BloodTest", fields=["PatientId"],
+                consumers=[("family-doctor", "role")],
+                purposes=["healthcare-treatment"])
+            seen = calls[name] = []
+            depth = [0]  # ``ingress`` meters and admits through the other two
+
+            def spy(method, real, seen=seen, depth=depth):
+                def call(actor, work, now):
+                    if not depth[0]:
+                        seen.append((method, actor, work))
+                    depth[0] += 1
+                    try:
+                        return real(actor, work, now)
+                    finally:
+                        depth[0] -= 1
+                return call
+
+            for method in ("admit", "ingress", "submit"):
+                monkeypatch.setattr(controller.sched, method, spy(
+                    method, getattr(controller.sched, method)))
+            notification = hospital.publish(
+                blood, subject_id="p1", subject_name="Mario", summary="done",
+                details={"PatientId": "p1", "Name": "Mario",
+                         "Hemoglobin": 14.0, "Glucose": 90.0,
+                         "HivResult": "negative"})
+            doctor.request_details(notification, "healthcare-treatment")
+        assert calls == {
+            "none": [("submit", "Dr-Rossi", WORK_DETAILS)],
+            "fair": [("admit", "Hospital", WORK_PUBLISH),
+                     ("ingress", "Dr-Rossi", WORK_DETAILS)],
+        }
 
     def test_both_policies_meter_but_only_fair_shapes(self):
         fifo = DataController(seed="wire")

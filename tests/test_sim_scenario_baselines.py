@@ -127,9 +127,10 @@ class TestBaselineShapes:
         encrypted who/what/when/where."""
         scenario, _, _ = scenario_run
         for event_id in list(scenario.controller.id_map._by_global):  # noqa: SLF001
-            obj = scenario.controller.index.registry.get(event_id)
-            slot_names = set(obj.slots)
-            assert slot_names <= {"occurredAt", "producerId", "subjectRef", "subjectDisplay"}
+            row = scenario.controller.index.local_raw_get(event_id)
+            assert set(row) == {"event_id", "event_type", "producer_id",
+                                "occurred_at", "summary", "subject_ref",
+                                "subject_display"}
 
     def test_full_push_transfers_more_sensitive_values(self, scenario_run, baseline_reports):
         _, _, css = scenario_run

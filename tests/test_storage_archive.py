@@ -17,7 +17,7 @@ from repro.storage import JsonlFile, PlatformArchive
 from repro.storage.schemas import schema_from_dict, schema_to_dict
 from repro.storage.snapshot import describe
 from repro.sim.generators import standard_event_templates
-from tests.conftest import blood_test_schema
+from tests.conftest import blood_test_schema, registry_object_row
 from tests.test_property_substrates import OLD_INDEX_ROW
 
 
@@ -109,6 +109,7 @@ def build_busy_platform():
 class TestArchiveRoundTrip:
     def test_save_then_restore_preserves_everything(self, tmp_path):
         controller, hospital, doctor, notifications = build_busy_platform()
+        controller.index.withdraw(notifications[2].event_id)  # as a rehome does
         archive = PlatformArchive(tmp_path / "snap")
         archive.save(controller)
         restored = archive.restore("archive-secret")
@@ -120,6 +121,27 @@ class TestArchiveRoundTrip:
         assert len(restored.id_map) == len(controller.id_map)
         assert len(restored.policies) == len(controller.policies)
         assert "BloodTest" in restored.catalog
+
+        def opened(index):
+            return ([index.get(row["event_id"]) for row in index.entries(withdrawn=True)],
+                    [row["event_id"] for row in index.entries()],
+                    index.inquire(["BloodTest"]))
+
+        assert opened(restored.index) == opened(controller.index)
+        # An archive whose index rows are in the registry-object form (the
+        # withdrawn entry by its status) restores into the same index.
+        index_file = tmp_path / "snap" / "index.jsonl"
+        rows = [row for row in JsonlFile(index_file).read_all()
+                if not row.get("tombstone")]
+        assert len(rows) == len(controller.index)
+        index_file.unlink()
+        JsonlFile(index_file).append_many([registry_object_row(
+            row, "withdrawn" if row["event_id"] == notifications[2].event_id
+            else "approved") for row in rows])
+        manifest = json.loads(archive.manifest_path.read_text())
+        manifest["files"] = describe(tmp_path / "snap", list(manifest["files"]))
+        archive.manifest_path.write_text(json.dumps(manifest, indent=2))
+        assert opened(archive.restore("archive-secret").index) == opened(controller.index)
 
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_a_federation_node_archives_and_restores(self, tmp_path, nodes):

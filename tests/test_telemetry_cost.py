@@ -1,14 +1,15 @@
 """What telemetry costs and what it may not change, pinned without a clock.
 
 The guard classifies each label key once, static label sets resolve to
-their series through a memo, pipeline/stage spans are bound once and
+their series through a memo, a hot path's root span is bound once and
 every span is a row of flat columns (docs/OBSERVABILITY.md, "Cost").
 These tests hold that to account:
 
 * the memoised paths return exactly what an uncached reference
   classification returns, whatever ``restrict_keys`` does in between;
-* exports of two seeded scenarios are byte-for-byte those of the commit
-  before the memo existed, and every op still opens as many spans;
+* exports of two seeded scenarios are pinned — each move since the
+  commit before the memo proven row by row — and every op opens exactly
+  the spans of the boundaries it crosses;
 * after warm-up the hot paths classify no key and run ``sanitize`` only
   for samples that carry an identifying label, a span builds no view,
   calls no recorder and reads the clock twice, a link hop encodes nothing
@@ -162,43 +163,41 @@ def test_restricting_a_static_label_key_switches_later_spans_and_series():
     telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
     for _ in range(2):  # the second pass runs on bound spans and series
         with telemetry.pipeline_span("publish"):
-            with telemetry.stage_span("publish", "crypto"):
-                telemetry.count("cache_hits_total", stage="crypto")
-    telemetry.restrict_keys(["stage"])
-    hashed = telemetry.guard.hash_value("crypto")
-    with telemetry.stage_span("publish", "crypto") as span:
-        telemetry.count("cache_hits_total", stage="crypto")
-    assert span.attributes == {"pipeline": "publish", "stage": hashed}
-    assert [labels for labels, _ in
-            telemetry.metrics.counter_series("cache_hits_total")] == [
-        {"stage": "crypto"}, {"stage": hashed}]
+            telemetry.count("cache_hits_total", pipeline="publish")
+    telemetry.restrict_keys(["pipeline"])
+    hashed = telemetry.guard.hash_value("publish")
+    with telemetry.pipeline_span("publish") as span:
+        telemetry.count("cache_hits_total", pipeline="publish")
+    assert span.attributes == {"pipeline": hashed}
+    assert sorted(labels["pipeline"] for labels, _ in
+                  telemetry.metrics.counter_series("cache_hits_total")) == [
+        hashed, "publish"]  # two series: before and after the switch
     assert telemetry.metrics.counter_value("cache_hits_total",
-                                           stage="crypto") == 1.0
-    plain = [span.attributes["stage"]
-             for span in telemetry.tracer.spans_named("stage.crypto")]
-    assert plain == ["crypto", "crypto", hashed]
+                                           pipeline="publish") == 1.0
+    plain = [span.attributes["pipeline"]
+             for span in telemetry.tracer.spans_named("pipeline.publish")]
+    assert plain == ["publish", "publish", hashed]
 
     strict = InMemoryTelemetry(clock=Clock(), guard_mode="reject")
-    with strict.stage_span("publish", "crypto"):
+    with strict.pipeline_span("publish"):
         pass
-    strict.restrict_keys(["stage"])
+    strict.restrict_keys(["pipeline"])
     for _ in range(2):
         with pytest.raises(TelemetryPrivacyError):
-            with strict.stage_span("publish", "crypto"):
+            with strict.pipeline_span("publish"):
                 pass
         with pytest.raises(TelemetryPrivacyError):
-            strict.observe("probe_seconds", 0.0, pipeline="publish",
-                           stage="crypto")
+            strict.observe("probe_seconds", 0.0, pipeline="publish")
 
 
 def test_bound_spans_share_their_attributes_read_only():
     telemetry = InMemoryTelemetry(clock=Clock(), guard_mode="hash")
-    with telemetry.stage_span("publish", "crypto") as first:
+    with telemetry.pipeline_span("publish") as first:
         pass
-    with telemetry.stage_span("publish", "crypto") as second:
+    with telemetry.pipeline_span("publish") as second:
         telemetry.tracer.set_attribute(second, "outcome", "error")
     assert first.attributes is not second.attributes
-    assert first.attributes == {"pipeline": "publish", "stage": "crypto"}
+    assert first.attributes == {"pipeline": "publish"}
     assert second.attributes == {**first.attributes, "outcome": "error"}
     with pytest.raises(TypeError):
         first.attributes["outcome"] = "ok"
@@ -226,9 +225,8 @@ def test_reset_leaves_no_stale_bound_series():
 
     def emit():
         with telemetry.pipeline_span("publish"):
-            with telemetry.stage_span("publish", "crypto"):
-                telemetry.count("cache_hits_total", cache="decision")
-                telemetry.gauge("bus.queue.depth", 3)
+            telemetry.count("cache_hits_total", cache="decision")
+            telemetry.gauge("bus.queue.depth", 3)
 
     emit()
     emit()
@@ -251,12 +249,16 @@ def test_reset_leaves_no_stale_bound_series():
 #: ``pipeline.duration_seconds``, ``pipeline.stage.duration_seconds``,
 #: ``xacml.pdp.policies_per_request`` and ``pdp.candidates_scanned``
 #: filtered out (55 → 32 and 67 → 44 rows).  And again when the decision
-#: cache went (``METRICS_BEFORE``).  The trace digests did not move.
+#: cache went (``METRICS_BEFORE``).  The trace digests moved once, when
+#: the hot paths stopped opening a ``stage.*`` span per stage (were
+#: ``6d539ad5…`` / ``c6501193…``): each export is the earlier one minus its
+#: ``stage.*`` rows (850 → 121 and 1,244 → 351 rows), span ids renumbered
+#: in order and every span re-parented to its nearest other ancestor.
 PINNED = {
-    "css": ("6d539ad5738503237a3af3d484d1cde3de8c6a7f1ab58a691ab5afed881cec47",
+    "css": ("f6cd9df26c69fa9b48ad05ad0cc61311222e58e9d67a4c7f6921cab8da35abb7",
             "b0c78c7c984bd6c1f859cd2b6dac6a72a3528fcecc11bacbd4a64c95beb6a1a7"),
     "federated": (
-        "c650119396f9b731b6e773e0fc422ec44d8e93bcd94c476ad8ec2e337d56cd25",
+        "5c745b2439c141ada3d1ae07929df2e81994f1d3cd136eb36f385dc9337d59f1",
         "846d99efc696880910565ff6b21386ab5126e4415c6e173435dce05db33dfc26"),
 }
 
@@ -345,6 +347,49 @@ def test_exports_are_byte_identical_to_the_parent_commit(name, run):
     assert digest(with_decision_cache(telemetry.metrics_export(), hits, misses)) == before
 
 
+#: ``span_skeleton`` of the same two runs' trace exports at the commit
+#: whose export digests were ``6d539ad5…`` / ``c6501193…``, when a hot path
+#: opened a ``stage.*`` span per stage (850 / 1,244 spans, 121 / 351 of
+#: them not ``stage.*``).
+PARENT_SKELETONS = {
+    "css": "244583089a0f31f2bb4b07da509b561fc181148de0d26a97d7b59313629a567f",
+    "federated": "8acc12b4dcd1910e223cd7f46726aedb77ddcfd7962698b3924ff489bd6f982d",
+}
+
+
+def span_skeleton(export: list[str]) -> str:
+    """sha256 of a trace export minus its ``stage.*`` spans: every other
+    span in order — name, trace, attributes, status, error, simulated
+    start and end — with its parent read as the position of its nearest
+    non-``stage.*`` ancestor (span ids are renumbered when spans go)."""
+    rows = [json.loads(line) for line in export]
+    parent_of = {row["span_id"]: row["parent_id"] for row in rows}
+    kept = [row for row in rows if not row["name"].startswith("stage.")]
+    position = {row["span_id"]: index for index, row in enumerate(kept)}
+    skeleton = []
+    for row in kept:
+        parent = row["parent_id"]
+        while parent is not None and parent not in position:
+            parent = parent_of.get(parent)
+        skeleton.append({
+            **{key: value for key, value in row.items()
+               if key not in ("span_id", "parent_id")},
+            "parent": None if parent is None else position[parent]})
+    return hashlib.sha256(json.dumps(skeleton, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, run", [("css", css_telemetry),
+                                       ("federated", federated_telemetry)])
+def test_spans_are_the_parents_minus_its_stage_spans(name, run):
+    """The trace pins moved by the deleted ``stage.*`` spans only: the root
+    spans and every other span keep their names, order, outcomes, times
+    and ancestry."""
+    export = run().trace_export()
+    assert not [line for line in export
+                if json.loads(line)["name"].startswith("stage.")]
+    assert span_skeleton(export) == PARENT_SKELETONS[name]
+
+
 def test_audit_heads_are_those_of_the_parent_commit():
     heads = {
         "css": [css_scenario().controller.audit_log.head_digest],
@@ -374,14 +419,17 @@ def drive(platform, blood, first: int, count: int) -> None:
             assert index % 10 == 9
 
 
-PUBLISH_STAGES = ("sched", "stats", "contract", "admission", "audit",
-                  "consent", "persist", "crypto", "index", "route")
-DETAILS_STAGES = ("stats", "audit", "resolve", "consent", "decide", "fetch",
-                  "filter")
+#: Spans per warm publish (its root, the relay's hop and server span) and
+#: per warm cross-node request for details (the consumer-side root, the
+#: hop, the server span and the home node's Algorithm 1 root).
+SPANS_PER_PUBLISH, SPANS_PER_REMOTE_DETAILS = 3, 4
 
 
 def test_span_count_per_publish_and_per_request_for_details(prod):
-    """Nobody gets to make telemetry cheap by opening fewer spans."""
+    """Spans sit at operation boundaries: one root per hot path (a publish
+    1, a request for details through the controller edge 2 — the edge's
+    root around Algorithm 1's), plus the spans of the layers a federated
+    operation crosses.  No span per step of a path."""
     platform, blood = prod
 
     def names_since(mark: int) -> list[str]:
@@ -392,15 +440,23 @@ def test_span_count_per_publish_and_per_request_for_details(prod):
     mark = len(platform.telemetry.tracer.finished_spans())
     (event_id,) = publish(platform, blood, 1, first=1)
     assert names_since(mark) == sorted(
-        ["pipeline.publish", *(f"stage.{stage}" for stage in PUBLISH_STAGES),
-         "link.call", "federation.bus.relay"])  # 13, the relay to node-1
-    mark += 13
+        ["pipeline.publish", "link.call", "federation.bus.relay"])
+    mark += SPANS_PER_PUBLISH
     platform.request_details("Dr-Rossi", "BloodTest", event_id,
                              "healthcare-treatment")
     assert names_since(mark) == sorted(
         ["federation.request_details", "link.call", "federation.details.get",
-         "pipeline.request-details",
-         *(f"stage.{stage}" for stage in DETAILS_STAGES)])  # 11
+         "pipeline.request-details"])
+    mark += SPANS_PER_REMOTE_DETAILS
+    platform.add_consumer("Dr-Bianchi", "Dr. Bianchi", role="family-doctor",
+                          node_id="node-0")  # homed with the producer
+    mark = len(platform.telemetry.tracer.finished_spans())
+    platform.request_details("Dr-Bianchi", "BloodTest", event_id,
+                             "healthcare-treatment")
+    spans = platform.telemetry.tracer.finished_spans()[mark:]
+    assert [span.name for span in spans] == [
+        "pipeline.request-details", "pipeline.request-details-edge"]
+    assert spans[0].parent_id == spans[1].span_id
 
 
 # -- the deterministic overhead gate ------------------------------------------
@@ -425,7 +481,8 @@ def test_warm_hot_paths_classify_nothing_and_sanitize_only_to_hash(
     monkeypatch.setattr(PrivacyGuard, "sanitize", counted_sanitize)
     spans = len(platform.telemetry.tracer.finished_spans())
     drive(platform, blood, 1000, 200)
-    assert len(platform.telemetry.tracer.finished_spans()) - spans > 4000
+    assert len(platform.telemetry.tracer.finished_spans()) - spans == 200 * (
+        SPANS_PER_PUBLISH + SPANS_PER_REMOTE_DETAILS)
     # The platform labels nothing with an identity, so: no work at all.
     assert counts == {"classify": 0, "sanitize": 0}
     # A sample that does carry one is hashed on every emission, while its
@@ -475,7 +532,7 @@ def test_warm_spans_build_no_object_call_no_recorder_and_read_the_clock_twice(
     first = len(tracer.finished)
     drive(platform, blood, 1000, 200)
     spans = len(tracer.finished) - first
-    assert spans > 4000
+    assert spans == 200 * (SPANS_PER_PUBLISH + SPANS_PER_REMOTE_DETAILS)
     assert counts == {"Span": 0, "recorder": 0, "clock": 2 * spans}
 
 
