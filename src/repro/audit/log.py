@@ -137,11 +137,12 @@ class AuditLog:
         return len(self._chain)
 
     def append(self, record: AuditRecord) -> str:
-        """Append ``record`` and return its chain digest."""
+        """Append ``record``, return its chain digest: the chain advances once the link is kept."""
         self._close_run()
         body = canonical_json(record.to_payload())
-        digest = self._chain.append(body)
+        digest = self._chain.link(self._chain.head, body)
         self._keep(record, body, digest)
+        self._chain.commit(digest)
         return digest
 
     def delivered(self, recipient: str, notification, timestamp: float, ids) -> None:
@@ -162,10 +163,13 @@ class AuditLog:
         run, self._run = self._run, None
         if run is not None:
             (timestamp, *about), record_id, recipients = run
-            # Looked up on the instance: the wall ledger shims ``append`` there.
-            self.append(AuditRecord(
-                record_id, timestamp, recipients[0], AuditAction.NOTIFY,
-                AuditOutcome.PERMIT, *about, recipients=tuple(recipients)))
+            try:  # looked up on the instance: the wall ledger shims ``append`` there
+                self.append(AuditRecord(
+                    record_id, timestamp, recipients[0], AuditAction.NOTIFY,
+                    AuditOutcome.PERMIT, *about, recipients=tuple(recipients)))
+            except BaseException:
+                self._run = run  # not chained: the next append retries it
+                raise
 
     def _keep(self, record: AuditRecord, body: str, digest: str) -> None:
         """Hold a link just chained: in memory the record, in a durable sink ``body``."""

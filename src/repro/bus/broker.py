@@ -11,7 +11,7 @@ messages wait in their queues for an explicit :meth:`ServiceBus.dispatch`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.bus.delivery import DeliveryEngine, DeliveryPolicy, DeliveryReport
 from repro.bus.envelope import Envelope
@@ -24,24 +24,27 @@ from repro.ids import IdFactory
 
 @dataclass
 class BusStats:
-    """Broker-wide counters (benchmark instrumentation)."""
+    """Broker-wide counters, read by the benchmarks and the ``bus.*`` readers."""
 
     published: int = 0
     fanned_out: int = 0
     dispatch_rounds: int = 0
+    #: Dead letters a dispatch round parked (sheds at fan-out excluded).
+    dead_lettered: int = 0
+    #: Topic -> publishes, and -> matching subscriptions over them.
+    topic_published: dict[str, int] = field(default_factory=dict)
+    topic_fanout: dict[str, int] = field(default_factory=dict)
 
     def reset(self) -> None:
-        """Zero every counter (benchmark warm-up / measurement windows).
-
-        Resets *counters only*.  The broker's saturation high-water marks
-        are deliberately out of scope — they live on the bus and are
-        cleared by :meth:`ServiceBus.reset_high_water`, so a measurement
-        window can zero its throughput counters without losing the worst
-        backlog observed during warm-up.
-        """
+        """Zero every counter (benchmark warm-up / measurement windows); the
+        bus's high-water marks stay (:meth:`ServiceBus.reset_high_water`), so
+        a window keeps the worst backlog seen during warm-up."""
         self.published = 0
         self.fanned_out = 0
         self.dispatch_rounds = 0
+        self.dead_lettered = 0
+        self.topic_published.clear()
+        self.topic_fanout.clear()
 
 
 class ServiceBus:
@@ -54,7 +57,6 @@ class ServiceBus:
         delivery_policy: DeliveryPolicy | None = None,
         auto_dispatch: bool = True,
         strict_topics: bool = True,
-        telemetry=None,
         perf=None,
         sched=None,
         recorder=None,
@@ -74,16 +76,14 @@ class ServiceBus:
         self._queue_high_water: dict[str, int] = {}
         self._queue_high_water_global = 0
         self._dead_letter_high_water = 0
-        self._telemetry = telemetry
         # The tenant scheduler (the "sched" switch).  The bus only calls
         # methods on it — metering publishes/fan-out, asking whether a
         # subscriber's backlog must shed, draining the virtual server —
         # so the bus layer stays import-free of repro.sched.
         self._sched = sched
-        # The flight recorder (the "recorder" switch), duck-typed like
-        # telemetry so the bus stays import-free of repro.obs: saturation
-        # transitions (shedding, high-water advances) leave a trail in
-        # its ring for incident bundles to export.
+        # The flight recorder (the "recorder" switch), duck-typed so the bus
+        # stays import-free of repro.obs: saturation transitions (shedding,
+        # high-water advances) leave a trail for incident bundles.
         self._recorder = recorder
         # The round a fan-out into an idle bus left, in registration order:
         # (subscription, envelope to hand over, or None once queued).
@@ -180,8 +180,11 @@ class ServiceBus:
                  now: float) -> None:
         """Enqueue one envelope into every matching subscription — into an
         idle bus, onto the round's direct list, counted as queued: sched
-        metering and shedding, queue/dead-letter high-water marks, telemetry."""
+        metering and shedding, queue/dead-letter high-water marks, stats."""
         topic = envelope.topic
+        stats = self.stats
+        stats.topic_published[topic] = stats.topic_published.get(topic, 0) + 1
+        stats.topic_fanout[topic] = stats.topic_fanout.get(topic, 0) + len(matching)
         sched = self._sched
         if sched is not None and matching:
             sched.note_fanout([sub.subscriber for sub in matching], now)
@@ -204,7 +207,7 @@ class ServiceBus:
                 queue.enqueue(envelope)
             else:
                 direct.append((subscription, envelope))
-            self.stats.fanned_out += 1
+            stats.fanned_out += 1
         if shed_any:
             if self._recorder is not None:
                 self._recorder.record("bus.deadletter", topic=topic,
@@ -217,26 +220,16 @@ class ServiceBus:
         if matching:
             if topic_depth > self._queue_high_water.get(topic, 0):
                 self._queue_high_water[topic] = topic_depth
-                if self._telemetry is not None:
-                    self._telemetry.gauge("bus.queue.high_water",
-                                          topic_depth, topic=topic)
                 if self._recorder is not None:
                     self._recorder.record("bus.queue_high_water",
                                           topic=topic, depth=topic_depth)
             self._queue_high_water_global = max(
                 self._queue_high_water_global, backlog
             )
-        if self._telemetry is not None:
-            self._telemetry.count("bus.published_total", topic=topic)
-            self._telemetry.count("bus.fanout_total", len(matching), topic=topic)
-            self._telemetry.gauge("bus.queue.depth", backlog)
 
     def _mark_dead_letter_high_water(self) -> None:
         if self.dead_letter_depth > self._dead_letter_high_water:
             self._dead_letter_high_water = self.dead_letter_depth
-            if self._telemetry is not None:
-                self._telemetry.gauge("bus.deadletter.high_water",
-                                      self._dead_letter_high_water)
             if self._recorder is not None:
                 self._recorder.record("bus.deadletter_high_water",
                                       depth=self._dead_letter_high_water)
@@ -278,13 +271,8 @@ class ServiceBus:
             self._recorder.record("bus.deadletter",
                                   count=report.dead_lettered,
                                   depth=self.dead_letter_depth)
+        self.stats.dead_lettered += report.dead_lettered
         self._mark_dead_letter_high_water()
-        if self._telemetry is not None:
-            self._telemetry.count("bus.dispatch_rounds_total")
-            if report.dead_lettered:
-                self._telemetry.count("bus.deadletter_total",
-                                      report.dead_lettered)
-            self._telemetry.gauge("bus.queue.depth", self.queue_depth)
         return report
 
     def _spill(self) -> None:
@@ -302,8 +290,8 @@ class ServiceBus:
 
     @property
     def queue_depth(self) -> int:
-        """Broker-wide queue depth — the single source the telemetry
-        gauge (``bus.queue.depth``) and the benchmarks both read."""
+        """Broker-wide queue depth — the single source the ``bus.queue.depth``
+        reader and the benchmarks both read."""
         return self.pending_messages()
 
     @property

@@ -47,7 +47,7 @@ from repro.core.elicitation import (
     PendingRequestQueue,
     PolicyDashboard,
 )
-from repro.core.enforcement import DetailRequest, PolicyEnforcer
+from repro.core.enforcement import PDP_EVALUATIONS, DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.idmap import EventIdMap
 from repro.core.index import EventsIndex
@@ -64,10 +64,10 @@ from repro.exceptions import (
 from repro.ids import IdFactory
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.perf import PerfLayer
+from repro.perf import CACHE_HITS, CACHE_MISSES, PerfLayer
 from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.runtime import interceptors
-from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, HotPath, PublishStats
+from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, EdgeStats, HotPath, PublishStats
 from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import RuntimeConfig
 from repro.runtime.services import EndpointDetailFetcher, gateway_endpoint_name
@@ -134,7 +134,7 @@ class DataController:
         self.batch = BatchPolicy(
             batch_size=runtime.batch_size) if runtime.batch == "on" else None
         # The hit/miss counters of the fan-out memo and the relay-frame cache.
-        self.perf = PerfLayer(telemetry=self.telemetry)
+        self.perf = PerfLayer()
         # Store, index and audit log follow from facts, not names.  A data
         # directory means the storage engine under it and the durable pair
         # over its logs (group-committed when batching is on), none no
@@ -165,7 +165,7 @@ class DataController:
             self.telemetry.attach_recorder(self.recorder)
         self.bus = ServiceBus(
             clock=self.clock, ids=self.ids, auto_dispatch=auto_dispatch,
-            telemetry=self.telemetry, perf=self.perf, sched=self.sched,
+            perf=self.perf, sched=self.sched,
             recorder=self.recorder,
         )
         self.endpoints = EndpointRegistry()
@@ -191,11 +191,15 @@ class DataController:
             telemetry=self.telemetry,
         )
         self.publish_stats = PublishStats()
+        self.edge_stats = EdgeStats()
         #: The two hot paths, run by :meth:`publish` and :meth:`request_details`.
         self.publish_pipeline = HotPath(
-            PUBLISH, interceptors.publish, self, self.telemetry)
+            PUBLISH, interceptors.publish, self, self.publish_stats, self.telemetry)
         self.details_pipeline = HotPath(
-            DETAILS_EDGE, interceptors.request_details, self, self.telemetry)
+            DETAILS_EDGE, interceptors.request_details, self, self.edge_stats,
+            self.telemetry)
+        if self.telemetry is not None:
+            self._serve_metrics(self.telemetry.metrics)
         self.endpoints.expose(
             "controller.getEventDetails",
             lambda request: self.enforcer.get_event_details(request),
@@ -206,6 +210,35 @@ class DataController:
             lambda request: self._inquire_endpoint(request),
             "Events-index inquiry",
         )
+
+    def _serve_metrics(self, metrics) -> None:
+        """Serve the ``bus.*``, ``perf.cache.*`` and ``xacml.pdp.*`` series off
+        this node's stats, each from its first count on (the queue gauge from
+        the bus's first publish or round)."""
+        bus, stats, perf = self.bus, self.bus.stats, self.perf.stats
+        verdicts = self.enforcer.pdp_stats.verdicts
+
+        def by(key: str, table: Callable[[], dict]):
+            return lambda: (({key: label}, count) for label, count in table().items())
+
+        def once(value: Callable[[], int]):
+            return lambda: (({}, value()),) if value() else ()
+
+        for kind, name, read in (
+            ("counter", "bus.published_total", by("topic", lambda: stats.topic_published)),
+            ("counter", "bus.fanout_total", by("topic", lambda: stats.topic_fanout)),
+            ("counter", "bus.dispatch_rounds_total", once(lambda: stats.dispatch_rounds)),
+            ("counter", "bus.deadletter_total", once(lambda: stats.dead_lettered)),
+            ("gauge", "bus.queue.depth", lambda: (({}, bus.queue_depth),)
+             if stats.published or stats.dispatch_rounds else ()),
+            ("gauge", "bus.queue.high_water", by("topic", bus.queue_high_water_marks)),
+            ("gauge", "bus.deadletter.high_water", once(lambda: bus.dead_letter_high_water)),
+            ("counter", CACHE_HITS, by("cache", lambda: perf.hits)),
+            ("counter", CACHE_MISSES, by("cache", lambda: perf.misses)),
+            ("counter", PDP_EVALUATIONS, by("decision", lambda: {
+                verdict.name.lower(): count for verdict, count in verdicts.items()})),
+        ):
+            metrics.reader(kind, name, read)
 
     def _durable_log(self, name: str):
         """The named record log of this node's storage engine, behind a

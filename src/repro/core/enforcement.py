@@ -32,7 +32,7 @@ is one execution of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.audit.log import AuditLog
@@ -46,11 +46,12 @@ from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
 from repro.runtime import interceptors
-from repro.runtime.interceptors import REQUEST_DETAILS, HotPath, resolve_request_entry
+from repro.runtime.interceptors import REQUEST_DETAILS, HotPath, Outcome
 from repro.runtime.interfaces import DetailFetcher
+from repro.xacml.context import Decision
 
 #: Decisions made, labelled ``permit`` / ``deny`` / ``not_applicable`` —
-#: the series the ``pdp-deny-rate`` SLO reads.
+#: the series the ``pdp-deny-rate`` SLO reads (off ``DecisionStats.verdicts``).
 PDP_EVALUATIONS = "xacml.pdp.evaluations_total"
 
 #: Resolves a producer id to its consent registry (may return None).
@@ -78,14 +79,19 @@ class EnforcerStats:
     consent_vetoes: int = 0
     gateway_failures: int = 0
 
+    def outcomes(self) -> dict[Outcome, int]:
+        return {Outcome.OK: self.permits, Outcome.DENY: self.denies,
+                Outcome.ERROR: self.gateway_failures}
+
 
 @dataclass
 class DecisionStats:
-    """Decisions made (``requests``) and the bucket candidates they walked
-    (``policies_evaluated``); the names are the XACML PDP's counters."""
+    """Decisions made (``requests``, and per verdict) and the bucket candidates
+    they walked (``policies_evaluated``): the XACML PDP's counters' names."""
 
     requests: int = 0
     policies_evaluated: int = 0
+    verdicts: dict[Decision, int] = field(default_factory=dict)
 
 
 class PolicyEnforcer:
@@ -112,7 +118,6 @@ class PolicyEnforcer:
         telemetry=None,
     ) -> None:
         self._repository = repository
-        self._telemetry = telemetry
         self.id_map = id_map
         self.purposes = purposes
         self.audit_log = audit_log
@@ -125,7 +130,7 @@ class PolicyEnforcer:
         self.pdp_stats = DecisionStats()
         #: Algorithm 1 under its ``pipeline.request-details`` root span.
         self.pipeline = HotPath(REQUEST_DETAILS, interceptors.get_event_details,
-                                self, telemetry)
+                                self, self.stats, telemetry)
 
     def decision(self, entry: EventIdEntry, request: DetailRequest) -> PolicyDecision:
         """Steps 2–3 of Algorithm 1: Def. 3 at the clock's time, counted."""
@@ -136,11 +141,10 @@ class PolicyEnforcer:
             actor_role=request.actor.role,
             requested_at=self.clock.now(),
         ))
-        self.pdp_stats.requests += 1
-        self.pdp_stats.policies_evaluated += decision.walked
-        if self._telemetry is not None:
-            self._telemetry.count(PDP_EVALUATIONS,
-                                  decision=decision.verdict.name.lower())
+        stats = self.pdp_stats
+        stats.requests += 1
+        stats.policies_evaluated += decision.walked
+        stats.verdicts[decision.verdict] = stats.verdicts.get(decision.verdict, 0) + 1
         return decision
 
     # -- Algorithm 1 -----------------------------------------------------------------
@@ -161,7 +165,7 @@ class PolicyEnforcer:
         time the decision path in isolation.
         """
         try:
-            entry = resolve_request_entry(request, self.purposes, self.id_map)
+            entry = interceptors.resolve_request_entry(request, self.purposes, self.id_map)
         except AccessDeniedError:
             return False
         return self.decision(entry, request).permitted

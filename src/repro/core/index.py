@@ -151,10 +151,12 @@ class EventsIndex:
             {"tombstone": True, "object_id": event_id}
             for event_id in self._rows if event_id in self._withdrawn)]
 
-    def _keep(self, row: dict) -> dict:
+    def _keep(self, row: dict, persist: bool = True) -> dict:
         event_id = row["event_id"]
         if event_id in self._rows:
             raise DuplicateObjectError(f"entry {event_id!r} already indexed")
+        if persist:
+            self._persist(row)
         self._rows[event_id] = row
         self._by_type.setdefault(row["event_type"], []).append(event_id)
         self.stats.stored += 1
@@ -174,7 +176,7 @@ class EventsIndex:
                 row, hidden = legacy_row(row)
                 if hidden:
                     withdrawn.append(row["event_id"])
-            self._keep(row)
+            self._keep(row, persist=False)
         self._withdrawn.update(event_id for event_id in withdrawn
                                if event_id in self._rows)
 
@@ -186,7 +188,11 @@ class EventsIndex:
         """Hide an entry from every inquiry (ebXML withdrawal)."""
         if event_id not in self._rows:
             raise ObjectNotFoundError(f"no index entry {event_id!r}")
+        self._persist({"tombstone": True, "object_id": event_id})
         self._withdrawn.add(event_id)
+
+    def _persist(self, row: dict) -> None:
+        """Write a row or tombstone through before the index changes (durable stores)."""
 
     def flush(self) -> None:
         """Group-commit barrier; the in-memory index has nothing to drain."""

@@ -59,6 +59,10 @@ class HashChain:
         self._digests.append(digest)
         return digest
 
+    def commit(self, digest: str) -> None:
+        """Advance the head to ``digest``, a :meth:`link` onto it computed earlier."""
+        self._digests.append(digest)
+
     def digest_at(self, index: int) -> str:
         """Digest of link ``index`` (0-based)."""
         return self._digests[index]

@@ -38,11 +38,11 @@ from repro.obs.context import WIRE_KEY
 if TYPE_CHECKING:
     from repro.federation.node import FederationNode
 
-#: Counter of cross-node calls, labelled with guard-hashed node ids.
+#: Counter of delivered cross-node entries per operation (``LinkStats.delivered_by_op``).
 HOP_COUNTER = "federation.hops_total"
-#: Counter of transmission attempts (including retried ones).
+#: Counter of transmission attempts, retried ones included (``calls + retries``).
 LINK_ATTEMPTS = "federation.link.attempts_total"
-#: Counter of dropped transmission attempts (scripted or hooked failures).
+#: Counter of dropped transmission attempts (``LinkStats.drops``).
 LINK_DROPS = "federation.link.drops_total"
 
 #: Per-entry serialization/deserialization cost of a coalesced frame: a
@@ -58,7 +58,10 @@ class LinkStats:
     calls: int = 0
     delivered: int = 0
     retries: int = 0
-    failed_attempts: int = 0
+    failed_attempts: int = 0  # entries: a dropped frame fails all of them
+    drops: int = 0  # dropped attempts
+    #: Operation -> entries delivered.
+    delivered_by_op: dict[str, int] = field(default_factory=dict)
     transcript: Callable[[], list[str]] = field(default=list, repr=False)  # renders the link's
 
     @property
@@ -95,10 +98,19 @@ class Link:
         self._failure_hook: Callable[[str, dict], bool] | None = None
         self._telemetry = telemetry
         self._tracer = telemetry.tracer if telemetry is not None else None
-        #: Span shapes and counters, bound once (emptied on reset/restrict).
-        self._bound = telemetry.metrics.memo() if telemetry is not None else None
-        self._ends = {"source": source_label or source,
-                      "target": target_label or target.node_id}
+        #: Span shapes, cleared once (emptied when the guard restricts a key).
+        self._shapes = telemetry.guard.memo() if telemetry is not None else None
+        self._ends = ends = {"source": source_label or source,
+                             "target": target_label or target.node_id}
+        if telemetry is not None:
+            stats, metrics = self.stats, telemetry.metrics
+            metrics.reader("counter", LINK_ATTEMPTS, lambda: (
+                ((ends, stats.calls + stats.retries),) if stats.calls else ()))
+            metrics.reader("counter", LINK_DROPS, lambda: (
+                ((ends, stats.drops),) if stats.drops else ()))
+            metrics.reader("counter", HOP_COUNTER, lambda: (
+                ({**ends, "op": operation}, count)
+                for operation, count in stats.delivered_by_op.items()))
 
     @property
     def transcript(self) -> list[str]:
@@ -184,7 +196,8 @@ class Link:
         """
         batched = entries is not None
         count = entries if batched else 1
-        self.stats.calls += 1
+        stats = self.stats
+        stats.calls += 1
         tracer = self._tracer
         row = context = None
         if tracer is not None:
@@ -195,14 +208,11 @@ class Link:
         try:
             for attempt in range(1, self.policy.max_attempts + 1):
                 if attempt > 1:
-                    self.stats.retries += 1
+                    stats.retries += 1
                 self._clock.advance(hop_cost)
-                if tracer is not None:
-                    self._counter(LINK_ATTEMPTS).inc()
                 if self._should_fail(operation, payload):
-                    self.stats.failed_attempts += count
-                    if tracer is not None:
-                        self._counter(LINK_DROPS).inc()
+                    stats.failed_attempts += count
+                    stats.drops += 1
                     what = (f"batched {operation!r} of {count} entries"
                             if batched else repr(operation))
                     last_error = LinkFailureError(
@@ -215,9 +225,9 @@ class Link:
                 else:
                     response = self.target.handle(operation, payload, trace=context)
                 self._crossed.append(response)
-                self.stats.delivered += count
-                if tracer is not None:
-                    self._counter(HOP_COUNTER, operation).inc(float(count))
+                stats.delivered += count
+                stats.delivered_by_op[operation] = (
+                    stats.delivered_by_op.get(operation, 0) + count)
                 break
             else:  # every attempt dropped (the policy allows at least one)
                 raise last_error
@@ -233,19 +243,10 @@ class Link:
         """The hop span's name and guard-cleared attributes, cleared once."""
         name = "link.call" if entries is None else "link.call_batch"
         key = (name, operation, entries)
-        shape = self._bound.get(key)
+        shape = self._shapes.get(key)
         if shape is None:
             attributes = {"op": operation, **self._ends}
             if entries is not None:
                 attributes["entries"] = str(entries)
-            shape = self._bound[key] = (name, self._tracer.cleared(attributes))
+            shape = self._shapes[key] = (name, self._tracer.cleared(attributes))
         return shape
-
-    def _counter(self, name: str, operation: str | None = None):
-        """Counter ``name`` of this link's ends (and ``operation``), bound once."""
-        counter = self._bound.get((name, operation))
-        if counter is None:
-            labels = self._ends if operation is None else {**self._ends, "op": operation}
-            counter = self._bound[name, operation] = self._telemetry.metrics.counter(
-                name, **labels)
-        return counter

@@ -86,7 +86,7 @@ WIRE_ERRORS: dict[type[CssError], str] = {
 #: re-derive the same key from the shared master secret to open.
 CHANNEL_KEY_PREFIX = "federation-channel/"
 
-#: Gauge of each node's bus queue depth, labelled by hashed node id.
+#: Gauge of each node's bus queue depth (hashed node id), read live.
 NODE_QUEUE_DEPTH = "federation.node.queue_depth"
 
 
@@ -103,7 +103,10 @@ class FederationNode:
         self.telemetry = telemetry = controller.telemetry
         self._tracer = telemetry.tracer if telemetry is not None else None
         #: ``(operation, entries)`` -> server span shape, emptied as a link's.
-        self._spans = telemetry.metrics.memo() if telemetry is not None else None
+        self._spans = telemetry.guard.memo() if telemetry is not None else None
+        if telemetry is not None:
+            telemetry.metrics.reader("gauge", NODE_QUEUE_DEPTH, lambda: (
+                ({"node": self.label}, controller.bus.queue_depth),))
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         controller.keystore.create(self._channel_key)
         self._perf = controller.perf
@@ -488,22 +491,3 @@ class FederationNode:
         sealed["head"] = head
         sealed["count"] = len(records)
         return sealed
-
-    # -- telemetry ---------------------------------------------------------
-
-    def record_queue_depth(self) -> None:
-        """Publish this node's bus queue depth under its hashed label."""
-        if self.telemetry is not None:
-            self.telemetry.gauge(NODE_QUEUE_DEPTH,
-                                 self.controller.bus.queue_depth,
-                                 node=self.label)
-
-    def record_fairness(self) -> None:
-        """Publish this node's per-tenant fairness gauges.
-
-        Drains the node scheduler's virtual server to the current clock
-        and emits share/starvation/throttle/shed gauges with guard-hashed
-        tenant labels (see :meth:`repro.sched.TenantScheduler.record_fairness`).
-        """
-        self.controller.sched.record_fairness(self.controller.telemetry,
-                                              self.controller.clock.now())

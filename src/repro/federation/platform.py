@@ -288,13 +288,10 @@ class FederatedPlatform:
     ) -> NotificationMessage | None:
         """Publish on the producer's home node; the index entry lands on
         the subject's owner shard (possibly another node)."""
-        node = self.membership.node(self._producer_home[producer_id])
-        notification = self._producers[producer_id].publish(
+        return self._producers[producer_id].publish(
             event_class, subject_id, subject_name, summary, details,
             occurred_at=occurred_at,
         )
-        node.record_queue_depth()
-        return notification
 
     # -- subscriptions -------------------------------------------------------
 
@@ -442,11 +439,6 @@ class FederatedPlatform:
         """Every wire message that crossed any link (privacy-test surface)."""
         return [line for link in self.membership.links() for line in link.transcript]
 
-    def record_queue_depths(self) -> None:
-        """Refresh every node's queue-depth gauge."""
-        for node in self.nodes():
-            node.record_queue_depth()
-
     def flight_recorders(self) -> dict[str, object]:
         """Every node's flight recorder, keyed by node id.
 
@@ -461,15 +453,10 @@ class FederatedPlatform:
         }
 
     def record_fairness(self) -> None:
-        """Refresh every node's per-tenant fairness gauges.
-
-        An explicit harness/operator action (like queue-depth recording):
-        drains each node scheduler's virtual server to the shared clock
-        and emits share/starvation/throttle/shed gauges with guard-hashed
-        tenant labels.
-        """
+        """Refresh every node's per-tenant fairness gauges, each scheduler drained
+        to the shared clock first (:meth:`repro.sched.TenantScheduler.record_fairness`)."""
         for node in self.nodes():
-            node.record_fairness()
+            node.controller.sched.record_fairness(now=self.clock.now())
 
     # -- distributed tracing ---------------------------------------------------
 

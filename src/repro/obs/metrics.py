@@ -1,18 +1,16 @@
 """Metric instruments: counters, gauges and fixed-bucket histograms.
 
-A :class:`MetricsRegistry` keys every series by ``(name, labels)`` where
-``labels`` is the guard-sanitised tuple produced by
-:class:`~repro.obs.guard.PrivacyGuard` — identifying label values never
-reach a series key.  Histograms use fixed bucket boundaries, so p50/p95/p99
-summaries are computed from bucket counts (upper-bound estimate) exactly
-like a scrape-based system would, and two runs over the same workload
-produce byte-identical snapshots.
+A :class:`MetricsRegistry` keys every series by ``(name, labels)``, the
+labels sanitised by :class:`~repro.obs.guard.PrivacyGuard` — identifying
+values never reach a series key.  Histogram quantiles are upper-bound
+estimates from fixed buckets, so snapshots are byte-identical run to run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from repro.obs.guard import PrivacyGuard
 
@@ -122,58 +120,73 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All metric series of one platform instance, guard-protected."""
+    """All metric series of one platform instance, guard-protected: pushed
+    (``counter`` / ``gauge`` / ``histogram``) or read off stats their owner
+    keeps anyway (:meth:`reader`), merged on every read."""
 
     def __init__(self, guard: PrivacyGuard | None = None) -> None:
         self.guard = guard or PrivacyGuard()
-        self._counters: dict[tuple[str, Labels], Counter] = {}
-        self._gauges: dict[tuple[str, Labels], Gauge] = {}
-        self._histograms: dict[tuple[str, Labels], Histogram] = {}
-        self._memos: list[dict] = []
-        #: ``(kind, name, guard.static_key(labels))`` -> series.
-        self._bound = self.memo()
+        #: Pushed series per kind: ``(name, labels)`` -> instrument.
+        self._series: dict[type, dict[tuple[str, Labels], object]] = {
+            Counter: {}, Gauge: {}, Histogram: {}}
+        #: ``(kind, name, read)`` in registration order.
+        self._readers: list[tuple[type, str, Callable[[], Iterable]]] = []
+        #: Static label sets (:meth:`PrivacyGuard.static_key`) -> sanitised.
+        self._labels = self.guard.memo()
 
     # -- series access -----------------------------------------------------
 
-    def memo(self) -> dict:
-        """A dict emptied with the series memo: on :meth:`reset` and
-        whenever the guard's classification changes.  Holders of bound
-        series (a federation link's counters) keep them in one."""
-        memo = self.guard.memo()
-        self._memos.append(memo)
-        return memo
+    def _cleared(self, labels: dict[str, object]) -> Labels:
+        """``labels`` through the guard, once per static label set."""
+        items = tuple(labels.items())
+        cleared = self._labels.get(items)
+        if cleared is None:
+            cleared = self.guard.sanitize(labels)
+            if self.guard.static_key(labels) is not None:
+                self._labels[items] = cleared
+        return cleared
 
-    def _series(self, store: dict, kind: type, name: str,
-                labels: dict[str, object], *args):
-        """The ``kind`` series for ``(name, labels)``, created on demand.
-
-        A static label set resolves through the memo without touching the
-        guard; one with an identifying key is sanitised on every call.
-        """
-        items = self.guard.static_key(labels)
-        if items is not None:
-            series = self._bound.get((kind, name, items))
-            if series is not None:
-                return series
-        key = (name, self.guard.sanitize(labels))
+    def _pushed(self, kind: type, name: str, labels: dict[str, object], *args):
+        """The pushed ``kind`` series for ``(name, labels)``, created on demand."""
+        store = self._series[kind]
+        key = (name, self._cleared(labels))
         series = store.get(key)
         if series is None:
             series = store[key] = kind(*args)
-        if items is not None:
-            self._bound[kind, name, items] = series
         return series
 
     def counter(self, name: str, **labels: object) -> Counter:
-        return self._series(self._counters, Counter, name, labels)
+        return self._pushed(Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._series(self._gauges, Gauge, name, labels)
+        return self._pushed(Gauge, name, labels)
 
     def histogram(
         self, name: str, buckets: tuple[float, ...] | None = None, **labels: object
     ) -> Histogram:
-        return self._series(self._histograms, Histogram, name, labels,
-                            buckets or DEFAULT_BUCKETS)
+        return self._pushed(Histogram, name, labels, buckets or DEFAULT_BUCKETS)
+
+    def reader(self, kind: str, name: str,
+               read: Callable[[], Iterable[tuple[dict, float]]]) -> None:
+        """Serve ``kind`` (``"counter"`` / ``"gauge"``) series ``name`` from ``read()``'s
+        ``(labels, value)`` rows, labels guard-cleared on read; merged with a pushed
+        series of one name and labels, counters add and gauges take the max."""
+        self._readers.append(({"counter": Counter, "gauge": Gauge}[kind], name, read))
+
+    def _entries(self, kind: type, name: str | None = None) -> list:
+        """``((name, labels), series)`` of one kind (all, or ``name``'s), sorted."""
+        merged = {key: series for key, series in self._series[kind].items()
+                  if name in (None, key[0])}
+        for read_kind, read_name, read in self._readers:
+            if read_kind is kind and name in (None, read_name):
+                for labels, value in read():
+                    key = (read_name, self._cleared(labels))
+                    found, value = merged.get(key), float(value)
+                    if found is not None:
+                        value = (found.value + value if kind is Counter
+                                 else max(found.value, value))
+                    merged[key] = kind(value)
+        return sorted(merged.items(), key=lambda item: item[0])
 
     # -- snapshot ----------------------------------------------------------
 
@@ -184,67 +197,53 @@ class MetricsRegistry:
         on sanitise; ``sorted`` here makes the wire contract explicit),
         so merging snapshots from several federation nodes is byte-stable.
         """
-        rows: list[dict] = []
-        for kind, store in (("counter", self._counters), ("gauge", self._gauges)):
-            for (name, labels), series in store.items():
-                rows.append({"type": kind, "name": name,
-                             "labels": dict(sorted(labels)), "value": series.value})
-        for (name, labels), histogram in self._histograms.items():
-            rows.append({"type": "histogram", "name": name,
-                         "labels": dict(sorted(labels)), **histogram.summary()})
+        rows = [{"type": kind, "name": name, "labels": dict(sorted(labels)),
+                 **({"value": series.value} if kind != "histogram" else series.summary())}
+                for kind, entries in (("counter", self.counter_entries()),
+                                      ("gauge", self.gauge_entries()),
+                                      ("histogram", self.histogram_entries()))
+                for (name, labels), series in entries]
         rows.sort(key=lambda row: (row["name"], sorted(row["labels"].items()),
                                    row["type"]))
         return rows
 
     def histogram_summaries(self, name: str) -> list[tuple[dict[str, str], dict]]:
         """``(labels, summary)`` per series of histogram ``name``, sorted."""
-        return [(labels, found.summary()) for labels, found in self.histogram_series(name)]
+        return [(dict(key[1]), found.summary())
+                for key, found in self._entries(Histogram, name)]
 
     # -- series iteration (the SLO engine's read surface) --------------------
 
-    @staticmethod
-    def _named(store: dict, name: str | None = None) -> list:
-        """``((name, labels), series)`` of one kind in sorted key order (the
-        guard sorts labels on sanitise) — every series, or metric ``name``'s."""
-        return sorted((item for item in store.items() if name in (None, item[0][0])),
-                      key=lambda item: item[0])
-
     def counter_series(self, name: str) -> list[tuple[dict[str, str], Counter]]:
         """``(labels, counter)`` per series of counter ``name``, sorted."""
-        return [(dict(key[1]), found) for key, found in self._named(self._counters, name)]
+        return [(dict(key[1]), found) for key, found in self._entries(Counter, name)]
 
     def gauge_series(self, name: str) -> list[tuple[dict[str, str], Gauge]]:
         """``(labels, gauge)`` per series of gauge ``name``, sorted."""
-        return [(dict(key[1]), found) for key, found in self._named(self._gauges, name)]
-
-    def histogram_series(self, name: str) -> list[tuple[dict[str, str], Histogram]]:
-        """``(labels, histogram)`` per series of histogram ``name``, sorted."""
-        return [(dict(key[1]), found) for key, found in self._named(self._histograms, name)]
+        return [(dict(key[1]), found) for key, found in self._entries(Gauge, name)]
 
     # -- full-registry iteration (the time-series store's read surface) ------
 
     def counter_entries(self) -> list[tuple[tuple[str, Labels], Counter]]:
         """Every counter series as ``((name, labels), counter)``, sorted."""
-        return self._named(self._counters)
+        return self._entries(Counter)
 
     def gauge_entries(self) -> list[tuple[tuple[str, Labels], Gauge]]:
         """Every gauge series as ``((name, labels), gauge)``, sorted."""
-        return self._named(self._gauges)
+        return self._entries(Gauge)
 
     def histogram_entries(self) -> list[tuple[tuple[str, Labels], Histogram]]:
         """Every histogram series as ``((name, labels), histogram)``, sorted."""
-        return self._named(self._histograms)
+        return self._entries(Histogram)
 
     def counter_value(self, name: str, **labels: object) -> float:
-        """Current value of one counter series (0.0 if never touched)."""
-        key = (name, self.guard.sanitize(labels))
-        series = self._counters.get(key)
+        """Current value of one counter series (0.0 if never counted)."""
+        series = dict(self._entries(Counter, name)).get(
+            (name, self._cleared(labels)))
         return series.value if series else 0.0
 
     def reset(self) -> None:
-        """Drop every series (scenario reruns, benchmark warm-up)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        for memo in self._memos:
-            memo.clear()
+        """Drop every pushed series (scenario reruns, benchmark warm-up);
+        what a reader reads is its owner's to reset."""
+        for store in self._series.values():
+            store.clear()

@@ -10,13 +10,14 @@ all: ``controller.telemetry`` is ``None``, every instrumented module
 checks for that, and a hot path opens no span — an un-instrumented
 platform pays nothing.
 
-The facade API is intentionally tiny — ``count``/``gauge``/``observe``,
-``span``, ``restrict_keys``, and the bound ``pipeline_span`` a hot path
-opens its root span with — so instrumented modules (bus broker, enforcer,
-hot paths) depend on nothing but this shape.
+The facade: ``count``/``gauge``/``observe`` for values sampled on demand,
+``span``, ``restrict_keys`` and a hot path's root ``pipeline_span``.
 """
 
 from __future__ import annotations
+
+from array import array
+from time import perf_counter
 
 from repro.clock import Clock
 from repro.obs.context import TraceContext
@@ -27,7 +28,7 @@ from repro.obs.tracing import Tracer
 
 #: Counter of hot-path executions, labelled by pipeline + outcome.
 PIPELINE_OUTCOMES = "pipeline.invocations_total"
-#: Sidecar histogram of whole-hot-path latency in *wall* seconds.
+#: Histogram of whole-hot-path latency in *wall* seconds (:attr:`InMemoryTelemetry.wall`).
 PIPELINE_WALL_DURATION = "pipeline.wall_duration_seconds"
 #: Its buckets: 10 microseconds to 1 s (a hot path runs in well under 1 ms).
 WALL_BUCKETS: tuple[float, ...] = (
@@ -37,32 +38,28 @@ WALL_BUCKETS: tuple[float, ...] = (
 
 
 class _BoundSpan:
-    """One span shape resolved once: name and guard-cleared attributes.
+    """A hot path's root span shape, resolved once: name and guard-cleared
+    attributes.  Re-entrant (:meth:`open` returns the tracer row, :meth:`close`
+    takes it), so nested executions share it; ``walls`` gets each closed row
+    and its wall seconds.  As a context manager it yields the row's ``Span``."""
 
-    It keeps no per-execution state — :meth:`open` hands back the tracer
-    row and :meth:`close` takes it — so one instance serves every
-    execution of its hot path, nested ones included (a federated request
-    runs the same path on two nodes of one shared telemetry), and
-    a span of it costs no object.  Its simulated duration is the row's
-    start and end; nothing else records it.  As a context manager (a
-    convenience off the hot path) it yields the row's
-    :class:`~repro.obs.tracing.Span`.
-    """
+    __slots__ = ("_tracer", "_name", "_attributes", "_starts", "_rows", "_walls")
 
-    __slots__ = ("_tracer", "_name", "_attributes")
-
-    def __init__(self, tracer: Tracer, name: str, labels: dict[str, str]) -> None:
-        self._tracer = tracer
-        self._name = name
+    def __init__(self, tracer: Tracer, name: str, labels: dict, walls: tuple) -> None:
+        self._tracer, self._name = tracer, name
+        self._starts, self._rows, self._walls = walls
         # Shared by every span of this shape (read-only).
         self._attributes = tracer.cleared(labels)
 
     def open(self) -> int:
         """Open one span of this shape; returns its tracer row."""
+        self._starts.append(perf_counter())
         return self._tracer.open(self._name, self._attributes)
 
     def close(self, row: int, exc_type: type | None = None) -> None:
         """Close the span at ``row``."""
+        self._rows.append(row)
+        self._walls.append(perf_counter() - self._starts.pop())  # spans close innermost first
         self._tracer.close(row, exc_type)
 
     def __enter__(self):
@@ -87,12 +84,11 @@ class InMemoryTelemetry:
         self.clock = clock or Clock()
         self.guard = guard or PrivacyGuard(mode=guard_mode, secret=secret)
         self.metrics = MetricsRegistry(self.guard)
-        #: Wall-clock sidecar: real seconds, so no export, snapshot,
-        #: time-series or incident bundle reads it (they stay deterministic).
-        self.wall = MetricsRegistry(self.guard)
         self.tracer = Tracer(self.clock, self.guard, site=site)
         #: Hot-path name -> its bound root span.
         self._bound_spans = self.guard.memo()
+        #: Open root spans' ``perf_counter()``; closed ones' rows and wall seconds.
+        self._walls = ([], array("q"), array("d"))
         self.recorder = None
 
     # -- metrics -----------------------------------------------------------
@@ -109,9 +105,15 @@ class InMemoryTelemetry:
         """Record ``value`` into histogram ``name`` for the given label set."""
         self.metrics.histogram(name, buckets=buckets, **labels).observe(value)
 
-    def observe_wall(self, name: str, seconds: float, **labels: object) -> None:
-        """Record wall-clock ``seconds`` into sidecar histogram ``name``."""
-        self.wall.histogram(name, buckets=WALL_BUCKETS, **labels).observe(seconds)
+    @property
+    def wall(self) -> MetricsRegistry:
+        """Wall-clock sidecar: one ``PIPELINE_WALL_DURATION`` sample per finished
+        ``pipeline.*`` span (real seconds, so no deterministic export reads it)."""
+        sidecar, names = MetricsRegistry(self.guard), self.tracer.names
+        for row, seconds in zip(*self._walls[1:]):
+            sidecar.histogram(PIPELINE_WALL_DURATION, buckets=WALL_BUCKETS,
+                              pipeline=names[row][len("pipeline."):]).observe(seconds)
+        return sidecar
 
     def restrict_keys(self, keys) -> None:
         """Mark additional keys as sensitive (detail-payload field names)."""
@@ -133,7 +135,7 @@ class InMemoryTelemetry:
         bound = self._bound_spans.get(pipeline)
         if bound is None:
             labels = {"pipeline": pipeline}
-            bound = _BoundSpan(self.tracer, f"pipeline.{pipeline}", labels)
+            bound = _BoundSpan(self.tracer, f"pipeline.{pipeline}", labels, self._walls)
             # A restricted label key is re-sanitised per span, never memoised.
             if self.guard.static_key(labels) is not None:
                 self._bound_spans[pipeline] = bound

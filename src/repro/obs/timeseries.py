@@ -21,10 +21,8 @@ plain deques, and every read iterates series in sorted-key order — two
 same-seed runs produce byte-identical exports (:meth:`export_rows`), the
 property the incident bundles' byte-identity tests rely on.
 
-Privacy: the store only ever sees what the registry already holds, and
-every registry label passed through the
-:class:`~repro.obs.guard.PrivacyGuard` on ingest — there is nothing here
-left to sanitise.
+Privacy: the store only sees series keys the registry's
+:class:`~repro.obs.guard.PrivacyGuard` already sanitised.
 """
 
 from __future__ import annotations

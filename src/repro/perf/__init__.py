@@ -21,8 +21,8 @@ The linear fan-out survives as a reference only —
 audit trails, link transcripts and inboxes equal to it.
 
 Telemetry labels never carry plaintext identities: the only label the
-counters use is the cache *name* (``perf.cache.hits{cache=fanout}`` and
-``{cache=seal}``).
+counters' readers use is the cache *name* (``perf.cache.hits{cache=fanout}``
+and ``{cache=seal}``).
 """
 
 from __future__ import annotations
@@ -37,37 +37,22 @@ CACHE_MISSES = "perf.cache.misses"
 
 @dataclass
 class PerfStats:
-    """Hit/miss accounting per cache (benchmarks read these directly)."""
+    """Hits and misses per cache name (``fanout``, ``seal``): benchmarks and readers read them."""
 
     hits: dict[str, int] = field(default_factory=dict)
     misses: dict[str, int] = field(default_factory=dict)
 
-    def hit(self, cache: str) -> None:
-        self.hits[cache] = self.hits.get(cache, 0) + 1
-
-    def miss(self, cache: str) -> None:
-        self.misses[cache] = self.misses.get(cache, 0) + 1
-
 
 class PerfLayer:
-    """The hit/miss counters of one controller's caches.
+    """The hit/miss counters of one controller's caches."""
 
-    The fan-out memo and the relay-frame cache count here, under the
-    cache names ``fanout`` and ``seal``.
-    """
-
-    def __init__(self, telemetry=None) -> None:
-        self._telemetry = telemetry
+    def __init__(self) -> None:
         self.stats = PerfStats()
 
     def record_hit(self, cache: str) -> None:
-        """Count one hit of ``cache`` (label carries the cache name only)."""
-        self.stats.hit(cache)
-        if self._telemetry is not None:
-            self._telemetry.count(CACHE_HITS, cache=cache)
+        hits = self.stats.hits
+        hits[cache] = hits.get(cache, 0) + 1
 
     def record_miss(self, cache: str) -> None:
-        """Count one miss of ``cache``."""
-        self.stats.miss(cache)
-        if self._telemetry is not None:
-            self._telemetry.count(CACHE_MISSES, cache=cache)
+        misses = self.stats.misses
+        misses[cache] = misses.get(cache, 0) + 1

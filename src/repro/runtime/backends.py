@@ -20,8 +20,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from repro.audit.log import AuditLog, AuditRecord
-from repro.core.index import EventsIndex, SealedIdentity
-from repro.core.messages import NotificationMessage
+from repro.core.index import EventsIndex
 from repro.crypto.hashing import HashChain
 from repro.exceptions import CorruptRecordError, TamperedLogError
 from repro.storage.engine import RecordLog
@@ -89,7 +88,8 @@ class JsonlIndexStore(EventsIndex):
     """Events index with durable write-through persistence.
 
     Appends every stored row — identity fields sealed — to the ``index``
-    log, and replays the log on construction (:meth:`EventsIndex.replay`:
+    log before the index holds it (an append that raises changes
+    nothing), and replays the log on construction (:meth:`EventsIndex.replay`:
     rows in the registry-object form written before an entry was a row
     load too).  Withdrawals persist as tombstone rows, which compaction
     later reclaims together with the rows they hide.
@@ -101,31 +101,9 @@ class JsonlIndexStore(EventsIndex):
         self._store = log
         self.replay(log.iter_records())
 
-    def store(self, notification: NotificationMessage,
-              sealed: SealedIdentity | None = None) -> dict:
-        """Index a notification and append its sealed row to disk."""
-        row = super().store(notification, sealed=sealed)
+    def _persist(self, row: dict) -> None:
         self._store.append(row)
-        return row
 
     def flush(self) -> None:
         """Group-commit barrier: make every buffered row durable (queries read memory)."""
         self._store.flush()
-
-    def withdraw(self, event_id: str) -> None:
-        """Hide an indexed entry and persist the withdrawal as a tombstone,
-        so the entry stays hidden across restarts and compaction may
-        reclaim it and its tombstone."""
-        super().withdraw(event_id)
-        self._store.append({"tombstone": True, "object_id": event_id})
-
-    def adopt_raw(self, entry: dict) -> dict:
-        """Index an entry shipped by a peer *and* persist its row.
-
-        The federated shard-transfer path: entries shipped by a peer
-        (identity fields still sealed) must survive this node's restarts,
-        unlike archive restores which replay from their own snapshot.
-        """
-        row = super().adopt_raw(entry)
-        self._store.append(row)
-        return row

@@ -15,11 +15,12 @@ the durable log (``iter_records`` / ``iter_texts``) is a flush barrier;
 someone else — snapshots, crash-recovery tests, guarantor exports — flush
 first (``DataController.flush_storage``).
 
-A commit the log could not write loses nothing: the batch stays pending,
-in arrival order, and goes down with the next flush, so records accepted
-after a failed write never land past a hole in the log
-(``SegmentedLog.write_entries`` undoes the part it wrote, so the retry
-writes each record once).
+A commit the log could not write loses nothing accepted: the append whose
+boundary flush raised is taken back (it did not happen, so its caller
+changes nothing), the rest stays pending in arrival order for the next
+flush, and no later record lands past a hole in the log
+(``SegmentedLog.write_entries`` undoes what it wrote: a retry writes each
+record once).
 
 ``BatchPolicy`` is what the controller builds for the ``batch`` switch:
 ``off`` is ``None`` (no wrapping anywhere), ``on`` a policy carrying
@@ -81,12 +82,17 @@ class BatchWriter:
 
         Returns the projected count after this record (mirroring the
         per-record append contract); the durable sequence is assigned at
-        flush time, in the same order.
+        flush time, in the same order.  A boundary flush that raises takes
+        this record back out (its append did not happen), the rest pending.
         """
         self._buffer.append(record)
         projected = len(self)
         if len(self._buffer) >= self.batch_size:
-            self.flush()
+            try:
+                self.flush()
+            except BaseException:
+                self._buffer.pop()
+                raise
         return projected
 
     def append_many(self, records: list[str | dict]) -> tuple[int, int] | None:

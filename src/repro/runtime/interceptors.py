@@ -14,19 +14,15 @@ Each function reads its collaborators off the object it serves (the
 controller, or the policy enforcer) at call time, so a collaborator
 replaced on that object — or shimmed on its instance — is the one called.
 Failures surface as the typed exceptions of :mod:`repro.exceptions`,
-unwrapped; :func:`classify` is the one reading of how an operation ended
-that the outcome counter, the stats buckets and the audit outcome all take.
-
-A :class:`HotPath` runs one of the functions under the operation's root
-span (``pipeline.publish``, ``pipeline.request-details-edge`` enclosing
-``pipeline.request-details``), outcome count and wall-clock sample.
+unwrapped; :func:`classify` is the one reading of how an operation ended,
+taken by the stats buckets (which the outcome counter reads) and the audit
+outcome.  A :class:`HotPath` runs one under the operation's root span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from time import perf_counter
 from typing import Any, Callable
 
 from repro.audit.log import AuditAction, AuditOutcome, mint_record
@@ -38,11 +34,11 @@ from repro.exceptions import (
     UnknownEventError,
     UnknownProducerError,
 )
-from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
+from repro.obs.telemetry import PIPELINE_OUTCOMES
 from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
 
-#: Operation names: the ``pipeline`` label of a hot path's root span,
-#: outcome count and wall sample.
+#: Operation names: the ``pipeline`` label of a hot path's root span and
+#: outcome count.
 PUBLISH = "publish"
 REQUEST_DETAILS = "request-details"
 DETAILS_EDGE = f"{REQUEST_DETAILS}-edge"
@@ -80,41 +76,35 @@ class HotPath:
     ``benchmarks/wall/trace.py`` attributes each path's self time by
     wrapping ``execute`` on the instance (``tests/test_wall_surface.py``
     pins that surface), so the controller and the enforcer look
-    ``execute`` up on every call.  ``execute(*args)`` runs
-    ``run(owner, *args)`` and owns the path's root span, its
-    ``PIPELINE_OUTCOMES`` count and its wall-clock sample — nothing else.
-    With ``telemetry=None`` it is a plain call.
+    ``execute`` up on every call.  ``execute(*args)`` runs ``run(owner,
+    *args)`` under the path's root span and does nothing else; the
+    ``PIPELINE_OUTCOMES`` reader reads the ``stats`` the function fills.
     """
 
-    def __init__(self, name: str, run: Callable[..., Any], owner,
-                 telemetry=None) -> None:
+    def __init__(self, name: str, run: Callable[..., Any], owner, stats, telemetry=None) -> None:
         self.name = name
         self._run = run
         self._owner = owner
         self._telemetry = telemetry
+        if telemetry is not None:
+            telemetry.metrics.reader("counter", PIPELINE_OUTCOMES, lambda: (
+                ({"pipeline": name, "outcome": outcome.label}, count)
+                for outcome, count in stats.outcomes().items() if count))
 
     def execute(self, *args: Any) -> Any:
         """Run the path on ``args``; its failures surface unchanged."""
         telemetry = self._telemetry
         if telemetry is None:
             return self._run(self._owner, *args)
-        started = perf_counter()
         root = telemetry.pipeline_span(self.name)
         row = root.open()
-        result = failure = None
         try:
             result = self._run(self._owner, *args)
-            return result
         except BaseException as exc:
-            failure = exc
+            root.close(row, type(exc))
             raise
-        finally:
-            root.close(row, None if failure is None else type(failure))
-            telemetry.count(PIPELINE_OUTCOMES, pipeline=self.name,
-                            outcome=classify(result, failure).label)
-            failure = None  # its traceback holds this frame: leave no cycle
-            telemetry.observe_wall(PIPELINE_WALL_DURATION,
-                                   perf_counter() - started, pipeline=self.name)
+        root.close(row)
+        return result
 
 
 def resolve_request_entry(request, purposes, id_map) -> EventIdEntry:
@@ -145,12 +135,17 @@ def resolve_request_entry(request, purposes, id_map) -> EventIdEntry:
 
 @dataclass
 class PublishStats:
-    """Hot-path counters of the notification publish."""
+    """Counters of the notification publish: ``requests``, each in one outcome's."""
 
     requests: int = 0
     published: int = 0
     consent_blocked: int = 0
+    denies: int = 0
     failures: int = 0
+
+    def outcomes(self) -> dict[Outcome, int]:
+        return {Outcome.OK: self.published, Outcome.VETO: self.consent_blocked,
+                Outcome.DENY: self.denies, Outcome.ERROR: self.failures}
 
 
 def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
@@ -161,13 +156,13 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
     nothing is persisted, indexed or routed, and no event id is spent.
     Both are audited; a failure is not (nothing was distributed, the
     producer gets the exception).  ``node.publish_stats`` counts every
-    attempt in the bucket of how it ended.
+    attempt in the bucket :func:`classify` names.
     """
     clock, sched = node.clock, node.sched
-    if sched.shapes_ingress:  # advisory: an over-rate tenant is only demoted
-        sched.admit(producer_id, WORK_PUBLISH, clock.now())
-    outcome = Outcome.ERROR
+    notification = failure = None
     try:
+        if sched.shapes_ingress:  # advisory: an over-rate tenant is only demoted
+            sched.admit(producer_id, WORK_PUBLISH, clock.now())
         node.contracts.require_active(producer_id, clock.now(), must_produce=True)
         event_class = node.catalog.get(occurrence.event_class.name)
         if event_class.producer_id != producer_id:
@@ -187,7 +182,6 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
                 subject_ref=occurrence.subject_id,
                 detail="data subject opted out of event sharing",
             )
-            outcome = Outcome.VETO
             return None
         # Gateway persistence plus global-id assignment (temporal decoupling).
         node.gateway_of(producer_id).persist(occurrence)
@@ -220,15 +214,21 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
             event_id=event_id, event_type=event_class.name,
             subject_ref=occurrence.subject_id, detail=occurrence.summary,
         )
-        outcome = Outcome.OK
         return notification
+    except BaseException as exc:
+        failure = exc
+        raise
     finally:
+        outcome = classify(notification, failure)
+        failure = None  # its traceback holds this frame: leave no cycle
         stats = node.publish_stats
         stats.requests += 1
         if outcome is Outcome.OK:
             stats.published += 1
         elif outcome is Outcome.VETO:
             stats.consent_blocked += 1
+        elif outcome is Outcome.DENY:
+            stats.denies += 1
         else:
             stats.failures += 1
 
@@ -238,28 +238,58 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class EdgeStats:
+    """Counters of the request-for-details edge, failures before the endpoint included."""
+
+    requests: int = 0
+    permits: int = 0
+    denies: int = 0
+    failures: int = 0
+
+    def outcomes(self) -> dict[Outcome, int]:
+        return {Outcome.OK: self.permits, Outcome.DENY: self.denies, Outcome.ERROR: self.failures}
+
+
 def request_details(node, consumer_id: str, request, credential=None):
     """The controller edge of a request for details on ``node``.
 
-    The scheduler meters the requesting tenant first — ``ingress``
-    (metered and admission-checked, advisory) when it shapes ingress,
-    ``submit`` otherwise — then the consumer's contract and identity are
-    checked and the ``controller.getEventDetails`` endpoint resolves the
-    request (:func:`get_event_details`, through the enforcer).
-    """
+    The scheduler meters the requesting tenant first — ``ingress`` (metered
+    and admission-checked, advisory) when it shapes ingress, ``submit``
+    otherwise — then the consumer's contract and identity are checked and
+    the ``controller.getEventDetails`` endpoint resolves the request
+    (:func:`get_event_details`, through the enforcer).  Every request
+    leaves one ``node.edge_stats`` bucket."""
     clock, sched = node.clock, node.sched
-    if sched.shapes_ingress:
-        sched.ingress(consumer_id, WORK_DETAILS, clock.now())
-    else:
-        sched.submit(consumer_id, WORK_DETAILS, clock.now())
-    node.contracts.require_active(consumer_id, clock.now(), must_consume=True)
-    node.authenticate(consumer_id, credential, request.actor.role)
-    if request.actor.actor_id != consumer_id:
-        raise AccessDeniedError(
-            f"request actor {request.actor.actor_id!r} does not match "
-            f"caller {consumer_id!r}"
-        )
-    return node.endpoints.call("controller.getEventDetails", request)
+    detail = failure = None
+    try:
+        if sched.shapes_ingress:
+            sched.ingress(consumer_id, WORK_DETAILS, clock.now())
+        else:
+            sched.submit(consumer_id, WORK_DETAILS, clock.now())
+        node.contracts.require_active(consumer_id, clock.now(), must_consume=True)
+        node.authenticate(consumer_id, credential, request.actor.role)
+        if request.actor.actor_id != consumer_id:
+            raise AccessDeniedError(
+                f"request actor {request.actor.actor_id!r} does not match "
+                f"caller {consumer_id!r}"
+            )
+        detail = node.endpoints.call("controller.getEventDetails", request)
+        return detail
+    except BaseException as exc:
+        failure = exc
+        raise
+    finally:
+        outcome = classify(detail, failure)
+        failure = None  # its traceback holds this frame: leave no cycle
+        stats = node.edge_stats
+        stats.requests += 1
+        if outcome is Outcome.OK:
+            stats.permits += 1
+        elif outcome is Outcome.DENY:
+            stats.denies += 1
+        else:
+            stats.failures += 1
 
 
 def get_event_details(enforcer, request):

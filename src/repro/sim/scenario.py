@@ -337,7 +337,6 @@ class CssScenario:
         platform, report = self.platform, self.report
         platform.dispatch_all()
         platform.flush_batches()  # barrier before reading cluster state
-        platform.record_queue_depths()
         members = platform.nodes()
         for node in members:
             node.controller.audit_log.verify_integrity()

@@ -12,9 +12,9 @@ construction: those logs are read by handing a
 by empty segmented ones.
 
 Telemetry is privacy-guarded like everywhere else in the platform: the
-engine emits ``storage.segments_total`` and ``storage.compaction.reclaimed``
-labelled only by log name — never by event, subject or object
-identifiers.
+engine's readers serve ``storage.segments_total`` and
+``storage.compaction.reclaimed`` labelled only by log name — never by
+event, subject or object identifiers.
 """
 
 from __future__ import annotations
@@ -89,22 +89,15 @@ class StorageEngine:
                 f"JsonlFile(path), keystore), and use a new data_dir")
         self.segment_bytes = segment_bytes
         self.sparse_every = sparse_every
-        self._telemetry = telemetry
         self._logs: dict[str, SegmentedLog] = {}
-
-    # -- telemetry ---------------------------------------------------------
-
-    def _emit(self, method: str, name: str, value: float, **labels) -> None:
-        telemetry = self._telemetry
-        if telemetry is None:
-            return
-        getattr(telemetry, method)(name, value, **labels)
-
-    def _refresh_segment_gauge(self, log_name: str) -> None:
-        # Both callers have just replayed the log, so the report is exact.
-        self._emit("gauge", METRIC_SEGMENTS,
-                   float(self._logs[log_name].last_replay.segments),
-                   log=log_name)
+        #: Log name -> bytes its compactions reclaimed.
+        self.reclaimed: dict[str, int] = {}
+        if telemetry is not None:
+            logs, metrics = self._logs, telemetry.metrics
+            metrics.reader("gauge", METRIC_SEGMENTS, lambda: (
+                ({"log": name}, log.last_replay.segments) for name, log in logs.items()))
+            metrics.reader("counter", METRIC_COMPACTION_RECLAIMED, lambda: (
+                ({"log": name}, reclaimed) for name, reclaimed in self.reclaimed.items()))
 
     # -- logs --------------------------------------------------------------
 
@@ -116,7 +109,6 @@ class StorageEngine:
                 segment_bytes=self.segment_bytes,
                 sparse_every=self.sparse_every,
             )
-            self._refresh_segment_gauge(name)
         return self._logs[name]
 
     def log_names(self) -> list[str]:
@@ -156,9 +148,7 @@ class StorageEngine:
                 f"record ever written, so compaction is forbidden"
             )
         report = compact(self.log(name), keep=keep)
-        self._emit("count", METRIC_COMPACTION_RECLAIMED,
-                   float(report.bytes_reclaimed), log=name)
-        self._refresh_segment_gauge(name)
+        self.reclaimed[name] = self.reclaimed.get(name, 0) + report.bytes_reclaimed
         return report
 
     # -- snapshots -----------------------------------------------------------

@@ -237,7 +237,6 @@ def run_workload(
     # state: pending coalesced frames out, buffered durable rows down.
     platform.flush_batches()
     platform.record_fairness()
-    platform.record_queue_depths()
     run.audit_digest, run.audit_records = audit_digest(platform)
     if decision_log is not None:
         run.decision_digest = "sha256:" + hashlib.sha256(

@@ -73,10 +73,11 @@ class TestBatchWriter:
         writer.append({"n": 1})
         with pytest.raises(OSError):
             writer.append({"n": 2})  # boundary: the group commit fails
-        assert (writer.pending, len(log), writer.stats.flushes) == (2, 0, 0)
-        writer.append({"n": 3})  # the next boundary commits all three
+        # The failed append did not happen; what was acknowledged stays pending.
+        assert (writer.pending, len(log), writer.stats.flushes) == (1, 0, 0)
+        writer.append({"n": 3})  # the next boundary commits the batch
         assert writer.pending == 0
-        assert [r["n"] for r in log.iter_records()] == [1, 2, 3]
+        assert [r["n"] for r in log.iter_records()] == [1, 3]
 
     def test_flush_on_empty_buffer_is_a_noop(self, tmp_path):
         writer = BatchWriter(SegmentedLog(tmp_path / "log"),
@@ -266,7 +267,9 @@ class TestGroupCommitDurability:
 
         restarted = JsonlAuditSink(audit_log())
         restarted.verify_integrity()
-        assert len(restarted) == 8
+        # The eighth append raised, so it did not happen: the chain and the
+        # disk both hold the seven before it.
+        assert len(restarted) == len(sink) == 7
         assert restarted.head_digest == sink.head_digest
 
 

@@ -1,6 +1,6 @@
 """docs/ARCHITECTURE.md states the hot paths' step order and the switch
-table once, docs/FEDERATION.md the wire protocol; this keeps them equal to
-what the code does."""
+table once, docs/FEDERATION.md the wire protocol, docs/OBSERVABILITY.md
+the metric series; this keeps them equal to what the code does."""
 
 import re
 from dataclasses import fields
@@ -8,12 +8,14 @@ from pathlib import Path
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.federation.node import WIRE_ERRORS
+from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.kernel import SWITCHES
 from tests.conftest import blood_test_schema, build_federation
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 ARCHITECTURE = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")
 FEDERATION = (DOCS / "FEDERATION.md").read_text(encoding="utf-8")
+OBSERVABILITY = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
 
 
 def stage_line(after: str, offset: int = 1) -> tuple[str, ...]:
@@ -110,3 +112,47 @@ def test_wire_protocol_tables_match_the_node():
         node._batch_handlers)
     assert re.findall(r"^\| `(\w+)` \| `([\w-]+)` \|$", errors, flags=re.M) == [
         (failure.__name__, code) for failure, code in WIRE_ERRORS.items()]
+
+
+def naming_table() -> dict[str, set[str]]:
+    """docs/OBSERVABILITY.md's "Naming scheme" table: series -> label keys,
+    the read series only (the wall histogram is built from the tracer)."""
+    section = OBSERVABILITY.partition("## Naming scheme")[2].partition("\n## ")[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            series, kind, labels, _ = line.strip("|").split(" | ")
+            if not kind.startswith("histogram"):
+                table[series.strip(" `")] = set(re.findall(r"`(\w+)`", labels))
+    return table
+
+
+def test_naming_table_matches_the_registered_readers():
+    """Every series the table names is served by a reader on a 2-node
+    platform that has crossed a link (a drop, a dead letter and a request
+    for details included, so every reader has rows), with the label keys
+    the table lists — and no reader serves a series the table leaves out."""
+    telemetry = InMemoryTelemetry()
+    deployment = build_federation(telemetry=telemetry)
+    platform = deployment.platform
+
+    def broken(notification):
+        raise RuntimeError("handler down")
+
+    platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+    platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest", handler=broken)
+    platform.membership.link("node-0", "node-1").fail_next(1)
+    notification = deployment.publish_blood_test(subject_id="pat-1")
+    deployment.publish_blood_test(subject_id="pat-2")  # a fan-out memo hit
+    platform.dispatch_all()
+    platform.request_details("FamilyDoctors/Dr-Rossi", "BloodTest",
+                             notification.event_id, "healthcare-treatment")
+    served: dict[str, set[str]] = {}
+    rows = set()
+    for _, name, read in telemetry.metrics._readers:
+        keys = served.setdefault(name, set())
+        for labels, _ in read():
+            keys.update(labels)
+            rows.add(name)
+    assert served == naming_table()
+    assert rows == set(served)

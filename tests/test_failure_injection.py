@@ -9,11 +9,7 @@ node or link fails, and a disk that fails — for good or once — at every
 write boundary of a segmented log.
 """
 
-import errno
 import json
-import os
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -35,6 +31,7 @@ from tests.conftest import (
     blood_test_schema,
     build_federation,
 )
+from tests.faults import DiskFaults
 
 
 def build_world(auto_dispatch: bool = True):
@@ -271,96 +268,6 @@ class TestLocalRemoteParity:
         assert len(link.transcript) == lines + 2
         assert link.stats.delivered == link.stats.calls == calls + 1
         assert "error" in json.loads(link.transcript[-1])
-
-
-class DiskFaults:
-    """Counts every mutating filesystem call under ``root`` — ``open`` for
-    append or write, a handle's ``write`` and ``truncate``, ``unlink``,
-    ``rename``, ``os.replace``, ``os.truncate``, ``write_text`` /
-    ``write_bytes``, ``rmtree`` — and fails the ``fail_at``-th with
-    ``ENOSPC``.  A failing write lands half its bytes first; any other
-    call does nothing.  ``crash=True`` fails every later call too (the
-    process is gone, its clean-up included); otherwise the fault happens
-    once and the process carries on."""
-
-    def __init__(self, patch, root, fail_at=None, crash=False):
-        self.root, self.fail_at, self.crash = Path(root), fail_at, crash
-        self.calls = 0
-        self._inside = False  # write_text opens its own file: one call, not two
-        real_open = Path.open
-
-        def open_(path, mode="r", *args, **kwargs):
-            if not set(mode) & set("wax+") or not self._counts(path):
-                return real_open(path, mode, *args, **kwargs)
-            self.step()
-            return _FaultyHandle(self, real_open(path, mode, *args, **kwargs))
-
-        def whole_file(real):
-            def write(path, data, *args, **kwargs):
-                if not self._counts(path):
-                    return real(path, data, *args, **kwargs)
-                self._inside = True
-                try:
-                    self.step(lambda: real(
-                        path, data[:len(data) // 2], *args, **kwargs))
-                    return real(path, data, *args, **kwargs)
-                finally:
-                    self._inside = False
-            return write
-
-        patch.setattr(Path, "open", open_)
-        patch.setattr(Path, "write_text", whole_file(Path.write_text))
-        patch.setattr(Path, "write_bytes", whole_file(Path.write_bytes))
-        for owner, name in ((Path, "unlink"), (Path, "rename"), (os, "replace"),
-                            (os, "truncate"), (shutil, "rmtree")):
-            patch.setattr(owner, name, self._guarded(getattr(owner, name)))
-
-    def _counts(self, path) -> bool:
-        return not self._inside and self.root in Path(path).parents
-
-    def step(self, half=None) -> None:
-        """Count one call; fail it — after ``half`` of its work — if due."""
-        self.calls += 1
-        if self.fail_at is None or self.calls < self.fail_at:
-            return
-        if self.calls == self.fail_at and half is not None:
-            half()
-        if self.calls == self.fail_at or self.crash:
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    def _guarded(self, real):
-        def call(path, *args, **kwargs):
-            if self._counts(path):
-                self.step()
-            return real(path, *args, **kwargs)
-        return call
-
-
-class _FaultyHandle:
-    """A file opened for writing under :class:`DiskFaults`."""
-
-    def __init__(self, faults, handle):
-        self._faults, self._handle = faults, handle
-
-    def write(self, data):
-        def half():
-            self._handle.write(data[:len(data) // 2])
-            self._handle.flush()
-        self._faults.step(half)
-        return self._handle.write(data)
-
-    def truncate(self, size=None):
-        self._faults.step()
-        return self._handle.truncate(size)
-
-    def close(self):
-        self._handle.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._handle.close()
 
 
 def index_row(n):

@@ -216,7 +216,6 @@ class TestFederationTelemetry:
         for i in range(4):
             deployment.publish_blood_test(subject_id=f"pat-{i}")
         platform.dispatch_all()
-        platform.record_queue_depths()
 
         rows = telemetry.metrics.snapshot()
         hops = [r for r in rows if r["name"] == HOP_COUNTER]

@@ -44,10 +44,12 @@ from tests.conftest import build_federation
 
 
 class EagerLink(Link):
-    """The link before rows."""
+    """The link before rows, pushing its counters as the link did before
+    readers (so it registers none)."""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, telemetry=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._telemetry = telemetry
         self.sent: list[str] = []
         self.carried = 0
 

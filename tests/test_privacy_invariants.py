@@ -248,8 +248,6 @@ def test_no_telemetry_memo_retains_a_plaintext_identifying_value():
             telemetry.gauge("probe_level", 1.0, patient_id=patient.patient_id)
             telemetry.observe("probe_seconds", 0.1, Name=patient.name,
                               pipeline="probe")
-            telemetry.observe_wall("probe_wall_seconds", 0.1,
-                                   subject_display=patient.name)
             with telemetry.span("probe", subject_display=patient.name,
                                 pipeline="probe"):
                 pass

@@ -20,6 +20,7 @@ from repro.core.enforcement import DetailRequest
 from repro.exceptions import (
     AccessDeniedError,
     PrivacyError,
+    SourceUnavailableError,
     UnknownProducerError,
     ValidationError,
 )
@@ -217,3 +218,95 @@ class TestDenyShortCircuits:
         assert (record.outcome, record.detail) == (AuditOutcome.ERROR, str(failure))
         stats = controller.enforcer.stats
         assert stats.requests == stats.permits + stats.denies + stats.gateway_failures == 1
+
+
+class TestOutcomeEquivalence:
+    """The ``pipeline.invocations_total`` rows are read off the stats the
+    path functions bucket into, and equal what :func:`classify` answers
+    for every execution of each of the three paths — whichever way it
+    ended, the edge's failures before the endpoint included."""
+
+    #: What each step provokes: ``(pipeline, outcome)``.
+    EXPECTED = {
+        ("publish", "ok"), ("publish", "consent-veto"), ("publish", "deny"),
+        ("publish", "error"),
+        ("request-details", "ok"), ("request-details", "deny"),
+        ("request-details", "error"),
+        ("request-details-edge", "ok"), ("request-details-edge", "deny"),
+        ("request-details-edge", "error"),
+    }
+
+    def test_every_outcome_of_every_path_is_classify_s_answer(self, monkeypatch):
+        controller, hospital, blood, doctor = build_world(
+            RuntimeConfig(telemetry="inmemory"))
+        answers: dict[tuple[str, str], int] = {}
+        for path in (controller.publish_pipeline, controller.details_pipeline,
+                     controller.enforcer.pipeline):
+            def execute(*args, real=path.execute, name=path.name):
+                result = failure = None
+                try:
+                    result = real(*args)
+                    return result
+                except BaseException as exc:
+                    failure = exc
+                    raise
+                finally:
+                    key = (name, classify(result, failure).label)
+                    answers[key] = answers.get(key, 0) + 1
+            monkeypatch.setattr(path, "execute", execute)
+
+        def attempt(step, *args):
+            try:
+                return step(*args)
+            except Exception:  # every failure is counted, whatever it is
+                return None
+
+        def refusing(failure):
+            def call(*args, **kwargs):
+                raise failure
+            return call
+
+        consent = ConsentRegistry("Hospital")
+        consent.opt_out("vetoed", ConsentScope.NOTIFICATIONS)
+        controller.attach_consent("Hospital", consent)
+        notification = publish(hospital, blood)                     # ok
+        assert attempt(publish, hospital, blood, "vetoed") is None  # veto
+        with monkeypatch.context() as patch:                         # deny
+            patch.setattr(controller.index, "store",
+                          refusing(AccessDeniedError("refused")))
+            attempt(publish, hospital, blood, "p2")
+        attempt(hospital.publish, blood, "p3", "M", "s", {})        # error
+        doctor.request_details(notification, "healthcare-treatment")   # ok
+        attempt(doctor.request_details, notification, "administration")  # deny
+        with monkeypatch.context() as patch:                          # error
+            patch.setattr(controller.detail_fetcher, "fetch",
+                          refusing(SourceUnavailableError("down")))
+            attempt(doctor.request_details, notification, "healthcare-treatment")
+        mallory = DataConsumer(controller, "Mallory", "Mallory", role="family-doctor")
+        attempt(controller.request_details, "Mallory", DetailRequest(  # actor mismatch
+            actor=doctor.actor, event_type="BloodTest",
+            event_id=notification.event_id, purpose="healthcare-treatment"))
+        controller.contracts.suspend("Mallory")                       # inactive
+        attempt(mallory.request_details, notification, "healthcare-treatment")
+
+        telemetry = controller.telemetry
+        rows = {(labels["pipeline"], labels["outcome"]): counter.value
+                for labels, counter in telemetry.metrics.counter_series(PIPELINE_OUTCOMES)}
+        assert set(answers) == self.EXPECTED
+        assert rows == {key: float(count) for key, count in answers.items()}
+        assert answers["request-details-edge", "deny"] == 2  # policy; actor mismatch
+        assert answers["request-details-edge", "error"] == 2  # gateway; contract
+        spans = {}
+        for span in telemetry.tracer.finished_spans():
+            spans[span.name] = spans.get(span.name, 0) + 1
+        wall = {labels["pipeline"]: summary["count"] for labels, summary
+                in telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)}
+        for pipeline in ("publish", "request-details", "request-details-edge"):
+            executions = sum(count for (name, _), count in answers.items()
+                             if name == pipeline)
+            assert spans[f"pipeline.{pipeline}"] == wall[pipeline] == executions
+        stats = (controller.publish_stats, controller.enforcer.stats,
+                 controller.edge_stats)
+        assert [s.requests for s in stats] == [
+            sum(count for (name, _), count in answers.items() if name == pipeline)
+            for pipeline in ("publish", "request-details", "request-details-edge")]

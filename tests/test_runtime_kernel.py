@@ -45,6 +45,7 @@ from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
 from repro.storage import SegmentedLog, StorageEngine
 from repro.storage.segment import encode_entry, encode_frame
 from tests.conftest import blood_test_schema, build_federation
+from tests.faults import DiskFaults
 
 
 def build_world(runtime=None):
@@ -640,3 +641,60 @@ class TestJsonlBackends:
         segment.write_bytes(b"".join(frames))
         with pytest.raises(TamperedLogError):
             JsonlAuditSink(SegmentedLog(tmp_path / "audit"))
+
+
+class TestAuditChainCommitsAfterTheStore:
+    """A durable node whose disk fails once, at any mutating filesystem
+    call of a run of 4 publishes, 4 requests for details and 2
+    withdrawals: the chain advances only once the store has accepted the
+    link, and the index changes only once its row or tombstone is kept,
+    so the live trail still verifies, the directory reopens to the same
+    head and the same index, and no record is stored twice."""
+
+    @staticmethod
+    def run_script(controller, hospital, blood, doctor) -> None:
+        for number in range(4):
+            try:
+                notification = publish(hospital, blood, f"p{number}")
+            except OSError:
+                continue
+            try:
+                doctor.request_details(notification, "healthcare-treatment")
+            except OSError:
+                pass
+            if number % 2 and notification.event_id in controller.index:
+                try:
+                    controller.index.withdraw(notification.event_id)
+                except OSError:
+                    pass
+
+    @pytest.mark.parametrize("batch", ["off", "on"])
+    def test_one_enospc_at_any_call_leaves_a_trail_that_verifies_and_reopens(
+            self, batch, tmp_path, monkeypatch):
+        def runtime(directory):
+            return RuntimeConfig(data_dir=directory, batch=batch, batch_size=3)
+
+        controller, hospital, blood, doctor = build_world(runtime(tmp_path / "ref"))
+        with monkeypatch.context() as patch:
+            faults = DiskFaults(patch, tmp_path / "ref")
+            self.run_script(controller, hospital, blood, doctor)
+        assert faults.calls > 8
+        broken = {}
+        for k in range(1, faults.calls + 1):
+            directory = tmp_path / f"enospc-{k}"
+            try:
+                controller, hospital, blood, doctor = build_world(runtime(directory))
+                with monkeypatch.context() as patch:
+                    DiskFaults(patch, directory, fail_at=k)
+                    self.run_script(controller, hospital, blood, doctor)
+                live = controller.audit_log
+                live.verify_integrity()
+                controller.flush_storage()
+                reopened = DataController(seed="kern", runtime=runtime(directory))
+                assert reopened.audit_log.head_digest == live.head_digest
+                assert reopened.index.dump() == controller.index.dump()
+                ids = [record.record_id for record in reopened.audit_log.records()]
+                assert len(ids) == len(set(ids))
+            except Exception as failure:  # reported per point, below
+                broken[k] = repr(failure)
+        assert not broken, f"{len(broken)} of {faults.calls} fault points: {broken}"

@@ -254,12 +254,26 @@ def test_reset_leaves_no_stale_bound_series():
 #: ``6d539ad5…`` / ``c6501193…``): each export is the earlier one minus its
 #: ``stage.*`` rows (850 → 121 and 1,244 → 351 rows), span ids renumbered
 #: in order and every span re-parented to its nearest other ancestor.
+#: The ``federated`` metrics digest moved once more (was ``846d99ef…``)
+#: when every series became a read of its owner's stats: two nodes share
+#: that telemetry, and a gauge both serve now reads the larger of the two
+#: where it read whichever bus set it last (``HIGH_WATER_BEFORE``).
 PINNED = {
     "css": ("f6cd9df26c69fa9b48ad05ad0cc61311222e58e9d67a4c7f6921cab8da35abb7",
             "b0c78c7c984bd6c1f859cd2b6dac6a72a3528fcecc11bacbd4a64c95beb6a1a7"),
     "federated": (
         "5c745b2439c141ada3d1ae07929df2e81994f1d3cd136eb36f385dc9337d59f1",
-        "846d99efc696880910565ff6b21386ab5126e4415c6e173435dce05db33dfc26"),
+        "6b634616e1509157b00790528513b1f2a5e1aa235a75636e25b3b5ab646efe8d"),
+}
+
+#: The ``bus.queue.high_water`` rows of the ``federated`` run that moved
+#: with the gauge max-merge: topic -> (last set, as pushed; the max over
+#: both nodes' ``ServiceBus.queue_high_water``).
+HIGH_WATER_BEFORE = {
+    "events.health.SpecialistReferral": (1.0, 2.0),
+    "events.social.AutonomyAssessment": (1.0, 2.0),
+    "events.social.HomeCareServiceEvent": (1.0, 3.0),
+    "events.social.TelecareAlarm": (1.0, 3.0),
 }
 
 #: The metrics digests while a decision cache stood in front of the XACML
@@ -268,11 +282,12 @@ PINNED = {
 #: misses (PDP evaluations) and now counts every decision, hits + misses
 #: (41 / 43).  Put the two ``perf.cache.*{cache=decision}`` rows back and
 #: the count at the misses, and the export is the one pinned before.
+#: ``federated`` re-pinned with the gauge max-merge (was ``202b0f2e…``).
 METRICS_BEFORE = {
     "css": ("5c5b412554181e55c183d1c56b12429d9e612606c3b15e0e19ccb96db2404644",
             8.0, 33.0),
     "federated": (
-        "202b0f2eb6b904986219778c2d00ac3cfabed4c405334e21c138d29531a31d2d",
+        "33099eb29a8157fef7464f0f080234b097d6a755f77ceacc022a29dc86e32d19",
         8.0, 35.0),
 }
 
@@ -345,6 +360,29 @@ def test_exports_are_byte_identical_to_the_parent_commit(name, run):
             digest(telemetry.metrics_export())) == PINNED[name]
     before, hits, misses = METRICS_BEFORE[name]
     assert digest(with_decision_cache(telemetry.metrics_export(), hits, misses)) == before
+
+
+def test_a_shared_gauge_reads_the_max_over_its_nodes():
+    """The ``federated`` metrics pin moved by the gauge max-merge only:
+    each ``bus.queue.high_water`` row is the larger of the two nodes'
+    marks, and with the rows that moved put back at the value the last
+    push left, the export is the one pinned before (``846d99ef…``)."""
+    scenario = federated_scenario()
+    nodes = scenario.platform.nodes()
+    export = scenario.telemetry.metrics_export()
+    rows = [json.loads(line) for line in export]
+    marks = {row["labels"]["topic"]: row["value"] for row in rows
+             if row["name"] == "bus.queue.high_water"}
+    assert marks == {topic: float(max(node.controller.bus.queue_high_water(topic)
+                                      for node in nodes)) for topic in marks}
+    for row in rows:
+        if row["name"] == "bus.queue.high_water":
+            pushed, read = HIGH_WATER_BEFORE.get(
+                row["labels"]["topic"], (row["value"],) * 2)
+            assert row["value"] == read
+            row["value"] = pushed
+    assert digest([canonical_json(row) for row in rows]) == \
+        "846d99efc696880910565ff6b21386ab5126e4415c6e173435dce05db33dfc26"
 
 
 #: ``span_skeleton`` of the same two runs' trace exports at the commit
