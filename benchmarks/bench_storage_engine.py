@@ -13,7 +13,10 @@ engine every durable node runs on —
 * **recovery peak memory** — ``tracemalloc`` peak during that replay,
   which must stay bounded (streaming readers, never ``read_all()``);
 * **on-disk size** — before and, for the segmented kind, after
-  compaction of a workload where most records supersede earlier ones.
+  compaction.  The workload is the events index's own: the seven-field
+  rows ``core/index.py::sealed_fields`` builds, a fixed share of them
+  then withdrawn by a tombstone, as a rehome does; compaction drops the
+  tombstones and the rows they hide.
 
 A final equivalence section reruns one small scenario in memory and
 durable and asserts the same audit head — the same invariant the unit
@@ -41,32 +44,29 @@ SCHEMA_ID = "css-bench-storage/2"
 QUICK_POINTS = (10_000,)
 FULL_POINTS = (10_000, 100_000)
 BATCH = 500
-#: Distinct object ids in the ingest workload — every later record for an
-#: object supersedes the earlier ones, so compaction has space to reclaim.
-DISTINCT_OBJECTS = 200
+#: Every ``TOMBSTONE_EVERY``-th record withdraws the entry stored just
+#: before it, so compaction has a fixed share of the log to reclaim.
+TOMBSTONE_EVERY = 4
 
 
 def _record(i: int) -> dict:
-    return {
-        "object_id": f"ev-{i % DISTINCT_OBJECTS:06d}",
-        "object_type": "ExtrinsicObject",
-        "status": "submitted",
-        "name": f"notification {i}",
-        "slots": {"eventType": [f"type-{i % 7}"], "sealed": ["0" * 64]},
-        "sequence": i + 1,
-    }
+    from repro.core.index import SealedIdentity, sealed_fields
+    from repro.core.messages import NotificationMessage
+
+    if i % TOMBSTONE_EVERY == TOMBSTONE_EVERY - 1:
+        return {"tombstone": True, "object_id": f"ev-{i - 1:06d}"}
+    sealed = f"v1:{i:0128x}"  # a sealed token's length, not its bytes
+    return sealed_fields(NotificationMessage(
+        event_id=f"ev-{i:06d}", event_type=f"type-{i % 7}",
+        producer_id=f"producer-{i % 5}", occurred_at=i * 0.5,
+        summary=f"notification {i}", subject_ref="subject"),
+        SealedIdentity(subject_ref=sealed, subject_display=sealed))
 
 
-def _ingest(log, n_events: int) -> float:
+def _ingest(log, records: list[dict]) -> float:
     started = time.perf_counter()
-    batch: list[dict] = []
-    for i in range(n_events):
-        batch.append(_record(i))
-        if len(batch) >= BATCH:
-            log.append_many(batch)
-            batch = []
-    if batch:
-        log.append_many(batch)
+    for first in range(0, len(records), BATCH):
+        log.append_many(records[first:first + BATCH])
     return time.perf_counter() - started
 
 
@@ -90,13 +90,14 @@ def _bench_point(base: Path, n_events: int) -> dict:
     from repro.storage import JsonlFile, SegmentedLog, StorageEngine
 
     point: dict = {"events": n_events, "kinds": {}}
+    records = [_record(i) for i in range(n_events)]
 
     jsonl_dir = base / f"jsonl-{n_events}"
     jsonl_dir.mkdir(parents=True)
     jsonl_path = jsonl_dir / "index.jsonl"
-    ingest_s = _ingest(JsonlFile(jsonl_path), n_events)
-    recovery_s, peak_kb, records = _replay(lambda: JsonlFile(jsonl_path))
-    assert records == n_events
+    ingest_s = _ingest(JsonlFile(jsonl_path), records)
+    recovery_s, peak_kb, replayed = _replay(lambda: JsonlFile(jsonl_path))
+    assert replayed == n_events
     point["kinds"]["jsonl"] = {
         "wall_ingest_events_per_second": n_events / ingest_s,
         "recovery_seconds": recovery_s,
@@ -106,10 +107,10 @@ def _bench_point(base: Path, n_events: int) -> dict:
 
     seg_dir = base / f"segmented-{n_events}"
     engine = StorageEngine(seg_dir)
-    ingest_s = _ingest(engine.log("index"), n_events)
-    recovery_s, peak_kb, records = _replay(
+    ingest_s = _ingest(engine.log("index"), records)
+    recovery_s, peak_kb, replayed = _replay(
         lambda: SegmentedLog(seg_dir / "index"))
-    assert records == n_events
+    assert replayed == n_events
     size_before = _dir_size(seg_dir)
     report = StorageEngine(seg_dir).compact("index")
     point["kinds"]["segmented"] = {

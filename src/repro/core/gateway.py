@@ -94,9 +94,7 @@ class LocalCooperationGateway:
         the original :class:`~repro.core.events.EventOccurrence` metadata
         lives in the controller's id map, not the gateway.
         """
-        from repro.xmlmsg.validation import validate_document as _validate
-
-        _validate(details, event_class.schema)
+        validate_document(details, event_class.schema)
         if src_event_id in self._store:
             raise GatewayError(f"detail for {src_event_id!r} already persisted")
         self._store[src_event_id] = (event_class, details)
@@ -149,15 +147,15 @@ class LocalCooperationGateway:
 
         Retrieves the detail and blanks every field outside
         ``allowed_fields`` (``parse(d, F)``), producing the privacy-aware
-        event.  The filtered document is re-validated with blanked required
-        fields permitted — the wire schema is unchanged, only values are
-        suppressed.
+        event.  The detail was validated when it was stored, and a
+        projection keeps its schema and keys and changes no value it
+        releases, so it is not validated again: the wire schema is
+        unchanged, only values are suppressed.
         """
         if not allowed_fields:
             raise GatewayError("refusing to build a response with an empty field set")
         event_class, details = self.get_event_details(src_event_id)
         filtered = details.project(frozenset(allowed_fields))
-        validate_document(filtered, event_class.schema, allow_blanked_required=True)
         released = tuple(
             name for name in filtered.non_empty_fields()
         )

@@ -21,11 +21,16 @@ index itself never hands out plaintext identity.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.core.messages import NotificationMessage
-from repro.exceptions import DuplicateObjectError, ObjectNotFoundError, UnknownEventError
+from repro.exceptions import (
+    CorruptRecordError,
+    DuplicateObjectError,
+    ObjectNotFoundError,
+    UnknownEventError,
+)
 
 if TYPE_CHECKING:
     from repro.runtime.interfaces import CipherProvider
@@ -56,6 +61,13 @@ class SealedIdentity:
     subject_display: str | None = None
 
 
+#: The keys of a stored entry row (:func:`sealed_fields`, a notification's
+#: fields) and of a tombstone (:meth:`EventsIndex.withdraw`): the two forms
+#: an index log holds.
+ROW_KEYS = frozenset(field.name for field in fields(NotificationMessage))
+TOMBSTONE_KEYS = frozenset({"tombstone", "object_id"})
+
+
 def sealed_fields(notification: NotificationMessage,
                   sealed: SealedIdentity) -> dict:
     """One index entry as its seven flat fields, identity slots sealed —
@@ -75,30 +87,6 @@ def microseconds(instant: float) -> float:
     """``instant`` to the microsecond: the precision an index row keeps
     (the ebXML ``occurredAt`` slot held it as ``%020.6f``)."""
     return round(float(instant), 6)
-
-
-def legacy_row(row: dict) -> tuple[dict, bool]:
-    """An entry stored in its registry-object form (``object_id`` /
-    ``classifications`` / ``slots`` / ``status``, what index logs and
-    archives held before an entry was a row): its row, and whether it was
-    withdrawn."""
-    slots = row["slots"]
-
-    def slot(name: str) -> str | None:
-        values = slots.get(name)
-        return values[0] if values else None
-
-    event_type = next((c["node"] for c in row["classifications"]
-                       if c["scheme"] == "EventClass"), "")
-    return {
-        "event_id": row["object_id"],
-        "event_type": event_type,
-        "producer_id": slot("producerId") or "",
-        "occurred_at": float(slot("occurredAt") or 0.0),
-        "summary": row["name"],
-        "subject_ref": slot("subjectRef") or "",
-        "subject_display": slot("subjectDisplay"),
-    }, row["status"] == "withdrawn"
 
 
 class EventsIndex:
@@ -164,19 +152,20 @@ class EventsIndex:
 
     def replay(self, rows: Iterable[dict]) -> None:
         """Re-insert stored rows, identity fields kept sealed (they never
-        hold plaintext).  Reads rows in the registry-object form too
-        (:func:`legacy_row`); a tombstone withdraws its entry once every
-        row is in, and is ignored when compaction dropped that row."""
+        hold plaintext); a tombstone withdraws its entry once every row is
+        in, and is ignored when compaction dropped that row.  A row of any
+        other form raises :class:`~repro.exceptions.CorruptRecordError`
+        naming it."""
         withdrawn = []
-        for row in rows:
-            if row.get("tombstone"):
+        for position, row in enumerate(rows):
+            if row.keys() == ROW_KEYS:
+                self._keep(row, persist=False)
+            elif row.keys() == TOMBSTONE_KEYS:
                 withdrawn.append(row["object_id"])
-                continue
-            if "object_id" in row:
-                row, hidden = legacy_row(row)
-                if hidden:
-                    withdrawn.append(row["event_id"])
-            self._keep(row, persist=False)
+            else:
+                name = row.get("event_id", row.get("object_id"))
+                raise CorruptRecordError(f"index row {position} ({name!r}) is neither "
+                                         f"an entry nor a tombstone: keys {sorted(row)}")
         self._withdrawn.update(event_id for event_id in withdrawn
                                if event_id in self._rows)
 

@@ -11,11 +11,12 @@ This is a *simulation-grade* cipher built only on :mod:`hashlib` and
   plaintext)[:16]``.  Sealing keeps no state, and two tokens are equal
   only for equal context and plaintext.
 
-Tokens sealed before, under counter nonces (MAC key ``"mac"``, per-block
-SHA-256 keystream), still open, read-only: see :func:`legacy_apply`.
-It provides real confidentiality/integrity against the honest-but-curious
-threat model the paper assumes (trusted parties, §5), while remaining fully
-deterministic and dependency-free for tests and benchmarks.
+A token sealed under any other construction (the counter nonces of older
+releases included) fails the MAC and raises
+:class:`~repro.exceptions.TokenError`.  The box provides real
+confidentiality/integrity against the honest-but-curious threat model the
+paper assumes (trusted parties, §5), while remaining fully deterministic
+and dependency-free for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ def derive_key(secret: str | bytes, context: str) -> bytes:
 def _xor(data: bytes, stream: bytes) -> bytes:
     return (int.from_bytes(data, "big")
             ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
-
-
-def legacy_apply(key: bytes, data: bytes, nonce: bytes) -> bytes:
-    """Decode a counter-nonce token's body: ``SHA-256(key || nonce || i)``
-    per 32-byte block ``i``."""
-    prefix, blocks = hashlib.sha256(key + nonce), []
-    for i in range((len(data) + 31) // 32):
-        block = prefix.copy()
-        block.update(i.to_bytes(8, "big"))
-        blocks.append(block.digest())
-    return _xor(data, b"".join(blocks)[:len(data)])
 
 
 class _Mac:
@@ -94,11 +84,9 @@ class SealedBox:
     the key, and any bit flip is detected at :meth:`open` time."""
 
     def __init__(self, secret: str | bytes) -> None:
-        self._enc_key = derive_key(secret, "encrypt")
         self._nonce_key = derive_key(secret, "nonce")
         self._mac = _Mac(derive_key(secret, "mac:siv"))
-        self._legacy_mac = _Mac(derive_key(secret, "mac"))
-        self._cipher = StreamCipher(self._enc_key)
+        self._cipher = StreamCipher(derive_key(secret, "encrypt"))
 
     def seal(self, plaintext: str, context: str) -> str:
         """Encrypt ``plaintext`` into a hex token, its nonce synthesized from
@@ -112,8 +100,8 @@ class SealedBox:
         return (body + self._mac(body)).hex()
 
     def open(self, token: str) -> str:
-        """Decrypt and authenticate a token of :meth:`seal` (or a counter-nonce
-        one); :class:`~repro.exceptions.TokenError` if malformed or forged."""
+        """Decrypt and authenticate a token of :meth:`seal`;
+        :class:`~repro.exceptions.TokenError` if malformed or forged."""
         try:
             raw = bytes.fromhex(token)
         except ValueError as exc:
@@ -122,11 +110,9 @@ class SealedBox:
             raise TokenError("token too short")
         body, tag = raw[:-_TAG], raw[-_TAG:]
         nonce, ciphertext = body[:_NONCE], body[_NONCE:]
-        if _hmac.compare_digest(tag, self._mac(body)):
-            return self._cipher.apply(ciphertext, nonce).decode()
-        if _hmac.compare_digest(tag, self._legacy_mac(body)):
-            return legacy_apply(self._enc_key, ciphertext, nonce).decode()
-        raise TokenError("token failed integrity verification")
+        if not _hmac.compare_digest(tag, self._mac(body)):
+            raise TokenError("token failed integrity verification")
+        return self._cipher.apply(ciphertext, nonce).decode()
 
     def is_valid(self, token: str) -> bool:
         """Return True if ``token`` authenticates without raising."""

@@ -28,9 +28,6 @@ class KeyStore:
     #: Process-wide schedule cache: (master, name, version) -> SealedBox.
     _schedule: dict[tuple[str, str, int], SealedBox] = {}
     _schedule_cap = 4096
-    #: Class-level hit/miss counters (read by tests/test_perf_wire_cache.py only).
-    schedule_hits = 0
-    schedule_misses = 0
 
     def __init__(self, master_secret: str) -> None:
         if not master_secret:
@@ -50,9 +47,7 @@ class KeyStore:
         cache_key = (self._master, name, version)
         box = KeyStore._schedule.get(cache_key)
         if box is not None:
-            KeyStore.schedule_hits += 1
             return box
-        KeyStore.schedule_misses += 1
         if len(KeyStore._schedule) >= KeyStore._schedule_cap:
             KeyStore._schedule.clear()
         box = SealedBox(derive_key(self._master, f"key:{name}:v{version}"))

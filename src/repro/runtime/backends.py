@@ -15,7 +15,6 @@ records (docs/STORAGE.md).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from itertools import islice
 
@@ -24,7 +23,6 @@ from repro.core.index import EventsIndex
 from repro.crypto.hashing import HashChain
 from repro.exceptions import CorruptRecordError, TamperedLogError
 from repro.storage.engine import RecordLog
-from repro.storage.segment import encode_entry
 
 
 class JsonlAuditSink(AuditLog):
@@ -46,8 +44,6 @@ class JsonlAuditSink(AuditLog):
     def _stored(self) -> Iterator[tuple[str, str]]:
         """``(stored digest, body)`` per link, oldest first."""
         for _, text in self._store.iter_texts():
-            if text[:1] == "{":  # digest inside the row: a flat file or an older segment
-                text = encode_entry(json.loads(text))
             digest, _, body = text.partition(" ")
             yield digest, body
 
@@ -89,10 +85,9 @@ class JsonlIndexStore(EventsIndex):
 
     Appends every stored row — identity fields sealed — to the ``index``
     log before the index holds it (an append that raises changes
-    nothing), and replays the log on construction (:meth:`EventsIndex.replay`:
-    rows in the registry-object form written before an entry was a row
-    load too).  Withdrawals persist as tombstone rows, which compaction
-    later reclaims together with the rows they hide.
+    nothing), and replays the log on construction (:meth:`EventsIndex.replay`).
+    Withdrawals persist as tombstone rows, which compaction later reclaims
+    together with the rows they hide.
     """
 
     def __init__(self, log: RecordLog, keystore,

@@ -7,14 +7,13 @@ by the log's own writer and committed by one rename of the sidecar
 (:meth:`~repro.storage.segment.SegmentedLog.swap_segments`), so an
 interrupted compaction re-opens as the old generation or the new one.
 
-:func:`index_keep_predicate` is the events index's retention rule — drop
-tombstones (``JsonlIndexStore.withdraw``) with the rows they hide,
-``withdrawn`` / ``deprecated`` rows of the registry-object form and
-superseded rows of one entry — found in a first streaming pass, so memory
-grows with the number of entries, not the log.  An entry's id is a row's
-``event_id``, or the ``object_id`` of a tombstone or a registry-object row.  The audit log is never compacted
-(:meth:`~repro.storage.engine.StorageEngine.compact` refuses): its chain
-commits to every record.  See docs/STORAGE.md.
+:func:`index_keep_predicate` is the events index's one retention rule: drop
+the tombstones (``EventsIndex.withdraw``) and the rows they hide, found in
+a first streaming pass, so memory grows with the number of withdrawn
+entries, not the log.  An index never stores a second row for one entry
+(``EventsIndex._keep`` refuses it), so nothing else is superseded.  The
+audit log is never compacted (:meth:`~repro.storage.engine.StorageEngine.compact`
+refuses): its chain commits to every record.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.storage.segment import STAGING_DIR, SegmentedLog, decode_entry
-
-#: Statuses whose registry-object rows compaction may reclaim.
-DROPPABLE_STATUSES = frozenset({"withdrawn", "deprecated"})
 
 #: A keep predicate: ``(sequence, record) -> bool``.
 KeepPredicate = Callable[[int, dict], bool]
@@ -54,30 +50,13 @@ class CompactionReport:
 
 
 def index_keep_predicate(log: SegmentedLog) -> KeepPredicate:
-    """Build the events-index retention predicate for ``log``.
-
-    First streaming pass: find tombstoned entry ids and the last
-    sequence number per entry id.
-    """
-    tombstoned: set[str] = set()
-    last_sequence: dict[str, int] = {}
-    for sequence, record in log.iter_entries():
-        object_id = record.get("event_id", record.get("object_id"))
-        if object_id is None:
-            continue
-        if record.get("tombstone"):
-            tombstoned.add(object_id)
-        last_sequence[object_id] = sequence
+    """Build the events-index retention predicate for ``log``: keep every
+    record but a tombstone and the row whose ``event_id`` one names."""
+    tombstoned = {record["object_id"] for record in log.iter_records()
+                  if record.get("tombstone")}
 
     def keep(sequence: int, record: dict) -> bool:
-        object_id = record.get("event_id", record.get("object_id"))
-        if object_id is None:
-            return True  # never drop what we don't understand
-        if record.get("tombstone") or object_id in tombstoned:
-            return False
-        if record.get("status") in DROPPABLE_STATUSES:
-            return False
-        return sequence == last_sequence.get(object_id)
+        return not record.get("tombstone") and record.get("event_id") not in tombstoned
 
     return keep
 

@@ -7,9 +7,7 @@ named :class:`RecordLog` streams — the durable backends ask for
 checksum-framed, crash-recoverable :class:`~repro.storage.segment.SegmentedLog`,
 with compaction and snapshot/point-in-time-restore support on top.
 A directory holding flat ``<log>.jsonl`` files is refused at
-construction: those logs are read by handing a
-:class:`~repro.storage.jsonl.JsonlFile` to the backend, never replaced
-by empty segmented ones.
+construction and left as it is, never replaced by empty segmented logs.
 
 Telemetry is privacy-guarded like everywhere else in the platform: the
 engine's readers serve ``storage.segments_total`` and
@@ -84,9 +82,7 @@ class StorageEngine:
         if flat:
             raise ConfigurationError(
                 f"{self.directory} holds flat-file logs ({', '.join(flat)}), "
-                f"which the storage engine does not read; replay one with "
-                f"JsonlAuditSink(JsonlFile(path)) or JsonlIndexStore("
-                f"JsonlFile(path), keystore), and use a new data_dir")
+                f"which the storage engine does not read; use a new data_dir")
         self.segment_bytes = segment_bytes
         self.sparse_every = sparse_every
         self._logs: dict[str, SegmentedLog] = {}

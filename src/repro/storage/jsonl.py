@@ -1,9 +1,8 @@
 """Append-only JSON-lines files.
 
 One record per line: the row files of a platform archive
-(:mod:`~repro.storage.archive`), whose manifest vouches for every byte,
-and the flat logs a ``data_dir`` held before the segmented engine.  No
-framing, no recovery: a malformed line — a torn trailing write included,
+(:mod:`~repro.storage.archive`), whose manifest vouches for every byte.
+No framing, no recovery: a malformed line — a torn trailing write included,
 which this format cannot tell from corruption — raises the typed
 :class:`~repro.exceptions.CorruptRecordError`.  Reading streams one line
 at a time; :meth:`JsonlFile.read_all` is for small files and tests.
@@ -44,46 +43,32 @@ class JsonlFile:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def exists(self) -> bool:
-        """Whether the file exists on disk."""
-        return self.path.exists()
-
-    def append(self, record: dict | str) -> None:
+    def append(self, record: dict) -> None:
         """Append one record."""
         self.append_many([record])
 
-    def append_many(self, records: list[dict | str]) -> None:
-        """Append several records in one write; a segment entry's text (an
-        audit sink's ``<digest> <body>``) is written as its dictionary."""
-        from repro.storage.segment import decode_entry  # segment imports this module
-
+    def append_many(self, records: list[dict]) -> None:
+        """Append several records in one write."""
         with self.path.open("a", encoding="utf-8") as handle:
             for record in records:
-                record = decode_entry(record) if isinstance(record, str) else record
                 handle.write(json.dumps(record, sort_keys=True, default=str))
                 handle.write("\n")
 
-    def flush(self) -> None:
-        """Every append already wrote through; nothing is buffered."""
-
-    def iter_texts(self) -> Iterator[tuple[int, str]]:
-        """Stream ``(line number, line)`` of the non-blank lines, unparsed."""
+    def iter_records(self) -> Iterator[dict]:
+        """Stream records oldest first (none if the file is absent); a
+        malformed line raises ``CorruptRecordError``."""
         if not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
-                if stripped := line.strip():
-                    yield line_number, stripped
-
-    def iter_records(self) -> Iterator[dict]:
-        """Stream records oldest first; a malformed line raises ``CorruptRecordError``."""
-        for line_number, line in self.iter_texts():
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptRecordError(
-                    f"{self.path}:{line_number}: corrupt JSONL record"
-                ) from exc
+                if not line.strip():
+                    continue
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorruptRecordError(
+                        f"{self.path}:{line_number}: corrupt JSONL record"
+                    ) from exc
 
     def read_all(self) -> list[dict]:
         """Every record, oldest first (empty list if the file is absent)."""

@@ -60,7 +60,7 @@ def encode_entry(record: dict) -> str:
 
 
 def decode_entry(text: str) -> dict:
-    """The dictionary :func:`encode_entry` stored (also the older digest-inside rows)."""
+    """The dictionary :func:`encode_entry` stored."""
     if text[:1] == "{":
         return json.loads(text)
     digest, _, body = text.partition(" ")

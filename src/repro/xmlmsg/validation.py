@@ -13,28 +13,14 @@ from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import MessageSchema, Occurs
 
 
-def validate_document(
-    document: XmlDocument,
-    schema: MessageSchema,
-    allow_blanked_required: bool = False,
-) -> None:
-    """Validate ``document`` against ``schema``; raise ``ValidationError`` on failure.
-
-    ``allow_blanked_required`` relaxes the required-field check for
-    *privacy-aware* events: after enforcement a required field may have been
-    blanked to ``None`` by the producer's obligation (Algorithm 2), which is
-    legal on the response path but not on the publish path.
-    """
-    errors = collect_violations(document, schema, allow_blanked_required)
+def validate_document(document: XmlDocument, schema: MessageSchema) -> None:
+    """Validate ``document`` against ``schema``; raise ``ValidationError`` on failure."""
+    errors = collect_violations(document, schema)
     if errors:
         raise ValidationError("; ".join(errors))
 
 
-def collect_violations(
-    document: XmlDocument,
-    schema: MessageSchema,
-    allow_blanked_required: bool = False,
-) -> list[str]:
+def collect_violations(document: XmlDocument, schema: MessageSchema) -> list[str]:
     """Return a list of human-readable violations (empty = valid)."""
     errors: list[str] = []
     if document.schema_name != schema.name:
@@ -54,7 +40,7 @@ def collect_violations(
             if not present:
                 errors.append(f"missing required field {decl.name!r}")
                 continue
-            if value is None and not allow_blanked_required:
+            if value is None:
                 errors.append(f"required field {decl.name!r} is empty")
                 continue
         if not present or value is None:
@@ -75,5 +61,5 @@ def collect_violations(
 
 
 def is_valid(document: XmlDocument, schema: MessageSchema) -> bool:
-    """True iff ``document`` validates against ``schema`` (publish-path rules)."""
+    """True iff ``document`` validates against ``schema``."""
     return not collect_violations(document, schema)

@@ -26,6 +26,8 @@ from repro import (
     StringType,
 )
 from repro.bus.subscriptions import SubscriptionRegistry
+from repro.core.index import SealedIdentity, sealed_fields
+from repro.core.messages import NotificationMessage
 from repro.core.policy import PolicyRepository
 from repro.exceptions import (
     DetailNotFoundError,
@@ -134,10 +136,25 @@ def build_federation(shards: int = 2, with_policy: bool = True,
     return FederatedDeployment(platform=platform, blood_class=blood_class)
 
 
+def index_row(n: int) -> dict:
+    """The ``n``-th entry as an index log stores it: the seven
+    ``sealed_fields``, its identity already sealed."""
+    return sealed_fields(NotificationMessage(
+        event_id=f"ev-{n}", event_type="BloodTest", producer_id="Hospital-S-Maria",
+        occurred_at=float(n), summary=f"blood test {n}", subject_ref="pat"),
+        SealedIdentity(subject_ref=f"v1:{n:064x}"))
+
+
+def tombstone(n: int) -> dict:
+    """What ``EventsIndex.withdraw`` stores when the ``n``-th entry moves away."""
+    return {"tombstone": True, "object_id": f"ev-{n}"}
+
+
 def registry_object_row(entry: dict, status: str = "approved") -> dict:
     """One index entry (``sealed_fields`` form) as the row index logs and
     archives stored before an entry was a row: an ebRIM registry object
-    classified by event class and producer, its fields in slots."""
+    classified by event class and producer, its fields in slots.  Replay
+    refuses it."""
     slots = {"occurredAt": [f"{entry['occurred_at']:020.6f}"],
              "producerId": [entry["producer_id"]],
              "subjectRef": [entry["subject_ref"]]}

@@ -1,15 +1,18 @@
 """Unit tests for the local cooperation gateway (Algorithm 2) and the
 events index."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.gateway import LocalCooperationGateway
-from repro.core.index import EventsIndex, legacy_row, sealed_fields
+from repro.core.index import EventsIndex, sealed_fields
 from repro.core.messages import NotificationMessage
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
+    CorruptRecordError,
     DetailNotFoundError,
     GatewayError,
     SourceUnavailableError,
@@ -218,18 +221,17 @@ notifications = st.builds(
 
 class TestEntryCodec:
     """The one index-entry codec: notification → flat sealed row →
-    notification; the registry-object form rows were stored in before
-    reads back as the same row."""
+    notification; a row in the registry-object form rows were stored in
+    before is refused, not read."""
 
-    @given(notifications, st.booleans(), st.booleans())
-    def test_fields_survive_the_registry_object(self, drawn, encrypt, withdrawn):
-        index = EventsIndex(KeyStore("test-secret"), encrypt_identity=encrypt)
+    @given(notifications, st.booleans())
+    def test_a_registry_object_row_is_refused(self, drawn, withdrawn):
+        index = EventsIndex(KeyStore("test-secret"))
         fields = sealed_fields(drawn, index.seal_identity(drawn))
         stored = registry_object_row(
             fields, status="withdrawn" if withdrawn else "approved")
-        assert legacy_row(stored) == (fields, withdrawn)
-        if encrypt:
-            assert fields["subject_ref"] != drawn.subject_ref
+        with pytest.raises(CorruptRecordError, match=re.escape(repr(drawn.event_id))):
+            EventsIndex(KeyStore("test-secret")).replay([fields, stored])
 
     @given(notifications, st.booleans())
     def test_an_opened_entry_is_the_stored_notification(self, drawn, encrypt):

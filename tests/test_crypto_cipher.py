@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import SealedBox, StreamCipher, derive_key, legacy_apply
+from repro.crypto.cipher import SealedBox, StreamCipher, derive_key
 from repro.exceptions import CryptoError, TokenError
 
 
@@ -16,15 +16,6 @@ def reference_apply(key: bytes, data: bytes, nonce: bytes) -> bytes:
     """The textbook construction, one byte at a time:
     SHAKE-256(key || nonce) XOR plaintext."""
     stream = hashlib.shake_256(key + nonce).digest(len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
-
-
-def legacy_reference(key: bytes, data: bytes, nonce: bytes) -> bytes:
-    """The counter-nonce box's keystream, one block and one byte at a time:
-    SHA-256(key || nonce || i) XOR plaintext."""
-    stream = b"".join(
-        hashlib.sha256(key + nonce + i.to_bytes(8, "big")).digest()
-        for i in range((len(data) + 31) // 32))
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
@@ -104,9 +95,9 @@ KNOWN_TOKENS = [
      "b43bac275b0c2e1d4f15cb"),
 ]
 
-#: Tokens the counter-nonce box sealed (``seal(text, sequence)``, per-block
-#: SHA-256 keystream, MAC key ``"mac"``) before the synthetic nonce: every
-#: index row and archive written then holds tokens like these.
+#: Tokens the counter-nonce box of older releases sealed (``seal(text,
+#: sequence)``, per-block SHA-256 keystream, MAC key ``"mac"``): they fail
+#: the one MAC a box checks.
 LEGACY_TOKENS = [
     ("", 0,
      "f0d8b51417c56fc258062ea1bf2b8f2d895be6eb0e0422d554910b41dbfee945"
@@ -120,8 +111,8 @@ LEGACY_TOKENS = [
      "4a8c3b322fb602e3bf869f"),
 ]
 
-#: Every multiple of 32 bytes (the SHA-256 block of the legacy keystream
-#: and the HMAC), and one byte either side, to 9,000.
+#: Every multiple of 32 bytes (the HMAC's SHA-256 block), and one byte
+#: either side, to 9,000.
 BLOCK_EDGES = sorted({n for k in range(9000 // 32 + 1)
                       for n in (32 * k - 1, 32 * k, 32 * k + 1) if 0 <= n <= 9000})
 
@@ -168,12 +159,6 @@ class TestEqualsTheReference:
     def test_apply_equals_the_per_block_loop(self, length, seed, key, nonce):
         data = random.Random(seed).randbytes(length)
         assert StreamCipher(key).apply(data, nonce) == reference_apply(key, data, nonce)
-
-    def test_the_legacy_decoder_is_the_per_block_loop(self):
-        data = random.Random(13).randbytes(9001)
-        for length in BLOCK_EDGES:
-            assert legacy_apply(KAT_KEY, data[:length], KAT_NONCE) == legacy_reference(
-                KAT_KEY, data[:length], KAT_NONCE), length
 
 
 class TestDeriveKey:
@@ -293,27 +278,32 @@ class TestSealedBox:
 
 
 class TestLegacyTokens:
-    """Tokens sealed under counter nonces open read-only, by their own MAC
-    key and keystream."""
+    """Tokens sealed under counter nonces are refused: a box checks one MAC,
+    and runs its keystream only for a token that passed it."""
 
     @pytest.mark.parametrize("text, sequence, token", LEGACY_TOKENS,
                              ids=["empty", "name", "last-sequence"])
-    def test_a_counter_nonce_token_still_opens(self, text, sequence, token):
-        assert SealedBox("css-platform-secret").open(token) == text
+    def test_a_counter_nonce_token_is_a_token_error(self, text, sequence, token):
+        box = SealedBox("css-platform-secret")
+        with pytest.raises(TokenError, match="integrity"):
+            box.open(token)
+        assert not box.is_valid(token)
 
     def test_each_token_runs_one_keystream(self, monkeypatch):
         box = SealedBox("css-platform-secret")
         fresh = box.seal("Mario Bianchi", "evt-1/subjectRef")
+        applied = []
+        apply = StreamCipher.apply
 
-        def refuse(*args):
-            raise AssertionError("wrong keystream")
+        def counted(self, *args):
+            applied.append(args)
+            return apply(self, *args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(StreamCipher, "apply", refuse)
-            assert box.open(LEGACY_TOKENS[1][2]) == "Mario Bianchi"
-        with monkeypatch.context() as patch:
-            patch.setattr("repro.crypto.cipher.legacy_apply", refuse)
-            assert box.open(fresh) == "Mario Bianchi"
+        monkeypatch.setattr(StreamCipher, "apply", counted)
+        assert box.open(fresh) == "Mario Bianchi"
+        with pytest.raises(TokenError):
+            box.open(LEGACY_TOKENS[1][2])
+        assert len(applied) == 1
 
     @pytest.mark.parametrize("which", ["legacy", "current"])
     def test_a_token_failing_both_macs_is_a_token_error(self, which):

@@ -30,6 +30,8 @@ from tests.conftest import (
     HOME_NODE_FAILURES,
     blood_test_schema,
     build_federation,
+    index_row,
+    tombstone,
 )
 from tests.faults import DiskFaults
 
@@ -270,8 +272,18 @@ class TestLocalRemoteParity:
         assert "error" in json.loads(link.transcript[-1])
 
 
-def index_row(n):
-    return {"object_id": f"ev-{n % 9}", "status": "submitted", "n": n}
+def index_record(n):
+    """The script's ``n``-th index record: an entry, or every third one a
+    tombstone for the entry two before it (moved to another shard)."""
+    return tombstone(n - 2) if n % 3 == 2 else index_row(n)
+
+
+def survivors(entries):
+    """What compaction keeps of ``(sequence, record)`` entries: every one but
+    a tombstone and the entry it names."""
+    gone = {record["object_id"] for _, record in entries if "tombstone" in record}
+    return [(sequence, record) for sequence, record in entries
+            if "tombstone" not in record and record["event_id"] not in gone]
 
 
 class TestDiskFaultsAtEveryWriteBoundary:
@@ -280,10 +292,10 @@ class TestDiskFaultsAtEveryWriteBoundary:
     its mutating filesystem calls in turn."""
 
     SCRIPT = (
-        [lambda log, n=n: log.append(index_row(n)) for n in range(6)]
-        + [lambda log: log.append_many([index_row(n) for n in range(6, 14)]),
+        [lambda log, n=n: log.append(index_record(n)) for n in range(6)]
+        + [lambda log: log.append_many([index_record(n) for n in range(6, 14)]),
            compact]
-        + [lambda log, n=n: log.append(index_row(n)) for n in range(14, 17)]
+        + [lambda log, n=n: log.append(index_record(n)) for n in range(14, 17)]
     )
 
     @staticmethod
@@ -325,18 +337,14 @@ class TestDiskFaultsAtEveryWriteBoundary:
                 found = list(cold.iter_entries())
                 sequences = [sequence for sequence, _ in found]
                 assert sequences == sorted(set(sequences))
-                latest = {record["object_id"]: (sequence, record)
-                          for sequence, record in acknowledged}
-                assert [e for e in latest.values() if e not in found] == []
-                probe = {"object_id": "probe", "status": "submitted"}
+                assert [e for e in survivors(acknowledged) if e not in found] == []
+                probe = index_row(99)
                 assert cold.append(probe) > max(
                     [high_water, cold.last_replay.sequence, *sequences])
                 # ... and whatever the crash left staged is no obstacle.
                 compact(cold)
-                latest = {record["object_id"]: (sequence, record)
-                          for sequence, record in found}
                 assert list(self.open_log(directory).iter_entries()) == [
-                    *sorted(latest.values()), (cold.sequence, probe)]
+                    *survivors(found), (cold.sequence, probe)]
             except Exception as failure:  # reported per point, below
                 broken[k] = repr(failure)
         assert not broken, f"{len(broken)} of {total} crash points: {broken}"

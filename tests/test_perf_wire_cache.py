@@ -22,8 +22,7 @@ class TestSealedFrameCache:
         assert cache.get(("t", "<x/>")) is None
         frame = cache.put(("t", "<x/>"), {"from": "n", "token": "v1:abc"})
         assert cache.get(("t", "<x/>")) is frame
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
+        assert len(cache) == 1
 
     def test_oldest_entry_drops_past_the_cap(self):
         cache = SealedFrameCache(max_entries=2)
@@ -31,22 +30,19 @@ class TestSealedFrameCache:
         cache.put("b", {"token": "2"})
         cache.put("c", {"token": "3"})
         assert len(cache) == 2
-        assert cache.stats.evictions == 1
         assert cache.get("a") is None
-        assert cache.get("c") is not None
+        assert cache.get("b") is not None and cache.get("c") is not None
 
 
 class TestKeyScheduleCache:
     def test_two_stores_share_one_derivation(self):
         KeyStore._schedule.clear()
-        misses_before = KeyStore.schedule_misses
-        hits_before = KeyStore.schedule_hits
         first = KeyStore("shared-master")
         second = KeyStore("shared-master")
         first.create("channel:x")
         second.create("channel:x")
-        assert KeyStore.schedule_misses == misses_before + 1
-        assert KeyStore.schedule_hits == hits_before + 1
+        assert first._boxes[("channel:x", 1)] is second._boxes[("channel:x", 1)]
+        assert len(KeyStore._schedule) == 1
         # Interoperable: sealed by one store, opened by the other.
         token = first.seal("channel:x", "payload", context="channel:x")
         assert second.open_("channel:x", token) == "payload"
@@ -59,10 +55,9 @@ class TestKeyScheduleCache:
         before.create("channel:y")
         token = before.seal("channel:y", "payload", context="channel:y")
         KeyStore._schedule.clear()
-        misses = KeyStore.schedule_misses
         after = KeyStore("shared-master")
         after.create("channel:y")
-        assert KeyStore.schedule_misses == misses + 1
+        assert after._boxes[("channel:y", 1)] is not before._boxes[("channel:y", 1)]
         assert after.open_("channel:y", token) == "payload"
         assert ("shared-master", "channel:y", 1) in KeyStore._schedule
 

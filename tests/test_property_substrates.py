@@ -7,9 +7,9 @@
   against one that queues every delivery and scans every subscription.
 * Events index: the per-type inquiry agrees with a brute-force filter.
 * Keystore: rotation never breaks previously sealed tokens.
-* Row codecs: audit records survive their one encode/decode pair, index
-  entries stored as registry objects read back as their rows, and rows
-  written before the codecs were merged still replay.
+* Row codecs: audit records survive their one encode/decode pair, an audit
+  row written before the codecs were merged is stored in today's form, and
+  an index log holding a row of the registry-object form is refused.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
 from repro.clock import Clock
 from repro.crypto.keystore import KeyStore
-from repro.core.index import EventsIndex, legacy_row
+from repro.core.index import EventsIndex
 from repro.core.messages import NotificationMessage
+from repro.crypto.hashing import canonical_json
+from repro.exceptions import CorruptRecordError, TamperedLogError, TokenError
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.sched.scheduler import POLICY_DRR, SchedConfig, TenantScheduler
 from repro.storage.compaction import compact
-from repro.storage.segment import SegmentedLog
+from repro.storage.segment import SegmentedLog, encode_frame
 from tests.conftest import registry_object_row
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
@@ -407,7 +409,6 @@ audit_records = st.builds(
     subject_ref=optional_text, purpose=optional_text,
     detail=st.text(max_size=20),
 )
-names = st.text(min_size=1, max_size=8)
 
 
 class TestRowCodecs:
@@ -416,46 +417,6 @@ class TestRowCodecs:
     def test_audit_record_round_trips(self, record):
         row = json.loads(json.dumps(record.to_payload()))
         assert AuditRecord.from_payload(row) == record
-
-    @given(
-        classifications=st.lists(st.tuples(names, names), max_size=4),
-        slots=st.dictionaries(names, st.lists(st.text(max_size=8), max_size=3),
-                              max_size=4),
-        status=st.sampled_from(["submitted", "approved", "deprecated",
-                                "withdrawn"]),
-        name=st.text(max_size=12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_registry_object_round_trips(self, classifications, slots, status, name):
-        """Any stored registry object reads back as the row the old
-        ``entry_fields`` read off it: first ``EventClass`` node, first
-        slot values, the name as the summary, withdrawn iff its status
-        says so."""
-        slots = {key: values for key, values in slots.items()
-                 if key != "occurredAt"}
-        slots["occurredAt"] = ["0000000000023.478891"]
-        stored = json.loads(json.dumps({
-            "object_id": "evt-1", "object_type": "Notification",
-            "name": name, "description": name, "status": status,
-            "classifications": [{"scheme": scheme, "node": node}
-                                for scheme, node in classifications],
-            "slots": slots,
-        }))
-
-        def first(slot):
-            return slots[slot][0] if slots.get(slot) else None
-
-        row, withdrawn = legacy_row(stored)
-        assert row == {
-            "event_id": "evt-1",
-            "event_type": next((node for scheme, node in classifications
-                                if scheme == "EventClass"), ""),
-            "producer_id": first("producerId") or "",
-            "occurred_at": 23.478891, "summary": name,
-            "subject_ref": first("subjectRef") or "",
-            "subject_display": first("subjectDisplay"),
-        }
-        assert withdrawn == (status == "withdrawn")
 
     def test_pre_merge_audit_row_replays(self, tmp_path):
         SegmentedLog(tmp_path / "audit").append(OLD_AUDIT_ROW)
@@ -470,26 +431,28 @@ class TestRowCodecs:
                    for path in (tmp_path / name).glob("*.seg")]
         assert len(written) == 2 and written[0] == written[1]
 
-    def test_pre_merge_index_row_replays(self, tmp_path):
+    def test_a_digest_inside_audit_row_is_refused(self, tmp_path):
+        """The same row framed as it used to be stored, digest inside the
+        body, fails the chain: no reader turns it into a link."""
+        directory = tmp_path / "audit"
+        directory.mkdir()
+        (directory / "000000000001.seg").write_bytes(
+            encode_frame(1, canonical_json(OLD_AUDIT_ROW)))
+        with pytest.raises(TamperedLogError, match="audit link 0"):
+            JsonlAuditSink(SegmentedLog(directory))
+
+    def test_pre_merge_index_row_is_refused(self, tmp_path):
         SegmentedLog(tmp_path / "index").append(OLD_INDEX_ROW)
-        index = JsonlIndexStore(SegmentedLog(tmp_path / "index"),
-                                KeyStore("css-platform-secret"))
-        notification = index.get("evt-000001-650d")  # a counter-nonce token
-        assert notification.subject_display == "Giovanni Esposito"
-        assert notification.event_type == "HomeCareServiceEvent"
-        # The row's stale nonce counter is ignored; the rest is the row.
-        slots = OLD_INDEX_ROW["slots"]
-        assert index.row("evt-000001-650d") == {
-            "event_id": "evt-000001-650d", "event_type": "HomeCareServiceEvent",
-            "producer_id": "HomeAssist-Coop", "occurred_at": 23.478891,
-            "summary": OLD_INDEX_ROW["name"],
-            "subject_ref": slots["subjectRef"][0],
-            "subject_display": slots["subjectDisplay"][0],
-        }
-        # A log mixing both forms — a ``withdrawn`` status row and
-        # tombstones among them — opens into the index its rows would have
-        # given, and so does what a compaction over it keeps.
         keystore = KeyStore("css-platform-secret")
+        with pytest.raises(CorruptRecordError, match="'evt-000001-650d'"):
+            JsonlIndexStore(SegmentedLog(tmp_path / "index"), keystore)
+        # Its counter-nonce tokens fail the one MAC too.
+        keystore.create("index-identity")
+        with pytest.raises(TokenError):
+            keystore.open_("index-identity", OLD_INDEX_ROW["slots"]["subjectRef"][0])
+        # A log of today's rows and tombstones opens into the index its
+        # rows would have given, and so does what a compaction over it
+        # keeps; one registry-object row among them is named and refused.
         fresh = EventsIndex(keystore)
         for number in range(6):
             fresh.store(NotificationMessage(
@@ -499,17 +462,15 @@ class TestRowCodecs:
                 subject_display="Mario" if number % 2 else ""))
         rows = fresh.entries()
         log = SegmentedLog(tmp_path / "mixed")
-        log.append(registry_object_row(rows[0]))
-        log.append(registry_object_row(rows[1], status="withdrawn"))
-        log.append(registry_object_row(rows[2]))
+        log.append_many(rows[:3])
         log.append({"tombstone": True, "object_id": "evt-2"})
         log.append(rows[3])
+        log.append({"tombstone": True, "object_id": "evt-1"})
         log.append(rows[4])
         log.append({"tombstone": True, "object_id": "evt-4"})
-        log.append(registry_object_row(rows[5], status="submitted"))
-        fresh.withdraw("evt-1")
-        fresh.withdraw("evt-2")
-        fresh.withdraw("evt-4")
+        log.append(rows[5])
+        for event_id in ("evt-1", "evt-2", "evt-4"):
+            fresh.withdraw(event_id)
 
         def opened(index):
             return ([index.get(row["event_id"]) for row in index.entries(withdrawn=True)],
@@ -520,7 +481,10 @@ class TestRowCodecs:
         assert replayed.entries(withdrawn=True) == fresh.entries(withdrawn=True)
         assert opened(replayed) == opened(fresh)
         compact(log)
-        assert [record.get("event_id", record.get("object_id"))
-                for record in log.iter_records()] == ["evt-0", "evt-3", "evt-5"]
+        assert [record["event_id"] for record in log.iter_records()] == [
+            "evt-0", "evt-3", "evt-5"]
         compacted = JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)
         assert opened(compacted)[1:] == opened(fresh)[1:]
+        log.append(registry_object_row(rows[1]))
+        with pytest.raises(CorruptRecordError, match=r"index row 3 \('evt-1'\)"):
+            JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)

@@ -18,7 +18,6 @@ from repro.storage.schemas import schema_from_dict, schema_to_dict
 from repro.storage.snapshot import describe
 from repro.sim.generators import standard_event_templates
 from tests.conftest import blood_test_schema, registry_object_row
-from tests.test_property_substrates import OLD_INDEX_ROW
 
 
 class TestJsonlFile:
@@ -55,7 +54,7 @@ class TestJsonlFile:
     def test_creates_parent_directories(self, tmp_path):
         file = JsonlFile(tmp_path / "deep" / "nested" / "x.jsonl")
         file.append({"a": 1})
-        assert file.exists()
+        assert file.path.exists()
 
 
 class TestSchemaCodec:
@@ -128,20 +127,19 @@ class TestArchiveRoundTrip:
                     index.inquire(["BloodTest"]))
 
         assert opened(restored.index) == opened(controller.index)
-        # An archive whose index rows are in the registry-object form (the
-        # withdrawn entry by its status) restores into the same index.
+        # An archive whose index rows are in the registry-object form, its
+        # manifest vouching for them, is refused at the first such row.
         index_file = tmp_path / "snap" / "index.jsonl"
         rows = [row for row in JsonlFile(index_file).read_all()
                 if not row.get("tombstone")]
         assert len(rows) == len(controller.index)
         index_file.unlink()
-        JsonlFile(index_file).append_many([registry_object_row(
-            row, "withdrawn" if row["event_id"] == notifications[2].event_id
-            else "approved") for row in rows])
+        JsonlFile(index_file).append_many([registry_object_row(row) for row in rows])
         manifest = json.loads(archive.manifest_path.read_text())
         manifest["files"] = describe(tmp_path / "snap", list(manifest["files"]))
         archive.manifest_path.write_text(json.dumps(manifest, indent=2))
-        assert opened(archive.restore("archive-secret").index) == opened(controller.index)
+        with pytest.raises(CorruptRecordError, match=f"index row 0 \\('{rows[0]['event_id']}'\\)"):
+            archive.restore("archive-secret")
 
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_a_federation_node_archives_and_restores(self, tmp_path, nodes):
@@ -279,21 +277,19 @@ class TestArchiveRoundTrip:
         assert len(restored.catalog.history("BloodTest")) == 2
 
     def test_a_manifest_with_a_nonce_counter_still_restores(self, tmp_path):
-        """An archive written under counter nonces: its manifest carries
-        ``index_sequence`` and its index row a ``"sequence"`` key and
-        counter-nonce tokens.  Both counters are ignored; the tokens open."""
+        """A manifest written under counter nonces carries ``index_sequence``:
+        the counter is ignored, and the index rows beside it restore."""
+        controller, _, _, notifications = build_busy_platform()
         archive = PlatformArchive(tmp_path / "snap")
-        archive.save(DataController(seed="archive"))
-        JsonlFile(tmp_path / "snap" / "index.jsonl").append(OLD_INDEX_ROW)
+        archive.save(controller)
         manifest = json.loads(archive.manifest_path.read_text())
         assert "index_sequence" not in manifest
-        manifest["index_sequence"] = OLD_INDEX_ROW["sequence"]
-        manifest["files"] = describe(tmp_path / "snap", list(manifest["files"]))
+        manifest["index_sequence"] = 2
         archive.manifest_path.write_text(json.dumps(manifest, indent=2))
-        restored = archive.restore("css-platform-secret")
-        notification = restored.index.get("evt-000001-650d")
-        assert notification.subject_display == "Giovanni Esposito"
-        assert restored.index.sequence == 1
+        restored = archive.restore("archive-secret")
+        assert restored.index.get(notifications[1].event_id) == controller.index.get(
+            notifications[1].event_id)
+        assert restored.index.sequence == len(notifications)
 
 
 ARCHIVE_FILES = ("actors", "contracts", "catalog", "policies", "idmap",

@@ -29,12 +29,24 @@ from repro.storage import (
     compact,
 )
 from repro.storage.segment import decode_entry, decode_frame, encode_entry, encode_frame
+from tests.conftest import index_row, tombstone
 
 
 def small_log(directory, n=40, segment_bytes=512):
     log = SegmentedLog(directory, segment_bytes=segment_bytes, sparse_every=4)
     for i in range(n):
-        log.append({"object_id": f"ev-{i % 5}", "status": "submitted", "n": i})
+        log.append({"n": i})
+    return log
+
+
+def index_log(directory, rows, withdrawn=(), segment_bytes=512):
+    """An events-index log: ``rows`` entries, then a tombstone for each of
+    ``withdrawn`` (the entries a rehome moved away)."""
+    log = SegmentedLog(directory, segment_bytes=segment_bytes, sparse_every=4)
+    for n in range(rows):
+        log.append(index_row(n))
+    for n in withdrawn:
+        log.append(tombstone(n))
     return log
 
 
@@ -212,35 +224,36 @@ class TestReadersAgree:
 
 class TestCompaction:
     def test_superseded_and_withdrawn_rows_reclaimed(self, tmp_path):
-        log = small_log(tmp_path / "log")  # 40 rows over 5 object ids
+        # 40 entries, 35 of them moved to another shard (superseded there).
+        log = index_log(tmp_path / "log", 40,
+                        withdrawn=[n for n in range(40) if n % 8])
         report = compact(log)
+        assert report.records_before == 75
         assert report.records_after == 5
-        assert report.records_dropped == 35
+        assert report.records_dropped == 70
         assert report.bytes_reclaimed > 0
-        # Survivors keep their original sequence numbers (the latest rows).
-        assert [s for s, _ in log.iter_entries()] == [36, 37, 38, 39, 40]
+        # Survivors keep their original sequence numbers.
+        assert [s for s, _ in log.iter_entries()] == [1, 9, 17, 25, 33]
 
     def test_tombstone_reclaims_object_and_itself(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log", segment_bytes=512, sparse_every=4)
-        log.append({"object_id": "keep", "status": "submitted"})
-        log.append({"object_id": "gone", "status": "submitted"})
-        log.append({"tombstone": True, "object_id": "gone"})
+        log = index_log(tmp_path / "log", 2, withdrawn=[1])
         compact(log)
-        records = log.read_all()
-        assert records == [{"object_id": "keep", "status": "submitted"}]
+        assert log.read_all() == [index_row(0)]
 
     def test_sequence_counter_never_rewinds(self, tmp_path):
-        log = small_log(tmp_path / "log")
+        log = index_log(tmp_path / "log", 20, withdrawn=range(20))
         compact(log)
-        assert log.append({"object_id": "new", "status": "submitted"}) == 41
+        assert len(log) == 0
+        assert log.append(index_row(20)) == 41
 
     def test_rows_without_object_id_always_survive(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
+        """Only a tombstone and the row it names go: a row no tombstone
+        names stays, whatever it holds."""
+        log = index_log(tmp_path / "log", 2, withdrawn=[0])
         log.append({"marker": "not an index row"})
-        log.append({"object_id": "a", "status": "withdrawn"})
         report = compact(log)
-        assert report.records_after == 1
-        assert log.read_all() == [{"marker": "not an index row"}]
+        assert report.records_after == 2
+        assert log.read_all() == [index_row(1), {"marker": "not an index row"}]
 
     def test_audit_log_is_immutable(self, tmp_path):
         engine = StorageEngine(tmp_path)
@@ -254,7 +267,7 @@ class TestSnapshots:
         engine = StorageEngine(tmp_path / "data", segment_bytes=512)
         log = engine.log("index")
         for i in range(30):
-            log.append({"object_id": f"ev-{i}", "status": "submitted"})
+            log.append(index_row(i))
         return engine
 
     def test_create_verify_list(self, tmp_path):
@@ -280,7 +293,7 @@ class TestSnapshots:
     def test_appends_after_snapshot_are_not_corruption(self, tmp_path):
         engine = self.make_engine(tmp_path)
         info = engine.snapshot(tmp_path / "snaps")
-        engine.log("index").append({"object_id": "later", "status": "submitted"})
+        engine.log("index").append(index_row(30))
         manager = SnapshotManager(tmp_path / "snaps")
         assert manager.verify_against(info.snapshot_id, tmp_path / "data") == []
 
@@ -399,33 +412,26 @@ class TestStoreKind:
     def test_a_flat_file_data_dir_is_refused_not_emptied(self, name,
                                                           tmp_path):
         from repro import DataController
-        from repro.audit.log import AuditAction, AuditOutcome
         from repro.cli import main
-        from repro.runtime.backends import JsonlAuditSink
         from repro.runtime.kernel import RuntimeConfig
-        from repro.storage.jsonl import JsonlFile
 
-        live = DataController(runtime=RuntimeConfig(data_dir=tmp_path / "new"))
-        for n in range(3):
-            live.record_audit("Hospital", AuditAction.PUBLISH,
-                              AuditOutcome.PERMIT, detail=f"n={n}")
-        # The flat-file layout: the same rows, one JSON line each.
+        # The flat-file layout: one JSON line per row, the audit log's
+        # digest inside it; index rows and tombstones in the index log.
         old = tmp_path / "old"
-        JsonlFile(old / "audit.jsonl").append_many(
-            list(live.store.log("audit").iter_records()))
-        if name == "index":
-            (old / "audit.jsonl").rename(old / "index.jsonl")
+        old.mkdir()
+        rows = ([{"digest": f"{n:064x}", "record_id": f"aud-{n}"} for n in range(3)]
+                if name == "audit" else [index_row(0), index_row(1), tombstone(1)])
+        flat = old / f"{name}.jsonl"
+        flat.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        stored = flat.read_bytes()
         with pytest.raises(ConfigurationError,
-                           match=rf"flat-file logs \({name}\.jsonl\)"):
+                           match=rf"flat-file logs \({name}\.jsonl\), which the storage "
+                                 r"engine does not read; use a new data_dir$"):
             DataController(runtime=RuntimeConfig(data_dir=old))
         with pytest.raises(SystemExit, match="flat-file logs"):
             main(["store", "stats", "--data", str(old)], out=io.StringIO())
-        assert sorted(path.name for path in old.iterdir()) == [f"{name}.jsonl"]
-        if name == "audit":  # the refusal's how-to reads the trail back
-            trail = JsonlAuditSink(JsonlFile(old / "audit.jsonl"))
-            trail.verify_integrity()
-            assert trail.head_digest == live.audit_log.head_digest
-            assert len(trail) == len(live.audit_log) == 3
+        assert [path.name for path in old.iterdir()] == [f"{name}.jsonl"]
+        assert flat.read_bytes() == stored
 
     def test_the_engine_is_its_own_provider(self, tmp_path):
         assert SegmentedStore is StorageEngine
@@ -478,10 +484,8 @@ class TestStorageTelemetry:
         telemetry = self.reject_telemetry()
         engine = StorageEngine(tmp_path, segment_bytes=512,
                                telemetry=telemetry)
-        log = engine.log("index")
-        for i in range(20):
-            log.append({"object_id": f"ev-{i % 3}", "status": "submitted"})
-        engine.compact("index")
+        index_log(tmp_path / "index", 17, withdrawn=[0, 5, 10])
+        assert engine.compact("index").bytes_reclaimed > 0
         StorageEngine(tmp_path, segment_bytes=512,
                       telemetry=telemetry).log("index")
         export = "\n".join(telemetry.metrics_export())
@@ -495,8 +499,8 @@ class TestStorageTelemetry:
         telemetry = self.reject_telemetry()
         engine = StorageEngine(tmp_path, telemetry=telemetry)
         log = engine.log("index")
-        log.append({"object_id": "ev-secret-1", "subjectRef": "sealed",
-                    "status": "submitted"})
+        log.append({**index_row(1), "event_id": "ev-secret-1"})
+        log.append({"tombstone": True, "object_id": "ev-secret-1"})
         engine.compact("index")
         for line in telemetry.metrics_export():
             entry = json.loads(line)
@@ -516,10 +520,8 @@ class TestStoreCli:
         return code, out.getvalue()
 
     def seeded_data(self, tmp_path):
-        engine = StorageEngine(tmp_path / "data", segment_bytes=512)
-        log = engine.log("index")
-        for i in range(25):
-            log.append({"object_id": f"ev-{i % 4}", "status": "submitted"})
+        # 25 records: 20 entries, 5 of them since moved to another shard.
+        index_log(tmp_path / "data" / "index", 20, withdrawn=range(0, 20, 4))
         return tmp_path / "data"
 
     def test_unknown_action_did_you_mean(self):

@@ -1,13 +1,17 @@
 """Unit and property tests for repro.xmlmsg.document."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MessageError
+from repro.sim.generators import SyntheticPopulation, standard_event_templates
 from repro.xmlmsg.document import XmlDocument, from_xml, to_xml
-from repro.xmlmsg.schema import ElementDecl, MessageSchema
+from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import BooleanType, IntegerType, StringType
+from repro.xmlmsg.validation import collect_violations
 
 
 @pytest.fixture()
@@ -110,3 +114,34 @@ class TestXmlRoundTrip:
     def test_property_string_round_trip(self, fields):
         doc = XmlDocument("Prop", fields)
         assert from_xml(to_xml(doc)) == doc
+
+
+TEMPLATES = standard_event_templates()
+PATIENTS = list(SyntheticPopulation(8, seed=3))
+
+
+class TestProjection:
+    """Algorithm 2 validates a detail once, when the gateway stores it: a
+    projection of a schema-valid document is that document with values
+    blanked, so it needs no second validation."""
+
+    @given(data=st.data(), name=st.sampled_from(sorted(TEMPLATES)),
+           seed=st.integers(0, 2**16), patient=st.sampled_from(PATIENTS))
+    @settings(max_examples=80, deadline=None)
+    def test_a_projection_blanks_values_and_changes_nothing_else(
+            self, data, name, seed, patient):
+        schema = TEMPLATES[name].build_schema()
+        document = XmlDocument(schema.name, TEMPLATES[name].build_details(
+            random.Random(seed), patient))
+        assert collect_violations(document, schema) == []
+        allowed = data.draw(st.frozensets(st.sampled_from(schema.field_names)))
+        projected = document.project(allowed)
+        assert projected.schema_name == document.schema_name
+        assert list(projected) == list(document)
+        for field, value in projected.fields.items():
+            assert value == (document[field] if field in allowed else None)
+        # All a validator could say of it: a blanked required field is empty.
+        assert collect_violations(projected, schema) == [
+            f"required field {field!r} is empty" for field in schema.field_names
+            if field in document and field not in allowed
+            and schema.element(field).occurs is Occurs.REQUIRED]

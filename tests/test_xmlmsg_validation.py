@@ -47,10 +47,6 @@ class TestValidateDocument:
         with pytest.raises(ValidationError, match="is empty"):
             validate_document(doc, schema)
 
-    def test_blanked_required_allowed_on_response_path(self, schema):
-        doc = valid_doc().replace(id=None)
-        validate_document(doc, schema, allow_blanked_required=True)
-
     def test_type_violation_reported_with_field_name(self, schema):
         doc = valid_doc().replace(score=200)
         with pytest.raises(ValidationError, match="score"):
