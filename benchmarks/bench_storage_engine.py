@@ -8,10 +8,10 @@ reference a log format is measured against), and ``segmented``, the
 engine every durable node runs on —
 
 * **ingest rate** — batched appends into a fresh log (events/second);
-* **recovery time** — closing and reopening the log (torn-tail scan,
-  sparse-index rebuild) plus one full streaming iteration;
+* **recovery time** — closing and reopening the log (torn-tail scan and
+  record count) plus one full streaming iteration;
 * **recovery peak memory** — ``tracemalloc`` peak during that replay,
-  which must stay bounded (streaming readers, never ``read_all()``);
+  which must stay bounded (streaming readers, never a whole-log list);
 * **on-disk size** — before and, for the segmented kind, after
   compaction.  The workload is the events index's own: the seven-field
   rows ``core/index.py::sealed_fields`` builds, a fixed share of them

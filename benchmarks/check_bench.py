@@ -72,7 +72,7 @@ TENANT_ID_FRAGMENTS = (
 )
 
 #: Replay must be streaming: peak replay memory is bounded regardless of
-#: log size (sparse index + one record), far below this ceiling.
+#: log size (one record at a time), far below this ceiling.
 MAX_RECOVERY_PEAK_KB = 16_384
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.bus.delivery import DeliveryEngine, DeliveryPolicy, DeliveryReport
+from repro.bus.delivery import DeliveryEngine, DeliveryReport
 from repro.bus.envelope import Envelope
 from repro.bus.subscriptions import Handler, Subscription, SubscriptionRegistry
 from repro.bus.topics import TopicTree
@@ -54,7 +54,6 @@ class ServiceBus:
         self,
         clock: Clock | None = None,
         ids: IdFactory | None = None,
-        delivery_policy: DeliveryPolicy | None = None,
         auto_dispatch: bool = True,
         strict_topics: bool = True,
         perf=None,
@@ -65,7 +64,7 @@ class ServiceBus:
         self._ids = ids or IdFactory()
         self._topics = TopicTree()
         self._subscriptions = SubscriptionRegistry(perf=perf)
-        self._engine = DeliveryEngine(delivery_policy)
+        self._engine = DeliveryEngine()
         self.auto_dispatch = auto_dispatch
         self.strict_topics = strict_topics
         self.stats = BusStats()
@@ -102,19 +101,14 @@ class ServiceBus:
 
     # -- subscriptions ---------------------------------------------------------
 
-    def subscribe(self, subscriber: str, pattern: str, handler: Handler,
-                  delivery_policy: DeliveryPolicy | None = None) -> Subscription:
-        """Create a durable subscription and return it.
-
-        ``delivery_policy`` overrides the engine-wide retry budget for
-        this subscription only (``None`` keeps the engine default).
-        """
+    def subscribe(self, subscriber: str, pattern: str,
+                  handler: Handler) -> Subscription:
+        """Create a durable subscription and return it."""
         subscription = Subscription(
             subscription_id=self._ids.next("sub"),
             subscriber=subscriber,
             pattern=pattern,
             handler=handler,
-            policy=delivery_policy,
         )
         self._subscriptions.add(subscription)
         return subscription
@@ -134,14 +128,7 @@ class ServiceBus:
 
     # -- publish -------------------------------------------------------------------
 
-    def publish(
-        self,
-        topic: str,
-        sender: str,
-        body: object,
-        correlation_id: str | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> Envelope:
+    def publish(self, topic: str, sender: str, body: object) -> Envelope:
         """Publish ``body`` on ``topic``; returns the envelope.
 
         With ``strict_topics`` (default) the topic must have been declared —
@@ -161,8 +148,6 @@ class ServiceBus:
             sender=sender,
             body=body,
             created_at=now,
-            correlation_id=correlation_id,
-            headers=headers or {},
         )
         self.stats.published += 1
         matching = self._subscriptions.matching_topic(topic)
@@ -256,10 +241,8 @@ class ServiceBus:
                         continue  # withdrawn by a handler before its turn
                     if envelope is None:
                         report.merge(engine.dispatch_subscription(subscription))
-                    elif subscription.active:
+                    else:
                         engine.deliver(subscription, envelope, report, queued=False)
-                    else:  # paused, at fan-out or by a handler before its turn
-                        subscription.queue.enqueue(envelope)
             finally:
                 self._spill()  # a round cut short leaves nothing unqueued
                 self._direct = None
@@ -327,10 +310,6 @@ class ServiceBus:
         self._queue_high_water.clear()
         self._queue_high_water_global = 0
         self._dead_letter_high_water = 0
-
-    def drain_dead_letters(self) -> list[Envelope]:
-        """Remove and return every dead-lettered envelope (operator action)."""
-        return self._engine.dead_letter.drain()
 
     def replay_dead_letters(self, subscription_id: str) -> int:
         """Re-drive one subscription's dead letters after its consumer is fixed.

@@ -4,7 +4,7 @@ Dispatch is synchronous (the bus is in-process): a dispatch round calls
 subscriber callbacks with the messages waiting in their queues — or, for
 a fan-out into an idle bus, with the envelope itself, which enters the
 queue only if the callback raises.  A callback that raises counts as a
-failed attempt; after ``max_attempts`` the message moves to the
+failed attempt; after :data:`MAX_ATTEMPTS` the message moves to the
 dead-letter queue so one poison message cannot wedge a subscription —
 the behaviour the paper gets from ServiceMix's redelivery policy.
 """
@@ -16,18 +16,10 @@ from dataclasses import dataclass, field
 from repro.bus.envelope import Envelope
 from repro.bus.queue import DeadLetterQueue
 from repro.bus.subscriptions import Subscription
-from repro.exceptions import ConfigurationError
 
-
-@dataclass(frozen=True)
-class DeliveryPolicy:
-    """Retry budget; the engine default unless a subscription overrides it."""
-
-    max_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
+#: Attempts a message gets — a subscriber's delivery, a federation link's
+#: transmission — before it is dead-lettered or reported dropped.
+MAX_ATTEMPTS = 3
 
 
 @dataclass
@@ -50,15 +42,10 @@ class DeliveryReport:
 class DeliveryEngine:
     """Drains subscription queues through their handlers."""
 
-    def __init__(self, policy: DeliveryPolicy | None = None) -> None:
-        self.policy = policy or DeliveryPolicy()
+    def __init__(self) -> None:
         self.dead_letter = DeadLetterQueue("dead-letter")
         #: Handlers of this engine on the stack right now.
         self.running = 0
-
-    def policy_for(self, subscription: Subscription) -> DeliveryPolicy:
-        """The retry budget governing one subscription (override or default)."""
-        return subscription.policy or self.policy
 
     def dispatch_subscription(self, subscription: Subscription) -> DeliveryReport:
         """Deliver every queued message of one subscription.
@@ -68,8 +55,6 @@ class DeliveryEngine:
         failing subscriber does not spin.
         """
         report = DeliveryReport()
-        if not subscription.active:
-            return report
         queue = subscription.queue
         while queue.depth and self.deliver(subscription, queue.peek().envelope, report):
             pass
@@ -90,7 +75,7 @@ class DeliveryEngine:
             attempts = queue.nack()
             report.failed += 1
             report.errors.append(f"{subscription.subscription_id}: {type(exc).__name__}: {exc}")
-            if attempts < self.policy_for(subscription).max_attempts:
+            if attempts < MAX_ATTEMPTS:
                 return False  # leave the head for the next round
             self.dead_letter.enqueue_from(subscription.subscription_id, queue.evict_head())
             report.dead_lettered += 1

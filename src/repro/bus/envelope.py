@@ -1,16 +1,14 @@
 """Message envelopes.
 
 Every payload crossing the bus travels inside an :class:`Envelope` carrying
-routing and provenance headers: message id, topic, sender, creation time,
-correlation id (ties a detail response back to its request), content type,
-and free-form headers.  Envelopes are immutable; redelivery metadata lives
-in the queues, not the envelope.
+its routing and provenance: message id, topic, sender and creation time.
+Envelopes are immutable; redelivery metadata lives in the queues, not the
+envelope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.exceptions import BusError
 
@@ -24,9 +22,6 @@ class Envelope:
     sender: str
     body: object
     created_at: float = 0.0
-    correlation_id: str | None = None
-    content_type: str = "application/xml"
-    headers: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.message_id:
@@ -35,14 +30,6 @@ class Envelope:
             raise BusError("envelope needs a topic")
         if not self.sender:
             raise BusError("envelope needs a sender")
-
-    def header(self, name: str, default: str | None = None) -> str | None:
-        """Return header ``name`` or ``default``."""
-        return self.headers.get(name, default)
-
-    def with_topic(self, topic: str) -> "Envelope":
-        """Copy of this envelope re-addressed to ``topic`` (for re-routing)."""
-        return replace(self, topic=topic, headers=dict(self.headers))
 
     def size_estimate(self) -> int:
         """Rough wire-size of the envelope in bytes.
@@ -58,5 +45,4 @@ class Envelope:
             body_size = len(body.encode())
         else:
             body_size = len(repr(body).encode())
-        header_size = sum(len(k) + len(v) for k, v in self.headers.items())
-        return body_size + header_size + len(self.topic) + len(self.sender) + 64
+        return body_size + len(self.topic) + len(self.sender) + 64

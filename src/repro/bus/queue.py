@@ -53,13 +53,10 @@ class DepthTally:
 class MessageQueue:
     """A FIFO queue with peek/ack/nack semantics."""
 
-    def __init__(self, name: str, max_depth: int | None = None) -> None:
+    def __init__(self, name: str) -> None:
         if not name:
             raise BusError("queue needs a name")
-        if max_depth is not None and max_depth <= 0:
-            raise BusError("max_depth must be positive")
         self.name = name
-        self._max_depth = max_depth
         self._messages: deque[QueuedMessage] = deque()
         self._tally: DepthTally | None = None
         self._key: object = None
@@ -97,9 +94,7 @@ class MessageQueue:
         return len(self._messages)
 
     def enqueue(self, envelope: Envelope) -> None:
-        """Append a message; raises ``BusError`` if the queue is full."""
-        if self._max_depth is not None and len(self._messages) >= self._max_depth:
-            raise BusError(f"queue {self.name!r} is full ({self._max_depth} messages)")
+        """Append a message."""
         self._messages.append(QueuedMessage(envelope))
         self.stats.enqueued += 1
         self._moved(1)
@@ -135,14 +130,6 @@ class MessageQueue:
         self._moved(-1)
         return queued.envelope
 
-    def drain(self) -> list[Envelope]:
-        """Remove and return every queued envelope (used by index rebuilds)."""
-        envelopes = [queued.envelope for queued in self._messages]
-        self.stats.delivered += len(envelopes)
-        self._messages.clear()
-        self._moved(-len(envelopes))
-        return envelopes
-
 
 class DeadLetterQueue(MessageQueue):
     """The broker's parking lot for poison messages.
@@ -157,7 +144,7 @@ class DeadLetterQueue(MessageQueue):
 
     def __init__(self, name: str = "dead-letter") -> None:
         super().__init__(name)
-        # Cumulative per-topic arrivals (never decremented on replay/drain):
+        # Cumulative per-topic arrivals (never decremented on replay):
         # an abuse episode's shed volume stays visible after the backlog
         # has been re-driven.
         self._by_topic: dict[str, int] = {}
@@ -183,7 +170,7 @@ class DeadLetterQueue(MessageQueue):
         return seen
 
     def counts_by_topic(self) -> dict[str, int]:
-        """Cumulative dead-letter arrivals per topic (survive replay/drain)."""
+        """Cumulative dead-letter arrivals per topic (survive replay)."""
         return dict(self._by_topic)
 
     def take_for(self, subscription_id: str) -> list[Envelope]:

@@ -1,8 +1,8 @@
 """Durable subscriptions.
 
 A subscription names a subscriber, a topic pattern, and a callback.  It is
-*durable*: messages published while the subscriber's callback is failing (or
-while dispatch is paused) wait in the subscription's queue.  The data
+*durable*: messages published while the subscriber's callback is failing
+wait in the subscription's queue.  The data
 controller creates subscriptions only after verifying the privacy policy
 authorizes the consumer for the event class — that gating lives in
 :mod:`repro.core.controller`; the bus only transports.
@@ -11,15 +11,12 @@ authorizes the consumer for the event class — that gating lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.bus.envelope import Envelope
 from repro.bus.queue import DepthTally, MessageQueue
 from repro.bus.topics import validate_pattern
 from repro.exceptions import SubscriptionError
-
-if TYPE_CHECKING:
-    from repro.bus.delivery import DeliveryPolicy
 
 #: Signature of subscriber callbacks. Raising marks the delivery failed.
 Handler = Callable[[Envelope], None]
@@ -27,21 +24,12 @@ Handler = Callable[[Envelope], None]
 
 @dataclass
 class Subscription:
-    """A durable subscription and its queue.
-
-    ``policy`` is an optional per-subscription retry budget: when set it
-    overrides the delivery engine's default
-    :class:`~repro.bus.delivery.DeliveryPolicy` for this subscription only
-    (a flaky analytics sink can fail fast while clinical consumers keep
-    the full budget).
-    """
+    """A durable subscription and its queue."""
 
     subscription_id: str
     subscriber: str
     pattern: str
     handler: Handler
-    active: bool = True
-    policy: DeliveryPolicy | None = None
     queue: MessageQueue = field(init=False)
 
     def __post_init__(self) -> None:
@@ -51,14 +39,6 @@ class Subscription:
             raise SubscriptionError("subscription needs a subscriber")
         validate_pattern(self.pattern)
         self.queue = MessageQueue(f"sub:{self.subscription_id}")
-
-    def pause(self) -> None:
-        """Stop dispatching; messages keep queueing."""
-        self.active = False
-
-    def resume(self) -> None:
-        """Resume dispatching."""
-        self.active = True
 
 
 class SubscriptionRegistry:
@@ -160,18 +140,14 @@ class SubscriptionRegistry:
             if topic_matches(sub.pattern, topic)
         ]
 
-    def all_subscriptions(self) -> list[Subscription]:
-        """Every registered subscription."""
-        return list(self._subscriptions.values())
-
     def waiting(self) -> Iterator[Subscription]:
         """The subscriptions whose queue holds something, in registration
         order — what a dispatch round has to visit.
 
         The queues keep the set themselves (:class:`DepthTally`): every
-        enqueue path is covered, a paused or retry-pending subscription
-        stays in.  Read lazily, so a queue a handler fills mid-round is
-        reached as on a pass over every subscription (if registered later).
+        enqueue path is covered, a retry-pending subscription stays in.
+        Read lazily, so a queue a handler fills mid-round is reached as on
+        a pass over every subscription (if registered later).
         """
         tally, last = self._backlog, -1
         while True:

@@ -42,10 +42,6 @@ class Topic:
         """The dot-separated segments of the path."""
         return tuple(self.path.split("."))
 
-    def is_under(self, prefix: str) -> bool:
-        """Whether this topic lives under the ``prefix`` subtree."""
-        return self.path == prefix or self.path.startswith(prefix + ".")
-
 
 def validate_pattern(pattern: str) -> None:
     """Validate a subscription pattern; raise ``UnknownTopicError`` if bad.

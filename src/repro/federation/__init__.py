@@ -8,7 +8,7 @@ keeping its privacy model intact:
   of the (never-plaintext) subject reference partitions the events index;
 * :mod:`~repro.federation.link` — the simulated inter-node transport:
   canonical-JSON payloads, deterministic latency, scripted failure
-  injection, retry through the bus's :class:`~repro.bus.delivery.DeliveryPolicy`;
+  injection, retry up to the bus's :data:`~repro.bus.delivery.MAX_ATTEMPTS`;
 * :mod:`~repro.federation.membership` — the static ring of nodes and the
   link table;
 * :mod:`~repro.federation.index` — the sharded events index a controller

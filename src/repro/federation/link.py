@@ -12,8 +12,8 @@ Its transport discipline is the subsystem's privacy boundary:
   travel under the sender's federation channel key);
 * each attempt advances the shared simulated clock by a deterministic
   latency, failures are scripted (:meth:`fail_next` or a failure hook),
-  and retries run through the bus's existing
-  :class:`~repro.bus.delivery.DeliveryPolicy` budget.
+  and a dropped transmission is retried up to the bus's
+  :data:`~repro.bus.delivery.MAX_ATTEMPTS`.
 
 A handler's failure — any :class:`~repro.exceptions.CssError`: a denial,
 a missing detail, a tampered chain — is a *response*, spelled by the
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.bus.delivery import DeliveryPolicy
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.clock import Clock
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import LinkFailureError
@@ -79,7 +79,6 @@ class Link:
         target: "FederationNode",
         clock: Clock | None = None,
         latency: float = 0.005,
-        policy: DeliveryPolicy | None = None,
         telemetry=None,
         source_label: str = "",
         target_label: str = "",
@@ -87,7 +86,6 @@ class Link:
         self.source = source
         self.target = target
         self.latency = latency
-        self.policy = policy or DeliveryPolicy()
         self.stats = LinkStats(transcript=lambda: self.transcript)
         #: What crossed, in order: a request as ``(operation, payload, span
         #: row or None)``, a response as its dict; and those rendered so far.
@@ -148,7 +146,7 @@ class Link:
     def call(self, operation: str, payload: dict) -> dict:
         """Send one request to the peer and return its response dict.
 
-        Retries dropped attempts up to the link policy's ``max_attempts``;
+        Retries dropped attempts up to :data:`~repro.bus.delivery.MAX_ATTEMPTS`;
         raises :class:`~repro.exceptions.LinkFailureError` once the budget
         is exhausted.  Request and response land in :attr:`transcript`.
         With telemetry enabled on the source side the hop runs inside a
@@ -206,7 +204,7 @@ class Link:
                 context = tracer.context(row)
         self._crossed.append((operation, payload, row))
         try:
-            for attempt in range(1, self.policy.max_attempts + 1):
+            for attempt in range(1, MAX_ATTEMPTS + 1):
                 if attempt > 1:
                     stats.retries += 1
                 self._clock.advance(hop_cost)
@@ -217,7 +215,7 @@ class Link:
                             if batched else repr(operation))
                     last_error = LinkFailureError(
                         f"link {self.source}->{self.target.node_id} dropped "
-                        f"{what} (attempt {attempt}/{self.policy.max_attempts})")
+                        f"{what} (attempt {attempt}/{MAX_ATTEMPTS})")
                     continue
                 if batched:
                     response = self.target.handle_batch(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.bus.delivery import DeliveryPolicy
 from repro.clock import Clock
 from repro.exceptions import ConfigurationError, FederationError
 from repro.federation.link import Link
@@ -31,7 +30,6 @@ class StaticMembership:
         master_secret: str = "css-platform-secret",
         replicas: int = 64,
         link_latency: float = 0.005,
-        link_policy: DeliveryPolicy | None = None,
         telemetry=None,
         label_guard=None,
     ) -> None:
@@ -40,7 +38,6 @@ class StaticMembership:
         self.clock = clock or Clock()
         self.ring = HashRing(replicas=replicas)
         self.link_latency = link_latency
-        self.link_policy = link_policy or DeliveryPolicy()
         self._secret = master_secret
         self._telemetry = telemetry
         # Node-label hashing guard for per-node telemetry deployments,
@@ -134,7 +131,6 @@ class StaticMembership:
                 target=self.node(target_id),
                 clock=self.clock,
                 latency=self.link_latency,
-                policy=self.link_policy,
                 telemetry=self._link_telemetry(source_id),
                 source_label=self.node_label(source_id),
                 target_label=self.node_label(target_id),

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.audit.log import AuditAction, AuditOutcome
-from repro.bus.delivery import DeliveryPolicy
 from repro.clock import Clock
 from repro.core.consumer import DataConsumer
 from repro.core.controller import DataController, named_telemetry
@@ -71,7 +70,6 @@ class FederatedPlatform:
         runtime: RuntimeConfig | None = None,
         telemetry=None,
         link_latency: float = 0.005,
-        link_policy: DeliveryPolicy | None = None,
         per_node_telemetry: bool = False,
         sched_config=None,
     ) -> None:
@@ -104,8 +102,7 @@ class FederatedPlatform:
         self.telemetry = telemetry
         self.membership = StaticMembership(
             shards=shards, clock=self.clock, master_secret=master_secret,
-            link_latency=link_latency, link_policy=link_policy,
-            telemetry=self.telemetry,
+            link_latency=link_latency, telemetry=self.telemetry,
             label_guard=self._node_guard,
         )
         self._producers: dict[str, DataProducer] = {}

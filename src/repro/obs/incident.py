@@ -67,6 +67,9 @@ EVENTS_FILE = "events.jsonl"
 SERIES_FILE = "series.jsonl"
 MANIFEST_FILE = "manifest.json"
 
+#: Simulated seconds between SLO evaluations during polling.
+SLO_EVAL_INTERVAL = 1.0
+
 
 @dataclass(frozen=True)
 class WatchdogConfig:
@@ -80,8 +83,6 @@ class WatchdogConfig:
     watch_demotions: bool = True
     #: Whether SLO breaches fire an incident (needs an SLO engine).
     watch_slo: bool = True
-    #: Simulated seconds between SLO evaluations during polling.
-    slo_eval_interval: float = 1.0
 
 
 class IncidentMonitor:
@@ -115,7 +116,7 @@ class IncidentMonitor:
         #: skips alert publication and only records/captures.
         self.alert_bus = alert_bus
         self.incidents: list[dict] = []
-        self._last_slo_eval: float | None = None
+        self._last_slo_eval = float("-inf")  # the first poll evaluates
         self._baseline_demotions = self._total_demotions()
 
     # -- platform-wide readings ---------------------------------------------
@@ -162,8 +163,7 @@ class IncidentMonitor:
                 })
         if config.watch_slo and self.slo is not None:
             now = self.clock.now()
-            if (self._last_slo_eval is None
-                    or now - self._last_slo_eval >= config.slo_eval_interval):
+            if now - self._last_slo_eval >= SLO_EVAL_INTERVAL:
                 self._last_slo_eval = now
                 report = self.slo.evaluate()
                 breaches = report.breaches()

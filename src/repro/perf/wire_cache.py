@@ -22,6 +22,9 @@ read), so a fan-out has no encoding to share between peers.
 
 from __future__ import annotations
 
+#: Sealed frames kept; the oldest drops past it.
+MAX_FRAMES = 256
+
 
 class SealedFrameCache:
     """Memoized sealed frames, keyed by the caller's frame identity.
@@ -32,9 +35,8 @@ class SealedFrameCache:
     and misses are counted by the caller (``PerfLayer.record_hit("seal")``).
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(self) -> None:
         self._frames: dict[object, dict] = {}
-        self._max_entries = max_entries
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -45,7 +47,7 @@ class SealedFrameCache:
 
     def put(self, key: object, frame: dict) -> dict:
         """Cache and return ``frame``; oldest entries drop past the cap."""
-        if len(self._frames) >= self._max_entries and key not in self._frames:
+        if len(self._frames) >= MAX_FRAMES and key not in self._frames:
             self._frames.pop(next(iter(self._frames)))
         self._frames[key] = frame
         return frame

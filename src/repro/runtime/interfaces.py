@@ -124,14 +124,7 @@ class NotificationTransport(Protocol):
 
     def unsubscribe(self, subscription_id: str) -> None: ...
 
-    def publish(
-        self,
-        topic: str,
-        sender: str,
-        body: object,
-        correlation_id: str | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> Any: ...
+    def publish(self, topic: str, sender: str, body: object) -> Any: ...
 
     def dispatch(self) -> Any: ...
 

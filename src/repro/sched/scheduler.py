@@ -58,6 +58,11 @@ DEFAULT_COSTS = {
 POLICY_FIFO = "fifo"
 POLICY_DRR = "drr"
 
+#: DRR quantum: deficit credited per rotation visit, scaled by weight.
+QUANTUM = 0.004
+#: Per-tenant wait samples retained for percentile reporting.
+WAIT_SAMPLES = 8192
+
 #: The pseudo-tenant platform-internal work is attributed to (federation
 #: relays, platform services).  Never throttled, shed or reported.
 SYSTEM_TENANT = "platform"
@@ -106,8 +111,6 @@ class SchedConfig:
 
     #: Work-seconds the virtual server completes per simulated second.
     service_rate: float = 1.0
-    #: DRR quantum: deficit credited per rotation visit, scaled by weight.
-    quantum: float = 0.004
     #: Token-bucket sustained admissions/second per tenant.
     bucket_rate: float = 20.0
     #: Token-bucket burst capacity per tenant.
@@ -120,18 +123,12 @@ class SchedConfig:
     forgive_seconds: float = 5.0
     cooldown_seconds: float = 30.0
     penalty_weight: float = 0.1
-    #: Per-tenant wait samples retained for percentile reporting.
-    wait_samples: int = 8192
 
     def __post_init__(self) -> None:
         if self.service_rate <= 0:
             raise ConfigurationError("service_rate must be positive")
-        if self.quantum <= 0:
-            raise ConfigurationError("quantum must be positive")
         if self.max_pending < 1:
             raise ConfigurationError("max_pending must be at least 1")
-        if self.wait_samples < 1:
-            raise ConfigurationError("wait_samples must be at least 1")
 
 
 @dataclass
@@ -402,7 +399,7 @@ class TenantScheduler:
         state.served_work += item.cost
         if wait > state.max_wait:
             state.max_wait = wait
-        if len(state.waits) < self.config.wait_samples:
+        if len(state.waits) < WAIT_SAMPLES:
             state.waits.append(wait)
 
     def _advance_fifo(self, now: float) -> None:
@@ -436,7 +433,6 @@ class TenantScheduler:
         # weights.  A stalled visit resumes on the next drain *without*
         # a fresh quantum (``_visit_credited``), so stalling can't be
         # farmed for extra credit either.
-        quantum = self.config.quantum
         while self._active:
             tenant = self._active[0]
             state = self._tenants[tenant]
@@ -449,7 +445,7 @@ class TenantScheduler:
             # once per rotation visit.  A demoted tenant may need
             # several visits before its deficit affords one item.
             if not self._visit_credited:
-                state.deficit += quantum * self._effective_weight(state, now)
+                state.deficit += QUANTUM * self._effective_weight(state, now)
                 self._visit_credited = True
             while state.queue:
                 head = state.queue[0]

@@ -8,7 +8,7 @@ verify that a restored audit log is the one that was saved.
 * :mod:`~repro.storage.jsonl` — append-only JSON-lines files (the
   archive's row files), and ``write_atomic``;
 * :mod:`~repro.storage.segment` — size-segmented, checksum-framed
-  append logs with sparse offset indexes and torn-tail crash repair;
+  append logs with torn-tail crash repair;
 * :mod:`~repro.storage.compaction` — space reclamation that preserves
   sequence identities and never touches the audit chain;
 * :mod:`~repro.storage.snapshot` — sha256-manifested tar snapshots with

@@ -24,7 +24,6 @@ from repro.exceptions import ConfigurationError, StorageError
 from repro.storage.compaction import CompactionReport, compact
 from repro.storage.segment import (
     DEFAULT_SEGMENT_BYTES,
-    DEFAULT_SPARSE_EVERY,
     SEGMENT_SUFFIX,
     SegmentedLog,
 )
@@ -71,7 +70,6 @@ class StorageEngine:
         self,
         data_dir: str | Path,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        sparse_every: int = DEFAULT_SPARSE_EVERY,
         telemetry=None,
     ) -> None:
         self.directory = Path(data_dir)
@@ -84,7 +82,6 @@ class StorageEngine:
                 f"{self.directory} holds flat-file logs ({', '.join(flat)}), "
                 f"which the storage engine does not read; use a new data_dir")
         self.segment_bytes = segment_bytes
-        self.sparse_every = sparse_every
         self._logs: dict[str, SegmentedLog] = {}
         #: Log name -> bytes its compactions reclaimed.
         self.reclaimed: dict[str, int] = {}
@@ -101,10 +98,7 @@ class StorageEngine:
         """Open (replaying and crash-repairing) the named log."""
         if name not in self._logs:
             self._logs[name] = SegmentedLog(
-                self.directory / name,
-                segment_bytes=self.segment_bytes,
-                sparse_every=self.sparse_every,
-            )
+                self.directory / name, segment_bytes=self.segment_bytes)
         return self._logs[name]
 
     def log_names(self) -> list[str]:

@@ -5,7 +5,7 @@ One record per line: the row files of a platform archive
 No framing, no recovery: a malformed line — a torn trailing write included,
 which this format cannot tell from corruption — raises the typed
 :class:`~repro.exceptions.CorruptRecordError`.  Reading streams one line
-at a time; :meth:`JsonlFile.read_all` is for small files and tests.
+at a time.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class JsonlFile:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def append(self, record: dict) -> None:
-        """Append one record."""
-        self.append_many([record])
-
     def append_many(self, records: list[dict]) -> None:
         """Append several records in one write."""
         with self.path.open("a", encoding="utf-8") as handle:
@@ -69,10 +65,3 @@ class JsonlFile:
                     raise CorruptRecordError(
                         f"{self.path}:{line_number}: corrupt JSONL record"
                     ) from exc
-
-    def read_all(self) -> list[dict]:
-        """Every record, oldest first (empty list if the file is absent)."""
-        return list(self.iter_records())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_records())

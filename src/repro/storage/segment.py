@@ -16,8 +16,7 @@ tail, cut away on open; damage anywhere else raises
 
 :meth:`SegmentedLog._walk` is the only loop over a segment file's lines and
 :meth:`SegmentedLog.write_entries` the only code that opens one for append
-— all or nothing; a sparse offset index lets :meth:`SegmentedLog.iter_texts`
-seek, a ``meta.json`` sidecar pins the high-water sequence across
+— all or nothing; a ``meta.json`` sidecar pins the high-water sequence across
 compaction, and a compacted generation is committed by one rename
 (:meth:`SegmentedLog.swap_segments`).  Nothing here calls ``fsync``.
 The whole contract is docs/STORAGE.md.
@@ -40,8 +39,6 @@ from repro.storage.jsonl import write_atomic
 
 #: Default rollover threshold for one segment file.
 DEFAULT_SEGMENT_BYTES = 256 * 1024
-#: Default sparse-index stride (one offset kept every N records).
-DEFAULT_SPARSE_EVERY = 64
 
 #: Segment file suffix.
 SEGMENT_SUFFIX = ".seg"
@@ -115,14 +112,12 @@ class SegmentedLog:
         self,
         directory: str | Path,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        sparse_every: int = DEFAULT_SPARSE_EVERY,
     ) -> None:
-        if segment_bytes < 1 or sparse_every < 1:
-            raise StorageError("segment_bytes and sparse_every must be >= 1")
+        if segment_bytes < 1:
+            raise StorageError("segment_bytes must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = segment_bytes
-        self.sparse_every = sparse_every
         self.last_replay = self._replay()
 
     # -- replay / recovery -------------------------------------------------
@@ -130,21 +125,18 @@ class SegmentedLog:
     def _segment_paths(self) -> list[Path]:
         return sorted(self.directory.glob(f"*{SEGMENT_SUFFIX}"))
 
-    def _walk(self, paths: list[Path],
-              offset: int = 0) -> Iterator[tuple[Path, int, int, int, str]]:
+    def _walk(self, paths: list[Path]) -> Iterator[tuple[Path, int, int, int, str]]:
         """Yield ``(path, start, end, sequence, entry)`` per committed frame.
 
-        Oldest first over ``paths`` (the segment list or a tail of it),
-        from byte ``offset`` of the first.  The one torn-tail rule,
-        whoever reads: a damaged or unterminated *last line of the last
-        segment* is the interrupted final write and ends the walk; damage
-        anywhere else is a :class:`~repro.exceptions.CorruptRecordError`
+        Oldest first over ``paths`` (the segment list).  The one torn-tail
+        rule, whoever reads: a damaged or unterminated *last line of the
+        last segment* is the interrupted final write and ends the walk;
+        damage anywhere else is a :class:`~repro.exceptions.CorruptRecordError`
         naming the file.
         """
         for path in paths:
             with path.open("rb") as handle:
-                handle.seek(offset)
-                end = offset
+                end = 0
                 for raw in handle:
                     start, end = end, end + len(raw)
                     try:
@@ -159,7 +151,6 @@ class SegmentedLog:
                             f"a torn tail — refusing to read a corrupt segment"
                         ) from exc
                     yield path, start, end, sequence, entry
-            offset = 0
 
     def _settle(self) -> int:
         """Bring the directory to one generation; returns the pinned sequence.
@@ -190,17 +181,14 @@ class SegmentedLog:
         return sequence
 
     def _replay(self) -> ReplayReport:
-        """Stream every segment, repair a torn tail, build the sparse index."""
+        """Stream every segment, repair a torn tail, count the records."""
         self._sequence = self._settle()
         self._records = 0
-        #: Sparse index: (sequence, segment path, byte offset), ascending.
-        self._sparse: list[tuple[int, Path, int]] = []
         paths = self._segment_paths()
         self._active: Path | None = paths[-1] if paths else None
         head, end = None, 0
-        for path, start, end, sequence, _ in self._walk(paths):
-            self._note_record(sequence, path, start, force=path is not head)
-            head = path
+        for head, _, end, sequence, _ in self._walk(paths):
+            self._note_record(sequence)
         self._active_size = end if head is self._active else 0
         truncated = self._active.stat().st_size - self._active_size if paths else 0
         if truncated:  # the interrupted final write: cut it off and go on
@@ -210,13 +198,9 @@ class SegmentedLog:
             truncated_bytes=truncated, sequence=self._sequence,
         )
 
-    def _note_record(self, sequence: int, path: Path, offset: int,
-                     force: bool = False) -> None:
+    def _note_record(self, sequence: int) -> None:
         self._records += 1
         self._sequence = max(self._sequence, sequence)
-        if force or self._records % self.sparse_every == 1 \
-                or self.sparse_every == 1:
-            self._sparse.append((sequence, path, offset))
 
     def _write_meta(self, sequence: int, **swap: list[str]) -> None:
         write_atomic(self.directory / META_FILE,
@@ -274,7 +258,7 @@ class SegmentedLog:
         record once and no frame ever lands behind half of another.
         """
         before = (self._active, self._active_size, self._sequence,
-                  self._records, len(self._sparse))
+                  self._records)
         handle = None
         try:
             for sequence, entry in entries:
@@ -288,11 +272,9 @@ class SegmentedLog:
                     self._active_size = 0
                 if handle is None:
                     handle = self._active.open("ab")
-                offset = self._active_size
                 handle.write(frame)
-                self._active_size = offset + len(frame)
-                self._note_record(sequence, self._active, offset,
-                                  force=offset == 0)
+                self._active_size += len(frame)
+                self._note_record(sequence)
             if handle is not None:
                 handle.close()
         except BaseException:
@@ -300,8 +282,7 @@ class SegmentedLog:
                 with suppress(OSError):
                     handle.close()
             (self._active, self._active_size, self._sequence,
-             self._records, sparse) = before
-            del self._sparse[sparse:]
+             self._records) = before
             for path in self._segment_paths():
                 if self._active is None or path > self._active:
                     path.unlink()
@@ -311,37 +292,15 @@ class SegmentedLog:
 
     # -- reading -----------------------------------------------------------
 
-    def iter_texts(self, start: int = 1) -> Iterator[tuple[int, str]]:
-        """Stream ``(sequence, entry)`` with ``sequence >= start``, unparsed.
+    def iter_texts(self) -> Iterator[tuple[int, str]]:
+        """Stream ``(sequence, entry)`` oldest first, unparsed."""
+        for _, _, _, sequence, entry in self._walk(self._segment_paths()):
+            yield sequence, entry
 
-        Seeks via the sparse index: at most ``sparse_every`` records are
-        scanned before the first hit, regardless of log size.
-        """
-        paths = self._segment_paths()
-        seek_path, seek_offset = None, 0
-        for sequence, path, offset in self._sparse:
-            if sequence > start:
-                break
-            seek_path, seek_offset = path, offset
-        try:
-            begin = paths.index(seek_path)
-        except ValueError:  # no sparse entry, or one for a compacted-away file
-            begin, seek_offset = 0, 0
-        for _, _, _, sequence, entry in self._walk(paths[begin:], seek_offset):
-            if sequence >= start:
-                yield sequence, entry
-
-    def iter_entries(self, start: int = 1) -> Iterator[tuple[int, dict]]:
-        """Stream ``(sequence, record)`` pairs, each entry parsed."""
-        return ((sequence, decode_entry(entry)) for sequence, entry in self.iter_texts(start))
-
-    def iter_records(self, start: int = 1) -> Iterator[dict]:
-        """Stream records only (the :class:`RecordLog` read surface)."""
-        return (record for _, record in self.iter_entries(start))
-
-    def read_all(self) -> list[dict]:
-        """Every record, oldest first (tests and small tools only)."""
-        return list(self.iter_records())
+    def iter_records(self) -> Iterator[dict]:
+        """Stream records oldest first, each entry parsed (the
+        :class:`RecordLog` read surface)."""
+        return (decode_entry(entry) for _, entry in self.iter_texts())
 
     def segments(self) -> list[SegmentInfo]:
         """Per-segment statistics, oldest first."""

@@ -298,7 +298,7 @@ def test_one_edited_recipient_in_a_stored_row_fails_replay(tmp_path, edit):
     directory = tmp_path / "audit"
     fanned_out(JsonlAuditSink(SegmentedLog(directory)))
     assert len(JsonlAuditSink(SegmentedLog(directory))) == 3  # intact: replays
-    rows = SegmentedLog(directory).read_all()
+    rows = list(SegmentedLog(directory).iter_records())
     assert rows[1]["recipients"] == RECIPIENTS
     rows[1]["recipients"] = EDITS[edit]
     # Re-framed under valid checksums: the log takes the row, the chain not.

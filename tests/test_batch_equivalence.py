@@ -11,6 +11,7 @@ accounting on coalesced link frames.
 import pytest
 
 from repro import RuntimeConfig
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.exceptions import LinkFailureError
 from repro.federation.link import BATCH_ENTRY_COST
 from repro.workload.capacity import run_point
@@ -86,11 +87,11 @@ class TestCallBatchAccounting:
     def test_drop_fails_every_entry_in_the_frame(self):
         _platform, link = self.link_pair()
         failed = link.stats.failed_attempts
-        link.fail_next(link.policy.max_attempts)
+        link.fail_next(MAX_ATTEMPTS)
         with pytest.raises(LinkFailureError):
             link.call_batch("no.such.op", {"x": 1}, count=4)
         assert (link.stats.failed_attempts
-                == failed + 4 * link.policy.max_attempts)
+                == failed + 4 * MAX_ATTEMPTS)
 
     def test_coalesced_clock_cost(self):
         platform, link = self.link_pair()

@@ -17,6 +17,7 @@ import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.exceptions import (
     ConfigurationError,
     DuplicateObjectError,
@@ -168,7 +169,7 @@ def build_world(tmp_path, store, batch, batch_size=256):
 
 
 def read_rows(base, name):
-    return SegmentedLog(base / name).read_all()
+    return list(SegmentedLog(base / name).iter_records())
 
 
 class TestGroupCommitDurability:
@@ -317,7 +318,7 @@ class TestFlushBarriers:
         published = [deployment.publish_blood_test(subject_id=f"pat-{i}")
                      for i in range(12)]
         link = platform.membership.link("node-0", "node-1")
-        link.fail_next(link.policy.max_attempts)
+        link.fail_next(MAX_ATTEMPTS)
         with pytest.raises(LinkFailureError):
             platform.flush_batches()
         shipped_before = len(platform.controller_of("node-1").index)

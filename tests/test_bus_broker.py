@@ -3,9 +3,9 @@
 import pytest
 
 from repro.bus.broker import ServiceBus
-from repro.bus.delivery import DeliveryPolicy
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.bus.subscriptions import Subscription, SubscriptionRegistry
-from repro.exceptions import ConfigurationError, SubscriptionError, UnknownTopicError
+from repro.exceptions import SubscriptionError, UnknownTopicError
 
 
 @pytest.fixture()
@@ -105,18 +105,8 @@ class TestDurabilityAndDispatch:
         assert report.delivered == 1
         assert received[0].body == "x"
 
-    def test_paused_subscription_queues_until_resume(self, bus):
-        received = []
-        sub = bus.subscribe("c", "events.health.BloodTest", received.append)
-        sub.pause()
-        bus.publish("events.health.BloodTest", "hospital", "x")
-        assert received == []
-        sub.resume()
-        bus.dispatch()
-        assert len(received) == 1
-
     def test_failing_handler_retries_then_dead_letters(self):
-        bus = ServiceBus(auto_dispatch=False, delivery_policy=DeliveryPolicy(max_attempts=3))
+        bus = ServiceBus(auto_dispatch=False)
         bus.declare_topic("events.t")
         attempts = []
 
@@ -126,14 +116,14 @@ class TestDurabilityAndDispatch:
 
         bus.subscribe("c", "events.t", always_fails)
         bus.publish("events.t", "s", "x")
-        for _ in range(5):
+        for _ in range(MAX_ATTEMPTS + 2):
             bus.dispatch()
-        assert len(attempts) == 3          # retried exactly max_attempts times
+        assert len(attempts) == MAX_ATTEMPTS  # retried exactly MAX_ATTEMPTS times
         assert bus.dead_letter_depth == 1
         assert bus.pending_messages() == 0
 
     def test_transient_failure_recovers(self):
-        bus = ServiceBus(auto_dispatch=False, delivery_policy=DeliveryPolicy(max_attempts=5))
+        bus = ServiceBus(auto_dispatch=False)
         bus.declare_topic("events.t")
         state = {"fail": True}
         received = []
@@ -153,7 +143,7 @@ class TestDurabilityAndDispatch:
         assert bus.dead_letter_depth == 0
 
     def test_poison_message_does_not_block_queue(self):
-        bus = ServiceBus(auto_dispatch=False, delivery_policy=DeliveryPolicy(max_attempts=1))
+        bus = ServiceBus(auto_dispatch=False)
         bus.declare_topic("events.t")
         received = []
 
@@ -165,19 +155,10 @@ class TestDurabilityAndDispatch:
         bus.subscribe("c", "events.t", poison_first)
         bus.publish("events.t", "s", "poison")
         bus.publish("events.t", "s", "good")
-        bus.dispatch()
+        for _ in range(MAX_ATTEMPTS):
+            bus.dispatch()
         assert [env.body for env in received] == ["good"]
         assert bus.dead_letter_depth == 1
-
-    def test_drain_dead_letters(self):
-        bus = ServiceBus(auto_dispatch=False, delivery_policy=DeliveryPolicy(max_attempts=1))
-        bus.declare_topic("events.t")
-        bus.subscribe("c", "events.t", lambda e: (_ for _ in ()).throw(RuntimeError()))
-        bus.publish("events.t", "s", "x")
-        bus.dispatch()
-        drained = bus.drain_dead_letters()
-        assert len(drained) == 1
-        assert bus.dead_letter_depth == 0
 
     def test_failure_in_one_subscription_does_not_affect_others(self, bus):
         good = []
@@ -186,10 +167,6 @@ class TestDurabilityAndDispatch:
         bus.subscribe("good", "events.health.BloodTest", good.append)
         bus.publish("events.health.BloodTest", "hospital", "x")
         assert len(good) == 1
-
-    def test_delivery_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            DeliveryPolicy(max_attempts=0)
 
     def test_stats_accumulate(self, bus):
         bus.subscribe("c", "events.#", lambda e: None)
@@ -238,16 +215,16 @@ class TestHighWaterMarks:
         assert bus.queue_high_water("events.health.BloodTest") == 2
 
     def test_dead_letter_high_water(self):
-        bus = ServiceBus(auto_dispatch=False,
-                         delivery_policy=DeliveryPolicy(max_attempts=1))
+        bus = ServiceBus(auto_dispatch=False)
         bus.declare_topic("events.t")
-        bus.subscribe("c", "events.t",
-                      lambda e: (_ for _ in ()).throw(RuntimeError()))
+        sub = bus.subscribe("c", "events.t",
+                            lambda e: (_ for _ in ()).throw(RuntimeError()))
         for _ in range(2):
             bus.publish("events.t", "s", "x")
-        bus.dispatch()
+        for _ in range(2 * MAX_ATTEMPTS):
+            bus.dispatch()
         assert bus.dead_letter_high_water == 2
-        bus.drain_dead_letters()
+        bus.replay_dead_letters(sub.subscription_id)
         assert bus.dead_letter_depth == 0
         assert bus.dead_letter_high_water == 2  # the mark persists
 

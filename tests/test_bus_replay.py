@@ -1,62 +1,24 @@
-"""Per-subscription delivery policies and dead-letter replay."""
+"""Dead-letter replay."""
 
 from repro.bus.broker import ServiceBus
-from repro.bus.delivery import DeliveryPolicy
+from repro.bus.delivery import MAX_ATTEMPTS
 
 
-def fresh_bus(max_attempts: int = 3) -> ServiceBus:
-    bus = ServiceBus(
-        auto_dispatch=False,
-        delivery_policy=DeliveryPolicy(max_attempts=max_attempts),
-    )
+def fresh_bus() -> ServiceBus:
+    bus = ServiceBus(auto_dispatch=False)
     bus.declare_topic("events.t")
     return bus
 
 
-class TestPerSubscriptionPolicy:
-    def test_override_beats_the_engine_default(self):
-        bus = fresh_bus(max_attempts=3)
-        strict_attempts, patient_attempts = [], []
-
-        def strict(envelope):
-            strict_attempts.append(envelope.message_id)
-            raise RuntimeError("boom")
-
-        def patient(envelope):
-            patient_attempts.append(envelope.message_id)
-            raise RuntimeError("boom")
-
-        bus.subscribe("strict", "events.t", strict,
-                      delivery_policy=DeliveryPolicy(max_attempts=1))
-        bus.subscribe("patient", "events.t", patient)
-        bus.publish("events.t", "s", "x")
-        for _ in range(5):
-            bus.dispatch()
-        # The override budget bounds only its own subscription.
-        assert len(strict_attempts) == 1
-        assert len(patient_attempts) == 3
-        assert bus.dead_letter_depth == 2
-
-    def test_override_can_extend_beyond_the_default(self):
-        bus = fresh_bus(max_attempts=1)
-        attempts = []
-
-        def fails(envelope):
-            attempts.append(envelope.message_id)
-            raise RuntimeError("boom")
-
-        bus.subscribe("retrying", "events.t", fails,
-                      delivery_policy=DeliveryPolicy(max_attempts=4))
-        bus.publish("events.t", "s", "x")
-        for _ in range(6):
-            bus.dispatch()
-        assert len(attempts) == 4
-        assert bus.dead_letter_depth == 1
+def dispatch_until_dead_lettered(bus: ServiceBus, rounds: int = MAX_ATTEMPTS) -> None:
+    """Spend a failing head message's whole retry budget."""
+    for _ in range(rounds):
+        bus.dispatch()
 
 
 class TestDeadLetterReplay:
     def test_replay_redelivers_through_the_repaired_handler(self):
-        bus = fresh_bus(max_attempts=1)
+        bus = fresh_bus()
         state = {"fail": True}
         received = []
 
@@ -67,7 +29,7 @@ class TestDeadLetterReplay:
 
         subscription = bus.subscribe("c", "events.t", flaky)
         bus.publish("events.t", "s", "poison")
-        bus.dispatch()
+        dispatch_until_dead_lettered(bus)
         assert bus.dead_letter_depth == 1
         assert received == []
 
@@ -81,7 +43,7 @@ class TestDeadLetterReplay:
         assert subscription.queue.stats.redelivered >= 1
 
     def test_replay_takes_only_that_subscriptions_letters(self):
-        bus = fresh_bus(max_attempts=1)
+        bus = fresh_bus()
         received = []
 
         def fails(envelope):
@@ -90,12 +52,12 @@ class TestDeadLetterReplay:
         broken = bus.subscribe("broken", "events.t", fails)
         other = bus.subscribe("other", "events.t", fails)
         bus.publish("events.t", "s", "x")
-        bus.dispatch()
+        dispatch_until_dead_lettered(bus)
         assert bus.dead_letter_depth == 2
         broken_redelivered = broken.queue.stats.redelivered
 
         assert bus.replay_dead_letters(other.subscription_id) == 1
-        bus.dispatch()  # still failing: parks again
+        dispatch_until_dead_lettered(bus)  # still failing: parks again
         assert bus.dead_letter_depth == 2
         # The broken subscription's letter was never touched by the replay.
         assert broken.queue.stats.redelivered == broken_redelivered
@@ -107,7 +69,7 @@ class TestDeadLetterReplay:
         assert bus.replay_dead_letters(subscription.subscription_id) == 0
 
     def test_auto_dispatch_replay_delivers_immediately(self):
-        bus = ServiceBus(delivery_policy=DeliveryPolicy(max_attempts=1))
+        bus = ServiceBus()
         bus.declare_topic("events.t")
         state = {"fail": True}
         received = []
@@ -118,7 +80,8 @@ class TestDeadLetterReplay:
             received.append(envelope)
 
         subscription = bus.subscribe("c", "events.t", flaky)
-        bus.publish("events.t", "s", "x")
+        bus.publish("events.t", "s", "x")  # the publish runs the first round
+        dispatch_until_dead_lettered(bus, MAX_ATTEMPTS - 1)
         assert bus.dead_letter_depth == 1
         state["fail"] = False
         bus.replay_dead_letters(subscription.subscription_id)

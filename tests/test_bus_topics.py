@@ -18,14 +18,6 @@ class TestTopic:
         with pytest.raises(UnknownTopicError):
             Topic("events.heal th")
 
-    def test_is_under(self):
-        topic = Topic("events.health.BloodTest")
-        assert topic.is_under("events")
-        assert topic.is_under("events.health")
-        assert topic.is_under("events.health.BloodTest")
-        assert not topic.is_under("events.social")
-        assert not topic.is_under("event")  # no partial-segment match
-
 
 class TestPatternValidation:
     def test_plain_pattern_ok(self):

@@ -123,7 +123,7 @@ class TestUndecodableNotification:
         assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 0)
         report = bus.dispatch()
         assert (report.delivered, report.failed, report.dead_lettered) == (0, 2, 2)
-        assert len(parses) == 6  # 2 subscribers x max_attempts, none reused
+        assert len(parses) == 6  # 2 subscribers x MAX_ATTEMPTS, none reused
         assert bus.dead_letter_counts() == {platform_small.blood_class.topic: 2}
         assert bus.pending_messages() == 0
         assert platform_small.doctor.inbox == platform_small.statistics.inbox == []

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
-from repro.bus.delivery import DeliveryPolicy
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.clock import DAY, MONTH
 from repro.audit.log import AuditAction, AuditOutcome
 from repro.exceptions import (
@@ -26,6 +26,7 @@ from repro.exceptions import (
     SourceUnavailableError,
 )
 from repro.storage import SegmentedLog, compact
+from repro.storage.segment import decode_entry
 from tests.conftest import (
     HOME_NODE_FAILURES,
     blood_test_schema,
@@ -75,7 +76,6 @@ class TestFlakySubscribers:
 
     def test_permanently_poisoned_subscription_dead_letters(self):
         controller = DataController(seed="poison", auto_dispatch=False)
-        controller.bus._engine.policy = DeliveryPolicy(max_attempts=2)  # noqa: SLF001
         hospital = DataProducer(controller, "Hospital", "Hospital")
         blood = hospital.declare_event_class(blood_test_schema())
         hospital.define_policy(
@@ -215,7 +215,7 @@ class TestCrossNodeDetailFailuresAreAudited:
     def test_link_retry_budget_exhausted(self):
         def drop_every_attempt(platform):
             link = platform.membership.link("node-1", "node-0")
-            link.fail_next(link.policy.max_attempts)
+            link.fail_next(MAX_ATTEMPTS)
 
         self.failed_request(drop_every_attempt, LinkFailureError)
 
@@ -278,6 +278,11 @@ def index_record(n):
     return tombstone(n - 2) if n % 3 == 2 else index_row(n)
 
 
+def read_entries(log):
+    """Every ``(sequence, record)`` of ``log``, oldest first."""
+    return [(sequence, decode_entry(text)) for sequence, text in log.iter_texts()]
+
+
 def survivors(entries):
     """What compaction keeps of ``(sequence, record)`` entries: every one but
     a tombstone and the entry it names."""
@@ -300,7 +305,7 @@ class TestDiskFaultsAtEveryWriteBoundary:
 
     @staticmethod
     def open_log(directory):
-        return SegmentedLog(directory, segment_bytes=400, sparse_every=2)
+        return SegmentedLog(directory, segment_bytes=400)
 
     def reference(self, directory, monkeypatch):
         """The undisturbed run: ``(entries, sequence)`` after every step,
@@ -311,7 +316,7 @@ class TestDiskFaultsAtEveryWriteBoundary:
             states = [([], 0)]
             for step in self.SCRIPT:
                 step(log)
-                states.append((list(log.iter_entries()), log.sequence))
+                states.append((read_entries(log), log.sequence))
         assert len(log.segments()) > 1 and len(log) < 17  # rolled, compacted
         return states, faults.calls
 
@@ -334,7 +339,7 @@ class TestDiskFaultsAtEveryWriteBoundary:
             acknowledged, high_water = states[returned]
             try:
                 cold = self.open_log(directory)
-                found = list(cold.iter_entries())
+                found = read_entries(cold)
                 sequences = [sequence for sequence, _ in found]
                 assert sequences == sorted(set(sequences))
                 assert [e for e in survivors(acknowledged) if e not in found] == []
@@ -343,7 +348,7 @@ class TestDiskFaultsAtEveryWriteBoundary:
                     [high_water, cold.last_replay.sequence, *sequences])
                 # ... and whatever the crash left staged is no obstacle.
                 compact(cold)
-                assert list(self.open_log(directory).iter_entries()) == [
+                assert read_entries(self.open_log(directory)) == [
                     *survivors(found), (cold.sequence, probe)]
             except Exception as failure:  # reported per point, below
                 broken[k] = repr(failure)
@@ -367,8 +372,8 @@ class TestDiskFaultsAtEveryWriteBoundary:
                             step(log)
                     assert faults.calls > k
                 cold = self.open_log(directory)
-                assert list(log.iter_entries()) == expected
-                assert list(cold.iter_entries()) == expected
+                assert read_entries(log) == expected
+                assert read_entries(cold) == expected
                 assert len(log) == len(cold) == len(expected)
                 assert log.sequence == cold.sequence == high_water
             except Exception as failure:  # reported per point, below

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import exceptions
 from repro.audit.log import AuditAction, AuditOutcome
-from repro.bus.delivery import DeliveryPolicy
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.core.messages import NotificationMessage
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
@@ -251,27 +251,23 @@ class TestSubscriptionGateOnBothRoutes:
 
 class TestLinkFailures:
     def test_scripted_drops_are_retried_within_the_policy_budget(self):
-        deployment = build_federation(
-            link_policy=DeliveryPolicy(max_attempts=3)
-        )
+        deployment = build_federation()
         platform = deployment.platform
         subject = subject_owned_by(platform, "node-1")
         link = platform.membership.link("node-0", "node-1")
-        link.fail_next(2)
+        link.fail_next(MAX_ATTEMPTS - 1)
         notification = deployment.publish_blood_test(subject_id=subject)
         assert notification is not None
         assert notification.event_id in platform.controller_of("node-1").index
-        assert link.stats.retries >= 2
-        assert link.stats.failed_attempts == 2
+        assert link.stats.retries >= MAX_ATTEMPTS - 1
+        assert link.stats.failed_attempts == MAX_ATTEMPTS - 1
 
     def test_exhausted_budget_raises_link_failure(self):
-        deployment = build_federation(
-            link_policy=DeliveryPolicy(max_attempts=2)
-        )
+        deployment = build_federation()
         platform = deployment.platform
         subject = subject_owned_by(platform, "node-1")
         link = platform.membership.link("node-0", "node-1")
-        link.fail_next(2)
+        link.fail_next(MAX_ATTEMPTS)
         with pytest.raises(LinkFailureError):
             deployment.publish_blood_test(subject_id=subject)
 

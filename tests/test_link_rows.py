@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bus.delivery import MAX_ATTEMPTS
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import CssError, LinkFailureError
 from repro.federation import membership as membership_module
@@ -81,7 +82,7 @@ class EagerLink(Link):
                 message[WIRE_KEY] = context.to_wire()
             self._send(canonical_json(message))
             last_error = None
-            for attempt in range(1, self.policy.max_attempts + 1):
+            for attempt in range(1, MAX_ATTEMPTS + 1):
                 if attempt > 1:
                     self.stats.retries += 1
                 self._clock.advance(hop_cost)
@@ -95,7 +96,7 @@ class EagerLink(Link):
                             if batched else repr(operation))
                     last_error = LinkFailureError(
                         f"link {self.source}->{self.target.node_id} dropped "
-                        f"{what} (attempt {attempt}/{self.policy.max_attempts})")
+                        f"{what} (attempt {attempt}/{MAX_ATTEMPTS})")
                     continue
                 if batched:
                     response = self.target.handle_batch(
@@ -264,7 +265,7 @@ def test_bytes_carried_is_the_transcripts_length_across_every_kind_of_hop():
         node.ask("node-0", "details.get", {
             "actor_id": "x", "event_type": "BloodTest", "event_id": "none",
             "purpose": "healthcare-treatment"})
-    link.fail_next(link.policy.max_attempts)
+    link.fail_next(MAX_ATTEMPTS)
     with pytest.raises(LinkFailureError):
         node.ask("node-0", "ping", {})
     node.ask("node-0", "index.store", {"entries": []}, seal=True, entries=3)

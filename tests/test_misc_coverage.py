@@ -64,11 +64,6 @@ class TestDeliveryReport:
 
 
 class TestEnvelopeEdgeCases:
-    def test_correlation_id_default_none(self):
-        env = Envelope(message_id="m", topic="t", sender="s", body="x")
-        assert env.correlation_id is None
-        assert env.content_type == "application/xml"
-
     def test_size_estimate_for_object_body(self):
         env = Envelope(message_id="m", topic="t", sender="s",
                        body={"a": 1, "b": [1, 2, 3]})

@@ -12,7 +12,7 @@ import json
 
 from repro.crypto.hashing import canonical_json
 from repro.crypto.keystore import KeyStore
-from repro.perf.wire_cache import SealedFrameCache
+from repro.perf.wire_cache import MAX_FRAMES, SealedFrameCache
 from tests.conftest import build_federation
 
 
@@ -25,13 +25,12 @@ class TestSealedFrameCache:
         assert len(cache) == 1
 
     def test_oldest_entry_drops_past_the_cap(self):
-        cache = SealedFrameCache(max_entries=2)
-        cache.put("a", {"token": "1"})
-        cache.put("b", {"token": "2"})
-        cache.put("c", {"token": "3"})
-        assert len(cache) == 2
-        assert cache.get("a") is None
-        assert cache.get("b") is not None and cache.get("c") is not None
+        cache = SealedFrameCache()
+        for key in range(MAX_FRAMES + 1):
+            cache.put(key, {"token": str(key)})
+        assert len(cache) == MAX_FRAMES
+        assert cache.get(0) is None
+        assert cache.get(1) is not None and cache.get(MAX_FRAMES) is not None
 
 
 class TestKeyScheduleCache:

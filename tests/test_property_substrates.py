@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.audit.log import AuditAction, AuditOutcome, AuditRecord
 from repro.bus.broker import ServiceBus
-from repro.bus.delivery import DeliveryPolicy
 from repro.bus.topics import topic_matches
 from repro.clock import Clock
 from repro.crypto.keystore import KeyStore
@@ -45,7 +44,7 @@ PATTERNS = ("events.#", "events.health.*", "events.social.*",
 
 #: What an acting handler does, on each delivery, to the subscription
 #: registered next after its own.
-ACTIONS = ("break", "repair", "pause", "resume", "unsubscribe")
+ACTIONS = ("break", "repair", "unsubscribe")
 
 OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("publish"), st.sampled_from(TOPICS)),
@@ -54,7 +53,7 @@ OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("subscribe_acting"),
               st.tuples(st.sampled_from(PATTERNS), st.sampled_from(ACTIONS))),
     st.tuples(st.sampled_from(
-        ("dispatch", "unsubscribe", "pause", "resume", "break", "repair",
+        ("dispatch", "unsubscribe", "break", "repair",
          "replay", "replay_all", "drain")), st.integers(0, 7)),
 ), max_size=60)
 
@@ -73,7 +72,7 @@ class BusRig:
     receive on the same bus; optionally with a fair scheduler whose small
     backlog bound sheds."""
 
-    def __init__(self, auto_dispatch: bool, max_attempts: int,
+    def __init__(self, auto_dispatch: bool,
                  bus_class=ServiceBus, fair: bool = False,
                  forwarding: bool | None = None) -> None:
         self.clock = Clock()
@@ -81,7 +80,6 @@ class BusRig:
                                 config=SchedConfig(max_pending=2)) if fair else None
         self.bus = bus_class(
             clock=self.clock, strict_topics=False, auto_dispatch=auto_dispatch,
-            delivery_policy=DeliveryPolicy(max_attempts=max_attempts),
             sched=sched)
         # A round started from inside a handler the queue path reached
         # re-offers that handler's unacknowledged head, so a forwarder
@@ -161,18 +159,18 @@ class BusRig:
         if name == "unsubscribe":
             bus.unsubscribe(target.subscription_id)
             live.remove(target)
-        elif name == "pause":
-            target.pause()
-        elif name == "resume":
-            target.resume()
         elif name == "break":
             self.broken.add(target.subscriber)
         elif name == "repair":
             self.broken.discard(target.subscriber)
         elif name == "replay":
             return bus.replay_dead_letters(target.subscription_id)
-        elif name == "drain":
-            return len(target.queue.drain())
+        elif name == "drain":  # acknowledge everything queued, undelivered
+            drained = 0
+            while target.queue.depth:
+                target.queue.ack()
+                drained += 1
+            return drained
         return None
 
 
@@ -199,8 +197,7 @@ class TestBusProperties:
     @settings(max_examples=50, deadline=None)
     def test_no_message_lost_or_duplicated(self, publishes, fail_first_n):
         """delivered + dead-lettered + pending == enqueued, exactly."""
-        bus = ServiceBus(strict_topics=False, auto_dispatch=False,
-                         delivery_policy=DeliveryPolicy(max_attempts=2))
+        bus = ServiceBus(strict_topics=False, auto_dispatch=False)
         seen: list[str] = []
         state = {"failures_left": fail_first_n}
 
@@ -226,7 +223,7 @@ class TestBusProperties:
     def test_queue_depth_is_the_sum_of_the_live_queues(self, operations):
         """The running broker-wide depth survives enqueue / ack / evict /
         drain / unsubscribe / dead-letter replay in any interleaving."""
-        rig = BusRig(auto_dispatch=False, max_attempts=1)
+        rig = BusRig(auto_dispatch=False)
         for step in operations:
             rig.apply(*step)
             recomputed = sum(sub.queue.depth for sub in rig.live)
@@ -234,36 +231,36 @@ class TestBusProperties:
 
     @pytest.mark.parametrize("perf", ["none", "indexed"])
     @given(operations=OPERATIONS, auto_dispatch=st.booleans(),
-           max_attempts=st.sampled_from((1, 2)), fair=st.booleans())
+           fair=st.booleans())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_dispatching_the_waiting_set_equals_scanning_every_subscription(
-            self, perf, operations, auto_dispatch, max_attempts, fair,
-            linear_reference):
+            self, perf, operations, auto_dispatch, fair, linear_reference):
         """A fan-out into an idle bus calls the handlers directly, and a
         round over the subscriptions that hold something visits only
         those; the reference queues every delivery and scans every
         subscription (through the linear fan-out).  Both deliver the same
         messages in the same order, park the same dead letters, count the
         same stats, reports, high-water marks and tenant figures — also
-        while handlers break, repair, pause, resume or withdraw a later
+        while handlers break, repair or withdraw a later
         subscription and a fair scheduler sheds — and the set the queues
         keep is exactly the non-empty ones in registration order; the
         subject fans out through the trie and its memo or through the
         linear reference (``none``)."""
         with linear_reference() if perf == "none" else nullcontext():
-            subject = BusRig(auto_dispatch, max_attempts, fair=fair)
-            reference = BusRig(auto_dispatch, max_attempts, QueuedBus, fair)
+            subject = BusRig(auto_dispatch, fair=fair)
+            reference = BusRig(auto_dispatch, QueuedBus, fair)
             scanned = reference.bus._subscriptions
             scanned.waiting = lambda: (  # the round before the set
-                sub for sub in scanned.all_subscriptions()
+                sub for sub in list(scanned._subscriptions.values())
                 if sub.subscription_id in scanned)  # not withdrawn mid-round
             scanned.matching_topic = scanned.matching_topic_linear
             registry = subject.bus._subscriptions
             for step in operations:
                 assert subject.apply(*step) == reference.apply(*step)
                 assert list(registry.waiting()) == [
-                    sub for sub in registry.all_subscriptions() if sub.queue.depth]
+                    sub for sub in registry._subscriptions.values()
+                    if sub.queue.depth]
                 assert subject.observed() == reference.observed()
 
     @given(operations=st.lists(st.one_of(
@@ -278,7 +275,7 @@ class TestBusProperties:
         the rest of the direct list into the queues first: every
         subscription receives what it matches in the order it was
         published, forwarded copies included, each exactly once."""
-        rig = BusRig(auto_dispatch=True, max_attempts=1, forwarding=True)
+        rig = BusRig(auto_dispatch=True, forwarding=True)
         operations.insert(min(at, len(operations)),
                           ("subscribe_forwarder", forwarder))
         since = {}

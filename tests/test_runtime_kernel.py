@@ -588,7 +588,7 @@ class TestJsonlBackends:
         runtime = RuntimeConfig(data_dir=tmp_path)
         controller, hospital, blood, doctor = build_world(runtime)
         publish(hospital, blood, "secret-patient")
-        rows = SegmentedLog(tmp_path / "index").read_all()
+        rows = list(SegmentedLog(tmp_path / "index").iter_records())
         assert len(rows) == 1
         raw = on_disk(tmp_path / "index")
         assert b"secret-patient" not in raw
@@ -622,7 +622,7 @@ class TestJsonlBackends:
         assert reloaded.head_digest == head
         # Replay chains the stored rows; it does not write them again.
         assert on_disk(tmp_path / "audit") == stored
-        rows = SegmentedLog(tmp_path / "audit").read_all()
+        rows = list(SegmentedLog(tmp_path / "audit").iter_records())
         assert rows == [
             {**record.to_payload(), "digest": reloaded._chain.digest_at(index)}
             for index, record in enumerate(reloaded.records())]
@@ -635,7 +635,7 @@ class TestJsonlBackends:
         # log accepts the frame, the hash chain does not.
         (segment,) = sorted((tmp_path / "audit").glob("*.seg"))
         frames = segment.read_bytes().splitlines(keepends=True)
-        doctored = SegmentedLog(tmp_path / "audit").read_all()[0]
+        doctored = list(SegmentedLog(tmp_path / "audit").iter_records())[0]
         doctored["actor"] = "someone-else"
         frames[0] = encode_frame(1, encode_entry(doctored))
         segment.write_bytes(b"".join(frames))

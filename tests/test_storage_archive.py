@@ -23,19 +23,18 @@ from tests.conftest import blood_test_schema, registry_object_row
 class TestJsonlFile:
     def test_append_and_read(self, tmp_path):
         file = JsonlFile(tmp_path / "x.jsonl")
-        file.append({"a": 1})
+        file.append_many([{"a": 1}])
         file.append_many([{"b": 2}, {"c": 3}])
-        assert file.read_all() == [{"a": 1}, {"b": 2}, {"c": 3}]
-        assert len(file) == 3
+        assert list(file.iter_records()) == [{"a": 1}, {"b": 2}, {"c": 3}]
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert JsonlFile(tmp_path / "missing.jsonl").read_all() == []
+        assert list(JsonlFile(tmp_path / "missing.jsonl").iter_records()) == []
 
     def test_corrupt_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(CorruptRecordError, match="corrupt"):
-            JsonlFile(path).read_all()
+            list(JsonlFile(path).iter_records())
 
     def test_corrupt_record_is_a_storage_error_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -53,7 +52,7 @@ class TestJsonlFile:
 
     def test_creates_parent_directories(self, tmp_path):
         file = JsonlFile(tmp_path / "deep" / "nested" / "x.jsonl")
-        file.append({"a": 1})
+        file.append_many([{"a": 1}])
         assert file.path.exists()
 
 
@@ -130,7 +129,7 @@ class TestArchiveRoundTrip:
         # An archive whose index rows are in the registry-object form, its
         # manifest vouching for them, is refused at the first such row.
         index_file = tmp_path / "snap" / "index.jsonl"
-        rows = [row for row in JsonlFile(index_file).read_all()
+        rows = [row for row in JsonlFile(index_file).iter_records()
                 if not row.get("tombstone")]
         assert len(rows) == len(controller.index)
         index_file.unlink()

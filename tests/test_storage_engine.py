@@ -1,10 +1,9 @@
 """Tests for the segmented storage engine.
 
-Segment framing and crash repair, sparse-index seeks, point-in-time
-truncation, compaction (and the audit-immutability rule), snapshots with
-corruption detection and restore-to-sequence, the engine as every durable
-node's store, privacy-guarded storage telemetry, and the ``repro store``
-CLI.
+Segment framing and crash repair, point-in-time truncation, compaction
+(and the audit-immutability rule), snapshots with corruption detection and
+restore-to-sequence, the engine as every durable node's store,
+privacy-guarded storage telemetry, and the ``repro store`` CLI.
 """
 
 import io
@@ -33,7 +32,7 @@ from tests.conftest import index_row, tombstone
 
 
 def small_log(directory, n=40, segment_bytes=512):
-    log = SegmentedLog(directory, segment_bytes=segment_bytes, sparse_every=4)
+    log = SegmentedLog(directory, segment_bytes=segment_bytes)
     for i in range(n):
         log.append({"n": i})
     return log
@@ -42,12 +41,17 @@ def small_log(directory, n=40, segment_bytes=512):
 def index_log(directory, rows, withdrawn=(), segment_bytes=512):
     """An events-index log: ``rows`` entries, then a tombstone for each of
     ``withdrawn`` (the entries a rehome moved away)."""
-    log = SegmentedLog(directory, segment_bytes=segment_bytes, sparse_every=4)
+    log = SegmentedLog(directory, segment_bytes=segment_bytes)
     for n in range(rows):
         log.append(index_row(n))
     for n in withdrawn:
         log.append(tombstone(n))
     return log
+
+
+def entries_of(log):
+    """Every ``(sequence, record)`` of ``log``, oldest first."""
+    return [(sequence, decode_entry(text)) for sequence, text in log.iter_texts()]
 
 
 class TestSegmentFraming:
@@ -70,7 +74,7 @@ class TestSegmentedLog:
         log = small_log(tmp_path / "log")
         assert len(log) == 40
         assert log.sequence == 40
-        entries = list(log.iter_entries())
+        entries = entries_of(log)
         assert [sequence for sequence, _ in entries] == list(range(1, 41))
         assert entries[0][1]["n"] == 0
 
@@ -81,25 +85,17 @@ class TestSegmentedLog:
 
     def test_reopen_replays_identically(self, tmp_path):
         log = small_log(tmp_path / "log")
-        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512,
-                                sparse_every=4)
-        assert reopened.read_all() == log.read_all()
+        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512)
+        assert list(reopened.iter_records()) == list(log.iter_records())
         assert reopened.sequence == 40
         assert reopened.last_replay.truncated_bytes == 0
-
-    def test_sparse_seek_skips_earlier_records(self, tmp_path):
-        log = small_log(tmp_path / "log")
-        assert [s for s, _ in log.iter_entries(start=37)] == [37, 38, 39, 40]
-        # A start that is not a sparse-index point still lands exactly.
-        assert next(log.iter_entries(start=6))[0] == 6
 
     def test_torn_tail_is_truncated_on_replay(self, tmp_path):
         small_log(tmp_path / "log")
         last = sorted((tmp_path / "log").glob("*.seg"))[-1]
         with last.open("ab") as handle:
             handle.write(b'00000000 41 {"torn": tr')  # no newline: uncommitted
-        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512,
-                                sparse_every=4)
+        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512)
         assert len(reopened) == 40
         assert reopened.last_replay.truncated_bytes > 0
         # The repaired log accepts new appends at the next sequence.
@@ -112,7 +108,7 @@ class TestSegmentedLog:
         data[12] ^= 0xFF
         first.write_bytes(bytes(data))
         with pytest.raises(CorruptRecordError):
-            SegmentedLog(tmp_path / "log", segment_bytes=512, sparse_every=4)
+            SegmentedLog(tmp_path / "log", segment_bytes=512)
 
     @pytest.mark.parametrize("read", [
         lambda log: list(log.iter_records()),
@@ -133,10 +129,9 @@ class TestSegmentedLog:
         removed = log.truncate_to(25)
         assert removed == 15
         assert log.sequence == 25
-        assert [s for s, _ in log.iter_entries()][-1] == 25
+        assert [s for s, _ in log.iter_texts()][-1] == 25
         # And the truncation is durable.
-        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512,
-                                sparse_every=4)
+        reopened = SegmentedLog(tmp_path / "log", segment_bytes=512)
         assert reopened.sequence == 25
 
     def test_truncate_above_high_water_is_a_no_op(self, tmp_path):
@@ -165,15 +160,14 @@ def frame_of(entry):
 
 
 class TestReadersAgree:
-    """``iter_entries``, ``segments`` and ``truncate_to`` against one
+    """``iter_texts``, ``segments`` and ``truncate_to`` against one
     reference, over one drawn log (each had only its own examples)."""
 
     @staticmethod
-    def check(log, segments, high_water, start=1):
+    def check(log, segments, high_water):
         entries = [entry for segment in segments for entry in segment]
         assert (len(log), log.sequence) == (len(entries), high_water)
-        assert list(log.iter_entries(start)) == [
-            entry for entry in entries if entry[0] >= start]
+        assert entries_of(log) == entries
         assert [(info.first_sequence, info.records, info.size_bytes)
                 for info in log.segments()] == [
             (segment[0][0], len(segment),
@@ -184,17 +178,13 @@ class TestReadersAgree:
         batches=st.lists(st.lists(st.integers(0, 999), max_size=6), max_size=8),
         compacted_away=st.none() | st.sets(st.integers(1, 48)),
         segment_bytes=st.integers(1, 300),
-        sparse_every=st.integers(1, 5),
-        start=st.integers(0, 50),
         target=st.integers(0, 50),
     )
     @settings(max_examples=120, deadline=None)
     def test_against_the_list_reference(self, batches, compacted_away,
-                                        segment_bytes, sparse_every, start,
-                                        target):
+                                        segment_bytes, target):
         with tempfile.TemporaryDirectory() as directory:
-            log = SegmentedLog(directory, segment_bytes=segment_bytes,
-                               sparse_every=sparse_every)
+            log = SegmentedLog(directory, segment_bytes=segment_bytes)
             entries = []
             for batch in batches:
                 records = [{"n": n} for n in batch]
@@ -209,16 +199,15 @@ class TestReadersAgree:
                         sequence not in compacted_away)
                 entries = [e for e in entries if e[0] not in compacted_away]
             segments = reference_segments(entries, segment_bytes)
-            self.check(log, segments, high_water, start)
+            self.check(log, segments, high_water)
 
             dropped = log.truncate_to(target)
             assert dropped == (target < high_water) * len(
                 [e for e in entries if e[0] > target])
             segments = [[e for e in segment if e[0] <= target]
                         for segment in segments]
-            self.check(log, segments, min(target, high_water), start)
-            self.check(SegmentedLog(directory, segment_bytes=segment_bytes,
-                                    sparse_every=sparse_every),
+            self.check(log, segments, min(target, high_water))
+            self.check(SegmentedLog(directory, segment_bytes=segment_bytes),
                        segments, min(target, high_water))
 
 
@@ -233,12 +222,12 @@ class TestCompaction:
         assert report.records_dropped == 70
         assert report.bytes_reclaimed > 0
         # Survivors keep their original sequence numbers.
-        assert [s for s, _ in log.iter_entries()] == [1, 9, 17, 25, 33]
+        assert [s for s, _ in log.iter_texts()] == [1, 9, 17, 25, 33]
 
     def test_tombstone_reclaims_object_and_itself(self, tmp_path):
         log = index_log(tmp_path / "log", 2, withdrawn=[1])
         compact(log)
-        assert log.read_all() == [index_row(0)]
+        assert list(log.iter_records()) == [index_row(0)]
 
     def test_sequence_counter_never_rewinds(self, tmp_path):
         log = index_log(tmp_path / "log", 20, withdrawn=range(20))
@@ -253,7 +242,8 @@ class TestCompaction:
         log.append({"marker": "not an index row"})
         report = compact(log)
         assert report.records_after == 2
-        assert log.read_all() == [index_row(1), {"marker": "not an index row"}]
+        assert list(log.iter_records()) == [
+            index_row(1), {"marker": "not an index row"}]
 
     def test_audit_log_is_immutable(self, tmp_path):
         engine = StorageEngine(tmp_path)

@@ -61,7 +61,7 @@ class TestControllerEquivalence:
         worlds = self.run_both(tmp_path)
         memory, durable = worlds["memory"][0], worlds["durable"][0]
         assert durable.audit_log.head_digest == memory.audit_log.head_digest
-        rows = SegmentedLog(tmp_path / "audit").read_all()
+        rows = list(SegmentedLog(tmp_path / "audit").iter_records())
         assert [{key: value for key, value in row.items() if key != "digest"}
                 for row in rows] == [
             record.to_payload() for record in memory.audit_log.records()]
