@@ -133,22 +133,21 @@ class ServiceBus:
 
         With ``strict_topics`` (default) the topic must have been declared —
         undeclared topics mean the producer skipped catalog installation.
-        Fan-out enqueues into every matching subscription; with
-        ``auto_dispatch`` a dispatch round runs immediately.
+        The message is then routed (:meth:`route`) under a fresh ``msg`` id.
         """
         if self.strict_topics and not self._topics.exists(topic):
             raise UnknownTopicError(f"publish to undeclared topic {topic!r}")
+        return self.route(self._ids.next("msg"), topic, sender, body)
+
+    def route(self, message_id: str, topic: str, sender: str, body: object) -> Envelope:
+        """:meth:`publish`'s second half, and all a federation relay does:
+        scheduler metering, fan-out into every matching subscription and,
+        with ``auto_dispatch``, a dispatch round.  Checks and mints nothing."""
         self._spill()
         now = self._clock.now()
         if self._sched is not None:
             self._sched.note_publish(sender, now)
-        envelope = Envelope(
-            message_id=self._ids.next("msg"),
-            topic=topic,
-            sender=sender,
-            body=body,
-            created_at=now,
-        )
+        envelope = Envelope(message_id, topic, sender, body, now)
         self.stats.published += 1
         matching = self._subscriptions.matching_topic(topic)
         self._fan_out(envelope, matching, now)

@@ -24,9 +24,13 @@ def hmac_digest(key: bytes, message: bytes) -> str:
     return _hmac.new(key, message, hashlib.sha256).hexdigest()
 
 
+#: The one encoder behind :func:`canonical_json` (``json.dumps`` builds one per call).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def canonical_json(payload: object) -> str:
     """Deterministic JSON rendering used for hashing structured records."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return _CANONICAL.encode(payload)
 
 
 class HashChain:

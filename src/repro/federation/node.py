@@ -34,7 +34,6 @@ distribution:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -113,8 +112,6 @@ class FederationNode:
         self._relay_frames = SealedFrameCache()
         #: (origin node, topic) pairs already relayed toward a peer.
         self._relays: dict[tuple[str, str], str] = {}
-        #: Topics this node re-publishes locally for relayed notifications.
-        self._relay_topics: set[str] = set()
         self._handlers: dict[str, Callable[[dict], dict]] = {
             "ping": self._op_ping,
             "index.store": self._op_index_store,
@@ -378,19 +375,15 @@ class FederationNode:
             return frame
         self._perf.record_miss("seal")
         return self._relay_frames.put(
-            key, self.seal_channel({"topic": topic, **asdict(notification)}))
+            key, self.seal_channel({"topic": topic, **vars(notification)}))
 
     def _op_bus_relay(self, payload: dict) -> dict:
-        """Re-publish a relayed notification value on this node's local bus."""
+        """Route a notification the home bus published to the subscriptions
+        ``subscribe_remote`` made here, under its event id: no id is minted."""
         body = self.open_channel(payload)
         topic = body.pop("topic")
-        if topic not in self._relay_topics:
-            self.controller.bus.declare_topic(topic)
-            self._relay_topics.add(topic)
-        self.controller.bus.publish(
-            topic, sender=f"federation:{payload['from']}",
-            body=NotificationMessage(**body),
-        )
+        self.controller.bus.route(body["event_id"], topic, f"federation:{payload['from']}",
+                                  NotificationMessage(**body))
         return {"ok": True, "node": self.node_id}
 
     # -- home-node enforcement ---------------------------------------------

@@ -184,7 +184,7 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
             )
             return None
         # Gateway persistence plus global-id assignment (temporal decoupling).
-        node.gateway_of(producer_id).persist(occurrence)
+        node.gateway_of(producer_id).persist(occurrence, validated=True)
         event_id = node.ids.next("evt")
         node.id_map.record(EventIdEntry(
             event_id=event_id,

@@ -126,6 +126,8 @@ class NotificationTransport(Protocol):
 
     def publish(self, topic: str, sender: str, body: object) -> Any: ...
 
+    def route(self, message_id: str, topic: str, sender: str, body: object) -> Any: ...
+
     def dispatch(self) -> Any: ...
 
 
@@ -135,7 +137,7 @@ class CooperationGateway(Protocol):
 
     producer_id: str
 
-    def persist(self, occurrence: "EventOccurrence") -> None: ...
+    def persist(self, occurrence: "EventOccurrence", *, validated: bool = False) -> None: ...
 
     def get_response(
         self,

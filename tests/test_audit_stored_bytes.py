@@ -8,8 +8,9 @@ records.  Held to account here:
 * tampering with the stored trail *after* it was loaded — a body byte or a
   digest byte, re-framed under a valid checksum or not — fails
   ``verify_integrity``, which re-walks the stored bytes;
-* one JSON render per durable append (``batch`` off and on), none and no
-  ``AuditRecord`` per replayed link, no JSON parse while a log opens;
+* one ``canonical_json`` render per durable append (``batch`` off and
+  on), none and no ``AuditRecord`` per replayed link, no JSON parse while
+  a log opens;
 * the durable sink reads exactly like the in-memory reference
   (``records``, ``logical``, ``record_at``, ``len``, ``head_digest``) over
   drawn appends and fan-out runs, across a reopen, with ``batch`` off and
@@ -19,6 +20,7 @@ records.  Held to account here:
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -145,16 +147,16 @@ class TestTamperAfterLoad:
 # -- what a record costs ----------------------------------------------------------
 
 class Counted:
-    """Counts calls of ``json.dumps``, ``json.loads`` and ``AuditRecord``
-    construction while active."""
+    """Counts calls of ``canonical_json`` (wherever a module bound it),
+    ``json.loads`` and ``AuditRecord`` construction while active."""
 
     def __init__(self, monkeypatch):
-        self.dumps = self.loads = self.records = 0
-        dumps, loads, init = json.dumps, json.loads, AuditRecord.__init__
+        self.renders = self.loads = self.records = 0
+        loads, init = json.loads, AuditRecord.__init__
 
-        def counted_dumps(*args, **kwargs):
-            self.dumps += 1
-            return dumps(*args, **kwargs)
+        def counted_render(payload):
+            self.renders += 1
+            return canonical_json(payload)
 
         def counted_loads(*args, **kwargs):
             self.loads += 1
@@ -164,7 +166,10 @@ class Counted:
             self.records += 1
             init(record, *args, **kwargs)
 
-        monkeypatch.setattr(json, "dumps", counted_dumps)
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "canonical_json", None)
+            if name.startswith("repro") and bound is canonical_json:
+                monkeypatch.setattr(module, "canonical_json", counted_render)
         monkeypatch.setattr(json, "loads", counted_loads)
         monkeypatch.setattr(AuditRecord, "__init__", counted_init)
 
@@ -184,7 +189,7 @@ class TestRenderCounts:
             sink.delivered(recipient, notification(1), 11.0, ids)
         sink.flush()
         assert len(sink) == 11
-        assert counts.dumps == 11
+        assert counts.renders == 11
         assert counts.loads == 0
         assert sink._records == []  # digests, not records
 
@@ -193,11 +198,11 @@ class TestRenderCounts:
         live = filled(tmp_path / "audit", batch_size)
         counts = Counted(monkeypatch)
         log = SegmentedLog(tmp_path / "audit")
-        assert (counts.dumps, counts.loads, counts.records) == (0, 0, 0)
+        assert (counts.renders, counts.loads, counts.records) == (0, 0, 0)
         replayed = JsonlAuditSink(log if batch_size is None else BatchWriter(log, batch_size))
         replayed.verify_integrity()
         assert (len(replayed), replayed.head_digest) == (len(live), live.head_digest)
-        assert (counts.dumps, counts.loads, counts.records) == (0, 0, 0)
+        assert (counts.renders, counts.loads, counts.records) == (0, 0, 0)
 
     def test_the_in_memory_reference_renders_once_per_append_too(self, monkeypatch):
         log, ids = AuditLog(), IdFactory(seed="count")
@@ -205,7 +210,7 @@ class TestRenderCounts:
         for n in range(5):
             log.append(AuditRecord(ids.next("aud"), float(n), "Hospital",
                                    AuditAction.PUBLISH, AuditOutcome.PERMIT))
-        assert counts.dumps == 5
+        assert counts.renders == 5
 
 
 # -- the durable sink reads like the reference -------------------------------------

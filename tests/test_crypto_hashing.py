@@ -1,5 +1,7 @@
 """Unit and property tests for repro.crypto.hashing."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,37 @@ class TestHmacDigest:
         int(digest, 16)  # parses as hex
 
 
+class Opaque:
+    """A value JSON cannot carry: it crosses as its ``str``."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __str__(self) -> str:
+        return f"Opaque({self.text})"
+
+
 class TestCanonicalJson:
     def test_key_order_is_canonical(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
     def test_non_json_values_are_stringified(self):
         assert "frozenset" in canonical_json({"x": frozenset()})
+
+    @given(payload=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+        | st.builds(Opaque, st.text(max_size=8)) | st.dates() | st.frozensets(st.integers()),
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=24))
+    @settings(max_examples=300, deadline=None)
+    def test_the_shared_encoder_renders_as_json_dumps(self, payload):
+        """One module-level encoder, the same text ``json.dumps`` renders
+        with the canonical arguments: non-ASCII escaped, NaN and the
+        infinities as ``json`` spells them, a tuple as a list, anything
+        else through ``str``."""
+        assert canonical_json(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def body(n: int) -> str:

@@ -1,6 +1,7 @@
 """End-to-end tests for the sharded multi-controller platform."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import exceptions
 from repro.audit.log import AuditAction, AuditOutcome
+from repro.bus.broker import ServiceBus
 from repro.bus.delivery import MAX_ATTEMPTS
 from repro.core.messages import NotificationMessage
+from repro.crypto.hashing import canonical_json
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
     AccessDeniedError,
@@ -20,7 +23,9 @@ from repro.exceptions import (
 )
 from repro.federation import FederatedPlatform
 from repro.federation.node import WIRE_ERRORS
+from repro.ids import IdGenerator
 from repro.obs.guard import TelemetryPrivacyError
+from repro.runtime.kernel import RuntimeConfig
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import (
     BooleanType,
@@ -171,8 +176,82 @@ class TestCrossNodeSubscription:
         assert platform.consumer("FamilyDoctors/Dr-Rossi").inbox == sent
         assert parses == []
 
+    def test_a_relay_is_routed_on_the_receiving_bus_not_published_again(
+            self, monkeypatch):
+        """One cross-node publish mints one ``msg`` id and makes one
+        ``ServiceBus.publish`` call, both on the home node; the receiving
+        node routes the relayed value.  A remote consumer that raises is
+        still retried ``MAX_ATTEMPTS`` times and dead-lettered on its own
+        node, and the trail it leaves is the one a re-publishing relay
+        left (:data:`RELAY_TRAIL_SHA256`)."""
+        deployment = relay_deployment()
+        platform = deployment.platform
+        home, remote = platform.controller_of("node-0"), platform.controller_of("node-1")
+        published, minted, attempts = [], [], []
+        monkeypatch.setattr(ServiceBus, "publish", counting(
+            ServiceBus.publish, lambda bus, *args: published.append(bus)))
+        monkeypatch.setattr(IdGenerator, "next", counting(
+            IdGenerator.next, lambda generator: minted.append(generator)))
+        platform.subscribe(VERDI, "BloodTest", handler=lambda n: (
+            attempts.append(n.event_id), broken()))
+        deployment.publish_blood_test()
+        platform.dispatch_all()
+        assert published == [home.bus]
+        assert [g for g in minted if g.prefix == "msg"] == [home.ids.generator("msg")]
+        assert len(attempts) == MAX_ATTEMPTS
+        assert (remote.bus.dead_letter_depth, home.bus.dead_letter_depth) == (1, 0)
+        assert relay_trail(platform) == RELAY_TRAIL_SHA256
+
 
 VERDI = "FamilyDoctors/Dr-Verdi"
+
+#: sha256 of :func:`relay_trail` after the relay test's publish, as the
+#: bus produced it when the receiving node published a relay again.
+RELAY_TRAIL_SHA256 = "882c74f02c68a8052cb5fca759afb5945906b27beda855ac1c1e8e9fe001caf4"
+
+
+def counting(method, note):
+    """``method`` that first passes its receiver and arguments to ``note``."""
+    def counted(self, *args, **kwargs):
+        note(self, *args)
+        return method(self, *args, **kwargs)
+    return counted
+
+
+def broken():
+    raise RuntimeError("consumer down")
+
+
+def relay_deployment():
+    """The 2-node federation with a second remote consumer, Dr. Verdi, and
+    Dr. Rossi subscribed: both consumers sit on node-1, the class on node-0."""
+    deployment = build_federation(runtime=RuntimeConfig(sched="fair"))
+    platform = deployment.platform
+    platform.add_consumer(VERDI, "Dr. Verdi", role="family-doctor", node_id="node-1")
+    platform.producer("Hospital-S-Maria").define_policy(
+        event_type="BloodTest", fields=["Hemoglobin"],
+        consumers=[(VERDI, "unit")], purposes=["healthcare-treatment"])
+    platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+    return deployment
+
+
+def relay_trail(platform) -> str:
+    """sha256 of what a relayed delivery leaves behind: every node's
+    logical NOTIFY rows, bus counters, dead letters and tenant report, and
+    every consumer's inbox."""
+    rows = []
+    for node in platform.nodes():
+        controller, bus = node.controller, node.controller.bus
+        rows.append([
+            node.node_id, dataclasses.asdict(bus.stats), bus.dead_letter_depth,
+            bus.dead_letter_counts(), bus.queue_high_water_marks(),
+            controller.sched.tenant_report(controller.clock.now()),
+            [record.to_payload() for record in controller.audit_log.logical()
+             if record.action is AuditAction.NOTIFY]])
+    for consumer_id in ("FamilyDoctors/Dr-Rossi", VERDI):
+        rows.append([consumer_id, [dataclasses.asdict(notification) for notification
+                                   in platform.consumer(consumer_id).inbox]])
+    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("consumer_node", ["node-0", "node-1"],

@@ -15,6 +15,7 @@ import pytest
 
 from repro import DataConsumer, DataController, DataProducer
 from repro.audit.log import AuditAction, AuditOutcome
+from repro.core import events, gateway
 from repro.core.consent import ConsentRegistry, ConsentScope
 from repro.core.enforcement import DetailRequest
 from repro.exceptions import (
@@ -27,6 +28,7 @@ from repro.exceptions import (
 from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
 from repro.runtime.interceptors import classify
 from repro.runtime.kernel import RuntimeConfig
+from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.conftest import blood_test_schema
 
 
@@ -119,6 +121,38 @@ class TestRetention:
         controller.flush_storage()
         gc.collect()
         assert (len(gc.get_objects()) - before) / 2000 <= 4
+
+
+class TestOneValidation:
+    """A publish validates its detail once, before its consent check; the
+    gateway takes the publish's word for it, and only then."""
+
+    def test_a_seeded_run_validates_once_per_publish(self, monkeypatch):
+        validated = []
+        for module in (events, gateway):  # every caller of validate_document
+            def counted(document, schema, real=module.validate_document):
+                validated.append(document)
+                real(document, schema)
+            monkeypatch.setattr(module, "validate_document", counted)
+        scenario = CssScenario(ScenarioConfig(nodes=2, n_events=60, n_patients=10, seed=11))
+        scenario.run()
+        publishes = sum(node.controller.publish_stats.requests
+                        for node in scenario.platform.nodes())
+        assert publishes >= 60 and len(validated) == publishes
+
+    def test_a_malformed_detail_fails_before_the_consent_check(self):
+        controller, hospital, blood, doctor = build_world()
+        consent = ConsentRegistry("Hospital")
+        consent.opt_out("p1", ConsentScope.NOTIFICATIONS)
+        controller.attach_consent("Hospital", consent)
+        audited = len(controller.audit_log)
+        with pytest.raises(ValidationError):
+            hospital.publish(blood, subject_id="p1", subject_name="Mario",
+                             summary="done", details={"PatientId": "p1"})
+        assert len(controller.audit_log) == audited  # no veto minted
+        assert (controller.publish_stats.failures,
+                controller.publish_stats.consent_blocked) == (1, 0)
+        assert len(hospital.gateway) == 0
 
 
 class TestDenyShortCircuits:
