@@ -69,15 +69,13 @@ class LocalCooperationGateway:
 
     # -- persistence -------------------------------------------------------------
 
-    def persist(self, occurrence: EventOccurrence, *, validated: bool = False) -> None:
+    def persist(self, occurrence: EventOccurrence) -> None:
         """Store the detail message of a notified event (publish path).
 
         The payload is validated against the class schema before storage —
-        the gateway refuses to persist malformed details — unless the caller
-        already ``validated`` it (the publish path, before its consent check).
+        the gateway refuses to persist malformed details.
         """
-        if not validated:
-            occurrence.validate()
+        occurrence.validate()
         if occurrence.src_event_id in self._store:
             raise GatewayError(
                 f"detail for {occurrence.src_event_id!r} already persisted"

@@ -170,11 +170,11 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
                 f"{producer_id!r} cannot publish events of class "
                 f"{event_class.name!r} owned by {event_class.producer_id!r}"
             )
-        occurrence.validate()
         registry = node.consent_registry_of(producer_id)
         if registry is not None and not registry.allows_notification(
             occurrence.subject_id, event_class.name
         ):
+            occurrence.validate()  # a malformed detail fails, vetoed or not
             mint_record(
                 node.audit_log, node.ids, clock, producer_id,
                 AuditAction.PUBLISH, Outcome.VETO.audit,
@@ -184,7 +184,7 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
             )
             return None
         # Gateway persistence plus global-id assignment (temporal decoupling).
-        node.gateway_of(producer_id).persist(occurrence, validated=True)
+        node.gateway_of(producer_id).persist(occurrence)
         event_id = node.ids.next("evt")
         node.id_map.record(EventIdEntry(
             event_id=event_id,

@@ -137,7 +137,7 @@ class CooperationGateway(Protocol):
 
     producer_id: str
 
-    def persist(self, occurrence: "EventOccurrence", *, validated: bool = False) -> None: ...
+    def persist(self, occurrence: "EventOccurrence") -> None: ...
 
     def get_response(
         self,

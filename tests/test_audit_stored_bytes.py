@@ -8,9 +8,8 @@ records.  Held to account here:
 * tampering with the stored trail *after* it was loaded — a body byte or a
   digest byte, re-framed under a valid checksum or not — fails
   ``verify_integrity``, which re-walks the stored bytes;
-* one ``canonical_json`` render per durable append (``batch`` off and
-  on), none and no ``AuditRecord`` per replayed link, no JSON parse while
-  a log opens;
+* one JSON render per durable append (``batch`` off and on), none and
+  no ``AuditRecord`` per replayed link, no JSON parse while a log opens;
 * the durable sink reads exactly like the in-memory reference
   (``records``, ``logical``, ``record_at``, ``len``, ``head_digest``) over
   drawn appends and fan-out runs, across a reopen, with ``batch`` off and
@@ -20,7 +19,6 @@ records.  Held to account here:
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome, AuditRecord
 from repro.core.messages import NotificationMessage
+from repro.crypto import hashing
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import TamperedLogError
 from repro.ids import IdFactory
@@ -147,16 +146,22 @@ class TestTamperAfterLoad:
 # -- what a record costs ----------------------------------------------------------
 
 class Counted:
-    """Counts calls of ``canonical_json`` (wherever a module bound it),
-    ``json.loads`` and ``AuditRecord`` construction while active."""
+    """Counts JSON renders (the shared canonical encoder's ``encode``, which
+    ``canonical_json`` calls, and ``json.dumps``), ``json.loads`` calls and
+    ``AuditRecord`` construction while active."""
 
     def __init__(self, monkeypatch):
         self.renders = self.loads = self.records = 0
+        encode, dumps = hashing._CANONICAL.encode, json.dumps
         loads, init = json.loads, AuditRecord.__init__
 
-        def counted_render(payload):
+        def counted_encode(payload):
             self.renders += 1
-            return canonical_json(payload)
+            return encode(payload)
+
+        def counted_dumps(*args, **kwargs):
+            self.renders += 1
+            return dumps(*args, **kwargs)
 
         def counted_loads(*args, **kwargs):
             self.loads += 1
@@ -166,10 +171,8 @@ class Counted:
             self.records += 1
             init(record, *args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            bound = getattr(module, "canonical_json", None)
-            if name.startswith("repro") and bound is canonical_json:
-                monkeypatch.setattr(module, "canonical_json", counted_render)
+        monkeypatch.setattr(hashing._CANONICAL, "encode", counted_encode)
+        monkeypatch.setattr(json, "dumps", counted_dumps)
         monkeypatch.setattr(json, "loads", counted_loads)
         monkeypatch.setattr(AuditRecord, "__init__", counted_init)
 

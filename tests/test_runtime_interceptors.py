@@ -124,8 +124,8 @@ class TestRetention:
 
 
 class TestOneValidation:
-    """A publish validates its detail once, before its consent check; the
-    gateway takes the publish's word for it, and only then."""
+    """A publish validates its detail once: in the gateway's ``persist``
+    when it goes out, before its veto is audited when consent stops it."""
 
     def test_a_seeded_run_validates_once_per_publish(self, monkeypatch):
         validated = []
