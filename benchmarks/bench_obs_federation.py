@@ -56,16 +56,12 @@ def run_point(nodes: int, events: int, patients: int, seed: int) -> dict:
     traced_wall, scenario = _run(nodes, events, patients, seed, traced=True)
     traces = scenario.platform.stitched_trace()
     summary = stitch_summary(traces)
-    wire_bytes = sum(
-        link.stats.bytes_carried for link in scenario.platform.membership.links()
-    )
     return {
         "nodes": nodes,
         "bare_wall_seconds": bare_wall,
         "traced_wall_seconds": traced_wall,
         "overhead_ratio": (traced_wall / bare_wall) if bare_wall > 0 else 0.0,
         "cross_node_hops": scenario.platform.total_hops(),
-        "wire_bytes": wire_bytes,
         "stitched": summary,
     }
 

@@ -3,10 +3,10 @@
 A :class:`Link` is one directed channel from a federation node to a peer.
 Its transport discipline is the subsystem's privacy boundary:
 
-* payloads are JSON-serializable dicts crossing as canonical JSON: a hop
-  keeps what crossed and :attr:`Link.transcript` — the privacy tests' grep
-  surface — renders it on read, byte for byte what a send-time encode
-  made (nothing that crossed is mutated after its hop);
+* payloads are JSON-serializable dicts, handed to the peer's
+  :meth:`~repro.federation.node.FederationNode.handle` as they are: a hop
+  encodes nothing and keeps nothing of what crossed — only its counters
+  (:class:`LinkStats`) move;
 * identifying content is sealed *before* it reaches the link (index
   entries carry the index-key tokens; detail responses and audit exports
   travel under the sender's federation channel key);
@@ -19,8 +19,8 @@ A handler's failure — any :class:`~repro.exceptions.CssError`: a denial,
 a missing detail, a tampered chain — is a *response*, spelled by the
 serving node (``node.py::WIRE_ERRORS``) and raised again on the caller's
 side by :meth:`FederationNode.ask`, the only caller of :meth:`Link.call`
-and :meth:`Link.call_batch`.  So it is in the transcript and counted as
-delivered like any other answer, and the link retries only transmission
+and :meth:`Link.call_batch`.  So it crosses and is counted as delivered
+like any other answer, and the link retries only transmission
 drops, never decisions.
 """
 
@@ -31,9 +31,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.bus.delivery import MAX_ATTEMPTS
 from repro.clock import Clock
-from repro.crypto.hashing import canonical_json
 from repro.exceptions import LinkFailureError
-from repro.obs.context import WIRE_KEY
 
 if TYPE_CHECKING:
     from repro.federation.node import FederationNode
@@ -62,12 +60,6 @@ class LinkStats:
     drops: int = 0  # dropped attempts
     #: Operation -> entries delivered.
     delivered_by_op: dict[str, int] = field(default_factory=dict)
-    transcript: Callable[[], list[str]] = field(default=list, repr=False)  # renders the link's
-
-    @property
-    def bytes_carried(self) -> int:
-        """Characters of every wire message that crossed, read off the transcript."""
-        return sum(map(len, self.transcript()))
 
 
 class Link:
@@ -86,11 +78,7 @@ class Link:
         self.source = source
         self.target = target
         self.latency = latency
-        self.stats = LinkStats(transcript=lambda: self.transcript)
-        #: What crossed, in order: a request as ``(operation, payload, span
-        #: row or None)``, a response as its dict; and those rendered so far.
-        self._crossed: list[tuple | dict] = []
-        self._lines: list[str] = []
+        self.stats = LinkStats()
         self._clock = clock or Clock()
         self._fail_budget = 0
         self._failure_hook: Callable[[str, dict], bool] | None = None
@@ -109,19 +97,6 @@ class Link:
             metrics.reader("counter", HOP_COUNTER, lambda: (
                 ({**ends, "op": operation}, count)
                 for operation, count in stats.delivered_by_op.items()))
-
-    @property
-    def transcript(self) -> list[str]:
-        """Every wire message that crossed, in order; renders only what is new."""
-        lines, tracer = self._lines, self._tracer
-        for entry in self._crossed[len(lines):]:
-            if type(entry) is tuple:
-                operation, payload, row = entry
-                entry = {"op": operation, "payload": payload}
-                if row is not None:
-                    entry[WIRE_KEY] = tracer.context(row).to_wire()
-            lines.append(canonical_json(entry))
-        return lines
 
     # -- failure injection -------------------------------------------------
 
@@ -148,10 +123,9 @@ class Link:
 
         Retries dropped attempts up to :data:`~repro.bus.delivery.MAX_ATTEMPTS`;
         raises :class:`~repro.exceptions.LinkFailureError` once the budget
-        is exhausted.  Request and response land in :attr:`transcript`.
-        With telemetry enabled on the source side the hop runs inside a
-        ``link.call`` span, whose :class:`~repro.obs.context.TraceContext`
-        — two counter-minted ids, never content — the message carries.
+        is exhausted.  With telemetry on at the source the hop runs inside
+        a ``link.call`` span, whose :class:`~repro.obs.context.TraceContext`
+        — two counter-minted ids, never content — the request carries.
         """
         return self._transmit(operation, payload, None, self.latency)
 
@@ -165,7 +139,7 @@ class Link:
         """Send one coalesced frame carrying ``count`` logical entries.
 
         The frame is one wire message and one transmission attempt (one
-        ``calls`` tick, one transcript entry), but delivery accounting
+        ``calls`` tick, one request to the peer), but delivery accounting
         stays per entry: on success ``delivered`` (and the hop counter)
         grow by ``count``; a drop fails all ``count`` entries together.
 
@@ -202,7 +176,6 @@ class Link:
             row = tracer.open(*self._span_shape(operation, entries))
             if self.target.telemetry is not self._telemetry:
                 context = tracer.context(row)
-        self._crossed.append((operation, payload, row))
         try:
             for attempt in range(1, MAX_ATTEMPTS + 1):
                 if attempt > 1:
@@ -222,7 +195,6 @@ class Link:
                         operation, payload, count, trace=context)
                 else:
                     response = self.target.handle(operation, payload, trace=context)
-                self._crossed.append(response)
                 stats.delivered += count
                 stats.delivered_by_op[operation] = (
                     stats.delivered_by_op.get(operation, 0) + count)

@@ -147,7 +147,7 @@ class StaticMembership:
         return self._telemetry
 
     def links(self) -> tuple[Link, ...]:
-        """Every link created so far (for stats and privacy transcripts)."""
+        """Every link created so far (for stats and failure injection)."""
         return tuple(self._links[key] for key in sorted(self._links))
 
     # -- telemetry ---------------------------------------------------------

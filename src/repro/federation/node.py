@@ -113,7 +113,6 @@ class FederationNode:
         #: (origin node, topic) pairs already relayed toward a peer.
         self._relays: dict[tuple[str, str], str] = {}
         self._handlers: dict[str, Callable[[dict], dict]] = {
-            "ping": self._op_ping,
             "index.store": self._op_index_store,
             "index.rehome": self._op_index_store,
             "index.inquire": self._op_index_inquire,
@@ -229,7 +228,7 @@ class FederationNode:
 
         Any platform failure (:class:`~repro.exceptions.CssError`) the
         handler raises is answered, spelled by :data:`WIRE_ERRORS` — so it
-        crosses in the transcript, counts as delivered, and :meth:`ask`
+        crosses back like any response, counts as delivered, and :meth:`ask`
         re-raises it on the caller's side.
         """
         tracer = self._tracer
@@ -260,9 +259,6 @@ class FederationNode:
             shape = self._spans[operation, entries] = (
                 f"federation.{operation}", self._tracer.cleared(attributes))
         return shape
-
-    def _op_ping(self, payload: dict) -> dict:
-        return {"ok": True, "node": self.node_id}
 
     # -- index shard operations --------------------------------------------
 

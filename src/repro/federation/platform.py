@@ -432,10 +432,6 @@ class FederatedPlatform:
         """Cross-node calls delivered over all links so far."""
         return sum(link.stats.delivered for link in self.membership.links())
 
-    def link_transcripts(self) -> list[str]:
-        """Every wire message that crossed any link (privacy-test surface)."""
-        return [line for link in self.membership.links() for line in link.transcript]
-
     def flight_recorders(self) -> dict[str, object]:
         """Every node's flight recorder, keyed by node id.
 

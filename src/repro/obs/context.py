@@ -4,8 +4,8 @@ A :class:`TraceContext` is the *entire* cross-process surface of the
 tracing subsystem — deliberately baggage-free.  Both ids are produced by
 :class:`~repro.obs.tracing.Tracer` from plain counters (optionally
 prefixed with a guard-hashed site label), so a context carries no
-identifying content: propagating it inside a federation wire message
-leaks nothing the link transcript does not already show.
+identifying content: propagating it beside a federation request leaks
+nothing the request itself does not already show.
 
 The remote side opens its server span with the context as its remote
 parent (``Tracer.open`` / ``Tracer.span``) and joins the caller's trace; the

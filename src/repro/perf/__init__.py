@@ -18,7 +18,7 @@ on every request, so there is nothing to invalidate.
 There is no switch: every controller builds one :class:`PerfLayer`.
 The linear fan-out survives as a reference only —
 ``SubscriptionRegistry.matching_topic_linear`` — and the test suite holds
-audit trails, link transcripts and inboxes equal to it.
+audit trails, the wire traffic between nodes and inboxes equal to it.
 
 Telemetry labels never carry plaintext identities: the only label the
 counters' readers use is the cache *name* (``perf.cache.hits{cache=fanout}``

@@ -15,9 +15,9 @@ receiver derives the same key from the shared master secret, and opening
 is stateless — integrity and confidentiality do not depend on tokens
 being unique per receiver.
 
-There is no wire-encoding cache: a link encodes nothing while it sends
-(:attr:`repro.federation.link.Link.transcript` renders what crossed on
-read), so a fan-out has no encoding to share between peers.
+There is no wire-encoding cache: a link encodes nothing and keeps
+nothing of what it carries (:mod:`repro.federation.link`), so a fan-out
+has no encoding to share between peers.
 """
 
 from __future__ import annotations

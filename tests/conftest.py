@@ -4,7 +4,8 @@
 family doctor and one statistics office, with minimal-usage policies — the
 micro-deployment most integration tests start from.  ``linear_reference``
 runs a block on the linear hot path the indexed one must be
-indistinguishable from.
+indistinguishable from.  ``wire_tap`` (and the ``wire`` fixture) watches
+what crosses between federation nodes — a hop itself keeps nothing.
 """
 
 from __future__ import annotations
@@ -29,12 +30,15 @@ from repro.bus.subscriptions import SubscriptionRegistry
 from repro.core.index import SealedIdentity, sealed_fields
 from repro.core.messages import NotificationMessage
 from repro.core.policy import PolicyRepository
+from repro.crypto.hashing import canonical_json
 from repro.exceptions import (
     DetailNotFoundError,
     PrivacyError,
     SourceUnavailableError,
     UnknownProducerError,
 )
+from repro.federation.node import FederationNode
+from repro.obs.context import WIRE_KEY
 from repro.xmlmsg.types import DecimalType, EnumerationType
 from tests.xacml_reference import reference_decision
 
@@ -254,6 +258,44 @@ def linear_reference(monkeypatch):
             yield
 
     return linear
+
+
+@contextmanager
+def wire_tap():
+    """Watch the wire: yield the list of every message that reaches a peer.
+
+    Wraps ``FederationNode.handle`` and ``handle_batch`` for the block.
+    Each attempt that reaches the peer adds the canonical JSON of its
+    request — ``{"op", "payload"}``, plus the ``"trace"`` key when the
+    caller passed a trace context — and, once the handler answers (an
+    error answer included), of its response.  A dropped attempt reaches
+    no peer and adds nothing; a handler that raises leaves only its
+    request line.  The request is rendered before the handler runs.
+    """
+    lines: list[str] = []
+
+    def tapped(serve):
+        def handle(node, operation, payload, *entries, trace=None):
+            request = {"op": operation, "payload": payload}
+            if trace is not None:
+                request[WIRE_KEY] = trace.to_wire()
+            lines.append(canonical_json(request))
+            response = serve(node, operation, payload, *entries, trace=trace)
+            lines.append(canonical_json(response))
+            return response
+        return handle
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("handle", "handle_batch"):
+            patch.setattr(FederationNode, name, tapped(getattr(FederationNode, name)))
+        yield lines
+
+
+@pytest.fixture()
+def wire():
+    """The lines :func:`wire_tap` records over the test."""
+    with wire_tap() as lines:
+        yield lines
 
 
 @pytest.fixture()

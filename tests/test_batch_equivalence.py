@@ -74,15 +74,15 @@ class TestCallBatchAccounting:
         platform = deployment.platform
         return platform, platform.membership.link("node-0", "node-1")
 
-    def test_delivery_counts_per_entry_not_per_frame(self):
+    def test_delivery_counts_per_entry_not_per_frame(self, wire):
         _platform, link = self.link_pair()
         calls, delivered = link.stats.calls, link.stats.delivered
-        frames = len(link.transcript)
+        frames = len(wire)
         response = link.call_batch("no.such.op", {"x": 1}, count=5)
         assert response["error"] == "unknown-operation"  # a response, not a drop
         assert link.stats.calls == calls + 1
         assert link.stats.delivered == delivered + 5
-        assert len(link.transcript) == frames + 2  # one request, one response
+        assert len(wire) == frames + 2  # one request, one response
 
     def test_drop_fails_every_entry_in_the_frame(self):
         _platform, link = self.link_pair()

@@ -334,7 +334,7 @@ class TestFlushBarriers:
         adopted = platform.controller_of("node-1").index.local.entries()
         assert [row["event_id"] for row in adopted] == remote
 
-    def test_a_frame_the_owner_rejected_is_not_retried(self):
+    def test_a_frame_the_owner_rejected_is_not_retried(self, wire):
         deployment = self.batched_federation()
         platform = deployment.platform
         subject = remote_subject(platform, "node-1")
@@ -347,7 +347,7 @@ class TestFlushBarriers:
         with pytest.raises(DuplicateObjectError):
             platform.flush_batches()
         # Answered, not dropped: a response crossed and nothing is pending.
-        assert json.loads(link.transcript[-1])["error"] == "DuplicateObjectError"
+        assert json.loads(wire[-1])["error"] == "DuplicateObjectError"
         assert (link.stats.calls, link.stats.delivered) == (calls + 1, delivered + 1)
         platform.flush_batches()
         assert link.stats.calls == calls + 1

@@ -237,7 +237,7 @@ class TestLocalRemoteParity:
 
     @pytest.mark.parametrize("break_something, expected", HOME_NODE_FAILURES)
     def test_a_home_node_failure_is_the_same_failure_on_both_nodes(
-        self, break_something, expected
+        self, wire, break_something, expected
     ):
         deployment = build_federation()
         platform = deployment.platform
@@ -250,7 +250,7 @@ class TestLocalRemoteParity:
         notification = deployment.publish_blood_test()
         break_something(platform)
         link = platform.membership.link("node-1", "node-0")
-        lines, calls = len(link.transcript), link.stats.calls
+        lines, calls = len(wire), link.stats.calls
 
         seen = {}
         for consumer_id, node_id in (("FamilyDoctors/Dr-Verdi", "node-0"),
@@ -267,9 +267,9 @@ class TestLocalRemoteParity:
             seen[node_id] = (type(failure.value), record.outcome)
         assert seen["node-0"] == seen["node-1"] == (expected, AuditOutcome.ERROR)
         # The remote failure crossed as a response, not as a live exception.
-        assert len(link.transcript) == lines + 2
+        assert len(wire) == lines + 2
         assert link.stats.delivered == link.stats.calls == calls + 1
-        assert "error" in json.loads(link.transcript[-1])
+        assert "error" in json.loads(wire[-1])
 
 
 def index_record(n):

@@ -369,26 +369,27 @@ class TestWireErrors:
     """A handler's failure is a response, and ``ask`` raises it again."""
 
     @staticmethod
-    def ask_a_failing_peer(platform, failure):
+    def ask_a_failing_peer(platform, wire, failure):
         def broken(payload):
             raise failure
 
-        platform.node("node-0")._handlers["ping"] = broken
+        platform.node("node-0")._handlers["index.count"] = broken
         link = platform.membership.link("node-1", "node-0")
-        lines, delivered = len(link.transcript), link.stats.delivered
+        lines, delivered = len(wire), link.stats.delivered
         with pytest.raises(CssError) as caught:
-            platform.node("node-1").ask("node-0", "ping", {})
+            platform.node("node-1").ask("node-0", "index.count",
+                                        {"event_type": "BloodTest"})
         # Answered: a request and a response crossed, and it was delivered.
-        assert len(link.transcript) == lines + 2
+        assert len(wire) == lines + 2
         assert link.stats.delivered == delivered + 1
-        return caught.value, json.loads(link.transcript[-1])
+        return caught.value, json.loads(wire[-1])
 
     @pytest.mark.parametrize("failure", CSS_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_platform_failure_arrives_as_the_class_it_left_as(
-        self, federation_two, failure
+        self, wire, federation_two, failure
     ):
         raised, response = self.ask_a_failing_peer(
-            federation_two.platform, failure("the home node said no"))
+            federation_two.platform, wire, failure("the home node said no"))
         assert type(raised) is failure
         assert str(raised) == "the home node said no"
         assert response == {
@@ -405,7 +406,7 @@ class TestWireErrors:
         }
 
     def test_a_code_naming_no_platform_exception_is_a_federation_error(
-        self, federation_two
+        self, wire, federation_two
     ):
         platform = federation_two.platform
         with pytest.raises(FederationError, match="unknown-operation: nonsense.op"):
@@ -413,7 +414,7 @@ class TestWireErrors:
         # A CssError defined outside repro.exceptions crosses by name too,
         # but the caller has nowhere to look that name up.
         raised, response = self.ask_a_failing_peer(
-            platform, TelemetryPrivacyError("label refused"))
+            platform, wire, TelemetryPrivacyError("label refused"))
         assert type(raised) is FederationError
         assert response["error"] == "TelemetryPrivacyError"
         assert "TelemetryPrivacyError: label refused" in str(raised)

@@ -140,7 +140,7 @@ class TestDenyByDefaultFederationWide:
 
 class TestWirePrivacy:
     def test_no_plaintext_subject_identity_crosses_any_link(
-        self, federation_two
+        self, wire, federation_two
     ):
         platform = federation_two.platform
         platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
@@ -161,15 +161,14 @@ class TestWirePrivacy:
         platform.add_node()
         platform.guarantor_inquiry()
 
-        transcript = platform.link_transcripts()
-        assert transcript  # the surface is non-trivial
-        for line in transcript:
+        assert wire  # the surface is non-trivial
+        for line in wire:
             assert "pat-secret" not in line
             assert "Maria Rossi" not in line
 
     @pytest.mark.parametrize("break_something, expected", HOME_NODE_FAILURES)
     def test_refusals_and_failures_cross_without_subject_identity(
-        self, break_something, expected
+        self, wire, break_something, expected
     ):
         """Error responses cross in the clear, for every failure class —
         their messages must name no data subject."""
@@ -191,9 +190,8 @@ class TestWirePrivacy:
                 "FamilyDoctors/Dr-Rossi", "BloodTest", notification.event_id,
                 "healthcare-treatment")
 
-        transcript = platform.link_transcripts()
-        assert sum('"error":' in line for line in transcript) == 3
-        for line in transcript:
+        assert sum('"error":' in line for line in wire) == 3
+        for line in wire:
             assert "pat-secret" not in line
             assert "Maria Rossi" not in line
 
@@ -232,16 +230,17 @@ class TestFederationTelemetry:
 
 class TestTraceContextWirePrivacy:
     def test_untraced_deployments_put_no_trace_key_on_the_wire(
-        self, federation_two
+        self, wire, federation_two
     ):
         platform = federation_two.platform
         platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
         federation_two.publish_blood_test()
         platform.dispatch_all()
-        for line in platform.link_transcripts():
+        assert wire
+        for line in wire:
             assert '"trace"' not in line
 
-    def test_wire_trace_context_is_two_counter_ids_and_nothing_else(self):
+    def test_wire_trace_context_is_two_counter_ids_and_nothing_else(self, wire):
         import json
         import re
 
@@ -260,7 +259,7 @@ class TestTraceContextWirePrivacy:
         # Site prefix = guard-hashed node label; ids are counter-minted.
         identifier = re.compile(r"^(h:[0-9a-f]+/)?(tr|sp)-\d+$")
         carried = 0
-        for line in platform.link_transcripts():
+        for line in wire:
             assert "pat-secret" not in line
             assert "Maria Rossi" not in line
             message = json.loads(line)

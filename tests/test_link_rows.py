@@ -1,25 +1,27 @@
-"""The row link against the eager one it replaced.
+"""The row link against the eager one it replaced, and what a hop keeps.
 
-A hop keeps what crossed — operation, payload, its span's tracer row, the
-response — and ``Link.transcript`` renders canonical JSON on read; the
-link span and the server span open and close by row, and a trace context
-is minted only for a serving node that records into other telemetry.  The
-link before that — canonical JSON encoded at send time, a generic span
-scope on each side, counters through the generic label path, a context
-minted on every hop — is kept here as the reference, and a hypothesis
-property drives both through the same hop sequences: single calls and
-coalesced frames, scripted drops within the retry budget and past it,
-handler failures (a ``CssError`` answered, anything else raised through),
-under shared, per-node and no telemetry.  The transcripts, the bytes
-carried, the trace exports, the stitched traces and the metrics must be
-the reference's.  The product's transcript is rendered only at the end
-and the reference's at send time, so their equality also says that no
-payload or response dict changed after its hop.
+A hop keeps nothing of what crossed: the link span and the server span
+open and close by row, the counters are read by the metrics registry, and
+a trace context is minted only for a serving node that records into other
+telemetry.  The link before that — a generic span scope on each side,
+counters through the generic label path, a context minted on every hop —
+is kept here as the reference, and a hypothesis property drives both
+through the same hop sequences: single calls and coalesced frames,
+scripted drops within the retry budget and past it, handler failures (a
+``CssError`` answered, anything else raised through), under shared,
+per-node and no telemetry.  The outcomes, link stats, trace exports,
+stitched traces and metrics must be the reference's, and so must what
+crossed as the wire tap (``tests/conftest.py::wire_tap``) sees it — but
+for the ``"trace"`` key the reference passes under shared telemetry,
+where the product passes no context.  A last test drives a 2-node
+deployment through hundreds of hops and finds nothing a link or a node
+holds grown by them.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sized
 from contextlib import nullcontext
 
 import pytest
@@ -38,10 +40,11 @@ from repro.federation.link import (
 )
 from repro.federation.node import WIRE_ERRORS, FederationNode
 from repro.obs.context import WIRE_KEY
+from repro.perf.wire_cache import MAX_FRAMES, SealedFrameCache
 from repro.runtime.kernel import RuntimeConfig
-from tests.conftest import build_federation
+from tests.conftest import build_federation, wire_tap
 
-# -- the reference: encode at send, a generic span scope per side ------------
+# -- the reference: a generic span scope per side ------------------------------
 
 
 class EagerLink(Link):
@@ -51,16 +54,6 @@ class EagerLink(Link):
     def __init__(self, *args, telemetry=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._telemetry = telemetry
-        self.sent: list[str] = []
-        self.carried = 0
-
-    @property
-    def transcript(self) -> list[str]:
-        return self.sent
-
-    def _send(self, wire: str) -> None:
-        self.sent.append(wire)
-        self.carried += len(wire)
 
     def _transmit(self, operation, payload, entries, hop_cost):
         batched = entries is not None
@@ -77,10 +70,6 @@ class EagerLink(Link):
         with scope:
             tracer = telemetry.tracer if telemetry is not None else None
             context = tracer.context(tracer.current_row) if tracer is not None else None
-            message = {"op": operation, "payload": payload}
-            if context is not None:
-                message[WIRE_KEY] = context.to_wire()
-            self._send(canonical_json(message))
             last_error = None
             for attempt in range(1, MAX_ATTEMPTS + 1):
                 if attempt > 1:
@@ -103,7 +92,6 @@ class EagerLink(Link):
                         operation, payload, count, trace=context)
                 else:
                     response = self.target.handle(operation, payload, trace=context)
-                self._send(canonical_json(response))
                 self.stats.delivered += count
                 if telemetry is not None:
                     telemetry.count(HOP_COUNTER, float(count), **ends, op=operation)
@@ -150,7 +138,7 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("inquire"), st.sampled_from(NODES)),
     st.tuples(st.just("count"), st.sampled_from(NODES)),
     st.tuples(st.just("ask"), PAIR,
-              st.sampled_from(("ping", "no.such.op", "details.get"))),
+              st.sampled_from(("index.count", "no.such.op", "details.get"))),
     st.tuples(st.just("frame"), PAIR, st.integers(1, 6),
               st.sampled_from(("stored", "unknown", "raises"))),
     # The policy allows three attempts: 1-2 drops are retried, 3 fail the call.
@@ -160,20 +148,20 @@ STEPS = st.lists(st.one_of(
 
 def run(steps, telemetry: str) -> dict:
     """Drive one fresh three-node deployment; return everything observable."""
-    deployment = build_federation(shards=3, **TELEMETRY[telemetry])
-    platform = deployment.platform
-    published: list[str] = []
-    outcomes = []
-    for step in steps:
-        try:
-            outcomes.append(apply(deployment, published, *step))
-        except Exception as exc:  # compared, type and text, with the reference's
-            outcomes.append((type(exc).__name__, str(exc)))
+    with wire_tap() as wire:
+        deployment = build_federation(shards=3, **TELEMETRY[telemetry])
+        platform = deployment.platform
+        published: list[str] = []
+        outcomes = []
+        for step in steps:
+            try:
+                outcomes.append(apply(deployment, published, *step))
+            except Exception as exc:  # compared, type and text, with the reference's
+                outcomes.append((type(exc).__name__, str(exc)))
     links = platform.membership.links()
     return {
         "outcomes": outcomes,
-        "transcripts": platform.link_transcripts(),
-        "bytes": [link.stats.bytes_carried for link in links],
+        "wire": wire,
         "stats": [(link.stats.calls, link.stats.delivered, link.stats.retries,
                    link.stats.failed_attempts) for link in links],
         "traces": platform.trace_exports(),
@@ -233,42 +221,56 @@ def test_row_link_reads_as_the_eager_link(steps, telemetry):
         reference = run(steps, telemetry)
     assert all(type(link) is EagerLink for link in reference["links"])
     assert product["outcomes"] == reference["outcomes"]
-    assert product["transcripts"] == reference["transcripts"]
-    assert product["bytes"] == [link.carried for link in reference["links"]]
     for key in ("stats", "traces", "stitched", "metrics"):
         assert product[key] == reference[key], key
-    assert all(line == canonical_json(json.loads(line))
-               for line in product["transcripts"])
+    wire = reference["wire"]
+    if telemetry == "shared":  # the eager link passed a context on every hop
+        wire = [canonical_json({key: value for key, value in json.loads(line).items()
+                                if key != WIRE_KEY}) for line in wire]
+    assert product["wire"] == wire
 
 
-# -- bytes carried --------------------------------------------------------------
+# -- what a hop keeps ---------------------------------------------------------
 
 
-def test_bytes_carried_is_the_transcripts_length_across_every_kind_of_hop():
-    """Dropped attempts and retries (one request line, however many
-    attempts), a handler's error (a response like any other), a call past
-    its retry budget (a request line and no response) and coalesced frames."""
-    deployment = build_federation(runtime=RuntimeConfig(telemetry="inmemory"))
+def test_a_hop_keeps_nothing_however_many_cross():
+    """Relays, shipped index entries and requests for details cross a
+    2-node deployment hundreds of times, and no container a link or a node
+    holds grows with them.  Only the links' integer counters, their
+    op-keyed ``delivered_by_op`` and the capped sealed-frame cache move
+    (each node records its own telemetry, so the span-shape memos count)."""
+    deployment = build_federation(per_node_telemetry=True)
     platform = deployment.platform
-    node = platform.node("node-1")
-    link = platform.membership.link("node-1", "node-0")
+    platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
 
-    def carried() -> int:
-        return sum(len(line) for line in link.transcript)
+    def cross(start: int, rounds: int) -> int:
+        for n in range(start, start + rounds):
+            event_id = deployment.publish_blood_test(subject_id=f"pat-{n}").event_id
+            platform.dispatch_all()
+            platform.request_details("FamilyDoctors/Dr-Rossi", "BloodTest",
+                                     event_id, "healthcare-treatment")
+        return platform.total_hops()
 
-    assert link.stats.bytes_carried == 0
-    node.ask("node-0", "ping", {})
-    link.fail_next(2)  # retried within the budget
-    node.ask("node-0", "ping", {})
-    assert (link.stats.retries, len(link.transcript)) == (2, 4)
-    with pytest.raises(CssError):  # the handler's failure, answered
-        node.ask("node-0", "details.get", {
-            "actor_id": "x", "event_type": "BloodTest", "event_id": "none",
-            "purpose": "healthcare-treatment"})
-    link.fail_next(MAX_ATTEMPTS)
-    with pytest.raises(LinkFailureError):
-        node.ask("node-0", "ping", {})
-    node.ask("node-0", "index.store", {"entries": []}, seal=True, entries=3)
-    assert len(link.transcript) == 9  # rendered in two reads
-    # 822: what the send-time counter this replaced read for the same hops.
-    assert link.stats.bytes_carried == carried() == 822
+    def held() -> dict[str, int]:
+        owners = [(f"link {link.source}->{link.target.node_id}", link)
+                  for link in platform.membership.links()]
+        owners += [(f"{label} stats", link.stats) for label, link in owners]
+        owners += [(node.node_id, node) for node in platform.nodes()]
+        sizes = {}
+        for label, owner in owners:
+            for name, value in vars(owner).items():
+                if isinstance(value, SealedFrameCache):
+                    assert len(value) <= MAX_FRAMES
+                elif (isinstance(value, Sized) and not isinstance(value, str)
+                        and name != "delivered_by_op"):
+                    sizes[f"{label}.{name}"] = len(value)
+        return sizes
+
+    warm = cross(0, 10)
+    before = held()
+    hops = cross(10, 100) - warm
+    assert hops >= 200
+    ops = {op for link in platform.membership.links()
+           for op in link.stats.delivered_by_op}
+    assert {"bus.relay", "details.get", "index.store"} <= ops
+    assert held() == before

@@ -64,14 +64,13 @@ class TestRejectGuardFederated:
         stats = scenario.platform.controller_of("node-0").perf.stats
         assert stats.hits or stats.misses
 
-    def test_federated_link_transcripts_stay_clean_with_perf_on(self):
+    def test_federated_link_transcripts_stay_clean_with_perf_on(self, wire):
         scenario = CssScenario(ScenarioConfig(
             nodes=2, n_events=30, n_patients=6, seed=7,
         ))
         scenario.run()
-        transcript = scenario.platform.link_transcripts()
-        assert transcript
-        blob = "\n".join(transcript)
+        assert wire
+        blob = "\n".join(wire)
         # Consumer ids (e.g. "FamilyDoctors/Dr-Rossi") cross links by
         # design and may share surnames with patients, so the invariant
         # is on subject identity: patient ids and full display names.

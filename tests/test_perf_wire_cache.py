@@ -1,11 +1,12 @@
-"""Federation wire caching (``repro.perf.wire_cache``), the link's
-transcript encoding and the keystore's shared key-schedule cache.
+"""Federation wire caching (``repro.perf.wire_cache``), what crosses a
+link and the keystore's shared key-schedule cache.
 
 The fast paths must be invisible on the wire: reused sealed relay frames
-produce byte-identical link transcripts versus the linear reference, every
-transcript line is canonical JSON, relayed notifications still open and
-deliver intact, and the process-wide key schedule returns boxes that
-interoperate with freshly derived ones.
+produce byte-identical wire traffic (``tests/conftest.py::wire_tap``)
+versus the linear reference, every message that crosses is plain JSON,
+relayed notifications still open and deliver intact, and the
+process-wide key schedule returns boxes that interoperate with freshly
+derived ones.
 """
 
 import json
@@ -13,7 +14,7 @@ import json
 from repro.crypto.hashing import canonical_json
 from repro.crypto.keystore import KeyStore
 from repro.perf.wire_cache import MAX_FRAMES, SealedFrameCache
-from tests.conftest import build_federation
+from tests.conftest import build_federation, wire_tap
 
 
 class TestSealedFrameCache:
@@ -70,37 +71,36 @@ class TestKeyScheduleCache:
 
 
 class TestWireHints:
-    def test_wire_message_is_the_links_canonical_encoding(self):
+    def test_wire_message_is_the_links_canonical_encoding(self, wire):
         deployment = build_federation(shards=3)
         platform = deployment.platform
         # A fan-out inquiry from node-1 reaches both peers.
         platform.controller_of("node-1").index.inquire(["BloodTest"])
-        transcript = platform.link_transcripts()
-        assert sum('"op":"index.inquire"' in line for line in transcript) >= 2
-        # Every line, rendered on read, is the canonical encoding of what
-        # it says crossed: requests and responses alike.
-        for line in transcript:
+        assert sum('"op":"index.inquire"' in line for line in wire) >= 2
+        # What crossed is plain JSON, and every line the canonical
+        # encoding of what it says crossed: requests and responses alike.
+        for line in wire:
             assert line == canonical_json(json.loads(line))
 
 
 class TestTranscriptEquivalence:
     def run_deployment(self) -> tuple[list[str], list, dict]:
-        deployment = build_federation(shards=3)
-        platform = deployment.platform
-        platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
-        notifications = [
-            deployment.publish_blood_test(subject_id=f"pat-{i}")
-            for i in range(4)
-        ]
-        platform.dispatch_all()
-        detail = platform.request_details(
-            "FamilyDoctors/Dr-Rossi", "BloodTest",
-            notifications[0].event_id, "healthcare-treatment",
-        )
-        platform.controller_of("node-1").index.inquire(["BloodTest"])
+        with wire_tap() as wire:
+            deployment = build_federation(shards=3)
+            platform = deployment.platform
+            platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+            notifications = [
+                deployment.publish_blood_test(subject_id=f"pat-{i}")
+                for i in range(4)
+            ]
+            platform.dispatch_all()
+            detail = platform.request_details(
+                "FamilyDoctors/Dr-Rossi", "BloodTest",
+                notifications[0].event_id, "healthcare-treatment",
+            )
+            platform.controller_of("node-1").index.inquire(["BloodTest"])
         inbox = platform.consumer("FamilyDoctors/Dr-Rossi").inbox
-        return (platform.link_transcripts(), [n.to_xml() for n in inbox],
-                detail.exposed_values())
+        return wire, [n.to_xml() for n in inbox], detail.exposed_values()
 
     def test_indexed_and_none_transcripts_are_byte_identical(
             self, linear_reference):
