@@ -4,7 +4,7 @@
 Runs the abusive-tenant ``anomaly`` workload twice through the same
 seeded federation — once with ``recorder="noop"`` (no rings, no
 time-series store, no watchdogs) and once fully watched
-(``recorder="ring"``: rings recording every span and bus/scheduler
+(``recorder="ring"``: rings recording every span and bus
 event, the time-series store ticking, the SLO engine evaluating burn
 windows, the incident monitor polling) — and emits the
 ``css-bench-incident/1`` payload.

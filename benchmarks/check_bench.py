@@ -5,8 +5,8 @@ Every ``BENCH_*.json`` payload and every ``css-incident/1`` bundle is
 validated by the same code against one declarative table
 (:data:`SCHEMAS`): per schema id the field specs (each figure carrying
 its unit), the semantic gates as small named functions (digest
-equality, percentile ordering, fair-beats-none, matrix coverage,
-bundle-manifest sha256) and the figures the bench trajectory tracks.
+equality, percentile ordering, matrix coverage, bundle-manifest
+sha256) and the figures the bench trajectory tracks.
 The schema is read from the payload's own ``schema`` field, so there is
 nothing to select on the command line.
 
@@ -20,8 +20,8 @@ Usage::
 
     python benchmarks/check_bench.py BENCH_capacity.json BENCH_batch.json
     python benchmarks/check_bench.py incidents            # bundle dir(s)
-    python benchmarks/check_bench.py --trajectory BENCH_fairness.json ...
-    python benchmarks/check_bench.py --update BENCH_fairness.json ...
+    python benchmarks/check_bench.py --trajectory BENCH_incident.json ...
+    python benchmarks/check_bench.py --update BENCH_incident.json ...
 
 Without flags each argument is validated: a ``.json`` payload, one
 bundle directory (``manifest.json`` + ``incident.json`` + JSONL files),
@@ -303,16 +303,6 @@ def digests_equal(first: str, second: str, why: str):
     return gate
 
 
-def fair_beats_none(payload: dict, where: str) -> list[str]:
-    """Gate: the fair arm scores strictly higher on both fairness figures."""
-    none_arm, fair_arm = payload["arms"]["none"], payload["arms"]["fair"]
-    return [
-        f"gate: fair must score strictly higher than none on {figure}"
-        for figure in ("jain_index", "victim_share")
-        if not fair_arm[figure] > none_arm[figure]
-    ]
-
-
 def events_in_merge_order(events: list, where: str) -> list[str]:
     """Gate: the merged timeline is sorted by ``(at, node, seq)`` — the
     discipline that makes same-seed bundles byte-identical."""
@@ -326,7 +316,6 @@ def events_in_merge_order(events: list, where: str) -> list[str]:
 TRIGGER_OBJECTIVES = {
     "deadletter-spike": "bus-deadletter-ratio",
     "queue-depth-ceiling": "node-queues-drained",
-    "penalty-demotion": "tenant-starvation",
 }
 
 
@@ -403,30 +392,6 @@ _STORAGE_KIND = {
                             why="the streaming-replay bound (KiB)"),
     "size_bytes": POSINT,
 }
-
-_FAIRNESS_TENANT = Obj({
-    **each(("weight", "share", "satisfaction", "served_work",
-               "arrived_work", "max_wait_seconds", "starvation_seconds",
-               "p99_wait_seconds"), NONNEG),
-    **each(("throttled", "shed", "demotions", "recoveries"), COUNT),
-    "penalized": BOOL,
-})
-
-
-def _fairness_arm(name: str) -> Obj:
-    return Obj({
-        "sched": Is((name,)),
-        **each((*OUTCOME_COUNTERS, "throttled_total", "shed_total",
-                   "penalized_tenants", "audit_records"), COUNT),
-        "jain_index": Num(min=0, max=1.0 + 1e-9, unit="ratio"),
-        "victim_share": Num(min=0, unit="ratio"),
-        "victim_total_share": Num(min=0, unit="ratio"),
-        **each(("victim_p99_wait_seconds", "victim_starvation_seconds",
-                   "max_starvation_seconds"), SIM_SECONDS),
-        "audit_digest": DIGEST,
-        "tenants": Obj(rest=_FAIRNESS_TENANT, keys=HASHED, nonempty=True),
-    })
-
 
 _OVERHEAD_ARM = Obj({
     **each((*OUTCOME_COUNTERS, "incidents", "ticks", "timeline_rows"),
@@ -538,33 +503,6 @@ SCHEMAS: dict[str, Schema] = {
                 gates=(increasing("nodes"),)),
         }),
     ),
-    # `repro sched`: sched=none vs sched=fair over one seeded stream.
-    "css-bench-fairness/1": Schema(
-        Obj({
-            "source": TEXT,
-            "scenario": TEXT,
-            "seed": INT,
-            "population": POSINT,
-            "ops": COUNT,
-            "nodes": POSINT,
-            "drain_seconds": Num(above=0, unit="sim_seconds"),
-            "service_rate": POSITIVE,
-            "arms": Obj({"none": _fairness_arm("none"),
-                         "fair": _fairness_arm("fair")}),
-            "improvement": Obj(each(("jain_index", "victim_share"),
-                                       NUMBER)),
-            "audit_digest_match": Is((True,)),
-        }, optional={
-            "victim_tenant": Nullable(HASHED),
-            "abusive_tenant": Nullable(HASHED),
-        }),
-        gates=(fair_beats_none,
-               digests_equal("arms.none.audit_digest",
-                             "arms.fair.audit_digest",
-                             "the scheduler changed decisions or the audit "
-                             "trail")),
-        tracked=("arms.fair.jain_index", "arms.fair.victim_share"),
-    ),
     # benchmarks/bench_batch.py: the batched-execution equivalence matrix.
     "css-bench-batch/1": Schema(
         Obj({
@@ -631,8 +569,8 @@ SCHEMAS: dict[str, Schema] = {
                 rest=Obj(each(("queue_depth", "dead_letter_depth",
                                   "queue_high_water",
                                   "dead_letter_high_water"), COUNT))),
-            "scheduler": Obj(rest=Obj({"policy": TEXT,
-                                       "tenants": Obj(keys=HASHED)})),
+            "scheduler": Obj(rest=Obj({"tenants": Obj(
+                keys=HASHED, rest=Obj({"shed": COUNT}))})),
             "recorder": Obj(
                 rest=Obj(each(("dropped_events", "dropped_spans"), COUNT)),
                 nonempty=True),

@@ -75,10 +75,9 @@ class ServiceBus:
         self._queue_high_water: dict[str, int] = {}
         self._queue_high_water_global = 0
         self._dead_letter_high_water = 0
-        # The tenant scheduler (the "sched" switch).  The bus only calls
-        # methods on it — metering publishes/fan-out, asking whether a
-        # subscriber's backlog must shed, draining the virtual server —
-        # so the bus layer stays import-free of repro.sched.
+        # The per-tenant backlog bound (repro.sched.BacklogBound), duck-typed
+        # so the bus stays import-free of it: asked whether a delivery into
+        # a non-empty queue must shed, and told when one did.
         self._sched = sched
         # The flight recorder (the "recorder" switch), duck-typed so the bus
         # stays import-free of repro.obs: saturation transitions (shedding,
@@ -141,16 +140,13 @@ class ServiceBus:
 
     def route(self, message_id: str, topic: str, sender: str, body: object) -> Envelope:
         """:meth:`publish`'s second half, and all a federation relay does:
-        scheduler metering, fan-out into every matching subscription and,
-        with ``auto_dispatch``, a dispatch round.  Checks and mints nothing."""
+        fan-out into every matching subscription and, with
+        ``auto_dispatch``, a dispatch round.  Checks and mints nothing."""
         self._spill()
-        now = self._clock.now()
-        if self._sched is not None:
-            self._sched.note_publish(sender, now)
-        envelope = Envelope(message_id, topic, sender, body, now)
+        envelope = Envelope(message_id, topic, sender, body, self._clock.now())
         self.stats.published += 1
         matching = self._subscriptions.matching_topic(topic)
-        self._fan_out(envelope, matching, now)
+        self._fan_out(envelope, matching)
         if self.auto_dispatch and matching:
             self.dispatch()
         return envelope
@@ -160,28 +156,25 @@ class ServiceBus:
         return (self.auto_dispatch and not self._engine.running
                 and not self._subscriptions.pending)
 
-    def _fan_out(self, envelope: Envelope, matching: list[Subscription],
-                 now: float) -> None:
+    def _fan_out(self, envelope: Envelope, matching: list[Subscription]) -> None:
         """Enqueue one envelope into every matching subscription — into an
-        idle bus, onto the round's direct list, counted as queued: sched
-        metering and shedding, queue/dead-letter high-water marks, stats."""
+        idle bus, onto the round's direct list, counted as queued: backlog
+        shedding, queue/dead-letter high-water marks, stats."""
         topic = envelope.topic
         stats = self.stats
         stats.topic_published[topic] = stats.topic_published.get(topic, 0) + 1
         stats.topic_fanout[topic] = stats.topic_fanout.get(topic, 0) + len(matching)
         sched = self._sched
-        if sched is not None and matching:
-            sched.note_fanout([sub.subscriber for sub in matching], now)
         direct = deque() if matching and self._idle() else None
         shed_any = False
         for subscription in matching:
             queue = subscription.queue
             if (queue.depth and sched is not None
                     and sched.should_shed(subscription.subscriber, queue.depth)):
-                # Backpressure: the subscriber's backlog is over the
+                # Backpressure: the subscriber's backlog is at the
                 # bound — overflow to the dead-letter queue, tagged
                 # with the subscription id so replay_all_dead_letters
-                # can re-drive it after the abuse episode.
+                # can re-drive it once the backlog clears.
                 self._engine.dead_letter.enqueue_from(
                     subscription.subscription_id, envelope)
                 sched.note_shed(subscription.subscriber)
@@ -222,15 +215,8 @@ class ServiceBus:
 
     def dispatch(self) -> DeliveryReport:
         """Run one dispatch round: over the direct list a fan-out into an
-        idle bus set up, else over the subscriptions with a backlog.
-
-        With a scheduler wired, the round first advances the scheduler's
-        virtual server to now — fifo or deficit-round-robin over the
-        tenant queues — so fairness accounting tracks dispatch activity.
-        """
+        idle bus set up, else over the subscriptions with a backlog."""
         self.stats.dispatch_rounds += 1
-        if self._sched is not None:
-            self._sched.drain(self._clock.now())
         report, engine = DeliveryReport(), self._engine
         if self._direct is not None and not engine.running:
             try:  # registration order; an entry whose message is queued visits its queue

@@ -28,11 +28,7 @@ data directory (``snapshot``/``verify``/``restore``/``compact``/``stats``
 drives the federated platform with a seeded open-loop workload scenario
 at each requested node count and writes the ``css-bench-capacity/1``
 trajectory (outcome counters, hops, saturation high-water marks, audit
-digests); ``sched`` runs the same seeded workload twice —
-fifo baseline vs the fair deficit-round-robin tenant scheduler — and
-writes the ``css-bench-fairness/1`` comparison (Jain's index, victim
-share, throttle/shed counters), failing when fair does not beat the
-baseline or the audit digests diverge; ``incident`` runs a watched
+digests); ``incident`` runs a watched
 workload — flight recorder on, time-series store ticking, watchdogs
 armed — and writes the ``css-incident/1`` bundles the first trigger
 captures (exit 1 when no watchdog fired); ``timeline`` runs the same
@@ -95,11 +91,6 @@ OPTIONS: dict[str, dict] = {
     "--durable": {"metavar": "DIR",
                   "help": "keep index and audit log in the segmented "
                           "storage engine under DIR/node-0"},
-    "--sched": {"default": "none",
-                "known": SWITCHES["sched"],
-                "help": "tenant scheduler on every node: none (fifo "
-                        "baseline) or fair (per-tenant admission + "
-                        "deficit round-robin)"},
     "--batch": {"default": "off",
                 "known": SWITCHES["batch"],
                 "help": "batched execution on every node: off (per-event "
@@ -185,7 +176,7 @@ def _scenario(args: argparse.Namespace, **knobs) -> CssScenario:
 
 
 def _cmd_scenario(args: argparse.Namespace, out) -> int:
-    runtime = RuntimeConfig(sched=args.sched)
+    runtime = RuntimeConfig()
     if args.durable:
         target = Path(args.durable)
         if target.exists() and not target.is_dir():
@@ -251,7 +242,7 @@ def _cmd_telemetry(args: argparse.Namespace, out) -> int:
 
 def _cmd_federate(args: argparse.Namespace, out) -> int:
     scenario = _scenario(args, runtime=RuntimeConfig(
-        sched=args.sched, batch=args.batch, batch_size=args.batch_size,
+        batch=args.batch, batch_size=args.batch_size,
         # SLO evaluation needs metric series, so --slo-out turns
         # telemetry on.
         telemetry="inmemory" if args.slo_out else "noop",
@@ -457,7 +448,7 @@ def _list_scenarios(out) -> int:
 
 def _resolve_workload(args: argparse.Namespace, scenario: str | None = None):
     """The workload config of one workload-engine subcommand
-    (workload/sched/incident/timeline): the named preset with the
+    (workload/incident/timeline): the named preset with the
     ``--population/--ops/--seed`` overrides."""
     overrides: dict[str, object] = {
         "population": args.population, "ops": args.ops,
@@ -471,13 +462,12 @@ def _cmd_workload(args: argparse.Namespace, out) -> int:
     wl = _resolve_workload(args)
     config = CapacityConfig(
         workload=wl, node_counts=parse_node_counts(args.nodes),
-        runtime=RuntimeConfig(sched=args.sched, batch=args.batch,
-                              batch_size=args.batch_size),
+        runtime=RuntimeConfig(batch=args.batch, batch_size=args.batch_size),
     )
     source = (f"repro workload --scenario {args.scenario} "
               f"--population {args.population} --ops {args.ops} "
               f"--nodes {args.nodes} --seed {wl.seed} "
-              f"--sched {args.sched} --batch {args.batch} "
+              f"--batch {args.batch} "
               f"--batch-size {args.batch_size}")
     payload = run_capacity(config, source=source)
 
@@ -495,41 +485,6 @@ def _cmd_workload(args: argparse.Namespace, out) -> int:
     if args.out:
         write_summary(args.out, payload)
         print(f"wrote {args.out}", file=out)
-    return 0
-
-
-def _cmd_sched(args: argparse.Namespace, out) -> int:
-    from repro.sched.fairness import fairness_gate, run_fairness
-
-    wl = _resolve_workload(args)
-    source = (f"repro sched --scenario {args.scenario} "
-              f"--population {args.population} --ops {args.ops} "
-              f"--seed {wl.seed}")
-    payload = run_fairness(wl, nodes=args.nodes, source=source)
-
-    print(f"fairness comparison ({args.scenario} scenario, {args.ops} ops, "
-          f"{payload['nodes']} nodes, seed {wl.seed}):", file=out)
-    print(f"  {'sched':>6}  {'jain':>7}  {'victim':>7}  {'p99 wait':>9}  "
-          f"{'throttled':>9}  {'shed':>5}", file=out)
-    for arm in ("none", "fair"):
-        point = payload["arms"][arm]
-        print(f"  {arm:>6}  {point['jain_index']:>7.4f}  "
-              f"{point['victim_share']:>7.4f}  "
-              f"{point['victim_p99_wait_seconds']:>8.3f}s  "
-              f"{point['throttled_total']:>9}  {point['shed_total']:>5}",
-              file=out)
-    print(f"  audit digests "
-          f"{'match' if payload['audit_digest_match'] else 'DIFFER'}", file=out)
-    if args.out:
-        write_summary(args.out, payload)
-        print(f"wrote {args.out}", file=out)
-    problems = fairness_gate(payload)
-    if problems:
-        for problem in problems:
-            print(f"repro sched: {problem}", file=sys.stderr)
-        return 1
-    print("fair beats none on Jain's index and victim share; "
-          "decisions unchanged", file=out)
     return 0
 
 
@@ -588,7 +543,7 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
     # timeline view wants the rings still recording at the end of the run.
     disarmed = WatchdogConfig(
         dead_letter_spike=2**31, queue_depth_ceiling=2**31,
-        watch_demotions=False, watch_slo=False,
+        watch_slo=False,
     )
     payload = _watched_run(args, watchdogs=disarmed)
 
@@ -643,7 +598,7 @@ _RUN = ("--events", "--patients", "--rate", "--seed")
 #: ``--scenario`` where it picks one node or ``--nodes``.
 _OBSERVED = {"default": "federated", "known": ("default", "federated"),
              "help": "named scenario preset (default or federated)"}
-#: What the four workload-engine commands share after ``--scenario``.
+#: What the three workload-engine commands share after ``--scenario``.
 _ENGINE_SEED = ("--seed", {"default": None, "help": (
     "master seed of population, arrivals and op mix "
     f"(default: the preset's, {DEFAULT_SEED})")})
@@ -659,9 +614,6 @@ _WATCHED = ("--scenario", {"known": (*SCENARIOS, "federated")})
 COMMANDS = (
     ("scenario", "run a synthetic deployment", _cmd_scenario, (
         *_RUN, "--archive", "--durable",
-        ("--sched", {"help": "tenant scheduler: none (fifo baseline) or "
-                             "fair (per-tenant admission + deficit "
-                             "round-robin)"}),
     )),
     ("compare", "CSS vs the four baselines", _cmd_compare, _RUN),
     ("monitor", "governing-body aggregate view", _cmd_monitor,
@@ -679,7 +631,7 @@ COMMANDS = (
      _cmd_federate, (
         *_RUN,
         ("--nodes", {"help": "number of controller nodes (default {default})"}),
-        "--sched", "--batch", "--batch-size", "--rebalance",
+        "--batch", "--batch-size", "--rebalance",
         ("--slo-out", {"help": "enable telemetry, evaluate the stock SLOs "
                                "and write the report payload as JSON to "
                                "FILE"}),
@@ -701,15 +653,9 @@ COMMANDS = (
         ("--nodes", {"type": None, "default": "1,2,4,8",
                      "help": "comma-separated node counts of the "
                              "trajectory (default {default})"}),
-        _ENGINE_SEED, "--list", "--sched", "--batch", "--batch-size",
+        _ENGINE_SEED, "--list", "--batch", "--batch-size",
         ("--out", {"help": "write the css-bench-capacity/1 payload "
                            "to FILE (e.g. BENCH_capacity.json)"}),
-    )),
-    ("sched", "fairness comparison: fifo baseline vs fair tenant scheduler",
-     _cmd_sched, (
-        "--scenario", *_ENGINE, "--list",
-        ("--out", {"help": "write the css-bench-fairness/1 payload to FILE "
-                           "(e.g. BENCH_fairness.json)"}),
     )),
     ("incident", "watched workload run: watchdogs, flight recorder, "
                  "css-incident/1 bundles", _cmd_incident, (

@@ -18,12 +18,12 @@ policy" (§4).  Its responsibilities, each a method below:
 * **maintain audit logs** of every access for the privacy guarantor.
 
 Every collaborator is constructed here.  Those with a real choice —
-telemetry, recorder, scheduler, batching — from the name their
+telemetry, recorder, batching — from the name their
 :class:`~repro.runtime.kernel.RuntimeConfig` field holds; the keystore,
-perf layer, bus, endpoint detail fetcher and policy enforcer have one
-implementation each; the storage engine, the events index and the audit
-log follow from facts: durable iff the runtime has a ``data_dir``,
-sharded iff a federation membership was handed in.  Both hot paths —
+backlog bound, perf layer, bus, endpoint detail fetcher and policy
+enforcer have one implementation each; the storage engine, the events
+index and the audit log follow from facts: durable iff the runtime has a
+``data_dir``, sharded iff a federation membership was handed in.  Both hot paths —
 notification publish and request-for-details — are the plain functions
 of :mod:`repro.runtime.interceptors`.
 """
@@ -71,7 +71,7 @@ from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, EdgeStats, HotPath
 from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import RuntimeConfig
 from repro.runtime.services import EndpointDetailFetcher, gateway_endpoint_name
-from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
+from repro.sched import SHED_TOTAL, TENANT_SHED, BacklogBound
 
 #: Callback receiving decrypted notifications at an authorized subscriber.
 NotificationHandler = Callable[[NotificationMessage], None]
@@ -95,9 +95,8 @@ class DataController:
     that has a choice and says where (if anywhere) the node's logs live.
     The keyword-only rest is what a federated platform hands its nodes:
     the ``telemetry`` to record into (used as it is, whatever
-    ``runtime.telemetry`` names), the ``membership`` and ``node_id`` of
-    this node's shard, and the ``sched_config`` its scheduler is built
-    with (``None`` keeps the defaults).
+    ``runtime.telemetry`` names), and the ``membership`` and ``node_id``
+    of this node's shard.
     """
 
     def __init__(
@@ -112,25 +111,20 @@ class DataController:
         telemetry: InMemoryTelemetry | None = None,
         membership=None,
         node_id: str | None = None,
-        sched_config=None,
     ) -> None:
         self.clock = clock or Clock()
         self.ids = IdFactory(seed=seed)
         self.runtime = runtime = runtime or RuntimeConfig()
         self.keystore = KeyStore(master_secret)
-        # The four switches, in this order: each reads the ones before it.
+        # The three switches, in this order: each reads the ones before it.
         # An off name builds nothing: the attribute is then ``None``.
         self.telemetry = telemetry if telemetry is not None else (
             named_telemetry(runtime, self.clock, master_secret))
         self.recorder = FlightRecorder(
             clock=self.clock, guard=getattr(self.telemetry, "guard", None),
         ) if runtime.recorder == "ring" else None
-        self.sched = TenantScheduler(
-            clock=self.clock,
-            policy=POLICY_DRR if runtime.sched == "fair" else POLICY_FIFO,
-            config=sched_config, telemetry=self.telemetry,
-            secret=master_secret, recorder=self.recorder,
-        )
+        # The per-tenant backlog bound at fan-out (no switch: always on).
+        self.sched = BacklogBound(secret=master_secret)
         self.batch = BatchPolicy(
             batch_size=runtime.batch_size) if runtime.batch == "on" else None
         # The hit/miss counters of the fan-out memo and the relay-frame cache.
@@ -212,9 +206,9 @@ class DataController:
         )
 
     def _serve_metrics(self, metrics) -> None:
-        """Serve the ``bus.*``, ``perf.cache.*`` and ``xacml.pdp.*`` series off
-        this node's stats, each from its first count on (the queue gauge from
-        the bus's first publish or round)."""
+        """Serve the ``bus.*``, ``sched.*``, ``perf.cache.*`` and ``xacml.pdp.*``
+        series off this node's stats, each from its first count on (the
+        queue gauge from the bus's first publish or round)."""
         bus, stats, perf = self.bus, self.bus.stats, self.perf.stats
         verdicts = self.enforcer.pdp_stats.verdicts
 
@@ -233,6 +227,8 @@ class DataController:
              if stats.published or stats.dispatch_rounds else ()),
             ("gauge", "bus.queue.high_water", by("topic", bus.queue_high_water_marks)),
             ("gauge", "bus.deadletter.high_water", once(lambda: bus.dead_letter_high_water)),
+            ("counter", TENANT_SHED, self.sched.shed_rows),
+            ("counter", SHED_TOTAL, once(lambda: self.sched.shed_total)),
             ("counter", CACHE_HITS, by("cache", lambda: perf.hits)),
             ("counter", CACHE_MISSES, by("cache", lambda: perf.misses)),
             ("counter", PDP_EVALUATIONS, by("decision", lambda: {

@@ -71,16 +71,12 @@ class FederatedPlatform:
         telemetry=None,
         link_latency: float = 0.005,
         per_node_telemetry: bool = False,
-        sched_config=None,
     ) -> None:
         self.clock = clock or Clock()
         self._master_secret = master_secret
         self._seed = seed
         self._encrypt_identity = encrypt_identity
         self._base_runtime = runtime or RuntimeConfig()
-        # Optional repro.sched.SchedConfig every node's scheduler is built
-        # with (service rate, buckets, penalty box); None keeps defaults.
-        self._sched_config = sched_config
         # A platform is observed by what its runtime names.  Shared (the
         # default): the telemetry object handed in, else the one backend
         # ``runtime.telemetry`` names, built as a bare controller would
@@ -146,7 +142,6 @@ class FederatedPlatform:
             telemetry=node_telemetry,
             membership=self.membership,
             node_id=node_id,
-            sched_config=self._sched_config,
         )
         return FederationNode(node_id, controller, self.membership)
 
@@ -444,12 +439,6 @@ class FederatedPlatform:
             node.node_id: node.controller.recorder for node in self.nodes()
             if node.controller.recorder is not None
         }
-
-    def record_fairness(self) -> None:
-        """Refresh every node's per-tenant fairness gauges, each scheduler drained
-        to the shared clock first (:meth:`repro.sched.TenantScheduler.record_fairness`)."""
-        for node in self.nodes():
-            node.controller.sched.record_fairness(now=self.clock.now())
 
     # -- distributed tracing ---------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Automatic incident capture: watchdogs, frozen recorders, bundles.
 
 When the platform misbehaves — an SLO burns its budget, the dead-letter
-queue spikes, a node's backlog crosses a ceiling, a tenant lands in the
-penalty box — the :class:`IncidentMonitor` freezes every node's flight
+queue spikes (the backlog bound sheds there), a node's backlog crosses a
+ceiling — the :class:`IncidentMonitor` freezes every node's flight
 recorder (so the minutes *before* the trigger survive) and writes one
 deterministic, schema-versioned **incident bundle**
 (:data:`INCIDENT_SCHEMA`):
@@ -14,7 +14,8 @@ deterministic, schema-versioned **incident bundle**
 * the retained time-series points of the platform's saturation metrics;
 * the recorders' recent events and spans, merged across nodes by the
   same discipline the trace stitcher uses (sort by deterministic keys);
-* per-node queue and scheduler state (tenant keys guard-hashed).
+* per-node queue state and per-tenant shed counts (tenant keys
+  guard-hashed).
 
 Everything in a bundle is built from already-sanitized telemetry — the
 privacy guard hashed identifying labels on ingest — so the bundle can be
@@ -41,7 +42,6 @@ INCIDENT_SCHEMA = "css-incident/1"
 TRIGGER_SLO_BREACH = "slo-breach"
 TRIGGER_DEADLETTER_SPIKE = "deadletter-spike"
 TRIGGER_QUEUE_CEILING = "queue-depth-ceiling"
-TRIGGER_DEMOTION = "penalty-demotion"
 
 #: The saturation metrics every bundle exports windowed series for.
 CORE_SERIES = (
@@ -49,7 +49,6 @@ CORE_SERIES = (
     "bus.published_total",
     "bus.deadletter_total",
     "federation.node.queue_depth",
-    "sched.tenant.starvation_seconds",
 )
 
 #: The objective whose burn trajectory explains each non-SLO trigger —
@@ -58,7 +57,6 @@ CORE_SERIES = (
 TRIGGER_OBJECTIVES = {
     TRIGGER_DEADLETTER_SPIKE: "bus-deadletter-ratio",
     TRIGGER_QUEUE_CEILING: "node-queues-drained",
-    TRIGGER_DEMOTION: "tenant-starvation",
 }
 
 #: Files inside one bundle directory.
@@ -79,8 +77,6 @@ class WatchdogConfig:
     dead_letter_spike: int = 16
     #: Total bus backlog (all nodes) before the ceiling fires.
     queue_depth_ceiling: int = 512
-    #: Whether a penalty-box demotion fires an incident.
-    watch_demotions: bool = True
     #: Whether SLO breaches fire an incident (needs an SLO engine).
     watch_slo: bool = True
 
@@ -117,7 +113,6 @@ class IncidentMonitor:
         self.alert_bus = alert_bus
         self.incidents: list[dict] = []
         self._last_slo_eval = float("-inf")  # the first poll evaluates
-        self._baseline_demotions = self._total_demotions()
 
     # -- platform-wide readings ---------------------------------------------
 
@@ -128,11 +123,6 @@ class IncidentMonitor:
     def _total_dead_letters(self) -> int:
         return sum(node.controller.bus.dead_letter_depth
                    for node in self.platform.nodes())
-
-    def _total_demotions(self) -> int:
-        return sum(node.controller.sched.demotions_total
-                   for node in self.platform.nodes()
-                   if node.controller.sched is not None)
 
     # -- polling -------------------------------------------------------------
 
@@ -154,13 +144,6 @@ class IncidentMonitor:
                 "queue_depth": depth,
                 "threshold": config.queue_depth_ceiling,
             })
-        if config.watch_demotions:
-            demotions = self._total_demotions()
-            if demotions > self._baseline_demotions:
-                return self._capture(TRIGGER_DEMOTION, {
-                    "demotions": demotions,
-                    "baseline": self._baseline_demotions,
-                })
         if config.watch_slo and self.slo is not None:
             now = self.clock.now()
             if now - self._last_slo_eval >= SLO_EVAL_INTERVAL:
@@ -232,7 +215,6 @@ def build_bundle(
     captured_at: float = 0.0,
 ) -> dict:
     """Assemble one ``css-incident/1`` bundle as plain data."""
-    now = captured_at
     queues: dict[str, dict] = {}
     scheduler: dict[str, dict] = {}
     for node in platform.nodes():
@@ -245,24 +227,9 @@ def build_bundle(
         }
         sched = node.controller.sched
         if sched is not None:
-            hashed = {}
-            for tenant, row in sorted(sched.tenant_report(now).items()):
-                key = sched.tenant_label(tenant)
-                hashed[key] = {
-                    "weight": row["weight"],
-                    "served": row["served"],
-                    "pending": row["pending"],
-                    "throttled": row["throttled"],
-                    "shed": row["shed"],
-                    "penalized": row["penalized"],
-                    "demotions": row["demotions"],
-                    "recoveries": row["recoveries"],
-                    "starvation_seconds": round(row["starvation_seconds"], 9),
-                }
-            scheduler[node.node_id] = {
-                "policy": sched.policy,
-                "tenants": hashed,
-            }
+            scheduler[node.node_id] = {"tenants": {
+                labels["tenant"]: {"shed": count}
+                for labels, count in sched.shed_rows()}}
     burn_rates: dict[str, dict] = {}
     slo_payload = None
     if report is not None:

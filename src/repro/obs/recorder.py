@@ -3,7 +3,7 @@
 Cumulative metrics answer "how much, ever"; the flight recorder answers
 "what just happened".  It keeps a fixed-capacity ring of discrete
 operational **events** (SLO alerts, dead-letter shedding, queue
-high-water marks, penalty-box transitions) and shows the last
+high-water marks) and shows the last
 ``span_capacity`` finished **spans** of the tracer it watches — so a
 burst of pipeline spans can never evict the alert that explains it.
 
@@ -25,8 +25,8 @@ so ``timeline()`` — the merged, time-ordered view — is byte-stable
 across same-seed runs and merges cleanly across federation nodes.
 
 Off (``recorder: noop``, the default) builds nothing:
-``controller.recorder`` is ``None``, and the hooks in the bus, scheduler
-and SLO engine guard with ``recorder is not None`` and pay nothing.
+``controller.recorder`` is ``None``, and the hooks in the bus and the
+SLO engine guard with ``recorder is not None`` and pay nothing.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from repro.clock import Clock
 from repro.exceptions import ConfigurationError
 from repro.obs.guard import PrivacyGuard
 
-#: Event kinds the platform's hooks record (the bus and the scheduler
-#: write theirs as literals: they stay import-free of ``repro.obs``).
+#: Event kinds the platform's hooks record (the bus writes its own as
+#: literals: it stays import-free of ``repro.obs``).
 EVENT_SLO_ALERT = "slo.alert"
 EVENT_DEADLETTER = "bus.deadletter"
-EVENT_DEMOTION = "sched.penalty_demotion"
 
 
 class FlightRecorder:

@@ -192,14 +192,6 @@ def default_objectives() -> tuple[SLObjective, ...]:
             threshold=0.0,
             description="every node's bus queue drains to zero",
         ),
-        SLObjective(
-            name="tenant-starvation",
-            kind=KIND_LEVEL,
-            metric="sched.tenant.starvation_seconds",
-            target=1.0,
-            threshold=2.0,
-            description="no tenant's scheduled work waits over 2 simulated s",
-        ),
     )
 
 

@@ -5,7 +5,7 @@
   global id → seal the identity → index → route, then the ``PUBLISH``
   audit record;
 * :func:`request_details` — the controller edge of a request for
-  details: scheduler metering → contract → authenticate → the
+  details: contract → authenticate → the
   ``controller.getEventDetails`` endpoint, which runs
 * :func:`get_event_details` — Algorithm 1 of §5.2: resolve → consent →
   decide → fetch → field check, every outcome audited.
@@ -35,7 +35,6 @@ from repro.exceptions import (
     UnknownProducerError,
 )
 from repro.obs.telemetry import PIPELINE_OUTCOMES
-from repro.sched.scheduler import WORK_DETAILS, WORK_PUBLISH
 
 #: Operation names: the ``pipeline`` label of a hot path's root span and
 #: outcome count.
@@ -158,11 +157,9 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
     producer gets the exception).  ``node.publish_stats`` counts every
     attempt in the bucket :func:`classify` names.
     """
-    clock, sched = node.clock, node.sched
+    clock = node.clock
     notification = failure = None
     try:
-        if sched.shapes_ingress:  # advisory: an over-rate tenant is only demoted
-            sched.admit(producer_id, WORK_PUBLISH, clock.now())
         node.contracts.require_active(producer_id, clock.now(), must_produce=True)
         event_class = node.catalog.get(occurrence.event_class.name)
         if event_class.producer_id != producer_id:
@@ -254,20 +251,13 @@ class EdgeStats:
 def request_details(node, consumer_id: str, request, credential=None):
     """The controller edge of a request for details on ``node``.
 
-    The scheduler meters the requesting tenant first — ``ingress`` (metered
-    and admission-checked, advisory) when it shapes ingress, ``submit``
-    otherwise — then the consumer's contract and identity are checked and
-    the ``controller.getEventDetails`` endpoint resolves the request
+    The consumer's contract and identity are checked, then the
+    ``controller.getEventDetails`` endpoint resolves the request
     (:func:`get_event_details`, through the enforcer).  Every request
     leaves one ``node.edge_stats`` bucket."""
-    clock, sched = node.clock, node.sched
     detail = failure = None
     try:
-        if sched.shapes_ingress:
-            sched.ingress(consumer_id, WORK_DETAILS, clock.now())
-        else:
-            sched.submit(consumer_id, WORK_DETAILS, clock.now())
-        node.contracts.require_active(consumer_id, clock.now(), must_consume=True)
+        node.contracts.require_active(consumer_id, node.clock.now(), must_consume=True)
         node.authenticate(consumer_id, credential, request.actor.role)
         if request.actor.actor_id != consumer_id:
             raise AccessDeniedError(

@@ -3,12 +3,12 @@
 One wiring rule: **a name picks between real alternatives, a fact is
 read; off builds nothing; a reader is built by whoever reads.**  Four
 collaborators of the :class:`~repro.core.controller.DataController` have
-a real choice — telemetry, recorder, scheduler, batching — and each is a
+a real choice — telemetry, recorder, batching — and each is a
 :class:`RuntimeConfig` field naming one of the values :data:`SWITCHES`
 lists; the controller builds each directly from its field, so swapping
-one (say the FIFO scheduler for the fair one) is a field, not an edit:
+one (say batching on for off) is a field, not an edit:
 
-    >>> controller = DataController(runtime=RuntimeConfig(sched="fair"))
+    >>> controller = DataController(runtime=RuntimeConfig(batch="on"))
 
 What follows from a fact has no name: a node is durable iff it has a
 ``data_dir`` (its logs then live in the segmented storage engine), sharded
@@ -29,13 +29,12 @@ from repro.exceptions import ConfigurationError
 
 #: The names each switch accepts, sorted, keyed by its ``RuntimeConfig``
 #: field (``telemetry_guard`` is the guard mode of the telemetry switch).
-#: ``RuntimeConfig`` refuses any other name; the CLI's ``--sched``,
-#: ``--batch`` and ``--guard`` enumerate from here.
+#: ``RuntimeConfig`` refuses any other name; the CLI's ``--batch`` and
+#: ``--guard`` enumerate from here.
 SWITCHES: dict[str, tuple[str, ...]] = {
     "telemetry": ("inmemory", "noop"),
     "telemetry_guard": ("hash", "reject"),
     "recorder": ("noop", "ring"),
-    "sched": ("fair", "none"),
     "batch": ("off", "on"),
 }
 
@@ -50,6 +49,7 @@ _INERT_FIELDS = {
                           "python benchmarks/wall/run.py --trace"),
     "store": ("segmented", "a data_dir is stored in the segmented engine"),
     "perf": ("indexed", "'indexed' is the one hot path"),
+    "sched": ("fair", "the backlog bound (repro.sched) is always on"),
 }
 
 
@@ -64,7 +64,7 @@ class RuntimeConfig:
     #: Select nothing: ``data_dir`` decides.  Kept, and checked below, only
     #: while the wall ledger's frozen ``PROD`` passes them by keyword
     #: (ROADMAP item 8a deletes both, and ``slo`` / ``profiling`` /
-    #: ``perf`` / ``store`` below).
+    #: ``perf`` / ``store`` / ``sched`` below).
     index_store: str = "memory"
     audit_sink: str = "memory"
     #: Telemetry backend: "noop" (default — none is built) or "inmemory".
@@ -82,12 +82,9 @@ class RuntimeConfig:
     #: Selects nothing and accepts "segmented" alone: every ``data_dir`` is
     #: the storage engine's.  Kept for ``PROD`` like ``slo``.
     store: str = "segmented"
-    #: Multi-tenant scheduler at the bus boundary: "none" (today's FIFO
-    #: dispatch, with per-tenant accounting) or "fair" (deficit-round-robin
-    #: fair queueing with token-bucket admission, backpressure shedding to
-    #: the dead-letter queue, and abusive-tenant penalty weights).  Either
-    #: way decisions and audit trails are identical — see docs/SCHEDULING.md.
-    sched: str = "none"
+    #: Selects nothing and accepts "fair" alone: every node bounds each
+    #: tenant's backlog at fan-out.  Kept for ``PROD`` like ``slo``.
+    sched: str = "fair"
     #: Batched execution across the hot path: "off" (default — one
     #: durable append and one wire frame per event) or "on" (group-commit
     #: durability and coalesced federation frames, ``batch_size`` records
@@ -99,8 +96,8 @@ class RuntimeConfig:
     #: group-commit writers and the shard-frame coalescer).
     batch_size: int = 256
     #: Flight recorder: "noop" (default — none is built) or "ring"
-    #: (bounded ring buffers of recent guard-sanitized spans, SLO alerts,
-    #: penalty-box transitions and bus saturation events — the raw material
+    #: (bounded ring buffers of recent guard-sanitized spans, SLO alerts
+    #: and bus saturation events — the raw material
     #: for incident bundles, cheap enough to stay on in every scenario).
     recorder: str = "noop"
     #: Where this node's index and audit logs live; ``None`` keeps both in

@@ -67,7 +67,7 @@ class ScenarioConfig:
     scripted_drops: int = 0
     #: Base runtime of every node controller (the platform changes only
     #: ``data_dir``, to the node's own subdirectory):
-    #: the perf layer, scheduler, batching and durable backends of a run,
+    #: the recorder, batching and durable backends of a run,
     #: and its telemetry — on iff ``telemetry="inmemory"``, guarded by
     #: ``telemetry_guard``.
     runtime: RuntimeConfig | None = None
@@ -187,6 +187,31 @@ def deploy_roster(platform, templates, producer_of, consumers) -> dict:
     return event_classes
 
 
+def script_first_attempt_drops(platform: FederatedPlatform, drops: int) -> None:
+    """Arm every link of ``platform`` to drop the first attempt of its next
+    ``drops`` cross-node calls.  The shared toggle means the immediate
+    retry of a dropped call always delivers, so the run completes while
+    the drop counters — and the link-delivery SLO — record the
+    degradation deterministically."""
+    state = {"budget": drops, "drop_next": True}
+
+    def hook(operation: str, payload: dict) -> bool:
+        if state["budget"] <= 0:
+            return False
+        if state["drop_next"]:
+            state["drop_next"] = False
+            state["budget"] -= 1
+            return True
+        state["drop_next"] = True
+        return False
+
+    node_ids = platform.membership.node_ids
+    for source in node_ids:
+        for target in node_ids:
+            if source != target:
+                platform.membership.link(source, target).set_failure_hook(hook)
+
+
 class CssScenario:
     """Builds and drives one full CSS deployment on ``config.nodes`` nodes."""
 
@@ -232,7 +257,7 @@ class CssScenario:
         self.report = ScenarioReport(self.config.nodes, self.ledger.summary())
         self._rng = random.Random(self.config.seed + 1)
         if self.config.scripted_drops:
-            self._install_scripted_drops()
+            script_first_attempt_drops(self.platform, self.config.scripted_drops)
 
     def generate_workload(self) -> list[WorkloadItem]:
         """The seeded workload for this configuration."""
@@ -242,31 +267,6 @@ class CssScenario:
             self.config.n_events,
             mean_interarrival=self.config.mean_interarrival,
         )
-
-    def _install_scripted_drops(self) -> None:
-        """Arm every link to drop the first attempt of the next
-        ``scripted_drops`` cross-node calls.  The shared toggle means the
-        immediate retry of a dropped call always delivers, so the workload
-        completes while the drop counters — and the link-delivery SLO —
-        record the degradation deterministically."""
-        state = {"budget": self.config.scripted_drops, "drop_next": True}
-
-        def hook(operation: str, payload: dict) -> bool:
-            if state["budget"] <= 0:
-                return False
-            if state["drop_next"]:
-                state["drop_next"] = False
-                state["budget"] -= 1
-                return True
-            state["drop_next"] = True
-            return False
-
-        node_ids = self.platform.membership.node_ids
-        for source in node_ids:
-            for target in node_ids:
-                if source != target:
-                    link = self.platform.membership.link(source, target)
-                    link.set_failure_hook(hook)
 
     # -- run -----------------------------------------------------------------
 

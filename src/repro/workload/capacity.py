@@ -2,7 +2,7 @@
 
 ``run_workload`` is the single "build a federation from a config →
 deploy → drive a seeded stream → barrier → digest" routine; the
-capacity, fairness, incident and batch artifacts are reporters over the
+capacity, incident and batch artifacts are reporters over the
 :class:`WorkloadRun` it returns.
 
 ``run_capacity`` executes one workload scenario against a fresh
@@ -76,7 +76,7 @@ def execute_workload(
     """Open-loop execution of the planned stream over the simulated clock.
 
     Returns the outcome counters (published / blocked / permits / denies /
-    subscribes) shared by the capacity and fairness harnesses.
+    subscribes) shared by the capacity and incident harnesses.
     ``on_advance`` (a no-arg callable) runs after every clock advance —
     the incident harness hooks its time-series ticking and watchdog
     polling there without the capacity path paying anything.
@@ -142,8 +142,8 @@ def execute_workload(
 def audit_digest(platform: FederatedPlatform) -> tuple[str, int]:
     """Verify every node's audit chain; digest the heads, count records.
 
-    The digest is the scheduler-invariance witness: two same-seed runs —
-    whatever their scheduler — must reproduce it bit-for-bit.
+    The digest is the equivalence witness: two same-seed runs — whatever
+    their batching — must reproduce it bit-for-bit.
     """
     heads: list[str] = []
     audit_records = 0
@@ -177,7 +177,6 @@ def run_workload(
     nodes: int,
     runtime: RuntimeConfig | None = None,
     *,
-    sched_config=None,
     link_latency: float = 0.005,
     telemetry: InMemoryTelemetry | None = None,
     drain_seconds: float = 0.0,
@@ -187,12 +186,11 @@ def run_workload(
     """The one run harness behind every workload-driven BENCH artifact.
 
     Builds a fresh same-seed federation under ``runtime``, deploys the
-    roster with its tenant weights, drives the planned stream open-loop
+    roster, drives the planned stream open-loop
     over the simulated clock, then runs the end-of-run barrier — dispatch
     everything, advance the bounded ``drain_seconds`` window, flush
-    coalesced frames and group commits, refresh the fairness and
-    queue-depth gauges — and verifies and digests every audit chain.
-    Capacity, fairness, incident and batch payloads are reporters over
+    coalesced frames and group commits — and verifies and digests every
+    audit chain.  Capacity, incident and batch payloads are reporters over
     the returned :class:`WorkloadRun`.
 
     ``telemetry`` lets callers supply (and afterwards inspect) the shared
@@ -215,13 +213,9 @@ def run_workload(
         runtime=runtime or RuntimeConfig(),
         telemetry=telemetry,
         link_latency=link_latency,
-        sched_config=sched_config,
     )
     engine = WorkloadEngine(workload)
     event_classes = deploy_workload(platform, engine, workload)
-    for node in platform.nodes():
-        for tenant in workload.tenants:
-            node.controller.sched.set_weight(tenant.tenant_id, tenant.weight)
     run = WorkloadRun(platform, clock, telemetry)
     decision_log: list[str] | None = [] if collect_decisions else None
     run.counters = execute_workload(
@@ -236,7 +230,6 @@ def run_workload(
     # Group-commit barrier before anything reads cross-shard or on-disk
     # state: pending coalesced frames out, buffered durable rows down.
     platform.flush_batches()
-    platform.record_fairness()
     run.audit_digest, run.audit_records = audit_digest(platform)
     if decision_log is not None:
         run.decision_digest = "sha256:" + hashlib.sha256(

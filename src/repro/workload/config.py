@@ -21,13 +21,11 @@ Four named scenarios ship with the platform:
 ``anomaly``
     Abuse injection: one consumer organization issues a large multiple
     of its fair share of detail requests and popularity collapses onto a
-    few hot subjects — the scenario admission-control work is measured
-    against.
+    few hot subjects — the scenario the incident harness watches.
 ``multi_tenant``
     Fair-sharing probe: a wider roster from :func:`multi_tenant_roster`
     (N consumer organizations with Zipf-skewed weights, one mid-rank
-    abusive) at an elevated detail-heavy rate — the scenario the
-    ``sched`` switch's fairness figures come from.
+    abusive) at an elevated detail-heavy rate.
 """
 
 from __future__ import annotations
@@ -109,9 +107,9 @@ def multi_tenant_roster(count: int = 8,
 def multi_tenant_abuser(count: int = 8) -> str:
     """The mid-rank roster tenant the preset marks abusive.
 
-    Mid-rank on purpose: an abuser with a *middling* fair share makes
-    the collapse under fifo and the bound under fair both visible —
-    the top-ranked tenant would dominate legitimately anyway.
+    Mid-rank on purpose: an abuser with a *middling* fair share stands
+    out from its neighbours — the top-ranked tenant would dominate
+    legitimately anyway.
     """
     roster = multi_tenant_roster(count)
     return roster[len(roster) // 2].tenant_id
@@ -248,8 +246,8 @@ class CapacityConfig:
 
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     node_counts: tuple[int, ...] = (1, 2, 4, 8)
-    #: Runtime of every node controller at every point (scheduler,
-    #: batching, ... — see ``RuntimeConfig`` and docs/PERFORMANCE.md).
+    #: Runtime of every node controller at every point (batching,
+    #: recorder, ... — see ``RuntimeConfig`` and docs/PERFORMANCE.md).
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:

@@ -76,7 +76,7 @@ class WorkloadOp:
     details: dict[str, object] | None = None
     #: The operation's tenant: the issuing consumer organization on
     #: details/subscribe ops, the producer organization on publish ops —
-    #: every stream line carries the organization the scheduler bills.
+    #: every stream line carries the organization it is attributed to.
     tenant_id: str = ""
     purpose: str = ""
     #: Details ops: 0 targets the latest event of the class, 1 the one
@@ -229,7 +229,7 @@ class WorkloadEngine:
                     summary=template.summary_for(patient),
                     details=template.build_details(rng, patient),
                     # The producing organization (deterministic lookup, no
-                    # RNG draw): the tenant a scheduler bills this publish to.
+                    # RNG draw): the tenant this publish is attributed to.
                     tenant_id=self.producer_of(template_name),
                 )
                 continue

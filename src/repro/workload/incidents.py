@@ -9,10 +9,10 @@ watchdogs after every clock advance.  The first trigger freezes every
 node's recorder and produces a deterministic ``css-incident/1`` bundle;
 same-seed runs write byte-identical bundle files.
 
-The harness reuses the fairness benchmark's saturation configuration
-(overloaded service rate, tight token buckets) so the anomaly scenario
-reliably demotes the abusive tenant and burns SLO budget — exactly the
-conditions an operator would want a flight-recorder trail for.
+The fault is real: the first attempt of :data:`LINK_DROPS` cross-node
+calls is dropped (and retried), so the link-delivery objective burns its
+budget — exactly the condition an operator would want a flight-recorder
+trail for.  Both arms, recorder on and off, run the same drops.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.obs.incident import (
 from repro.obs.slo import SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
 from repro.runtime.kernel import RuntimeConfig
-from repro.sched.fairness import (
-    DEFAULT_DRAIN_SECONDS,
-    DEFAULT_NODES,
-    bench_sched_config,
-)
+from repro.sim.scenario import script_first_attempt_drops
 from repro.workload.capacity import WorkloadRun, run_workload
 from repro.workload.config import WorkloadConfig, workload_config
 
@@ -43,6 +39,12 @@ TICK_INTERVAL = 0.25
 #: whole run).
 SHORT_WINDOW = 1.0
 LONG_WINDOW = 5.0
+#: Federation size of a watched run.
+DEFAULT_NODES = 2
+#: Simulated seconds the end-of-run barrier drains for.
+DRAIN_SECONDS = 2.0
+#: Cross-node calls whose first attempt is dropped, from the first op on.
+LINK_DROPS = 4
 
 
 class _Watch:
@@ -51,8 +53,7 @@ class _Watch:
     An ``on_advance`` hook of :func:`run_workload`.  It arms itself on the
     first clock advance — the platform exists, nothing has executed yet —
     and from then on runs on the tick cadence, not on every advance:
-    refresh the fairness gauges (pure accounting — decisions are
-    untouched), snapshot the registry, poll the watchdogs.  Detection
+    snapshot the registry, poll the watchdogs.  Detection
     latency is one tick interval, and the per-advance cost is one float
     compare — the overhead benchmark's <5 % gate depends on it.
     """
@@ -93,7 +94,6 @@ class _Watch:
         now = run.clock.now()
         if now >= self.due:
             self.due = now + TICK_INTERVAL
-            run.platform.record_fairness()
             self.timeseries.maybe_tick()
             self.monitor.poll()
 
@@ -122,11 +122,19 @@ def run_incident_capture(
     """
     workload = workload or workload_config("anomaly")
     watch = _Watch(watchdogs, source) if recorder != "noop" else None
+    armed = False
+
+    def on_advance(run: WorkloadRun) -> None:
+        nonlocal armed
+        if not armed:  # the first advance: deployed, nothing run yet
+            script_first_attempt_drops(run.platform, LINK_DROPS)
+            armed = True
+        if watch is not None:
+            watch(run)
+
     run = run_workload(
-        workload, nodes, RuntimeConfig(sched="fair", recorder=recorder),
-        sched_config=bench_sched_config(),
-        drain_seconds=DEFAULT_DRAIN_SECONDS,
-        on_advance=watch,
+        workload, nodes, RuntimeConfig(recorder=recorder),
+        drain_seconds=DRAIN_SECONDS, on_advance=on_advance,
     )
     if watch is not None:
         watch.finish(run)
@@ -142,7 +150,6 @@ def run_incident_capture(
         "nodes": nodes,
         "ops": workload.ops,
         "recorder": recorder,
-        "sched": "fair",
         **run.counters,
         "simulated_seconds": run.clock.now(),
         "ticks": watch.timeseries.ticks if watch is not None else 0,

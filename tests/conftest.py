@@ -190,6 +190,21 @@ def with_deleted_latency_row(report: dict, observed: float,
     return {**report, "objectives": [row, *report["objectives"]]}
 
 
+def with_starvation_row(report: dict, windows: dict | None = None) -> dict:
+    """An SLO report section with the status row of the deleted stock
+    ``tenant-starvation`` objective put back last, as it was written
+    before: it read the scheduler model's starvation gauge, which no run
+    these sections come from ever set, so only ``windows`` can vary."""
+    row = {"attainment": 1.0, "breached": False, "burn_rate": 0.0,
+           "error_budget": 0.0, "kind": "level",
+           "metric": "sched.tenant.starvation_seconds",
+           "name": "tenant-starvation", "observed": 0.0, "target": 1.0,
+           "threshold": 2.0}
+    if windows is not None:
+        row["windows"] = windows
+    return {**report, "objectives": [*report["objectives"], row]}
+
+
 def with_parent_pdp_counts(report: dict, observed: float,
                            windows: dict | None = None) -> dict:
     """An SLO report section with the ``pdp-deny-rate`` row as it read

@@ -33,9 +33,9 @@ def baseline():
 
 class TestResolve:
     def test_walks_dicts_and_list_indices(self):
-        payload = {"arms": {"fair": {"jain_index": 0.9}},
+        payload = {"arms": {"ring": {"ticks": 9}},
                    "nodes": [{"events_per_second": 5.0}]}
-        assert resolve(payload, "arms.fair.jain_index") == 0.9
+        assert resolve(payload, "arms.ring.ticks") == 9
         assert resolve(payload, "nodes.0.events_per_second") == 5.0
 
     def test_missing_path_is_none(self):
@@ -54,8 +54,7 @@ class TestMakeBaseline:
     def test_every_tracked_bench_names_dotted_paths(self):
         tracked = {schema_id: tracked_units(schema_id)
                    for schema_id, schema in SCHEMAS.items() if schema.tracked}
-        assert set(tracked) == {"css-bench-storage/2", "css-bench-fairness/1",
-                                "css-bench-incident/1"}
+        assert set(tracked) == {"css-bench-storage/2", "css-bench-incident/1"}
         for schema_id, units in tracked.items():
             for path, unit in units.items():
                 assert unit in UNITS, f"{schema_id}: {path} has no unit"

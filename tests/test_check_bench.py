@@ -40,21 +40,6 @@ def _storage_kind(**extra):
             "recovery_peak_kb": 120.0, "size_bytes": 4096, **extra}
 
 
-def _fairness_arm(sched, jain, victim):
-    tenant = {"weight": 1.0, "share": 0.5, "satisfaction": 0.9,
-              "served_work": 3.0, "arrived_work": 3.3,
-              "max_wait_seconds": 0.2, "starvation_seconds": 0.1,
-              "p99_wait_seconds": 0.15, "throttled": 0, "shed": 0,
-              "demotions": 0, "recoveries": 0, "penalized": False}
-    return {"sched": sched, **COUNTERS, "throttled_total": 0,
-            "shed_total": 0, "penalized_tenants": 0, "audit_records": 90,
-            "jain_index": jain, "victim_share": victim,
-            "victim_total_share": 0.1, "victim_p99_wait_seconds": 0.2,
-            "victim_starvation_seconds": 0.1, "max_starvation_seconds": 0.3,
-            "audit_digest": DIGEST,
-            "tenants": {"h:aa11": dict(tenant), "h:bb22": dict(tenant)}}
-
-
 def _overhead_arm(recorder):
     return {**COUNTERS, "incidents": 1, "ticks": 12, "timeline_rows": 30,
             "recorder": recorder, "simulated_seconds": 7.0,
@@ -62,8 +47,8 @@ def _overhead_arm(recorder):
             "wall_ops_per_second": 500.0}
 
 
-TRIGGER = {"kind": "penalty-demotion", "at": 1.5,
-           "detail": {"baseline": 0, "demotions": 1}}
+TRIGGER = {"kind": "slo-breach", "at": 1.5,
+           "detail": {"objectives": ["link-delivery"], "worst_burn_rate": 2.0}}
 BURN_POINT = {"at": 1.0, "attainment": 0.9, "observed": 0.1, "burn_rate": 2.0}
 
 GOOD = {
@@ -100,16 +85,6 @@ GOOD = {
             for nodes, hops in ((1, 0), (2, 50))
         ],
     },
-    "css-bench-fairness/1": {
-        "source": "pytest", "scenario": "anomaly", "seed": 2010,
-        "population": 4000, "ops": 600, "nodes": 2, "drain_seconds": 2.0,
-        "service_rate": 0.2, "victim_tenant": "h:aa11",
-        "abusive_tenant": None,
-        "arms": {"none": _fairness_arm("none", 0.93, 0.67),
-                 "fair": _fairness_arm("fair", 0.99, 1.0)},
-        "improvement": {"jain_index": 0.06, "victim_share": 0.33},
-        "audit_digest_match": True,
-    },
     "css-bench-batch/1": {
         "source": "pytest", "quick": True,
         "equivalence": {"identical": True, "checks": [
@@ -127,10 +102,10 @@ GOOD = {
     "css-incident/1": {
         "incident_id": "incident-0001", "source": "pytest",
         "captured_at": 1.5, "slo": None, "trigger": copy.deepcopy(TRIGGER),
-        "burn_rates": {"tenant-starvation": {"short": [dict(BURN_POINT)],
-                                             "long": [dict(BURN_POINT)]}},
+        "burn_rates": {"link-delivery": {"short": [dict(BURN_POINT)],
+                                         "long": [dict(BURN_POINT)]}},
         "events": [
-            {"kind": "sched.demotion", "node": "node-0", "seq": 1, "at": 1.0},
+            {"kind": "slo.alert", "node": "node-0", "seq": 1, "at": 1.0},
             {"kind": "bus.shed", "node": "node-1", "seq": 1, "at": 1.0},
             {"kind": "bus.shed", "node": "node-1", "seq": 2, "at": 1.25},
         ],
@@ -146,8 +121,7 @@ GOOD = {
                        "queue_high_water": 4, "dead_letter_high_water": 0},
             "totals": {"queue_depth": 1, "dead_letter_depth": 0},
         },
-        "scheduler": {"node-0": {"policy": "drr",
-                                 "tenants": {"h:aa11": {"pending": 0}}}},
+        "scheduler": {"node-0": {"tenants": {"h:aa11": {"shed": 0}}}},
         "recorder": {"node-0": {"dropped_events": 0, "dropped_spans": 0}},
     },
 }
@@ -230,17 +204,6 @@ MUTATIONS = [
     ("css-bench-batch/1", "equivalence.checks.0.audit_digest", "deadbeef",
      "sha256:"),
     ("css-bench-capacity/1", "nodes.0.audit_digest", None, "audit_digest"),
-    ("css-bench-fairness/1", "arms.fair.audit_digest", "sha256:deadbeef",
-     "differ"),
-    ("css-bench-fairness/1", "audit_digest_match", False,
-     "audit_digest_match"),
-    # fair must beat none
-    ("css-bench-fairness/1", "arms.fair.jain_index", 0.93, "jain_index"),
-    ("css-bench-fairness/1", "arms.fair.victim_share", 0.5, "victim_share"),
-    ("css-bench-fairness/1", "arms.none.jain_index", 1.2, "within [0, 1]"),
-    ("css-bench-fairness/1", "victim_tenant", "Province-X/Statistics-Y",
-     "victim_tenant"),
-    ("css-bench-fairness/1", "arms.none.sched", "fair", "arms.none.sched"),
     # orderings
     ("css-bench-capacity/1", "nodes.1.nodes", 0, "nodes[1].nodes"),
     ("css-bench-capacity/1", "nodes.0.published", 500, "published <= ops"),
@@ -261,7 +224,7 @@ MUTATIONS = [
     ("css-incident/1", "captured_at", -1.0, "captured_at"),
     ("css-incident/1", "trigger.kind", "volcano", "trigger.kind"),
     ("css-incident/1", "burn_rates", {}, "burn_rates"),
-    ("css-incident/1", "burn_rates.tenant-starvation.short.0.attainment",
+    ("css-incident/1", "burn_rates.link-delivery.short.0.attainment",
      1.5, "within [0, 1]"),
     ("css-incident/1", "events", "nope", "events"),
     ("css-incident/1", "events.0.at", 9.0, "merge order"),
@@ -355,13 +318,13 @@ class TestStructuralMutations:
         assert any("batch_size=256" in p for p in validate(payload))
 
     def test_missing_arm(self):
-        payload = good("css-bench-fairness/1")
-        del payload["arms"]["fair"]
-        assert any(p.startswith("arms.fair") for p in validate(payload))
+        payload = good("css-bench-incident/1")
+        del payload["arms"]["ring"]
+        assert any(p.startswith("arms.ring") for p in validate(payload))
 
     def test_plaintext_tenant_key_trips_shape_and_privacy_gate(self):
         payload = good("css-incident/1")
-        payload["scheduler"]["node-0"]["tenants"]["Org-0"] = {}
+        payload["scheduler"]["node-0"]["tenants"]["Org-0"] = {"shed": 0}
         problems = validate(payload)
         assert any("privacy-guard hashes" in p for p in problems)
         assert any("privacy" in p and "Org-0" in p for p in problems)
@@ -369,7 +332,7 @@ class TestStructuralMutations:
     def test_slo_breach_needs_every_breached_objective(self):
         payload = good("css-incident/1")
         payload["trigger"] = {"kind": "slo-breach", "at": 1.5, "detail": {
-            "objectives": ["tenant-starvation", "ghost-objective"]}}
+            "objectives": ["link-delivery", "ghost-objective"]}}
         assert validate(payload) == [
             "burn_rates must carry the trigger's objective 'ghost-objective'"]
 

@@ -258,7 +258,6 @@ SURFACE = {
         (("--seed",), "seed", 2010, int),
         (("--archive",), "archive", None, None),
         (("--durable",), "durable", None, None),
-        (("--sched",), "sched", "none", None),
     ],
     "compare": [
         (("--events",), "events", 200, int),
@@ -292,7 +291,6 @@ SURFACE = {
         (("--rate",), "rate", 0.3, float),
         (("--seed",), "seed", 2010, int),
         (("--nodes",), "nodes", 2, int),
-        (("--sched",), "sched", "none", None),
         (("--batch",), "batch", "off", None),
         (("--batch-size",), "batch_size", 256, int),
         (("--rebalance",), "rebalance", False, None),
@@ -335,18 +333,8 @@ SURFACE = {
         (("--nodes",), "nodes", "1,2,4,8", None),
         (("--seed",), "seed", None, int),
         (("--list",), "list_scenarios", False, None),
-        (("--sched",), "sched", "none", None),
         (("--batch",), "batch", "off", None),
         (("--batch-size",), "batch_size", 256, int),
-        (("--out",), "out", None, None),
-    ],
-    "sched": [
-        (("--scenario",), "scenario", "anomaly", None),
-        (("--population",), "population", 4000, int),
-        (("--ops",), "ops", 600, int),
-        (("--nodes",), "nodes", 2, int),
-        (("--seed",), "seed", None, int),
-        (("--list",), "list_scenarios", False, None),
         (("--out",), "out", None, None),
     ],
     "incident": [
@@ -382,7 +370,7 @@ class TestSurface:
                       for option in options_of(parser)]
             for command, parser in subparsers().items()}
         assert surface == SURFACE
-        assert sum(len(options) for options in surface.values()) == 94
+        assert sum(len(options) for options in surface.values()) == 84
 
     def test_no_option_keeps_a_private_list_of_choices(self):
         """Enumerations are refused by the CLI's one path (exit 1, with a
@@ -409,14 +397,12 @@ class TestOneRejectionPath:
     def test_the_enumerating_flags_are_the_expected_ones(self):
         assert sorted({(command, flag) for command, flag, _ in
                        enumerating_flags()}, key=str) == sorted([
-            ("scenario", "--sched"),
             ("telemetry", "--scenario"), ("telemetry", "--guard"),
-            ("federate", "--sched"), ("federate", "--batch"),
+            ("federate", "--batch"),
             ("slo", "--scenario"), ("slo", "--guard"),
             ("trace", "--scenario"),
             ("store", None), ("workload", "--scenario"),
-            ("workload", "--sched"), ("workload", "--batch"),
-            ("sched", "--scenario"), ("incident", "--scenario"),
+            ("workload", "--batch"), ("incident", "--scenario"),
             ("timeline", "--scenario")], key=str)
 
     @pytest.mark.parametrize(

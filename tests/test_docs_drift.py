@@ -29,9 +29,9 @@ def stage_line(after: str, offset: int = 1) -> tuple[str, ...]:
 
 def test_stage_order_lines_match_the_pipelines(monkeypatch):
     """The documented step order is the order in which a publish and a
-    request for details call the collaborators of each step (fair
-    scheduler: every step taken)."""
-    controller = DataController(seed="docs", runtime=RuntimeConfig(sched="fair"))
+    request for details call the collaborators of each step; neither
+    calls the backlog bound."""
+    controller = DataController(seed="docs")
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
     doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi", role="family-doctor")
@@ -64,7 +64,7 @@ def test_stage_order_lines_match_the_pipelines(monkeypatch):
 
     enforcer = controller.enforcer
     for owner, name, step in (
-        (controller.sched, "admit", "sched"), (controller.sched, "ingress", "sched"),
+        (controller.sched, "should_shed", "sched"),
         (controller.contracts, "require_active", "contract"),
         (controller.catalog, "get", "admission"),
         (controller, "consent_registry_of", "consent"),
@@ -127,11 +127,13 @@ def naming_table() -> dict[str, set[str]]:
     return table
 
 
-def test_naming_table_matches_the_registered_readers():
+def test_naming_table_matches_the_registered_readers(monkeypatch):
     """Every series the table names is served by a reader on a 2-node
-    platform that has crossed a link (a drop, a dead letter and a request
-    for details included, so every reader has rows), with the label keys
-    the table lists — and no reader serves a series the table leaves out."""
+    platform that has crossed a link (a drop, a dead letter, a shed — the
+    backlog bound lowered to one — and a request for details included, so
+    every reader has rows), with the label keys the table lists — and no
+    reader serves a series the table leaves out."""
+    monkeypatch.setattr("repro.sched.MAX_PENDING", 1)
     telemetry = InMemoryTelemetry()
     deployment = build_federation(telemetry=telemetry)
     platform = deployment.platform
@@ -143,7 +145,8 @@ def test_naming_table_matches_the_registered_readers():
     platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest", handler=broken)
     platform.membership.link("node-0", "node-1").fail_next(1)
     notification = deployment.publish_blood_test(subject_id="pat-1")
-    deployment.publish_blood_test(subject_id="pat-2")  # a fan-out memo hit
+    # A fan-out memo hit, and a shed: the broken subscription still holds pat-1.
+    deployment.publish_blood_test(subject_id="pat-2")
     platform.dispatch_all()
     platform.request_details("FamilyDoctors/Dr-Rossi", "BloodTest",
                              notification.event_id, "healthcare-treatment")

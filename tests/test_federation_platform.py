@@ -25,7 +25,6 @@ from repro.federation import FederatedPlatform
 from repro.federation.node import WIRE_ERRORS
 from repro.ids import IdGenerator
 from repro.obs.guard import TelemetryPrivacyError
-from repro.runtime.kernel import RuntimeConfig
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import (
     BooleanType,
@@ -201,13 +200,40 @@ class TestCrossNodeSubscription:
         assert len(attempts) == MAX_ATTEMPTS
         assert (remote.bus.dead_letter_depth, home.bus.dead_letter_depth) == (1, 0)
         assert relay_trail(platform) == RELAY_TRAIL_SHA256
+        assert relay_trail(platform, MODEL_REPORTS) == MODEL_RELAY_TRAIL_SHA256
 
 
 VERDI = "FamilyDoctors/Dr-Verdi"
 
-#: sha256 of :func:`relay_trail` after the relay test's publish, as the
-#: bus produced it when the receiving node published a relay again.
-RELAY_TRAIL_SHA256 = "882c74f02c68a8052cb5fca759afb5945906b27beda855ac1c1e8e9fe001caf4"
+#: sha256 of :func:`relay_trail` after the relay test's publish.  Re-pinned
+#: when the scheduler model went: the trail carried its per-tenant report,
+#: and now carries the backlog bound's shed counts (none) in its place.
+RELAY_TRAIL_SHA256 = "90871a00777f5963915618c2a9013da968233e885c82d6fcad64ae0994eed128"
+#: The trail as the bus produced it when the receiving node published a
+#: relay again, before the scheduler model went: the same trail with the
+#: model's per-tenant reports (:data:`MODEL_REPORTS`) put back.
+MODEL_RELAY_TRAIL_SHA256 = "882c74f02c68a8052cb5fca759afb5945906b27beda855ac1c1e8e9fe001caf4"
+
+
+def model_row(work: float) -> dict:
+    """One tenant's row of the deleted scheduler model's report after one
+    unit of ``work`` simulated seconds, served at once."""
+    return {"arrived": 1, "arrived_work": work, "demotions": 0,
+            "max_wait_seconds": 0.0, "penalized": False, "pending": 0,
+            "recoveries": 0, "served": 1, "served_work": work, "shed": 0,
+            "starvation_seconds": 0.0, "throttled": 0, "wait_seconds": [0.0],
+            "weight": 1.0}
+
+
+#: The deleted scheduler model's per-node tenant report after the relay
+#: test's publish: a publish and a relay fan-out billed on node-0, the
+#: routed publish and two deliveries on node-1.
+MODEL_REPORTS = {
+    "node-0": {"Hospital-S-Maria": model_row(0.004), "platform": model_row(0.001)},
+    "node-1": {"FamilyDoctors/Dr-Rossi": model_row(0.001),
+               "FamilyDoctors/Dr-Verdi": model_row(0.001),
+               "platform": model_row(0.004)},
+}
 
 
 def counting(method, note):
@@ -225,7 +251,7 @@ def broken():
 def relay_deployment():
     """The 2-node federation with a second remote consumer, Dr. Verdi, and
     Dr. Rossi subscribed: both consumers sit on node-1, the class on node-0."""
-    deployment = build_federation(runtime=RuntimeConfig(sched="fair"))
+    deployment = build_federation()
     platform = deployment.platform
     platform.add_consumer(VERDI, "Dr. Verdi", role="family-doctor", node_id="node-1")
     platform.producer("Hospital-S-Maria").define_policy(
@@ -235,17 +261,19 @@ def relay_deployment():
     return deployment
 
 
-def relay_trail(platform) -> str:
+def relay_trail(platform, reports: dict | None = None) -> str:
     """sha256 of what a relayed delivery leaves behind: every node's
-    logical NOTIFY rows, bus counters, dead letters and tenant report, and
-    every consumer's inbox."""
+    logical NOTIFY rows, bus counters, dead letters and per-tenant shed
+    counts (or ``reports[node_id]`` in their place), and every consumer's
+    inbox."""
     rows = []
     for node in platform.nodes():
         controller, bus = node.controller, node.controller.bus
         rows.append([
             node.node_id, dataclasses.asdict(bus.stats), bus.dead_letter_depth,
             bus.dead_letter_counts(), bus.queue_high_water_marks(),
-            controller.sched.tenant_report(controller.clock.now()),
+            controller.sched.shed_by_tenant if reports is None
+            else reports[node.node_id],
             [record.to_payload() for record in controller.audit_log.logical()
              if record.action is AuditAction.NOTIFY]])
     for consumer_id in ("FamilyDoctors/Dr-Rossi", VERDI):

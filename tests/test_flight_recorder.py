@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs.guard import PrivacyGuard
 from repro.obs.recorder import (
     EVENT_DEADLETTER,
-    EVENT_DEMOTION,
     EVENT_SLO_ALERT,
     FlightRecorder,
 )
@@ -54,7 +53,7 @@ class TestRecording:
         assert recorder.dropped_events == 2
 
     def test_numeric_fields_pass_identifying_strings_hash(self, recorder):
-        recorder.record(EVENT_DEMOTION, subject_id="ap-00000001", depth=7,
+        recorder.record(EVENT_DEADLETTER, subject_id="ap-00000001", depth=7,
                         topic="events.social.HomeVisit")
         [row] = recorder.events()
         assert row["depth"] == 7  # measurements keep their value

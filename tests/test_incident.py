@@ -26,7 +26,6 @@ from repro.obs.guard import PrivacyGuard
 from repro.obs.incident import (
     INCIDENT_SCHEMA,
     TRIGGER_DEADLETTER_SPIKE,
-    TRIGGER_DEMOTION,
     TRIGGER_QUEUE_CEILING,
     IncidentMonitor,
     WatchdogConfig,
@@ -35,8 +34,9 @@ from repro.obs.incident import (
 )
 from repro.obs.recorder import EVENT_DEADLETTER, FlightRecorder
 from repro.workload import workload_config
-from repro.workload.incidents import run_incident_capture
-from tests.conftest import with_deleted_latency_row, with_parent_pdp_counts
+from repro.sim.scenario import script_first_attempt_drops
+from repro.workload.capacity import run_workload
+from repro.workload.incidents import LINK_DROPS, run_incident_capture
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
 TENANT_FRAGMENTS = ("Province-Trentino", "Municipality-Trento",
@@ -86,8 +86,9 @@ class TestAnomalyRun:
                 assert windows[window], "burn series must carry points"
                 for point in windows[window]:
                     assert 0.0 <= point["attainment"] <= 1.0
-        assert trigger in ("slo-breach", TRIGGER_DEMOTION,
-                           TRIGGER_DEADLETTER_SPIKE, TRIGGER_QUEUE_CEILING)
+        # The scripted link drops are the run's one real fault.
+        assert trigger == "slo-breach"
+        assert bundle["trigger"]["detail"]["objectives"] == ["link-delivery"]
 
     def test_same_seed_runs_write_byte_identical_bundles(self, capture,
                                                          tmp_path):
@@ -113,6 +114,31 @@ class TestAnomalyRun:
             assert "wall_duration" not in text  # the wall-clock sidecar
             for fragment in TENANT_FRAGMENTS:
                 assert fragment not in text
+
+    def test_link_drops_move_only_timestamps(self):
+        """The scripted drops are retried and delivered: the same decisions
+        and the same logical audit records as a run without them, only the
+        simulated timestamps the retries' latency moves."""
+        def trail(run):
+            return [{key: value for key, value in record.to_payload().items()
+                     if key != "timestamp"}
+                    for node in run.platform.nodes()
+                    for record in node.controller.audit_log.logical()]
+
+        armed = []
+
+        def drops(run):
+            if not armed:
+                armed.append(script_first_attempt_drops(run.platform, LINK_DROPS))
+
+        dropped = run_workload(quick_workload(), 2, on_advance=drops,
+                               collect_decisions=True)
+        clean = run_workload(quick_workload(), 2, collect_decisions=True)
+        membership = dropped.platform.membership
+        assert sum(membership.link(*ends).stats.drops for ends in (
+            ("node-0", "node-1"), ("node-1", "node-0"))) == LINK_DROPS
+        assert dropped.decision_digest == clean.decision_digest
+        assert trail(dropped) == trail(clean)
 
     def test_noop_arm_records_nothing(self):
         payload = run_incident_capture(
@@ -163,7 +189,7 @@ class TestSchemaMutations:
 
     def test_plaintext_tenant_key_is_flagged(self, bundle):
         for row in bundle["scheduler"].values():
-            row["tenants"]["Org-0"] = next(iter(row["tenants"].values()))
+            row["tenants"]["Org-0"] = {"shed": 0}
             break
         problems = validate(bundle)
         assert any("privacy-guard hashes" in p for p in problems)
@@ -190,7 +216,7 @@ class TestSchemaMutations:
         if kind == "slo-breach":
             bundle["trigger"]["detail"]["objectives"] = ["ghost-objective"]
         else:
-            bundle["trigger"]["kind"] = TRIGGER_DEMOTION
+            bundle["trigger"]["kind"] = TRIGGER_QUEUE_CEILING
             bundle["burn_rates"] = {"unrelated": bundle["burn_rates"].popitem()[1]}
         problems = validate(bundle)
         assert any("trigger's objective" in p for p in problems)
@@ -327,62 +353,38 @@ class TestCli:
 
     def test_federated_bundle_bytes_are_pinned(self, tmp_path, capsys):
         """Beside the same-seed check above: the manifest commits to the
-        other three files, so its digest pins the whole bundle — taken
-        before bundles, snapshots and archives came to share one file
-        manifest, one window reader and one series iterator.
+        other three files, so its digest pins the whole bundle.
 
-        Re-pinned (was 71d1dc5b…) when the stock ``request-details-latency``
-        objective, which read simulated pipeline durations, was deleted:
-        the one byte difference was its status row in the SLO section.
-        Re-pinned again (was 9db5ac27…) when the decision cache went and
-        ``xacml.pdp.evaluations_total`` came to count every decision: the
-        ``pdp-deny-rate`` row observes 174 decisions (81 in the short
-        window) where it observed 69 (25) cache misses.  Both put-backs
-        below land on the SLO section those manifests held.
-
-        Re-pinned again (was 8b2da5c0…, events ``8a262c22…``) when the
-        hot paths stopped opening a ``stage.*`` span per stage.  Only the
-        recorder's span window moved: with the recorder's window unbounded,
-        the parent's span stream minus every ``stage.*`` row (each span
-        re-parented to its nearest other ancestor) is this one — names,
-        order, traces, status, times, parentage, and the interleaving with
-        the events — so the 256-span window reaches further back
-        (``dropped_spans`` 3,670 → 978, 2,692 fewer spans) and the shared
-        ring sequence renumbers the events' ``seq``; every other section is
-        byte-identical."""
+        Re-pinned (was 28f38e0d…, SLO section ``fa77b8fe…``) when the
+        scheduler model went.  That bundle was a ``penalty-demotion`` at
+        t=2.501 s with a ``tenant-starvation`` burn series, both read off
+        the model; this one is the run's one real fault, four scripted
+        first-attempt link drops, caught as a ``link-delivery`` breach at
+        t=1.421 s.  The trigger, capture time, windows and rings all moved
+        with it, so no section is put back.  The drops decide nothing:
+        :meth:`TestAnomalyRun.test_link_drops_move_only_timestamps` holds
+        the watched run's decisions and logical audit records, timestamps
+        aside, to the same run without them."""
         cli_main(["incident", "--scenario", "federated",
                   "--out", str(tmp_path)])
         capsys.readouterr()
         bundle = tmp_path / "incident-0001"
         manifest_path = bundle / "manifest.json"
         assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == (
-            "28f38e0dc8cec74d3a5096e2a2cc6e137675d3dd8391a0fcf3f373c219e4b669")
+            "79d5e4fe6cb08ac6b1f52977765d44f8c225709c2ed8adebccfa6116055d56ec")
         files = json.loads(manifest_path.read_text())["files"]
         assert files["events.jsonl"]["sha256"] == (
-            "0538f43bfa9883e9c7d1f8a7ae4b8a447d9d7d38a9fa6552cda6c8fed40d4ee9")
+            "8f62f4210bc5d998297c20276797184d123f098349e51f0add2b7fd72c5247e8")
         assert files["series.jsonl"]["sha256"] == (
-            "a27934800a30904ea1cbdc4aad720240d5e369d30c32ebd22e3681933be5ef09")
+            "f1a2f05f5be3476da087e4b2f78aed1541896a2ec63db87af4495b5a97a0d1ad")
 
         incident = json.loads((bundle / "incident.json").read_text())
+        assert incident["trigger"]["kind"] == "slo-breach"
         assert not [span for span in incident["spans"]
                     if span["name"].startswith("stage.")]
-
-        def slo_digest(slo: dict) -> str:
-            return hashlib.sha256(canonical_json(slo).encode()).hexdigest()
-
         slo = incident["slo"]
-        assert slo_digest(slo) == (
-            "fa77b8fe94301e0b5290ed961a5bd2089ae195e2b1fc9591a1b0db81cb48df35")
-        slo = with_parent_pdp_counts(slo, 69.0, {"long": 69.0, "short": 25.0})
-        assert slo_digest(slo) == (  # the SLO section of the 9db5ac27… bundle
-            "88927dd7bc2297dd06cc922d281d2f2e7c7e6cabdb6697c3e2e634b173b85e0a")
-        slo = with_deleted_latency_row(slo, 174.0, {
-            "long": {"attainment": 1.0, "burn_rate": 0.0, "observed": 174.0,
-                     "window": 5.0},
-            "short": {"attainment": 1.0, "burn_rate": 0.0, "observed": 81.0,
-                      "window": 1.0}})
-        assert slo_digest(slo) == (  # the SLO section of the 71d1dc5b… bundle
-            "b0e16314fc7c158dcab5797d9b5d6ddd867366050c55a6fa25fe32d9f5cb46fd")
+        assert hashlib.sha256(canonical_json(slo).encode()).hexdigest() == (
+            "ca31f7032ad5f302f5e67f3dbe3d269812bd3b38c300b9553e7b25b07659a4bd")
 
     def test_incident_cli_lists_scenarios(self, capsys):
         assert cli_main(["incident", "--list"]) == 0

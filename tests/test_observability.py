@@ -44,6 +44,7 @@ from tests.conftest import (
     blood_test_schema,
     with_deleted_latency_row,
     with_parent_pdp_counts,
+    with_starvation_row,
 )
 
 
@@ -240,11 +241,12 @@ class TestTelemetryBackends:
         assert publish_one(hospital, blood) is not None
         assert controller.telemetry is None
         for part in (controller.publish_pipeline, controller.details_pipeline,
-                     controller.enforcer.pipeline, controller.sched):
+                     controller.enforcer.pipeline):
             assert part._telemetry is None, part
-        # The bus and the perf layer keep stats that readers read; they
-        # hold no telemetry at all.
-        for part in (controller.bus, controller.perf, controller.enforcer):
+        # The bus, the backlog bound and the perf layer keep stats that
+        # readers read; they hold no telemetry at all.
+        for part in (controller.bus, controller.sched, controller.perf,
+                     controller.enforcer):
             assert "_telemetry" not in vars(part), part
 
     def test_kernel_resolves_both_backends(self):
@@ -685,11 +687,17 @@ class TestSLOEngine:
     # came to count every decision: ``pdp-deny-rate`` observes one per
     # request for details (58 / 133, the deleted row's counts) where it
     # observed the cache's misses (``evaluated``); put back, that gives
-    # ``parent``.  Ids carry no digest: a re-pin is not a rename.
-    @pytest.mark.parametrize("argv, pinned, parent, evaluated, was, observed", [
+    # ``parent``.  Both re-pinned again when the stock ``tenant-starvation``
+    # objective, which read the deleted scheduler model's gauge, went: its
+    # constant status row, last in the report, is the one difference, and
+    # put back it gives ``scheduled``.  Ids carry no digest: a re-pin is
+    # not a rename.
+    @pytest.mark.parametrize(
+        "argv, pinned, scheduled, parent, evaluated, was, observed", [
         pytest.param(
             ["slo", "--scenario", "federated", "--nodes", "2", "--events",
              "80", "--patients", "12", "--drops", "2"],
+            "4262c4f615a82b5eb3c21e47054b8bc86e2decaeced69747c6f9ea93b3bfe3d6",
             "97ae3b1262a13c55477a1d05d48457e42acd6ff7058a4b6ba5537e8483f32adc",
             "999e80b48cc72b64f5e501b27d743560e5e97bb5dc4ff7594fea97ffec5e9c86",
             54.0,
@@ -697,6 +705,7 @@ class TestSLOEngine:
             58.0, id="slo-federated-drops"),
         pytest.param(
             ["telemetry", "--scenario", "default"],
+            "f784d708f9afef6422559db9855aef3464feb7930a78ffd1315aba6d94477cf0",
             "09ed9a99eb7fe58664a3d9aaff7267c6233c1b721d1ef2ae09c6fcb1ff9db7dc",
             "9a1365338d1f990ad43a41b32cd22fe63bbf5047ce3f67561a5d1b8ba6f7af70",
             114.0,
@@ -704,7 +713,8 @@ class TestSLOEngine:
             133.0, id="telemetry-default"),
     ])
     def test_slo_payload_bytes_are_pinned(self, tmp_path, capsys, argv, pinned,
-                                          parent, evaluated, was, observed):
+                                          scheduled, parent, evaluated, was,
+                                          observed):
         """The SLO engine reads every objective through the registry's
         series accessors; these digests were taken before those became
         callers of one iterator."""
@@ -718,7 +728,9 @@ class TestSLOEngine:
         capsys.readouterr()
         payload = (tmp_path / "slo.json").read_bytes()
         assert hashlib.sha256(payload).hexdigest() == pinned
-        before = with_parent_pdp_counts(json.loads(payload), evaluated)
+        before = with_starvation_row(json.loads(payload))
+        assert sha(before) == scheduled
+        before = with_parent_pdp_counts(before, evaluated)
         assert sha(before) == parent
         assert sha(with_deleted_latency_row(before, observed)) == was
 

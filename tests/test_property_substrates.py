@@ -31,7 +31,7 @@ from repro.core.messages import NotificationMessage
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import CorruptRecordError, TamperedLogError, TokenError
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
-from repro.sched.scheduler import POLICY_DRR, SchedConfig, TenantScheduler
+from repro.sched import BacklogBound
 from repro.storage.compaction import compact
 from repro.storage.segment import SegmentedLog, encode_frame
 from tests.conftest import registry_object_row
@@ -69,18 +69,16 @@ class BusRig:
     """One bus under a drawn interleaving of every operation that moves a
     queue, with handlers that can be broken and repaired, handlers that
     act on a later subscription, and forwarders that re-publish what they
-    receive on the same bus; optionally with a fair scheduler whose small
-    backlog bound sheds."""
+    receive on the same bus; every bus bounds each tenant's backlog, as a
+    controller's does."""
 
     def __init__(self, auto_dispatch: bool,
-                 bus_class=ServiceBus, fair: bool = False,
+                 bus_class=ServiceBus,
                  forwarding: bool | None = None) -> None:
         self.clock = Clock()
-        sched = TenantScheduler(self.clock, policy=POLICY_DRR,
-                                config=SchedConfig(max_pending=2)) if fair else None
         self.bus = bus_class(
             clock=self.clock, strict_topics=False, auto_dispatch=auto_dispatch,
-            sched=sched)
+            sched=BacklogBound())
         # A round started from inside a handler the queue path reached
         # re-offers that handler's unacknowledged head, so a forwarder
         # the reference reaches that way needs explicit rounds.
@@ -123,12 +121,11 @@ class BusRig:
     def observed(self) -> tuple:
         """Everything the bus reports, for comparing two rigs."""
         bus = self.bus
-        sched = bus._sched
         return (self.delivered, self.parked(), bus.stats,
                 [sub.queue.stats for sub in self.live], self.reports,
                 bus.queue_high_water_marks(), bus.queue_high_water(),
                 bus.dead_letter_high_water, bus.queue_depth,
-                sched and sched.tenant_report(self.clock.now()))
+                bus._sched.shed_by_tenant)
 
     def apply(self, name: str, argument):
         """Run one step; returns what the bus returned for it, if anything."""
@@ -230,26 +227,26 @@ class TestBusProperties:
             assert rig.bus.queue_depth == rig.bus.pending_messages() == recomputed
 
     @pytest.mark.parametrize("perf", ["none", "indexed"])
-    @given(operations=OPERATIONS, auto_dispatch=st.booleans(),
-           fair=st.booleans())
+    @given(operations=OPERATIONS, auto_dispatch=st.booleans())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_dispatching_the_waiting_set_equals_scanning_every_subscription(
-            self, perf, operations, auto_dispatch, fair, linear_reference):
+            self, perf, operations, auto_dispatch, linear_reference, monkeypatch):
         """A fan-out into an idle bus calls the handlers directly, and a
         round over the subscriptions that hold something visits only
         those; the reference queues every delivery and scans every
         subscription (through the linear fan-out).  Both deliver the same
         messages in the same order, park the same dead letters, count the
-        same stats, reports, high-water marks and tenant figures — also
-        while handlers break, repair or withdraw a later
-        subscription and a fair scheduler sheds — and the set the queues
+        same stats, reports, high-water marks and shed counts — also while
+        handlers break, repair or withdraw a later subscription and a
+        backlog bound lowered to two sheds — and the set the queues
         keep is exactly the non-empty ones in registration order; the
         subject fans out through the trie and its memo or through the
         linear reference (``none``)."""
+        monkeypatch.setattr("repro.sched.MAX_PENDING", 2)
         with linear_reference() if perf == "none" else nullcontext():
-            subject = BusRig(auto_dispatch, fair=fair)
-            reference = BusRig(auto_dispatch, QueuedBus, fair)
+            subject = BusRig(auto_dispatch)
+            reference = BusRig(auto_dispatch, QueuedBus)
             scanned = reference.bus._subscriptions
             scanned.waiting = lambda: (  # the round before the set
                 sub for sub in list(scanned._subscriptions.values())

@@ -41,7 +41,7 @@ from repro.runtime.interfaces import (
     PolicyDecisionPoint,
 )
 from repro.runtime.kernel import SWITCHES
-from repro.sched.scheduler import POLICY_DRR, POLICY_FIFO, TenantScheduler
+from repro.sched import BacklogBound
 from repro.storage import SegmentedLog, StorageEngine
 from repro.storage.segment import encode_entry, encode_frame
 from tests.conftest import blood_test_schema, build_federation
@@ -68,7 +68,7 @@ def publish(hospital, blood, subject="p1"):
 
 #: The switches that build a controller collaborator, each exposed under
 #: its own field's name (``telemetry_guard`` configures the telemetry).
-COLLABORATORS = ("telemetry", "recorder", "sched", "batch")
+COLLABORATORS = ("telemetry", "recorder", "batch")
 
 
 class TestKernelRegistry:
@@ -77,7 +77,6 @@ class TestKernelRegistry:
             "telemetry": ("inmemory", "noop"),
             "telemetry_guard": ("hash", "reject"),
             "recorder": ("noop", "ring"),
-            "sched": ("fair", "none"),
             "batch": ("off", "on"),
         }
         # Only collaborators with a real choice are switches (store,
@@ -90,8 +89,8 @@ class TestKernelRegistry:
             name for names in SWITCHES.values() for name in names}
 
     def test_unknown_kind_and_name_are_configuration_errors(self):
-        with pytest.raises(ConfigurationError, match="unknown sched 'lottery'"):
-            RuntimeConfig(sched="lottery")
+        with pytest.raises(ConfigurationError, match="unknown recorder 'lottery'"):
+            RuntimeConfig(recorder="lottery")
         # Store, index and audit are no switches: there is nothing to name.
         assert not {"store", "index", "audit"} & set(SWITCHES)
         with pytest.raises(TypeError):
@@ -99,15 +98,14 @@ class TestKernelRegistry:
 
     def test_unknown_name_error_lists_implementations_and_suggests(self):
         with pytest.raises(ConfigurationError,
-                           match=r"available: fair, none") as excinfo:
-            RuntimeConfig(sched="fari")
-        assert "did you mean 'fair'?" in str(excinfo.value)
+                           match=r"available: inmemory, noop") as excinfo:
+            RuntimeConfig(telemetry="inmemry")
+        assert "did you mean 'inmemory'?" in str(excinfo.value)
 
     @pytest.mark.parametrize("field_name, typo, meant", [
         ("telemetry", "inmemroy", "inmemory"),
         ("telemetry_guard", "rejekt", "reject"),
         ("recorder", "rign", "ring"),
-        ("sched", "fiar", "fair"),
         ("batch", "onn", "on"),
     ])
     def test_a_mistyped_name_is_refused_by_the_config_itself(
@@ -141,7 +139,7 @@ class TestKernelRegistry:
 
 
 class TestControllerWiring:
-    """``DataController`` builds its four switches directly from its
+    """``DataController`` builds its three switches directly from its
     ``RuntimeConfig``, each exposed under its field's name."""
 
     def test_rows_cover_every_kind_and_name_real_config_fields(self):
@@ -155,20 +153,18 @@ class TestControllerWiring:
 
     def test_a_later_factory_reads_an_earlier_service_under_its_kind(self):
         controller = DataController(seed="rows", runtime=RuntimeConfig(
-            telemetry="inmemory", recorder="ring", sched="fair"))
+            telemetry="inmemory", recorder="ring"))
         assert controller.recorder.guard is controller.telemetry.guard
-        assert controller.sched._telemetry is controller.telemetry
-        assert controller.sched._recorder is controller.recorder
-        assert controller.sched.clock is controller.clock
+        assert controller.telemetry.recorder is controller.recorder
 
     @pytest.mark.parametrize("arm", ["bare", "shared", "per-node"])
     @pytest.mark.parametrize(
-        "telemetry, recorder, sched, batch",
+        "telemetry, recorder, batch",
         list(product(*(SWITCHES[switch] for switch in COLLABORATORS))))
     def test_every_switch_combination_builds_its_collaborators(
-            self, arm, telemetry, recorder, sched, batch):
+            self, arm, telemetry, recorder, batch):
         runtime = RuntimeConfig(telemetry=telemetry, recorder=recorder,
-                                sched=sched, batch=batch, batch_size=5)
+                                batch=batch, batch_size=5)
         if arm == "bare":
             controllers = [DataController(seed="combo", runtime=runtime)]
         else:
@@ -184,11 +180,7 @@ class TestControllerWiring:
                 assert isinstance(controller.recorder, FlightRecorder)
                 if observed:
                     assert controller.recorder.guard is controller.telemetry.guard
-            assert isinstance(controller.sched, TenantScheduler)
-            assert controller.sched.policy == (
-                POLICY_DRR if sched == "fair" else POLICY_FIFO)
-            assert controller.sched._telemetry is controller.telemetry
-            assert controller.sched._recorder is controller.recorder
+            assert isinstance(controller.sched, BacklogBound)
             if batch == "on":
                 assert isinstance(controller.batch, BatchPolicy)
                 assert controller.batch.batch_size == 5
@@ -309,6 +301,17 @@ class TestOneWiringRule:
         assert RuntimeConfig(perf="indexed") == RuntimeConfig()
         assert isinstance(DataController().perf, PerfLayer)
         assert "perf" not in SWITCHES
+
+    def test_sched_selects_nothing_the_backlog_bound_is_always_on(self):
+        # ``sched="none"`` used to build a scheduler that never shed.
+        with pytest.raises(ConfigurationError) as refusal:
+            RuntimeConfig(sched="none")
+        assert str(refusal.value) == (
+            "RuntimeConfig.sched selects nothing: the backlog bound "
+            "(repro.sched) is always on")
+        assert RuntimeConfig(sched="fair") == RuntimeConfig()
+        assert isinstance(DataController().sched, BacklogBound)
+        assert "sched" not in SWITCHES
 
     def test_no_name_stands_for_a_fact(self):
         # ``federated`` / ``shared`` used to reach factories that died on

@@ -56,7 +56,7 @@ from repro.obs.telemetry import PIPELINE_WALL_DURATION, InMemoryTelemetry
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Span, Tracer, _SpanScope
 from repro.runtime.kernel import RuntimeConfig
-from repro.sched.scheduler import TenantScheduler
+from repro.sched import BacklogBound
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.test_wall_surface import prod_platform, publish  # noqa: F401
 
@@ -643,7 +643,7 @@ def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
                for node in platform.nodes()) > 120
     publish(platform, blood, 1)  # warm-up: relay topic declared on node-1
     counts = {"from_xml": 0, "dispatch_subscription": 0, "deliver": 0,
-              "note_fanout": 0, "should_shed": 0}
+              "should_shed": 0}
     from_xml = NotificationMessage.from_xml.__func__
 
     def counted(name, method):
@@ -660,13 +660,12 @@ def test_a_fan_out_decodes_once_per_node_and_visits_only_its_queues(
                         classmethod(counted_from_xml))
     for owner, name in ((DeliveryEngine, "dispatch_subscription"),
                         (DeliveryEngine, "deliver"),
-                        (TenantScheduler, "note_fanout"),
-                        (TenantScheduler, "should_shed")):
+                        (BacklogBound, "should_shed")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     publish(platform, blood, 1, first=1)
     # Three subscribers per node, and node-0's one relay toward node-1.
     assert counts == {"from_xml": 0, "dispatch_subscription": 0,
-                      "deliver": 6 + 1, "note_fanout": 2, "should_shed": 0}
+                      "deliver": 6 + 1, "should_shed": 0}
     assert [len(inbox) for inbox in inboxes] == [2] * 6
     assert len({id(inbox[1]) for inbox in inboxes}) == 2  # one object a node
 
@@ -679,9 +678,9 @@ SCHED_SURFACE = ("submit", "admit", "ingress", "should_shed", "note_shed",
 def test_scheduler_calls_per_publish_and_per_request_for_details(
         prod, monkeypatch):
     """Counted as the ledger counts them (instance shims, so a call one
-    of these makes to another counts too), over 100 warm ops each: a
-    fan-out is metered in one call however wide, an idle queue is never
-    asked whether it must shed."""
+    of these makes to another counts too), over 100 warm ops each: no
+    publish and no request for details calls the scheduler, and an idle
+    queue is never asked whether it must shed."""
     platform, blood = prod
     for _ in range(11):  # a re-subscribe adds a subscription
         platform.subscribe("Dr-Rossi", "BloodTest")
@@ -701,11 +700,10 @@ def test_scheduler_calls_per_publish_and_per_request_for_details(
         platform.request_details("Dr-Rossi", "BloodTest", event_id,
                                  "healthcare-treatment")
     per_request = {name: count / 100 for name, count in counts.items() if count}
-    # A publish on node-0 relayed to node-1's twelve subscriptions: 7
-    # calls, where metering each delivery and asking each queue read 46.
-    assert per_publish == {"admit": 1, "note_publish": 2, "note_fanout": 2,
-                           "drain": 2}
-    assert per_request == {"ingress": 1, "submit": 1, "admit": 1}
+    # A publish on node-0 relayed to node-1's twelve subscriptions, and a
+    # request for details: neither asks the scheduler anything.
+    assert per_publish == {}
+    assert per_request == {}
 
 
 @pytest.mark.parametrize("subscribers", [1, 3, 12])
@@ -781,7 +779,7 @@ def test_no_histogram_restates_a_span_or_a_pdp_counter(nodes, monkeypatch):
         observes.append(value), real_observe(self, value)))
     scenario = CssScenario(ScenarioConfig(
         nodes=nodes, n_patients=10, n_events=60, seed=2010,
-        runtime=RuntimeConfig(telemetry="inmemory", sched="fair", batch="on",
+        runtime=RuntimeConfig(telemetry="inmemory", batch="on",
                               recorder="ring")))
     scenario.run()
     telemetry = scenario.telemetry

@@ -20,7 +20,6 @@ from repro.cli import main as cli_main
 from repro.clock import Clock
 from repro.obs.benchreport import write_summary
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.sched.fairness import run_arm
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from repro.workload import (
     CapacityConfig,
@@ -30,7 +29,7 @@ from repro.workload import (
     run_point,
     workload_config,
 )
-from repro.workload.capacity import SCHEMA_ID
+from repro.workload.capacity import SCHEMA_ID, run_workload
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
 OUTCOMES = ("published", "publish_blocked", "detail_permits", "detail_denies",
@@ -140,9 +139,11 @@ class TestReproducibility:
 class TestPinnedDigests:
     """Seed-2010 witnesses pinned as literals before the harness merge.
 
-    One small ``run_point`` at 1 and 2 nodes and the two ``run_arm``
-    arms: any refactor of the shared run harness must reproduce these
-    audit-chain and PDP-decision digests bit-for-bit.
+    One small ``run_point`` at 1 and 2 nodes and the two-node anomaly
+    run with its end-of-run drain (the run both fairness-bench arms made
+    while the scheduler had a switch): any refactor of the shared run
+    harness must reproduce these audit-chain and PDP-decision digests
+    bit-for-bit.
 
     The audit digests and record counts (chain links) were re-pinned on
     purpose when a fan-out became one chained NOTIFY record and id suffixes
@@ -160,7 +161,6 @@ class TestPinnedDigests:
     }
     ARM_AUDIT = ("sha256:04819dfc4cfdacc32392b0935c26ff93"
                  "7aa44938a3012fd040f9d17f8843fcd8")
-    ARM_JAIN = {"none": 0.9394146028290821, "fair": 0.9894328983278449}
 
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_run_point_digests(self, nodes):
@@ -172,15 +172,12 @@ class TestPinnedDigests:
         assert point["audit_records"] == records
         assert point["decision_digest"] == self.DECISIONS
 
-    @pytest.mark.parametrize("sched", ["none", "fair"])
-    def test_run_arm_digests(self, sched):
+    def test_run_arm_digests(self):
         workload = workload_config("anomaly", population=4000, ops=600,
                                    seed=2010)
-        arm = run_arm(workload, sched)
-        assert arm["audit_digest"] == self.ARM_AUDIT
-        assert arm["audit_records"] == 1327
-        assert arm["jain_index"] == pytest.approx(self.ARM_JAIN[sched],
-                                                  abs=1e-12)
+        run = run_workload(workload, 2, drain_seconds=2.0)
+        assert run.audit_digest == self.ARM_AUDIT
+        assert run.audit_records == 1327
 
 
 class TestPrivacyInvariants:
