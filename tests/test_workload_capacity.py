@@ -20,6 +20,7 @@ from repro.cli import main as cli_main
 from repro.clock import Clock
 from repro.obs.benchreport import write_summary
 from repro.obs.telemetry import InMemoryTelemetry
+from repro.sched import BacklogBound
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from repro.workload import (
     CapacityConfig,
@@ -172,12 +173,22 @@ class TestPinnedDigests:
         assert point["audit_records"] == records
         assert point["decision_digest"] == self.DECISIONS
 
-    def test_run_arm_digests(self):
+    @pytest.mark.parametrize("sched", ["none", "fair"])
+    def test_run_arm_digests(self, sched, monkeypatch):
+        # "none" runs with the backlog bound switched off, as the old
+        # unshaped arm did; "fair" with the bound as shipped.  The bound
+        # writes no audit record, so both arms pin the same chain.
+        if sched == "none":
+            monkeypatch.setattr(BacklogBound, "should_shed",
+                                lambda self, subscriber, pending: False)
         workload = workload_config("anomaly", population=4000, ops=600,
                                    seed=2010)
         run = run_workload(workload, 2, drain_seconds=2.0)
         assert run.audit_digest == self.ARM_AUDIT
         assert run.audit_records == 1327
+        if sched == "none":
+            assert all(node.controller.sched.shed_total == 0
+                       for node in run.platform.nodes())
 
 
 class TestPrivacyInvariants:
