@@ -11,10 +11,14 @@ windows, the incident monitor polling) — and emits the
 
 Two gates, both enforced by exit code:
 
-* **overhead**: the watched arm's best-of-N wall time must stay within
+* **overhead**: the watched arm's median wall time must stay within
   ``--max-overhead-pct`` (default 5 %) of the baseline's.  Reps are
-  interleaved (noop, ring, noop, ring, …) and each arm keeps its
-  minimum, so machine noise hits both arms alike;
+  alternating pairs (noop, ring, noop, ring, …) and each arm reports the
+  median of its runs, so machine noise hits both arms alike.  The
+  collector is held out of both timed arms: a full collection before
+  each run, none during it, so where a collection happens to fall
+  cannot decide the reading.  The absolute cost (median ring − median
+  noop seconds) is printed beside the ratio;
 * **observer effect**: both arms must report bit-for-bit identical
   simulated outcomes (published / blocked / permits / denies /
   subscribes and the simulated clock) — observability must never change
@@ -30,6 +34,8 @@ overhead figure measured nothing interesting.  Usage::
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -53,30 +59,39 @@ OUTCOME_KEYS = (
 )
 
 
+def _timed_run(workload, arm: str, source: str, kwargs: dict):
+    """One run of ``arm`` with the collector held out: collected before,
+    disabled during.  Returns the payload and its wall seconds."""
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        payload = run_incident_capture(
+            workload, recorder=arm, source=source, **kwargs)
+        return payload, time.perf_counter() - started
+    finally:
+        gc.enable()
+
+
 def run_overhead(
     workload,
     nodes: int | None = None,
     reps: int = 3,
     source: str = "benchmarks/bench_incident_overhead.py",
 ) -> dict:
-    """Interleaved best-of-``reps`` wall-time comparison of the two arms."""
+    """Median wall time of each arm over ``reps`` alternating pairs."""
     kwargs: dict[str, object] = {}
     if nodes is not None:
         kwargs["nodes"] = nodes
-    best: dict[str, float] = {}
+    walls: dict[str, list[float]] = {"noop": [], "ring": []}
     payloads: dict[str, dict] = {}
     # One discarded warmup run so import costs, allocator growth and
     # branch-predictor warmup land on neither measured arm.
     run_incident_capture(workload, recorder="noop", source=source, **kwargs)
     for _ in range(reps):
         for arm in ("noop", "ring"):
-            started = time.perf_counter()
-            payload = run_incident_capture(
-                workload, recorder=arm, source=source, **kwargs
-            )
-            elapsed = time.perf_counter() - started
-            if arm not in best or elapsed < best[arm]:
-                best[arm] = elapsed
+            payload, elapsed = _timed_run(workload, arm, source, kwargs)
+            walls[arm].append(elapsed)
             previous = payloads.setdefault(arm, payload)
             for key in OUTCOME_KEYS:
                 if previous[key] != payload[key]:
@@ -84,17 +99,16 @@ def run_overhead(
                         f"{arm} arm not deterministic: {key} changed "
                         f"between reps ({previous[key]!r} vs {payload[key]!r})"
                     )
+    median = {arm: statistics.median(runs) for arm, runs in walls.items()}
     noop, ring = payloads["noop"], payloads["ring"]
-    overhead_pct = (best["ring"] - best["noop"]) / best["noop"] * 100.0
+    overhead_pct = (median["ring"] - median["noop"]) / median["noop"] * 100.0
     arms = {}
     for arm, payload in (("noop", noop), ("ring", ring)):
-        sim = payload["simulated_seconds"] or 1e-9
         arms[arm] = {
             "recorder": arm,
             **{key: payload[key] for key in OUTCOME_KEYS},
-            "wall_seconds": best[arm],
-            "wall_ops_per_second": payload["ops"] / best[arm],
-            "sim_events_per_second": payload["published"] / sim,
+            "wall_seconds": median[arm],
+            "wall_ops_per_second": payload["ops"] / median[arm],
             "ticks": payload["ticks"],
             "timeline_rows": len(payload["timeline"]),
             "incidents": len(payload["incidents"]),
@@ -121,9 +135,10 @@ def overhead_gate(payload: dict, max_overhead_pct: float) -> list[str]:
     noop, ring = payload["arms"]["noop"], payload["arms"]["ring"]
     if payload["overhead_pct"] > max_overhead_pct:
         problems.append(
-            f"recorder overhead {payload['overhead_pct']:.2f}% exceeds "
+            f"recorder overhead {payload['overhead_pct']:.2f}% "
+            f"({ring['wall_seconds'] - noop['wall_seconds']:+.3f}s) exceeds "
             f"the {max_overhead_pct:.1f}% budget "
-            f"(noop {noop['wall_seconds']:.3f}s vs "
+            f"(median noop {noop['wall_seconds']:.3f}s vs "
             f"ring {ring['wall_seconds']:.3f}s)"
         )
     for key in OUTCOME_KEYS:
@@ -150,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="federation size (default 2)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--reps", type=int, default=3,
-                        help="interleaved repetitions per arm (default 3; "
-                             "each arm keeps its best wall time)")
+                        help="alternating noop/ring pairs (default 3; "
+                             "each arm reports its median wall time)")
     parser.add_argument("--max-overhead-pct", type=float, default=5.0,
                         help="wall-time overhead budget of the watched arm "
                              "(default 5.0)")
@@ -171,13 +186,14 @@ def main(argv: list[str] | None = None) -> int:
     noop, ring = payload["arms"]["noop"], payload["arms"]["ring"]
     print(f"recorder overhead ({args.scenario}, {args.ops} ops, "
           f"{payload['nodes']} nodes, seed {workload.seed}, "
-          f"best of {args.reps}):")
+          f"median of {args.reps} pairs, collector held out):")
     for arm, point in (("noop", noop), ("ring", ring)):
         print(f"  {arm:>5}  wall={point['wall_seconds']:>7.3f}s  "
               f"ops/s={point['wall_ops_per_second']:>8.1f}  "
               f"ticks={point['ticks']:>4}  incidents={point['incidents']}")
     print(f"  overhead {payload['overhead_pct']:+.2f}% "
-          f"(budget {args.max_overhead_pct:.1f}%)")
+          f"({ring['wall_seconds'] - noop['wall_seconds']:+.3f}s; "
+          f"budget {args.max_overhead_pct:.1f}%)")
     if payload["trigger"] is not None:
         print(f"  trigger {payload['trigger']['kind']} "
               f"at t={payload['trigger']['at']:.3f}s")

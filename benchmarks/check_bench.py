@@ -4,11 +4,10 @@
 Every ``BENCH_*.json`` payload and every ``css-incident/1`` bundle is
 validated by the same code against one declarative table
 (:data:`SCHEMAS`): per schema id the field specs (each figure carrying
-its unit), the semantic gates as small named functions (digest
-equality, percentile ordering, matrix coverage, bundle-manifest
-sha256) and the figures the bench trajectory tracks.
-The schema is read from the payload's own ``schema`` field, so there is
-nothing to select on the command line.
+its unit) and the semantic gates as small named functions (merge order,
+trigger explanation, bundle-manifest sha256).  The schema is read from
+the payload's own ``schema`` field, so there is nothing to select on
+the command line.
 
 Two gates apply to *every* schema, not just the ones that used to have
 them: the payload must name a known schema, and its serialized form must
@@ -18,26 +17,15 @@ same no-re-identification bar as every other export of the platform.
 
 Usage::
 
-    python benchmarks/check_bench.py BENCH_capacity.json BENCH_batch.json
+    python benchmarks/check_bench.py BENCH_obs.json BENCH_incident.json
     python benchmarks/check_bench.py incidents            # bundle dir(s)
-    python benchmarks/check_bench.py --trajectory BENCH_incident.json ...
-    python benchmarks/check_bench.py --update BENCH_incident.json ...
 
-Without flags each argument is validated: a ``.json`` payload, one
-bundle directory (``manifest.json`` + ``incident.json`` + JSONL files),
-or a directory of ``incident-*`` bundles.  ``--trajectory`` instead
-compares the payloads' tracked figures against the committed
-``benchmarks/baselines/<name>.json``: a changed schema id, a vanished
-figure or a drop below ``--min-ratio`` (default 0.8) of the baseline
-fails; a payload without a baseline is reported and skipped, and one
-whose schema tracks no baselinable figure is an error (it would gate
-nothing).  Only figures whose unit is not ``wall_seconds`` are ever
-baselined — they are simulated-clock derived and therefore
-machine-independent; wall figures are printed with their unit and never
-gated here (``benchmarks/wall`` is the wall-clock ledger).  A rate or
-latency is named for its clock: ``sim_*`` or ``wall_*``.  ``--update``
-(re)writes the baselines — how the trajectory is seeded and how an
-intentional change is recorded.
+Each argument is validated: a ``.json`` payload, one bundle directory
+(``manifest.json`` + ``incident.json`` + JSONL files), or a directory of
+``incident-*`` bundles.  No figure here is compared against a baseline:
+speed is the wall-clock ledger's (``benchmarks/wall``), and an
+equivalence a payload could state is a tier-1 test.  A rate or latency
+is named for its clock: ``sim_*`` or ``wall_*``.
 
 Exit codes: 0 ok, 1 problems, 2 usage.  Importable: ``validate(payload)``
 returns the list of problems (empty = valid), which the tests exercise.
@@ -53,13 +41,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
-
-#: What a figure is measured in.  ``sim_seconds`` figures (and rates over
-#: them) come off the simulated clock and reproduce bit-for-bit;
-#: ``wall_seconds`` ones depend on the machine.
-UNITS = ("sim_seconds", "wall_seconds", "count", "ratio")
-
 #: The plaintext shape of an assisted-person identifier
 #: (:data:`repro.workload.population.SUBJECT_PREFIX` + zero-padded index).
 SUBJECT_ID_PATTERN = re.compile(r"\bap-\d{8}\b")
@@ -70,10 +51,6 @@ TENANT_ID_FRAGMENTS = (
     "Province-Trentino", "Municipality-Trento", "FamilyDoctors",
     "Hospital-S-Maria", "HomeAssist-Coop", "Org-0", "Org-1",
 )
-
-#: Replay must be streaming: peak replay memory is bounded regardless of
-#: log size (one record at a time), far below this ceiling.
-MAX_RECOVERY_PEAK_KB = 16_384
 
 
 # -- field specs ------------------------------------------------------------
@@ -243,66 +220,6 @@ class Obj:
 # -- gates ------------------------------------------------------------------
 
 
-def resolve(payload: object, path: str):
-    """Walk a dotted path; integer segments index lists; None = missing."""
-    current = payload
-    for segment in path.split("."):
-        if isinstance(current, dict) and segment in current:
-            current = current[segment]
-        elif isinstance(current, list):
-            try:
-                current = current[int(segment)]
-            except (ValueError, IndexError):
-                return None
-        else:
-            return None
-    return current
-
-
-def _ascending(figures: list, strict: bool) -> bool:
-    return all(a < b if strict else a <= b
-               for a, b in zip(figures, figures[1:]))
-
-
-def ordered(*keys: str, strict: bool = False, why: str = ""):
-    """Gate: an object's ``keys`` hold non-decreasing (strict: increasing)
-    values — compaction shrinking, published <= ops."""
-    sign = " < " if strict else " <= "
-
-    def gate(value: dict, where: str) -> list[str]:
-        if _ascending([value[key] for key in keys], strict):
-            return []
-        return [f"{where}: must satisfy {sign.join(keys)}{_suffix(why)}"]
-    return gate
-
-
-def increasing(key: str):
-    """Gate: a list's entries carry non-decreasing ``key`` values."""
-    def gate(value: list, where: str) -> list[str]:
-        if _ascending([entry[key] for entry in value], strict=False):
-            return []
-        return [f"{where}[].{key} must be in ascending order"]
-    return gate
-
-
-def covers(key: str, required: tuple):
-    """Gate: a list's entries cover every ``required`` value of ``key``."""
-    def gate(value: list, where: str) -> list[str]:
-        seen = {entry[key] for entry in value}
-        return [f"{where} must cover {key}={wanted}"
-                for wanted in required if wanted not in seen]
-    return gate
-
-
-def digests_equal(first: str, second: str, why: str):
-    """Gate: two digests of one payload are identical."""
-    def gate(payload: dict, where: str) -> list[str]:
-        if resolve(payload, first) == resolve(payload, second):
-            return []
-        return [f"gate: {first} and {second} differ{_suffix(why)}"]
-    return gate
-
-
 def events_in_merge_order(events: list, where: str) -> list[str]:
     """Gate: the merged timeline is sorted by ``(at, node, seq)`` — the
     discipline that makes same-seed bundles byte-identical."""
@@ -358,15 +275,10 @@ COUNT = Num(min=0, integer=True, unit="count")
 POSINT = Num(above=0, integer=True, unit="count")
 NUMBER = Num()
 NONNEG = Num(min=0)
-POSITIVE = Num(above=0)
 SIM_SECONDS = Num(min=0, unit="sim_seconds")
-#: A rate over the simulated clock.
-SIM_RATE = Num(above=0, unit="sim_seconds")
 WALL_SECONDS = Num(min=0, unit="wall_seconds")
-#: A rate over wall time — machine-dependent, never baselined.
+#: A rate over wall time — machine-dependent.
 WALL_RATE = Num(above=0, unit="wall_seconds")
-DIGEST = Str(prefix="sha256:",
-             why="a digest of the verified audit chain / decision stream")
 HASHED = Str(prefix="h:", why="tenant references must be privacy-guard "
                               "hashes ('h:…')")
 ANY_OBJECT = Obj()
@@ -377,28 +289,14 @@ def each(keys, spec) -> dict:
     return dict.fromkeys(keys, spec)
 
 
-def identical(why: str) -> Obj:
-    """An ``equivalence`` section whose ``identical`` flag must hold."""
-    return Obj({"identical": Is((True,), why), "audit_records": POSINT})
-
-
 OUTCOME_COUNTERS = ("published", "publish_blocked", "detail_permits",
                     "detail_denies", "subscribe_ops")
-
-_STORAGE_KIND = {
-    "wall_ingest_events_per_second": WALL_RATE,
-    "recovery_seconds": WALL_SECONDS,
-    "recovery_peak_kb": Num(min=0, max=MAX_RECOVERY_PEAK_KB,
-                            why="the streaming-replay bound (KiB)"),
-    "size_bytes": POSINT,
-}
 
 _OVERHEAD_ARM = Obj({
     **each((*OUTCOME_COUNTERS, "incidents", "ticks", "timeline_rows"),
               COUNT),
     "recorder": Is(("noop", "ring")),
     "simulated_seconds": SIM_SECONDS,
-    "sim_events_per_second": SIM_RATE,
     "wall_seconds": WALL_SECONDS,
     "wall_ops_per_second": WALL_RATE,
 })
@@ -417,13 +315,10 @@ _BURN_SERIES = ListOf(Obj({
 
 @dataclass(frozen=True)
 class Schema:
-    """One row of the table: shape, payload-level gates, tracked figures."""
+    """One row of the table: shape and payload-level gates."""
 
     fields: Obj
     gates: tuple = ()
-    #: Dotted paths of the figures the trajectory reports; each resolves
-    #: to a :class:`Num` carrying its unit (see :func:`unit_of`).
-    tracked: tuple[str, ...] = ()
 
 
 SCHEMAS: dict[str, Schema] = {
@@ -451,77 +346,6 @@ SCHEMAS: dict[str, Schema] = {
                 COUNT)),
         }),
     ),
-    # benchmarks/bench_storage_engine.py: a flat JSONL file vs the engine.
-    "css-bench-storage/2": Schema(
-        Obj({
-            "source": TEXT,
-            "quick": BOOL,
-            "points": ListOf(Obj({
-                "events": POSINT,
-                "kinds": Obj({
-                    "jsonl": Obj(_STORAGE_KIND),
-                    "segmented": Obj(
-                        {**_STORAGE_KIND, "post_compaction_bytes": POSINT},
-                        gates=(ordered("post_compaction_bytes", "size_bytes",
-                                       strict=True,
-                                       why="compaction reclaimed nothing"),),
-                    ),
-                }),
-                "compaction": Obj(
-                    {"records_before": POSINT, "records_after": POSINT,
-                     "bytes_reclaimed": POSITIVE},
-                    gates=(ordered("records_after", "records_before",
-                                   strict=True,
-                                   why="compaction dropped no records"),),
-                ),
-            })),
-            "equivalence": identical(
-                "a durable run's audit trail differs from the in-memory "
-                "run's"),
-        }),
-        tracked=("points.0.kinds.segmented.wall_ingest_events_per_second",),
-    ),
-    # `repro workload`: the capacity trajectory — outcome counters, hops,
-    # saturation marks and audit digests; speed is the wall ledger's.
-    "css-bench-capacity/1": Schema(
-        Obj({
-            "source": TEXT,
-            "scenario": TEXT,
-            "seed": INT,
-            "population": POSINT,
-            "ops": COUNT,
-            "arrival": Is(("poisson", "onoff")),
-            "nodes": ListOf(Obj({
-                "nodes": POSINT,
-                **each(("ops", *OUTCOME_COUNTERS, "cross_node_hops",
-                           "queue_depth_high_water", "dead_letter_high_water",
-                           "audit_records"), COUNT),
-                "simulated_seconds": SIM_SECONDS,
-                "audit_digest": DIGEST,
-            }, gates=(ordered("published", "ops",
-                              why="published exceeds total ops"),)),
-                gates=(increasing("nodes"),)),
-        }),
-    ),
-    # benchmarks/bench_batch.py: the batched-execution equivalence matrix.
-    "css-bench-batch/1": Schema(
-        Obj({
-            "source": TEXT,
-            "quick": BOOL,
-            "equivalence": Obj({
-                "identical": Is((True,), "a batched run produced a different "
-                                         "audit digest or decision stream"),
-                "checks": ListOf(Obj({
-                    "nodes": POSINT,
-                    "batch_size": POSINT,
-                    **each(("audit_identical", "decisions_identical"),
-                              Is((True,), "batching changed this cell")),
-                    "audit_digest": DIGEST,
-                    "decision_digest": DIGEST,
-                }), gates=(covers("batch_size", (1, 16, 256)),)),
-            }),
-        }),
-    ),
     # benchmarks/bench_incident_overhead.py: recorder off vs on (the
     # bench enforces its own overhead / observer-effect gates).
     "css-bench-incident/1": Schema(
@@ -533,8 +357,6 @@ SCHEMAS: dict[str, Schema] = {
             "overhead_pct": NUMBER,
             "arms": Obj({"noop": _OVERHEAD_ARM, "ring": _OVERHEAD_ARM}),
         }, optional={"trigger": Nullable(_TRIGGER)}),
-        tracked=("arms.ring.sim_events_per_second",
-                 "arms.ring.wall_seconds"),
     ),
     # `repro incident`: one captured incident bundle (incident.json).
     "css-incident/1": Schema(
@@ -557,11 +379,9 @@ SCHEMAS: dict[str, Schema] = {
             }), nonempty=False),
             "series": ListOf(Obj({
                 "name": TEXT,
-                "type": Is(("counter", "gauge", "histogram")),
+                "type": Is(("counter", "gauge")),
                 "labels": ANY_OBJECT,
-                # counters/gauges export [at, value]; histograms
-                # [at, count, sum]
-                "points": ListOf(ListOf(NUMBER, lengths=(2, 3))),
+                "points": ListOf(ListOf(NUMBER, lengths=(2,))),  # [at, value]
             }), nonempty=False),
             "queues": Obj(
                 {"totals": Obj(each(("queue_depth", "dead_letter_depth"),
@@ -677,166 +497,7 @@ def validate_path(path: Path) -> tuple[list[str], str]:
     except json.JSONDecodeError as exc:
         return [f"{path} is not valid JSON: {exc}"], ""
     problems = validate(payload)
-    if problems:
-        return problems, ""
-    figures = ", ".join(f"{key}={figure:.4g} [{unit}]"
-                        for key, figure, unit in tracked_figures(payload))
-    return [], payload["schema"] + (f": {figures}" if figures else "")
-
-
-# -- trajectory -------------------------------------------------------------
-
-
-def unit_of(spec: object, path: str) -> str | None:
-    """The unit declared on the :class:`Num` a dotted ``path`` reaches."""
-    for segment in path.split("."):
-        if isinstance(spec, Nullable):
-            spec = spec.spec
-        if isinstance(spec, ListOf):
-            spec = spec.item
-        elif isinstance(spec, Obj):
-            spec = spec.fields.get(segment) or spec.optional.get(segment) \
-                or spec.rest
-        else:
-            return None
-    return getattr(spec, "unit", None)
-
-
-def tracked_units(schema_id: object) -> dict[str, str | None]:
-    """Tracked figure → unit for one schema id ({} for an unknown id)."""
-    schema = SCHEMAS.get(schema_id)
-    if schema is None:
-        return {}
-    return {key: unit_of(schema.fields, key) for key in schema.tracked}
-
-
-def tracked_figures(payload: dict) -> list[tuple[str, float, str | None]]:
-    """``(path, value, unit)`` of every tracked figure the payload carries."""
-    return [(key, resolve(payload, key), unit)
-            for key, unit in tracked_units(payload.get("schema")).items()
-            if _is_number(resolve(payload, key))]
-
-
-def baseline_path(bench: Path) -> Path:
-    return BASELINE_DIR / f"{bench.stem}.json"
-
-
-def make_baseline(bench: Path, payload: dict) -> dict:
-    """The baseline document for one payload: its tracked figures, minus
-    the wall-clock ones (machine-dependent figures are never baselined)."""
-    throughput = {key: figure
-                  for key, figure, unit in tracked_figures(payload)
-                  if unit != "wall_seconds"}
-    return {
-        "bench": bench.name,
-        "schema": payload.get("schema"),
-        "throughput": throughput,
-    }
-
-
-def compare(bench: Path, payload: dict, baseline: dict,
-            min_ratio: float) -> list[str]:
-    """Every trajectory regression of one payload, human-readable."""
-    problems: list[str] = []
-    expected_schema = baseline.get("schema")
-    if payload.get("schema") != expected_schema:
-        problems.append(
-            f"{bench.name}: schema changed from {expected_schema!r} to "
-            f"{payload.get('schema')!r} — bump the baseline deliberately "
-            "(--update) if this is intentional"
-        )
-    throughput = baseline.get("throughput")
-    if not isinstance(throughput, dict):
-        return problems + [f"{bench.name}: baseline has no throughput map"]
-    units = tracked_units(expected_schema)
-    for key, reference in throughput.items():
-        if units.get(key) not in UNITS or units[key] == "wall_seconds":
-            problems.append(
-                f"{bench.name}: baseline holds {key}, which is not a "
-                "tracked non-wall figure of its schema — only "
-                "machine-independent figures may be baselined"
-            )
-            continue
-        current = resolve(payload, key)
-        if not _is_number(current):
-            problems.append(
-                f"{bench.name}: tracked figure {key} disappeared from "
-                "the payload"
-            )
-            continue
-        floor_value = reference * min_ratio
-        if current < floor_value:
-            drop = (1 - current / reference) * 100 if reference else 100.0
-            problems.append(
-                f"{bench.name}: {key} [{units[key]}] dropped {drop:.1f}% "
-                f"({current:.4f} vs baseline {reference:.4f}, "
-                f"floor {floor_value:.4f})"
-            )
-    return problems
-
-
-def trajectory(benches: list[str], update: bool, min_ratio: float) -> int:
-    """Compare (or with ``update`` re-seed) payloads against baselines."""
-    problems: list[str] = []
-    compared = updated = skipped = 0
-    for name in benches:
-        bench = Path(name)
-        try:
-            payload = json.loads(bench.read_text())
-        except FileNotFoundError:
-            problems.append(f"{bench.name}: payload file is missing")
-            continue
-        except json.JSONDecodeError as exc:
-            problems.append(f"{bench.name}: not valid JSON: {exc}")
-            continue
-        if not isinstance(payload, dict):
-            problems.append(f"{bench.name}: top level must be a JSON object")
-            continue
-        for key, figure, unit in tracked_figures(payload):
-            print(f"check_bench: {bench.name}: {key} = {figure:.6g} [{unit}]"
-                  + (" (wall: reported, not gated)"
-                     if unit == "wall_seconds" else ""))
-        target = baseline_path(bench)
-        units = tracked_units(payload.get("schema")).values()
-        if not update and all(unit == "wall_seconds" for unit in units):
-            problems.append(
-                f"{bench.name}: {payload.get('schema')!r} tracks no "
-                "baselinable figure, so its trajectory would gate nothing")
-            continue
-        if update:
-            document = make_baseline(bench, payload)
-            if not document["throughput"]:
-                print(f"check_bench: {bench.name} tracks no non-wall figure "
-                      "(add one to its SCHEMAS row first); skipped")
-                skipped += 1
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"check_bench: wrote {target}")
-            updated += 1
-        elif not target.exists():
-            print(f"check_bench: {bench.name} has no committed baseline "
-                  "yet (seed with --update); skipped")
-            skipped += 1
-        else:
-            baseline = json.loads(target.read_text())
-            problems.extend(compare(bench, payload, baseline, min_ratio))
-            compared += 1
-
-    for problem in problems:
-        print(f"check_bench: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    if update:
-        print(f"check_bench: {updated} baseline(s) updated, "
-              f"{skipped} skipped")
-    else:
-        print(f"check_bench: {compared} payload(s) within "
-              f"{(1 - min_ratio) * 100:.0f}% of baseline, {skipped} skipped")
-    return 0
+    return problems, "" if problems else payload["schema"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -845,20 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="BENCH_*.json payloads, incident bundle "
                              "directories, or directories of bundles")
-    parser.add_argument("--trajectory", action="store_true",
-                        help="compare tracked figures against the committed "
-                             "baselines instead of validating")
-    parser.add_argument("--update", action="store_true",
-                        help="(re)write the baselines from these payloads")
-    parser.add_argument("--min-ratio", type=float, default=0.8,
-                        help="minimum current/baseline ratio per tracked "
-                             "figure (default 0.8 = fail on >20%% drops)")
     args = parser.parse_args(argv)
     if not args.paths:
         parser.print_usage(sys.stderr)
         return 2
-    if args.trajectory or args.update:
-        return trajectory(args.paths, args.update, args.min_ratio)
 
     failed = False
     for name in args.paths:

@@ -24,13 +24,9 @@ objective demonstrably breaches); ``trace`` runs a federation with
 per-node telemetry and stitches the per-node span exports into
 federated traces; ``store`` operates the segmented storage engine on a
 data directory (``snapshot``/``verify``/``restore``/``compact``/``stats``
-— point-in-time recovery via ``restore --to-sequence``); ``workload``
-drives the federated platform with a seeded open-loop workload scenario
-at each requested node count and writes the ``css-bench-capacity/1``
-trajectory (outcome counters, hops, saturation high-water marks, audit
-digests); ``incident`` runs a watched
-workload — flight recorder on, time-series store ticking, watchdogs
-armed — and writes the ``css-incident/1`` bundles the first trigger
+— point-in-time recovery via ``restore --to-sequence``); ``incident``
+runs a watched workload — flight recorder on, time-series store ticking,
+watchdogs armed — and writes the ``css-incident/1`` bundles the first trigger
 captures (exit 1 when no watchdog fired); ``timeline`` runs the same
 watched workload and prints the merged cross-node flight-recorder
 timeline; ``inspect`` restores an archive
@@ -60,13 +56,7 @@ from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
 from repro.sim.generators import DEFAULT_SEED
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from repro.storage import PlatformArchive
-from repro.workload import (
-    SCENARIOS,
-    CapacityConfig,
-    parse_node_counts,
-    run_capacity,
-    workload_config,
-)
+from repro.workload import SCENARIOS, parse_node_counts, workload_config
 
 
 #: Where a one-node run's durable backends write, under ``--durable DIR``.
@@ -448,7 +438,7 @@ def _list_scenarios(out) -> int:
 
 def _resolve_workload(args: argparse.Namespace, scenario: str | None = None):
     """The workload config of one workload-engine subcommand
-    (workload/incident/timeline): the named preset with the
+    (incident/timeline): the named preset with the
     ``--population/--ops/--seed`` overrides."""
     overrides: dict[str, object] = {
         "population": args.population, "ops": args.ops,
@@ -456,36 +446,6 @@ def _resolve_workload(args: argparse.Namespace, scenario: str | None = None):
     if args.seed is not None:
         overrides["seed"] = args.seed
     return workload_config(scenario or args.scenario, **overrides)
-
-
-def _cmd_workload(args: argparse.Namespace, out) -> int:
-    wl = _resolve_workload(args)
-    config = CapacityConfig(
-        workload=wl, node_counts=parse_node_counts(args.nodes),
-        runtime=RuntimeConfig(batch=args.batch, batch_size=args.batch_size),
-    )
-    source = (f"repro workload --scenario {args.scenario} "
-              f"--population {args.population} --ops {args.ops} "
-              f"--nodes {args.nodes} --seed {wl.seed} "
-              f"--batch {args.batch} "
-              f"--batch-size {args.batch_size}")
-    payload = run_capacity(config, source=source)
-
-    print(f"capacity trajectory ({args.scenario} scenario, "
-          f"population {args.population:,}, {args.ops:,} ops, "
-          f"seed {wl.seed}):", file=out)
-    for point in payload["nodes"]:
-        print(f"  nodes={point['nodes']:<2} "
-              f"published={point['published']:>6} "
-              f"permits={point['detail_permits']:>6} "
-              f"denies={point['detail_denies']:>5} "
-              f"hops={point['cross_node_hops']:>6} "
-              f"queue-hw={point['queue_depth_high_water']:>4} "
-              f"dead-letter-hw={point['dead_letter_high_water']}", file=out)
-    if args.out:
-        write_summary(args.out, payload)
-        print(f"wrote {args.out}", file=out)
-    return 0
 
 
 def _watched_run(args: argparse.Namespace, **capture):
@@ -598,7 +558,7 @@ _RUN = ("--events", "--patients", "--rate", "--seed")
 #: ``--scenario`` where it picks one node or ``--nodes``.
 _OBSERVED = {"default": "federated", "known": ("default", "federated"),
              "help": "named scenario preset (default or federated)"}
-#: What the three workload-engine commands share after ``--scenario``.
+#: What the two workload-engine commands share after ``--scenario``.
 _ENGINE_SEED = ("--seed", {"default": None, "help": (
     "master seed of population, arrivals and op mix "
     f"(default: the preset's, {DEFAULT_SEED})")})
@@ -646,17 +606,6 @@ COMMANDS = (
     ("store", "operate the segmented storage engine on a data dir", _cmd_store,
      ("action", "--data", "--snapshots", "--id", "--target", "--to-sequence",
       "--log")),
-    ("workload", "drive the federation with a seeded scenario, emit the "
-                 "capacity trajectory", _cmd_workload, (
-        ("--scenario", {"default": "steady"}),
-        ("--population", {"default": 100_000}), ("--ops", {"default": 5_000}),
-        ("--nodes", {"type": None, "default": "1,2,4,8",
-                     "help": "comma-separated node counts of the "
-                             "trajectory (default {default})"}),
-        _ENGINE_SEED, "--list", "--batch", "--batch-size",
-        ("--out", {"help": "write the css-bench-capacity/1 payload "
-                           "to FILE (e.g. BENCH_capacity.json)"}),
-    )),
     ("incident", "watched workload run: watchdogs, flight recorder, "
                  "css-incident/1 bundles", _cmd_incident, (
         _WATCHED, *_ENGINE, "--list",

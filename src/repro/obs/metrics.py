@@ -173,12 +173,12 @@ class MetricsRegistry:
         series of one name and labels, counters add and gauges take the max."""
         self._readers.append(({"counter": Counter, "gauge": Gauge}[kind], name, read))
 
-    def _entries(self, kind: type, name: str | None = None) -> list:
-        """``((name, labels), series)`` of one kind (all, or ``name``'s), sorted."""
+    def _entries(self, kind: type, names=None) -> list:
+        """``((name, labels), series)`` of one kind (all, or those of ``names``), sorted."""
         merged = {key: series for key, series in self._series[kind].items()
-                  if name in (None, key[0])}
+                  if names is None or key[0] in names}
         for read_kind, read_name, read in self._readers:
-            if read_kind is kind and name in (None, read_name):
+            if read_kind is kind and (names is None or read_name in names):
                 for labels, value in read():
                     key = (read_name, self._cleared(labels))
                     found, value = merged.get(key), float(value)
@@ -210,27 +210,29 @@ class MetricsRegistry:
     def histogram_summaries(self, name: str) -> list[tuple[dict[str, str], dict]]:
         """``(labels, summary)`` per series of histogram ``name``, sorted."""
         return [(dict(key[1]), found.summary())
-                for key, found in self._entries(Histogram, name)]
+                for key, found in self._entries(Histogram, (name,))]
 
     # -- series iteration (the SLO engine's read surface) --------------------
 
     def counter_series(self, name: str) -> list[tuple[dict[str, str], Counter]]:
         """``(labels, counter)`` per series of counter ``name``, sorted."""
-        return [(dict(key[1]), found) for key, found in self._entries(Counter, name)]
+        return [(dict(key[1]), found) for key, found in self._entries(Counter, (name,))]
 
     def gauge_series(self, name: str) -> list[tuple[dict[str, str], Gauge]]:
         """``(labels, gauge)`` per series of gauge ``name``, sorted."""
-        return [(dict(key[1]), found) for key, found in self._entries(Gauge, name)]
+        return [(dict(key[1]), found) for key, found in self._entries(Gauge, (name,))]
 
     # -- full-registry iteration (the time-series store's read surface) ------
 
-    def counter_entries(self) -> list[tuple[tuple[str, Labels], Counter]]:
-        """Every counter series as ``((name, labels), counter)``, sorted."""
-        return self._entries(Counter)
+    def counter_entries(self, names=None) -> list[tuple[tuple[str, Labels], Counter]]:
+        """Every counter series (of ``names``, if given) as ``((name, labels),
+        counter)``, sorted."""
+        return self._entries(Counter, names)
 
-    def gauge_entries(self) -> list[tuple[tuple[str, Labels], Gauge]]:
-        """Every gauge series as ``((name, labels), gauge)``, sorted."""
-        return self._entries(Gauge)
+    def gauge_entries(self, names=None) -> list[tuple[tuple[str, Labels], Gauge]]:
+        """Every gauge series (of ``names``, if given) as ``((name, labels),
+        gauge)``, sorted."""
+        return self._entries(Gauge, names)
 
     def histogram_entries(self) -> list[tuple[tuple[str, Labels], Histogram]]:
         """Every histogram series as ``((name, labels), histogram)``, sorted."""
@@ -238,7 +240,7 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, **labels: object) -> float:
         """Current value of one counter series (0.0 if never counted)."""
-        series = dict(self._entries(Counter, name)).get(
+        series = dict(self._entries(Counter, (name,))).get(
             (name, self._cleared(labels)))
         return series.value if series else 0.0
 

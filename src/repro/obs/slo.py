@@ -239,7 +239,7 @@ def windowed_burn_series(store, objective: SLObjective,
 
     Every point is computed purely from retained time-series samples
     (the ``at=`` anchor of :meth:`~repro.obs.timeseries.TimeSeriesStore.delta`
-    and friends), so the series an incident bundle captures is the same no
+    and ``gauge_worst``), so the series an incident bundle captures is the same no
     matter when it is asked for — the minutes *before* the trigger, not
     the state at export time.
     """

@@ -3,18 +3,17 @@
 The SLO engine's lifetime ratios answer *"how has the platform done since
 boot"* — useless five minutes into an incident, when the operator needs
 *"how is it doing right now"*.  :class:`TimeSeriesStore` closes that gap:
-on a fixed simulated-clock interval it snapshots **every** counter, gauge
-and histogram of a :class:`~repro.obs.metrics.MetricsRegistry` into
+on a fixed simulated-clock interval it snapshots the counters and gauges
+of the metric names it was handed (the ones its readers read) into
 bounded ring buffers, and exposes trailing-window reads over them —
-:meth:`delta` and :meth:`rate` for counters, :meth:`gauge_worst` for
-levels.  Histogram samples are retained and exported
-(:meth:`export_rows`), not read back.
+:meth:`delta` for counters, :meth:`gauge_worst` for levels — and the
+retained points (:meth:`export_rows`).
 
 A window is **two readings per matching series** — where it ends, and
 the newest retained sample at or before its edge (``_window``).  It ends
-at the live registry value, or with ``at=`` (``sample_delta`` and
-friends) at a retained sample, so the answer no longer depends on when
-it is asked: what incident bundles reconstruct history from.
+at the live registry value, or with ``at=`` at a retained sample, so the
+answer no longer depends on when it is asked: what incident bundles
+reconstruct history from.
 
 Determinism: sample timestamps come from the simulated clock, rings are
 plain deques, and every read iterates series in sorted-key order — two
@@ -30,20 +29,12 @@ from __future__ import annotations
 from collections import deque
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import Histogram, Labels, MetricsRegistry, matches
+from repro.obs.metrics import Labels, MetricsRegistry, matches
 
 _EPSILON = 1e-12
 
 #: Series key: metric name + guard-sanitised label tuple.
 SeriesKey = tuple[str, Labels]
-
-
-def _reading(series):
-    """What a ring retains of a live series: a counter's or gauge's value,
-    a histogram's ``(count, sum)`` (what its export carries)."""
-    if isinstance(series, Histogram):
-        return series.count, round(series.sum, 9)
-    return series.value
 
 
 def _at_or_before(ring, edge: float):
@@ -58,19 +49,23 @@ def _at_or_before(ring, edge: float):
 
 
 class TimeSeriesStore:
-    """Interval snapshots of a metrics registry in bounded rings.
+    """Interval snapshots of named registry series in bounded rings.
 
-    ``interval`` is the simulated-clock sampling period; ``capacity``
-    bounds every series ring, so memory is O(series × capacity) no
-    matter how long the scenario runs.  Callers drive sampling —
-    :meth:`maybe_tick` from their operation loop (cheap: one float
-    compare when no tick is due), or :meth:`tick` to force a sample.
+    ``names`` are the metric names sampled — every counter and gauge
+    series of each; nothing else of the registry is read.  ``interval``
+    is the simulated-clock sampling period; ``capacity`` bounds every
+    series ring (and the ring of tick times), so memory is
+    O(series × capacity) no matter how long the scenario runs.  Callers
+    drive sampling — :meth:`maybe_tick` from their operation loop (cheap:
+    one float compare when no tick is due), or :meth:`tick` to force a
+    sample.
     """
 
     def __init__(
         self,
         metrics: MetricsRegistry,
         clock,
+        names,
         interval: float = 1.0,
         capacity: int = 256,
     ) -> None:
@@ -80,13 +75,14 @@ class TimeSeriesStore:
             raise ConfigurationError("time-series capacity must be at least 2")
         self.metrics = metrics
         self.clock = clock
+        self.names = frozenset(names)
         self.interval = interval
         self.capacity = capacity
         self.ticks = 0
         self._last_tick: float | None = None
+        self._times: deque = deque(maxlen=capacity)
         self._counters: dict[SeriesKey, deque] = {}
         self._gauges: dict[SeriesKey, deque] = {}
-        self._histograms: dict[SeriesKey, deque] = {}
 
     # -- sampling ----------------------------------------------------------
 
@@ -102,29 +98,23 @@ class TimeSeriesStore:
         return True
 
     def tick(self) -> None:
-        """Snapshot every registry series into its ring, stamped at now."""
+        """Snapshot every series of the named metrics, stamped at now."""
         now = self.clock.now()
         for rings, live in ((self._counters, self.metrics.counter_entries),
-                            (self._gauges, self.metrics.gauge_entries),
-                            (self._histograms, self.metrics.histogram_entries)):
-            for key, series in live():
-                self._ring(rings, key).append((now, _reading(series)))
+                            (self._gauges, self.metrics.gauge_entries)):
+            for key, series in live(self.names):
+                ring = rings.get(key)
+                if ring is None:
+                    ring = rings[key] = deque(maxlen=self.capacity)
+                ring.append((now, series.value))
+        if not self._times or self._times[-1] != now:
+            self._times.append(now)
         self.ticks += 1
         self._last_tick = now
 
-    def _ring(self, table: dict[SeriesKey, deque], key: SeriesKey) -> deque:
-        ring = table.get(key)
-        if ring is None:
-            ring = table[key] = deque(maxlen=self.capacity)
-        return ring
-
     def tick_times(self) -> tuple[float, ...]:
-        """Every retained sample time, across all rings, sorted."""
-        times: set[float] = set()
-        for table in (self._counters, self._gauges, self._histograms):
-            for ring in table.values():
-                times.update(at for at, _ in ring)
-        return tuple(sorted(times))
+        """The retained sample times, oldest first."""
+        return tuple(self._times)
 
     # -- windows -----------------------------------------------------------
 
@@ -144,20 +134,22 @@ class TimeSeriesStore:
         included: what a level, unlike an increase, is read from.
         """
         now = self.clock.now() if at is None else at
-        source = (live() if at is None
-                  else sorted(rings.items(), key=lambda item: item[0]))
+        if at is None:
+            ends = [(key, (now, series.value)) for key, series in live((name,))]
+        else:
+            ends = [(key, _at_or_before(ring, at))
+                    for key, ring in sorted(rings.items(),
+                                            key=lambda item: item[0])
+                    if key[0] == name]
         edge = now - window
-        for key, series in source:
-            if key[0] != name or not matches(key[1], wanted):
+        for key, end in ends:
+            if end is None or not matches(key[1], wanted):
                 continue
             ring = rings.get(key) or ()
-            end = ((now, _reading(series)) if at is None
-                   else _at_or_before(ring, at))
-            if end is not None:
-                base = _at_or_before(ring, edge)
-                yield end[1], None if base is None else base[1], (
-                    reading for taken, reading in (*ring, end)
-                    if edge - _EPSILON <= taken <= now + _EPSILON)
+            base = _at_or_before(ring, edge)
+            yield end[1], None if base is None else base[1], (
+                reading for taken, reading in (*ring, end)
+                if edge - _EPSILON <= taken <= now + _EPSILON)
 
     def delta(
         self,
@@ -175,21 +167,6 @@ class TimeSeriesStore:
                 name, window, wanted, at):
             total += end - (base if base is not None else 0.0)
         return total
-
-    def rate(
-        self,
-        name: str,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-    ) -> float:
-        """Counter increase per simulated second over the trailing window.
-
-        Early in a run the effective span is clamped to the elapsed
-        simulated time (never below one sampling interval), so a burst at
-        t=0.5s is not divided by a 60 s window it never lived through.
-        """
-        span = max(min(window, self.clock.now()), self.interval)
-        return self.delta(name, window, wanted=wanted) / span
 
     def gauge_worst(
         self,
@@ -213,59 +190,21 @@ class TimeSeriesStore:
                 worst = value if worst is None else max(worst, value)
         return worst
 
-    # -- sample-anchored windows (historical points, incident bundles) -----
-
-    def sample_delta(
-        self,
-        name: str,
-        at: float,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-    ) -> float:
-        """Counter increase over ``[at - window, at]`` from samples only.
-
-        The historical sibling of :meth:`delta` — both window ends come
-        from retained samples, so the answer is the same whenever it is
-        asked.  Incident bundles use it to reconstruct the burn-rate
-        trajectory leading up to a trigger.
-        """
-        return self.delta(name, window, wanted=wanted, at=at)
-
-    def sample_gauge_worst(
-        self,
-        name: str,
-        at: float,
-        window: float,
-        wanted: tuple[tuple[str, str], ...] = (),
-    ) -> float | None:
-        """Historical sibling of :meth:`gauge_worst`, samples only."""
-        return self.gauge_worst(name, window, wanted=wanted, at=at)
-
     # -- export ------------------------------------------------------------
 
     def export_rows(self, names: tuple[str, ...] | None = None) -> list[dict]:
         """Every retained series as a deterministic plain-dict row.
 
         ``names`` filters to the given metric names (None: everything).
-        Counter/gauge points are ``[at, value]`` pairs; histogram points
-        are ``[at, count, sum]`` — enough to recompute any windowed rate
-        offline without shipping every bucket of every sample.
+        Points are ``[at, value]`` pairs.
         """
-        rows: list[dict] = []
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges),
-                            ("histogram", self._histograms)):
-            for (name, labels), ring in table.items():
-                if names is not None and name not in names:
-                    continue
-                rows.append({
-                    "type": kind, "name": name,
-                    "labels": dict(sorted(labels)),
-                    "points": [
-                        [at, *reading] if kind == "histogram" else [at, reading]
-                        for at, reading in ring
-                    ],
-                })
+        rows = [{"type": kind, "name": name,
+                 "labels": dict(sorted(labels)),
+                 "points": [[at, value] for at, value in ring]}
+                for kind, table in (("counter", self._counters),
+                                    ("gauge", self._gauges))
+                for (name, labels), ring in table.items()
+                if names is None or name in names]
         rows.sort(key=lambda row: (row["name"], sorted(row["labels"].items()),
                                    row["type"]))
         return rows

@@ -1,7 +1,7 @@
-"""Million-actor workload engine and capacity-trajectory harness.
+"""Million-actor workload engine and its run harness.
 
-The load source every scaling PR is measured against (ROADMAP: capacity
-trajectory).  Four modules:
+The seeded load source behind the wall-clock ledger's workloads and the
+watched incident run.  Six modules:
 
 * :mod:`~repro.workload.population` — lazily materialized assisted-person
   population with the guardian / case-worker / clinician hierarchy,
@@ -14,21 +14,18 @@ trajectory).  Four modules:
 * :mod:`~repro.workload.engine` — the deterministic operation planner
   (byte-identical streams for equal configs);
 * :mod:`~repro.workload.capacity` — ``run_workload``, the one run
-  harness every workload-driven artifact reports over (fresh federation
-  → deploy → seeded stream → barrier → verified digests), and the
-  ``css-bench-capacity/1`` trajectory at 1/2/4/8 nodes built on it;
-* :mod:`~repro.workload.batch` — the batched-execution equivalence
-  matrix (``css-bench-batch/1``).
+  harness (fresh federation → deploy → seeded stream → barrier →
+  verified digests), and ``run_point``, one run's outcome counters,
+  saturation marks and digests;
+* :mod:`~repro.workload.incidents` — the watched run behind
+  ``repro incident`` / ``repro timeline``.
 """
 
 from repro.workload.arrivals import OnOffProcess, PoissonProcess, ZipfSampler
-from repro.workload.batch import run_batch_suite
 from repro.workload.capacity import (
-    SCHEMA_ID,
     WorkloadRun,
     deploy_workload,
     execute_workload,
-    run_capacity,
     run_point,
     run_workload,
 )
@@ -39,7 +36,6 @@ from repro.workload.config import (
     OP_PUBLISH,
     OP_SUBSCRIBE,
     SCENARIOS,
-    CapacityConfig,
     TenantSpec,
     WorkloadConfig,
     multi_tenant_abuser,
@@ -52,7 +48,6 @@ from repro.workload.population import AssistedPerson, LazyPopulation
 
 __all__ = [
     "AssistedPerson",
-    "CapacityConfig",
     "DEFAULT_TENANTS",
     "LazyPopulation",
     "MULTI_TENANT_ROLES",
@@ -62,7 +57,6 @@ __all__ = [
     "OnOffProcess",
     "PoissonProcess",
     "SCENARIOS",
-    "SCHEMA_ID",
     "TenantSpec",
     "WorkloadConfig",
     "WorkloadEngine",
@@ -74,8 +68,6 @@ __all__ = [
     "multi_tenant_abuser",
     "multi_tenant_roster",
     "parse_node_counts",
-    "run_batch_suite",
-    "run_capacity",
     "run_point",
     "run_workload",
     "workload_config",

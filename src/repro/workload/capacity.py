@@ -1,30 +1,22 @@
-"""The workload run harness and the capacity trajectory built on it.
+"""The workload run harness and one run's report.
 
 ``run_workload`` is the single "build a federation from a config →
-deploy → drive a seeded stream → barrier → digest" routine; the
-capacity, incident and batch artifacts are reporters over the
+deploy → drive a seeded stream → barrier → digest" routine; the incident
+harness and :func:`run_point` are reporters over the
 :class:`WorkloadRun` it returns.
 
-``run_capacity`` executes one workload scenario against a fresh
-:class:`~repro.federation.platform.FederatedPlatform` at each requested
-node count (1/2/4/8 by default) and assembles a ``BENCH_capacity.json``
-payload (schema ``css-bench-capacity/1``):
+:func:`run_point` reports one run at one node count: the outcome
+counters (published, consent-blocked, permitted and denied
+requests-for-details, subscribe churn), the cross-node hops, the
+simulated seconds the run spanned, the broker's queue-depth and
+dead-letter high-water marks (maxed across nodes), and the audit
+digest — a SHA-256 over every node's verified audit-chain head, the
+value two same-seed runs must reproduce bit-for-bit, whatever their
+batching or durability.  It reports no speed: the wall-clock ledger
+(``benchmarks/wall``) is where speed is measured.
 
-* **outcome counters** — published, consent-blocked, permitted and
-  denied requests-for-details, subscribe churn — plus the cross-node
-  hops and the simulated seconds the run spanned;
-* **saturation high-water marks** — the broker's per-topic queue-depth
-  and dead-letter high-water gauges, maxed across nodes;
-* **audit digest** — a SHA-256 over every node's verified audit-chain
-  head, the value two same-seed runs must reproduce bit-for-bit.
-
-It reports no speed: throughput and latency are wall-clock figures, and
-the wall-clock ledger (``benchmarks/wall``) is where they are measured.
-
-Privacy: the payload carries counts and chain digests only — never a
-subject id, subject name, or payload field value.  The
-privacy-invariant tests grep the serialized payload (and the run's
-telemetry exports) for the assisted-person id shape to keep it that way.
+Privacy: a point carries counts and chain digests only — never a
+subject id, subject name, or payload field value.
 """
 
 from __future__ import annotations
@@ -39,12 +31,8 @@ from repro.federation.platform import FederatedPlatform
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import deploy_roster
-from repro.workload.config import CapacityConfig, WorkloadConfig
+from repro.workload.config import WorkloadConfig
 from repro.workload.engine import OP_DETAILS, OP_PUBLISH, WorkloadEngine
-
-#: Schema identifier the capacity payload stamps and CI gates on.
-SCHEMA_ID = "css-bench-capacity/1"
-
 
 def deploy_workload(
     platform: FederatedPlatform,
@@ -76,13 +64,13 @@ def execute_workload(
     """Open-loop execution of the planned stream over the simulated clock.
 
     Returns the outcome counters (published / blocked / permits / denies /
-    subscribes) shared by the capacity and incident harnesses.
+    subscribes) shared by :func:`run_point` and the incident harness.
     ``on_advance`` (a no-arg callable) runs after every clock advance —
     the incident harness hooks its time-series ticking and watchdog
-    polling there without the capacity path paying anything.
+    polling there without an unwatched run paying anything.
     ``decision_log`` (a caller-owned list) collects one outcome string
     per operation in stream order — the PDP decision stream the batch
-    equivalence gate digests.
+    equivalence test digests.
     """
     recent: dict[str, deque] = {
         name: deque(maxlen=64) for name in engine.templates
@@ -183,15 +171,15 @@ def run_workload(
     on_advance=None,
     collect_decisions: bool = False,
 ) -> WorkloadRun:
-    """The one run harness behind every workload-driven BENCH artifact.
+    """The one run harness behind every workload-driven run.
 
     Builds a fresh same-seed federation under ``runtime``, deploys the
     roster, drives the planned stream open-loop
     over the simulated clock, then runs the end-of-run barrier — dispatch
     everything, advance the bounded ``drain_seconds`` window, flush
     coalesced frames and group commits — and verifies and digests every
-    audit chain.  Capacity, incident and batch payloads are reporters over
-    the returned :class:`WorkloadRun`.
+    audit chain.  :func:`run_point` and the incident harness are reporters
+    over the returned :class:`WorkloadRun`.
 
     ``telemetry`` lets callers supply (and afterwards inspect) the shared
     backend; by default a fresh hash-guarded one is created.
@@ -245,11 +233,11 @@ def run_point(
     telemetry: InMemoryTelemetry | None = None,
     collect_decisions: bool = False,
 ) -> dict:
-    """One capacity measurement: the whole workload at one node count.
+    """One run's report: the whole workload at one node count.
 
     With ``collect_decisions`` the point additionally carries the run's
     ``decision_digest`` — the second witness of the batch equivalence
-    gate.
+    test (``tests/test_batch_equivalence.py``).
     """
     run = run_workload(workload, nodes, runtime, telemetry=telemetry,
                        collect_decisions=collect_decisions)
@@ -272,23 +260,3 @@ def run_point(
     if run.decision_digest is not None:
         point["decision_digest"] = run.decision_digest
     return point
-
-
-def run_capacity(config: CapacityConfig, source: str) -> dict:
-    """The full capacity trajectory: one point per node count."""
-    workload = config.workload
-    return {
-        "schema": SCHEMA_ID,
-        "source": source,
-        "scenario": workload.scenario,
-        "seed": workload.seed,
-        "population": workload.population,
-        "ops": workload.ops,
-        "arrival": workload.arrival,
-        "batch": config.runtime.batch,
-        "batch_size": config.runtime.batch_size,
-        "nodes": [
-            run_point(workload, nodes, config.runtime)
-            for nodes in config.node_counts
-        ],
-    }

@@ -30,10 +30,10 @@ Four named scenarios ship with the platform:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.kernel import RuntimeConfig, suggest
+from repro.runtime.kernel import suggest
 from repro.sim.domain import (
     ROLE_ADMINISTRATOR,
     ROLE_FAMILY_DOCTOR,
@@ -240,29 +240,11 @@ def workload_config(name: str, **overrides: object) -> WorkloadConfig:
     return replace(WorkloadConfig(), **merged)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class CapacityConfig:
-    """Knobs of one capacity-trajectory run over the federation."""
-
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    node_counts: tuple[int, ...] = (1, 2, 4, 8)
-    #: Runtime of every node controller at every point (batching,
-    #: recorder, ... — see ``RuntimeConfig`` and docs/PERFORMANCE.md).
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-
-    def __post_init__(self) -> None:
-        if not self.node_counts:
-            raise ConfigurationError("node_counts cannot be empty")
-        if any(n < 1 for n in self.node_counts):
-            raise ConfigurationError("every node count must be >= 1")
-
-
 def parse_node_counts(spec: str) -> tuple[int, ...]:
     """The node counts a ``--nodes`` value names: one (``"2"``) or a
     comma-separated trajectory (``"1,2,4,8"``), each a positive integer.
 
-    The one parser behind every ``--nodes`` flag of ``repro`` and of the
-    ``benchmarks/bench_*.py`` drivers.
+    The one check behind every ``--nodes`` flag of ``repro``.
     """
     try:
         counts = tuple(int(part) for part in spec.split(",") if part.strip())

@@ -20,12 +20,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.obs.incident import (
+    CORE_SERIES,
     IncidentMonitor,
     WatchdogConfig,
     merged_timeline,
     write_bundle,
 )
-from repro.obs.slo import SLOEngine
+from repro.obs.slo import SLOEngine, default_objectives
 from repro.obs.timeseries import TimeSeriesStore
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import script_first_attempt_drops
@@ -53,7 +54,7 @@ class _Watch:
     An ``on_advance`` hook of :func:`run_workload`.  It arms itself on the
     first clock advance — the platform exists, nothing has executed yet —
     and from then on runs on the tick cadence, not on every advance:
-    snapshot the registry, poll the watchdogs.  Detection
+    snapshot the series its readers read, poll the watchdogs.  Detection
     latency is one tick interval, and the per-advance cost is one float
     compare — the overhead benchmark's <5 % gate depends on it.
     """
@@ -67,12 +68,20 @@ class _Watch:
 
     def _arm(self, run: WorkloadRun) -> None:
         platform = run.platform
+        objectives = default_objectives()
+        # Sample only what is read: the bundle's saturation series and
+        # every objective's counters and gauges.
         self.timeseries = TimeSeriesStore(
-            run.telemetry.metrics, run.clock, interval=TICK_INTERVAL
+            run.telemetry.metrics, run.clock,
+            (*CORE_SERIES, *(name for objective in objectives
+                             for name in (objective.metric,
+                                          objective.bad_metric) if name)),
+            interval=TICK_INTERVAL,
         )
         recorders = platform.flight_recorders()
         slo = SLOEngine(
             run.telemetry,
+            objectives=objectives,
             timeseries=self.timeseries,
             recorder=recorders[min(recorders)] if recorders else None,
             short_window=SHORT_WINDOW,

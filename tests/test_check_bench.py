@@ -2,8 +2,8 @@
 
 For every row of ``benchmarks.check_bench.SCHEMAS`` a known-good payload
 passes, and every kind of mutation the per-artifact checkers used to
-catch still fails: wrong schema id, missing key, a broken ordering,
-digest mismatch, a leaked identifier (the privacy gate now runs on
+catch still fails: wrong schema id, missing key, a broken merge order,
+an unexplained trigger, a leaked identifier (the privacy gate runs on
 *every* schema), a tampered bundle file — with exit codes 0/1/2 from
 the one ``main``.  Every rate and latency the table declares is named
 for its clock (``sim_*`` / ``wall_*``).
@@ -15,7 +15,6 @@ import re
 
 import pytest
 from benchmarks.check_bench import (
-    BASELINE_DIR,
     SCHEMAS,
     ListOf,
     Nullable,
@@ -23,27 +22,19 @@ from benchmarks.check_bench import (
     Obj,
     Schema,
     main,
-    tracked_units,
     validate,
     validate_bundle_dir,
 )
 
 from repro.obs.incident import write_bundle
 
-DIGEST = "sha256:" + "a" * 64
 COUNTERS = {"published": 40, "publish_blocked": 1, "detail_permits": 20,
             "detail_denies": 2, "subscribe_ops": 3}
 
 
-def _storage_kind(**extra):
-    return {"wall_ingest_events_per_second": 9000.0, "recovery_seconds": 0.01,
-            "recovery_peak_kb": 120.0, "size_bytes": 4096, **extra}
-
-
 def _overhead_arm(recorder):
     return {**COUNTERS, "incidents": 1, "ticks": 12, "timeline_rows": 30,
-            "recorder": recorder, "simulated_seconds": 7.0,
-            "sim_events_per_second": 51.0, "wall_seconds": 1.2,
+            "recorder": recorder, "simulated_seconds": 7.0, "wall_seconds": 1.2,
             "wall_ops_per_second": 500.0}
 
 
@@ -62,36 +53,6 @@ GOOD = {
              "breached": False, "burn_rate": 0.0}]},
         "stitched_trace": {"traces": 4, "spans": 20, "cross_node_traces": 2,
                            "orphan_spans": 0},
-    },
-    "css-bench-storage/2": {
-        "source": "pytest", "quick": True,
-        "points": [{
-            "events": 400,
-            "kinds": {"jsonl": _storage_kind(),
-                      "segmented": _storage_kind(post_compaction_bytes=2048)},
-            "compaction": {"records_before": 400, "records_after": 300,
-                           "bytes_reclaimed": 2048},
-        }],
-        "equivalence": {"identical": True, "audit_records": 42},
-    },
-    "css-bench-capacity/1": {
-        "source": "pytest", "scenario": "steady", "seed": 2010,
-        "population": 300, "ops": 120, "arrival": "poisson",
-        "nodes": [
-            {"nodes": nodes, "ops": 120, **COUNTERS, "cross_node_hops": hops,
-             "queue_depth_high_water": 4, "dead_letter_high_water": 0,
-             "audit_records": 369, "simulated_seconds": 2.5,
-             "audit_digest": DIGEST}
-            for nodes, hops in ((1, 0), (2, 50))
-        ],
-    },
-    "css-bench-batch/1": {
-        "source": "pytest", "quick": True,
-        "equivalence": {"identical": True, "checks": [
-            {"nodes": 1, "batch_size": size,
-             "audit_identical": True, "decisions_identical": True,
-             "audit_digest": DIGEST, "decision_digest": DIGEST}
-            for size in (1, 16, 256)]},
     },
     "css-bench-incident/1": {
         "source": "pytest", "scenario": "anomaly", "seed": 2010,
@@ -113,9 +74,7 @@ GOOD = {
                    "span_id": "sp-1", "status": "ok", "node": "node-0",
                    "at": 0.5, "duration": 0.0}],
         "series": [{"name": "bus.published_total", "type": "counter",
-                    "labels": {}, "points": [[0.25, 3.0], [0.5, 7.0]]},
-                   {"name": "pipeline.duration_seconds", "type": "histogram",
-                    "labels": {}, "points": [[0.25, 3, 0.0]]}],
+                    "labels": {}, "points": [[0.25, 3.0], [0.5, 7.0]]}],
         "queues": {
             "node-0": {"queue_depth": 1, "dead_letter_depth": 0,
                        "queue_high_water": 4, "dead_letter_high_water": 0},
@@ -177,12 +136,6 @@ class TestEverySchema:
         assert any("privacy" in problem and "Province-Trentino" in problem
                    for problem in validate(payload))
 
-    def test_tracked_figures_resolve_to_a_unit(self, schema_id):
-        for path, unit in tracked_units(schema_id).items():
-            container, key = at(good(schema_id), path)
-            assert isinstance(container[key], (int, float)), path
-            assert unit is not None, f"{path} carries no unit"
-
     def test_exit_codes(self, schema_id, tmp_path):
         target = tmp_path / "payload.json"
         target.write_text(json.dumps(good(schema_id)))
@@ -195,26 +148,6 @@ class TestEverySchema:
 
 #: (schema id, dotted path, replacement value, fragment of the problem).
 MUTATIONS = [
-    # equivalence flags and digests
-    ("css-bench-storage/2", "equivalence.identical", False,
-     "equivalence.identical"),
-    ("css-bench-batch/1", "equivalence.identical", False, "identical"),
-    ("css-bench-batch/1", "equivalence.checks.2.decisions_identical", False,
-     "batching changed this cell"),
-    ("css-bench-batch/1", "equivalence.checks.0.audit_digest", "deadbeef",
-     "sha256:"),
-    ("css-bench-capacity/1", "nodes.0.audit_digest", None, "audit_digest"),
-    # orderings
-    ("css-bench-capacity/1", "nodes.1.nodes", 0, "nodes[1].nodes"),
-    ("css-bench-capacity/1", "nodes.0.published", 500, "published <= ops"),
-    ("css-bench-capacity/1", "arrival", "bursty", "arrival"),
-    # storage gates
-    ("css-bench-storage/2", "points.0.kinds.segmented.post_compaction_bytes",
-     4096, "compaction reclaimed nothing"),
-    ("css-bench-storage/2", "points.0.compaction.records_after", 400,
-     "compaction dropped no records"),
-    ("css-bench-storage/2", "points.0.kinds.jsonl.recovery_peak_kb", 99999,
-     "streaming-replay bound"),
     # the overhead bench's arms
     ("css-bench-incident/1", "arms.ring.recorder", "tape",
      "arms.ring.recorder"),
@@ -228,7 +161,7 @@ MUTATIONS = [
      1.5, "within [0, 1]"),
     ("css-incident/1", "events", "nope", "events"),
     ("css-incident/1", "events.0.at", 9.0, "merge order"),
-    ("css-incident/1", "series.0.points.0", [0.25], "2 or 3 entries"),
+    ("css-incident/1", "series.0.points.0", [0.25], "2 entries"),
     ("css-incident/1", "series.0.type", "timer", "series[0].type"),
     ("css-incident/1", "queues.node-0.queue_high_water", -1,
      "queue_high_water"),
@@ -291,32 +224,16 @@ def clock_naming_problems(schemas) -> list[str]:
 
 def test_every_rate_and_latency_names_its_clock():
     """A reported rate or latency is wall-clock and named ``wall_*``, or
-    simulated and named ``sim_*`` — in every schema row and every
-    committed baseline, where none may read ``0.0`` either."""
+    simulated and named ``sim_*`` — in every schema row."""
     assert clock_naming_problems(SCHEMAS) == []
     unqualified = Schema(Obj({
         "ops_per_second": Num(above=0, unit="sim_seconds"),
         "latency_seconds": Obj({"p50": Num(min=0, unit="wall_seconds")}),
     }))
     assert len(clock_naming_problems({"x/1": unqualified})) == 2
-    baselines = sorted(BASELINE_DIR.glob("*.json"))
-    assert baselines
-    for path in baselines:
-        for key, figure in json.loads(path.read_text())["throughput"].items():
-            name = key.rsplit(".", 1)[-1]
-            if RATE_OR_LATENCY.search(name) or "latency" in name:
-                assert name.startswith(("sim_", "wall_")), (path.name, key)
-                assert figure != 0.0, (path.name, key)
 
 
 class TestStructuralMutations:
-    def test_missing_matrix_coverage(self):
-        payload = good("css-bench-batch/1")
-        checks = payload["equivalence"]["checks"]
-        payload["equivalence"]["checks"] = [
-            entry for entry in checks if entry["batch_size"] != 256]
-        assert any("batch_size=256" in p for p in validate(payload))
-
     def test_missing_arm(self):
         payload = good("css-bench-incident/1")
         del payload["arms"]["ring"]
@@ -401,7 +318,7 @@ class TestMain:
             paths.append(str(path))
         assert main(paths) == 0
         out = capsys.readouterr().out
-        assert "[sim_seconds]" in out and "[wall_seconds]" in out
+        assert all(f"ok ({schema_id}" in out for schema_id in SCHEMA_IDS), out
         broken = good(SCHEMA_IDS[0])
         broken["schema"] = "nope"
         (tmp_path / "payload-0.json").write_text(json.dumps(broken))

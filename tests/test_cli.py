@@ -326,17 +326,6 @@ SURFACE = {
         (("--to-sequence",), "to_sequence", None, int),
         (("--log",), "log", "index", None),
     ],
-    "workload": [
-        (("--scenario",), "scenario", "steady", None),
-        (("--population",), "population", 100000, int),
-        (("--ops",), "ops", 5000, int),
-        (("--nodes",), "nodes", "1,2,4,8", None),
-        (("--seed",), "seed", None, int),
-        (("--list",), "list_scenarios", False, None),
-        (("--batch",), "batch", "off", None),
-        (("--batch-size",), "batch_size", 256, int),
-        (("--out",), "out", None, None),
-    ],
     "incident": [
         (("--scenario",), "scenario", "anomaly", None),
         (("--population",), "population", 4000, int),
@@ -370,7 +359,7 @@ class TestSurface:
                       for option in options_of(parser)]
             for command, parser in subparsers().items()}
         assert surface == SURFACE
-        assert sum(len(options) for options in surface.values()) == 84
+        assert sum(len(options) for options in surface.values()) == 75
 
     def test_no_option_keeps_a_private_list_of_choices(self):
         """Enumerations are refused by the CLI's one path (exit 1, with a
@@ -401,8 +390,7 @@ class TestOneRejectionPath:
             ("federate", "--batch"),
             ("slo", "--scenario"), ("slo", "--guard"),
             ("trace", "--scenario"),
-            ("store", None), ("workload", "--scenario"),
-            ("workload", "--batch"), ("incident", "--scenario"),
+            ("store", None), ("incident", "--scenario"),
             ("timeline", "--scenario")], key=str)
 
     @pytest.mark.parametrize(

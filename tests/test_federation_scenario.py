@@ -4,7 +4,6 @@ from dataclasses import asdict
 
 import pytest
 
-from benchmarks import bench_obs_federation
 from repro import RuntimeConfig
 from repro.exceptions import ConfigurationError
 from repro.runtime.backends import JsonlAuditSink
@@ -68,15 +67,6 @@ class TestFederatedScenario:
             ScenarioConfig(detail_request_rate=1.5)
         with pytest.raises(ConfigurationError, match="no links to drop"):
             ScenarioConfig(nodes=1, scripted_drops=2)
-
-
-@pytest.mark.parametrize("driver", [bench_obs_federation])
-def test_a_malformed_node_list_exits_2_with_the_message(driver, capsys):
-    """The driver used to answer ``--nodes 1,x`` with a ValueError
-    traceback; it now shares ``parse_node_counts`` with the CLI."""
-    assert driver.main(["--nodes", "1,x"]) == 2
-    assert "--nodes '1,x' is not a comma-separated list" in (
-        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("nodes", [1, 2])

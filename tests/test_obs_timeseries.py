@@ -21,17 +21,18 @@ def metrics():
 
 @pytest.fixture()
 def store(metrics, clock):
-    return TimeSeriesStore(metrics, clock, interval=1.0, capacity=8)
+    return TimeSeriesStore(metrics, clock, ("ops_total", "depth"),
+                           interval=1.0, capacity=8)
 
 
 class TestConstruction:
     def test_rejects_non_positive_interval(self, metrics, clock):
         with pytest.raises(ConfigurationError):
-            TimeSeriesStore(metrics, clock, interval=0.0)
+            TimeSeriesStore(metrics, clock, (), interval=0.0)
 
     def test_rejects_tiny_capacity(self, metrics, clock):
         with pytest.raises(ConfigurationError):
-            TimeSeriesStore(metrics, clock, capacity=1)
+            TimeSeriesStore(metrics, clock, (), capacity=1)
 
 
 class TestTicking:
@@ -45,7 +46,8 @@ class TestTicking:
         assert store.ticks == 2
 
     def test_rings_are_bounded_by_capacity(self, metrics, clock):
-        store = TimeSeriesStore(metrics, clock, interval=1.0, capacity=4)
+        store = TimeSeriesStore(metrics, clock, ("ops_total",), interval=1.0,
+                                capacity=4)
         counter = metrics.counter("ops_total")
         for _ in range(10):
             counter.inc()
@@ -87,14 +89,6 @@ class TestCounterWindows:
             "ops_total", window=5.0, wanted=(("topic", "a"),)
         ) == pytest.approx(2.0)
 
-    def test_rate_clamps_span_to_elapsed_time(self, store, metrics, clock):
-        counter = metrics.counter("ops_total")
-        store.tick()
-        clock.advance(2.0)
-        counter.inc(10)
-        # 10 ops in 2 elapsed seconds; a 60 s window must not dilute it.
-        assert store.rate("ops_total", window=60.0) == pytest.approx(5.0)
-
 
 class TestGaugeWindows:
     def test_gauge_worst_includes_live_value(self, store, metrics, clock):
@@ -123,8 +117,8 @@ class TestSampleAnchoredWindows:
         clock.advance(1.0)
         counter.inc(100)
         store.tick()           # t=2: 108
-        assert store.sample_delta(
-            "ops_total", at=1.0, window=1.0
+        assert store.delta(
+            "ops_total", window=1.0, at=1.0
         ) == pytest.approx(3.0)
 
     def test_sample_reads_are_stable_over_time(self, store, metrics, clock):
@@ -136,16 +130,16 @@ class TestSampleAnchoredWindows:
             store.tick()
             clock.advance(1.0)
         before = (
-            store.sample_delta("ops_total", at=1.0, window=1.0),
-            store.sample_gauge_worst("depth", at=1.0, window=1.0),
+            store.delta("ops_total", window=1.0, at=1.0),
+            store.gauge_worst("depth", window=1.0, at=1.0),
         )
         counter.inc(50)
         gauge.set(50)
         clock.advance(10.0)
         store.tick()
         after = (
-            store.sample_delta("ops_total", at=1.0, window=1.0),
-            store.sample_gauge_worst("depth", at=1.0, window=1.0),
+            store.delta("ops_total", window=1.0, at=1.0),
+            store.gauge_worst("depth", window=1.0, at=1.0),
         )
         assert before == after  # history does not rewrite itself
 
@@ -155,8 +149,8 @@ class TestSampleAnchoredWindows:
             gauge.set(value)
             store.tick()
             clock.advance(1.0)
-        assert store.sample_gauge_worst(
-            "depth", at=2.0, window=2.0
+        assert store.gauge_worst(
+            "depth", window=2.0, at=2.0
         ) == pytest.approx(7.0)
 
 
@@ -165,7 +159,7 @@ LABELS = ({}, {"shard": "a"}, {"shard": "b"})
 
 #: One step: touch a series of one kind, then let simulated time pass.
 STEPS = st.lists(st.tuples(
-    st.sampled_from(("counter", "gauge", "histogram")),
+    st.sampled_from(("counter", "gauge")),
     st.sampled_from(LABELS),
     st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
     st.sampled_from((0.0, 0.25, 1.0, 3.0)),
@@ -176,10 +170,8 @@ def _apply(metrics, clock, steps):
     for kind, labels, value, advance in steps:
         if kind == "counter":
             metrics.counter("ops_total", **labels).inc(value)
-        elif kind == "gauge":
-            metrics.gauge("depth", **labels).set(value)
         else:
-            metrics.histogram("latency", **labels).observe(value)
+            metrics.gauge("depth", **labels).set(value)
         clock.advance(advance)
 
 
@@ -188,26 +180,22 @@ def _reads(store, at=None):
     rows = []
     for window in WINDOWS:
         for wanted in ((), (("shard", "a"),)):
-            if at is None:
-                delta = store.delta("ops_total", window, wanted)
-                worst = store.gauge_worst("depth", window, wanted)
-            else:
-                delta = store.sample_delta("ops_total", at, window, wanted)
-                worst = store.sample_gauge_worst("depth", at, window, wanted)
-            rows.append((delta, worst))
+            rows.append((store.delta("ops_total", window, wanted, at=at),
+                         store.gauge_worst("depth", window, wanted, at=at)))
     return rows
 
 
 class TestTrailingEqualsAnchored:
     """A window is two readings; only where it *ends* differs between the
-    trailing and the sample-anchored spelling."""
+    trailing and the ``at=``-anchored read."""
 
     @settings(max_examples=60, deadline=None)
     @given(rounds=st.lists(STEPS, min_size=1, max_size=5), after=STEPS)
     def test_reads_agree_at_a_tick_and_part_between_ticks(self, rounds,
                                                           after):
         clock, metrics = Clock(), MetricsRegistry()
-        store = TimeSeriesStore(metrics, clock, interval=1.0, capacity=4)
+        store = TimeSeriesStore(metrics, clock, ("ops_total", "depth"),
+                                interval=1.0, capacity=4)
         for steps in rounds:
             _apply(metrics, clock, steps)
             store.tick()
@@ -227,16 +215,15 @@ class TestTrailingEqualsAnchored:
 
 class TestExport:
     def test_export_rows_deterministic_and_filtered(self, metrics, clock):
-        store = TimeSeriesStore(metrics, clock, interval=1.0)
+        store = TimeSeriesStore(metrics, clock, ("b_total", "a_total"),
+                                interval=1.0)
         metrics.counter("b_total").inc()
         metrics.counter("a_total").inc(2)
-        metrics.histogram("latency").observe(0.01)
+        metrics.counter("unread_total").inc()  # not handed: never sampled
         store.tick()
         rows = store.export_rows()
-        assert [row["name"] for row in rows] == ["a_total", "b_total",
-                                                 "latency"]
+        assert [row["name"] for row in rows] == ["a_total", "b_total"]
         assert rows == store.export_rows()  # stable on re-read
         only = store.export_rows(names=("a_total",))
         assert [row["name"] for row in only] == ["a_total"]
-        [hist] = [row for row in rows if row["type"] == "histogram"]
-        assert len(hist["points"][0]) == 3  # [at, count, sum]
+        assert only[0]["points"] == [[0.0, 2.0]]  # [at, value]

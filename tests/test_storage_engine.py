@@ -1,7 +1,7 @@
 """Tests for the segmented storage engine.
 
-Segment framing and crash repair, point-in-time truncation, compaction
-(and the audit-immutability rule), snapshots with corruption detection and
+Segment framing and crash repair, streaming replay, point-in-time
+truncation, compaction (and the audit-immutability rule), snapshots with corruption detection and
 restore-to-sequence, the engine as every durable node's store,
 privacy-guarded storage telemetry, and the ``repro store`` CLI.
 """
@@ -9,6 +9,7 @@ privacy-guarded storage telemetry, and the ``repro store`` CLI.
 import io
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,27 @@ class TestSegmentedLog:
         log = small_log(tmp_path / "log")
         assert log.truncate_to(99) == 0
         assert log.sequence == 40
+
+    def test_replay_peak_does_not_grow_with_the_log(self, tmp_path):
+        """Reopening a log and streaming its records holds one record at a
+        time: a replay of 4N index rows peaks (under ``tracemalloc``) less
+        than 16 bytes per extra row above a replay of N rows — anything
+        kept per record, even one int in a list, costs more than that."""
+        def replay_peak(rows):
+            directory = tmp_path / f"index-{rows}"
+            SegmentedLog(directory).append_many(
+                [index_row(n) for n in range(rows)])
+            tracemalloc.start()
+            try:
+                log = SegmentedLog(directory)
+                assert sum(1 for _ in log.iter_records()) == rows
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 1_000
+        small, large = replay_peak(rows), replay_peak(4 * rows)
+        assert large - small < 3 * rows * 16, (small, large)
 
 
 def reference_segments(entries, segment_bytes):

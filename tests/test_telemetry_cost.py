@@ -753,7 +753,8 @@ def test_wall_sidecar_counts_pipeline_executions_and_stays_out_of_exports():
         == roots
     assert all(0.0 < row["min"] <= row["p50"] <= row["p99"] <= row["max"] < 1.0
                for row in wall.values())
-    store = TimeSeriesStore(telemetry.metrics, telemetry.clock)
+    store = TimeSeriesStore(telemetry.metrics, telemetry.clock,
+                            ("pipeline.invocations_total",))
     store.tick()
     exported = "\n".join(telemetry.metrics_export() + telemetry.trace_export())
     exported += json.dumps(telemetry.metrics.snapshot())
