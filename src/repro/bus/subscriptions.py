@@ -1,4 +1,4 @@
-"""Durable subscriptions.
+"""Durable subscriptions, indexed for fan-out.
 
 A subscription names a subscriber, a topic pattern, and a callback.  It is
 *durable*: messages published while the subscriber's callback is failing
@@ -6,6 +6,13 @@ wait in the subscription's queue.  The data
 controller creates subscriptions only after verifying the privacy policy
 authorizes the consumer for the event class — that gating lives in
 :mod:`repro.core.controller`; the bus only transports.
+
+The registry matches a topic through a segment trie over the patterns
+(:class:`TopicTrie`) and a per-topic fan-out memo, whose hits and misses
+count on a :class:`PerfLayer` — the controller's, which also counts the
+federation relay's sealed-frame cache.  Telemetry labels never carry
+plaintext identities: the counters' only label is the cache *name*
+(``perf.cache.hits{cache=fanout}`` and ``{cache=seal}``).
 """
 
 from __future__ import annotations
@@ -15,11 +22,143 @@ from typing import Callable, Iterator
 
 from repro.bus.envelope import Envelope
 from repro.bus.queue import DepthTally, MessageQueue
-from repro.bus.topics import validate_pattern
+from repro.bus.topics import topic_matches, validate_pattern
 from repro.exceptions import SubscriptionError
 
 #: Signature of subscriber callbacks. Raising marks the delivery failed.
 Handler = Callable[[Envelope], None]
+
+#: Counter of hot-path cache hits, labelled by cache name only.
+CACHE_HITS = "perf.cache.hits"
+#: Counter of hot-path cache misses, labelled by cache name only.
+CACHE_MISSES = "perf.cache.misses"
+
+
+@dataclass
+class PerfStats:
+    """Hits and misses per cache name (``fanout``, ``seal``): benchmarks and readers read them."""
+
+    hits: dict[str, int] = field(default_factory=dict)
+    misses: dict[str, int] = field(default_factory=dict)
+
+
+class PerfLayer:
+    """The hit/miss counters of one controller's caches."""
+
+    def __init__(self) -> None:
+        self.stats = PerfStats()
+
+    def record_hit(self, cache: str) -> None:
+        hits = self.stats.hits
+        hits[cache] = hits.get(cache, 0) + 1
+
+    def record_miss(self, cache: str) -> None:
+        misses = self.stats.misses
+        misses[cache] = misses.get(cache, 0) + 1
+
+
+@dataclass
+class _TrieNode:
+    """One segment position; terminals are ``(order, value)`` pairs."""
+
+    children: dict[str, "_TrieNode"] = field(default_factory=dict)
+    star: "_TrieNode | None" = None
+    #: Patterns ending in ``#`` at this position (match any remainder).
+    hash_terminals: list[tuple[int, object]] = field(default_factory=list)
+    #: Patterns ending exactly at this position.
+    terminals: list[tuple[int, object]] = field(default_factory=list)
+
+
+class TopicTrie:
+    """Pattern → value index with registration-ordered matching.
+
+    Each pattern is stored once, decomposed into its dot-separated
+    segments — ``*`` and ``#`` become dedicated edges — so matching a topic
+    walks at most one node per segment plus the wildcard branches,
+    independent of how many subscriptions are registered.  Semantics are
+    exactly :func:`~repro.bus.topics.topic_matches`; matches come back
+    sorted by registration ``order``, the linear scan's order.
+    """
+
+    def __init__(self) -> None:
+        self._root = _TrieNode()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    # -- maintenance -------------------------------------------------------
+
+    def _walk_to(self, pattern: str, create: bool) -> tuple[_TrieNode | None, str]:
+        """The node owning ``pattern``'s terminal, plus the final segment."""
+        validate_pattern(pattern)
+        segments = pattern.split(".")
+        node: _TrieNode | None = self._root
+        path = segments[:-1] if segments[-1] == "#" else segments
+        for segment in path:
+            if node is None:
+                return None, segments[-1]
+            if segment == "*":
+                if node.star is None and create:
+                    node.star = _TrieNode()
+                node = node.star
+            else:
+                child = node.children.get(segment)
+                if child is None and create:
+                    child = _TrieNode()
+                    node.children[segment] = child
+                node = child
+        return node, segments[-1]
+
+    def add(self, pattern: str, order: int, value: object) -> None:
+        """Insert ``value`` under ``pattern`` with registration ``order``."""
+        node, last = self._walk_to(pattern, create=True)
+        assert node is not None
+        terminal = node.hash_terminals if last == "#" else node.terminals
+        terminal.append((order, value))
+        self._size += 1
+
+    def remove(self, pattern: str, value: object) -> bool:
+        """Remove one ``(pattern, value)`` entry; returns whether found."""
+        node, last = self._walk_to(pattern, create=False)
+        if node is None:
+            return False
+        terminal = node.hash_terminals if last == "#" else node.terminals
+        for index, (_, held) in enumerate(terminal):
+            if held is value:
+                del terminal[index]
+                self._size -= 1
+                return True
+        return False
+
+    # -- matching ----------------------------------------------------------
+
+    def match(self, topic: str) -> list[object]:
+        """Values whose pattern matches ``topic``, in registration order."""
+        segments = topic.split(".")
+        found: list[tuple[int, object]] = []
+        self._collect(self._root, segments, 0, found)
+        found.sort(key=lambda pair: pair[0])
+        return [value for _, value in found]
+
+    def _collect(
+        self,
+        node: _TrieNode,
+        segments: list[str],
+        index: int,
+        found: list[tuple[int, object]],
+    ) -> None:
+        # A trailing-# pattern at this depth matches any remainder
+        # (including the empty one: "a.#" matches topic "a").
+        found.extend(node.hash_terminals)
+        if index == len(segments):
+            found.extend(node.terminals)
+            return
+        child = node.children.get(segments[index])
+        if child is not None:
+            self._collect(child, segments, index + 1, found)
+        if node.star is not None:
+            self._collect(node.star, segments, index + 1, found)
 
 
 @dataclass
@@ -53,11 +192,7 @@ class SubscriptionRegistry:
     pattern/topic sets.
     """
 
-    def __init__(self, perf=None) -> None:
-        # Lazy: repro.perf reads repro.bus.topics, which loads this package.
-        from repro.perf import PerfLayer
-        from repro.perf.topic_index import TopicTrie
-
+    def __init__(self, perf: PerfLayer | None = None) -> None:
         self._subscriptions: dict[str, Subscription] = {}
         self._perf = perf or PerfLayer()
         self._order = 0
@@ -132,8 +267,6 @@ class SubscriptionRegistry:
         No product path calls it: the equivalence tests compare
         :meth:`matching_topic` against it on the same live registry.
         """
-        from repro.bus.topics import topic_matches
-
         return [
             sub
             for sub in self._subscriptions.values()

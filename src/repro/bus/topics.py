@@ -105,7 +105,3 @@ class TopicTree:
     def all_paths(self) -> list[str]:
         """Every declared topic path, in declaration order."""
         return list(self._topics)
-
-    def matching(self, pattern: str) -> list[Topic]:
-        """All declared topics matching ``pattern``."""
-        return [topic for path, topic in self._topics.items() if topic_matches(pattern, path)]

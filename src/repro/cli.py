@@ -56,7 +56,7 @@ from repro.sim.domain import DEFAULT_CONSUMERS, DEFAULT_PRODUCER_ASSIGNMENT
 from repro.sim.generators import DEFAULT_SEED
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from repro.storage import PlatformArchive
-from repro.workload import SCENARIOS, parse_node_counts, workload_config
+from repro.workload import SCENARIOS, check_node_count, workload_config
 
 
 #: Where a one-node run's durable backends write, under ``--durable DIR``.
@@ -659,7 +659,7 @@ def _check_values(args: argparse.Namespace) -> None:
                 f"unknown {dest} {value!r};{suggest(value, known)} "
                 f"available: {', '.join(known)}")
     if "nodes" in args:
-        parse_node_counts(str(args.nodes))
+        check_node_count(args.nodes)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

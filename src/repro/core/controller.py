@@ -30,12 +30,13 @@ of :mod:`repro.runtime.interceptors`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome, mint_record
 from repro.bus.broker import ServiceBus
 from repro.bus.endpoints import EndpointRegistry
 from repro.bus.envelope import Envelope
+from repro.bus.subscriptions import CACHE_HITS, CACHE_MISSES, PerfLayer
 from repro.clock import Clock
 from repro.core.actors import Actor, ActorDirectory
 from repro.core.catalog import EventCatalog
@@ -49,32 +50,63 @@ from repro.core.elicitation import (
 )
 from repro.core.enforcement import PDP_EVALUATIONS, DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
+from repro.core.gateway import LocalCooperationGateway
 from repro.core.idmap import EventIdMap
 from repro.core.index import EventsIndex
-from repro.core.messages import NotificationMessage, notification_of
+from repro.core.messages import DetailMessage, NotificationMessage, notification_of
 from repro.core.policy import PolicyRepository
 from repro.core.purposes import PurposeRegistry
 from repro.core.roster import PatientRoster
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import (
     AccessDeniedError,
+    EndpointError,
+    SourceUnavailableError,
     UnknownEventClassError,
     UnknownProducerError,
 )
 from repro.ids import IdFactory
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.perf import CACHE_HITS, CACHE_MISSES, PerfLayer
 from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.runtime import interceptors
 from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, EdgeStats, HotPath, PublishStats
-from repro.runtime.interfaces import CooperationGateway
 from repro.runtime.kernel import RuntimeConfig
-from repro.runtime.services import EndpointDetailFetcher, gateway_endpoint_name
 from repro.sched import SHED_TOTAL, TENANT_SHED, BacklogBound
 
 #: Callback receiving decrypted notifications at an authorized subscriber.
 NotificationHandler = Callable[[NotificationMessage], None]
+
+
+def gateway_endpoint_name(producer_id: str) -> str:
+    """The SOA endpoint a producer's cooperation gateway is exposed under."""
+    return f"gateway.{producer_id}.getResponse"
+
+
+class EndpointDetailFetcher:
+    """Fetches details through the SOA endpoint layer (Algorithm 2 client).
+
+    Keeps the endpoint call accounting honest and converts endpoint-level
+    unavailability into the gateway's failure type.  ``require_producer``
+    fails fast (with the controller's unknown-producer error) before any
+    endpoint is invoked.
+    """
+
+    def __init__(self, endpoints: EndpointRegistry,
+                 require_producer: Callable[[str], object]) -> None:
+        self._endpoints = endpoints
+        self._require_producer = require_producer
+
+    def fetch(self, producer_id: str, src_event_id: str,
+              allowed_fields: Iterable[str], event_id: str) -> DetailMessage:
+        self._require_producer(producer_id)
+        try:
+            return self._endpoints.call(
+                gateway_endpoint_name(producer_id),
+                (src_event_id, frozenset(allowed_fields), event_id),
+            )
+        except EndpointError as exc:
+            raise SourceUnavailableError(str(exc)) from exc
 
 
 def named_telemetry(runtime: RuntimeConfig, clock: Clock,
@@ -172,7 +204,7 @@ class DataController:
         self.pending_requests = PendingRequestQueue()
         self.roster = PatientRoster()
         self.dashboard = PolicyDashboard(self.catalog, self.policies)
-        self._gateways: dict[str, CooperationGateway] = {}
+        self._gateways: dict[str, LocalCooperationGateway] = {}
         self._consent: dict[str, ConsentRegistry] = {}
         self._identity = None  # optional LocalIdentityProvider (future-work extension)
         #: The gateway client the enforcer fetches details through.
@@ -345,7 +377,7 @@ class DataController:
         )
         return upgraded
 
-    def attach_gateway(self, producer_id: str, gateway: CooperationGateway,
+    def attach_gateway(self, producer_id: str, gateway: LocalCooperationGateway,
                        check_contract: bool = True) -> None:
         """Register a producer's local cooperation gateway and its endpoint.
 
@@ -376,7 +408,7 @@ class DataController:
         """The consent registry a producer attached (None if absent)."""
         return self._consent.get(producer_id)
 
-    def gateway_of(self, producer_id: str) -> CooperationGateway:
+    def gateway_of(self, producer_id: str) -> LocalCooperationGateway:
         """The gateway a producer attached (raises if missing)."""
         try:
             return self._gateways[producer_id]

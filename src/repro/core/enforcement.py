@@ -47,7 +47,6 @@ from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
 from repro.runtime import interceptors
 from repro.runtime.interceptors import REQUEST_DETAILS, HotPath, Outcome
-from repro.runtime.interfaces import DetailFetcher
 from repro.xacml.context import Decision
 
 #: Decisions made, labelled ``permit`` / ``deny`` / ``not_applicable`` —
@@ -97,8 +96,8 @@ class DecisionStats:
 class PolicyEnforcer:
     """Implements Algorithm 1 over the certified policy repository.
 
-    Decisions are ``repository``'s Def. 3; gateway access goes through a
-    :class:`~repro.runtime.interfaces.DetailFetcher`, the ``fetcher``.  The
+    Decisions are ``repository``'s Def. 3; gateway access goes through the
+    ``fetcher`` (:class:`~repro.core.controller.EndpointDetailFetcher`).  The
     collaborators are public attributes because
     :func:`~repro.runtime.interceptors.get_event_details` reads them off
     the enforcer on every request.
@@ -113,7 +112,7 @@ class PolicyEnforcer:
         audit_log: AuditLog,
         clock: Clock,
         ids: IdFactory,
-        fetcher: DetailFetcher,
+        fetcher,
         consent_resolver: ConsentResolver | None = None,
         telemetry=None,
     ) -> None:

@@ -12,11 +12,9 @@ fetch the stored detail, blank every field outside ``F``, and return the
 privacy-aware event — "it is never the case that data not accessible by a
 certain data consumer leaves the data producer" (§5).
 
-This class is the reference implementation of the
-:class:`~repro.runtime.interfaces.CooperationGateway` protocol; the
-enforcement pipeline reaches it only through a
-:class:`~repro.runtime.interfaces.DetailFetcher`, so remote or sharded
-gateways can be substituted without touching Algorithm 1.
+The enforcement pipeline reaches a gateway only through the controller's
+:class:`~repro.core.controller.EndpointDetailFetcher` — a SOA endpoint
+call — so Algorithm 1 never holds a gateway itself.
 """
 
 from __future__ import annotations

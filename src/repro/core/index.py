@@ -33,7 +33,7 @@ from repro.exceptions import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.interfaces import CipherProvider
+    from repro.crypto.keystore import KeyStore
 
 #: Name of the keystore key sealing identifying slots.
 INDEX_KEY = "index-identity"
@@ -96,11 +96,10 @@ class EventsIndex:
     A withdrawn entry (moved to another shard) stays stored but is hidden
     from every inquiry.  ``encrypt_identity=False`` exists only for
     ablation A2 (measuring the cost of the paper's encrypted-index
-    requirement); production use keeps it on.  ``keystore`` may be any
-    :class:`~repro.runtime.interfaces.CipherProvider`.
+    requirement); production use keeps it on.
     """
 
-    def __init__(self, keystore: "CipherProvider", encrypt_identity: bool = True) -> None:
+    def __init__(self, keystore: "KeyStore", encrypt_identity: bool = True) -> None:
         self._rows: dict[str, dict] = {}
         self._by_type: dict[str, list[str]] = {}
         self._withdrawn: set[str] = set()

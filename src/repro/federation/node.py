@@ -53,7 +53,6 @@ from repro.exceptions import (
     UnknownEventError,
 )
 from repro.obs.context import TraceContext
-from repro.perf.wire_cache import SealedFrameCache
 from repro.storage.schemas import type_from_dict, type_to_dict
 from repro.xmlmsg.document import XmlDocument
 
@@ -87,6 +86,9 @@ CHANNEL_KEY_PREFIX = "federation-channel/"
 #: Gauge of each node's bus queue depth (hashed node id), read live.
 NODE_QUEUE_DEPTH = "federation.node.queue_depth"
 
+#: Sealed relay frames a node keeps; the oldest drops past it.
+MAX_RELAY_FRAMES = 256
+
 
 class FederationNode:
     """A data controller participating in the federation."""
@@ -108,7 +110,7 @@ class FederationNode:
         self._channel_key = CHANNEL_KEY_PREFIX + node_id
         controller.keystore.create(self._channel_key)
         self._perf = controller.perf
-        self._relay_frames = SealedFrameCache()
+        self._relay_frames: dict[tuple, dict] = {}  # (topic, notification) -> frame
         #: (origin node, topic) pairs already relayed toward a peer.
         self._relays: dict[tuple[str, str], str] = {}
         self._handlers: dict[str, Callable[[dict], dict]] = {
@@ -355,22 +357,19 @@ class FederationNode:
 
     def _sealed_relay_frame(self, topic: str, notification: NotificationMessage) -> dict:
         """Seal a relay frame (the topic beside the notification's typed
-        fields) once per distinct notification.
-
-        The same notification relayed toward several peer nodes reuses one
-        sealed frame instead of sealing *k* times (safe: deterministic
-        sealing, stateless opening — see :mod:`repro.perf.wire_cache`).
-        The cache key is content this node itself published and already
-        holds in the clear.
-        """
-        key = (topic, notification)
-        frame = self._relay_frames.get(key)
+        fields) once per distinct notification, for the last
+        :data:`MAX_RELAY_FRAMES`: every peer opens the same deterministic
+        seal statelessly, and the key is what this node published and
+        holds in the clear."""
+        frames, key = self._relay_frames, (topic, notification)
+        frame = frames.get(key)
         if frame is not None:
             self._perf.record_hit("seal")
             return frame
         self._perf.record_miss("seal")
-        return self._relay_frames.put(
-            key, self.seal_channel({"topic": topic, **vars(notification)}))
+        if len(frames) >= MAX_RELAY_FRAMES:
+            del frames[next(iter(frames))]
+        return frames.setdefault(key, self.seal_channel({"topic": topic, **vars(notification)}))
 
     def _op_bus_relay(self, payload: dict) -> dict:
         """Route a notification the home bus published to the subscriptions

@@ -1,9 +1,10 @@
-"""Durable backend implementations of the runtime interfaces.
+"""The durable events index and audit log.
 
 The in-memory :class:`~repro.core.index.EventsIndex` and
 :class:`~repro.audit.log.AuditLog` are the references; the pair here
 extends them with write-through to a durable
-:class:`~repro.storage.engine.RecordLog` — each record stored once as
+:class:`~repro.storage.segment.SegmentedLog` (or the
+:class:`~repro.runtime.batching.BatchWriter` over one) — each record stored once as
 canonical JSON, identity slots still sealed, an audit link as the very
 text its digest hashed — and replay on start.  A controller whose
 ``RuntimeConfig`` has a ``data_dir`` builds the pair over the ``index`` /
@@ -22,7 +23,8 @@ from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex
 from repro.crypto.hashing import HashChain
 from repro.exceptions import CorruptRecordError, TamperedLogError
-from repro.storage.engine import RecordLog
+from repro.runtime.batching import BatchWriter
+from repro.storage.segment import SegmentedLog
 
 
 class JsonlAuditSink(AuditLog):
@@ -36,7 +38,7 @@ class JsonlAuditSink(AuditLog):
     Reads decode records from the log.
     """
 
-    def __init__(self, log: RecordLog) -> None:
+    def __init__(self, log: SegmentedLog | BatchWriter) -> None:
         super().__init__()
         self._store = log
         self._chain = self._rechain()
@@ -90,7 +92,7 @@ class JsonlIndexStore(EventsIndex):
     together with the rows they hide.
     """
 
-    def __init__(self, log: RecordLog, keystore,
+    def __init__(self, log: SegmentedLog | BatchWriter, keystore,
                  encrypt_identity: bool = True) -> None:
         super().__init__(keystore, encrypt_identity=encrypt_identity)
         self._store = log

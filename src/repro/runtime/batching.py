@@ -2,7 +2,7 @@
 
 A :class:`BatchWriter` sits between a durable backend
 (:mod:`repro.runtime.backends`) and its
-:class:`~repro.storage.engine.RecordLog` and buffers appends — an audit
+:class:`~repro.storage.segment.SegmentedLog` and buffers appends — an audit
 link's rendered text, an index row's dict, which the log renders as it
 commits — until ``batch_size`` records are pending (or :meth:`flush` is
 called), then commits them through the log's ``append_many``: one write
@@ -55,7 +55,8 @@ class BatchWriterStats:
 
 
 class BatchWriter:
-    """A :class:`~repro.storage.engine.RecordLog` that group-commits.
+    """A record log that group-commits into a
+    :class:`~repro.storage.segment.SegmentedLog`.
 
     Buffered records are committed in arrival order, so after a flush the
     underlying log is byte-identical to what per-record appends would

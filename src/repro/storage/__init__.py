@@ -33,7 +33,7 @@ broker.
 
 from repro.storage.archive import PlatformArchive
 from repro.storage.compaction import CompactionReport, compact, index_keep_predicate
-from repro.storage.engine import RecordLog, SegmentedStore, StorageEngine
+from repro.storage.engine import SegmentedStore, StorageEngine
 from repro.storage.jsonl import JsonlFile
 from repro.storage.segment import SegmentedLog
 from repro.storage.snapshot import SnapshotManager
@@ -42,7 +42,6 @@ __all__ = [
     "CompactionReport",
     "JsonlFile",
     "PlatformArchive",
-    "RecordLog",
     "SegmentedLog",
     "SegmentedStore",
     "SnapshotManager",

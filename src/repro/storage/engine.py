@@ -2,7 +2,7 @@
 
 A node with a ``data_dir`` stores its events index and audit log here:
 :class:`StorageEngine` (also exported as ``SegmentedStore``) hands out
-named :class:`RecordLog` streams — the durable backends ask for
+named record logs — the durable backends ask for
 ``log("index")`` and ``log("audit")`` — each a size-segmented,
 checksum-framed, crash-recoverable :class:`~repro.storage.segment.SegmentedLog`,
 with compaction and snapshot/point-in-time-restore support on top.
@@ -18,7 +18,6 @@ event, subject or object identifiers.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError, StorageError
 from repro.storage.compaction import CompactionReport, compact
@@ -36,31 +35,6 @@ METRIC_COMPACTION_RECLAIMED = "storage.compaction.reclaimed"
 
 #: Logs whose records may never be compacted away (hash-chained history).
 IMMUTABLE_LOGS = frozenset({"audit"})
-
-
-@runtime_checkable
-class RecordLog(Protocol):
-    """What a durable backend needs from its log.
-
-    ``append`` / ``append_many`` commit records — text the backend
-    rendered, or dicts the log renders — and return the sequence number /
-    the ``(first, last)`` range (``None`` for an empty batch);
-    ``iter_records`` streams them parsed and ``iter_texts`` as ``(position,
-    text)`` pairs, oldest first, bounded memory; ``flush`` makes every
-    accepted record durable.
-    """
-
-    def append(self, record: str | dict) -> int: ...
-
-    def append_many(self, records: list[str | dict]) -> tuple[int, int] | None: ...
-
-    def iter_records(self) -> Iterator[dict]: ...
-
-    def iter_texts(self) -> Iterator[tuple[int, str]]: ...
-
-    def flush(self) -> None: ...
-
-    def __len__(self) -> int: ...
 
 
 class StorageEngine:

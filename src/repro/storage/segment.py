@@ -298,8 +298,7 @@ class SegmentedLog:
             yield sequence, entry
 
     def iter_records(self) -> Iterator[dict]:
-        """Stream records oldest first, each entry parsed (the
-        :class:`RecordLog` read surface)."""
+        """Stream records oldest first, each entry parsed."""
         return (decode_entry(entry) for _, entry in self.iter_texts())
 
     def segments(self) -> list[SegmentInfo]:

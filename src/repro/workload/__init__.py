@@ -38,9 +38,9 @@ from repro.workload.config import (
     SCENARIOS,
     TenantSpec,
     WorkloadConfig,
+    check_node_count,
     multi_tenant_abuser,
     multi_tenant_roster,
-    parse_node_counts,
     workload_config,
 )
 from repro.workload.engine import WorkloadEngine, WorkloadOp
@@ -63,11 +63,11 @@ __all__ = [
     "WorkloadOp",
     "WorkloadRun",
     "ZipfSampler",
+    "check_node_count",
     "deploy_workload",
     "execute_workload",
     "multi_tenant_abuser",
     "multi_tenant_roster",
-    "parse_node_counts",
     "run_point",
     "run_workload",
     "workload_config",

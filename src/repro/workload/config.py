@@ -240,20 +240,8 @@ def workload_config(name: str, **overrides: object) -> WorkloadConfig:
     return replace(WorkloadConfig(), **merged)  # type: ignore[arg-type]
 
 
-def parse_node_counts(spec: str) -> tuple[int, ...]:
-    """The node counts a ``--nodes`` value names: one (``"2"``) or a
-    comma-separated trajectory (``"1,2,4,8"``), each a positive integer.
-
-    The one check behind every ``--nodes`` flag of ``repro``.
-    """
-    try:
-        counts = tuple(int(part) for part in spec.split(",") if part.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"--nodes {spec!r} is not a comma-separated list of integers"
-        ) from None
-    if not counts or any(count < 1 for count in counts):
-        raise ConfigurationError(
-            f"--nodes must be a positive node count, or several separated "
-            f"by commas; got {spec!r}")
-    return counts
+def check_node_count(nodes: int) -> None:
+    """The one check behind every ``--nodes`` flag of ``repro``: a
+    positive node count."""
+    if nodes < 1:
+        raise ConfigurationError(f"--nodes must be a positive node count; got '{nodes}'")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import pytest
 
@@ -87,6 +88,21 @@ class SmallPlatform:
                 "Glucose": 92.0,
                 "HivResult": "negative",
             },
+        )
+
+
+class DirectDetailFetcher:
+    """Fetches details straight from a resolved gateway (no endpoint hop):
+    the fetcher of hand-wired enforcement stacks."""
+
+    def __init__(self, gateway_resolver: Callable[[str], object]) -> None:
+        self._resolve = gateway_resolver
+
+    def fetch(self, producer_id: str, src_event_id: str,
+              allowed_fields: Iterable[str], event_id: str):
+        gateway = self._resolve(producer_id)
+        return gateway.get_response(
+            src_event_id, frozenset(allowed_fields), event_id=event_id
         )
 
 

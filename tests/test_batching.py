@@ -1,7 +1,7 @@
 """Group-commit batching: the writer, the logs, the barriers, the knob.
 
 The ``batch`` kernel kind buffers durable appends into group commits
-(``RecordLog.append_many``).  These tests pin the mechanics: the
+(``SegmentedLog.append_many``).  These tests pin the mechanics: the
 :class:`~repro.runtime.batching.BatchWriter` buffering/flush contract,
 ``append_many``'s sequence-range and segment-roll behaviour (including
 torn-tail repair after a group commit), byte-level durable equivalence

@@ -74,11 +74,3 @@ class TestTopicTree:
     def test_require_unknown_rejected(self):
         with pytest.raises(UnknownTopicError):
             TopicTree().require("nope")
-
-    def test_matching_lists_declared_topics(self):
-        tree = TopicTree()
-        tree.declare("events.health.BloodTest")
-        tree.declare("events.social.HomeCare")
-        matches = tree.matching("events.#")
-        assert {t.path for t in matches} == {"events.health.BloodTest", "events.social.HomeCare"}
-        assert [t.path for t in tree.matching("events.health.*")] == ["events.health.BloodTest"]

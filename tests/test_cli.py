@@ -417,8 +417,7 @@ class TestOneRejectionPath:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(command, "--nodes", "0")
         assert str(excinfo.value) == (
-            f"repro {command}: --nodes must be a positive node count, or "
-            f"several separated by commas; got '0'")
+            f"repro {command}: --nodes must be a positive node count; got '0'")
 
     def test_drops_on_a_scenario_without_links_is_refused(self):
         """``--drops`` needs links, and one node is one node however it is

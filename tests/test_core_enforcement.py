@@ -7,6 +7,7 @@ from repro.audit.log import AuditAction, AuditLog, AuditOutcome
 from repro.clock import Clock
 from repro.core.actors import Actor, ActorKind
 from repro.core.consent import ConsentRegistry, ConsentScope
+from repro.core.controller import gateway_endpoint_name
 from repro.core.enforcement import DetailRequest, PolicyEnforcer
 from repro.core.events import EventClass, EventOccurrence
 from repro.core.gateway import LocalCooperationGateway
@@ -15,12 +16,11 @@ from repro.core.policy import PolicyDecision, PolicyRepository, PrivacyPolicy
 from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError, SourceUnavailableError
 from repro.ids import IdFactory
-from repro.runtime.services import DirectDetailFetcher, gateway_endpoint_name
 from repro.xacml.context import Decision
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import IntegerType, StringType
-from tests.conftest import blood_test_schema
+from tests.conftest import DirectDetailFetcher, blood_test_schema
 
 
 def blood_class() -> EventClass:

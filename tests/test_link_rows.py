@@ -38,9 +38,8 @@ from repro.federation.link import (
     LINK_DROPS,
     Link,
 )
-from repro.federation.node import WIRE_ERRORS, FederationNode
+from repro.federation.node import MAX_RELAY_FRAMES, WIRE_ERRORS, FederationNode
 from repro.obs.context import WIRE_KEY
-from repro.perf.wire_cache import MAX_FRAMES, SealedFrameCache
 from repro.runtime.kernel import RuntimeConfig
 from tests.conftest import build_federation, wire_tap
 
@@ -259,8 +258,8 @@ def test_a_hop_keeps_nothing_however_many_cross():
         sizes = {}
         for label, owner in owners:
             for name, value in vars(owner).items():
-                if isinstance(value, SealedFrameCache):
-                    assert len(value) <= MAX_FRAMES
+                if name == "_relay_frames":
+                    assert len(value) <= MAX_RELAY_FRAMES
                 elif (isinstance(value, Sized) and not isinstance(value, str)
                         and name != "delivered_by_op"):
                     sizes[f"{label}.{name}"] = len(value)

@@ -7,7 +7,7 @@ every label the fast paths emit passes the same guard the slow paths do.
 """
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
-from repro.perf import CACHE_HITS, CACHE_MISSES
+from repro.bus.subscriptions import CACHE_HITS, CACHE_MISSES
 from repro.sim.scenario import CssScenario, ScenarioConfig
 from tests.conftest import blood_test_schema
 

@@ -1,4 +1,4 @@
-"""Indexed subscription matching (``repro.perf.topic_index`` + registry).
+"""Indexed subscription matching (``repro.bus.subscriptions.TopicTrie`` + registry).
 
 Satellite property of the perf layer: the trie-backed
 ``matching_topic`` and the reference linear scan agree — same
@@ -10,10 +10,8 @@ per-topic fan-out memo invalidates on every subscribe/withdraw.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus.subscriptions import Subscription, SubscriptionRegistry
+from repro.bus.subscriptions import PerfLayer, Subscription, SubscriptionRegistry, TopicTrie
 from repro.bus.topics import topic_matches
-from repro.perf import PerfLayer
-from repro.perf.topic_index import TopicTrie
 
 TOPICS = ("events", "events.health", "events.health.BloodTest",
           "events.health.Discharge", "events.social.HomeCare",

@@ -1,5 +1,5 @@
-"""Federation wire caching (``repro.perf.wire_cache``), what crosses a
-link and the keystore's shared key-schedule cache.
+"""Federation wire caching (``FederationNode._sealed_relay_frame``), what
+crosses a link and the keystore's shared key-schedule cache.
 
 The fast paths must be invisible on the wire: reused sealed relay frames
 produce byte-identical wire traffic (``tests/conftest.py::wire_tap``)
@@ -13,25 +13,46 @@ import json
 
 from repro.crypto.hashing import canonical_json
 from repro.crypto.keystore import KeyStore
-from repro.perf.wire_cache import MAX_FRAMES, SealedFrameCache
+from repro.federation.node import MAX_RELAY_FRAMES
 from tests.conftest import build_federation, wire_tap
+
+
+def relay_frames():
+    """A node that has relayed nothing yet, its perf counters and one
+    notification to seal."""
+    deployment = build_federation()
+    node = deployment.platform.node("node-0")
+    notification = deployment.publish_blood_test()
+    node._relay_frames.clear()
+    return node, node.controller.perf.stats, notification
 
 
 class TestSealedFrameCache:
     def test_miss_put_hit_cycle(self):
-        cache = SealedFrameCache()
-        assert cache.get(("t", "<x/>")) is None
-        frame = cache.put(("t", "<x/>"), {"from": "n", "token": "v1:abc"})
-        assert cache.get(("t", "<x/>")) is frame
-        assert len(cache) == 1
+        node, stats, notification = relay_frames()
+        misses = stats.misses.get("seal", 0)
+        hits = stats.hits.get("seal", 0)
+        frame = node._sealed_relay_frame("events.health.BloodTest", notification)
+        assert stats.misses["seal"] == misses + 1
+        assert node._sealed_relay_frame("events.health.BloodTest", notification) is frame
+        assert stats.hits["seal"] == hits + 1
+        assert len(node._relay_frames) == 1
+        # The frame opens to the topic beside the notification's fields.
+        body = node.open_channel(frame)
+        assert body.pop("topic") == "events.health.BloodTest"
+        assert body == vars(notification)
 
     def test_oldest_entry_drops_past_the_cap(self):
-        cache = SealedFrameCache()
-        for key in range(MAX_FRAMES + 1):
-            cache.put(key, {"token": str(key)})
-        assert len(cache) == MAX_FRAMES
-        assert cache.get(0) is None
-        assert cache.get(1) is not None and cache.get(MAX_FRAMES) is not None
+        node, _, notification = relay_frames()
+        first = node._sealed_relay_frame("topic.0", notification)
+        for key in range(1, MAX_RELAY_FRAMES + 1):
+            node._sealed_relay_frame(f"topic.{key}", notification)
+        assert len(node._relay_frames) == MAX_RELAY_FRAMES
+        assert ("topic.0", notification) not in node._relay_frames
+        assert ("topic.1", notification) in node._relay_frames
+        assert (f"topic.{MAX_RELAY_FRAMES}", notification) in node._relay_frames
+        # A dropped frame is sealed again, to the same bytes.
+        assert node._sealed_relay_frame("topic.0", notification) == first
 
 
 class TestKeyScheduleCache:

@@ -1,21 +1,21 @@
-"""A4 availability regression through the kernel-resolved DetailFetcher.
+"""A4 availability regression through the detail fetcher.
 
 The paper's gateway persists every published detail so requests keep
 working "even months after the publication", source downtime included
-(§4).  After the service-kernel refactor the enforcer reaches gateways
-only through a :class:`~repro.runtime.interfaces.DetailFetcher`; these
+(§4).  The enforcer reaches gateways only through its fetcher; these
 tests pin that the availability guarantee — and its ``GatewayStats``
-accounting — survived the seam change, for both the production endpoint
-fetcher and the direct in-process one.
+accounting — holds for both the controller's endpoint fetcher
+(:class:`~repro.core.controller.EndpointDetailFetcher`) and the direct
+in-process test fake (``tests/conftest.py::DirectDetailFetcher``).
 """
 
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
+from repro.core.controller import EndpointDetailFetcher
 from repro.core.gateway import LocalCooperationGateway
 from repro.exceptions import SourceUnavailableError, UnknownProducerError
-from repro.runtime.services import DirectDetailFetcher, EndpointDetailFetcher
-from tests.conftest import blood_test_schema
+from tests.conftest import DirectDetailFetcher, blood_test_schema
 
 
 def build_world(persistence_enabled: bool = True):

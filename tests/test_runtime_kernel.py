@@ -5,8 +5,8 @@ built by the controller from the name their ``RuntimeConfig`` field holds,
 an unknown name is refused by the config itself in the platform's
 configuration-error wording, what follows from a fact (durable iff a data
 directory, sharded iff a membership, observed by the telemetry handed in)
-is read — the same way by a bare controller and under a platform — the
-in-memory implementations satisfy the runtime protocols, and the durable
+is read — the same way by a bare controller and under a platform — each
+collaborator is its one concrete class, and the durable
 index/audit pair survives a restart (with tamper detection on the audit
 chain).
 """
@@ -18,7 +18,12 @@ import pytest
 
 from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome
+from repro.bus.broker import ServiceBus
+from repro.bus.subscriptions import PerfLayer
 from repro.clock import Clock
+from repro.core.controller import EndpointDetailFetcher
+from repro.core.enforcement import PolicyEnforcer
+from repro.core.gateway import LocalCooperationGateway
 from repro.core.index import EventsIndex
 from repro.crypto.keystore import KeyStore
 from repro.exceptions import AccessDeniedError, ConfigurationError, TamperedLogError
@@ -28,18 +33,8 @@ from repro.obs.guard import TelemetryPrivacyError
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.perf import PerfLayer
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.runtime.batching import BatchPolicy
-from repro.runtime.interfaces import (
-    AuditSink,
-    CipherProvider,
-    CooperationGateway,
-    DetailFetcher,
-    IndexStore,
-    NotificationTransport,
-    PolicyDecisionPoint,
-)
 from repro.runtime.kernel import SWITCHES
 from repro.sched import BacklogBound
 from repro.storage import SegmentedLog, StorageEngine
@@ -128,14 +123,17 @@ class TestKernelRegistry:
             RuntimeConfig(audit_sink="jsonl")
 
     def test_controller_collaborators_satisfy_the_protocols(self):
+        # Each collaborator is its one class: no protocol stands between
+        # the controller and what it built.
         controller, hospital, blood, doctor = build_world()
-        assert isinstance(controller.keystore, CipherProvider)
-        assert isinstance(controller.index, IndexStore)
-        assert isinstance(controller.audit_log, AuditSink)
-        assert isinstance(controller.bus, NotificationTransport)
-        assert isinstance(controller.detail_fetcher, DetailFetcher)
-        assert isinstance(controller.enforcer, PolicyDecisionPoint)
-        assert isinstance(hospital.gateway, CooperationGateway)
+        assert type(controller.keystore) is KeyStore
+        assert type(controller.index) is EventsIndex
+        assert type(controller.audit_log) is AuditLog
+        assert type(controller.bus) is ServiceBus
+        assert type(controller.perf) is PerfLayer
+        assert type(controller.detail_fetcher) is EndpointDetailFetcher
+        assert type(controller.enforcer) is PolicyEnforcer
+        assert type(hospital.gateway) is LocalCooperationGateway
 
 
 class TestControllerWiring:
