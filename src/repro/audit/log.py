@@ -12,8 +12,9 @@ paper's audit duty, one record per request and per exchange: what queries
 and reports read.  They differ for deliveries only: a run of consecutive
 deliveries of one notification is chained as ONE ``NOTIFY`` record carrying
 its ordered ``recipients``; :meth:`AuditRecord.expanded` undoes that.
-A link is rendered once: its canonical JSON is what the chain hashes and
-what a durable sink stores (:mod:`repro.runtime.backends`).
+A link is rendered once, by its own shape (:meth:`AuditRecord.to_json`, the
+bytes ``canonical_json`` would give): that text is what the chain hashes and
+what a durable sink frames at append and stores (:mod:`repro.runtime.backends`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import enum
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.crypto.hashing import HashChain, canonical_json
 from repro.exceptions import AuditError
@@ -86,6 +88,29 @@ class AuditRecord:
             payload["recipients"] = list(self.recipients)
         return payload
 
+    def to_json(self) -> str:
+        """``canonical_json(self.to_payload())`` rendered by shape, keys sorted; a value
+        not a ``str``, ``None`` or finite ``float`` goes through the generic encoder."""
+        at = self.timestamp
+        try:
+            if type(at) is not float or at - at != 0.0:  # inf - inf and nan are nan
+                raise TypeError(at)
+            event, kind, purpose, subject = (self.event_id, self.event_type,
+                                             self.purpose, self.subject_ref)
+            recipients = (f',"recipients":[{",".join(map(_quote, self.recipients))}]'
+                          if self.recipients else "")
+            return (f'{{"action":{_quote(self.action.value)},"actor":{_quote(self.actor)},'
+                    f'"detail":{_quote(self.detail)},'
+                    f'"event_id":{"null" if event is None else _quote(event)},'
+                    f'"event_type":{"null" if kind is None else _quote(kind)},'
+                    f'"outcome":{_quote(self.outcome.value)},'
+                    f'"purpose":{"null" if purpose is None else _quote(purpose)}{recipients},'
+                    f'"record_id":{_quote(self.record_id)},'
+                    f'"subject_ref":{"null" if subject is None else _quote(subject)},'
+                    f'"timestamp":{at!r}}}')
+        except TypeError:
+            return canonical_json(self.to_payload())
+
     def expanded(self) -> tuple["AuditRecord", ...]:
         """The logical records this physical one stands for: itself, or for
         a fan-out one ``NOTIFY`` per recipient (``actor`` = the recipient),
@@ -139,7 +164,7 @@ class AuditLog:
     def append(self, record: AuditRecord) -> str:
         """Append ``record``, return its chain digest: the chain advances once the link is kept."""
         self._close_run()
-        body = canonical_json(record.to_payload())
+        body = record.to_json()
         digest = self._chain.link(self._chain.head, body)
         self._keep(record, body, digest)
         self._chain.commit(digest)
@@ -207,8 +232,7 @@ class AuditLog:
         Raises :class:`~repro.exceptions.TamperedLogError` on any mismatch —
         this is the check a privacy guarantor runs before trusting the log.
         """
-        self._chain.verify(canonical_json(record.to_payload())
-                           for record in self._physical())
+        self._chain.verify(record.to_json() for record in self._physical())
 
     def flush(self) -> None:
         """Barrier: chain the open run; a durable sink then drains its buffer."""

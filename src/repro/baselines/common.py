@@ -21,16 +21,7 @@ class BaselineReport:
 
     exposure: ExposureSummary
     connections: int = 0          # standing point-to-point links / channels
-    messages_sent: int = 0        # documents / calls / messages transferred
     duplicated_sensitive_values: int = 0  # values copied outside the owner
-
-    def to_text(self) -> str:
-        """Printable run summary."""
-        return "\n".join([
-            f"connections: {self.connections}  messages: {self.messages_sent}  "
-            f"duplicated sensitive values: {self.duplicated_sensitive_values}",
-            self.exposure.to_row(),
-        ])
 
 
 def interested_consumers(

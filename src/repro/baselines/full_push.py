@@ -78,5 +78,4 @@ class FullPushBaseline:
         return BaselineReport(
             exposure=ledger.summary(),
             connections=self.bus.subscription_count,
-            messages_sent=len(self._received),
         )

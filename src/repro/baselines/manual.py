@@ -38,7 +38,6 @@ class ManualExchangeBaseline:
     def run(self, workload: list[WorkloadItem]) -> BaselineReport:
         """Exchange every event as full paper documents."""
         ledger = DisclosureLedger(self.system_name)
-        messages = 0
         channels: set[tuple[str, str]] = set()
         for item in workload:
             template = self._templates[item.template_name]
@@ -49,10 +48,8 @@ class ManualExchangeBaseline:
                 # nobody logs.
                 full_disclosure(ledger, template, item, consumer_id, role, traced=False)
                 ledger.add_bytes(document_bytes(item.details))
-                messages += 1
                 channels.add((template.name, consumer_id))
         return BaselineReport(
             exposure=ledger.summary(),
             connections=len(channels),
-            messages_sent=messages,
         )

@@ -65,7 +65,6 @@ class PointToPointSoaBaseline:
     def run(self, workload: list[WorkloadItem]) -> BaselineReport:
         """Push every event through the dedicated connectors."""
         ledger = DisclosureLedger(self.system_name)
-        messages = 0
         for item in workload:
             template = self._templates[item.template_name]
             producer_id = self._producer_assignment[item.template_name]
@@ -76,9 +75,7 @@ class PointToPointSoaBaseline:
                 )
                 full_disclosure(ledger, template, item, consumer_id, role, traced=False)
                 ledger.add_bytes(document_bytes(item.details))
-                messages += 1
         return BaselineReport(
             exposure=ledger.summary(),
             connections=self.connector_count,
-            messages_sent=messages,
         )

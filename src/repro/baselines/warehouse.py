@@ -45,7 +45,6 @@ class WarehouseBaseline:
         """
         ledger = DisclosureLedger(self.system_name)
         duplicated_sensitive = 0
-        messages = 0
         read_quota = int(round(query_rate * len(workload)))
         for index, item in enumerate(workload):
             template = self._templates[item.template_name]
@@ -54,7 +53,6 @@ class WarehouseBaseline:
             # ETL load: the full record leaves the owner.
             self.store.append((item.template_name, dict(item.details)))
             ledger.add_bytes(document_bytes(item.details))
-            messages += 1
             duplicated_sensitive += sum(
                 1
                 for name in schema.sensitive_fields
@@ -66,10 +64,8 @@ class WarehouseBaseline:
             for consumer_id, role in interested_consumers(template, self._consumers):
                 full_disclosure(ledger, template, item, consumer_id, role, traced=True)
                 ledger.add_bytes(document_bytes(item.details))
-                messages += 1
         return BaselineReport(
             exposure=ledger.summary(),
             connections=len({t for t, _ in self.store}),  # one ETL feed per class
-            messages_sent=messages,
             duplicated_sensitive_values=duplicated_sensitive,
         )

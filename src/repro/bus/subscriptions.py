@@ -82,10 +82,6 @@ class TopicTrie:
 
     def __init__(self) -> None:
         self._root = _TrieNode()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     # -- maintenance -------------------------------------------------------
 
@@ -116,20 +112,17 @@ class TopicTrie:
         assert node is not None
         terminal = node.hash_terminals if last == "#" else node.terminals
         terminal.append((order, value))
-        self._size += 1
 
-    def remove(self, pattern: str, value: object) -> bool:
-        """Remove one ``(pattern, value)`` entry; returns whether found."""
+    def remove(self, pattern: str, value: object) -> None:
+        """Remove one ``(pattern, value)`` entry, if held."""
         node, last = self._walk_to(pattern, create=False)
         if node is None:
-            return False
+            return
         terminal = node.hash_terminals if last == "#" else node.terminals
         for index, (_, held) in enumerate(terminal):
             if held is value:
                 del terminal[index]
-                self._size -= 1
-                return True
-        return False
+                return
 
     # -- matching ----------------------------------------------------------
 

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from repro.core.messages import NotificationMessage
+from repro.crypto.hashing import canonical_json
 from repro.exceptions import (
     CorruptRecordError,
     DuplicateObjectError,
@@ -44,9 +46,7 @@ class IndexStats:
     """Instrumentation for the encryption ablation (A2)."""
 
     stored: int = 0
-    inquiries: int = 0
     seal_operations: int = 0
-    open_operations: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,24 @@ def sealed_fields(notification: NotificationMessage,
         "subject_ref": sealed.subject_ref,
         "subject_display": sealed.subject_display,
     }
+
+
+def row_json(row: dict) -> str:
+    """``canonical_json(row)``, an entry row rendered by shape, keys sorted; a tombstone,
+    or a value not a ``str``, ``None`` or finite ``float``, goes through the generic encoder."""
+    at = row.get("occurred_at")
+    if row.keys() == ROW_KEYS and type(at) is float and at - at == 0.0:
+        display = row["subject_display"]
+        try:
+            return (f'{{"event_id":{_quote(row["event_id"])},'
+                    f'"event_type":{_quote(row["event_type"])},"occurred_at":{at!r},'
+                    f'"producer_id":{_quote(row["producer_id"])},'
+                    f'"subject_display":{"null" if display is None else _quote(display)},'
+                    f'"subject_ref":{_quote(row["subject_ref"])},'
+                    f'"summary":{_quote(row["summary"])}}}')
+        except TypeError:
+            pass
+    return canonical_json(row)
 
 
 def microseconds(instant: float) -> float:
@@ -223,7 +241,6 @@ class EventsIndex:
     def _open(self, token: str) -> str:
         if not self.encrypt_identity:
             return token
-        self.stats.open_operations += 1
         return self._keystore.open_(INDEX_KEY, token)
 
     def open_identity(self, token: str) -> str:
@@ -296,7 +313,6 @@ class EventsIndex:
         controller's job; the index filters each authorized class and
         decrypts the identity slots of the results.
         """
-        self.stats.inquiries += 1
         results = [
             self.open_entry(row)
             for row in self.raw_inquire(event_types, since, until, producer_id)

@@ -39,8 +39,6 @@ class FederatedIndexStats:
 
     local_stores: int = 0
     remote_stores: int = 0
-    remote_inquiries: int = 0
-    rehomed: int = 0
 
 
 class FederatedIndexStore:
@@ -223,7 +221,6 @@ class FederatedIndexStore:
     ) -> list[NotificationMessage]:
         """Cluster-wide inquiry: local shard + sealed fan-out, opened here."""
         self._read_barrier()
-        self.local.stats.inquiries += 1
         results = {
             entry["event_id"]: self.local.open_entry(entry)
             for entry in self.local_raw_inquire(
@@ -233,7 +230,6 @@ class FederatedIndexStore:
         payload = {"event_types": list(event_types), "since": since,
                    "until": until, "producer_id": producer_id}
         for answer in self._ask_peers("index.inquire", payload):
-            self.stats.remote_inquiries += 1
             for entry in answer["entries"]:
                 results.setdefault(entry["event_id"], self.local.open_entry(entry))
         return sorted(results.values(), key=lambda n: (n.occurred_at, n.event_id))
@@ -267,5 +263,4 @@ class FederatedIndexStore:
             self._self_node().ask(owner, "index.rehome", {"entry": row}, seal=True)
             self.local.withdraw(row["event_id"])  # durable shards add a tombstone
             moved += 1
-            self.stats.rehomed += 1
         return moved

@@ -69,11 +69,6 @@ class StaticMembership:
         """The ring's member node ids, sorted."""
         return self.ring.nodes
 
-    @property
-    def shards(self) -> int:
-        """Number of nodes on the ring."""
-        return len(self.ring)
-
     def owner_of_subject(self, subject_ref: str) -> str:
         """The node owning a subject's index partition (keyed digest routing)."""
         return self.ring.owner_of(subject_shard_key(self._secret, subject_ref))

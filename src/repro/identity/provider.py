@@ -34,11 +34,6 @@ class LocalIdentityProvider:
     def __init__(self, authority: CredentialAuthority) -> None:
         self._authority = authority
 
-    @property
-    def authority(self) -> CredentialAuthority:
-        """The backing credential authority."""
-        return self._authority
-
     def authenticate(self, actor_id: str, credential: RoleCredential | None,
                      asserted_role: str = "") -> AuthContext:
         """Authenticate ``actor_id`` and validate its role assertion.

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from repro.audit.log import AuditLog, AuditRecord
-from repro.core.index import EventsIndex
+from repro.core.index import EventsIndex, row_json
 from repro.crypto.hashing import HashChain
 from repro.exceptions import CorruptRecordError, TamperedLogError
 from repro.runtime.batching import BatchWriter
@@ -99,7 +99,7 @@ class JsonlIndexStore(EventsIndex):
         self.replay(log.iter_records())
 
     def _persist(self, row: dict) -> None:
-        self._store.append(row)
+        self._store.append(row_json(row))
 
     def flush(self) -> None:
         """Group-commit barrier: make every buffered row durable (queries read memory)."""

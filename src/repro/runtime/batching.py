@@ -2,11 +2,11 @@
 
 A :class:`BatchWriter` sits between a durable backend
 (:mod:`repro.runtime.backends`) and its
-:class:`~repro.storage.segment.SegmentedLog` and buffers appends — an audit
-link's rendered text, an index row's dict, which the log renders as it
-commits — until ``batch_size`` records are pending (or :meth:`flush` is
-called), then commits them through the log's ``append_many``: one write
-per batch instead of one per record.
+:class:`~repro.storage.segment.SegmentedLog`.  An append frames its
+record under the sequence it will be committed at (the log's high-water
+plus the records pending plus one) and buffers the bytes; once
+``batch_size`` are pending (or :meth:`flush` is called) the frames go to
+the log's ``append_many``: one write per segment, nothing rendered there.
 
 The backends keep their in-memory state (events index, audit chain)
 current on every append; only the *durable* write-through lags.  Reading
@@ -19,8 +19,8 @@ A commit the log could not write loses nothing accepted: the append whose
 boundary flush raised is taken back (it did not happen, so its caller
 changes nothing), the rest stays pending in arrival order for the next
 flush, and no later record lands past a hole in the log
-(``SegmentedLog.write_entries`` undoes what it wrote: a retry writes each
-record once).
+(``SegmentedLog.write_entries`` undoes what it wrote: the frames pending
+still follow the high-water, and a retry writes each record once).
 
 ``BatchPolicy`` is what the controller builds for the ``batch`` switch:
 ``off`` is ``None`` (no wrapping anywhere), ``on`` a policy carrying
@@ -51,7 +51,6 @@ class BatchWriterStats:
     """Group-commit counters (benchmarks and the flush-barrier tests)."""
 
     flushes: int = 0
-    flushed_records: int = 0
 
 
 class BatchWriter:
@@ -70,29 +69,29 @@ class BatchWriter:
         self._log = log
         #: Records buffered before an automatic group commit.
         self.batch_size = batch_size
-        self._buffer: list[str | dict] = []
+        self._frames: list[bytes] = []
         self.stats = BatchWriterStats()
 
     @property
     def pending(self) -> int:
         """Records buffered but not yet durable."""
-        return len(self._buffer)
+        return len(self._frames)
 
     def append(self, record: str | dict) -> int:
-        """Buffer one record; auto-flush at the batch boundary.
+        """Frame one record and buffer it; auto-flush at the batch boundary.
 
+        The frame carries the sequence the record will be committed under.
         Returns the projected count after this record (mirroring the
-        per-record append contract); the durable sequence is assigned at
-        flush time, in the same order.  A boundary flush that raises takes
+        per-record append contract).  A boundary flush that raises takes
         this record back out (its append did not happen), the rest pending.
         """
-        self._buffer.append(record)
+        self._frames.append(self._log.frame(self._log.sequence + len(self._frames) + 1, record))
         projected = len(self)
-        if len(self._buffer) >= self.batch_size:
+        if len(self._frames) >= self.batch_size:
             try:
                 self.flush()
             except BaseException:
-                self._buffer.pop()
+                self._frames.pop()
                 raise
         return projected
 
@@ -100,24 +99,22 @@ class BatchWriter:
         """Buffer several records at once (still one flush per batch)."""
         if not records:
             return None
-        first = len(self._log) + len(self._buffer) + 1
+        first = len(self) + 1
         for record in records:
             self.append(record)
         return first, first + len(records) - 1
 
     def flush(self) -> None:
-        """Commit every buffered record in one ``append_many`` write.
+        """Commit every buffered frame through the log's ``append_many``.
 
         The buffer is released only once the write returned: if the log
         raises, every record is still pending for the next flush.
         """
-        if not self._buffer:
+        if not self._frames:
             return
-        batch = self._buffer
-        self._log.append_many(batch)
-        self._buffer = []
+        self._log.append_many(self._frames)
+        self._frames = []
         self.stats.flushes += 1
-        self.stats.flushed_records += len(batch)
 
     def iter_records(self) -> Iterator[dict]:
         """Stream the durable log — a read, so the flush barrier runs."""
@@ -130,4 +127,4 @@ class BatchWriter:
         return self._log.iter_texts()
 
     def __len__(self) -> int:
-        return len(self._log) + len(self._buffer)
+        return len(self._log) + len(self._frames)

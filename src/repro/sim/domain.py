@@ -36,7 +36,6 @@ class OrganizationSpec:
     kind: ActorKind
     role: str
     category: str          # which event category it produces/consumes
-    needed_fields_hint: str = ""
 
 
 # Functional roles used across the simulation (paper §5.1, Fig. 8).

@@ -19,9 +19,10 @@ refuses): its chain commits to every record.  See docs/STORAGE.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
-from repro.storage.segment import STAGING_DIR, SegmentedLog, decode_entry
+from repro.storage.segment import STAGING_DIR, SegmentedLog, decode_entry, encode_frame
 
 #: A keep predicate: ``(sequence, record) -> bool``.
 KeepPredicate = Callable[[int, dict], bool]
@@ -77,8 +78,10 @@ def compact(log: SegmentedLog, keep: KeepPredicate | None = None) -> CompactionR
 
     staging = SegmentedLog(log.directory / STAGING_DIR,
                            segment_bytes=log.segment_bytes)
-    staging.write_entries((sequence, entry) for sequence, entry in log.iter_texts()
-                          if keep(sequence, decode_entry(entry)))  # copied as stored
+    kept = ((sequence, encode_frame(sequence, entry)) for sequence, entry in log.iter_texts()
+            if keep(sequence, decode_entry(entry)))  # copied as stored
+    while chunk := list(islice(kept, 1024)):  # streamed: one chunk held at a time
+        staging.write_entries(*zip(*chunk))
     log.swap_segments(before.sequence)
     return CompactionReport(
         records_before=before.records,

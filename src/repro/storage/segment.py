@@ -5,21 +5,22 @@ after the first sequence number it holds.  Every record is one line::
 
     <crc32:08x> <sequence> <entry>\n
 
-The entry is text rendered once (a dict by :func:`encode_entry` as it is
-appended): canonical JSON, an audit link's chain digest stored beside it
-as ``<digest> <body>``.  So :func:`encode_frame` renders nothing, and
-opening a log parses no JSON: it checks every CRC and reads sequence
-numbers.  The CRC covers ``"<sequence> <entry>"`` and the trailing newline
-is the commit point: a damaged final frame of the final segment is a torn
-tail, cut away on open; damage anywhere else raises
+The entry is text rendered once, canonical JSON (an audit link's chain
+digest stored beside it as ``<digest> <body>``), and framed once, by
+:func:`encode_frame` as it is appended: a group commit hands
+:meth:`SegmentedLog.append_many` frames.  Opening a log parses no JSON:
+it checks every CRC and reads sequence numbers.  The CRC covers
+``"<sequence> <entry>"`` and the trailing newline is the commit point: a
+damaged final frame of the final segment is a torn tail, cut away on
+open; damage anywhere else raises
 :class:`~repro.exceptions.CorruptRecordError`.
 
 :meth:`SegmentedLog._walk` is the only loop over a segment file's lines and
 :meth:`SegmentedLog.write_entries` the only code that opens one for append
-— all or nothing; a ``meta.json`` sidecar pins the high-water sequence across
-compaction, and a compacted generation is committed by one rename
-(:meth:`SegmentedLog.swap_segments`).  Nothing here calls ``fsync``.
-The whole contract is docs/STORAGE.md.
+— one write per segment a commit touches, all or nothing; a ``meta.json``
+sidecar pins the high-water sequence across compaction, and a compacted
+generation is committed by one rename (:meth:`SegmentedLog.swap_segments`).
+Nothing here calls ``fsync``.  The whole contract is docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import json
 import os
 import shutil
 import zlib
-from contextlib import suppress
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from repro.crypto.hashing import canonical_json
 from repro.exceptions import CorruptRecordError, RecoveryError, StorageError
@@ -64,8 +66,10 @@ def decode_entry(text: str) -> dict:
     return {**json.loads(body), "digest": digest}
 
 
-def encode_frame(sequence: int, entry: str) -> bytes:
-    """The on-disk frame of one committed entry (already rendered text)."""
+def encode_frame(sequence: int, entry: str | dict) -> bytes:
+    """The on-disk frame of one entry: its text, or a dict :func:`encode_entry` renders."""
+    if not isinstance(entry, str):
+        entry = encode_entry(entry)
     body = f"{sequence} {entry}".encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(body), body)
 
@@ -107,6 +111,9 @@ class ReplayReport:
 
 class SegmentedLog:
     """A size-segmented, checksum-framed, crash-recoverable append log."""
+
+    #: A record's frame: a writer that frames at append hands these to :meth:`append_many`.
+    frame = staticmethod(encode_frame)
 
     def __init__(
         self,
@@ -188,7 +195,8 @@ class SegmentedLog:
         self._active: Path | None = paths[-1] if paths else None
         head, end = None, 0
         for head, _, end, sequence, _ in self._walk(paths):
-            self._note_record(sequence)
+            self._records += 1
+            self._sequence = max(self._sequence, sequence)
         self._active_size = end if head is self._active else 0
         truncated = self._active.stat().st_size - self._active_size if paths else 0
         if truncated:  # the interrupted final write: cut it off and go on
@@ -197,10 +205,6 @@ class SegmentedLog:
             records=self._records, segments=len(paths),
             truncated_bytes=truncated, sequence=self._sequence,
         )
-
-    def _note_record(self, sequence: int) -> None:
-        self._records += 1
-        self._sequence = max(self._sequence, sequence)
 
     def _write_meta(self, sequence: int, **swap: list[str]) -> None:
         write_atomic(self.directory / META_FILE,
@@ -224,63 +228,65 @@ class SegmentedLog:
     def append(self, record: str | dict) -> int:
         """Commit one record (its entry text, or a dict); returns its sequence number."""
         sequence = self._sequence + 1
-        self.write_entries([(sequence, _text(record))])
+        self.write_entries((sequence,), (encode_frame(sequence, record),))
         return sequence
 
-    def append_many(self, records: list[str | dict]) -> tuple[int, int] | None:
-        """Commit several records in one write; returns the sequence range.
+    def append_many(self, records: list[str | dict] | list[bytes]) -> tuple[int, int] | None:
+        """Commit several records at once; returns the sequence range.
 
-        The group-commit primitive: every frame is written through one
-        file handle (rolling to fresh segments mid-batch exactly as
-        per-record appends would), so the on-disk layout is identical to
-        ``len(records)`` single appends.  Returns ``(first, last)`` — the
-        sequence numbers assigned to the first and last record, mirroring
-        :meth:`append` — or ``None`` for an empty batch.
+        The group-commit primitive: one write per segment touched, rolling
+        mid-batch exactly as per-record appends would, so the layout is
+        identical to ``len(records)`` single appends.  ``records`` are
+        entries, or frames built (:func:`encode_frame`) for the sequences
+        after the high-water; a batch whose first frame does not follow it
+        is refused (:class:`~repro.exceptions.StorageError`), unwritten.
+        Returns ``(first, last)``, or ``None`` for an empty batch.
         """
         if not records:
             return None
         first = self._sequence + 1
-        self.write_entries(enumerate(map(_text, records), first))
+        if not isinstance(records[0], bytes):
+            records = [encode_frame(sequence, record)
+                       for sequence, record in enumerate(records, first)]
+        elif (found := int(records[0][9:records[0].index(b" ", 9)])) != first:
+            raise StorageError(f"{self.directory}: a batch framed from sequence "
+                               f"{found} cannot follow high-water {first - 1}")
+        self.write_entries(range(first, first + len(records)), records)
         return first, first + len(records) - 1
 
     def flush(self) -> None:
         """Every append already wrote through; nothing is buffered."""
 
-    def write_entries(self, entries: Iterable[tuple[int, str]]) -> None:
-        """Commit ``(sequence, entry)`` pairs, all of them or none.
+    def write_entries(self, sequences: Sequence[int], frames: Sequence[bytes]) -> None:
+        """Commit ``frames`` under their ascending ``sequences``, all or none.
 
-        The one writer: the only code that opens a segment for append,
-        frames an entry and decides roll-over.  If anything raises — the
-        open at a roll-over, a write, the close that flushes the buffer —
-        the segments this call created are unlinked, the active segment is
-        cut back to the size it had and the counters are restored before
-        the error is re-raised, so a caller that retries writes each
-        record once and no frame ever lands behind half of another.
+        The one writer: the only code that decides roll-over, frame by
+        frame, and opens a segment for append — once per segment, with one
+        write.  If anything raises — an open, a write, the close — the
+        segments this call created are unlinked, the active segment is cut
+        back to the size it had and the counters are restored before the
+        error is re-raised, so a caller that retries writes each record
+        once and no frame ever lands behind half of another.
         """
         before = (self._active, self._active_size, self._sequence,
                   self._records)
-        handle = None
         try:
-            for sequence, entry in entries:
-                frame = encode_frame(sequence, entry)
-                if self._active is None \
-                        or self._active_size >= self.segment_bytes:
-                    if handle is not None:
-                        handle.close()
-                        handle = None
-                    self._active = self.directory / segment_name(sequence)
+            ends = list(accumulate(map(len, frames), initial=0))  # bytes before each frame
+            start = 0
+            while start < len(frames):
+                if self._active is None or self._active_size >= self.segment_bytes:
+                    self._active = self.directory / segment_name(sequences[start])
                     self._active_size = 0
-                if handle is None:
-                    handle = self._active.open("ab")
-                handle.write(frame)
-                self._active_size += len(frame)
-                self._note_record(sequence)
-            if handle is not None:
-                handle.close()
+                # The segment takes frames up to and with the one that fills it.
+                stop = min(len(frames), bisect_left(
+                    ends, ends[start] + self.segment_bytes - self._active_size, start + 1))
+                with self._active.open("ab") as handle:
+                    handle.write(b"".join(frames[start:stop]))
+                self._active_size += ends[stop] - ends[start]
+                start = stop
+            self._records += len(frames)
+            self._sequence = max((self._sequence, *sequences[-1:]))
         except BaseException:
-            if handle is not None:
-                with suppress(OSError):
-                    handle.close()
             (self._active, self._active_size, self._sequence,
              self._records) = before
             for path in self._segment_paths():
@@ -370,6 +376,3 @@ class SegmentedLog:
         self._write_meta(sequence, swap=sorted(path.name for path in staged))
         self.reload()
 
-
-def _text(record: str | dict) -> str:
-    return record if isinstance(record, str) else encode_entry(record)

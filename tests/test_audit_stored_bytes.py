@@ -8,8 +8,17 @@ records.  Held to account here:
 * tampering with the stored trail *after* it was loaded — a body byte or a
   digest byte, re-framed under a valid checksum or not — fails
   ``verify_integrity``, which re-walks the stored bytes;
-* one JSON render per durable append (``batch`` off and on), none and
-  no ``AuditRecord`` per replayed link, no JSON parse while a log opens;
+* one render and one frame per durable append (``batch`` off and on),
+  none in a group commit, none and no ``AuditRecord`` per replayed link,
+  no JSON parse while a log opens;
+* an audit link (:meth:`AuditRecord.to_json`) and an events-index row
+  (:func:`repro.core.index.row_json`) are rendered by their shape, byte
+  for byte as ``canonical_json`` of the same payload: drawn over escapes
+  (non-ASCII, non-BMP, control characters, ``"`` and ``\\``), float
+  spellings (``-0.0``, ``1e-07``, ``1e+22``, integral floats), ``None`` in
+  every optional slot, empty and repeated recipients, and the values that
+  fall back to the generic encoder (an ``int`` or non-finite timestamp, a
+  non-string in a string slot);
 * the durable sink reads exactly like the in-memory reference
   (``records``, ``logical``, ``record_at``, ``len``, ``head_digest``) over
   drawn appends and fan-out runs, across a reopen, with ``batch`` off and
@@ -25,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.log import AuditAction, AuditLog, AuditOutcome, AuditRecord
+from repro.core.index import ROW_KEYS, row_json
 from repro.core.messages import NotificationMessage
 from repro.crypto import hashing
 from repro.crypto.hashing import canonical_json
@@ -32,6 +42,7 @@ from repro.exceptions import TamperedLogError
 from repro.ids import IdFactory
 from repro.runtime.backends import JsonlAuditSink
 from repro.runtime.batching import BatchWriter
+from repro.storage import segment
 from repro.storage.segment import SegmentedLog, decode_frame, encode_frame
 
 optional_text = st.none() | st.text(max_size=10)
@@ -146,35 +157,34 @@ class TestTamperAfterLoad:
 # -- what a record costs ----------------------------------------------------------
 
 class Counted:
-    """Counts JSON renders (the shared canonical encoder's ``encode``, which
-    ``canonical_json`` calls, and ``json.dumps``), ``json.loads`` calls and
-    ``AuditRecord`` construction while active."""
+    """Counts renders (:meth:`AuditRecord.to_json`), generic JSON encodes
+    (the shared canonical encoder's ``encode``, which ``canonical_json``
+    calls, and ``json.dumps``), frames built (``encode_frame``, as the log
+    calls it and as ``SegmentedLog.frame`` for the group-commit writer),
+    ``json.loads`` calls and ``AuditRecord`` construction while active."""
 
     def __init__(self, monkeypatch):
-        self.renders = self.loads = self.records = 0
-        encode, dumps = hashing._CANONICAL.encode, json.dumps
-        loads, init = json.loads, AuditRecord.__init__
+        self.renders = self.encodes = self.frames = self.loads = self.records = 0
+        render, encode, dumps = AuditRecord.to_json, hashing._CANONICAL.encode, json.dumps
+        loads, init, frame = json.loads, AuditRecord.__init__, segment.encode_frame
 
-        def counted_encode(payload):
-            self.renders += 1
-            return encode(payload)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                setattr(self, name, getattr(self, name) + 1)
+                return real(*args, **kwargs)
+            return call
 
-        def counted_dumps(*args, **kwargs):
-            self.renders += 1
-            return dumps(*args, **kwargs)
+        monkeypatch.setattr(AuditRecord, "to_json", counted("renders", render))
+        monkeypatch.setattr(hashing._CANONICAL, "encode", counted("encodes", encode))
+        monkeypatch.setattr(json, "dumps", counted("encodes", dumps))
+        monkeypatch.setattr(json, "loads", counted("loads", loads))
+        monkeypatch.setattr(AuditRecord, "__init__", counted("records", init))
+        monkeypatch.setattr(segment, "encode_frame", counted("frames", frame))
+        monkeypatch.setattr(SegmentedLog, "frame", staticmethod(counted("frames", frame)))
 
-        def counted_loads(*args, **kwargs):
-            self.loads += 1
-            return loads(*args, **kwargs)
-
-        def counted_init(record, *args, **kwargs):
-            self.records += 1
-            init(record, *args, **kwargs)
-
-        monkeypatch.setattr(hashing._CANONICAL, "encode", counted_encode)
-        monkeypatch.setattr(json, "dumps", counted_dumps)
-        monkeypatch.setattr(json, "loads", counted_loads)
-        monkeypatch.setattr(AuditRecord, "__init__", counted_init)
+    def work(self) -> tuple[int, int, int]:
+        """``(renders, generic encodes, frames)`` so far."""
+        return self.renders, self.encodes, self.frames
 
 
 class TestRenderCounts:
@@ -190,22 +200,24 @@ class TestRenderCounts:
             sink.append(record)
         for recipient in ("Dr-0", "Dr-1", "Dr-2"):  # one fan-out link
             sink.delivered(recipient, notification(1), 11.0, ids)
-        sink.flush()
-        assert len(sink) == 11
-        assert counts.renders == 11
+        assert len(sink) == 11  # chains the fan-out link
+        assert counts.work() == (11, 0, 11)  # rendered and framed at append
+        sink.flush()  # a commit writes bytes built at append
+        assert counts.work() == (11, 0, 11)
         assert counts.loads == 0
         assert sink._records == []  # digests, not records
+        assert len(SegmentedLog(tmp_path / "audit")) == 11
 
     @pytest.mark.parametrize("batch_size", [None, 4], ids=["batch-off", "batch-on"])
     def test_replay_renders_and_builds_nothing(self, tmp_path, monkeypatch, batch_size):
         live = filled(tmp_path / "audit", batch_size)
         counts = Counted(monkeypatch)
         log = SegmentedLog(tmp_path / "audit")
-        assert (counts.renders, counts.loads, counts.records) == (0, 0, 0)
+        assert (counts.work(), counts.loads, counts.records) == ((0, 0, 0), 0, 0)
         replayed = JsonlAuditSink(log if batch_size is None else BatchWriter(log, batch_size))
         replayed.verify_integrity()
         assert (len(replayed), replayed.head_digest) == (len(live), live.head_digest)
-        assert (counts.renders, counts.loads, counts.records) == (0, 0, 0)
+        assert (counts.work(), counts.loads, counts.records) == ((0, 0, 0), 0, 0)
 
     def test_the_in_memory_reference_renders_once_per_append_too(self, monkeypatch):
         log, ids = AuditLog(), IdFactory(seed="count")
@@ -213,7 +225,56 @@ class TestRenderCounts:
         for n in range(5):
             log.append(AuditRecord(ids.next("aud"), float(n), "Hospital",
                                    AuditAction.PUBLISH, AuditOutcome.PERMIT))
-        assert counts.renders == 5
+        assert counts.work() == (5, 0, 0)
+
+
+# -- a record is rendered by its shape ----------------------------------------------
+
+awkward_text = st.text(st.sampled_from('"\\\x00\x1f\x7fé \U0001f600') | st.characters(),
+                       max_size=8)
+float_spellings = st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 3.0, 1e16, 5e-324, 1.5, float("nan"),
+                                   float("inf"), -float("inf")]) | st.floats()
+any_optional = st.none() | awkward_text | st.integers(0, 9)
+shaped_records = st.builds(
+    AuditRecord,
+    record_id=awkward_text, actor=awkward_text,
+    timestamp=float_spellings | st.integers(-3, 10**20) | st.booleans(),
+    action=st.sampled_from(AuditAction), outcome=st.sampled_from(AuditOutcome),
+    event_id=any_optional, event_type=any_optional, subject_ref=any_optional,
+    purpose=any_optional, detail=awkward_text | st.none(),
+    recipients=st.lists(st.sampled_from(["Dr-0", "Dr-Ü"]) | awkward_text, max_size=4).map(tuple),
+)
+index_rows = st.fixed_dictionaries(
+    {key: float_spellings | st.integers(0, 9) if key == "occurred_at" else awkward_text
+     for key in sorted(ROW_KEYS)},
+) | st.builds(lambda row, display: {**row, "subject_display": display},
+              st.fixed_dictionaries({key: awkward_text for key in ROW_KEYS}), any_optional)
+tombstone_rows = st.fixed_dictionaries({"tombstone": st.just(True), "object_id": awkward_text})
+
+
+class TestRenderByShape:
+    @given(record=shaped_records)
+    @settings(max_examples=400, deadline=None)
+    def test_an_audit_record_renders_as_canonical_json(self, record):
+        assert record.to_json() == canonical_json(record.to_payload())
+
+    @given(row=index_rows | tombstone_rows | st.builds(lambda row: {**row, "extra": 1}, index_rows))
+    @settings(max_examples=300, deadline=None)
+    def test_an_index_row_renders_as_canonical_json(self, row):
+        assert row_json(row) == canonical_json(row)
+
+    def test_the_fixed_spellings(self):
+        record = AuditRecord("aud-1", -0.0, "Dr-Ü", AuditAction.NOTIFY,
+                             AuditOutcome.PERMIT, purpose=None, detail='"\\\n',
+                             recipients=("a", "a"))
+        assert record.to_json() == (
+            '{"action":"notify","actor":"Dr-\\u00dc","detail":"\\"\\\\\\n",'
+            '"event_id":null,"event_type":null,"outcome":"permit","purpose":null,'
+            '"recipients":["a","a"],"record_id":"aud-1","subject_ref":null,'
+            '"timestamp":-0.0}')
+        for at in (1e-7, 1e22, float("inf"), 7):
+            shifted = AuditRecord("aud-1", at, "a", AuditAction.PUBLISH, AuditOutcome.DENY)
+            assert shifted.to_json() == canonical_json(shifted.to_payload())
 
 
 # -- the durable sink reads like the reference -------------------------------------

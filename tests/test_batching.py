@@ -22,9 +22,11 @@ from repro.exceptions import (
     ConfigurationError,
     DuplicateObjectError,
     LinkFailureError,
+    StorageError,
 )
 from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.storage import SegmentedLog
+from repro.storage.segment import encode_frame
 from tests.conftest import blood_test_schema, build_federation
 
 
@@ -40,7 +42,6 @@ class TestBatchWriter:
         assert writer.pending == 0
         assert len(log) == 3
         assert writer.stats.flushes == 1
-        assert writer.stats.flushed_records == 3
 
     def test_len_counts_durable_plus_pending(self, tmp_path):
         writer = BatchWriter(SegmentedLog(tmp_path / "log"),
@@ -143,6 +144,55 @@ class TestAppendMany:
         # The repaired log keeps accepting group commits.
         assert reloaded.append_many([{"n": 5}, {"n": 6}]) is not None
         assert len(reloaded) == 7
+
+
+def segment_bytes(directory) -> list[tuple[str, bytes]]:
+    return [(path.name, path.read_bytes()) for path in sorted(directory.glob("*.seg"))]
+
+
+class TestOneWritePerSegment:
+    """A group commit writes frames built at append, one write per segment."""
+
+    def test_a_commit_across_roll_overs_matches_single_appends(self, tmp_path, monkeypatch):
+        records = [{"n": i, "pad": "x" * 40} for i in range(12)]
+        one = SegmentedLog(tmp_path / "one", segment_bytes=256)
+        for record in records:
+            one.append(record)
+        log = SegmentedLog(tmp_path / "many", segment_bytes=256)
+        for record in records[:3]:  # the commit starts in a part-filled segment
+            log.append(record)
+        writer = BatchWriter(log, batch_size=9)
+        for record in records[3:-1]:
+            writer.append(record)
+        real_open, opened = Path.open, []
+
+        def open_(path, mode="r", *args, **kwargs):
+            if mode == "ab":
+                opened.append(path.name)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        writer.append(records[-1])  # the boundary: one group commit
+        monkeypatch.undo()
+        assert writer.stats.flushes == 1 and len(log) == 12
+        assert segment_bytes(tmp_path / "many") == segment_bytes(tmp_path / "one")
+        names = [name for name, _ in segment_bytes(tmp_path / "one")]
+        assert len(opened) > 2 and opened == names[-len(opened):]  # each once, in order
+
+    def test_frames_that_do_not_follow_the_high_water_write_nothing(self, tmp_path):
+        log = SegmentedLog(tmp_path / "log")
+        writer = BatchWriter(log, batch_size=10)
+        writer.append({"n": 1})  # framed as sequence 1
+        log.append({"n": 0})  # ... which a write past the writer took
+        before = segment_bytes(tmp_path / "log")
+        with pytest.raises(StorageError, match="cannot follow high-water 1"):
+            writer.flush()
+        assert segment_bytes(tmp_path / "log") == before
+        assert (len(log), log.sequence, writer.pending) == (1, 1, 1)
+        fresh = SegmentedLog(tmp_path / "fresh")
+        with pytest.raises(StorageError):
+            fresh.append_many([encode_frame(2, "{}"), encode_frame(3, "{}")])
+        assert (segment_bytes(tmp_path / "fresh"), fresh.sequence) == ([], 0)
 
 
 def build_world(tmp_path, store, batch, batch_size=256):

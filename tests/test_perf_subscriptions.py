@@ -56,10 +56,10 @@ class TestTopicTrieSemantics:
         first, second = object(), object()
         trie.add("a.b", 0, first)
         trie.add("a.b", 1, second)
-        assert trie.remove("a.b", first)
+        trie.remove("a.b", first)
         assert trie.match("a.b") == [second]
-        assert not trie.remove("a.b", first)
-        assert len(trie) == 1
+        trie.remove("a.b", first)  # already gone: nothing else moves
+        assert trie.match("a.b") == [second]
 
 
 class TestIndexedRegistryAgreesWithLinear:
