@@ -22,7 +22,7 @@ from repro.crypto.keystore import KeyStore
 from repro.exceptions import TamperedLogError
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.storage.engine import StorageEngine
-from repro.storage.segment import encode_entry, encode_frame
+from repro.storage.segment import encode_frame
 from repro.xmlmsg.schema import ElementDecl, MessageSchema
 from repro.xmlmsg.types import DecimalType, StringType
 
@@ -92,9 +92,8 @@ def main() -> None:
     # segment log accepts the frame, the hash chain does not.
     segment = store.log("audit").segments()[0].path
     frames = segment.read_bytes().splitlines(keepends=True)
-    doctored = next(store.log("audit").iter_records())
-    doctored["actor"] = "someone-else"
-    frames[0] = encode_frame(1, encode_entry(doctored))
+    sequence, link = next(store.log("audit").iter_texts())  # "<digest> <body>"
+    frames[0] = encode_frame(sequence, link.replace('"actor":"', '"actor":"someone-else', 1))
     segment.write_bytes(b"".join(frames))
     try:
         JsonlAuditSink(StorageEngine(data_dir).log("audit"))

@@ -68,7 +68,6 @@ from repro.exceptions import (
 from repro.ids import IdFactory
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import InMemoryTelemetry
-from repro.runtime.batching import BatchPolicy, BatchWriter
 from repro.runtime import interceptors
 from repro.runtime.interceptors import DETAILS_EDGE, PUBLISH, EdgeStats, HotPath, PublishStats
 from repro.runtime.kernel import RuntimeConfig
@@ -157,13 +156,13 @@ class DataController:
         ) if runtime.recorder == "ring" else None
         # The per-tenant backlog bound at fan-out (no switch: always on).
         self.sched = BacklogBound(secret=master_secret)
-        self.batch = BatchPolicy(
-            batch_size=runtime.batch_size) if runtime.batch == "on" else None
+        #: Records per group commit and per coalesced shard frame (``batch: on``).
+        self.batch_size = runtime.batch_size if runtime.batch == "on" else None
         # The hit/miss counters of the fan-out memo and the relay-frame cache.
         self.perf = PerfLayer()
         # Store, index and audit log follow from facts, not names.  A data
         # directory means the storage engine under it and the durable pair
-        # over its logs (group-committed when batching is on), none no
+        # over its logs (each group-committing ``batch_size`` records), none no
         # store and the reference pair; a membership means this node holds
         # one shard of a federated index.
         if self.runtime.data_dir is None:
@@ -175,17 +174,17 @@ class DataController:
             from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
             from repro.storage.engine import StorageEngine
 
-            self.store = StorageEngine(self.runtime.data_dir,
-                                       telemetry=self.telemetry)
-            index = JsonlIndexStore(self._durable_log("index"), self.keystore,
+            self.store = StorageEngine(self.runtime.data_dir, telemetry=self.telemetry,
+                                       batch_size=self.batch_size or 1)
+            index = JsonlIndexStore(self.store.log("index"), self.keystore,
                                     encrypt_identity=encrypt_identity)
-            self.audit_log = JsonlAuditSink(self._durable_log("audit"))
+            self.audit_log = JsonlAuditSink(self.store.log("audit"))
         if membership is not None:
             from repro.federation.index import FederatedIndexStore
 
             index = FederatedIndexStore(
                 local=index, membership=membership,
-                node_id=node_id, batch=self.batch)
+                node_id=node_id, batch_size=self.batch_size)
         self.index = index
         if self.telemetry is not None:
             self.telemetry.attach_recorder(self.recorder)
@@ -268,22 +267,14 @@ class DataController:
         ):
             metrics.reader(kind, name, read)
 
-    def _durable_log(self, name: str):
-        """The named record log of this node's storage engine, behind a
-        group-commit writer when batching is on."""
-        log = self.store.log(name)
-        if self.batch is None:
-            return log
-        return BatchWriter(log, batch_size=self.batch.batch_size)
-
     def flush_storage(self) -> None:
         """Group-commit barrier over every durable backend of this node.
 
-        With batching off (the default) this is a no-op.  With batching
-        on it drains the index store's buffered rows (and, federated, its
-        coalesced shard frames) and the audit sink's buffered chain rows,
-        so the on-disk logs are complete before a snapshot, an external
-        verification, or a restart replays them.
+        It chains the audit log's open fan-out run and commits the index
+        and audit logs' pending records (and, federated, ships the index's
+        coalesced shard frames), so the on-disk logs are complete before a
+        snapshot, an external verification, or a restart replays them.
+        With batching off only the open run is left to write.
         """
         self.index.flush()
         self.audit_log.flush()

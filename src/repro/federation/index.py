@@ -45,18 +45,18 @@ class FederatedIndexStore:
     """One node's view of the cluster-wide events index."""
 
     def __init__(self, local: EventsIndex, membership: "StaticMembership",
-                 node_id: str, batch=None) -> None:
+                 node_id: str, batch_size: int | None = None) -> None:
         self.local = local
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        #: Batch policy (``batch: on``): remote stores
+        #: Entries per coalesced frame (``batch: on``): remote stores
         #: coalesce into per-owner frames instead of one link call per
         #: entry.  ``None`` (``batch: off``) ships every entry alone.
-        self._batch = batch
+        self._batch_size = batch_size
         #: Per-owner buffers of entries awaiting a coalesced frame.
         self._pending: dict[str, list[dict]] = {}
-        if self._batch is not None:
+        if batch_size is not None:
             membership.register_flusher(self.flush_pending)
 
     @property
@@ -102,7 +102,7 @@ class FederatedIndexStore:
         # The identity slots are already index-key tokens, but the summary
         # text may name the subject — the whole entry crosses sealed under
         # this node's channel key.
-        if self._batch is not None:
+        if self._batch_size is not None:
             return self._enqueue_remote(owner, entry)
         response = self._self_node().ask(
             owner, "index.store", {"entry": entry}, seal=True)
@@ -124,7 +124,7 @@ class FederatedIndexStore:
         self.stats.remote_stores += 1
         buffer = self._pending.setdefault(owner, [])
         buffer.append(entry)
-        if len(buffer) >= self._batch.batch_size:
+        if len(buffer) >= self._batch_size:
             self._flush_owner(owner)
         return {"ok": True, "node": owner, "queued": True}
 
@@ -161,7 +161,7 @@ class FederatedIndexStore:
         to touch, so the barrier flushes every shipper in the membership,
         not just this node's.
         """
-        if self._batch is not None:
+        if self._batch_size is not None:
             self.membership.flush_shippers()
 
     def accept_remote(self, entry: dict) -> None:

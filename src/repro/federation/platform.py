@@ -413,9 +413,10 @@ class FederatedPlatform:
         """Platform-wide group-commit barrier.
 
         Ships every pending coalesced shard frame (cluster-wide) and then
-        drains every node's buffered durable writes.  A no-op with the
-        batch kind off; call it before snapshotting data directories,
-        verifying on-disk trails, or handing the platform to a guarantor.
+        drains every node's buffered durable writes (with the batch kind
+        off, only open fan-out runs are left to chain).  Call it before
+        snapshotting data directories, verifying on-disk trails, or
+        handing the platform to a guarantor.
         """
         self.membership.flush_shippers()
         for node in self.nodes():

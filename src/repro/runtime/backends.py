@@ -3,8 +3,8 @@
 The in-memory :class:`~repro.core.index.EventsIndex` and
 :class:`~repro.audit.log.AuditLog` are the references; the pair here
 extends them with write-through to a durable
-:class:`~repro.storage.segment.SegmentedLog` (or the
-:class:`~repro.runtime.batching.BatchWriter` over one) — each record stored once as
+:class:`~repro.storage.segment.SegmentedLog`, which group-commits them
+``batch_size`` at a time — each record stored once as
 canonical JSON, identity slots still sealed, an audit link as the very
 text its digest hashed — and replay on start.  A controller whose
 ``RuntimeConfig`` has a ``data_dir`` builds the pair over the ``index`` /
@@ -23,7 +23,6 @@ from repro.audit.log import AuditLog, AuditRecord
 from repro.core.index import EventsIndex, row_json
 from repro.crypto.hashing import HashChain
 from repro.exceptions import CorruptRecordError, TamperedLogError
-from repro.runtime.batching import BatchWriter
 from repro.storage.segment import SegmentedLog
 
 
@@ -38,7 +37,7 @@ class JsonlAuditSink(AuditLog):
     Reads decode records from the log.
     """
 
-    def __init__(self, log: SegmentedLog | BatchWriter) -> None:
+    def __init__(self, log: SegmentedLog) -> None:
         super().__init__()
         self._store = log
         self._chain = self._rechain()
@@ -77,7 +76,7 @@ class JsonlAuditSink(AuditLog):
                                    f"the chain's head ({len(self._chain)} links)")
 
     def flush(self) -> None:
-        """Group-commit barrier: chain the open run, make every append durable."""
+        """Group-commit barrier: chain the open run, commit every pending link."""
         super().flush()
         self._store.flush()
 
@@ -92,7 +91,7 @@ class JsonlIndexStore(EventsIndex):
     together with the rows they hide.
     """
 
-    def __init__(self, log: SegmentedLog | BatchWriter, keystore,
+    def __init__(self, log: SegmentedLog, keystore,
                  encrypt_identity: bool = True) -> None:
         super().__init__(keystore, encrypt_identity=encrypt_identity)
         self._store = log
@@ -102,5 +101,5 @@ class JsonlIndexStore(EventsIndex):
         self._store.append(row_json(row))
 
     def flush(self) -> None:
-        """Group-commit barrier: make every buffered row durable (queries read memory)."""
+        """Group-commit barrier: commit every pending row (queries read memory)."""
         self._store.flush()

@@ -92,8 +92,8 @@ class RuntimeConfig:
     #: Audit digests and PDP decisions are byte-identical either way —
     #: see docs/PERFORMANCE.md.
     batch: str = "off"
-    #: Records per batch when batching is on (flush boundary of the
-    #: group-commit writers and the shard-frame coalescer).
+    #: Records per batch when batching is on (commit boundary of each
+    #: record log and flush boundary of the shard-frame coalescer).
     batch_size: int = 256
     #: Flight recorder: "noop" (default — none is built) or "ring"
     #: (bounded ring buffers of recent guard-sanitized spans, SLO alerts

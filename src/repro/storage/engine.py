@@ -4,7 +4,8 @@ A node with a ``data_dir`` stores its events index and audit log here:
 :class:`StorageEngine` (also exported as ``SegmentedStore``) hands out
 named record logs — the durable backends ask for
 ``log("index")`` and ``log("audit")`` — each a size-segmented,
-checksum-framed, crash-recoverable :class:`~repro.storage.segment.SegmentedLog`,
+checksum-framed, crash-recoverable :class:`~repro.storage.segment.SegmentedLog`
+that group-commits every ``batch_size`` records (1: write-through),
 with compaction and snapshot/point-in-time-restore support on top.
 A directory holding flat ``<log>.jsonl`` files is refused at
 construction and left as it is, never replaced by empty segmented logs.
@@ -45,6 +46,7 @@ class StorageEngine:
         data_dir: str | Path,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         telemetry=None,
+        batch_size: int = 1,
     ) -> None:
         self.directory = Path(data_dir)
         # Fail closed on the flat-file layout: opening its logs here would
@@ -56,6 +58,8 @@ class StorageEngine:
                 f"{self.directory} holds flat-file logs ({', '.join(flat)}), "
                 f"which the storage engine does not read; use a new data_dir")
         self.segment_bytes = segment_bytes
+        #: Records each log frames before a group commit.
+        self.batch_size = batch_size
         self._logs: dict[str, SegmentedLog] = {}
         #: Log name -> bytes its compactions reclaimed.
         self.reclaimed: dict[str, int] = {}
@@ -72,7 +76,8 @@ class StorageEngine:
         """Open (replaying and crash-repairing) the named log."""
         if name not in self._logs:
             self._logs[name] = SegmentedLog(
-                self.directory / name, segment_bytes=self.segment_bytes)
+                self.directory / name, segment_bytes=self.segment_bytes,
+                batch_size=self.batch_size)
         return self._logs[name]
 
     def log_names(self) -> list[str]:

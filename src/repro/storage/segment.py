@@ -5,10 +5,13 @@ after the first sequence number it holds.  Every record is one line::
 
     <crc32:08x> <sequence> <entry>\n
 
-The entry is text rendered once, canonical JSON (an audit link's chain
-digest stored beside it as ``<digest> <body>``), and framed once, by
-:func:`encode_frame` as it is appended: a group commit hands
-:meth:`SegmentedLog.append_many` frames.  Opening a log parses no JSON:
+The entry is text its appender rendered once, canonical JSON (an audit
+link's chain digest stored beside it as ``<digest> <body>``), and framed
+once, by :func:`encode_frame` as it is appended under the sequence it
+commits at.  A log holds up to ``batch_size`` such frames pending and
+commits them as one group (:meth:`SegmentedLog.flush`, through
+:meth:`SegmentedLog.append_many`); ``batch_size=1`` writes each record
+through as it is appended.  Opening a log parses no JSON:
 it checks every CRC and reads sequence numbers.  The CRC covers
 ``"<sequence> <entry>"`` and the trailing newline is the commit point: a
 damaged final frame of the final segment is a torn tail, cut away on
@@ -36,7 +39,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.crypto.hashing import canonical_json
-from repro.exceptions import CorruptRecordError, RecoveryError, StorageError
+from repro.exceptions import ConfigurationError, CorruptRecordError, RecoveryError, StorageError
 from repro.storage.jsonl import write_atomic
 
 #: Default rollover threshold for one segment file.
@@ -50,26 +53,16 @@ META_FILE = "meta.json"
 STAGING_DIR = ".compacting"
 
 
-def encode_entry(record: dict) -> str:
-    """``record`` as stored: canonical JSON, a ``digest`` key moved beside the body."""
-    if "digest" not in record:
-        return canonical_json(record)
-    body = {key: value for key, value in record.items() if key != "digest"}
-    return f"{record['digest']} {canonical_json(body)}"
-
-
 def decode_entry(text: str) -> dict:
-    """The dictionary :func:`encode_entry` stored."""
+    """The dictionary an entry stores: its JSON, an audit link's digest as ``digest``."""
     if text[:1] == "{":
         return json.loads(text)
     digest, _, body = text.partition(" ")
     return {**json.loads(body), "digest": digest}
 
 
-def encode_frame(sequence: int, entry: str | dict) -> bytes:
-    """The on-disk frame of one entry: its text, or a dict :func:`encode_entry` renders."""
-    if not isinstance(entry, str):
-        entry = encode_entry(entry)
+def encode_frame(sequence: int, entry: str) -> bytes:
+    """The on-disk frame of one entry's text."""
     body = f"{sequence} {entry}".encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(body), body)
 
@@ -110,21 +103,25 @@ class ReplayReport:
 
 
 class SegmentedLog:
-    """A size-segmented, checksum-framed, crash-recoverable append log."""
-
-    #: A record's frame: a writer that frames at append hands these to :meth:`append_many`.
-    frame = staticmethod(encode_frame)
+    """A size-segmented, checksum-framed, crash-recoverable append log
+    that group-commits every ``batch_size`` records."""
 
     def __init__(
         self,
         directory: str | Path,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        batch_size: int = 1,
     ) -> None:
         if segment_bytes < 1:
             raise StorageError("segment_bytes must be >= 1")
+        if batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = segment_bytes
+        #: Records framed before an automatic group commit.
+        self.batch_size = batch_size
+        self._frames: list[bytes] = []  # framed, not yet committed
         self.last_replay = self._replay()
 
     # -- replay / recovery -------------------------------------------------
@@ -211,7 +208,9 @@ class SegmentedLog:
                      canonical_json({"sequence": sequence, **swap}))
 
     def reload(self) -> ReplayReport:
-        """Re-open the log from disk (after compaction or external edits)."""
+        """Commit what is pending, then re-open the log from disk (after
+        compaction or external edits)."""
+        self.flush()
         self.last_replay = self._replay()
         return self.last_replay
 
@@ -222,40 +221,63 @@ class SegmentedLog:
         """The high-water committed sequence number."""
         return self._sequence
 
+    @property
+    def pending(self) -> int:
+        """Records appended but not yet committed."""
+        return len(self._frames)
+
     def __len__(self) -> int:
+        """Committed records (:attr:`pending` not counted)."""
         return self._records
 
-    def append(self, record: str | dict) -> int:
-        """Commit one record (its entry text, or a dict); returns its sequence number."""
-        sequence = self._sequence + 1
-        self.write_entries((sequence,), (encode_frame(sequence, record),))
+    def append(self, text: str) -> int:
+        """Frame one entry under the sequence it commits at; returns that sequence.
+
+        The ``batch_size``-th pending frame commits the batch (:meth:`flush`).
+        A commit that raises takes this record back out — its append did
+        not happen, so its caller changes nothing — and leaves the rest
+        pending, in order, for the next commit.
+        """
+        frames = self._frames
+        sequence = self._sequence + len(frames) + 1
+        frames.append(encode_frame(sequence, text))
+        if len(frames) >= self.batch_size:
+            try:
+                self.flush()
+            except BaseException:
+                frames.pop()
+                raise
         return sequence
 
-    def append_many(self, records: list[str | dict] | list[bytes]) -> tuple[int, int] | None:
-        """Commit several records at once; returns the sequence range.
+    def append_many(self, frames: list[bytes]) -> tuple[int, int] | None:
+        """Commit frames built (:func:`encode_frame`) for the sequences after
+        the high-water; returns the sequence range.
 
         The group-commit primitive: one write per segment touched, rolling
         mid-batch exactly as per-record appends would, so the layout is
-        identical to ``len(records)`` single appends.  ``records`` are
-        entries, or frames built (:func:`encode_frame`) for the sequences
-        after the high-water; a batch whose first frame does not follow it
-        is refused (:class:`~repro.exceptions.StorageError`), unwritten.
-        Returns ``(first, last)``, or ``None`` for an empty batch.
+        identical to ``len(frames)`` single commits.  A batch whose first
+        frame does not follow the high-water is refused
+        (:class:`~repro.exceptions.StorageError`), unwritten.  Returns
+        ``(first, last)``, or ``None`` for an empty batch.
         """
-        if not records:
+        if not frames:
             return None
         first = self._sequence + 1
-        if not isinstance(records[0], bytes):
-            records = [encode_frame(sequence, record)
-                       for sequence, record in enumerate(records, first)]
-        elif (found := int(records[0][9:records[0].index(b" ", 9)])) != first:
+        if (found := int(frames[0][9:frames[0].index(b" ", 9)])) != first:
             raise StorageError(f"{self.directory}: a batch framed from sequence "
                                f"{found} cannot follow high-water {first - 1}")
-        self.write_entries(range(first, first + len(records)), records)
-        return first, first + len(records) - 1
+        self.write_entries(range(first, first + len(frames)), frames)
+        return first, first + len(frames) - 1
 
     def flush(self) -> None:
-        """Every append already wrote through; nothing is buffered."""
+        """Commit every pending frame through :meth:`append_many`.
+
+        The frames are released only once the write returned: if it
+        raises, every record is still pending for the next commit.
+        """
+        if self._frames:
+            self.append_many(self._frames)
+            self._frames = []
 
     def write_entries(self, sequences: Sequence[int], frames: Sequence[bytes]) -> None:
         """Commit ``frames`` under their ascending ``sequences``, all or none.
@@ -299,9 +321,11 @@ class SegmentedLog:
     # -- reading -----------------------------------------------------------
 
     def iter_texts(self) -> Iterator[tuple[int, str]]:
-        """Stream ``(sequence, entry)`` oldest first, unparsed."""
-        for _, _, _, sequence, entry in self._walk(self._segment_paths()):
-            yield sequence, entry
+        """Stream ``(sequence, entry)`` oldest first, unparsed — a read, so
+        what is pending commits first."""
+        self.flush()
+        return ((sequence, entry)
+                for _, _, _, sequence, entry in self._walk(self._segment_paths()))
 
     def iter_records(self) -> Iterator[dict]:
         """Stream records oldest first, each entry parsed."""
@@ -343,6 +367,7 @@ class SegmentedLog:
         """
         if sequence < 0:
             raise RecoveryError(f"cannot recover to sequence {sequence}")
+        self.flush()
         if sequence >= self._sequence:
             return 0  # nothing above the target is committed
         paths = self._segment_paths()
@@ -372,6 +397,7 @@ class SegmentedLog:
         generation; after it, this open or the next (:meth:`_settle`)
         moves the named files in and unlinks the rest.
         """
+        self.flush()
         staged = (self.directory / STAGING_DIR).glob(f"*{SEGMENT_SUFFIX}")
         self._write_meta(sequence, swap=sorted(path.name for path in staged))
         self.reload()

@@ -40,6 +40,7 @@ from repro.exceptions import (
 )
 from repro.federation.node import FederationNode
 from repro.obs.context import WIRE_KEY
+from repro.storage.segment import encode_frame
 from repro.xmlmsg.types import DecimalType, EnumerationType
 from tests.xacml_reference import reference_decision
 
@@ -168,6 +169,22 @@ def index_row(n: int) -> dict:
 def tombstone(n: int) -> dict:
     """What ``EventsIndex.withdraw`` stores when the ``n``-th entry moves away."""
     return {"tombstone": True, "object_id": f"ev-{n}"}
+
+
+def encode_entry(record: dict) -> str:
+    """``record`` as a log stores its text: canonical JSON, a ``digest`` key
+    moved beside the body (an audit link's ``<digest> <body>``)."""
+    if "digest" not in record:
+        return canonical_json(record)
+    body = {key: value for key, value in record.items() if key != "digest"}
+    return f"{record['digest']} {canonical_json(body)}"
+
+
+def framed(records: Iterable[dict], first: int = 1) -> list[bytes]:
+    """``records`` framed for the sequences from ``first`` on, as a group
+    commit (``SegmentedLog.append_many``) takes them."""
+    return [encode_frame(sequence, encode_entry(record))
+            for sequence, record in enumerate(records, first)]
 
 
 def registry_object_row(entry: dict, status: str = "approved") -> dict:

@@ -36,10 +36,10 @@ from repro.ids import IdFactory
 from repro.runtime.backends import JsonlAuditSink
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
-from repro.storage.segment import SegmentedLog, encode_entry, encode_frame
+from repro.storage.segment import SegmentedLog, encode_frame
 from repro.workload import workload_config
 from repro.workload.capacity import run_workload
-from tests.conftest import blood_test_schema
+from tests.conftest import blood_test_schema, encode_entry
 
 
 def per_delivery(log, recipient, notification, timestamp, ids) -> None:

@@ -41,7 +41,6 @@ from repro.crypto.hashing import canonical_json
 from repro.exceptions import TamperedLogError
 from repro.ids import IdFactory
 from repro.runtime.backends import JsonlAuditSink
-from repro.runtime.batching import BatchWriter
 from repro.storage import segment
 from repro.storage.segment import SegmentedLog, decode_frame, encode_frame
 
@@ -67,8 +66,7 @@ def notification(event: int) -> NotificationMessage:
 
 
 def durable(directory, batch_size: int | None = None) -> JsonlAuditSink:
-    log = SegmentedLog(directory)
-    return JsonlAuditSink(log if batch_size is None else BatchWriter(log, batch_size))
+    return JsonlAuditSink(SegmentedLog(directory, batch_size=batch_size or 1))
 
 
 def filled(directory, batch_size: int | None = None) -> JsonlAuditSink:
@@ -160,7 +158,7 @@ class Counted:
     """Counts renders (:meth:`AuditRecord.to_json`), generic JSON encodes
     (the shared canonical encoder's ``encode``, which ``canonical_json``
     calls, and ``json.dumps``), frames built (``encode_frame``, as the log
-    calls it and as ``SegmentedLog.frame`` for the group-commit writer),
+    calls it at append),
     ``json.loads`` calls and ``AuditRecord`` construction while active."""
 
     def __init__(self, monkeypatch):
@@ -180,7 +178,6 @@ class Counted:
         monkeypatch.setattr(json, "loads", counted("loads", loads))
         monkeypatch.setattr(AuditRecord, "__init__", counted("records", init))
         monkeypatch.setattr(segment, "encode_frame", counted("frames", frame))
-        monkeypatch.setattr(SegmentedLog, "frame", staticmethod(counted("frames", frame)))
 
     def work(self) -> tuple[int, int, int]:
         """``(renders, generic encodes, frames)`` so far."""
@@ -212,9 +209,9 @@ class TestRenderCounts:
     def test_replay_renders_and_builds_nothing(self, tmp_path, monkeypatch, batch_size):
         live = filled(tmp_path / "audit", batch_size)
         counts = Counted(monkeypatch)
-        log = SegmentedLog(tmp_path / "audit")
+        log = SegmentedLog(tmp_path / "audit", batch_size=batch_size or 1)
         assert (counts.work(), counts.loads, counts.records) == ((0, 0, 0), 0, 0)
-        replayed = JsonlAuditSink(log if batch_size is None else BatchWriter(log, batch_size))
+        replayed = JsonlAuditSink(log)
         replayed.verify_integrity()
         assert (len(replayed), replayed.head_digest) == (len(live), live.head_digest)
         assert (counts.work(), counts.loads, counts.records) == ((0, 0, 0), 0, 0)

@@ -1,8 +1,8 @@
-"""Group-commit batching: the writer, the logs, the barriers, the knob.
+"""Group-commit batching: the log's commits, the barriers, the knob.
 
 The ``batch`` kernel kind buffers durable appends into group commits
-(``SegmentedLog.append_many``).  These tests pin the mechanics: the
-:class:`~repro.runtime.batching.BatchWriter` buffering/flush contract,
+(``SegmentedLog.append_many``).  These tests pin the mechanics: a
+``SegmentedLog(..., batch_size=n)``'s pending/commit contract,
 ``append_many``'s sequence-range and segment-roll behaviour (including
 torn-tail repair after a group commit), byte-level durable equivalence
 between batched and unbatched runs, and the flush barriers that keep
@@ -24,74 +24,80 @@ from repro.exceptions import (
     LinkFailureError,
     StorageError,
 )
-from repro.runtime.batching import BatchPolicy, BatchWriter
-from repro.storage import SegmentedLog
+from repro.storage import SegmentedLog, StorageEngine
 from repro.storage.segment import encode_frame
-from tests.conftest import blood_test_schema, build_federation
+from tests.conftest import (
+    blood_test_schema,
+    build_federation,
+    encode_entry,
+    framed,
+    index_row,
+    tombstone,
+)
 
 
 class TestBatchWriter:
+    """A log group-commits every ``batch_size`` records it is handed."""
+
     def test_buffers_until_the_batch_boundary(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
-        writer = BatchWriter(log, batch_size=3)
-        writer.append({"n": 1})
-        writer.append({"n": 2})
-        assert writer.pending == 2
+        log = SegmentedLog(tmp_path / "log", batch_size=3)
+        log.append(encode_entry({"n": 1}))
+        log.append(encode_entry({"n": 2}))
+        assert log.pending == 2
         assert len(log) == 0  # nothing durable yet
-        writer.append({"n": 3})  # boundary: auto group commit
-        assert writer.pending == 0
+        log.append(encode_entry({"n": 3}))  # boundary: auto group commit
+        assert log.pending == 0
         assert len(log) == 3
-        assert writer.stats.flushes == 1
 
     def test_len_counts_durable_plus_pending(self, tmp_path):
-        writer = BatchWriter(SegmentedLog(tmp_path / "log"),
-                             batch_size=10)
-        assert writer.append({"n": 1}) == 1
-        assert writer.append({"n": 2}) == 2
-        assert len(writer) == 2
+        log = SegmentedLog(tmp_path / "log", batch_size=10)
+        assert log.append(encode_entry({"n": 1})) == 1
+        assert log.append(encode_entry({"n": 2})) == 2
+        assert len(log) + log.pending == 2
 
     def test_iter_records_is_a_flush_barrier(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
-        writer = BatchWriter(log, batch_size=10)
-        writer.append({"n": 1})
-        writer.append({"n": 2})
-        assert [r["n"] for r in writer.iter_records()] == [1, 2]
-        assert writer.pending == 0
+        log = SegmentedLog(tmp_path / "log", batch_size=10)
+        log.append(encode_entry({"n": 1}))
+        log.append(encode_entry({"n": 2}))
+        assert [r["n"] for r in log.iter_records()] == [1, 2]
+        assert log.pending == 0
         assert len(log) == 2
 
-    def test_append_many_returns_the_projected_range(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
-        writer = BatchWriter(log, batch_size=2)
-        writer.append({"n": 1})
-        assert writer.append_many([{"n": 2}, {"n": 3}, {"n": 4}]) == (2, 4)
-        assert writer.append_many([]) is None
-        writer.flush()
-        assert [r["n"] for r in log.iter_records()] == [1, 2, 3, 4]
-
     def test_a_failed_commit_keeps_the_batch_pending_in_order(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
+        log = SegmentedLog(tmp_path / "log", batch_size=2)
         fail_next_commit(log)
-        writer = BatchWriter(log, batch_size=2)
-        writer.append({"n": 1})
+        log.append(encode_entry({"n": 1}))
         with pytest.raises(OSError):
-            writer.append({"n": 2})  # boundary: the group commit fails
+            log.append(encode_entry({"n": 2}))  # boundary: the group commit fails
         # The failed append did not happen; what was acknowledged stays pending.
-        assert (writer.pending, len(log), writer.stats.flushes) == (1, 0, 0)
-        writer.append({"n": 3})  # the next boundary commits the batch
-        assert writer.pending == 0
+        assert (log.pending, len(log), log.sequence) == (1, 0, 0)
+        assert log.append(encode_entry({"n": 3})) == 2  # the next boundary commits the batch
+        assert log.pending == 0
         assert [r["n"] for r in log.iter_records()] == [1, 3]
 
     def test_flush_on_empty_buffer_is_a_noop(self, tmp_path):
-        writer = BatchWriter(SegmentedLog(tmp_path / "log"),
-                             batch_size=2)
-        writer.flush()
-        assert writer.stats.flushes == 0
+        log = SegmentedLog(tmp_path / "log", batch_size=2)
+        log.flush()
+        assert (log.pending, len(log), segment_bytes(tmp_path / "log")) == (0, 0, [])
 
     def test_batch_size_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            BatchWriter(SegmentedLog(tmp_path / "log"), batch_size=0)
+            SegmentedLog(tmp_path / "log", batch_size=0)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(batch_size=0)
+            StorageEngine(tmp_path / "data", batch_size=0).log("index")
+
+    def test_append_returns_the_sequence_its_record_commits_under(self, tmp_path):
+        """After a compaction the log holds fewer records than its
+        high-water: an append answers the sequence on disk, not a count."""
+        engine = StorageEngine(tmp_path, batch_size=2)
+        log = engine.log("index")
+        for row in (index_row(1), index_row(2), tombstone(2)):
+            log.append(encode_entry(row))
+        engine.compact("index")
+        assert (len(log), log.pending, log.sequence) == (1, 0, 3)
+        returned = [log.append(encode_entry(index_row(n))) for n in (4, 5, 6)]
+        on_disk = [sequence for sequence, _ in log.iter_texts()]
+        assert returned == on_disk[-3:] == [4, 5, 6]
 
 
 def fail_next_commit(log):
@@ -112,9 +118,9 @@ class TestAppendMany:
         records = [{"n": i, "pad": "x" * 40} for i in range(12)]
         one = SegmentedLog(tmp_path / "one", segment_bytes=256)
         for record in records:
-            one.append(record)
+            one.append(encode_entry(record))
         many = SegmentedLog(tmp_path / "many", segment_bytes=256)
-        assert many.append_many(records) == (1, 12)
+        assert many.append_many(framed(records)) == (1, 12)
         # Identical layout: same segment file names, same bytes in each.
         one_segments = sorted(p.name for p in (tmp_path / "one").glob("*.seg"))
         many_segments = sorted(p.name for p in (tmp_path / "many").glob("*.seg"))
@@ -125,7 +131,7 @@ class TestAppendMany:
 
     def test_segment_roll_happens_mid_batch(self, tmp_path):
         log = SegmentedLog(tmp_path / "rolled", segment_bytes=256)
-        log.append_many([{"n": i, "pad": "x" * 40} for i in range(12)])
+        log.append_many(framed([{"n": i, "pad": "x" * 40} for i in range(12)]))
         segments = list((tmp_path / "rolled").glob("*.seg"))
         assert len(segments) > 1  # one group commit still rolled over
         reloaded = SegmentedLog(tmp_path / "rolled", segment_bytes=256)
@@ -133,7 +139,7 @@ class TestAppendMany:
 
     def test_torn_tail_after_a_group_commit_is_repaired(self, tmp_path):
         log = SegmentedLog(tmp_path / "torn", segment_bytes=4096)
-        log.append_many([{"n": i} for i in range(6)])
+        log.append_many(framed([{"n": i} for i in range(6)]))
         tail = max((tmp_path / "torn").glob("*.seg"))
         raw = tail.read_bytes()
         tail.write_bytes(raw[:-5])  # crash mid-write of the final frame
@@ -142,7 +148,7 @@ class TestAppendMany:
         assert reloaded.last_replay.truncated_bytes > 0
         assert [r["n"] for r in reloaded.iter_records()] == list(range(5))
         # The repaired log keeps accepting group commits.
-        assert reloaded.append_many([{"n": 5}, {"n": 6}]) is not None
+        assert reloaded.append_many(framed([{"n": 5}, {"n": 6}], 6)) is not None
         assert len(reloaded) == 7
 
 
@@ -157,13 +163,13 @@ class TestOneWritePerSegment:
         records = [{"n": i, "pad": "x" * 40} for i in range(12)]
         one = SegmentedLog(tmp_path / "one", segment_bytes=256)
         for record in records:
-            one.append(record)
+            one.append(encode_entry(record))
         log = SegmentedLog(tmp_path / "many", segment_bytes=256)
         for record in records[:3]:  # the commit starts in a part-filled segment
-            log.append(record)
-        writer = BatchWriter(log, batch_size=9)
+            log.append(encode_entry(record))
+        log = SegmentedLog(tmp_path / "many", segment_bytes=256, batch_size=9)
         for record in records[3:-1]:
-            writer.append(record)
+            log.append(encode_entry(record))
         real_open, opened = Path.open, []
 
         def open_(path, mode="r", *args, **kwargs):
@@ -172,23 +178,14 @@ class TestOneWritePerSegment:
             return real_open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(Path, "open", open_)
-        writer.append(records[-1])  # the boundary: one group commit
+        log.append(encode_entry(records[-1]))  # the boundary: one group commit
         monkeypatch.undo()
-        assert writer.stats.flushes == 1 and len(log) == 12
+        assert log.pending == 0 and len(log) == 12
         assert segment_bytes(tmp_path / "many") == segment_bytes(tmp_path / "one")
         names = [name for name, _ in segment_bytes(tmp_path / "one")]
         assert len(opened) > 2 and opened == names[-len(opened):]  # each once, in order
 
     def test_frames_that_do_not_follow_the_high_water_write_nothing(self, tmp_path):
-        log = SegmentedLog(tmp_path / "log")
-        writer = BatchWriter(log, batch_size=10)
-        writer.append({"n": 1})  # framed as sequence 1
-        log.append({"n": 0})  # ... which a write past the writer took
-        before = segment_bytes(tmp_path / "log")
-        with pytest.raises(StorageError, match="cannot follow high-water 1"):
-            writer.flush()
-        assert segment_bytes(tmp_path / "log") == before
-        assert (len(log), log.sequence, writer.pending) == (1, 1, 1)
         fresh = SegmentedLog(tmp_path / "fresh")
         with pytest.raises(StorageError):
             fresh.append_many([encode_frame(2, "{}"), encode_frame(3, "{}")])
@@ -293,10 +290,11 @@ class TestGroupCommitDurability:
         wrote them twice and the next start refused the chain as tampered."""
         from repro.runtime.backends import JsonlAuditSink
 
-        def audit_log():
-            return SegmentedLog(tmp_path / "audit", segment_bytes=700)
+        def audit_log(batch_size=1):
+            return SegmentedLog(tmp_path / "audit", segment_bytes=700,
+                                batch_size=batch_size)
 
-        sink = JsonlAuditSink(BatchWriter(audit_log(), batch_size=8))
+        sink = JsonlAuditSink(audit_log(batch_size=8))
         real_open, opened = Path.open, []
 
         def open_(path, mode="r", *args, **kwargs):
@@ -417,10 +415,9 @@ class TestBatchKernelKnob:
     def test_on_produces_a_policy_off_produces_none(self):
         on = DataController(
             seed="k", runtime=RuntimeConfig(batch="on", batch_size=8))
-        assert isinstance(on.batch, BatchPolicy)
-        assert on.batch.batch_size == 8
+        assert on.batch_size == 8
         off = DataController(seed="k", runtime=RuntimeConfig())
-        assert off.batch is None
+        assert off.batch_size is None
 
     def test_unknown_batch_name_suggests_the_nearest(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -31,6 +31,8 @@ from tests.conftest import (
     HOME_NODE_FAILURES,
     blood_test_schema,
     build_federation,
+    encode_entry,
+    framed,
     index_row,
     tombstone,
 )
@@ -297,10 +299,11 @@ class TestDiskFaultsAtEveryWriteBoundary:
     its mutating filesystem calls in turn."""
 
     SCRIPT = (
-        [lambda log, n=n: log.append(index_record(n)) for n in range(6)]
-        + [lambda log: log.append_many([index_record(n) for n in range(6, 14)]),
+        [lambda log, n=n: log.append(encode_entry(index_record(n))) for n in range(6)]
+        + [lambda log: log.append_many(framed((index_record(n) for n in range(6, 14)),
+                                                   log.sequence + 1)),
            compact]
-        + [lambda log, n=n: log.append(index_record(n)) for n in range(14, 17)]
+        + [lambda log, n=n: log.append(encode_entry(index_record(n))) for n in range(14, 17)]
     )
 
     @staticmethod
@@ -344,7 +347,7 @@ class TestDiskFaultsAtEveryWriteBoundary:
                 assert sequences == sorted(set(sequences))
                 assert [e for e in survivors(acknowledged) if e not in found] == []
                 probe = index_row(99)
-                assert cold.append(probe) > max(
+                assert cold.append(encode_entry(probe)) > max(
                     [high_water, cold.last_replay.sequence, *sequences])
                 # ... and whatever the crash left staged is no obstacle.
                 compact(cold)

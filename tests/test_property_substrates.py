@@ -34,7 +34,7 @@ from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
 from repro.sched import BacklogBound
 from repro.storage.compaction import compact
 from repro.storage.segment import SegmentedLog, encode_frame
-from tests.conftest import registry_object_row
+from tests.conftest import encode_entry, framed, registry_object_row
 
 TOPICS = ("events.health.BloodTest", "events.health.Discharge",
           "events.social.HomeCare", "events.social.Alarm")
@@ -413,7 +413,7 @@ class TestRowCodecs:
         assert AuditRecord.from_payload(row) == record
 
     def test_pre_merge_audit_row_replays(self, tmp_path):
-        SegmentedLog(tmp_path / "audit").append(OLD_AUDIT_ROW)
+        SegmentedLog(tmp_path / "audit").append(encode_entry(OLD_AUDIT_ROW))
         sink = JsonlAuditSink(SegmentedLog(tmp_path / "audit"))
         sink.verify_integrity()
         assert sink.head_digest == OLD_AUDIT_ROW["digest"]
@@ -436,7 +436,7 @@ class TestRowCodecs:
             JsonlAuditSink(SegmentedLog(directory))
 
     def test_pre_merge_index_row_is_refused(self, tmp_path):
-        SegmentedLog(tmp_path / "index").append(OLD_INDEX_ROW)
+        SegmentedLog(tmp_path / "index").append(encode_entry(OLD_INDEX_ROW))
         keystore = KeyStore("css-platform-secret")
         with pytest.raises(CorruptRecordError, match="'evt-000001-650d'"):
             JsonlIndexStore(SegmentedLog(tmp_path / "index"), keystore)
@@ -456,13 +456,13 @@ class TestRowCodecs:
                 subject_display="Mario" if number % 2 else ""))
         rows = fresh.entries()
         log = SegmentedLog(tmp_path / "mixed")
-        log.append_many(rows[:3])
-        log.append({"tombstone": True, "object_id": "evt-2"})
-        log.append(rows[3])
-        log.append({"tombstone": True, "object_id": "evt-1"})
-        log.append(rows[4])
-        log.append({"tombstone": True, "object_id": "evt-4"})
-        log.append(rows[5])
+        log.append_many(framed(rows[:3]))
+        log.append(encode_entry({"tombstone": True, "object_id": "evt-2"}))
+        log.append(encode_entry(rows[3]))
+        log.append(encode_entry({"tombstone": True, "object_id": "evt-1"}))
+        log.append(encode_entry(rows[4]))
+        log.append(encode_entry({"tombstone": True, "object_id": "evt-4"}))
+        log.append(encode_entry(rows[5]))
         for event_id in ("evt-1", "evt-2", "evt-4"):
             fresh.withdraw(event_id)
 
@@ -479,6 +479,6 @@ class TestRowCodecs:
             "evt-0", "evt-3", "evt-5"]
         compacted = JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)
         assert opened(compacted)[1:] == opened(fresh)[1:]
-        log.append(registry_object_row(rows[1]))
+        log.append(encode_entry(registry_object_row(rows[1])))
         with pytest.raises(CorruptRecordError, match=r"index row 3 \('evt-1'\)"):
             JsonlIndexStore(SegmentedLog(tmp_path / "mixed"), keystore)

@@ -34,12 +34,11 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import InMemoryTelemetry
 from repro.runtime.backends import JsonlAuditSink, JsonlIndexStore
-from repro.runtime.batching import BatchPolicy
 from repro.runtime.kernel import SWITCHES
 from repro.sched import BacklogBound
 from repro.storage import SegmentedLog, StorageEngine
-from repro.storage.segment import encode_entry, encode_frame
-from tests.conftest import blood_test_schema, build_federation
+from repro.storage.segment import encode_frame
+from tests.conftest import blood_test_schema, build_federation, encode_entry
 from tests.faults import DiskFaults
 
 
@@ -61,9 +60,10 @@ def publish(hospital, blood, subject="p1"):
                  "Glucose": 90.0, "HivResult": "negative"})
 
 
-#: The switches that build a controller collaborator, each exposed under
-#: its own field's name (``telemetry_guard`` configures the telemetry).
-COLLABORATORS = ("telemetry", "recorder", "batch")
+#: The switches that build a controller collaborator -> the field name it is
+#: exposed under (``telemetry_guard`` configures the telemetry; ``batch: on``
+#: exposes the ``batch_size`` its logs and shard frames commit at).
+COLLABORATORS = {"telemetry": "telemetry", "recorder": "recorder", "batch": "batch_size"}
 
 
 class TestKernelRegistry:
@@ -147,7 +147,7 @@ class TestControllerWiring:
         for field_name, names in SWITCHES.items():
             assert getattr(defaults, field_name) in names, field_name
         controller = DataController(seed="rows")
-        assert all(hasattr(controller, switch) for switch in COLLABORATORS)
+        assert all(hasattr(controller, name) for name in COLLABORATORS.values())
 
     def test_a_later_factory_reads_an_earlier_service_under_its_kind(self):
         controller = DataController(seed="rows", runtime=RuntimeConfig(
@@ -179,11 +179,7 @@ class TestControllerWiring:
                 if observed:
                     assert controller.recorder.guard is controller.telemetry.guard
             assert isinstance(controller.sched, BacklogBound)
-            if batch == "on":
-                assert isinstance(controller.batch, BatchPolicy)
-                assert controller.batch.batch_size == 5
-            else:
-                assert controller.batch is None
+            assert controller.batch_size == (5 if batch == "on" else None)
 
 
 #: The names that stand for "off": each builds nothing.
@@ -334,7 +330,7 @@ class TestOneWiringRule:
                 except ConfigurationError:
                     continue  # refused in the platform's own words: fine
                 # An off name builds nothing; every other name an object.
-                assert (getattr(controller, kind) is None) == (
+                assert (getattr(controller, COLLABORATORS[kind]) is None) == (
                     (kind, name) in OFF_NAMES), (kind, name)
 
     @pytest.mark.parametrize("batch", ["off", "on"])
@@ -348,8 +344,7 @@ class TestOneWiringRule:
     def test_the_platform_reads_each_nodes_one_batch_policy(self):
         platform = FederatedPlatform(
             shards=2, runtime=RuntimeConfig(batch="on", batch_size=7))
-        assert {node.controller.batch.batch_size
-                for node in platform.nodes()} == {7}
+        assert {node.controller.batch_size for node in platform.nodes()} == {7}
         assert not {"_batching", "_batch_size"} & set(vars(platform))
 
     def test_a_node_is_observed_by_the_telemetry_it_is_handed(self):
@@ -475,7 +470,7 @@ class TestOneObserverRule:
     @pytest.mark.parametrize("kind, name", sorted(OFF_NAMES))
     def test_an_off_name_builds_nothing(self, kind, name):
         controller = DataController(runtime=RuntimeConfig(**{kind: name}))
-        assert getattr(controller, kind) is None
+        assert getattr(controller, COLLABORATORS[kind]) is None
 
     @pytest.mark.parametrize("arm", ARMS)
     def test_a_runtime_that_names_a_backend_records_on_every_node(self, arm):

@@ -28,14 +28,14 @@ from repro.storage import (
     StorageEngine,
     compact,
 )
-from repro.storage.segment import decode_entry, decode_frame, encode_entry, encode_frame
-from tests.conftest import index_row, tombstone
+from repro.storage.segment import decode_entry, decode_frame, encode_frame
+from tests.conftest import encode_entry, framed, index_row, tombstone
 
 
 def small_log(directory, n=40, segment_bytes=512):
     log = SegmentedLog(directory, segment_bytes=segment_bytes)
     for i in range(n):
-        log.append({"n": i})
+        log.append(encode_entry({"n": i}))
     return log
 
 
@@ -44,9 +44,9 @@ def index_log(directory, rows, withdrawn=(), segment_bytes=512):
     ``withdrawn`` (the entries a rehome moved away)."""
     log = SegmentedLog(directory, segment_bytes=segment_bytes)
     for n in range(rows):
-        log.append(index_row(n))
+        log.append(encode_entry(index_row(n)))
     for n in withdrawn:
-        log.append(tombstone(n))
+        log.append(encode_entry(tombstone(n)))
     return log
 
 
@@ -100,7 +100,7 @@ class TestSegmentedLog:
         assert len(reopened) == 40
         assert reopened.last_replay.truncated_bytes > 0
         # The repaired log accepts new appends at the next sequence.
-        assert reopened.append({"after": "repair"}) == 41
+        assert reopened.append(encode_entry({"after": "repair"})) == 41
 
     def test_mid_log_damage_is_corruption_not_torn_tail(self, tmp_path):
         small_log(tmp_path / "log")
@@ -148,7 +148,7 @@ class TestSegmentedLog:
         def replay_peak(rows):
             directory = tmp_path / f"index-{rows}"
             SegmentedLog(directory).append_many(
-                [index_row(n) for n in range(rows)])
+                framed(index_row(n) for n in range(rows)))
             tracemalloc.start()
             try:
                 log = SegmentedLog(directory)
@@ -211,9 +211,9 @@ class TestReadersAgree:
             for batch in batches:
                 records = [{"n": n} for n in batch]
                 if len(records) == 1:
-                    log.append(records[0])
+                    log.append(encode_entry(records[0]))
                 else:
-                    log.append_many(records)
+                    log.append_many(framed(records, log.sequence + 1))
                 entries += enumerate(records, len(entries) + 1)
             high_water = len(entries)
             if compacted_away is not None:
@@ -255,13 +255,13 @@ class TestCompaction:
         log = index_log(tmp_path / "log", 20, withdrawn=range(20))
         compact(log)
         assert len(log) == 0
-        assert log.append(index_row(20)) == 41
+        assert log.append(encode_entry(index_row(20))) == 41
 
     def test_rows_without_object_id_always_survive(self, tmp_path):
         """Only a tombstone and the row it names go: a row no tombstone
         names stays, whatever it holds."""
         log = index_log(tmp_path / "log", 2, withdrawn=[0])
-        log.append({"marker": "not an index row"})
+        log.append(encode_entry({"marker": "not an index row"}))
         report = compact(log)
         assert report.records_after == 2
         assert list(log.iter_records()) == [
@@ -269,7 +269,7 @@ class TestCompaction:
 
     def test_audit_log_is_immutable(self, tmp_path):
         engine = StorageEngine(tmp_path)
-        engine.log("audit").append({"record_id": "aud-1"})
+        engine.log("audit").append(encode_entry({"record_id": "aud-1"}))
         with pytest.raises(StorageError, match="immutable"):
             engine.compact("audit")
 
@@ -279,7 +279,7 @@ class TestSnapshots:
         engine = StorageEngine(tmp_path / "data", segment_bytes=512)
         log = engine.log("index")
         for i in range(30):
-            log.append(index_row(i))
+            log.append(encode_entry(index_row(i)))
         return engine
 
     def test_create_verify_list(self, tmp_path):
@@ -305,7 +305,7 @@ class TestSnapshots:
     def test_appends_after_snapshot_are_not_corruption(self, tmp_path):
         engine = self.make_engine(tmp_path)
         info = engine.snapshot(tmp_path / "snaps")
-        engine.log("index").append(index_row(30))
+        engine.log("index").append(encode_entry(index_row(30)))
         manager = SnapshotManager(tmp_path / "snaps")
         assert manager.verify_against(info.snapshot_id, tmp_path / "data") == []
 
@@ -456,7 +456,7 @@ class TestStoreKind:
             self, tmp_path):
         store = SegmentedStore(tmp_path)
         first, second = store.log("index"), store.log("index")
-        assert [handle.append({"n": n}) for n, handle in
+        assert [handle.append(encode_entry({"n": n})) for n, handle in
                 enumerate((first, second, first, second))] == [1, 2, 3, 4]
         assert len(first) == len(second) == 4
         assert [row["n"] for row in
@@ -511,8 +511,8 @@ class TestStorageTelemetry:
         telemetry = self.reject_telemetry()
         engine = StorageEngine(tmp_path, telemetry=telemetry)
         log = engine.log("index")
-        log.append({**index_row(1), "event_id": "ev-secret-1"})
-        log.append({"tombstone": True, "object_id": "ev-secret-1"})
+        log.append(encode_entry({**index_row(1), "event_id": "ev-secret-1"}))
+        log.append(encode_entry({"tombstone": True, "object_id": "ev-secret-1"}))
         engine.compact("index")
         for line in telemetry.metrics_export():
             entry = json.loads(line)
@@ -586,7 +586,7 @@ class TestStoreCli:
         data = self.seeded_data(tmp_path)
         code, output = self.run_cli("store", "compact", "--data", str(data))
         assert code == 0 and "reclaimed" in output
-        StorageEngine(data).log("audit").append({"record_id": "aud-1"})
+        StorageEngine(data).log("audit").append(encode_entry({"record_id": "aud-1"}))
         with pytest.raises(SystemExit, match="immutable"):
             self.run_cli("store", "compact", "--data", str(data),
                          "--log", "audit")
