@@ -360,6 +360,7 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
     if args.action == "stats":
         engine = StorageEngine(_store_data_dir(args))
         figures = engine.stats()
+        engine.close()
         if not figures:
             print(f"no segmented logs under {engine.directory}", file=out)
             return 0
@@ -377,6 +378,8 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
             report = engine.compact(args.log)
         except StorageError as exc:
             raise SystemExit(f"repro store compact: {exc}") from exc
+        finally:
+            engine.close()
         print(f"compacted {args.log!r}: {report.records_before} -> "
               f"{report.records_after} records, reclaimed "
               f"{report.bytes_reclaimed} bytes "
@@ -388,6 +391,7 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
     if args.action == "snapshot":
         engine = StorageEngine(_store_data_dir(args))
         info = engine.snapshot(manager.root, label=args.snapshot_id)
+        engine.close()
         sequences = ", ".join(f"{name}={seq}"
                               for name, seq in info.sequences.items())
         print(f"snapshot {info.snapshot_id}: {info.files} files, "

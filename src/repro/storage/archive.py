@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from repro.audit.log import AuditRecord
@@ -175,22 +176,13 @@ class PlatformArchive:
     def _id_skips(controller: DataController) -> dict[str, int]:
         """Highest counter seen per id prefix, parsed from archived ids."""
         skips: dict[str, int] = {}
-
-        def note(identifier: str | None) -> None:
-            if not identifier:
-                return
-            parts = identifier.split("-")
-            if len(parts) != 3 or not parts[1].isdigit():
-                return
-            prefix, counter = parts[0], int(parts[1])
-            skips[prefix] = max(skips.get(prefix, 0), counter)
-
-        for entry in controller.id_map.entries():
-            note(entry.event_id)
-        for record in controller.audit_log.records():
-            note(record.record_id)
-        for policy_id, _policy in controller.policies.items():
-            note(policy_id)
+        for identifier in chain(
+                (entry.event_id for entry in controller.id_map.entries()),
+                (record.record_id for record in controller.audit_log.records()),
+                (policy_id for policy_id, _ in controller.policies.items())):
+            parts = (identifier or "").split("-")
+            if len(parts) == 3 and parts[1].isdigit():
+                skips[parts[0]] = max(skips.get(parts[0], 0), int(parts[1]))
         return skips
 
     # -- restore -------------------------------------------------------------------
@@ -285,17 +277,15 @@ class PlatformArchive:
         gateways: dict[str, LocalCooperationGateway] = {}
         for row in self._file("gateways").iter_records():
             producer_id = row["producer_id"]
-            gateway = gateways.get(producer_id)
-            if gateway is None:
-                gateway = LocalCooperationGateway(producer_id)
-                gateways[producer_id] = gateway
+            if producer_id not in gateways:
+                gateways[producer_id] = LocalCooperationGateway(producer_id)
             event_class = controller.catalog.get_version(
                 row["event_type"], row["event_version"])
             details = XmlDocument(
                 row["event_type"],
                 values_from_wire(row["fields"], event_class.schema),
             )
-            gateway.restore_detail(row["src_event_id"], event_class, details)
+            gateways[producer_id].restore_detail(row["src_event_id"], event_class, details)
         # Producers without archived details still need (empty) gateways.
         for actor in controller.actors.producers():
             gateways.setdefault(actor.actor_id, LocalCooperationGateway(actor.actor_id))
@@ -304,12 +294,10 @@ class PlatformArchive:
 
         registries: dict[str, ConsentRegistry] = {}
         for row in self._file("consent").iter_records():
-            registry = registries.get(row["producer_id"])
-            if registry is None:
-                registry = ConsentRegistry(row["producer_id"],
-                                           default_granted=row["default_granted"])
-                registries[row["producer_id"]] = registry
-            registry.record(ConsentDecision(
+            if row["producer_id"] not in registries:
+                registries[row["producer_id"]] = ConsentRegistry(
+                    row["producer_id"], default_granted=row["default_granted"])
+            registries[row["producer_id"]].record(ConsentDecision(
                 subject_id=row["subject_id"],
                 scope=ConsentScope(row["scope"]),
                 granted=row["granted"],

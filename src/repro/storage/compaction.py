@@ -40,11 +40,6 @@ class CompactionReport:
     bytes_after: int
 
     @property
-    def records_dropped(self) -> int:
-        """How many records the predicate reclaimed."""
-        return self.records_before - self.records_after
-
-    @property
     def bytes_reclaimed(self) -> int:
         """Disk space returned to the operator."""
         return self.bytes_before - self.bytes_after
@@ -82,6 +77,7 @@ def compact(log: SegmentedLog, keep: KeepPredicate | None = None) -> CompactionR
             if keep(sequence, decode_entry(entry)))  # copied as stored
     while chunk := list(islice(kept, 1024)):  # streamed: one chunk held at a time
         staging.write_entries(*zip(*chunk))
+    staging.close()  # its handle would follow the segment the swap moves in
     log.swap_segments(before.sequence)
     return CompactionReport(
         records_before=before.records,

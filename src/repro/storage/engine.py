@@ -80,14 +80,15 @@ class StorageEngine:
                 batch_size=self.batch_size)
         return self._logs[name]
 
+    def close(self) -> None:
+        """Commit and close every log this engine opened (:meth:`SegmentedLog.close`)."""
+        for log in self._logs.values():
+            log.close()
+
     def log_names(self) -> list[str]:
         """Every log on disk or opened this session, sorted."""
-        names = set(self._logs)
-        if self.directory.is_dir():
-            for child in self.directory.iterdir():
-                if child.is_dir() and any(child.glob(f"*{SEGMENT_SUFFIX}")):
-                    names.add(child.name)
-        return sorted(names)
+        on_disk = self.directory.glob(f"*/*{SEGMENT_SUFFIX}")
+        return sorted(set(self._logs) | {path.parent.name for path in on_disk})
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-log figures: records, segments, bytes, high-water sequence."""

@@ -46,9 +46,8 @@ class JsonlFile:
     def append_many(self, records: list[dict]) -> None:
         """Append several records in one write."""
         with self.path.open("a", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True, default=str))
-                handle.write("\n")
+            handle.writelines(json.dumps(record, sort_keys=True, default=str) + "\n"
+                              for record in records)
 
     def iter_records(self) -> Iterator[dict]:
         """Stream records oldest first (none if the file is absent); a

@@ -19,11 +19,12 @@ open; damage anywhere else raises
 :class:`~repro.exceptions.CorruptRecordError`.
 
 :meth:`SegmentedLog._walk` is the only loop over a segment file's lines and
-:meth:`SegmentedLog.write_entries` the only code that opens one for append
-— one write per segment a commit touches, all or nothing; a ``meta.json``
-sidecar pins the high-water sequence across compaction, and a compacted
-generation is committed by one rename (:meth:`SegmentedLog.swap_segments`).
-Nothing here calls ``fsync``.  The whole contract is docs/STORAGE.md.
+:meth:`SegmentedLog.write_entries` the only code that opens one for append,
+kept open until the segment rolls over or :meth:`SegmentedLog.close` — one
+write per segment a commit touches, all or nothing; a ``meta.json`` sidecar
+pins the high-water sequence across compaction, and a compacted generation
+is committed by one rename (:meth:`SegmentedLog.swap_segments`).  Nothing
+here calls ``fsync``.  The whole contract is docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class SegmentedLog:
         #: Records framed before an automatic group commit.
         self.batch_size = batch_size
         self._frames: list[bytes] = []  # framed, not yet committed
+        self._handle = None  # unbuffered append handle on the active segment
         self.last_replay = self._replay()
 
     # -- replay / recovery -------------------------------------------------
@@ -210,7 +212,7 @@ class SegmentedLog:
     def reload(self) -> ReplayReport:
         """Commit what is pending, then re-open the log from disk (after
         compaction or external edits)."""
-        self.flush()
+        self.close()
         self.last_replay = self._replay()
         return self.last_replay
 
@@ -279,16 +281,27 @@ class SegmentedLog:
             self.append_many(self._frames)
             self._frames = []
 
+    def close(self) -> None:
+        """Commit what is pending and close the append handle (the next commit reopens it)."""
+        self.flush()
+        self._drop_handle()
+
+    def _drop_handle(self) -> None:
+        if self._handle is not None:
+            self._handle, handle = None, self._handle
+            handle.close()
+
     def write_entries(self, sequences: Sequence[int], frames: Sequence[bytes]) -> None:
         """Commit ``frames`` under their ascending ``sequences``, all or none.
 
         The one writer: the only code that decides roll-over, frame by
-        frame, and opens a segment for append — once per segment, with one
-        write.  If anything raises — an open, a write, the close — the
-        segments this call created are unlinked, the active segment is cut
-        back to the size it had and the counters are restored before the
-        error is re-raised, so a caller that retries writes each record
-        once and no frame ever lands behind half of another.
+        frame, and opens a segment for append — once, not once per commit —
+        with one write per segment a commit touches.  If anything raises,
+        the handle is dropped, the segments this call created are unlinked,
+        the active segment is cut back to the size it had and the counters
+        are restored before the error is re-raised, so a caller that
+        retries writes each record once and no frame lands behind half of
+        another.
         """
         before = (self._active, self._active_size, self._sequence,
                   self._records)
@@ -297,18 +310,23 @@ class SegmentedLog:
             start = 0
             while start < len(frames):
                 if self._active is None or self._active_size >= self.segment_bytes:
+                    self._drop_handle()
                     self._active = self.directory / segment_name(sequences[start])
                     self._active_size = 0
                 # The segment takes frames up to and with the one that fills it.
                 stop = min(len(frames), bisect_left(
                     ends, ends[start] + self.segment_bytes - self._active_size, start + 1))
-                with self._active.open("ab") as handle:
-                    handle.write(b"".join(frames[start:stop]))
+                if self._handle is None:
+                    self._handle = self._active.open("ab", buffering=0)
+                data, written = b"".join(frames[start:stop]), 0
+                while written < len(data):  # a raw handle may write short
+                    written += self._handle.write(data[written:])
                 self._active_size += ends[stop] - ends[start]
                 start = stop
             self._records += len(frames)
             self._sequence = max((self._sequence, *sequences[-1:]))
         except BaseException:
+            self._drop_handle()
             (self._active, self._active_size, self._sequence,
              self._records) = before
             for path in self._segment_paths():
@@ -336,10 +354,8 @@ class SegmentedLog:
         paths = self._segment_paths()
         found = {path: [0, 0] for path in paths}  # first sequence, records
         for path, _, _, sequence, _ in self._walk(paths):
-            entry = found[path]
-            if not entry[1]:
-                entry[0] = sequence
-            entry[1] += 1
+            found[path][0] = found[path][0] or sequence  # sequences start at 1
+            found[path][1] += 1
         return [
             SegmentInfo(path=path, first_sequence=first, records=records,
                         size_bytes=path.stat().st_size)
@@ -367,7 +383,7 @@ class SegmentedLog:
         """
         if sequence < 0:
             raise RecoveryError(f"cannot recover to sequence {sequence}")
-        self.flush()
+        self.close()  # nothing may write to a segment this cuts or unlinks
         if sequence >= self._sequence:
             return 0  # nothing above the target is committed
         paths = self._segment_paths()

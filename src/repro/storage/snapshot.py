@@ -182,12 +182,8 @@ class SnapshotManager:
 
     def list(self) -> list[SnapshotInfo]:
         """Every snapshot under the root, id order."""
-        infos = []
-        if self.root.is_dir():
-            for child in sorted(self.root.iterdir()):
-                if (child / MANIFEST_FILE).exists():
-                    infos.append(self.info(child.name))
-        return infos
+        return [self.info(path.parent.name)
+                for path in sorted(self.root.glob(f"*/{MANIFEST_FILE}"))]
 
     def _manifest(self, snapshot_id: str) -> dict:
         path = self.root / snapshot_id / MANIFEST_FILE

