@@ -16,6 +16,10 @@ two disclosure paths:
 Opting out of notifications implies opting out of details (no notification
 ⇒ no detail request is possible anyway, but a late request against an
 already-published notification must also be refused).
+
+A check reads an index of each scope's latest decisions (at most two dict
+reads), whatever the history's length; :meth:`ConsentRegistry.record` is
+that index's one writer.
 """
 
 from __future__ import annotations
@@ -58,15 +62,18 @@ class ConsentRegistry:
         self.producer_id = producer_id
         self.default_granted = default_granted
         self._decisions: list[ConsentDecision] = []
-
-    def __len__(self) -> int:
-        return len(self._decisions)
+        # Per scope, the latest ``granted`` per (subject, event type or None).
+        self._notifications: dict[tuple[str, str | None], bool] = {}
+        self._details: dict[tuple[str, str | None], bool] = {}
 
     def record(self, decision: ConsentDecision) -> None:
-        """Append a consent decision (history is kept for audit)."""
+        """Append a consent decision (history is kept for audit) and index it."""
         if not decision.subject_id:
             raise ConsentError("consent decision needs a subject id")
         self._decisions.append(decision)
+        latest = (self._notifications if decision.scope is ConsentScope.NOTIFICATIONS
+                  else self._details)
+        latest[decision.subject_id, decision.event_type] = decision.granted
 
     def opt_out(
         self,
@@ -92,25 +99,18 @@ class ConsentRegistry:
         self.record(decision)
         return decision
 
-    def _effective(self, subject_id: str, scope: ConsentScope, event_type: str) -> bool:
-        specific: ConsentDecision | None = None
-        general: ConsentDecision | None = None
-        for decision in self._decisions:
-            if decision.subject_id != subject_id or decision.scope is not scope:
-                continue
-            if decision.event_type == event_type:
-                specific = decision  # later decisions overwrite earlier ones
-            elif decision.event_type is None:
-                general = decision
-        if specific is not None:
-            return specific.granted
-        if general is not None:
-            return general.granted
-        return self.default_granted
+    def _effective(self, latest: dict[tuple[str, str | None], bool],
+                   subject_id: str, event_type: str) -> bool:
+        """The class-specific decision in one scope's index, else its
+        all-classes decision, else the default."""
+        granted = latest.get((subject_id, event_type))
+        if granted is None:
+            granted = latest.get((subject_id, None), self.default_granted)
+        return granted
 
     def allows_notification(self, subject_id: str, event_type: str) -> bool:
         """Whether events of ``event_type`` about the subject may be published."""
-        return self._effective(subject_id, ConsentScope.NOTIFICATIONS, event_type)
+        return self._effective(self._notifications, subject_id, event_type)
 
     def allows_details(self, subject_id: str, event_type: str) -> bool:
         """Whether detail requests about the subject may be resolved.
@@ -119,12 +119,8 @@ class ConsentRegistry:
         """
         if not self.allows_notification(subject_id, event_type):
             return False
-        return self._effective(subject_id, ConsentScope.DETAILS, event_type)
+        return self._effective(self._details, subject_id, event_type)
 
     def decisions(self) -> tuple[ConsentDecision, ...]:
         """The full decision history, oldest first (archiving)."""
         return tuple(self._decisions)
-
-    def decisions_of(self, subject_id: str) -> list[ConsentDecision]:
-        """The subject's full decision history (data-subject reports)."""
-        return [d for d in self._decisions if d.subject_id == subject_id]

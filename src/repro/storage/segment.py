@@ -371,15 +371,13 @@ class SegmentedLog:
     def truncate_to(self, sequence: int) -> int:
         """Drop every record with a sequence number above ``sequence``.
 
-        The point-in-time recovery primitive: after ``truncate_to(n)`` the
-        log replays exactly the records committed up to sequence ``n``,
-        and the next append is assigned ``n + 1``.  Returns the number of
-        records dropped.  Raises :class:`~repro.exceptions.RecoveryError`
-        for a negative target (0 empties the log).
-
-        Sequence numbers only grow along a log (compaction preserves
-        them), so this is one cut after the last frame at or below the
-        target: that segment is shortened, every later one unlinked.
+        Point-in-time recovery: afterwards the log replays the records up
+        to ``sequence`` and the next append is ``sequence + 1``.  Returns
+        the records dropped (0 empties the log; a negative target is a
+        :class:`RecoveryError`).  Sequences only grow along a log, so this
+        is one cut after the last frame at or below the target: that
+        segment is shortened, every later one unlinked, and the log re-read
+        from disk even when a step of the cut raised.
         """
         if sequence < 0:
             raise RecoveryError(f"cannot recover to sequence {sequence}")
@@ -393,12 +391,14 @@ class SegmentedLog:
                 last, keep_until = path, end
             else:
                 dropped += 1
-        for path in paths[paths.index(last) + 1 if last else 0:]:
-            path.unlink()
-        if last is not None:
-            os.truncate(last, keep_until)
-        self._write_meta(sequence)
-        self.reload()
+        try:
+            for path in paths[paths.index(last) + 1 if last else 0:]:
+                path.unlink()
+            if last is not None:
+                os.truncate(last, keep_until)
+            self._write_meta(sequence)
+        finally:
+            self.reload()
         return dropped
 
     # -- compaction support -------------------------------------------------

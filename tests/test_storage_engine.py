@@ -143,6 +143,28 @@ class TestSegmentedLog:
         assert log.truncate_to(99) == 0
         assert log.sequence == 40
 
+    @pytest.mark.parametrize("crash", [False, True], ids=["once", "for good"])
+    def test_a_failed_cut_leaves_the_counters_a_reopen_reads(self, tmp_path, crash,
+                                                             monkeypatch):
+        """Whichever filesystem call of ``truncate_to(1)`` fails, the live
+        log counts what is on disk: its ``len``, ``sequence`` and next
+        append's sequence are a cold reopen's."""
+        log = small_log(tmp_path / "count")
+        with monkeypatch.context() as patch:
+            counted = DiskFaults(patch, tmp_path / "count")
+            log.truncate_to(1)
+        assert counted.calls >= 3  # unlinks, the cut, the sidecar
+        for fail_at in range(1, counted.calls + 1):
+            directory = tmp_path / f"fail-{fail_at}"
+            log = small_log(directory)
+            with monkeypatch.context() as patch:
+                DiskFaults(patch, directory, fail_at=fail_at, crash=crash)
+                with pytest.raises(OSError):
+                    log.truncate_to(1)
+            reopened = SegmentedLog(directory, segment_bytes=512)
+            assert (len(log), log.sequence) == (len(reopened), reopened.sequence), fail_at
+            assert log.append(encode_entry({"n": "probe"})) == reopened.sequence + 1
+
     def test_replay_peak_does_not_grow_with_the_log(self, tmp_path):
         """Reopening a log and streaming its records holds one record at a
         time: a replay of 4N index rows peaks (under ``tracemalloc``) less
