@@ -11,8 +11,8 @@ provides a self-contained, stdlib-only substitute:
 * :class:`~repro.crypto.cipher.SealedBox` — encrypt-then-MAC tokens with
   integrity protection and a synthetic (SIV-style) nonce.
 * :class:`~repro.crypto.keystore.KeyStore` — named keys with rotation.
-* :mod:`~repro.crypto.hashing` — HMAC helpers and the tamper-evident hash
-  chain used by the audit log.
+* :mod:`~repro.crypto.hashing` — the keyed HMAC (one per secret) and the
+  tamper-evident hash chain used by the audit log.
 
 The substitution is documented in DESIGN.md §6; the platform only depends on
 the *interface* (encrypt/decrypt/verify), so a production deployment would
@@ -20,14 +20,14 @@ swap in a hardware-backed implementation without touching the callers.
 """
 
 from repro.crypto.cipher import SealedBox, StreamCipher, derive_key
-from repro.crypto.hashing import HashChain, hmac_digest
+from repro.crypto.hashing import HashChain, KeyedMac
 from repro.crypto.keystore import KeyStore
 
 __all__ = [
     "HashChain",
     "KeyStore",
+    "KeyedMac",
     "SealedBox",
     "StreamCipher",
     "derive_key",
-    "hmac_digest",
 ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 
+from repro.crypto.hashing import KeyedMac
 from repro.exceptions import CryptoError, TokenError
 
 _NONCE = 16
@@ -44,22 +45,6 @@ def derive_key(secret: str | bytes, context: str) -> bytes:
 def _xor(data: bytes, stream: bytes) -> bytes:
     return (int.from_bytes(data, "big")
             ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
-
-
-class _Mac:
-    """HMAC-SHA-256 under one key (RFC 2104), its padded-key blocks hashed
-    once: each tag is two state copies, equal to ``hmac.digest(key, …)``."""
-
-    def __init__(self, key: bytes) -> None:
-        block = key.ljust(64, b"\0")  # derived keys are 32 bytes < one block
-        self._inner = hashlib.sha256(bytes(b ^ 0x36 for b in block))
-        self._outer = hashlib.sha256(bytes(b ^ 0x5C for b in block))
-
-    def __call__(self, data: bytes) -> bytes:
-        inner, outer = self._inner.copy(), self._outer.copy()
-        inner.update(data)
-        outer.update(inner.digest())
-        return outer.digest()
 
 
 class StreamCipher:
@@ -85,7 +70,7 @@ class SealedBox:
 
     def __init__(self, secret: str | bytes) -> None:
         self._nonce_key = derive_key(secret, "nonce")
-        self._mac = _Mac(derive_key(secret, "mac:siv"))
+        self._mac = KeyedMac(derive_key(secret, "mac:siv"))
         self._cipher = StreamCipher(derive_key(secret, "encrypt"))
 
     def seal(self, plaintext: str, context: str) -> str:
@@ -97,7 +82,7 @@ class SealedBox:
         nonce = hashlib.shake_256(self._nonce_key + len(label).to_bytes(8, "big")
                                   + label + data).digest(_NONCE)
         body = nonce + self._cipher.apply(data, nonce)
-        return (body + self._mac(body)).hex()
+        return (body + self._mac.digest(body)).hex()
 
     def open(self, token: str) -> str:
         """Decrypt and authenticate a token of :meth:`seal`;
@@ -110,7 +95,7 @@ class SealedBox:
             raise TokenError("token too short")
         body, tag = raw[:-_TAG], raw[-_TAG:]
         nonce, ciphertext = body[:_NONCE], body[_NONCE:]
-        if not _hmac.compare_digest(tag, self._mac(body)):
+        if not _hmac.compare_digest(tag, self._mac.digest(body)):
             raise TokenError("token failed integrity verification")
         return self._cipher.apply(ciphertext, nonce).decode()
 

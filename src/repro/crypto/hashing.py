@@ -1,4 +1,4 @@
-"""Hashing helpers: HMAC digests and a tamper-evident hash chain.
+"""Hashing helpers: a keyed HMAC and a tamper-evident hash chain.
 
 The audit log (paper §4: the data controller "maintains logs of the access
 request for auditing purposes") must be credible to a privacy guarantor, so
@@ -9,7 +9,6 @@ of the previous entry.  Any retroactive edit breaks every later link.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import json
 from collections.abc import Iterable
 
@@ -18,10 +17,29 @@ from repro.exceptions import TamperedLogError
 #: Digest of the empty chain — the "genesis" link.
 GENESIS = hashlib.sha256(b"css-audit-genesis").hexdigest()
 
+_BLOCK = 64  # SHA-256 block size in bytes.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
-def hmac_digest(key: bytes, message: bytes) -> str:
-    """Hex HMAC-SHA-256 of ``message`` under ``key``."""
-    return _hmac.new(key, message, hashlib.sha256).hexdigest()
+
+class KeyedMac:
+    """HMAC-SHA-256 under one key (RFC 2104), its padded-key blocks hashed
+    once per secret: each tag is two state copies, equal to ``hmac.digest(key,
+    message, "sha256")``, a key longer than one block hashed first."""
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        block = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def digest(self, message: bytes) -> bytes:
+        """The 32-byte tag of ``message``."""
+        inner, outer = self._inner.copy(), self._outer.copy()
+        inner.update(message)
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 #: The one encoder behind :func:`canonical_json` (``json.dumps`` builds one per call).

@@ -16,20 +16,21 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 
-from repro.crypto.hashing import hmac_digest
+from repro.crypto.hashing import KeyedMac
 from repro.exceptions import ConfigurationError, FederationError
 
 
-def subject_shard_key(secret: str, subject_ref: str) -> str:
+def subject_shard_key(secret: str | KeyedMac, subject_ref: str) -> str:
     """Pseudonymous routing key for one data subject.
 
     A keyed digest (HMAC under the platform's master secret) so that the
     mapping is deterministic cluster-wide, yet the key reveals nothing
-    about the person to anyone without the secret.
+    about the person to anyone without the secret (or its :class:`KeyedMac`).
     """
     if not subject_ref:
         raise FederationError("cannot derive a shard key for an empty subject")
-    return "sk:" + hmac_digest(secret.encode(), subject_ref.encode())[:32]
+    mac = secret if isinstance(secret, KeyedMac) else KeyedMac(secret.encode())
+    return "sk:" + mac.digest(subject_ref.encode())[:16].hex()
 
 
 def _point(value: str) -> int:

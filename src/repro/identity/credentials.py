@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.clock import Clock
 from repro.crypto.cipher import derive_key
-from repro.crypto.hashing import canonical_json, hmac_digest
+from repro.crypto.hashing import KeyedMac, canonical_json
 from repro.exceptions import CryptoError, TokenError
 from repro.ids import IdFactory
 
@@ -48,7 +48,7 @@ class CredentialAuthority:
                  default_lifetime: float = 365.0 * 86400.0) -> None:
         if not secret:
             raise CryptoError("credential authority needs a secret")
-        self._key = derive_key(secret, "credential-authority")
+        self._mac = KeyedMac(derive_key(secret, "credential-authority"))
         self._clock = clock or Clock()
         self._default_lifetime = default_lifetime
         self._ids = IdFactory(seed=f"ca:{secret[:8]}")
@@ -56,7 +56,7 @@ class CredentialAuthority:
         self._issued: dict[str, RoleCredential] = {}
 
     def _sign(self, payload: dict[str, object]) -> str:
-        return hmac_digest(self._key, canonical_json(payload).encode())
+        return self._mac.digest(canonical_json(payload).encode()).hex()
 
     # -- issuance -----------------------------------------------------------
 

@@ -13,8 +13,9 @@ snapshot; ``restore(master_secret)`` rebuilds an equivalent
   (the archive never contains plaintext identities); sealing keeps no
   nonce counter to restore (an older manifest's counter is ignored);
 * id generators are fast-forwarded past every archived id;
-* gateways and consent registries are rebuilt and re-attached; producers
-  and consumers reconnect their client objects (and re-subscribe) on top.
+* gateways and consent registries are rebuilt and re-attached, a registry
+  with no decision from its regime row; producers and consumers
+  reconnect their client objects (and re-subscribe) on top.
 
 The same ``master_secret`` and ``seed`` used at save time must be supplied
 at restore time — keys are derived, never stored.
@@ -145,16 +146,13 @@ class PlatformArchive:
             registry = controller.consent_registry_of(actor.actor_id)
             if registry is None:
                 continue
-            for decision in registry.decisions():
-                consent_rows.append({
-                    "producer_id": actor.actor_id,
-                    "subject_id": decision.subject_id,
-                    "scope": decision.scope.value,
-                    "granted": decision.granted,
-                    "event_type": decision.event_type,
-                    "decided_at": decision.decided_at,
-                    "default_granted": registry.default_granted,
-                })
+            regime = {"producer_id": actor.actor_id,
+                      "default_granted": registry.default_granted}
+            rows = [{**regime, "subject_id": decision.subject_id,
+                     "scope": decision.scope.value, "granted": decision.granted,
+                     "event_type": decision.event_type, "decided_at": decision.decided_at}
+                    for decision in registry.decisions()]
+            consent_rows.extend(rows or [regime])  # with no decision the regime still decides
         self._file("consent").append_many(consent_rows)
 
         self._file("audit").append_many([
@@ -297,6 +295,8 @@ class PlatformArchive:
             if row["producer_id"] not in registries:
                 registries[row["producer_id"]] = ConsentRegistry(
                     row["producer_id"], default_granted=row["default_granted"])
+            if "subject_id" not in row:  # a regime row: no decision recorded
+                continue
             registries[row["producer_id"]].record(ConsentDecision(
                 subject_id=row["subject_id"],
                 scope=ConsentScope(row["scope"]),

@@ -67,7 +67,8 @@ class MessageSchema:
 
     ``name`` doubles as the XML root element name of conforming documents.
     ``target_namespace`` mimics the XSD targetNamespace and is stamped on
-    serialized documents.
+    serialized documents.  ``declared`` and ``check_rows`` are the check
+    table validation reads, rebuilt by :meth:`add`, the one mutator.
     """
 
     name: str
@@ -83,6 +84,14 @@ class MessageSchema:
             if decl.name in seen:
                 raise SchemaError(f"duplicate element {decl.name!r} in schema {self.name!r}")
             seen.add(decl.name)
+        self._compile()
+
+    def _compile(self) -> None:
+        """The declared names and one (name, required, repeated, check) row per element."""
+        self.declared = frozenset(decl.name for decl in self.elements)
+        self.check_rows = tuple((decl.name, decl.occurs is Occurs.REQUIRED,
+                                 decl.occurs.allows_many, decl.type_.check)
+                                for decl in self.elements)
 
     # -- lookup ------------------------------------------------------------
 
@@ -118,7 +127,7 @@ class MessageSchema:
 
     def has_element(self, name: str) -> bool:
         """Whether the schema declares element ``name``."""
-        return any(decl.name == name for decl in self.elements)
+        return name in self.declared
 
     # -- construction helpers ------------------------------------------------
 
@@ -127,6 +136,7 @@ class MessageSchema:
         if self.has_element(decl.name):
             raise SchemaError(f"duplicate element {decl.name!r} in schema {self.name!r}")
         self.elements.append(decl)
+        self._compile()
         return self
 
     # -- XSD-ish rendering ----------------------------------------------------

@@ -4,13 +4,16 @@
 the data controller run before accepting a message: the document must name
 the right schema, carry no undeclared fields, carry every required field,
 and every non-empty value must satisfy its declared type.
+It reads the schema's check table, built where the schema is declared,
+and the document's field mapping; ``tests/validation_reference.py`` keeps
+the declaration walk it replaced, held to the same violations in order.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import ValidationError
 from repro.xmlmsg.document import XmlDocument
-from repro.xmlmsg.schema import MessageSchema, Occurs
+from repro.xmlmsg.schema import MessageSchema
 
 
 def validate_document(document: XmlDocument, schema: MessageSchema) -> None:
@@ -22,41 +25,36 @@ def validate_document(document: XmlDocument, schema: MessageSchema) -> None:
 
 def collect_violations(document: XmlDocument, schema: MessageSchema) -> list[str]:
     """Return a list of human-readable violations (empty = valid)."""
+    fields = document.field_map
     errors: list[str] = []
     if document.schema_name != schema.name:
         errors.append(
             f"document claims schema {document.schema_name!r} but validating against {schema.name!r}"
         )
 
-    declared = set(schema.field_names)
-    for name in document:
-        if name not in declared:
-            errors.append(f"undeclared field {name!r}")
+    declared = schema.declared
+    if not declared.issuperset(fields):
+        errors.extend(f"undeclared field {name!r}" for name in fields if name not in declared)
 
-    for decl in schema.elements:
-        present = decl.name in document
-        value = document[decl.name] if present else None
-        if decl.occurs is Occurs.REQUIRED:
-            if not present:
-                errors.append(f"missing required field {decl.name!r}")
-                continue
-            if value is None:
-                errors.append(f"required field {decl.name!r} is empty")
-                continue
-        if not present or value is None:
+    for name, required, repeated, check in schema.check_rows:
+        value = fields.get(name)
+        if value is None:
+            if required:
+                errors.append(f"required field {name!r} is empty" if name in fields
+                              else f"missing required field {name!r}")
             continue
-        if decl.occurs.allows_many:
-            items = value if isinstance(value, (list, tuple)) else [value]
-        else:
-            if isinstance(value, (list, tuple)):
-                errors.append(f"field {decl.name!r} does not allow multiple occurrences")
+        if isinstance(value, (list, tuple)):
+            if not repeated:
+                errors.append(f"field {name!r} does not allow multiple occurrences")
                 continue
-            items = [value]
+            items = value
+        else:
+            items = (value,)
         for item in items:
             try:
-                decl.type_.check(item)
+                check(item)
             except ValidationError as exc:
-                errors.append(f"field {decl.name!r}: {exc}")
+                errors.append(f"field {name!r}: {exc}")
     return errors
 
 

@@ -1,26 +1,50 @@
 """Unit and property tests for repro.crypto.hashing."""
 
+import hashlib
+import hmac
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashing import GENESIS, HashChain, canonical_json, hmac_digest
+from repro.crypto.hashing import GENESIS, HashChain, KeyedMac, canonical_json
 from repro.exceptions import TamperedLogError
 
 
 class TestHmacDigest:
     def test_deterministic(self):
-        assert hmac_digest(b"key", b"msg") == hmac_digest(b"key", b"msg")
+        assert KeyedMac(b"key").digest(b"msg") == KeyedMac(b"key").digest(b"msg")
 
     def test_key_sensitive(self):
-        assert hmac_digest(b"key1", b"msg") != hmac_digest(b"key2", b"msg")
+        assert KeyedMac(b"key1").digest(b"msg") != KeyedMac(b"key2").digest(b"msg")
 
     def test_is_hex_string(self):
-        digest = hmac_digest(b"key", b"msg")
+        digest = KeyedMac(b"key").digest(b"msg").hex()
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
+
+
+class TestKeyedMac:
+    @pytest.mark.parametrize("length", [0, 1, 32, 63, 64, 65, 100, 200])
+    def test_equals_the_library_hmac(self, length):
+        key = bytes((7 * index + length) % 256 for index in range(length))
+        mac = KeyedMac(key)
+        for message in (b"", b"msg", bytes(range(256)) * 3):
+            expected = hmac.new(key, message, hashlib.sha256)
+            assert mac.digest(message) == expected.digest()
+            assert mac.digest(message).hex() == expected.hexdigest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.binary(max_size=150), message=st.binary(max_size=200))
+    def test_property_equals_the_library_hmac(self, key, message):
+        assert KeyedMac(key).digest(message) == hmac.new(key, message, hashlib.sha256).digest()
+
+    def test_tags_do_not_disturb_each_other(self):
+        mac = KeyedMac(b"key")
+        first = mac.digest(b"one")
+        mac.digest(b"two")
+        assert mac.digest(b"one") == first
 
 
 class Opaque:

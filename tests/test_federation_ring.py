@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.crypto.hashing import KeyedMac
 from repro.exceptions import ConfigurationError, FederationError
 from repro.federation.ring import HashRing, subject_shard_key
+
+#: ``subject_shard_key`` of three (secret, subject) pairs, computed with
+#: ``hmac.new`` per call before the key moved onto one keyed MAC per secret;
+#: the 100-byte secret is longer than a SHA-256 block.
+PINNED_SHARD_KEYS = [
+    ("css-platform-secret", "pat-1", "sk:5397a19d6065be09d90058d76bf71dc2"),
+    ("s", "pat-mario-bianchi", "sk:70ce69eed471cafe38ac4550de9595d9"),
+    ("x" * 100, "subject-42", "sk:18edcc74609182dd0f790e1216721bcf"),
+]
 
 
 def ring_with(*node_ids: str) -> HashRing:
@@ -33,6 +43,16 @@ class TestSubjectShardKey:
     def test_empty_subject_is_rejected(self):
         with pytest.raises(FederationError):
             subject_shard_key("s", "")
+
+
+class TestPinnedShardKeys:
+    @pytest.mark.parametrize("secret, subject, key", PINNED_SHARD_KEYS)
+    def test_the_key_is_unchanged(self, secret, subject, key):
+        assert subject_shard_key(secret, subject) == key
+
+    @pytest.mark.parametrize("secret, subject, key", PINNED_SHARD_KEYS)
+    def test_a_prebuilt_mac_gives_the_same_key(self, secret, subject, key):
+        assert subject_shard_key(KeyedMac(secret.encode()), subject) == key
 
 
 class TestHashRing:

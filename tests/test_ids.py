@@ -1,6 +1,7 @@
 """Unit tests for repro.ids."""
 
 import re
+import sys
 import threading
 
 import pytest
@@ -66,6 +67,11 @@ class TestIdGenerator:
             seen.update(mint.next() for _ in range(20_000))
         assert len(seen) == 8 * 20_000
 
+    def test_skip_lands_on_the_next_id(self):
+        skipped, fresh = IdGenerator("aud", seed="s"), IdGenerator("aud", seed="s")
+        skipped.skip(41)
+        assert skipped.next() == [fresh.next() for _ in range(42)][-1]
+
     def test_one_shape_for_every_prefix(self):
         for prefix in ("evt", "aud", "pol", "sub"):
             assert re.fullmatch(rf"{prefix}-\d{{6}}-[0-9a-f]{{12}}",
@@ -87,6 +93,48 @@ class TestIdFactory:
 
     def test_seed_is_exposed(self):
         assert IdFactory(seed="x").seed == "x"
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    def test_skip_lands_on_the_next_id(self, count):
+        factory = IdFactory(seed="archive")
+        factory.skip("evt", count)
+        fresh = IdGenerator("evt", seed="archive")
+        expected = [fresh.next() for _ in range(count + 1)][-1]
+        assert factory.next("evt") == expected
+
+    def test_negative_skip_rejected(self):
+        with pytest.raises(ValueError):
+            IdFactory().skip("evt", -1)
+
+    def test_concurrent_first_use_makes_one_generator_per_prefix(self):
+        """``next`` reads the generator dict without the lock; threads that
+        meet a new prefix together still share one generator and one
+        counter: no id is minted twice.  (With ``generator`` unlocked too,
+        a round of this mints a duplicate about every other time.)"""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                factory = IdFactory(seed="race")
+                prefixes = [f"p{index}" for index in range(300)]
+                minted: list[list[str]] = [[] for _ in range(12)]
+                start = threading.Barrier(len(minted))
+
+                def worker(out: list[str]) -> None:
+                    start.wait(timeout=10)
+                    for prefix in prefixes:
+                        out.extend((factory.next(prefix), factory.next(prefix)))
+
+                threads = [threading.Thread(target=worker, args=(out,)) for out in minted]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                ids = [identifier for out in minted for identifier in out]
+                assert len(ids) == len(set(ids)) == 12 * 300 * 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOpaqueToken:

@@ -211,6 +211,36 @@ class TestArchiveRoundTrip:
         with pytest.raises(AccessDeniedError, match="opted out"):
             restored.request_details("Dr-Rossi", request)
 
+    def test_an_opt_in_regime_with_no_decision_survives_restore(self, tmp_path):
+        """An opt-in producer whose registry holds no decision vetoes every
+        publish; ``save`` wrote decisions only, so the restored platform had
+        no registry for it and published (failed open)."""
+        from repro.core.events import EventOccurrence
+        from repro.xmlmsg.document import XmlDocument
+
+        controller = DataController(seed="opt-in", master_secret="archive-secret")
+        hospital = DataProducer(controller, "Hospital", "Hospital",
+                                consent_default_granted=False)
+        hospital.declare_event_class(blood_test_schema())
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        restored = archive.restore("archive-secret")
+
+        registry = restored.consent_registry_of("Hospital")
+        assert registry is not None and registry.default_granted is False
+        assert registry.decisions() == ()
+        occurrence = EventOccurrence(
+            event_class=restored.catalog.get("BloodTest"),
+            src_event_id="Hospital:src-opt-in", subject_id="p1",
+            subject_name="Patient 1", occurred_at=restored.clock.now(),
+            summary="no consent given",
+            details=XmlDocument("BloodTest", {
+                "PatientId": "p1", "Name": "Patient 1", "Hemoglobin": 13.0,
+                "Glucose": 91.0, "HivResult": "negative"}),
+        )
+        assert restored.publish("Hospital", occurrence) is None
+        assert len(restored.index) == 0
+
     def test_new_events_after_restore_do_not_collide(self, tmp_path):
         controller, hospital, doctor, notifications = build_busy_platform()
         archive = PlatformArchive(tmp_path / "snap")

@@ -1,12 +1,24 @@
 """Unit tests for repro.xmlmsg.validation."""
 
+import datetime as dt
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.xmlmsg.document import XmlDocument
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
-from repro.xmlmsg.types import IntegerType, StringType
+from repro.xmlmsg.types import (
+    BooleanType,
+    DateType,
+    DecimalType,
+    EnumerationType,
+    IntegerType,
+    StringType,
+)
 from repro.xmlmsg.validation import collect_violations, is_valid, validate_document
+from tests.validation_reference import walk_violations
 
 
 @pytest.fixture()
@@ -88,3 +100,57 @@ class TestIsValid:
 
     def test_false_for_invalid(self, schema):
         assert not is_valid(valid_doc().without("id"), schema)
+
+
+# -- the compiled check against the declaration walk ---------------------------
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+simple_types = st.one_of(
+    st.builds(StringType, min_length=st.integers(0, 2),
+              max_length=st.sampled_from([None, 3, 6]),
+              pattern=st.sampled_from([None, "[a-z]+", "x.*"])),
+    st.builds(IntegerType, minimum=st.sampled_from([None, -5, 0]),
+              maximum=st.sampled_from([None, 10, 100])),
+    st.builds(DecimalType, minimum=st.sampled_from([None, 0.0]),
+              maximum=st.sampled_from([None, 1.5, 50.0])),
+    st.builds(BooleanType),
+    st.builds(DateType),
+    st.builds(EnumerationType, values=st.sampled_from([("lo", "hi"), ("x", "yy", "z")])),
+)
+
+declarations = st.builds(ElementDecl, name=st.sampled_from(NAMES), type_=simple_types,
+                         occurs=st.sampled_from(list(Occurs)))
+
+schemas = st.lists(declarations, max_size=5, unique_by=lambda decl: decl.name).map(
+    lambda decls: MessageSchema("Rec", decls))
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 200), st.floats(-1.0, 60.0),
+    st.text("axyz-", max_size=7), st.sampled_from(["lo", "hi", "yy", "z"]),
+    st.dates(min_value=dt.date(2000, 1, 1), max_value=dt.date(2030, 1, 1)),
+    st.just(dt.datetime(2020, 5, 1, 12, 0)),
+)
+values = st.one_of(scalars, st.lists(scalars, max_size=3),
+                   st.lists(scalars, max_size=3).map(tuple))
+
+# Declared and undeclared names alike; a field absent from the draw is missing.
+documents = st.builds(
+    XmlDocument, st.sampled_from(["Rec", "Rec", "Other"]),
+    st.dictionaries(st.sampled_from(NAMES + ("zz", "extra")), values, max_size=8))
+
+
+class TestCompiledCheckAgainstTheWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(schema=schemas, document=documents)
+    def test_same_violations_in_the_same_order(self, schema, document):
+        assert collect_violations(document, schema) == walk_violations(document, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema=schemas, document=documents, added=st.lists(declarations, max_size=3))
+    def test_an_add_after_a_check_rebuilds_the_table(self, schema, document, added):
+        assert collect_violations(document, schema) == walk_violations(document, schema)
+        for decl in added:
+            if not schema.has_element(decl.name):
+                schema.add(decl)
+                assert collect_violations(document, schema) == walk_violations(document, schema)
