@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.clock import Clock
-from repro.crypto.hashing import KeyedMac
 from repro.exceptions import ConfigurationError, FederationError
 from repro.federation.link import Link
 from repro.federation.ring import HashRing, subject_shard_key
@@ -39,7 +38,7 @@ class StaticMembership:
         self.clock = clock or Clock()
         self.ring = HashRing(replicas=replicas)
         self.link_latency = link_latency
-        self._shard_mac = KeyedMac(master_secret.encode())
+        self._secret = master_secret
         self._telemetry = telemetry
         # Node-label hashing guard for per-node telemetry deployments,
         # where no single shared telemetry carries the guard.
@@ -72,7 +71,7 @@ class StaticMembership:
 
     def owner_of_subject(self, subject_ref: str) -> str:
         """The node owning a subject's index partition (keyed digest routing)."""
-        return self.ring.owner_of(subject_shard_key(self._shard_mac, subject_ref))
+        return self.ring.owner_of(subject_shard_key(self._secret, subject_ref))
 
     # -- node registry -----------------------------------------------------
 

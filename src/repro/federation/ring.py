@@ -15,22 +15,28 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from functools import lru_cache
 
 from repro.crypto.hashing import KeyedMac
 from repro.exceptions import ConfigurationError, FederationError
 
 
-def subject_shard_key(secret: str | KeyedMac, subject_ref: str) -> str:
+@lru_cache(maxsize=16)
+def _shard_mac(secret: str) -> KeyedMac:
+    """The keyed MAC of one master secret, its pads hashed once."""
+    return KeyedMac(secret.encode())
+
+
+def subject_shard_key(secret: str, subject_ref: str) -> str:
     """Pseudonymous routing key for one data subject.
 
     A keyed digest (HMAC under the platform's master secret) so that the
     mapping is deterministic cluster-wide, yet the key reveals nothing
-    about the person to anyone without the secret (or its :class:`KeyedMac`).
+    about the person to anyone without the secret.
     """
     if not subject_ref:
         raise FederationError("cannot derive a shard key for an empty subject")
-    mac = secret if isinstance(secret, KeyedMac) else KeyedMac(secret.encode())
-    return "sk:" + mac.digest(subject_ref.encode())[:16].hex()
+    return "sk:" + _shard_mac(secret).digest(subject_ref.encode())[:16].hex()
 
 
 def _point(value: str) -> int:

@@ -31,7 +31,8 @@ class IdGenerator:
     suffix alone — 48 bits, for every prefix — keeps their ids apart.
 
     The generator is thread-safe without a lock: ``next()`` on an
-    :func:`itertools.count` is one C call, atomic under the interpreter lock.
+    :func:`itertools.count` is one C call, atomic under the interpreter lock
+    (a free-threaded build, which has none, needs the lock back here).
     """
 
     def __init__(self, prefix: str, seed: str = "css") -> None:

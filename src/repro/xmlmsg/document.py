@@ -66,11 +66,6 @@ class XmlDocument(Mapping):
         """A copy of the field mapping."""
         return dict(self._fields)
 
-    @property
-    def field_map(self) -> Mapping[str, object]:
-        """The field mapping itself, not a copy (read-only by contract)."""
-        return self._fields
-
     def non_empty_fields(self) -> tuple[str, ...]:
         """Names of fields carrying a non-``None`` value.
 

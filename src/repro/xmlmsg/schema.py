@@ -12,7 +12,7 @@ extension hook for nested groups used by richer payloads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import SchemaError
 from repro.xmlmsg.types import SimpleType
@@ -67,12 +67,12 @@ class MessageSchema:
 
     ``name`` doubles as the XML root element name of conforming documents.
     ``target_namespace`` mimics the XSD targetNamespace and is stamped on
-    serialized documents.  ``declared`` and ``check_rows`` are the check
-    table validation reads, rebuilt by :meth:`add`, the one mutator.
+    serialized documents.  ``elements`` is kept as a tuple: :meth:`add`, the
+    one mutator, rebuilds ``declared`` and ``check_rows``, validation's table.
     """
 
     name: str
-    elements: list[ElementDecl] = field(default_factory=list)
+    elements: tuple[ElementDecl, ...] = ()
     target_namespace: str = "urn:css:events"
     documentation: str = ""
 
@@ -84,6 +84,7 @@ class MessageSchema:
             if decl.name in seen:
                 raise SchemaError(f"duplicate element {decl.name!r} in schema {self.name!r}")
             seen.add(decl.name)
+        self.elements = tuple(self.elements)
         self._compile()
 
     def _compile(self) -> None:
@@ -135,7 +136,7 @@ class MessageSchema:
         """Append a declaration (fluent; raises on duplicates)."""
         if self.has_element(decl.name):
             raise SchemaError(f"duplicate element {decl.name!r} in schema {self.name!r}")
-        self.elements.append(decl)
+        self.elements = (*self.elements, decl)
         self._compile()
         return self
 

@@ -25,7 +25,7 @@ def validate_document(document: XmlDocument, schema: MessageSchema) -> None:
 
 def collect_violations(document: XmlDocument, schema: MessageSchema) -> list[str]:
     """Return a list of human-readable violations (empty = valid)."""
-    fields = document.field_map
+    fields = document.fields
     errors: list[str] = []
     if document.schema_name != schema.name:
         errors.append(

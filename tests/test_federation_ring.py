@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.crypto.hashing import KeyedMac
 from repro.exceptions import ConfigurationError, FederationError
 from repro.federation.ring import HashRing, subject_shard_key
 
@@ -49,10 +48,6 @@ class TestPinnedShardKeys:
     @pytest.mark.parametrize("secret, subject, key", PINNED_SHARD_KEYS)
     def test_the_key_is_unchanged(self, secret, subject, key):
         assert subject_shard_key(secret, subject) == key
-
-    @pytest.mark.parametrize("secret, subject, key", PINNED_SHARD_KEYS)
-    def test_a_prebuilt_mac_gives_the_same_key(self, secret, subject, key):
-        assert subject_shard_key(KeyedMac(secret.encode()), subject) == key
 
 
 class TestHashRing:

@@ -89,6 +89,14 @@ class TestMessageSchema:
         with pytest.raises(SchemaError):
             sample_schema().add(ElementDecl("PatientId", StringType()))
 
+    def test_the_callers_list_is_copied(self):
+        decls = [ElementDecl("PatientId", StringType())]
+        schema = MessageSchema("Rec", decls)
+        decls.append(ElementDecl("Extra", StringType()))
+        assert schema.elements == (decls[0],)
+        assert not schema.has_element("Extra")
+        assert [row[0] for row in schema.check_rows] == ["PatientId"]
+
     def test_illegal_schema_name_rejected(self):
         with pytest.raises(SchemaError):
             MessageSchema("bad name", [])
