@@ -45,6 +45,11 @@ def main() -> None:
     print("-" * 68)
     print(statistics.browse_catalog())
     print("-" * 68)
+    print("   the XSD installed in the catalog for one class (§3.1):")
+    xsd = controller.catalog.get("AutonomyAssessment").schema.to_xsd_text()
+    print(xsd)
+    assert xsd.count('css:sensitive="true"') == len(autonomy.schema.sensitive_fields)
+    print("-" * 68)
 
     print("\n2. it tries to subscribe — deny-by-default kicks in:")
     try:

@@ -2,14 +2,15 @@
 
 Walks the Fig. 7 wizard step by step, shows the warnings it raises, prints
 the generated XACML document (the Fig. 8 artifact), proves the round-trip
-through the XACML parser is lossless, and renders the Fig. 6 dashboard.
+through the XACML parser is lossless, carves a restriction out of a
+hospital-wide grant (deny-overrides), and renders the Fig. 6 dashboard.
 
 Run with::
 
     python examples/policy_elicitation_tour.py
 """
 
-from repro import DataConsumer, DataController, DataProducer
+from repro import AccessDeniedError, DataConsumer, DataController, DataProducer
 from repro.clock import YEAR
 from repro.sim.generators import standard_event_templates
 from repro.xacml.serialize import parse_policy
@@ -23,6 +24,8 @@ def main() -> None:
         category="social")
     DataConsumer(controller, "FamilyDoctors/Dr-Rossi", "Dr. Rossi",
                  role="family-doctor")
+    cardiology = DataConsumer(controller, "Hospital/Cardiology", "Cardiology")
+    psychiatry = DataConsumer(controller, "Hospital/Psychiatry", "Psychiatry")
 
     wizard = controller.elicitation_wizard()
 
@@ -72,8 +75,40 @@ def main() -> None:
     print(f"  XACML elements emitted: {elements} (hand-writing this is the "
           f"'translation step' the paper eliminates)")
 
+    print("\ndeny-overrides: grant the whole hospital, restrict one unit:")
+    coop.define_policy(
+        "HomeCareServiceEvent", fields=["PatientId", "ServiceType"],
+        consumers=[("Hospital", "unit")], purposes=["healthcare-treatment"],
+        label="hospital-wide grant")
+    restriction = coop.define_restriction(
+        "HomeCareServiceEvent", consumer=("Hospital/Psychiatry", "unit"),
+        purposes=["healthcare-treatment"],
+        label="psychiatry excluded from home-care events")
+    print(f"  restriction {restriction.policy_id} on {restriction.actor_selector}")
+
     print("\nthe producer's Fig. 6 dashboard:")
-    print(controller.dashboard.render("HomeAssist-Coop"))
+    dashboard = controller.dashboard.render("HomeAssist-Coop")
+    print(dashboard)
+    assert f"[{restriction.policy_id}] unit:Hospital/Psychiatry" in dashboard
+    assert "RESTRICTION (deny)" in dashboard
+
+    notification = coop.publish(
+        home_care, subject_id="pat-7", subject_name="Anna Conti",
+        summary="home care service delivered to Anna Conti",
+        details={"PatientId": "pat-7", "Name": "Anna", "Surname": "Conti",
+                 "ServiceType": "nursing", "OperatorId": "op-012",
+                 "DurationMinutes": 45, "CostEuro": 38.5})
+    served = cardiology.request_details_by_id(
+        "HomeCareServiceEvent", notification.event_id, "healthcare-treatment")
+    print(f"\ncardiology is served: {served.exposed_values()}")
+    assert served.exposed_values() == {"PatientId": "pat-7", "ServiceType": "nursing"}
+    try:
+        psychiatry.request_details_by_id(
+            "HomeCareServiceEvent", notification.event_id, "healthcare-treatment")
+    except AccessDeniedError as exc:
+        print(f"psychiatry is denied: {exc}")
+    else:
+        raise AssertionError("the restriction did not deny psychiatry")
 
     print("\ntesting the rule before going live (§1's testability challenge):")
     tester = controller.policy_tester()

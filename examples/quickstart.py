@@ -2,7 +2,8 @@
 
 One hospital publishes a blood test; a family doctor receives the
 notification (who/what/when/where) and pulls the details under an explicit
-purpose; unauthorized fields never leave the hospital.
+purpose; unauthorized fields never leave the hospital; a doctor who
+subscribes later catches up from the events index.
 
 Run with::
 
@@ -75,7 +76,17 @@ def main() -> None:
     except AccessDeniedError as exc:
         print(f"denied as expected: {exc}")
 
-    # 7. The audit trail answers "who accessed what, and why".
+    # 7. Temporal decoupling (§4): a doctor who subscribes after the publish
+    #    pulls the missed notification from the events index.
+    late = DataConsumer(controller, "FamilyDoctors/Dr-Verdi", "Dr. Verdi",
+                        role="family-doctor")
+    late.subscribe("BloodTest")
+    assert late.inbox == []
+    assert late.catch_up("BloodTest") == 1
+    assert late.inbox[0].event_id == notification.event_id
+    print(f"late subscriber caught up on: {late.inbox[0].event_id}")
+
+    # 8. The audit trail answers "who accessed what, and why".
     controller.audit_log.verify_integrity()
     print(f"audit records: {len(controller.audit_log)} (hash chain verified)")
 

@@ -20,7 +20,7 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the architecture map.
 """
 
-from repro.clock import Clock, WallClock
+from repro.clock import Clock
 from repro.core.actors import Actor, ActorDirectory, ActorKind
 from repro.core.consent import ConsentRegistry, ConsentScope
 from repro.core.consumer import DataConsumer
@@ -104,7 +104,6 @@ __all__ = [
     "SERVICE_MONITORING",
     "STATISTICAL_ANALYSIS",
     "StringType",
-    "WallClock",
     "XmlDocument",
     "is_privacy_safe",
 ]

@@ -49,10 +49,6 @@ class ServiceEndpoint:
         """Simulate the hosting system going down (used by ablation A4)."""
         self._available = False
 
-    def bring_online(self) -> None:
-        """Restore the endpoint."""
-        self._available = True
-
     def invoke(self, request: object) -> object:
         """Call the operation; raises ``EndpointError`` when offline.
 

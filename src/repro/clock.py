@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import threading
-import time as _time
 
 #: Epoch used to render simulated instants as ISO-8601 timestamps.
 SIMULATION_EPOCH = _dt.datetime(2010, 1, 1, tzinfo=_dt.timezone.utc)
@@ -69,23 +68,3 @@ class Clock:
             instant = self.now()
         stamp = SIMULATION_EPOCH + _dt.timedelta(seconds=instant)
         return stamp.isoformat()
-
-
-class WallClock(Clock):
-    """A clock backed by real time, for live demos.
-
-    ``advance``/``set`` are rejected: wall time cannot be steered.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(0.0)
-        self._t0 = _time.monotonic()
-
-    def now(self) -> float:  # noqa: D102 - inherited docstring
-        return _time.monotonic() - self._t0
-
-    def advance(self, seconds: float) -> float:  # noqa: D102
-        raise NotImplementedError("wall clock cannot be advanced manually")
-
-    def set(self, instant: float) -> None:  # noqa: D102
-        raise NotImplementedError("wall clock cannot be set manually")

@@ -70,10 +70,6 @@ class Actor:
         segments = self.path_segments
         return "/".join(segments[:-1]) if len(segments) > 1 else None
 
-    def is_within(self, ancestor_id: str) -> bool:
-        """Whether this actor is ``ancestor_id`` or nested inside it."""
-        return self.actor_id == ancestor_id or self.actor_id.startswith(ancestor_id + "/")
-
 
 class ActorDirectory:
     """The data controller's directory of known parties."""
@@ -111,11 +107,3 @@ class ActorDirectory:
     def consumers(self) -> list[Actor]:
         """Actors that may consume events."""
         return [actor for actor in self._actors.values() if actor.kind.consumes]
-
-    def with_role(self, role: str) -> list[Actor]:
-        """Actors carrying functional ``role``."""
-        return [actor for actor in self._actors.values() if actor.role == role]
-
-    def descendants_of(self, ancestor_id: str) -> list[Actor]:
-        """Actors at or below ``ancestor_id`` in the hierarchy."""
-        return [actor for actor in self._actors.values() if actor.is_within(ancestor_id)]

@@ -78,17 +78,6 @@ class ContractRegistry:
         """Suspend a contract (operations start failing immediately)."""
         self.get(party_id).status = ContractStatus.SUSPENDED
 
-    def reinstate(self, party_id: str) -> None:
-        """Reactivate a suspended contract."""
-        contract = self.get(party_id)
-        if contract.status is ContractStatus.TERMINATED:
-            raise ContractInactiveError(f"contract of {party_id!r} was terminated")
-        contract.status = ContractStatus.ACTIVE
-
-    def terminate(self, party_id: str) -> None:
-        """Terminate a contract permanently."""
-        self.get(party_id).status = ContractStatus.TERMINATED
-
     def require_active(self, party_id: str, instant: float, must_produce: bool = False,
                        must_consume: bool = False) -> Contract:
         """Assert the party may operate now; return the contract.

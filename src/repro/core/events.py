@@ -59,11 +59,6 @@ class EventClass:
         """The bus topic notifications of this class are published on."""
         return f"{TOPIC_PREFIX}.{self.category}.{self.name}"
 
-    @property
-    def qualified_name(self) -> str:
-        """Producer-qualified name (``D.e_j``)."""
-        return f"{self.producer_id}.{self.name}"
-
 
 @dataclass(frozen=True)
 class EventOccurrence:

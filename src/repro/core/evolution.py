@@ -62,8 +62,3 @@ def check_backward_compatible(old: MessageSchema, new: MessageSchema) -> list[st
                 f"new field {decl.name!r} is required (old events cannot carry it)"
             )
     return violations
-
-
-def is_backward_compatible(old: MessageSchema, new: MessageSchema) -> bool:
-    """Boolean form of :func:`check_backward_compatible`."""
-    return not check_backward_compatible(old, new)

@@ -29,11 +29,10 @@ class EventIdEntry:
 
 
 class EventIdMap:
-    """Bidirectional map between global and producer-local event ids."""
+    """Map from each global event id to its producer-local origin."""
 
     def __init__(self) -> None:
         self._by_global: dict[str, EventIdEntry] = {}
-        self._by_local: dict[tuple[str, str], str] = {}
 
     def __len__(self) -> int:
         return len(self._by_global)
@@ -46,7 +45,6 @@ class EventIdMap:
         if entry.event_id in self._by_global:
             raise UnknownEventError(f"event id {entry.event_id!r} already mapped")
         self._by_global[entry.event_id] = entry
-        self._by_local[(entry.producer_id, entry.src_event_id)] = entry.event_id
 
     def resolve(self, event_id: str) -> EventIdEntry:
         """``retrieveEventProducerId(eID)`` of Algorithm 1."""
@@ -54,15 +52,6 @@ class EventIdMap:
             return self._by_global[event_id]
         except KeyError as exc:
             raise UnknownEventError(f"unknown global event id {event_id!r}") from exc
-
-    def global_id_for(self, producer_id: str, src_event_id: str) -> str:
-        """Reverse lookup: the global id the controller assigned."""
-        try:
-            return self._by_local[(producer_id, src_event_id)]
-        except KeyError as exc:
-            raise UnknownEventError(
-                f"no global id for {producer_id!r}/{src_event_id!r}"
-            ) from exc
 
     def entries(self) -> Iterator[EventIdEntry]:
         """Every mapping, in publication order (archiving, analytics)."""

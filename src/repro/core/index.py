@@ -319,7 +319,3 @@ class EventsIndex:
         ]
         results.sort(key=lambda n: (n.occurred_at, n.event_id))
         return results
-
-    def count_for_type(self, event_type: str) -> int:
-        """Number of indexed notifications of one class, withdrawn ones included."""
-        return len(self._by_type.get(event_type, ()))

@@ -238,11 +238,6 @@ def is_privacy_safe(event: XmlDocument, policy: PrivacyPolicy) -> bool:
     return all(name in policy.fields for name in event.non_empty_fields())
 
 
-def is_privacy_safe_for_all(event: XmlDocument, policies: list[PrivacyPolicy]) -> bool:
-    """``e ⊨_r P`` — privacy safe for every policy in ``P``."""
-    return all(is_privacy_safe(event, policy) for policy in policies)
-
-
 #: Why Def. 3 denies: a matching restriction (the words of the XACML PEP
 #: mapping the combined Deny, kept so audit trails read as before) or no
 #: matching policy at all.

@@ -38,10 +38,6 @@ class PatientRoster:
         for subject_id in subject_ids:
             self.assign(consumer_id, subject_id)
 
-    def unassign(self, consumer_id: str, subject_id: str) -> None:
-        """Remove an assignment (e.g. the citizen changed doctor)."""
-        self._assignments.get(consumer_id, set()).discard(subject_id)
-
     def is_assigned(self, consumer_id: str, subject_id: str) -> bool:
         """Whether the subject is in the consumer's care."""
         return subject_id in self._assignments.get(consumer_id, ())
@@ -49,11 +45,3 @@ class PatientRoster:
     def subjects_of(self, consumer_id: str) -> frozenset[str]:
         """Every subject assigned to one consumer."""
         return frozenset(self._assignments.get(consumer_id, ()))
-
-    def consumers_of(self, subject_id: str) -> list[str]:
-        """Every consumer caring for one subject (citizen's PHR view)."""
-        return [
-            consumer_id
-            for consumer_id, subjects in self._assignments.items()
-            if subject_id in subjects
-        ]

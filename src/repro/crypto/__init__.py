@@ -10,7 +10,7 @@ provides a self-contained, stdlib-only substitute:
   cipher.
 * :class:`~repro.crypto.cipher.SealedBox` — encrypt-then-MAC tokens with
   integrity protection and a synthetic (SIV-style) nonce.
-* :class:`~repro.crypto.keystore.KeyStore` — named keys with rotation.
+* :class:`~repro.crypto.keystore.KeyStore` — named keys, each sealing under its own box.
 * :mod:`~repro.crypto.hashing` — the keyed HMAC (one per secret) and the
   tamper-evident hash chain used by the audit log.
 

@@ -1,8 +1,7 @@
-"""Named key management with rotation.
+"""Named key management.
 
 The data controller holds one key per purpose ("index-identity", per-producer
-channel keys, audit MAC key).  Keys can be rotated; old versions remain
-readable so sealed tokens created before a rotation still open.
+channel keys, audit MAC key).
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from repro.exceptions import KeyNotFoundError, TokenError
 
 
 class KeyStore:
-    """Versioned named keys, each exposing a :class:`SealedBox`.
+    """Named keys, each exposing a :class:`SealedBox`.
 
-    Tokens are prefixed with the key version (``v1:...``) so :meth:`open_`
-    can pick the right box even after rotations.
+    Tokens carry their key's version as a prefix (``v1:...``), the form
+    sealed tokens take on disk; :meth:`open_` reads it to pick the box.
 
     Key derivation is deterministic in ``(master secret, name, version)``
     and a :class:`SealedBox` is stateless (each nonce is synthesized from
@@ -53,13 +52,6 @@ class KeyStore:
         box = SealedBox(derive_key(self._master, f"key:{name}:v{version}"))
         KeyStore._schedule[cache_key] = box
         return box
-
-    def rotate(self, name: str) -> int:
-        """Advance ``name`` to the next version and return it."""
-        version = self._current_version(name) + 1
-        self._versions[name] = version
-        self._boxes[(name, version)] = self._make_box(name, version)
-        return version
 
     def _current_version(self, name: str) -> int:
         try:

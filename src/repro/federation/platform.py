@@ -234,10 +234,6 @@ class FederatedPlatform:
         """A homed consumer client."""
         return self._consumers[actor_id]
 
-    def home_of_producer(self, actor_id: str) -> str:
-        """The node a producer is homed on."""
-        return self._producer_home[actor_id]
-
     def home_of_consumer(self, actor_id: str) -> str:
         """The node a consumer is homed on."""
         return self._consumer_home[actor_id]

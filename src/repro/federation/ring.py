@@ -76,13 +76,6 @@ class HashRing:
             self._points.append((_point(f"{node_id}#{replica}"), node_id))
         self._points.sort()
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove ``node_id`` and its virtual points."""
-        if node_id not in self._members:
-            raise FederationError(f"node {node_id!r} is not on the ring")
-        self._members.discard(node_id)
-        self._points = [(pos, node) for pos, node in self._points if node != node_id]
-
     def owner_of(self, key: str) -> str:
         """The node owning ``key``: first point clockwise from its position."""
         if not self._points:

@@ -104,14 +104,6 @@ class CredentialAuthority:
         if now > credential.expires_at:
             raise TokenError(f"credential {credential.credential_id!r} expired")
 
-    def is_valid(self, credential: RoleCredential) -> bool:
-        """Boolean form of :meth:`verify`."""
-        try:
-            self.verify(credential)
-        except TokenError:
-            return False
-        return True
-
     # -- revocation ----------------------------------------------------------------
 
     def revoke(self, credential_id: str) -> None:
@@ -123,7 +115,3 @@ class CredentialAuthority:
     def is_revoked(self, credential_id: str) -> bool:
         """Whether the credential has been revoked."""
         return credential_id in self._revoked
-
-    def credentials_of(self, actor_id: str) -> list[RoleCredential]:
-        """Every credential ever issued to one actor (audit view)."""
-        return [c for c in self._issued.values() if c.actor_id == actor_id]

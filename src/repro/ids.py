@@ -105,15 +105,3 @@ class IdFactory:
         if count < 0:
             raise ValueError("cannot skip a negative number of ids")
         self.generator(prefix).skip(count)
-
-
-def opaque_token(*parts: str, length: int = 16) -> str:
-    """Derive a stable opaque token from ``parts``.
-
-    Used wherever the platform must expose a reference without leaking its
-    components — e.g. pseudonymous patient references inside notifications.
-    """
-    if length < 4 or length > 64:
-        raise ValueError("token length must be between 4 and 64")
-    digest = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
-    return digest[:length]

@@ -31,20 +31,3 @@ class TraceContext:
     def to_wire(self) -> dict[str, str]:
         """The JSON-serialisable wire form."""
         return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @staticmethod
-    def from_wire(payload: object) -> "TraceContext | None":
-        """Parse a wire form; tolerant — malformed input yields ``None``.
-
-        A federation must keep serving requests from peers running
-        without telemetry (or older wire formats), so a missing or
-        mangled context degrades to "no remote parent", never an error.
-        """
-        if not isinstance(payload, dict):
-            return None
-        trace_id = payload.get("trace_id")
-        span_id = payload.get("span_id")
-        if isinstance(trace_id, str) and trace_id and \
-                isinstance(span_id, str) and span_id:
-            return TraceContext(trace_id=trace_id, span_id=span_id)
-        return None

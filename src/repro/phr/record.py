@@ -45,10 +45,6 @@ class PersonalHealthRecord:
         self.subject_id = subject_id
         self._producers = {p.actor_id: p for p in (producers or [])}
 
-    def register_producer(self, producer: DataProducer) -> None:
-        """Make a producer's consent registry manageable from this PHR."""
-        self._producers[producer.actor_id] = producer
-
     # -- timeline ------------------------------------------------------------
 
     def timeline(self, since: float | None = None,
@@ -120,10 +116,3 @@ class PersonalHealthRecord:
     def access_report(self) -> AccessReport:
         """Who accessed my data, when, with which outcome and purpose."""
         return data_subject_report(self._controller.audit_log, self.subject_id)
-
-    def accesses_by(self, actor_id: str) -> int:
-        """How many audited actions one actor performed on my data."""
-        from repro.audit.query import AuditQuery
-
-        return (AuditQuery().about_subject(self.subject_id)
-                .by_actor(actor_id).count(self._controller.audit_log))

@@ -48,11 +48,6 @@ class ExposureSummary:
         """Share of disclosures that appear in an audit trail."""
         return self.traced / self.disclosures if self.disclosures else 1.0
 
-    @property
-    def overexposure_fraction(self) -> float:
-        """Share of disclosures the receiver did not need."""
-        return self.overexposed / self.disclosures if self.disclosures else 0.0
-
     def to_row(self) -> str:
         """One formatted benchmark-table row."""
         return (

@@ -109,11 +109,6 @@ class LazyPopulation:
         self._check(index)
         return f"cw-{index // self.case_load:06d}"
 
-    @property
-    def case_worker_count(self) -> int:
-        """Number of distinct case workers over the whole population."""
-        return (self.size + self.case_load - 1) // self.case_load
-
     # -- materialization ---------------------------------------------------
 
     def person(self, index: int) -> AssistedPerson:
@@ -164,12 +159,3 @@ class LazyPopulation:
     def materialized_total(self) -> int:
         """Persons materialized over this population's lifetime."""
         return self._materialized_total
-
-    def hierarchy_summary(self) -> dict[str, int]:
-        """Derived actor counts — arithmetic, nothing materialized."""
-        return {
-            "assisted_persons": self.size,
-            "case_workers": self.case_worker_count,
-            "clinicians": self.clinician_pool,
-            "expected_guardians": int(self.size * self.guardian_rate),
-        }

@@ -111,11 +111,6 @@ class MessageSchema:
         """Names of the fields flagged identifying."""
         return tuple(decl.name for decl in self.elements if decl.identifying)
 
-    @property
-    def required_fields(self) -> tuple[str, ...]:
-        """Names of the mandatory fields."""
-        return tuple(decl.name for decl in self.elements if decl.occurs is Occurs.REQUIRED)
-
     def element(self, name: str) -> ElementDecl:
         """Return the declaration of element ``name``.
 

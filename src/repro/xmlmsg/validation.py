@@ -56,8 +56,3 @@ def collect_violations(document: XmlDocument, schema: MessageSchema) -> list[str
             except ValidationError as exc:
                 errors.append(f"field {name!r}: {exc}")
     return errors
-
-
-def is_valid(document: XmlDocument, schema: MessageSchema) -> bool:
-    """True iff ``document`` validates against ``schema``."""
-    return not collect_violations(document, schema)

@@ -81,17 +81,11 @@ class TestAuditQuery:
     def test_by_outcome(self, log):
         assert AuditQuery().by_outcome(AuditOutcome.DENY).count(log) == 1
 
-    def test_about_event(self, log):
-        assert AuditQuery().about_event("e1").count(log) == 2
-
     def test_about_event_type(self, log):
         assert AuditQuery().about_event_type("HomeCare").count(log) == 1
 
     def test_about_subject(self, log):
         assert AuditQuery().about_subject("pat-1").count(log) == 2
-
-    def test_for_purpose(self, log):
-        assert AuditQuery().for_purpose("statistical-analysis").count(log) == 1
 
     def test_time_window(self, log):
         assert AuditQuery().between(15.0, 25.0).count(log) == 1

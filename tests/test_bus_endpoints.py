@@ -25,12 +25,6 @@ class TestServiceEndpoint:
         assert endpoint.stats.failures == 1
         assert endpoint.stats.calls == 0
 
-    def test_bring_online_restores_service(self):
-        endpoint = ServiceEndpoint("svc", lambda req: req)
-        endpoint.take_offline()
-        endpoint.bring_online()
-        assert endpoint.invoke("x") == "x"
-
     def test_operation_exception_propagates_and_counts(self):
         def failing(req):
             raise ValueError("fault response")

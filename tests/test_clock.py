@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.clock import DAY, MONTH, Clock, WallClock
+from repro.clock import DAY, MONTH, Clock
 
 
 class TestClock:
@@ -95,17 +95,3 @@ class TestClock:
         assert not any(thread.is_alive() for thread in reading + writing)
         assert backwards == []
         assert clock.now() == writers * steps
-
-
-class TestWallClock:
-    def test_advances_on_its_own(self):
-        clock = WallClock()
-        first = clock.now()
-        assert clock.now() >= first
-
-    def test_manual_steering_rejected(self):
-        clock = WallClock()
-        with pytest.raises(NotImplementedError):
-            clock.advance(1.0)
-        with pytest.raises(NotImplementedError):
-            clock.set(1.0)

@@ -38,13 +38,6 @@ class TestActor:
     def test_top_level_has_no_parent(self):
         assert actor("Hospital").parent_id is None
 
-    def test_is_within(self):
-        unit = actor("Hospital/Lab")
-        assert unit.is_within("Hospital")
-        assert unit.is_within("Hospital/Lab")
-        assert not unit.is_within("Hospital/Lab/Unit")
-        assert not unit.is_within("Hosp")
-
     def test_illegal_ids_rejected(self):
         with pytest.raises(ConfigurationError):
             actor("")
@@ -79,22 +72,6 @@ class TestActorDirectory:
         directory.add(actor("B", ActorKind.BOTH))
         assert {a.actor_id for a in directory.producers()} == {"P", "B"}
         assert {a.actor_id for a in directory.consumers()} == {"C", "B"}
-
-    def test_with_role(self):
-        directory = ActorDirectory()
-        directory.add(actor("D1", role="family-doctor"))
-        directory.add(actor("D2", role="family-doctor"))
-        directory.add(actor("S", role="statistician"))
-        assert len(directory.with_role("family-doctor")) == 2
-
-    def test_descendants_of(self):
-        directory = ActorDirectory()
-        directory.add(actor("Hospital"))
-        directory.add(actor("Hospital/Lab"))
-        directory.add(actor("Other"))
-        assert {a.actor_id for a in directory.descendants_of("Hospital")} == {
-            "Hospital", "Hospital/Lab",
-        }
 
 
 class TestPurposes:

@@ -192,21 +192,6 @@ class TestContracts:
         assert contract.is_active_at(100.0)
         assert not contract.is_active_at(101.0)
 
-    def test_suspend_and_reinstate(self):
-        registry = ContractRegistry()
-        registry.sign(self.contract())
-        registry.suspend("Hospital")
-        assert not registry.get("Hospital").is_active_at(0.0)
-        registry.reinstate("Hospital")
-        assert registry.get("Hospital").is_active_at(0.0)
-
-    def test_terminate_is_permanent(self):
-        registry = ContractRegistry()
-        registry.sign(self.contract())
-        registry.terminate("Hospital")
-        with pytest.raises(ContractInactiveError):
-            registry.reinstate("Hospital")
-
     def test_require_active_checks_expiry(self):
         registry = ContractRegistry()
         registry.sign(self.contract(valid_until=10.0))

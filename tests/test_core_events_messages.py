@@ -56,9 +56,6 @@ class TestEventClass:
     def test_topic_derivation(self):
         assert blood_class().topic == "events.health.BloodTest"
 
-    def test_qualified_name(self):
-        assert blood_class().qualified_name == "Hospital.BloodTest"
-
     def test_schema_name_must_match(self):
         with pytest.raises(SchemaError):
             EventClass(name="Other", producer_id="H", schema=blood_schema())
@@ -236,13 +233,6 @@ class TestEventIdMap:
     def test_resolve_unknown_rejected(self):
         with pytest.raises(UnknownEventError):
             EventIdMap().resolve("nope")
-
-    def test_reverse_lookup(self):
-        id_map = EventIdMap()
-        id_map.record(self.entry())
-        assert id_map.global_id_for("Hospital", "src-9") == "evt-1"
-        with pytest.raises(UnknownEventError):
-            id_map.global_id_for("Hospital", "missing")
 
     def test_entries_for_subject(self):
         id_map = EventIdMap()

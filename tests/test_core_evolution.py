@@ -3,7 +3,7 @@
 import pytest
 
 from repro import DataConsumer, DataController, DataProducer
-from repro.core.evolution import check_backward_compatible, is_backward_compatible
+from repro.core.evolution import check_backward_compatible
 from repro.exceptions import SchemaError, UnknownEventClassError
 from repro.xmlmsg.schema import ElementDecl, MessageSchema, Occurs
 from repro.xmlmsg.types import DecimalType, IntegerType, StringType
@@ -20,15 +20,15 @@ def v1() -> MessageSchema:
 
 class TestCompatibilityRules:
     def test_identical_schema_compatible(self):
-        assert is_backward_compatible(v1(), v1())
+        assert check_backward_compatible(v1(), v1()) == []
 
     def test_adding_optional_field_compatible(self):
         new = v1().add(ElementDecl("extra", StringType(), occurs=Occurs.OPTIONAL))
-        assert is_backward_compatible(v1(), new)
+        assert check_backward_compatible(v1(), new) == []
 
     def test_adding_repeated_field_compatible(self):
         new = v1().add(ElementDecl("tags", StringType(), occurs=Occurs.REPEATED))
-        assert is_backward_compatible(v1(), new)
+        assert check_backward_compatible(v1(), new) == []
 
     def test_adding_required_field_incompatible(self):
         new = v1().add(ElementDecl("must", StringType()))
@@ -65,7 +65,7 @@ class TestCompatibilityRules:
             ElementDecl("score", IntegerType(0, 100), sensitive=True),
             ElementDecl("note", StringType(), occurs=Occurs.OPTIONAL),
         ])
-        assert is_backward_compatible(v1(), new)
+        assert check_backward_compatible(v1(), new) == []
 
     def test_dropping_sensitive_flag_incompatible(self):
         new = MessageSchema("Rec", [

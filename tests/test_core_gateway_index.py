@@ -202,12 +202,6 @@ class TestEventsIndex:
         result = index.inquire(["BloodTest"])[0]
         assert result.subject_ref == "p1"
 
-    def test_count_for_type(self, index):
-        index.store(notification("e1"))
-        index.store(notification("e2"))
-        assert index.count_for_type("BloodTest") == 2
-        assert index.count_for_type("Other") == 0
-
 
 _text = st.text(min_size=1, max_size=12)
 #: The occurredAt slot keeps microseconds, so whole microseconds round-trip.

@@ -9,7 +9,6 @@ from repro.core.policy import (
     PolicyRepository,
     PrivacyPolicy,
     is_privacy_safe,
-    is_privacy_safe_for_all,
 )
 from repro.exceptions import PolicyError
 from repro.xacml.context import Decision, RequestContext
@@ -129,13 +128,6 @@ class TestDef4PrivacySafety:
     def test_blanking_restores_safety(self):
         doc = XmlDocument("BloodTest", {"PatientId": "p", "HivResult": "positive"})
         assert is_privacy_safe(doc.project(policy().fields), policy())
-
-    def test_safe_for_all(self):
-        doc = XmlDocument("BloodTest", {"PatientId": "p"})
-        policies = [policy(), policy(policy_id="p2", fields=frozenset({"PatientId"}))]
-        assert is_privacy_safe_for_all(doc, policies)
-        doc2 = XmlDocument("BloodTest", {"Hemoglobin": 14})
-        assert not is_privacy_safe_for_all(doc2, policies)
 
     @given(
         allowed=st.frozensets(st.sampled_from(["a", "b", "c", "d"]), min_size=1),

@@ -23,21 +23,6 @@ class TestPatientRoster:
         roster.assign_many("Dr-Rossi", ["p1", "p2", "p3"])
         assert roster.subjects_of("Dr-Rossi") == {"p1", "p2", "p3"}
 
-    def test_unassign(self):
-        roster = PatientRoster()
-        roster.assign("Dr-Rossi", "p1")
-        roster.unassign("Dr-Rossi", "p1")
-        assert not roster.is_assigned("Dr-Rossi", "p1")
-        roster.unassign("Dr-Rossi", "never-assigned")  # no-op
-
-    def test_consumers_of(self):
-        roster = PatientRoster()
-        roster.assign("Dr-Rossi", "p1")
-        roster.assign("SocialServices", "p1")
-        roster.assign("Dr-Verdi", "p2")
-        assert set(roster.consumers_of("p1")) == {"Dr-Rossi", "SocialServices"}
-        assert roster.consumers_of("p9") == []
-
     def test_empty_ids_rejected(self):
         roster = PatientRoster()
         with pytest.raises(ConfigurationError):
@@ -111,9 +96,6 @@ class TestRosterScopedDelivery:
         controller.roster.assign("Dr-Rossi", "p9")
         publish("p9")
         assert len(rossi.inbox) == 1
-        controller.roster.unassign("Dr-Rossi", "p9")
-        publish("p9")
-        assert len(rossi.inbox) == 1  # no new delivery
 
     def test_filtered_notifications_are_not_audited_as_delivered(self, roster_world):
         controller, hospital, rossi, verdi, statistics, publish = roster_world

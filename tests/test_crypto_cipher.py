@@ -264,13 +264,6 @@ class TestSealedBox:
         with pytest.raises(TokenError):
             SealedBox("secret").open("ab" * 10)
 
-    def test_is_valid_true_and_false(self):
-        box = SealedBox("secret")
-        token = box.seal("x", "evt-1/subjectRef")
-        assert box.is_valid(token)
-        assert not box.is_valid(token[:-2] + "00")
-        assert not box.is_valid("nothex!")
-
     def test_unicode_round_trip(self):
         box = SealedBox("secret")
         text = "àèìòù — Trentino ♥"
@@ -287,7 +280,6 @@ class TestLegacyTokens:
         box = SealedBox("css-platform-secret")
         with pytest.raises(TokenError, match="integrity"):
             box.open(token)
-        assert not box.is_valid(token)
 
     def test_each_token_runs_one_keystream(self, monkeypatch):
         box = SealedBox("css-platform-secret")

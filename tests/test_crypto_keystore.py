@@ -37,18 +37,6 @@ class TestKeyStore:
         with pytest.raises(KeyNotFoundError):
             keystore.open_("nope", "v1:00")
 
-    def test_rotation_bumps_version(self, keystore):
-        assert keystore.rotate("index-identity") == 2
-        assert keystore.current_version("index-identity") == 2
-
-    def test_old_tokens_still_open_after_rotation(self, keystore):
-        old_token = keystore.seal("index-identity", "old data", "evt-1/subjectRef")
-        keystore.rotate("index-identity")
-        new_token = keystore.seal("index-identity", "new data", "evt-2/subjectRef")
-        assert keystore.open_("index-identity", old_token) == "old data"
-        assert keystore.open_("index-identity", new_token) == "new data"
-        assert new_token.startswith("v2:")
-
     def test_token_without_version_prefix_rejected(self, keystore):
         with pytest.raises(TokenError):
             keystore.open_("index-identity", "deadbeef")
@@ -68,7 +56,3 @@ class TestKeyStore:
         token = keystore.seal("index-identity", "x", "evt-1/subjectRef")
         with pytest.raises(TokenError):
             keystore.open_("other", token)
-
-    def test_rotate_unknown_key_rejected(self, keystore):
-        with pytest.raises(KeyNotFoundError):
-            keystore.rotate("nope")

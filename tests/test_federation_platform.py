@@ -518,7 +518,6 @@ class TestHoming:
 
     def test_home_accessors(self, federation_two):
         platform = federation_two.platform
-        assert platform.home_of_producer("Hospital-S-Maria") == "node-0"
         assert platform.home_of_consumer("FamilyDoctors/Dr-Rossi") == "node-1"
         assert platform.home_of_class("BloodTest") == "node-0"
 

@@ -18,7 +18,6 @@ class TestCredentialAuthority:
     def test_issue_and_verify(self, authority):
         credential = authority.issue("FamilyDoctors/Dr-Rossi", "family-doctor")
         authority.verify(credential)
-        assert authority.is_valid(credential)
 
     def test_needs_secret(self):
         with pytest.raises(CryptoError):
@@ -71,12 +70,6 @@ class TestCredentialAuthority:
     def test_revoke_unknown_rejected(self, authority):
         with pytest.raises(TokenError):
             authority.revoke("cred-unknown")
-
-    def test_credentials_of(self, authority):
-        authority.issue("Doctor", "family-doctor")
-        authority.issue("Doctor", "researcher")
-        authority.issue("Other", "nurse")
-        assert len(authority.credentials_of("Doctor")) == 2
 
 
 class TestIdentityProvider:

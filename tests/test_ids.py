@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.ids import IdFactory, IdGenerator, opaque_token
+from repro.ids import IdFactory, IdGenerator
 
 
 class TestIdGenerator:
@@ -135,23 +135,3 @@ class TestIdFactory:
                 assert len(ids) == len(set(ids)) == 12 * 300 * 2
         finally:
             sys.setswitchinterval(interval)
-
-
-class TestOpaqueToken:
-    def test_stable_for_same_parts(self):
-        assert opaque_token("a", "b") == opaque_token("a", "b")
-
-    def test_differs_for_different_parts(self):
-        assert opaque_token("a", "b") != opaque_token("a", "c")
-
-    def test_concatenation_ambiguity_is_avoided(self):
-        assert opaque_token("ab", "c") != opaque_token("a", "bc")
-
-    def test_length_is_respected(self):
-        assert len(opaque_token("x", length=24)) == 24
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            opaque_token("x", length=3)
-        with pytest.raises(ValueError):
-            opaque_token("x", length=100)

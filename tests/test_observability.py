@@ -461,19 +461,6 @@ class TestHistogramEdgeCases:
 
 
 class TestTraceContext:
-    def test_wire_round_trip(self):
-        from repro.obs.context import TraceContext
-
-        context = TraceContext(trace_id="tr-000001", span_id="sp-000002")
-        assert TraceContext.from_wire(context.to_wire()) == context
-
-    def test_malformed_wire_payloads_yield_none(self):
-        from repro.obs.context import TraceContext
-
-        for payload in (None, "x", 7, {}, {"trace_id": "tr-1"},
-                        {"trace_id": 3, "span_id": "sp-1"}):
-            assert TraceContext.from_wire(payload) is None
-
     def test_remote_parent_joins_the_callers_trace(self):
         from repro.obs.context import TraceContext
 

@@ -124,13 +124,6 @@ class TestConsentFromPhr:
         with pytest.raises(ConfigurationError, match="not registered"):
             phr.opt_out("Unknown", ConsentScope.DETAILS)
 
-    def test_register_producer_later(self, phr_world):
-        controller, hospital, telecare, doctor, phr, blood, alarm = phr_world
-        fresh = PersonalHealthRecord(controller, "pat-1")
-        fresh.register_producer(hospital)
-        fresh.opt_out("Hospital", ConsentScope.DETAILS, "BloodTest")
-        assert not hospital.consent.allows_details("pat-1", "BloodTest")
-
 
 class TestAccessTransparency:
     def test_access_report_shows_who_and_why(self, phr_world):
@@ -141,13 +134,6 @@ class TestAccessTransparency:
         assert report.by_actor["Dr-Rossi"] >= 1
         assert report.by_purpose["healthcare-treatment"] == 1
         assert report.chain_verified
-
-    def test_accesses_by_actor(self, phr_world):
-        controller, hospital, telecare, doctor, phr, blood, alarm = phr_world
-        notification = blood()
-        doctor.request_details(notification, "healthcare-treatment")
-        assert phr.accesses_by("Dr-Rossi") >= 1
-        assert phr.accesses_by("Nobody") == 0
 
     def test_report_includes_denials(self, phr_world):
         controller, hospital, telecare, doctor, phr, blood, alarm = phr_world

@@ -6,7 +6,6 @@
   subscriptions' handlers directly and visits only the waiting set
   against one that queues every delivery and scans every subscription.
 * Events index: the per-type inquiry agrees with a brute-force filter.
-* Keystore: rotation never breaks previously sealed tokens.
 * Row codecs: audit records survive their one encode/decode pair, an audit
   row written before the codecs were merged is stored in today's form, and
   an index log holding a row of the registry-object form is refused.
@@ -340,24 +339,6 @@ class TestRegistryProperties:
             and f"{row['occurred_at']:020.6f}" >= f"{since:020.6f}"
         ]
         assert indexed == brute_force
-
-
-class TestKeystoreRotationProperty:
-    @given(
-        values=st.lists(st.text(min_size=1, max_size=30), min_size=1, max_size=10),
-        rotations=st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_rotation_preserves_old_tokens(self, values, rotations):
-        store = KeyStore("rotation-secret")
-        store.create("k")
-        tokens = []
-        for sealed, value in enumerate(values, start=1):
-            tokens.append((value, store.seal("k", value, f"evt-{sealed}/subjectRef")))
-            if rotations and sealed % max(1, len(values) // (rotations + 1)) == 0:
-                store.rotate("k")
-        for value, token in tokens:
-            assert store.open_("k", token) == value
 
 
 # One audit row and one index row exactly as the pre-merge writers

@@ -152,12 +152,10 @@ class TestDisclosureLedger:
         assert summary.traced == 2
         assert summary.bytes_on_wire == 100
         assert summary.traced_fraction == 1.0
-        assert summary.overexposure_fraction == 0.5
 
     def test_empty_ledger_fractions(self):
         summary = DisclosureLedger("sut").summary()
         assert summary.traced_fraction == 1.0
-        assert summary.overexposure_fraction == 0.0
 
     def test_to_row_contains_system_name(self):
         assert "sut" in DisclosureLedger("sut").summary().to_row()

@@ -265,6 +265,35 @@ class TestArchiveRoundTrip:
         archived_ids = {n.event_id for n in notifications}
         assert notification.event_id not in archived_ids
 
+    def test_a_suspended_producer_stays_refused_after_restore(self, tmp_path):
+        """A contract's status is read back from disk: the round trip never
+        reactivates a suspended producer, so its publish is still refused."""
+        from repro.core.contracts import ContractStatus
+        from repro.core.events import EventOccurrence
+        from repro.exceptions import ContractInactiveError
+        from repro.xmlmsg.document import XmlDocument
+
+        controller, hospital, doctor, notifications = build_busy_platform()
+        controller.contracts.suspend("Hospital")
+        archive = PlatformArchive(tmp_path / "snap")
+        archive.save(controller)
+        restored = archive.restore("archive-secret")
+
+        assert restored.contracts.get("Hospital").status is ContractStatus.SUSPENDED
+        indexed = len(restored.index)
+        occurrence = EventOccurrence(
+            event_class=restored.catalog.get("BloodTest"),
+            src_event_id="Hospital:src-while-suspended",
+            subject_id="p9", subject_name="Patient 9",
+            occurred_at=restored.clock.now(), summary="published while suspended",
+            details=XmlDocument("BloodTest", {
+                "PatientId": "p9", "Name": "Patient 9", "Hemoglobin": 13.0,
+                "Glucose": 91.0, "HivResult": "negative"}),
+        )
+        with pytest.raises(ContractInactiveError):
+            restored.publish("Hospital", occurrence)
+        assert len(restored.index) == indexed
+
     def test_wrong_master_secret_fails_identity_decryption(self, tmp_path):
         controller, hospital, doctor, notifications = build_busy_platform()
         archive = PlatformArchive(tmp_path / "snap")

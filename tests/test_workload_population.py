@@ -74,7 +74,6 @@ class TestHierarchy:
         population = LazyPopulation(1_000, seed=5, case_load=250)
         assert population.case_worker_of(0) == population.case_worker_of(249)
         assert population.case_worker_of(249) != population.case_worker_of(250)
-        assert population.case_worker_count == 4
         person = population.person(251)
         assert person.case_worker_id == population.case_worker_of(251)
 
@@ -98,15 +97,6 @@ class TestHierarchy:
         assert large.clinician_pool == 1_000
         person = large.person(0)
         assert person.clinician_id.startswith("cl-")
-
-    def test_hierarchy_summary(self):
-        population = LazyPopulation(1_000_000, seed=1, guardian_rate=0.12)
-        summary = population.hierarchy_summary()
-        assert summary["assisted_persons"] == 1_000_000
-        assert summary["case_workers"] == 4_000
-        assert summary["clinicians"] == 1_000
-        assert summary["expected_guardians"] == 120_000
-        assert population.materialized_total == 0
 
 
 class TestValidation:

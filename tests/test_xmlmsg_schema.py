@@ -58,9 +58,6 @@ class TestMessageSchema:
     def test_identifying_fields(self):
         assert sample_schema().identifying_fields == ("PatientId",)
 
-    def test_required_fields(self):
-        assert sample_schema().required_fields == ("PatientId", "Hemoglobin")
-
     def test_element_lookup(self):
         assert sample_schema().element("Notes").occurs is Occurs.OPTIONAL
 

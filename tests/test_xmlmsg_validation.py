@@ -17,7 +17,7 @@ from repro.xmlmsg.types import (
     IntegerType,
     StringType,
 )
-from repro.xmlmsg.validation import collect_violations, is_valid, validate_document
+from repro.xmlmsg.validation import collect_violations, validate_document
 from tests.validation_reference import walk_violations
 
 
@@ -92,14 +92,6 @@ class TestCollectViolations:
 
     def test_empty_for_valid_document(self, schema):
         assert collect_violations(valid_doc(), schema) == []
-
-
-class TestIsValid:
-    def test_true_for_valid(self, schema):
-        assert is_valid(valid_doc(), schema)
-
-    def test_false_for_invalid(self, schema):
-        assert not is_valid(valid_doc().without("id"), schema)
 
 
 # -- the compiled check against the declaration walk ---------------------------
