@@ -33,7 +33,7 @@ is one execution of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.audit.log import AuditLog
 from repro.clock import Clock
@@ -46,7 +46,7 @@ from repro.core.purposes import PurposeRegistry
 from repro.exceptions import AccessDeniedError
 from repro.ids import IdFactory
 from repro.runtime import interceptors
-from repro.runtime.interceptors import REQUEST_DETAILS, HotPath, Outcome
+from repro.runtime.interceptors import DETAILS_EDGE, REQUEST_DETAILS, HotPath, Outcome
 from repro.xacml.context import Decision
 
 #: Decisions made, labelled ``permit`` / ``deny`` / ``not_applicable`` —
@@ -77,10 +77,8 @@ class EnforcerStats:
     denies: int = 0
     consent_vetoes: int = 0
     gateway_failures: int = 0
-
-    def outcomes(self) -> dict[Outcome, int]:
-        return {Outcome.OK: self.permits, Outcome.DENY: self.denies,
-                Outcome.ERROR: self.gateway_failures}
+    BUCKETS: ClassVar = {Outcome.OK: "permits", Outcome.DENY: "denies",
+                         Outcome.ERROR: "gateway_failures"}
 
 
 @dataclass
@@ -127,9 +125,10 @@ class PolicyEnforcer:
         self.consent_resolver = consent_resolver or (lambda producer_id: None)
         self.stats = EnforcerStats()
         self.pdp_stats = DecisionStats()
-        #: Algorithm 1 under its ``pipeline.request-details`` root span.
+        #: Algorithm 1 under its ``pipeline.request-details`` root span, or,
+        #: inside a request's edge on this node, under the edge's.
         self.pipeline = HotPath(REQUEST_DETAILS, interceptors.get_event_details,
-                                self, self.stats, telemetry)
+                                self, self.stats, telemetry, within=DETAILS_EDGE)
 
     def decision(self, entry: EventIdEntry, request: DetailRequest) -> PolicyDecision:
         """Steps 2–3 of Algorithm 1: Def. 3 at the clock's time, counted."""

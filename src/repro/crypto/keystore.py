@@ -13,74 +13,55 @@ from repro.exceptions import KeyNotFoundError, TokenError
 class KeyStore:
     """Named keys, each exposing a :class:`SealedBox`.
 
-    Tokens carry their key's version as a prefix (``v1:...``), the form
-    sealed tokens take on disk; :meth:`open_` reads it to pick the box.
+    A key has one version, 1, for the life of the store.  Tokens carry it
+    as a prefix (``v1:...``), the form sealed tokens take on disk;
+    :meth:`open_` refuses any other.
 
-    Key derivation is deterministic in ``(master secret, name, version)``
-    and a :class:`SealedBox` is stateless (each nonce is synthesized from
-    the caller's context and the plaintext), so the derived boxes are
-    shared process-wide through a class-level **key-schedule cache**: a
+    Key derivation is deterministic in ``(master secret, name)`` and a
+    :class:`SealedBox` is stateless (each nonce is synthesized from the
+    caller's context and the plaintext), so the derived boxes are shared
+    process-wide through a class-level **key-schedule cache**: a
     federation of *k* nodes built from one master secret derives each
     channel key once instead of once per node.
     """
 
-    #: Process-wide schedule cache: (master, name, version) -> SealedBox.
-    _schedule: dict[tuple[str, str, int], SealedBox] = {}
+    #: Process-wide schedule cache: (master, name) -> SealedBox.
+    _schedule: dict[tuple[str, str], SealedBox] = {}
     _schedule_cap = 4096
 
     def __init__(self, master_secret: str) -> None:
         if not master_secret:
             raise KeyNotFoundError("master secret must be non-empty")
         self._master = master_secret
-        self._versions: dict[str, int] = {}
-        self._boxes: dict[tuple[str, int], SealedBox] = {}
+        self._boxes: dict[str, SealedBox] = {}
 
     def create(self, name: str) -> None:
-        """Create key ``name`` at version 1 (no-op if it already exists)."""
-        if name in self._versions:
+        """Create key ``name`` (no-op if it already exists)."""
+        if name in self._boxes:
             return
-        self._versions[name] = 1
-        self._boxes[(name, 1)] = self._make_box(name, 1)
+        box = KeyStore._schedule.get((self._master, name))
+        if box is None:
+            if len(KeyStore._schedule) >= KeyStore._schedule_cap:
+                KeyStore._schedule.clear()
+            box = KeyStore._schedule[self._master, name] = SealedBox(
+                derive_key(self._master, f"key:{name}:v1"))
+        self._boxes[name] = box
 
-    def _make_box(self, name: str, version: int) -> SealedBox:
-        cache_key = (self._master, name, version)
-        box = KeyStore._schedule.get(cache_key)
-        if box is not None:
-            return box
-        if len(KeyStore._schedule) >= KeyStore._schedule_cap:
-            KeyStore._schedule.clear()
-        box = SealedBox(derive_key(self._master, f"key:{name}:v{version}"))
-        KeyStore._schedule[cache_key] = box
-        return box
-
-    def _current_version(self, name: str) -> int:
+    def _box(self, name: str) -> SealedBox:
         try:
-            return self._versions[name]
+            return self._boxes[name]
         except KeyError as exc:
             raise KeyNotFoundError(f"no key named {name!r}") from exc
 
-    def current_version(self, name: str) -> int:
-        """Current version number of key ``name``."""
-        return self._current_version(name)
-
     def seal(self, name: str, plaintext: str, context: str) -> str:
-        """Seal ``plaintext`` under the current version of key ``name``;
-        equal ``(context, plaintext)`` pairs give equal tokens."""
-        version = self._current_version(name)
-        token = self._boxes[(name, version)].seal(plaintext, context)
-        return f"v{version}:{token}"
+        """Seal ``plaintext`` under key ``name``; equal ``(context,
+        plaintext)`` pairs give equal tokens."""
+        return "v1:" + self._box(name).seal(plaintext, context)
 
     def open_(self, name: str, token: str) -> str:
-        """Open a token, resolving the key version from its prefix."""
-        self._current_version(name)  # raises if the key does not exist
+        """Open a ``v1:`` token sealed under key ``name``."""
+        box = self._box(name)  # raises if the key does not exist
         prefix, _, body = token.partition(":")
-        if not body or not prefix.startswith("v"):
-            raise TokenError("token missing version prefix")
-        try:
-            version = int(prefix[1:])
-        except ValueError as exc:
-            raise TokenError(f"bad token version prefix {prefix!r}") from exc
-        box = self._boxes.get((name, version))
-        if box is None:
-            raise TokenError(f"token sealed under unknown version {version} of key {name!r}")
+        if prefix != "v1" or not body:
+            raise TokenError(f"token does not carry the v1: prefix of key {name!r}")
         return box.open(body)

@@ -7,11 +7,11 @@ high-water marks) and shows the last
 ``span_capacity`` finished **spans** of the tracer it watches — so a
 burst of pipeline spans can never evict the alert that explains it.
 
-The spans are not copied: the recorder reads them from the tracer's rows
-(:mod:`repro.obs.tracing`) when its timeline is read or frozen, and the
-tracer never calls it.  Each event notes how many spans had finished
-when it was recorded, which is all it takes to give spans and events one
-shared sequence.
+The spans are not copied: the recorder reads them from the tracer's ring
+of rows (:mod:`repro.obs.tracing`) when its timeline is read, and the
+tracer never calls it — except once, at freeze, so that a frozen window
+outlives the ring.  Each event notes how many spans had finished when it
+was recorded, which gives spans and events one shared sequence.
 
 Everything shown is already sanitised: event fields pass through the
 platform's :class:`~repro.obs.guard.PrivacyGuard` (string values of
@@ -36,11 +36,14 @@ from collections import deque
 from repro.clock import Clock
 from repro.exceptions import ConfigurationError
 from repro.obs.guard import PrivacyGuard
+from repro.obs.tracing import SPAN_CAPACITY
 
 #: Event kinds the platform's hooks record (the bus writes its own as
 #: literals: it stays import-free of ``repro.obs``).
 EVENT_SLO_ALERT = "slo.alert"
 EVENT_DEADLETTER = "bus.deadletter"
+#: What a window row shows of a span, after its ``seq`` and ``at`` (its end).
+_SPAN_FIELDS = ("name", "trace_id", "span_id", "parent_id", "status", "duration")
 
 
 class FlightRecorder:
@@ -54,8 +57,9 @@ class FlightRecorder:
         span_capacity: int = 256,
         guard: PrivacyGuard | None = None,
     ) -> None:
-        if capacity < 1 or span_capacity < 1:
-            raise ConfigurationError("flight recorder capacities must be >= 1")
+        if capacity < 1 or not 1 <= span_capacity <= SPAN_CAPACITY:
+            raise ConfigurationError(
+                f"flight recorder capacities must be >= 1 (spans <= {SPAN_CAPACITY})")
         self.clock = clock or Clock()
         self.guard = guard or PrivacyGuard()
         self.capacity = capacity
@@ -66,6 +70,7 @@ class FlightRecorder:
         self.tracer = None
         self._origin = 0  # the tracer's finished count when watched
         self._frozen_spans = 0  # spans seen when frozen
+        self._frozen_window: list[dict] = []  # :meth:`spans` when frozen
         self._recorded = 0  # events recorded, evicted ones included
         #: ``[spans seen, events recorded by then]`` per distinct span count
         #: at which events were recorded, oldest first — trimmed to what
@@ -78,14 +83,14 @@ class FlightRecorder:
     def watch(self, tracer) -> None:
         """Show the spans ``tracer`` finishes from now on."""
         self.tracer = tracer
-        self._origin = len(tracer.finished)
+        self._origin = tracer.closed
 
     def _spans_seen(self) -> int:
         """Spans finished on the watched tracer since :meth:`watch`, up to
         the freeze."""
         if self.frozen:
             return self._frozen_spans
-        return 0 if self.tracer is None else len(self.tracer.finished) - self._origin
+        return 0 if self.tracer is None else self.tracer.closed - self._origin
 
     def record(self, kind: str, **fields: object) -> None:
         """Record one operational event, sanitising field values.
@@ -132,6 +137,7 @@ class FlightRecorder:
         """
         if not self.frozen:
             self._frozen_spans = self._spans_seen()
+            self._frozen_window = self.spans()
             self.frozen = True
         return self.snapshot()
 
@@ -148,6 +154,8 @@ class FlightRecorder:
 
     def spans(self) -> list[dict]:
         """The last ``span_capacity`` spans seen, oldest first."""
+        if self.frozen:
+            return [dict(row) for row in self._frozen_window]
         seen = self._spans_seen()
         marks = iter(self._marks)
         mark = next(marks, None)
@@ -157,17 +165,10 @@ class FlightRecorder:
             while mark is not None and mark[0] < number:
                 before = mark[1]
                 mark = next(marks, None)
-            span = self.tracer.span_of(self.tracer.finished[self._origin + number - 1])
-            rows.append({
-                "seq": number + before,
-                "at": span.end,
-                "name": span.name,
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "status": span.status,
-                "duration": span.duration,
-            })
+            row = self.tracer.finished[(self._origin + number - 1) % SPAN_CAPACITY]
+            span = self.tracer.span_of(row)
+            rows.append({"seq": number + before, "at": span.end,
+                         **{field: getattr(span, field) for field in _SPAN_FIELDS}})
         return rows
 
     def timeline(self) -> list[dict]:

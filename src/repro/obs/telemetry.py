@@ -16,15 +16,14 @@ The facade: ``count``/``gauge``/``observe`` for values sampled on demand,
 
 from __future__ import annotations
 
-from array import array
-from time import perf_counter
+from functools import partial
 
 from repro.clock import Clock
 from repro.obs.context import TraceContext
 from repro.obs.exporters import metric_lines, span_lines, write_jsonl
 from repro.obs.guard import MODE_HASH, PrivacyGuard
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import SPAN_CAPACITY, Tracer
 
 #: Counter of hot-path executions, labelled by pipeline + outcome.
 PIPELINE_OUTCOMES = "pipeline.invocations_total"
@@ -38,29 +37,33 @@ WALL_BUCKETS: tuple[float, ...] = (
 
 
 class _BoundSpan:
-    """A hot path's root span shape, resolved once: name and guard-cleared
-    attributes.  Re-entrant (:meth:`open` returns the tracer row, :meth:`close`
-    takes it), so nested executions share it; ``walls`` gets each closed row
-    and its wall seconds.  As a context manager it yields the row's ``Span``."""
+    """A hot path's root span shape, resolved once: ``open()`` is the tracer's
+    ``open`` with name and cleared attributes bound, ``close(row, exc_type)``
+    its ``close`` — one call per span end.  A context manager too."""
 
-    __slots__ = ("_tracer", "_name", "_attributes", "_starts", "_rows", "_walls")
+    __slots__ = ("_tracer", "_name", "_labels", "_noted", "open", "close")
 
-    def __init__(self, tracer: Tracer, name: str, labels: dict, walls: tuple) -> None:
-        self._tracer, self._name = tracer, name
-        self._starts, self._rows, self._walls = walls
-        # Shared by every span of this shape (read-only).
-        self._attributes = tracer.cleared(labels)
+    def __init__(self, tracer: Tracer, name: str, labels: dict) -> None:
+        self._tracer, self._name, self._labels = tracer, name, labels
+        self._noted: dict = {}  # (key, value) -> the attributes with it added
+        # The attributes are shared by every span of this shape (read-only).
+        self.open = partial(tracer.open, name, tracer.cleared(labels))
+        self.close = tracer.close
 
-    def open(self) -> int:
-        """Open one span of this shape; returns its tracer row."""
-        self._starts.append(perf_counter())
-        return self._tracer.open(self._name, self._attributes)
+    def innermost(self) -> int | None:
+        """The innermost open span's row when it is one of this shape."""
+        stack, names = self._tracer._stack, self._tracer.names
+        if stack and names[stack[-1] % SPAN_CAPACITY] == self._name:
+            return stack[-1]
+        return None
 
-    def close(self, row: int, exc_type: type | None = None) -> None:
-        """Close the span at ``row``."""
-        self._rows.append(row)
-        self._walls.append(perf_counter() - self._starts.pop())  # spans close innermost first
-        self._tracer.close(row, exc_type)
+    def note(self, row: int, key: str, value: str) -> None:
+        """Add ``key=value`` to the open span of this shape at ``row``."""
+        noted = self._noted.get((key, value))
+        if noted is None:
+            noted = self._noted[key, value] = self._tracer.cleared({**self._labels, key: value})
+        if self._tracer.rows - row <= SPAN_CAPACITY:  # still in the ring
+            self._tracer.attributes[row % SPAN_CAPACITY] = noted
 
     def __enter__(self):
         return self._tracer.span_of(self.open())
@@ -87,8 +90,6 @@ class InMemoryTelemetry:
         self.tracer = Tracer(self.clock, self.guard, site=site)
         #: Hot-path name -> its bound root span.
         self._bound_spans = self.guard.memo()
-        #: Open root spans' ``perf_counter()``; closed ones' rows and wall seconds.
-        self._walls = ([], array("q"), array("d"))
         self.recorder = None
 
     # -- metrics -----------------------------------------------------------
@@ -108,11 +109,13 @@ class InMemoryTelemetry:
     @property
     def wall(self) -> MetricsRegistry:
         """Wall-clock sidecar: one ``PIPELINE_WALL_DURATION`` sample per finished
-        ``pipeline.*`` span (real seconds, so no deterministic export reads it)."""
-        sidecar, names = MetricsRegistry(self.guard), self.tracer.names
-        for row, seconds in zip(*self._walls[1:]):
-            sidecar.histogram(PIPELINE_WALL_DURATION, buckets=WALL_BUCKETS,
-                              pipeline=names[row][len("pipeline."):]).observe(seconds)
+        ``pipeline.*`` span the ring holds (real seconds: no export reads it)."""
+        sidecar, tracer = MetricsRegistry(self.guard), self.tracer
+        for slot in (row % SPAN_CAPACITY for row in tracer.finished_rows()):
+            name = tracer.names[slot]
+            if name.startswith("pipeline."):
+                sidecar.histogram(PIPELINE_WALL_DURATION, buckets=WALL_BUCKETS,
+                                  pipeline=name[len("pipeline."):]).observe(tracer.walls[slot])
         return sidecar
 
     def restrict_keys(self, keys) -> None:
@@ -135,7 +138,7 @@ class InMemoryTelemetry:
         bound = self._bound_spans.get(pipeline)
         if bound is None:
             labels = {"pipeline": pipeline}
-            bound = _BoundSpan(self.tracer, f"pipeline.{pipeline}", labels, self._walls)
+            bound = _BoundSpan(self.tracer, f"pipeline.{pipeline}", labels)
             # A restricted label key is re-sanitised per span, never memoised.
             if self.guard.static_key(labels) is not None:
                 self._bound_spans[pipeline] = bound

@@ -6,16 +6,14 @@ simulated :class:`~repro.clock.Clock` and span/trace ids from plain
 counters, so the same seeded scenario always produces the same spans —
 the trace-determinism tests diff the JSONL export byte for byte.
 
-A span is a *row*: its index in the tracer's parallel columns (name,
-guard-cleared attributes, parent, trace, start, end; the few failed rows'
-error names kept aside).  Opening one appends to the columns and closing
-one writes its end, so the hot path builds no object per span.  Ids are
-minted from the row and trace numbers only when read, and a :class:`Span`
-— the read view of one row — is built only by the read side
-(:meth:`Tracer.finished_spans`, :meth:`Tracer.spans_named`, the exports, a
-flight recorder's timeline) and cached, so repeated reads return the same
-objects.  A generic :meth:`Tracer.span` scope is itself its row's cached
-view.
+A span is a *row*, numbered in open order, kept in slot ``row %
+SPAN_CAPACITY`` of the tracer's columns: a ring, so a node keeps its last
+spans, never its history.  Opening a span writes its slot and closing one
+its end, so the hot path builds no object per span.  Ids are minted from
+the row and trace numbers only when read, and a :class:`Span` — the read
+view of one row — is built only by the read side and cached in its slot;
+a generic :meth:`Tracer.span` scope is itself its row's view.  Reading an
+overwritten row raises :class:`IndexError`.
 
 Span attributes pass through the :class:`~repro.obs.guard.PrivacyGuard`
 exactly like metric labels: a span can say *which path* denied *which
@@ -29,8 +27,8 @@ carries only a :class:`~repro.obs.context.TraceContext`, never content.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Mapping
+from time import perf_counter
 from types import MappingProxyType
 
 from repro.clock import Clock
@@ -40,6 +38,8 @@ from repro.obs.guard import PrivacyGuard
 #: Span status values.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+#: Rows a tracer keeps: its columns, finish order and views are rings this long.
+SPAN_CAPACITY = 4096
 
 
 class Span:
@@ -65,31 +65,31 @@ class Span:
 
     @property
     def name(self) -> str:
-        return self._tracer.names[self.row]
+        return self._tracer.names[self._tracer.slot(self.row)]
 
     @property
     def start(self) -> float:
-        return self._tracer.starts[self.row]
+        return self._tracer.starts[self._tracer.slot(self.row)]
 
     @property
     def end(self) -> float | None:
         """``None`` while the span is open."""
-        return self._tracer.ends[self.row]
+        return self._tracer.ends[self._tracer.slot(self.row)]
 
     @property
     def status(self) -> str:
-        return STATUS_ERROR if self.row in self._tracer.errors else STATUS_OK
+        return STATUS_ERROR if self.error else STATUS_OK
 
     @property
     def error(self) -> str:
         """The type name of the exception that failed the span, else ``""``."""
-        return self._tracer.errors.get(self.row, "")
+        return self._tracer.errors[self._tracer.slot(self.row)]
 
     @property
     def attributes(self) -> Mapping[str, str]:
         """Guard-cleared; may be one read-only mapping shared between spans —
         add to it through :meth:`Tracer.set_attribute`, which copies."""
-        return self._tracer.attributes[self.row]
+        return self._tracer.attributes[self._tracer.slot(self.row)]
 
     @property
     def duration(self) -> float:
@@ -124,16 +124,13 @@ class _SpanScope(Span):
                  attributes: Mapping[str, str],
                  remote_parent: TraceContext | None) -> None:
         # The row does not exist until entry, so not ``Span.__init__``.
-        self._tracer = tracer
-        self.row = None
-        self._name = name
-        self._attributes = attributes
-        self._remote_parent = remote_parent
+        self._tracer, self.row = tracer, None
+        self._name, self._attributes, self._remote_parent = name, attributes, remote_parent
 
     def __enter__(self) -> "_SpanScope":
         tracer = self._tracer
         self.row = tracer.open(self._name, self._attributes, self._remote_parent)
-        tracer.views[self.row] = self
+        tracer.views[self.row % SPAN_CAPACITY] = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -151,28 +148,29 @@ class Tracer:
         #: Id prefix distinguishing this tracer's spans across a federation.
         #: Pass the node's guard-hashed label so exports stay pseudonymous.
         self.site = site
-        # The columns, one entry per span in open order: a span's row.
-        self.names: list[str] = []
-        #: Guard-cleared mappings, shared between the spans of one shape.
-        self.attributes: list[Mapping[str, str]] = []
-        #: Parent row, the span id a remote parent carried, or ``None``.
-        self.parents: list[int | str | None] = []
-        #: Trace number, or the trace id a remote parent carried.
-        self.traces: list[int | str] = []
-        self.starts: list[float] = []
-        #: ``None`` while the span is open.
-        self.ends: list[float | None] = []
-        #: Row -> exception type name, for the spans that failed.
-        self.errors: dict[int, str] = {}
-        #: Rows in finish order (children before parents).
-        self.finished = array("q")
+        # The columns, a slot per row: ``attributes`` shared between the spans
+        # of one shape; ``parents`` a row, ``traces`` a trace number (or the
+        # ids a remote parent carried); ``ends`` ``None`` while open; ``walls``
+        # ``perf_counter()`` at open, then wall seconds (no deterministic
+        # export reads them); ``errors`` the failing exception's type name.
+        self.names: list[str | None] = [None] * SPAN_CAPACITY
+        self.attributes: list[Mapping[str, str] | None] = [None] * SPAN_CAPACITY
+        self.parents: list[int | str | None] = [None] * SPAN_CAPACITY
+        self.traces: list[int | str | None] = [None] * SPAN_CAPACITY
+        self.errors: list[str] = [""] * SPAN_CAPACITY
+        # Lists, not arrays: the interpreter stores a list item on its fast
+        # path and an array item off it, and every span writes about a dozen.
+        self.starts, self.ends, self.walls = ([0.0] * SPAN_CAPACITY for _ in range(3))
+        #: The ``n``-th span to finish (children before parents) is at ``n % SPAN_CAPACITY``.
+        self.finished: list[int] = [0] * SPAN_CAPACITY
+        self.rows = self.closed = 0  # spans opened and finished, overwritten ones included
         self._stack: list[int] = []
+        self._trace: int | str | None = None  # the open stack's trace
         #: ``guard.static_key(attributes)`` -> guard-cleared pairs.
         self._attribute_memo = self.guard.memo()
         self._trace_counter = 0
-        #: Row -> its :class:`Span`: a generic span's scope, else built by
-        #: the first read of the row.
-        self.views: dict[int, Span] = {}
+        #: Slot -> its row's :class:`Span`: a scope, else built by the first read.
+        self.views: list[Span | None] = [None] * SPAN_CAPACITY
 
     def _prefixed(self, body: str) -> str:
         return f"{self.site}/{body}" if self.site else body
@@ -196,9 +194,8 @@ class Tracer:
 
     def set_attribute(self, span: Span | int, key: str, value: object) -> None:
         """Attach one more guard-cleared attribute to an open span (or row)."""
-        row = span if type(span) is int else span.row
-        self.attributes[row] = {**self.attributes[row],
-                                **self.cleared({key: value})}
+        slot = self.slot(span if type(span) is int else span.row)
+        self.attributes[slot] = {**self.attributes[slot], **self.cleared({key: value})}
 
     def span(self, name: str, remote_parent: TraceContext | None = None,
              **attributes: object) -> _SpanScope:
@@ -217,39 +214,44 @@ class Tracer:
 
         The caller closes it with :meth:`close`, innermost first.
         """
-        row = len(self.names)
+        row = self.rows
+        self.rows = row + 1
+        slot = row % SPAN_CAPACITY
         stack = self._stack
         if stack:
             parent = stack[-1]
-            trace = self.traces[parent]
         elif remote_parent is not None:
-            parent, trace = remote_parent.span_id, remote_parent.trace_id
+            parent, self._trace = remote_parent.span_id, remote_parent.trace_id
         else:
             self._trace_counter += 1
-            parent, trace = None, self._trace_counter
-        self.names.append(name)
-        self.attributes.append(attributes)
-        self.parents.append(parent)
-        self.traces.append(trace)
-        self.starts.append(self._clock.now())
-        self.ends.append(None)
+            parent, self._trace = None, self._trace_counter
+        self.names[slot] = name
+        self.attributes[slot] = attributes
+        self.parents[slot] = parent
+        self.traces[slot] = self._trace
+        self.starts[slot] = self._clock.now()
+        self.ends[slot] = None
+        self.errors[slot] = ""
         stack.append(row)
+        self.walls[slot] = perf_counter()
         return row
 
     def close(self, row: int, exc_type: type | None = None) -> None:
-        """Close the span at ``row``.
-
-        ``exc_type`` — the exception leaving the span's block, if any —
-        marks it failed.
-        """
-        self.ends[row] = self._clock.now()
-        if exc_type is not None:
-            self.errors[row] = exc_type.__name__
+        """Close the span at ``row``; ``exc_type``, the exception leaving its
+        block if any, marks it failed.  A row overwritten while open is dropped."""
         stack = self._stack
         # The stack unwinds in LIFO order under the context-manager protocol.
         if stack and stack[-1] == row:
             stack.pop()
-        self.finished.append(row)
+        if self.rows - row > SPAN_CAPACITY:
+            return
+        slot = row % SPAN_CAPACITY
+        self.walls[slot] = perf_counter() - self.walls[slot]
+        self.ends[slot] = self._clock.now()
+        if exc_type is not None:
+            self.errors[slot] = exc_type.__name__
+        self.finished[self.closed % SPAN_CAPACITY] = row
+        self.closed += 1
 
     # -- ids, minted on read -------------------------------------------------
 
@@ -257,20 +259,27 @@ class Tracer:
         return self._prefixed(f"sp-{row + 1:06d}")
 
     def trace_id(self, row: int) -> str:
-        trace = self.traces[row]
+        trace = self.traces[self.slot(row)]
         return trace if isinstance(trace, str) else self._prefixed(f"tr-{trace:06d}")
 
     def parent_id(self, row: int) -> str | None:
-        parent = self.parents[row]
+        parent = self.parents[self.slot(row)]
         return self.span_id(parent) if isinstance(parent, int) else parent
 
     # -- inspection --------------------------------------------------------
 
+    def slot(self, row: int) -> int:
+        """``row``'s slot in the columns; :class:`IndexError` once overwritten."""
+        if not 0 <= self.rows - 1 - row < SPAN_CAPACITY:
+            raise IndexError(f"span row {row} has left the tracer's ring of {SPAN_CAPACITY}")
+        return row % SPAN_CAPACITY
+
     def span_of(self, row: int) -> Span:
         """The span at ``row``: built on first read, the same object after."""
-        span = self.views.get(row)
-        if span is None:
-            span = self.views[row] = Span(self, row)
+        slot = self.slot(row)
+        span = self.views[slot]
+        if span is None or span.row != row:
+            span = self.views[slot] = Span(self, row)
         return span
 
     @property
@@ -278,20 +287,22 @@ class Tracer:
         """The innermost open span's row, if any."""
         return self._stack[-1] if self._stack else None
 
-    @property
-    def current_span(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self.span_of(self._stack[-1]) if self._stack else None
-
     def context(self, row: int) -> TraceContext:
         """The span at ``row`` as a wire-portable context."""
         return TraceContext(trace_id=self.trace_id(row), span_id=self.span_id(row))
 
+    def finished_rows(self) -> list[int]:
+        """The rows of the finished spans the ring still holds, in finish order."""
+        ring, cut, floor = self.finished, self.closed % SPAN_CAPACITY, self.rows - SPAN_CAPACITY
+        rows = ring[cut:] + ring[:cut] if self.closed >= SPAN_CAPACITY else ring[:cut]
+        return [row for row in rows if row >= floor]
+
     def finished_spans(self) -> tuple[Span, ...]:
-        """Completed spans, in finish order (children before parents)."""
-        return tuple(map(self.span_of, self.finished))
+        """Completed spans the ring holds, in finish order (children first)."""
+        return tuple(map(self.span_of, self.finished_rows()))
 
     def spans_named(self, name: str) -> list[Span]:
         """Finished spans with the given name."""
         names = self.names
-        return [self.span_of(row) for row in self.finished if names[row] == name]
+        return [self.span_of(row) for row in self.finished_rows()
+                if names[row % SPAN_CAPACITY] == name]

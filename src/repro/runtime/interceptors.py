@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.audit.log import AuditAction, AuditOutcome, mint_record
 from repro.core.idmap import EventIdEntry
@@ -69,6 +69,14 @@ def classify(result: Any, failure: BaseException | None) -> Outcome:
     return Outcome.ERROR
 
 
+def tally(stats, outcome: Outcome) -> None:
+    """One more of ``stats.requests``, in the field ``stats.BUCKETS`` names
+    for ``outcome`` (its error bucket when it names none)."""
+    stats.requests += 1
+    bucket = stats.BUCKETS.get(outcome) or stats.BUCKETS[Outcome.ERROR]
+    setattr(stats, bucket, getattr(stats, bucket) + 1)
+
+
 class HotPath:
     """One hot path as an object, so that ``execute`` can be shimmed.
 
@@ -78,23 +86,37 @@ class HotPath:
     ``execute`` up on every call.  ``execute(*args)`` runs ``run(owner,
     *args)`` under the path's root span and does nothing else; the
     ``PIPELINE_OUTCOMES`` reader reads the ``stats`` the function fills.
+    A path ``within`` another runs under that path's root span when it is
+    the innermost one open, and leaves its outcome there as ``enforcement``.
     """
 
-    def __init__(self, name: str, run: Callable[..., Any], owner, stats, telemetry=None) -> None:
+    def __init__(self, name: str, run: Callable[..., Any], owner, stats, telemetry=None,
+                 within: str | None = None) -> None:
         self.name = name
         self._run = run
         self._owner = owner
         self._telemetry = telemetry
+        self._within = within
         if telemetry is not None:
             telemetry.metrics.reader("counter", PIPELINE_OUTCOMES, lambda: (
-                ({"pipeline": name, "outcome": outcome.label}, count)
-                for outcome, count in stats.outcomes().items() if count))
+                ({"pipeline": name, "outcome": outcome.label}, getattr(stats, bucket))
+                for outcome, bucket in stats.BUCKETS.items() if getattr(stats, bucket)))
 
     def execute(self, *args: Any) -> Any:
         """Run the path on ``args``; its failures surface unchanged."""
         telemetry = self._telemetry
         if telemetry is None:
             return self._run(self._owner, *args)
+        outer = self._within and telemetry.pipeline_span(self._within)
+        row = outer and outer.innermost()
+        if row is not None:
+            try:
+                result = self._run(self._owner, *args)
+            except BaseException as exc:
+                outer.note(row, "enforcement", classify(None, exc).label)
+                raise
+            outer.note(row, "enforcement", classify(result, None).label)
+            return result
         root = telemetry.pipeline_span(self.name)
         row = root.open()
         try:
@@ -141,10 +163,8 @@ class PublishStats:
     consent_blocked: int = 0
     denies: int = 0
     failures: int = 0
-
-    def outcomes(self) -> dict[Outcome, int]:
-        return {Outcome.OK: self.published, Outcome.VETO: self.consent_blocked,
-                Outcome.DENY: self.denies, Outcome.ERROR: self.failures}
+    BUCKETS: ClassVar = {Outcome.OK: "published", Outcome.VETO: "consent_blocked",
+                         Outcome.DENY: "denies", Outcome.ERROR: "failures"}
 
 
 def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
@@ -216,18 +236,8 @@ def publish(node, producer_id: str, occurrence) -> NotificationMessage | None:
         failure = exc
         raise
     finally:
-        outcome = classify(notification, failure)
+        tally(node.publish_stats, classify(notification, failure))
         failure = None  # its traceback holds this frame: leave no cycle
-        stats = node.publish_stats
-        stats.requests += 1
-        if outcome is Outcome.OK:
-            stats.published += 1
-        elif outcome is Outcome.VETO:
-            stats.consent_blocked += 1
-        elif outcome is Outcome.DENY:
-            stats.denies += 1
-        else:
-            stats.failures += 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +253,7 @@ class EdgeStats:
     permits: int = 0
     denies: int = 0
     failures: int = 0
-
-    def outcomes(self) -> dict[Outcome, int]:
-        return {Outcome.OK: self.permits, Outcome.DENY: self.denies, Outcome.ERROR: self.failures}
+    BUCKETS: ClassVar = {Outcome.OK: "permits", Outcome.DENY: "denies", Outcome.ERROR: "failures"}
 
 
 def request_details(node, consumer_id: str, request, credential=None):
@@ -270,16 +278,8 @@ def request_details(node, consumer_id: str, request, credential=None):
         failure = exc
         raise
     finally:
-        outcome = classify(detail, failure)
+        tally(node.edge_stats, classify(detail, failure))
         failure = None  # its traceback holds this frame: leave no cycle
-        stats = node.edge_stats
-        stats.requests += 1
-        if outcome is Outcome.OK:
-            stats.permits += 1
-        elif outcome is Outcome.DENY:
-            stats.denies += 1
-        else:
-            stats.failures += 1
 
 
 def get_event_details(enforcer, request):
@@ -330,15 +330,8 @@ def get_event_details(enforcer, request):
         note = (str(failure) if failure is not None
                 else "released fields: " + ", ".join(sorted(released)))
         failure = None  # its traceback holds this frame: leave no cycle
-        stats = enforcer.stats
-        stats.requests += 1
-        if outcome is Outcome.OK:
-            stats.permits += 1
-        elif outcome is Outcome.DENY:
-            stats.consent_vetoes += vetoed
-            stats.denies += 1
-        else:
-            stats.gateway_failures += 1
+        tally(enforcer.stats, outcome)
+        enforcer.stats.consent_vetoes += vetoed
         mint_record(
             enforcer.audit_log, enforcer.ids, enforcer.clock,
             request.actor.actor_id, AuditAction.DETAIL_REQUEST, outcome.audit,

@@ -15,8 +15,11 @@ def keystore() -> KeyStore:
 
 class TestKeyStore:
     def test_create_is_idempotent(self, keystore):
+        box = keystore._boxes["index-identity"]
+        token = keystore.seal("index-identity", "x", "evt-1/subjectRef")
         keystore.create("index-identity")
-        assert keystore.current_version("index-identity") == 1
+        assert keystore._boxes["index-identity"] is box
+        assert keystore.seal("index-identity", "x", "evt-1/subjectRef") == token
 
     def test_empty_master_secret_rejected(self):
         with pytest.raises(KeyNotFoundError):

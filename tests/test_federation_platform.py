@@ -452,12 +452,12 @@ class TestWireErrors:
     ):
         node = federation_two.platform.node("node-1")
         keystore = node.controller.keystore
-        names, schedule = dict(keystore._versions), dict(KeyStore._schedule)
+        names, schedule = dict(keystore._boxes), dict(KeyStore._schedule)
         response = node.handle("bus.relay",
                                {"from": "nobody", "token": "v1:" + "00" * 60})
         assert response == {"error": "FederationError",
                             "message": "no registered node 'nobody'"}
-        assert keystore._versions == names
+        assert keystore._boxes == names
         assert KeyStore._schedule == schedule
 
 

@@ -36,6 +36,7 @@ from repro.obs.recorder import EVENT_DEADLETTER, FlightRecorder
 from repro.workload import workload_config
 from repro.sim.scenario import script_first_attempt_drops
 from repro.workload.capacity import run_workload
+import repro.workload.incidents as incidents_module
 from repro.workload.incidents import LINK_DROPS, run_incident_capture
 
 SUBJECT_ID = re.compile(r"ap-\d{8}")
@@ -364,17 +365,24 @@ class TestCli:
         with it, so no section is put back.  The drops decide nothing:
         :meth:`TestAnomalyRun.test_link_drops_move_only_timestamps` holds
         the watched run's decisions and logical audit records, timestamps
-        aside, to the same run without them."""
+        aside, to the same run without them.
+
+        Re-pinned again (was 79d5e4fe…, events ``8f62f421…``) when a
+        request's enforcement stopped opening a root span inside the
+        edge's: the span window, the events' ``seq`` and ``dropped_spans``
+        moved, and :func:`test_the_bundle_is_the_parents_minus_its_enforcement_spans`
+        puts the spans back and reads the parent's.  ``series.jsonl`` and
+        the SLO section did not move."""
         cli_main(["incident", "--scenario", "federated",
                   "--out", str(tmp_path)])
         capsys.readouterr()
         bundle = tmp_path / "incident-0001"
         manifest_path = bundle / "manifest.json"
         assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == (
-            "79d5e4fe6cb08ac6b1f52977765d44f8c225709c2ed8adebccfa6116055d56ec")
+            "2d698219a905d0559b1a4a3ab413a1a349f69923f7a6c7d2bce014a2f26b1d17")
         files = json.loads(manifest_path.read_text())["files"]
         assert files["events.jsonl"]["sha256"] == (
-            "8f62f4210bc5d998297c20276797184d123f098349e51f0add2b7fd72c5247e8")
+            "a946821ca7ab0a2357bd5d35e3e03900c3631c6192a8886da126b5ac3729e064")
         assert files["series.jsonl"]["sha256"] == (
             "f1a2f05f5be3476da087e4b2f78aed1541896a2ec63db87af4495b5a97a0d1ad")
 
@@ -403,3 +411,60 @@ class TestCli:
         text = capsys.readouterr().out
         assert "flight-recorder timeline" in text
         assert not SUBJECT_ID.search(target.read_text())
+
+
+#: :func:`window_before` of the federated bundle at the commit before a
+#: request's enforcement stopped opening a root span inside the edge's,
+#: where it is the bundle's own window (no edge carried an outcome).
+WINDOW_BEFORE = "d957092ddc00b11aa1529c2a35a6b39cdbcb1629fea77755c8ebe5a1fb66b5a8"
+
+
+def window_before(bundle: dict, exports: dict[str, list[str]]) -> str:
+    """sha256 of what an incident bundle's recorder sections read as when a
+    request's enforcement opened its own span inside the edge's: each edge
+    span whose export carries an ``enforcement`` outcome gets that child
+    back right before it (same trace, end and duration; failed as the edge
+    failed unless the outcome is ``ok``), then each node keeps its last
+    256 spans.  ``seq`` and span ids count rows, so they are left out; the
+    spans each node saw count the children back in."""
+    ids = ("seq", "span_id", "parent_id")
+    view: dict = {"events": [{k: v for k, v in row.items() if k != "seq"}
+                             for row in bundle["events"]], "spans": {}, "seen": {}}
+    for node, counts in sorted(bundle["recorder"].items()):
+        # One tracer's spans in finish order: the node's own, or the shared one's.
+        export = [json.loads(line) for line in exports.get(node, exports.get("shared"))]
+        outcome = {span["span_id"]: span["attributes"].get("enforcement")
+                   for span in export}
+        rows = []
+        for row in bundle["spans"]:
+            if row["node"] != node:
+                continue
+            folded = outcome[row["span_id"]]
+            if folded is not None:
+                rows.append({**{k: v for k, v in row.items() if k not in ids},
+                             "name": "pipeline.request-details",
+                             "status": row["status"] if folded != "ok" else "ok"})
+            rows.append({k: v for k, v in row.items() if k not in ids})
+        seen = counts["dropped_spans"] + sum(row["node"] == node for row in bundle["spans"])
+        view["spans"][node] = rows[-256:]
+        view["seen"][node] = seen + sum(
+            span["attributes"].get("enforcement") is not None for span in export[:seen])
+    return hashlib.sha256(canonical_json(view).encode()).hexdigest()
+
+
+def test_the_bundle_is_the_parents_minus_its_enforcement_spans(monkeypatch):
+    """The federated bundle's pins moved when a request's enforcement
+    stopped opening a root span inside the edge's on one node: its events
+    (their ``seq`` counts spans), its span window (which now reaches
+    further back) and ``dropped_spans``.  With each enforcement span put
+    back, its events, window and the spans each node saw are the parent's."""
+    runs = []
+
+    def kept(*args, **kwargs):
+        runs.append(run_workload(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(incidents_module, "run_workload", kept)
+    payload = run_incident_capture(quick_workload(), source="pytest")
+    (bundle,) = payload["incidents"]
+    assert window_before(bundle, runs[0].platform.trace_exports()) == WINDOW_BEFORE

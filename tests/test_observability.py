@@ -145,8 +145,8 @@ class TestTracer:
             clock.advance(1.0)
             with tracer.span("child") as child:
                 clock.advance(0.5)
-            assert tracer.current_span is root
-        assert tracer.current_span is None
+            assert tracer.span_of(tracer.current_row) is root
+        assert tracer.current_row is None
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
         assert root.parent_id is None
@@ -287,8 +287,11 @@ class TestInstrumentation:
         doctor.request_details(notification, "healthcare-treatment")
         metrics = controller.telemetry.metrics
         tracer = controller.telemetry.tracer
-        assert tracer.spans_named("pipeline.request-details-edge")
-        assert tracer.spans_named("pipeline.request-details")
+        # One root span: Algorithm 1 runs under the edge's and leaves its
+        # outcome there.
+        (edge,) = tracer.spans_named("pipeline.request-details-edge")
+        assert edge.attributes["enforcement"] == "ok"
+        assert not tracer.spans_named("pipeline.request-details")
         assert metrics.counter_value(
             PIPELINE_OUTCOMES, pipeline="publish", outcome="ok") == 1
         assert metrics.counter_value(
@@ -306,9 +309,10 @@ class TestInstrumentation:
         assert metrics.counter_value(
             PIPELINE_OUTCOMES, pipeline="request-details", outcome="deny") == 1
         (root,) = controller.telemetry.tracer.spans_named(
-            "pipeline.request-details")
+            "pipeline.request-details-edge")
         assert root.status == STATUS_ERROR
         assert root.error == "AccessDeniedError"
+        assert root.attributes["enforcement"] == "deny"
 
     def test_bus_counters_and_queue_depth_gauge(self):
         controller, hospital, blood, doctor = telemetry_platform()

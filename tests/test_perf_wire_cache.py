@@ -62,7 +62,7 @@ class TestKeyScheduleCache:
         second = KeyStore("shared-master")
         first.create("channel:x")
         second.create("channel:x")
-        assert first._boxes[("channel:x", 1)] is second._boxes[("channel:x", 1)]
+        assert first._boxes["channel:x"] is second._boxes["channel:x"]
         assert len(KeyStore._schedule) == 1
         # Interoperable: sealed by one store, opened by the other.
         token = first.seal("channel:x", "payload", context="channel:x")
@@ -78,9 +78,9 @@ class TestKeyScheduleCache:
         KeyStore._schedule.clear()
         after = KeyStore("shared-master")
         after.create("channel:y")
-        assert after._boxes[("channel:y", 1)] is not before._boxes[("channel:y", 1)]
+        assert after._boxes["channel:y"] is not before._boxes["channel:y"]
         assert after.open_("channel:y", token) == "payload"
-        assert ("shared-master", "channel:y", 1) in KeyStore._schedule
+        assert ("shared-master", "channel:y") in KeyStore._schedule
 
     def test_different_masters_never_share_boxes(self):
         KeyStore._schedule.clear()

@@ -26,6 +26,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.obs.telemetry import PIPELINE_OUTCOMES, PIPELINE_WALL_DURATION
+from repro.obs.tracing import SPAN_CAPACITY
 from repro.runtime.interceptors import classify
 from repro.runtime.kernel import RuntimeConfig
 from repro.sim.scenario import CssScenario, ScenarioConfig
@@ -74,6 +75,9 @@ class TestHotPaths:
         assert controller.publish_stats.failures == 1
 
     def test_each_path_is_one_root_span_one_count_and_one_wall_sample(self):
+        """A request for details is the edge's root span alone: Algorithm 1
+        runs under it, counts its own outcome and leaves it on the edge's
+        span as ``enforcement``."""
         controller, hospital, blood, doctor = build_world(
             RuntimeConfig(telemetry="inmemory"))
         doctor.subscribe("BloodTest")
@@ -82,13 +86,11 @@ class TestHotPaths:
         with pytest.raises(AccessDeniedError):
             doctor.request_details(notification, "administration")
         telemetry = controller.telemetry
-        assert [(span.name, span.status) for span in
-                telemetry.tracer.finished_spans()] == [
-            ("pipeline.publish", "ok"),
-            ("pipeline.request-details", "ok"),
-            ("pipeline.request-details-edge", "ok"),
-            ("pipeline.request-details", "error"),
-            ("pipeline.request-details-edge", "error"),
+        assert [(span.name, span.status, span.attributes.get("enforcement"))
+                for span in telemetry.tracer.finished_spans()] == [
+            ("pipeline.publish", "ok", None),
+            ("pipeline.request-details-edge", "ok", "ok"),
+            ("pipeline.request-details-edge", "error", "deny"),
         ]
         counts = {(labels["pipeline"], labels["outcome"]): counter.value
                   for labels, counter
@@ -100,7 +102,7 @@ class TestHotPaths:
                           ("request-details-edge", "deny"): 1.0}
         assert {labels["pipeline"]: summary["count"] for labels, summary in
                 telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)} == {
-            "publish": 1, "request-details": 2, "request-details-edge": 2}
+            "publish": 1, "request-details-edge": 2}
 
 
 class TestRetention:
@@ -121,6 +123,44 @@ class TestRetention:
         controller.flush_storage()
         gc.collect()
         assert (len(gc.get_objects()) - before) / 2000 <= 4
+
+
+    def test_a_node_keeps_span_capacity_spans_however_many_requests_run(self):
+        """Telemetry keeps a node's last spans, not its history: after N and
+        again after 2N more requests for details (N = ``SPAN_CAPACITY``,
+        every tenth denied, one root span each) the tracer holds exactly
+        ``SPAN_CAPACITY`` finished spans, its columns, views and error
+        names are the same size, and the wall sidecar holds one sample per
+        retained span."""
+        controller, hospital, blood, doctor = build_world(
+            RuntimeConfig(telemetry="inmemory", recorder="ring"))
+        telemetry = controller.telemetry
+        tracer = telemetry.tracer
+        notification = publish(hospital, blood)
+
+        def run(count: int) -> tuple:
+            for number in range(count):
+                try:
+                    doctor.request_details(notification, "administration" if number % 10 == 0
+                                           else "healthcare-treatment")
+                except AccessDeniedError:
+                    pass
+            retained = tracer.finished_spans()
+            wall = telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)
+            failed = sum(span.status == "error" for span in retained)
+            containers = tuple(map(len, (
+                tracer.names, tracer.attributes, tracer.parents, tracer.traces,
+                tracer.starts, tracer.ends, tracer.walls, tracer.errors,
+                tracer.finished, tracer.views)))
+            return (len(retained), containers, failed,
+                    sum(summary["count"] for _, summary in wall),
+                    len(controller.recorder.spans()))
+
+        first = run(SPAN_CAPACITY)
+        assert run(2 * SPAN_CAPACITY) == first
+        assert first == (SPAN_CAPACITY, (SPAN_CAPACITY,) * 10,
+                         SPAN_CAPACITY // 10 + 1, SPAN_CAPACITY, 256)
+        assert tracer.rows == 3 * SPAN_CAPACITY + 1  # the publish, then one per request
 
 
 class TestOneValidation:
@@ -330,15 +370,23 @@ class TestOutcomeEquivalence:
         assert rows == {key: float(count) for key, count in answers.items()}
         assert answers["request-details-edge", "deny"] == 2  # policy; actor mismatch
         assert answers["request-details-edge", "error"] == 2  # gateway; contract
-        spans = {}
+        spans, enforced = {}, {}
         for span in telemetry.tracer.finished_spans():
             spans[span.name] = spans.get(span.name, 0) + 1
+            outcome = span.attributes.get("enforcement")
+            if outcome is not None:
+                enforced[outcome] = enforced.get(outcome, 0) + 1
         wall = {labels["pipeline"]: summary["count"] for labels, summary
                 in telemetry.wall.histogram_summaries(PIPELINE_WALL_DURATION)}
-        for pipeline in ("publish", "request-details", "request-details-edge"):
+        for pipeline in ("publish", "request-details-edge"):
             executions = sum(count for (name, _), count in answers.items()
                              if name == pipeline)
             assert spans[f"pipeline.{pipeline}"] == wall[pipeline] == executions
+        # Algorithm 1 ran under the edge's span each time, and left its
+        # outcome there.
+        assert "pipeline.request-details" not in spans and "request-details" not in wall
+        assert enforced == {outcome: count for (name, outcome), count in answers.items()
+                            if name == "request-details"}
         stats = (controller.publish_stats, controller.enforcer.stats,
                  controller.edge_stats)
         assert [s.requests for s in stats] == [

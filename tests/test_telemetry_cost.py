@@ -54,7 +54,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import PIPELINE_WALL_DURATION, InMemoryTelemetry
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracing import Span, Tracer, _SpanScope
+from repro.obs.tracing import SPAN_CAPACITY, Span, Tracer, _SpanScope
 from repro.runtime.kernel import RuntimeConfig
 from repro.sched import BacklogBound
 from repro.sim.scenario import CssScenario, ScenarioConfig
@@ -258,13 +258,63 @@ def test_reset_leaves_no_stale_bound_series():
 #: when every series became a read of its owner's stats: two nodes share
 #: that telemetry, and a gauge both serve now reads the larger of the two
 #: where it read whichever bus set it last (``HIGH_WATER_BEFORE``).
+#: Both trace digests moved again when a request's enforcement stopped
+#: opening a root span of its own under the edge's on one node
+#: (``TRACE_BEFORE``).
 PINNED = {
-    "css": ("f6cd9df26c69fa9b48ad05ad0cc61311222e58e9d67a4c7f6921cab8da35abb7",
+    "css": ("6a3176f50ab6257df812bc1e7039cabdc0c09418fcdc02b67c899251a9a68d42",
             "b0c78c7c984bd6c1f859cd2b6dac6a72a3528fcecc11bacbd4a64c95beb6a1a7"),
     "federated": (
-        "5c745b2439c141ada3d1ae07929df2e81994f1d3cd136eb36f385dc9337d59f1",
+        "212e2d6be1d24448d4940e41c81da02414a9220d0b8472fcaf5db28b543d0b29",
         "6b634616e1509157b00790528513b1f2a5e1aa235a75636e25b3b5ab646efe8d"),
 }
+
+#: The trace digests while a request's enforcement opened its own
+#: ``pipeline.request-details`` span under the edge's on one node:
+#: :func:`with_enforcement_spans` of today's export reads as that export
+#: byte for byte.
+TRACE_BEFORE = {
+    "css": "f6cd9df26c69fa9b48ad05ad0cc61311222e58e9d67a4c7f6921cab8da35abb7",
+    "federated": "5c745b2439c141ada3d1ae07929df2e81994f1d3cd136eb36f385dc9337d59f1",
+}
+
+
+def with_enforcement_spans(export: list[str]) -> list[str]:
+    """``export`` as it read when enforcement opened its own root span
+    inside a request's edge.  Each edge span carrying an ``enforcement``
+    outcome gets that child back: opened right after the edge and finished
+    right before it, at the edge's times, failed as the edge failed unless
+    the outcome is ``ok``.  Span ids are renumbered for the rows the
+    children took."""
+    rows = [json.loads(line) for line in export]
+    edges: dict[str, list[int]] = {}  # site -> the edges' span numbers
+    for row in rows:
+        if "enforcement" in row["attributes"]:
+            site, _, number = row["span_id"].rpartition("sp-")
+            edges.setdefault(site, []).append(int(number))
+
+    def before(span_id, child=0):
+        if span_id is None or "sp-" not in span_id:
+            return span_id
+        site, _, number = span_id.rpartition("sp-")
+        shift = sum(edge < int(number) for edge in edges.get(site, ()))
+        return f"{site}sp-{int(number) + shift + child:06d}"
+
+    lines = []
+    for row in rows:
+        outcome = row["attributes"].pop("enforcement", None)
+        edge = {**row, "span_id": before(row["span_id"]),
+                "parent_id": before(row["parent_id"])}
+        if outcome is not None:
+            failed = outcome != "ok"
+            lines.append(canonical_json({
+                **edge, "span_id": before(row["span_id"], child=1),
+                "parent_id": edge["span_id"], "name": "pipeline.request-details",
+                "attributes": {"pipeline": "request-details"},
+                "status": row["status"] if failed else "ok",
+                "error": row["error"] if failed else ""}))
+        lines.append(canonical_json(edge))
+    return lines
 
 #: The ``bus.queue.high_water`` rows of the ``federated`` run that moved
 #: with the gauge max-merge: topic -> (last set, as pushed; the max over
@@ -358,6 +408,7 @@ def test_exports_are_byte_identical_to_the_parent_commit(name, run):
     telemetry = run()
     assert (digest(telemetry.trace_export()),
             digest(telemetry.metrics_export())) == PINNED[name]
+    assert digest(with_enforcement_spans(telemetry.trace_export())) == TRACE_BEFORE[name]
     before, hits, misses = METRICS_BEFORE[name]
     assert digest(with_decision_cache(telemetry.metrics_export(), hits, misses)) == before
 
@@ -422,7 +473,7 @@ def test_spans_are_the_parents_minus_its_stage_spans(name, run):
     """The trace pins moved by the deleted ``stage.*`` spans only: the root
     spans and every other span keep their names, order, outcomes, times
     and ancestry."""
-    export = run().trace_export()
+    export = with_enforcement_spans(run().trace_export())
     assert not [line for line in export
                 if json.loads(line)["name"].startswith("stage.")]
     assert span_skeleton(export) == PARENT_SKELETONS[name]
@@ -464,10 +515,11 @@ SPANS_PER_PUBLISH, SPANS_PER_REMOTE_DETAILS = 3, 4
 
 
 def test_span_count_per_publish_and_per_request_for_details(prod):
-    """Spans sit at operation boundaries: one root per hot path (a publish
-    1, a request for details through the controller edge 2 — the edge's
-    root around Algorithm 1's), plus the spans of the layers a federated
-    operation crosses.  No span per step of a path."""
+    """Spans sit at operation boundaries: one root per operation (a publish
+    1, a request for details through the controller edge 1 — Algorithm 1
+    runs under the edge's root and leaves its outcome there), plus the
+    spans of the layers a federated operation crosses.  No span per step
+    of a path."""
     platform, blood = prod
 
     def names_since(mark: int) -> list[str]:
@@ -492,9 +544,9 @@ def test_span_count_per_publish_and_per_request_for_details(prod):
     platform.request_details("Dr-Bianchi", "BloodTest", event_id,
                              "healthcare-treatment")
     spans = platform.telemetry.tracer.finished_spans()[mark:]
-    assert [span.name for span in spans] == [
-        "pipeline.request-details", "pipeline.request-details-edge"]
-    assert spans[0].parent_id == spans[1].span_id
+    assert [(span.name, span.parent_id, dict(span.attributes)) for span in spans] == [
+        ("pipeline.request-details-edge", None,
+         {"enforcement": "ok", "pipeline": "request-details-edge"})]
 
 
 # -- the deterministic overhead gate ------------------------------------------
@@ -567,9 +619,9 @@ def test_warm_spans_build_no_object_call_no_recorder_and_read_the_clock_twice(
     for name, member in vars(FlightRecorder).items():
         if inspect.isfunction(member) and name != "__init__":
             monkeypatch.setattr(FlightRecorder, name, counted(member))
-    first = len(tracer.finished)
+    first = tracer.closed
     drive(platform, blood, 1000, 200)
-    spans = len(tracer.finished) - first
+    spans = tracer.closed - first
     assert spans == 200 * (SPANS_PER_PUBLISH + SPANS_PER_REMOTE_DETAILS)
     assert counts == {"Span": 0, "recorder": 0, "clock": 2 * spans}
 
@@ -606,9 +658,10 @@ def test_warm_hops_encode_nothing_build_no_span_and_mint_no_context(
     monkeypatch.setattr(TraceContext, "__init__",
                         counted("TraceContext", TraceContext.__init__))
     monkeypatch.setattr(Clock, "now", counted_now)
-    first = len(tracer.finished)
+    first = tracer.closed
     drive(platform, blood, 1000, 200)
-    names = [tracer.names[row] for row in tracer.finished[first:]]
+    names = [tracer.names[row % SPAN_CAPACITY]
+             for row in tracer.finished_rows()[first - tracer.closed:]]
     assert names.count("link.call") >= 400  # a relay and a details.get each
     assert names.count("federation.details.get") == 200
     assert counts == {"Span": 0,

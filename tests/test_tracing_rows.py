@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +30,9 @@ from repro.exceptions import AccessDeniedError
 from repro.obs.context import TraceContext
 from repro.obs.exporters import span_lines
 from repro.obs.guard import PrivacyGuard
+from repro.obs.incident import build_bundle
 from repro.obs.recorder import FlightRecorder
-from repro.obs.tracing import STATUS_ERROR, STATUS_OK, Tracer
+from repro.obs.tracing import SPAN_CAPACITY, STATUS_ERROR, STATUS_OK, Tracer
 
 # -- the reference: one object per span, a ring the tracer pushes into ------
 
@@ -222,7 +225,7 @@ class Pair:
             if scoped:
                 handle = tracer.span(name, remote_parent=parent, **attributes)
                 assert handle.__enter__() is handle
-                assert tracer.current_span is handle
+                assert tracer.span_of(tracer.current_row) is handle
             else:
                 handle = tracer.open(name, tracer.cleared(attributes), parent)
             self.open.append((handle, eager.open(
@@ -292,3 +295,64 @@ def test_rows_and_the_recorder_view_read_as_the_eager_pair(
     while pair.open:  # close what is left
         pair.step("close", None)
         pair.check()
+
+
+# -- after the ring wraps -----------------------------------------------------
+
+
+def test_the_recorder_and_an_incident_read_the_ring_after_it_wraps():
+    """Past ``SPAN_CAPACITY`` spans the tracer keeps the last ones: its
+    finished spans are the reference's last ``SPAN_CAPACITY``, and the
+    recorder's window, timeline, freeze and an incident bundle built from
+    the freeze show the rows and sequence numbers a tracer that never
+    wrapped gives — also once the ring has moved on past the freeze."""
+    pair = Pair("h:a", capacity=8, span_capacity=256)
+    pair.step("watch")
+
+    def traffic(operations: int) -> None:
+        for number in range(operations):  # a root around one child, some failing
+            pair.step("open", "pipeline.publish", 0, number % 7 == 0, number % 97 == 0)
+            pair.step("open", "link.call", 2, False, False)
+            pair.step("close", FAILURES[number % 3])
+            pair.step("advance", 0.25)
+            pair.step("close", None)
+            if number % 50 == 0:
+                pair.step("event", "bus.deadletter", 3)
+
+    traffic(SPAN_CAPACITY)  # 2 × SPAN_CAPACITY spans
+    spans = pair.tracer.finished_spans()
+    assert len(spans) == SPAN_CAPACITY and pair.tracer.rows == 2 * SPAN_CAPACITY
+    assert span_lines(spans) == span_lines(pair.eager.finished_spans()[-SPAN_CAPACITY:])
+    assert pair.recorder.timeline() == pair.eager_recorder.timeline()
+    assert pair.recorder.dropped_spans == 2 * SPAN_CAPACITY - 256
+    frozen = pair.recorder.freeze()
+    assert frozen == pair.eager_recorder.freeze()
+    traffic(SPAN_CAPACITY)  # the ring moves past everything the freeze shows
+    assert pair.recorder.snapshot() == frozen == pair.eager_recorder.snapshot()
+    assert pair.recorder.timeline() == pair.eager_recorder.timeline()
+    platform = SimpleNamespace(nodes=lambda: ())
+    assert build_bundle(platform, "bus.deadletter", {}, {"node-0": frozen}) == \
+        build_bundle(platform, "bus.deadletter", {}, {"node-0": pair.eager_recorder.snapshot()})
+
+
+def test_an_overwritten_row_is_refused_not_read_as_another():
+    clock = Clock()
+    tracer = Tracer(clock)
+    with tracer.span("first") as first:
+        pass
+    kept_open = tracer.open("held", tracer.cleared({}))
+    for _ in range(SPAN_CAPACITY):
+        tracer.close(tracer.open("later", tracer.cleared({})))
+    with pytest.raises(IndexError, match="span row 0 has left the tracer's ring"):
+        first.name  # noqa: B018 -- a view from before the ring wrapped
+    with pytest.raises(IndexError):
+        tracer.span_of(0)
+    with pytest.raises(IndexError):
+        tracer.set_attribute(0, "outcome", "error")
+    # A span held open while the ring went round is dropped when it closes,
+    # and the row now in its slot is left as it was.
+    newest = tracer.finished_spans()[-1].to_dict()
+    tracer.close(kept_open)
+    assert tracer.closed == SPAN_CAPACITY + 1
+    assert tracer.finished_spans()[-1].to_dict() == newest
+    assert {span.name for span in tracer.finished_spans()} == {"later"}
